@@ -50,6 +50,16 @@ pub fn instance_claims(inst: &ResourceInstance) -> Vec<ClaimKey> {
     out
 }
 
+/// The ANA504 shape: a `create_before_destroy` instance whose identity is
+/// known at plan time. Returns the pinned claim; `None` for instances
+/// without the flag or with a deferred (per-generation) identity.
+pub fn replace_self_race(inst: &ResourceInstance) -> Option<ClaimKey> {
+    if !inst.lifecycle.create_before_destroy {
+        return None;
+    }
+    instance_claims(inst).into_iter().next()
+}
+
 /// ANA502 — two instances resolving to the same cloud object. One finding
 /// per colliding key, localized on the second claimant.
 pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex {
@@ -107,14 +117,10 @@ pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex
 pub(crate) fn pass_replace_self_race(manifest: &Manifest, sink: &mut Sink<'_>) {
     let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
     for inst in &manifest.instances {
-        if !inst.lifecycle.create_before_destroy {
-            continue;
-        }
-        let claims = instance_claims(inst);
-        let Some((rtype, attr, value)) = claims.first() else {
+        let Some((rtype, attr, value)) = replace_self_race(inst) else {
             continue;
         };
-        if !seen.insert((rtype.clone(), inst.addr.name.clone())) {
+        if !seen.insert((rtype, inst.addr.name.clone())) {
             continue;
         }
         let span = inst

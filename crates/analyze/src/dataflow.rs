@@ -17,10 +17,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cloudless_hcl::ast::{Expr, Reference, TemplatePart};
+use cloudless_hcl::ast::{Attribute, Expr, Reference, TemplatePart};
 use cloudless_hcl::eval::{DeferAll, Scope};
 use cloudless_hcl::fold::{fold, Folded};
-use cloudless_hcl::program::{ModuleLibrary, Program};
+use cloudless_hcl::program::{ModuleLibrary, Program, ResourceBlock};
 use cloudless_types::cidr::Cidr;
 use cloudless_types::{Span, Value};
 
@@ -172,15 +172,102 @@ pub(crate) fn expr_sites(p: &Program) -> Vec<(&Expr, String)> {
     sites
 }
 
+/// The expression sites of one resource block, in the order every pass
+/// visits them: `count`, `for_each`, then each attribute value.
+pub(crate) fn block_exprs(r: &ResourceBlock) -> impl Iterator<Item = &Expr> {
+    r.count
+        .iter()
+        .chain(r.for_each.iter())
+        .chain(r.attrs.iter().map(|a| &a.value))
+}
+
 // ---------------------------------------------------------------- def-use
 
-pub(crate) fn pass_defuse(p: &Program, modules: &ModuleLibrary, sink: &mut Sink<'_>) {
+/// The names a program declares, for the undeclared-reference check
+/// (ANA103). Owned, so a cached [`LintEnv`] can outlive the program it was
+/// built from; blocks are grouped by type so a lookup allocates nothing.
+#[derive(Default)]
+pub(crate) struct Decls {
+    vars: BTreeSet<String>,
+    locals: BTreeSet<String>,
+    modules: BTreeSet<String>,
+    blocks: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl Decls {
+    fn of(p: &Program) -> Decls {
+        let mut blocks: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for r in &p.resources {
+            blocks
+                .entry(r.rtype.clone())
+                .or_default()
+                .insert(r.name.clone());
+        }
+        Decls {
+            vars: p.variables.iter().map(|v| v.name.clone()).collect(),
+            locals: p.locals.iter().map(|l| l.name.clone()).collect(),
+            modules: p.modules.iter().map(|m| m.name.clone()).collect(),
+            blocks,
+        }
+    }
+
+    /// Whether a `depends_on`-style reference names a declared block
+    /// (references too short to name one pass).
+    pub(crate) fn has_block(&self, r: &Reference) -> bool {
+        r.parts.len() < 2
+            || self
+                .blocks
+                .get(&r.parts[0])
+                .is_some_and(|names| names.contains(&r.parts[1]))
+    }
+
+    /// The ANA103 site check: what `r` names, when that thing is not
+    /// declared, plus the fix to suggest.
+    pub(crate) fn undeclared(&self, r: &Reference) -> Option<(String, Option<&'static str>)> {
+        let name = r.parts.get(1);
+        match r.root() {
+            "var" => name.filter(|n| !self.vars.contains(*n)).map(|n| {
+                (
+                    format!("variable var.{n}"),
+                    Some("declare the variable (or fix the name)"),
+                )
+            }),
+            "local" => name.filter(|n| !self.locals.contains(*n)).map(|n| {
+                (
+                    format!("local local.{n}"),
+                    Some("declare the local (or fix the name)"),
+                )
+            }),
+            // data sources may be resolver-provided without a block
+            "count" | "each" | "path" | "terraform" | "data" => None,
+            "module" => name
+                .filter(|n| !self.modules.contains(*n))
+                .map(|n| (format!("module module.{n}"), None)),
+            _ => (!self.has_block(r)).then(|| {
+                (
+                    format!(
+                        "resource {}.{} — it would defer forever and the value silently never resolves",
+                        r.parts[0], r.parts[1]
+                    ),
+                    Some("declare the resource (or fix the reference)"),
+                )
+            }),
+        }
+    }
+}
+
+pub(crate) fn pass_defuse(
+    p: &Program,
+    modules: &ModuleLibrary,
+    decls: &Decls,
+    sink: &mut Sink<'_>,
+) {
     let file = &p.filename;
 
-    // --- declarations (and ANA104 duplicates as we index them)
-    let mut vars: BTreeMap<&str, Span> = BTreeMap::new();
+    // --- ANA104 duplicate definitions
+    let mut vars: BTreeSet<&str> = BTreeSet::new();
     for v in &p.variables {
-        if vars.insert(&v.name, v.span).is_some() {
+        if !vars.insert(&v.name) {
             sink.emit(
                 "ANA104",
                 file,
@@ -193,9 +280,9 @@ pub(crate) fn pass_defuse(p: &Program, modules: &ModuleLibrary, sink: &mut Sink<
             );
         }
     }
-    let mut locals: BTreeMap<&str, Span> = BTreeMap::new();
+    let mut locals: BTreeSet<&str> = BTreeSet::new();
     for l in &p.locals {
-        if locals.insert(&l.name, l.span).is_some() {
+        if !locals.insert(&l.name) {
             sink.emit(
                 "ANA104",
                 file,
@@ -232,107 +319,52 @@ pub(crate) fn pass_defuse(p: &Program, modules: &ModuleLibrary, sink: &mut Sink<
             );
         }
     }
-    let data_blocks: BTreeSet<(&str, &str)> = p
-        .data
-        .iter()
-        .map(|d| (d.rtype.as_str(), d.name.as_str()))
-        .collect();
-    let module_names: BTreeSet<&str> = p.modules.iter().map(|m| m.name.as_str()).collect();
 
-    // --- uses
-    let mut used_vars: BTreeSet<String> = BTreeSet::new();
-    let mut used_locals: BTreeSet<String> = BTreeSet::new();
-    {
-        let mut check = |r: &Reference, span: Span, at: &str| match r.root() {
-            "var" => {
-                if let Some(name) = r.parts.get(1) {
-                    used_vars.insert(name.clone());
-                    if !vars.contains_key(name.as_str()) {
-                        sink.emit(
-                            "ANA103",
-                            file,
-                            span,
-                            format!("{at} references undeclared variable var.{name}"),
-                            Some("declare the variable (or fix the name)"),
-                        );
-                    }
+    // --- uses (and ANA103 undeclared references)
+    let mut used_vars: BTreeSet<&str> = BTreeSet::new();
+    let mut used_locals: BTreeSet<&str> = BTreeSet::new();
+    for (expr, at) in expr_sites(p) {
+        let mut bound = Vec::new();
+        walk_refs_scoped(expr, &mut bound, &mut |r, span| {
+            match (r.root(), r.parts.get(1)) {
+                ("var", Some(name)) => {
+                    used_vars.insert(name);
                 }
-            }
-            "local" => {
-                if let Some(name) = r.parts.get(1) {
-                    used_locals.insert(name.clone());
-                    if !locals.contains_key(name.as_str()) {
-                        sink.emit(
-                            "ANA103",
-                            file,
-                            span,
-                            format!("{at} references undeclared local local.{name}"),
-                            Some("declare the local (or fix the name)"),
-                        );
-                    }
+                ("local", Some(name)) => {
+                    used_locals.insert(name);
                 }
+                _ => {}
             }
-            "count" | "each" | "path" | "terraform" => {}
-            "data" => {
-                // data sources may be resolver-provided without a block;
-                // only cross-check declared ones (no finding if absent)
-                let _ = &data_blocks;
+            if let Some((what, hint)) = decls.undeclared(r) {
+                sink.emit(
+                    "ANA103",
+                    file,
+                    span,
+                    format!("{at} references undeclared {what}"),
+                    hint,
+                );
             }
-            "module" => {
-                if let Some(name) = r.parts.get(1) {
-                    if !module_names.contains(name.as_str()) {
-                        sink.emit(
-                            "ANA103",
-                            file,
-                            span,
-                            format!("{at} references undeclared module module.{name}"),
-                            None,
-                        );
-                    }
-                }
-            }
-            _ => {
-                if r.parts.len() >= 2 && !blocks.contains(&(&r.parts[0], &r.parts[1])) {
-                    sink.emit(
-                        "ANA103",
-                        file,
-                        span,
-                        format!(
-                            "{at} references undeclared resource {}.{} — it would defer forever and the value silently never resolves",
-                            r.parts[0], r.parts[1]
-                        ),
-                        Some("declare the resource (or fix the reference)"),
-                    );
-                }
-            }
-        };
-        for (expr, label) in expr_sites(p) {
-            let mut bound = Vec::new();
-            walk_refs_scoped(expr, &mut bound, &mut |r, span| check(r, span, &label));
-        }
-        // depends_on lists are references without expressions around them
-        for r in &p.resources {
-            let at = format!("{}.{} depends_on", r.rtype, r.name);
-            for dep in &r.depends_on {
-                if dep.parts.len() >= 2 && !blocks.contains(&(&dep.parts[0], &dep.parts[1])) {
-                    sink.emit(
-                        "ANA103",
-                        file,
-                        r.span,
-                        format!(
-                            "{at} names undeclared resource {}.{}",
-                            dep.parts[0], dep.parts[1]
-                        ),
-                        None,
-                    );
-                }
-            }
+        });
+    }
+    // depends_on lists are references without expressions around them
+    for r in &p.resources {
+        for dep in r.depends_on.iter().filter(|d| !decls.has_block(d)) {
+            sink.emit(
+                "ANA103",
+                file,
+                r.span,
+                format!(
+                    "{}.{} depends_on names undeclared resource {}.{}",
+                    r.rtype, r.name, dep.parts[0], dep.parts[1]
+                ),
+                None,
+            );
         }
     }
 
     // --- ANA101/ANA102 unused definitions
     for v in &p.variables {
-        if !used_vars.contains(&v.name) {
+        if !used_vars.contains(v.name.as_str()) {
             sink.emit(
                 "ANA101",
                 file,
@@ -343,7 +375,7 @@ pub(crate) fn pass_defuse(p: &Program, modules: &ModuleLibrary, sink: &mut Sink<
         }
     }
     for l in &p.locals {
-        if !used_locals.contains(&l.name) {
+        if !used_locals.contains(l.name.as_str()) {
             sink.emit(
                 "ANA102",
                 file,
@@ -384,17 +416,15 @@ pub(crate) fn pass_defuse(p: &Program, modules: &ModuleLibrary, sink: &mut Sink<
 
 /// Var defaults + locals folded to values where possible, for use as the
 /// scope of further folds.
+#[derive(Default)]
 pub(crate) struct FoldEnv {
     vars: BTreeMap<String, Value>,
     locals: BTreeMap<String, Value>,
 }
 
 impl FoldEnv {
-    pub(crate) fn build(p: &Program) -> FoldEnv {
-        let mut env = FoldEnv {
-            vars: BTreeMap::new(),
-            locals: BTreeMap::new(),
-        };
+    fn build(p: &Program) -> FoldEnv {
+        let mut env = FoldEnv::default();
         for v in &p.variables {
             if let Some(d) = &v.default {
                 if let Folded::Known(val) = fold(d, &env.scope()) {
@@ -563,19 +593,16 @@ const PORT_KEYS: &[&str] = &["port", "from_port", "to_port"];
 const PORT_LIST_ATTRS: &[&str] = &["allow_ports", "ports"];
 const CIDR_ATTRS: &[&str] = &["cidr_block", "address_space", "address_prefix"];
 
-pub(crate) fn pass_consts(p: &Program, sink: &mut Sink<'_>) {
-    let env = FoldEnv::build(p);
-    let file = &p.filename;
-
+pub(crate) fn pass_consts(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     for r in &p.resources {
-        check_block_consts(r, p, &env, file, sink);
+        check_block_consts(r, p, env, &p.filename, sink);
     }
 }
 
 /// The fold/interval checks for one resource block (ANA201/202/203).
 /// Shared by [`pass_consts`] and the incremental dirty-block recheck.
 pub(crate) fn check_block_consts(
-    r: &cloudless_hcl::program::ResourceBlock,
+    r: &ResourceBlock,
     p: &Program,
     env: &FoldEnv,
     file: &str,
@@ -759,7 +786,7 @@ fn check_ports(
 
 /// Attributes whose values routinely end up in logs, consoles, tags views
 /// and API listings — plaintext sinks for sensitive data.
-pub(crate) const LOG_SINKS: &[&str] = &[
+const LOG_SINKS: &[&str] = &[
     "name",
     "tags",
     "description",
@@ -768,39 +795,75 @@ pub(crate) const LOG_SINKS: &[&str] = &[
     "bucket",
 ];
 
-pub(crate) fn pass_taint(p: &Program, sink: &mut Sink<'_>) {
-    let file = &p.filename;
-    let mut tainted_vars: BTreeSet<&str> = p
-        .variables
-        .iter()
-        .filter(|v| v.sensitive)
-        .map(|v| v.name.as_str())
-        .collect();
-    if tainted_vars.is_empty() {
-        return;
-    }
-    let _ = &mut tainted_vars;
+/// Which variables and locals carry a `sensitive = true` value.
+#[derive(Default)]
+pub(crate) struct Taint {
+    vars: BTreeSet<String>,
+    locals: BTreeSet<String>,
+}
 
-    // propagate through locals to a fixpoint
-    let mut tainted_locals: BTreeSet<&str> = BTreeSet::new();
-    loop {
-        let before = tainted_locals.len();
-        for l in &p.locals {
-            if tainted_locals.contains(l.name.as_str()) {
-                continue;
+impl Taint {
+    fn of(p: &Program) -> Taint {
+        let mut taint = Taint {
+            vars: p
+                .variables
+                .iter()
+                .filter(|v| v.sensitive)
+                .map(|v| v.name.clone())
+                .collect(),
+            locals: BTreeSet::new(),
+        };
+        // propagate through locals to a fixpoint
+        while !taint.vars.is_empty() {
+            let newly: Vec<String> = p
+                .locals
+                .iter()
+                .filter(|l| !taint.locals.contains(&l.name) && taint.reaches(&l.value))
+                .map(|l| l.name.clone())
+                .collect();
+            if newly.is_empty() {
+                break;
             }
-            if expr_tainted(&l.value, &tainted_vars, &tainted_locals) {
-                tainted_locals.insert(&l.name);
-            }
+            taint.locals.extend(newly);
         }
-        if tainted_locals.len() == before {
-            break;
-        }
+        taint
+    }
+
+    /// Whether `expr` reads a sensitive variable, directly or via a local.
+    fn reaches(&self, expr: &Expr) -> bool {
+        let mut tainted = false;
+        let mut bound = Vec::new();
+        walk_refs_scoped(expr, &mut bound, &mut |r, _| {
+            tainted |= match (r.root(), r.parts.get(1)) {
+                ("var", Some(n)) => self.vars.contains(n),
+                ("local", Some(n)) => self.locals.contains(n),
+                _ => false,
+            };
+        });
+        tainted
+    }
+
+    /// The ANA302 sink test: the logged plaintext attributes of `r` that a
+    /// sensitive value flows into.
+    pub(crate) fn leaks<'a>(
+        &'a self,
+        r: &'a ResourceBlock,
+    ) -> impl Iterator<Item = &'a Attribute> + 'a {
+        r.attrs
+            .iter()
+            .filter(move |a| LOG_SINKS.contains(&a.name.as_str()) && self.reaches(&a.value))
+    }
+}
+
+pub(crate) fn pass_taint(p: &Program, taint: &Taint, sink: &mut Sink<'_>) {
+    let file = &p.filename;
+    if taint.vars.is_empty() {
+        return;
     }
 
     // ANA301 — sensitive values reaching plain outputs
     for o in &p.outputs {
-        if expr_tainted(&o.value, &tainted_vars, &tainted_locals) {
+        if taint.reaches(&o.value) {
             sink.emit(
                 "ANA301",
                 file,
@@ -816,36 +879,39 @@ pub(crate) fn pass_taint(p: &Program, sink: &mut Sink<'_>) {
 
     // ANA302 — sensitive values in logged attributes
     for r in &p.resources {
-        for a in &r.attrs {
-            if !LOG_SINKS.contains(&a.name.as_str()) {
-                continue;
-            }
-            if expr_tainted(&a.value, &tainted_vars, &tainted_locals) {
-                sink.emit(
-                    "ANA302",
-                    file,
-                    a.span,
-                    format!(
-                        "{}.{}.{}: a sensitive variable flows into a logged plaintext attribute",
-                        r.rtype, r.name, a.name
-                    ),
-                    Some("pass the secret through a dedicated secret attribute or drop the reference"),
-                );
-            }
+        for a in taint.leaks(r) {
+            sink.emit(
+                "ANA302",
+                file,
+                a.span,
+                format!(
+                    "{}.{}.{}: a sensitive variable flows into a logged plaintext attribute",
+                    r.rtype, r.name, a.name
+                ),
+                Some("pass the secret through a dedicated secret attribute or drop the reference"),
+            );
         }
     }
 }
 
-pub(crate) fn expr_tainted(expr: &Expr, vars: &BTreeSet<&str>, locals: &BTreeSet<&str>) -> bool {
-    let mut tainted = false;
-    let mut bound = Vec::new();
-    walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-        let hit = match r.root() {
-            "var" => r.parts.get(1).is_some_and(|n| vars.contains(n.as_str())),
-            "local" => r.parts.get(1).is_some_and(|n| locals.contains(n.as_str())),
-            _ => false,
-        };
-        tainted |= hit;
-    });
-    tainted
+/// The program-wide context every pass reads: the fold environment, the
+/// taint sets and the declared names. [`crate::lint_program`] builds one
+/// per run; the incremental pipeline caches it, which stays sound while
+/// only resource-block *bodies* change (variables, locals, outputs and
+/// modules live in other chunks, and a block's identity is its chunk key).
+#[derive(Default)]
+pub struct LintEnv {
+    pub(crate) fold: FoldEnv,
+    pub(crate) taint: Taint,
+    pub(crate) decls: Decls,
+}
+
+impl LintEnv {
+    pub fn build(p: &Program) -> LintEnv {
+        LintEnv {
+            fold: FoldEnv::build(p),
+            taint: Taint::of(p),
+            decls: Decls::of(p),
+        }
+    }
 }

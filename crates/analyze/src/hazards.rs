@@ -15,15 +15,45 @@ use std::collections::{BTreeMap, HashMap};
 
 use cloudless_graph::cycles::Digraph;
 use cloudless_hcl::ast::Reference;
-use cloudless_hcl::program::Program;
+use cloudless_hcl::program::{Program, ResourceBlock};
+use cloudless_hcl::Folded;
 use cloudless_types::{Span, Value};
 
-use crate::dataflow::{walk_refs_scoped, FoldEnv};
+use crate::alias::ClaimKey;
+use crate::dataflow::{block_exprs, walk_refs_scoped, FoldEnv};
 use crate::report::Sink;
 
 /// Attributes that name the cloud-side entity a resource manages. Two
 /// blocks of the same type agreeing on one of these manage the same thing.
 pub(crate) const IDENTITY_ATTRS: &[&str] = &["name", "bucket"];
+
+/// Whether the block's `count` folds to exactly 0: it expands to nothing,
+/// so it claims no identity (ANA402) and every edge into it dangles
+/// (ANA403).
+pub(crate) fn count_folds_zero(r: &ResourceBlock, env: &FoldEnv) -> bool {
+    r.count
+        .as_ref()
+        .is_some_and(|c| matches!(env.fold(c), Folded::Known(Value::Num(x)) if x == 0.0))
+}
+
+/// The identities a block claims before expansion (the ANA402 domain): one
+/// key per identity attribute that folds to a constant string. Under
+/// `count`/`for_each` the fold has no iteration binding, so a `Known`
+/// result means the name does *not* vary per instance — exactly the
+/// conflicting case. A count-disabled block claims nothing.
+pub(crate) fn block_claims(r: &ResourceBlock, env: &FoldEnv) -> Vec<ClaimKey> {
+    if count_folds_zero(r, env) {
+        return Vec::new();
+    }
+    r.attrs
+        .iter()
+        .filter(|a| IDENTITY_ATTRS.contains(&a.name.as_str()))
+        .filter_map(|a| match env.fold(&a.value) {
+            Folded::Known(Value::Str(s)) => Some((r.rtype.clone(), a.name.clone(), s)),
+            _ => None,
+        })
+        .collect()
+}
 
 fn block_target(r: &Reference, index: &HashMap<(&str, &str), usize>) -> Option<usize> {
     if r.parts.len() < 2 {
@@ -34,9 +64,8 @@ fn block_target(r: &Reference, index: &HashMap<(&str, &str), usize>) -> Option<u
         .copied()
 }
 
-pub(crate) fn pass_hazards(p: &Program, sink: &mut Sink<'_>) {
+pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     let file = &p.filename;
-    let env = FoldEnv::build(p);
     let n = p.resources.len();
 
     // (type, name) -> first declaring block, matching the linear-scan
@@ -59,17 +88,9 @@ pub(crate) fn pass_hazards(p: &Program, sink: &mut Sink<'_>) {
                 edge_spans.entry((j, i)).or_insert(span);
             }
         };
-        if let Some(c) = &r.count {
+        for expr in block_exprs(r) {
             let mut bound = Vec::new();
-            walk_refs_scoped(c, &mut bound, &mut note);
-        }
-        if let Some(fe) = &r.for_each {
-            let mut bound = Vec::new();
-            walk_refs_scoped(fe, &mut bound, &mut note);
-        }
-        for a in &r.attrs {
-            let mut bound = Vec::new();
-            walk_refs_scoped(&a.value, &mut bound, &mut note);
+            walk_refs_scoped(expr, &mut bound, &mut note);
         }
         for dep in &r.depends_on {
             note(dep, r.span);
@@ -127,8 +148,7 @@ pub(crate) fn pass_hazards(p: &Program, sink: &mut Sink<'_>) {
 
     // --- ANA403 dangling dependency: edges into blocks whose count folds to 0
     for (i, r) in p.resources.iter().enumerate() {
-        let Some(c) = &r.count else { continue };
-        if !matches!(env.fold(c), cloudless_hcl::Folded::Known(Value::Num(x)) if x == 0.0) {
+        if !count_folds_zero(r, env) {
             continue;
         }
         for ((from, to), span) in &edge_spans {
@@ -150,33 +170,10 @@ pub(crate) fn pass_hazards(p: &Program, sink: &mut Sink<'_>) {
     }
 
     // --- ANA402 write-write conflict: same (type, identity attr value)
-    let mut claims: BTreeMap<(String, String, String), Vec<usize>> = BTreeMap::new();
+    let mut claims: BTreeMap<ClaimKey, Vec<usize>> = BTreeMap::new();
     for (i, r) in p.resources.iter().enumerate() {
-        // A block disabled by a folded count of 0 claims nothing.
-        if let Some(c) = &r.count {
-            if matches!(env.fold(c), cloudless_hcl::Folded::Known(Value::Num(x)) if x == 0.0) {
-                continue;
-            }
-        }
-        // Counted/for_each blocks stamp out distinct entities per instance
-        // (names typically interpolate count.index) — skip unless the
-        // identity attr folds to a constant even under iteration.
-        let iterated = r.count.is_some() || r.for_each.is_some();
-        for a in &r.attrs {
-            if !IDENTITY_ATTRS.contains(&a.name.as_str()) {
-                continue;
-            }
-            if let cloudless_hcl::Folded::Known(Value::Str(s)) = env.fold(&a.value) {
-                // Under iteration the fold uses count_index = None, so a
-                // Known result means the name does NOT vary per instance —
-                // exactly the conflicting case. Non-iterated blocks always
-                // claim their folded name.
-                let _ = iterated;
-                claims
-                    .entry((r.rtype.clone(), a.name.clone(), s))
-                    .or_default()
-                    .push(i);
-            }
+        for key in block_claims(r, env) {
+            claims.entry(key).or_default().push(i);
         }
     }
     for ((rtype, attr, value), holders) in &claims {

@@ -5,14 +5,14 @@
 //! *clean* program (no findings, nothing suppressed) receives an edit
 //! confined to one resource block, the pipeline does not need the whole
 //! run again — it needs to know whether the edit could have *introduced*
-//! a finding anywhere. This module answers that question conservatively:
+//! a finding anywhere. This module answers that question conservatively,
+//! and only by calling the rule fragments the whole-program passes are
+//! themselves folds of — no rule is written twice:
 //!
-//! * [`LintEnv`] caches the program-wide context the per-block checks
-//!   need (fold environment, taint sets, declaration sets). It stays
-//!   valid as long as only resource blocks change, because variables,
-//!   locals, outputs and modules all live in other chunks.
-//! * [`block_is_clean`] re-runs every lint check that reads the block's
-//!   own text — undeclared references (ANA103), count/port/CIDR folding
+//! * [`LintEnv`] is the program-wide context the passes share (fold
+//!   environment, taint sets, declared names), cached across edits.
+//! * [`block_is_clean`] re-runs every check that reads the block's own
+//!   text — undeclared references (ANA103), count/port/CIDR folding
 //!   (ANA201/202/203), taint sinks (ANA302), self-reference (ANA404) —
 //!   and reports whether *zero* findings (and zero suppressions) result.
 //! * [`block_refs`] extracts the reference sets whose stability the
@@ -21,95 +21,40 @@
 //!   cycle/dangling verdicts (ANA401/403) still hold; if its old var and
 //!   local uses are a subset of the new ones, nothing became unused
 //!   (ANA101/102).
-//! * [`block_claims`] mirrors the write-write-conflict claim extraction
-//!   (ANA402) so the caller can maintain an identity-claims map across
-//!   edits instead of rescanning every block.
+//! * [`LintEnv::block_claims`] is the write-write-conflict (ANA402) claim
+//!   extractor, so the caller can maintain an identity-claims multiset
+//!   across edits instead of rescanning every block.
 //!
 //! Soundness contract: if the cached full-program report was clean, the
 //! edit touched only resource-block chunks, every dirty block passes
 //! [`block_is_clean`], its [`block_refs`] satisfy the stability rules
-//! above, its count-folds-to-zero status is unchanged, and the claims map
-//! stays collision-free, then a cold full lint of the edited program is
-//! also clean. Any doubt must fall back to the full run.
+//! above, its count-folds-to-zero status is unchanged, and the claims
+//! multiset stays collision-free, then a cold full lint of the edited
+//! program is also clean. Any doubt must fall back to the full run.
 
 use std::collections::BTreeSet;
 
-use cloudless_hcl::ast::Expr;
 use cloudless_hcl::program::{Program, ResourceBlock};
-use cloudless_hcl::Folded;
-use cloudless_types::Value;
 
-use crate::dataflow::{check_block_consts, expr_tainted, walk_refs_scoped, FoldEnv, LOG_SINKS};
-use crate::hazards::IDENTITY_ATTRS;
+use crate::alias::ClaimKey;
+pub use crate::dataflow::LintEnv;
+use crate::dataflow::{block_exprs, check_block_consts, walk_refs_scoped};
+use crate::hazards;
 use crate::report::Sink;
 use crate::rules::LintConfig;
 
-/// Program-wide context for per-block rechecks, built once from a clean
-/// cold run and reused for every subsequent resource-block edit.
-pub struct LintEnv {
-    fold: FoldEnv,
-    tainted_vars: BTreeSet<String>,
-    tainted_locals: BTreeSet<String>,
-    declared_vars: BTreeSet<String>,
-    declared_locals: BTreeSet<String>,
-    declared_blocks: BTreeSet<(String, String)>,
-    declared_modules: BTreeSet<String>,
-}
-
 impl LintEnv {
-    pub fn build(p: &Program) -> LintEnv {
-        let fold = FoldEnv::build(p);
-        let tainted_vars: BTreeSet<String> = p
-            .variables
-            .iter()
-            .filter(|v| v.sensitive)
-            .map(|v| v.name.clone())
-            .collect();
-        // Propagate taint through locals to a fixpoint, mirroring
-        // `pass_taint` (same traversal, owned strings).
-        let mut tainted_locals: BTreeSet<String> = BTreeSet::new();
-        if !tainted_vars.is_empty() {
-            loop {
-                let before = tainted_locals.len();
-                for l in &p.locals {
-                    if tainted_locals.contains(&l.name) {
-                        continue;
-                    }
-                    let vars: BTreeSet<&str> = tainted_vars.iter().map(String::as_str).collect();
-                    let locals: BTreeSet<&str> =
-                        tainted_locals.iter().map(String::as_str).collect();
-                    if expr_tainted(&l.value, &vars, &locals) {
-                        tainted_locals.insert(l.name.clone());
-                    }
-                }
-                if tainted_locals.len() == before {
-                    break;
-                }
-            }
-        }
-        LintEnv {
-            fold,
-            tainted_vars,
-            tainted_locals,
-            declared_vars: p.variables.iter().map(|v| v.name.clone()).collect(),
-            declared_locals: p.locals.iter().map(|l| l.name.clone()).collect(),
-            declared_blocks: p
-                .resources
-                .iter()
-                .map(|r| (r.rtype.clone(), r.name.clone()))
-                .collect(),
-            declared_modules: p.modules.iter().map(|m| m.name.clone()).collect(),
-        }
-    }
-
     /// Whether the block's `count` folds to exactly 0 under the cached
     /// environment — the condition under which hazards skips its claims
     /// and flags inbound edges (ANA403).
     pub fn count_folds_zero(&self, rb: &ResourceBlock) -> bool {
-        match &rb.count {
-            Some(c) => matches!(self.fold.fold(c), Folded::Known(Value::Num(x)) if x == 0.0),
-            None => false,
-        }
+        hazards::count_folds_zero(rb, &self.fold)
+    }
+
+    /// The identity claims this block makes before expansion: the ANA402
+    /// extractor (see [`hazards`](crate::hazards)).
+    pub fn block_claims(&self, rb: &ResourceBlock) -> Vec<ClaimKey> {
+        hazards::block_claims(rb, &self.fold)
     }
 }
 
@@ -129,6 +74,19 @@ pub struct BlockRefs {
     pub var_uses: BTreeSet<String>,
     /// Locals this block references (binding-aware).
     pub local_uses: BTreeSet<String>,
+}
+
+impl BlockRefs {
+    /// Whether an edit that turns these references into `new` keeps every
+    /// cached whole-program verdict: the same dependency edges (block
+    /// digraph and expansion dependency set unchanged) and no variable or
+    /// local use lost (nothing became unused).
+    pub fn stable_under(&self, new: &BlockRefs) -> bool {
+        self.expand_deps == new.expand_deps
+            && self.hazard_refs == new.hazard_refs
+            && self.var_uses.is_subset(&new.var_uses)
+            && self.local_uses.is_subset(&new.local_uses)
+    }
 }
 
 /// Extract [`BlockRefs`] from one resource block.
@@ -152,20 +110,16 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
         }
     }
     // Hazard edges and var/local uses: the binding-aware walker the lint
-    // passes use.
-    let mut note = |expr: &Expr| {
+    // passes use, over the same sites.
+    for expr in block_exprs(rb) {
         let mut bound = Vec::new();
         walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            match r.root() {
-                "var" => {
-                    if let Some(n) = r.parts.get(1) {
-                        out.var_uses.insert(n.clone());
-                    }
+            match (r.root(), r.parts.get(1)) {
+                ("var", Some(n)) => {
+                    out.var_uses.insert(n.clone());
                 }
-                "local" => {
-                    if let Some(n) = r.parts.get(1) {
-                        out.local_uses.insert(n.clone());
-                    }
+                ("local", Some(n)) => {
+                    out.local_uses.insert(n.clone());
                 }
                 _ => {}
             }
@@ -174,32 +128,26 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
                     .insert((r.parts[0].clone(), r.parts[1].clone()));
             }
         });
-    };
-    if let Some(c) = &rb.count {
-        note(c);
-    }
-    if let Some(fe) = &rb.for_each {
-        note(fe);
-    }
-    for a in &rb.attrs {
-        note(&a.value);
     }
     out
 }
 
-/// Re-run every block-local lint check against `rb` and report whether
-/// the block is finding-free (and suppression-free — an allow-listed
-/// finding still forces the caller onto the full path, because the full
-/// run would change the report's `suppressed` count).
-pub fn block_is_clean(p: &Program, rb: &ResourceBlock, env: &LintEnv, config: &LintConfig) -> bool {
-    let file = &p.filename;
-    let mut sink = Sink::new(config);
-
+/// Re-run every block-local lint check against `rb` (whose references are
+/// `refs`) and report whether the block is finding-free — and
+/// suppression-free: an allow-listed finding still forces the caller onto
+/// the full path, because the full run would change the report's
+/// `suppressed` count.
+pub fn block_is_clean(
+    p: &Program,
+    rb: &ResourceBlock,
+    refs: &BlockRefs,
+    env: &LintEnv,
+    config: &LintConfig,
+) -> bool {
     // ANA404: a reference to the block's own (type, name) can never
     // resolve. (ANA401/403 are covered by the caller's edge-stability
     // guard; the self-loop is the one hazard an edit can introduce while
     // keeping the *other* blocks' edges intact, so check it here.)
-    let refs = block_refs(rb);
     if refs
         .hazard_refs
         .contains(&(rb.rtype.clone(), rb.name.clone()))
@@ -207,102 +155,26 @@ pub fn block_is_clean(p: &Program, rb: &ResourceBlock, env: &LintEnv, config: &L
         return false;
     }
 
-    // ANA103: undeclared references, mirroring `pass_defuse`'s per-site
-    // checks (messages are discarded — only the verdict matters).
-    let mut ok = true;
-    let check_expr = |expr: &Expr, ok: &mut bool| {
+    // ANA103: undeclared references (only the verdict matters).
+    let mut declared = rb.depends_on.iter().all(|d| env.decls.has_block(d));
+    for expr in block_exprs(rb) {
         let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r, _| match r.root() {
-            "var" => {
-                if let Some(n) = r.parts.get(1) {
-                    if !env.declared_vars.contains(n) {
-                        *ok = false;
-                    }
-                }
-            }
-            "local" => {
-                if let Some(n) = r.parts.get(1) {
-                    if !env.declared_locals.contains(n) {
-                        *ok = false;
-                    }
-                }
-            }
-            "count" | "each" | "path" | "terraform" | "data" => {}
-            "module" => {
-                if let Some(n) = r.parts.get(1) {
-                    if !env.declared_modules.contains(n) {
-                        *ok = false;
-                    }
-                }
-            }
-            _ => {
-                if r.parts.len() >= 2
-                    && !env
-                        .declared_blocks
-                        .contains(&(r.parts[0].clone(), r.parts[1].clone()))
-                {
-                    *ok = false;
-                }
-            }
+        walk_refs_scoped(expr, &mut bound, &mut |r, _| {
+            declared &= env.decls.undeclared(r).is_none();
         });
-    };
-    if let Some(c) = &rb.count {
-        check_expr(c, &mut ok);
     }
-    if let Some(fe) = &rb.for_each {
-        check_expr(fe, &mut ok);
-    }
-    for a in &rb.attrs {
-        check_expr(&a.value, &mut ok);
-    }
-    for d in &rb.depends_on {
-        if d.parts.len() >= 2
-            && !env
-                .declared_blocks
-                .contains(&(d.parts[0].clone(), d.parts[1].clone()))
-        {
-            ok = false;
-        }
-    }
-    if !ok {
+    if !declared {
         return false;
     }
 
     // ANA201/202/203: fold and interval checks for this block.
-    check_block_consts(rb, p, &env.fold, file, &mut sink);
+    let mut sink = Sink::new(config);
+    check_block_consts(rb, p, &env.fold, &p.filename, &mut sink);
 
     // ANA302: sensitive values flowing into logged plaintext attributes.
-    if !env.tainted_vars.is_empty() {
-        let vars: BTreeSet<&str> = env.tainted_vars.iter().map(String::as_str).collect();
-        let locals: BTreeSet<&str> = env.tainted_locals.iter().map(String::as_str).collect();
-        for a in &rb.attrs {
-            if LOG_SINKS.contains(&a.name.as_str()) && expr_tainted(&a.value, &vars, &locals) {
-                return false;
-            }
-        }
-    }
-
-    sink.report.findings.is_empty() && sink.report.suppressed == 0
-}
-
-/// The identity claims this block makes, mirroring the ANA402 write-write
-/// conflict extraction: `(type, identity attr, folded value)` per
-/// identity attribute that folds to a constant string. Blocks whose
-/// `count` folds to 0 claim nothing.
-pub fn block_claims(rb: &ResourceBlock, env: &LintEnv) -> Vec<(String, String, String)> {
-    if env.count_folds_zero(rb) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for a in &rb.attrs {
-        if !IDENTITY_ATTRS.contains(&a.name.as_str()) {
-            continue;
-        }
-        if let Folded::Known(Value::Str(s)) = env.fold.fold(&a.value) {
-            out.push((rb.rtype.clone(), a.name.clone(), s));
-        }
-    }
-    out
+    sink.report.findings.is_empty()
+        && sink.report.suppressed == 0
+        && env.taint.leaks(rb).next().is_none()
 }
 
 #[cfg(test)]
@@ -311,6 +183,10 @@ mod tests {
 
     fn program(src: &str) -> Program {
         cloudless_hcl::load(src, "main.tf").expect("parses")
+    }
+
+    fn clean(p: &Program, rb: &ResourceBlock, env: &LintEnv) -> bool {
+        block_is_clean(p, rb, &block_refs(rb), env, &LintConfig::default())
     }
 
     const CLEAN: &str = r#"
@@ -331,14 +207,8 @@ mod tests {
     fn clean_blocks_are_clean() {
         let p = program(CLEAN);
         let env = LintEnv::build(&p);
-        let cfg = LintConfig::default();
         for rb in &p.resources {
-            assert!(
-                block_is_clean(&p, rb, &env, &cfg),
-                "{}.{}",
-                rb.rtype,
-                rb.name
-            );
+            assert!(clean(&p, rb, &env), "{}.{}", rb.rtype, rb.name);
         }
     }
 
@@ -347,12 +217,7 @@ mod tests {
         let p = program(CLEAN);
         let env = LintEnv::build(&p);
         let edited = program(&CLEAN.replace("var.region", "var.typo"));
-        assert!(!block_is_clean(
-            &p,
-            &edited.resources[0],
-            &env,
-            &LintConfig::default()
-        ));
+        assert!(!clean(&p, &edited.resources[0], &env));
     }
 
     #[test]
@@ -362,12 +227,7 @@ mod tests {
         let edited = program(
             r#"resource "aws_security_group" "sg" { name = "sg" ingress { port = 70000 } }"#,
         );
-        assert!(!block_is_clean(
-            &p,
-            &edited.resources[0],
-            &env,
-            &LintConfig::default()
-        ));
+        assert!(!clean(&p, &edited.resources[0], &env));
     }
 
     #[test]
@@ -375,12 +235,7 @@ mod tests {
         let p = program(CLEAN);
         let env = LintEnv::build(&p);
         let edited = program(r#"resource "aws_s3_bucket" "b" { bucket = aws_s3_bucket.b.bucket }"#);
-        assert!(!block_is_clean(
-            &p,
-            &edited.resources[0],
-            &env,
-            &LintConfig::default()
-        ));
+        assert!(!clean(&p, &edited.resources[0], &env));
     }
 
     #[test]
@@ -392,10 +247,9 @@ mod tests {
         "#;
         let p = program(src);
         let env = LintEnv::build(&p);
-        let cfg = LintConfig::default();
-        assert!(block_is_clean(&p, &p.resources[1], &env, &cfg));
+        assert!(clean(&p, &p.resources[1], &env));
         let edited = program(&src.replace("name = \"vm\"", "name = var.pw"));
-        assert!(!block_is_clean(&p, &edited.resources[0], &env, &cfg));
+        assert!(!clean(&p, &edited.resources[0], &env));
     }
 
     #[test]
@@ -417,7 +271,7 @@ mod tests {
     fn claims_match_identity_attrs() {
         let p = program(CLEAN);
         let env = LintEnv::build(&p);
-        let c = block_claims(&p.resources[1], &env);
+        let c = env.block_claims(&p.resources[1]);
         assert_eq!(
             c,
             vec![("aws_virtual_machine".into(), "name".into(), "web".into())]
@@ -426,6 +280,6 @@ mod tests {
         let z = program(r#"resource "aws_virtual_machine" "z" { count = 0 name = "web" }"#);
         let zenv = LintEnv::build(&z);
         assert!(zenv.count_folds_zero(&z.resources[0]));
-        assert!(block_claims(&z.resources[0], &zenv).is_empty());
+        assert!(zenv.block_claims(&z.resources[0]).is_empty());
     }
 }

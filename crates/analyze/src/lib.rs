@@ -67,11 +67,22 @@ impl LintGate {
 
 /// Run every pass over an analyzed program.
 pub fn lint_program(program: &Program, modules: &ModuleLibrary, config: &LintConfig) -> LintReport {
+    lint_program_in(program, modules, config, &dataflow::LintEnv::build(program))
+}
+
+/// [`lint_program`] under an environment the caller already built from
+/// `program` (the incremental pipeline keeps it for later per-block checks).
+pub fn lint_program_in(
+    program: &Program,
+    modules: &ModuleLibrary,
+    config: &LintConfig,
+    env: &dataflow::LintEnv,
+) -> LintReport {
     let mut sink = report::Sink::new(config);
-    dataflow::pass_defuse(program, modules, &mut sink);
-    dataflow::pass_consts(program, &mut sink);
-    dataflow::pass_taint(program, &mut sink);
-    hazards::pass_hazards(program, &mut sink);
+    dataflow::pass_defuse(program, modules, &env.decls, &mut sink);
+    dataflow::pass_consts(program, &env.fold, &mut sink);
+    dataflow::pass_taint(program, &env.taint, &mut sink);
+    hazards::pass_hazards(program, &env.fold, &mut sink);
     // Also lint the bodies of modules we can load, so defects inside child
     // modules are reported (against the module's own source name).
     for m in &program.modules {
@@ -84,9 +95,10 @@ pub fn lint_program(program: &Program, modules: &ModuleLibrary, config: &LintCon
         // Inputs passed by the caller count as "used" variable declarations
         // in the child: don't re-run defuse unused-variable naively.
         let mut child_sink = report::Sink::new(config);
-        dataflow::pass_consts(&child, &mut child_sink);
-        dataflow::pass_taint(&child, &mut child_sink);
-        hazards::pass_hazards(&child, &mut child_sink);
+        let env = dataflow::LintEnv::build(&child);
+        dataflow::pass_consts(&child, &env.fold, &mut child_sink);
+        dataflow::pass_taint(&child, &env.taint, &mut child_sink);
+        hazards::pass_hazards(&child, &env.fold, &mut child_sink);
         sink.report.findings.extend(child_sink.report.findings);
         sink.report.suppressed += child_sink.report.suppressed;
     }

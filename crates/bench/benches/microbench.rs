@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks: real CPU cost of the management-plane
-//! algorithms (the virtual-time experiments live in the `exp_*` binaries;
+//! algorithms (the virtual-time experiments live in the `exp` binary;
 //! these measure the engine itself — parsing, planning, validation, lock
 //! operations — on the host CPU).
 
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cloudless::cloud::Catalog;
 use cloudless::deploy::resolver::DataResolver;
-use cloudless::deploy::{diff, incremental, Plan};
+use cloudless::deploy::{diff, Plan};
 use cloudless::graph::critical::CriticalPathAnalysis;
 use cloudless::graph::{Dag, DagBuilder, ImpactScope, NodeId};
 use cloudless::hcl::program::{expand, Manifest, ModuleLibrary, Program};
@@ -106,28 +106,12 @@ fn bench_locks(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_incremental(c: &mut Criterion) {
-    let mut g = c.benchmark_group("incremental");
-    for n in [200usize, 1000] {
-        let m = manifest_of(&workloads::random_dag(n, 42));
-        g.bench_with_input(BenchmarkId::new("config_delta+graph", n), &m, |b, m| {
-            b.iter(|| {
-                let seeds = incremental::config_delta(m, m);
-                let (dag, _) = incremental::desired_graph(m);
-                (seeds, dag.len())
-            });
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_frontend,
     bench_planning,
     bench_graph_algorithms,
     bench_validation,
-    bench_locks,
-    bench_incremental
+    bench_locks
 );
 criterion_main!(benches);

@@ -75,7 +75,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Corpus half: deterministic, also part of the exp_all snapshot.
+    // Corpus half: deterministic, also part of the `exp all` snapshot.
     println!("{}", e18_concurrency::run());
 
     // Scale half: host wall-clock.

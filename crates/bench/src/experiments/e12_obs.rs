@@ -9,7 +9,7 @@
 //! guarantee, and it is exactly 0.
 //!
 //! Wall-clock cost (events/sec, ns/event, real-time makespan delta) is
-//! inherently machine-dependent, so it lives in the `exp_obs` binary via
+//! inherently machine-dependent, so it lives in `exp obs` via
 //! [`overhead`] and is quoted indicatively in EXPERIMENTS.md rather than
 //! snapshot-checked.
 
@@ -107,12 +107,12 @@ pub fn run() -> String {
     out.push_str(&t2.render());
     out.push_str(
         "(wall-clock cost — events/sec, ns/event — is machine-dependent;\n\
-         run `cargo run --release -p cloudless-bench --bin exp_obs`.)\n",
+         run `cargo run --release -p cloudless-bench --bin exp obs`.)\n",
     );
     out
 }
 
-/// Wall-clock overhead measurement for the `exp_obs` binary. Not part of
+/// Wall-clock overhead measurement for `exp obs`. Not part of
 /// the snapshot-checked output.
 pub fn overhead() -> String {
     let src = workloads::random_dag(200, SEED);

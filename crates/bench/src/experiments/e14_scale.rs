@@ -12,7 +12,7 @@
 //! `scripts/check_bench.sh` fails CI when a stage regresses by more than
 //! the tolerance against the committed baseline.
 //!
-//! E14 is deliberately *excluded* from `exp_all` and the experiment
+//! E14 is deliberately *excluded* from `exp all` and the experiment
 //! snapshot: wall-clock numbers are machine-dependent.
 
 use std::time::Instant;

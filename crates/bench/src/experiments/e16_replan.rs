@@ -37,7 +37,6 @@ use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{IncrementalPipeline, PipelineConfig, PipelineCtx};
 use cloudless::validate::ValidationLevel;
 use cloudless::LintGate;
-use cloudless_cloud::Catalog;
 use serde::{Deserialize, Serialize};
 
 use crate::workloads;
@@ -75,19 +74,6 @@ impl ReplanPoint {
             f64::INFINITY
         }
     }
-}
-
-/// The standard catalog with quotas raised out of the way, mirroring
-/// [`super::experiment_cloud`]: scale workloads exceed per-type default
-/// quotas on purpose, and VAL307 would otherwise reject them outright.
-fn quota_raised_catalog() -> Catalog {
-    let mut catalog = Catalog::standard();
-    let raised: Vec<_> = catalog.iter().cloned().collect();
-    for mut schema in raised {
-        schema.default_quota = 1_000_000;
-        catalog.add(schema);
-    }
-    catalog
 }
 
 /// Change one attribute value in block `i` (names are `"r-{i}"`, unique).
@@ -142,7 +128,7 @@ pub fn measure(name: &str, n: usize, iters: u32) -> ReplanPoint {
         CloudConfig::exact(),
         SEED,
     );
-    let catalog = quota_raised_catalog();
+    let catalog = super::quota_raised_catalog();
     let data = DataResolver::new();
     let inputs = BTreeMap::new();
     let modules = ModuleLibrary::new();

@@ -22,7 +22,7 @@
 //! ≥10× floors on every speedup plus the bytes-per-version ratio, so a
 //! regression back toward O(world) state management fails CI.
 //!
-//! Like E14/E16, E17 is excluded from `exp_all` and the experiment
+//! Like E14/E16, E17 is excluded from `exp all` and the experiment
 //! snapshot: wall-clock numbers are machine-dependent.
 
 use std::time::Instant;

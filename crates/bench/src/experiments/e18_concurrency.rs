@@ -14,7 +14,7 @@
 //!   clean, so the analyzer and the oracle also agree on the negatives.
 //!
 //! The corpus half is virtual-clock deterministic (the oracle is seeded)
-//! and lives in the `exp_all` snapshot. The scale half — analyzer wall
+//! and lives in the `exp all` snapshot. The scale half — analyzer wall
 //! time against the plan stage at 1k/10k/100k instances — is
 //! host-dependent and is committed to `BENCH_*.json` (`analyze` section)
 //! instead, gated by `exp_concurrency --check`: whole-program analysis
@@ -146,7 +146,7 @@ pub fn measure_class(class: &'static str, src: &str) -> ClassOutcome {
     }
 }
 
-/// The deterministic corpus table (part of the `exp_all` snapshot).
+/// The deterministic corpus table (part of the `exp all` snapshot).
 pub fn run() -> String {
     let mut t = Table::new(
         "E18 — static concurrency analysis vs the schedule-fuzzing oracle (seeded corpus)",

@@ -6,12 +6,20 @@
 //! change, we can confine the changes to a significantly smaller resource
 //! subgraph."
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use cloudless::cloud::CloudConfig;
 use cloudless::deploy::resolver::DataResolver;
-use cloudless::deploy::{diff, full_refresh, incremental_plan, Plan, Strategy};
-use cloudless::types::SimDuration;
+use cloudless::deploy::{diff, full_refresh, scoped_refresh, Plan, PlannedChange, Strategy};
+use cloudless::hcl::program::ModuleLibrary;
+use cloudless::obs::{NullRecorder, Recorder};
+use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
+use cloudless::state::Snapshot;
+use cloudless::types::{ResourceAddr, SimDuration};
+use cloudless::validate::ValidationLevel;
+use cloudless::LintGate;
 
 use crate::table::{ratio, Table};
 use crate::SEED;
@@ -95,7 +103,7 @@ pub fn run() -> String {
 fn measure(n: usize, k: usize) -> (Cell, Cell) {
     let old_src = fleet(n, "t3.micro", k);
     let new_src = fleet(n, "t3.large", k);
-    let catalog = cloudless::cloud::Catalog::standard();
+    let catalog = super::quota_raised_catalog();
     let data = DataResolver::new();
 
     // ---- full replan baseline ----
@@ -118,24 +126,53 @@ fn measure(n: usize, k: usize) -> (Cell, Cell) {
     };
     let _ = refresh;
 
-    // ---- incremental ----
+    // ---- incremental: the warm front end names the impact scope ----
     let (_, mut cloud, mut state) = super::deploy(
         &old_src,
         Strategy::TerraformWalk { parallelism: 10 },
         e2_cloud_config(),
         SEED,
     );
-    let old_m = super::manifest_of(&old_src);
-    let new_m = super::manifest_of(&new_src);
+    let (inputs, modules) = (BTreeMap::new(), ModuleLibrary::new());
+    let recorder: Arc<dyn Recorder> = Arc::new(NullRecorder);
+    let mut pipeline = IncrementalPipeline::default();
+    let mut replan = |source: &str, state: &Snapshot| -> Vec<PlannedChange> {
+        let ctx = PipelineCtx {
+            inputs: &inputs,
+            modules: &modules,
+            lint: LintGate::default(),
+            level: ValidationLevel::CloudRules,
+            data: &data,
+            catalog: &catalog,
+            state,
+            miner: None,
+            recorder: &recorder,
+        };
+        let out = pipeline.run(source, &ctx).expect("fleet program is clean");
+        let actionable = out.changes.into_iter().filter(|c| !c.action.is_noop());
+        actionable.collect()
+    };
+    replan(&old_src, &state); // the memo a long-lived engine holds
     let start = cloud.now();
     let reads_before = cloud.total_api_calls();
-    let out = incremental_plan(
-        &old_m, &new_m, &mut state, &mut cloud, &catalog, &data, "engine",
-    );
+    // what the edit can change, and what those changes read: re-read only
+    // that, then plan against what came back
+    let mut scope: BTreeSet<ResourceAddr> = BTreeSet::new();
+    for change in replan(&new_src, &state) {
+        scope.extend(
+            change
+                .desired
+                .iter()
+                .flat_map(|d| d.depends_on.iter().cloned()),
+        );
+        scope.insert(change.addr);
+    }
+    scoped_refresh(&mut cloud, &mut state, "engine", scope);
+    let plan = Plan::build(replan(&new_src, &state), &state, &catalog);
     let inc = Cell {
         reads: cloud.total_api_calls() - reads_before,
         time: cloud.now().since(start),
-        plan_len: out.plan.len(),
+        plan_len: plan.len(),
     };
     (full, inc)
 }

@@ -15,13 +15,13 @@ use std::time::{Duration, Instant};
 
 use cloudless::state::{
     FairResourceLockManager, GlobalLock, LockManager, LockScope, ResourceLockManager, Snapshot,
-    TxnManager,
 };
 use cloudless::types::{ResourceAddr, ResourceTypeName};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::table::{f, ratio, Table};
+use crate::txn::TxnManager;
 use crate::SEED;
 
 const UPDATES_PER_TEAM: usize = 30;

@@ -132,7 +132,7 @@ fn scenario(mode: &str, force_new_change: bool) -> Outcome {
     let redeployments = match mode {
         "naive" => {
             // re-apply the old configuration (with a refresh, to be fair)
-            engine.refresh();
+            engine.refresh().expect("refresh commits");
             let out = engine.converge(&v1).expect("naive rollback applies");
             // count replaces+creates+deletes as redeployments
             let mut n = 0;

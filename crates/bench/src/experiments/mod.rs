@@ -55,6 +55,19 @@ pub fn experiment_cloud(config: CloudConfig, seed: u64) -> Cloud {
     Cloud::new(config, seed)
 }
 
+/// The standard catalog with quotas raised out of the way, mirroring
+/// [`experiment_cloud`]: scale workloads exceed per-type default quotas on
+/// purpose, and VAL307 would otherwise reject them outright.
+pub fn quota_raised_catalog() -> Catalog {
+    let mut catalog = Catalog::standard();
+    let raised: Vec<_> = catalog.iter().cloned().collect();
+    for mut schema in raised {
+        schema.default_quota = 1_000_000;
+        catalog.add(schema);
+    }
+    catalog
+}
+
 /// Deploy a source program from scratch with a strategy; returns the report
 /// plus the cloud and final state for follow-up phases.
 pub fn deploy(

@@ -486,7 +486,7 @@ mod tests {
         // the loop by adoption
         let sc = generate(Family::QuotaExhaustion, crate::SEED);
         let mut engine = sc.stage();
-        engine.refresh();
+        engine.refresh().expect("refresh commits");
         let out = engine.converge(&sc.source).expect("plan admitted");
         assert!(
             !out.apply.all_ok(),

@@ -1,4 +1,6 @@
-//! Optimistic transactions over the golden state.
+//! Optimistic transactions over the golden state — the fourth arm of
+//! experiment E3, kept with the harness because no production path
+//! schedules through it (the engine serializes on per-resource locks).
 //!
 //! §3.4 asks for "transaction mechanisms for atomic updates while
 //! guaranteeing isolation. Updates are scheduled based on the logical state
@@ -18,7 +20,7 @@ use std::collections::BTreeMap;
 use cloudless_types::ResourceAddr;
 use parking_lot::Mutex;
 
-use crate::snapshot::{DeployedResource, Snapshot};
+use cloudless_state::{DeployedResource, Snapshot};
 
 /// A staged write.
 #[derive(Debug, Clone, PartialEq)]

@@ -605,6 +605,17 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
             }
             Err(msg)
         }
+        Err(err @ ConvergeError::State(_)) => {
+            // the apply ran: what it did to the cloud is real and persists,
+            // even though the state that would describe it is not committed
+            // (the snapshot the engine holds back dies with this process)
+            session.save(&engine)?;
+            Err(format!(
+                "{err}; the cloud was changed but the state was not. Once the log is writable, \
+                 `cloudless reconcile {dir} {file}` adopts what this run created; \
+                 a plain apply would create it a second time"
+            ))
+        }
     }
 }
 

@@ -28,9 +28,10 @@ use cloudless_policy::observe::PlanSummary;
 use cloudless_policy::{Action, Controller, CostModel, LifecyclePhase, Observation};
 use cloudless_state::{
     CommitMeta, HistoryView, LockManager, LockScope, LogStore, ObservedLockManager,
-    ResourceLockManager, Snapshot,
+    ResourceLockManager, Snapshot, StoreError,
 };
 use cloudless_types::{Region, Value};
+use cloudless_validate::rules::quota_key;
 use cloudless_validate::{validate, SpecMiner, ValidationLevel, ValidationReport};
 
 /// Engine configuration.
@@ -89,6 +90,11 @@ pub enum ConvergeError {
     Validation(ValidationReport),
     /// A policy denied the plan.
     PolicyDenied(Vec<Action>),
+    /// The state log refused a commit. Whatever the run did to the cloud
+    /// stands and the committed state is the one from before the run; the
+    /// engine keeps the refused snapshot and commits it ahead of its next
+    /// operation, so a retry does not apply the same work twice.
+    State(StoreError),
 }
 
 impl fmt::Display for ConvergeError {
@@ -114,11 +120,18 @@ impl fmt::Display for ConvergeError {
             ConvergeError::PolicyDenied(actions) => {
                 write!(f, "plan denied by policy: {} denial(s)", actions.len())
             }
+            ConvergeError::State(e) => write!(f, "state commit failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ConvergeError {}
+
+impl From<StoreError> for ConvergeError {
+    fn from(e: StoreError) -> ConvergeError {
+        ConvergeError::State(e)
+    }
+}
 
 impl From<PipelineError> for ConvergeError {
     fn from(e: PipelineError) -> ConvergeError {
@@ -178,6 +191,10 @@ pub struct Cloudless {
     cost: CostModel,
     config: Config,
     pipeline: IncrementalPipeline,
+    /// A snapshot the state log refused, with its commit message and
+    /// program source: work the cloud already holds that no version
+    /// records yet. See [`Cloudless::commit`].
+    uncommitted: Option<(Snapshot, String, Option<String>)>,
 }
 
 impl Cloudless {
@@ -200,6 +217,7 @@ impl Cloudless {
             cost: CostModel::new(),
             config,
             pipeline: IncrementalPipeline::default(),
+            uncommitted: None,
         }
     }
 
@@ -265,22 +283,60 @@ impl Cloudless {
         self.store.snapshot_at(serial)
     }
 
+    /// Who commits a version, when, and from which program source.
+    fn meta(&self, message: &str, source: Option<&str>) -> CommitMeta {
+        CommitMeta {
+            at: self.cloud.now(),
+            author: self.config.principal.clone(),
+            message: message.to_owned(),
+            config_source: source.map(str::to_owned),
+        }
+    }
+
+    /// Commit `state` as the next version; `always` records one even when
+    /// nothing changed. A snapshot the log refuses is kept, and every
+    /// operation that touches the cloud or the log commits it first
+    /// ([`Cloudless::commit_uncommitted`]): until that lands the engine does
+    /// nothing else, so work the cloud already holds is never redone.
+    fn commit(
+        &mut self,
+        state: Snapshot,
+        message: &str,
+        source: Option<&str>,
+        always: bool,
+    ) -> Result<(), StoreError> {
+        let meta = self.meta(message, source);
+        let done = if always {
+            self.store.commit_snapshot(&state, meta).map(drop)
+        } else {
+            self.store
+                .commit_snapshot_if_changed(&state, meta)
+                .map(drop)
+        };
+        if done.is_err() {
+            self.uncommitted = Some((state, message.to_owned(), source.map(str::to_owned)));
+        }
+        done
+    }
+
+    /// Commit the snapshot an earlier operation could not, if there is one.
+    fn commit_uncommitted(&mut self) -> Result<(), StoreError> {
+        match self.uncommitted.take() {
+            Some((state, message, source)) => self.commit(state, &message, source.as_deref(), true),
+            None => Ok(()),
+        }
+    }
+
     /// Time-travel the *state document* to a historical serial by
     /// committing the inverse delta (the cloud is untouched — pair with
     /// [`Cloudless::plan_rollback_to`]/[`Cloudless::execute_rollback`] to
     /// move the infrastructure too). Returns the new serial, or `None`
     /// when the state already matches the target.
     pub fn rollback_state(&mut self, serial: u64) -> Result<Option<u64>, String> {
+        self.commit_uncommitted().map_err(|e| e.to_string())?;
+        let meta = self.meta(&format!("rollback state to serial {serial}"), None);
         self.store
-            .rollback_to(
-                serial,
-                CommitMeta {
-                    at: self.cloud.now(),
-                    author: self.config.principal.clone(),
-                    message: format!("rollback state to serial {serial}"),
-                    config_source: None,
-                },
-            )
+            .rollback_to(serial, meta)
             .map_err(|e| e.to_string())
     }
 
@@ -449,20 +505,7 @@ impl Cloudless {
         }
         let mut fleet: BTreeMap<(String, String), usize> = BTreeMap::new();
         for inst in &manifest.instances {
-            let region = inst
-                .attrs
-                .get("location")
-                .or_else(|| inst.attrs.get("region"))
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .or_else(|| {
-                    cloudless_types::Provider::from_type_prefix(inst.addr.rtype.provider_prefix())
-                        .map(|p| p.default_region().as_str().to_owned())
-                })
-                .unwrap_or_default();
-            *fleet
-                .entry((inst.addr.rtype.as_str().to_owned(), region))
-                .or_insert(0) += 1;
+            *fleet.entry(quota_key(inst)).or_insert(0) += 1;
         }
         PlanSummary {
             creates,
@@ -509,6 +552,7 @@ impl Cloudless {
         targets: &[cloudless_types::ResourceAddr],
         completed: &std::collections::BTreeSet<String>,
     ) -> Result<ConvergeOutcome, ConvergeError> {
+        self.commit_uncommitted()?;
         // The whole front end — parse → lint gate → expand → validate →
         // diff — runs through the memoized incremental pipeline. A warm
         // memo turns a block-local edit into an O(edit) replan; any doubt
@@ -629,17 +673,8 @@ impl Cloudless {
         // commit the post-apply state: the delta log records only the
         // changed resources, plus the source that produced them (time
         // machine, §3.4)
-        self.store
-            .commit_snapshot(
-                &state,
-                CommitMeta {
-                    at: self.cloud.now(),
-                    author: self.config.principal.clone(),
-                    message: format!("apply via {}", apply.strategy),
-                    config_source: Some(source.to_owned()),
-                },
-            )
-            .expect("state log append");
+        let message = format!("apply via {}", apply.strategy);
+        self.commit(state, &message, Some(source), true)?;
 
         // observe conventions from successful applies (§3.2 mining)
         if apply.all_ok() {
@@ -669,21 +704,12 @@ impl Cloudless {
     // ---------- operate ----------
 
     /// Full state refresh through the cloud API.
-    pub fn refresh(&mut self) -> RefreshReport {
+    pub fn refresh(&mut self) -> Result<RefreshReport, StoreError> {
+        self.commit_uncommitted()?;
         let mut state = self.store.current().clone();
         let report = full_refresh(&mut self.cloud, &mut state, &self.config.principal);
-        self.store
-            .commit_snapshot_if_changed(
-                &state,
-                CommitMeta {
-                    at: self.cloud.now(),
-                    author: self.config.principal.clone(),
-                    message: "refresh".to_owned(),
-                    config_source: None,
-                },
-            )
-            .expect("state log append");
-        report
+        self.commit(state, "refresh", None, false)?;
+        Ok(report)
     }
 
     /// Poll the activity log for drift (§3.5) and feed events to the
@@ -727,7 +753,9 @@ impl Cloudless {
             .map_err(ConvergeError::Frontend)?;
 
         // observe: fold live truth into a state clone (committed only on a
-        // real run)
+        // real run; a snapshot an earlier run could not commit goes in
+        // first even on a dry run, or what it created would read as rogue)
+        self.commit_uncommitted()?;
         let mut state = self.store.current().clone();
         let refresh = full_refresh(&mut self.cloud, &mut state, &self.config.principal);
 
@@ -815,17 +843,7 @@ impl Cloudless {
         // commit the refreshed + surgered state, then converge the patched
         // program: adopted drift is already a no-op, dropped ops' drift is
         // overwritten back to the program
-        self.store
-            .commit_snapshot_if_changed(
-                &state,
-                CommitMeta {
-                    at: self.cloud.now(),
-                    author: self.config.principal.clone(),
-                    message: "reconcile: adopt drift".to_owned(),
-                    config_source: None,
-                },
-            )
-            .expect("state log append");
+        self.commit(state, "reconcile: adopt drift", None, false)?;
         let converge = self.converge(&outcome.source)?;
         let changes = diff(
             &patched_manifest,
@@ -865,136 +883,106 @@ impl Cloudless {
 
     /// Plan a rollback to a checkpoint serial. Refreshes first so that the
     /// plan also reverses out-of-band modifications.
-    pub fn plan_rollback_to(&mut self, serial: u64) -> Option<RollbackPlan> {
-        let target = self.state_at(serial)?;
-        self.refresh();
-        Some(plan_rollback(
+    pub fn plan_rollback_to(&mut self, serial: u64) -> Result<RollbackPlan, String> {
+        let target = self
+            .state_at(serial)
+            .ok_or_else(|| format!("serial {serial} was never committed"))?;
+        self.refresh().map_err(|e| e.to_string())?;
+        Ok(plan_rollback(
             self.store.current(),
             &target,
             self.cloud.catalog(),
         ))
     }
 
-    /// Execute a rollback plan step by step.
+    /// Execute a rollback plan step by step. The steps that ran are
+    /// committed even when a later one fails, so state never trails what
+    /// was already done to the cloud; the step's error is returned first.
     pub fn execute_rollback(&mut self, plan: &RollbackPlan) -> Result<(), String> {
+        self.commit_uncommitted().map_err(|e| e.to_string())?;
         let mut state = self.store.current().clone();
-        for step in &plan.steps {
-            match step {
-                RollbackStep::Revert { addr, attrs } => {
-                    let rec = state
-                        .get(addr)
-                        .ok_or_else(|| format!("{addr} missing from state"))?
-                        .clone();
-                    // nulls are kept: an explicit null *unsets* the drifted
-                    // attribute at the cloud level
-                    let attrs = attrs.clone();
-                    let done = self
-                        .cloud
-                        .submit_and_settle(ApiRequest::new(
-                            ApiOp::Update {
-                                id: rec.id.clone(),
-                                attrs,
-                            },
-                            &self.config.principal,
-                        ))
-                        .map_err(|e| e.to_string())?;
-                    match done.outcome {
-                        OpOutcome::Updated { attrs, .. } => {
-                            let mut rec = rec;
-                            rec.attrs = attrs;
-                            state.put(rec);
-                        }
-                        OpOutcome::Failed(e) => return Err(e.to_string()),
-                        _ => {}
-                    }
+        let stepped = plan
+            .steps
+            .iter()
+            .try_for_each(|step| self.rollback_step(step, &mut state));
+        let committed = match stepped {
+            Ok(()) => self.commit(state, "rollback", None, true),
+            Err(_) => self.commit(state, "rollback (stopped at a failed step)", None, false),
+        };
+        match (stepped, committed) {
+            (Err(step), Err(commit)) => Err(format!(
+                "{step}; the steps before it are not committed yet: {commit}"
+            )),
+            (stepped, committed) => stepped.and(committed.map_err(|e| e.to_string())),
+        }
+    }
+
+    /// Submit one mutation and wait for it; a failed outcome is an error.
+    fn settle(&mut self, op: ApiOp) -> Result<OpOutcome, String> {
+        let request = ApiRequest::new(op, &self.config.principal);
+        let done = self.cloud.submit_and_settle(request);
+        match done.map_err(|e| e.to_string())?.outcome {
+            OpOutcome::Failed(e) => Err(e.to_string()),
+            outcome => Ok(outcome),
+        }
+    }
+
+    /// Run one rollback step against the cloud, folding its outcome into
+    /// `state`.
+    fn rollback_step(&mut self, step: &RollbackStep, state: &mut Snapshot) -> Result<(), String> {
+        match step {
+            RollbackStep::Revert { addr, attrs } => {
+                let mut rec = state
+                    .get(addr)
+                    .ok_or_else(|| format!("{addr} missing from state"))?
+                    .clone();
+                // nulls are kept: an explicit null *unsets* the drifted
+                // attribute at the cloud level
+                let (id, attrs) = (rec.id.clone(), attrs.clone());
+                if let OpOutcome::Updated { attrs, .. } =
+                    self.settle(ApiOp::Update { id, attrs })?
+                {
+                    rec.attrs = attrs;
+                    state.put(rec);
                 }
-                RollbackStep::Recreate { addr, attrs } | RollbackStep::Restore { addr, attrs } => {
-                    // destroy if present, then create from checkpoint attrs
-                    if let Some(rec) = state.get(addr).cloned() {
-                        let done = self
-                            .cloud
-                            .submit_and_settle(ApiRequest::new(
-                                ApiOp::Delete { id: rec.id },
-                                &self.config.principal,
-                            ))
-                            .map_err(|e| e.to_string())?;
-                        if let OpOutcome::Failed(e) = done.outcome {
-                            return Err(e.to_string());
-                        }
-                        state.remove(addr);
-                    }
-                    let region = attrs
-                        .get("location")
-                        .or_else(|| attrs.get("region"))
-                        .and_then(Value::as_str)
-                        .map(Region::new)
-                        .or_else(|| {
-                            cloudless_types::Provider::from_type_prefix(
-                                addr.rtype.provider_prefix(),
-                            )
-                            .map(|p| p.default_region())
-                        })
-                        .unwrap_or_else(|| Region::new("us-east-1"));
-                    let clean: cloudless_types::Attrs = attrs
-                        .iter()
-                        .filter(|(_, v)| !v.is_null())
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    let done = self
-                        .cloud
-                        .submit_and_settle(ApiRequest::new(
-                            ApiOp::Create {
-                                rtype: addr.rtype.clone(),
-                                region: region.clone(),
-                                attrs: clean,
-                            },
-                            &self.config.principal,
-                        ))
-                        .map_err(|e| e.to_string())?;
-                    match done.outcome {
-                        OpOutcome::Created { id, attrs } => {
-                            state.put(cloudless_state::DeployedResource {
-                                addr: addr.clone(),
-                                rtype: addr.rtype.clone(),
-                                id,
-                                region,
-                                attrs,
-                                depends_on: vec![],
-                                created_at: self.cloud.now(),
-                            });
-                        }
-                        OpOutcome::Failed(e) => return Err(e.to_string()),
-                        _ => {}
-                    }
+            }
+            RollbackStep::Recreate { addr, attrs } | RollbackStep::Restore { addr, attrs } => {
+                // destroy if present, then create from checkpoint attrs
+                if let Some(rec) = state.get(addr).cloned() {
+                    self.settle(ApiOp::Delete { id: rec.id })?;
+                    state.remove(addr);
                 }
-                RollbackStep::Destroy { addr } => {
-                    if let Some(rec) = state.get(addr).cloned() {
-                        let done = self
-                            .cloud
-                            .submit_and_settle(ApiRequest::new(
-                                ApiOp::Delete { id: rec.id },
-                                &self.config.principal,
-                            ))
-                            .map_err(|e| e.to_string())?;
-                        if let OpOutcome::Failed(e) = done.outcome {
-                            return Err(e.to_string());
-                        }
-                        state.remove(addr);
-                    }
+                let region = cloudless_types::Provider::effective_region(attrs, &addr.rtype);
+                let region = Region::new(region.as_deref().unwrap_or("us-east-1"));
+                let clean: cloudless_types::Attrs = attrs
+                    .iter()
+                    .filter(|(_, v)| !v.is_null())
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                let create = ApiOp::Create {
+                    rtype: addr.rtype.clone(),
+                    region: region.clone(),
+                    attrs: clean,
+                };
+                if let OpOutcome::Created { id, attrs } = self.settle(create)? {
+                    state.put(cloudless_state::DeployedResource {
+                        addr: addr.clone(),
+                        rtype: addr.rtype.clone(),
+                        id,
+                        region,
+                        attrs,
+                        depends_on: vec![],
+                        created_at: self.cloud.now(),
+                    });
+                }
+            }
+            RollbackStep::Destroy { addr } => {
+                if let Some(rec) = state.get(addr).cloned() {
+                    self.settle(ApiOp::Delete { id: rec.id })?;
+                    state.remove(addr);
                 }
             }
         }
-        self.store
-            .commit_snapshot(
-                &state,
-                CommitMeta {
-                    at: self.cloud.now(),
-                    author: self.config.principal.clone(),
-                    message: "rollback".to_owned(),
-                    config_source: None,
-                },
-            )
-            .expect("state log append");
         Ok(())
     }
 }
@@ -1345,7 +1333,7 @@ resource "aws_vpc" "b" { cidr_block = "10.1.0.0/16" }
         e.cloud_mut()
             .out_of_band_update("legacy", &vpc_id, attrs([("name", Value::from("renamed"))]))
             .unwrap();
-        let report = e.refresh();
+        let report = e.refresh().expect("refresh commits");
         assert_eq!(report.updated.len(), 1);
         assert_eq!(
             e.state()

@@ -1,82 +1,84 @@
-//! The incremental converge pipeline: memoized front-end stages and
+//! The incremental converge pipeline: one staged front-end driver and
 //! O(edit) replans.
 //!
 //! Paper §3.3: "modifications to individual resources have a limited
 //! impact … by identifying the 'impact scope' of a deployment change, we
 //! can confine the changes to a significantly smaller resource subgraph."
-//! The monolithic converge front end (parse → lint → expand → validate →
-//! plan) re-derives the whole world on every call, which at 100k resources
-//! costs seconds per keystroke. This module memoizes each stage behind
-//! content-hashed chunk fingerprints ([`cloudless_hcl::fingerprint`]) so
-//! that an edit confined to one resource block re-runs only the impacted
-//! slice of each stage.
+//! Re-deriving the whole world on every call costs seconds per keystroke
+//! at 100k resources, so the front end keeps a memo of its artifacts and
+//! recomputes only what an edit can reach.
 //!
-//! # The clean-program fast path
+//! # One driver, two scopes
 //!
-//! Exactness comes before speed: the pipeline's contract is that its
-//! output (manifest, validation report, plan text) is **byte-identical**
-//! to a cold full run on the same source. Rather than re-deriving every
-//! stage's diagnostics incrementally — which would mean replaying span
-//! arithmetic through every lint and validation rule — the fast path only
-//! engages when the memoized run was *clean*: no lint findings (and no
-//! suppressions), no validation diagnostics, no expansion warnings, no
-//! modules. Under that precondition an edit can only *introduce*
-//! problems, and introducing any problem is detected by cheap per-block
-//! re-checks; detection falls back to the cold path, whose output is
-//! exact by construction. The fast path therefore never has to reproduce
-//! a diagnostic — it only has to prove there are none, which is an
-//! O(edit) property:
+//! [`IncrementalPipeline::run`] aligns the edit to top-level chunks
+//! ([`cloudless_hcl::fingerprint`]), picks a [`Scope`], and walks
+//! parse → lint → expand → validate → analyze → plan **once**:
 //!
-//! 1. **parse** — [`diff_chunks`] aligns the edit to top-level chunks;
-//!    only dirty *resource* chunks are re-parsed (standalone, so stale
-//!    spans persist in unedited blocks — harmless, because the clean path
-//!    emits no diagnostics and plan text contains no spans).
-//! 2. **lint** — cached [`LintEnv`] + per-block [`block_is_clean`], with
-//!    reference-stability guards ([`block_refs`]) standing in for the
-//!    whole-program graph passes, and a maintained identity-claims map
-//!    standing in for the write-write-conflict scan.
-//! 3. **expand** — only the dirty blocks re-expand
-//!    ([`expand_resource_block`] with the cached variable/local bindings);
-//!    their instances splice into the cached manifest in place. Address
-//!    lists must match exactly, so instance-level `depends_on` can be
-//!    copied from the cached instances (sound because the dependency
-//!    reference set is guard-checked equal).
-//! 4. **validate** — [`check_scope`] re-runs the per-instance layers over
-//!    the edited blocks and their direct dependents; maintained VAL306
-//!    name-claim and VAL307 quota-count maps cover the aggregate rules.
-//! 5. **plan** — the cached diff replays only the [`ImpactScope`] of the
-//!    edit (dirty blocks + descendants in the block DAG) through
-//!    [`plan_one`] along the cached Kahn order; everything else reuses
-//!    its cached [`PlannedChange`].
+//! * [`Scope::All`] — every block is in scope and nothing is reused: there
+//!   is no memo, the edit is structural or touches a non-resource chunk,
+//!   the engine configuration changed, the spec miner is active, or a guard
+//!   tripped. The verdict stages call the reference whole-program passes
+//!   ([`lint_program_in`], [`validate_indexed`], [`analyze_manifest`]), so
+//!   every diagnostic is exact, and each stage fills its share of a fresh
+//!   memo.
+//! * [`Scope::Blocks`] — only the dirty resource blocks are in scope;
+//!   everything outside them is read from the memo. Each stage re-derives
+//!   the dirty blocks' artifacts with the same per-block functions the
+//!   whole-program passes fold over, holds them against *guards*, and
+//!   stages the result in a [`Splice`] — O(scope), never a copy of the memo.
+//!
+//! A cold run is therefore the same walk over an empty memo, and a guard
+//! trip restarts the same walk with every block in scope. A splice lands
+//! in the memo only when its walk succeeds, and an all-blocks walk holds on
+//! to the memo it would replace until its lint stage has passed: a program
+//! refused for a syntax error or a lint finding (a typo mid-edit) leaves
+//! the memo exactly as it was, so the fix replans incrementally. Past lint
+//! the old memo is released before the O(world) stages allocate, so peak
+//! memory is one memo, not two.
+//!
+//! # Why the splice is exact
+//!
+//! The contract is that the output (manifest, validation report, plan
+//! text) is **byte-identical** to a cold run on the same source. Rather
+//! than re-derive diagnostics incrementally, a memo is kept only for
+//! *clean* programs: no lint or analyzer findings (and no suppressions),
+//! no validation diagnostics, no expansion warnings, no modules. An edit
+//! to a clean program can only *introduce* problems, and each stage's
+//! guards detect any introduction with O(edit) work, so the splice never
+//! has to reproduce a diagnostic — only prove there are none. Dirty chunks
+//! are parsed standalone, so spans in unedited blocks go stale; that is
+//! harmless, because a clean run emits no diagnostics and plan text holds
+//! no spans.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
-//! `pipeline.runs_full`, per-stage counters), so `cloudless watch` and the
-//! experiment harnesses can prove which stages actually ran.
+//! `pipeline.runs_full`), so `cloudless watch` and the experiment
+//! harnesses can prove which stages actually ran.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use cloudless_analyze::alias::instance_claims;
-use cloudless_analyze::incremental::{
-    block_claims, block_is_clean, block_refs, BlockRefs, LintEnv,
+use cloudless_analyze::alias::{instance_claims, replace_self_race, ClaimKey};
+use cloudless_analyze::incremental::{block_is_clean, block_refs, LintEnv};
+use cloudless_analyze::{
+    analyze_manifest, lint_program_in, AnalysisOutcome, LintConfig, LintGate, LintReport,
 };
-use cloudless_analyze::{analyze_manifest, lint_program, AnalysisOutcome, LintGate, LintReport};
 use cloudless_cloud::Catalog;
-use cloudless_deploy::diff::{dependency_order, diff, plan_one, render, Action, PlannedChange};
-use cloudless_graph::{DagBuilder, ImpactScope, NodeId};
+use cloudless_deploy::diff::{delete_changes, dependency_order, plan_one, render, PlannedChange};
+use cloudless_graph::{Dag, DagBuilder, ImpactScope, NodeId};
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::fingerprint::{diff_chunks, ChunkDelta, ChunkKind, ChunkMap};
 use cloudless_hcl::program::{
-    bind_env, expand, expand_resource_block, Manifest, ModuleLibrary, Program, ResourceInstance,
+    expand_resource_block, expand_root, Manifest, ModuleLibrary, Program, ResourceBlock,
+    ResourceInstance, RootExpansion,
 };
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::{BlockIndex, Snapshot};
 use cloudless_types::Value;
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
-use cloudless_validate::{validate, SpecMiner, ValidationLevel, ValidationReport};
+use cloudless_validate::{validate_indexed, SpecMiner, ValidationLevel, ValidationReport};
 
 /// Why a pipeline run refused to produce a plan — the front-end subset of
 /// the engine's converge errors.
@@ -142,8 +144,8 @@ impl Default for PipelineConfig {
 pub struct FrontendOutput {
     pub manifest: Manifest,
     pub validation: ValidationReport,
-    /// Planned changes in declaration order (NoOps elided on the fast
-    /// path; [`cloudless_deploy::Plan::build`] drops them anyway).
+    /// Planned changes in declaration order, then the deletions (NoOps
+    /// elided; [`cloudless_deploy::Plan::build`] drops them anyway).
     pub changes: Vec<PlannedChange>,
     pub plan_text: String,
     pub trace: ChangeTrace,
@@ -220,68 +222,243 @@ impl<'a> PipelineCtx<'a> {
     }
 }
 
-/// Cached plan-stage artifacts, valid for one state serial.
-struct DiffCache {
-    serial: u64,
-    block_index: BlockIndex,
-    /// Kahn order over the cached manifest's instances.
-    kahn: Vec<usize>,
-    /// Final per-block dirtiness after the cached diff (`(rtype, name)` →
-    /// created-or-replaced).
-    dirty: HashMap<(String, String), bool>,
-    /// Non-NoOp changes, keyed by declaration position, sorted.
-    changes: Vec<(usize, PlannedChange)>,
-    /// Cached deletions (stable per address set + serial).
-    deletes: Vec<PlannedChange>,
-    plan_text: String,
+/// One identity a program claims, in the domain of the aggregate rule that
+/// polices it. Each of those rules is "no claim has more holders than its
+/// limit", so one counted multiset serves all four.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Claim {
+    /// ANA402: an identity that folds to a constant before expansion.
+    Block(ClaimKey),
+    /// ANA502: the identity of one expanded instance — finer than `Block`,
+    /// which cannot see values that fold only under `count.index`/`each`.
+    Instance(ClaimKey),
+    /// VAL306: a globally unique `(type, name)`.
+    Name((String, String)),
+    /// VAL307: one instance in a `(type, region)` quota bucket.
+    Quota((String, String)),
 }
 
-/// The memoized artifacts of one clean cold run.
+/// The claims a block makes before expansion — the one extractor behind
+/// the lint stage's all-blocks fill and its dirty-block splice.
+fn block_claims(rb: &ResourceBlock, env: &LintEnv) -> impl Iterator<Item = Claim> {
+    env.block_claims(rb).into_iter().map(Claim::Block)
+}
+
+/// The claims a block's instances make — the same, for the analyze stage.
+fn instance_level_claims(instances: &[Arc<ResourceInstance>]) -> impl Iterator<Item = Claim> + '_ {
+    instances.iter().flat_map(|inst| {
+        (instance_claims(inst).into_iter().map(Claim::Instance))
+            .chain(name_claim(inst).map(Claim::Name))
+            .chain([Claim::Quota(quota_key(inst))])
+    })
+}
+
+/// A counted multiset of [`Claim`]s: how many holders each has.
+type Claims = HashMap<Claim, usize>;
+
+/// A staged edit of [`Claims`]: per claim, holders gained minus holders
+/// lost between the dirty blocks' old artifacts and their new ones.
+type ClaimsEdit = BTreeMap<Claim, isize>;
+
+/// Stage `by` more holders for each of `claims`.
+fn stage(edit: &mut ClaimsEdit, claims: impl Iterator<Item = Claim>, by: isize) {
+    for claim in claims {
+        *edit.entry(claim).or_insert(0) += by;
+    }
+}
+
+/// Give `claim` `by` more holders (fewer, when negative).
+fn hold(claims: &mut Claims, claim: Claim, by: isize) {
+    let held = claims.remove(&claim).unwrap_or(0);
+    if let Some(held) = held.checked_add_signed(by).filter(|&n| n > 0) {
+        claims.insert(claim, held);
+    }
+}
+
+/// The first claim that would, once `edit` lands, have gained holders and
+/// have more than `limit(claim)` of them.
+fn overfull<'e>(
+    claims: &Claims,
+    edit: &'e ClaimsEdit,
+    limit: impl Fn(&Claim) -> usize,
+) -> Option<&'e Claim> {
+    let after = |claim, by| claims.get(claim).copied().unwrap_or(0) as isize + by;
+    let mut gained = edit.iter().filter(|(_, &by)| by > 0);
+    let over = gained.find(|(claim, &by)| after(*claim, by) > limit(claim) as isize);
+    over.map(|(claim, _)| claim)
+}
+
+/// Plan-stage artifacts, valid for one state serial.
+#[derive(Default)]
+struct PlanCache {
+    /// The state serial the rest was planned against (`None`: nothing yet).
+    serial: Option<u64>,
+    block_index: BlockIndex,
+    /// Dependency (Kahn) order over the manifest's instances.
+    order: Vec<usize>,
+    /// `(rtype, name)` → whether the block's last-visited instance is
+    /// created or replaced.
+    dirty: HashMap<(String, String), bool>,
+    /// Non-NoOp changes by declaration position.
+    changes: BTreeMap<usize, PlannedChange>,
+    /// Deletions (stable per address set + serial).
+    deletes: Vec<PlannedChange>,
+}
+
+fn block_key(inst: &ResourceInstance) -> (String, String) {
+    (inst.addr.rtype.as_str().to_owned(), inst.addr.name.clone())
+}
+
+/// The memoized artifacts of one clean run, grouped by the stage that
+/// fills them (under [`Scope::All`]) and splices them (under
+/// [`Scope::Blocks`]).
+#[derive(Default)]
 struct Memo {
+    /// The engine configuration the artifacts were derived under.
+    config: (LintGate, ValidationLevel, BTreeMap<String, Value>),
+    // parse
     source: String,
     chunks: ChunkMap,
-    /// Chunk index → resource-block index in `program.resources`.
-    chunk_block: Vec<Option<usize>>,
-    gate: LintGate,
-    level: ValidationLevel,
-    inputs: BTreeMap<String, Value>,
+    /// Resource-block index → chunk index (ascending: both are in source
+    /// order).
+    block_chunk: Vec<usize>,
+    /// The program's non-resource half (variables, locals, outputs, …).
+    /// A resource block's syntax is one standalone parse of its chunk of
+    /// `source` away, which is all a splice needs of the block it replaces.
     program: Program,
-    vars: Arc<BTreeMap<String, Value>>,
-    locals: Arc<BTreeMap<String, Value>>,
-    block_names: BTreeSet<(String, String)>,
-    lint_env: LintEnv,
-    /// Per-block reference sets (stability guards).
-    refs: Vec<BlockRefs>,
-    /// Per-block count-folds-to-zero status.
-    count_zero: Vec<bool>,
-    /// ANA402 identity-claims map: claim key → number of claiming blocks.
-    claims: HashMap<(String, String, String), usize>,
-    /// ANA502 claims map over *expanded* instances: claim key → number of
-    /// claiming instances. This is the concurrency analyzer's aliasing
-    /// domain — finer than `claims`, because identities that fold only
-    /// under a concrete `count.index`/`each` binding are invisible at the
-    /// block level.
-    inst_claims: HashMap<(String, String, String), usize>,
-    manifest: Manifest,
-    /// Per-block `[start, end)` instance-position ranges.
-    block_ranges: Vec<(usize, usize)>,
-    mindex: ManifestIndex,
-    /// VAL306 name-claim counts.
-    name_counts: HashMap<(String, String), usize>,
-    /// VAL307 per-(type, region) instance counts.
-    quota_counts: HashMap<(String, String), usize>,
-    validation: ValidationReport,
     /// Block-level dependency DAG (edges: dependency → dependent).
-    dag: cloudless_graph::Dag<usize>,
-    /// Direct dependents per block (for the validate re-check scope).
-    dependents: Vec<Vec<usize>>,
-    diff: DiffCache,
+    dag: Dag<usize>,
+    // lint
+    lint_env: LintEnv,
+    // expand
+    root: RootExpansion,
+    manifest: Manifest,
+    // validate
+    mindex: ManifestIndex,
+    // analyze
+    claims: Claims,
+    // plan
+    plan: PlanCache,
+}
+
+/// What a [`Scope::Blocks`] walk produced, staged O(scope) and applied to
+/// the memo only when the walk succeeds.
+#[derive(Default)]
+struct Splice {
+    /// The re-aligned chunk table (`None`: source unchanged).
+    chunks: Option<ChunkMap>,
+    /// The dirty blocks: index, the block as the memo's source has it, the
+    /// block as the new source has it.
+    blocks: Vec<(usize, ResourceBlock, ResourceBlock)>,
+    claims: ClaimsEdit,
+}
+
+/// Which blocks one walk recomputes, and where it stages what it derives.
+/// The scope owns the memo for the length of a run; [`IncrementalPipeline::run`]
+/// puts back what the run's outcome leaves of it.
+enum Scope {
+    /// Every block: nothing is reused, the verdict stages run the reference
+    /// whole-program passes, and the artifacts fill `fresh`.
+    All {
+        /// Why no narrower scope would do (the trace's fallback reason).
+        reason: String,
+        fresh: Box<Memo>,
+        /// Whether `fresh` may still be kept: memoization is on and the run
+        /// has been clean so far. Stages skip their fill once it is not.
+        keep: bool,
+        /// The memo this run replaces if it succeeds: restored when the
+        /// parse or lint stage refuses the program, released after them.
+        old: Option<Box<Memo>>,
+    },
+    /// The dirty resource blocks of `memo` (possibly none); everything
+    /// outside them is reused.
+    Blocks {
+        memo: Box<Memo>,
+        dirty: Vec<usize>,
+        edit: Box<Splice>,
+    },
+}
+
+/// Why a walk stopped early.
+enum Stop {
+    /// The program is refused; what the scope still holds of the old memo
+    /// goes back.
+    Refused(PipelineError),
+    /// A splice guard tripped: the same walk restarts with every block in
+    /// scope.
+    Guard(String),
+}
+
+impl From<PipelineError> for Stop {
+    fn from(err: PipelineError) -> Stop {
+        Stop::Refused(err)
+    }
+}
+
+/// A splice guard: trip unless `holds`.
+fn ensure(holds: bool, reason: &str) -> Result<(), Stop> {
+    holds
+        .then_some(())
+        .ok_or_else(|| Stop::Guard(reason.to_owned()))
+}
+
+impl Scope {
+    fn all(reason: impl Into<String>, keep: bool, old: Option<Box<Memo>>) -> Scope {
+        Scope::All {
+            reason: reason.into(),
+            fresh: Box::default(),
+            keep,
+            old,
+        }
+    }
+
+    /// Align the edit to chunks and pick the narrowest sound scope.
+    fn pick(memo: Option<Box<Memo>>, source: &str, ctx: &PipelineCtx<'_>, keep: bool) -> Scope {
+        let Some(memo) = memo else {
+            return Scope::all("no memo (first run)", keep, None);
+        };
+        let (gate, level, inputs) = &memo.config;
+        if (*gate, *level, inputs) != (ctx.lint, ctx.level, ctx.inputs) {
+            return Scope::all("engine configuration changed", keep, Some(memo));
+        }
+        if ctx.miner_active() {
+            return Scope::all("spec miner holds observed conventions", keep, Some(memo));
+        }
+        let (dirty, chunks) = match diff_chunks(&memo.chunks, &memo.source, source) {
+            ChunkDelta::Unchanged => (Vec::new(), None),
+            ChunkDelta::BodyEdit { dirty, map } => (dirty, Some(map)),
+            ChunkDelta::Structural { .. } => {
+                let reason = "structural edit (blocks added/removed/renamed)";
+                return Scope::all(reason, keep, Some(memo));
+            }
+        };
+        let block_of = |ci| memo.block_chunk.binary_search(ci).ok();
+        match dirty.iter().map(block_of).collect() {
+            Some(dirty) => Scope::Blocks {
+                memo,
+                dirty,
+                edit: Box::new(Splice {
+                    chunks,
+                    ..Splice::default()
+                }),
+            },
+            None => Scope::all("edit touches a non-resource block", keep, Some(memo)),
+        }
+    }
+
+    /// The memo as it stood before the run.
+    fn into_memo(self) -> Option<Box<Memo>> {
+        match self {
+            Scope::All { old, .. } => old,
+            Scope::Blocks { memo, .. } => Some(memo),
+        }
+    }
 }
 
 /// The memoizing pipeline. One per engine; owns the memo across calls.
 #[derive(Default)]
 pub struct IncrementalPipeline {
-    memo: Option<Memo>,
+    memo: Option<Box<Memo>>,
     config: PipelineConfig,
 }
 
@@ -302,497 +479,438 @@ impl IncrementalPipeline {
 
     /// Approximate heap bytes retained by the memo.
     pub fn approx_bytes(&self) -> usize {
-        self.memo.as_ref().map(Memo::approx_bytes).unwrap_or(0)
+        self.memo.as_ref().map_or(0, |m| m.approx_bytes())
     }
 
-    /// Run the front end: parse → lint → expand → validate → plan.
+    /// Run the front end: parse → lint → expand → validate → analyze →
+    /// plan.
     ///
     /// Output is byte-identical to a cold full run on `source`; the memo
-    /// only changes *how much work* produces it.
+    /// only changes *how much work* produces it. A run refused by its parse
+    /// or lint stage leaves the memo as it was.
     pub fn run(
         &mut self,
         source: &str,
         ctx: &PipelineCtx<'_>,
     ) -> Result<FrontendOutput, PipelineError> {
-        let mut trace = ChangeTrace::default();
-        match self.try_fast(source, ctx, &mut trace) {
-            Ok(out) => {
-                ctx.recorder.counter("pipeline.runs_incremental", 1);
-                Ok(out)
-            }
-            Err(reason) => {
-                trace.fallback_reason = Some(reason);
-                trace.fast_path = false;
-                ctx.recorder.counter("pipeline.runs_full", 1);
-                self.run_cold(source, ctx, trace)
-            }
-        }
-    }
-
-    /// Attempt the incremental fast path. Any `Err(reason)` means "run
-    /// cold"; the memo may be partially mutated at that point, which is
-    /// safe because the cold run rebuilds (or drops) it wholesale.
-    fn try_fast(
-        &mut self,
-        source: &str,
-        ctx: &PipelineCtx<'_>,
-        trace: &mut ChangeTrace,
-    ) -> Result<FrontendOutput, String> {
-        let memo = self.memo.as_mut().ok_or("no memo (first run)")?;
-        if memo.gate != ctx.lint || memo.level != ctx.level || &memo.inputs != ctx.inputs {
-            return Err("engine configuration changed".into());
-        }
-        if ctx.miner_active() {
-            return Err("spec miner holds observed conventions".into());
-        }
-
-        // ---- parse: chunk-align the edit ----
-        let dirty_blocks: Vec<usize> = match diff_chunks(&memo.chunks, &memo.source, source) {
-            ChunkDelta::Unchanged => {
-                trace.stage("parse", "cached", "source unchanged");
-                Vec::new()
-            }
-            ChunkDelta::BodyEdit { dirty, map } => {
-                let total = map.chunks.len();
-                let mut blocks = Vec::with_capacity(dirty.len());
-                for &ci in &dirty {
-                    match memo.chunk_block[ci] {
-                        Some(b) => blocks.push(b),
-                        None => return Err("edit touches a non-resource block".into()),
-                    }
+        let keep = self.config.max_cache_bytes > 0 && !ctx.miner_active();
+        let mut scope = Scope::pick(self.memo.take(), source, ctx, keep);
+        let mut walk = loop {
+            let mut walk = Walk::new(source, ctx);
+            match walk.verdicts(&mut scope) {
+                Ok(()) => break walk,
+                Err(Stop::Guard(reason)) => scope = Scope::all(reason, keep, scope.into_memo()),
+                Err(Stop::Refused(err)) => {
+                    ctx.recorder.counter("pipeline.runs_full", 1);
+                    self.memo = scope.into_memo();
+                    return Err(err);
                 }
-                trace.stage(
-                    "parse",
-                    "incremental",
-                    format!("re-parsed {}/{} chunks", dirty.len(), total),
-                );
-                memo.chunks = map;
-                memo.source = source.to_owned();
-                blocks
-            }
-            ChunkDelta::Structural { .. } => {
-                return Err("structural edit (blocks added/removed/renamed)".into())
             }
         };
+        // Nothing refuses a program past the verdict stages, so the plan
+        // stage works on the memo this run leaves behind: the fresh one, or
+        // the old one with the splice in.
+        let (mut memo, dirty, reason, keep) = match scope {
+            Scope::All {
+                reason,
+                fresh,
+                keep,
+                ..
+            } => (fresh, None, Some(reason), keep),
+            Scope::Blocks {
+                mut memo,
+                dirty,
+                edit,
+            } => {
+                memo.absorb(*edit, source, &walk.out.manifest);
+                (memo, Some(dirty), None, true)
+            }
+        };
+        walk.plan(&mut memo, dirty.as_deref());
+        let trace = &mut walk.out.trace;
+        trace.fast_path = reason.is_none();
+        trace.fallback_reason = reason;
+        let bytes = memo.approx_bytes();
+        self.memo = if trace.fast_path {
+            ctx.recorder.counter("pipeline.runs_incremental", 1);
+            Some(memo)
+        } else {
+            ctx.recorder.counter("pipeline.runs_full", 1);
+            if !keep {
+                trace.stage("memo", "skipped", "run not clean or not eligible");
+                None
+            } else if bytes > self.config.max_cache_bytes {
+                ctx.recorder.counter("pipeline.evictions", 1);
+                let budget = self.config.max_cache_bytes;
+                let detail = format!("{bytes} bytes exceeds the {budget}-byte budget");
+                trace.stage("memo", "evicted", detail);
+                None
+            } else {
+                trace.stage("memo", "stored", format!("~{bytes} bytes retained"));
+                Some(memo)
+            }
+        };
+        Ok(walk.out)
+    }
+}
 
-        // ---- per-dirty-block: parse standalone, guard, re-expand ----
-        let lint_cfg = ctx.lint.config();
-        let mut respliced_instances = 0usize;
-        for &bi in &dirty_blocks {
-            let ci = memo
-                .chunk_block
-                .iter()
-                .position(|b| *b == Some(bi))
-                .expect("dirty block has a chunk");
-            let chunk = &memo.chunks.chunks[ci];
-            let chunk_src = &memo.source[chunk.start..chunk.end];
-            let file = cloudless_hcl::parse(chunk_src, &memo.program.filename)
-                .map_err(|_| format!("dirty block {bi} no longer parses"))?;
-            let sub = Program::from_file(file)
-                .map_err(|_| format!("dirty block {bi} no longer classifies"))?;
-            if sub.resources.len() != 1
-                || !sub.variables.is_empty()
-                || !sub.locals.is_empty()
-                || !sub.outputs.is_empty()
-                || !sub.modules.is_empty()
-                || !sub.data.is_empty()
-                || !sub.providers.is_empty()
-            {
-                return Err("dirty chunk is not exactly one resource block".into());
-            }
-            let new_rb = sub.resources.into_iter().next().expect("one resource");
-            let old_rb = &memo.program.resources[bi];
-            if new_rb.rtype != old_rb.rtype || new_rb.name != old_rb.name {
-                return Err("dirty block changed identity".into());
-            }
+/// One walk of the stages: the context and the output each stage adds to.
+struct Walk<'a> {
+    source: &'a str,
+    ctx: &'a PipelineCtx<'a>,
+    lint_cfg: Option<LintConfig>,
+    out: FrontendOutput,
+}
 
-            // Reference-stability guards: the block digraph and the
-            // expansion dependency set must be unchanged, and nothing may
-            // become unused.
-            let old_refs = &memo.refs[bi];
-            let new_refs = block_refs(&new_rb);
-            if new_refs.expand_deps != old_refs.expand_deps
-                || new_refs.hazard_refs != old_refs.hazard_refs
-            {
-                return Err("dependency edges changed".into());
-            }
-            if !old_refs.var_uses.is_subset(&new_refs.var_uses)
-                || !old_refs.local_uses.is_subset(&new_refs.local_uses)
-            {
-                return Err("a variable/local use disappeared".into());
-            }
-            if memo.lint_env.count_folds_zero(&new_rb) != memo.count_zero[bi] {
-                return Err("count-disabled status changed".into());
-            }
+impl<'a> Walk<'a> {
+    fn new(source: &'a str, ctx: &'a PipelineCtx<'a>) -> Self {
+        Walk {
+            source,
+            ctx,
+            lint_cfg: ctx.lint.config(),
+            out: FrontendOutput {
+                manifest: Manifest::default(),
+                // what a clean program validates to; the validate stage
+                // overwrites it when it runs the full pass
+                validation: ValidationReport {
+                    level: ctx.level,
+                    diagnostics: Diagnostics::new(),
+                },
+                changes: Vec::new(),
+                plan_text: String::new(),
+                trace: ChangeTrace::default(),
+            },
+        }
+    }
 
-            // Lint: the edited block must stay finding-free, and its
-            // identity claims must stay collision-free.
-            if let Some(cfg) = &lint_cfg {
-                if !block_is_clean(&memo.program, &new_rb, &memo.lint_env, cfg) {
-                    return Err("edited block has lint findings".into());
+    /// The driver's walk up to the last stage that can refuse a program
+    /// or trip a guard; [`Walk::plan`] completes it. (With no block in scope
+    /// the stages loop over nothing.)
+    fn verdicts(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        self.parse(scope)?;
+        self.lint(scope)?;
+        // The stages from here on allocate O(world) under `All`, so the
+        // memo this run would replace goes first: peak memory stays one
+        // memo, and a program refused by a later stage costs the next save
+        // a cold run (a syntax error or a lint finding does not).
+        if let Scope::All { old, .. } = scope {
+            *old = None;
+        }
+        self.expand(scope)?;
+        self.validate(scope)?;
+        self.analyze(scope)?;
+        let (action, detail) = match scope {
+            Scope::All { .. } => ("full", "every block in scope".to_owned()),
+            Scope::Blocks { dirty, .. } if dirty.is_empty() => {
+                ("cached", "no block in scope".to_owned())
+            }
+            Scope::Blocks { dirty, memo, .. } => {
+                let (k, n) = (dirty.len(), memo.block_chunk.len());
+                ("incremental", format!("{k} of {n} block(s) in scope"))
+            }
+        };
+        for stage in ["parse", "lint", "expand", "validate", "analyze"] {
+            self.out.trace.stage(stage, action, detail.clone());
+        }
+        Ok(())
+    }
+
+    /// **parse** — source → program, chunk ↔ block tables, block DAG.
+    fn parse(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        match scope {
+            Scope::All { fresh, keep, .. } => {
+                let file = cloudless_hcl::parse(self.source, "main.tf")
+                    .map_err(PipelineError::Frontend)?;
+                fresh.program = Program::from_file(file).map_err(PipelineError::Frontend)?;
+                *keep = *keep && fresh.index_source(self.source, self.ctx);
+            }
+            Scope::Blocks { memo, dirty, edit } => {
+                // the caller's copy (`Arc` bumps); the expand stage replaces
+                // the dirty ranges in it, and in the memo only on success
+                self.out.manifest = memo.manifest.clone();
+                let Some(chunks) = &edit.chunks else {
+                    return Ok(()); // source unchanged
+                };
+                let parse = |source: &str, chunks: &ChunkMap, bi: usize| {
+                    let chunk = &chunks.chunks[memo.block_chunk[bi]];
+                    parse_block(&source[chunk.start..chunk.end], &memo.program.filename)
+                };
+                for &bi in dirty.iter() {
+                    let old = parse(&memo.source, &memo.chunks, bi)?;
+                    let new = parse(self.source, chunks, bi)?;
+                    let same = new.rtype == old.rtype && new.name == old.name;
+                    ensure(same, "dirty block changed identity")?;
+                    edit.blocks.push((bi, old, new));
                 }
-                for key in block_claims(&memo.program.resources[bi], &memo.lint_env) {
-                    if let Some(n) = memo.claims.get_mut(&key) {
-                        *n = n.saturating_sub(1);
+            }
+        }
+        Ok(())
+    }
+
+    /// **lint** — the static-analysis gate over the un-expanded program.
+    /// Keeps the fold/taint/declaration environment.
+    fn lint(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        match scope {
+            Scope::All { fresh, keep, .. } => {
+                let env = LintEnv::build(&fresh.program);
+                if let Some(cfg) = &self.lint_cfg {
+                    let report = lint_program_in(&fresh.program, self.ctx.modules, cfg, &env);
+                    if report.fails(cfg) {
+                        return Err(PipelineError::Lint(report).into());
                     }
+                    *keep &= report.findings.is_empty() && report.suppressed == 0;
                 }
-                for key in block_claims(&new_rb, &memo.lint_env) {
-                    let n = memo.claims.entry(key).or_insert(0);
-                    *n += 1;
-                    if *n > 1 {
-                        return Err("identity claim collides (write-write conflict)".into());
-                    }
-                }
-            }
-
-            // Expand the edited block alone under the cached bindings.
-            let mut diags = Diagnostics::new();
-            let mut fresh: Vec<ResourceInstance> = Vec::new();
-            expand_resource_block(
-                &new_rb,
-                &memo.vars,
-                &memo.locals,
-                &memo.block_names,
-                ctx.data,
-                &memo.program.filename.clone(),
-                &[],
-                &mut diags,
-                &mut fresh,
-            );
-            if !diags.is_empty() {
-                return Err("re-expansion produced diagnostics".into());
-            }
-            let (lo, hi) = memo.block_ranges[bi];
-            if fresh.len() != hi - lo {
-                return Err("instance count changed".into());
-            }
-            for (k, ni) in fresh.iter().enumerate() {
-                if ni.addr != memo.manifest.instances[lo + k].addr {
-                    return Err("instance addresses changed".into());
-                }
-            }
-
-            // Concurrency guards over the *expanded* instances: maintain
-            // the analyzer's identity-claims map so a warm replan cannot
-            // smuggle in an alias the block-level claims fold as Unknown
-            // (ANA502 under count/for_each), and refuse
-            // replace-self-race shapes (ANA504) outright — the cold gate
-            // re-runs the full analysis and reports both exactly.
-            if lint_cfg.is_some() {
-                for k in lo..hi {
-                    for key in instance_claims(&memo.manifest.instances[k]) {
-                        if let Some(n) = memo.inst_claims.get_mut(&key) {
-                            *n = n.saturating_sub(1);
+                if *keep {
+                    fresh.lint_env = env;
+                    for rb in &fresh.program.resources {
+                        for claim in block_claims(rb, &fresh.lint_env) {
+                            hold(&mut fresh.claims, claim, 1);
                         }
                     }
                 }
-                for ni in &fresh {
-                    if ni.lifecycle.create_before_destroy && !instance_claims(ni).is_empty() {
-                        return Err(
-                            "create_before_destroy with plan-time identity (replace self-race)"
-                                .into(),
-                        );
-                    }
-                    for key in instance_claims(ni) {
-                        let n = memo.inst_claims.entry(key).or_insert(0);
-                        *n += 1;
-                        if *n > 1 {
-                            return Err("expanded identity claim collides (alias race)".into());
-                        }
-                    }
+            }
+            Scope::Blocks { memo, edit, .. } => {
+                let env = &memo.lint_env;
+                for (_, old_rb, rb) in &edit.blocks {
+                    // Reference stability stands in for the whole-program
+                    // graph passes, and no block may flip to or from count = 0.
+                    let (old, new) = (block_refs(old_rb), block_refs(rb));
+                    ensure(old.stable_under(&new), "dependency edges or uses changed")?;
+                    let flipped = env.count_folds_zero(rb) != env.count_folds_zero(old_rb);
+                    ensure(!flipped, "count-disabled status changed")?;
+                    let clean = |cfg| block_is_clean(&memo.program, rb, &new, env, cfg);
+                    let clean = self.lint_cfg.as_ref().is_none_or(clean);
+                    ensure(clean, "edited block has lint findings")?;
+                    stage(&mut edit.claims, block_claims(old_rb, env), -1);
+                    stage(&mut edit.claims, block_claims(rb, env), 1);
                 }
             }
-
-            // Validation aggregates: maintain VAL306/VAL307 claim maps.
-            for k in lo..hi {
-                let old = &memo.manifest.instances[k];
-                if let Some(key) = name_claim(old) {
-                    if let Some(n) = memo.name_counts.get_mut(&key) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
-                if let Some(n) = memo.quota_counts.get_mut(&quota_key(old)) {
-                    *n = n.saturating_sub(1);
-                }
-            }
-            let mut touched_quota: BTreeSet<(String, String)> = BTreeSet::new();
-            for ni in &fresh {
-                if let Some(key) = name_claim(ni) {
-                    let n = memo.name_counts.entry(key).or_insert(0);
-                    *n += 1;
-                    if *n > 1 {
-                        return Err("global name claim collides".into());
-                    }
-                }
-                let qk = quota_key(ni);
-                *memo.quota_counts.entry(qk.clone()).or_insert(0) += 1;
-                touched_quota.insert(qk);
-            }
-            for qk in touched_quota {
-                if let Some(schema) = ctx.catalog.get_str(&qk.0) {
-                    let n = memo.quota_counts.get(&qk).copied().unwrap_or(0);
-                    if n as u32 > schema.default_quota {
-                        return Err("per-region quota exceeded".into());
-                    }
-                }
-            }
-
-            // Commit the splice: program block + manifest instance range.
-            // Instance-level `depends_on` copies over from the cached
-            // instances (exact, because `expand_deps` is unchanged).
-            memo.program.resources[bi] = new_rb;
-            for (k, mut ni) in fresh.into_iter().enumerate() {
-                ni.depends_on = memo.manifest.instances[lo + k].depends_on.clone();
-                memo.manifest.instances[lo + k] = Arc::new(ni);
-                respliced_instances += 1;
-            }
-            memo.refs[bi] = new_refs;
         }
-        if dirty_blocks.is_empty() {
-            trace.stage("lint", "cached", "report clean, source unchanged");
-            trace.stage("expand", "cached", "manifest unchanged");
-            trace.stage("validate", "cached", "report clean, manifest unchanged");
-            trace.stage("analyze", "cached", "report clean, manifest unchanged");
-        } else {
-            trace.stage(
-                "lint",
-                "incremental",
-                format!(
-                    "re-checked {} block(s), claims map maintained",
-                    dirty_blocks.len()
-                ),
-            );
-            trace.stage(
-                "expand",
-                "incremental",
-                format!(
-                    "re-expanded {} block(s), spliced {} instance(s)",
-                    dirty_blocks.len(),
-                    respliced_instances
-                ),
-            );
-
-            // ---- validate: re-check edited blocks + direct dependents ----
-            let mut scope_blocks: BTreeSet<usize> = dirty_blocks.iter().copied().collect();
-            for &bi in &dirty_blocks {
-                scope_blocks.extend(memo.dependents[bi].iter().copied());
-            }
-            let mut positions: Vec<usize> = Vec::new();
-            for &bi in &scope_blocks {
-                let (lo, hi) = memo.block_ranges[bi];
-                positions.extend(lo..hi);
-            }
-            positions.sort_unstable();
-            let vdiags = check_scope(&memo.manifest, &memo.mindex, &positions, ctx.catalog);
-            if !vdiags.is_empty() {
-                return Err("edited scope has validation findings".into());
-            }
-            trace.stage(
-                "validate",
-                "incremental",
-                format!(
-                    "re-checked {} instance(s), aggregates maintained",
-                    positions.len()
-                ),
-            );
-            trace.stage(
-                "analyze",
-                "incremental",
-                format!(
-                    "identity claims maintained over {respliced_instances} respliced instance(s)"
-                ),
-            );
-        }
-
-        // ---- plan: replay only the impact scope of the edit ----
-        let n = memo.manifest.instances.len();
-        if memo.diff.serial != ctx.state.serial {
-            // State moved under us (an apply happened): the front-end memo
-            // stays warm but the diff must rebuild.
-            let changes = diff(&memo.manifest, ctx.state, ctx.catalog, ctx.data);
-            let dc = DiffCache::build(&memo.manifest, ctx.state, changes);
-            trace.stage(
-                "plan",
-                "full",
-                format!("state serial changed, re-diffed {n} instance(s)"),
-            );
-            memo.diff = dc;
-        } else if dirty_blocks.is_empty() {
-            trace.stage("plan", "cached", "state and manifest unchanged");
-        } else {
-            let scope =
-                ImpactScope::compute(&memo.dag, dirty_blocks.iter().map(|&b| NodeId(b as u32)));
-            let mut scope_pos: HashSet<usize> = HashSet::new();
-            for node in &scope.replan {
-                let (lo, hi) = memo.block_ranges[node.index()];
-                scope_pos.extend(lo..hi);
-            }
-            let mut fresh: Vec<(usize, PlannedChange)> = Vec::new();
-            for &idx in &memo.diff.kahn {
-                if !scope_pos.contains(&idx) {
-                    continue;
-                }
-                let inst = &memo.manifest.instances[idx];
-                let dirty_map = &memo.diff.dirty;
-                let change = plan_one(
-                    inst,
-                    ctx.state,
-                    ctx.catalog,
-                    &memo.diff.block_index,
-                    ctx.data,
-                    &mut |t, nm| {
-                        dirty_map
-                            .get(&(t.to_owned(), nm.to_owned()))
-                            .copied()
-                            .unwrap_or(true)
-                    },
-                );
-                let is_dirty = matches!(change.action, Action::Create | Action::Replace { .. });
-                memo.diff.dirty.insert(
-                    (inst.addr.rtype.as_str().to_owned(), inst.addr.name.clone()),
-                    is_dirty,
-                );
-                fresh.push((idx, change));
-            }
-            fresh.sort_by_key(|(i, _)| *i);
-            // Merge: cached non-NoOps outside the scope + fresh non-NoOps.
-            let mut merged: Vec<(usize, PlannedChange)> =
-                Vec::with_capacity(memo.diff.changes.len() + fresh.len());
-            let kept = memo
-                .diff
-                .changes
-                .drain(..)
-                .filter(|(i, _)| !scope_pos.contains(i));
-            let fresh_non_noop = fresh.into_iter().filter(|(_, c)| !c.action.is_noop());
-            for pair in itertools_merge(kept, fresh_non_noop) {
-                merged.push(pair);
-            }
-            trace.stage(
-                "plan",
-                "incremental",
-                format!("re-planned {}/{} instance(s)", scope_pos.len(), n),
-            );
-            memo.diff.changes = merged;
-            let mut all: Vec<PlannedChange> =
-                memo.diff.changes.iter().map(|(_, c)| c.clone()).collect();
-            all.extend(memo.diff.deletes.iter().cloned());
-            memo.diff.plan_text = render(&all);
-        }
-
-        let mut changes: Vec<PlannedChange> =
-            memo.diff.changes.iter().map(|(_, c)| c.clone()).collect();
-        changes.extend(memo.diff.deletes.iter().cloned());
-        trace.fast_path = true;
-        Ok(FrontendOutput {
-            manifest: memo.manifest.clone(),
-            validation: memo.validation.clone(),
-            changes,
-            plan_text: memo.diff.plan_text.clone(),
-            trace: std::mem::take(trace),
-        })
+        Ok(())
     }
 
-    /// The cold path: the exact monolithic front end, plus memo rebuild.
-    fn run_cold(
-        &mut self,
-        source: &str,
-        ctx: &PipelineCtx<'_>,
-        mut trace: ChangeTrace,
-    ) -> Result<FrontendOutput, PipelineError> {
-        self.memo = None;
-        trace.stage("parse", "full", "whole file");
-        let program = Program::from_file(
-            cloudless_hcl::parse(source, "main.tf").map_err(PipelineError::Frontend)?,
-        )
-        .map_err(PipelineError::Frontend)?;
-
-        let mut lint_clean = ctx.lint.config().is_none();
-        if let Some(lint_cfg) = ctx.lint.config() {
-            trace.stage("lint", "full", "whole program");
-            let report = lint_program(&program, ctx.modules, &lint_cfg);
-            if report.fails(&lint_cfg) {
-                return Err(PipelineError::Lint(report));
+    /// **expand** — program → manifest. Keeps the root bindings and block
+    /// ranges a later splice re-expands under.
+    fn expand(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        let ctx = self.ctx;
+        match scope {
+            Scope::All { fresh, keep, .. } => {
+                let (manifest, root) =
+                    expand_root(&fresh.program, ctx.inputs, ctx.modules, ctx.data)
+                        .map_err(PipelineError::Frontend)?;
+                *keep &= manifest.warnings.is_empty();
+                if *keep {
+                    fresh.root = root;
+                    fresh.manifest = manifest.clone();
+                }
+                self.out.manifest = manifest;
+                // the last reader of block syntax: the memo keeps none
+                fresh.program.resources = Vec::new();
             }
-            lint_clean = report.findings.is_empty() && report.suppressed == 0;
-        }
-
-        trace.stage("expand", "full", "whole program");
-        let manifest =
-            expand(&program, ctx.inputs, ctx.modules, ctx.data).map_err(PipelineError::Frontend)?;
-
-        trace.stage("validate", "full", "every instance");
-        let validation = validate(&manifest, ctx.catalog, ctx.level, ctx.miner);
-        if !validation.ok() {
-            return Err(PipelineError::Validation(validation));
-        }
-
-        // ---- analyze: whole-program concurrency gate over the expanded
-        // manifest (happens-before, aliasing, lock-order) ----
-        let mut concurrency_clean = true;
-        if let Some(lint_cfg) = ctx.lint.config() {
-            trace.stage(
-                "analyze",
-                "full",
-                format!("{} instance(s), 3 passes", manifest.instances.len()),
-            );
-            let outcome = analyze_manifest(&manifest, &lint_cfg, None);
-            record_analysis(ctx.recorder.as_ref(), &outcome);
-            if outcome.report.fails(&lint_cfg) {
-                return Err(PipelineError::Lint(outcome.report));
-            }
-            concurrency_clean =
-                outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
-        }
-
-        trace.stage(
-            "plan",
-            "full",
-            format!("diffed {} instance(s)", manifest.instances.len()),
-        );
-        let changes = diff(&manifest, ctx.state, ctx.catalog, ctx.data);
-        let plan_text = render(&changes);
-
-        // Memoize when the run is eligible for the clean-program fast path.
-        let eligible = self.config.max_cache_bytes > 0
-            && lint_clean
-            && concurrency_clean
-            && validation.diagnostics.is_empty()
-            && manifest.warnings.is_empty()
-            && program.modules.is_empty()
-            && !ctx.miner_active();
-        if eligible {
-            match Memo::build(source, &program, &manifest, &validation, &changes, ctx) {
-                Some(memo) => {
-                    let bytes = memo.approx_bytes();
-                    if bytes > self.config.max_cache_bytes {
-                        ctx.recorder.counter("pipeline.evictions", 1);
-                        trace.stage(
-                            "memo",
-                            "evicted",
-                            format!(
-                                "{} bytes exceeds the {}-byte budget",
-                                bytes, self.config.max_cache_bytes
-                            ),
-                        );
-                    } else {
-                        trace.stage("memo", "stored", format!("~{bytes} bytes retained"));
-                        self.memo = Some(memo);
+            Scope::Blocks { memo, edit, .. } => {
+                for (bi, _, rb) in &edit.blocks {
+                    let mut diags = Diagnostics::new();
+                    let mut fresh: Vec<ResourceInstance> = Vec::new();
+                    expand_resource_block(
+                        rb,
+                        &memo.root.vars,
+                        &memo.root.locals,
+                        &memo.root.block_names,
+                        ctx.data,
+                        &memo.program.filename,
+                        &[],
+                        &mut diags,
+                        &mut fresh,
+                    );
+                    ensure(diags.is_empty(), "re-expansion produced diagnostics")?;
+                    let span = memo.root.block_ranges[*bi].clone();
+                    let old = &memo.manifest.instances[span.clone()];
+                    let addrs = fresh.iter().map(|inst| &inst.addr);
+                    ensure(
+                        addrs.eq(old.iter().map(|inst| &inst.addr)),
+                        "instance addresses changed",
+                    )?;
+                    // Instance-level `depends_on` copies over from the
+                    // cached instances (exact: `expand_deps` is unchanged).
+                    for (at, mut new) in span.zip(fresh) {
+                        new.depends_on = memo.manifest.instances[at].depends_on.clone();
+                        self.out.manifest.instances[at] = Arc::new(new);
                     }
                 }
-                None => trace.stage("memo", "skipped", "program shape not memoizable"),
             }
-        } else {
-            trace.stage("memo", "skipped", "run not clean or not eligible");
         }
-
-        Ok(FrontendOutput {
-            manifest,
-            validation,
-            changes,
-            plan_text,
-            trace,
-        })
+        Ok(())
     }
+
+    /// **validate** — compile-time validation of the manifest. Keeps the
+    /// positional index the scoped re-check resolves references through.
+    fn validate(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        let (ctx, out) = (self.ctx, &mut self.out);
+        match scope {
+            Scope::All { fresh, keep, .. } => {
+                let mindex = ManifestIndex::build(&out.manifest);
+                let report =
+                    validate_indexed(&out.manifest, &mindex, ctx.catalog, ctx.level, ctx.miner);
+                if !report.ok() {
+                    return Err(PipelineError::Validation(report).into());
+                }
+                *keep &= report.diagnostics.is_empty();
+                out.validation = report;
+                if *keep {
+                    fresh.mindex = mindex;
+                }
+            }
+            Scope::Blocks { memo, dirty, .. } => {
+                // re-check the edited blocks and their direct dependents
+                let mut in_scope: BTreeSet<usize> = dirty.iter().copied().collect();
+                for &bi in dirty.iter() {
+                    let dependents = memo.dag.successors(NodeId(bi as u32));
+                    in_scope.extend(dependents.iter().map(|node| node.index()));
+                }
+                let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
+                let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
+                let found = check_scope(&out.manifest, &memo.mindex, &positions, ctx.catalog);
+                ensure(found.is_empty(), "edited scope has validation findings")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// **analyze** — the whole-program concurrency gate over the expanded
+    /// manifest (happens-before, aliasing, lock order). Keeps the claims
+    /// multiset, through which the splice also holds the aggregate rules of
+    /// the two stages before it (ANA402, VAL306, VAL307).
+    fn analyze(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+        let (ctx, out) = (self.ctx, &mut self.out);
+        match scope {
+            Scope::All { fresh, keep, .. } => {
+                if let Some(cfg) = &self.lint_cfg {
+                    let outcome = analyze_manifest(&out.manifest, cfg, None);
+                    record_analysis(ctx.recorder.as_ref(), &outcome);
+                    if outcome.report.fails(cfg) {
+                        return Err(PipelineError::Lint(outcome.report).into());
+                    }
+                    *keep &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
+                }
+                if *keep {
+                    for claim in instance_level_claims(&out.manifest.instances) {
+                        hold(&mut fresh.claims, claim, 1);
+                    }
+                }
+            }
+            Scope::Blocks { memo, edit, .. } => {
+                let gated = self.lint_cfg.is_some();
+                for (bi, ..) in &edit.blocks {
+                    let span = memo.root.block_ranges[*bi].clone();
+                    let new = &out.manifest.instances[span.clone()];
+                    let old = instance_level_claims(&memo.manifest.instances[span]);
+                    stage(&mut edit.claims, old, -1);
+                    stage(&mut edit.claims, instance_level_claims(new), 1);
+                    // ANA504 is a finding: only the full analysis reports it
+                    ensure(
+                        !gated || new.iter().all(|i| replace_self_race(i).is_none()),
+                        "create_before_destroy with plan-time identity (replace self-race)",
+                    )?;
+                }
+                const UNLIMITED: usize = isize::MAX as usize;
+                let limit = |claim: &Claim| match claim {
+                    Claim::Block(_) | Claim::Instance(_) if !gated => UNLIMITED,
+                    Claim::Quota((rtype, _)) => (ctx.catalog.get_str(rtype))
+                        .map_or(UNLIMITED, |schema| schema.default_quota as usize),
+                    _ => 1,
+                };
+                if let Some(claim) = overfull(&memo.claims, &edit.claims, limit) {
+                    return Err(Stop::Guard(format!("{claim:?} would be over its limit")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// **plan** — manifest × state → changes and plan text, through the
+    /// plan cache of the memo the run leaves behind. Its own scope is the
+    /// impact scope of the `dirty` blocks while the state serial stands,
+    /// and every instance when nothing is cached (`dirty` is `None`) or the
+    /// state moved (an apply happened): the front-end artifacts stay, the
+    /// diff rebuilds.
+    fn plan(&mut self, memo: &mut Memo, dirty: Option<&[usize]>) {
+        let (ctx, out) = (self.ctx, &mut self.out);
+        let instances = &out.manifest.instances;
+        let cache = &mut memo.plan;
+        if dirty.is_none() {
+            cache.order = dependency_order(&out.manifest);
+        }
+        // `None`: every instance
+        let in_scope: Option<HashSet<usize>> = match dirty {
+            Some(dirty) if cache.serial == Some(ctx.state.serial) => {
+                let seeds = dirty.iter().map(|&bi| NodeId(bi as u32));
+                let impact = ImpactScope::compute(&memo.dag, seeds).replan;
+                let ranges = &memo.root.block_ranges;
+                Some((impact.iter().flat_map(|node| ranges[node.index()].clone())).collect())
+            }
+            _ => {
+                cache.serial = Some(ctx.state.serial);
+                cache.block_index = BlockIndex::build(ctx.state);
+                cache.deletes = delete_changes(&out.manifest, ctx.state);
+                // an unvisited dependency (a cycle) reads as dirty, as in `diff`
+                cache.dirty.clear();
+                None
+            }
+        };
+        // replay the instances in scope along the dependency order, each
+        // reading its dependencies' dirtiness as the visit before left it
+        let replanned = |i: &usize| in_scope.as_ref().is_none_or(|scope| scope.contains(i));
+        cache.changes.retain(|i, _| !replanned(i));
+        for &idx in cache.order.iter().filter(|i| replanned(i)) {
+            let inst = &instances[idx];
+            let mut dep_dirty = |rtype: &str, name: &str| {
+                let known = cache.dirty.get(&(rtype.to_owned(), name.to_owned()));
+                known.copied().unwrap_or(true)
+            };
+            let (state, index) = (ctx.state, &cache.block_index);
+            let change = plan_one(inst, state, ctx.catalog, index, ctx.data, &mut dep_dirty);
+            cache.dirty.insert(block_key(inst), change.makes_dirty());
+            if !change.action.is_noop() {
+                cache.changes.insert(idx, change);
+            }
+        }
+        out.changes = (cache.changes.values().chain(&cache.deletes))
+            .cloned()
+            .collect();
+        out.plan_text = render(&out.changes);
+        let n = instances.len();
+        let (action, detail) = match (&in_scope, dirty) {
+            (None, None) => ("full", format!("diffed {n} instance(s)")),
+            (None, Some(_)) => {
+                let detail = format!("state serial changed, re-diffed {n} instance(s)");
+                ("full", detail)
+            }
+            (Some(scope), _) => {
+                let action = match scope.len() {
+                    0 => "cached",
+                    _ => "incremental",
+                };
+                let detail = format!("re-planned {}/{n} instance(s)", scope.len());
+                (action, detail)
+            }
+        };
+        out.trace.stage("plan", action, detail);
+    }
+}
+
+/// Parse one dirty chunk standalone; it must still hold exactly one
+/// resource block (stale spans are harmless, see the module docs).
+fn parse_block(chunk_src: &str, filename: &str) -> Result<ResourceBlock, Stop> {
+    let parsed = cloudless_hcl::parse(chunk_src, filename).and_then(Program::from_file);
+    ensure(parsed.is_ok(), "a dirty block no longer parses")?;
+    let mut rest = parsed.unwrap_or_default();
+    let block = rest.resources.pop();
+    rest.filename.clear();
+    ensure(
+        rest == Program::default(),
+        "a dirty chunk holds more than a resource block",
+    )?;
+    block.ok_or_else(|| Stop::Guard("a dirty chunk holds no resource block".to_owned()))
 }
 
 /// Mirror one analysis run into `analyze.*` metrics: runs, passes,
@@ -815,214 +933,67 @@ fn record_analysis(recorder: &dyn Recorder, outcome: &AnalysisOutcome) {
     }
 }
 
-/// Merge two position-sorted iterators of `(position, change)`.
-fn itertools_merge<I, J>(a: I, b: J) -> impl Iterator<Item = (usize, PlannedChange)>
-where
-    I: Iterator<Item = (usize, PlannedChange)>,
-    J: Iterator<Item = (usize, PlannedChange)>,
-{
-    let mut a = a.peekable();
-    let mut b = b.peekable();
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) => {
-            if x.0 <= y.0 {
-                a.next()
-            } else {
-                b.next()
-            }
-        }
-        (Some(_), None) => a.next(),
-        (None, Some(_)) => b.next(),
-        (None, None) => None,
-    })
-}
-
-impl DiffCache {
-    /// Derive the plan-stage cache from a full diff's output. `changes`
-    /// holds the declaration-ordered slots first, then the deletions.
-    fn build(manifest: &Manifest, state: &Snapshot, changes: Vec<PlannedChange>) -> DiffCache {
-        let n = manifest.instances.len();
-        let plan_text = render(&changes);
-        let kahn = dependency_order(manifest);
-        let mut dirty: HashMap<(String, String), bool> = HashMap::with_capacity(n);
-        let mut slots: Vec<(usize, PlannedChange)> = Vec::new();
-        for (i, c) in changes.iter().take(n).enumerate() {
-            if !c.action.is_noop() {
-                slots.push((i, c.clone()));
-            }
-        }
-        for &idx in &kahn {
-            let inst = &manifest.instances[idx];
-            let is_dirty = matches!(changes[idx].action, Action::Create | Action::Replace { .. });
-            dirty.insert(
-                (inst.addr.rtype.as_str().to_owned(), inst.addr.name.clone()),
-                is_dirty,
-            );
-        }
-        let deletes = changes.into_iter().skip(n).collect();
-        DiffCache {
-            serial: state.serial,
-            block_index: BlockIndex::build(state),
-            kahn,
-            dirty,
-            changes: slots,
-            deletes,
-            plan_text,
-        }
-    }
-}
-
 impl Memo {
-    /// Build the memo from a clean cold run. `None` when the program's
-    /// shape defeats chunk↔block mapping (duplicate block keys, chunks the
-    /// scanner could not separate, non-contiguous instance ranges).
-    fn build(
-        source: &str,
-        program: &Program,
-        manifest: &Manifest,
-        validation: &ValidationReport,
-        changes: &[PlannedChange],
-        ctx: &PipelineCtx<'_>,
-    ) -> Option<Memo> {
+    /// The parse stage's fill: the configuration key, the block → chunk
+    /// table and the block DAG. `false` when the program's shape defeats
+    /// a per-block splice (modules, duplicate block keys, chunks the
+    /// scanner could not separate, a dependency cycle).
+    fn index_source(&mut self, source: &str, ctx: &PipelineCtx<'_>) -> bool {
+        let blocks = &self.program.resources;
         let chunks = ChunkMap::build(source);
-        // chunk ↔ block mapping: every resource chunk maps to exactly one
-        // program block and vice versa.
-        let mut block_of: HashMap<(&str, &str), usize> = HashMap::new();
-        for (i, rb) in program.resources.iter().enumerate() {
-            if block_of
-                .insert((rb.rtype.as_str(), rb.name.as_str()), i)
-                .is_some()
-            {
-                return None; // duplicate block key
-            }
+        // blocks and chunks are both in source order, so the i-th resource
+        // chunk has to be the i-th resource block's
+        self.block_chunk = chunks.resource_chunks().collect();
+        let holds = |(&ci, rb): (&usize, &ResourceBlock)| {
+            matches!(&chunks.chunks[ci].kind, ChunkKind::Resource { rtype, name }
+                if *rtype == rb.rtype && *name == rb.name)
+        };
+        let one_to_one = self.block_chunk.len() == blocks.len()
+            && self.block_chunk.iter().zip(blocks).all(holds);
+        if !one_to_one || !self.program.modules.is_empty() {
+            return false;
         }
-        let mut chunk_block: Vec<Option<usize>> = Vec::with_capacity(chunks.chunks.len());
-        let mut mapped = 0usize;
-        for c in &chunks.chunks {
-            match &c.kind {
-                ChunkKind::Resource { rtype, name } => {
-                    let bi = *block_of.get(&(rtype.as_str(), name.as_str()))?;
-                    chunk_block.push(Some(bi));
-                    mapped += 1;
-                }
-                ChunkKind::Other => chunk_block.push(None),
-            }
-        }
-        if mapped != program.resources.len() {
-            return None;
-        }
-
-        // Per-block instance ranges: root-module expansion emits instances
-        // grouped in block declaration order; verify.
-        let mut block_ranges: Vec<(usize, usize)> = vec![(0, 0); program.resources.len()];
-        let mut pos = 0usize;
-        for (bi, rb) in program.resources.iter().enumerate() {
-            let lo = pos;
-            while pos < manifest.instances.len() {
-                let a = &manifest.instances[pos].addr;
-                if a.module_path.is_empty() && a.rtype.as_str() == rb.rtype && a.name == rb.name {
-                    pos += 1;
-                } else {
-                    break;
-                }
-            }
-            block_ranges[bi] = (lo, pos);
-        }
-        if pos != manifest.instances.len() {
-            return None; // stray instances (modules, or non-contiguous)
-        }
-
-        // Environments: re-bind once (cheap relative to the cold run) so
-        // splices can re-expand blocks under identical Arcs.
-        let mut warnings = Diagnostics::new();
-        let mut diags = Diagnostics::new();
-        let (vars, locals) = bind_env(program, ctx.inputs, ctx.data, &mut warnings, &mut diags);
-        if !diags.is_empty() || !warnings.is_empty() {
-            return None;
-        }
-        let block_names: BTreeSet<(String, String)> = program
-            .resources
-            .iter()
-            .map(|r| (r.rtype.clone(), r.name.clone()))
-            .collect();
-
-        let lint_env = LintEnv::build(program);
-        let refs: Vec<BlockRefs> = program.resources.iter().map(block_refs).collect();
-        let count_zero: Vec<bool> = program
-            .resources
-            .iter()
-            .map(|rb| lint_env.count_folds_zero(rb))
-            .collect();
-        let mut claims: HashMap<(String, String, String), usize> = HashMap::new();
-        for rb in &program.resources {
-            for key in block_claims(rb, &lint_env) {
-                *claims.entry(key).or_insert(0) += 1;
-            }
-        }
-        let mut inst_claims: HashMap<(String, String, String), usize> = HashMap::new();
-        for inst in &manifest.instances {
-            for key in instance_claims(inst) {
-                *inst_claims.entry(key).or_insert(0) += 1;
+        let mut block_of: HashMap<(&str, &str), usize> = HashMap::with_capacity(blocks.len());
+        for (bi, rb) in blocks.iter().enumerate() {
+            if block_of.insert((&rb.rtype, &rb.name), bi).is_some() {
+                return false;
             }
         }
 
-        // Block-level DAG (dependency → dependent) from the expansion
-        // dependency sets.
         let mut builder: DagBuilder<usize> = DagBuilder::new();
-        let nodes: Vec<NodeId> = (0..program.resources.len())
-            .map(|i| builder.add_node(i))
-            .collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); program.resources.len()];
-        for (i, r) in refs.iter().enumerate() {
-            for (t, nm) in &r.expand_deps {
-                if let Some(&j) = block_of.get(&(t.as_str(), nm.as_str())) {
-                    if j != i {
-                        builder.add_edge(nodes[j], nodes[i]).ok()?;
-                        dependents[j].push(i);
-                    }
+        let nodes: Vec<NodeId> = (0..blocks.len()).map(|bi| builder.add_node(bi)).collect();
+        for (bi, rb) in blocks.iter().enumerate() {
+            for (rtype, name) in &block_refs(rb).expand_deps {
+                let dep = block_of.get(&(rtype.as_str(), name.as_str()));
+                let dep = dep.filter(|&&dep| dep != bi);
+                if dep.is_some_and(|&dep| builder.add_edge(nodes[dep], nodes[bi]).is_err()) {
+                    return false;
                 }
             }
         }
-        let dag = builder.seal().ok()?;
+        let Ok(dag) = builder.seal() else {
+            return false;
+        };
+        self.dag = dag;
+        self.config = (ctx.lint, ctx.level, ctx.inputs.clone());
+        self.source = source.to_owned();
+        self.chunks = chunks;
+        true
+    }
 
-        let mindex = ManifestIndex::build(manifest);
-        let mut name_counts: HashMap<(String, String), usize> = HashMap::new();
-        let mut quota_counts: HashMap<(String, String), usize> = HashMap::new();
-        for inst in &manifest.instances {
-            if let Some(k) = name_claim(inst) {
-                *name_counts.entry(k).or_insert(0) += 1;
-            }
-            *quota_counts.entry(quota_key(inst)).or_insert(0) += 1;
+    /// Apply the staged splice of a walk whose verdict stages all passed.
+    fn absorb(&mut self, edit: Splice, source: &str, manifest: &Manifest) {
+        if let Some(chunks) = edit.chunks {
+            self.chunks = chunks;
+            self.source = source.to_owned();
         }
-
-        let diff_cache = DiffCache::build(manifest, ctx.state, changes.to_vec());
-
-        Some(Memo {
-            source: source.to_owned(),
-            chunks,
-            chunk_block,
-            gate: ctx.lint,
-            level: ctx.level,
-            inputs: ctx.inputs.clone(),
-            program: program.clone(),
-            vars,
-            locals,
-            block_names,
-            lint_env,
-            refs,
-            count_zero,
-            claims,
-            inst_claims,
-            manifest: manifest.clone(),
-            block_ranges,
-            mindex,
-            name_counts,
-            quota_counts,
-            validation: validation.clone(),
-            dag,
-            dependents,
-            diff: diff_cache,
-        })
+        for (bi, ..) in edit.blocks {
+            let span = self.root.block_ranges[bi].clone();
+            self.manifest.instances[span.clone()].clone_from_slice(&manifest.instances[span]);
+        }
+        for (claim, by) in edit.claims {
+            hold(&mut self.claims, claim, by);
+        }
     }
 
     /// Approximate retained heap bytes — intentionally coarse; the budget
@@ -1030,18 +1001,14 @@ impl Memo {
     fn approx_bytes(&self) -> usize {
         let mut total = self.source.len() * 2; // source + program text-ish
         total += self.chunks.approx_bytes();
-        total += self.program.resources.len() * 512;
+        total += self.block_chunk.len() * 768;
         for inst in &self.manifest.instances {
             total += 384 + inst.attrs.len() * 96 + inst.deferred.len() * 160;
         }
         total += self.mindex.approx_bytes();
-        total += (self.claims.len() + self.name_counts.len() + self.quota_counts.len()) * 128;
-        total += self.refs.len() * 256;
-        total += self.diff.kahn.len() * 8;
-        total += self.diff.dirty.len() * 96;
-        total += self.diff.changes.len() * 512;
-        total += self.diff.deletes.len() * 512;
-        total += self.diff.plan_text.len();
+        total += self.claims.len() * 128;
+        total += self.plan.order.len() * 8 + self.plan.dirty.len() * 96;
+        total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
         total
     }
 }

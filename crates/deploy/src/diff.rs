@@ -65,6 +65,15 @@ pub struct PlannedChange {
     pub unknown_attrs: Vec<String>,
 }
 
+impl PlannedChange {
+    /// Whether this change creates or replaces its resource: computed
+    /// attributes become unknown, so dependents cannot finalize references
+    /// to it at plan time.
+    pub fn makes_dirty(&self) -> bool {
+        matches!(self.action, Action::Create | Action::Replace { .. })
+    }
+}
+
 /// Compare `manifest` against `state`.
 ///
 /// `catalog` supplies the `force_new` flags; `data` answers data-source
@@ -100,10 +109,9 @@ pub fn diff(
         let change = plan_one(inst, state, catalog, &block_index, data, &mut |t, n| {
             dirty.get(&(t, n)).copied().unwrap_or(true)
         });
-        let is_dirty = matches!(change.action, Action::Create | Action::Replace { .. });
         dirty.insert(
             (inst.addr.rtype.as_str(), inst.addr.name.as_str()),
-            is_dirty,
+            change.makes_dirty(),
         );
         slots[idx] = Some(change);
     }

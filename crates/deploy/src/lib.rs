@@ -15,10 +15,8 @@
 //!   scheduling aware of rate limits and per-type duration estimates).
 //! * [`refresh`] — full state refresh (the baseline that "triggers
 //!   expensive queries on all cloud-level resource state") and scoped
-//!   refresh.
-//! * [`incremental`] — the impact-scope update planner (§3.3): confines a
-//!   delta to its dependency neighborhood, skipping refresh and replanning
-//!   everywhere else.
+//!   refresh of an impact scope (§3.3; the scope itself comes from the
+//!   front-end pipeline's warm replan).
 //! * [`rollback`] — reversibility-aware rollback planning (§3.4): in-place
 //!   reverts where possible, destroy-and-recreate only where required,
 //!   drift-aware.
@@ -32,7 +30,6 @@
 
 pub mod diff;
 pub mod exec;
-pub mod incremental;
 pub mod plan;
 pub mod refresh;
 pub mod resilience;
@@ -41,7 +38,6 @@ pub mod rollback;
 
 pub use diff::{diff, Action, PlannedChange};
 pub use exec::{ApplyReport, Executor, NodeResult, NodeStats, Strategy};
-pub use incremental::{incremental_plan, IncrementalStats};
 pub use plan::{Plan, PlanNode};
 pub use refresh::{full_refresh, scoped_refresh, RefreshReport};
 pub use resilience::{

@@ -4,8 +4,9 @@
 //! all cloud-level resource state and recomputation of the deployment plan
 //! from the ground up." [`full_refresh`] is that baseline — one `Read` per
 //! managed resource, every time. [`scoped_refresh`] reads only a subset (the
-//! impact scope computed by [`crate::incremental`]), which is where the
-//! API-call savings of incremental updates come from.
+//! impact scope of an edit, as the front-end pipeline's warm replan names
+//! it), which is where the API-call savings of incremental updates come
+//! from.
 
 use std::collections::BTreeSet;
 
@@ -29,20 +30,11 @@ pub struct RefreshReport {
 /// Refresh every resource in the snapshot (the Terraform-default baseline).
 pub fn full_refresh(cloud: &mut Cloud, state: &mut Snapshot, principal: &str) -> RefreshReport {
     let addrs: Vec<ResourceAddr> = state.addrs();
-    refresh_addrs(cloud, state, principal, addrs.into_iter().collect())
+    scoped_refresh(cloud, state, principal, addrs.into_iter().collect())
 }
 
 /// Refresh only the given addresses (incremental path).
 pub fn scoped_refresh(
-    cloud: &mut Cloud,
-    state: &mut Snapshot,
-    principal: &str,
-    scope: BTreeSet<ResourceAddr>,
-) -> RefreshReport {
-    refresh_addrs(cloud, state, principal, scope)
-}
-
-fn refresh_addrs(
     cloud: &mut Cloud,
     state: &mut Snapshot,
     principal: &str,

@@ -18,7 +18,7 @@
 
 use cloudless_cloud::CloudError;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
-use cloudless_types::{Provider, ResourceAddr, Span, Value};
+use cloudless_types::{Provider, ResourceAddr, Span};
 use serde::Serialize;
 
 /// A source location in an explanation.
@@ -93,13 +93,7 @@ fn attr_loc(inst: &ResourceInstance, attr: &str, label: impl Into<String>) -> Op
 /// Region of an instance at the IaC level (explicit attr or provider
 /// default).
 fn region_of(inst: &ResourceInstance) -> Option<String> {
-    for key in ["location", "region"] {
-        if let Some(Value::Str(s)) = inst.attrs.get(key) {
-            return Some(s.clone());
-        }
-    }
-    Provider::from_type_prefix(inst.addr.rtype.provider_prefix())
-        .map(|p| p.default_region().as_str().to_owned())
+    Provider::effective_region(&inst.attrs, &inst.addr.rtype)
 }
 
 /// Translate a cloud error on `failed_addr` back to the program.

@@ -575,9 +575,34 @@ pub fn expand(
     modules: &ModuleLibrary,
     data_resolver: &dyn Resolver,
 ) -> Result<Manifest, Diagnostics> {
+    expand_root(program, inputs, modules, data_resolver).map(|(manifest, _)| manifest)
+}
+
+/// What expanding the root module established besides the manifest: the
+/// bindings every root block was expanded under and where each block's
+/// instances landed. With these, [`expand_resource_block`] can re-expand a
+/// single edited block later and splice the result in place.
+#[derive(Debug, Clone, Default)]
+pub struct RootExpansion {
+    pub vars: Bindings,
+    pub locals: Bindings,
+    /// The `(type, name)` of every root resource block.
+    pub block_names: BTreeSet<(String, String)>,
+    /// Per root resource block, in declaration order, where its instances
+    /// sit in `Manifest::instances`.
+    pub block_ranges: Vec<std::ops::Range<usize>>,
+}
+
+/// [`expand`], also returning the root module's [`RootExpansion`].
+pub fn expand_root(
+    program: &Program,
+    inputs: &BTreeMap<String, Value>,
+    modules: &ModuleLibrary,
+    data_resolver: &dyn Resolver,
+) -> Result<(Manifest, RootExpansion), Diagnostics> {
     let mut manifest = Manifest::default();
     let mut diags = Diagnostics::new();
-    expand_into(
+    let root = expand_into(
         program,
         inputs,
         modules,
@@ -587,7 +612,7 @@ pub fn expand(
         &mut diags,
         0,
     );
-    diags.into_result(manifest)
+    diags.into_result((manifest, root))
 }
 
 /// Maximum module nesting depth (defensive bound against recursive modules).
@@ -599,9 +624,8 @@ pub type Bindings = Arc<BTreeMap<String, Value>>;
 
 /// Steps 1–2 of expansion: bind variable inputs (inputs override defaults;
 /// missing required → error; declared types enforced on whichever value
-/// wins) and evaluate locals to fixpoint. Shared by full expansion and the
-/// incremental converge pipeline, which caches the returned environments.
-pub fn bind_env(
+/// wins) and evaluate locals to fixpoint.
+fn bind_env(
     program: &Program,
     inputs: &BTreeMap<String, Value>,
     data_resolver: &dyn Resolver,
@@ -878,7 +902,7 @@ fn expand_into(
     manifest: &mut Manifest,
     diags: &mut Diagnostics,
     depth: usize,
-) {
+) -> RootExpansion {
     let fname = &program.filename;
 
     // 1–2. Bind variables and evaluate locals.
@@ -927,6 +951,7 @@ fn expand_into(
         .map(|r| (r.rtype.clone(), r.name.clone()))
         .collect();
 
+    let mut block_ranges = Vec::with_capacity(program.resources.len());
     for rb in &program.resources {
         let mut insts = Vec::new();
         expand_resource_block(
@@ -940,7 +965,9 @@ fn expand_into(
             diags,
             &mut insts,
         );
+        let start = manifest.instances.len();
         manifest.instances.extend(insts.into_iter().map(Arc::new));
+        block_ranges.push(start..manifest.instances.len());
     }
 
     // Fix up block-level dependencies to instance-level: a dependency on
@@ -1105,6 +1132,13 @@ fn expand_into(
                 format!("cannot evaluate output {:?}: {e}", o.name),
             )),
         }
+    }
+
+    RootExpansion {
+        vars,
+        locals,
+        block_names,
+        block_ranges,
     }
 }
 

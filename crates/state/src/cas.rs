@@ -134,6 +134,14 @@ impl Cas {
         true
     }
 
+    /// Forget a blob whose log record was never written (a failed append):
+    /// the next commit of the same content must frame it again.
+    pub fn evict(&mut self, hash: &ContentHash) {
+        if let Some(body) = self.blobs.remove(hash) {
+            self.bytes -= body.len() as u64;
+        }
+    }
+
     pub fn get(&self, hash: &ContentHash) -> Option<Arc<str>> {
         self.blobs.get(hash).cloned()
     }

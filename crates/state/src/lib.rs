@@ -34,8 +34,6 @@
 //!   cloud infrastructure for modifications at any scale") and the
 //!   cloudless **per-resource lock manager** that experiment E3 compares it
 //!   against.
-//! * [`txn`] — optimistic transactions over the golden state with
-//!   per-resource versions and first-committer-wins conflict detection.
 //!
 //! ## Observability
 //!
@@ -56,7 +54,6 @@ pub mod log;
 pub mod migrate;
 pub mod snapshot;
 pub mod store;
-pub mod txn;
 
 pub use block_index::BlockIndex;
 pub use cas::ContentHash;
@@ -71,4 +68,3 @@ pub use log::{LogDevice, MemDevice, StoreError, VersionRecord};
 pub use migrate::{migrate_dir, LegacyHistoryEntry, MigrateReport};
 pub use snapshot::{DeployedResource, Snapshot};
 pub use store::{CommitMeta, DiffEntry, LogStore, RecoveryReport, StateDelta, VersionDiff};
-pub use txn::{Transaction, TxnError, TxnManager};

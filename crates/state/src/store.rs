@@ -430,6 +430,8 @@ impl LogStore {
         meta: CommitMeta,
     ) -> Result<(), StoreError> {
         let mut lines = String::new();
+        // blobs this commit adds to the CAS, to take back if the append fails
+        let mut new_blobs: Vec<ContentHash> = Vec::new();
         let mut puts = Vec::with_capacity(delta.puts.len());
         // entries apply in order (all puts, then all dels), so each
         // entry's `prev` is the value immediately before it — chained
@@ -441,6 +443,7 @@ impl LogStore {
             let body = encode_resource(&r);
             let (hash, added) = self.cas.insert(&body);
             if added {
+                new_blobs.push(hash);
                 lines.push_str(&frame(&LogRecord::Blob(crate::log::BlobRecord {
                     hash,
                     body,
@@ -469,6 +472,7 @@ impl LogStore {
             Some(src) => {
                 let (hash, added) = self.cas.insert(src);
                 if added {
+                    new_blobs.push(hash);
                     lines.push_str(&frame(&LogRecord::Blob(crate::log::BlobRecord {
                         hash,
                         body: src.clone(),
@@ -492,7 +496,14 @@ impl LogStore {
             outputs: outputs.clone(),
         };
         lines.push_str(&frame(&LogRecord::Version(version.clone())));
-        self.device.append(lines.as_bytes())?;
+        if let Err(e) = self.device.append(lines.as_bytes()) {
+            // nothing was logged, so nothing may be remembered: a retry
+            // has to frame these blobs again
+            for hash in &new_blobs {
+                self.cas.evict(hash);
+            }
+            return Err(e);
+        }
         self.log_bytes += lines.len() as u64;
 
         // fold into the in-memory state

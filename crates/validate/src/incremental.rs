@@ -13,68 +13,20 @@
 //!    per-region quota overruns (VAL307), both of which are functions of
 //!    simple per-instance claims the caller can maintain as a map.
 //!
-//! [`ManifestIndex`] caches the index structures the checks need, keyed by
-//! *instance position* rather than by reference so the index survives
-//! in-place manifest splices (instance addresses — and therefore block
-//! ranges — are guaranteed stable by the caller). [`check_scope`] re-runs
-//! the per-instance layers (schema, semantic, cross-resource rules) over a
-//! set of instance positions. [`name_claim`] and [`quota_key`] expose the
-//! aggregate claims for VAL306/VAL307 map maintenance.
-
-use std::collections::BTreeMap;
+//! [`ManifestIndex`] is the same positional index the full run builds; it
+//! survives in-place manifest splices (instance addresses — and therefore
+//! block ranges — are guaranteed stable by the caller). [`check_scope`]
+//! re-runs the per-instance layers (schema, semantic, cross-resource rules)
+//! over a set of instance positions. [`name_claim`] and [`quota_key`] are
+//! the extractors the whole-program VAL306/VAL307 rules fold over, for
+//! maintaining the same aggregates as multisets.
 
 use cloudless_cloud::Catalog;
-use cloudless_hcl::program::{Manifest, ResourceInstance};
+use cloudless_hcl::program::Manifest;
 use cloudless_hcl::Diagnostics;
 
-use crate::rules::{
-    region_of, rule_password_flag, rule_peering_overlap, rule_port_ranges, rule_subnet_containment,
-    rule_vm_nic_region, InstanceIndex,
-};
-use crate::{schema, semantic};
-
-/// Positional index over a manifest's instances, valid for as long as the
-/// instance *addresses* (and their order) stay unchanged — in-place
-/// attribute splices are fine, adding/removing/reordering instances is
-/// not.
-pub struct ManifestIndex {
-    /// `(module path, "type.name")` → positions of that block's instances.
-    pub by_block: BTreeMap<(Vec<String>, String), Vec<usize>>,
-    /// `(module path, "type.name")` → resource type, for the semantic
-    /// layer's reference-type checks.
-    pub block_types: BTreeMap<(Vec<String>, String), String>,
-}
-
-impl ManifestIndex {
-    pub fn build(manifest: &Manifest) -> ManifestIndex {
-        let mut by_block: BTreeMap<(Vec<String>, String), Vec<usize>> = BTreeMap::new();
-        let mut block_types = BTreeMap::new();
-        for (i, inst) in manifest.instances.iter().enumerate() {
-            let key = (inst.addr.module_path.clone(), inst.addr.block_id());
-            by_block.entry(key.clone()).or_default().push(i);
-            block_types
-                .entry(key)
-                .or_insert_with(|| inst.addr.rtype.as_str().to_owned());
-        }
-        ManifestIndex {
-            by_block,
-            block_types,
-        }
-    }
-
-    /// Approximate heap footprint, for cache budgeting.
-    pub fn approx_bytes(&self) -> usize {
-        let mut total = 0usize;
-        for ((path, id), v) in &self.by_block {
-            total += 64 + id.len() + path.iter().map(|s| s.len() + 24).sum::<usize>();
-            total += v.len() * std::mem::size_of::<usize>();
-        }
-        for ((path, id), t) in &self.block_types {
-            total += 64 + id.len() + t.len() + path.iter().map(|s| s.len() + 24).sum::<usize>();
-        }
-        total
-    }
-}
+pub use crate::rules::{name_claim, quota_key, ManifestIndex};
+use crate::{rules, schema, semantic};
 
 /// Re-run the per-instance validation layers (schema, semantic,
 /// cross-resource rules) for the instances at `positions`. The returned
@@ -88,70 +40,13 @@ pub fn check_scope(
     catalog: &Catalog,
 ) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    // Scoped borrowed index: only the blocks the rechecked instances
-    // actually reference (plus one entry per rechecked instance's own
-    // block), resolved through the cached positional index. The rules
-    // only ever look up keys derived from an instance's deferred refs,
-    // so this is observationally identical to the full index.
-    let mut scoped: InstanceIndex<'_> = InstanceIndex {
-        by_block: BTreeMap::new(),
-    };
     for &i in positions {
         let inst = &manifest.instances[i];
-        for d in &inst.deferred {
-            for r in &d.waiting_on {
-                if r.parts.len() < 2 {
-                    continue;
-                }
-                let key = (
-                    inst.addr.module_path.clone(),
-                    format!("{}.{}", r.parts[0], r.parts[1]),
-                );
-                if scoped.by_block.contains_key(&key) {
-                    continue;
-                }
-                if let Some(list) = index.by_block.get(&key) {
-                    scoped
-                        .by_block
-                        .insert(key, list.iter().map(|&j| &*manifest.instances[j]).collect());
-                }
-            }
-        }
-    }
-    for &i in positions {
-        let inst: &ResourceInstance = &manifest.instances[i];
         schema::check_instance(inst, catalog, &mut diags);
         semantic::check_instance(inst, catalog, &index.block_types, &mut diags);
-        rule_vm_nic_region(inst, &scoped, &mut diags);
-        rule_password_flag(inst, &mut diags);
-        rule_peering_overlap(inst, &scoped, &mut diags);
-        rule_subnet_containment(inst, &scoped, &mut diags);
-        rule_port_ranges(inst, &mut diags);
+        rules::check_instance(inst, manifest, index, &mut diags);
     }
     diags
-}
-
-/// The VAL306 globally-unique-name claim of an instance: `(type, name)`,
-/// or `None` for types without global names or instances without a known
-/// name value. Two live claims on the same key are a collision.
-pub fn name_claim(inst: &ResourceInstance) -> Option<(String, String)> {
-    let name_attr = match inst.addr.rtype.as_str() {
-        "aws_s3_bucket" => "bucket",
-        "azure_storage_account" | "gcp_storage_bucket" => "name",
-        _ => return None,
-    };
-    let name = inst.attrs.get(name_attr).and_then(|v| v.as_str())?;
-    Some((inst.addr.rtype.as_str().to_owned(), name.to_owned()))
-}
-
-/// The VAL307 quota bucket of an instance: `(type, effective region)`.
-/// The per-bucket instance count must stay within the catalog's
-/// `default_quota` for the type.
-pub fn quota_key(inst: &ResourceInstance) -> (String, String) {
-    (
-        inst.addr.rtype.as_str().to_owned(),
-        region_of(inst).unwrap_or_default(),
-    )
 }
 
 #[cfg(test)]
@@ -187,7 +82,7 @@ resource "azure_virtual_machine" "vm1" {
 "#;
         let m = manifest(src);
         let catalog = Catalog::standard();
-        let full = crate::rules::check(&m, &catalog);
+        let full = crate::rules::check(&m, &ManifestIndex::build(&m), &catalog);
         let index = ManifestIndex::build(&m);
         let all: Vec<usize> = (0..m.instances.len()).collect();
         let scoped = check_scope(&m, &index, &all, &catalog);

@@ -32,4 +32,4 @@ pub mod schema;
 pub mod semantic;
 
 pub use mining::{MinedSpec, SpecMiner};
-pub use pipeline::{validate, ValidationLevel, ValidationReport};
+pub use pipeline::{validate, validate_indexed, ValidationLevel, ValidationReport};

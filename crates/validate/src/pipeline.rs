@@ -5,6 +5,7 @@ use cloudless_hcl::program::Manifest;
 use cloudless_hcl::{Diagnostics, Severity};
 
 use crate::mining::SpecMiner;
+use crate::rules::ManifestIndex;
 use crate::{rules, schema, semantic};
 
 /// How deep to validate. The baseline IaC behavior (§2.1's "basic
@@ -12,7 +13,7 @@ use crate::{rules, schema, semantic};
 /// [`ValidationLevel::SyntaxOnly`] — the program already parsed and
 /// expanded, so there is nothing left to check. Experiment E6 sweeps this
 /// level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ValidationLevel {
     /// Parse/expand only (the Figure 1(a) baseline).
     SyntaxOnly,
@@ -21,6 +22,7 @@ pub enum ValidationLevel {
     /// + semantic types (§3.2).
     Semantic,
     /// + cloud-specific cross-resource rules (§3.2).
+    #[default]
     CloudRules,
 }
 
@@ -72,15 +74,33 @@ pub fn validate(
     level: ValidationLevel,
     miner: Option<&SpecMiner>,
 ) -> ValidationReport {
+    validate_indexed(
+        manifest,
+        &ManifestIndex::build(manifest),
+        catalog,
+        level,
+        miner,
+    )
+}
+
+/// [`validate`] over an index the caller already holds (the incremental
+/// pipeline keeps it for later scoped re-checks).
+pub fn validate_indexed(
+    manifest: &Manifest,
+    index: &ManifestIndex,
+    catalog: &Catalog,
+    level: ValidationLevel,
+    miner: Option<&SpecMiner>,
+) -> ValidationReport {
     let mut diagnostics = Diagnostics::new();
     if level >= ValidationLevel::Schema {
         diagnostics.extend(schema::check(manifest, catalog));
     }
     if level >= ValidationLevel::Semantic {
-        diagnostics.extend(semantic::check(manifest, catalog));
+        diagnostics.extend(semantic::check(manifest, index, catalog));
     }
     if level >= ValidationLevel::CloudRules {
-        diagnostics.extend(rules::check(manifest, catalog));
+        diagnostics.extend(rules::check(manifest, index, catalog));
     }
     if level > ValidationLevel::SyntaxOnly {
         if let Some(m) = miner {

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use cloudless_cloud::constraints::unique_name_attr;
 use cloudless_cloud::Catalog;
 use cloudless_hcl::eval::DeferAll;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
@@ -19,42 +20,86 @@ use cloudless_hcl::{fold, Diagnostic, Diagnostics, Folded};
 use cloudless_types::cidr::Cidr;
 use cloudless_types::{Provider, Span, Value};
 
-/// Run all cross-resource rules.
-pub fn check(manifest: &Manifest, catalog: &Catalog) -> Diagnostics {
+/// Run all cross-resource rules over a manifest and its index.
+pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    let index = InstanceIndex::build(manifest);
     for inst in &manifest.instances {
-        rule_vm_nic_region(inst, &index, &mut diags);
-        rule_password_flag(inst, &mut diags);
-        rule_peering_overlap(inst, &index, &mut diags);
-        rule_subnet_containment(inst, &index, &mut diags);
-        rule_port_ranges(inst, &mut diags);
+        check_instance(inst, manifest, index, &mut diags);
     }
     rule_unique_names(manifest, &mut diags);
     rule_quota_bounds(manifest, catalog, &mut diags);
     diags
 }
 
-/// Lookup from `(module path, "type.name")` to instances of that block.
-pub(crate) struct InstanceIndex<'a> {
-    pub(crate) by_block: BTreeMap<(Vec<String>, String), Vec<&'a ResourceInstance>>,
+/// The per-instance rules, for one instance.
+pub(crate) fn check_instance(
+    inst: &ResourceInstance,
+    manifest: &Manifest,
+    index: &ManifestIndex,
+    diags: &mut Diagnostics,
+) {
+    let targets = Targets { manifest, index };
+    rule_vm_nic_region(inst, &targets, diags);
+    rule_password_flag(inst, diags);
+    rule_peering_overlap(inst, &targets, diags);
+    rule_subnet_containment(inst, &targets, diags);
+    rule_port_ranges(inst, diags);
 }
 
-impl<'a> InstanceIndex<'a> {
-    fn build(manifest: &'a Manifest) -> Self {
-        let mut by_block: BTreeMap<(Vec<String>, String), Vec<&'a ResourceInstance>> =
-            BTreeMap::new();
-        for i in &manifest.instances {
-            by_block
-                .entry((i.addr.module_path.clone(), i.addr.block_id()))
-                .or_default()
-                .push(i);
+/// `(module path, "type.name")` — how instances name the blocks they
+/// reference.
+pub type BlockKey = (Vec<String>, String);
+
+/// Positional index over a manifest's instances. Keyed by *instance
+/// position* rather than by reference, so one index serves a full run and
+/// survives the incremental pipeline's in-place attribute splices; it is
+/// valid for as long as the instance *addresses* (and their order) stay
+/// unchanged.
+#[derive(Debug, Default)]
+pub struct ManifestIndex {
+    /// Block → positions of that block's instances.
+    pub by_block: BTreeMap<BlockKey, Vec<usize>>,
+    /// Block → resource type, for the semantic layer's reference-type
+    /// checks.
+    pub block_types: BTreeMap<BlockKey, String>,
+}
+
+impl ManifestIndex {
+    pub fn build(manifest: &Manifest) -> ManifestIndex {
+        let mut index = ManifestIndex::default();
+        for (i, inst) in manifest.instances.iter().enumerate() {
+            let key = (inst.addr.module_path.clone(), inst.addr.block_id());
+            if let Some(positions) = index.by_block.get_mut(&key) {
+                positions.push(i);
+            } else {
+                index
+                    .block_types
+                    .insert(key.clone(), inst.addr.rtype.as_str().to_owned());
+                index.by_block.insert(key, vec![i]);
+            }
         }
-        InstanceIndex { by_block }
+        index
     }
 
+    /// Approximate heap footprint, for cache budgeting: two maps keyed by
+    /// block, one position per instance.
+    pub fn approx_bytes(&self) -> usize {
+        let keys = self.by_block.keys();
+        let key_bytes: usize = keys.map(|(path, id)| 64 + id.len() + 32 * path.len()).sum();
+        let positions: usize = self.by_block.values().map(Vec::len).sum();
+        2 * key_bytes + positions * std::mem::size_of::<usize>()
+    }
+}
+
+/// Resolves an instance's references to the instances they point at.
+pub(crate) struct Targets<'a> {
+    manifest: &'a Manifest,
+    index: &'a ManifestIndex,
+}
+
+impl<'a> Targets<'a> {
     /// Instances a deferred attribute's references point at.
-    pub(crate) fn targets(&self, from: &ResourceInstance, attr: &str) -> Vec<&'a ResourceInstance> {
+    fn of(&self, from: &ResourceInstance, attr: &str) -> Vec<&'a ResourceInstance> {
         let mut out = Vec::new();
         for d in &from.deferred {
             if d.name != attr {
@@ -68,8 +113,8 @@ impl<'a> InstanceIndex<'a> {
                     from.addr.module_path.clone(),
                     format!("{}.{}", r.parts[0], r.parts[1]),
                 );
-                if let Some(list) = self.by_block.get(&key) {
-                    out.extend(list.iter().copied());
+                if let Some(list) = self.index.by_block.get(&key) {
+                    out.extend(list.iter().map(|&i| &*self.manifest.instances[i]));
                 }
             }
         }
@@ -77,26 +122,21 @@ impl<'a> InstanceIndex<'a> {
     }
 }
 
-fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
+/// Where to point a diagnostic about `attr`: its own span, else the block's.
+pub(crate) fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
     inst.attr_spans.get(attr).copied().unwrap_or(inst.span)
 }
 
 /// The effective region of an instance: its `location`/`region` attribute,
 /// falling back to the provider default.
 pub fn region_of(inst: &ResourceInstance) -> Option<String> {
-    for key in ["location", "region"] {
-        if let Some(Value::Str(s)) = inst.attrs.get(key) {
-            return Some(s.clone());
-        }
-    }
-    Provider::from_type_prefix(inst.addr.rtype.provider_prefix())
-        .map(|p| p.default_region().as_str().to_owned())
+    Provider::effective_region(&inst.attrs, &inst.addr.rtype)
 }
 
 /// §3.2 flagship: VM and its NICs must share a region.
 pub(crate) fn rule_vm_nic_region(
     inst: &ResourceInstance,
-    index: &InstanceIndex,
+    index: &Targets,
     diags: &mut Diagnostics,
 ) {
     if !matches!(
@@ -108,7 +148,7 @@ pub(crate) fn rule_vm_nic_region(
     let Some(vm_region) = region_of(inst) else {
         return;
     };
-    for nic in index.targets(inst, "nic_ids") {
+    for nic in index.of(inst, "nic_ids") {
         if !nic.addr.rtype.short_name().contains("network_interface") {
             continue; // wrong-type refs are reported by the semantic layer
         }
@@ -199,14 +239,14 @@ pub(crate) fn rule_password_flag(inst: &ResourceInstance, diags: &mut Diagnostic
 /// they are connected with each other through peering."
 pub(crate) fn rule_peering_overlap(
     inst: &ResourceInstance,
-    index: &InstanceIndex,
+    index: &Targets,
     diags: &mut Diagnostics,
 ) {
     if inst.addr.rtype.as_str() != "azure_vnet_peering" {
         return;
     }
-    let a = index.targets(inst, "vnet_id");
-    let b = index.targets(inst, "remote_vnet_id");
+    let a = index.of(inst, "vnet_id");
+    let b = index.of(inst, "remote_vnet_id");
     let cidr_of = |i: &ResourceInstance| -> Option<Cidr> {
         i.attrs
             .get("address_space")
@@ -238,7 +278,7 @@ pub(crate) fn rule_peering_overlap(
 /// Subnets must fit inside their parent network.
 pub(crate) fn rule_subnet_containment(
     inst: &ResourceInstance,
-    index: &InstanceIndex,
+    index: &Targets,
     diags: &mut Diagnostics,
 ) {
     let (parent_attr, parent_cidr_attr, own_attr) = match inst.addr.rtype.as_str() {
@@ -254,7 +294,7 @@ pub(crate) fn rule_subnet_containment(
     else {
         return;
     };
-    for parent in index.targets(inst, parent_attr) {
+    for parent in index.of(inst, parent_attr) {
         let Some(parent_cidr) = parent
             .attrs
             .get(parent_cidr_attr)
@@ -309,27 +349,42 @@ pub(crate) fn rule_port_ranges(inst: &ResourceInstance, diags: &mut Diagnostics)
     }
 }
 
+/// The VAL306 globally-unique-name claim of an instance: `(type, name)`,
+/// or `None` for types without global names
+/// ([`unique_name_attr`] is the one table of them) or instances without a
+/// known name value. Two live claims on the same key are a collision.
+pub fn name_claim(inst: &ResourceInstance) -> Option<(String, String)> {
+    let (name_attr, _) = unique_name_attr(inst.addr.rtype.as_str())?;
+    let name = inst.attrs.get(name_attr).and_then(Value::as_str)?;
+    Some((inst.addr.rtype.as_str().to_owned(), name.to_owned()))
+}
+
+/// The VAL307 quota bucket of an instance: `(type, effective region)`.
+/// The per-bucket instance count must stay within the catalog's
+/// `default_quota` for the type.
+pub fn quota_key(inst: &ResourceInstance) -> (String, String) {
+    (
+        inst.addr.rtype.as_str().to_owned(),
+        region_of(inst).unwrap_or_default(),
+    )
+}
+
 /// Globally-unique-name types must not collide *within the program* either.
 fn rule_unique_names(manifest: &Manifest, diags: &mut Diagnostics) {
     let mut seen: BTreeMap<(String, String), &ResourceInstance> = BTreeMap::new();
     for inst in &manifest.instances {
-        let name_attr = match inst.addr.rtype.as_str() {
-            "aws_s3_bucket" => "bucket",
-            "azure_storage_account" | "gcp_storage_bucket" => "name",
-            _ => continue,
-        };
-        let Some(name) = inst.attrs.get(name_attr).and_then(Value::as_str) else {
+        let Some(key) = name_claim(inst) else {
             continue;
         };
-        let key = (inst.addr.rtype.as_str().to_owned(), name.to_owned());
         if let Some(prev) = seen.get(&key) {
+            let name_attr = unique_name_attr(&key.0).map_or("name", |(attr, _)| attr);
             diags.push(Diagnostic::error(
                 "VAL306",
                 &inst.file,
                 span_of(inst, name_attr),
                 format!(
-                    "{}: name {name:?} collides with {} (these names are globally unique)",
-                    inst.addr, prev.addr
+                    "{}: name {:?} collides with {} (these names are globally unique)",
+                    inst.addr, key.1, prev.addr
                 ),
             ));
         } else {
@@ -341,15 +396,11 @@ fn rule_unique_names(manifest: &Manifest, diags: &mut Diagnostics) {
 /// Pre-flight quota check: the program alone must not exceed per-type
 /// quotas.
 fn rule_quota_bounds(manifest: &Manifest, catalog: &Catalog, diags: &mut Diagnostics) {
-    let mut counts: BTreeMap<(String, String), (usize, Span, String)> = BTreeMap::new();
+    let mut counts: BTreeMap<(String, String), (usize, &ResourceInstance)> = BTreeMap::new();
     for inst in &manifest.instances {
-        let region = region_of(inst).unwrap_or_default();
-        let entry = counts
-            .entry((inst.addr.rtype.as_str().to_owned(), region))
-            .or_insert((0, inst.span, inst.file.clone()));
-        entry.0 += 1;
+        counts.entry(quota_key(inst)).or_insert((0, inst)).0 += 1;
     }
-    for ((rtype, region), (count, span, file)) in counts {
+    for ((rtype, region), (count, first)) in counts {
         let Some(schema) = catalog.get_str(&rtype) else {
             continue;
         };
@@ -357,8 +408,8 @@ fn rule_quota_bounds(manifest: &Manifest, catalog: &Catalog, diags: &mut Diagnos
             diags.push(
                 Diagnostic::error(
                     "VAL307",
-                    &file,
-                    span,
+                    &first.file,
+                    first.span,
                     format!(
                         "program declares {count} {rtype} instances in {region:?} but the quota is {}",
                         schema.default_quota
@@ -385,7 +436,7 @@ mod tests {
             &MapResolver::new(),
         )
         .unwrap();
-        check(&m, &Catalog::standard())
+        check(&m, &ManifestIndex::build(&m), &Catalog::standard())
     }
 
     #[test]

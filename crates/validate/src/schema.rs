@@ -3,7 +3,8 @@
 use cloudless_cloud::Catalog;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
-use cloudless_types::Span;
+
+use crate::rules::span_of;
 
 /// Check every instance's attributes against the catalog schema.
 pub fn check(manifest: &Manifest, catalog: &Catalog) -> Diagnostics {
@@ -12,10 +13,6 @@ pub fn check(manifest: &Manifest, catalog: &Catalog) -> Diagnostics {
         check_instance(inst, catalog, &mut diags);
     }
     diags
-}
-
-fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
-    inst.attr_spans.get(attr).copied().unwrap_or(inst.span)
 }
 
 pub(crate) fn check_instance(inst: &ResourceInstance, catalog: &Catalog, diags: &mut Diagnostics) {

@@ -20,36 +20,23 @@ use cloudless_cloud::{Catalog, SemanticType};
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_types::cidr::Cidr;
-use cloudless_types::{Provider, Region, Span};
+use cloudless_types::{Provider, Region};
 
-/// Check semantic types across the manifest.
-pub fn check(manifest: &Manifest, catalog: &Catalog) -> Diagnostics {
+use crate::rules::{span_of, BlockKey, ManifestIndex};
+
+/// Check semantic types across a manifest and its index.
+pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    // block_id ("type.name" within module path) → resource type
-    let block_types: BTreeMap<(Vec<String>, String), String> = manifest
-        .instances
-        .iter()
-        .map(|i| {
-            (
-                (i.addr.module_path.clone(), i.addr.block_id()),
-                i.addr.rtype.as_str().to_owned(),
-            )
-        })
-        .collect();
     for inst in &manifest.instances {
-        check_instance(inst, catalog, &block_types, &mut diags);
+        check_instance(inst, catalog, &index.block_types, &mut diags);
     }
     diags
-}
-
-fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
-    inst.attr_spans.get(attr).copied().unwrap_or(inst.span)
 }
 
 pub(crate) fn check_instance(
     inst: &ResourceInstance,
     catalog: &Catalog,
-    block_types: &BTreeMap<(Vec<String>, String), String>,
+    block_types: &BTreeMap<BlockKey, String>,
     diags: &mut Diagnostics,
 ) {
     let Some(schema) = catalog.get(&inst.addr.rtype) else {
@@ -210,7 +197,7 @@ mod tests {
             &MapResolver::new(),
         )
         .unwrap();
-        check(&m, &Catalog::standard())
+        check(&m, &ManifestIndex::build(&m), &Catalog::standard())
     }
 
     #[test]

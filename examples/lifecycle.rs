@@ -132,7 +132,7 @@ fn main() {
     );
 
     // reconcile: re-converging stomps the drift (state must refresh first)
-    engine.refresh();
+    engine.refresh().expect("refresh commits");
     let reconciled = engine.converge(V1).expect("reconcile");
     println!(
         "re-applied {} change(s) to stomp the drift\n",

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Compare fresh `exp_all` output against the committed snapshot.
+# Compare fresh `exp all` output against the committed snapshot.
 #
 # Every experiment table is seeded and virtual-clock deterministic EXCEPT
 # the E3 lock tables, which time real OS threads and are therefore
@@ -20,9 +20,9 @@ mask() {
 }
 
 if diff -u <(mask "$snapshot") <(mask "$fresh"); then
-  echo "exp_all output matches $snapshot"
+  echo "exp all output matches $snapshot"
 else
-  echo "exp_all output diverged from $snapshot — regenerate it with:" >&2
-  echo "  cargo run --release -p cloudless-bench --bin exp_all > $snapshot" >&2
+  echo "exp all output diverged from $snapshot — regenerate it with:" >&2
+  echo "  cargo run --release -p cloudless-bench --bin exp all > $snapshot" >&2
   exit 1
 fi

@@ -51,7 +51,7 @@ fn modification_drift_is_detected_and_stomped() {
     assert!(matches!(actions[0], Action::OverwriteDrift { .. }));
 
     // reconcile: refresh + re-converge restores the desired config
-    e.refresh();
+    e.refresh().expect("refresh commits");
     let out = e.converge(SRC).expect("reconcile");
     assert!(out.apply.all_ok());
     let live = e.cloud().records();
@@ -86,7 +86,7 @@ fn deletion_drift_triggers_notify_and_recreate_on_reconverge() {
     assert!(matches!(actions[0], Action::Notify { .. }));
 
     // reconcile path: refresh prunes the dead record, converge recreates
-    let refresh = e.refresh();
+    let refresh = e.refresh().expect("refresh commits");
     assert_eq!(refresh.missing.len(), 1);
     let out = e.converge(SRC).expect("reconcile");
     assert!(out.apply.all_ok());
