@@ -778,18 +778,24 @@ impl Cloudless {
             ..cloudless_synth::PatchConfig::default()
         };
         let fail_on = patch_config.lint.fail_on;
+        // the expansion of the last candidate the checker admitted; on an
+        // `ok` outcome that candidate is `outcome.source`
+        let mut admitted: Option<Manifest> = None;
         let mut checker = |candidate: &str| match self.run_pipeline(candidate) {
-            Ok(_) => Vec::new(),
+            Ok(out) => {
+                admitted = Some(out.manifest);
+                Vec::new()
+            }
             Err(err) => err.patch_messages(fail_on),
         };
         let outcome =
             cloudless_synth::synthesize_patch_with(&file, &drift, &patch_config, &mut checker);
-        if !outcome.ok {
+        let (true, Some(patched_manifest)) = (outcome.ok, admitted) else {
             // even the unpatched program fails the gate: refuse rather than
             // emit a patch that cannot be admitted
             let report = self.lint(source).unwrap_or_default();
             return Err(ConvergeError::Lint(report));
-        }
+        };
 
         // state surgery the surviving ops justify: bind imports to their
         // live ids, renumber counted survivors (two phases so overlapping
@@ -817,11 +823,6 @@ impl Cloudless {
             r.addr = to;
             state.put(r);
         }
-
-        let patched_manifest = {
-            let p = Program::from_file(outcome.file.clone()).map_err(ConvergeError::Frontend)?;
-            self.expand_program(&p).map_err(ConvergeError::Frontend)?
-        };
 
         if dry_run {
             let changes = diff(&patched_manifest, &state, self.cloud.catalog(), &self.data);

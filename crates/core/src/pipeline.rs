@@ -16,8 +16,9 @@
 //!
 //! * [`Scope::All`] — every block is in scope and nothing is reused: there
 //!   is no memo, the edit is structural or touches a non-resource chunk,
-//!   the engine configuration changed, the spec miner is active, or a guard
-//!   tripped. The verdict stages call the reference whole-program passes
+//!   the engine configuration changed, the memoized program deviates from
+//!   conventions the spec miner has learned since, or a guard tripped. The
+//!   verdict stages call the reference whole-program passes
 //!   ([`lint_program_in`], [`validate_indexed`], [`analyze_manifest`]), so
 //!   every diagnostic is exact, and each stage fills its share of a fresh
 //!   memo.
@@ -50,6 +51,13 @@
 //! harmless, because a clean run emits no diagnostics and plan text holds
 //! no spans.
 //!
+//! One verdict can change under an unedited program: the spec miner learns
+//! from every apply. Mined findings are functions of one instance, so the
+//! memo records the rules ([`MinedSpec::rule`]) it is clean under; a run
+//! whose miner holds other rules re-checks the memo's manifest against them
+//! before anything is reused, and the validate guard holds the dirty
+//! instances against the miner like any other per-instance layer.
+//!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
 //! `pipeline.runs_full`), so `cloudless watch` and the experiment
@@ -78,7 +86,9 @@ use cloudless_obs::Recorder;
 use cloudless_state::{BlockIndex, Snapshot};
 use cloudless_types::Value;
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
-use cloudless_validate::{validate_indexed, SpecMiner, ValidationLevel, ValidationReport};
+use cloudless_validate::{
+    validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
+};
 
 /// Why a pipeline run refused to produce a plan — the front-end subset of
 /// the engine's converge errors.
@@ -209,17 +219,31 @@ pub struct PipelineCtx<'a> {
     pub data: &'a dyn Resolver,
     pub catalog: &'a Catalog,
     pub state: &'a Snapshot,
-    /// Mined-convention checker; a miner with observed specs forces the
-    /// validate stage onto the full path (mined findings are not
-    /// incrementalized).
+    /// Mined-convention checker. The rules of its specs are part of the
+    /// memo's key: a memo outlives an `observe` that leaves them standing,
+    /// and one that changes them costs a mined re-check of the memo's
+    /// manifest, not a cold run.
     pub miner: Option<&'a SpecMiner>,
     pub recorder: &'a Arc<dyn Recorder>,
 }
 
 impl<'a> PipelineCtx<'a> {
-    fn miner_active(&self) -> bool {
-        self.miner.map(|m| !m.specs().is_empty()).unwrap_or(false)
+    /// The miner, at the levels where validation consults it.
+    fn miner(&self) -> Option<&'a SpecMiner> {
+        self.miner
+            .filter(|_| self.level > ValidationLevel::SyntaxOnly)
     }
+
+    fn mined_specs(&self) -> &'a [MinedSpec] {
+        self.miner().map_or(&[], SpecMiner::specs)
+    }
+}
+
+/// Whether two spec lists draw the same findings from every manifest.
+fn same_rules(a: &[MinedSpec], b: &[MinedSpec]) -> bool {
+    a.iter()
+        .map(MinedSpec::rule)
+        .eq(b.iter().map(MinedSpec::rule))
 }
 
 /// One identity a program claims, in the domain of the aggregate rule that
@@ -316,6 +340,9 @@ fn block_key(inst: &ResourceInstance) -> (String, String) {
 struct Memo {
     /// The engine configuration the artifacts were derived under.
     config: (LintGate, ValidationLevel, BTreeMap<String, Value>),
+    /// The mined specs the manifest is known to be clean under (compared by
+    /// [`MinedSpec::rule`]).
+    specs: Vec<MinedSpec>,
     // parse
     source: String,
     chunks: ChunkMap,
@@ -414,15 +441,23 @@ impl Scope {
 
     /// Align the edit to chunks and pick the narrowest sound scope.
     fn pick(memo: Option<Box<Memo>>, source: &str, ctx: &PipelineCtx<'_>, keep: bool) -> Scope {
-        let Some(memo) = memo else {
+        let Some(mut memo) = memo else {
             return Scope::all("no memo (first run)", keep, None);
         };
         let (gate, level, inputs) = &memo.config;
         if (*gate, *level, inputs) != (ctx.lint, ctx.level, ctx.inputs) {
             return Scope::all("engine configuration changed", keep, Some(memo));
         }
-        if ctx.miner_active() {
-            return Scope::all("spec miner holds observed conventions", keep, Some(memo));
+        if !same_rules(&memo.specs, ctx.mined_specs()) {
+            // Mined findings are per instance and the memo is of a clean
+            // program, so it stands under the new conventions unless one of
+            // its own instances deviates from them.
+            let deviates = |miner: &SpecMiner| !miner.check(&memo.manifest).is_empty();
+            if ctx.miner().is_some_and(deviates) {
+                let reason = "memoized program deviates from the spec miner's new conventions";
+                return Scope::all(reason, keep, Some(memo));
+            }
+            memo.specs = ctx.mined_specs().to_vec();
         }
         let (dirty, chunks) = match diff_chunks(&memo.chunks, &memo.source, source) {
             ChunkDelta::Unchanged => (Vec::new(), None),
@@ -493,7 +528,7 @@ impl IncrementalPipeline {
         source: &str,
         ctx: &PipelineCtx<'_>,
     ) -> Result<FrontendOutput, PipelineError> {
-        let keep = self.config.max_cache_bytes > 0 && !ctx.miner_active();
+        let keep = self.config.max_cache_bytes > 0;
         let mut scope = Scope::pick(self.memo.take(), source, ctx, keep);
         let mut walk = loop {
             let mut walk = Walk::new(source, ctx);
@@ -769,7 +804,8 @@ impl<'a> Walk<'a> {
                 }
                 let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
                 let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
-                let found = check_scope(&out.manifest, &memo.mindex, &positions, ctx.catalog);
+                let (manifest, mindex) = (&out.manifest, &memo.mindex);
+                let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner());
                 ensure(found.is_empty(), "edited scope has validation findings")?;
             }
         }
@@ -976,6 +1012,7 @@ impl Memo {
         };
         self.dag = dag;
         self.config = (ctx.lint, ctx.level, ctx.inputs.clone());
+        self.specs = ctx.mined_specs().to_vec();
         self.source = source.to_owned();
         self.chunks = chunks;
         true

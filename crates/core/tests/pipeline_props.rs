@@ -8,6 +8,9 @@
 //! drive random programs through random edits (including edits that break
 //! parsing, validation, or lint) against both an empty and a converged
 //! state and compare the warm pipeline against a cold one on every step.
+//! A miner-active family does the same under a [`SpecMiner`] that has
+//! observed a deployment, with edits that break its conventions and further
+//! observations that change them.
 //!
 //! A second group pins the memory contract: a bounded memo cache never
 //! retains a snapshot that exceeds its byte budget, and dropping the memo
@@ -20,14 +23,14 @@ use std::sync::Arc;
 use cloudless::cloud::{Catalog, Cloud, CloudConfig};
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::{diff, Executor, Plan, Strategy};
-use cloudless::hcl::program::ModuleLibrary;
+use cloudless::hcl::program::{expand, ModuleLibrary, Program};
 use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{
     FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
 };
 use cloudless::state::Snapshot;
 use cloudless::types::Value;
-use cloudless::validate::ValidationLevel;
+use cloudless::validate::{SpecMiner, ValidationLevel};
 use cloudless::LintGate;
 use proptest::prelude::*;
 
@@ -75,6 +78,13 @@ impl Env {
             state,
             miner: None,
             recorder: &self.recorder,
+        }
+    }
+
+    fn ctx_mined<'a>(&'a self, state: &'a Snapshot, miner: &'a SpecMiner) -> PipelineCtx<'a> {
+        PipelineCtx {
+            miner: Some(miner),
+            ..self.ctx(state)
         }
     }
 }
@@ -193,6 +203,8 @@ fn observe(result: Result<FrontendOutput, PipelineError>) -> Result<(String, Str
                     shape.push_str(&format!("{} {:?}\n", c.addr, c.action));
                 }
             }
+            // a run that reports anything went cold, so spans are exact
+            shape.push_str(&out.validation.diagnostics.to_string());
             Ok((out.plan_text, shape))
         }
         Err(err) => Err(error_key(&err)),
@@ -318,6 +330,196 @@ fn generated_edits_exercise_both_paths() {
         !out.trace.fast_path,
         "structural edit must run the full path"
     );
+}
+
+// ----------------------------------------------------------- miner active
+
+/// One VM of a fleet that follows conventions a miner can learn: one of
+/// two instance types, tags everywhere.
+#[derive(Clone)]
+struct Vm {
+    name: String,
+    instance_type: &'static str,
+    tags: bool,
+    user_data: bool,
+}
+
+const CONVENTIONAL: [&str; 2] = ["t3.micro", "t3.large"];
+
+fn fleet(large: &[bool]) -> Vec<Vm> {
+    let vm = |(i, &large): (usize, &bool)| Vm {
+        name: format!("w-{i}"),
+        instance_type: CONVENTIONAL[large as usize],
+        tags: true,
+        user_data: false,
+    };
+    large.iter().enumerate().map(vm).collect()
+}
+
+fn fleet_source(vms: &[Vm]) -> String {
+    let mut out = String::new();
+    for (i, vm) in vms.iter().enumerate() {
+        let (name, instance_type) = (&vm.name, vm.instance_type);
+        out.push_str(&format!(
+            "resource \"aws_virtual_machine\" \"w{i}\" {{\n  name = \"{name}\"\n  instance_type = \"{instance_type}\"\n"
+        ));
+        if vm.tags {
+            out.push_str("  tags = { env = \"prod\" }\n");
+        }
+        if vm.user_data {
+            out.push_str("  user_data = \"boot\"\n");
+        }
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// A single edit of the fleet: clean ones (the fast path), ones that break
+/// a mined convention (VAL401, VAL402: the validate guard), a structural
+/// one, and a no-op.
+fn edit_fleet(vms: &[Vm], kind: usize, a: usize) -> Vec<Vm> {
+    let mut vms = vms.to_vec();
+    let i = a % vms.len();
+    match kind % 6 {
+        0 => vms[i].name.push_str("-t"),
+        1 => vms[i].instance_type = "m5.24xlarge",
+        2 => vms[i].tags = false,
+        3 => {
+            let other = (vms[i].instance_type == CONVENTIONAL[0]) as usize;
+            vms[i].instance_type = CONVENTIONAL[other];
+        }
+        4 => vms.push(Vm {
+            name: "w-extra".to_owned(),
+            ..vms[i].clone()
+        }),
+        _ => {}
+    }
+    vms
+}
+
+/// A further deployment for the miner to observe, by what it does to the
+/// rules: 0 leaves them standing (only supports move), 1 widens a value
+/// domain (the fleet above stays conventional), 2 makes `user_data`
+/// expected (the fleet above now deviates).
+fn later_deployment(base: &[Vm], kind: usize) -> Vec<Vm> {
+    match kind % 3 {
+        0 => base.to_vec(),
+        1 => vec![
+            Vm {
+                instance_type: "m5.large",
+                ..base[0].clone()
+            };
+            5
+        ],
+        _ => vec![
+            Vm {
+                user_data: true,
+                ..base[0].clone()
+            };
+            100
+        ],
+    }
+}
+
+fn observe_deployment(miner: &mut SpecMiner, env: &Env, vms: &[Vm]) {
+    let file = cloudless::hcl::parse(&fleet_source(vms), "main.tf").expect("fleet parses");
+    let program = Program::from_file(file).expect("fleet classifies");
+    let manifest = expand(&program, &env.inputs, &env.modules, &env.data);
+    miner.observe(&manifest.expect("fleet expands"));
+}
+
+proptest! {
+    /// With a miner that has observed the fleet, a warm replan equals the
+    /// cold one on manifest, changes, validation report and plan text:
+    /// after an edit (which may break a mined convention), and again after
+    /// the miner observes a further deployment (which may change the rules
+    /// the memo is keyed on) and another save, edited or not, arrives.
+    #[test]
+    fn mined_replan_matches_cold_pipeline(
+        large in proptest::collection::vec(any::<bool>(), 5..9),
+        kind in 0..6usize,
+        a in 0..32usize,
+        later in 0..3usize,
+        resave in any::<bool>(),
+    ) {
+        let env = Env::with_raised_quotas();
+        let base = fleet(&large);
+        let edited = edit_fleet(&base, kind, a);
+        // an unchanged save has no dirty block for the validate guard to look
+        // at: only the memo's key stands between it and a stale report
+        let followup = edit_fleet(&edited, if resave { 5 } else { 0 }, a + 1);
+        let mut miner = SpecMiner::new();
+        observe_deployment(&mut miner, &env, &base);
+        prop_assert!(!miner.specs().is_empty());
+
+        for state in [Snapshot::new(), converged_state(&fleet_source(&base), &env)] {
+            let mut miner = miner.clone();
+            let mut warm = IncrementalPipeline::default();
+            let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+            let ctx = env.ctx_mined(&state, &miner);
+            warm.run(&fleet_source(&base), &ctx).expect("the observed fleet is clean");
+            prop_assert!(warm.is_warm(), "a clean run under a miner must be memo-eligible");
+            let source = fleet_source(&edited);
+            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold.run(&source, &ctx)));
+
+            observe_deployment(&mut miner, &env, &later_deployment(&base, later));
+            let ctx = env.ctx_mined(&state, &miner);
+            let source = fleet_source(&followup);
+            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold.run(&source, &ctx)));
+        }
+    }
+}
+
+/// Guards that the miner-active property is not vacuous: under a miner a
+/// clean edit takes the fast path, an edit that breaks a convention trips
+/// the validate guard and reports what the cold run reports, a changed rule
+/// set the memoized program still meets keeps the memo, and one it deviates
+/// from costs a cold run that says so.
+#[test]
+fn mined_edits_exercise_the_key_and_the_guard() {
+    let env = Env::with_raised_quotas();
+    let base = fleet(&[false, true, false, true, false, true]);
+    let state = Snapshot::new();
+    let mut miner = SpecMiner::new();
+    observe_deployment(&mut miner, &env, &base);
+    let mut warm = IncrementalPipeline::default();
+    let codes = |out: &FrontendOutput| -> Vec<String> {
+        let diags = out.validation.diagnostics.iter();
+        diags.map(|d| d.code.clone()).collect()
+    };
+
+    let ctx = env.ctx_mined(&state, &miner);
+    warm.run(&fleet_source(&base), &ctx).expect("base is clean");
+    let touched = edit_fleet(&base, 0, 2);
+    let out = warm.run(&fleet_source(&touched), &ctx).expect("clean");
+    assert!(out.trace.fast_path, "{}", out.trace);
+
+    for (kind, code) in [(1, "VAL401"), (2, "VAL402")] {
+        let mut warm = IncrementalPipeline::default();
+        warm.run(&fleet_source(&base), &ctx).expect("base is clean");
+        let broken = fleet_source(&edit_fleet(&base, kind, 3));
+        let out = warm
+            .run(&broken, &ctx)
+            .expect("mined findings are advisory");
+        assert!(!out.trace.fast_path, "{}", out.trace);
+        assert_eq!(codes(&out), [code]);
+    }
+
+    observe_deployment(&mut miner, &env, &later_deployment(&base, 1));
+    let ctx = env.ctx_mined(&state, &miner);
+    let out = warm.run(&fleet_source(&base), &ctx).expect("clean");
+    assert!(
+        out.trace.fast_path,
+        "a wider domain keeps the memo: {}",
+        out.trace
+    );
+
+    observe_deployment(&mut miner, &env, &later_deployment(&base, 2));
+    let ctx = env.ctx_mined(&state, &miner);
+    let out = warm.run(&fleet_source(&touched), &ctx).expect("advisory");
+    let reason = out.trace.fallback_reason.clone().unwrap_or_default();
+    assert!(reason.contains("spec miner"), "{}", out.trace);
+    assert_eq!(codes(&out), vec!["VAL402"; base.len()]);
 }
 
 // -------------------------------------------------------------- eviction

@@ -133,7 +133,10 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
                     if r.parts.len() < 2 {
                         continue;
                     }
-                    for nic in manifest.instances_of(&r.parts[0], &r.parts[1]) {
+                    let nics = manifest.instances.iter().filter(|i| {
+                        i.addr.rtype.as_str() == r.parts[0] && i.addr.name == r.parts[1]
+                    });
+                    for nic in nics {
                         if let Some(region) = region_of(nic) {
                             if region != vm_region {
                                 nic_region = Some(region.clone());

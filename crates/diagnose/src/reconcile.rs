@@ -25,12 +25,13 @@
 //! validate-and-repair loop live in `cloudless-synth`, and the state
 //! surgery (imports, moves) in the `cloudless` facade.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use cloudless_cloud::{Catalog, ResourceRecord};
 use cloudless_hcl::ast::Expr;
 use cloudless_hcl::program::{Manifest, Program, ResourceBlock, ResourceInstance};
-use cloudless_state::Snapshot;
+use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Attrs, Region, ResourceAddr, ResourceId, ResourceKey, ResourceTypeName};
 use serde::{Deserialize, Serialize};
 
@@ -155,35 +156,45 @@ pub fn classify(
 ) -> ReconcilePlan {
     let mut plan = ReconcilePlan::default();
 
-    for rb in &program.resources {
-        classify_block(rb, manifest, state, &mut plan);
-    }
-
+    // One pass over the manifest pairs every instance with its state record
+    // and hands each root instance to its block, so the per-block work below
+    // is O(block), not a scan of the world.
+    let mut by_block: HashMap<(&str, &str), Vec<Observed<'_>>> = HashMap::new();
     // Drift inside module-expanded instances is never patchable at the root
     // program level: leave it to the converge.
-    for inst in &manifest.instances {
-        if !inst.addr.module_path.is_empty() && state.get(&inst.addr).is_none() {
-            plan.overwrites.push(inst.addr.clone());
+    let mut module_missing = Vec::new();
+    for inst in manifest.instances.iter().map(Arc::as_ref) {
+        let rec = state.get(&inst.addr);
+        if inst.addr.module_path.is_empty() {
+            let block = (inst.addr.rtype.as_str(), inst.addr.name.as_str());
+            by_block.entry(block).or_default().push((inst, rec));
+        } else if rec.is_none() {
+            module_missing.push(inst.addr.clone());
         }
     }
+
+    for rb in &program.resources {
+        let insts = by_block.get(&(rb.rtype.as_str(), rb.name.as_str()));
+        classify_block(rb, insts.map_or(&[], Vec::as_slice), &mut plan);
+    }
+    plan.overwrites.extend(module_missing);
 
     classify_unmanaged(program, state, records, catalog, &mut plan);
     plan
 }
 
-fn classify_block(
-    rb: &ResourceBlock,
-    manifest: &Manifest,
-    state: &Snapshot,
-    plan: &mut ReconcilePlan,
-) {
-    let insts: Vec<&ResourceInstance> = manifest
-        .instances_of(&rb.rtype, &rb.name)
-        .into_iter()
-        .filter(|i| i.addr.module_path.is_empty())
-        .collect();
-    let (live, missing): (Vec<&ResourceInstance>, Vec<&ResourceInstance>) =
-        insts.iter().partition(|i| state.get(&i.addr).is_some());
+/// One expanded instance and its record in the refreshed state (`None`:
+/// deleted out of band).
+type Observed<'a> = (&'a ResourceInstance, Option<&'a DeployedResource>);
+
+fn classify_block(rb: &ResourceBlock, insts: &[Observed<'_>], plan: &mut ReconcilePlan) {
+    let (mut live, mut missing) = (Vec::new(), Vec::new());
+    for &(inst, rec) in insts {
+        match rec {
+            Some(rec) => live.push((inst, rec)),
+            None => missing.push(inst),
+        }
+    }
 
     if !missing.is_empty() {
         if rb.count.is_some() {
@@ -193,7 +204,7 @@ fn classify_block(
                 count: live.len(),
             });
             // Renumber survivors to a dense 0..n prefix, preserving order.
-            for (new_idx, inst) in live.iter().enumerate() {
+            for (new_idx, (inst, _)) in live.iter().enumerate() {
                 if inst.addr.key != ResourceKey::Index(new_idx as u32) {
                     let mut to = inst.addr.clone();
                     to.key = ResourceKey::Index(new_idx as u32);
@@ -230,8 +241,7 @@ fn classify_block(
     // are comparable; deferred (reference-valued) attrs are re-resolved by
     // the differ and stomped by the converge if drifted.
     let singleton = rb.count.is_none() && rb.for_each.is_none();
-    for inst in &live {
-        let rec = state.get(&inst.addr).expect("partitioned on presence");
+    for (inst, rec) in &live {
         let mut drifted: Vec<(&String, &cloudless_types::Value)> = inst
             .attrs
             .iter()

@@ -554,15 +554,6 @@ impl Manifest {
             .find(|i| &i.addr == addr)
             .map(Arc::as_ref)
     }
-
-    /// All instances of a `type.name` block.
-    pub fn instances_of(&self, rtype: &str, name: &str) -> Vec<&ResourceInstance> {
-        self.instances
-            .iter()
-            .filter(|i| i.addr.rtype.as_str() == rtype && i.addr.name == name)
-            .map(Arc::as_ref)
-            .collect()
-    }
 }
 
 /// Expand `program` with the given variable `inputs`.

@@ -160,14 +160,17 @@ fn generate(
     let conventions: BTreeMap<(String, String), String> = corpus
         .map(|m| {
             m.specs()
-                .into_iter()
+                .iter()
                 .filter_map(|s| match s {
                     cloudless_validate::MinedSpec::ValueDomain {
                         rtype,
                         attr,
                         domain,
                         ..
-                    } => domain.first().map(|v| ((rtype, attr), v.clone())),
+                    } => {
+                        let key = (rtype.clone(), attr.clone());
+                        domain.first().map(|v| (key, v.clone()))
+                    }
                     _ => None,
                 })
                 .collect()

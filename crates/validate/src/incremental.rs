@@ -16,28 +16,29 @@
 //! [`ManifestIndex`] is the same positional index the full run builds; it
 //! survives in-place manifest splices (instance addresses — and therefore
 //! block ranges — are guaranteed stable by the caller). [`check_scope`]
-//! re-runs the per-instance layers (schema, semantic, cross-resource rules)
-//! over a set of instance positions. [`name_claim`] and [`quota_key`] are
-//! the extractors the whole-program VAL306/VAL307 rules fold over, for
-//! maintaining the same aggregates as multisets.
+//! re-runs the per-instance layers (schema, semantic, cross-resource rules,
+//! mined conventions) over a set of instance positions. [`name_claim`] and
+//! [`quota_key`] are the extractors the whole-program VAL306/VAL307 rules
+//! fold over, for maintaining the same aggregates as multisets.
 
 use cloudless_cloud::Catalog;
 use cloudless_hcl::program::Manifest;
 use cloudless_hcl::Diagnostics;
 
 pub use crate::rules::{name_claim, quota_key, ManifestIndex};
-use crate::{rules, schema, semantic};
+use crate::{rules, schema, semantic, SpecMiner};
 
 /// Re-run the per-instance validation layers (schema, semantic,
-/// cross-resource rules) for the instances at `positions`. The returned
-/// diagnostics are exactly those the full run would produce *for these
-/// instances* — a clean result plus unchanged aggregates means the edit
-/// introduced no validation findings.
+/// cross-resource rules, and `miner`'s conventions when one is passed) for
+/// the instances at `positions`. The returned diagnostics are exactly those
+/// the full run would produce *for these instances* — a clean result plus
+/// unchanged aggregates means the edit introduced no validation findings.
 pub fn check_scope(
     manifest: &Manifest,
     index: &ManifestIndex,
     positions: &[usize],
     catalog: &Catalog,
+    miner: Option<&SpecMiner>,
 ) -> Diagnostics {
     let mut diags = Diagnostics::new();
     for &i in positions {
@@ -45,6 +46,9 @@ pub fn check_scope(
         schema::check_instance(inst, catalog, &mut diags);
         semantic::check_instance(inst, catalog, &index.block_types, &mut diags);
         rules::check_instance(inst, manifest, index, &mut diags);
+        if let Some(miner) = miner {
+            miner.check_instance(inst, &mut diags);
+        }
     }
     diags
 }
@@ -85,7 +89,7 @@ resource "azure_virtual_machine" "vm1" {
         let full = crate::rules::check(&m, &ManifestIndex::build(&m), &catalog);
         let index = ManifestIndex::build(&m);
         let all: Vec<usize> = (0..m.instances.len()).collect();
-        let scoped = check_scope(&m, &index, &all, &catalog);
+        let scoped = check_scope(&m, &index, &all, &catalog, None);
         let full_codes: Vec<&str> = full.items.iter().map(|d| d.code.as_str()).collect();
         let scoped_codes: Vec<&str> = scoped.items.iter().map(|d| d.code.as_str()).collect();
         assert!(full_codes.contains(&"VAL301"));
@@ -105,7 +109,7 @@ resource "aws_subnet" "s" {
         );
         let index = ManifestIndex::build(&m);
         let all: Vec<usize> = (0..m.instances.len()).collect();
-        let d = check_scope(&m, &index, &all, &Catalog::standard());
+        let d = check_scope(&m, &index, &all, &Catalog::standard(), None);
         assert!(d.is_empty(), "{d}");
     }
 

@@ -15,9 +15,10 @@
 //! heuristics, not ground truth — which is also why the policy engine's
 //! outlier detection (§3.6) reuses this module's machinery.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use cloudless_hcl::program::Manifest;
+use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_types::Value;
 use serde::{Deserialize, Serialize};
@@ -41,21 +42,41 @@ pub enum MinedSpec {
     },
 }
 
+impl MinedSpec {
+    /// What of the spec decides *whether* an instance draws a finding: the
+    /// `(type, attribute)` pair and, for a value spec, the domain. Support
+    /// and fraction only word the message, and they move with every
+    /// observation, where the rule rarely does.
+    pub fn rule(&self) -> (&str, &str, Option<&[String]>) {
+        match self {
+            MinedSpec::ValueDomain {
+                rtype,
+                attr,
+                domain,
+                ..
+            } => (rtype, attr, Some(domain)),
+            MinedSpec::UsuallyPresent { rtype, attr, .. } => (rtype, attr, None),
+        }
+    }
+}
+
 /// Association miner over manifests.
 #[derive(Debug, Clone)]
 pub struct SpecMiner {
     /// Minimum observations of a `(type, attr)` before mining a spec.
-    pub min_support: usize,
+    min_support: usize,
     /// Maximum distinct values for a value-domain spec.
-    pub max_domain: usize,
+    max_domain: usize,
     /// Presence fraction above which an attribute is "expected".
-    pub presence_threshold: f64,
+    presence_threshold: f64,
     /// (rtype, attr) → value → count
     values: BTreeMap<(String, String), BTreeMap<String, usize>>,
     /// (rtype, attr) → instances setting it
     presence: BTreeMap<(String, String), usize>,
     /// rtype → instances observed
     instances: BTreeMap<String, usize>,
+    /// The specs the corpus supports, mined once per [`SpecMiner::observe`].
+    specs: Vec<MinedSpec>,
 }
 
 impl Default for SpecMiner {
@@ -67,6 +88,7 @@ impl Default for SpecMiner {
             values: BTreeMap::new(),
             presence: BTreeMap::new(),
             instances: BTreeMap::new(),
+            specs: Vec::new(),
         }
     }
 }
@@ -113,10 +135,16 @@ impl SpecMiner {
                 }
             }
         }
+        self.specs = self.mine();
     }
 
-    /// Extract the mined specs.
-    pub fn specs(&self) -> Vec<MinedSpec> {
+    /// The mined specs: value specs, then presence specs, each in
+    /// `(type, attribute)` order.
+    pub fn specs(&self) -> &[MinedSpec] {
+        &self.specs
+    }
+
+    fn mine(&self) -> Vec<MinedSpec> {
         let mut out = Vec::new();
         for ((rtype, attr), counts) in &self.values {
             let support: usize = counts.values().sum();
@@ -157,67 +185,73 @@ impl SpecMiner {
     /// Check a new manifest against the mined specs.
     pub fn check(&self, manifest: &Manifest) -> Diagnostics {
         let mut diags = Diagnostics::new();
-        let specs = self.specs();
         for inst in &manifest.instances {
-            let rtype = inst.addr.rtype.as_str();
-            for spec in &specs {
-                match spec {
-                    MinedSpec::ValueDomain {
-                        rtype: rt,
-                        attr,
-                        domain,
-                        support,
-                    } if rt == rtype => {
-                        let observed = match inst.attrs.get(attr) {
-                            Some(Value::Str(s)) => Some(s.clone()),
-                            Some(Value::Bool(b)) => Some(b.to_string()),
-                            _ => None,
-                        };
-                        if let Some(v) = observed {
-                            if !domain.contains(&v) {
-                                let span = inst.attr_spans.get(attr).copied().unwrap_or(inst.span);
-                                diags.push(
-                                    Diagnostic::warning(
-                                        "VAL401",
-                                        &inst.file,
-                                        span,
-                                        format!(
-                                            "{}: value {v:?} for {attr:?} deviates from the {support} prior deployments (seen: {})",
-                                            inst.addr,
-                                            domain.join(", ")
-                                        ),
-                                    )
-                                    .with_suggestion("double-check against your organization's conventions"),
-                                );
-                            }
-                        }
-                    }
-                    MinedSpec::UsuallyPresent {
-                        rtype: rt,
-                        attr,
-                        fraction,
-                        ..
-                    } if rt == rtype => {
-                        let present = inst.attrs.contains_key(attr)
-                            || inst.deferred.iter().any(|d| &d.name == attr);
-                        if !present {
-                            diags.push(Diagnostic::note(
-                                "VAL402",
-                                &inst.file,
-                                inst.span,
-                                format!(
-                                    "{}: attribute {attr:?} is set in {:.0}% of prior {rtype} deployments but missing here",
-                                    inst.addr,
-                                    fraction * 100.0
-                                ),
-                            ));
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            self.check_instance(inst, &mut diags);
         }
         diags
+    }
+
+    /// Check one instance against the mined specs. Every mined finding is a
+    /// function of the instance it is reported on, so [`SpecMiner::check`]
+    /// is the fold of this over the manifest.
+    pub fn check_instance(&self, inst: &ResourceInstance, diags: &mut Diagnostics) {
+        let rtype = inst.addr.rtype.as_str();
+        for spec in &self.specs {
+            match spec {
+                MinedSpec::ValueDomain {
+                    rtype: rt,
+                    attr,
+                    domain,
+                    support,
+                } if rt == rtype => {
+                    let observed = match inst.attrs.get(attr) {
+                        Some(Value::Str(s)) => Some(Cow::Borrowed(s.as_str())),
+                        Some(Value::Bool(b)) => Some(Cow::Owned(b.to_string())),
+                        _ => None,
+                    };
+                    if let Some(v) = observed {
+                        if !domain.iter().any(|seen| *seen == v) {
+                            let span = inst.attr_spans.get(attr).copied().unwrap_or(inst.span);
+                            diags.push(
+                                Diagnostic::warning(
+                                    "VAL401",
+                                    &inst.file,
+                                    span,
+                                    format!(
+                                        "{}: value {v:?} for {attr:?} deviates from the {support} prior deployments (seen: {})",
+                                        inst.addr,
+                                        domain.join(", ")
+                                    ),
+                                )
+                                .with_suggestion("double-check against your organization's conventions"),
+                            );
+                        }
+                    }
+                }
+                MinedSpec::UsuallyPresent {
+                    rtype: rt,
+                    attr,
+                    fraction,
+                    ..
+                } if rt == rtype => {
+                    let present = inst.attrs.contains_key(attr)
+                        || inst.deferred.iter().any(|d| &d.name == attr);
+                    if !present {
+                        diags.push(Diagnostic::note(
+                            "VAL402",
+                            &inst.file,
+                            inst.span,
+                            format!(
+                                "{}: attribute {attr:?} is set in {:.0}% of prior {rtype} deployments but missing here",
+                                inst.addr,
+                                fraction * 100.0
+                            ),
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 }
 

@@ -11,10 +11,22 @@
 //! Precise trajectory tracking lives in `BENCH_*.json` (E14, release-only,
 //! checked by `scripts/check_bench.sh`); this test is only a coarse
 //! backstop that runs with the regular suite.
+//!
+//! The drift classifier gets a host-independent guard instead of a budget:
+//! its time at 4× the blocks over its time at 1×, which is 4 for one
+//! grouping pass and 16 for a scan of the manifest per block.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use cloudless_bench::experiments::e14_scale;
+use cloudless_bench::workloads::random_layered;
+use cloudless_cloud::Catalog;
+use cloudless_deploy::resolver::DataResolver;
+use cloudless_diagnose::reconcile::classify;
+use cloudless_hcl::program::{expand, ModuleLibrary, Program};
+use cloudless_state::{DeployedResource, Snapshot};
+use cloudless_types::{Region, ResourceId, SimTime, Value};
 
 #[test]
 fn random_10k_pipeline_within_wall_budget() {
@@ -34,5 +46,74 @@ fn random_10k_pipeline_within_wall_budget() {
         "random-10k pipeline took {elapsed:?}, over the {budget:?} budget; \
          stage millis: {:?}",
         point.millis
+    );
+}
+
+/// Median wall time of three `classify` runs over a drifted estate of
+/// `blocks` layered singletons plus a `count` fleet and a `for_each` set of
+/// `blocks / 8` instances each.
+fn classify_millis(blocks: usize) -> f64 {
+    let fleet = blocks / 8;
+    let keys: Vec<String> = (0..fleet).map(|k| format!("\"k{k}\"")).collect();
+    let source = format!(
+        "{}resource \"aws_s3_bucket\" \"fleet\" {{\n  count = {fleet}\n  bucket = \"fleet-${{count.index}}\"\n}}\n\
+         resource \"aws_s3_bucket\" \"set\" {{\n  for_each = [{}]\n  bucket = \"set-${{each.key}}\"\n}}\n",
+        random_layered(blocks, 7),
+        keys.join(", ")
+    );
+    let program = Program::from_file(cloudless_hcl::parse(&source, "main.tf").unwrap()).unwrap();
+    let data = DataResolver::new();
+    let manifest = expand(&program, &BTreeMap::new(), &ModuleLibrary::new(), &data).unwrap();
+    assert_eq!(manifest.instances.len(), blocks + 2 * fleet);
+
+    // the state a converge would have left, then drift: every 7th instance
+    // deleted out of band, every 11th with an attribute changed
+    let mut state = Snapshot::new();
+    for (i, inst) in manifest.instances.iter().enumerate() {
+        if i % 7 == 3 {
+            continue;
+        }
+        let mut attrs = inst.attrs.clone();
+        if i % 11 == 5 {
+            if let Some(value) = attrs.values_mut().next() {
+                *value = Value::from("drifted");
+            }
+        }
+        state.put(DeployedResource {
+            addr: inst.addr.clone(),
+            id: ResourceId::new(format!("id-{i}")),
+            rtype: inst.addr.rtype.clone(),
+            region: Region::new("us-east-1"),
+            attrs,
+            depends_on: Vec::new(),
+            created_at: SimTime::default(),
+        });
+    }
+
+    let (records, catalog) = (BTreeMap::new(), Catalog::standard());
+    let mut millis: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let plan = classify(&program, &manifest, &state, &records, &catalog);
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            assert!(plan.ops.len() > blocks / 10, "the drift must classify");
+            assert!(!plan.moves.is_empty() && !plan.overwrites.is_empty());
+            elapsed
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    millis[1]
+}
+
+#[test]
+fn classify_grows_linearly_in_blocks() {
+    let n = 2_000;
+    let (small, large) = (classify_millis(n), classify_millis(4 * n));
+    let ratio = large / small;
+    assert!(
+        ratio < 8.0,
+        "classify took {small:.2} ms at {n} blocks and {large:.2} ms at {} ({ratio:.1}x): \
+         linear is 4x, a per-block scan of the manifest 16x",
+        4 * n
     );
 }
