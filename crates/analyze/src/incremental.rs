@@ -52,7 +52,7 @@ impl LintEnv {
     }
 
     /// The identity claims this block makes before expansion: the ANA402
-    /// extractor (see [`hazards`](crate::hazards)).
+    /// extractor (see [`hazards`]).
     pub fn block_claims(&self, rb: &ResourceBlock) -> Vec<ClaimKey> {
         hazards::block_claims(rb, &self.fold)
     }

@@ -128,6 +128,32 @@ fn sample_min<T>(samples: u32, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
     (best_ms, out)
 }
 
+/// Legacy comparator, half one: resources of `a` whose address `b` lacks.
+fn only_in<'a>(a: &'a Snapshot, b: &Snapshot) -> Vec<&'a DeployedResource> {
+    a.resources
+        .iter()
+        .filter(|(k, _)| !b.resources.contains_key(*k))
+        .map(|(_, v)| v)
+        .collect()
+}
+
+/// Legacy comparator, half two: addresses present in both snapshots whose
+/// attributes differ — a walk over the whole world per diff.
+fn changed_between<'a>(
+    a: &'a Snapshot,
+    b: &'a Snapshot,
+) -> Vec<(&'a DeployedResource, &'a DeployedResource)> {
+    a.resources
+        .iter()
+        .filter_map(|(k, mine)| {
+            b.resources
+                .get(k)
+                .filter(|theirs| theirs.attrs != mine.attrs)
+                .map(|theirs| (mine, theirs))
+        })
+        .collect()
+}
+
 /// Measure one workload: seed `n` resources, commit `versions` deltas of
 /// `delta` resources each, then time rollback/diff and the legacy
 /// comparators.
@@ -206,9 +232,9 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
     assert_eq!(restored.resources.len(), n);
     let (legacy_diff_ms, legacy_changed) = sample_min(3, || {
         let t = Instant::now();
-        let changed = old_world.changed_between(&new_world).len()
-            + old_world.only_in_self(&new_world).len()
-            + new_world.only_in_self(&old_world).len();
+        let changed = changed_between(&old_world, &new_world).len()
+            + only_in(&old_world, &new_world).len()
+            + only_in(&new_world, &old_world).len();
         (ms(t), changed)
     });
     assert!(legacy_changed >= delta, "legacy diff must see the deltas");

@@ -164,11 +164,16 @@ fn cmd_validate(rest: &[&str]) -> Result<(), String> {
     }
 }
 
-fn cmd_lint(rest: &[&str]) -> Result<(), String> {
-    let file = want(rest, 0, "program file")?;
+/// The options `lint` and `analyze` share — `--deny warn|<rule>`,
+/// `--allow <rule>`, `--format text|json|sarif` — and, in order, the
+/// arguments that are none of them.
+fn parse_lint_opts<'a>(
+    rest: &[&'a str],
+) -> Result<(cloudless::LintConfig, &'a str, Vec<&'a str>), String> {
     let mut config = cloudless::LintConfig::default();
     let mut format = "text";
-    let mut it = rest.iter().skip(1);
+    let mut others = Vec::new();
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match *arg {
             "--deny" => {
@@ -194,8 +199,39 @@ fn cmd_lint(rest: &[&str]) -> Result<(), String> {
                     return Err(format!("--format: unknown format {format:?}"));
                 }
             }
-            other => return Err(format!("unknown lint option {other:?}\n{USAGE}")),
+            other => others.push(other),
         }
+    }
+    Ok((config, format, others))
+}
+
+/// Print a lint report in `format`; deny-level findings are the error.
+fn finish_lint(
+    report: &cloudless::LintReport,
+    config: &cloudless::LintConfig,
+    format: &str,
+    sources: &cloudless::hcl::SourceMap,
+) -> Result<(), String> {
+    match format {
+        "json" => println!("{}", report.to_json()),
+        "sarif" => println!("{}", report.to_sarif()),
+        _ => print!("{}", report.render_text(sources)),
+    }
+    if report.fails(config) {
+        Err(format!(
+            "{} deny-level finding(s)",
+            report.deny_level(config)
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+fn cmd_lint(rest: &[&str]) -> Result<(), String> {
+    let file = want(rest, 0, "program file")?;
+    let (config, format, others) = parse_lint_opts(&rest[1..])?;
+    if let Some(other) = others.first() {
+        return Err(format!("unknown lint option {other:?}\n{USAGE}"));
     }
     let source = read_program(file)?;
     let sources = cloudless::hcl::SourceMap::single(file, &source);
@@ -206,53 +242,17 @@ fn cmd_lint(rest: &[&str]) -> Result<(), String> {
         &config,
     )
     .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
-    match format {
-        "json" => println!("{}", report.to_json()),
-        "sarif" => println!("{}", report.to_sarif()),
-        _ => print!("{}", report.render_text(&sources)),
-    }
-    if report.fails(&config) {
-        Err(format!(
-            "{} deny-level finding(s)",
-            report.deny_level(&config)
-        ))
-    } else {
-        Ok(())
-    }
+    finish_lint(&report, &config, format, &sources)
 }
 
 fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     let file = want(rest, 0, "program file")?;
-    let mut config = cloudless::LintConfig::default();
-    let mut format = "text";
     let mut state_dir: Option<&str> = None;
     let mut what_if = false;
-    let mut it = rest.iter().skip(1);
+    let (config, format, others) = parse_lint_opts(&rest[1..])?;
+    let mut it = others.into_iter();
     while let Some(arg) = it.next() {
-        match *arg {
-            "--deny" => {
-                let what = it.next().ok_or("--deny needs `warn` or a rule")?;
-                if *what == "warn" {
-                    config.fail_on = cloudless::hcl::Severity::Warning;
-                } else if cloudless::analyze::rule(what).is_some() {
-                    config.deny.push((*what).to_owned());
-                } else {
-                    return Err(format!("--deny: unknown rule {what:?}"));
-                }
-            }
-            "--allow" => {
-                let what = it.next().ok_or("--allow needs a rule id or name")?;
-                if cloudless::analyze::rule(what).is_none() {
-                    return Err(format!("--allow: unknown rule {what:?}"));
-                }
-                config.allow.push((*what).to_owned());
-            }
-            "--format" => {
-                format = it.next().ok_or("--format needs text, json or sarif")?;
-                if !matches!(format, "text" | "json" | "sarif") {
-                    return Err(format!("--format: unknown format {format:?}"));
-                }
-            }
+        match arg {
             "--state" => {
                 state_dir = Some(it.next().ok_or("--state needs a session directory")?);
             }
@@ -262,41 +262,39 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     }
     let source = read_program(file)?;
     let sources = cloudless::hcl::SourceMap::single(file, &source);
+    let rejected = |d: cloudless::hcl::Diagnostics| {
+        format!("program rejected:\n{}", d.render_pretty(&sources))
+    };
+    let modules = cloudless::hcl::ModuleLibrary::new();
     // Program-level lints first; parse failures surface here.
-    let mut report = cloudless::analyze::lint_source(
-        &source,
-        file,
-        &cloudless::hcl::ModuleLibrary::new(),
-        &config,
-    )
-    .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
+    let program = cloudless::hcl::load(&source, file).map_err(rejected)?;
+    let mut report = cloudless::analyze::lint_program(&program, &modules, &config);
     // Expand to the instance level (plan-time unknowns deferred) and run
     // the whole-program concurrency passes over the sealed DAG.
-    let program = cloudless::hcl::load(&source, file)
-        .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
     let manifest = cloudless::hcl::program::expand(
         &program,
         &std::collections::BTreeMap::new(),
-        &cloudless::hcl::ModuleLibrary::new(),
+        &modules,
         &cloudless::hcl::eval::DeferAll,
     )
-    .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
+    .map_err(rejected)?;
     // Blast radius is opt-in: --state derives the edit set from the
-    // session's pending plan; bare --blast ranks hypothetical edits.
+    // session's pending diff; bare --blast ranks hypothetical edits.
     let blast = if let Some(dir) = state_dir {
-        let session = Session::load(dir)?;
-        let engine = session.engine()?;
-        let session_manifest = engine
+        let engine = Session::load(dir)?.engine(None)?;
+        let pending = engine
             .load(&source)
             .map_err(|d| format!("program rejected:\n{d}"))?;
-        let (plan, _) = engine.plan(&session_manifest);
-        let edits: Vec<cloudless::types::ResourceAddr> = plan
-            .graph
-            .iter()
-            .filter(|(_, node)| !node.change.action.is_noop())
-            .map(|(_, node)| node.change.addr.clone())
-            .collect();
-        Some(cloudless::analyze::BlastRequest::EditSet(edits))
+        let changes = cloudless::deploy::diff::diff(
+            &pending,
+            engine.state(),
+            engine.cloud().catalog(),
+            &cloudless::deploy::resolver::DataResolver::new(),
+        );
+        let edits = changes.into_iter().filter(|c| !c.action.is_noop());
+        Some(cloudless::analyze::BlastRequest::EditSet(
+            edits.map(|c| c.addr).collect(),
+        ))
     } else if what_if {
         Some(cloudless::analyze::BlastRequest::WhatIf { top: 8 })
     } else {
@@ -305,28 +303,14 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     let outcome = cloudless::analyze::analyze_manifest(&manifest, &config, blast.as_ref());
     report.findings.extend(outcome.report.findings);
     report.suppressed += outcome.report.suppressed;
-    match format {
-        "json" => println!("{}", report.to_json()),
-        "sarif" => println!("{}", report.to_sarif()),
-        _ => {
-            print!("{}", report.render_text(&sources));
-            eprintln!(
-                "analyzed {} instance(s), {} edge(s), {} pass(es) in {:?}",
-                outcome.stats.instances,
-                outcome.stats.edges,
-                outcome.stats.passes,
-                outcome.stats.wall
-            );
-        }
+    let finished = finish_lint(&report, &config, format, &sources);
+    if format == "text" {
+        eprintln!(
+            "analyzed {} instance(s), {} edge(s), {} pass(es) in {:?}",
+            outcome.stats.instances, outcome.stats.edges, outcome.stats.passes, outcome.stats.wall
+        );
     }
-    if report.fails(&config) {
-        Err(format!(
-            "{} deny-level finding(s)",
-            report.deny_level(&config)
-        ))
-    } else {
-        Ok(())
-    }
+    finished
 }
 
 fn parse_targets(rest: &[&str]) -> Result<Vec<cloudless::types::ResourceAddr>, String> {
@@ -345,30 +329,45 @@ fn parse_targets(rest: &[&str]) -> Result<Vec<cloudless::types::ResourceAddr>, S
     Ok(targets)
 }
 
+/// Why `plan` or `apply` refused a program, rendered against its source.
+fn refusal(err: ConvergeError, source: &str) -> String {
+    let sources = cloudless::hcl::SourceMap::single("main.tf", source);
+    match err {
+        ConvergeError::Frontend(d) => {
+            format!("program rejected:\n{}", d.render_pretty(&sources))
+        }
+        ConvergeError::Lint(r) => format!(
+            "lint failed ({} finding(s)); fix them or rerun with a relaxed gate:\n{}",
+            r.findings.len(),
+            r.render_text(&sources)
+        ),
+        ConvergeError::Validation(r) => format!(
+            "validation failed:\n{}",
+            r.diagnostics.render_pretty(&sources)
+        ),
+        ConvergeError::PolicyDenied(actions) => {
+            let mut msg = String::from("plan denied by policy:");
+            for a in actions {
+                msg.push_str(&format!("\n  {a:?}"));
+            }
+            msg
+        }
+        err @ ConvergeError::State(_) => err.to_string(),
+    }
+}
+
+/// `cloudless plan`: the deciding half of `apply` and nothing else — the
+/// same gates, the same refusals and exit code, the same plan text.
 fn cmd_plan(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let file = want(rest, 1, "program file")?;
     let targets = parse_targets(rest)?;
     let source = read_program(file)?;
-    let session = Session::load(dir)?;
-    let engine = session.engine()?;
-    let manifest = engine
-        .load(&source)
-        .map_err(|d| format!("program rejected:\n{d}"))?;
-    let report = engine.validate(&manifest);
-    if !report.ok() {
-        return Err(format!("validation failed:\n{}", report.diagnostics));
-    }
-    let (plan, text) = engine.plan(&manifest);
-    if targets.is_empty() {
-        print!("{text}");
-    } else {
-        let (restricted, dropped) = plan.restrict_to(&targets);
-        for (_, node) in restricted.graph.iter() {
-            println!("{:>3} {}", node.change.action.symbol(), node.change.addr);
-        }
-        println!("({dropped} change(s) outside the target closure suppressed)");
-    }
+    let mut engine = Session::load(dir)?.engine(None)?;
+    let planned = engine
+        .plan(&source, &targets)
+        .map_err(|e| refusal(e, &source))?;
+    print!("{}", planned.plan_text);
     Ok(())
 }
 
@@ -408,7 +407,7 @@ fn cmd_watch(rest: &[&str]) -> Result<(), String> {
         }
     }
     let session = Session::load(dir)?;
-    let mut engine = session.engine()?;
+    let mut engine = session.engine(None)?;
     println!("watching {file} (poll every {poll_ms}ms; ctrl-c to stop)");
     let mut last: Option<String> = None;
     let mut events: u64 = 0;
@@ -514,7 +513,7 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
     // every apply runs under a flight recorder: metrics are persisted for
     // `cloudless metrics`, and --trace/--events export the event stream
     let recorder = std::sync::Arc::new(FlightRecorder::default());
-    let mut engine = session.engine_with_obs(parse_resilience(rest)?, recorder.clone())?;
+    let mut engine = session.engine(Some((parse_resilience(rest)?, recorder.clone())))?;
     let mut prior_completed = std::collections::BTreeSet::new();
     let converged = if resume {
         prior_completed = session.load_checkpoint()?.ok_or_else(|| {
@@ -579,32 +578,6 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
                 ))
             }
         }
-        Err(ConvergeError::Frontend(d)) => {
-            let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-            Err(format!("program rejected:\n{}", d.render_pretty(&sources)))
-        }
-        Err(ConvergeError::Lint(r)) => {
-            let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-            Err(format!(
-                "lint failed ({} finding(s)); fix them or rerun with a relaxed gate:\n{}",
-                r.findings.len(),
-                r.render_text(&sources)
-            ))
-        }
-        Err(ConvergeError::Validation(r)) => {
-            let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-            Err(format!(
-                "validation failed:\n{}",
-                r.diagnostics.render_pretty(&sources)
-            ))
-        }
-        Err(ConvergeError::PolicyDenied(actions)) => {
-            let mut msg = String::from("plan denied by policy:");
-            for a in actions {
-                msg.push_str(&format!("\n  {a:?}"));
-            }
-            Err(msg)
-        }
         Err(err @ ConvergeError::State(_)) => {
             // the apply ran: what it did to the cloud is real and persists,
             // even though the state that would describe it is not committed
@@ -616,13 +589,14 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
                  a plain apply would create it a second time"
             ))
         }
+        Err(refused) => Err(refusal(refused, &source)),
     }
 }
 
 fn cmd_destroy(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let session = Session::load(dir)?;
-    let mut engine = session.engine()?;
+    let mut engine = session.engine(None)?;
     let before = engine.state().len();
     let outcome = engine
         .converge("")
@@ -652,7 +626,7 @@ fn cmd_state(rest: &[&str]) -> Result<(), String> {
     }
     let dir = want(rest, 0, "session directory")?;
     let session = Session::load(dir)?;
-    let engine = session.engine()?;
+    let engine = session.engine(None)?;
     if engine.state().is_empty() {
         println!("(no resources under management)");
         return Ok(());
@@ -705,7 +679,7 @@ fn cmd_state_migrate(rest: &[&str]) -> Result<(), String> {
 fn cmd_state_history(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let session = Session::load(dir)?;
-    let engine = session.engine()?;
+    let engine = session.engine(None)?;
     if engine.history().is_empty() {
         println!("(no versions committed yet)");
         return Ok(());
@@ -734,7 +708,7 @@ fn cmd_state_rollback(rest: &[&str]) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad serial: {e}"))?;
     let session = Session::load(dir)?;
-    let mut engine = session.engine()?;
+    let mut engine = session.engine(None)?;
     match engine.rollback_state(serial)? {
         Some(new_serial) => {
             println!("state rolled back to serial {serial} (committed as serial {new_serial})")
@@ -749,7 +723,7 @@ fn cmd_drift(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let session = Session::load(dir)?;
     let recorder = std::sync::Arc::new(FlightRecorder::default());
-    let mut engine = session.engine_with_obs(ResiliencePolicy::standard(), recorder.clone())?;
+    let mut engine = session.engine(Some((ResiliencePolicy::standard(), recorder.clone())))?;
     let scanner = cloudless::diagnose::Scanner::new().with_recorder(recorder.clone());
     let state = engine.state().clone();
     let report = scanner.scan(engine.cloud_mut(), &state);
@@ -802,7 +776,7 @@ fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
     }
     let source = read_program(file)?;
     let session = Session::load(dir)?;
-    let mut engine = session.engine()?;
+    let mut engine = session.engine(None)?;
     if deny_warn {
         engine.set_lint_gate(cloudless::LintGate::DenyWarnings);
     }
@@ -912,7 +886,7 @@ fn cmd_import(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let with_modules = rest.contains(&"--modules");
     let session = Session::load(dir)?;
-    let engine = session.engine()?;
+    let engine = session.engine(None)?;
     let records: Vec<_> = engine.cloud().export_records().values().cloned().collect();
     if records.is_empty() {
         println!("(the cloud is empty — nothing to import)");
@@ -945,7 +919,7 @@ fn cmd_rogue(rest: &[&str]) -> Result<(), String> {
     let key = want(rest, 2, "attribute name")?;
     let value = want(rest, 3, "attribute value")?;
     let session = Session::load(dir)?;
-    let mut engine = session.engine()?;
+    let mut engine = session.engine(None)?;
     let id = engine
         .state()
         .get(&addr)

@@ -79,24 +79,17 @@ impl Session {
         self.dir.join("metrics.json")
     }
 
-    /// Reconstruct the engine from the persisted world.
-    pub fn engine(&self) -> Result<Cloudless, String> {
-        self.engine_with(ResiliencePolicy::standard())
-    }
-
-    /// Reconstruct the engine with an explicit resilience policy (from the
-    /// CLI's `--legacy-retry` / `--retries` / `--deadline-factor` flags).
-    pub fn engine_with(&self, resilience: ResiliencePolicy) -> Result<Cloudless, String> {
-        self.engine_with_obs(resilience, Arc::new(NullRecorder))
-    }
-
-    /// Reconstruct the engine with a resilience policy and an observability
-    /// recorder threaded through every layer (cloud, executor, locks, drift).
-    pub fn engine_with_obs(
+    /// Reconstruct the engine from the persisted world. `instrumented` is
+    /// what `apply` and `drift` add: the resilience policy from the CLI's
+    /// `--legacy-retry` / `--retries` / `--deadline-factor` flags and an
+    /// observability recorder threaded through every layer (cloud,
+    /// executor, locks, drift); everything else runs on the defaults.
+    pub fn engine(
         &self,
-        resilience: ResiliencePolicy,
-        recorder: Arc<dyn Recorder>,
+        instrumented: Option<(ResiliencePolicy, Arc<dyn Recorder>)>,
     ) -> Result<Cloudless, String> {
+        let (resilience, recorder) =
+            instrumented.unwrap_or_else(|| (ResiliencePolicy::standard(), Arc::new(NullRecorder)));
         let cloud_text = std::fs::read_to_string(self.cloud_path()).map_err(|e| e.to_string())?;
         let records: BTreeMap<ResourceId, ResourceRecord> =
             serde_json::from_str(&cloud_text).map_err(|e| format!("cloud.json corrupt: {e}"))?;

@@ -345,6 +345,10 @@ resource "aws_virtual_machine" "b" { name = aws_virtual_machine.a.name }
     assert!(!out.status.success());
     assert!(stderr(&out).contains("lint failed"), "{}", stderr(&out));
     assert!(stderr(&out).contains("ANA401"), "{}", stderr(&out));
+    // `plan` is the same gate: it refuses what `apply` refuses, the same way
+    let planned = run(&["plan", t.path(), &tf]);
+    assert!(!planned.status.success(), "{}", stdout(&planned));
+    assert_eq!(stderr(&planned), stderr(&out));
     // nothing reached the cloud; the session stays usable
     let out = run(&["state", t.path()]);
     assert!(stdout(&out).contains("no resources under management"));

@@ -1,11 +1,14 @@
 //! The [`Cloudless`] engine: the Figure 1(b) lifecycle in one object.
 //!
-//! `converge(source)` runs the full pipeline — parse → expand → validate →
-//! plan → policy admission → lock → apply → checkpoint — and the
-//! surrounding methods cover the operate phase: refresh, drift watching,
-//! failure explanation, rollback.
+//! `converge(source)` is two calls in a row: [`Cloudless::plan`] (parse →
+//! lint → expand → validate → analyze → diff → `prevent_destroy` guard →
+//! policy admission) decides what would change or refuses the program, and
+//! `execute` (lock → apply → outputs → commit) makes it so. `cloudless
+//! plan` prints the first half, infrastructure rollback runs a plan lifted
+//! from a checkpoint through the second, and the surrounding methods cover
+//! the operate phase: refresh, drift watching, failure explanation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -13,15 +16,15 @@ use crate::pipeline::{
     ChangeTrace, FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
 };
 use cloudless_analyze::{lint_program, LintGate, LintReport};
-use cloudless_cloud::{ApiOp, ApiRequest, Cloud, CloudConfig, OpOutcome};
+use cloudless_cloud::{Cloud, CloudConfig};
 use cloudless_deploy::diff::{diff, Action as DiffAction};
-use cloudless_deploy::resolver::DataResolver;
+use cloudless_deploy::resolver::{DataResolver, StateResolver};
 use cloudless_deploy::{
     full_refresh, plan_rollback, ApplyReport, Executor, Plan, RefreshReport, ResiliencePolicy,
-    RollbackPlan, RollbackStep, Strategy,
+    RollbackPlan, Strategy,
 };
 use cloudless_diagnose::{explain, DriftReport, Explanation, LogWatcher};
-use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, Program};
+use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, OutputValue, Program};
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::{MetricsSnapshot, NullRecorder, Recorder};
 use cloudless_policy::observe::PlanSummary;
@@ -30,7 +33,7 @@ use cloudless_state::{
     CommitMeta, HistoryView, LockManager, LockScope, LogStore, ObservedLockManager,
     ResourceLockManager, Snapshot, StoreError,
 };
-use cloudless_types::{Region, Value};
+use cloudless_types::{ResourceAddr, Value};
 use cloudless_validate::rules::quota_key;
 use cloudless_validate::{validate, SpecMiner, ValidationLevel, ValidationReport};
 
@@ -141,6 +144,17 @@ impl From<PipelineError> for ConvergeError {
             PipelineError::Validation(r) => ConvergeError::Validation(r),
         }
     }
+}
+
+/// What [`Cloudless::plan`] admitted: the plan a reviewer reads is the one
+/// `converge` executes.
+#[derive(Debug)]
+pub struct Planned {
+    pub manifest: Manifest,
+    pub validation: ValidationReport,
+    pub plan: Plan,
+    /// Rendered plan text (what a user reviews).
+    pub plan_text: String,
 }
 
 /// The result of a successful (possibly partially failed) converge.
@@ -356,11 +370,6 @@ impl Cloudless {
         &self.miner
     }
 
-    /// The cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The observability recorder every layer emits into.
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
         &self.config.recorder
@@ -475,19 +484,6 @@ impl Cloudless {
         &self.pipeline
     }
 
-    /// Compute the plan for a manifest against current state.
-    pub fn plan(&self, manifest: &Manifest) -> (Plan, String) {
-        let changes = diff(
-            manifest,
-            self.store.current(),
-            self.cloud.catalog(),
-            &self.data,
-        );
-        let text = cloudless_deploy::diff::render(&changes);
-        let plan = Plan::build(changes, self.store.current(), self.cloud.catalog());
-        (plan, text)
-    }
-
     /// Summarize a plan for policy admission.
     fn summarize(&self, manifest: &Manifest, plan: &Plan) -> PlanSummary {
         let mut creates = 0;
@@ -517,10 +513,147 @@ impl Cloudless {
         }
     }
 
-    /// The full pipeline: validate → plan → policy admission → lock →
-    /// apply → checkpoint → learn conventions.
+    /// §3.4 guardrail: a resource marked `prevent_destroy` may not be
+    /// destroyed or replaced by a plan — surface it like a validation
+    /// failure, before anything runs.
+    fn guard_prevent_destroy(&self, plan: &Plan) -> Result<(), ConvergeError> {
+        let mut guarded = Diagnostics::new();
+        for (_, node) in plan.graph.iter() {
+            let fate = match node.change.action {
+                DiffAction::Delete => "destroyed",
+                DiffAction::Replace { .. } => "replaced",
+                _ => continue,
+            };
+            let Some(desired) = &node.change.desired else {
+                continue;
+            };
+            if desired.lifecycle.prevent_destroy {
+                let message = format!(
+                    "{} would be {fate} but has prevent_destroy set",
+                    node.change.addr
+                );
+                guarded.push(
+                    cloudless_hcl::Diagnostic::error(
+                        "LIF001",
+                        &desired.file,
+                        desired.span,
+                        message,
+                    )
+                    .with_suggestion(
+                        "remove prevent_destroy or avoid changing immutable attributes",
+                    ),
+                );
+            }
+        }
+        if guarded.is_empty() {
+            return Ok(());
+        }
+        Err(ConvergeError::Validation(ValidationReport {
+            level: self.config.validation_level,
+            diagnostics: guarded,
+        }))
+    }
+
+    /// The deciding half of [`Cloudless::converge`]: run `source` through
+    /// the memoized front end (a warm memo turns a block-local edit into an
+    /// O(edit) replan), build the plan against current state, restrict it
+    /// to `targets` (plus their dependencies, `terraform apply -target`
+    /// semantics; empty = the whole plan), and hold it against the
+    /// `prevent_destroy` guard and the registered policies. Refuses exactly
+    /// what `converge` refuses and touches neither the cloud nor the state.
+    pub fn plan(
+        &mut self,
+        source: &str,
+        targets: &[ResourceAddr],
+    ) -> Result<Planned, ConvergeError> {
+        self.commit_uncommitted()?;
+        let FrontendOutput {
+            manifest,
+            validation,
+            changes,
+            mut plan_text,
+            trace: _,
+        } = self.run_pipeline(source)?;
+        let mut plan = Plan::build(changes, self.store.current(), self.cloud.catalog());
+        if !targets.is_empty() {
+            let (restricted, dropped) = plan.restrict_to(targets);
+            plan_text.clear();
+            for (_, node) in restricted.graph.iter() {
+                plan_text.push_str(&format!(
+                    "{:>3} {}\n",
+                    node.change.action.symbol(),
+                    node.change.addr
+                ));
+            }
+            plan_text.push_str(&format!(
+                "({dropped} change(s) outside the target closure suppressed)\n"
+            ));
+            plan = restricted;
+        }
+        self.guard_prevent_destroy(&plan)?;
+        self.controller
+            .admits_plan(self.summarize(&manifest, &plan))
+            .map_err(ConvergeError::PolicyDenied)?;
+        Ok(Planned {
+            manifest,
+            validation,
+            plan,
+            plan_text,
+        })
+    }
+
+    /// The acting half of [`Cloudless::converge`], and all of an
+    /// infrastructure rollback: every cloud mutation the engine makes goes
+    /// through here. Locks exactly the resources the plan touches (§3.4),
+    /// runs it under the configured strategy and resilience policy
+    /// (addresses in `completed` are pre-marked done), resolves `outputs`
+    /// against the post-apply state, and commits that state as
+    /// "`verb` via <strategy>" — always, so a partial failure is recorded
+    /// as far as it got.
+    fn execute(
+        &mut self,
+        plan: &Plan,
+        outputs: &BTreeMap<String, OutputValue>,
+        completed: &BTreeSet<String>,
+        verb: &str,
+        source: Option<&str>,
+    ) -> Result<ApplyReport, StoreError> {
+        let _guard = self.locks.acquire(LockScope::of(plan.lock_scope()));
+
+        let mut state = self.store.current().clone();
+        let executor = Executor::new(self.config.strategy, &self.data)
+            .with_resilience(self.config.resilience.clone())
+            .with_recorder(Arc::clone(&self.config.recorder));
+        let apply = executor.resume_from(plan, &mut self.cloud, &mut state, completed);
+
+        // §2.1's user-visible results; deferred outputs resolve now that
+        // their resources exist, and one whose resource failed to apply is
+        // simply absent
+        state.outputs.clear();
+        for (name, out) in outputs {
+            let value = match out {
+                OutputValue::Known(v) => Some(v.clone()),
+                OutputValue::Deferred { expr, env, .. } => {
+                    let resolver = StateResolver::new(&state).with_data(&self.data);
+                    cloudless_hcl::eval::eval(expr, &env.scope(&resolver)).ok()
+                }
+            };
+            if let Some(v) = value {
+                state.outputs.insert(name.clone(), v);
+            }
+        }
+
+        // the delta log records only the changed resources, plus the
+        // source that produced them (time machine, §3.4)
+        let message = format!("{verb} via {}", apply.strategy);
+        self.commit(state, &message, source, true)?;
+        Ok(apply)
+    }
+
+    /// The full pipeline: [`Cloudless::plan`], then lock → apply →
+    /// checkpoint → learn conventions.
     pub fn converge(&mut self, source: &str) -> Result<ConvergeOutcome, ConvergeError> {
-        self.converge_targeted(source, &[])
+        self.converge_inner(source, &[], &BTreeSet::new())
     }
 
     /// [`Cloudless::converge`] restricted to `targets` (plus their
@@ -529,9 +662,9 @@ impl Cloudless {
     pub fn converge_targeted(
         &mut self,
         source: &str,
-        targets: &[cloudless_types::ResourceAddr],
+        targets: &[ResourceAddr],
     ) -> Result<ConvergeOutcome, ConvergeError> {
-        self.converge_inner(source, targets, &std::collections::BTreeSet::new())
+        self.converge_inner(source, targets, &BTreeSet::new())
     }
 
     /// [`Cloudless::converge`] resuming a partially-failed apply: addresses
@@ -541,7 +674,7 @@ impl Cloudless {
     pub fn converge_resume(
         &mut self,
         source: &str,
-        completed: &std::collections::BTreeSet<String>,
+        completed: &BTreeSet<String>,
     ) -> Result<ConvergeOutcome, ConvergeError> {
         self.converge_inner(source, &[], completed)
     }
@@ -549,132 +682,16 @@ impl Cloudless {
     fn converge_inner(
         &mut self,
         source: &str,
-        targets: &[cloudless_types::ResourceAddr],
-        completed: &std::collections::BTreeSet<String>,
+        targets: &[ResourceAddr],
+        completed: &BTreeSet<String>,
     ) -> Result<ConvergeOutcome, ConvergeError> {
-        self.commit_uncommitted()?;
-        // The whole front end — parse → lint gate → expand → validate →
-        // diff — runs through the memoized incremental pipeline. A warm
-        // memo turns a block-local edit into an O(edit) replan; any doubt
-        // falls back to the cold path, which is the exact monolithic chain
-        // this method used to inline.
-        let FrontendOutput {
+        let Planned {
             manifest,
             validation,
-            changes,
+            plan,
             plan_text,
-            trace: _,
-        } = self.run_pipeline(source)?;
-        let plan = Plan::build(changes, self.store.current(), self.cloud.catalog());
-        let (plan, plan_text) = if targets.is_empty() {
-            (plan, plan_text)
-        } else {
-            let (restricted, dropped) = plan.restrict_to(targets);
-            let mut text = String::new();
-            for (_, node) in restricted.graph.iter() {
-                text.push_str(&format!(
-                    "{:>3} {}\n",
-                    node.change.action.symbol(),
-                    node.change.addr
-                ));
-            }
-            text.push_str(&format!(
-                "({dropped} change(s) outside the target closure suppressed)\n"
-            ));
-            (restricted, text)
-        };
-
-        // §3.4 guardrail: a resource marked `prevent_destroy` may not be
-        // destroyed or replaced by a plan — surface it like a validation
-        // failure, before anything runs.
-        let mut guarded = cloudless_hcl::Diagnostics::new();
-        for (_, node) in plan.graph.iter() {
-            let is_destructive = matches!(
-                node.change.action,
-                DiffAction::Delete | DiffAction::Replace { .. }
-            );
-            let protected = node
-                .change
-                .desired
-                .as_ref()
-                .map(|d| d.lifecycle.prevent_destroy)
-                .unwrap_or(false);
-            if is_destructive && protected {
-                let (file, span) = node
-                    .change
-                    .desired
-                    .as_ref()
-                    .map(|d| (d.file.clone(), d.span))
-                    .unwrap_or_default();
-                guarded.push(
-                    cloudless_hcl::Diagnostic::error(
-                        "LIF001",
-                        &file,
-                        span,
-                        format!(
-                            "{} would be {} but has prevent_destroy set",
-                            node.change.addr,
-                            if matches!(node.change.action, DiffAction::Delete) {
-                                "destroyed"
-                            } else {
-                                "replaced"
-                            }
-                        ),
-                    )
-                    .with_suggestion(
-                        "remove prevent_destroy or avoid changing immutable attributes",
-                    ),
-                );
-            }
-        }
-        if !guarded.is_empty() {
-            return Err(ConvergeError::Validation(ValidationReport {
-                level: self.config.validation_level,
-                diagnostics: guarded,
-            }));
-        }
-
-        self.controller
-            .admits_plan(self.summarize(&manifest, &plan))
-            .map_err(ConvergeError::PolicyDenied)?;
-
-        // §3.4: lock exactly the touched resources, not the world.
-        let scope = LockScope::of(plan.lock_scope());
-        let _guard = self.locks.acquire(scope);
-
-        let mut state = self.store.current().clone();
-        let executor = Executor::new(self.config.strategy, &self.data)
-            .with_resilience(self.config.resilience.clone())
-            .with_recorder(Arc::clone(&self.config.recorder));
-        let apply = executor.resume_from(&plan, &mut self.cloud, &mut state, completed);
-
-        // finalize program outputs against the post-apply state (§2.1's
-        // user-visible results; deferred outputs resolve now that their
-        // resources exist)
-        state.outputs.clear();
-        for (name, out) in &manifest.outputs {
-            match out {
-                cloudless_hcl::program::OutputValue::Known(v) => {
-                    state.outputs.insert(name.clone(), v.clone());
-                }
-                cloudless_hcl::program::OutputValue::Deferred { expr, env, .. } => {
-                    let resolver = cloudless_deploy::resolver::StateResolver::new(&state)
-                        .with_data(&self.data);
-                    let scope = env.scope(&resolver);
-                    if let Ok(v) = cloudless_hcl::eval::eval(expr, &scope) {
-                        state.outputs.insert(name.clone(), v);
-                    }
-                    // unresolvable outputs (their resource failed to apply)
-                    // are simply absent
-                }
-            }
-        }
-
-        // commit the post-apply state: the delta log records only the
-        // changed resources, plus the source that produced them (time
-        // machine, §3.4)
-        let message = format!("apply via {}", apply.strategy);
-        self.commit(state, &message, Some(source), true)?;
+        } = self.plan(source, targets)?;
+        let apply = self.execute(&plan, &manifest.outputs, completed, "apply", Some(source))?;
 
         // observe conventions from successful applies (§3.2 mining)
         if apply.all_ok() {
@@ -688,7 +705,7 @@ impl Cloudless {
             .filter_map(|(addr, err)| {
                 addr.parse()
                     .ok()
-                    .map(|a: cloudless_types::ResourceAddr| explain(err, &a, &manifest))
+                    .map(|a: ResourceAddr| explain(err, &a, &manifest))
             })
             .collect();
 
@@ -893,98 +910,23 @@ impl Cloudless {
             self.store.current(),
             &target,
             self.cloud.catalog(),
+            &self.data,
         ))
     }
 
-    /// Execute a rollback plan step by step. The steps that ran are
-    /// committed even when a later one fails, so state never trails what
-    /// was already done to the cloud; the step's error is returned first.
-    pub fn execute_rollback(&mut self, plan: &RollbackPlan) -> Result<(), String> {
-        self.commit_uncommitted().map_err(|e| e.to_string())?;
-        let mut state = self.store.current().clone();
-        let stepped = plan
-            .steps
-            .iter()
-            .try_for_each(|step| self.rollback_step(step, &mut state));
-        let committed = match stepped {
-            Ok(()) => self.commit(state, "rollback", None, true),
-            Err(_) => self.commit(state, "rollback (stopped at a failed step)", None, false),
-        };
-        match (stepped, committed) {
-            (Err(step), Err(commit)) => Err(format!(
-                "{step}; the steps before it are not committed yet: {commit}"
-            )),
-            (stepped, committed) => stepped.and(committed.map_err(|e| e.to_string())),
-        }
-    }
-
-    /// Submit one mutation and wait for it; a failed outcome is an error.
-    fn settle(&mut self, op: ApiOp) -> Result<OpOutcome, String> {
-        let request = ApiRequest::new(op, &self.config.principal);
-        let done = self.cloud.submit_and_settle(request);
-        match done.map_err(|e| e.to_string())?.outcome {
-            OpOutcome::Failed(e) => Err(e.to_string()),
-            outcome => Ok(outcome),
-        }
-    }
-
-    /// Run one rollback step against the cloud, folding its outcome into
-    /// `state`.
-    fn rollback_step(&mut self, step: &RollbackStep, state: &mut Snapshot) -> Result<(), String> {
-        match step {
-            RollbackStep::Revert { addr, attrs } => {
-                let mut rec = state
-                    .get(addr)
-                    .ok_or_else(|| format!("{addr} missing from state"))?
-                    .clone();
-                // nulls are kept: an explicit null *unsets* the drifted
-                // attribute at the cloud level
-                let (id, attrs) = (rec.id.clone(), attrs.clone());
-                if let OpOutcome::Updated { attrs, .. } =
-                    self.settle(ApiOp::Update { id, attrs })?
-                {
-                    rec.attrs = attrs;
-                    state.put(rec);
-                }
-            }
-            RollbackStep::Recreate { addr, attrs } | RollbackStep::Restore { addr, attrs } => {
-                // destroy if present, then create from checkpoint attrs
-                if let Some(rec) = state.get(addr).cloned() {
-                    self.settle(ApiOp::Delete { id: rec.id })?;
-                    state.remove(addr);
-                }
-                let region = cloudless_types::Provider::effective_region(attrs, &addr.rtype);
-                let region = Region::new(region.as_deref().unwrap_or("us-east-1"));
-                let clean: cloudless_types::Attrs = attrs
-                    .iter()
-                    .filter(|(_, v)| !v.is_null())
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                let create = ApiOp::Create {
-                    rtype: addr.rtype.clone(),
-                    region: region.clone(),
-                    attrs: clean,
-                };
-                if let OpOutcome::Created { id, attrs } = self.settle(create)? {
-                    state.put(cloudless_state::DeployedResource {
-                        addr: addr.clone(),
-                        rtype: addr.rtype.clone(),
-                        id,
-                        region,
-                        attrs,
-                        depends_on: vec![],
-                        created_at: self.cloud.now(),
-                    });
-                }
-            }
-            RollbackStep::Destroy { addr } => {
-                if let Some(rec) = state.get(addr).cloned() {
-                    self.settle(ApiOp::Delete { id: rec.id })?;
-                    state.remove(addr);
-                }
-            }
-        }
-        Ok(())
+    /// Execute a rollback plan the way `converge` executes any plan: in
+    /// dependency order, under resource locks, with retries and deadlines.
+    /// What ran is committed even when a node fails, so state never trails
+    /// what was done to the cloud; the report says which nodes did not land.
+    pub fn execute_rollback(&mut self, plan: &RollbackPlan) -> Result<ApplyReport, StoreError> {
+        self.commit_uncommitted()?;
+        self.execute(
+            &plan.plan,
+            &plan.outputs,
+            &BTreeSet::new(),
+            "rollback",
+            None,
+        )
     }
 }
 

@@ -58,5 +58,5 @@ mod engine;
 pub mod pipeline;
 
 pub use cloudless_analyze::{LintConfig, LintGate, LintReport};
-pub use engine::{Cloudless, Config, ConvergeError, ConvergeOutcome, ReconcileReport};
+pub use engine::{Cloudless, Config, ConvergeError, ConvergeOutcome, Planned, ReconcileReport};
 pub use pipeline::{ChangeTrace, IncrementalPipeline, PipelineConfig, PipelineError};

@@ -11,10 +11,10 @@
 //! # One driver, two scopes
 //!
 //! [`IncrementalPipeline::run`] aligns the edit to top-level chunks
-//! ([`cloudless_hcl::fingerprint`]), picks a [`Scope`], and walks
+//! ([`cloudless_hcl::fingerprint`]), picks a `Scope`, and walks
 //! parse → lint → expand → validate → analyze → plan **once**:
 //!
-//! * [`Scope::All`] — every block is in scope and nothing is reused: there
+//! * `Scope::All` — every block is in scope and nothing is reused: there
 //!   is no memo, the edit is structural or touches a non-resource chunk,
 //!   the engine configuration changed, the memoized program deviates from
 //!   conventions the spec miner has learned since, or a guard tripped. The
@@ -22,11 +22,11 @@
 //!   ([`lint_program_in`], [`validate_indexed`], [`analyze_manifest`]), so
 //!   every diagnostic is exact, and each stage fills its share of a fresh
 //!   memo.
-//! * [`Scope::Blocks`] — only the dirty resource blocks are in scope;
+//! * `Scope::Blocks` — only the dirty resource blocks are in scope;
 //!   everything outside them is read from the memo. Each stage re-derives
 //!   the dirty blocks' artifacts with the same per-block functions the
 //!   whole-program passes fold over, holds them against *guards*, and
-//!   stages the result in a [`Splice`] — O(scope), never a copy of the memo.
+//!   stages the result in a `Splice` — O(scope), never a copy of the memo.
 //!
 //! A cold run is therefore the same walk over an empty memo, and a guard
 //! trip restarts the same walk with every block in scope. A splice lands

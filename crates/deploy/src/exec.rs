@@ -1109,7 +1109,7 @@ impl<'a> Executor<'a> {
                 ApiOp::Delete { id: rec.id.clone() }
             }
             (Action::Create, _) | (Action::Replace { .. }, true) => {
-                let attrs = self.finalize_attrs(pn, state, idx)?;
+                let attrs = self.finalize_attrs(pn, state, idx, &[])?;
                 ApiOp::Create {
                     rtype: addr.rtype.clone(),
                     region: self.region_for(pn),
@@ -1123,7 +1123,7 @@ impl<'a> Executor<'a> {
                         format!("{addr} is planned for update but absent from state"),
                     )
                 })?;
-                let all = self.finalize_attrs(pn, state, idx)?;
+                let all = self.finalize_attrs(pn, state, idx, changed)?;
                 let attrs: Attrs = all
                     .into_iter()
                     .filter(|(k, _)| changed.contains(k))
@@ -1140,12 +1140,16 @@ impl<'a> Executor<'a> {
 
     /// Finalize all attributes of a node at apply time: deferred expressions
     /// are re-evaluated against the *current* state snapshot (dependencies
-    /// have landed by now thanks to plan ordering).
+    /// have landed by now thanks to plan ordering). Nulls are dropped — an
+    /// unset optional attribute is simply absent — except those named in
+    /// `unset`: an update that changes an attribute *to* null must say so,
+    /// or the cloud keeps the old value and the diff never closes.
     fn finalize_attrs(
         &self,
         pn: &crate::plan::PlanNode,
         state: &Snapshot,
         idx: &BlockIndex,
+        unset: &[String],
     ) -> Result<Attrs, CloudError> {
         let Some(desired) = &pn.change.desired else {
             return Ok(pn.change.planned_attrs.clone());
@@ -1174,8 +1178,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        // Drop nulls — an unset optional attribute is simply absent.
-        attrs.retain(|_, v| !v.is_null());
+        attrs.retain(|k, v| !v.is_null() || unset.contains(k));
         Ok(attrs)
     }
 
@@ -1500,6 +1503,36 @@ resource "aws_s3_bucket" "b" {
             rec.attrs.get("instance_type"),
             Some(&Value::from("t3.large"))
         );
+    }
+
+    #[test]
+    fn an_update_to_null_unsets_the_attribute_and_the_diff_closes() {
+        let catalog = Catalog::standard();
+        let data = DataResolver::new();
+        let mut cloud = Cloud::new(CloudConfig::exact(), 7);
+        let mut state = Snapshot::new();
+        let exec = Executor::new(Strategy::Sequential, &data);
+        let bucket = |acl: &str| {
+            manifest(&format!(
+                r#"resource "aws_s3_bucket" "b" {{ bucket = "b" acl = {acl} }}"#
+            ))
+        };
+        let mut ops = Vec::new();
+        for acl in [r#""private""#, "null", "null"] {
+            let plan = Plan::build(
+                diff(&bucket(acl), &state, &catalog, &data),
+                &state,
+                &catalog,
+            );
+            let report = exec.apply(&plan, &mut cloud, &mut state);
+            assert!(report.all_ok(), "{:?}", report.errors());
+            ops.push(report.ops_submitted);
+        }
+        // create, unset, and then nothing: the null reached the cloud
+        assert_eq!(ops, [1, 1, 0]);
+        let rec = state.get(&"aws_s3_bucket.b".parse().unwrap()).unwrap();
+        assert_eq!(rec.attrs.get("acl"), None);
+        assert_eq!(cloud.records()[&rec.id].attrs.get("acl"), None);
     }
 
     #[test]

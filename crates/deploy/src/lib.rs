@@ -44,4 +44,4 @@ pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, DeadlinePolicy, ResiliencePolicy, RetryPolicy,
 };
 pub use resolver::{DataResolver, StateResolver};
-pub use rollback::{plan_rollback, RollbackPlan, RollbackStep};
+pub use rollback::{plan_rollback, RollbackPlan};

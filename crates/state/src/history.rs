@@ -8,12 +8,10 @@
 //! The old store checkpointed a *full snapshot* per version; the log store
 //! keeps one [`VersionRecord`] per commit instead — author, message, time,
 //! config hash, and the delta — and this view answers the same queries
-//! (`latest`, `by_serial`, `before`, `at_time`) over those records without
-//! materializing any state. Materialization is a separate, explicit step
+//! (`latest`, `by_serial`) over those records without materializing any
+//! state. Materialization is a separate, explicit step
 //! ([`crate::LogStore::snapshot_at`]), because most history queries never
 //! need it.
-
-use cloudless_types::SimTime;
 
 use crate::log::VersionRecord;
 
@@ -48,17 +46,6 @@ impl<'a> HistoryView<'a> {
         self.versions.iter().find(|v| v.serial == serial)
     }
 
-    /// The version immediately before `serial` (rollback target for
-    /// "undo the last apply").
-    pub fn before(&self, serial: u64) -> Option<&'a VersionRecord> {
-        self.versions.iter().rev().find(|v| v.serial < serial)
-    }
-
-    /// The latest version at or before a point in time.
-    pub fn at_time(&self, t: SimTime) -> Option<&'a VersionRecord> {
-        self.versions.iter().rev().find(|v| v.at <= t)
-    }
-
     /// All versions, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &'a VersionRecord> {
         self.versions.iter()
@@ -77,6 +64,7 @@ impl<'a> IntoIterator for HistoryView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudless_types::SimTime;
     use std::collections::BTreeMap;
 
     fn version(serial: u64, at: u64, author: &str) -> VersionRecord {
@@ -108,24 +96,5 @@ mod tests {
         assert_eq!(h.latest().unwrap().serial, 5);
         assert_eq!(h.by_serial(2).unwrap().author, "bob");
         assert!(h.by_serial(3).is_none());
-    }
-
-    #[test]
-    fn before_finds_rollback_target() {
-        let vs = versions();
-        let h = HistoryView::new(&vs);
-        assert_eq!(h.before(5).unwrap().serial, 2);
-        assert_eq!(h.before(2).unwrap().serial, 1);
-        assert!(h.before(1).is_none());
-    }
-
-    #[test]
-    fn time_travel() {
-        let vs = versions();
-        let h = HistoryView::new(&vs);
-        assert_eq!(h.at_time(SimTime(250)).unwrap().serial, 2);
-        assert_eq!(h.at_time(SimTime(500)).unwrap().serial, 5);
-        assert_eq!(h.at_time(SimTime(100)).unwrap().serial, 1);
-        assert!(h.at_time(SimTime(50)).is_none());
     }
 }

@@ -97,32 +97,6 @@ impl Snapshot {
     pub fn from_json(s: &str) -> Result<Snapshot, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// Addresses present in `self` but not in `other`.
-    pub fn only_in_self<'a>(&'a self, other: &Snapshot) -> Vec<&'a DeployedResource> {
-        self.resources
-            .iter()
-            .filter(|(k, _)| !other.resources.contains_key(*k))
-            .map(|(_, v)| v)
-            .collect()
-    }
-
-    /// Addresses present in both whose attributes differ.
-    pub fn changed_between<'a>(
-        &'a self,
-        other: &'a Snapshot,
-    ) -> Vec<(&'a DeployedResource, &'a DeployedResource)> {
-        self.resources
-            .iter()
-            .filter_map(|(k, mine)| {
-                other
-                    .resources
-                    .get(k)
-                    .filter(|theirs| theirs.attrs != mine.attrs)
-                    .map(|theirs| (mine, theirs))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -167,35 +141,5 @@ mod tests {
         let json = s.to_json();
         let back = Snapshot::from_json(&json).expect("parse");
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn set_differences() {
-        let mut a = Snapshot::new();
-        a.put(res("aws_vpc.main", "vpc-1"));
-        a.put(res("aws_subnet.x", "sn-1"));
-        let mut b = Snapshot::new();
-        b.put(res("aws_vpc.main", "vpc-1"));
-        let only = a.only_in_self(&b);
-        assert_eq!(only.len(), 1);
-        assert_eq!(only[0].addr.to_string(), "aws_subnet.x");
-        assert!(b.only_in_self(&a).is_empty());
-    }
-
-    #[test]
-    fn changed_between_detects_attr_drift() {
-        let mut a = Snapshot::new();
-        a.put(res("aws_vpc.main", "vpc-1"));
-        let mut b = a.clone();
-        b.resources
-            .get_mut("aws_vpc.main")
-            .unwrap()
-            .attrs
-            .insert("name".into(), Value::from("renamed"));
-        let changed = a.changed_between(&b);
-        assert_eq!(changed.len(), 1);
-        assert_eq!(changed[0].0.attr("name"), Some(&Value::from("vpc-1")));
-        assert_eq!(changed[0].1.attr("name"), Some(&Value::from("renamed")));
-        assert!(a.changed_between(&a).is_empty());
     }
 }

@@ -766,11 +766,6 @@ impl LogStore {
         })
     }
 
-    /// Decode the body behind a diff-entry hash (for rendering diffs).
-    pub fn resource_at(&self, hash: &ContentHash) -> Option<DeployedResource> {
-        decode_resource(&self.cas.get(hash)?).ok()
-    }
-
     /// Every content hash reachable from any addressable version:
     /// the current world, plus every `prev`/`hash`/`config` in version
     /// records. Compaction keeps exactly this set.
