@@ -13,13 +13,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cloudless::state::{
-    FairResourceLockManager, GlobalLock, LockManager, LockScope, ResourceLockManager, Snapshot,
-};
+use cloudless::state::{LockManager, LockScope, ResourceLockManager, Snapshot};
 use cloudless::types::{ResourceAddr, ResourceTypeName};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::locks::{FairResourceLockManager, GlobalLock};
 use crate::table::{f, ratio, Table};
 use crate::txn::TxnManager;
 use crate::SEED;

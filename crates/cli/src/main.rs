@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cloudless init      <dir>                 # create a session
-//! cloudless validate  <file.tf>             # compile-time checks only
+//! cloudless validate  <file.tf>             # plan's gates, on an empty session
 //! cloudless lint      <file.tf>             # dataflow lint (analyze) only
 //! cloudless plan      <dir> <file.tf>       # show what would change
 //! cloudless watch     <dir> <file.tf>       # replan on every edit, O(edit)
@@ -76,7 +76,7 @@ const USAGE: &str = "usage: cloudless <command> [args]
 
 commands:
   init      <dir>                      create a session directory
-  validate  <file.tf>                  run compile-time validation only
+  validate  <file.tf>                  run plan's gates against an empty session
   lint      <file.tf>                  run the dataflow lint engine only
             [--deny warn]              fail on warnings, not just errors
             [--deny <rule>]            escalate a rule (id or name) to error
@@ -98,7 +98,6 @@ commands:
             [--poll-ms <n>]            poll interval in ms (default 250)
             [--max-events <n>]         exit after n replans (default: forever)
   apply     <dir> <file.tf> [--target <addr>]   validate, plan and apply
-            [--resume]                 continue a partially-failed apply
             [--legacy-retry]           immediate retries, no deadlines/breaker
             [--retries <n>]            per-node attempt budget (default 6)
             [--deadline-factor <f>]    cancel ops after f x estimate (default 4)
@@ -127,41 +126,48 @@ fn want<'a>(rest: &'a [&str], i: usize, what: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing {what}\n{USAGE}"))
 }
 
+/// Refuse whatever follows a verb's `n` positional arguments.
+fn no_more(rest: &[&str], n: usize, verb: &str) -> Result<(), String> {
+    match rest.get(n) {
+        None => Ok(()),
+        Some(other) => Err(format!("unknown {verb} option {other:?}\n{USAGE}")),
+    }
+}
+
 fn read_program(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn cmd_init(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "init")?;
     Session::init(dir)?;
     println!("session initialized in {dir}");
     println!("next: edit a .tf file and run `cloudless apply {dir} main.tf`");
     Ok(())
 }
 
+/// `cloudless validate`: what `plan` would decide about the program on a
+/// fresh, empty session — the same gates, the same refusals.
 fn cmd_validate(rest: &[&str]) -> Result<(), String> {
     let file = want(rest, 0, "program file")?;
+    no_more(rest, 1, "validate")?;
     let source = read_program(file)?;
-    // the engine names every parsed file "main.tf"; key the map to match
-    let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-    let engine = Cloudless::new(Config::default());
-    let manifest = engine
-        .load(&source)
-        .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
-    let report = engine.validate(&manifest);
-    if report.diagnostics.is_empty() {
+    let planned = Cloudless::new(Config::default())
+        .plan(&source, &[])
+        .map_err(|e| refusal(e, &source))?;
+    let diagnostics = &planned.validation.diagnostics;
+    if diagnostics.is_empty() {
         println!(
             "ok: {} resource instance(s), no findings",
-            manifest.instances.len()
+            planned.manifest.instances.len()
         );
     } else {
-        println!("{}", report.diagnostics.render_pretty(&sources));
+        // the engine names every parsed file "main.tf"; key the map to match
+        let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
+        println!("{}", diagnostics.render_pretty(&sources));
     }
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!("{} validation error(s)", report.error_count()))
-    }
+    Ok(())
 }
 
 /// The options `lint` and `analyze` share — `--deny warn|<rule>`,
@@ -313,20 +319,14 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     finished
 }
 
-fn parse_targets(rest: &[&str]) -> Result<Vec<cloudless::types::ResourceAddr>, String> {
-    let mut targets = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if *arg == "--target" {
-            let addr = it
-                .next()
-                .ok_or("--target needs a resource address")?
-                .parse()
-                .map_err(|e| format!("bad --target address: {e}"))?;
-            targets.push(addr);
-        }
-    }
-    Ok(targets)
+/// The address after a `--target`.
+fn target_addr<'a>(
+    it: &mut impl Iterator<Item = &'a &'a str>,
+) -> Result<cloudless::types::ResourceAddr, String> {
+    it.next()
+        .ok_or("--target needs a resource address")?
+        .parse()
+        .map_err(|e| format!("bad --target address: {e}"))
 }
 
 /// Why `plan` or `apply` refused a program, rendered against its source.
@@ -361,7 +361,14 @@ fn refusal(err: ConvergeError, source: &str) -> String {
 fn cmd_plan(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let file = want(rest, 1, "program file")?;
-    let targets = parse_targets(rest)?;
+    let mut targets = Vec::new();
+    let mut it = rest.iter().skip(2);
+    while let Some(arg) = it.next() {
+        match *arg {
+            "--target" => targets.push(target_addr(&mut it)?),
+            other => return Err(format!("unknown plan option {other:?}\n{USAGE}")),
+        }
+    }
     let source = read_program(file)?;
     let mut engine = Session::load(dir)?.engine(None)?;
     let planned = engine
@@ -439,24 +446,32 @@ fn cmd_watch(rest: &[&str]) -> Result<(), String> {
     }
 }
 
-/// Build the apply's resilience policy from `--legacy-retry`,
-/// `--retries <n>` and `--deadline-factor <f>`.
-fn parse_resilience(rest: &[&str]) -> Result<ResiliencePolicy, String> {
-    let mut policy = if rest.contains(&"--legacy-retry") {
-        ResiliencePolicy::legacy()
-    } else {
-        ResiliencePolicy::standard()
-    };
-    let mut it = rest.iter();
+/// What follows `apply <dir> <file.tf>`.
+struct ApplyOpts {
+    targets: Vec<cloudless::types::ResourceAddr>,
+    resilience: ResiliencePolicy,
+    /// `--trace <file>` / `--events <file>`: output paths for the flight
+    /// recorder's exporters.
+    trace_out: Option<String>,
+    events_out: Option<String>,
+}
+
+fn parse_apply_opts(opts: &[&str]) -> Result<ApplyOpts, String> {
+    let mut targets = Vec::new();
+    let (mut legacy, mut retries, mut deadline_factor) = (false, None, None);
+    let (mut trace_out, mut events_out) = (None, None);
+    let mut it = opts.iter();
     while let Some(arg) = it.next() {
         match *arg {
+            "--target" => targets.push(target_addr(&mut it)?),
+            "--legacy-retry" => legacy = true,
             "--retries" => {
                 let n: u32 = it
                     .next()
                     .ok_or("--retries needs a count")?
                     .parse()
                     .map_err(|e| format!("bad --retries count: {e}"))?;
-                policy.retry.max_attempts_per_node = n.max(1);
+                retries = Some(n);
             }
             "--deadline-factor" => {
                 let f: f64 = it
@@ -464,71 +479,64 @@ fn parse_resilience(rest: &[&str]) -> Result<ResiliencePolicy, String> {
                     .ok_or("--deadline-factor needs a number")?
                     .parse()
                     .map_err(|e| format!("bad --deadline-factor: {e}"))?;
-                policy.deadline = if f <= 0.0 {
-                    DeadlinePolicy::None
-                } else {
-                    DeadlinePolicy::EstimateFactor {
-                        factor: f,
-                        floor: SimDuration::from_secs(30),
-                    }
-                };
+                deadline_factor = Some(f);
             }
-            _ => {}
-        }
-    }
-    Ok(policy)
-}
-
-/// `--trace <file>` / `--events <file>` output paths for the flight
-/// recorder's exporters.
-fn parse_obs_outputs(rest: &[&str]) -> Result<(Option<String>, Option<String>), String> {
-    let mut trace = None;
-    let mut events = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
             "--trace" => {
-                trace = Some((*it.next().ok_or("--trace needs an output path")?).to_owned());
+                trace_out = Some((*it.next().ok_or("--trace needs an output path")?).to_owned());
             }
             "--events" => {
-                events = Some((*it.next().ok_or("--events needs an output path")?).to_owned());
+                events_out = Some((*it.next().ok_or("--events needs an output path")?).to_owned());
             }
-            _ => {}
+            "--resume" => {
+                return Err(
+                    "--resume is gone: state records what a failed apply landed, \
+                            so a plain `apply` plans and runs only what is left"
+                        .into(),
+                )
+            }
+            other => return Err(format!("unknown apply option {other:?}\n{USAGE}")),
         }
     }
-    Ok((trace, events))
+    // the flags modify the policy `--legacy-retry` picks, wherever it stands
+    let mut resilience = if legacy {
+        ResiliencePolicy::legacy()
+    } else {
+        ResiliencePolicy::standard()
+    };
+    if let Some(n) = retries {
+        resilience.retry.max_attempts_per_node = n.max(1);
+    }
+    if let Some(f) = deadline_factor {
+        resilience.deadline = if f <= 0.0 {
+            DeadlinePolicy::None
+        } else {
+            DeadlinePolicy::EstimateFactor {
+                factor: f,
+                floor: SimDuration::from_secs(30),
+            }
+        };
+    }
+    Ok(ApplyOpts {
+        targets,
+        resilience,
+        trace_out,
+        events_out,
+    })
 }
 
 fn cmd_apply(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
     let file = want(rest, 1, "program file")?;
-    let targets = parse_targets(rest)?;
-    let resume = rest.contains(&"--resume");
-    if resume && !targets.is_empty() {
-        return Err("--resume cannot be combined with --target".into());
-    }
-    let (trace_out, events_out) = parse_obs_outputs(rest)?;
+    let opts = parse_apply_opts(&rest[2..])?;
     let source = read_program(file)?;
     let session = Session::load(dir)?;
     // every apply runs under a flight recorder: metrics are persisted for
     // `cloudless metrics`, and --trace/--events export the event stream
     let recorder = std::sync::Arc::new(FlightRecorder::default());
-    let mut engine = session.engine(Some((parse_resilience(rest)?, recorder.clone())))?;
-    let mut prior_completed = std::collections::BTreeSet::new();
-    let converged = if resume {
-        prior_completed = session.load_checkpoint()?.ok_or_else(|| {
-            format!("nothing to resume: {dir} has no checkpoint from a failed apply")
-        })?;
-        println!(
-            "resuming: {} resource(s) already completed, skipping them",
-            prior_completed.len()
-        );
-        engine.converge_resume(&source, &prior_completed)
-    } else {
-        engine.converge_targeted(&source, &targets)
-    };
+    let mut engine = session.engine(Some((opts.resilience, recorder.clone())))?;
+    let converged = engine.converge_targeted(&source, &opts.targets);
     let captured = recorder.events();
-    if let Some(path) = &trace_out {
+    if let Some(path) = &opts.trace_out {
         std::fs::write(path, cloudless::obs::export::to_chrome_trace(&captured))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
@@ -536,7 +544,7 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
             captured.len()
         );
     }
-    if let Some(path) = &events_out {
+    if let Some(path) = &opts.events_out {
         std::fs::write(path, cloudless::obs::export::to_jsonl(&captured))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("events: {} event(s) written to {path}", captured.len());
@@ -560,20 +568,15 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
             }
             session.save(&engine)?;
             if outcome.apply.all_ok() {
-                session.clear_checkpoint();
                 println!(
                     "state: {} resource(s) under management",
                     engine.state().len()
                 );
                 Ok(())
             } else {
-                // keep the prior frontier: a node absent from this plan
-                // (already reconciled into state) stays checkpointed
-                let mut completed = outcome.apply.completed_addrs();
-                completed.extend(prior_completed);
-                session.save_checkpoint(&completed)?;
                 Err(format!(
-                    "{} resource(s) failed; checkpoint written — rerun with --resume",
+                    "{} resource(s) failed; what landed is in state — fix the cause and \
+                     run `apply` again to finish",
                     outcome.apply.failures()
                 ))
             }
@@ -595,6 +598,7 @@ fn cmd_apply(rest: &[&str]) -> Result<(), String> {
 
 fn cmd_destroy(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "destroy")?;
     let session = Session::load(dir)?;
     let mut engine = session.engine(None)?;
     let before = engine.state().len();
@@ -625,6 +629,7 @@ fn cmd_state(rest: &[&str]) -> Result<(), String> {
         _ => {}
     }
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "state")?;
     let session = Session::load(dir)?;
     let engine = session.engine(None)?;
     if engine.state().is_empty() {
@@ -642,6 +647,7 @@ fn cmd_state(rest: &[&str]) -> Result<(), String> {
 /// checkpoint reachability. Exits non-zero unless the log is clean.
 fn cmd_state_fsck(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "state fsck")?;
     let session = Session::load(dir)?;
     let log = session.log_path();
     if !log.exists() {
@@ -664,6 +670,7 @@ fn cmd_state_fsck(rest: &[&str]) -> Result<(), String> {
 /// version found in `history.json` (if present) byte-identically.
 fn cmd_state_migrate(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "state migrate")?;
     Session::load(dir)?; // validates the directory is a session
     let report = cloudless::state::migrate_dir(std::path::Path::new(dir))?;
     println!(
@@ -678,6 +685,7 @@ fn cmd_state_migrate(rest: &[&str]) -> Result<(), String> {
 /// version with its delta size, straight off the log (no state reads).
 fn cmd_state_history(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "state history")?;
     let session = Session::load(dir)?;
     let engine = session.engine(None)?;
     if engine.history().is_empty() {
@@ -707,6 +715,7 @@ fn cmd_state_rollback(rest: &[&str]) -> Result<(), String> {
     let serial: u64 = want(rest, 1, "target serial")?
         .parse()
         .map_err(|e| format!("bad serial: {e}"))?;
+    no_more(rest, 2, "state rollback")?;
     let session = Session::load(dir)?;
     let mut engine = session.engine(None)?;
     match engine.rollback_state(serial)? {
@@ -721,6 +730,7 @@ fn cmd_state_rollback(rest: &[&str]) -> Result<(), String> {
 
 fn cmd_drift(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "drift")?;
     let session = Session::load(dir)?;
     let recorder = std::sync::Arc::new(FlightRecorder::default());
     let mut engine = session.engine(Some((ResiliencePolicy::standard(), recorder.clone())))?;
@@ -874,6 +884,7 @@ fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
 
 fn cmd_metrics(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
+    no_more(rest, 1, "metrics")?;
     let session = Session::load(dir)?;
     match session.load_metrics()? {
         Some(snapshot) => print!("{}", snapshot.render()),
@@ -884,7 +895,8 @@ fn cmd_metrics(rest: &[&str]) -> Result<(), String> {
 
 fn cmd_import(rest: &[&str]) -> Result<(), String> {
     let dir = want(rest, 0, "session directory")?;
-    let with_modules = rest.contains(&"--modules");
+    let with_modules = rest.get(1) == Some(&"--modules");
+    no_more(rest, 1 + usize::from(with_modules), "import")?;
     let session = Session::load(dir)?;
     let engine = session.engine(None)?;
     let records: Vec<_> = engine.cloud().export_records().values().cloned().collect();
@@ -918,6 +930,7 @@ fn cmd_rogue(rest: &[&str]) -> Result<(), String> {
         .map_err(|e| format!("bad address: {e}"))?;
     let key = want(rest, 2, "attribute name")?;
     let value = want(rest, 3, "attribute value")?;
+    no_more(rest, 4, "rogue")?;
     let session = Session::load(dir)?;
     let mut engine = session.engine(None)?;
     let id = engine

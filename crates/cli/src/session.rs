@@ -7,7 +7,7 @@
 //! `state.json`; they load transparently (state without history) and can
 //! be upgraded in place with `cloudless state migrate <dir>`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -71,10 +71,6 @@ impl Session {
         self.dir.join("cloud.json")
     }
 
-    fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("checkpoint.json")
-    }
-
     fn metrics_path(&self) -> PathBuf {
         self.dir.join("metrics.json")
     }
@@ -136,30 +132,6 @@ impl Session {
         let snapshot =
             serde_json::from_str(&text).map_err(|e| format!("metrics.json corrupt: {e}"))?;
         Ok(Some(snapshot))
-    }
-
-    /// Persist the completed-address checkpoint of a partially-failed
-    /// apply; `cloudless apply --resume` picks it up.
-    pub fn save_checkpoint(&self, completed: &BTreeSet<String>) -> Result<(), String> {
-        let json = serde_json::to_string_pretty(completed).map_err(|e| e.to_string())?;
-        std::fs::write(self.checkpoint_path(), json).map_err(|e| e.to_string())
-    }
-
-    /// The checkpoint of the last partially-failed apply, if one exists.
-    pub fn load_checkpoint(&self) -> Result<Option<BTreeSet<String>>, String> {
-        let path = self.checkpoint_path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-        let set =
-            serde_json::from_str(&text).map_err(|e| format!("checkpoint.json corrupt: {e}"))?;
-        Ok(Some(set))
-    }
-
-    /// Remove the checkpoint after a fully-successful apply.
-    pub fn clear_checkpoint(&self) {
-        let _ = std::fs::remove_file(self.checkpoint_path());
     }
 
     /// Persist the engine's world back to disk. A log-native session's

@@ -136,7 +136,7 @@ resource "azure_virtual_machine" "vm" {
     );
     let out = run(&["validate", &tf]);
     assert!(!out.status.success());
-    assert!(stdout(&out).contains("VAL301"), "{}", stdout(&out));
+    assert!(stderr(&out).contains("VAL301"), "{}", stderr(&out));
 
     let good = t.write("good.tf", PROGRAM);
     let out = run(&["validate", &good]);
@@ -383,8 +383,8 @@ fn state_persists_across_invocations() {
 }
 
 #[test]
-fn checkpoint_resume_lifecycle() {
-    let t = TempSession::new("resume");
+fn a_failed_apply_is_finished_by_applying_again() {
+    let t = TempSession::new("reapply");
     run(&["init", t.path()]);
 
     // v1: a bucket whose *live* name we will steal out of band
@@ -423,23 +423,24 @@ resource "aws_s3_bucket" "clash" { bucket = "grabbed" }
     let out = run(&["apply", t.path(), &v2]);
     assert!(!out.status.success(), "collision must fail the apply");
     assert!(
-        stderr(&out).contains("checkpoint written"),
+        stderr(&out).contains("run `apply` again"),
         "{}",
         stderr(&out)
     );
+    // what landed is in state, and state is the only record of it
+    let listed = stdout(&run(&["state", t.path()]));
+    assert!(listed.contains("aws_vpc.main"), "{listed}");
+    assert!(!listed.contains("aws_s3_bucket.clash"), "{listed}");
     let checkpoint = t.dir.join("checkpoint.json");
-    assert!(checkpoint.exists(), "partial failure writes a checkpoint");
-    let completed = std::fs::read_to_string(&checkpoint).unwrap();
-    assert!(completed.contains("aws_vpc.main"), "{completed}");
-    assert!(!completed.contains("aws_s3_bucket.clash"), "{completed}");
+    assert!(!checkpoint.exists());
 
-    // resume without fixing the cause: still failing, checkpoint survives
-    let out = run(&["apply", t.path(), &v2, "--resume"]);
+    // apply again without fixing the cause: only the frontier runs, and fails
+    let out = run(&["apply", t.path(), &v2]);
     assert!(!out.status.success());
-    assert!(stdout(&out).contains("resuming:"), "{}", stdout(&out));
-    assert!(checkpoint.exists());
+    assert!(stdout(&out).contains("1 op(s)"), "{}", stdout(&out));
+    assert!(!checkpoint.exists());
 
-    // release the stolen name, then resume: only the frontier executes
+    // release the stolen name, then apply again: only the frontier executes
     let out = run(&[
         "rogue",
         t.path(),
@@ -448,17 +449,125 @@ resource "aws_s3_bucket" "clash" { bucket = "grabbed" }
         "keep-name",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let out = run(&["apply", t.path(), &v2, "--resume"]);
+    let out = run(&["apply", t.path(), &v2]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("resuming:"), "{text}");
+    assert!(text.contains("1 op(s)"), "{text}");
     assert!(text.contains("4 resource(s) under management"), "{text}");
-    assert!(!checkpoint.exists(), "clean apply removes the checkpoint");
+    assert!(!checkpoint.exists());
 
-    // a plain re-apply converges to a no-op
+    // a re-apply converges to a no-op
     let out = run(&["apply", t.path(), &v2]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("0 to add, 0 to change, 0 to destroy"));
+}
+
+#[test]
+fn a_misspelt_apply_option_stops_before_any_cloud_operation() {
+    let t = TempSession::new("misspelt");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    let world = |name: &str| std::fs::read_to_string(t.dir.join(name)).unwrap();
+    let before = (world("state.json"), world("cloud.json"));
+
+    let out = run(&["apply", t.path(), &tf, "--tagret", "aws_vpc.main"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("unknown apply option \"--tagret\""),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!((world("state.json"), world("cloud.json")), before);
+
+    // the retired flag says what replaced it
+    let out = run(&["apply", t.path(), &tf, "--resume"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("plain `apply`"), "{}", stderr(&out));
+    assert_eq!((world("state.json"), world("cloud.json")), before);
+}
+
+#[test]
+fn every_verb_refuses_an_argument_it_does_not_define() {
+    let t = TempSession::new("strict");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    let fresh = t.dir.join("fresh");
+    let fresh = fresh.to_str().unwrap();
+    let verbs: [(&str, Vec<&str>); 13] = [
+        ("init", vec!["init", fresh]),
+        ("validate", vec!["validate", &tf]),
+        ("plan", vec!["plan", t.path(), &tf]),
+        ("destroy", vec!["destroy", t.path()]),
+        ("state", vec!["state", t.path()]),
+        ("state history", vec!["state", "history", t.path()]),
+        ("state rollback", vec!["state", "rollback", t.path(), "1"]),
+        ("state fsck", vec!["state", "fsck", t.path()]),
+        ("state migrate", vec!["state", "migrate", t.path()]),
+        ("drift", vec!["drift", t.path()]),
+        ("metrics", vec!["metrics", t.path()]),
+        ("import", vec!["import", t.path(), "--modules"]),
+        (
+            "rogue",
+            vec![
+                "rogue",
+                t.path(),
+                "aws_vpc.main",
+                "cidr_block",
+                "10.9.0.0/16",
+            ],
+        ),
+    ];
+    for (verb, mut args) in verbs {
+        args.push("--nonsense");
+        let out = run(&args);
+        assert!(!out.status.success(), "{verb} accepted --nonsense");
+        let expected = format!("unknown {verb} option \"--nonsense\"");
+        assert!(stderr(&out).contains(&expected), "{}", stderr(&out));
+    }
+    // none of them acted: still the applied world, and no second session
+    assert!(!std::path::Path::new(fresh).exists());
+    let listed = stdout(&run(&["state", t.path()]));
+    assert!(listed.contains("aws_vpc.main") && listed.contains("aws_subnet.app"));
+    let out = run(&["plan", t.path(), &tf]);
+    assert!(stdout(&out).contains("0 to add, 0 to change, 0 to destroy"));
+}
+
+/// Every `.tf` under `dir`, recursively.
+fn shipped_programs(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("examples/hcl exists") {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            shipped_programs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "tf") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn validate_and_plan_agree_on_every_shipped_program() {
+    let t = TempSession::new("agree");
+    run(&["init", t.path()]);
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/hcl");
+    let mut programs = Vec::new();
+    shipped_programs(&examples, &mut programs);
+    assert!(programs.len() > 10, "found {} program(s)", programs.len());
+    let mut refused = 0;
+    for tf in &programs {
+        let tf = tf.to_str().unwrap();
+        // `plan` never writes, so the session stays freshly initialised
+        let (validate, plan) = (run(&["validate", tf]), run(&["plan", t.path(), tf]));
+        assert_eq!(
+            validate.status.success(),
+            plan.status.success(),
+            "{tf}:\nvalidate: {}\nplan: {}",
+            stderr(&validate),
+            stderr(&plan)
+        );
+        refused += usize::from(!plan.status.success());
+    }
+    assert!(refused > 0, "the defect corpus is refused by both");
 }
 
 #[test]

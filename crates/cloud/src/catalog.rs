@@ -797,11 +797,6 @@ impl Catalog {
         self.types.values()
     }
 
-    /// All schemas of one provider.
-    pub fn of_provider(&self, p: Provider) -> impl Iterator<Item = &ResourceSchema> + '_ {
-        self.types.values().filter(move |s| s.provider == p)
-    }
-
     /// Number of types.
     pub fn len(&self) -> usize {
         self.types.len()
@@ -849,7 +844,8 @@ mod tests {
         let c = Catalog::standard();
         assert!(c.len() >= 28, "expected a rich catalog, got {}", c.len());
         for p in Provider::ALL {
-            assert!(c.of_provider(p).count() >= 8, "{p} needs at least 8 types");
+            let types = c.iter().filter(|s| s.provider == p).count();
+            assert!(types >= 8, "{p} needs at least 8 types");
         }
     }
 

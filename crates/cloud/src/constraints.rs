@@ -37,10 +37,9 @@ pub struct PendingResource<'a> {
 pub struct StateView<'a> {
     pub records: &'a BTreeMap<ResourceId, ResourceRecord>,
     pub catalog: &'a Catalog,
-    /// Optional unique-name index (rtype → name value → live ids carrying
-    /// it). With it, the globally-unique-name check is a map probe; without
-    /// it, the check scans `records` — O(state) per create.
-    pub names: Option<&'a HashMap<String, HashMap<String, BTreeSet<ResourceId>>>>,
+    /// Unique-name index (rtype → name value → live ids carrying it): the
+    /// globally-unique-name check is a map probe, not a scan of `records`.
+    pub names: &'a HashMap<String, HashMap<String, BTreeSet<ResourceId>>>,
 }
 
 impl<'a> StateView<'a> {
@@ -251,18 +250,8 @@ pub fn unique_name_attr(rtype: &str) -> Option<(&'static str, &'static str)> {
 fn check_unique_name(p: &PendingResource<'_>, s: &StateView<'_>) -> Option<CloudError> {
     let (name_attr, code) = unique_name_attr(p.rtype.as_str())?;
     let name = p.attrs.get(name_attr)?.as_str()?;
-    let taken = match s.names {
-        Some(idx) => idx
-            .get(p.rtype.as_str())
-            .and_then(|by_name| by_name.get(name))
-            .is_some_and(|ids| ids.iter().any(|id| Some(id) != p.id)),
-        None => s.records.values().any(|rec| {
-            &rec.rtype == p.rtype
-                && Some(&rec.id) != p.id
-                && rec.attrs.get(name_attr).and_then(Value::as_str) == Some(name)
-        }),
-    };
-    if taken {
+    let holders = s.names.get(p.rtype.as_str()).and_then(|n| n.get(name));
+    if holders.is_some_and(|ids| ids.iter().any(|id| Some(id) != p.id)) {
         return Some(CloudError::constraint(
             code,
             format!("the requested name '{name}' is not available"),
@@ -299,6 +288,15 @@ mod tests {
     ) -> Option<CloudError> {
         let catalog = Catalog::standard();
         let records: BTreeMap<ResourceId, ResourceRecord> = records.into_iter().collect();
+        let mut names: HashMap<String, HashMap<String, BTreeSet<ResourceId>>> = HashMap::new();
+        for rec in records.values() {
+            let attr = unique_name_attr(rec.rtype.as_str()).and_then(|(a, _)| rec.attrs.get(a));
+            if let Some(name) = attr.and_then(Value::as_str) {
+                let by_name = names.entry(rec.rtype.to_string()).or_default();
+                let holders = by_name.entry(name.to_owned()).or_default();
+                holders.insert(rec.id.clone());
+            }
+        }
         let rtype = ResourceTypeName::new(rtype);
         let region = Region::new(region);
         check(
@@ -311,7 +309,7 @@ mod tests {
             &StateView {
                 records: &records,
                 catalog: &catalog,
-                names: None,
+                names: &names,
             },
         )
     }

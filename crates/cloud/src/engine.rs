@@ -765,7 +765,7 @@ impl Cloud {
         let view = StateView {
             records: &self.records,
             catalog: &self.config.catalog,
-            names: Some(&self.live.names),
+            names: &self.live.names,
         };
         let pending_res = PendingResource {
             rtype,
@@ -845,7 +845,7 @@ impl Cloud {
         let view = StateView {
             records: &self.records,
             catalog: &self.config.catalog,
-            names: Some(&self.live.names),
+            names: &self.live.names,
         };
         let pending_res = PendingResource {
             rtype: &existing.rtype,
@@ -997,7 +997,7 @@ impl Cloud {
         let view = StateView {
             records: &self.records,
             catalog: &self.config.catalog,
-            names: Some(&self.live.names),
+            names: &self.live.names,
         };
         if let Some(err) = constraints::check(
             &PendingResource {

@@ -8,7 +8,7 @@
 //! from a checkpoint through the second, and the surrounding methods cover
 //! the operate phase: refresh, drift watching, failure explanation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -605,16 +605,14 @@ impl Cloudless {
     /// The acting half of [`Cloudless::converge`], and all of an
     /// infrastructure rollback: every cloud mutation the engine makes goes
     /// through here. Locks exactly the resources the plan touches (§3.4),
-    /// runs it under the configured strategy and resilience policy
-    /// (addresses in `completed` are pre-marked done), resolves `outputs`
-    /// against the post-apply state, and commits that state as
-    /// "`verb` via <strategy>" — always, so a partial failure is recorded
-    /// as far as it got.
+    /// runs it under the configured strategy and resilience policy,
+    /// resolves `outputs` against the post-apply state, and commits that
+    /// state as "`verb` via <strategy>" — always, so a partial failure is
+    /// recorded as far as it got and the next plan holds only what is left.
     fn execute(
         &mut self,
         plan: &Plan,
         outputs: &BTreeMap<String, OutputValue>,
-        completed: &BTreeSet<String>,
         verb: &str,
         source: Option<&str>,
     ) -> Result<ApplyReport, StoreError> {
@@ -624,7 +622,7 @@ impl Cloudless {
         let executor = Executor::new(self.config.strategy, &self.data)
             .with_resilience(self.config.resilience.clone())
             .with_recorder(Arc::clone(&self.config.recorder));
-        let apply = executor.resume_from(plan, &mut self.cloud, &mut state, completed);
+        let apply = executor.apply(plan, &mut self.cloud, &mut state);
 
         // §2.1's user-visible results; deferred outputs resolve now that
         // their resources exist, and one whose resource failed to apply is
@@ -633,8 +631,15 @@ impl Cloudless {
         for (name, out) in outputs {
             let value = match out {
                 OutputValue::Known(v) => Some(v.clone()),
-                OutputValue::Deferred { expr, env, .. } => {
-                    let resolver = StateResolver::new(&state).with_data(&self.data);
+                OutputValue::Deferred {
+                    expr,
+                    env,
+                    module_path,
+                    ..
+                } => {
+                    let resolver = StateResolver::new(&state)
+                        .in_module(module_path)
+                        .with_data(&self.data);
                     cloudless_hcl::eval::eval(expr, &env.scope(&resolver)).ok()
                 }
             };
@@ -653,7 +658,7 @@ impl Cloudless {
     /// The full pipeline: [`Cloudless::plan`], then lock → apply →
     /// checkpoint → learn conventions.
     pub fn converge(&mut self, source: &str) -> Result<ConvergeOutcome, ConvergeError> {
-        self.converge_inner(source, &[], &BTreeSet::new())
+        self.converge_targeted(source, &[])
     }
 
     /// [`Cloudless::converge`] restricted to `targets` (plus their
@@ -664,34 +669,13 @@ impl Cloudless {
         source: &str,
         targets: &[ResourceAddr],
     ) -> Result<ConvergeOutcome, ConvergeError> {
-        self.converge_inner(source, targets, &BTreeSet::new())
-    }
-
-    /// [`Cloudless::converge`] resuming a partially-failed apply: addresses
-    /// in `completed` (the checkpoint of the failed run, see
-    /// [`ApplyReport::completed_addrs`]) are pre-marked done instead of
-    /// being re-submitted, so only the unfinished frontier executes.
-    pub fn converge_resume(
-        &mut self,
-        source: &str,
-        completed: &BTreeSet<String>,
-    ) -> Result<ConvergeOutcome, ConvergeError> {
-        self.converge_inner(source, &[], completed)
-    }
-
-    fn converge_inner(
-        &mut self,
-        source: &str,
-        targets: &[ResourceAddr],
-        completed: &BTreeSet<String>,
-    ) -> Result<ConvergeOutcome, ConvergeError> {
         let Planned {
             manifest,
             validation,
             plan,
             plan_text,
         } = self.plan(source, targets)?;
-        let apply = self.execute(&plan, &manifest.outputs, completed, "apply", Some(source))?;
+        let apply = self.execute(&plan, &manifest.outputs, "apply", Some(source))?;
 
         // observe conventions from successful applies (§3.2 mining)
         if apply.all_ok() {
@@ -920,13 +904,7 @@ impl Cloudless {
     /// what was done to the cloud; the report says which nodes did not land.
     pub fn execute_rollback(&mut self, plan: &RollbackPlan) -> Result<ApplyReport, StoreError> {
         self.commit_uncommitted()?;
-        self.execute(
-            &plan.plan,
-            &plan.outputs,
-            &BTreeSet::new(),
-            "rollback",
-            None,
-        )
+        self.execute(&plan.plan, &plan.outputs, "rollback", None)
     }
 }
 
@@ -1434,6 +1412,57 @@ output "static" { value = "hello" }
         // destroy clears outputs
         e.converge("").expect("destroy");
         assert!(e.outputs().is_empty());
+    }
+
+    #[test]
+    fn outputs_over_counted_and_module_blocks_resolve_in_their_own_scope() {
+        let mut config = Config {
+            cloud: CloudConfig::exact(),
+            ..Config::default()
+        };
+        // the module declares the same blocks as the root: each output
+        // must read its own module's instances, not a namesake's
+        let blocks = |net: u8| {
+            format!(
+                r#"
+resource "aws_vpc" "main" {{ cidr_block = "10.{net}.0.0/16" }}
+resource "aws_subnet" "s" {{
+  count      = {}
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.{net}.${{count.index}}.0/24"
+}}
+output "vpc_id" {{ value = aws_vpc.main.id }}
+output "subnet_ids" {{ value = aws_subnet.s[*].id }}
+"#,
+                net + 2
+            )
+        };
+        config.modules.insert("modules/net", blocks(1));
+        let mut e = Cloudless::new(config);
+        let root = format!(
+            "{}module \"net\" {{ source = \"modules/net\" }}\n",
+            blocks(0)
+        );
+        assert!(e.converge(&root).expect("converge").apply.all_ok());
+
+        let id = |addr: &str| {
+            let deployed = e.state().get(&addr.parse().unwrap()).expect(addr);
+            Value::from(deployed.id.as_str())
+        };
+        let ids = |addrs: &[&str]| Value::List(addrs.iter().map(|a| id(a)).collect());
+        let outputs = e.outputs();
+        assert_eq!(outputs.get("vpc_id"), Some(&id("aws_vpc.main")));
+        assert_eq!(
+            outputs.get("subnet_ids"),
+            Some(&ids(&["aws_subnet.s[0]", "aws_subnet.s[1]"]))
+        );
+        assert_eq!(
+            outputs.get("net.vpc_id"),
+            Some(&id("module.net.aws_vpc.main"))
+        );
+        let in_module = ["0", "1", "2"].map(|i| format!("module.net.aws_subnet.s[{i}]"));
+        let in_module: Vec<&str> = in_module.iter().map(String::as_str).collect();
+        assert_eq!(outputs.get("net.subnet_ids"), Some(&ids(&in_module)));
     }
 
     #[test]

@@ -83,7 +83,7 @@ use cloudless_hcl::program::{
 };
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
-use cloudless_state::{BlockIndex, Snapshot};
+use cloudless_state::Snapshot;
 use cloudless_types::Value;
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
 use cloudless_validate::{
@@ -317,7 +317,6 @@ fn overfull<'e>(
 struct PlanCache {
     /// The state serial the rest was planned against (`None`: nothing yet).
     serial: Option<u64>,
-    block_index: BlockIndex,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
     /// `(rtype, name)` → whether the block's last-visited instance is
@@ -886,7 +885,6 @@ impl<'a> Walk<'a> {
             }
             _ => {
                 cache.serial = Some(ctx.state.serial);
-                cache.block_index = BlockIndex::build(ctx.state);
                 cache.deletes = delete_changes(&out.manifest, ctx.state);
                 // an unvisited dependency (a cycle) reads as dirty, as in `diff`
                 cache.dirty.clear();
@@ -903,8 +901,7 @@ impl<'a> Walk<'a> {
                 let known = cache.dirty.get(&(rtype.to_owned(), name.to_owned()));
                 known.copied().unwrap_or(true)
             };
-            let (state, index) = (ctx.state, &cache.block_index);
-            let change = plan_one(inst, state, ctx.catalog, index, ctx.data, &mut dep_dirty);
+            let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
             cache.dirty.insert(block_key(inst), change.makes_dirty());
             if !change.action.is_noop() {
                 cache.changes.insert(idx, change);

@@ -94,9 +94,6 @@ pub fn diff(
     // Keyed by block (`rtype`, `name`) borrowed from the manifest so neither
     // insert nor lookup allocates.
     let mut dirty: HashMap<(&str, &str), bool> = HashMap::with_capacity(manifest.instances.len());
-    // Prior state is immutable for the whole diff: index it once so each
-    // deferred-attribute resolution costs O(block) instead of O(state).
-    let block_index = cloudless_state::BlockIndex::build(state);
 
     // Visit instances in dependency order (Kahn over `depends_on`) so a
     // dependency's dirtiness is decided before its dependents are diffed.
@@ -106,7 +103,7 @@ pub fn diff(
     let order = dependency_order(manifest);
     for &idx in &order {
         let inst = &manifest.instances[idx];
-        let change = plan_one(inst, state, catalog, &block_index, data, &mut |t, n| {
+        let change = plan_one(inst, state, catalog, data, &mut |t, n| {
             dirty.get(&(t, n)).copied().unwrap_or(true)
         });
         dirty.insert(
@@ -129,15 +126,13 @@ pub fn plan_one(
     inst: &Arc<ResourceInstance>,
     state: &Snapshot,
     catalog: &Catalog,
-    block_index: &cloudless_state::BlockIndex,
     data: &dyn Resolver,
     dep_dirty: &mut dyn FnMut(&str, &str) -> bool,
 ) -> PlannedChange {
     let prior = state.get(&inst.addr);
     let resolver = StateResolver::new(state)
         .in_module(&inst.addr.module_path)
-        .with_data(data)
-        .with_index(block_index);
+        .with_data(data);
     // Try to finalize deferred attributes against *prior* state; if the
     // referenced block is dirty or unknown, the attr stays unknown.
     let mut planned = inst.attrs.clone();

@@ -38,7 +38,7 @@ use cloudless_graph::critical::CriticalPathAnalysis;
 use cloudless_graph::NodeId;
 use cloudless_hcl::eval::{eval, Resolver};
 use cloudless_obs::{Event, NullRecorder, Recorder, SpanId};
-use cloudless_state::{BlockIndex, DeployedResource, Snapshot};
+use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{
     Attrs, Provider, Region, ResourceAddr, ResourceId, SimDuration, SimTime, Value,
 };
@@ -364,8 +364,9 @@ impl<'a> Executor<'a> {
         self.run(plan, cloud, state, &prior.completed_addrs())
     }
 
-    /// Like [`Executor::resume`] but from a bare completed-address set —
-    /// e.g. a checkpoint persisted across process restarts.
+    /// Like [`Executor::resume`] but from a bare completed-address set.
+    /// Only for re-running the same [`Plan`]: a fresh plan against the
+    /// state a failed apply left already holds just the unfinished nodes.
     pub fn resume_from(
         &self,
         plan: &Plan,
@@ -385,12 +386,6 @@ impl<'a> Executor<'a> {
     ) -> ApplyReport {
         let started_at = cloud.now();
         let n = plan.graph.len();
-
-        // Block-level index over the live state, kept in sync with every
-        // snapshot mutation below. Without it each deferred-reference
-        // finalization scans the whole snapshot — O(state) per node, i.e.
-        // quadratic over the apply.
-        let mut block_index = BlockIndex::build(state);
 
         // CPM priorities for the critical-path strategies, flattened into
         // one static key per node so the ready heap can order on it.
@@ -531,7 +526,7 @@ impl<'a> Executor<'a> {
                     break;
                 }
                 run.backoffs.remove(&(t, node));
-                self.resubmit(&mut run, plan, cloud, state, &block_index, node);
+                self.resubmit(&mut run, plan, cloud, state, node);
             }
 
             // (2) Submit as many ready nodes as the strategy and the
@@ -573,7 +568,7 @@ impl<'a> Executor<'a> {
                 } else {
                     NodeState::InFlight
                 };
-                match self.build_request(next, plan, state, &block_index, cbd) {
+                match self.build_request(next, plan, state, cbd) {
                     Ok(req) => {
                         self.breaker_on_submit(&mut run, plan, next, cloud.now());
                         batch_nodes.push(next);
@@ -666,7 +661,7 @@ impl<'a> Executor<'a> {
                     // create-before-destroy: the create landed → record the
                     // new resource, then delete the old one by its saved id
                     NodeState::ReplacingCbdCreate => {
-                        self.record_success(node, plan, state, &mut block_index, outcome, at);
+                        self.record_success(node, plan, state, outcome, at);
                         match run.cbd_old.get(&node).cloned() {
                             // nothing to delete (state had no prior record)
                             None => self.complete_node(&mut run, plan, node, at),
@@ -700,15 +695,14 @@ impl<'a> Executor<'a> {
                     NodeState::Replacing => {
                         let addr = &plan.graph.node(node).change.addr;
                         state.remove(addr);
-                        block_index.remove(addr);
                         run.states[node.index()] = NodeState::InFlight;
-                        match self.submit_node(node, plan, cloud, state, &block_index, true) {
+                        match self.submit_node(node, plan, cloud, state, true) {
                             Ok(op) => self.note_submit(&mut run, plan, cloud, node, op),
                             Err(error) => self.fail_node(&mut run, plan, node, error, false, at),
                         }
                     }
                     _ => {
-                        self.record_success(node, plan, state, &mut block_index, outcome, at);
+                        self.record_success(node, plan, state, outcome, at);
                         self.complete_node(&mut run, plan, node, at);
                     }
                 },
@@ -826,7 +820,6 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         cloud: &mut Cloud,
         state: &mut Snapshot,
-        idx: &BlockIndex,
         node: NodeId,
     ) {
         let submitted = match run.states[node.index()] {
@@ -850,7 +843,7 @@ impl<'a> Executor<'a> {
                 // delete half.
                 let create_phase =
                     matches!(st, NodeState::InFlight | NodeState::ReplacingCbdCreate);
-                self.submit_node(node, plan, cloud, state, idx, create_phase)
+                self.submit_node(node, plan, cloud, state, create_phase)
             }
         };
         match submitted {
@@ -1077,10 +1070,9 @@ impl<'a> Executor<'a> {
         plan: &Plan,
         cloud: &mut Cloud,
         state: &Snapshot,
-        idx: &BlockIndex,
         create_phase: bool,
     ) -> Result<OpId, CloudError> {
-        let req = self.build_request(node, plan, state, idx, create_phase)?;
+        let req = self.build_request(node, plan, state, create_phase)?;
         cloud
             .submit(req)
             .map_err(|e| CloudError::constraint("ApiRejected", e.to_string()))
@@ -1093,7 +1085,6 @@ impl<'a> Executor<'a> {
         node: NodeId,
         plan: &Plan,
         state: &Snapshot,
-        idx: &BlockIndex,
         create_phase: bool,
     ) -> Result<ApiRequest, CloudError> {
         let pn = plan.graph.node(node);
@@ -1109,7 +1100,7 @@ impl<'a> Executor<'a> {
                 ApiOp::Delete { id: rec.id.clone() }
             }
             (Action::Create, _) | (Action::Replace { .. }, true) => {
-                let attrs = self.finalize_attrs(pn, state, idx, &[])?;
+                let attrs = self.finalize_attrs(pn, state, &[])?;
                 ApiOp::Create {
                     rtype: addr.rtype.clone(),
                     region: self.region_for(pn),
@@ -1123,7 +1114,7 @@ impl<'a> Executor<'a> {
                         format!("{addr} is planned for update but absent from state"),
                     )
                 })?;
-                let all = self.finalize_attrs(pn, state, idx, changed)?;
+                let all = self.finalize_attrs(pn, state, changed)?;
                 let attrs: Attrs = all
                     .into_iter()
                     .filter(|(k, _)| changed.contains(k))
@@ -1148,7 +1139,6 @@ impl<'a> Executor<'a> {
         &self,
         pn: &crate::plan::PlanNode,
         state: &Snapshot,
-        idx: &BlockIndex,
         unset: &[String],
     ) -> Result<Attrs, CloudError> {
         let Some(desired) = &pn.change.desired else {
@@ -1158,8 +1148,7 @@ impl<'a> Executor<'a> {
         if !desired.deferred.is_empty() {
             let resolver = StateResolver::new(state)
                 .in_module(&desired.addr.module_path)
-                .with_data(self.data)
-                .with_index(idx);
+                .with_data(self.data);
             let scope = desired.env.scope(&resolver);
             for d in &desired.deferred {
                 match eval(&d.expr, &scope) {
@@ -1188,7 +1177,6 @@ impl<'a> Executor<'a> {
         node: NodeId,
         plan: &Plan,
         state: &mut Snapshot,
-        idx: &mut BlockIndex,
         outcome: OpOutcome,
         at: SimTime,
     ) {
@@ -1199,22 +1187,18 @@ impl<'a> Executor<'a> {
                 let depends_on = desired
                     .map(|d| d.depends_on.iter().cloned().collect())
                     .unwrap_or_default();
-                let region = self.region_for(pn);
-                let rec = DeployedResource {
+                state.put(DeployedResource {
                     addr: pn.change.addr.clone(),
                     rtype: pn.change.addr.rtype.clone(),
                     id,
-                    region,
+                    region: self.region_for(pn),
                     attrs,
                     depends_on,
                     created_at: at,
-                };
-                idx.insert(&rec);
-                state.put(rec);
+                });
             }
             OpOutcome::Deleted { .. } => {
                 state.remove(&pn.change.addr);
-                idx.remove(&pn.change.addr);
             }
             _ => {}
         }

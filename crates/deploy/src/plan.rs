@@ -158,21 +158,6 @@ impl Plan {
         &self.addr_strs[id.index()]
     }
 
-    /// The address of a plan node.
-    pub fn addr_of(&self, id: NodeId) -> &ResourceAddr {
-        self.addrs.resolve(cloudless_types::Symbol(id.0))
-    }
-
-    /// Sum of all node estimates (the serial-execution lower bound).
-    pub fn total_work(&self) -> SimDuration {
-        let total = self
-            .graph
-            .iter()
-            .map(|(_, n)| n.estimate.millis())
-            .sum::<u64>();
-        SimDuration::from_millis(total)
-    }
-
     /// Lock scope covering every resource this plan touches (§3.4).
     pub fn lock_scope(&self) -> Vec<ResourceAddr> {
         self.addrs.iter().map(|(_, a)| a.clone()).collect()
@@ -396,11 +381,6 @@ resource "azure_resource_group" "rg" {
             .node_for(&"azure_vpn_gateway.g".parse().unwrap())
             .unwrap();
         assert_eq!(plan.graph.node(g).estimate, SimDuration::from_mins(42));
-        // total work is the sum of all three
-        assert_eq!(
-            plan.total_work().millis(),
-            SimDuration::from_mins(42).millis() + 25_000 + 6_000
-        );
     }
 
     #[test]

@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 
 use cloudless_hcl::ast::Reference;
 use cloudless_hcl::eval::Resolver;
-use cloudless_types::{Provider, ResourceAddr, ResourceKey, ResourceTypeName, Value};
+use cloudless_types::{Provider, ResourceKey, ResourceTypeName, Value};
 
-use cloudless_state::{BlockIndex, Snapshot};
+use cloudless_state::Snapshot;
 
 /// Resolver over a state snapshot, with an optional fallback for `data.*`
 /// references.
@@ -25,9 +25,6 @@ pub struct StateResolver<'a> {
     module_path: Vec<String>,
     /// Chained resolver for `data.*` (and anything not found here).
     data: Option<&'a dyn Resolver>,
-    /// Optional block index over `snapshot`. With it, a block lookup costs
-    /// O(block size); without, it scans the whole snapshot.
-    index: Option<&'a BlockIndex>,
 }
 
 impl<'a> StateResolver<'a> {
@@ -36,7 +33,6 @@ impl<'a> StateResolver<'a> {
             snapshot,
             module_path: Vec::new(),
             data: None,
-            index: None,
         }
     }
 
@@ -52,39 +48,15 @@ impl<'a> StateResolver<'a> {
         self
     }
 
-    /// Use a [`BlockIndex`] kept in sync with the snapshot. The caller is
-    /// responsible for the sync invariant; a stale index resolves stale
-    /// references.
-    pub fn with_index(mut self, index: &'a BlockIndex) -> Self {
-        self.index = Some(index);
-        self
-    }
-
     /// Build the attribute view of all instances of a `type.name` block:
     /// a single instance resolves to its attribute map; `count` instances
     /// resolve to a list ordered by index; `for_each` instances to a map.
     fn block_value(&self, rtype: &str, name: &str) -> Option<Value> {
-        let mut indexed: Vec<(&ResourceKey, Value)> = Vec::new();
-        if let Some(idx) = self.index {
-            // indexed path: only the block's own members are visited, in
-            // the same rendered-address order the scan below would produce
-            for key in idx.members(rtype, name) {
-                if let Some(r) = self.snapshot.get_str(key) {
-                    if r.addr.module_path == self.module_path {
-                        indexed.push((&r.addr.key, Value::Map(r.attrs.clone())));
-                    }
-                }
-            }
-        } else {
-            for r in self.snapshot.resources.values() {
-                if r.addr.rtype.as_str() == rtype
-                    && r.addr.name == name
-                    && r.addr.module_path == self.module_path
-                {
-                    indexed.push((&r.addr.key, Value::Map(r.attrs.clone())));
-                }
-            }
-        }
+        let mut indexed: Vec<(&ResourceKey, Value)> = self
+            .snapshot
+            .block(&self.module_path, rtype, name)
+            .map(|r| (&r.addr.key, Value::Map(r.attrs.clone())))
+            .collect();
         if indexed.is_empty() {
             return None;
         }
@@ -170,12 +142,6 @@ impl DataResolver {
         Self::default()
     }
 
-    /// Pin the effective region of a provider (mirrors `provider` blocks).
-    pub fn set_region(&mut self, p: Provider, region: impl Into<String>) -> &mut Self {
-        self.regions.insert(p, region.into());
-        self
-    }
-
     /// Register a custom data-source value under a dotted prefix.
     pub fn insert(&mut self, dotted_prefix: impl Into<String>, v: Value) -> &mut Self {
         self.extra.insert(dotted_prefix.into(), v);
@@ -235,34 +201,12 @@ impl Resolver for DataResolver {
     }
 }
 
-/// Resolve a resource [`Reference`] to the [`ResourceAddr`]s it targets,
-/// given the desired-state instance list (used for dependency-edge and
-/// lock-scope computation).
-pub fn reference_targets(
-    reference: &Reference,
-    addrs: &[ResourceAddr],
-    module_path: &[String],
-) -> Vec<ResourceAddr> {
-    if reference.parts.len() < 2 {
-        return Vec::new();
-    }
-    addrs
-        .iter()
-        .filter(|a| {
-            a.rtype.as_str() == reference.parts[0]
-                && a.name == reference.parts[1]
-                && a.module_path == module_path
-        })
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloudless_state::DeployedResource;
     use cloudless_types::value::attrs;
-    use cloudless_types::{Region, ResourceId, SimTime};
+    use cloudless_types::{Region, ResourceAddr, ResourceId, SimTime};
 
     fn deployed(addr: &str, id: &str, extra: Vec<(&str, Value)>) -> DeployedResource {
         let addr: ResourceAddr = addr.parse().unwrap();
@@ -344,37 +288,79 @@ mod tests {
         );
     }
 
+    /// Every `id` leaf of a resolved block value, sorted.
+    fn ids(v: &Value) -> Vec<String> {
+        let mut out: Vec<String> = match v {
+            Value::List(items) => items.iter().flat_map(ids).collect(),
+            Value::Map(m) => match m.get("id") {
+                Some(Value::Str(id)) => vec![id.clone()],
+                _ => m.values().flat_map(ids).collect(),
+            },
+            _ => Vec::new(),
+        };
+        out.sort();
+        out
+    }
+
     #[test]
-    fn indexed_resolution_matches_scan() {
+    fn block_resolution_matches_a_whole_snapshot_scan() {
+        // sibling names extending one another, every key shape, and the
+        // same block in the root and in nested modules: each must resolve
+        // to exactly the members a filter over the whole map finds
         let mut snap = Snapshot::new();
-        snap.put(deployed("aws_subnet.s[1]", "sn-1", vec![]));
-        snap.put(deployed("aws_subnet.s[0]", "sn-0", vec![]));
-        snap.put(deployed("aws_vm.web[\"eu\"]", "vm-eu", vec![]));
-        snap.put(deployed("aws_vm.web[\"us\"]", "vm-us", vec![]));
-        snap.put(deployed("aws_vpc.v", "vpc-1", vec![]));
-        snap.put(deployed("module.net.aws_vpc.v", "vpc-mod", vec![]));
-        let idx = cloudless_state::BlockIndex::build(&snap);
-        for parts in [
-            vec!["aws_subnet", "s"],
-            vec!["aws_vm", "web"],
-            vec!["aws_vpc", "v", "id"],
-            vec!["aws_vpc", "ghost"],
-        ] {
-            let scanned = StateResolver::new(&snap).resolve(&r(&parts)).unwrap();
-            let indexed = StateResolver::new(&snap)
-                .with_index(&idx)
-                .resolve(&r(&parts))
-                .unwrap();
-            assert_eq!(indexed, scanned, "mismatch for {parts:?}");
+        for (i, addr) in [
+            "aws_vm.web",
+            "aws_vm.web2[0]",
+            "aws_vm.web2[1]",
+            "aws_vm.web2[10]",
+            "aws_vm.web_a[\"eu\"]",
+            "aws_vm.web_a[\"us\"]",
+            "aws_vm.web-a",
+            "aws_vm_pool.web[0]",
+            "module.net.aws_vm.web[0]",
+            "module.net.aws_vm.web[1]",
+            "module.net.module.inner.aws_vm.web",
+            "module.net2.aws_vm.web",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            snap.put(deployed(addr, &format!("id-{i}"), vec![]));
         }
-        // module scoping works through the index too
-        let inside = StateResolver::new(&snap)
-            .with_index(&idx)
-            .in_module(&["net".to_owned()]);
-        assert_eq!(
-            inside.resolve(&r(&["aws_vpc", "v", "id"])).unwrap(),
-            Some(Value::from("vpc-mod"))
-        );
+        let net = vec!["net".to_owned()];
+        let inner = vec!["net".to_owned(), "inner".to_owned()];
+        let mut resolved_members = 0;
+        for module in [vec![], net, inner, vec!["net2".to_owned()]] {
+            for rtype in ["aws_vm", "aws_vm_pool"] {
+                for name in ["web", "web2", "web_a", "web-a", "ghost"] {
+                    let mut scanned: Vec<String> = snap
+                        .resources
+                        .values()
+                        .filter(|d| {
+                            d.addr.module_path == module
+                                && d.addr.rtype.as_str() == rtype
+                                && d.addr.name == name
+                        })
+                        .map(|d| d.id.as_str().to_owned())
+                        .collect();
+                    scanned.sort();
+                    let resolver = StateResolver::new(&snap).in_module(&module);
+                    let resolved = resolver.resolve(&r(&[rtype, name])).unwrap();
+                    assert_eq!(resolved.is_some(), !scanned.is_empty());
+                    let resolved = resolved.as_ref().map(ids).unwrap_or_default();
+                    assert_eq!(resolved, scanned, "{module:?} {rtype}.{name}");
+                    resolved_members += resolved.len();
+                }
+            }
+        }
+        assert_eq!(resolved_members, snap.len(), "every member is somebody's");
+        // count instances come back in index order, not key order
+        let v = StateResolver::new(&snap).resolve(&r(&["aws_vm", "web2"]));
+        let ordered: Vec<_> = (v.unwrap().unwrap().as_list().unwrap().iter())
+            .map(|m| m.get("id").cloned().unwrap())
+            .collect();
+        let expected = ["id-1", "id-2", "id-3"].map(Value::from);
+        assert_eq!(ordered, expected);
     }
 
     #[test]
@@ -384,12 +370,6 @@ mod tests {
             d.resolve(&r(&["data", "aws_region", "current", "name"]))
                 .unwrap(),
             Some(Value::from("us-east-1"))
-        );
-        d.set_region(Provider::Aws, "eu-west-1");
-        assert_eq!(
-            d.resolve(&r(&["data", "aws_region", "current", "name"]))
-                .unwrap(),
-            Some(Value::from("eu-west-1"))
         );
         assert!(d.resolve(&r(&["data", "aws_ami", "ubuntu", "id"])).is_err());
         d.insert(
@@ -419,20 +399,5 @@ mod tests {
             res.resolve(&r(&["aws_vpc", "v", "id"])).unwrap(),
             Some(Value::from("vpc-1"))
         );
-    }
-
-    #[test]
-    fn reference_target_lookup() {
-        let addrs: Vec<ResourceAddr> = vec![
-            "aws_subnet.s[0]".parse().unwrap(),
-            "aws_subnet.s[1]".parse().unwrap(),
-            "aws_vpc.v".parse().unwrap(),
-        ];
-        let t = reference_targets(&r(&["aws_subnet", "s", "id"]), &addrs, &[]);
-        assert_eq!(t.len(), 2);
-        let t = reference_targets(&r(&["aws_vpc", "v"]), &addrs, &[]);
-        assert_eq!(t.len(), 1);
-        let t = reference_targets(&r(&["aws_vpc", "v"]), &addrs, &["m".to_owned()]);
-        assert!(t.is_empty());
     }
 }

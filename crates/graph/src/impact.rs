@@ -69,11 +69,6 @@ impl ImpactScope {
     pub fn touched(&self) -> usize {
         self.replan.len() + self.reread.len()
     }
-
-    /// Whether `n` is entirely unaffected.
-    pub fn is_untouched(&self, n: NodeId) -> bool {
-        !self.replan.contains(&n) && !self.reread.contains(&n)
-    }
 }
 
 fn collect_marked(marks: &[bool]) -> BTreeSet<NodeId> {
@@ -136,41 +131,35 @@ mod tests {
 
     #[test]
     fn change_leaf_touches_only_leaf_and_parent() {
-        let (g, [_, _, nic, vm, _, bucket]) = infra();
+        let (g, [_, _, nic, vm, ..]) = infra();
         let scope = ImpactScope::compute(&g, [vm]);
         assert_eq!(scope.replan, BTreeSet::from([vm]));
         assert_eq!(scope.reread, BTreeSet::from([nic]));
-        assert!(scope.is_untouched(bucket));
         assert_eq!(scope.touched(), 2);
     }
 
     #[test]
     fn change_mid_node_cascades_to_descendants() {
-        let (g, [vpc, subnet, nic, vm, db, bucket]) = infra();
+        let (g, [vpc, subnet, nic, vm, db, _]) = infra();
         let scope = ImpactScope::compute(&g, [subnet]);
         assert_eq!(scope.replan, BTreeSet::from([subnet, nic, vm, db]));
         assert_eq!(scope.reread, BTreeSet::from([vpc]));
-        assert!(scope.is_untouched(bucket));
     }
 
     #[test]
     fn isolated_change_is_isolated() {
-        let (g, [vpc, subnet, nic, vm, db, bucket]) = infra();
+        let (g, [.., bucket]) = infra();
         let scope = ImpactScope::compute(&g, [bucket]);
         assert_eq!(scope.replan, BTreeSet::from([bucket]));
         assert!(scope.reread.is_empty());
-        for n in [vpc, subnet, nic, vm, db] {
-            assert!(scope.is_untouched(n));
-        }
     }
 
     #[test]
     fn multiple_changes_union() {
-        let (g, [_, _, nic, vm, db, bucket]) = infra();
+        let (g, [_, subnet, _, _, db, bucket]) = infra();
         let scope = ImpactScope::compute(&g, [db, bucket]);
         assert_eq!(scope.replan, BTreeSet::from([db, bucket]));
-        assert!(scope.is_untouched(vm));
-        assert!(scope.is_untouched(nic));
+        assert_eq!(scope.reread, BTreeSet::from([subnet]));
     }
 
     #[test]

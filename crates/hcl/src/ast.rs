@@ -19,13 +19,6 @@ pub struct File {
     pub blocks: Vec<Block>,
 }
 
-impl File {
-    /// All top-level blocks of a given kind (`"resource"`, `"variable"`…).
-    pub fn blocks_of<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Block> + 'a {
-        self.blocks.iter().filter(move |b| b.kind == kind)
-    }
-}
-
 /// A block: `kind "label0" "label1" { body }`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {

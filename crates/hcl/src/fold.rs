@@ -38,10 +38,6 @@ impl Folded {
             Folded::Unknown => None,
         }
     }
-
-    pub fn is_known(&self) -> bool {
-        matches!(self, Folded::Known(_))
-    }
 }
 
 /// Fold `expr` as far as the scope allows. Errors other than deferral

@@ -78,11 +78,6 @@ fn want_map<'a>(
     })
 }
 
-/// Whether `name` names a built-in function.
-pub fn is_builtin(name: &str) -> bool {
-    BUILTINS.contains(&name)
-}
-
 /// All built-in function names (used by validation and code completion).
 pub const BUILTINS: &[&str] = &[
     "abs",
@@ -767,8 +762,6 @@ mod tests {
     #[test]
     fn unknown_function() {
         assert!(call("no_such_fn", &[]).is_err());
-        assert!(!is_builtin("no_such_fn"));
-        assert!(is_builtin("cidrsubnet"));
     }
 
     #[test]

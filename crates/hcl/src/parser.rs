@@ -863,7 +863,7 @@ resource "aws_virtual_machine" "vm1" {
     }
 
     #[test]
-    fn reference_with_index_and_attr() {
+    fn reference_indexed_then_attr() {
         let e = parse_expr("aws_subnet.s[0].id", "t").unwrap();
         match e {
             Expr::GetAttr(base, attr, _) => {

@@ -493,18 +493,6 @@ impl ResourceInstance {
     pub fn rtype(&self) -> ResourceTypeName {
         self.addr.rtype.clone()
     }
-
-    /// Names of all attributes (known + deferred), deterministic order.
-    pub fn attr_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .attrs
-            .keys()
-            .map(String::as_str)
-            .chain(self.deferred.iter().map(|d| d.name.as_str()))
-            .collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 /// A program output after expansion: either fully known or deferred.
@@ -514,6 +502,9 @@ pub enum OutputValue {
     Deferred {
         expr: Expr,
         env: EvalEnv,
+        /// The module that declares the output: its references resolve
+        /// among that module's resources.
+        module_path: Vec<String>,
         span: Span,
     },
 }
@@ -1112,6 +1103,7 @@ fn expand_into(
                             count_index: None,
                             each: None,
                         },
+                        module_path: module_path.to_vec(),
                         span: o.span,
                     },
                 );

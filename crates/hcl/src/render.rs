@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ast::{Attribute, BinOp, Block, Expr, File, MapKey, TemplatePart, UnaryOp};
+use crate::ast::{BinOp, Block, Expr, File, MapKey, TemplatePart, UnaryOp};
 
 /// Render a whole file.
 pub fn render_file(file: &File) -> String {
@@ -63,11 +63,6 @@ fn render_body(block: &Block, indent: usize, out: &mut String) {
         }
         render_block(b, indent + 1, out);
     }
-}
-
-/// Render an attribute alone (used in diffs and suggestions).
-pub fn render_attr(attr: &Attribute) -> String {
-    format!("{} = {}", attr.name, render_expr(&attr.value))
 }
 
 /// Render an expression.

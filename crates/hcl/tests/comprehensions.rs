@@ -95,7 +95,7 @@ fn for_list_maps_and_filters() {
 }
 
 #[test]
-fn for_list_with_index_variable() {
+fn for_list_binds_index_and_value() {
     let v = eval_with(
         r#"[for i, s in var.names : "${i}-${s}"]"#,
         vars(vec![("names", Value::from(vec!["a", "b"]))]),

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 
 use cloudless_hcl::program::Manifest;
-use cloudless_state::Snapshot;
 
 /// Monthly USD per resource type.
 #[derive(Debug, Clone)]
@@ -79,27 +78,12 @@ impl CostModel {
         self.rates.get(rtype).copied().unwrap_or(self.default_rate)
     }
 
-    /// Override a rate.
-    pub fn set_rate(&mut self, rtype: &str, monthly: f64) -> &mut Self {
-        self.rates.insert(rtype.to_owned(), monthly);
-        self
-    }
-
     /// Estimated monthly cost of a desired manifest.
     pub fn manifest_monthly(&self, manifest: &Manifest) -> f64 {
         manifest
             .instances
             .iter()
             .map(|i| self.rate(i.addr.rtype.as_str()))
-            .sum()
-    }
-
-    /// Estimated monthly cost of a deployed state.
-    pub fn state_monthly(&self, state: &Snapshot) -> f64 {
-        state
-            .resources
-            .values()
-            .map(|r| self.rate(r.rtype.as_str()))
             .sum()
     }
 }
@@ -123,13 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn rates_and_overrides() {
-        let mut model = CostModel::new();
+    fn rates_and_the_default() {
+        let model = CostModel::new();
         assert_eq!(model.rate("aws_vpc"), 0.0);
         assert_eq!(model.rate("azure_vpn_gateway"), 150.0);
         assert_eq!(model.rate("unknown_type"), 10.0);
-        model.set_rate("unknown_type", 99.0);
-        assert_eq!(model.rate("unknown_type"), 99.0);
     }
 
     #[test]

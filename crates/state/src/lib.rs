@@ -29,11 +29,10 @@
 //! * [`fsck`] — offline integrity verification (checksums, content
 //!   addresses, undo-chain consistency, checkpoint reachability).
 //! * [`migrate`] — one-shot migration from the legacy full-JSON layout.
-//! * [`lock`] — the lock manager, with both the baseline **global lock**
-//!   (what Terraform does today: "existing tools simply lock the entire
-//!   cloud infrastructure for modifications at any scale") and the
-//!   cloudless **per-resource lock manager** that experiment E3 compares it
-//!   against.
+//! * [`lock`] — the cloudless **per-resource lock manager** (the global
+//!   lock experiment E3 compares it against — "existing tools simply lock
+//!   the entire cloud infrastructure for modifications at any scale" —
+//!   lives with the experiment).
 //!
 //! ## Observability
 //!
@@ -44,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod block_index;
 pub mod cas;
 pub mod compact;
 pub mod fsck;
@@ -55,15 +53,11 @@ pub mod migrate;
 pub mod snapshot;
 pub mod store;
 
-pub use block_index::BlockIndex;
 pub use cas::ContentHash;
 pub use compact::CompactReport;
 pub use fsck::{fsck_bytes, fsck_file, FsckReport};
 pub use history::HistoryView;
-pub use lock::{
-    FairResourceLockManager, GlobalLock, LockGuard, LockManager, LockScope, ObservedLockManager,
-    ResourceLockManager,
-};
+pub use lock::{LockGuard, LockManager, LockScope, ObservedLockManager, ResourceLockManager};
 pub use log::{LogDevice, MemDevice, StoreError, VersionRecord};
 pub use migrate::{migrate_dir, LegacyHistoryEntry, MigrateReport};
 pub use snapshot::{DeployedResource, Snapshot};

@@ -1,4 +1,4 @@
-//! The lock manager: global (baseline) vs. per-resource (cloudless).
+//! The lock manager: per-resource locks (cloudless).
 //!
 //! §3.4: "Existing tools simply lock the entire cloud infrastructure for
 //! modifications at any scale, restricting the potential for parallel
@@ -8,11 +8,12 @@
 //! other resources without having to wait for all concurrent updates to
 //! settle."
 //!
-//! [`GlobalLock`] models today's Terraform state lock; [`ResourceLockManager`]
-//! is the cloudless design. Both implement [`LockManager`], so experiment E3
-//! swaps them under identical workloads. These are real thread
-//! synchronization primitives (`parking_lot`), not simulations — the
-//! concurrency experiments run on actual OS threads.
+//! [`ResourceLockManager`] is the cloudless design. The baselines it is
+//! measured against (today's Terraform-style global lock, a fair variant)
+//! live with experiment E3 in `cloudless-bench` and implement the same
+//! [`LockManager`], so E3 swaps them under identical workloads. These are
+//! real thread synchronization primitives (`parking_lot`), not simulations
+//! — the concurrency experiments run on actual OS threads.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +58,8 @@ pub struct LockGuard {
 }
 
 impl LockGuard {
-    fn new(release: impl FnOnce() + Send + 'static) -> Self {
+    /// A guard that runs `release` when dropped.
+    pub fn new(release: impl FnOnce() + Send + 'static) -> Self {
         LockGuard {
             release: Some(Box::new(release)),
         }
@@ -81,7 +83,7 @@ pub struct LockStats {
     pub contended: u64,
 }
 
-/// Common interface of the two lock designs.
+/// Common interface of the lock designs.
 pub trait LockManager: Send + Sync {
     /// Block until the scope can be held; returns the guard.
     fn acquire(&self, scope: LockScope) -> LockGuard;
@@ -94,72 +96,6 @@ pub trait LockManager: Send + Sync {
 
     /// Contention statistics so far.
     fn stats(&self) -> LockStats;
-}
-
-// ---------------------------------------------------------------------------
-// Global lock (baseline)
-// ---------------------------------------------------------------------------
-
-/// Terraform-style whole-infrastructure lock: every update serializes,
-/// regardless of what it touches.
-#[derive(Default)]
-pub struct GlobalLock {
-    held: Mutex<bool>,
-    cv: Condvar,
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-}
-
-impl GlobalLock {
-    pub fn new() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(GlobalLock::default())
-    }
-}
-
-impl LockManager for std::sync::Arc<GlobalLock> {
-    fn acquire(&self, _scope: LockScope) -> LockGuard {
-        let mut held = self.held.lock();
-        if *held {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            while *held {
-                self.cv.wait(&mut held);
-            }
-        }
-        *held = true;
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let me = self.clone();
-        LockGuard::new(move || {
-            let mut held = me.held.lock();
-            *held = false;
-            me.cv.notify_all();
-        })
-    }
-
-    fn try_acquire(&self, _scope: LockScope) -> Option<LockGuard> {
-        let mut held = self.held.lock();
-        if *held {
-            return None;
-        }
-        *held = true;
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let me = self.clone();
-        Some(LockGuard::new(move || {
-            let mut held = me.held.lock();
-            *held = false;
-            me.cv.notify_all();
-        }))
-    }
-
-    fn name(&self) -> &'static str {
-        "global-lock"
-    }
-
-    fn stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,111 +214,6 @@ impl LockManager for std::sync::Arc<ResourceLockManager> {
 }
 
 // ---------------------------------------------------------------------------
-// Fair per-resource lock manager (scheduling-strategy ablation, §3.4)
-// ---------------------------------------------------------------------------
-
-/// Like [`ResourceLockManager`], but *fair*: requests are admitted in
-/// arrival order, and a later request may not overtake an earlier one it
-/// conflicts with — bounding wait times at some throughput cost
-/// ("different lock scheduling strategies can be developed for different
-/// update goals", §3.4). A later *disjoint* request may still proceed.
-#[derive(Default)]
-pub struct FairResourceLockManager {
-    state: Mutex<FairState>,
-    cv: Condvar,
-    acquisitions: AtomicU64,
-    contended: AtomicU64,
-}
-
-#[derive(Default)]
-struct FairState {
-    held: ResourceLockState,
-    /// Tickets of requests currently waiting, in arrival order.
-    queue: Vec<(u64, LockScope)>,
-    next_ticket: u64,
-}
-
-impl FairState {
-    /// May `ticket` (already in the queue) be admitted now? It must not
-    /// conflict with held locks nor with any *earlier* queued request.
-    fn may_admit(&self, ticket: u64, scope: &LockScope) -> bool {
-        if !self.held.can_admit(scope) {
-            return false;
-        }
-        self.queue
-            .iter()
-            .filter(|(t, _)| *t < ticket)
-            .all(|(_, earlier)| !earlier.conflicts(scope))
-    }
-}
-
-impl FairResourceLockManager {
-    pub fn new() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(FairResourceLockManager::default())
-    }
-}
-
-impl LockManager for std::sync::Arc<FairResourceLockManager> {
-    fn acquire(&self, scope: LockScope) -> LockGuard {
-        let mut st = self.state.lock();
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push((ticket, scope.clone()));
-        if !st.may_admit(ticket, &scope) {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            while !st.may_admit(ticket, &scope) {
-                self.cv.wait(&mut st);
-            }
-        }
-        st.queue.retain(|(t, _)| *t != ticket);
-        st.held.admit(&scope);
-        drop(st);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        // waking others: removing ourselves from the queue may unblock
-        // disjoint later requests
-        self.cv.notify_all();
-        let me = self.clone();
-        LockGuard::new(move || {
-            let mut st = me.state.lock();
-            st.held.release(&scope);
-            drop(st);
-            me.cv.notify_all();
-        })
-    }
-
-    fn try_acquire(&self, scope: LockScope) -> Option<LockGuard> {
-        let mut st = self.state.lock();
-        // fairness: refuse if any waiter conflicts, even if the resources
-        // themselves are free
-        let next = st.next_ticket;
-        if !st.may_admit(next, &scope) {
-            return None;
-        }
-        st.held.admit(&scope);
-        drop(st);
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let me = self.clone();
-        Some(LockGuard::new(move || {
-            let mut st = me.state.lock();
-            st.held.release(&scope);
-            drop(st);
-            me.cv.notify_all();
-        }))
-    }
-
-    fn name(&self) -> &'static str {
-        "fair-resource-lock"
-    }
-
-    fn stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: self.contended.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Observed lock manager (obs instrumentation)
 // ---------------------------------------------------------------------------
 
@@ -484,16 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn global_lock_serializes_everything() {
-        let m = GlobalLock::new();
-        let g = m.try_acquire(scope(&["aws_vpc.a"])).expect("free");
-        // even a disjoint scope is blocked
-        assert!(m.try_acquire(scope(&["aws_vm.z"])).is_none());
-        drop(g);
-        assert!(m.try_acquire(scope(&["aws_vm.z"])).is_some());
-    }
-
-    #[test]
     fn resource_lock_allows_disjoint() {
         let m = ResourceLockManager::new();
         let g1 = m.try_acquire(scope(&["aws_vpc.a"])).expect("free");
@@ -542,52 +363,6 @@ mod tests {
         t.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(m.stats().contended, 1);
-    }
-
-    #[test]
-    fn fair_lock_preserves_arrival_order_on_conflicts() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        let m = FairResourceLockManager::new();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let g = m.acquire(scope(&["aws_vpc.hot"]));
-        let started = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..4 {
-            let m2 = m.clone();
-            let order = order.clone();
-            let started = started.clone();
-            handles.push(std::thread::spawn(move || {
-                // serialize arrival order
-                while started.load(Ordering::SeqCst) != i {
-                    std::thread::yield_now();
-                }
-                started.fetch_add(1, Ordering::SeqCst);
-                // give the ticket time to enqueue before the next arrival
-                let _g = m2.acquire(scope(&["aws_vpc.hot"]));
-                order.lock().push(i);
-            }));
-            // wait until thread i has actually queued (its ticket taken)
-            while m.state.lock().queue.len() != i + 1 {
-                std::thread::yield_now();
-            }
-        }
-        drop(g);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3], "FIFO admission");
-    }
-
-    #[test]
-    fn fair_lock_admits_disjoint_despite_waiters() {
-        let m = FairResourceLockManager::new();
-        let g = m.try_acquire(scope(&["aws_vpc.hot"])).expect("free");
-        // a disjoint scope goes through even while hot is held
-        let d = m.try_acquire(scope(&["aws_vm.cold"])).expect("disjoint ok");
-        drop(d);
-        drop(g);
-        assert_eq!(m.stats().acquisitions, 2);
     }
 
     #[test]

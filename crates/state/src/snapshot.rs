@@ -69,6 +69,24 @@ impl Snapshot {
         self.resources.get(key)
     }
 
+    /// Every instance of the `rtype.name` block declared under
+    /// `module_path`, in rendered-address order: the bare address, then its
+    /// `count` / `for_each` instances. Keys sort by rendered address, so the
+    /// block is one probe plus the contiguous `…[` key range.
+    pub fn block(
+        &self,
+        module_path: &[String],
+        rtype: &str,
+        name: &str,
+    ) -> impl Iterator<Item = &DeployedResource> {
+        let modules: String = module_path.iter().map(|m| format!("module.{m}.")).collect();
+        let bare = format!("{modules}{rtype}.{name}");
+        // '\\' is the successor of '[': the range is every key extending `bare[`
+        let keyed = format!("{bare}[")..format!("{bare}\\");
+        let keyed = self.resources.range(keyed).map(|(_, r)| r);
+        self.resources.get(&bare).into_iter().chain(keyed)
+    }
+
     /// Look up by cloud id.
     pub fn by_id(&self, id: &ResourceId) -> Option<&DeployedResource> {
         self.resources.values().find(|r| &r.id == id)

@@ -88,14 +88,6 @@ impl Value {
         }
     }
 
-    /// Borrow as `bool` if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrow as `f64` if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
@@ -154,13 +146,6 @@ impl Value {
             Value::Str(s) => s.clone(),
             other => other.to_string(),
         }
-    }
-
-    /// Structural equality that treats `Num(1.0)` and `Num(1)` identically
-    /// (they already are, since both are `f64`) and compares lists/maps
-    /// element-wise. Provided for symmetry with `PartialEq`; `==` is fine.
-    pub fn structurally_equals(&self, other: &Value) -> bool {
-        self == other
     }
 
     /// Deep size: the number of scalar leaves in this value, used by the
