@@ -196,17 +196,19 @@ impl LintReport {
                 .collect(),
         }];
         // The vendored serde derive has no field-level rename, and
-        // `$schema` is not a legal Rust identifier — assemble the
-        // top-level object by hand.
-        let doc = serde::Json::Obj(vec![
-            (
-                "$schema".to_owned(),
-                serde::Json::Str("https://json.schemastore.org/sarif-2.1.0.json".to_owned()),
-            ),
-            ("version".to_owned(), serde::Json::Str("2.1.0".to_owned())),
-            ("runs".to_owned(), runs.ser()),
-        ]);
-        serde_json::to_string_pretty(&doc).expect("sarif serializes")
+        // `$schema` is not a legal Rust identifier — write the top-level
+        // object by hand.
+        let mut out = String::new();
+        let mut w = serde::Writer::pretty(&mut out);
+        w.begin_obj();
+        w.key(true, "$schema");
+        "https://json.schemastore.org/sarif-2.1.0.json".ser(&mut w);
+        w.key(false, "version");
+        "2.1.0".ser(&mut w);
+        w.key(false, "runs");
+        runs.ser(&mut w);
+        w.end_obj(false);
+        out
     }
 }
 

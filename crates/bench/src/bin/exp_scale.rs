@@ -79,6 +79,13 @@ fn main() -> ExitCode {
         let pr = read_report(&pr_path);
         // stages faster than 5ms in the baseline are timer noise, not signal
         let mut regressions = e14_scale::regressions(&base, &pr, tolerance, 5.0);
+        // E17's session I/O (log open, snapshot export), same tolerance
+        regressions.extend(e17_state::regressions(
+            &base.state,
+            &pr.state,
+            tolerance,
+            5.0,
+        ));
         // absolute floor: incremental replans must beat the full front end
         // by 10x at 10k and 25x at 100k, independent of the baseline
         regressions.extend(e16_replan::speedup_gates(&pr.replan));

@@ -25,9 +25,12 @@
 //! Like E14/E16, E17 is excluded from `exp all` and the experiment
 //! snapshot: wall-clock numbers are machine-dependent.
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cloudless::state::{CommitMeta, DeployedResource, LogStore, Snapshot, StateDelta};
+use cloudless::state::{
+    CommitMeta, DeployedResource, LogDevice, LogStore, Snapshot, StateDelta, StoreError,
+};
 use cloudless::types::{ResourceId, SimTime, Value};
 use serde::{Deserialize, Serialize};
 
@@ -60,6 +63,15 @@ pub struct StatePoint {
     pub legacy_diff_ms: f64,
     /// Legacy: full snapshot JSON size, the old per-version disk cost.
     pub legacy_bytes_per_version: f64,
+    /// Session open: `LogStore::open_device` over the finished log (scan,
+    /// replay, materialize the live world). 0 in reports that predate it.
+    #[serde(default)]
+    pub open_ms: f64,
+    /// Session save: `Snapshot::to_json` of the live world, the
+    /// `state.json` mirror every apply rewrites. 0 in reports that predate
+    /// it.
+    #[serde(default)]
+    pub export_ms: f64,
 }
 
 impl StatePoint {
@@ -91,6 +103,38 @@ fn ratio(legacy: f64, log: f64) -> f64 {
 
 fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// A memory device whose bytes outlive the store appending to them, so the
+/// finished log can be opened a second time.
+#[derive(Clone, Default)]
+struct SharedLog(Arc<Mutex<Vec<u8>>>);
+
+impl SharedLog {
+    fn bytes(&self) -> std::sync::MutexGuard<'_, Vec<u8>> {
+        self.0.lock().expect("no holder of the log bytes panics")
+    }
+}
+
+impl LogDevice for SharedLog {
+    fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
+        Ok(self.bytes().clone())
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.bytes().extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+        self.bytes().truncate(len as usize);
+        Ok(())
+    }
+
+    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        *self.bytes() = bytes.to_vec();
+        Ok(())
+    }
 }
 
 /// Synthetic resource `i` at revision `rev`. Revisions change one
@@ -159,7 +203,8 @@ fn changed_between<'a>(
 /// comparators.
 pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoint {
     assert!(versions >= 10, "diff window needs at least 10 versions");
-    let mut store = LogStore::in_memory();
+    let log = SharedLog::default();
+    let (mut store, _) = LogStore::open_device(Box::new(log.clone())).expect("empty log opens");
     let mut world = Snapshot::new();
     for i in 0..n {
         world.put(resource(i, 0));
@@ -238,6 +283,24 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
         (ms(t), changed)
     });
     assert!(legacy_changed >= delta, "legacy diff must see the deltas");
+    drop((old_world, new_world, restored, json));
+
+    // ---- session I/O: what every process pays around its one commit
+    let head = store.current().clone();
+    drop(store);
+    let (open_ms, reopened) = sample_min(3, || {
+        let t = Instant::now();
+        let (store, recovery) = LogStore::open_device(Box::new(log.clone())).expect("log reopens");
+        assert_eq!(recovery.torn_bytes_dropped, 0);
+        (ms(t), store)
+    });
+    assert_eq!(reopened.current(), &head, "reopen replays to the head");
+    drop(head);
+    let (export_ms, _) = sample_min(3, || {
+        let t = Instant::now();
+        let json = reopened.current().to_json();
+        (ms(t), json.len())
+    });
 
     StatePoint {
         workload: name.to_owned(),
@@ -252,6 +315,8 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
         legacy_rollback_ms,
         legacy_diff_ms,
         legacy_bytes_per_version,
+        open_ms,
+        export_ms,
     }
 }
 
@@ -286,6 +351,8 @@ pub fn render(points: &[StatePoint]) -> String {
             "rollback",
             "diff",
             "bytes/version",
+            "open",
+            "export",
         ],
     );
     for p in points {
@@ -317,9 +384,43 @@ pub fn render(points: &[StatePoint]) -> String {
                 p.legacy_bytes_per_version,
                 p.bytes_ratio()
             ),
+            format!("{:.1}ms", p.open_ms),
+            format!("{:.1}ms", p.export_ms),
         ]);
     }
     t.render()
+}
+
+/// Session-I/O regressions of `pr` against `baseline`: `open_ms` and
+/// `export_ms` more than `tolerance` slower on the same workload. A
+/// baseline value under `floor_ms` is skipped — timer noise, or a report
+/// that predates the field.
+pub fn regressions(
+    baseline: &[StatePoint],
+    pr: &[StatePoint],
+    tolerance: f64,
+    floor_ms: f64,
+) -> Vec<String> {
+    let mut out = Vec::new();
+    for b in baseline {
+        let Some(p) = pr.iter().find(|p| p.workload == b.workload) else {
+            continue;
+        };
+        for (stage, base, new) in [
+            ("open", b.open_ms, p.open_ms),
+            ("export", b.export_ms, p.export_ms),
+        ] {
+            if base >= floor_ms && new > base * (1.0 + tolerance) {
+                out.push(format!(
+                    "{} / {stage}: {new:.1}ms vs baseline {base:.1}ms (+{:.0}%, tolerance {:.0}%)",
+                    b.workload,
+                    (new / base - 1.0) * 100.0,
+                    tolerance * 100.0,
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// Absolute floors `scripts/check_bench.sh` enforces on the candidate
@@ -377,6 +478,7 @@ mod tests {
         assert_eq!(point.resources, 200);
         assert_eq!(point.versions, 20);
         assert!(point.commit_ms > 0.0 && point.legacy_commit_ms > 0.0);
+        assert!(point.open_ms > 0.0 && point.export_ms > 0.0);
         assert!(point.bytes_per_version > 0.0);
         // at 200 resources a full snapshot still dwarfs a 3-resource delta
         assert!(point.bytes_ratio() > 3.0, "{point:?}");
@@ -400,6 +502,8 @@ mod tests {
             legacy_rollback_ms: 800.0,
             legacy_diff_ms: 100.0,
             legacy_bytes_per_version: 30_000_000.0,
+            open_ms: 900.0,
+            export_ms: 300.0,
         };
         assert!(
             state_gates(&[mk(1.0)]).is_empty(),
@@ -411,5 +515,26 @@ mod tests {
         // a report without the gated workloads (smoke tiers, old baselines)
         // passes vacuously
         assert!(state_gates(&[]).is_empty());
+
+        // session I/O is gated against the baseline, not a floor
+        let slower = StatePoint {
+            open_ms: 1_200.0,
+            ..mk(1.0)
+        };
+        let (fast, slower) = ([mk(1.0)], [slower]);
+        let flagged = regressions(&fast, &slower, 0.2, 5.0);
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert!(flagged[0].contains("open"), "{flagged:?}");
+        assert!(regressions(&slower, &fast, 0.2, 5.0).is_empty());
+        // a baseline that predates the fields reads 0 and gates nothing
+        let old: Vec<StatePoint> = serde_json::from_str(
+            r#"[{"workload":"state-100k","resources":100000,"versions":1000,"delta":10,
+                "commit_ms":1.0,"rollback_ms":1.0,"diff_ms":0.1,"bytes_per_version":3000.0,
+                "legacy_commit_ms":500.0,"legacy_rollback_ms":800.0,"legacy_diff_ms":100.0,
+                "legacy_bytes_per_version":30000000.0}]"#,
+        )
+        .unwrap();
+        assert_eq!(old[0].open_ms, 0.0);
+        assert!(regressions(&old, &fast, 0.2, 5.0).is_empty());
     }
 }

@@ -486,6 +486,43 @@ fn a_misspelt_apply_option_stops_before_any_cloud_operation() {
     assert_eq!((world("state.json"), world("cloud.json")), before);
 }
 
+/// 200 kB of `[` used to overflow the parser's stack and abort the process;
+/// a session file is untrusted bytes and gets a diagnostic instead.
+#[test]
+fn a_hostile_session_file_is_a_diagnostic_not_an_abort() {
+    let t = TempSession::new("hostile");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    let hostile = "[".repeat(200_000);
+
+    // as the whole file (refused at the first bracket) and under a key no
+    // record defines (skipped unbuilt, down to the nesting cap)
+    for (doc, why) in [
+        (hostile.clone(), "cloud.json corrupt: expected object"),
+        (
+            format!("{{\"vpc-1\": {{\"later\": {hostile}"),
+            "cloud.json corrupt: nesting deeper than 128 levels",
+        ),
+    ] {
+        t.write("cloud.json", &doc);
+        let out = run(&["apply", t.path(), &tf]);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(stderr(&out).contains(why), "{}", stderr(&out));
+    }
+
+    // the legacy layout reads `state.json` the same way
+    t.write("cloud.json", "{}");
+    std::fs::remove_file(t.dir.join("state.log")).unwrap();
+    t.write("state.json", &hostile);
+    let out = run(&["apply", t.path(), &tf]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("state.json corrupt: "),
+        "{}",
+        stderr(&out)
+    );
+}
+
 #[test]
 fn every_verb_refuses_an_argument_it_does_not_define() {
     let t = TempSession::new("strict");

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{DeError, Deserialize, Json, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 use crate::snapshot::DeployedResource;
 
@@ -32,6 +32,22 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV64_PRIME);
     }
     h
+}
+
+/// FNV-1a 64-bit of the bytes before the first `\n` (of all of them when
+/// there is none), and that newline's index. One walk: the hash is bound
+/// by its multiply chain, so looking for the line end on the way is free,
+/// where a search of its own is another pass over the log.
+pub fn fnv64_line(bytes: &[u8]) -> (u64, Option<usize>) {
+    let mut h = FNV64_OFFSET;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'\n' {
+            return (h, Some(i));
+        }
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV64_PRIME);
+    }
+    (h, None)
 }
 
 fn fnv128(bytes: &[u8]) -> u128 {
@@ -72,17 +88,17 @@ impl std::fmt::Display for ContentHash {
 }
 
 impl Serialize for ContentHash {
-    fn ser(&self) -> Json {
-        Json::Str(self.to_string())
+    fn ser(&self, w: &mut Writer<'_>) {
+        w.str(&self.to_string());
     }
 }
 
 impl Deserialize for ContentHash {
-    fn deser(j: &Json) -> Result<Self, DeError> {
-        match j {
-            Json::Str(s) => ContentHash::parse(s).map_err(DeError),
-            _ => Err(DeError::new("expected content hash string")),
-        }
+    fn deser(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let s = r
+            .string()
+            .map_err(|_| DeError::new("expected content hash string"))?;
+        ContentHash::parse(&s).map_err(DeError::from)
     }
 }
 
@@ -116,21 +132,21 @@ impl Cas {
 
     /// Insert a body under its content hash. Returns `(hash, newly_added)`;
     /// a repeat insert is the dedup hit the log exists to exploit.
-    pub fn insert(&mut self, body: &str) -> (ContentHash, bool) {
-        let hash = ContentHash::of(body);
+    pub fn insert(&mut self, body: Arc<str>) -> (ContentHash, bool) {
+        let hash = ContentHash::of(&body);
         let added = self.insert_at(hash, body);
         (hash, added)
     }
 
     /// Insert a body under a caller-supplied hash (log replay, where the
     /// hash was framed with the blob). Returns whether it was newly added.
-    pub fn insert_at(&mut self, hash: ContentHash, body: &str) -> bool {
+    pub fn insert_at(&mut self, hash: ContentHash, body: Arc<str>) -> bool {
         if self.blobs.contains_key(&hash) {
             self.dedup_hits += 1;
             return false;
         }
         self.bytes += body.len() as u64;
-        self.blobs.insert(hash, Arc::from(body));
+        self.blobs.insert(hash, body);
         true
     }
 
@@ -233,15 +249,15 @@ mod tests {
     #[test]
     fn cas_dedups_and_counts_bytes() {
         let mut cas = Cas::new();
-        let (h1, added) = cas.insert("body-one");
+        let (h1, added) = cas.insert("body-one".into());
         assert!(added);
-        let (h2, added) = cas.insert("body-one");
+        let (h2, added) = cas.insert("body-one".into());
         assert!(!added);
         assert_eq!(h1, h2);
         assert_eq!(cas.dedup_hits(), 1);
         assert_eq!(cas.len(), 1);
         assert_eq!(cas.bytes(), 8);
-        cas.insert("body-two");
+        cas.insert("body-two".into());
         assert_eq!(cas.len(), 2);
         let keep: std::collections::HashSet<_> = [h1].into();
         assert_eq!(cas.retain(&keep), 1);
@@ -255,5 +271,8 @@ mod tests {
         // FNV-1a 64 test vectors ("" and "a") from the FNV reference page
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv64_line(b"a\nrest"), (fnv64(b"a"), Some(1)));
+        assert_eq!(fnv64_line(b"\n"), (fnv64(b""), Some(0)));
+        assert_eq!(fnv64_line(b"no end"), (fnv64(b"no end"), None));
     }
 }

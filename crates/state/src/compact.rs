@@ -21,7 +21,7 @@
 use std::collections::HashSet;
 
 use crate::cas::ContentHash;
-use crate::log::{frame, BlobRecord, CheckpointRecord, LogRecord, StoreError, LOG_MAGIC};
+use crate::log::{frame_into, BlobRecord, CheckpointRecord, Framed, StoreError, LOG_MAGIC};
 use crate::store::LogStore;
 
 /// What a compaction pass did.
@@ -60,10 +60,7 @@ impl LogStore {
             let body = cas
                 .get(&hash)
                 .ok_or_else(|| StoreError::Corrupt(format!("missing blob {hash} in compaction")))?;
-            out.push_str(&frame(&LogRecord::Blob(BlobRecord {
-                hash,
-                body: body.to_string(),
-            })));
+            frame_into(out, Framed::Blob(&BlobRecord { hash, body }));
             written.insert(hash);
             Ok(())
         };
@@ -80,7 +77,7 @@ impl LogStore {
             if let Some(c) = v.config {
                 emit_blob(&mut out, &mut written, &self.cas, c)?;
             }
-            out.push_str(&frame(&LogRecord::Version(v.clone())));
+            frame_into(&mut out, Framed::Version(v));
             for p in &v.puts {
                 world.insert(p.addr.clone(), p.hash);
             }
@@ -89,11 +86,12 @@ impl LogStore {
             }
             entries_since_checkpoint += v.delta_len();
             if entries_since_checkpoint >= 64.max(world.len() / 4) {
-                out.push_str(&frame(&LogRecord::Checkpoint(CheckpointRecord {
+                let fold = CheckpointRecord {
                     serial: v.serial,
                     entries: world.iter().map(|(a, h)| (a.clone(), *h)).collect(),
                     outputs: v.outputs.clone(),
-                })));
+                };
+                frame_into(&mut out, Framed::Checkpoint(&fold));
                 entries_since_checkpoint = 0;
                 checkpoints += 1;
             }
@@ -106,7 +104,7 @@ impl LogStore {
         // close with a head checkpoint (unless the policy fold already
         // landed exactly at the head) so reopen/fsck never replay a tail
         if entries_since_checkpoint > 0 || checkpoints == 0 || world != self.current_hashes {
-            out.push_str(&frame(&LogRecord::Checkpoint(CheckpointRecord {
+            let head = CheckpointRecord {
                 serial: self.current.serial,
                 entries: self
                     .current_hashes
@@ -114,7 +112,8 @@ impl LogStore {
                     .map(|(a, h)| (a.clone(), *h))
                     .collect(),
                 outputs: self.current.outputs.clone(),
-            })));
+            };
+            frame_into(&mut out, Framed::Checkpoint(&head));
             checkpoints += 1;
         }
 
@@ -215,7 +214,9 @@ mod tests {
         put(&mut store, "aws_vpc.v", "kept");
         // orphan: a blob in the CAS that no record references (as crash
         // recovery can leave behind when the version append was torn)
-        store.cas.insert("orphaned body that nothing references");
+        store
+            .cas
+            .insert("orphaned body that nothing references".into());
         let blobs_before = store.blob_count();
         let report = store.compact().unwrap();
         assert_eq!(report.blobs_dropped, 1);

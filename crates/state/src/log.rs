@@ -28,11 +28,12 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use cloudless_types::{SimTime, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::cas::{fnv64, ContentHash};
+use crate::cas::{fnv64, fnv64_line, ContentHash};
 
 /// The first line of every state log.
 pub const LOG_MAGIC: &str = "cloudless-statelog v1";
@@ -83,10 +84,11 @@ pub struct DelEntry {
 }
 
 /// A content-addressed body (canonical resource JSON or a config source).
+/// The body is shared, not copied, between the record and the blob index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlobRecord {
     pub hash: ContentHash,
-    pub body: String,
+    pub body: Arc<str>,
 }
 
 /// One committed version: only what changed, by content hash.
@@ -123,6 +125,19 @@ pub struct CheckpointRecord {
     pub outputs: BTreeMap<String, Value>,
 }
 
+impl CheckpointRecord {
+    /// Is this the fold `world`? Entries are written in address order, so
+    /// the comparison is one walk over both, with no second map.
+    pub fn folds_to(&self, world: &BTreeMap<String, ContentHash>) -> bool {
+        self.entries.len() == world.len()
+            && self
+                .entries
+                .iter()
+                .zip(world)
+                .all(|((addr, hash), (a, h))| addr == a && hash == h)
+    }
+}
+
 /// Any log record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogRecord {
@@ -131,26 +146,65 @@ pub enum LogRecord {
     Checkpoint(CheckpointRecord),
 }
 
-/// Frame a record as one checksummed log line (with trailing newline).
-pub fn frame(record: &LogRecord) -> String {
-    let payload = serde_json::to_string(record).expect("log record serializes");
-    debug_assert!(!payload.contains('\n'));
-    format!("{:016x} {payload}\n", fnv64(payload.as_bytes()))
+/// A record on its way into the log, by reference: the variants (and so
+/// the bytes) of [`LogRecord`], without taking the record from its owner.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub enum Framed<'a> {
+    Blob(&'a BlobRecord),
+    Version(&'a VersionRecord),
+    Checkpoint(&'a CheckpointRecord),
 }
 
-/// Parse one framed line (without its newline).
-fn parse_line(line: &str) -> Result<LogRecord, String> {
-    let (sum_hex, payload) = line
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum field".to_owned())?;
-    let want = u64::from_str_radix(sum_hex, 16).map_err(|_| format!("bad checksum {sum_hex:?}"))?;
-    let got = fnv64(payload.as_bytes());
-    if want != got {
-        return Err(format!(
-            "checksum mismatch: framed {want:016x}, computed {got:016x}"
-        ));
+impl<'a> From<&'a LogRecord> for Framed<'a> {
+    fn from(record: &'a LogRecord) -> Framed<'a> {
+        match record {
+            LogRecord::Blob(b) => Framed::Blob(b),
+            LogRecord::Version(v) => Framed::Version(v),
+            LogRecord::Checkpoint(c) => Framed::Checkpoint(c),
+        }
     }
-    serde_json::from_str(payload).map_err(|e| format!("unparsable record: {e}"))
+}
+
+/// Append `record` to `out` as one checksummed log line (with trailing
+/// newline). The payload is written in place and the checksum field in
+/// front of it filled in afterwards.
+pub fn frame_into(out: &mut String, record: Framed<'_>) {
+    let sum_at = out.len();
+    out.push_str("0000000000000000 ");
+    let payload_at = out.len();
+    record.ser(&mut serde::Writer::compact(out));
+    let payload = &out.as_bytes()[payload_at..];
+    debug_assert!(!payload.contains(&b'\n'));
+    let sum = format!("{:016x}", fnv64(payload));
+    out.replace_range(sum_at..sum_at + 16, &sum);
+    out.push('\n');
+}
+
+/// Decode the framed line at the head of `bytes`: the checksum field up
+/// to the first space, then the payload up to the newline, hashed on the
+/// way there. `None` when no newline ends it (a torn tail by definition),
+/// else the line's length without the newline and what it held.
+fn parse_line(bytes: &[u8]) -> Option<(usize, Result<LogRecord, String>)> {
+    let field = bytes.iter().position(|&b| b == b' ' || b == b'\n')?;
+    if bytes[field] == b'\n' {
+        return Some((field, Err("missing checksum field".to_owned())));
+    }
+    let (got, payload_len) = fnv64_line(&bytes[field + 1..]);
+    let len = field + 1 + payload_len?;
+    let record = std::str::from_utf8(&bytes[..len])
+        .map_err(|e| format!("invalid utf-8: {e}"))
+        .and_then(|line| {
+            let (sum_hex, payload) = line.split_at(field);
+            let want = u64::from_str_radix(sum_hex, 16)
+                .map_err(|_| format!("bad checksum {sum_hex:?}"))?;
+            if want != got {
+                return Err(format!(
+                    "checksum mismatch: framed {want:016x}, computed {got:016x}"
+                ));
+            }
+            serde_json::from_str(&payload[1..]).map_err(|e| format!("unparsable record: {e}"))
+        });
+    Some((len, record))
 }
 
 // --------------------------------------------------------------------- scan
@@ -158,7 +212,8 @@ fn parse_line(line: &str) -> Result<LogRecord, String> {
 /// Result of scanning raw log bytes.
 #[derive(Debug)]
 pub struct ScanOutcome {
-    pub records: Vec<LogRecord>,
+    /// Whole records handed to the visitor.
+    pub records: usize,
     /// Byte length of the valid prefix (header + whole records). Anything
     /// past this is the torn tail.
     pub keep_len: u64,
@@ -166,19 +221,25 @@ pub struct ScanOutcome {
     pub torn_bytes: u64,
 }
 
-/// Scan raw log bytes into records, detecting a torn final record.
+/// Scan raw log bytes, handing each whole record to `each` as it is
+/// decoded (none is kept here), and detecting a torn final record.
 ///
 /// A defect on the *final* record (no newline, bad checksum, unparsable
 /// payload) is the signature of a crash mid-append and comes back as
 /// `torn_bytes > 0` with the valid prefix intact. A defect followed by
-/// further records cannot be a torn append and is [`StoreError::Corrupt`].
-pub fn scan(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
+/// further records cannot be a torn append and is [`StoreError::Corrupt`],
+/// as is whatever `each` refuses.
+pub fn scan(
+    bytes: &[u8],
+    mut each: impl FnMut(LogRecord) -> Result<(), StoreError>,
+) -> Result<ScanOutcome, StoreError> {
+    let outcome = |records: usize, keep: usize| ScanOutcome {
+        records,
+        keep_len: keep as u64,
+        torn_bytes: (bytes.len() - keep) as u64,
+    };
     if bytes.is_empty() {
-        return Ok(ScanOutcome {
-            records: Vec::new(),
-            keep_len: 0,
-            torn_bytes: 0,
-        });
+        return Ok(outcome(0, 0));
     }
     let header = format!("{LOG_MAGIC}\n");
     if !bytes.starts_with(header.as_bytes()) {
@@ -186,59 +247,33 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
         // header; that prefix is a torn tail (recover to the empty log),
         // anything else is corruption
         if header.as_bytes().starts_with(bytes) {
-            return Ok(ScanOutcome {
-                records: Vec::new(),
-                keep_len: 0,
-                torn_bytes: bytes.len() as u64,
-            });
+            return Ok(outcome(0, 0));
         }
         return Err(StoreError::Corrupt(format!(
             "missing magic header {LOG_MAGIC:?}"
         )));
     }
-    let mut records = Vec::new();
+    let mut records = 0;
     let mut pos = header.len();
-    let mut keep = pos as u64;
-    while pos < bytes.len() {
-        let torn = |why: String| -> Result<(), StoreError> {
+    while let Some((nl, parsed)) = parse_line(&bytes[pos..]) {
+        match parsed {
+            Ok(record) => {
+                each(record)?;
+                records += 1;
+                pos += nl + 1;
+            }
             // only the last record can be torn: everything after `pos`
             // must belong to this one damaged line
-            match bytes[pos..].iter().position(|&b| b == b'\n') {
-                Some(nl) if pos + nl + 1 < bytes.len() => Err(StoreError::Corrupt(format!(
+            Err(why) if pos + nl + 1 < bytes.len() => {
+                return Err(StoreError::Corrupt(format!(
                     "record {} at byte {pos} is damaged mid-log ({why})",
-                    records.len() + 1
-                ))),
-                _ => Ok(()),
+                    records + 1
+                )));
             }
-        };
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            // no terminating newline: torn tail by definition
-            break;
-        };
-        let line = match std::str::from_utf8(&bytes[pos..pos + nl]) {
-            Ok(l) => l,
-            Err(e) => {
-                torn(format!("invalid utf-8: {e}"))?;
-                break;
-            }
-        };
-        match parse_line(line) {
-            Ok(record) => {
-                records.push(record);
-                pos += nl + 1;
-                keep = pos as u64;
-            }
-            Err(why) => {
-                torn(why)?;
-                break;
-            }
+            Err(_) => break,
         }
     }
-    Ok(ScanOutcome {
-        records,
-        keep_len: keep,
-        torn_bytes: bytes.len() as u64 - keep,
-    })
+    Ok(outcome(records, pos))
 }
 
 // ------------------------------------------------------------------ devices
@@ -382,11 +417,11 @@ mod tests {
     }
 
     fn log_of(records: &[LogRecord]) -> Vec<u8> {
-        let mut bytes = format!("{LOG_MAGIC}\n").into_bytes();
+        let mut log = format!("{LOG_MAGIC}\n");
         for r in records {
-            bytes.extend_from_slice(frame(r).as_bytes());
+            frame_into(&mut log, r.into());
         }
-        bytes
+        log.into_bytes()
     }
 
     #[test]
@@ -404,8 +439,14 @@ mod tests {
             }),
         ];
         let bytes = log_of(&records);
-        let out = scan(&bytes).expect("clean scan");
-        assert_eq!(out.records, records);
+        let mut seen = Vec::new();
+        let out = scan(&bytes, |r| {
+            seen.push(r);
+            Ok(())
+        })
+        .expect("clean scan");
+        assert_eq!(seen, records);
+        assert_eq!(out.records, records.len());
         assert_eq!(out.torn_bytes, 0);
         assert_eq!(out.keep_len, bytes.len() as u64);
     }
@@ -417,8 +458,8 @@ mod tests {
         // "one byte into record 2" to "all but its newline" must recover
         let v1_only = log_of(&[version(1)]);
         for cut in (v1_only.len() + 1)..whole.len() {
-            let out = scan(&whole[..cut]).expect("torn tail is recoverable");
-            assert_eq!(out.records.len(), 1, "cut at {cut}");
+            let out = scan(&whole[..cut], |_| Ok(())).expect("torn tail is recoverable");
+            assert_eq!(out.records, 1, "cut at {cut}");
             assert_eq!(out.keep_len, v1_only.len() as u64);
             assert_eq!(out.torn_bytes, (cut - v1_only.len()) as u64);
         }
@@ -430,18 +471,41 @@ mod tests {
         // flip one byte inside the first record's payload
         let idx = LOG_MAGIC.len() + 30;
         bytes[idx] ^= 0x01;
-        let err = scan(&bytes).unwrap_err();
+        let err = scan(&bytes, |_| Ok(())).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    }
+
+    /// A checksummed line whose payload nests deep enough to have
+    /// overflowed the old parser's stack is a bad payload like any other:
+    /// a torn tail when it is last, corruption when a record follows.
+    #[test]
+    fn scan_classifies_a_hostile_payload_like_any_bad_payload() {
+        let payload = format!("{{\"Blob\":{{\"later\":{}", "[".repeat(200_000));
+        let hostile = format!("{:016x} {payload}\n", fnv64(payload.as_bytes()));
+        let good = String::from_utf8(log_of(&[version(1)])).expect("utf-8");
+
+        let mut log = format!("{good}{hostile}");
+        let out = scan(log.as_bytes(), |_| Ok(())).expect("torn tail is recoverable");
+        assert_eq!(out.records, 1);
+        assert_eq!(out.keep_len, good.len() as u64);
+        assert_eq!(out.torn_bytes, hostile.len() as u64);
+
+        frame_into(&mut log, (&version(2)).into());
+        let err = scan(log.as_bytes(), |_| Ok(())).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(why) if why.contains("nesting deeper")),
+            "{err}"
+        );
     }
 
     #[test]
     fn scan_rejects_wrong_magic_and_accepts_empty() {
         assert!(matches!(
-            scan(b"not a statelog\n"),
+            scan(b"not a statelog\n", |_| Ok(())),
             Err(StoreError::Corrupt(_))
         ));
-        let out = scan(b"").expect("empty is a fresh log");
-        assert!(out.records.is_empty());
+        let out = scan(b"", |_| Ok(())).expect("empty is a fresh log");
+        assert_eq!(out.records, 0);
         assert_eq!(out.keep_len, 0);
     }
 

@@ -160,4 +160,28 @@ mod tests {
         let back = Snapshot::from_json(&json).expect("parse");
         assert_eq!(back, s);
     }
+
+    /// Nesting that used to overflow the stack is an error wherever it
+    /// sits: as the document, inside an attribute value, under a key the
+    /// snapshot does not define (the skip path).
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        let deep = "[".repeat(200_000);
+        let mut s = Snapshot::new();
+        s.put(res("aws_vpc.main", "vpc-1"));
+        let json = s.to_json();
+        let in_attr = json.replace("\"vpc-1\"\n", &format!("{deep}\n"));
+        assert_ne!(in_attr, json);
+        let unknown_key = json.replacen('{', &format!("{{\"later\": {deep},"), 1);
+        assert!(Snapshot::from_json(&deep).is_err());
+        assert!(Snapshot::from_json(&in_attr).is_err());
+        let err = Snapshot::from_json(&unknown_key).expect_err("too deep");
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        // the same shapes, shallow, are accepted
+        let shallow = json.replacen('{', "{\"later\": [[{\"x\": [null]}]],", 1);
+        assert_eq!(
+            Snapshot::from_json(&shallow).expect("unknown key skipped"),
+            s
+        );
+    }
 }

@@ -23,8 +23,8 @@ use cloudless_types::{SimTime, Value};
 use crate::cas::{decode_resource, encode_resource, Cas, ContentHash};
 use crate::history::HistoryView;
 use crate::log::{
-    frame, scan, CheckpointRecord, DelEntry, FileDevice, LogDevice, LogRecord, MemDevice, PutEntry,
-    StoreError, VersionRecord, LOG_MAGIC,
+    frame_into, scan, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed, LogDevice,
+    LogRecord, MemDevice, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
 };
 use crate::snapshot::{DeployedResource, Snapshot};
 
@@ -155,7 +155,7 @@ impl LogStore {
     fn seed(&mut self, snapshot: Snapshot) {
         self.current_hashes.clear();
         for (addr, r) in &snapshot.resources {
-            let (hash, _) = self.cas.insert(&encode_resource(r));
+            let (hash, _) = self.cas.insert(encode_resource(r).into());
             self.current_hashes.insert(addr.clone(), hash);
         }
         self.current = snapshot;
@@ -167,16 +167,19 @@ impl LogStore {
         LogStore::open_device(Box::new(FileDevice::open(path)?))
     }
 
-    /// Open any device: scan, recover the tail if torn (persisted via
-    /// `truncate`), then replay records into the in-memory indexes.
+    /// Open any device: scan, replaying each record into the in-memory
+    /// indexes as it is decoded, recover the tail if torn (persisted via
+    /// `truncate`), then decode the live world.
+    ///
+    /// Each byte of the log is visited once and each live resource decoded
+    /// once: a blob line's body is unescaped straight into the blob index
+    /// (never parsed as JSON there), no list of records is built, the raw
+    /// bytes are dropped before the world is materialized, and only the
+    /// blobs the head still references are decoded.
     pub fn open_device(
         mut device: Box<dyn LogDevice>,
     ) -> Result<(LogStore, RecoveryReport), StoreError> {
         let bytes = device.read_all()?;
-        let outcome = scan(&bytes)?;
-        if outcome.torn_bytes > 0 {
-            device.truncate(outcome.keep_len)?;
-        }
         let mut store = LogStore {
             device,
             cas: Cas::new(),
@@ -186,18 +189,22 @@ impl LogStore {
             entries_since_checkpoint: 0,
             versions_since_checkpoint: 0,
             recorder: NullRecorder::shared(),
-            log_bytes: outcome.keep_len,
-            torn_recoveries: u64::from(outcome.torn_bytes > 0),
+            log_bytes: 0,
+            torn_recoveries: 0,
         };
+        let outcome = scan(&bytes, |record| store.replay(record))?;
+        drop(bytes);
+        store.log_bytes = outcome.keep_len;
+        if outcome.torn_bytes > 0 {
+            store.device.truncate(outcome.keep_len)?;
+            store.torn_recoveries = 1;
+        }
         if outcome.keep_len == 0 {
             // brand-new log (or one whose first-ever append tore inside
             // the header): stamp the header
             let header = format!("{LOG_MAGIC}\n");
             store.device.append(header.as_bytes())?;
             store.log_bytes = header.len() as u64;
-        }
-        for record in outcome.records {
-            store.replay(record)?;
         }
         store.materialize_current()?;
         let report = RecoveryReport {
@@ -210,7 +217,7 @@ impl LogStore {
     fn replay(&mut self, record: LogRecord) -> Result<(), StoreError> {
         match record {
             LogRecord::Blob(b) => {
-                self.cas.insert_at(b.hash, &b.body);
+                self.cas.insert_at(b.hash, b.body);
             }
             LogRecord::Version(v) => {
                 for p in &v.puts {
@@ -220,7 +227,6 @@ impl LogStore {
                     self.current_hashes.remove(&d.addr);
                 }
                 self.current.serial = v.serial;
-                self.current.outputs = v.outputs.clone();
                 self.entries_since_checkpoint += v.delta_len();
                 self.versions_since_checkpoint += 1;
                 self.versions.push(v);
@@ -228,8 +234,7 @@ impl LogStore {
             LogRecord::Checkpoint(c) => {
                 // a checkpoint is a fold of everything before it — the
                 // replayed map must agree, otherwise the log is damaged
-                let folded: BTreeMap<String, ContentHash> = c.entries.iter().cloned().collect();
-                if folded != self.current_hashes {
+                if !c.folds_to(&self.current_hashes) {
                     return Err(StoreError::Corrupt(format!(
                         "checkpoint at serial {} disagrees with replayed state",
                         c.serial
@@ -242,8 +247,9 @@ impl LogStore {
         Ok(())
     }
 
-    /// Decode the current world from `current_hashes` (open-time only:
-    /// after that, `current` is maintained incrementally).
+    /// Decode the current world from `current_hashes` and take the last
+    /// version's outputs (open-time only: after that, `current` is
+    /// maintained incrementally).
     fn materialize_current(&mut self) -> Result<(), StoreError> {
         self.current.resources.clear();
         for (addr, hash) in &self.current_hashes {
@@ -252,6 +258,9 @@ impl LogStore {
             })?;
             let r = decode_resource(&body).map_err(StoreError::Corrupt)?;
             self.current.resources.insert(addr.clone(), r);
+        }
+        if let Some(v) = self.versions.last() {
+            self.current.outputs = v.outputs.clone();
         }
         Ok(())
     }
@@ -432,6 +441,17 @@ impl LogStore {
         let mut lines = String::new();
         // blobs this commit adds to the CAS, to take back if the append fails
         let mut new_blobs: Vec<ContentHash> = Vec::new();
+        // a body goes to the blob index and, when new, into the append
+        // buffer as a framed blob line: shared, never copied in between
+        let mut intern = |cas: &mut Cas, body: Arc<str>| {
+            let (hash, added) = cas.insert(body.clone());
+            if added {
+                new_blobs.push(hash);
+                frame_into(&mut lines, Framed::Blob(&BlobRecord { hash, body }));
+            }
+            hash
+        };
+        let mut resources = Vec::with_capacity(delta.puts.len());
         let mut puts = Vec::with_capacity(delta.puts.len());
         // entries apply in order (all puts, then all dels), so each
         // entry's `prev` is the value immediately before it — chained
@@ -440,21 +460,14 @@ impl LogStore {
         let mut staged: BTreeMap<String, Option<ContentHash>> = BTreeMap::new();
         for r in delta.puts {
             let addr = r.addr.to_string();
-            let body = encode_resource(&r);
-            let (hash, added) = self.cas.insert(&body);
-            if added {
-                new_blobs.push(hash);
-                lines.push_str(&frame(&LogRecord::Blob(crate::log::BlobRecord {
-                    hash,
-                    body,
-                })));
-            }
+            let hash = intern(&mut self.cas, encode_resource(&r).into());
             let prev = match staged.get(&addr) {
                 Some(s) => *s,
                 None => self.current_hashes.get(&addr).copied(),
             };
             staged.insert(addr.clone(), Some(hash));
-            puts.push((r, PutEntry { addr, hash, prev }));
+            puts.push(PutEntry { addr, hash, prev });
+            resources.push(r);
         }
         let mut dels = Vec::new();
         for addr in delta.dels {
@@ -468,20 +481,9 @@ impl LogStore {
                 dels.push(DelEntry { addr, prev });
             }
         }
-        let config = match &meta.config_source {
-            Some(src) => {
-                let (hash, added) = self.cas.insert(src);
-                if added {
-                    new_blobs.push(hash);
-                    lines.push_str(&frame(&LogRecord::Blob(crate::log::BlobRecord {
-                        hash,
-                        body: src.clone(),
-                    })));
-                }
-                Some(hash)
-            }
-            None => None,
-        };
+        let config = meta
+            .config_source
+            .map(|src| intern(&mut self.cas, src.into()));
         let outputs = delta
             .outputs
             .unwrap_or_else(|| self.current.outputs.clone());
@@ -491,11 +493,11 @@ impl LogStore {
             author: meta.author,
             message: meta.message,
             config,
-            puts: puts.iter().map(|(_, p)| p.clone()).collect(),
-            dels: dels.clone(),
-            outputs: outputs.clone(),
+            puts,
+            dels,
+            outputs,
         };
-        lines.push_str(&frame(&LogRecord::Version(version.clone())));
+        frame_into(&mut lines, Framed::Version(&version));
         if let Err(e) = self.device.append(lines.as_bytes()) {
             // nothing was logged, so nothing may be remembered: a retry
             // has to frame these blobs again
@@ -507,19 +509,18 @@ impl LogStore {
         self.log_bytes += lines.len() as u64;
 
         // fold into the in-memory state
-        let delta_len = version.delta_len();
-        for (r, p) in puts {
+        for (r, p) in resources.into_iter().zip(&version.puts) {
             self.current_hashes.insert(p.addr.clone(), p.hash);
-            self.current.resources.insert(p.addr, r);
+            self.current.resources.insert(p.addr.clone(), r);
         }
-        for d in &dels {
+        for d in &version.dels {
             self.current_hashes.remove(&d.addr);
             self.current.resources.remove(&d.addr);
         }
         self.current.serial = serial;
-        self.current.outputs = outputs;
+        self.current.outputs = version.outputs.clone();
+        self.entries_since_checkpoint += version.delta_len();
         self.versions.push(version);
-        self.entries_since_checkpoint += delta_len;
         self.versions_since_checkpoint += 1;
         self.maybe_checkpoint()?;
 
@@ -552,7 +553,7 @@ impl LogStore {
 
     /// Fold the current world into a checkpoint record at the log head.
     pub fn append_checkpoint(&mut self) -> Result<(), StoreError> {
-        let record = LogRecord::Checkpoint(CheckpointRecord {
+        let fold = CheckpointRecord {
             serial: self.current.serial,
             entries: self
                 .current_hashes
@@ -560,8 +561,9 @@ impl LogStore {
                 .map(|(a, h)| (a.clone(), *h))
                 .collect(),
             outputs: self.current.outputs.clone(),
-        });
-        let line = frame(&record);
+        };
+        let mut line = String::new();
+        frame_into(&mut line, Framed::Checkpoint(&fold));
         self.device.append(line.as_bytes())?;
         self.log_bytes += line.len() as u64;
         self.entries_since_checkpoint = 0;

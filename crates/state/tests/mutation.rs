@@ -1,0 +1,242 @@
+//! Never-panic mutation suite: every reader of untrusted bytes — the JSON
+//! reader untyped (`from_str::<Json>`) and typed (`Snapshot::from_json`),
+//! and the log scanner — answers a damaged document with `Ok` or `Err`,
+//! never a panic or an abort, and the scanner keeps telling a torn tail
+//! from mid-log corruption.
+//!
+//! Documents start valid (a small snapshot, a small log) and are damaged
+//! by bit flips, truncations and splices (a range deleted, duplicated, or
+//! overwritten with bytes that matter to the grammar).
+
+use cloudless_state::log::{scan, LogRecord, ScanOutcome};
+use cloudless_state::{CommitMeta, DeployedResource, LogStore, Snapshot, StateDelta, StoreError};
+use cloudless_types::{ResourceId, SimTime, Value};
+use proptest::prelude::*;
+use serde::Json;
+
+fn res(i: u8, rev: u8) -> DeployedResource {
+    DeployedResource {
+        addr: format!("aws_s3_bucket.b[\"k{i}\"]").parse().expect("addr"),
+        id: ResourceId(format!("b-{i:04}")),
+        rtype: "aws_s3_bucket".into(),
+        region: "us-east-1".into(),
+        attrs: [
+            ("bucket".to_owned(), Value::from(format!("b-{i}\n\"é\""))),
+            ("size".to_owned(), Value::Num(f64::from(rev) + 0.5)),
+            (
+                "tags".to_owned(),
+                Value::Map(
+                    [
+                        ("env".to_owned(), Value::Null),
+                        ("ports".to_owned(), Value::List(vec![Value::Bool(true)])),
+                    ]
+                    .into(),
+                ),
+            ),
+        ]
+        .into(),
+        depends_on: vec!["aws_vpc.main".parse().expect("addr")],
+        created_at: SimTime(u64::from(rev)),
+    }
+}
+
+/// A log of three commits (puts with a config source, an edit, a delete
+/// with outputs) closed by a checkpoint, and the snapshot it folds to.
+fn pristine() -> (Vec<u8>, Snapshot) {
+    let dir = std::env::temp_dir().join(format!("cloudless-mutation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("{:?}.log", std::thread::current().id()));
+    let _ = std::fs::remove_file(&path);
+    let (mut store, _) = LogStore::open_file(&path).expect("open");
+    let mut commit = |delta: StateDelta, source: Option<&str>| {
+        let meta = CommitMeta {
+            config_source: source.map(str::to_owned),
+            ..CommitMeta::bare("mutation fixture")
+        };
+        store.commit(delta, meta).expect("commit");
+    };
+    let puts = |rs: Vec<DeployedResource>| StateDelta {
+        puts: rs,
+        ..StateDelta::default()
+    };
+    commit(
+        puts(vec![res(0, 0), res(1, 0)]),
+        Some("resource \"x\" {}\n"),
+    );
+    commit(puts(vec![res(1, 1), res(2, 0)]), None);
+    commit(
+        StateDelta {
+            dels: vec![res(0, 0).addr.to_string()],
+            outputs: Some([("n".to_owned(), Value::Num(2.0))].into()),
+            ..StateDelta::default()
+        },
+        None,
+    );
+    store.append_checkpoint().expect("checkpoint");
+    let snapshot = store.current().clone();
+    drop(store);
+    let log = std::fs::read(&path).expect("read log");
+    let _ = std::fs::remove_file(&path);
+    (log, snapshot)
+}
+
+/// One way to damage a document; positions are taken modulo its length.
+#[derive(Debug, Clone)]
+enum Damage {
+    Flip { at: usize, bit: u8 },
+    Truncate { at: usize },
+    Delete { at: usize, len: usize },
+    Duplicate { at: usize, len: usize },
+    Overwrite { at: usize, with: Vec<u8> },
+}
+
+impl Damage {
+    fn apply(&self, doc: &[u8]) -> Vec<u8> {
+        let n = doc.len();
+        let mut out = doc.to_vec();
+        match self {
+            Damage::Flip { at, bit } => out[at % n] ^= 1 << (bit % 8),
+            Damage::Truncate { at } => out.truncate(at % n),
+            Damage::Delete { at, len } => {
+                let at = at % n;
+                out.drain(at..(at + len).min(n));
+            }
+            Damage::Duplicate { at, len } => {
+                let at = at % n;
+                let copy = doc[at..(at + len).min(n)].to_vec();
+                out.splice(at..at, copy);
+            }
+            Damage::Overwrite { at, with } => {
+                let at = at % n;
+                let end = (at + with.len()).min(n);
+                out.splice(at..end, with.iter().copied());
+            }
+        }
+        out
+    }
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    let at = || 0usize..1 << 20;
+    // bytes the grammars care about, and a few that they do not
+    let grammar = proptest::collection::vec(
+        prop_oneof![
+            Just(b'"'),
+            Just(b'\\'),
+            Just(b'{'),
+            Just(b'}'),
+            Just(b'['),
+            Just(b']'),
+            Just(b','),
+            Just(b':'),
+            Just(b'\n'),
+            Just(b' '),
+            Just(b'-'),
+            Just(b'e'),
+            Just(b'u'),
+            Just(b'0'),
+            Just(0xffu8),
+            Just(0xc3u8),
+            any::<u8>(),
+        ],
+        1..6,
+    );
+    prop_oneof![
+        (at(), any::<u8>()).prop_map(|(at, bit)| Damage::Flip { at, bit }),
+        (at(), any::<u8>()).prop_map(|(at, bit)| Damage::Flip { at, bit }),
+        at().prop_map(|at| Damage::Truncate { at }),
+        (at(), 1usize..40).prop_map(|(at, len)| Damage::Delete { at, len }),
+        (at(), 1usize..40).prop_map(|(at, len)| Damage::Duplicate { at, len }),
+        (at(), grammar).prop_map(|(at, with)| Damage::Overwrite { at, with }),
+    ]
+}
+
+fn records_of(log: &[u8]) -> Result<(Vec<LogRecord>, ScanOutcome), StoreError> {
+    let mut records = Vec::new();
+    let outcome = scan(log, |r| {
+        records.push(r);
+        Ok(())
+    })?;
+    Ok((records, outcome))
+}
+
+proptest! {
+    /// Damaged JSON text is accepted or refused, by the untyped and the
+    /// typed reader alike; what is accepted can be written and read again.
+    #[test]
+    fn damaged_json_is_an_answer_never_a_panic(hits in proptest::collection::vec(damage(), 1..4)) {
+        let (_, snapshot) = pristine();
+        for text in [snapshot.to_json(), serde_json::to_string(&snapshot).expect("serializes")] {
+            let mut doc = text.into_bytes();
+            for hit in &hits {
+                if !doc.is_empty() {
+                    doc = hit.apply(&doc);
+                }
+            }
+            let doc = String::from_utf8_lossy(&doc);
+            if let Ok(tree) = serde_json::from_str::<Json>(&doc) {
+                let again = serde_json::to_string(&tree).expect("serializes");
+                prop_assert_eq!(serde_json::from_str::<Json>(&again).expect("own output"), tree);
+            }
+            if let Ok(snap) = Snapshot::from_json(&doc) {
+                prop_assert_eq!(Snapshot::from_json(&snap.to_json()).expect("own output"), snap);
+            }
+        }
+    }
+
+    /// A damaged log scans to `Ok` or `Corrupt`, and opening it never
+    /// panics either. One flipped bit is classified exactly: in the final
+    /// record (its newline included) the log is torn there and every
+    /// earlier record survives; anywhere before it the log is corrupt —
+    /// unless the flip is one the framing cannot see (the case of a hex
+    /// digit of the checksum) and the log reads as it did.
+    #[test]
+    fn damaged_logs_are_torn_or_corrupt_never_a_panic(
+        hits in proptest::collection::vec(damage(), 1..3),
+        at in 0usize..1 << 20,
+        bit in 0u8..8,
+    ) {
+        let (log, _) = pristine();
+        let (whole, clean) = records_of(&log).expect("pristine log scans");
+        prop_assert_eq!(clean.torn_bytes, 0);
+
+        let mut doc = log.clone();
+        for hit in &hits {
+            if !doc.is_empty() {
+                doc = hit.apply(&doc);
+            }
+        }
+        if let Err(e) = records_of(&doc) {
+            prop_assert!(matches!(e, StoreError::Corrupt(_)), "{e}");
+        }
+        let _ = LogStore::open_device(Box::new(cloudless_state::MemDevice::from_bytes(doc)));
+
+        // one bit, classified
+        let at = at % log.len();
+        let mut flipped = log.clone();
+        flipped[at] ^= 1 << bit;
+        let last_start = log[..log.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .expect("a header line")
+            + 1;
+        let makes_or_breaks_a_line = log[at] == b'\n' || flipped[at] == b'\n';
+        match records_of(&flipped) {
+            Ok((records, outcome)) if records == whole => {
+                prop_assert_eq!(outcome.torn_bytes, 0, "unseen damage leaves a whole log");
+            }
+            Ok((records, outcome)) => {
+                prop_assert!(at >= last_start || makes_or_breaks_a_line, "byte {at}: torn");
+                if !makes_or_breaks_a_line {
+                    prop_assert_eq!(outcome.keep_len, last_start as u64);
+                    prop_assert_eq!(&records[..], &whole[..whole.len() - 1]);
+                }
+                prop_assert!(outcome.torn_bytes > 0);
+            }
+            Err(e) => {
+                prop_assert!(matches!(e, StoreError::Corrupt(_)), "{e}");
+                prop_assert!(at < last_start || makes_or_breaks_a_line, "byte {at}: {e}");
+            }
+        }
+    }
+}
