@@ -98,7 +98,6 @@ commands:
             [--poll-ms <n>]            poll interval in ms (default 250)
             [--max-events <n>]         exit after n replans (default: forever)
   apply     <dir> <file.tf> [--target <addr>]   validate, plan and apply
-            [--legacy-retry]           immediate retries, no deadlines/breaker
             [--retries <n>]            per-node attempt budget (default 6)
             [--deadline-factor <f>]    cancel ops after f x estimate (default 4)
             [--trace <out.json>]       write a chrome://tracing trace of the apply
@@ -287,19 +286,14 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     // Blast radius is opt-in: --state derives the edit set from the
     // session's pending diff; bare --blast ranks hypothetical edits.
     let blast = if let Some(dir) = state_dir {
-        let engine = Session::load(dir)?.engine(None)?;
-        let pending = engine
-            .load(&source)
-            .map_err(|d| format!("program rejected:\n{d}"))?;
-        let changes = cloudless::deploy::diff::diff(
-            &pending,
-            engine.state(),
-            engine.cloud().catalog(),
-            &cloudless::deploy::resolver::DataResolver::new(),
-        );
-        let edits = changes.into_iter().filter(|c| !c.action.is_noop());
+        // a program `plan` refuses has no pending edit set
+        let planned = Session::load(dir)?
+            .engine(None)?
+            .plan(&source, &[])
+            .map_err(|e| refusal(e, &source))?;
+        let edits = planned.plan.graph.iter();
         Some(cloudless::analyze::BlastRequest::EditSet(
-            edits.map(|c| c.addr).collect(),
+            edits.map(|(_, node)| node.change.addr.clone()).collect(),
         ))
     } else if what_if {
         Some(cloudless::analyze::BlastRequest::WhatIf { top: 8 })
@@ -329,7 +323,8 @@ fn target_addr<'a>(
         .map_err(|e| format!("bad --target address: {e}"))
 }
 
-/// Why `plan` or `apply` refused a program, rendered against its source.
+/// Why `plan`, `apply` or `reconcile` refused a program, rendered against
+/// its source.
 fn refusal(err: ConvergeError, source: &str) -> String {
     let sources = cloudless::hcl::SourceMap::single("main.tf", source);
     match err {
@@ -458,20 +453,19 @@ struct ApplyOpts {
 
 fn parse_apply_opts(opts: &[&str]) -> Result<ApplyOpts, String> {
     let mut targets = Vec::new();
-    let (mut legacy, mut retries, mut deadline_factor) = (false, None, None);
+    let mut resilience = ResiliencePolicy::standard();
     let (mut trace_out, mut events_out) = (None, None);
     let mut it = opts.iter();
     while let Some(arg) = it.next() {
         match *arg {
             "--target" => targets.push(target_addr(&mut it)?),
-            "--legacy-retry" => legacy = true,
             "--retries" => {
                 let n: u32 = it
                     .next()
                     .ok_or("--retries needs a count")?
                     .parse()
                     .map_err(|e| format!("bad --retries count: {e}"))?;
-                retries = Some(n);
+                resilience.retry.max_attempts_per_node = n.max(1);
             }
             "--deadline-factor" => {
                 let f: f64 = it
@@ -479,7 +473,14 @@ fn parse_apply_opts(opts: &[&str]) -> Result<ApplyOpts, String> {
                     .ok_or("--deadline-factor needs a number")?
                     .parse()
                     .map_err(|e| format!("bad --deadline-factor: {e}"))?;
-                deadline_factor = Some(f);
+                resilience.deadline = if f <= 0.0 {
+                    DeadlinePolicy::None
+                } else {
+                    DeadlinePolicy::EstimateFactor {
+                        factor: f,
+                        floor: SimDuration::from_secs(30),
+                    }
+                };
             }
             "--trace" => {
                 trace_out = Some((*it.next().ok_or("--trace needs an output path")?).to_owned());
@@ -496,25 +497,6 @@ fn parse_apply_opts(opts: &[&str]) -> Result<ApplyOpts, String> {
             }
             other => return Err(format!("unknown apply option {other:?}\n{USAGE}")),
         }
-    }
-    // the flags modify the policy `--legacy-retry` picks, wherever it stands
-    let mut resilience = if legacy {
-        ResiliencePolicy::legacy()
-    } else {
-        ResiliencePolicy::standard()
-    };
-    if let Some(n) = retries {
-        resilience.retry.max_attempts_per_node = n.max(1);
-    }
-    if let Some(f) = deadline_factor {
-        resilience.deadline = if f <= 0.0 {
-            DeadlinePolicy::None
-        } else {
-            DeadlinePolicy::EstimateFactor {
-                factor: f,
-                floor: SimDuration::from_secs(30),
-            }
-        };
     }
     Ok(ApplyOpts {
         targets,
@@ -790,23 +772,9 @@ fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
     if deny_warn {
         engine.set_lint_gate(cloudless::LintGate::DenyWarnings);
     }
-    let report = match engine.reconcile(&source, dry_run) {
-        Ok(r) => r,
-        Err(ConvergeError::Frontend(d)) => {
-            let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-            return Err(format!("program rejected:\n{}", d.render_pretty(&sources)));
-        }
-        Err(ConvergeError::Lint(r)) => {
-            let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
-            return Err(format!(
-                "reconcile refused: no patch satisfies the lint gate \
-                 ({} finding(s)); relax the gate or fix the program:\n{}",
-                r.findings.len(),
-                r.render_text(&sources)
-            ));
-        }
-        Err(e) => return Err(format!("reconcile failed: {e}")),
-    };
+    let report = engine
+        .reconcile(&source, dry_run)
+        .map_err(|e| format!("reconcile refused: {}", refusal(e, &source)))?;
     println!(
         "refresh: {} read(s), {} updated, {} missing",
         report.refresh.reads,

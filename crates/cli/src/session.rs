@@ -77,7 +77,7 @@ impl Session {
 
     /// Reconstruct the engine from the persisted world. `instrumented` is
     /// what `apply` and `drift` add: the resilience policy from the CLI's
-    /// `--legacy-retry` / `--retries` / `--deadline-factor` flags and an
+    /// `--retries` / `--deadline-factor` flags and an
     /// observability recorder threaded through every layer (cloud,
     /// executor, locks, drift); everything else runs on the defaults.
     pub fn engine(

@@ -328,6 +328,20 @@ fn analyze_state_ranks_pending_edit_set() {
     let text = stdout(&out);
     assert!(text.contains("ANA505"), "{text}");
     assert!(text.contains("replan"), "{text}");
+
+    // a program `plan` refuses has no pending edit set: the refusal is
+    // plan's, word for word
+    let tf = t.write(
+        "cycle.tf",
+        r#"
+resource "aws_virtual_machine" "a" { name = aws_virtual_machine.b.name }
+resource "aws_virtual_machine" "b" { name = aws_virtual_machine.a.name }
+"#,
+    );
+    let out = run(&["analyze", &tf, "--state", t.path()]);
+    assert!(!out.status.success());
+    assert_eq!(stderr(&out), stderr(&run(&["plan", t.path(), &tf])));
+    assert!(stderr(&out).contains("ANA401"), "{}", stderr(&out));
 }
 
 #[test]
@@ -483,6 +497,16 @@ fn a_misspelt_apply_option_stops_before_any_cloud_operation() {
     let out = run(&["apply", t.path(), &tf, "--resume"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("plain `apply`"), "{}", stderr(&out));
+    assert_eq!((world("state.json"), world("cloud.json")), before);
+
+    // a flag that is simply gone is an unknown option like any other
+    let out = run(&["apply", t.path(), &tf, "--legacy-retry"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("unknown apply option \"--legacy-retry\""),
+        "{err}"
+    );
     assert_eq!((world("state.json"), world("cloud.json")), before);
 }
 
@@ -668,6 +692,10 @@ resource "aws_s3_bucket" "extra" { bucket = "extra" }
     assert!(text.contains("aws_subnet.app"));
     assert!(!text.contains("aws_s3_bucket.extra"));
     assert!(text.contains("1 change(s) outside the target closure suppressed"));
+    assert!(
+        text.contains("Plan: 2 to add, 0 to change, 0 to destroy."),
+        "{text}"
+    );
 
     // targeted apply creates 2 of 3 resources
     let out = run(&["apply", t.path(), &tf, "--target", "aws_subnet.app"]);
@@ -677,6 +705,21 @@ resource "aws_s3_bucket" "extra" { bucket = "extra" }
     let out = run(&["apply", t.path(), &tf]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("3 resource(s) under management"));
+
+    // a targeted plan of an edit reads like the untargeted one: changed
+    // attributes under the address, the summary line under the changes
+    let edited = std::fs::read_to_string(&tf).unwrap();
+    let edited = edited.replace("10.0.1.0/24", "10.0.2.0/24");
+    let tf = t.write("infra.tf", &edited.replace("\"extra\" }", "\"more\" }"));
+    let out = run(&["plan", t.path(), &tf, "--target", "aws_subnet.app"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("-/+ aws_subnet.app\n"), "{text}");
+    assert!(text.contains("cidr_block = \"10.0.2.0/24\"\n"), "{text}");
+    assert!(!text.contains("aws_s3_bucket.extra"), "{text}");
+    let tail = "Plan: 1 to add, 0 to change, 1 to destroy.\n\
+                (1 change(s) outside the target closure suppressed)\n";
+    assert!(text.ends_with(tail), "{text}");
 }
 
 #[test]

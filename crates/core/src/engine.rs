@@ -5,8 +5,10 @@
 //! policy admission) decides what would change or refuses the program, and
 //! `execute` (lock → apply → outputs → commit) makes it so. `cloudless
 //! plan` prints the first half, infrastructure rollback runs a plan lifted
-//! from a checkpoint through the second, and the surrounding methods cover
-//! the operate phase: refresh, drift watching, failure explanation.
+//! from a checkpoint through the second, and `reconcile` runs both around
+//! the state it adopted from the cloud: its dry run is the first half over
+//! that state. The surrounding methods cover the rest of the operate phase:
+//! refresh, drift watching, failure explanation.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,9 +17,9 @@ use std::sync::Arc;
 use crate::pipeline::{
     ChangeTrace, FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
 };
-use cloudless_analyze::{lint_program, LintGate, LintReport};
+use cloudless_analyze::{LintGate, LintReport};
 use cloudless_cloud::{Cloud, CloudConfig};
-use cloudless_deploy::diff::{diff, Action as DiffAction};
+use cloudless_deploy::diff::{render, Action as DiffAction};
 use cloudless_deploy::resolver::{DataResolver, StateResolver};
 use cloudless_deploy::{
     full_refresh, plan_rollback, ApplyReport, Executor, Plan, RefreshReport, ResiliencePolicy,
@@ -35,7 +37,7 @@ use cloudless_state::{
 };
 use cloudless_types::{ResourceAddr, Value};
 use cloudless_validate::rules::quota_key;
-use cloudless_validate::{validate, SpecMiner, ValidationLevel, ValidationReport};
+use cloudless_validate::{SpecMiner, ValidationLevel, ValidationReport};
 
 /// Engine configuration.
 pub struct Config {
@@ -184,9 +186,10 @@ pub struct ReconcileReport {
     pub iterations: usize,
     /// The refresh that preceded classification.
     pub refresh: RefreshReport,
-    /// Rendered residual plan (hypothetical on dry runs).
+    /// Rendered residual plan: what a real run executes, and a dry run
+    /// would have.
     pub plan_text: String,
-    /// The converge's apply report; `None` on dry runs.
+    /// The residual plan's apply report; `None` on dry runs.
     pub apply: Option<ApplyReport>,
     /// Whether the patched program now plans to an empty diff.
     pub converged: bool,
@@ -387,49 +390,19 @@ impl Cloudless {
         &self.store.current().outputs
     }
 
-    // ---------- develop / validate ----------
-
-    /// Parse and expand a program with the configured inputs/modules.
-    pub fn load(&self, source: &str) -> Result<Manifest, Diagnostics> {
-        let program = Program::from_file(cloudless_hcl::parse(source, "main.tf")?)?;
-        self.expand_program(&program)
-    }
-
-    fn expand_program(&self, program: &Program) -> Result<Manifest, Diagnostics> {
-        expand(
-            program,
-            &self.config.inputs,
-            &self.config.modules,
-            &self.data,
-        )
-    }
-
-    /// Run the static-analysis passes over a program (§3.2): def-use
-    /// chains, constant folding + interval checks, sensitive-value taint,
-    /// and plan-graph hazards — all on the *un-expanded* program, so
-    /// defects in code the expander never evaluates are still found. Uses
-    /// the gate's configuration (default rules when the gate is off).
-    pub fn lint(&self, source: &str) -> Result<LintReport, Diagnostics> {
-        let program = cloudless_hcl::load(source, "main.tf")?;
-        let cfg = self.config.lint.config().unwrap_or_default();
-        Ok(lint_program(&program, &self.config.modules, &cfg))
-    }
-
-    /// Compile-time validation at the configured level (§3.2).
-    pub fn validate(&self, manifest: &Manifest) -> ValidationReport {
-        validate(
-            manifest,
-            self.cloud.catalog(),
-            self.config.validation_level,
-            Some(&self.miner),
-        )
-    }
-
     // ---------- plan / apply ----------
 
     /// Run the memoized front end (parse → lint → expand → validate →
-    /// diff) over `source` against current engine state.
-    fn run_pipeline(&mut self, source: &str) -> Result<FrontendOutput, PipelineError> {
+    /// diff) over `source` against `over`, or the committed state. The plan
+    /// cache is keyed by state serial, and a snapshot nobody committed
+    /// shares its serial with the one it was cloned from: a run over one
+    /// neither reads nor leaves plan-stage artifacts (the front-end memo
+    /// stays warm).
+    fn run_pipeline(
+        &mut self,
+        source: &str,
+        over: Option<&Snapshot>,
+    ) -> Result<FrontendOutput, PipelineError> {
         let Cloudless {
             pipeline,
             data,
@@ -446,11 +419,18 @@ impl Cloudless {
             level: config.validation_level,
             data: &*data,
             catalog: cloud.catalog(),
-            state: store.current(),
+            state: over.unwrap_or(store.current()),
             miner: Some(&*miner),
             recorder: &config.recorder,
         };
-        pipeline.run(source, &ctx)
+        if over.is_some() {
+            pipeline.forget_plan();
+        }
+        let out = pipeline.run(source, &ctx);
+        if over.is_some() {
+            pipeline.forget_plan();
+        }
+        out
     }
 
     /// Plan-only converge front end through the memoized pipeline: parse,
@@ -464,7 +444,7 @@ impl Cloudless {
         &mut self,
         source: &str,
     ) -> Result<(String, ChangeTrace), ConvergeError> {
-        let out = self.run_pipeline(source)?;
+        let out = self.run_pipeline(source, None)?;
         Ok((out.plan_text, out.trace))
     }
 
@@ -567,24 +547,31 @@ impl Cloudless {
         targets: &[ResourceAddr],
     ) -> Result<Planned, ConvergeError> {
         self.commit_uncommitted()?;
+        self.plan_over(source, targets, None)
+    }
+
+    /// [`Cloudless::plan`] against the state it is handed: `over`, a
+    /// snapshot nobody committed (the reconciler's adopted state), or the
+    /// committed one. Every decision the engine makes is this call.
+    fn plan_over(
+        &mut self,
+        source: &str,
+        targets: &[ResourceAddr],
+        over: Option<&Snapshot>,
+    ) -> Result<Planned, ConvergeError> {
         let FrontendOutput {
             manifest,
             validation,
             changes,
             mut plan_text,
             trace: _,
-        } = self.run_pipeline(source)?;
-        let mut plan = Plan::build(changes, self.store.current(), self.cloud.catalog());
+        } = self.run_pipeline(source, over)?;
+        let state = over.unwrap_or(self.store.current());
+        let mut plan = Plan::build(changes, state, self.cloud.catalog());
         if !targets.is_empty() {
             let (restricted, dropped) = plan.restrict_to(targets);
-            plan_text.clear();
-            for (_, node) in restricted.graph.iter() {
-                plan_text.push_str(&format!(
-                    "{:>3} {}\n",
-                    node.change.action.symbol(),
-                    node.change.addr
-                ));
-            }
+            let kept = restricted.graph.iter().map(|(_, node)| node.change.clone());
+            plan_text = render(&kept.collect::<Vec<_>>());
             plan_text.push_str(&format!(
                 "({dropped} change(s) outside the target closure suppressed)\n"
             ));
@@ -669,12 +656,23 @@ impl Cloudless {
         source: &str,
         targets: &[ResourceAddr],
     ) -> Result<ConvergeOutcome, ConvergeError> {
+        let planned = self.plan(source, targets)?;
+        self.apply_planned(planned, source)
+    }
+
+    /// Make an admitted plan so: execute it, learn conventions from a
+    /// clean apply, translate what failed.
+    fn apply_planned(
+        &mut self,
+        planned: Planned,
+        source: &str,
+    ) -> Result<ConvergeOutcome, ConvergeError> {
         let Planned {
             manifest,
             validation,
             plan,
             plan_text,
-        } = self.plan(source, targets)?;
+        } = planned;
         let apply = self.execute(&plan, &manifest.outputs, "apply", Some(source))?;
 
         // observe conventions from successful applies (§3.2 mining)
@@ -730,18 +728,18 @@ impl Cloudless {
     /// Close the drift loop (§3.5's "regenerate the IaC-level program"):
     /// refresh live state, classify every out-of-band mutation into minimal
     /// program edit ops, synthesize a lint-clean patch through the
-    /// validate-and-repair loop, fold imports/moves into state, and — unless
-    /// `dry_run` — converge the patched program so residual drift (ops the
-    /// repair loop dropped) is overwritten. On success the patched program
-    /// re-plans to an empty diff.
+    /// validate-and-repair loop, fold imports/moves into a state clone, and
+    /// plan the patched program over that adopted state — the one residual
+    /// plan, held against every gate of [`Cloudless::plan`]. A dry run
+    /// returns it and leaves the engine untouched. A real run commits the
+    /// adopted state and executes that same plan, so residual drift (ops
+    /// the repair loop dropped) is overwritten, then proves that the
+    /// patched program re-plans to an empty diff.
     ///
-    /// `dry_run` leaves engine state untouched: the refresh, state surgery,
-    /// and residual plan are computed against a hypothetical state clone.
-    ///
-    /// Returns [`ConvergeError::Frontend`] when the input program does not
-    /// parse/expand, and [`ConvergeError::Lint`] when no patch — not even
-    /// the op-free program — satisfies the configured lint gate (the
-    /// deny-lint refusal path).
+    /// A refusal — the input program does not parse/expand, no patch (not
+    /// even the op-free program) passes the front-end gates, or the
+    /// residual plan trips `prevent_destroy` or a policy — is the error the
+    /// refusing gate raised, and comes before any write, dry run or not.
     pub fn reconcile(
         &mut self,
         source: &str,
@@ -749,9 +747,9 @@ impl Cloudless {
     ) -> Result<ReconcileReport, ConvergeError> {
         let file = cloudless_hcl::parse(source, "main.tf").map_err(ConvergeError::Frontend)?;
         let program = Program::from_file(file.clone()).map_err(ConvergeError::Frontend)?;
-        let manifest = self
-            .expand_program(&program)
-            .map_err(ConvergeError::Frontend)?;
+        let (inputs, modules) = (&self.config.inputs, &self.config.modules);
+        let manifest =
+            expand(&program, inputs, modules, &self.data).map_err(ConvergeError::Frontend)?;
 
         // observe: fold live truth into a state clone (committed only on a
         // real run; a snapshot an earlier run could not commit goes in
@@ -779,24 +777,22 @@ impl Cloudless {
             ..cloudless_synth::PatchConfig::default()
         };
         let fail_on = patch_config.lint.fail_on;
-        // the expansion of the last candidate the checker admitted; on an
-        // `ok` outcome that candidate is `outcome.source`
-        let mut admitted: Option<Manifest> = None;
-        let mut checker = |candidate: &str| match self.run_pipeline(candidate) {
-            Ok(out) => {
-                admitted = Some(out.manifest);
-                Vec::new()
+        let mut refused: Option<PipelineError> = None;
+        let mut checker = |candidate: &str| match self.run_pipeline(candidate, None) {
+            Ok(_) => Vec::new(),
+            Err(err) => {
+                let messages = err.patch_messages(fail_on);
+                refused = Some(err);
+                messages
             }
-            Err(err) => err.patch_messages(fail_on),
         };
         let outcome =
             cloudless_synth::synthesize_patch_with(&file, &drift, &patch_config, &mut checker);
-        let (true, Some(patched_manifest)) = (outcome.ok, admitted) else {
-            // even the unpatched program fails the gate: refuse rather than
-            // emit a patch that cannot be admitted
-            let report = self.lint(source).unwrap_or_default();
-            return Err(ConvergeError::Lint(report));
-        };
+        if let (false, Some(err)) = (outcome.ok, refused) {
+            // even the unpatched program is refused: pass the refusal on
+            // rather than emit a patch that cannot be admitted
+            return Err(err.into());
+        }
 
         // state surgery the surviving ops justify: bind imports to their
         // live ids, renumber counted survivors (two phases so overlapping
@@ -825,45 +821,32 @@ impl Cloudless {
             state.put(r);
         }
 
-        if dry_run {
-            let changes = diff(&patched_manifest, &state, self.cloud.catalog(), &self.data);
-            let converged = changes.iter().all(|c| c.action.is_noop());
-            let plan_text = cloudless_deploy::diff::render(&changes);
-            return Ok(ReconcileReport {
-                plan: outcome.plan,
-                dropped: outcome.dropped,
-                patched_source: outcome.source,
-                iterations: outcome.iterations,
-                refresh,
-                apply: None,
-                plan_text,
-                converged,
-                dry_run: true,
-            });
-        }
-
-        // commit the refreshed + surgered state, then converge the patched
-        // program: adopted drift is already a no-op, dropped ops' drift is
-        // overwritten back to the program
-        self.commit(state, "reconcile: adopt drift", None, false)?;
-        let converge = self.converge(&outcome.source)?;
-        let changes = diff(
-            &patched_manifest,
-            self.store.current(),
-            self.cloud.catalog(),
-            &self.data,
-        );
-        let converged = changes.iter().all(|c| c.action.is_noop());
+        // decide: the residual plan of the patched program over the
+        // adopted state. Adopted drift is already a no-op in it, dropped
+        // ops' drift is overwritten back to the program
+        let planned = self.plan_over(&outcome.source, &[], Some(&state))?;
+        let mut converged = planned.plan.is_empty();
+        let (plan_text, apply) = if dry_run {
+            (planned.plan_text, None)
+        } else {
+            // act: adopt, run the plan a dry run shows, prove the fixpoint
+            // (a proof the gates refuse proves nothing)
+            self.commit(state, "reconcile: adopt drift", None, false)?;
+            let applied = self.apply_planned(planned, &outcome.source)?;
+            let proof = self.plan(&outcome.source, &[]);
+            converged = proof.is_ok_and(|p| p.plan.is_empty());
+            (applied.plan_text, Some(applied.apply))
+        };
         Ok(ReconcileReport {
             plan: outcome.plan,
             dropped: outcome.dropped,
             patched_source: outcome.source,
             iterations: outcome.iterations,
             refresh,
-            plan_text: converge.plan_text,
-            apply: Some(converge.apply),
+            plan_text,
+            apply,
             converged,
-            dry_run: false,
+            dry_run,
         })
     }
 
@@ -1342,19 +1325,6 @@ resource "aws_virtual_machine" "b" { name = aws_virtual_machine.a.name }
             !out.apply.all_ok(),
             "cycle surfaces as a deploy-time failure"
         );
-    }
-
-    #[test]
-    fn engine_lint_reports_without_converging() {
-        let e = engine();
-        let report = e
-            .lint(r#"variable "unused" { default = 1 }"#)
-            .expect("parses");
-        assert!(report
-            .findings
-            .iter()
-            .any(|f| f.diagnostic.code == "ANA101"));
-        assert_eq!(e.cloud().total_api_calls(), 0);
     }
 
     #[test]

@@ -506,6 +506,16 @@ impl IncrementalPipeline {
         self.memo = None;
     }
 
+    /// Drop what the plan stage cached and keep the front end's artifacts:
+    /// the next run re-diffs every instance. The plan cache is keyed by
+    /// state serial, so a run over a snapshot nobody committed — it shares
+    /// its serial with the one it was cloned from — is bracketed by this.
+    pub(crate) fn forget_plan(&mut self) {
+        if let Some(memo) = &mut self.memo {
+            memo.plan.serial = None;
+        }
+    }
+
     /// Whether a memo is currently held.
     pub fn is_warm(&self) -> bool {
         self.memo.is_some()

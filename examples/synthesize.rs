@@ -67,17 +67,16 @@ fn main() {
         .map(|seed| unguided_baseline(&intent, &catalog, 0.3, seed))
         .find(|r| !r.valid);
     if let Some(bad) = sample {
-        let fresh = Cloudless::new(Config::default());
-        match fresh.load(&bad.source) {
-            Ok(manifest) => {
-                let report = fresh.validate(&manifest);
-                for d in report.diagnostics.iter().take(3) {
+        // what `cloudless validate` says: `plan` on a fresh engine
+        match Cloudless::new(Config::default()).plan(&bad.source, &[]) {
+            Ok(planned) => {
+                for d in planned.validation.diagnostics.iter().take(3) {
                     println!("  {d}");
                 }
             }
-            Err(d) => {
-                for item in d.iter().take(3) {
-                    println!("  {item}");
+            Err(refused) => {
+                for line in refused.to_string().lines().take(4) {
+                    println!("  {line}");
                 }
             }
         }

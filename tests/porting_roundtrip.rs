@@ -105,9 +105,10 @@ resource "azure_storage_account" "store" {
     let ported = optimized_port(&records, &catalog);
     let text = cloudless::hcl::render_file(&ported.file);
 
-    let fresh = Cloudless::new(Config::default());
-    let manifest = fresh.load(&text).unwrap_or_else(|d| panic!("{d}\n{text}"));
-    let report = fresh.validate(&manifest);
+    let planned = Cloudless::new(Config::default())
+        .plan(&text, &[])
+        .unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let report = planned.validation;
     assert!(report.ok(), "{}\n{text}", report.diagnostics);
 }
 
@@ -132,9 +133,10 @@ resource "aws_virtual_machine" "odd" {
     let records: Vec<_> = e.cloud().records().values().cloned().collect();
     let ported = optimized_port(&records, &catalog);
     let text = cloudless::hcl::render_file(&ported.file);
-    let fresh = Cloudless::new(Config::default());
-    let manifest = fresh.load(&text).unwrap_or_else(|d| panic!("{d}\n{text}"));
-    let inst = &manifest.instances[0];
+    let planned = Cloudless::new(Config::default())
+        .plan(&text, &[])
+        .unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let inst = &planned.manifest.instances[0];
     assert_eq!(inst.attrs.get("name"), Some(&Value::from("we\"ird-näme")));
     assert_eq!(
         inst.attrs.get("user_data"),
@@ -208,8 +210,9 @@ resource "aws_s3_bucket" "logs" { bucket = "diff-logs" }
     let ported = optimized_port(&records, &catalog);
     let text = cloudless::hcl::render_file(&ported.file);
     let imported = Cloudless::new(Config::default())
-        .load(&text)
-        .unwrap_or_else(|d| panic!("{d}\n{text}"));
+        .plan(&text, &[])
+        .unwrap_or_else(|e| panic!("{e}\n{text}"))
+        .manifest;
 
     // structural equality: same multiset of (rtype, managed attrs) —
     // addresses legitimately differ (the porter invents its own labels)

@@ -137,6 +137,9 @@ proptest! {
             format!("{:?}", real.plan.ops)
         );
         prop_assert!(real.converged);
+        // the residual plan the dry run showed is the one the real run ran
+        prop_assert_eq!(&preview.plan_text, &real.plan_text);
+        prop_assert_eq!(preview.converged, real.apply.unwrap().ops_submitted == 0);
     }
 
     /// Every adversarial scenario family holds the invariant for arbitrary
