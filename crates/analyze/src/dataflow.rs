@@ -130,6 +130,15 @@ pub(crate) fn walk_refs_scoped<'a>(
 
 /// Every (expression, human label) site of a program, in declaration order.
 pub(crate) fn expr_sites(p: &Program) -> Vec<(&Expr, String)> {
+    sites(p, &p.resources)
+}
+
+/// The sites outside the resource blocks: what no block edit can touch.
+pub(crate) fn outer_sites(p: &Program) -> Vec<(&Expr, String)> {
+    sites(p, &[])
+}
+
+fn sites<'a>(p: &'a Program, resources: &'a [ResourceBlock]) -> Vec<(&'a Expr, String)> {
     let mut sites: Vec<(&Expr, String)> = Vec::new();
     for l in &p.locals {
         sites.push((&l.value, format!("local.{}", l.name)));
@@ -149,7 +158,7 @@ pub(crate) fn expr_sites(p: &Program) -> Vec<(&Expr, String)> {
             sites.push((&a.value, format!("data.{}.{}", d.rtype, d.name)));
         }
     }
-    for r in &p.resources {
+    for r in resources {
         let id = format!("{}.{}", r.rtype, r.name);
         if let Some(c) = &r.count {
             sites.push((c, format!("{id} count")));
@@ -194,6 +203,15 @@ pub(crate) struct Decls {
     blocks: BTreeMap<String, BTreeSet<String>>,
 }
 
+/// The resource blocks a structural edit declares and retracts, staged on
+/// top of a cached [`LintEnv`] until the edit lands ([`LintEnv::apply`]).
+/// `(type, name)` pairs; an edit holds a handful.
+#[derive(Debug, Default)]
+pub struct DeclEdit {
+    pub added: Vec<(String, String)>,
+    pub removed: Vec<(String, String)>,
+}
+
 impl Decls {
     fn of(p: &Program) -> Decls {
         let mut blocks: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -211,19 +229,26 @@ impl Decls {
         }
     }
 
+    /// Whether `rtype.name` is a declared resource block once `edit` lands.
+    fn declares(&self, edit: &DeclEdit, rtype: &str, name: &str) -> bool {
+        let named = |(t, n): &(String, String)| t == rtype && n == name;
+        let cached = || self.blocks.get(rtype).is_some_and(|ns| ns.contains(name));
+        edit.added.iter().any(named) || (cached() && !edit.removed.iter().any(named))
+    }
+
     /// Whether a `depends_on`-style reference names a declared block
     /// (references too short to name one pass).
-    pub(crate) fn has_block(&self, r: &Reference) -> bool {
-        r.parts.len() < 2
-            || self
-                .blocks
-                .get(&r.parts[0])
-                .is_some_and(|names| names.contains(&r.parts[1]))
+    pub(crate) fn has_block(&self, r: &Reference, edit: &DeclEdit) -> bool {
+        r.parts.len() < 2 || self.declares(edit, &r.parts[0], &r.parts[1])
     }
 
     /// The ANA103 site check: what `r` names, when that thing is not
     /// declared, plus the fix to suggest.
-    pub(crate) fn undeclared(&self, r: &Reference) -> Option<(String, Option<&'static str>)> {
+    pub(crate) fn undeclared(
+        &self,
+        r: &Reference,
+        edit: &DeclEdit,
+    ) -> Option<(String, Option<&'static str>)> {
         let name = r.parts.get(1);
         match r.root() {
             "var" => name.filter(|n| !self.vars.contains(*n)).map(|n| {
@@ -243,7 +268,7 @@ impl Decls {
             "module" => name
                 .filter(|n| !self.modules.contains(*n))
                 .map(|n| (format!("module module.{n}"), None)),
-            _ => (!self.has_block(r)).then(|| {
+            _ => (!self.has_block(r, edit)).then(|| {
                 (
                     format!(
                         "resource {}.{} — it would defer forever and the value silently never resolves",
@@ -263,6 +288,7 @@ pub(crate) fn pass_defuse(
     sink: &mut Sink<'_>,
 ) {
     let file = &p.filename;
+    let as_declared = &DeclEdit::default();
 
     // --- ANA104 duplicate definitions
     let mut vars: BTreeSet<&str> = BTreeSet::new();
@@ -335,7 +361,7 @@ pub(crate) fn pass_defuse(
                 }
                 _ => {}
             }
-            if let Some((what, hint)) = decls.undeclared(r) {
+            if let Some((what, hint)) = decls.undeclared(r, as_declared) {
                 sink.emit(
                     "ANA103",
                     file,
@@ -348,7 +374,8 @@ pub(crate) fn pass_defuse(
     }
     // depends_on lists are references without expressions around them
     for r in &p.resources {
-        for dep in r.depends_on.iter().filter(|d| !decls.has_block(d)) {
+        let undeclared = |d: &&Reference| !decls.has_block(d, as_declared);
+        for dep in r.depends_on.iter().filter(undeclared) {
             sink.emit(
                 "ANA103",
                 file,
@@ -897,8 +924,9 @@ pub(crate) fn pass_taint(p: &Program, taint: &Taint, sink: &mut Sink<'_>) {
 /// The program-wide context every pass reads: the fold environment, the
 /// taint sets and the declared names. [`crate::lint_program`] builds one
 /// per run; the incremental pipeline caches it, which stays sound while
-/// only resource-block *bodies* change (variables, locals, outputs and
-/// modules live in other chunks, and a block's identity is its chunk key).
+/// only resource blocks change (variables, locals, outputs and modules live
+/// in other chunks): a body edit leaves it as it is, and a block added or
+/// removed is a [`DeclEdit`] of the declared names.
 #[derive(Default)]
 pub struct LintEnv {
     pub(crate) fold: FoldEnv,
@@ -912,6 +940,23 @@ impl LintEnv {
             fold: FoldEnv::build(p),
             taint: Taint::of(p),
             decls: Decls::of(p),
+        }
+    }
+
+    /// Whether `rtype.name` is a declared resource block once `edit` lands.
+    pub fn declares(&self, edit: &DeclEdit, rtype: &str, name: &str) -> bool {
+        self.decls.declares(edit, rtype, name)
+    }
+
+    /// Land a staged edit of the declared resource blocks.
+    pub fn apply(&mut self, edit: DeclEdit) {
+        for (rtype, name) in edit.removed {
+            if let Some(names) = self.decls.blocks.get_mut(&rtype) {
+                names.remove(&name);
+            }
+        }
+        for (rtype, name) in edit.added {
+            self.decls.blocks.entry(rtype).or_default().insert(name);
         }
     }
 }

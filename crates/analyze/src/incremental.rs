@@ -3,42 +3,51 @@
 //! The full lint ([`crate::lint_program`]) is whole-program: def-use needs
 //! every declaration, hazards need the complete block digraph. But when a
 //! *clean* program (no findings, nothing suppressed) receives an edit
-//! confined to one resource block, the pipeline does not need the whole
-//! run again — it needs to know whether the edit could have *introduced*
-//! a finding anywhere. This module answers that question conservatively,
-//! and only by calling the rule fragments the whole-program passes are
-//! themselves folds of — no rule is written twice:
+//! confined to resource blocks — bodies edited, blocks added or removed —
+//! the pipeline does not need the whole run again: it needs to know whether
+//! the edit could have *introduced* a finding anywhere. This module answers
+//! that question conservatively, and only by calling the rule fragments the
+//! whole-program passes are themselves folds of — no rule is written twice:
 //!
 //! * [`LintEnv`] is the program-wide context the passes share (fold
-//!   environment, taint sets, declared names), cached across edits.
+//!   environment, taint sets, declared names), cached across edits; a
+//!   [`DeclEdit`] stages the blocks an edit declares and retracts on top of
+//!   it, and lands with [`LintEnv::apply`].
 //! * [`block_is_clean`] re-runs every check that reads the block's own
 //!   text — undeclared references (ANA103), count/port/CIDR folding
 //!   (ANA201/202/203), taint sinks (ANA302), self-reference (ANA404) —
 //!   and reports whether *zero* findings (and zero suppressions) result.
-//! * [`block_refs`] extracts the reference sets whose stability the
-//!   caller must verify separately: if the edited block's dependency
-//!   edges are unchanged, the block digraph is unchanged, so the cached
-//!   cycle/dangling verdicts (ANA401/403) still hold; if its old var and
-//!   local uses are a subset of the new ones, nothing became unused
-//!   (ANA101/102).
+//! * [`block_refs`] extracts what a block references, for the verdicts no
+//!   single block decides. Its dependency edges
+//!   ([`BlockRefs::block_targets`]) are the block digraph: an edited block
+//!   must keep them ([`BlockRefs::stable_under`]), an added one may only
+//!   point at blocks declared before it, a removed one must have no
+//!   dependent left — then the digraph gains no cycle and no dangling edge
+//!   (ANA401/403). Its variable and local uses are holders the caller
+//!   counts, [`outer_refs`] being the readers outside the blocks: a
+//!   declaration whose last holder goes became unused (ANA101/102).
 //! * [`LintEnv::block_claims`] is the write-write-conflict (ANA402) claim
 //!   extractor, so the caller can maintain an identity-claims multiset
 //!   across edits instead of rescanning every block.
 //!
 //! Soundness contract: if the cached full-program report was clean, the
-//! edit touched only resource-block chunks, every dirty block passes
-//! [`block_is_clean`], its [`block_refs`] satisfy the stability rules
-//! above, its count-folds-to-zero status is unchanged, and the claims
-//! multiset stays collision-free, then a cold full lint of the edited
-//! program is also clean. Any doubt must fall back to the full run.
+//! edit touched only resource-block chunks, every edited or added block
+//! passes [`block_is_clean`] under the staged declarations, the digraph
+//! rules above hold, no edited block's count-folds-to-zero status changed
+//! and no added block points at a count-disabled one, every use count stays
+//! positive, and the claims multiset stays collision-free, then a cold full
+//! lint of the edited program is also clean. Any doubt must fall back to
+//! the full run.
 
 use std::collections::BTreeSet;
 
-use cloudless_hcl::program::{Program, ResourceBlock};
+use cloudless_hcl::program::{is_resource_ref, Program, ResourceBlock};
 
 use crate::alias::ClaimKey;
-pub use crate::dataflow::LintEnv;
-use crate::dataflow::{block_exprs, check_block_consts, walk_refs_scoped};
+use cloudless_hcl::ast::{Expr, Reference};
+
+use crate::dataflow::{block_exprs, check_block_consts, outer_sites, walk_refs_scoped};
+pub use crate::dataflow::{DeclEdit, LintEnv};
 use crate::hazards;
 use crate::report::Sink;
 use crate::rules::LintConfig;
@@ -58,17 +67,18 @@ impl LintEnv {
     }
 }
 
-/// The reference sets of one block whose stability across an edit the
-/// caller must verify (see the module docs for the exact rules).
+/// What one block (or, from [`outer_refs`], everything outside the blocks)
+/// references: the sets the caller's cross-block guards read (see the
+/// module docs for the exact rules).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockRefs {
     /// Binding-blind resource references in attributes plus `depends_on`
     /// — exactly the dependency set the expander extracts, so equality
     /// means spliced instances keep identical `depends_on`.
     pub expand_deps: BTreeSet<(String, String)>,
-    /// Binding-aware two-part references in `count`/`for_each`/attributes
-    /// plus `depends_on` — a superset of the hazard pass's edge sources,
-    /// so equality means the block digraph is unchanged.
+    /// Binding-aware two-part resource references in `count`/`for_each`/
+    /// attributes plus `depends_on` — a superset of the hazard pass's edge
+    /// sources, so equality means the block digraph is unchanged.
     pub hazard_refs: BTreeSet<(String, String)>,
     /// Variables this block references (binding-aware).
     pub var_uses: BTreeSet<String>,
@@ -77,15 +87,38 @@ pub struct BlockRefs {
 }
 
 impl BlockRefs {
-    /// Whether an edit that turns these references into `new` keeps every
-    /// cached whole-program verdict: the same dependency edges (block
-    /// digraph and expansion dependency set unchanged) and no variable or
-    /// local use lost (nothing became unused).
+    /// Whether an edit that turns these references into `new` keeps the
+    /// same dependency edges: block digraph and expansion dependency set
+    /// unchanged.
     pub fn stable_under(&self, new: &BlockRefs) -> bool {
-        self.expand_deps == new.expand_deps
-            && self.hazard_refs == new.hazard_refs
-            && self.var_uses.is_subset(&new.var_uses)
-            && self.local_uses.is_subset(&new.local_uses)
+        self.expand_deps == new.expand_deps && self.hazard_refs == new.hazard_refs
+    }
+
+    /// Every `(type, name)` this block may have a dependency edge to: the
+    /// expander's and the hazard pass's edge sources together (the ones
+    /// that name no declared block are nobody's edge).
+    pub fn block_targets(&self) -> impl Iterator<Item = &(String, String)> {
+        self.expand_deps.union(&self.hazard_refs)
+    }
+
+    /// The binding-aware walk the lint passes use, over one expression.
+    fn note_scoped(&mut self, expr: &Expr) {
+        let mut bound = Vec::new();
+        walk_refs_scoped(expr, &mut bound, &mut |r: &Reference, _| {
+            match (r.root(), r.parts.get(1)) {
+                ("var", Some(n)) => {
+                    self.var_uses.insert(n.clone());
+                }
+                ("local", Some(n)) => {
+                    self.local_uses.insert(n.clone());
+                }
+                _ => {}
+            }
+            if r.parts.len() >= 2 && is_resource_ref(r) {
+                self.hazard_refs
+                    .insert((r.parts[0].clone(), r.parts[1].clone()));
+            }
+        });
     }
 }
 
@@ -95,7 +128,7 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
     // Expansion deps: same walker the expander uses (binding-blind).
     for a in &rb.attrs {
         a.value.walk_refs(&mut |r, _| {
-            if cloudless_hcl::program::is_resource_ref(r) && r.parts.len() >= 2 {
+            if is_resource_ref(r) && r.parts.len() >= 2 {
                 out.expand_deps
                     .insert((r.parts[0].clone(), r.parts[1].clone()));
             }
@@ -112,36 +145,34 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
     // Hazard edges and var/local uses: the binding-aware walker the lint
     // passes use, over the same sites.
     for expr in block_exprs(rb) {
-        let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            match (r.root(), r.parts.get(1)) {
-                ("var", Some(n)) => {
-                    out.var_uses.insert(n.clone());
-                }
-                ("local", Some(n)) => {
-                    out.local_uses.insert(n.clone());
-                }
-                _ => {}
-            }
-            if r.parts.len() >= 2 {
-                out.hazard_refs
-                    .insert((r.parts[0].clone(), r.parts[1].clone()));
-            }
-        });
+        out.note_scoped(expr);
+    }
+    out
+}
+
+/// What the expression sites *outside* the resource blocks reference
+/// (variable defaults, locals, providers, data sources, module inputs,
+/// outputs): the uses and the resource references no block edit can touch.
+/// They expand to nothing, so `expand_deps` stays empty.
+pub fn outer_refs(p: &Program) -> BlockRefs {
+    let mut out = BlockRefs::default();
+    for (expr, _) in outer_sites(p) {
+        out.note_scoped(expr);
     }
     out
 }
 
 /// Re-run every block-local lint check against `rb` (whose references are
-/// `refs`) and report whether the block is finding-free — and
-/// suppression-free: an allow-listed finding still forces the caller onto
-/// the full path, because the full run would change the report's
-/// `suppressed` count.
+/// `refs`), with the blocks `edit` stages declared and retracted, and
+/// report whether the block is finding-free — and suppression-free: an
+/// allow-listed finding still forces the caller onto the full path, because
+/// the full run would change the report's `suppressed` count.
 pub fn block_is_clean(
     p: &Program,
     rb: &ResourceBlock,
     refs: &BlockRefs,
     env: &LintEnv,
+    edit: &DeclEdit,
     config: &LintConfig,
 ) -> bool {
     // ANA404: a reference to the block's own (type, name) can never
@@ -156,11 +187,11 @@ pub fn block_is_clean(
     }
 
     // ANA103: undeclared references (only the verdict matters).
-    let mut declared = rb.depends_on.iter().all(|d| env.decls.has_block(d));
+    let mut declared = rb.depends_on.iter().all(|d| env.decls.has_block(d, edit));
     for expr in block_exprs(rb) {
         let mut bound = Vec::new();
         walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            declared &= env.decls.undeclared(r).is_none();
+            declared &= env.decls.undeclared(r, edit).is_none();
         });
     }
     if !declared {
@@ -186,7 +217,15 @@ mod tests {
     }
 
     fn clean(p: &Program, rb: &ResourceBlock, env: &LintEnv) -> bool {
-        block_is_clean(p, rb, &block_refs(rb), env, &LintConfig::default())
+        let as_declared = DeclEdit::default();
+        block_is_clean(
+            p,
+            rb,
+            &block_refs(rb),
+            env,
+            &as_declared,
+            &LintConfig::default(),
+        )
     }
 
     const CLEAN: &str = r#"
@@ -265,6 +304,53 @@ mod tests {
         let r0 = block_refs(&p.resources[0]);
         assert!(r0.var_uses.contains("region"));
         assert!(r0.local_uses.contains("prefix"));
+    }
+
+    #[test]
+    fn staged_declarations_decide_what_is_declared() {
+        let p = program(CLEAN);
+        let mut env = LintEnv::build(&p);
+        let vm = &p.resources[1]; // reads aws_s3_bucket.b
+        let check = |env: &LintEnv, edit: &DeclEdit| {
+            block_is_clean(&p, vm, &block_refs(vm), env, edit, &LintConfig::default())
+        };
+        let bucket = ("aws_s3_bucket".to_owned(), "b".to_owned());
+        let retract = DeclEdit {
+            removed: vec![bucket.clone()],
+            ..DeclEdit::default()
+        };
+        assert!(check(&env, &DeclEdit::default()));
+        assert!(!check(&env, &retract), "reads a retracted block");
+        assert!(!env.declares(&retract, "aws_s3_bucket", "b"));
+        env.apply(retract);
+        assert!(!check(&env, &DeclEdit::default()));
+        let declare = DeclEdit {
+            added: vec![bucket],
+            ..DeclEdit::default()
+        };
+        assert!(check(&env, &declare));
+        env.apply(declare);
+        assert!(env.declares(&DeclEdit::default(), "aws_s3_bucket", "b"));
+    }
+
+    #[test]
+    fn outer_refs_are_the_readers_outside_the_blocks() {
+        let p = program(
+            r#"
+            variable "region" { default = "us-east-1" }
+            variable "zone" { default = "a" }
+            locals { az = "${var.region}-${var.zone}" }
+            resource "aws_s3_bucket" "b" { bucket = local.az }
+            output "bucket" { value = aws_s3_bucket.b.bucket }
+        "#,
+        );
+        let outer = outer_refs(&p);
+        assert_eq!(outer.var_uses.len(), 2, "{outer:?}");
+        assert!(outer.local_uses.is_empty(), "the block's use is not outer");
+        assert!(outer
+            .hazard_refs
+            .contains(&("aws_s3_bucket".into(), "b".into())));
+        assert!(outer.expand_deps.is_empty());
     }
 
     #[test]

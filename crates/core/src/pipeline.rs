@@ -15,18 +15,21 @@
 //! parse → lint → expand → validate → analyze → plan **once**:
 //!
 //! * `Scope::All` — every block is in scope and nothing is reused: there
-//!   is no memo, the edit is structural or touches a non-resource chunk,
+//!   is no memo, the edit touches a non-resource chunk or reorders blocks,
 //!   the engine configuration changed, the memoized program deviates from
 //!   conventions the spec miner has learned since, or a guard tripped. The
 //!   verdict stages call the reference whole-program passes
 //!   ([`lint_program_in`], [`validate_indexed`], [`analyze_manifest`]), so
 //!   every diagnostic is exact, and each stage fills its share of a fresh
 //!   memo.
-//! * `Scope::Blocks` — only the dirty resource blocks are in scope;
-//!   everything outside them is read from the memo. Each stage re-derives
-//!   the dirty blocks' artifacts with the same per-block functions the
-//!   whole-program passes fold over, holds them against *guards*, and
-//!   stages the result in a `Splice` — O(scope), never a copy of the memo.
+//! * `Scope::Blocks` — only the resource blocks the edit touches are in
+//!   scope: the ones whose body changed, the ones only the new source has
+//!   (inserted) and the ones only the memo has (removed); a rename is one
+//!   of each. Everything outside them is read from the memo. Each stage
+//!   re-derives the in-scope blocks' artifacts with the same per-block
+//!   functions the whole-program passes fold over, holds them against
+//!   *guards*, and stages the result in a `Splice` — O(scope), never a copy
+//!   of the memo.
 //!
 //! A cold run is therefore the same walk over an empty memo, and a guard
 //! trip restarts the same walk with every block in scope. A splice lands
@@ -37,6 +40,20 @@
 //! the old memo is released before the O(world) stages allocate, so peak
 //! memory is one memo, not two.
 //!
+//! # Inserting and removing blocks
+//!
+//! The memo's tables are positional — block *i*'s chunk, its node in the
+//! block DAG, its range of the manifest's instances, their places in the
+//! validation index and in the plan's visiting order. A body edit moves
+//! none of them. A splice that inserts or removes blocks *reshapes* them,
+//! once, between its expand and validate stages
+//! (`Memo::reshape`): one O(blocks) pass renumbers what
+//! stays and makes room for what comes, and no per-block artifact outside
+//! the scope is derived again. The lint stage has passed by then, which is
+//! the last stage after which a refused program gets its memo back; a guard
+//! that trips on a reshaped memo drops it, as the all-blocks walk it
+//! restarts would have.
+//!
 //! # Why the splice is exact
 //!
 //! The contract is that the output (manifest, validation report, plan
@@ -46,16 +63,22 @@
 //! no validation diagnostics, no expansion warnings, no modules. An edit
 //! to a clean program can only *introduce* problems, and each stage's
 //! guards detect any introduction with O(edit) work, so the splice never
-//! has to reproduce a diagnostic — only prove there are none. Dirty chunks
-//! are parsed standalone, so spans in unedited blocks go stale; that is
-//! harmless, because a clean run emits no diagnostics and plan text holds
-//! no spans.
+//! has to reproduce a diagnostic — only prove there are none. An inserted
+//! block is held to everything an edited one is, may depend only on blocks
+//! declared before it (nothing can depend on it yet, so the block DAG
+//! gains no cycle), and must not be declared already. A removed block must
+//! leave no reader behind — no dependent in the block DAG, no output or
+//! local naming it, no variable or local it was the last reader of —
+//! retracts its claims, and turns into deletions of whichever of its
+//! addresses the state holds. In-scope chunks are parsed standalone, so
+//! spans in unedited blocks go stale; that is harmless, because a clean run
+//! emits no diagnostics and plan text holds no spans.
 //!
 //! One verdict can change under an unedited program: the spec miner learns
 //! from every apply. Mined findings are functions of one instance, so the
 //! memo records the rules ([`MinedSpec::rule`]) it is clean under; a run
 //! whose miner holds other rules re-checks the memo's manifest against them
-//! before anything is reused, and the validate guard holds the dirty
+//! before anything is reused, and the validate guard holds the in-scope
 //! instances against the miner like any other per-instance layer.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
@@ -65,18 +88,23 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use cloudless_analyze::alias::{instance_claims, replace_self_race, ClaimKey};
-use cloudless_analyze::incremental::{block_is_clean, block_refs, LintEnv};
+use cloudless_analyze::incremental::{
+    block_is_clean, block_refs, outer_refs, BlockRefs, DeclEdit, LintEnv,
+};
 use cloudless_analyze::{
     analyze_manifest, lint_program_in, AnalysisOutcome, LintConfig, LintGate, LintReport,
 };
 use cloudless_cloud::Catalog;
-use cloudless_deploy::diff::{delete_changes, dependency_order, plan_one, render, PlannedChange};
+use cloudless_deploy::diff::{
+    delete_change, delete_changes, dependency_order, plan_one, render, PlannedChange,
+};
 use cloudless_graph::{Dag, DagBuilder, ImpactScope, NodeId};
 use cloudless_hcl::eval::Resolver;
-use cloudless_hcl::fingerprint::{diff_chunks, ChunkDelta, ChunkKind, ChunkMap};
+use cloudless_hcl::fingerprint::{diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap};
 use cloudless_hcl::program::{
     expand_resource_block, expand_root, Manifest, ModuleLibrary, Program, ResourceBlock,
     ResourceInstance, RootExpansion,
@@ -84,7 +112,7 @@ use cloudless_hcl::program::{
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
-use cloudless_types::Value;
+use cloudless_types::{ResourceAddr, Value};
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
@@ -246,9 +274,10 @@ fn same_rules(a: &[MinedSpec], b: &[MinedSpec]) -> bool {
         .eq(b.iter().map(MinedSpec::rule))
 }
 
-/// One identity a program claims, in the domain of the aggregate rule that
-/// polices it. Each of those rules is "no claim has more holders than its
-/// limit", so one counted multiset serves all four.
+/// One thing a program holds, in the domain of the aggregate rule that
+/// polices it. Each of those rules bounds the holders of a claim — at most
+/// a limit for the identities, at least one for the readers — so one
+/// counted multiset serves all six.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Claim {
     /// ANA402: an identity that folds to a constant before expansion.
@@ -260,12 +289,33 @@ enum Claim {
     Name((String, String)),
     /// VAL307: one instance in a `(type, region)` quota bucket.
     Quota((String, String)),
+    /// ANA101: a reader of a variable; every one a clean program declares
+    /// has a reader.
+    Var(String),
+    /// ANA102: the same, of a local.
+    Local(String),
 }
 
-/// The claims a block makes before expansion — the one extractor behind
-/// the lint stage's all-blocks fill and its dirty-block splice.
-fn block_claims(rb: &ResourceBlock, env: &LintEnv) -> impl Iterator<Item = Claim> {
+/// The identities a block claims before expansion — the one extractor
+/// behind the lint stage's all-blocks fill and its splice.
+fn identity_claims(rb: &ResourceBlock, env: &LintEnv) -> impl Iterator<Item = Claim> {
     env.block_claims(rb).into_iter().map(Claim::Block)
+}
+
+/// The reader claims of a block (or of everything outside the blocks) —
+/// the same, for the parse stage's fill and the lint stage's splice.
+fn reader_claims(refs: &BlockRefs) -> impl Iterator<Item = Claim> + '_ {
+    let vars = refs.var_uses.iter().cloned().map(Claim::Var);
+    vars.chain(refs.local_uses.iter().cloned().map(Claim::Local))
+}
+
+/// Both, of a block whose references are `refs`.
+fn lint_claims<'a>(
+    rb: &ResourceBlock,
+    refs: &'a BlockRefs,
+    env: &LintEnv,
+) -> impl Iterator<Item = Claim> + 'a {
+    identity_claims(rb, env).chain(reader_claims(refs))
 }
 
 /// The claims a block's instances make — the same, for the analyze stage.
@@ -281,7 +331,7 @@ fn instance_level_claims(instances: &[Arc<ResourceInstance>]) -> impl Iterator<I
 type Claims = HashMap<Claim, usize>;
 
 /// A staged edit of [`Claims`]: per claim, holders gained minus holders
-/// lost between the dirty blocks' old artifacts and their new ones.
+/// lost between the in-scope blocks' old artifacts and their new ones.
 type ClaimsEdit = BTreeMap<Claim, isize>;
 
 /// Stage `by` more holders for each of `claims`.
@@ -299,17 +349,19 @@ fn hold(claims: &mut Claims, claim: Claim, by: isize) {
     }
 }
 
-/// The first claim that would, once `edit` lands, have gained holders and
-/// have more than `limit(claim)` of them.
-fn overfull<'e>(
+/// The first claim that would, once `edit` lands, have gained holders past
+/// the most `bounds(claim)` allows or lost them below the least.
+fn out_of_bounds<'e>(
     claims: &Claims,
     edit: &'e ClaimsEdit,
-    limit: impl Fn(&Claim) -> usize,
+    bounds: impl Fn(&Claim) -> (usize, usize),
 ) -> Option<&'e Claim> {
-    let after = |claim, by| claims.get(claim).copied().unwrap_or(0) as isize + by;
-    let mut gained = edit.iter().filter(|(_, &by)| by > 0);
-    let over = gained.find(|(claim, &by)| after(*claim, by) > limit(claim) as isize);
-    over.map(|(claim, _)| claim)
+    let broken = |(claim, &by): &(&Claim, &isize)| {
+        let after = claims.get(*claim).copied().unwrap_or(0) as isize + by;
+        let (least, most) = bounds(claim);
+        (by > 0 && after > most as isize) || (by < 0 && after < least as isize)
+    };
+    edit.iter().find(broken).map(|(claim, _)| claim)
 }
 
 /// Plan-stage artifacts, valid for one state serial.
@@ -319,17 +371,32 @@ struct PlanCache {
     serial: Option<u64>,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
-    /// `(rtype, name)` → whether the block's last-visited instance is
-    /// created or replaced.
-    dirty: HashMap<(String, String), bool>,
+    /// Block type → block name → whether the block's last-visited instance
+    /// is created or replaced (nested, so a probe borrows its key).
+    dirty: HashMap<String, HashMap<String, bool>>,
     /// Non-NoOp changes by declaration position.
     changes: BTreeMap<usize, PlannedChange>,
-    /// Deletions (stable per address set + serial).
-    deletes: Vec<PlannedChange>,
+    /// Deletions by rendered address — the state's own key, so its order.
+    deletes: BTreeMap<String, PlannedChange>,
 }
 
-fn block_key(inst: &ResourceInstance) -> (String, String) {
-    (inst.addr.rtype.as_str().to_owned(), inst.addr.name.clone())
+impl PlanCache {
+    /// Whether `rtype.name`'s last-visited instance is created or replaced
+    /// (`None`: not visited).
+    fn is_dirty(&self, rtype: &str, name: &str) -> Option<bool> {
+        self.dirty.get(rtype)?.get(name).copied()
+    }
+
+    fn set_dirty(&mut self, rtype: &str, name: &str, dirty: bool) {
+        if !self.dirty.contains_key(rtype) {
+            self.dirty.insert(rtype.to_owned(), HashMap::new());
+        }
+        let names = self.dirty.get_mut(rtype).expect("just ensured");
+        match names.get_mut(name) {
+            Some(known) => *known = dirty,
+            None => drop(names.insert(name.to_owned(), dirty)),
+        }
+    }
 }
 
 /// The memoized artifacts of one clean run, grouped by the stage that
@@ -350,10 +417,13 @@ struct Memo {
     block_chunk: Vec<usize>,
     /// The program's non-resource half (variables, locals, outputs, …).
     /// A resource block's syntax is one standalone parse of its chunk of
-    /// `source` away, which is all a splice needs of the block it replaces.
+    /// `source` away, which is all a splice needs of a block it replaces
+    /// or removes.
     program: Program,
+    /// The `(type, name)`s that half references: blocks that cannot go.
+    outer: BTreeSet<(String, String)>,
     /// Block-level dependency DAG (edges: dependency → dependent).
-    dag: Dag<usize>,
+    dag: Dag<()>,
     // lint
     lint_env: LintEnv,
     // expand
@@ -361,10 +431,60 @@ struct Memo {
     manifest: Manifest,
     // validate
     mindex: ManifestIndex,
-    // analyze
+    // parse (readers), lint (block identities), analyze (the rest)
     claims: Claims,
     // plan
     plan: PlanCache,
+}
+
+/// Where a block sits in one version of the source: its position among the
+/// resource blocks and the chunk that holds it.
+type Seat = (usize, usize);
+
+/// A block an inserted block depends on.
+#[derive(Clone, Copy)]
+enum Dep {
+    /// A block of the memo, by its position there.
+    Memo(usize),
+    /// A block the same splice inserts, by its index in the splice.
+    Staged(usize),
+}
+
+/// One block of a splice, old and new: an edited block has both sides, an
+/// inserted one only the new, a removed one only the old. Each stage fills
+/// in what it derives of either side.
+#[derive(Default)]
+struct BlockEdit {
+    /// Its seat in the memo's source and in the new one. Positions count
+    /// the blocks of their own source; once the memo is reshaped
+    /// ([`Memo::reshape`]) the new ones are the memo's.
+    was: Option<Seat>,
+    now: Option<Seat>,
+    /// parse: the block as each source has it.
+    old: Option<ResourceBlock>,
+    new: Option<ResourceBlock>,
+    /// lint: what an inserted block depends on.
+    deps: Vec<Dep>,
+    /// expand: its instances in the memo's manifest and in the new one.
+    before: Vec<Arc<ResourceInstance>>,
+    after: Vec<Arc<ResourceInstance>>,
+}
+
+impl BlockEdit {
+    /// Its position: among the new source's blocks if it is there, else
+    /// among the memo's.
+    fn at(&self) -> usize {
+        let (at, _) = (self.now.or(self.was)).expect("a block in scope sits in a source");
+        at
+    }
+
+    fn inserted(&self) -> bool {
+        self.was.is_none()
+    }
+
+    fn removed(&self) -> bool {
+        self.now.is_none()
+    }
 }
 
 /// What a [`Scope::Blocks`] walk produced, staged O(scope) and applied to
@@ -373,10 +493,23 @@ struct Memo {
 struct Splice {
     /// The re-aligned chunk table (`None`: source unchanged).
     chunks: Option<ChunkMap>,
-    /// The dirty blocks: index, the block as the memo's source has it, the
-    /// block as the new source has it.
-    blocks: Vec<(usize, ResourceBlock, ResourceBlock)>,
+    /// The blocks in scope, in source order.
+    blocks: Vec<BlockEdit>,
+    /// The block declarations the inserted and removed ones amount to.
+    decls: DeclEdit,
     claims: ClaimsEdit,
+    /// Whether blocks were inserted or removed, and the memo's positional
+    /// tables have been reshaped for it: nothing is left to put back.
+    reshaped: bool,
+}
+
+impl Splice {
+    /// How many blocks the splice inserts and removes.
+    fn resized(&self) -> (usize, usize) {
+        let inserted = self.blocks.iter().filter(|b| b.inserted()).count();
+        let removed = self.blocks.iter().filter(|b| b.removed()).count();
+        (inserted, removed)
+    }
 }
 
 /// Which blocks one walk recomputes, and where it stages what it derives.
@@ -396,13 +529,9 @@ enum Scope {
         /// parse or lint stage refuses the program, released after them.
         old: Option<Box<Memo>>,
     },
-    /// The dirty resource blocks of `memo` (possibly none); everything
-    /// outside them is reused.
-    Blocks {
-        memo: Box<Memo>,
-        dirty: Vec<usize>,
-        edit: Box<Splice>,
-    },
+    /// The blocks of `memo` and of the new source that `edit` names
+    /// (possibly none); everything outside them is reused.
+    Blocks { memo: Box<Memo>, edit: Box<Splice> },
 }
 
 /// Why a walk stopped early.
@@ -458,33 +587,28 @@ impl Scope {
             }
             memo.specs = ctx.mined_specs().to_vec();
         }
-        let (dirty, chunks) = match diff_chunks(&memo.chunks, &memo.source, source) {
-            ChunkDelta::Unchanged => (Vec::new(), None),
-            ChunkDelta::BodyEdit { dirty, map } => (dirty, Some(map)),
-            ChunkDelta::Structural { .. } => {
-                let reason = "structural edit (blocks added/removed/renamed)";
-                return Scope::all(reason, keep, Some(memo));
-            }
-        };
-        let block_of = |ci| memo.block_chunk.binary_search(ci).ok();
-        match dirty.iter().map(block_of).collect() {
-            Some(dirty) => Scope::Blocks {
-                memo,
-                dirty,
-                edit: Box::new(Splice {
-                    chunks,
+        let edit = match diff_chunks(&memo.chunks, &memo.source, source) {
+            ChunkDelta::Unchanged => Splice::default(),
+            ChunkDelta::Window { old, new, map } => match memo.align(old, new, &map) {
+                Ok(blocks) => Splice {
+                    chunks: Some(map),
+                    blocks,
                     ..Splice::default()
-                }),
+                },
+                Err(reason) => return Scope::all(reason, keep, Some(memo)),
             },
-            None => Scope::all("edit touches a non-resource block", keep, Some(memo)),
+        };
+        Scope::Blocks {
+            memo,
+            edit: Box::new(edit),
         }
     }
 
-    /// The memo as it stood before the run.
+    /// The memo as it stood before the run, if it still does.
     fn into_memo(self) -> Option<Box<Memo>> {
         match self {
             Scope::All { old, .. } => old,
-            Scope::Blocks { memo, .. } => Some(memo),
+            Scope::Blocks { memo, edit } => (!edit.reshaped).then_some(memo),
         }
     }
 }
@@ -554,23 +678,19 @@ impl IncrementalPipeline {
         // Nothing refuses a program past the verdict stages, so the plan
         // stage works on the memo this run leaves behind: the fresh one, or
         // the old one with the splice in.
-        let (mut memo, dirty, reason, keep) = match scope {
+        let (mut memo, edit, reason, keep) = match scope {
             Scope::All {
                 reason,
                 fresh,
                 keep,
                 ..
             } => (fresh, None, Some(reason), keep),
-            Scope::Blocks {
-                mut memo,
-                dirty,
-                edit,
-            } => {
-                memo.absorb(*edit, source, &walk.out.manifest);
-                (memo, Some(dirty), None, true)
+            Scope::Blocks { mut memo, mut edit } => {
+                memo.absorb(&mut edit, source);
+                (memo, Some(edit), None, true)
             }
         };
-        walk.plan(&mut memo, dirty.as_deref());
+        walk.plan(&mut memo, edit.as_ref().map(|edit| &edit.blocks[..]));
         let trace = &mut walk.out.trace;
         trace.fast_path = reason.is_none();
         trace.fallback_reason = reason;
@@ -645,12 +765,17 @@ impl<'a> Walk<'a> {
         self.analyze(scope)?;
         let (action, detail) = match scope {
             Scope::All { .. } => ("full", "every block in scope".to_owned()),
-            Scope::Blocks { dirty, .. } if dirty.is_empty() => {
+            Scope::Blocks { edit, .. } if edit.blocks.is_empty() => {
                 ("cached", "no block in scope".to_owned())
             }
-            Scope::Blocks { dirty, memo, .. } => {
-                let (k, n) = (dirty.len(), memo.block_chunk.len());
-                ("incremental", format!("{k} of {n} block(s) in scope"))
+            Scope::Blocks { edit, memo } => {
+                let (k, n) = (edit.blocks.len(), memo.root.block_ranges.len());
+                let shape = match edit.resized() {
+                    (0, 0) => String::new(),
+                    (a, r) => format!(", +{a} inserted, −{r} removed"),
+                };
+                let detail = format!("{k} of {n} block(s) in scope{shape}");
+                ("incremental", detail)
             }
         };
         for stage in ["parse", "lint", "expand", "validate", "analyze"] {
@@ -659,7 +784,8 @@ impl<'a> Walk<'a> {
         Ok(())
     }
 
-    /// **parse** — source → program, chunk ↔ block tables, block DAG.
+    /// **parse** — source → program, chunk ↔ block tables, block DAG,
+    /// reader counts.
     fn parse(&mut self, scope: &mut Scope) -> Result<(), Stop> {
         match scope {
             Scope::All { fresh, keep, .. } => {
@@ -668,23 +794,18 @@ impl<'a> Walk<'a> {
                 fresh.program = Program::from_file(file).map_err(PipelineError::Frontend)?;
                 *keep = *keep && fresh.index_source(self.source, self.ctx);
             }
-            Scope::Blocks { memo, dirty, edit } => {
-                // the caller's copy (`Arc` bumps); the expand stage replaces
-                // the dirty ranges in it, and in the memo only on success
-                self.out.manifest = memo.manifest.clone();
+            Scope::Blocks { memo, edit } => {
                 let Some(chunks) = &edit.chunks else {
                     return Ok(()); // source unchanged
                 };
-                let parse = |source: &str, chunks: &ChunkMap, bi: usize| {
-                    let chunk = &chunks.chunks[memo.block_chunk[bi]];
-                    parse_block(&source[chunk.start..chunk.end], &memo.program.filename)
+                let filename = &memo.program.filename;
+                let parse = |source: &str, chunks: &ChunkMap, seat: Option<Seat>| {
+                    let chunk = seat.map(|(_, ci)| &chunks.chunks[ci]);
+                    chunk.map(|c| parse_block(source, c, filename)).transpose()
                 };
-                for &bi in dirty.iter() {
-                    let old = parse(&memo.source, &memo.chunks, bi)?;
-                    let new = parse(self.source, chunks, bi)?;
-                    let same = new.rtype == old.rtype && new.name == old.name;
-                    ensure(same, "dirty block changed identity")?;
-                    edit.blocks.push((bi, old, new));
+                for b in edit.blocks.iter_mut() {
+                    b.old = parse(&memo.source, &memo.chunks, b.was)?;
+                    b.new = parse(self.source, chunks, b.now)?;
                 }
             }
         }
@@ -707,34 +828,77 @@ impl<'a> Walk<'a> {
                 if *keep {
                     fresh.lint_env = env;
                     for rb in &fresh.program.resources {
-                        for claim in block_claims(rb, &fresh.lint_env) {
+                        for claim in identity_claims(rb, &fresh.lint_env) {
                             hold(&mut fresh.claims, claim, 1);
                         }
                     }
                 }
             }
-            Scope::Blocks { memo, edit, .. } => {
+            Scope::Blocks { memo, edit } => {
+                let Splice {
+                    blocks,
+                    decls,
+                    claims,
+                    ..
+                } = &mut **edit;
                 let env = &memo.lint_env;
-                for (_, old_rb, rb) in &edit.blocks {
-                    // Reference stability stands in for the whole-program
-                    // graph passes, and no block may flip to or from count = 0.
-                    let (old, new) = (block_refs(old_rb), block_refs(rb));
-                    ensure(old.stable_under(&new), "dependency edges or uses changed")?;
-                    let flipped = env.count_folds_zero(rb) != env.count_folds_zero(old_rb);
-                    ensure(!flipped, "count-disabled status changed")?;
-                    let clean = |cfg| block_is_clean(&memo.program, rb, &new, env, cfg);
-                    let clean = self.lint_cfg.as_ref().is_none_or(clean);
-                    ensure(clean, "edited block has lint findings")?;
-                    stage(&mut edit.claims, block_claims(old_rb, env), -1);
-                    stage(&mut edit.claims, block_claims(rb, env), 1);
+                let key = |rb: &ResourceBlock| (rb.rtype.clone(), rb.name.clone());
+                // what the splice declares and retracts, and the seats it
+                // vacates
+                let leaving = blocks.iter().filter(|b| b.removed());
+                decls.removed = leaving.filter_map(|b| b.old.as_ref()).map(key).collect();
+                let coming = blocks.iter().filter(|b| b.inserted());
+                for rb in coming.filter_map(|b| b.new.as_ref()) {
+                    let twice = env.declares(decls, &rb.rtype, &rb.name);
+                    ensure(!twice, "structural edit (a block is declared twice)")?;
+                    decls.added.push(key(rb));
                 }
+                let gone: HashSet<usize> = (blocks.iter().filter(|b| b.removed()))
+                    .filter_map(|b| b.was.map(|(at, _)| at))
+                    .collect();
+                for at in 0..blocks.len() {
+                    let (earlier, rest) = blocks.split_at_mut(at);
+                    let b = &mut rest[0];
+                    let old = b.old.as_ref().map(|rb| (rb, block_refs(rb)));
+                    let new = b.new.as_ref().map(|rb| (rb, block_refs(rb)));
+                    if let (Some((old_rb, old)), Some((rb, new))) = (&old, &new) {
+                        // Reference stability stands in for the whole-program
+                        // graph passes, and no block may flip to or from count = 0.
+                        ensure(old.stable_under(new), "dependency edges changed")?;
+                        let flipped = env.count_folds_zero(rb) != env.count_folds_zero(old_rb);
+                        ensure(!flipped, "count-disabled status changed")?;
+                    }
+                    if let Some((rb, refs)) = &new {
+                        let clean = |cfg| block_is_clean(&memo.program, rb, refs, env, decls, cfg);
+                        let clean = self.lint_cfg.as_ref().is_none_or(clean);
+                        ensure(clean, "edited block has lint findings")?;
+                        stage(claims, lint_claims(rb, refs, env), 1);
+                    }
+                    if let (None, Some((_, refs))) = (&old, &new) {
+                        b.deps = memo.dependencies(refs, decls, earlier)?;
+                    }
+                    if let Some((rb, refs)) = &old {
+                        stage(claims, lint_claims(rb, refs, env), -1);
+                    }
+                    if let (Some((rb, _)), None) = (&old, &new) {
+                        // the cold walk reports the dangling reference exactly
+                        let dependents = memo.dag.successors(NodeId(b.at() as u32));
+                        let read = memo.outer.contains(&key(rb))
+                            || dependents.iter().any(|d| !gone.contains(&d.index()));
+                        ensure(!read, "structural edit (a removed block is still read)")?;
+                    }
+                }
+                // ANA101/102 and ANA402 are the lint gate's to refuse
+                self.hold_bounds(memo, claims)?;
             }
         }
         Ok(())
     }
 
     /// **expand** — program → manifest. Keeps the root bindings and block
-    /// ranges a later splice re-expands under.
+    /// ranges a later splice expands under. A splice that inserts or
+    /// removes blocks reshapes the memo's positional tables here, once every
+    /// block's new instances are known.
     fn expand(&mut self, scope: &mut Scope) -> Result<(), Stop> {
         let ctx = self.ctx;
         match scope {
@@ -751,34 +915,71 @@ impl<'a> Walk<'a> {
                 // the last reader of block syntax: the memo keeps none
                 fresh.program.resources = Vec::new();
             }
-            Scope::Blocks { memo, edit, .. } => {
-                for (bi, _, rb) in &edit.blocks {
+            Scope::Blocks { memo, edit } => {
+                let Splice { blocks, decls, .. } = &mut **edit;
+                let declared = |t: &str, n: &str| memo.lint_env.declares(decls, t, n);
+                for at in 0..blocks.len() {
+                    let (earlier, rest) = blocks.split_at_mut(at);
+                    let b = &mut rest[0];
+                    if let Some((was, _)) = b.was {
+                        let span = memo.root.block_ranges[was].clone();
+                        b.before = memo.manifest.instances[span].to_vec();
+                    }
+                    let Some(rb) = &b.new else {
+                        continue;
+                    };
                     let mut diags = Diagnostics::new();
                     let mut fresh: Vec<ResourceInstance> = Vec::new();
                     expand_resource_block(
                         rb,
                         &memo.root.vars,
                         &memo.root.locals,
-                        &memo.root.block_names,
+                        &declared,
                         ctx.data,
                         &memo.program.filename,
                         &[],
                         &mut diags,
                         &mut fresh,
                     );
-                    ensure(diags.is_empty(), "re-expansion produced diagnostics")?;
-                    let span = memo.root.block_ranges[*bi].clone();
-                    let old = &memo.manifest.instances[span.clone()];
-                    let addrs = fresh.iter().map(|inst| &inst.addr);
-                    ensure(
-                        addrs.eq(old.iter().map(|inst| &inst.addr)),
-                        "instance addresses changed",
-                    )?;
-                    // Instance-level `depends_on` copies over from the
-                    // cached instances (exact: `expand_deps` is unchanged).
-                    for (at, mut new) in span.zip(fresh) {
-                        new.depends_on = memo.manifest.instances[at].depends_on.clone();
-                        self.out.manifest.instances[at] = Arc::new(new);
+                    ensure(diags.is_empty(), "expansion produced diagnostics")?;
+                    if b.inserted() {
+                        // Block-level dependencies become instance-level,
+                        // as `expand_root` makes them once every block is
+                        // expanded.
+                        for inst in &mut fresh {
+                            let blocks = std::mem::take(&mut inst.depends_on);
+                            let addrs = blocks.iter().flat_map(|dep| {
+                                memo.addresses_of(dep.rtype.as_str(), &dep.name, earlier)
+                            });
+                            inst.depends_on = addrs.filter(|addr| *addr != inst.addr).collect();
+                        }
+                    } else {
+                        let addrs = fresh.iter().map(|inst| &inst.addr);
+                        ensure(
+                            addrs.eq(b.before.iter().map(|inst| &inst.addr)),
+                            "instance addresses changed",
+                        )?;
+                        // Instance-level `depends_on` copies over from the
+                        // cached instances (exact: `expand_deps` is unchanged).
+                        for (new, old) in fresh.iter_mut().zip(&b.before) {
+                            new.depends_on = old.depends_on.clone();
+                        }
+                    }
+                    b.after = fresh.into_iter().map(Arc::new).collect();
+                }
+                if edit.resized() != (0, 0) {
+                    // nothing is left of the memo as it stood: a guard that
+                    // trips from here on drops it
+                    edit.reshaped = true;
+                    memo.reshape(&edit.blocks)?;
+                }
+                // the caller's copy (`Arc` bumps) with the edited ranges
+                // replaced, which the memo's are only on success
+                self.out.manifest = memo.manifest.clone();
+                for b in edit.blocks.iter().filter(|b| !b.inserted()) {
+                    if let Some((at, _)) = b.now {
+                        let span = memo.root.block_ranges[at].clone();
+                        self.out.manifest.instances[span].clone_from_slice(&b.after);
                     }
                 }
             }
@@ -804,12 +1005,14 @@ impl<'a> Walk<'a> {
                     fresh.mindex = mindex;
                 }
             }
-            Scope::Blocks { memo, dirty, .. } => {
-                // re-check the edited blocks and their direct dependents
-                let mut in_scope: BTreeSet<usize> = dirty.iter().copied().collect();
-                for &bi in dirty.iter() {
-                    let dependents = memo.dag.successors(NodeId(bi as u32));
+            Scope::Blocks { memo, edit } => {
+                // re-check the edited and inserted blocks and their direct
+                // dependents
+                let mut in_scope: BTreeSet<usize> = BTreeSet::new();
+                for (at, _) in edit.blocks.iter().filter_map(|b| b.now) {
+                    let dependents = memo.dag.successors(NodeId(at as u32));
                     in_scope.extend(dependents.iter().map(|node| node.index()));
+                    in_scope.insert(at);
                 }
                 let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
                 let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
@@ -824,7 +1027,7 @@ impl<'a> Walk<'a> {
     /// **analyze** — the whole-program concurrency gate over the expanded
     /// manifest (happens-before, aliasing, lock order). Keeps the claims
     /// multiset, through which the splice also holds the aggregate rules of
-    /// the two stages before it (ANA402, VAL306, VAL307).
+    /// the stages before it (ANA101/102, ANA402, VAL306, VAL307).
     fn analyze(&mut self, scope: &mut Scope) -> Result<(), Stop> {
         let (ctx, out) = (self.ctx, &mut self.out);
         match scope {
@@ -843,59 +1046,83 @@ impl<'a> Walk<'a> {
                     }
                 }
             }
-            Scope::Blocks { memo, edit, .. } => {
+            Scope::Blocks { memo, edit } => {
                 let gated = self.lint_cfg.is_some();
-                for (bi, ..) in &edit.blocks {
-                    let span = memo.root.block_ranges[*bi].clone();
-                    let new = &out.manifest.instances[span.clone()];
-                    let old = instance_level_claims(&memo.manifest.instances[span]);
-                    stage(&mut edit.claims, old, -1);
-                    stage(&mut edit.claims, instance_level_claims(new), 1);
+                let Splice { blocks, claims, .. } = &mut **edit;
+                for b in blocks.iter() {
+                    stage(claims, instance_level_claims(&b.before), -1);
+                    stage(claims, instance_level_claims(&b.after), 1);
                     // ANA504 is a finding: only the full analysis reports it
                     ensure(
-                        !gated || new.iter().all(|i| replace_self_race(i).is_none()),
+                        !gated || b.after.iter().all(|i| replace_self_race(i).is_none()),
                         "create_before_destroy with plan-time identity (replace self-race)",
                     )?;
                 }
-                const UNLIMITED: usize = isize::MAX as usize;
-                let limit = |claim: &Claim| match claim {
-                    Claim::Block(_) | Claim::Instance(_) if !gated => UNLIMITED,
-                    Claim::Quota((rtype, _)) => (ctx.catalog.get_str(rtype))
-                        .map_or(UNLIMITED, |schema| schema.default_quota as usize),
-                    _ => 1,
-                };
-                if let Some(claim) = overfull(&memo.claims, &edit.claims, limit) {
-                    return Err(Stop::Guard(format!("{claim:?} would be over its limit")));
-                }
+                self.hold_bounds(memo, claims)?;
             }
         }
         Ok(())
     }
 
+    /// The aggregate rules over the claims staged so far: trip if landing
+    /// `edit` would put one out of bounds.
+    fn hold_bounds(&self, memo: &Memo, edit: &ClaimsEdit) -> Result<(), Stop> {
+        const UNLIMITED: usize = isize::MAX as usize;
+        let gated = self.lint_cfg.is_some();
+        let bounds = |claim: &Claim| match claim {
+            Claim::Quota((rtype, _)) => (self.ctx.catalog.get_str(rtype))
+                .map_or((0, UNLIMITED), |schema| (0, schema.default_quota as usize)),
+            Claim::Name(_) => (0, 1),
+            _ if !gated => (0, UNLIMITED),
+            Claim::Var(_) | Claim::Local(_) => (1, UNLIMITED),
+            Claim::Block(_) | Claim::Instance(_) => (0, 1),
+        };
+        match out_of_bounds(&memo.claims, edit, bounds) {
+            Some(claim) => Err(Stop::Guard(format!("{claim:?} would be out of bounds"))),
+            None => Ok(()),
+        }
+    }
+
     /// **plan** — manifest × state → changes and plan text, through the
     /// plan cache of the memo the run leaves behind. Its own scope is the
-    /// impact scope of the `dirty` blocks while the state serial stands,
-    /// and every instance when nothing is cached (`dirty` is `None`) or the
+    /// impact scope of the spliced `blocks` while the state serial stands,
+    /// and every instance when nothing is cached (`blocks` is `None`) or the
     /// state moved (an apply happened): the front-end artifacts stay, the
     /// diff rebuilds.
-    fn plan(&mut self, memo: &mut Memo, dirty: Option<&[usize]>) {
+    fn plan(&mut self, memo: &mut Memo, blocks: Option<&[BlockEdit]>) {
         let (ctx, out) = (self.ctx, &mut self.out);
         let instances = &out.manifest.instances;
         let cache = &mut memo.plan;
-        if dirty.is_none() {
+        if blocks.is_none() {
             cache.order = dependency_order(&out.manifest);
         }
         // `None`: every instance
-        let in_scope: Option<HashSet<usize>> = match dirty {
-            Some(dirty) if cache.serial == Some(ctx.state.serial) => {
-                let seeds = dirty.iter().map(|&bi| NodeId(bi as u32));
+        let in_scope: Option<HashSet<usize>> = match blocks {
+            Some(blocks) if cache.serial == Some(ctx.state.serial) => {
+                // the addresses a removed block leaves in the state are
+                // deleted, the ones an inserted block declares no longer are
+                for b in blocks.iter().filter(|b| b.removed()) {
+                    let left = b.before.iter().filter_map(|inst| ctx.state.get(&inst.addr));
+                    let deletes = left.map(|r| (r.addr.to_string(), delete_change(r)));
+                    cache.deletes.extend(deletes);
+                }
+                for inst in blocks
+                    .iter()
+                    .filter(|b| b.inserted())
+                    .flat_map(|b| &b.after)
+                {
+                    cache.deletes.remove(&inst.addr.to_string());
+                }
+                let seeds = blocks.iter().filter_map(|b| b.now);
+                let seeds = seeds.map(|(at, _)| NodeId(at as u32));
                 let impact = ImpactScope::compute(&memo.dag, seeds).replan;
                 let ranges = &memo.root.block_ranges;
                 Some((impact.iter().flat_map(|node| ranges[node.index()].clone())).collect())
             }
             _ => {
                 cache.serial = Some(ctx.state.serial);
-                cache.deletes = delete_changes(&out.manifest, ctx.state);
+                let deletes = delete_changes(&out.manifest, ctx.state).into_iter();
+                cache.deletes = deletes.map(|c| (c.addr.to_string(), c)).collect();
                 // an unvisited dependency (a cycle) reads as dirty, as in `diff`
                 cache.dirty.clear();
                 None
@@ -905,24 +1132,28 @@ impl<'a> Walk<'a> {
         // reading its dependencies' dirtiness as the visit before left it
         let replanned = |i: &usize| in_scope.as_ref().is_none_or(|scope| scope.contains(i));
         cache.changes.retain(|i, _| !replanned(i));
-        for &idx in cache.order.iter().filter(|i| replanned(i)) {
+        let order = std::mem::take(&mut cache.order);
+        for &idx in order.iter().filter(|i| replanned(i)) {
             let inst = &instances[idx];
-            let mut dep_dirty = |rtype: &str, name: &str| {
-                let known = cache.dirty.get(&(rtype.to_owned(), name.to_owned()));
-                known.copied().unwrap_or(true)
-            };
+            let mut dep_dirty =
+                |rtype: &str, name: &str| cache.is_dirty(rtype, name).unwrap_or(true);
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
-            cache.dirty.insert(block_key(inst), change.makes_dirty());
+            cache.set_dirty(
+                inst.addr.rtype.as_str(),
+                &inst.addr.name,
+                change.makes_dirty(),
+            );
             if !change.action.is_noop() {
                 cache.changes.insert(idx, change);
             }
         }
-        out.changes = (cache.changes.values().chain(&cache.deletes))
+        cache.order = order;
+        out.changes = (cache.changes.values().chain(cache.deletes.values()))
             .cloned()
             .collect();
         out.plan_text = render(&out.changes);
         let n = instances.len();
-        let (action, detail) = match (&in_scope, dirty) {
+        let (action, detail) = match (&in_scope, blocks) {
             (None, None) => ("full", format!("diffed {n} instance(s)")),
             (None, Some(_)) => {
                 let detail = format!("state serial changed, re-diffed {n} instance(s)");
@@ -941,19 +1172,32 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// Parse one dirty chunk standalone; it must still hold exactly one
-/// resource block (stale spans are harmless, see the module docs).
-fn parse_block(chunk_src: &str, filename: &str) -> Result<ResourceBlock, Stop> {
-    let parsed = cloudless_hcl::parse(chunk_src, filename).and_then(Program::from_file);
-    ensure(parsed.is_ok(), "a dirty block no longer parses")?;
+/// Which of the blocks a splice inserted `earlier` is `rtype.name`.
+fn staged(earlier: &[BlockEdit], rtype: &str, name: &str) -> Option<usize> {
+    let named = |rb: &ResourceBlock| rb.rtype == rtype && rb.name == name;
+    let staged = |b: &BlockEdit| b.inserted() && b.new.as_ref().is_some_and(named);
+    earlier.iter().position(staged)
+}
+
+/// Parse one in-scope chunk standalone; it must hold exactly the resource
+/// block the chunk scanner read off its head (stale spans are harmless, see
+/// the module docs).
+fn parse_block(source: &str, chunk: &Chunk, filename: &str) -> Result<ResourceBlock, Stop> {
+    let text = &source[chunk.start..chunk.end];
+    let parsed = cloudless_hcl::parse(text, filename).and_then(Program::from_file);
+    ensure(parsed.is_ok(), "a block in scope does not parse")?;
     let mut rest = parsed.unwrap_or_default();
     let block = rest.resources.pop();
     rest.filename.clear();
     ensure(
         rest == Program::default(),
-        "a dirty chunk holds more than a resource block",
+        "a chunk in scope holds more than a resource block",
     )?;
-    block.ok_or_else(|| Stop::Guard("a dirty chunk holds no resource block".to_owned()))
+    let block = block.filter(|rb| {
+        matches!(&chunk.kind, ChunkKind::Resource { rtype, name }
+            if *rtype == rb.rtype && *name == rb.name)
+    });
+    block.ok_or_else(|| Stop::Guard("a chunk in scope is not the block it is keyed as".to_owned()))
 }
 
 /// Mirror one analysis run into `analyze.*` metrics: runs, passes,
@@ -978,9 +1222,9 @@ fn record_analysis(recorder: &dyn Recorder, outcome: &AnalysisOutcome) {
 
 impl Memo {
     /// The parse stage's fill: the configuration key, the block → chunk
-    /// table and the block DAG. `false` when the program's shape defeats
-    /// a per-block splice (modules, duplicate block keys, chunks the
-    /// scanner could not separate, a dependency cycle).
+    /// table, the block DAG and the reader counts. `false` when the
+    /// program's shape defeats a per-block splice (modules, duplicate block
+    /// keys, chunks the scanner could not separate, a dependency cycle).
     fn index_source(&mut self, source: &str, ctx: &PipelineCtx<'_>) -> bool {
         let blocks = &self.program.resources;
         let chunks = ChunkMap::build(source);
@@ -1003,20 +1247,29 @@ impl Memo {
             }
         }
 
-        let mut builder: DagBuilder<usize> = DagBuilder::new();
-        let nodes: Vec<NodeId> = (0..blocks.len()).map(|bi| builder.add_node(bi)).collect();
+        let mut builder: DagBuilder<()> = DagBuilder::with_capacity(blocks.len());
+        let nodes: Vec<NodeId> = blocks.iter().map(|_| builder.add_node(())).collect();
         for (bi, rb) in blocks.iter().enumerate() {
-            for (rtype, name) in &block_refs(rb).expand_deps {
+            let refs = block_refs(rb);
+            for (rtype, name) in refs.block_targets() {
                 let dep = block_of.get(&(rtype.as_str(), name.as_str()));
                 let dep = dep.filter(|&&dep| dep != bi);
                 if dep.is_some_and(|&dep| builder.add_edge(nodes[dep], nodes[bi]).is_err()) {
                     return false;
                 }
             }
+            for claim in reader_claims(&refs) {
+                hold(&mut self.claims, claim, 1);
+            }
         }
         let Ok(dag) = builder.seal() else {
             return false;
         };
+        let outer = outer_refs(&self.program);
+        for claim in reader_claims(&outer) {
+            hold(&mut self.claims, claim, 1);
+        }
+        self.outer = outer.hazard_refs;
         self.dag = dag;
         self.config = (ctx.lint, ctx.level, ctx.inputs.clone());
         self.specs = ctx.mined_specs().to_vec();
@@ -1025,17 +1278,264 @@ impl Memo {
         true
     }
 
-    /// Apply the staged splice of a walk whose verdict stages all passed.
-    fn absorb(&mut self, edit: Splice, source: &str, manifest: &Manifest) {
-        if let Some(chunks) = edit.chunks {
+    /// Read the blocks in scope off an edit window: chunks `old` of the
+    /// memo's table were re-scanned into chunks `new` of `map`. Walking the
+    /// new window, each chunk either continues a chunk of the old one — the
+    /// same `(type, name)`, further down than the last — or is an inserted
+    /// block; the old chunks nothing continues are removed blocks. `Err`
+    /// (why) when that is not the whole of the edit: a non-resource chunk
+    /// changed, came or went, or blocks changed places.
+    fn align(
+        &self,
+        old: Range<usize>,
+        new: Range<usize>,
+        map: &ChunkMap,
+    ) -> Result<Vec<BlockEdit>, &'static str> {
+        const NON_RESOURCE: &str = "edit touches a non-resource block";
+        const REORDERED: &str = "structural edit (blocks reordered or declared twice)";
+        let resource = |chunk: &Chunk| chunk.kind != ChunkKind::Other;
+        let was = &self.chunks.chunks[old.clone()];
+        // where each block of the old window sits in it, built when the
+        // first new chunk is not simply the next old one
+        let mut seat_of: Option<HashMap<&ChunkKind, usize>> = None;
+        let seats = || {
+            let blocks = was.iter().enumerate().filter(|(_, chunk)| resource(chunk));
+            blocks.map(|(i, chunk)| (&chunk.kind, i)).collect()
+        };
+        // as many blocks sit before the window in either source
+        let first = self.block_chunk.partition_point(|&ci| ci < old.start);
+        let (mut was_at, mut now_at) = (first, first);
+        let mut blocks = Vec::new();
+        // old chunks `was[..i]` are accounted for; the ones a new chunk
+        // skips over are gone
+        let mut i = 0;
+        let skip_to = |k: usize, i: &mut usize, was_at: &mut usize, blocks: &mut Vec<_>| {
+            for (ci, chunk) in was.iter().enumerate().take(k).skip(*i) {
+                if !resource(chunk) {
+                    return Err(NON_RESOURCE);
+                }
+                blocks.push(BlockEdit {
+                    was: Some((*was_at, old.start + ci)),
+                    ..BlockEdit::default()
+                });
+                *was_at += 1;
+            }
+            *i = k;
+            Ok(())
+        };
+        for (ci, chunk) in map.chunks[new.clone()].iter().enumerate() {
+            let now = Some((now_at, new.start + ci));
+            let continues = if was.get(i).is_some_and(|next| next.kind == chunk.kind) {
+                Some(i)
+            } else if resource(chunk) {
+                seat_of.get_or_insert_with(seats).get(&chunk.kind).copied()
+            } else {
+                (i..was.len()).find(|&k| !resource(&was[k]))
+            };
+            let Some(k) = continues else {
+                if !resource(chunk) {
+                    return Err(NON_RESOURCE);
+                }
+                blocks.push(BlockEdit {
+                    now,
+                    ..BlockEdit::default()
+                });
+                now_at += 1;
+                continue;
+            };
+            if k < i {
+                return Err(REORDERED);
+            }
+            skip_to(k, &mut i, &mut was_at, &mut blocks)?;
+            i += 1;
+            let edited = was[k].hash != chunk.hash;
+            if !resource(chunk) {
+                if edited {
+                    return Err(NON_RESOURCE);
+                }
+                continue;
+            }
+            if edited {
+                blocks.push(BlockEdit {
+                    was: Some((was_at, old.start + k)),
+                    now,
+                    ..BlockEdit::default()
+                });
+            }
+            was_at += 1;
+            now_at += 1;
+        }
+        skip_to(was.len(), &mut i, &mut was_at, &mut blocks)?;
+        Ok(blocks)
+    }
+
+    /// Where the instances of block `rtype.name` sit in the manifest (none:
+    /// no such block, or one that expands to nothing).
+    fn positions_of(&self, rtype: &str, name: &str) -> &[usize] {
+        let key = (Vec::new(), format!("{rtype}.{name}"));
+        self.mindex.by_block.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// The addresses of block `rtype.name`'s instances, the block being one
+    /// the splice inserted `earlier` or one of the memo's.
+    fn addresses_of(&self, rtype: &str, name: &str, earlier: &[BlockEdit]) -> Vec<ResourceAddr> {
+        match staged(earlier, rtype, name) {
+            Some(k) => (earlier[k].after.iter())
+                .map(|inst| inst.addr.clone())
+                .collect(),
+            None => (self.positions_of(rtype, name).iter())
+                .map(|&at| self.manifest.instances[at].addr.clone())
+                .collect(),
+        }
+    }
+
+    /// What an inserted block whose references are `refs` depends on: blocks
+    /// of the memo, or ones the splice inserted `earlier` — not itself and
+    /// nothing inserted after it, so that nothing depends on a block before
+    /// it is there and the block DAG gains no cycle (ANA401) — and none of
+    /// them count-disabled (ANA403). `decls` is the whole of what the splice
+    /// declares and retracts.
+    fn dependencies(
+        &self,
+        refs: &BlockRefs,
+        decls: &DeclEdit,
+        earlier: &[BlockEdit],
+    ) -> Result<Vec<Dep>, Stop> {
+        let env = &self.lint_env;
+        let mut deps = Vec::new();
+        // (what names no block is nobody's edge)
+        let names_block = |(t, n): &&(String, String)| env.declares(decls, t, n);
+        for target in refs.block_targets().filter(names_block) {
+            let (rtype, name) = target;
+            let (dep, disabled) = if decls.added.contains(target) {
+                let Some(k) = staged(earlier, rtype, name) else {
+                    let reason = "structural edit (an inserted block depends on a later one)";
+                    return Err(Stop::Guard(reason.to_owned()));
+                };
+                let rb = earlier[k].new.as_ref().expect("staged blocks are new");
+                (Dep::Staged(k), env.count_folds_zero(rb))
+            } else {
+                let Some(&first) = self.positions_of(rtype, name).first() else {
+                    let reason = "structural edit (an inserted block depends on an empty one)";
+                    return Err(Stop::Guard(reason.to_owned()));
+                };
+                let at = (self.root.block_ranges).partition_point(|span| span.end <= first);
+                let chunk = &self.chunks.chunks[self.block_chunk[at]];
+                let rb = parse_block(&self.source, chunk, &self.program.filename)?;
+                (Dep::Memo(at), env.count_folds_zero(&rb))
+            };
+            ensure(!disabled, "structural edit (a count-disabled dependency)")?;
+            deps.push(dep);
+        }
+        Ok(deps)
+    }
+
+    /// Make the positional tables those of the new source's blocks, before
+    /// any of an inserted block's artifacts but its instances is there: the
+    /// removed blocks' rows go, rows for the inserted ones come, and every
+    /// position in between is renumbered — one O(blocks + instances) pass
+    /// of integers and `Arc` bumps that derives no block's artifacts again.
+    /// The edited blocks keep their rows (and their old instances, until
+    /// the splice lands).
+    fn reshape(&mut self, blocks: &[BlockEdit]) -> Result<(), Stop> {
+        const GONE: usize = usize::MAX;
+        let ranges = std::mem::take(&mut self.root.block_ranges);
+        let instances = std::mem::take(&mut self.manifest.instances);
+        let inserted = || blocks.iter().filter(|b| b.inserted());
+        let removed = || blocks.iter().filter(|b| b.removed());
+
+        // old block → new block, old instance → new instance, as the new
+        // blocks' ranges line up
+        let mut block_to = vec![GONE; ranges.len()];
+        let mut instance_to = vec![GONE; instances.len()];
+        let (mut came, mut went) = (inserted().peekable(), removed().peekable());
+        let mut old = 0;
+        while old < ranges.len() || came.peek().is_some() {
+            let at = self.root.block_ranges.len();
+            let first = self.manifest.instances.len();
+            if let Some(b) = came.next_if(|b| b.at() == at) {
+                self.manifest.instances.extend_from_slice(&b.after);
+            } else if went.next_if(|b| b.at() == old).is_some() {
+                old += 1;
+                continue;
+            } else {
+                let span = ranges[old].clone();
+                block_to[old] = at;
+                for (k, from) in span.clone().enumerate() {
+                    instance_to[from] = first + k;
+                }
+                self.manifest.instances.extend_from_slice(&instances[span]);
+                old += 1;
+            }
+            (self.root.block_ranges).push(first..self.manifest.instances.len());
+        }
+
+        // the block DAG: the edges between blocks that stay, and each
+        // inserted block's edges from what it depends on
+        let mut builder: DagBuilder<()> = DagBuilder::with_capacity(self.root.block_ranges.len());
+        for _ in &self.root.block_ranges {
+            builder.add_node(());
+        }
+        let edges = self.dag.edges();
+        let stay = edges.map(|(from, to)| (block_to[from.index()], block_to[to.index()]));
+        let come = inserted().flat_map(|b| {
+            let from = |dep: &Dep| match *dep {
+                Dep::Memo(at) => block_to[at],
+                Dep::Staged(k) => blocks[k].at(),
+            };
+            b.deps.iter().map(move |dep| (from(dep), b.at()))
+        });
+        let there = |&(from, to): &(usize, usize)| from != GONE && to != GONE;
+        for (from, to) in stay.chain(come).filter(there) {
+            let edge = builder.add_edge(NodeId(from as u32), NodeId(to as u32));
+            ensure(edge.is_ok(), "structural edit (a self-dependency)")?;
+        }
+        let sealed = builder.seal();
+        ensure(sealed.is_ok(), "structural edit (a dependency cycle)")?;
+        self.dag = sealed.unwrap_or_default();
+
+        // The validation index and the plan cache. What stays keeps its
+        // place in the visiting order, and what comes goes last — nothing
+        // depends on it — each block's first instance visited last, as
+        // Kahn's stack leaves it.
+        let moved = |at: &usize| Some(instance_to[*at]).filter(|&to| to != GONE);
+        for b in removed() {
+            self.mindex.remove(&b.before);
+            let rb = b.old.as_ref().expect("a removed block was parsed");
+            if let Some(names) = self.plan.dirty.get_mut(&rb.rtype) {
+                names.remove(&rb.name);
+            }
+        }
+        self.mindex.shift(|at| instance_to[at]);
+        self.plan.order = self.plan.order.iter().filter_map(moved).collect();
+        for b in inserted() {
+            let span = self.root.block_ranges[b.at()].clone();
+            self.mindex.insert(span.start, &b.after);
+            self.plan.order.extend(span.rev());
+        }
+        let changes = std::mem::take(&mut self.plan.changes).into_iter();
+        self.plan.changes = (changes.filter_map(|(at, c)| Some((moved(&at)?, c)))).collect();
+        Ok(())
+    }
+
+    /// Land the staged splice of a walk whose verdict stages all passed
+    /// (its blocks stay behind for the plan stage).
+    fn absorb(&mut self, edit: &mut Splice, source: &str) {
+        if let Some(chunks) = edit.chunks.take() {
             self.chunks = chunks;
             self.source = source.to_owned();
+            if edit.reshaped {
+                self.block_chunk = self.chunks.resource_chunks().collect();
+            }
         }
-        for (bi, ..) in edit.blocks {
-            let span = self.root.block_ranges[bi].clone();
-            self.manifest.instances[span.clone()].clone_from_slice(&manifest.instances[span]);
+        self.lint_env.apply(std::mem::take(&mut edit.decls));
+        for b in edit.blocks.iter().filter(|b| !b.inserted()) {
+            if let Some((at, _)) = b.now {
+                let span = self.root.block_ranges[at].clone();
+                self.manifest.instances[span].clone_from_slice(&b.after);
+            }
         }
-        for (claim, by) in edit.claims {
+        for (claim, by) in std::mem::take(&mut edit.claims) {
             hold(&mut self.claims, claim, by);
         }
     }
@@ -1051,7 +1551,8 @@ impl Memo {
         }
         total += self.mindex.approx_bytes();
         total += self.claims.len() * 128;
-        total += self.plan.order.len() * 8 + self.plan.dirty.len() * 96;
+        let visited: usize = self.plan.dirty.values().map(HashMap::len).sum();
+        total += self.plan.order.len() * 8 + visited * 64;
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
         total
     }
@@ -1101,13 +1602,67 @@ resource "aws_s3_bucket" "logs" {
     }
 
     #[test]
-    fn structural_edit_falls_back_cold() {
+    fn structural_edit_splices_blocks_in_and_out() {
         let mut e = engine();
         e.plan_incremental(SRC).unwrap();
         let grown = format!("{SRC}resource \"aws_s3_bucket\" \"extra\" {{ bucket = \"extra\" }}\n");
         let (text, t) = e.plan_incremental(&grown).unwrap();
-        assert!(!t.fast_path, "{t}");
+        assert!(t.fast_path, "an appended block must splice in:\n{t}");
+        assert!(t.to_string().contains("+1 inserted, −0 removed"), "{t}");
         let (cold, _) = engine().plan_incremental(&grown).unwrap();
+        assert_eq!(text, cold, "fast path must be byte-identical");
+
+        // a block in the middle, reading one that stands: a rename is the
+        // removal and the insertion at once
+        let renamed = grown.replace("\"aws_subnet\" \"app\"", "\"aws_subnet\" \"web\"");
+        let (text, t) = e.plan_incremental(&renamed).unwrap();
+        assert!(t.fast_path, "a rename must splice:\n{t}");
+        assert!(t.to_string().contains("+1 inserted, −1 removed"), "{t}");
+        let (cold, _) = engine().plan_incremental(&renamed).unwrap();
+        assert_eq!(text, cold);
+
+        // and out again: back to the text the first memo was built from
+        let (text, t) = e
+            .plan_incremental(&renamed.replace("\"web\"", "\"app\""))
+            .unwrap();
+        assert!(t.fast_path, "{t}");
+        assert_eq!(text, cold.replace("aws_subnet.web", "aws_subnet.app"));
+        let (text, t) = e.plan_incremental(SRC).unwrap();
+        assert!(t.fast_path, "a removed block must splice out:\n{t}");
+        let (cold, _) = engine().plan_incremental(SRC).unwrap();
+        assert_eq!(text, cold);
+    }
+
+    #[test]
+    fn removing_a_block_something_reads_falls_back_cold() {
+        let mut e = engine();
+        e.plan_incremental(SRC).unwrap();
+        // the subnet still reads the VPC: the cold walk says so exactly
+        let at = SRC.find("resource \"aws_subnet\"").unwrap();
+        let headless = format!(
+            "{}{}",
+            &SRC[..SRC.find("resource \"aws_vpc\"").unwrap()],
+            &SRC[at..]
+        );
+        let warm = e.plan_incremental(&headless).err().map(|e| e.to_string());
+        let cold = engine()
+            .plan_incremental(&headless)
+            .err()
+            .map(|e| e.to_string());
+        assert!(
+            warm.as_deref().is_some_and(|e| e.contains("ANA103")),
+            "{warm:?}"
+        );
+        assert_eq!(warm, cold);
+        // refused by lint: the memo stands, and the fix splices
+        let (_, t) = e.plan_incremental(SRC).unwrap();
+        assert!(t.fast_path, "{t}");
+        // the bucket is the only reader of `var.region`
+        let unread = &SRC[..SRC.find("resource \"aws_s3_bucket\"").unwrap()];
+        let (text, t) = e.plan_incremental(unread).unwrap();
+        let reason = t.fallback_reason.clone().unwrap_or_default();
+        assert!(reason.contains("Var(\"region\")"), "{t}");
+        let (cold, _) = engine().plan_incremental(unread).unwrap();
         assert_eq!(text, cold);
     }
 

@@ -8,9 +8,13 @@
 //! drive random programs through random edits (including edits that break
 //! parsing, validation, or lint) against both an empty and a converged
 //! state and compare the warm pipeline against a cold one on every step.
-//! A miner-active family does the same under a [`SpecMiner`] that has
-//! observed a deployment, with edits that break its conventions and further
-//! observations that change them.
+//! Structural edits are edits like any other: blocks inserted (alone, on
+//! top of an existing block, two at once with one reading the other),
+//! deleted (a leaf, a block others read, the only reader of a variable),
+//! renamed, swapped, and deleted and then re-added against the state that
+//! still holds them. A miner-active family does the same under a
+//! [`SpecMiner`] that has observed a deployment, with edits that break its
+//! conventions and further observations that change them.
 //!
 //! A second group pins the memory contract: a bounded memo cache never
 //! retains a snapshot that exceeds its byte budget, and dropping the memo
@@ -104,6 +108,8 @@ const TYPES: [(&str, &str); 4] = [
 /// block (target derived deterministically from the index).
 type Spec = Vec<(usize, bool)>;
 
+/// The generated blocks `b0..`, then a variable and the one block that
+/// reads it.
 fn base_source(spec: &Spec) -> String {
     let mut out = String::new();
     for (i, (t, dep)) in spec.iter().enumerate() {
@@ -113,12 +119,27 @@ fn base_source(spec: &Spec) -> String {
         ));
         if *dep && i > 0 {
             let target = (t + i) % i;
-            let (dt, _) = TYPES[spec[target].0 % TYPES.len()];
-            out.push_str(&format!("  depends_on = [{dt}.b{target}]\n"));
+            out.push_str(&format!("  depends_on = [{}]\n", addr(spec, target)));
         }
         out.push_str("}\n");
     }
+    out.push_str("variable \"suffix\" {\n  default = \"s\"\n}\n");
+    out.push_str(&leaf("reader", "v-${var.suffix}", ""));
     out
+}
+
+/// `type.name` of generated block `i`.
+fn addr(spec: &Spec, i: usize) -> String {
+    format!("{}.b{i}", TYPES[spec[i].0 % TYPES.len()].0)
+}
+
+/// A bucket block the generator never emits, reading `dep` if not empty.
+fn leaf(name: &str, value: &str, dep: &str) -> String {
+    let dep = match dep {
+        "" => String::new(),
+        dep => format!("  depends_on = [{dep}]\n"),
+    };
+    format!("resource \"aws_s3_bucket\" \"{name}\" {{\n  bucket = \"{value}\"\n{dep}}}\n")
 }
 
 /// The value token of block `i` — includes both quotes, so `v-1` never
@@ -127,14 +148,37 @@ fn token(i: usize) -> String {
     format!("\"v-{i}\"")
 }
 
+/// Where block `name` sits in `src`, closing line included.
+fn span_of(src: &str, name: &str) -> Option<std::ops::Range<usize>> {
+    let label = src.find(&format!("\"{name}\" {{"))?;
+    let start = src[..label].rfind("resource ")?;
+    let end = start + src[start..].find("}\n")? + 2;
+    Some(start..end)
+}
+
+/// `src` with `text` in place of block `name` (as it is when there is no
+/// such block).
+fn replace_block(src: &str, name: &str, text: &str) -> String {
+    match span_of(src, name) {
+        Some(span) => format!("{}{text}{}", &src[..span.start], &src[span.end..]),
+        None => src.to_string(),
+    }
+}
+
+/// The number of edit shapes [`apply_edit`] knows.
+const KINDS: usize = 20;
+
 /// A single edit, chosen by `kind`; `a`/`b` are free block selectors
 /// (reduced mod the program length). Every shape is exercised: in-place
-/// value edits (the fast path), structural edits (guard fallbacks), and
-/// edits that introduce parse / validation / duplicate-value errors.
+/// value edits, structural edits (blocks spliced in and out, and the shapes
+/// that still fall back), and edits that introduce parse / lint /
+/// validation / duplicate-value errors.
 fn apply_edit(src: &str, spec: &Spec, kind: usize, a: usize, b: usize) -> String {
     let n = spec.len();
     let i = a % n;
-    match kind % 9 {
+    let block = |name: &str| span_of(src, name).map(|span| &src[span]);
+    let own = block(&format!("b{i}")).unwrap_or("");
+    match kind % KINDS {
         // touch one attribute value: the canonical O(edit) replan
         0 => src.replacen(&token(i), &format!("\"v-{i}-t\""), 1),
         // rewrite a block body: value change plus new comment lines
@@ -143,23 +187,19 @@ fn apply_edit(src: &str, spec: &Spec, kind: usize, a: usize, b: usize) -> String
             &format!("\"v-{i}-r\"\n  # rewritten\n  # twice"),
             1,
         ),
-        // append a block: structural, falls back to the cold path
-        2 => format!("{src}resource \"aws_s3_bucket\" \"extra\" {{\n  bucket = \"v-extra\"\n}}\n"),
-        // drop the last block: structural
-        3 => match src.rfind("resource ") {
-            Some(at) if n > 1 => src[..at].to_string(),
-            _ => src.to_string(),
-        },
+        // append a block
+        2 => format!("{src}{}", leaf("extra", "v-extra", "")),
+        // drop the last generated block: nothing reads it
+        3 if n > 1 => replace_block(src, &format!("b{}", n - 1), ""),
         // give block i a dependency on block 0 (skip if it has one, or is
         // block 0 itself — degrade to a value touch)
         4 => {
             if i == 0 || spec[i].1 {
                 src.replacen(&token(i), &format!("\"v-{i}-t\""), 1)
             } else {
-                let (dt, _) = TYPES[spec[0].0 % TYPES.len()];
                 src.replacen(
                     &token(i),
-                    &format!("\"v-{i}\"\n  depends_on = [{dt}.b0]"),
+                    &format!("\"v-{i}\"\n  depends_on = [{}]", addr(spec, 0)),
                     1,
                 )
             }
@@ -173,8 +213,63 @@ fn apply_edit(src: &str, spec: &Spec, kind: usize, a: usize, b: usize) -> String
         },
         // clone another block's value: duplicate-identity diagnostics
         7 => src.replacen(&token(i), &token(b % n), 1),
+        // insert a block mid-file
+        9 => replace_block(
+            src,
+            &format!("b{i}"),
+            &format!("{}{own}", leaf("mid", "v-mid", "")),
+        ),
+        // insert a block that reads an existing one, right after it
+        10 => {
+            let reader = leaf("over", "v-over", &addr(spec, i));
+            replace_block(src, &format!("b{i}"), &format!("{own}{reader}"))
+        }
+        // insert two blocks, the second reading the first …
+        11 => {
+            let pair = [
+                leaf("one", "v-one", ""),
+                leaf("two", "v-two", "aws_s3_bucket.one"),
+            ];
+            replace_block(src, &format!("b{i}"), &format!("{}{own}", pair.concat()))
+        }
+        // … and the first reading the second
+        12 => {
+            let pair = [
+                leaf("one", "v-one", "aws_s3_bucket.two"),
+                leaf("two", "v-two", ""),
+            ];
+            replace_block(src, &format!("b{i}"), &format!("{}{own}", pair.concat()))
+        }
+        // delete block i, a leaf or not (13); its re-add is the follow-up of
+        // 14 (as it was) and 15 (touched)
+        13..=15 => replace_block(src, &format!("b{i}"), ""),
+        // rename block i, read or not
+        16 => src.replacen(&format!("\"b{i}\" {{"), &format!("\"b{i}x\" {{"), 1),
+        // swap block i with the one after it
+        17 => match block(&format!("b{}", i + 1)) {
+            Some(next) => {
+                let gap = replace_block(src, &format!("b{}", i + 1), "");
+                replace_block(&gap, &format!("b{i}"), &format!("{next}{own}"))
+            }
+            None => src.to_string(),
+        },
+        // remove the only reader of the variable
+        18 => replace_block(src, "reader", ""),
+        // an inserted block that is declared already
+        19 => format!("{src}{own}"),
         // no-op edit: identical source must replan to the identical plan
         _ => src.to_string(),
+    }
+}
+
+/// The save after `edited`: the deleted block back as it was or touched
+/// (against a converged state it is still there: no change, an update),
+/// else a plain value touch on a different block.
+fn follow_up(base: &str, edited: &str, spec: &Spec, kind: usize, a: usize, b: usize) -> String {
+    match kind % KINDS {
+        14 => base.to_string(),
+        15 => apply_edit(base, spec, 0, a, b),
+        _ => apply_edit(edited, spec, 0, a + 1, b),
     }
 }
 
@@ -287,15 +382,14 @@ proptest! {
     #[test]
     fn incremental_replan_matches_cold_pipeline(
         spec in proptest::collection::vec((0..TYPES.len(), any::<bool>()), 2..10),
-        kind in 0..9usize,
+        kind in 0..KINDS,
         a in 0..32usize,
         b in 0..32usize,
     ) {
         let env = Env::new();
         let base = base_source(&spec);
         let edited = apply_edit(&base, &spec, kind, a, b);
-        // follow-up: a plain value touch on a different block
-        let followup = apply_edit(&edited, &spec, 0, a + 1, b);
+        let followup = follow_up(&base, &edited, &spec, kind, a, b);
 
         let empty = Snapshot::new();
         check_against_state(&env, &empty, &base, &edited, &followup);
@@ -306,30 +400,253 @@ proptest! {
 }
 
 /// Guards that the differential property is not vacuous: on the generated
-/// program shape, a value touch takes the fast path (so the proptest above
-/// really compares incremental against cold) while a structural append
-/// falls back.
+/// program shape, a value touch and every structural shape the splice
+/// carries take the fast path (so the proptest above really compares
+/// incremental against cold) with byte-identical text, against an empty and
+/// a converged state, while the shapes it does not carry still fall back —
+/// saying why — or return the cold run's error.
 #[test]
 fn generated_edits_exercise_both_paths() {
     let env = Env::new();
+    // b1 and b2 read b0; b3 is a leaf
     let spec: Spec = vec![(0, false), (1, true), (2, true), (3, false)];
     let base = base_source(&spec);
-    let empty = Snapshot::new();
-    let ctx = env.ctx(&empty);
-
-    let mut warm = IncrementalPipeline::default();
-    warm.run(&base, &ctx).expect("base is clean");
-
     let touched = apply_edit(&base, &spec, 0, 2, 0);
-    let out = warm.run(&touched, &ctx).expect("touch stays clean");
-    assert!(out.trace.fast_path, "value touch must replan incrementally");
+    let cold = |source: &str, state: &Snapshot| {
+        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+        observe(cold.run(source, &env.ctx(state)))
+    };
 
-    let appended = apply_edit(&touched, &spec, 2, 0, 0);
-    let out = warm.run(&appended, &ctx).expect("append stays clean");
-    assert!(
-        !out.trace.fast_path,
-        "structural edit must run the full path"
-    );
+    // (kind, block, on the fast path, what the fallback reason names)
+    let shapes = [
+        (2, 0, true, ""),
+        (3, 0, true, ""),
+        (9, 1, true, ""),
+        (10, 1, true, ""),
+        (11, 2, true, ""),
+        (12, 2, false, "structural"),
+        (13, 3, true, ""),
+        (14, 3, true, ""),
+        (15, 3, true, ""),
+        (16, 3, true, ""),
+        (17, 1, false, "structural"),
+        (18, 0, false, "Var(\"suffix\")"),
+    ];
+    for state in [Snapshot::new(), converged_state(&base, &env)] {
+        let ctx = env.ctx(&state);
+        for (kind, a, fast, why) in shapes {
+            let mut warm = IncrementalPipeline::default();
+            warm.run(&base, &ctx).expect("base is clean");
+            let out = warm.run(&touched, &ctx).expect("touch stays clean");
+            assert!(out.trace.fast_path, "value touch must replan incrementally");
+
+            let edited = apply_edit(&touched, &spec, kind, a, 0);
+            let out = warm.run(&edited, &ctx).expect("edit stays clean");
+            let trace = out.trace.clone();
+            assert_eq!(trace.fast_path, fast, "kind {kind}:\n{trace}");
+            let reason = trace.fallback_reason.unwrap_or_default();
+            assert!(reason.contains(why), "kind {kind}: {reason}");
+            assert_eq!(observe(Ok(out)), cold(&edited, &state), "kind {kind}");
+
+            // the memo the edit left behind carries the next one
+            let next = follow_up(&touched, &edited, &spec, kind, a, 0);
+            let out = warm.run(&next, &ctx).expect("follow-up stays clean");
+            assert!(out.trace.fast_path || !fast, "kind {kind}:\n{}", out.trace);
+            let text = out.plan_text.clone();
+            assert_eq!(
+                observe(Ok(out)),
+                cold(&next, &state),
+                "kind {kind} follow-up"
+            );
+            if (kind, state.resources.is_empty()) == (14, false) {
+                assert!(text.contains("0 to add"), "re-added, not created: {text}");
+            }
+        }
+
+        // a block others read cannot go or change its name, and a block
+        // cannot be declared twice: the cold run's error, from the cold run
+        for (kind, a, stage) in [(13, 0, "lint"), (16, 0, "lint"), (19, 3, "frontend")] {
+            let mut warm = IncrementalPipeline::default();
+            warm.run(&base, &ctx).expect("base is clean");
+            let edited = apply_edit(&base, &spec, kind, a, 0);
+            let refused = observe(warm.run(&edited, &ctx));
+            let key = refused.clone().expect_err("refused");
+            assert!(key.starts_with(stage), "kind {kind}: {key}");
+            assert_eq!(refused, cold(&edited, &state), "kind {kind}");
+            // refused by parse or lint: the memo stands, the fix splices
+            let out = warm.run(&base, &ctx).expect("base is clean");
+            assert!(out.trace.fast_path, "kind {kind}:\n{}", out.trace);
+        }
+    }
+}
+
+// ------------------------------------------------------- streams of saves
+
+/// One block of a program that changes shape save after save: its label
+/// stays with it wherever it moves.
+#[derive(Clone)]
+struct Node {
+    label: String,
+    /// 0: a network interface; 1: a VM whose `nic_ids` read one (a deferred
+    /// attribute); 2: a bucket that `depends_on` one.
+    kind: usize,
+    rev: usize,
+    /// Instances; above 1 the block has a `count`.
+    count: usize,
+    /// The interface it reads, by label.
+    reads: Option<String>,
+    /// 1: tags read `var.suffix`; 2: tags read `local.tag`.
+    tags: usize,
+}
+
+fn render_nodes(nodes: &[Node]) -> String {
+    let mut out =
+        String::from("variable \"suffix\" {\n  default = \"s\"\n}\nlocals {\n  tag = \"t\"\n}\n");
+    for node in nodes {
+        let Node { label, rev, .. } = node;
+        let (rtype, attr) = [
+            ("aws_network_interface", "name"),
+            ("aws_virtual_machine", "name"),
+            ("aws_s3_bucket", "bucket"),
+        ][node.kind];
+        out.push_str(&format!("resource \"{rtype}\" \"{label}\" {{\n"));
+        let each = match node.count {
+            0 | 1 => "",
+            count => {
+                out.push_str(&format!("  count = {count}\n"));
+                "-${count.index}"
+            }
+        };
+        out.push_str(&format!("  {attr} = \"x-{label}-{rev}{each}\"\n"));
+        match (node.kind, &node.reads) {
+            (1, Some(nic)) => {
+                out.push_str(&format!("  nic_ids = [aws_network_interface.{nic}.id]\n"))
+            }
+            (_, Some(nic)) => {
+                out.push_str(&format!("  depends_on = [aws_network_interface.{nic}]\n"))
+            }
+            (_, None) => {}
+        }
+        match node.tags {
+            1 => out.push_str("  tags = { t = var.suffix }\n"),
+            2 => out.push_str("  tags = { t = local.tag }\n"),
+            _ => {}
+        }
+        out.push_str("}\n");
+    }
+    // both declarations keep a reader whatever happens to the blocks
+    out.push_str("output \"o\" {\n  value = \"${var.suffix}-${local.tag}\"\n}\n");
+    out
+}
+
+/// One save: `nodes` edited in place. `serial` names what it inserts.
+fn edit_nodes(nodes: &mut Vec<Node>, serial: usize, kind: usize, a: usize, b: usize) {
+    let at = a % (nodes.len() + 1);
+    let i = a % nodes.len().max(1);
+    // the first of two neighbours
+    let pair = i.min(nodes.len().saturating_sub(2));
+    let nics: Vec<String> = (nodes.iter().filter(|n| n.kind == 0))
+        .map(|n| n.label.clone())
+        .collect();
+    let a_nic = (!nics.is_empty()).then(|| nics[b % nics.len().max(1)].clone());
+    let node = |label: String, kind: usize, reads: Option<String>| Node {
+        label,
+        kind,
+        rev: 0,
+        // (a counted interface has no one `id` to read)
+        count: if kind == 0 { 1 } else { [1, 1, 2, 3][b % 4] },
+        reads,
+        tags: (a + b) % 3,
+    };
+    match kind % 12 {
+        // a body edit
+        0 if !nodes.is_empty() => nodes[i].rev += 1,
+        // blocks in: an interface, a VM over an interface that stands, a
+        // bucket after one
+        1 => nodes.insert(at, node(format!("n{serial}"), 0, None)),
+        2 => nodes.insert(at, node(format!("v{serial}"), 1, a_nic)),
+        3 => nodes.insert(at, node(format!("k{serial}"), 2, a_nic)),
+        // an interface and the VM over it at once, in either order
+        4 | 5 => {
+            let nic = node(format!("n{serial}"), 0, None);
+            let vm = node(format!("v{serial}"), 1, Some(nic.label.clone()));
+            let both = if kind % 12 == 4 { [nic, vm] } else { [vm, nic] };
+            nodes.splice(at..at, both);
+        }
+        // blocks out: one, or two neighbours
+        6 if !nodes.is_empty() => drop(nodes.remove(i)),
+        7 if nodes.len() > 1 => drop(nodes.drain(pair..pair + 2)),
+        // a rename (its readers keep the old name)
+        8 if !nodes.is_empty() => nodes[i].label.push('r'),
+        // a different instance count, another reader of the variable, the
+        // next block first
+        9 if nodes.get(i).is_some_and(|n| n.kind != 0) => {
+            nodes[i].count = 1 + (nodes[i].count + b) % 3;
+        }
+        10 if !nodes.is_empty() => nodes[i].tags = b % 3,
+        11 if nodes.len() > 1 => nodes.swap(pair, pair + 1),
+        _ => {}
+    }
+}
+
+proptest! {
+    /// One warm pipeline follows a stream of saves — bodies edited, blocks
+    /// inserted, deleted, renamed, resized and swapped, some of them refused
+    /// and then undone — and agrees with a cold pipeline on every one of
+    /// them, against an empty state and against the converged state of where
+    /// the stream started (so blocks go, come back, and are still there) —
+    /// with the lint gate on, and with it off, when expansion and validation
+    /// are all that refuses a dangling reference.
+    #[test]
+    fn a_stream_of_saves_matches_cold_pipelines(
+        start in proptest::collection::vec((0..12usize, 0..32usize, 0..32usize), 0..6),
+        saves in proptest::collection::vec((0..12usize, 0..32usize, 0..32usize), 1..10),
+        gated in any::<bool>(),
+    ) {
+        let env = Env::new();
+        let lint = if gated { LintGate::default() } else { LintGate::Off };
+        fn gate<'a>(lint: LintGate, ctx: PipelineCtx<'a>) -> PipelineCtx<'a> {
+            PipelineCtx { lint, ..ctx }
+        }
+        let mut nodes = vec![Node {
+            label: "n".to_owned(),
+            kind: 0,
+            rev: 0,
+            count: 1,
+            reads: None,
+            tags: 1,
+        }];
+        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+        let empty = Snapshot::new();
+        // a clean program to start from: grown by the same edits, the ones
+        // a cold run refuses or finds fault with undone
+        for (serial, (kind, a, b)) in start.into_iter().enumerate() {
+            let before = nodes.clone();
+            edit_nodes(&mut nodes, serial, kind, a, b);
+            let mut probe = IncrementalPipeline::default();
+            if probe.run(&render_nodes(&nodes), &gate(lint, env.ctx(&empty))).is_err() || !probe.is_warm() {
+                nodes = before;
+            }
+        }
+        let base = render_nodes(&nodes);
+        for state in [Snapshot::new(), converged_state(&base, &env)] {
+            let ctx = gate(lint, env.ctx(&state));
+            let mut nodes = nodes.clone();
+            let mut warm = IncrementalPipeline::default();
+            warm.run(&base, &ctx).expect("the start is clean");
+            prop_assert!(warm.is_warm());
+            for (serial, &(kind, a, b)) in saves.iter().enumerate() {
+                let before = nodes.clone();
+                edit_nodes(&mut nodes, 100 + serial, kind, a, b);
+                let source = render_nodes(&nodes);
+                let warm_obs = observe(warm.run(&source, &ctx));
+                prop_assert_eq!(&warm_obs, &observe(cold.run(&source, &ctx)), "save {}", serial);
+                if warm_obs.is_err() {
+                    nodes = before; // the user takes it back with the next save
+                }
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- miner active
@@ -338,6 +655,8 @@ fn generated_edits_exercise_both_paths() {
 /// two instance types, tags everywhere.
 #[derive(Clone)]
 struct Vm {
+    /// The block's name, which stays with the VM wherever it moves.
+    label: String,
     name: String,
     instance_type: &'static str,
     tags: bool,
@@ -348,6 +667,7 @@ const CONVENTIONAL: [&str; 2] = ["t3.micro", "t3.large"];
 
 fn fleet(large: &[bool]) -> Vec<Vm> {
     let vm = |(i, &large): (usize, &bool)| Vm {
+        label: format!("w{i}"),
         name: format!("w-{i}"),
         instance_type: CONVENTIONAL[large as usize],
         tags: true,
@@ -358,10 +678,10 @@ fn fleet(large: &[bool]) -> Vec<Vm> {
 
 fn fleet_source(vms: &[Vm]) -> String {
     let mut out = String::new();
-    for (i, vm) in vms.iter().enumerate() {
-        let (name, instance_type) = (&vm.name, vm.instance_type);
+    for vm in vms {
+        let (label, name, instance_type) = (&vm.label, &vm.name, vm.instance_type);
         out.push_str(&format!(
-            "resource \"aws_virtual_machine\" \"w{i}\" {{\n  name = \"{name}\"\n  instance_type = \"{instance_type}\"\n"
+            "resource \"aws_virtual_machine\" \"{label}\" {{\n  name = \"{name}\"\n  instance_type = \"{instance_type}\"\n"
         ));
         if vm.tags {
             out.push_str("  tags = { env = \"prod\" }\n");
@@ -374,13 +694,17 @@ fn fleet_source(vms: &[Vm]) -> String {
     out
 }
 
+/// The number of edit shapes [`edit_fleet`] knows.
+const FLEET_KINDS: usize = 9;
+
 /// A single edit of the fleet: clean ones (the fast path), ones that break
-/// a mined convention (VAL401, VAL402: the validate guard), a structural
-/// one, and a no-op.
+/// a mined convention (VAL401, VAL402: the validate guard), structural ones
+/// (a VM appended, inserted — conventional or not — and deleted), and a
+/// no-op.
 fn edit_fleet(vms: &[Vm], kind: usize, a: usize) -> Vec<Vm> {
     let mut vms = vms.to_vec();
     let i = a % vms.len();
-    match kind % 6 {
+    match kind % FLEET_KINDS {
         0 => vms[i].name.push_str("-t"),
         1 => vms[i].instance_type = "m5.24xlarge",
         2 => vms[i].tags = false,
@@ -389,9 +713,20 @@ fn edit_fleet(vms: &[Vm], kind: usize, a: usize) -> Vec<Vm> {
             vms[i].instance_type = CONVENTIONAL[other];
         }
         4 => vms.push(Vm {
+            label: "extra".to_owned(),
             name: "w-extra".to_owned(),
             ..vms[i].clone()
         }),
+        6 | 7 => {
+            let extra = Vm {
+                label: "extra".to_owned(),
+                name: "w-extra".to_owned(),
+                tags: kind % FLEET_KINDS == 6,
+                ..vms[i].clone()
+            };
+            vms.insert(i, extra);
+        }
+        8 => drop(vms.remove(i)),
         _ => {}
     }
     vms
@@ -402,22 +737,29 @@ fn edit_fleet(vms: &[Vm], kind: usize, a: usize) -> Vec<Vm> {
 /// domain (the fleet above stays conventional), 2 makes `user_data`
 /// expected (the fleet above now deviates).
 fn later_deployment(base: &[Vm], kind: usize) -> Vec<Vm> {
+    let copies = |vm: Vm, n: usize| {
+        let relabel = |i| Vm {
+            label: format!("w{i}"),
+            ..vm.clone()
+        };
+        (0..n).map(relabel).collect()
+    };
     match kind % 3 {
         0 => base.to_vec(),
-        1 => vec![
+        1 => copies(
             Vm {
                 instance_type: "m5.large",
                 ..base[0].clone()
-            };
-            5
-        ],
-        _ => vec![
+            },
+            5,
+        ),
+        _ => copies(
             Vm {
                 user_data: true,
                 ..base[0].clone()
-            };
-            100
-        ],
+            },
+            100,
+        ),
     }
 }
 
@@ -437,7 +779,7 @@ proptest! {
     #[test]
     fn mined_replan_matches_cold_pipeline(
         large in proptest::collection::vec(any::<bool>(), 5..9),
-        kind in 0..6usize,
+        kind in 0..FLEET_KINDS,
         a in 0..32usize,
         later in 0..3usize,
         resave in any::<bool>(),
@@ -471,7 +813,8 @@ proptest! {
 }
 
 /// Guards that the miner-active property is not vacuous: under a miner a
-/// clean edit takes the fast path, an edit that breaks a convention trips
+/// clean edit takes the fast path — a VM inserted or deleted included — an
+/// edit or an insertion that breaks a convention trips
 /// the validate guard and reports what the cold run reports, a changed rule
 /// set the memoized program still meets keeps the memo, and one it deviates
 /// from costs a cold run that says so.
@@ -493,8 +836,14 @@ fn mined_edits_exercise_the_key_and_the_guard() {
     let touched = edit_fleet(&base, 0, 2);
     let out = warm.run(&fleet_source(&touched), &ctx).expect("clean");
     assert!(out.trace.fast_path, "{}", out.trace);
+    // a conventional VM spliced in mid-fleet, and one spliced out
+    for kind in [6, 8] {
+        let resized = fleet_source(&edit_fleet(&touched, kind, 3));
+        let out = warm.run(&resized, &ctx).expect("clean");
+        assert!(out.trace.fast_path, "{}", out.trace);
+    }
 
-    for (kind, code) in [(1, "VAL401"), (2, "VAL402")] {
+    for (kind, code) in [(1, "VAL401"), (2, "VAL402"), (7, "VAL402")] {
         let mut warm = IncrementalPipeline::default();
         warm.run(&fleet_source(&base), &ctx).expect("base is clean");
         let broken = fleet_source(&edit_fleet(&base, kind, 3));

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use cloudless_cloud::Catalog;
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
-use cloudless_state::Snapshot;
+use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Attrs, ResourceAddr, Value};
 
 use crate::resolver::StateResolver;
@@ -204,23 +204,25 @@ pub fn plan_one(
 
 /// Deletions: resources in state but not in the desired manifest, in state
 /// (address) order. Stable for a given (manifest address set, state
-/// serial), which is what lets the incremental planner cache it.
+/// serial), which is what lets the incremental planner cache it — and edit
+/// it with [`delete_change`] when a block leaves or joins the manifest.
 pub fn delete_changes(manifest: &Manifest, state: &Snapshot) -> Vec<PlannedChange> {
     let desired_addrs: HashSet<&ResourceAddr> =
         manifest.instances.iter().map(|i| &i.addr).collect();
-    let mut changes = Vec::new();
-    for r in state.resources.values() {
-        if !desired_addrs.contains(&r.addr) {
-            changes.push(PlannedChange {
-                addr: r.addr.clone(),
-                action: Action::Delete,
-                desired: None,
-                planned_attrs: r.attrs.clone(),
-                unknown_attrs: vec![],
-            });
-        }
+    let undesired = |r: &&DeployedResource| !desired_addrs.contains(&r.addr);
+    let deployed = state.resources.values();
+    deployed.filter(undesired).map(delete_change).collect()
+}
+
+/// The deletion of one deployed resource the manifest no longer declares.
+pub fn delete_change(r: &DeployedResource) -> PlannedChange {
+    PlannedChange {
+        addr: r.addr.clone(),
+        action: Action::Delete,
+        desired: None,
+        planned_attrs: r.attrs.clone(),
+        unknown_attrs: vec![],
     }
-    changes
 }
 
 /// Kahn's algorithm over instance `depends_on`, returning indices into
@@ -307,7 +309,6 @@ mod tests {
     use super::*;
     use crate::resolver::DataResolver;
     use cloudless_hcl::program::{expand, ModuleLibrary, Program};
-    use cloudless_state::DeployedResource;
     use cloudless_types::value::attrs;
     use cloudless_types::{Region, ResourceId, SimTime};
 

@@ -12,12 +12,14 @@
 //! The scanner is deliberately *not* the lexer: it only needs to find
 //! top-level `}` closers, which requires tracking strings (with `${ … }`
 //! interpolations, which themselves nest strings), comments, and brace
-//! depth — nothing else. Anything the scanner cannot align confidently is
-//! reported as [`ChunkDelta::Structural`], which callers treat as a full
-//! invalidation; the fast path is an optimization, never a semantics
-//! change.
+//! depth — nothing else. A diff never interprets the edit: it reports the
+//! window it re-scanned ([`ChunkDelta::Window`], old chunk range → new
+//! chunk range) over a table equal to a fresh scan's, and the caller reads
+//! bodies edited and blocks added, removed or renamed off the window. A
+//! source the scanner cannot chunk at all is one opaque chunk.
 
 use std::fmt;
+use std::ops::Range;
 
 /// FNV-1a 64-bit over a byte slice — stable, dependency-free, fast enough
 /// to hash only the chunks inside an edit window.
@@ -31,7 +33,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// What kind of top-level block a chunk holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ChunkKind {
     /// `resource "<rtype>" "<name>" { … }`
     Resource { rtype: String, name: String },
@@ -66,12 +68,19 @@ pub struct ChunkMap {
 pub enum ChunkDelta {
     /// Byte-identical source.
     Unchanged,
-    /// Same number of chunks, same kinds and keys in the same order; the
-    /// listed chunk indices changed content.
-    BodyEdit { dirty: Vec<usize>, map: ChunkMap },
-    /// Chunks were added/removed/renamed/re-kinded (or the scanner could
-    /// not align the edit); callers must invalidate everything.
-    Structural { map: ChunkMap },
+    /// The edit is confined to a window: chunks `old` of the cached map
+    /// were re-scanned into chunks `new` of `map`, and every chunk outside
+    /// the window is the cached one with its offsets shifted. Either range
+    /// may be empty (a pure insertion, a pure deletion), and the window may
+    /// hold chunks the edit left alone: what changed inside it — bodies
+    /// edited, blocks added, removed or renamed — is for the caller to read
+    /// off the two ranges' kinds and hashes. `map` is the table a fresh
+    /// [`ChunkMap::build`] of the new source yields.
+    Window {
+        old: Range<usize>,
+        new: Range<usize>,
+        map: ChunkMap,
+    },
 }
 
 impl fmt::Display for ChunkKind {
@@ -119,11 +128,29 @@ fn skip_string(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// Scan `src[start..limit]` into chunks, assuming `start` is a chunk
-/// boundary on line `start_line`. Returns `Err(())` when a chunk would
-/// extend past `limit` (the window is not self-contained) — callers fall
-/// back to a full rescan.
-fn scan_region(src: &str, start: usize, limit: usize, start_line: u32) -> Result<Vec<Chunk>, ()> {
+/// Why a scan could not chunk its bytes.
+enum ScanError {
+    /// The source ends inside a block: nothing aligns.
+    Unbalanced,
+    /// Nothing but trivia between a `start` past 0 and the end of the
+    /// source: it belongs to the chunk before `start`.
+    TriviaOnly,
+}
+
+/// Scan `src` from `start` — a chunk boundary on line `start_line` — into
+/// chunks, until `synced` accepts the end offset of one or the source runs
+/// out. Returns the chunks and the line the scan stopped on.
+///
+/// A chunk boundary is a scanner state (depth 0, outside strings and
+/// comments, no block seen yet), so the chunks after one depend on nothing
+/// before it: a scan may start at any boundary and agrees with a scan from
+/// 0 on every chunk it yields.
+fn scan_from(
+    src: &str,
+    start: usize,
+    start_line: u32,
+    mut synced: impl FnMut(usize) -> bool,
+) -> Result<(Vec<Chunk>, u32), ScanError> {
     let b = src.as_bytes();
     let mut chunks = Vec::new();
     let mut i = start;
@@ -132,7 +159,7 @@ fn scan_region(src: &str, start: usize, limit: usize, start_line: u32) -> Result
     let mut chunk_line = start_line;
     let mut depth = 0usize;
     let mut saw_block = false;
-    while i < limit {
+    while i < b.len() {
         match b[i] {
             b'\n' => {
                 line += 1;
@@ -141,6 +168,9 @@ fn scan_region(src: &str, start: usize, limit: usize, start_line: u32) -> Result
                 // top-level brace closed
                 if depth == 0 && saw_block {
                     chunks.push(make_chunk(src, chunk_start, i, chunk_line));
+                    if synced(i) {
+                        return Ok((chunks, line));
+                    }
                     chunk_start = i;
                     chunk_line = line;
                     saw_block = false;
@@ -159,8 +189,8 @@ fn scan_region(src: &str, start: usize, limit: usize, start_line: u32) -> Result
                 i = (i + 2).min(b.len());
             }
             b'"' => {
-                let j = skip_string(b, i);
-                line += b[i..j.min(b.len())].iter().filter(|&&c| c == b'\n').count() as u32;
+                let j = skip_string(b, i).min(b.len());
+                line += count_lines(&b[i..j]);
                 i = j;
             }
             b'{' => {
@@ -177,30 +207,23 @@ fn scan_region(src: &str, start: usize, limit: usize, start_line: u32) -> Result
             _ => i += 1,
         }
     }
-    if depth != 0 || (saw_block && limit != src.len() && limit != b.len()) {
-        // unbalanced, or a block closed without a trailing newline inside a
-        // bounded window: cannot align
-        if depth != 0 {
-            return Err(());
-        }
+    if depth != 0 {
+        return Err(ScanError::Unbalanced);
     }
-    // trailing bytes: a closed-but-unterminated-line block, or trivia.
-    // Attach to a final chunk (trivia joins the preceding block when one
-    // exists in this region and the region runs to EOF).
-    if chunk_start < limit {
-        if saw_block || chunks.is_empty() {
-            chunks.push(make_chunk(src, chunk_start, limit, chunk_line));
-        } else if limit == src.len() {
-            // trailing trivia at EOF: merge into the last chunk so edits
-            // there invalidate that block rather than vanish
-            let last = chunks.last_mut().expect("nonempty");
-            last.end = limit;
-            last.hash = fnv1a(&b[last.start..limit]);
+    // What is left is a block closed on an unterminated line, or trivia,
+    // which joins the block before it so edits there invalidate that block
+    // rather than vanish.
+    if chunk_start < b.len() {
+        if saw_block || (chunks.is_empty() && start == 0) {
+            chunks.push(make_chunk(src, chunk_start, b.len(), chunk_line));
+        } else if let Some(last) = chunks.last_mut() {
+            last.end = b.len();
+            last.hash = fnv1a(&b[last.start..]);
         } else {
-            return Err(());
+            return Err(ScanError::TriviaOnly);
         }
     }
-    Ok(chunks)
+    Ok((chunks, line))
 }
 
 fn skip_line(b: &[u8], mut i: usize) -> usize {
@@ -260,10 +283,11 @@ fn classify(head: &str) -> ChunkKind {
 impl ChunkMap {
     /// Scan a whole source file into its chunk table.
     pub fn build(src: &str) -> ChunkMap {
-        let chunks = scan_region(src, 0, src.len(), 1).unwrap_or_else(|_| {
+        let chunks = match scan_from(src, 0, 1, |_| false) {
+            Ok((chunks, _)) => chunks,
             // unbalanced braces: a single opaque chunk (always "dirty")
-            vec![make_chunk(src, 0, src.len(), 1)]
-        });
+            Err(_) => vec![make_chunk(src, 0, src.len(), 1)],
+        };
         ChunkMap {
             chunks,
             src_len: src.len(),
@@ -287,154 +311,88 @@ impl ChunkMap {
 
 /// Diff an edited `new_src` against the cached map of `old_src`.
 ///
-/// Cost is O(edit): a prefix/suffix byte scan locates the changed window,
-/// only the window is re-scanned, and the chunk table outside it is reused
-/// with shifted offsets (O(#chunks) pointer arithmetic, no re-hashing).
+/// Cost is O(edit): a prefix/suffix byte scan locates the changed bytes,
+/// the re-scan starts at the last cached chunk boundary before them and
+/// stops at the first chunk end past them that is a cached boundary too,
+/// and the chunk table outside that window is reused with shifted offsets
+/// (O(#chunks) pointer arithmetic, no re-hashing). Starting and stopping on
+/// boundaries both scans share is what makes the spliced table the one a
+/// fresh scan builds: trivia around an inserted or deleted block re-attaches
+/// to whichever block the scanner gives it to.
 pub fn diff_chunks(old: &ChunkMap, old_src: &str, new_src: &str) -> ChunkDelta {
-    let ob = old_src.as_bytes();
-    let nb = new_src.as_bytes();
+    let (ob, nb) = (old_src.as_bytes(), new_src.as_bytes());
     debug_assert_eq!(old.src_len, ob.len(), "old map must match old source");
 
-    // common prefix / suffix
-    let mut p = 0;
-    let max_p = ob.len().min(nb.len());
-    while p < max_p && ob[p] == nb[p] {
-        p += 1;
-    }
+    let common = |(a, b): &(&u8, &u8)| a == b;
+    let p = ob.iter().zip(nb).take_while(common).count();
     if p == ob.len() && p == nb.len() {
         return ChunkDelta::Unchanged;
     }
-    let mut s = 0;
-    let max_s = max_p - p;
-    while s < max_s && ob[ob.len() - 1 - s] == nb[nb.len() - 1 - s] {
-        s += 1;
-    }
+    let max_s = ob.len().min(nb.len()) - p;
+    let tails = ob.iter().rev().zip(nb.iter().rev()).take(max_s);
+    let s = tails.take_while(common).count();
 
-    let rebuild = || full_delta(old, ChunkMap::build(new_src));
+    let rebuilt = || {
+        let map = ChunkMap::build(new_src);
+        ChunkDelta::Window {
+            old: 0..old.chunks.len(),
+            new: 0..map.chunks.len(),
+            map,
+        }
+    };
     if old.chunks.is_empty() {
-        return rebuild();
+        return rebuilt();
     }
-
-    // expand the changed byte window [p, len-s) to old chunk boundaries
-    let win_lo = p;
-    let win_hi = ob.len() - s; // exclusive, in old coordinates
-    let a = match old.chunks.iter().position(|c| c.end > win_lo) {
-        Some(a) => a,
-        None => old.chunks.len() - 1, // edit in trailing bytes
+    // An offset of the new source's unchanged tail is a place to stop when
+    // the cached scan had a boundary there: which old chunk ends at it.
+    let delta = nb.len() as i64 - ob.len() as i64;
+    let old_end_at = |e: usize| {
+        let o = usize::try_from(e as i64 - delta).ok()?;
+        let ends_there = old.chunks.binary_search_by_key(&o, |c| c.end);
+        ends_there.ok().filter(|_| e >= nb.len() - s)
     };
-    let b = old
-        .chunks
-        .iter()
-        .rposition(|c| c.start < win_hi.max(win_lo + 1))
-        .unwrap_or(a)
-        .max(a);
-    let ws = old.chunks[a].start;
-    let we_old = old.chunks[b].end;
-    if we_old < win_hi {
-        // the edit ran past the last chunk's recorded end — realign fully
-        return rebuild();
-    }
-    // matching window end in new coordinates
-    let tail_len = ob.len() - we_old;
-    if nb.len() < ws + tail_len {
-        return rebuild();
-    }
-    let we_new = nb.len() - tail_len;
-
-    // re-scan only the window
-    let start_line = old.chunks[a].line;
-    let Ok(window) = scan_region(new_src, ws, we_new, start_line) else {
-        return rebuild();
+    // The first cached chunk the edit reaches (an edit past the last one
+    // re-opens it); trivia left over at the end of the source re-opens the
+    // chunk before that.
+    let mut a = old.chunks.partition_point(|c| c.end <= p);
+    a = a.min(old.chunks.len() - 1);
+    let (window, line) = loop {
+        let first = &old.chunks[a];
+        match scan_from(new_src, first.start, first.line, |e| {
+            old_end_at(e).is_some()
+        }) {
+            Ok(scan) => break scan,
+            Err(ScanError::TriviaOnly) if a > 0 => a -= 1,
+            Err(_) => return rebuilt(),
+        }
     };
+    // one past the last cached chunk of the window
+    let end = window.last().map_or(nb.len(), |c| c.end);
+    let b = old_end_at(end).map_or(old.chunks.len(), |b| b + 1).max(a);
 
-    // alignment check: same chunk count, kinds and keys positionally
-    if window.len() != b - a + 1 {
-        return full_delta(
-            old,
-            splice(old, a, b, window, nb.len(), we_new, we_old, new_src),
-        );
-    }
-    let kinds_match = window
-        .iter()
-        .zip(&old.chunks[a..=b])
-        .all(|(n, o)| n.kind == o.kind);
-    let dirty: Vec<usize> = window
-        .iter()
-        .enumerate()
-        .filter(|(k, n)| n.hash != old.chunks[a + *k].hash)
-        .map(|(k, _)| a + k)
-        .collect();
-    let map = splice(old, a, b, window, nb.len(), we_new, we_old, new_src);
-    if kinds_match {
-        ChunkDelta::BodyEdit { dirty, map }
-    } else {
-        ChunkDelta::Structural { map }
-    }
-}
-
-/// Build the new map from the old one plus a re-scanned window, shifting
-/// the suffix chunks by the byte/line delta.
-#[allow(clippy::too_many_arguments)]
-fn splice(
-    old: &ChunkMap,
-    a: usize,
-    b: usize,
-    window: Vec<Chunk>,
-    new_len: usize,
-    we_new: usize,
-    we_old: usize,
-    new_src: &str,
-) -> ChunkMap {
-    let mut chunks = Vec::with_capacity(old.chunks.len() + window.len());
+    let mut chunks = Vec::with_capacity(a + window.len() + old.chunks.len() - b);
     chunks.extend_from_slice(&old.chunks[..a]);
-    let new_window_lines = count_lines(&new_src.as_bytes()[old.chunks[a].start..we_new]);
-    let old_window_lines: u32 = old
-        .chunks
-        .get(b + 1)
-        .map(|c| c.line - old.chunks[a].line)
-        .unwrap_or(new_window_lines);
-    let dline = new_window_lines as i64 - old_window_lines as i64;
-    let doff = we_new as i64 - we_old as i64;
+    let new = a..a + window.len();
     chunks.extend(window);
-    for c in &old.chunks[b + 1..] {
-        let mut c = c.clone();
-        c.start = (c.start as i64 + doff) as usize;
-        c.end = (c.end as i64 + doff) as usize;
-        c.line = (c.line as i64 + dline) as u32;
-        chunks.push(c);
-    }
-    ChunkMap {
-        chunks,
-        src_len: new_len,
+    let dline = old.chunks.get(b).map_or(0, |c| line as i64 - c.line as i64);
+    chunks.extend(old.chunks[b..].iter().map(|c| Chunk {
+        start: (c.start as i64 + delta) as usize,
+        end: (c.end as i64 + delta) as usize,
+        line: (c.line as i64 + dline) as u32,
+        ..c.clone()
+    }));
+    ChunkDelta::Window {
+        old: a..b,
+        new,
+        map: ChunkMap {
+            chunks,
+            src_len: nb.len(),
+        },
     }
 }
 
 fn count_lines(bytes: &[u8]) -> u32 {
     bytes.iter().filter(|&&b| b == b'\n').count() as u32
-}
-
-/// Compare two maps chunk-by-chunk when windowed alignment failed: still
-/// report `BodyEdit` when the structure happens to line up.
-fn full_delta(old: &ChunkMap, map: ChunkMap) -> ChunkDelta {
-    if map.chunks.len() == old.chunks.len()
-        && map
-            .chunks
-            .iter()
-            .zip(&old.chunks)
-            .all(|(n, o)| n.kind == o.kind)
-    {
-        let dirty = map
-            .chunks
-            .iter()
-            .zip(&old.chunks)
-            .enumerate()
-            .filter(|(_, (n, o))| n.hash != o.hash)
-            .map(|(i, _)| i)
-            .collect();
-        ChunkDelta::BodyEdit { dirty, map }
-    } else {
-        ChunkDelta::Structural { map }
-    }
 }
 
 #[cfg(test)]
@@ -474,6 +432,30 @@ output "b" { value = aws_s3_bucket.logs.bucket }
         assert_eq!(map.resource_chunks().collect::<Vec<_>>(), vec![1, 2]);
     }
 
+    /// The diff of `old` → `new`, held against a fresh scan: the window's
+    /// (old, new) chunk ranges and the new-window chunks whose content no
+    /// old-window chunk of the same kind has.
+    fn window(old: &str, new: &str) -> (Range<usize>, Range<usize>, Vec<usize>) {
+        let map = ChunkMap::build(old);
+        match diff_chunks(&map, old, new) {
+            ChunkDelta::Window {
+                old: was,
+                new: now,
+                map: spliced,
+            } => {
+                assert_eq!(spliced, ChunkMap::build(new), "spliced == full rescan");
+                let known = |c: &Chunk| {
+                    let same = |o: &Chunk| o.kind == c.kind && o.hash == c.hash;
+                    map.chunks[was.clone()].iter().any(same)
+                };
+                let changed = now.clone().filter(|&i| !known(&spliced.chunks[i]));
+                let changed = changed.collect();
+                (was, now, changed)
+            }
+            other => panic!("expected a window, got {other:?}"),
+        }
+    }
+
     #[test]
     fn identical_source_is_unchanged() {
         let map = ChunkMap::build(SRC);
@@ -482,66 +464,65 @@ output "b" { value = aws_s3_bucket.logs.bucket }
 
     #[test]
     fn attribute_edit_dirties_one_chunk() {
-        let map = ChunkMap::build(SRC);
         let edited = SRC.replace("= \"web\"", "= \"web-2\"");
-        match diff_chunks(&map, SRC, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![1]);
-                assert_eq!(new, ChunkMap::build(&edited), "spliced == full rescan");
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(SRC, &edited), (1..2, 1..2, vec![1]));
     }
 
     #[test]
     fn multiline_growth_shifts_suffix_chunks() {
-        let map = ChunkMap::build(SRC);
         let edited = SRC.replace(
             "  name   = \"web\"\n",
             "  name   = \"web\"\n  zone   = \"a\"\n  extra  = 1\n",
         );
-        match diff_chunks(&map, SRC, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![1]);
-                assert_eq!(new, ChunkMap::build(&edited));
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(SRC, &edited), (1..2, 1..2, vec![1]));
     }
 
     #[test]
-    fn block_addition_is_structural() {
-        let map = ChunkMap::build(SRC);
+    fn block_addition_widens_the_window() {
+        // the tail chunk is re-opened (it owned the end of the source) and
+        // comes back unchanged, followed by the new block
         let edited = format!("{SRC}resource \"aws_vpc\" \"v\" {{ cidr_block = \"10.0.0.0/8\" }}\n");
-        assert!(matches!(
-            diff_chunks(&map, SRC, &edited),
-            ChunkDelta::Structural { .. }
-        ));
+        assert_eq!(window(SRC, &edited), (3..4, 3..5, vec![4]));
+        // mid-file, the window is the inserted block and the one it shares
+        // its first bytes with
+        let at = SRC.find("resource \"aws_s3_bucket\"").unwrap();
+        let block = "resource \"aws_vpc\" \"v\" {\n  cidr_block = \"10.0.0.0/8\"\n}\n";
+        let edited = format!("{}{block}{}", &SRC[..at], &SRC[at..]);
+        assert_eq!(window(SRC, &edited), (2..3, 2..4, vec![2]));
     }
 
     #[test]
-    fn block_rename_is_structural() {
-        let map = ChunkMap::build(SRC);
+    fn block_removal_narrows_the_window() {
+        let at = SRC.find("resource \"aws_s3_bucket\"").unwrap();
+        let end = SRC.find("output").unwrap();
+        let edited = format!("{}{}", &SRC[..at], &SRC[end..]);
+        assert_eq!(window(SRC, &edited), (2..4, 2..3, vec![]));
+    }
+
+    #[test]
+    fn block_rename_is_a_one_chunk_window() {
         let edited = SRC.replace("\"logs\" {", "\"archive\" {");
-        assert!(matches!(
-            diff_chunks(&map, SRC, &edited),
-            ChunkDelta::Structural { .. }
-        ));
+        assert_eq!(window(SRC, &edited), (2..3, 2..3, vec![2]));
+    }
+
+    #[test]
+    fn trivia_reattaches_around_a_deleted_block() {
+        // the blank line the deleted block led with now leads the next one
+        let src =
+            "resource \"a\" \"x\" {\n}\n\nresource \"a\" \"y\" {\n}\n\nresource \"a\" \"z\" {\n}\n";
+        let edited = src.replace("resource \"a\" \"y\" {\n}\n\n", "");
+        assert_eq!(window(src, &edited), (1..3, 1..2, vec![]));
+        // and trivia left at the end of the source joins the block before it
+        let edited = src.replace("resource \"a\" \"z\" {\n}\n", "# gone\n");
+        assert_eq!(window(src, &edited), (1..3, 1..2, vec![1]));
     }
 
     #[test]
     fn edit_across_two_blocks_dirties_both() {
-        let map = ChunkMap::build(SRC);
         let edited = SRC
             .replace("region = var.region", "region = \"eu-west-1\"")
             .replace("bucket = \"logs\"", "bucket = \"archive\"");
-        match diff_chunks(&map, SRC, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![1, 2]);
-                assert_eq!(new, ChunkMap::build(&edited));
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(SRC, &edited), (1..3, 1..3, vec![1, 2]));
     }
 
     #[test]
@@ -550,50 +531,36 @@ output "b" { value = aws_s3_bucket.logs.bucket }
         let map = ChunkMap::build(src);
         assert_eq!(map.chunks.len(), 2, "{:#?}", map.chunks);
         let edited = src.replace("10.0.0.0/8", "10.1.0.0/8");
-        match diff_chunks(&map, src, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![1]);
-                assert_eq!(new, ChunkMap::build(&edited));
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(src, &edited), (1..2, 1..2, vec![1]));
     }
 
     #[test]
-    fn whole_block_rewrite_same_key_is_body_edit() {
-        let map = ChunkMap::build(SRC);
+    fn whole_block_rewrite_same_key_is_one_dirty_chunk() {
         let edited = SRC.replace(
             "resource \"aws_s3_bucket\" \"logs\" {\n  bucket = \"logs\"\n}",
             "resource \"aws_s3_bucket\" \"logs\" {\n  bucket = \"logs-v2\"\n  acl    = \"private\"\n}",
         );
-        match diff_chunks(&map, SRC, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![2]);
-                assert_eq!(new, ChunkMap::build(&edited));
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(SRC, &edited), (2..3, 2..3, vec![2]));
+    }
+
+    #[test]
+    fn an_unbalanced_source_is_one_opaque_chunk() {
+        let broken = SRC.replacen("}\n", "\n", 1);
+        assert_eq!(window(SRC, &broken), (0..4, 0..1, vec![0]));
+        assert_eq!(window(&broken, SRC).0, 0..1);
     }
 
     #[test]
     fn large_file_edit_is_windowed() {
-        // synthetic large file; edit near the end must not re-hash the
-        // early chunks (checked indirectly: spliced result equals rescan)
+        // synthetic large file; an edit near the end re-scans one chunk
         let mut src = String::new();
         for i in 0..500 {
             src.push_str(&format!(
                 "resource \"aws_s3_bucket\" \"b{i}\" {{\n  bucket = \"b-{i}\"\n}}\n"
             ));
         }
-        let map = ChunkMap::build(&src);
-        assert_eq!(map.chunks.len(), 500);
+        assert_eq!(ChunkMap::build(&src).chunks.len(), 500);
         let edited = src.replace("\"b-499\"", "\"b-499-edited\"");
-        match diff_chunks(&map, &src, &edited) {
-            ChunkDelta::BodyEdit { dirty, map: new } => {
-                assert_eq!(dirty, vec![499]);
-                assert_eq!(new, ChunkMap::build(&edited));
-            }
-            other => panic!("expected BodyEdit, got {other:?}"),
-        }
+        assert_eq!(window(&src, &edited), (499..500, 499..500, vec![499]));
     }
 }

@@ -562,14 +562,12 @@ pub fn expand(
 
 /// What expanding the root module established besides the manifest: the
 /// bindings every root block was expanded under and where each block's
-/// instances landed. With these, [`expand_resource_block`] can re-expand a
-/// single edited block later and splice the result in place.
+/// instances landed. With these, [`expand_resource_block`] can expand a
+/// single edited or added block later and splice the result in place.
 #[derive(Debug, Clone, Default)]
 pub struct RootExpansion {
     pub vars: Bindings,
     pub locals: Bindings,
-    /// The `(type, name)` of every root resource block.
-    pub block_names: BTreeSet<(String, String)>,
     /// Per root resource block, in declaration order, where its instances
     /// sit in `Manifest::instances`.
     pub block_ranges: Vec<std::ops::Range<usize>>,
@@ -748,8 +746,8 @@ fn bind_env(
 }
 
 /// Expand one resource block into its per-key instances (step 4 of
-/// expansion). `block_names` is the set of `type.name` blocks declared in
-/// the same module, used for dependency extraction; the produced instances
+/// expansion). `declared` answers whether `(type, name)` is a block of the
+/// same module, for dependency extraction; the produced instances
 /// still carry *block-level* `depends_on` addresses (key `None`) — the
 /// caller fixes them up to instance level once all blocks are expanded.
 #[allow(clippy::too_many_arguments)]
@@ -757,7 +755,7 @@ pub fn expand_resource_block(
     rb: &ResourceBlock,
     vars: &Arc<BTreeMap<String, Value>>,
     locals: &Arc<BTreeMap<String, Value>>,
-    block_names: &BTreeSet<(String, String)>,
+    declared: &dyn Fn(&str, &str) -> bool,
     data_resolver: &dyn Resolver,
     fname: &str,
     module_path: &[String],
@@ -844,7 +842,7 @@ pub fn expand_resource_block(
             });
         }
         for (t, n) in &dep_blocks {
-            if !block_names.contains(&(t.clone(), n.clone())) {
+            if !declared(t, n) {
                 diags.push(Diagnostic::error(
                     "HCL037",
                     fname,
@@ -940,7 +938,7 @@ fn expand_into(
             rb,
             &vars,
             &locals,
-            &block_names,
+            &|t, n| block_names.contains(&(t.to_owned(), n.to_owned())),
             data_resolver,
             fname,
             module_path,
@@ -1120,7 +1118,6 @@ fn expand_into(
     RootExpansion {
         vars,
         locals,
-        block_names,
         block_ranges,
     }
 }

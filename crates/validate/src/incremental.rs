@@ -15,7 +15,8 @@
 //!
 //! [`ManifestIndex`] is the same positional index the full run builds; it
 //! survives in-place manifest splices (instance addresses — and therefore
-//! block ranges — are guaranteed stable by the caller). [`check_scope`]
+//! block ranges — are guaranteed stable by the caller) and takes a block
+//! added or removed as an insert, a remove and a shift. [`check_scope`]
 //! re-runs the per-instance layers (schema, semantic, cross-resource rules,
 //! mined conventions) over a set of instance positions. [`name_claim`] and
 //! [`quota_key`] are the extractors the whole-program VAL306/VAL307 rules
@@ -94,6 +95,23 @@ resource "azure_virtual_machine" "vm1" {
         let scoped_codes: Vec<&str> = scoped.items.iter().map(|d| d.code.as_str()).collect();
         assert!(full_codes.contains(&"VAL301"));
         assert_eq!(full_codes, scoped_codes);
+    }
+
+    #[test]
+    fn an_edited_index_equals_a_rebuilt_one() {
+        let block = |name: &str, count: usize| {
+            format!("resource \"aws_s3_bucket\" \"{name}\" {{\n  count = {count}\n  bucket = \"{name}-${{count.index}}\"\n}}\n")
+        };
+        let before = manifest(&[block("a", 2), block("b", 3), block("c", 1)].concat());
+        let after = manifest(&[block("a", 2), block("x", 2), block("c", 1)].concat());
+        let mut index = ManifestIndex::build(&before);
+        // b (positions 2..5) goes, x (2..4) comes, c moves from 5 to 4
+        index.remove(&before.instances[2..5]);
+        index.shift(|p| if p >= 5 { p - 1 } else { p });
+        index.insert(2, &after.instances[2..4]);
+        let rebuilt = ManifestIndex::build(&after);
+        assert_eq!(index.by_block, rebuilt.by_block);
+        assert_eq!(index.block_types, rebuilt.block_types);
     }
 
     #[test]

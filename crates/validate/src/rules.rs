@@ -11,6 +11,7 @@
 //! anything is provisioned (experiment E6 quantifies the difference).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cloudless_cloud::constraints::unique_name_attr;
 use cloudless_cloud::Catalog;
@@ -52,9 +53,14 @@ pub type BlockKey = (Vec<String>, String);
 
 /// Positional index over a manifest's instances. Keyed by *instance
 /// position* rather than by reference, so one index serves a full run and
-/// survives the incremental pipeline's in-place attribute splices; it is
-/// valid for as long as the instance *addresses* (and their order) stay
-/// unchanged.
+/// survives the incremental pipeline's splices: an in-place attribute edit
+/// leaves it valid as it is (addresses and their order stand), and a block
+/// added or removed is an [`insert`], a [`remove`] and one [`shift`] of the
+/// positions after it.
+///
+/// [`insert`]: ManifestIndex::insert
+/// [`remove`]: ManifestIndex::remove
+/// [`shift`]: ManifestIndex::shift
 #[derive(Debug, Default)]
 pub struct ManifestIndex {
     /// Block → positions of that block's instances.
@@ -64,21 +70,45 @@ pub struct ManifestIndex {
     pub block_types: BTreeMap<BlockKey, String>,
 }
 
+fn block_key(inst: &ResourceInstance) -> BlockKey {
+    (inst.addr.module_path.clone(), inst.addr.block_id())
+}
+
 impl ManifestIndex {
     pub fn build(manifest: &Manifest) -> ManifestIndex {
         let mut index = ManifestIndex::default();
-        for (i, inst) in manifest.instances.iter().enumerate() {
-            let key = (inst.addr.module_path.clone(), inst.addr.block_id());
-            if let Some(positions) = index.by_block.get_mut(&key) {
-                positions.push(i);
+        index.insert(0, &manifest.instances);
+        index
+    }
+
+    /// Index `instances`, which sit at positions `first..` of the manifest.
+    pub fn insert(&mut self, first: usize, instances: &[Arc<ResourceInstance>]) {
+        for (i, inst) in instances.iter().enumerate() {
+            let key = block_key(inst);
+            if let Some(positions) = self.by_block.get_mut(&key) {
+                positions.push(first + i);
             } else {
-                index
-                    .block_types
+                self.block_types
                     .insert(key.clone(), inst.addr.rtype.as_str().to_owned());
-                index.by_block.insert(key, vec![i]);
+                self.by_block.insert(key, vec![first + i]);
             }
         }
-        index
+    }
+
+    /// Forget the blocks of `instances` (every instance of each).
+    pub fn remove(&mut self, instances: &[Arc<ResourceInstance>]) {
+        for inst in instances {
+            let key = block_key(inst);
+            self.by_block.remove(&key);
+            self.block_types.remove(&key);
+        }
+    }
+
+    /// Re-seat every position after the manifest's instances moved.
+    pub fn shift(&mut self, moved: impl Fn(usize) -> usize) {
+        for position in self.by_block.values_mut().flatten() {
+            *position = moved(*position);
+        }
     }
 
     /// Approximate heap footprint, for cache budgeting: two maps keyed by

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke for `cloudless watch`: spawn the watcher on a tiny
-# program, save the file twice, and assert both replans took the
-# incremental path (the printed ChangeTrace leads with
-# "pipeline: incremental"). The first event is the initial read and is
-# expected to be a full run — only the edits must be O(edit).
+# program, save the file four times — two attribute edits, a third
+# resource block appended, the same block deleted again — and assert every
+# replan took the incremental path (the printed ChangeTrace leads with
+# "pipeline: incremental") and the append planned exactly one create. The
+# first event is the initial read and is expected to be a full run — only
+# the edits must be O(edit).
 set -euo pipefail
 
 out=${1:-/tmp/watch_smoke_out.txt}
@@ -31,33 +33,59 @@ resource "aws_virtual_machine" "web" {
 }
 EOF
 
-# event 1: initial read (cold). events 2 and 3: the edits below.
-"$bin" watch "$work/session" "$work/main.tf" --poll-ms 50 --max-events 3 > "$out" &
+# the estate is deployed, so each plan below is the edit's alone
+"$bin" apply "$work/session" "$work/main.tf" > /dev/null
+
+# event 1: initial read (cold). events 2 to 5: the edits below.
+"$bin" watch "$work/session" "$work/main.tf" --poll-ms 50 --max-events 5 > "$out" &
 pid=$!
 
 sleep 1
 sed -i 's/watch-web/watch-web-2/' "$work/main.tf"
 sleep 1
 sed -i 's/watch-logs/watch-logs-2/' "$work/main.tf"
+sleep 1
+# (saved by rename, as `sed -i` does: the watcher never reads half a file)
+cp "$work/main.tf" "$work/two-blocks.tf"
+cat "$work/main.tf" - > "$work/three-blocks.tf" <<'EOF'
 
-# the watcher exits on its own after 3 events; bound the wait at ~20s
+resource "aws_s3_bucket" "assets" {
+  bucket = "watch-assets"
+}
+EOF
+mv "$work/three-blocks.tf" "$work/main.tf"
+sleep 1
+mv "$work/two-blocks.tf" "$work/main.tf"
+
+# the watcher exits on its own after 5 events; bound the wait at ~20s
 for _ in $(seq 1 100); do
   kill -0 "$pid" 2>/dev/null || break
   sleep 0.2
 done
 if kill -0 "$pid" 2>/dev/null; then
-  echo "watch smoke FAILED: watcher did not exit after 3 events" >&2
+  echo "watch smoke FAILED: watcher did not exit after 5 events" >&2
   cat "$out" >&2
   exit 1
 fi
 wait "$pid"
 pid=""
 
-events=$(grep -c -- "--- event" "$out" || true)
-incremental=$(grep -c "pipeline: incremental" "$out" || true)
-if [[ "$events" -ne 3 || "$incremental" -lt 2 ]]; then
-  echo "watch smoke FAILED: $events events, $incremental incremental replans (want 3 events, >=2 incremental)" >&2
+fail() {
+  echo "watch smoke FAILED: $1" >&2
   cat "$out" >&2
   exit 1
+}
+
+events=$(grep -c -- "--- event" "$out" || true)
+incremental=$(grep -c "pipeline: incremental" "$out" || true)
+if [[ "$events" -ne 5 || "$incremental" -ne 4 ]]; then
+  fail "$events events, $incremental incremental replans (want 5 events, 4 incremental)"
 fi
-echo "watch smoke ok: $events events, $incremental incremental replans"
+# event 4 is the append: one block spliced in, one resource to create
+append=$(awk '/--- event 4/{on=1} /--- event 5/{on=0} on' "$out")
+grep -q "+1 inserted, −0 removed" <<<"$append" || fail "the append did not splice one block in"
+creates=$(grep -E '^ +\+ ' <<<"$append" || true)
+[[ "$creates" == "  + aws_s3_bucket.assets" ]] || fail "the append did not plan one create"
+awk '/--- event 5/{on=1} on' "$out" | grep -q "+0 inserted, −1 removed" ||
+  fail "the delete did not splice one block out"
+echo "watch smoke ok: $events events, $incremental incremental replans, one block in and out"

@@ -14,12 +14,19 @@
 //!
 //! The drift classifier gets a host-independent guard instead of a budget:
 //! its time at 4× the blocks over its time at 1×, which is 4 for one
-//! grouping pass and 16 for a scan of the manifest per block.
+//! grouping pass and 16 for a scan of the manifest per block. So does the
+//! structural splice: a block inserted into or deleted from a warm memo
+//! over its program's cold run, which is a few percent when the splice
+//! renumbers integers and at least 1 when it re-derives the world.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cloudless_bench::experiments::e14_scale;
+use cloudless::obs::{NullRecorder, Recorder};
+use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
+use cloudless::LintGate;
+use cloudless_bench::experiments::{e14_scale, quota_raised_catalog};
 use cloudless_bench::workloads::random_layered;
 use cloudless_cloud::Catalog;
 use cloudless_deploy::resolver::DataResolver;
@@ -27,6 +34,7 @@ use cloudless_diagnose::reconcile::classify;
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
 use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Region, ResourceId, SimTime, Value};
+use cloudless_validate::ValidationLevel;
 
 #[test]
 fn random_10k_pipeline_within_wall_budget() {
@@ -116,4 +124,69 @@ fn classify_grows_linearly_in_blocks() {
          linear is 4x, a per-block scan of the manifest 16x",
         4 * n
     );
+}
+
+#[test]
+fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
+    let blocks = 8_000;
+    let base = random_layered(blocks, 7);
+    // quotas out of the way: VAL307 would refuse the program
+    let catalog = quota_raised_catalog();
+    let (inputs, modules, data) = (BTreeMap::new(), ModuleLibrary::new(), DataResolver::new());
+    let (state, recorder) = (Snapshot::new(), Arc::new(NullRecorder) as Arc<dyn Recorder>);
+    let ctx = PipelineCtx {
+        inputs: &inputs,
+        modules: &modules,
+        lint: LintGate::default(),
+        level: ValidationLevel::CloudRules,
+        data: &data,
+        catalog: &catalog,
+        state: &state,
+        miner: None,
+        recorder: &recorder,
+    };
+    let median = |mut millis: Vec<f64>| {
+        millis.sort_by(f64::total_cmp);
+        millis[millis.len() / 2]
+    };
+    let timed = |pipe: &mut IncrementalPipeline, source: &str, fast: bool| {
+        let start = Instant::now();
+        let out = pipe.run(source, &ctx).unwrap_or_else(|_| panic!("clean"));
+        assert_eq!(out.trace.fast_path, fast, "{}", out.trace);
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let colds = (0..3).map(|_| timed(&mut IncrementalPipeline::default(), &base, false));
+    let cold = median(colds.collect());
+
+    // one warm memo; each insert is followed by the delete that undoes it
+    let extra = "resource \"aws_s3_bucket\" \"extra\" {\n  bucket = \"extra\"\n}\n";
+    let label = format!("\"r{}\" {{", blocks / 2);
+    let middle = base.find(&label).expect("the middle block is there");
+    let middle = base[..middle]
+        .rfind("resource ")
+        .expect("and so is its head");
+    let appended = format!("{base}{extra}");
+    let inserted = format!("{}{extra}{}", &base[..middle], &base[middle..]);
+    let mut warm = IncrementalPipeline::default();
+    timed(&mut warm, &base, false);
+    for (shape, grown) in [
+        ("a tail append", &appended),
+        ("a mid-file insert", &inserted),
+    ] {
+        let mut saves = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            saves.0.push(timed(&mut warm, grown, true));
+            saves.1.push(timed(&mut warm, &base, true));
+        }
+        for (what, millis) in [
+            (shape, median(saves.0)),
+            ("the matching delete", median(saves.1)),
+        ] {
+            assert!(
+                millis * 4.0 <= cold,
+                "{what} took {millis:.2} ms on a warm memo against {cold:.2} ms for a cold run \
+                 of the same {blocks} blocks: a splice is O(edit) plus one integer renumbering"
+            );
+        }
+    }
 }
