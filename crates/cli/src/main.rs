@@ -12,7 +12,7 @@
 //! cloudless plan      <dir> <file.tf>       # show what would change
 //! cloudless watch     <dir> <file.tf>       # replan on every edit, O(edit)
 //! cloudless apply     <dir> <file.tf>       # converge (validate→plan→apply)
-//! cloudless destroy   <dir>                 # tear everything down
+//! cloudless destroy   <dir>                 # apply of the empty program
 //! cloudless state     <dir>                 # list managed resources
 //! cloudless drift     <dir>                 # scan for out-of-band changes
 //! cloudless reconcile <dir> <file.tf>       # fold drift back into the program
@@ -26,42 +26,34 @@
 mod session;
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use cloudless::deploy::{DeadlinePolicy, ResiliencePolicy};
+use cloudless::deploy::{ApplyReport, DeadlinePolicy, ResiliencePolicy};
 use cloudless::obs::{FlightRecorder, Recorder};
-use cloudless::types::SimDuration;
+use cloudless::types::{ResourceAddr, SimDuration};
 use cloudless::{Cloudless, Config, ConvergeError};
 
 use session::Session;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = args.iter().map(String::as_str);
-    let Some(command) = args.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let rest: Vec<&str> = args.collect();
-    let result = match command {
-        "init" => cmd_init(&rest),
-        "validate" => cmd_validate(&rest),
-        "lint" => cmd_lint(&rest),
-        "analyze" => cmd_analyze(&rest),
-        "plan" => cmd_plan(&rest),
-        "watch" => cmd_watch(&rest),
-        "apply" => cmd_apply(&rest),
-        "destroy" => cmd_destroy(&rest),
-        "state" => cmd_state(&rest),
-        "drift" => cmd_drift(&rest),
-        "reconcile" => cmd_reconcile(&rest),
-        "metrics" => cmd_metrics(&rest),
-        "import" => cmd_import(&rest),
-        "rogue" => cmd_rogue(&rest),
-        "help" | "--help" | "-h" => {
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let result = match words.first().copied() {
+        None => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        Some("help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        Some(first) => {
+            let two = words[..words.len().min(2)].join(" ");
+            match VERBS.iter().find(|verb| verb.0 == two || verb.0 == first) {
+                Some(verb) => run(verb, &words[verb.0.split(' ').count()..]),
+                None => Err(format!("unknown command {first:?}\n{USAGE}")),
+            }
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -102,7 +94,8 @@ commands:
             [--deadline-factor <f>]    cancel ops after f x estimate (default 4)
             [--trace <out.json>]       write a chrome://tracing trace of the apply
             [--events <out.jsonl>]     dump raw flight-recorder events as JSONL
-  destroy   <dir>                      destroy all managed resources
+  destroy   <dir>                      destroy all managed resources: apply of
+                                       nothing, with apply's flags but --target
   state     <dir>                      list managed resources
   state     history  <dir>             list committed versions (time machine)
   state     rollback <dir> <serial>    time-travel state to a past serial
@@ -119,27 +112,213 @@ commands:
   import    <dir> [--modules]          port live cloud resources to IaC
   rogue     <dir> <addr> <key> <val>   simulate an out-of-band change";
 
-fn want<'a>(rest: &'a [&str], i: usize, what: &str) -> Result<&'a str, String> {
-    rest.get(i)
-        .copied()
-        .ok_or_else(|| format!("missing {what}\n{USAGE}"))
+/// A flag a verb defines: its name and, when it takes a value, what the
+/// value is (`<flag> needs <what>`).
+type Flag = (&'static str, Option<&'static str>);
+
+/// A verb: its name, what each positional argument is, the flags it
+/// defines, and what it does with them.
+type Verb = (&'static str, &'static [&'static str], &'static [Flag], Body);
+
+enum Body {
+    /// Runs on its arguments alone.
+    Bare(fn(&Args) -> Result<(), String>),
+    /// Runs on the engine of the session its first argument names.
+    InSession(fn(&Args, &mut Cloudless) -> Result<Ran, String>),
+    /// The same under a flight recorder, which every layer of the engine
+    /// emits into: its metrics are persisted for `cloudless metrics`.
+    Recorded(fn(&Args, &Arc<FlightRecorder>, &mut Cloudless) -> Result<Ran, String>),
+}
+use Body::{Bare, InSession, Recorded};
+
+const DIR: &str = "session directory";
+const FILE: &str = "program file";
+const ROGUE_ARGS: [&str; 4] = [DIR, "resource address", "attribute name", "attribute value"];
+
+/// The flags of `analyze`; `lint` takes what follows `--blast`.
+const ANALYZE_FLAGS: [Flag; 5] = [
+    ("--state", Some("a session directory")),
+    ("--blast", None),
+    ("--deny", Some("`warn` or a rule")),
+    ("--allow", Some("a rule id or name")),
+    ("--format", Some("text, json or sarif")),
+];
+/// The flags of `apply`: `--resume` is scanned so that `apply` can say what
+/// replaced it, `plan` takes `--target`, `destroy` what follows it.
+const APPLY_FLAGS: [Flag; 6] = [
+    ("--resume", None),
+    ("--target", Some("a resource address")),
+    ("--retries", Some("a count")),
+    ("--deadline-factor", Some("a number")),
+    ("--trace", Some("an output path")),
+    ("--events", Some("an output path")),
+];
+const WATCH_FLAGS: [Flag; 2] = [
+    ("--poll-ms", Some("a number")),
+    ("--max-events", Some("a count")),
+];
+const RECONCILE_FLAGS: [Flag; 3] = [
+    ("--dry-run", None),
+    ("--patch", Some("an output path")),
+    ("--deny", Some("`warn`")),
+];
+
+/// Every verb, the two-word ones ahead of the word they start with.
+const VERBS: [Verb; 18] = [
+    ("init", &[DIR], &[], Bare(init)),
+    ("validate", &[FILE], &[], Bare(validate)),
+    ("lint", &[FILE], ANALYZE_FLAGS.split_at(2).1, Bare(analyze)),
+    ("analyze", &[FILE], &ANALYZE_FLAGS, Bare(analyze)),
+    ("plan", &[DIR, FILE], &[APPLY_FLAGS[1]], InSession(plan)),
+    ("watch", &[DIR, FILE], &WATCH_FLAGS, InSession(watch)),
+    ("apply", &[DIR, FILE], &APPLY_FLAGS, Recorded(apply)),
+    (
+        "destroy",
+        &[DIR],
+        APPLY_FLAGS.split_at(2).1,
+        Recorded(apply),
+    ),
+    ("state fsck", &[DIR], &[], Bare(state_fsck)),
+    ("state migrate", &[DIR], &[], Bare(state_migrate)),
+    ("state history", &[DIR], &[], InSession(state_history)),
+    (
+        "state rollback",
+        &[DIR, "target serial"],
+        &[],
+        InSession(state_rollback),
+    ),
+    ("state", &[DIR], &[], InSession(state)),
+    ("drift", &[DIR], &[], Recorded(drift)),
+    (
+        "reconcile",
+        &[DIR, FILE],
+        &RECONCILE_FLAGS,
+        InSession(reconcile),
+    ),
+    ("metrics", &[DIR], &[], Bare(metrics)),
+    ("import", &[DIR], &[("--modules", None)], InSession(import)),
+    ("rogue", &ROGUE_ARGS, &[], InSession(rogue)),
+];
+
+/// A verb's arguments, scanned against what it defines.
+struct Args<'a> {
+    verb: &'static str,
+    positional: Vec<&'a str>,
+    /// Each flag given, in order, with its value (empty for a switch).
+    given: Vec<(&'a str, &'a str)>,
 }
 
-/// Refuse whatever follows a verb's `n` positional arguments.
-fn no_more(rest: &[&str], n: usize, verb: &str) -> Result<(), String> {
-    match rest.get(n) {
-        None => Ok(()),
-        Some(other) => Err(format!("unknown {verb} option {other:?}\n{USAGE}")),
+impl<'a> Args<'a> {
+    /// `rest` is one argument per name in the verb's positional list, then
+    /// any of its flags; anything else is refused.
+    fn scan(&(verb, positional, flags, _): &Verb, rest: &[&'a str]) -> Result<Args<'a>, String> {
+        let mut it = rest.iter().copied();
+        let mut args = Args {
+            verb,
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        for what in positional {
+            let arg = it
+                .next()
+                .ok_or_else(|| format!("missing {what}\n{USAGE}"))?;
+            args.positional.push(arg);
+        }
+        while let Some(arg) = it.next() {
+            let value = match flags.iter().find(|(name, _)| *name == arg) {
+                None => return Err(format!("unknown {verb} option {arg:?}\n{USAGE}")),
+                Some((_, None)) => "",
+                Some((_, Some(what))) => it.next().ok_or_else(|| format!("{arg} needs {what}"))?,
+            };
+            args.given.push((arg, value));
+        }
+        Ok(args)
     }
+
+    /// Every value `flag` was given, in order.
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        let given = self.given.iter().filter(move |(name, _)| *name == flag);
+        given.map(|(_, value)| *value)
+    }
+
+    /// The value `flag` was given last, if it was given at all.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).last()
+    }
+}
+
+/// What a verb's run did to the world its session holds.
+enum Ran {
+    /// Neither state nor the cloud's records can have changed: no session
+    /// file is rewritten.
+    ReadOnly,
+    /// They may have: the session is saved, then the verb ends with this.
+    Changed(Result<(), String>),
+}
+
+/// Every verb is this: scan the arguments and, for one that works on a
+/// session's engine, open → run → report → close.
+fn run(verb: &Verb, rest: &[&str]) -> Result<(), String> {
+    let args = Args::scan(verb, rest)?;
+    match verb.3 {
+        Bare(body) => body(&args),
+        InSession(body) => in_session(args.positional[0], None, |engine| body(&args, engine)),
+        Recorded(body) => {
+            let recorder = Arc::new(FlightRecorder::default());
+            let instrumented = (resilience(&args)?, recorder.clone() as Arc<dyn Recorder>);
+            in_session(args.positional[0], Some(instrumented), |engine| {
+                body(&args, &recorder, engine)
+            })
+        }
+    }
+}
+
+/// Open the session in `dir`, run `body` on its engine, close it. An `Err`
+/// from `body` is a refusal, before any change.
+fn in_session(
+    dir: &str,
+    instrumented: Option<(ResiliencePolicy, Arc<dyn Recorder>)>,
+    body: impl FnOnce(&mut Cloudless) -> Result<Ran, String>,
+) -> Result<(), String> {
+    let session = Session::load(dir)?;
+    let engine = session.engine(instrumented)?;
+    run_and_close(&session, engine, body)
+}
+
+/// The closing half of [`in_session`]: metrics persist whenever the engine
+/// recorded any (`cloudless metrics` renders them), the session only when
+/// the verb says it may have changed.
+fn run_and_close(
+    session: &Session,
+    mut engine: Cloudless,
+    body: impl FnOnce(&mut Cloudless) -> Result<Ran, String>,
+) -> Result<(), String> {
+    let ran = body(&mut engine);
+    if let Some(metrics) = engine.metrics() {
+        session.save_metrics(&metrics)?;
+    }
+    match ran? {
+        Ran::ReadOnly => Ok(()),
+        Ran::Changed(end) => {
+            session.save(&engine)?;
+            end
+        }
+    }
+}
+
+fn parsed<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
 fn read_program(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn cmd_init(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "init")?;
+fn init(args: &Args) -> Result<(), String> {
+    let dir = args.positional[0];
     Session::init(dir)?;
     println!("session initialized in {dir}");
     println!("next: edit a .tf file and run `cloudless apply {dir} main.tf`");
@@ -148,10 +327,8 @@ fn cmd_init(rest: &[&str]) -> Result<(), String> {
 
 /// `cloudless validate`: what `plan` would decide about the program on a
 /// fresh, empty session — the same gates, the same refusals.
-fn cmd_validate(rest: &[&str]) -> Result<(), String> {
-    let file = want(rest, 0, "program file")?;
-    no_more(rest, 1, "validate")?;
-    let source = read_program(file)?;
+fn validate(args: &Args) -> Result<(), String> {
+    let source = read_program(args.positional[0])?;
     let planned = Cloudless::new(Config::default())
         .plan(&source, &[])
         .map_err(|e| refusal(e, &source))?;
@@ -167,47 +344,6 @@ fn cmd_validate(rest: &[&str]) -> Result<(), String> {
         println!("{}", diagnostics.render_pretty(&sources));
     }
     Ok(())
-}
-
-/// The options `lint` and `analyze` share — `--deny warn|<rule>`,
-/// `--allow <rule>`, `--format text|json|sarif` — and, in order, the
-/// arguments that are none of them.
-fn parse_lint_opts<'a>(
-    rest: &[&'a str],
-) -> Result<(cloudless::LintConfig, &'a str, Vec<&'a str>), String> {
-    let mut config = cloudless::LintConfig::default();
-    let mut format = "text";
-    let mut others = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--deny" => {
-                let what = it.next().ok_or("--deny needs `warn` or a rule")?;
-                if *what == "warn" {
-                    config.fail_on = cloudless::hcl::Severity::Warning;
-                } else if cloudless::analyze::rule(what).is_some() {
-                    config.deny.push((*what).to_owned());
-                } else {
-                    return Err(format!("--deny: unknown rule {what:?}"));
-                }
-            }
-            "--allow" => {
-                let what = it.next().ok_or("--allow needs a rule id or name")?;
-                if cloudless::analyze::rule(what).is_none() {
-                    return Err(format!("--allow: unknown rule {what:?}"));
-                }
-                config.allow.push((*what).to_owned());
-            }
-            "--format" => {
-                format = it.next().ok_or("--format needs text, json or sarif")?;
-                if !matches!(format, "text" | "json" | "sarif") {
-                    return Err(format!("--format: unknown format {format:?}"));
-                }
-            }
-            other => others.push(other),
-        }
-    }
-    Ok((config, format, others))
 }
 
 /// Print a lint report in `format`; deny-level findings are the error.
@@ -232,38 +368,29 @@ fn finish_lint(
     }
 }
 
-fn cmd_lint(rest: &[&str]) -> Result<(), String> {
-    let file = want(rest, 0, "program file")?;
-    let (config, format, others) = parse_lint_opts(&rest[1..])?;
-    if let Some(other) = others.first() {
-        return Err(format!("unknown lint option {other:?}\n{USAGE}"));
-    }
-    let source = read_program(file)?;
-    let sources = cloudless::hcl::SourceMap::single(file, &source);
-    let report = cloudless::analyze::lint_source(
-        &source,
-        file,
-        &cloudless::hcl::ModuleLibrary::new(),
-        &config,
-    )
-    .map_err(|d| format!("program rejected:\n{}", d.render_pretty(&sources)))?;
-    finish_lint(&report, &config, format, &sources)
-}
-
-fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
-    let file = want(rest, 0, "program file")?;
-    let mut state_dir: Option<&str> = None;
-    let mut what_if = false;
-    let (config, format, others) = parse_lint_opts(&rest[1..])?;
-    let mut it = others.into_iter();
-    while let Some(arg) = it.next() {
-        match arg {
-            "--state" => {
-                state_dir = Some(it.next().ok_or("--state needs a session directory")?);
-            }
-            "--blast" => what_if = true,
-            other => return Err(format!("unknown analyze option {other:?}\n{USAGE}")),
+/// `cloudless analyze`, and `cloudless lint`: the same up to the
+/// program-level lints, where `lint` stops.
+fn analyze(args: &Args) -> Result<(), String> {
+    let file = args.positional[0];
+    let mut config = cloudless::LintConfig::default();
+    for what in args.values("--deny") {
+        if what == "warn" {
+            config.fail_on = cloudless::hcl::Severity::Warning;
+        } else if cloudless::analyze::rule(what).is_some() {
+            config.deny.push(what.to_owned());
+        } else {
+            return Err(format!("--deny: unknown rule {what:?}"));
         }
+    }
+    for what in args.values("--allow") {
+        if cloudless::analyze::rule(what).is_none() {
+            return Err(format!("--allow: unknown rule {what:?}"));
+        }
+        config.allow.push(what.to_owned());
+    }
+    let format = args.value("--format").unwrap_or("text");
+    if !matches!(format, "text" | "json" | "sarif") {
+        return Err(format!("--format: unknown format {format:?}"));
     }
     let source = read_program(file)?;
     let sources = cloudless::hcl::SourceMap::single(file, &source);
@@ -274,6 +401,9 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     // Program-level lints first; parse failures surface here.
     let program = cloudless::hcl::load(&source, file).map_err(rejected)?;
     let mut report = cloudless::analyze::lint_program(&program, &modules, &config);
+    if args.verb == "lint" {
+        return finish_lint(&report, &config, format, &sources);
+    }
     // Expand to the instance level (plan-time unknowns deferred) and run
     // the whole-program concurrency passes over the sealed DAG.
     let manifest = cloudless::hcl::program::expand(
@@ -285,17 +415,17 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
     .map_err(rejected)?;
     // Blast radius is opt-in: --state derives the edit set from the
     // session's pending diff; bare --blast ranks hypothetical edits.
-    let blast = if let Some(dir) = state_dir {
+    let blast = if let Some(dir) = args.value("--state") {
         // a program `plan` refuses has no pending edit set
-        let planned = Session::load(dir)?
-            .engine(None)?
-            .plan(&source, &[])
-            .map_err(|e| refusal(e, &source))?;
-        let edits = planned.plan.graph.iter();
-        Some(cloudless::analyze::BlastRequest::EditSet(
-            edits.map(|(_, node)| node.change.addr.clone()).collect(),
-        ))
-    } else if what_if {
+        let mut edits = Vec::new();
+        in_session(dir, None, |engine| {
+            let planned = engine.plan(&source, &[]).map_err(|e| refusal(e, &source))?;
+            let nodes = planned.plan.graph.iter();
+            edits = nodes.map(|(_, node)| node.change.addr.clone()).collect();
+            Ok(Ran::ReadOnly)
+        })?;
+        Some(cloudless::analyze::BlastRequest::EditSet(edits))
+    } else if args.value("--blast").is_some() {
         Some(cloudless::analyze::BlastRequest::WhatIf { top: 8 })
     } else {
         None
@@ -311,16 +441,6 @@ fn cmd_analyze(rest: &[&str]) -> Result<(), String> {
         );
     }
     finished
-}
-
-/// The address after a `--target`.
-fn target_addr<'a>(
-    it: &mut impl Iterator<Item = &'a &'a str>,
-) -> Result<cloudless::types::ResourceAddr, String> {
-    it.next()
-        .ok_or("--target needs a resource address")?
-        .parse()
-        .map_err(|e| format!("bad --target address: {e}"))
 }
 
 /// Why `plan`, `apply` or `reconcile` refused a program, rendered against
@@ -351,26 +471,46 @@ fn refusal(err: ConvergeError, source: &str) -> String {
     }
 }
 
+/// How a verb that acts on the cloud ends on `err`. A refusal comes before
+/// any change. A refused commit comes after the run: what it did to the
+/// cloud is real and is saved, even though the state that would describe
+/// it is not committed (the snapshot the engine holds back dies with this
+/// process), and `reconcile` is what picks it up.
+fn stopped(err: ConvergeError, source: &str, args: &Args) -> Result<Ran, String> {
+    if !matches!(err, ConvergeError::State(_)) {
+        return Err(refusal(err, source));
+    }
+    let dir = args.positional[0];
+    let recover = match args.positional.get(1) {
+        Some(file) => format!(
+            "`cloudless reconcile {dir} {file}` adopts what this run created; \
+             a plain apply would create it a second time"
+        ),
+        None => format!(
+            "`cloudless reconcile {dir} <file.tf>` over an empty program drops \
+             what this run destroyed; a plain destroy would fail on it"
+        ),
+    };
+    Ok(Ran::Changed(Err(format!(
+        "{err}; the cloud was changed but the state was not. \
+         Once the log is writable, {recover}"
+    ))))
+}
+
+fn targets(args: &Args) -> Result<Vec<ResourceAddr>, String> {
+    let addrs = args.values("--target");
+    addrs.map(|addr| parsed(addr, "--target address")).collect()
+}
+
 /// `cloudless plan`: the deciding half of `apply` and nothing else — the
 /// same gates, the same refusals and exit code, the same plan text.
-fn cmd_plan(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let file = want(rest, 1, "program file")?;
-    let mut targets = Vec::new();
-    let mut it = rest.iter().skip(2);
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--target" => targets.push(target_addr(&mut it)?),
-            other => return Err(format!("unknown plan option {other:?}\n{USAGE}")),
-        }
-    }
-    let source = read_program(file)?;
-    let mut engine = Session::load(dir)?.engine(None)?;
+fn plan(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
+    let source = read_program(args.positional[1])?;
     let planned = engine
-        .plan(&source, &targets)
+        .plan(&source, &targets(args)?)
         .map_err(|e| refusal(e, &source))?;
     print!("{}", planned.plan_text);
-    Ok(())
+    Ok(Ran::ReadOnly)
 }
 
 /// `cloudless watch`: poll a program file and replan it through the
@@ -378,38 +518,14 @@ fn cmd_plan(rest: &[&str]) -> Result<(), String> {
 /// the whole watch, so after the first (cold) plan each edit re-runs only
 /// the stages and the resource subgraph it impacts — the
 /// [`cloudless::ChangeTrace`] printed under each plan shows exactly which.
-/// Plan-only: never locks,
-/// applies, or saves the session.
-fn cmd_watch(rest: &[&str]) -> Result<(), String> {
+/// Plan-only: never locks, applies, or saves the session.
+fn watch(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     use std::io::Write;
 
-    let dir = want(rest, 0, "session directory")?;
-    let file = want(rest, 1, "program file")?;
-    let mut poll_ms: u64 = 250;
-    let mut max_events: u64 = 0; // 0 = watch forever
-    let mut it = rest.iter().skip(2);
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--poll-ms" => {
-                poll_ms = it
-                    .next()
-                    .ok_or("--poll-ms needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --poll-ms: {e}"))?;
-                poll_ms = poll_ms.max(1);
-            }
-            "--max-events" => {
-                max_events = it
-                    .next()
-                    .ok_or("--max-events needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-events: {e}"))?;
-            }
-            other => return Err(format!("unknown watch option {other:?}\n{USAGE}")),
-        }
-    }
-    let session = Session::load(dir)?;
-    let mut engine = session.engine(None)?;
+    let file = args.positional[1];
+    let number = |flag, default| args.value(flag).map_or(Ok(default), |n| parsed(n, flag));
+    let poll_ms: u64 = number("--poll-ms", 250)?.max(1);
+    let max_events: u64 = number("--max-events", 0)?; // 0 = watch forever
     println!("watching {file} (poll every {poll_ms}ms; ctrl-c to stop)");
     let mut last: Option<String> = None;
     let mut events: u64 = 0;
@@ -430,7 +546,7 @@ fn cmd_watch(rest: &[&str]) -> Result<(), String> {
                     last = Some(source);
                     if max_events > 0 && events >= max_events {
                         println!("({events} event(s) seen; exiting)");
-                        return Ok(());
+                        return Ok(Ran::ReadOnly);
                     }
                 }
             }
@@ -441,197 +557,117 @@ fn cmd_watch(rest: &[&str]) -> Result<(), String> {
     }
 }
 
-/// What follows `apply <dir> <file.tf>`.
-struct ApplyOpts {
-    targets: Vec<cloudless::types::ResourceAddr>,
-    resilience: ResiliencePolicy,
-    /// `--trace <file>` / `--events <file>`: output paths for the flight
-    /// recorder's exporters.
-    trace_out: Option<String>,
-    events_out: Option<String>,
-}
-
-fn parse_apply_opts(opts: &[&str]) -> Result<ApplyOpts, String> {
-    let mut targets = Vec::new();
+/// The resilience policy `--retries` and `--deadline-factor` ask for.
+fn resilience(args: &Args) -> Result<ResiliencePolicy, String> {
     let mut resilience = ResiliencePolicy::standard();
-    let (mut trace_out, mut events_out) = (None, None);
-    let mut it = opts.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--target" => targets.push(target_addr(&mut it)?),
-            "--retries" => {
-                let n: u32 = it
-                    .next()
-                    .ok_or("--retries needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --retries count: {e}"))?;
-                resilience.retry.max_attempts_per_node = n.max(1);
-            }
-            "--deadline-factor" => {
-                let f: f64 = it
-                    .next()
-                    .ok_or("--deadline-factor needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --deadline-factor: {e}"))?;
-                resilience.deadline = if f <= 0.0 {
-                    DeadlinePolicy::None
-                } else {
-                    DeadlinePolicy::EstimateFactor {
-                        factor: f,
-                        floor: SimDuration::from_secs(30),
-                    }
-                };
-            }
-            "--trace" => {
-                trace_out = Some((*it.next().ok_or("--trace needs an output path")?).to_owned());
-            }
-            "--events" => {
-                events_out = Some((*it.next().ok_or("--events needs an output path")?).to_owned());
-            }
-            "--resume" => {
-                return Err(
-                    "--resume is gone: state records what a failed apply landed, \
-                            so a plain `apply` plans and runs only what is left"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown apply option {other:?}\n{USAGE}")),
-        }
+    if let Some(n) = args.value("--retries") {
+        let n: u32 = parsed(n, "--retries count")?;
+        resilience.retry.max_attempts_per_node = n.max(1);
     }
-    Ok(ApplyOpts {
-        targets,
-        resilience,
-        trace_out,
-        events_out,
-    })
+    if let Some(f) = args.value("--deadline-factor") {
+        let factor: f64 = parsed(f, "--deadline-factor")?;
+        let floor = SimDuration::from_secs(30);
+        resilience.deadline = if factor <= 0.0 {
+            DeadlinePolicy::None
+        } else {
+            DeadlinePolicy::EstimateFactor { factor, floor }
+        };
+    }
+    Ok(resilience)
 }
 
-fn cmd_apply(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let file = want(rest, 1, "program file")?;
-    let opts = parse_apply_opts(&rest[2..])?;
-    let source = read_program(file)?;
-    let session = Session::load(dir)?;
-    // every apply runs under a flight recorder: metrics are persisted for
-    // `cloudless metrics`, and --trace/--events export the event stream
-    let recorder = std::sync::Arc::new(FlightRecorder::default());
-    let mut engine = session.engine(Some((opts.resilience, recorder.clone())))?;
-    let converged = engine.converge_targeted(&source, &opts.targets);
-    let captured = recorder.events();
-    if let Some(path) = &opts.trace_out {
-        std::fs::write(path, cloudless::obs::export::to_chrome_trace(&captured))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
-            "trace: {} event(s) written to {path} (open in chrome://tracing)",
-            captured.len()
-        );
-    }
-    if let Some(path) = &opts.events_out {
-        std::fs::write(path, cloudless::obs::export::to_jsonl(&captured))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("events: {} event(s) written to {path}", captured.len());
-    }
-    if let Some(metrics) = recorder.metrics() {
-        session.save_metrics(&metrics)?;
-    }
-    match converged {
-        Ok(outcome) => {
-            print!("{}", outcome.plan_text);
-            println!(
-                "apply ({}): {} op(s), {} attempt(s), {} retry(ies), virtual makespan {}",
-                outcome.apply.strategy,
-                outcome.apply.ops_submitted,
-                outcome.apply.total_attempts(),
-                outcome.apply.retries,
-                outcome.apply.makespan()
-            );
-            for ex in &outcome.explanations {
-                print!("{}", ex.render());
-            }
-            session.save(&engine)?;
-            if outcome.apply.all_ok() {
-                println!(
-                    "state: {} resource(s) under management",
-                    engine.state().len()
-                );
-                Ok(())
-            } else {
-                Err(format!(
-                    "{} resource(s) failed; what landed is in state — fix the cause and \
-                     run `apply` again to finish",
-                    outcome.apply.failures()
-                ))
-            }
+/// Write the recorder's events where `--trace` and `--events` ask.
+fn export(args: &Args, recorder: &FlightRecorder) -> Result<(), String> {
+    use cloudless::obs::export::{to_chrome_trace, to_jsonl};
+    let exporters: [(_, fn(&_) -> _, _); 2] = [
+        ("trace", to_chrome_trace, " (open in chrome://tracing)"),
+        ("events", to_jsonl, ""),
+    ];
+    for (name, render, note) in exporters {
+        if let Some(path) = args.value(&format!("--{name}")) {
+            let captured = recorder.events();
+            std::fs::write(path, render(&captured))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            let n = captured.len();
+            println!("{name}: {n} event(s) written to {path}{note}");
         }
-        Err(err @ ConvergeError::State(_)) => {
-            // the apply ran: what it did to the cloud is real and persists,
-            // even though the state that would describe it is not committed
-            // (the snapshot the engine holds back dies with this process)
-            session.save(&engine)?;
-            Err(format!(
-                "{err}; the cloud was changed but the state was not. Once the log is writable, \
-                 `cloudless reconcile {dir} {file}` adopts what this run created; \
-                 a plain apply would create it a second time"
-            ))
-        }
-        Err(refused) => Err(refusal(refused, &source)),
     }
+    Ok(())
 }
 
-fn cmd_destroy(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "destroy")?;
-    let session = Session::load(dir)?;
-    let mut engine = session.engine(None)?;
-    let before = engine.state().len();
-    let outcome = engine
-        .converge("")
-        .map_err(|e| format!("destroy failed: {e}"))?;
-    session.save(&engine)?;
-    if outcome.apply.all_ok() {
-        println!(
-            "destroyed {before} resource(s) in {} (virtual)",
-            outcome.apply.makespan()
+/// `cloudless apply <dir> <file.tf>`, and `cloudless destroy <dir>`: the
+/// apply of the empty program.
+fn apply(
+    args: &Args,
+    recorder: &Arc<FlightRecorder>,
+    engine: &mut Cloudless,
+) -> Result<Ran, String> {
+    if args.value("--resume").is_some() {
+        return Err(
+            "--resume is gone: state records what a failed apply landed, \
+                    so a plain `apply` plans and runs only what is left"
+                .into(),
         );
+    }
+    let source = &match args.positional.get(1) {
+        Some(file) => read_program(file)?,
+        None => String::new(),
+    };
+    let converged = engine.converge_targeted(source, &targets(args)?);
+    let exported = export(args, recorder);
+    let outcome = match converged {
+        Ok(outcome) => outcome,
+        Err(err) => return stopped(err, source, args),
+    };
+    print!("{}", outcome.plan_text);
+    print_apply(&outcome.apply);
+    for ex in &outcome.explanations {
+        print!("{}", ex.render());
+    }
+    let end = if outcome.apply.all_ok() {
+        let managed = engine.state().len();
+        println!("state: {managed} resource(s) under management");
         Ok(())
     } else {
         Err(format!(
-            "{} resource(s) failed to destroy",
-            outcome.apply.failures()
+            "{} resource(s) failed; what landed is in state — fix the cause and \
+             run `{}` again to finish",
+            outcome.apply.failures(),
+            args.verb
         ))
-    }
+    };
+    Ok(Ran::Changed(exported.and(end)))
 }
 
-fn cmd_state(rest: &[&str]) -> Result<(), String> {
-    match rest.first().copied() {
-        Some("fsck") => return cmd_state_fsck(&rest[1..]),
-        Some("migrate") => return cmd_state_migrate(&rest[1..]),
-        Some("history") => return cmd_state_history(&rest[1..]),
-        Some("rollback") => return cmd_state_rollback(&rest[1..]),
-        _ => {}
-    }
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "state")?;
-    let session = Session::load(dir)?;
-    let engine = session.engine(None)?;
+/// What an apply did, in one line; `reconcile` prints it for its residual
+/// plan.
+fn print_apply(apply: &ApplyReport) {
+    println!(
+        "apply ({}): {} op(s), {} attempt(s), {} retry(ies), virtual makespan {}",
+        apply.strategy,
+        apply.ops_submitted,
+        apply.total_attempts(),
+        apply.retries,
+        apply.makespan()
+    );
+}
+
+fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     if engine.state().is_empty() {
         println!("(no resources under management)");
-        return Ok(());
     }
     for (addr, rec) in &engine.state().resources {
         println!("{addr:<50} {:<16} {}", rec.id.to_string(), rec.region);
     }
-    Ok(())
+    Ok(Ran::ReadOnly)
 }
 
 /// `cloudless state fsck <dir>`: verify the delta log offline — record
 /// checksums, content-address integrity, undo-chain consistency, and
 /// checkpoint reachability. Exits non-zero unless the log is clean.
-fn cmd_state_fsck(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "state fsck")?;
-    let session = Session::load(dir)?;
-    let log = session.log_path();
+fn state_fsck(args: &Args) -> Result<(), String> {
+    let dir = args.positional[0];
+    let log = Session::load(dir)?.log_path();
     if !log.exists() {
         return Err(format!(
             "{dir} has no state.log (legacy session — run `cloudless state migrate {dir}` first)"
@@ -650,9 +686,8 @@ fn cmd_state_fsck(rest: &[&str]) -> Result<(), String> {
 /// `cloudless state migrate <dir>`: one-shot upgrade of a legacy
 /// full-JSON session to the log store, preserving every historical
 /// version found in `history.json` (if present) byte-identically.
-fn cmd_state_migrate(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "state migrate")?;
+fn state_migrate(args: &Args) -> Result<(), String> {
+    let dir = args.positional[0];
     Session::load(dir)?; // validates the directory is a session
     let report = cloudless::state::migrate_dir(std::path::Path::new(dir))?;
     println!(
@@ -665,14 +700,9 @@ fn cmd_state_migrate(rest: &[&str]) -> Result<(), String> {
 
 /// `cloudless state history <dir>`: the time machine — every committed
 /// version with its delta size, straight off the log (no state reads).
-fn cmd_state_history(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "state history")?;
-    let session = Session::load(dir)?;
-    let engine = session.engine(None)?;
+fn state_history(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     if engine.history().is_empty() {
         println!("(no versions committed yet)");
-        return Ok(());
     }
     for v in engine.history().iter() {
         println!(
@@ -685,37 +715,25 @@ fn cmd_state_history(rest: &[&str]) -> Result<(), String> {
             v.message
         );
     }
-    Ok(())
+    Ok(Ran::ReadOnly)
 }
 
 /// `cloudless state rollback <dir> <serial>`: time-travel the *state
 /// document* to a historical serial (O(delta) against the log). The
 /// simulated cloud is untouched; a following `apply`/`drift` reconciles
 /// infrastructure against the restored state.
-fn cmd_state_rollback(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let serial: u64 = want(rest, 1, "target serial")?
-        .parse()
-        .map_err(|e| format!("bad serial: {e}"))?;
-    no_more(rest, 2, "state rollback")?;
-    let session = Session::load(dir)?;
-    let mut engine = session.engine(None)?;
+fn state_rollback(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
+    let serial: u64 = parsed(args.positional[1], "serial")?;
     match engine.rollback_state(serial)? {
         Some(new_serial) => {
             println!("state rolled back to serial {serial} (committed as serial {new_serial})")
         }
         None => println!("state already matches serial {serial}; nothing to do"),
     }
-    session.save(&engine)?;
-    Ok(())
+    Ok(Ran::Changed(Ok(())))
 }
 
-fn cmd_drift(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "drift")?;
-    let session = Session::load(dir)?;
-    let recorder = std::sync::Arc::new(FlightRecorder::default());
-    let mut engine = session.engine(Some((ResiliencePolicy::standard(), recorder.clone())))?;
+fn drift(_: &Args, recorder: &Arc<FlightRecorder>, engine: &mut Cloudless) -> Result<Ran, String> {
     let scanner = cloudless::diagnose::Scanner::new().with_recorder(recorder.clone());
     let state = engine.state().clone();
     let report = scanner.scan(engine.cloud_mut(), &state);
@@ -736,45 +754,37 @@ fn cmd_drift(rest: &[&str]) -> Result<(), String> {
             report.api_calls
         );
     }
-    if let Some(metrics) = recorder.metrics() {
-        session.save_metrics(&metrics)?;
-    }
-    session.save(&engine)?;
-    Ok(())
+    // a scan only reads: the metrics are all it leaves behind
+    Ok(Ran::ReadOnly)
 }
 
-fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let file = want(rest, 1, "program file")?;
-    let dry_run = rest.contains(&"--dry-run");
-    let mut patch_out = None;
-    let mut deny_warn = false;
-    let mut it = rest.iter().skip(2);
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--dry-run" => {}
-            "--patch" => {
-                patch_out = Some((*it.next().ok_or("--patch needs an output path")?).to_owned());
-            }
-            "--deny" => {
-                let what = it.next().ok_or("--deny needs `warn`")?;
-                if *what != "warn" {
-                    return Err(format!("--deny: only `warn` is supported, got {what:?}"));
-                }
-                deny_warn = true;
-            }
-            other => return Err(format!("unknown reconcile option {other:?}\n{USAGE}")),
+fn reconcile(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
+    let patch_out = args.value("--patch");
+    for what in args.values("--deny") {
+        if what != "warn" {
+            return Err(format!("--deny: only `warn` is supported, got {what:?}"));
         }
-    }
-    let source = read_program(file)?;
-    let session = Session::load(dir)?;
-    let mut engine = session.engine(None)?;
-    if deny_warn {
         engine.set_lint_gate(cloudless::LintGate::DenyWarnings);
     }
-    let report = engine
-        .reconcile(&source, dry_run)
-        .map_err(|e| format!("reconcile refused: {}", refusal(e, &source)))?;
+    // a dry run changes nothing; a real one may have absorbed undeclared-attr
+    // drift into state even when no patch came of it, and persisting that
+    // is what stops `drift` flagging it
+    let dry_run = args.value("--dry-run").is_some();
+    let ran = |end| {
+        if dry_run {
+            Ran::ReadOnly
+        } else {
+            Ran::Changed(end)
+        }
+    };
+    let source = read_program(args.positional[1])?;
+    let report = match engine.reconcile(&source, dry_run) {
+        Ok(report) => report,
+        Err(err) => {
+            let stopped = stopped(err, &source, args);
+            return stopped.map_err(|refused| format!("reconcile refused: {refused}"));
+        }
+    };
     println!(
         "refresh: {} read(s), {} updated, {} missing",
         report.refresh.reads,
@@ -783,12 +793,7 @@ fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
     );
     if report.plan.is_empty() && report.dropped.is_empty() {
         println!("no drift to fold back — the program already matches the cloud");
-        if !dry_run {
-            // the refresh may still have absorbed undeclared-attr drift
-            // into state; persist it so `drift` stops flagging it
-            session.save(&engine)?;
-        }
-        return Ok(());
+        return Ok(ran(Ok(())));
     }
     for op in &report.plan.ops {
         println!("  + {}", op.describe());
@@ -809,72 +814,52 @@ fn cmd_reconcile(rest: &[&str]) -> Result<(), String> {
         report.plan.moves.len(),
         report.iterations
     );
-    if let Some(path) = &patch_out {
-        std::fs::write(path, &report.patched_source)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = patch_out {
+        if let Err(e) = std::fs::write(path, &report.patched_source) {
+            return Ok(ran(Err(format!("cannot write {path}: {e}"))));
+        }
         println!("patched program written to {path}");
     }
-    if dry_run {
+    let Some(apply) = &report.apply else {
         print!("{}", report.plan_text);
-        println!(
-            "dry run: nothing changed; patched program {} to a zero-diff plan",
-            if report.converged {
-                "re-plans"
-            } else {
-                "does NOT re-plan"
-            }
-        );
-        return Ok(());
+        let replans = if report.converged {
+            "re-plans"
+        } else {
+            "does NOT re-plan"
+        };
+        println!("dry run: nothing changed; patched program {replans} to a zero-diff plan");
+        return Ok(ran(Ok(())));
+    };
+    print_apply(apply);
+    if !report.converged {
+        let end = "reconcile applied but the patched program still plans changes";
+        return Ok(ran(Err(end.into())));
     }
-    if let Some(apply) = &report.apply {
-        println!(
-            "apply: {} op(s), {} retry(ies), virtual makespan {}",
-            apply.ops_submitted,
-            apply.retries,
-            apply.makespan()
-        );
+    if patch_out.is_none() {
+        println!("# patched program (commit this):");
+        print!("{}", report.patched_source);
     }
-    session.save(&engine)?;
-    if report.converged {
-        if patch_out.is_none() {
-            println!("# patched program (commit this):");
-            print!("{}", report.patched_source);
-        }
-        println!(
-            "reconciled: {} resource(s) under management, plan is zero-diff",
-            engine.state().len()
-        );
-        Ok(())
-    } else {
-        Err("reconcile applied but the patched program still plans changes".into())
-    }
+    let managed = engine.state().len();
+    println!("reconciled: {managed} resource(s) under management, plan is zero-diff");
+    Ok(ran(Ok(())))
 }
 
-fn cmd_metrics(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    no_more(rest, 1, "metrics")?;
-    let session = Session::load(dir)?;
-    match session.load_metrics()? {
+fn metrics(args: &Args) -> Result<(), String> {
+    let dir = args.positional[0];
+    match Session::load(dir)?.load_metrics()? {
         Some(snapshot) => print!("{}", snapshot.render()),
         None => println!("(no metrics recorded yet — run `cloudless apply {dir} <file.tf>` first)"),
     }
     Ok(())
 }
 
-fn cmd_import(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let with_modules = rest.get(1) == Some(&"--modules");
-    no_more(rest, 1 + usize::from(with_modules), "import")?;
-    let session = Session::load(dir)?;
-    let engine = session.engine(None)?;
+fn import(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     let records: Vec<_> = engine.cloud().export_records().values().cloned().collect();
+    let catalog = engine.cloud().catalog();
     if records.is_empty() {
         println!("(the cloud is empty — nothing to import)");
-        return Ok(());
-    }
-    let catalog = engine.cloud().catalog().clone();
-    if with_modules {
-        let port = cloudless::port::extract_modules(&records, &catalog);
+    } else if args.value("--modules").is_some() {
+        let port = cloudless::port::extract_modules(&records, catalog);
         println!("# root module ({} module call(s))", port.module_calls);
         print!("{}", cloudless::hcl::render_file(&port.file));
         for i in 1..=port.module_defs {
@@ -885,22 +870,15 @@ fn cmd_import(rest: &[&str]) -> Result<(), String> {
             }
         }
     } else {
-        let port = cloudless::port::optimized_port(&records, &catalog);
+        let port = cloudless::port::optimized_port(&records, catalog);
         print!("{}", cloudless::hcl::render_file(&port.file));
     }
-    Ok(())
+    Ok(Ran::ReadOnly)
 }
 
-fn cmd_rogue(rest: &[&str]) -> Result<(), String> {
-    let dir = want(rest, 0, "session directory")?;
-    let addr: cloudless::types::ResourceAddr = want(rest, 1, "resource address")?
-        .parse()
-        .map_err(|e| format!("bad address: {e}"))?;
-    let key = want(rest, 2, "attribute name")?;
-    let value = want(rest, 3, "attribute value")?;
-    no_more(rest, 4, "rogue")?;
-    let session = Session::load(dir)?;
-    let mut engine = session.engine(None)?;
+fn rogue(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
+    let (dir, key, value) = (args.positional[0], args.positional[2], args.positional[3]);
+    let addr: ResourceAddr = parsed(args.positional[1], "address")?;
     let id = engine
         .state()
         .get(&addr)
@@ -915,8 +893,86 @@ fn cmd_rogue(rest: &[&str]) -> Result<(), String> {
             [(key.to_owned(), cloudless::types::Value::from(value))].into(),
         )
         .map_err(|e| e.to_string())?;
-    session.save(&engine)?;
     println!("mutated {addr} ({id}) out of band: {key} = {value:?}");
     println!("run `cloudless drift {dir}` to see it detected");
-    Ok(())
+    Ok(Ran::Changed(Ok(())))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+
+    /// `apply` (or `destroy`, after an apply) in a session whose state log
+    /// refuses the commit: what the verb ended with, and the `cloud.json`
+    /// it left.
+    fn refused_commit(verb: &str) -> (Result<(), String>, String) {
+        let dir =
+            std::env::temp_dir().join(format!("cloudless-cli-unit-{verb}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_text = dir.to_str().expect("utf8 tmp path");
+        let session = Session::init(dir_text).expect("init");
+        let program = dir.join("main.tf");
+        std::fs::write(&program, common::SRC).expect("write program");
+
+        let (mut engine, healthy, _) = common::flaky_engine();
+        let mut rest = vec![dir_text];
+        if verb == "destroy" {
+            assert!(engine
+                .converge(common::SRC)
+                .expect("applied")
+                .apply
+                .all_ok());
+        } else {
+            rest.push(program.to_str().expect("utf8 tmp path"));
+        }
+        let verb = VERBS.iter().find(|v| v.0 == verb).expect("a verb");
+        let args = Args::scan(verb, &rest).expect("scans");
+        let recorder = Arc::new(FlightRecorder::default());
+
+        healthy.store(false, Ordering::SeqCst);
+        let end = run_and_close(&session, engine, |engine| apply(&args, &recorder, engine));
+        let cloud = std::fs::read_to_string(dir.join("cloud.json")).expect("cloud.json");
+        let _ = std::fs::remove_dir_all(&dir);
+        (end, cloud)
+    }
+
+    #[test]
+    fn an_apply_whose_commit_is_refused_still_saves_what_it_did_to_the_cloud() {
+        let (end, cloud) = refused_commit("apply");
+        let message = end.expect_err("the commit was refused");
+        assert!(message.contains("state commit failed"), "{message}");
+        assert!(
+            message.contains("the cloud was changed but the state was not"),
+            "{message}"
+        );
+        assert!(
+            message.contains("adopts what this run created"),
+            "{message}"
+        );
+        assert!(
+            cloud.contains("aws_vpc") && cloud.contains("10.0.0.0/16"),
+            "{cloud}"
+        );
+    }
+
+    #[test]
+    fn a_destroy_whose_commit_is_refused_still_saves_what_it_did_to_the_cloud() {
+        let (end, cloud) = refused_commit("destroy");
+        let message = end.expect_err("the commit was refused");
+        assert!(
+            message.contains("the cloud was changed but the state was not"),
+            "{message}"
+        );
+        assert!(
+            message.contains("drops what this run destroyed"),
+            "{message}"
+        );
+        assert_eq!(cloud, "{}", "the vpc is gone from the saved cloud");
+    }
+}
+
+/// The engine over a state log that can be made to refuse appends.
+#[cfg(test)]
+#[path = "../../core/tests/common/mod.rs"]
+mod common;

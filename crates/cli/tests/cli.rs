@@ -956,3 +956,165 @@ fn legacy_session_loads_and_migrates_to_log_store() {
     let out = run(&["state", "history", t.path()]);
     assert!(stdout(&out).contains("apply via"), "{}", stdout(&out));
 }
+
+#[test]
+fn destroy_is_apply_of_nothing_and_takes_its_flags() {
+    let t = TempSession::new("destroy");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    std::fs::remove_file(t.dir.join("metrics.json")).unwrap();
+
+    // `--target` is apply's alone: destroying part of an estate is an apply
+    let out = run(&["destroy", t.path(), "--target", "aws_vpc.main"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("unknown destroy option \"--target\""), "{err}");
+
+    let trace = t.dir.join("trace.json");
+    let out = run(&[
+        "destroy",
+        t.path(),
+        "--retries",
+        "3",
+        "--deadline-factor",
+        "0",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    // apply's plan and apply's report
+    let text = stdout(&out);
+    assert!(
+        text.contains("Plan: 0 to add, 0 to change, 2 to destroy."),
+        "{text}"
+    );
+    assert!(
+        text.contains("): 2 op(s), 2 attempt(s), 0 retry(ies)"),
+        "{text}"
+    );
+    assert!(
+        text.contains("state: 0 resource(s) under management"),
+        "{text}"
+    );
+    let trace_text = std::fs::read_to_string(&trace).unwrap();
+    assert!(trace_text.contains("\"traceEvents\""));
+
+    // it ran under the flight recorder, like any apply
+    let out = run(&["metrics", t.path()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("cloud.ops_submitted"),
+        "{}",
+        stdout(&out)
+    );
+    let out = run(&["state", t.path()]);
+    assert!(stdout(&out).contains("no resources under management"));
+}
+
+/// Every file of the session, by name: its bytes and when it was written.
+fn session_files(
+    t: &TempSession,
+) -> std::collections::BTreeMap<String, (Vec<u8>, std::time::SystemTime)> {
+    let files = std::fs::read_dir(&t.dir).unwrap().map(|entry| {
+        let path = entry.unwrap().path();
+        let written = path.metadata().unwrap().modified().unwrap();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        (name, (std::fs::read(&path).unwrap(), written))
+    });
+    files.collect()
+}
+
+#[test]
+fn a_verb_that_only_reads_rewrites_no_session_file() {
+    let t = TempSession::new("readonly");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    let out = run(&["rogue", t.path(), "aws_vpc.main", "name", "oops"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let mut before = session_files(&t);
+    let dir = t.path();
+    let readers: [&[&str]; 7] = [
+        &["plan", dir, &tf],
+        &["state", dir],
+        &["state", "history", dir],
+        &["import", dir],
+        &["import", dir, "--modules"],
+        &["analyze", &tf, "--state", dir],
+        &["reconcile", dir, &tf, "--dry-run"],
+    ];
+    for args in readers {
+        let out = run(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(session_files(&t) == before, "{args:?} wrote to the session");
+    }
+
+    // a drift scan runs under the recorder and reads: its metrics are all
+    // it leaves behind
+    let out = run(&["drift", t.path()]);
+    assert!(stdout(&out).contains("Modified: aws_vpc.main"));
+    let mut after = session_files(&t);
+    assert!(after.remove("metrics.json") != before.remove("metrics.json"));
+    assert!(after == before, "drift wrote more than its metrics");
+}
+
+/// `cloudless destroy` of a layered estate of `blocks` resources. The estate
+/// exceeds the default quotas, which `apply` has no flag to raise, so the
+/// engine builds it over the session's own log and the test saves it as
+/// `Session::save` does; destroying plans the empty program, which no quota
+/// refuses.
+fn destroy_clears_a_layered_estate(blocks: usize) {
+    use cloudless::cloud::CloudConfig;
+    use cloudless::state::LogStore;
+    use cloudless_bench::experiments::quota_raised_catalog;
+    use cloudless_bench::workloads::random_layered;
+
+    let t = TempSession::new(&format!("destroy-{blocks}"));
+    assert!(run(&["init", t.path()]).status.success());
+    let config = cloudless::Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..cloudless::Config::default()
+    };
+    let (store, _) = LogStore::open_file(&t.dir.join("state.log")).expect("the session's log");
+    let mut engine = cloudless::Cloudless::with_store(config, store, Default::default());
+    let built = engine.converge(&random_layered(blocks, 42));
+    assert!(built.expect("the estate converges").apply.all_ok());
+    let records = serde_json::to_string_pretty(engine.cloud().export_records()).unwrap();
+    t.write("state.json", &engine.state().to_json());
+    t.write("cloud.json", &records);
+    drop(engine);
+
+    let out = run(&["destroy", t.path()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let plan = format!("Plan: 0 to add, 0 to change, {blocks} to destroy.");
+    let report = format!("): {blocks} op(s), {blocks} attempt(s), 0 retry(ies)");
+    assert!(text.contains(&plan) && text.contains(&report), "{text}");
+    assert!(
+        text.contains("state: 0 resource(s) under management"),
+        "{text}"
+    );
+    let cloud = std::fs::read_to_string(t.dir.join("cloud.json")).unwrap();
+    assert_eq!(cloud, "{}", "nothing is left in the cloud");
+    let out = run(&["state", t.path()]);
+    assert!(stdout(&out).contains("no resources under management"));
+}
+
+/// PR 11 saw destroy of the 10 000-block layered estate leave 5 302
+/// resources behind; this is the default-run size, the next test that one.
+#[test]
+fn destroy_clears_a_layered_estate_of_2k_blocks() {
+    destroy_clears_a_layered_estate(2_000);
+}
+
+/// Release only: `cargo test --release -p cloudless-cli --test cli destroy -- --ignored`.
+#[test]
+#[ignore]
+fn destroy_clears_the_layered_estate_of_10k_blocks() {
+    destroy_clears_a_layered_estate(10_000);
+}

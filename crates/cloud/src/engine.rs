@@ -382,38 +382,18 @@ impl Cloud {
 
     /// Submit an operation. Schema problems are rejected synchronously (the
     /// API front door); everything else completes asynchronously via
-    /// [`Cloud::step`].
+    /// [`Cloud::step`]. This is [`Cloud::submit_batch`] of one.
     pub fn submit(&mut self, request: ApiRequest) -> Result<OpId, ApiError> {
-        let provider = self.validate_front_door(&request)?;
-        let verb = request.op.verb();
-        let (op_id, queue_wait, duration) = self.schedule_op(request, provider);
-        self.obs.counter("cloud.ops_submitted", 1);
-        if queue_wait > SimDuration::ZERO {
-            self.obs.counter("cloud.ops_throttled", 1);
-        }
-        self.obs
-            .observe("cloud.queue_wait_ms", queue_wait.millis() as f64);
-        if self.obs.enabled() {
-            self.obs.record(
-                Event::instant("cloud", "submit", self.now)
-                    .field("op_id", op_id.0)
-                    .field("op", verb)
-                    .field("provider", provider.prefix())
-                    .field("queue_wait_ms", queue_wait.millis())
-                    .field("duration_ms", duration.millis()),
-            );
-        }
-        Ok(op_id)
+        let mut results = self.submit_batch(vec![request]);
+        results.pop().expect("one result per request")
     }
 
-    /// Submit a batch of operations collected in one scheduler tick.
-    ///
-    /// Per-op semantics are identical to calling [`Cloud::submit`] on each
-    /// request in order — same admission order, same RNG draw order, so the
-    /// simulated outcomes are byte-for-byte those of sequential submission.
-    /// The batch amortizes the per-call bookkeeping (counter updates are
-    /// coalesced into one delta per counter), which is what the deploy
-    /// executor wants when it releases a whole wave of ready nodes at once.
+    /// Submit the operations collected in one scheduler tick, in order:
+    /// admission order and RNG draw order are the requests' order, so
+    /// splitting a batch differently never changes a simulated outcome.
+    /// Counter updates are coalesced into one delta per counter, which is
+    /// what the deploy executor wants when it releases a whole wave of
+    /// ready nodes at once.
     pub fn submit_batch(&mut self, requests: Vec<ApiRequest>) -> Vec<Result<OpId, ApiError>> {
         let mut out = Vec::with_capacity(requests.len());
         let mut submitted = 0u64;
@@ -452,6 +432,25 @@ impl Cloud {
             self.obs.counter("cloud.ops_throttled", throttled);
         }
         out
+    }
+
+    /// [`Cloud::submit_batch`], then run the queue dry: per request, in
+    /// order, its front-door rejection or its completion. Completes *all*
+    /// in-flight work, the batch's or not.
+    pub fn settle_batch(
+        &mut self,
+        requests: Vec<ApiRequest>,
+    ) -> Vec<Result<OpCompletion, ApiError>> {
+        let submitted = self.submit_batch(requests);
+        let mut done: HashMap<OpId, OpCompletion> = self
+            .run_until_idle()
+            .into_iter()
+            .map(|c| (c.op_id, c))
+            .collect();
+        submitted
+            .into_iter()
+            .map(|op| op.map(|id| done.remove(&id).expect("submitted op completes")))
+            .collect()
     }
 
     /// Synchronous front-door checks: schema validation for creates and
@@ -1125,15 +1124,11 @@ impl Cloud {
         &self.records
     }
 
-    /// Submit one op and run the queue dry, returning this op's completion.
-    /// Test/seed helper: completes *all* in-flight work.
+    /// Submit one op and run the queue dry, returning this op's completion:
+    /// [`Cloud::settle_batch`] of one.
     pub fn submit_and_settle(&mut self, request: ApiRequest) -> Result<OpCompletion, ApiError> {
-        let op = self.submit(request)?;
-        let completions = self.run_until_idle();
-        Ok(completions
-            .into_iter()
-            .find(|c| c.op_id == op)
-            .expect("submitted op completes"))
+        let mut settled = self.settle_batch(vec![request]);
+        settled.pop().expect("one result per request")
     }
 }
 
@@ -1241,6 +1236,83 @@ mod tests {
         }
         assert_eq!(seq.now(), bat.now());
         assert_eq!(seq.records().len(), bat.records().len());
+    }
+
+    /// `settle_batch` against the loop it replaced in refresh and drift
+    /// scans (submit each, run dry, look each op up) under jitter and a
+    /// fault storm: the same answer per request and the same final clock.
+    /// Settling one request at a time draws the same latencies and faults
+    /// but serializes them, so only the per-request fate carries over.
+    #[test]
+    fn settle_batch_answers_each_request_as_the_hand_loop_did() {
+        let config = CloudConfig {
+            faults: FaultPlan::storm(),
+            ..CloudConfig::default()
+        };
+        let by_hand = |c: &mut Cloud, requests: Vec<ApiRequest>| {
+            let submitted: Vec<_> = requests.into_iter().map(|r| c.submit(r)).collect();
+            let done = c.run_until_idle();
+            let find = |op| done.iter().find(|d| d.op_id == op).cloned().unwrap();
+            submitted
+                .into_iter()
+                .map(|op| op.map(find))
+                .collect::<Vec<_>>()
+        };
+        let one_by_one = |c: &mut Cloud, requests: Vec<ApiRequest>| {
+            let settled = requests.into_iter().map(|r| c.submit_and_settle(r));
+            settled.collect::<Vec<_>>()
+        };
+        let fate = |settled: &Result<OpCompletion, ApiError>| match settled {
+            Err(e) => format!("rejected: {e:?}"),
+            Ok(done) => format!("failed: {}", done.outcome.error().is_some()),
+        };
+        let creates = || {
+            let bucket = |n: usize| attrs([("bucket", Value::from(format!("b{n}")))]);
+            let mut requests: Vec<_> = (0..12)
+                .map(|n| create_req("aws_s3_bucket", "us-east-1", bucket(n)))
+                .collect();
+            // refused at the front door, in the middle of the batch
+            requests.insert(
+                5,
+                create_req("aws_quantum_computer", "us-east-1", Attrs::new()),
+            );
+            requests
+        };
+        let follow_ups = |c: &Cloud| {
+            let as_test = |op| ApiRequest::new(op, "test");
+            let mut requests = vec![as_test(ApiOp::Read {
+                id: ResourceId::new("aws-b-gone"),
+            })];
+            for id in c.records().keys().cloned() {
+                requests.push(as_test(ApiOp::Read { id: id.clone() }));
+                requests.push(as_test(ApiOp::Delete { id }));
+            }
+            requests
+        };
+
+        let mut batch = Cloud::new(config.clone(), 99);
+        let mut hand = Cloud::new(config.clone(), 99);
+        let mut serial = Cloud::new(config, 99);
+        for round in 0..2 {
+            let requests = |c: &Cloud| if round == 0 { creates() } else { follow_ups(c) };
+            let settled = batch.settle_batch(requests(&batch));
+            let same = requests(&hand);
+            assert_eq!(settled, by_hand(&mut hand, same));
+            assert_eq!(batch.now(), hand.now());
+            assert_eq!(batch.records(), hand.records());
+            assert!(
+                settled.iter().any(Result::is_err),
+                "a rejection in round {round}"
+            );
+            if round == 0 {
+                let fates = |all: &[_]| all.iter().map(fate).collect::<Vec<_>>();
+                let same = requests(&serial);
+                let serially = one_by_one(&mut serial, same);
+                assert_eq!(fates(&settled), fates(&serially));
+                assert!(serial.now() > batch.now(), "serial settling takes longer");
+            }
+        }
+        assert!(batch.in_flight() == 0 && batch.now() > SimTime::ZERO);
     }
 
     #[test]

@@ -606,9 +606,12 @@ impl Cloudless {
         let _guard = self.locks.acquire(LockScope::of(plan.lock_scope()));
 
         let mut state = self.store.current().clone();
-        let executor = Executor::new(self.config.strategy, &self.data)
+        let mut executor = Executor::new(self.config.strategy, &self.data)
             .with_resilience(self.config.resilience.clone())
             .with_recorder(Arc::clone(&self.config.recorder));
+        // the watcher trusts `Config.principal`: act as it, or the engine's
+        // own updates come back as drift
+        executor.principal = self.config.principal.clone();
         let apply = executor.apply(plan, &mut self.cloud, &mut state);
 
         // §2.1's user-visible results; deferred outputs resolve now that
@@ -1163,6 +1166,25 @@ resource "aws_vpc" "main" { cidr_block = "10.0.0.0/16" }
         let (report, actions) = e.watch_drift();
         assert_eq!(report.events.len(), 1);
         assert!(matches!(actions[0], Action::OverwriteDrift { .. }));
+    }
+
+    /// The executor acts as `Config.principal`, the one the watcher trusts:
+    /// under any name, the engine's own in-place update is not drift.
+    #[test]
+    fn the_engines_own_update_is_not_drift_under_any_principal() {
+        for principal in ["cloudless-engine", "team-a"] {
+            let mut e = Cloudless::new(Config {
+                cloud: CloudConfig::exact(),
+                principal: principal.to_owned(),
+                ..Config::default()
+            });
+            e.converge(WEB).expect("deploy");
+            let edited = WEB.replace("web-${count.index}", "www-${count.index}");
+            let out = e.converge(&edited).expect("update in place");
+            assert!(out.apply.all_ok() && out.apply.ops_submitted > 0);
+            let (report, _) = e.watch_drift();
+            assert_eq!(report.events, vec![], "acting as {principal:?}");
+        }
     }
 
     #[test]

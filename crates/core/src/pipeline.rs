@@ -694,7 +694,6 @@ impl IncrementalPipeline {
         let trace = &mut walk.out.trace;
         trace.fast_path = reason.is_none();
         trace.fallback_reason = reason;
-        let bytes = memo.approx_bytes();
         self.memo = if trace.fast_path {
             ctx.recorder.counter("pipeline.runs_incremental", 1);
             Some(memo)
@@ -703,15 +702,20 @@ impl IncrementalPipeline {
             if !keep {
                 trace.stage("memo", "skipped", "run not clean or not eligible");
                 None
-            } else if bytes > self.config.max_cache_bytes {
-                ctx.recorder.counter("pipeline.evictions", 1);
-                let budget = self.config.max_cache_bytes;
-                let detail = format!("{bytes} bytes exceeds the {budget}-byte budget");
-                trace.stage("memo", "evicted", detail);
-                None
             } else {
-                trace.stage("memo", "stored", format!("~{bytes} bytes retained"));
-                Some(memo)
+                // sizing a memo walks every instance: only a fresh one,
+                // about to be stored, pays for it
+                let bytes = memo.approx_bytes();
+                let budget = self.config.max_cache_bytes;
+                if bytes > budget {
+                    ctx.recorder.counter("pipeline.evictions", 1);
+                    let detail = format!("{bytes} bytes exceeds the {budget}-byte budget");
+                    trace.stage("memo", "evicted", detail);
+                    None
+                } else {
+                    trace.stage("memo", "stored", format!("~{bytes} bytes retained"));
+                    Some(memo)
+                }
             }
         };
         Ok(walk.out)

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use cloudless_cloud::{ApiOp, ApiRequest, Cloud, OpOutcome};
 use cloudless_state::Snapshot;
-use cloudless_types::{ResourceAddr, SimDuration, SimTime};
+use cloudless_types::{ResourceAddr, ResourceId, SimDuration, SimTime};
 
 /// Outcome of a refresh pass.
 #[derive(Debug, Clone, Default)]
@@ -42,45 +42,40 @@ pub fn scoped_refresh(
 ) -> RefreshReport {
     let started: SimTime = cloud.now();
     let mut report = RefreshReport::default();
-    let mut submitted = Vec::new();
-    for addr in addrs {
-        let Some(rec) = state.get(&addr) else {
-            continue;
-        };
-        match cloud.submit(ApiRequest::new(
-            ApiOp::Read { id: rec.id.clone() },
-            principal,
-        )) {
-            Ok(op) => {
+    let scope: Vec<(ResourceAddr, ResourceId)> = addrs
+        .into_iter()
+        .filter_map(|addr| {
+            let id = state.get(&addr)?.id.clone();
+            Some((addr, id))
+        })
+        .collect();
+    let reads = scope
+        .iter()
+        .map(|(_, id)| ApiRequest::new(ApiOp::Read { id: id.clone() }, principal))
+        .collect();
+    for ((addr, _), settled) in scope.into_iter().zip(cloud.settle_batch(reads)) {
+        // an id rejected at the front door is as gone as one not found
+        let live = match settled {
+            Err(_) => None,
+            Ok(done) => {
                 report.reads += 1;
-                submitted.push((op, addr));
-            }
-            Err(_) => {
-                // id rejected at the front door — the resource is gone
-                report.missing.push(addr.clone());
-                state.remove(&addr);
-            }
-        }
-    }
-    let completions = cloud.run_until_idle();
-    for (op, addr) in submitted {
-        let Some(done) = completions.iter().find(|c| c.op_id == op) else {
-            continue;
-        };
-        match &done.outcome {
-            OpOutcome::ReadOk { attrs, .. } => {
-                if let Some(rec) = state.get(&addr) {
-                    if &rec.attrs != attrs {
-                        report.updated.push(addr.clone());
-                        let mut rec = rec.clone();
-                        rec.attrs = attrs.clone();
-                        state.put(rec);
-                    }
+                match done.outcome {
+                    OpOutcome::ReadOk { attrs, .. } => Some(attrs),
+                    OpOutcome::Failed(e) if e.code == "ResourceNotFound" => None,
+                    _ => continue,
                 }
             }
-            OpOutcome::Failed(e) if e.code == "ResourceNotFound" => {
-                report.missing.push(addr.clone());
+        };
+        match (live, state.get(&addr)) {
+            (None, _) => {
                 state.remove(&addr);
+                report.missing.push(addr);
+            }
+            (Some(attrs), Some(rec)) if rec.attrs != attrs => {
+                let mut rec = rec.clone();
+                rec.attrs = attrs;
+                state.put(rec);
+                report.updated.push(addr);
             }
             _ => {}
         }

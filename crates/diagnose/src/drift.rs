@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cloudless_cloud::{ActivityKind, ApiOp, ApiRequest, Cloud, OpOutcome};
 use cloudless_obs::{Event, NullRecorder, Recorder};
-use cloudless_state::Snapshot;
+use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Provider, ResourceAddr, ResourceId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -122,45 +122,33 @@ impl Scanner {
         // 1. List every provider.
         let mut live_ids: BTreeSet<ResourceId> = BTreeSet::new();
         for &p in &self.providers {
-            if let Ok(op) = cloud.submit(ApiRequest::new(
-                ApiOp::List { provider: p },
-                &self.principal,
-            )) {
-                for c in cloud.run_until_idle() {
-                    if c.op_id == op {
-                        if let OpOutcome::Listed { ids } = c.outcome {
-                            live_ids.extend(ids);
-                        }
-                    }
+            let list = ApiRequest::new(ApiOp::List { provider: p }, &self.principal);
+            if let Ok(done) = cloud.submit_and_settle(list) {
+                if let OpOutcome::Listed { ids } = done.outcome {
+                    live_ids.extend(ids);
                 }
             }
         }
 
         // 2. Read every managed resource and compare attributes.
-        let mut reads = Vec::new();
-        for rec in state.resources.values() {
-            if !live_ids.contains(&rec.id) {
-                continue; // will be reported as Deleted below
-            }
-            if let Ok(op) = cloud.submit(ApiRequest::new(
-                ApiOp::Read { id: rec.id.clone() },
-                &self.principal,
-            )) {
-                reads.push((op, rec.addr.clone(), rec.id.clone(), rec.attrs.clone()));
-            }
-        }
-        let completions = cloud.run_until_idle();
+        let listed: Vec<&DeployedResource> = state
+            .resources
+            .values()
+            .filter(|rec| live_ids.contains(&rec.id)) // the rest are Deleted below
+            .collect();
+        let reads = listed
+            .iter()
+            .map(|rec| ApiRequest::new(ApiOp::Read { id: rec.id.clone() }, &self.principal))
+            .collect();
+        let settled = cloud.settle_batch(reads);
         let finished = cloud.now();
-        for (op, addr, id, recorded_attrs) in reads {
-            let Some(c) = completions.iter().find(|c| c.op_id == op) else {
-                continue;
-            };
-            if let OpOutcome::ReadOk { attrs, .. } = &c.outcome {
-                if attrs != &recorded_attrs {
+        for (rec, done) in listed.into_iter().zip(settled) {
+            if let Ok(OpOutcome::ReadOk { attrs, .. }) = done.map(|c| c.outcome) {
+                if attrs != rec.attrs {
                     report.events.push(DriftEvent {
                         kind: DriftKind::Modified,
-                        addr: Some(addr),
-                        id,
+                        addr: Some(rec.addr.clone()),
+                        id: rec.id.clone(),
                         principal: None, // the scanner cannot attribute drift
                         occurred_at: finished,
                         detected_at: finished,

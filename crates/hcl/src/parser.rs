@@ -37,34 +37,35 @@ use crate::diag::{Diagnostic, Diagnostics};
 use crate::lexer::lex;
 use crate::token::{StrPart, Token, TokenKind};
 
+/// Deepest nesting of blocks and expressions a program may have. The
+/// parser, every pass after it and `Drop` all recurse over the tree built
+/// here, so this one cap keeps hostile input (200 kB of `[`) a diagnostic
+/// where it would overflow the stack and abort the process. A level costs
+/// about 10 kB of stack in an unoptimized build, so 64 of them fit a 2 MB
+/// thread several times over; shipped programs nest under 10 deep.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a full file.
 pub fn parse(source: &str, filename: &str) -> Result<File, Diagnostics> {
-    let tokens = lex(source, filename)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        filename,
-        diags: Diagnostics::new(),
-    };
+    let mut p = Parser::new(lex(source, filename)?, filename, 0);
     let file = p.file();
-    p.diags.clone().into_result(file)
+    p.diags.into_result(file)
 }
 
 /// Parse a standalone expression (used for interpolations and by tests).
 pub fn parse_expr(source: &str, filename: &str) -> Result<Expr, Diagnostics> {
-    let tokens = lex(source, filename)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        filename,
-        diags: Diagnostics::new(),
-    };
+    expr_at(source, filename, 0)
+}
+
+/// [`parse_expr`] for an expression already `depth` levels into a program.
+fn expr_at(source: &str, filename: &str, depth: usize) -> Result<Expr, Diagnostics> {
+    let mut p = Parser::new(lex(source, filename)?, filename, depth);
     let e = p.expr();
     if !p.at(&TokenKind::Eof) {
         let t = p.peek().clone();
         p.err(t.span, format!("unexpected {} after expression", t.kind));
     }
-    p.diags.clone().into_result(e)
+    p.diags.into_result(e)
 }
 
 struct Parser<'a> {
@@ -72,9 +73,57 @@ struct Parser<'a> {
     pos: usize,
     filename: &'a str,
     diags: Diagnostics,
+    /// Levels of the tree above the node being parsed.
+    depth: usize,
+    /// Set once [`MAX_DEPTH`] is hit: the rest of the input is not read.
+    halted: bool,
 }
 
+/// Binary operators with their binding strength (higher binds tighter);
+/// all are left-associative.
+const BINARY_OPS: [(TokenKind, BinOp, u8); 13] = [
+    (TokenKind::OrOr, BinOp::Or, 0),
+    (TokenKind::AndAnd, BinOp::And, 1),
+    (TokenKind::Eq, BinOp::Eq, 2),
+    (TokenKind::NotEq, BinOp::NotEq, 2),
+    (TokenKind::LtEq, BinOp::LtEq, 3),
+    (TokenKind::GtEq, BinOp::GtEq, 3),
+    (TokenKind::Lt, BinOp::Lt, 3),
+    (TokenKind::Gt, BinOp::Gt, 3),
+    (TokenKind::Plus, BinOp::Add, 4),
+    (TokenKind::Minus, BinOp::Sub, 4),
+    (TokenKind::Star, BinOp::Mul, 5),
+    (TokenKind::Slash, BinOp::Div, 5),
+    (TokenKind::Percent, BinOp::Mod, 5),
+];
+
 impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token>, filename: &'a str, depth: usize) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            filename,
+            diags: Diagnostics::new(),
+            depth,
+            halted: false,
+        }
+    }
+
+    /// Step one level down the tree, or refuse to: past [`MAX_DEPTH`] the
+    /// program gets one diagnostic and the parser reads nothing further
+    /// (what unwinds sees the end of the file, and reports none of it).
+    /// The caller restores `depth` when the node it is building is done.
+    fn descend(&mut self) -> bool {
+        if self.depth >= MAX_DEPTH && !self.halted {
+            let span = self.peek().span;
+            self.err(span, format!("nesting deeper than {MAX_DEPTH} levels"));
+            self.halted = true;
+            self.pos = self.tokens.len() - 1;
+        }
+        self.depth += 1;
+        !self.halted
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -118,6 +167,9 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&mut self, span: Span, msg: String) {
+        if self.halted {
+            return;
+        }
         self.diags
             .push(Diagnostic::error("HCL002", self.filename, span, msg));
     }
@@ -218,7 +270,12 @@ impl<'a> Parser<'a> {
                             }
                         }
                         self.expect(TokenKind::LBrace);
-                        let inner = self.body();
+                        let inner = if self.descend() {
+                            self.body()
+                        } else {
+                            BlockBody::default()
+                        };
+                        self.depth -= 1;
                         let end = self.expect(TokenKind::RBrace);
                         body.blocks.push(Block {
                             kind: name,
@@ -244,8 +301,13 @@ impl<'a> Parser<'a> {
     // ----- expressions -----
 
     fn expr(&mut self) -> Expr {
-        let cond = self.or_expr();
-        if self.eat(&TokenKind::Question) {
+        let entered = self.depth;
+        if !self.descend() {
+            self.depth = entered;
+            return Expr::Null(self.peek().span);
+        }
+        let cond = self.binary(0);
+        let e = if self.eat(&TokenKind::Question) {
             let then = self.expr();
             self.expect(TokenKind::Colon);
             let els = self.expr();
@@ -253,121 +315,53 @@ impl<'a> Parser<'a> {
             Expr::Cond(Box::new(cond), Box::new(then), Box::new(els), span)
         } else {
             cond
-        }
+        };
+        self.depth = entered;
+        e
     }
 
-    fn or_expr(&mut self) -> Expr {
-        let mut lhs = self.and_expr();
-        while self.eat(&TokenKind::OrOr) {
-            let rhs = self.and_expr();
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs), span);
-        }
-        lhs
-    }
-
-    fn and_expr(&mut self) -> Expr {
-        let mut lhs = self.eq_expr();
-        while self.eat(&TokenKind::AndAnd) {
-            let rhs = self.eq_expr();
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs), span);
-        }
-        lhs
-    }
-
-    fn eq_expr(&mut self) -> Expr {
-        let mut lhs = self.cmp_expr();
-        loop {
-            let op = if self.eat(&TokenKind::Eq) {
-                BinOp::Eq
-            } else if self.eat(&TokenKind::NotEq) {
-                BinOp::NotEq
-            } else {
-                break;
-            };
-            let rhs = self.cmp_expr();
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
-        }
-        lhs
-    }
-
-    fn cmp_expr(&mut self) -> Expr {
-        let mut lhs = self.term();
-        loop {
-            let op = if self.eat(&TokenKind::LtEq) {
-                BinOp::LtEq
-            } else if self.eat(&TokenKind::GtEq) {
-                BinOp::GtEq
-            } else if self.eat(&TokenKind::Lt) {
-                BinOp::Lt
-            } else if self.eat(&TokenKind::Gt) {
-                BinOp::Gt
-            } else {
-                break;
-            };
-            let rhs = self.term();
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
-        }
-        lhs
-    }
-
-    fn term(&mut self) -> Expr {
-        let mut lhs = self.factor();
-        loop {
-            let op = if self.eat(&TokenKind::Plus) {
-                BinOp::Add
-            } else if self.eat(&TokenKind::Minus) {
-                BinOp::Sub
-            } else {
-                break;
-            };
-            let rhs = self.factor();
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
-        }
-        lhs
-    }
-
-    fn factor(&mut self) -> Expr {
+    /// A chain of operators binding at least as tightly as `min`, folded
+    /// to the left (precedence climbing over [`BINARY_OPS`]). Each operator
+    /// puts what came before it one level further down the tree.
+    fn binary(&mut self, min: u8) -> Expr {
+        let entered = self.depth;
         let mut lhs = self.unary();
-        loop {
-            let op = if self.eat(&TokenKind::Star) {
-                BinOp::Mul
-            } else if self.eat(&TokenKind::Slash) {
-                BinOp::Div
-            } else if self.eat(&TokenKind::Percent) {
-                BinOp::Mod
-            } else {
+        while let Some(&(_, op, strength)) = BINARY_OPS.iter().find(|(t, ..)| self.at(t)) {
+            if strength < min || !self.descend() {
                 break;
-            };
-            let rhs = self.unary();
+            }
+            self.bump();
+            let rhs = self.binary(strength + 1);
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
         }
+        self.depth = entered;
         lhs
     }
 
     fn unary(&mut self) -> Expr {
         let start = self.peek().span;
-        if self.eat(&TokenKind::Bang) {
-            let e = self.unary();
-            let span = start.merge(e.span());
-            Expr::Unary(UnaryOp::Not, Box::new(e), span)
-        } else if self.eat(&TokenKind::Minus) {
-            let e = self.unary();
-            let span = start.merge(e.span());
-            Expr::Unary(UnaryOp::Neg, Box::new(e), span)
-        } else {
-            self.postfix()
+        let op = match self.peek_kind() {
+            TokenKind::Bang => UnaryOp::Not,
+            TokenKind::Minus => UnaryOp::Neg,
+            _ => return self.postfix(),
+        };
+        if !self.descend() {
+            self.depth -= 1;
+            return Expr::Null(start);
         }
+        self.bump();
+        let e = self.unary();
+        self.depth -= 1;
+        let span = start.merge(e.span());
+        Expr::Unary(op, Box::new(e), span)
     }
 
     fn postfix(&mut self) -> Expr {
+        let entered = self.depth;
         let mut e = self.primary();
-        loop {
+        // each step puts what came before it one level further down
+        while matches!(self.peek_kind(), TokenKind::LBracket | TokenKind::Dot) && self.descend() {
             if self.eat(&TokenKind::LBracket) {
                 // splat: base[*].attr1.attr2…
                 if self.eat(&TokenKind::Star) {
@@ -395,7 +389,7 @@ impl<'a> Parser<'a> {
                 let end = self.expect(TokenKind::RBracket);
                 let span = e.span().merge(end.span);
                 e = Expr::Index(Box::new(e), Box::new(idx), span);
-            } else if self.at(&TokenKind::Dot) {
+            } else {
                 // `.ident` traversal on an arbitrary base
                 self.bump();
                 match self.peek_kind().clone() {
@@ -410,10 +404,9 @@ impl<'a> Parser<'a> {
                         break;
                     }
                 }
-            } else {
-                break;
             }
         }
+        self.depth = entered;
         e
     }
 
@@ -657,19 +650,21 @@ impl<'a> Parser<'a> {
         for p in parts {
             match p {
                 StrPart::Lit(s) => out.push(TemplatePart::Lit(s.clone())),
-                StrPart::Interp(src, interp_span) => match parse_expr(src, self.filename) {
-                    Ok(mut e) => {
-                        remap_spans(&mut e, interp_span.start);
-                        out.push(TemplatePart::Interp(e));
-                    }
-                    Err(ds) => {
-                        for mut d in ds {
-                            d.span = remap_span(d.span, interp_span.start);
-                            self.diags.push(d);
+                StrPart::Interp(src, interp_span) => {
+                    match expr_at(src, self.filename, self.depth) {
+                        Ok(mut e) => {
+                            remap_spans(&mut e, interp_span.start);
+                            out.push(TemplatePart::Interp(e));
                         }
-                        out.push(TemplatePart::Lit(String::new()));
+                        Err(ds) => {
+                            for mut d in ds {
+                                d.span = remap_span(d.span, interp_span.start);
+                                self.diags.push(d);
+                            }
+                            out.push(TemplatePart::Lit(String::new()));
+                        }
                     }
-                },
+                }
             }
         }
         Expr::Str(out, span)

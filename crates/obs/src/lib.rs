@@ -15,8 +15,9 @@
 //!   and the drop counter are atomics; the ring itself sits behind a
 //!   `parking_lot` mutex (lock-free-*ish*: the hot path is one short
 //!   critical section, never blocking on I/O).
-//! * [`SpanGuard`]/[`obs_span!`] — enter/exit span pairs stamped with both
-//!   the cloud's virtual clock and a monotonic wall clock.
+//! * [`Event::enter`]/[`Event::exit`] — span pairs stamped with both the
+//!   cloud's virtual clock and a monotonic wall clock, tied by a [`SpanId`]
+//!   from [`Recorder::next_span`].
 //! * [`export`] — JSONL event dumps and Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / Perfetto).
 //!
@@ -32,9 +33,7 @@ pub mod event;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
-pub mod span;
 
 pub use event::{Event, EventKind, FieldValue, SpanId};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{FlightRecorder, NullRecorder, Recorder};
-pub use span::SpanGuard;

@@ -14,6 +14,9 @@ use cloudless_types::{ResourceId, SimTime, Value};
 use proptest::prelude::*;
 use serde::Json;
 
+mod damage;
+use damage::Damage;
+
 fn res(i: u8, rev: u8) -> DeployedResource {
     DeployedResource {
         addr: format!("aws_s3_bucket.b[\"k{i}\"]").parse().expect("addr"),
@@ -80,44 +83,7 @@ fn pristine() -> (Vec<u8>, Snapshot) {
     (log, snapshot)
 }
 
-/// One way to damage a document; positions are taken modulo its length.
-#[derive(Debug, Clone)]
-enum Damage {
-    Flip { at: usize, bit: u8 },
-    Truncate { at: usize },
-    Delete { at: usize, len: usize },
-    Duplicate { at: usize, len: usize },
-    Overwrite { at: usize, with: Vec<u8> },
-}
-
-impl Damage {
-    fn apply(&self, doc: &[u8]) -> Vec<u8> {
-        let n = doc.len();
-        let mut out = doc.to_vec();
-        match self {
-            Damage::Flip { at, bit } => out[at % n] ^= 1 << (bit % 8),
-            Damage::Truncate { at } => out.truncate(at % n),
-            Damage::Delete { at, len } => {
-                let at = at % n;
-                out.drain(at..(at + len).min(n));
-            }
-            Damage::Duplicate { at, len } => {
-                let at = at % n;
-                let copy = doc[at..(at + len).min(n)].to_vec();
-                out.splice(at..at, copy);
-            }
-            Damage::Overwrite { at, with } => {
-                let at = at % n;
-                let end = (at + with.len()).min(n);
-                out.splice(at..end, with.iter().copied());
-            }
-        }
-        out
-    }
-}
-
 fn damage() -> impl Strategy<Value = Damage> {
-    let at = || 0usize..1 << 20;
     // bytes the grammars care about, and a few that they do not
     let grammar = proptest::collection::vec(
         prop_oneof![
@@ -141,14 +107,7 @@ fn damage() -> impl Strategy<Value = Damage> {
         ],
         1..6,
     );
-    prop_oneof![
-        (at(), any::<u8>()).prop_map(|(at, bit)| Damage::Flip { at, bit }),
-        (at(), any::<u8>()).prop_map(|(at, bit)| Damage::Flip { at, bit }),
-        at().prop_map(|at| Damage::Truncate { at }),
-        (at(), 1usize..40).prop_map(|(at, len)| Damage::Delete { at, len }),
-        (at(), 1usize..40).prop_map(|(at, len)| Damage::Duplicate { at, len }),
-        (at(), grammar).prop_map(|(at, with)| Damage::Overwrite { at, with }),
-    ]
+    damage::damage(grammar)
 }
 
 fn records_of(log: &[u8]) -> Result<(Vec<LogRecord>, ScanOutcome), StoreError> {

@@ -25,10 +25,11 @@ use std::time::{Duration, Instant};
 
 use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
-use cloudless::LintGate;
+use cloudless::{Cloudless, Config, LintGate};
 use cloudless_bench::experiments::{e14_scale, quota_raised_catalog};
 use cloudless_bench::workloads::random_layered;
-use cloudless_cloud::Catalog;
+use cloudless_cloud::{Catalog, CloudConfig};
+use cloudless_deploy::full_refresh;
 use cloudless_deploy::resolver::DataResolver;
 use cloudless_diagnose::reconcile::classify;
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
@@ -189,4 +190,107 @@ fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
             );
         }
     }
+}
+
+/// Exact latencies, no faults, quotas out of the way: the scale estates
+/// exceed the per-type defaults on purpose.
+fn exact_unmetered() -> Config {
+    Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    }
+}
+
+/// A converged layered estate of `instances` resources, as a timer: each
+/// call is the median wall time of three `full_refresh` passes over it.
+fn full_refresh_timer(instances: usize) -> impl FnMut() -> f64 {
+    let mut engine = Cloudless::new(exact_unmetered());
+    let applied = engine.converge(&random_layered(instances, 7));
+    assert!(applied.expect("the estate converges").apply.all_ok());
+    let state = engine.state().clone();
+    move || {
+        let mut millis: Vec<f64> = (0..3)
+            .map(|_| {
+                let mut state = state.clone();
+                let start = Instant::now();
+                let report = full_refresh(engine.cloud_mut(), &mut state, "refresher");
+                let elapsed = start.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(report.reads, instances as u64);
+                assert!(report.updated.is_empty() && report.missing.is_empty());
+                elapsed
+            })
+            .collect();
+        millis.sort_by(f64::total_cmp);
+        millis[1]
+    }
+}
+
+/// One read per resource, each completion looked up once: 4x the estate is
+/// 4x the reads and about 5x the time (ordered maps, a heap, a larger working
+/// set). Looking every completion up by a scan of them all, as the refresh
+/// and the drift scan did, is 16x. A busy host inflates one reading, not
+/// three in a row, so the guard takes the best of three.
+#[test]
+fn full_refresh_grows_linearly_in_instances() {
+    let n = 2_000;
+    let (mut small, mut large) = (full_refresh_timer(n), full_refresh_timer(4 * n));
+    let ratios: Vec<f64> = (0..3).map(|_| large() / small()).collect();
+    assert!(
+        ratios.iter().any(|ratio| *ratio < 6.0),
+        "full_refresh at {} instances over {n} took {ratios:.1?} times as long",
+        4 * n
+    );
+}
+
+/// `converge(layered(blocks))`, then `converge("")` — destroy is the apply
+/// of the empty program — in the engine that built the estate and in a second
+/// one over its state and cloud records, as a fresh CLI process would hold
+/// them: nothing fails, nothing is retried, nothing is left in state or cloud.
+fn destroy_leaves_nothing(blocks: usize) {
+    let config = exact_unmetered;
+    let mut built = Cloudless::new(config());
+    let applied = built.converge(&random_layered(blocks, 42));
+    assert!(applied.expect("the estate converges").apply.all_ok());
+    assert_eq!(built.state().len(), blocks);
+    let (state, records) = (built.state().clone(), built.cloud().records().clone());
+    let reloaded = Cloudless::with_session(config(), state, records);
+    for (mut engine, how) in [
+        (built, "in the engine that built it"),
+        (reloaded, "across a session reload"),
+    ] {
+        let destroyed = engine.converge("").expect("destroy is admitted").apply;
+        assert_eq!(
+            (
+                destroyed.ops_submitted,
+                destroyed.failures(),
+                destroyed.skips(),
+                destroyed.retries
+            ),
+            (blocks as u64, 0, 0, 0),
+            "destroying {blocks} blocks {how}"
+        );
+        assert_eq!(
+            (engine.state().len(), engine.cloud().records().len()),
+            (0, 0),
+            "destroying {blocks} blocks {how}"
+        );
+    }
+}
+
+/// PR 11 saw `destroy` of the 10 000-block layered estate leave 5 302
+/// resources behind (5 000 and 20 000 were clean). It no longer does; this
+/// is the default-run size, the next test the one that failed.
+#[test]
+fn destroy_of_a_layered_estate_leaves_nothing_behind() {
+    destroy_leaves_nothing(2_000);
+}
+
+/// Release only: `cargo test --release --test scale -- --ignored`.
+#[test]
+#[ignore]
+fn destroy_of_the_10k_layered_estate_leaves_nothing_behind() {
+    destroy_leaves_nothing(10_000);
 }
