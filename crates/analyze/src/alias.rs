@@ -13,6 +13,7 @@
 //! attribute) are unknowable until apply — a documented false-negative
 //! class; see DESIGN.md. Everything known at plan time is covered.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use cloudless_hcl::program::{Manifest, ResourceInstance};
@@ -23,58 +24,56 @@ use crate::hazards::IDENTITY_ATTRS;
 use crate::report::Sink;
 
 /// One cloud-side object identity: `(resource type, identity attribute,
-/// claimed value)`.
-pub type ClaimKey = (String, String, String);
+/// claimed value)`, borrowed from the instance or block that claims it (a
+/// block's value is the fold of an expression, which it owns).
+pub type ClaimKey<'a> = (&'a str, &'static str, Cow<'a, str>);
 
 /// The alias index the lock-order pass consumes: every claim key held by
 /// more than one instance, with its holders in manifest order.
 #[derive(Debug, Default)]
-pub struct AliasIndex {
+pub struct AliasIndex<'m> {
     /// Colliding keys only — clean programs produce an empty map.
-    pub collisions: BTreeMap<ClaimKey, Vec<usize>>,
+    pub collisions: BTreeMap<ClaimKey<'m>, Vec<usize>>,
 }
 
 /// The identity claims of one expanded instance. Plan-time-known values
 /// only; deferred identities claim nothing (documented false negative).
-pub fn instance_claims(inst: &ResourceInstance) -> Vec<ClaimKey> {
-    let mut out = Vec::new();
-    for attr in IDENTITY_ATTRS {
-        if let Some(Value::Str(s)) = inst.attrs.get(*attr) {
-            out.push((
-                inst.addr.rtype.as_str().to_owned(),
-                (*attr).to_owned(),
-                s.clone(),
-            ));
-        }
-    }
-    out
+pub fn instance_claims(inst: &ResourceInstance) -> impl Iterator<Item = ClaimKey<'_>> {
+    let rtype = inst.addr.rtype.as_str();
+    IDENTITY_ATTRS
+        .iter()
+        .filter_map(move |attr| match inst.attrs.get(*attr) {
+            Some(Value::Str(s)) => Some((rtype, *attr, Cow::Borrowed(s.as_str()))),
+            _ => None,
+        })
 }
 
 /// The ANA504 shape: a `create_before_destroy` instance whose identity is
 /// known at plan time. Returns the pinned claim; `None` for instances
 /// without the flag or with a deferred (per-generation) identity.
-pub fn replace_self_race(inst: &ResourceInstance) -> Option<ClaimKey> {
+pub fn replace_self_race(inst: &ResourceInstance) -> Option<ClaimKey<'_>> {
     if !inst.lifecycle.create_before_destroy {
         return None;
     }
-    instance_claims(inst).into_iter().next()
+    instance_claims(inst).next()
 }
 
 /// ANA502 — two instances resolving to the same cloud object. One finding
 /// per colliding key, localized on the second claimant.
-pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex {
-    let mut claims: BTreeMap<ClaimKey, Vec<usize>> = BTreeMap::new();
+pub(crate) fn pass_alias<'m>(manifest: &'m Manifest, sink: &mut Sink<'_>) -> AliasIndex<'m> {
+    let mut claims: Vec<(ClaimKey<'m>, usize)> = Vec::new();
     for (i, inst) in manifest.instances.iter().enumerate() {
-        for key in instance_claims(inst) {
-            claims.entry(key).or_default().push(i);
-        }
+        claims.extend(instance_claims(inst).map(|key| (key, i)));
     }
+    // stable: the holders of a key stay in manifest order
+    claims.sort_by(|(a, _), (b, _)| a.cmp(b));
     let mut index = AliasIndex::default();
-    for (key, holders) in claims {
-        if holders.len() < 2 {
+    for colliding in claims.chunk_by(|(a, _), (b, _)| a == b) {
+        let [(key, _), _, ..] = colliding else {
             continue;
-        }
-        let (rtype, attr, value) = &key;
+        };
+        let holders: Vec<usize> = colliding.iter().map(|&(_, i)| i).collect();
+        let (rtype, attr, value) = key;
         let names: Vec<String> = holders
             .iter()
             .take(3)
@@ -87,11 +86,7 @@ pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex
             names.join(", ")
         };
         let second = &manifest.instances[holders[1]];
-        let span = second
-            .attr_spans
-            .get(attr.as_str())
-            .copied()
-            .unwrap_or(second.span);
+        let span = second.attr_spans.get(*attr).copied().unwrap_or(second.span);
         sink.emit(
             "ANA502",
             &second.file,
@@ -101,7 +96,7 @@ pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex
             ),
             Some("give each instance a distinct identity (interpolate the count/for_each key)"),
         );
-        index.collisions.insert(key, holders);
+        index.collisions.insert(key.clone(), holders);
     }
     index
 }
@@ -115,19 +110,15 @@ pub(crate) fn pass_alias(manifest: &Manifest, sink: &mut Sink<'_>) -> AliasIndex
 /// generation (the attribute stays deferred); those instances are skipped.
 /// Reported once per block.
 pub(crate) fn pass_replace_self_race(manifest: &Manifest, sink: &mut Sink<'_>) {
-    let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
+    let mut seen: std::collections::BTreeSet<(&str, &str)> = std::collections::BTreeSet::new();
     for inst in &manifest.instances {
         let Some((rtype, attr, value)) = replace_self_race(inst) else {
             continue;
         };
-        if !seen.insert((rtype, inst.addr.name.clone())) {
+        if !seen.insert((rtype, &inst.addr.name)) {
             continue;
         }
-        let span = inst
-            .attr_spans
-            .get(attr.as_str())
-            .copied()
-            .unwrap_or(inst.span);
+        let span = inst.attr_spans.get(attr).copied().unwrap_or(inst.span);
         sink.emit(
             "ANA504",
             &inst.file,

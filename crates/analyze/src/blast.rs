@@ -19,7 +19,7 @@ use crate::report::Sink;
 
 pub(crate) fn pass_blast(
     manifest: &Manifest,
-    g: &InstGraph,
+    g: &InstGraph<'_>,
     req: &BlastRequest,
     sink: &mut Sink<'_>,
 ) {

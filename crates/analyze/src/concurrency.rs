@@ -39,25 +39,25 @@ use crate::rules::LintConfig;
 
 /// The instance-level dependency graph, sealed exactly the way
 /// `Plan::build` seals it: cycle-closing edges are dropped and remembered.
-pub struct InstGraph {
+pub struct InstGraph<'m> {
     /// Instance position ↔ [`NodeId`] is the identity mapping.
     pub dag: Dag<usize>,
     /// Edges the sealing dropped to stay acyclic, as `(producer, reader)`
     /// instance positions — the happens-before violations.
     pub dropped: Vec<(usize, usize)>,
-    /// Address → instance position.
-    pub index: HashMap<ResourceAddr, usize>,
+    /// Address → instance position, the addresses being the manifest's.
+    pub index: HashMap<&'m ResourceAddr, usize>,
     /// Raw declared-edge count before dedup/sealing.
     pub declared_edges: usize,
 }
 
-impl InstGraph {
+impl<'m> InstGraph<'m> {
     /// Build from the manifest's declared `depends_on` sets. O(V + E).
-    pub fn build(manifest: &Manifest) -> InstGraph {
+    pub fn build(manifest: &'m Manifest) -> InstGraph<'m> {
         let n = manifest.instances.len();
-        let mut index: HashMap<ResourceAddr, usize> = HashMap::with_capacity(n);
+        let mut index: HashMap<&ResourceAddr, usize> = HashMap::with_capacity(n);
         for (i, inst) in manifest.instances.iter().enumerate() {
-            index.insert(inst.addr.clone(), i);
+            index.insert(&inst.addr, i);
         }
         let mut builder: DagBuilder<usize> = DagBuilder::new();
         let nodes: Vec<NodeId> = (0..n).map(|i| builder.add_node(i)).collect();
@@ -102,7 +102,7 @@ pub(crate) fn addr_str(inst: &ResourceInstance) -> String {
 ///
 /// Findings are deduplicated per `(producer block, reader block)` pair so
 /// a counted block contributes one diagnostic, not one per instance.
-pub(crate) fn pass_happens_before(manifest: &Manifest, g: &InstGraph, sink: &mut Sink<'_>) {
+pub(crate) fn pass_happens_before(manifest: &Manifest, g: &InstGraph<'_>, sink: &mut Sink<'_>) {
     // (producer block key, reader block key) already reported
     let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
     let block_key = |inst: &ResourceInstance| {

@@ -16,13 +16,14 @@
 //!   plain outputs or logged plaintext attributes.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use cloudless_hcl::ast::{Attribute, Expr, Reference, TemplatePart};
 use cloudless_hcl::eval::{DeferAll, Scope};
 use cloudless_hcl::fold::{fold, Folded};
 use cloudless_hcl::program::{ModuleLibrary, Program, ResourceBlock};
 use cloudless_types::cidr::Cidr;
-use cloudless_types::{Span, Value};
+use cloudless_types::{PairMap, Span, Value};
 
 use crate::report::Sink;
 
@@ -128,57 +129,92 @@ pub(crate) fn walk_refs_scoped<'a>(
     }
 }
 
-/// Every (expression, human label) site of a program, in declaration order.
-pub(crate) fn expr_sites(p: &Program) -> Vec<(&Expr, String)> {
+/// `type.name` of a block, rendered only when a finding names it.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockId<'a>(pub &'a ResourceBlock);
+
+impl fmt::Display for BlockId<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.0.rtype, self.0.name)
+    }
+}
+
+/// Where an expression sits in a program, for messages: borrowed from the
+/// declaration, and rendered only when a finding names it.
+#[derive(Clone, Copy)]
+pub(crate) enum Site<'a> {
+    Local(&'a str),
+    VarDefault(&'a str),
+    Provider(&'a str),
+    Data(&'a str, &'a str),
+    Count(&'a ResourceBlock),
+    ForEach(&'a ResourceBlock),
+    Attr(&'a ResourceBlock, &'a str),
+    ModuleInput(&'a str, &'a str),
+    Output(&'a str),
+}
+
+impl fmt::Display for Site<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Site::Local(name) => write!(f, "local.{name}"),
+            Site::VarDefault(name) => write!(f, "variable {name:?} default"),
+            Site::Provider(name) => write!(f, "provider {name:?}"),
+            Site::Data(rtype, name) => write!(f, "data.{rtype}.{name}"),
+            Site::Count(r) => write!(f, "{} count", BlockId(r)),
+            Site::ForEach(r) => write!(f, "{} for_each", BlockId(r)),
+            Site::Attr(r, attr) => write!(f, "{}.{attr}", BlockId(r)),
+            Site::ModuleInput(module, input) => write!(f, "module.{module}.{input}"),
+            Site::Output(name) => write!(f, "output {name:?}"),
+        }
+    }
+}
+
+/// Every (expression, where it sits) site of a program, in declaration order.
+pub(crate) fn expr_sites(p: &Program) -> impl Iterator<Item = (&Expr, Site<'_>)> {
     sites(p, &p.resources)
 }
 
 /// The sites outside the resource blocks: what no block edit can touch.
-pub(crate) fn outer_sites(p: &Program) -> Vec<(&Expr, String)> {
+pub(crate) fn outer_sites(p: &Program) -> impl Iterator<Item = (&Expr, Site<'_>)> {
     sites(p, &[])
 }
 
-fn sites<'a>(p: &'a Program, resources: &'a [ResourceBlock]) -> Vec<(&'a Expr, String)> {
-    let mut sites: Vec<(&Expr, String)> = Vec::new();
-    for l in &p.locals {
-        sites.push((&l.value, format!("local.{}", l.name)));
-    }
-    for v in &p.variables {
-        if let Some(d) = &v.default {
-            sites.push((d, format!("variable {:?} default", v.name)));
-        }
-    }
-    for pr in &p.providers {
-        for a in &pr.attrs {
-            sites.push((&a.value, format!("provider {:?}", pr.name)));
-        }
-    }
-    for d in &p.data {
-        for a in &d.attrs {
-            sites.push((&a.value, format!("data.{}.{}", d.rtype, d.name)));
-        }
-    }
-    for r in resources {
-        let id = format!("{}.{}", r.rtype, r.name);
-        if let Some(c) = &r.count {
-            sites.push((c, format!("{id} count")));
-        }
-        if let Some(fe) = &r.for_each {
-            sites.push((fe, format!("{id} for_each")));
-        }
-        for a in &r.attrs {
-            sites.push((&a.value, format!("{id}.{}", a.name)));
-        }
-    }
-    for m in &p.modules {
-        for a in &m.inputs {
-            sites.push((&a.value, format!("module.{}.{}", m.name, a.name)));
-        }
-    }
-    for o in &p.outputs {
-        sites.push((&o.value, format!("output {:?}", o.name)));
-    }
-    sites
+fn sites<'a>(
+    p: &'a Program,
+    resources: &'a [ResourceBlock],
+) -> impl Iterator<Item = (&'a Expr, Site<'a>)> {
+    let locals = p.locals.iter().map(|l| (&l.value, Site::Local(&l.name)));
+    let defaults = p.variables.iter().filter_map(|v| {
+        let default = v.default.as_ref()?;
+        Some((default, Site::VarDefault(&v.name)))
+    });
+    let providers = p.providers.iter().flat_map(|pr| {
+        let attrs = pr.attrs.iter();
+        attrs.map(move |a| (&a.value, Site::Provider(&pr.name)))
+    });
+    let data = p.data.iter().flat_map(|d| {
+        let attrs = d.attrs.iter();
+        attrs.map(move |a| (&a.value, Site::Data(&d.rtype, &d.name)))
+    });
+    let blocks = resources.iter().flat_map(|r| {
+        let count = r.count.iter().map(move |c| (c, Site::Count(r)));
+        let for_each = r.for_each.iter().map(move |fe| (fe, Site::ForEach(r)));
+        let attrs = r
+            .attrs
+            .iter()
+            .map(move |a| (&a.value, Site::Attr(r, &a.name)));
+        count.chain(for_each).chain(attrs)
+    });
+    let inputs = p.modules.iter().flat_map(|m| {
+        let inputs = m.inputs.iter();
+        inputs.map(move |a| (&a.value, Site::ModuleInput(&m.name, &a.name)))
+    });
+    let outputs = p.outputs.iter().map(|o| (&o.value, Site::Output(&o.name)));
+    (locals.chain(defaults).chain(providers).chain(data))
+        .chain(blocks)
+        .chain(inputs)
+        .chain(outputs)
 }
 
 /// The expression sites of one resource block, in the order every pass
@@ -194,13 +230,13 @@ pub(crate) fn block_exprs(r: &ResourceBlock) -> impl Iterator<Item = &Expr> {
 
 /// The names a program declares, for the undeclared-reference check
 /// (ANA103). Owned, so a cached [`LintEnv`] can outlive the program it was
-/// built from; blocks are grouped by type so a lookup allocates nothing.
+/// built from; a lookup borrows the names it asks about.
 #[derive(Default)]
 pub(crate) struct Decls {
     vars: BTreeSet<String>,
     locals: BTreeSet<String>,
     modules: BTreeSet<String>,
-    blocks: BTreeMap<String, BTreeSet<String>>,
+    blocks: PairMap<()>,
 }
 
 /// The resource blocks a structural edit declares and retracts, staged on
@@ -214,12 +250,9 @@ pub struct DeclEdit {
 
 impl Decls {
     fn of(p: &Program) -> Decls {
-        let mut blocks: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut blocks = PairMap::new();
         for r in &p.resources {
-            blocks
-                .entry(r.rtype.clone())
-                .or_default()
-                .insert(r.name.clone());
+            blocks.insert(&r.rtype, &r.name, ());
         }
         Decls {
             vars: p.variables.iter().map(|v| v.name.clone()).collect(),
@@ -232,7 +265,7 @@ impl Decls {
     /// Whether `rtype.name` is a declared resource block once `edit` lands.
     fn declares(&self, edit: &DeclEdit, rtype: &str, name: &str) -> bool {
         let named = |(t, n): &(String, String)| t == rtype && n == name;
-        let cached = || self.blocks.get(rtype).is_some_and(|ns| ns.contains(name));
+        let cached = || self.blocks.contains(rtype, name);
         edit.added.iter().any(named) || (cached() && !edit.removed.iter().any(named))
     }
 
@@ -636,7 +669,7 @@ pub(crate) fn check_block_consts(
     sink: &mut Sink<'_>,
 ) {
     {
-        let id = format!("{}.{}", r.rtype, r.name);
+        let id = BlockId(r);
 
         // ANA201 — count must fold/bound to a non-negative integer
         if let Some(c) = &r.count {
@@ -683,7 +716,7 @@ pub(crate) fn check_block_consts(
 
         // ANA202 / ANA203 — port and CIDR constraints through expressions
         for a in &r.attrs {
-            check_ports(&a.name, &a.value, &id, p, env, file, sink);
+            check_ports(&a.name, &a.value, id, p, env, file, sink);
             if CIDR_ATTRS.contains(&a.name.as_str()) {
                 if let Folded::Known(Value::Str(s)) = env.fold(&a.value) {
                     if let Err(e) = s.parse::<Cidr>() {
@@ -709,7 +742,7 @@ pub(crate) fn check_block_consts(
 /// finitely-bounded partial violation is a warning.
 fn check_port_value(
     expr: &Expr,
-    at: &str,
+    at: fmt::Arguments<'_>,
     p: &Program,
     env: &FoldEnv,
     file: &str,
@@ -765,20 +798,20 @@ fn check_port_value(
 fn check_ports(
     attr: &str,
     value: &Expr,
-    id: &str,
+    id: BlockId<'_>,
     p: &Program,
     env: &FoldEnv,
     file: &str,
     sink: &mut Sink<'_>,
 ) {
     if PORT_KEYS.contains(&attr) {
-        check_port_value(value, &format!("{id}.{attr}"), p, env, file, sink);
+        check_port_value(value, format_args!("{id}.{attr}"), p, env, file, sink);
         return;
     }
     if PORT_LIST_ATTRS.contains(&attr) {
         if let Expr::List(items, _) = value {
             for item in items {
-                check_port_value(item, &format!("{id}.{attr}[]"), p, env, file, sink);
+                check_port_value(item, format_args!("{id}.{attr}[]"), p, env, file, sink);
             }
         }
         return;
@@ -794,14 +827,8 @@ fn check_ports(
         Expr::Map(entries, _) => {
             for (k, v) in entries {
                 if PORT_KEYS.contains(&k.as_str()) {
-                    check_port_value(
-                        v,
-                        &format!("{id}.{attr}.{}", k.as_str()),
-                        p,
-                        env,
-                        file,
-                        sink,
-                    );
+                    let at = format_args!("{id}.{attr}.{}", k.as_str());
+                    check_port_value(v, at, p, env, file, sink);
                 }
             }
         }
@@ -950,13 +977,11 @@ impl LintEnv {
 
     /// Land a staged edit of the declared resource blocks.
     pub fn apply(&mut self, edit: DeclEdit) {
-        for (rtype, name) in edit.removed {
-            if let Some(names) = self.decls.blocks.get_mut(&rtype) {
-                names.remove(&name);
-            }
+        for (rtype, name) in &edit.removed {
+            self.decls.blocks.remove(rtype, name);
         }
-        for (rtype, name) in edit.added {
-            self.decls.blocks.entry(rtype).or_default().insert(name);
+        for (rtype, name) in &edit.added {
+            self.decls.blocks.insert(rtype, name, ());
         }
     }
 }

@@ -41,18 +41,18 @@ pub(crate) fn count_folds_zero(r: &ResourceBlock, env: &FoldEnv) -> bool {
 /// `count`/`for_each` the fold has no iteration binding, so a `Known`
 /// result means the name does *not* vary per instance — exactly the
 /// conflicting case. A count-disabled block claims nothing.
-pub(crate) fn block_claims(r: &ResourceBlock, env: &FoldEnv) -> Vec<ClaimKey> {
-    if count_folds_zero(r, env) {
-        return Vec::new();
-    }
-    r.attrs
-        .iter()
-        .filter(|a| IDENTITY_ATTRS.contains(&a.name.as_str()))
-        .filter_map(|a| match env.fold(&a.value) {
-            Folded::Known(Value::Str(s)) => Some((r.rtype.clone(), a.name.clone(), s)),
+pub(crate) fn block_claims<'a>(
+    r: &'a ResourceBlock,
+    env: &'a FoldEnv,
+) -> impl Iterator<Item = ClaimKey<'a>> {
+    let claiming = r.attrs.iter().filter(|_| !count_folds_zero(r, env));
+    claiming.filter_map(|a| {
+        let attr = IDENTITY_ATTRS.iter().find(|id| **id == a.name)?;
+        match env.fold(&a.value) {
+            Folded::Known(Value::Str(s)) => Some((r.rtype.as_str(), *attr, s.into())),
             _ => None,
-        })
-        .collect()
+        }
+    })
 }
 
 fn block_target(r: &Reference, index: &HashMap<(&str, &str), usize>) -> Option<usize> {
@@ -170,21 +170,21 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     }
 
     // --- ANA402 write-write conflict: same (type, identity attr value)
-    let mut claims: BTreeMap<ClaimKey, Vec<usize>> = BTreeMap::new();
+    let mut claims: Vec<(ClaimKey<'_>, usize)> = Vec::new();
     for (i, r) in p.resources.iter().enumerate() {
-        for key in block_claims(r, env) {
-            claims.entry(key).or_default().push(i);
-        }
+        claims.extend(block_claims(r, env).map(|key| (key, i)));
     }
-    for ((rtype, attr, value), holders) in &claims {
-        if holders.len() < 2 {
+    // stable: the holders of a key stay in declaration order
+    claims.sort_by(|(a, _), (b, _)| a.cmp(b));
+    for holders in claims.chunk_by(|(a, _), (b, _)| a == b) {
+        let [((rtype, attr, value), _), (_, second), ..] = holders else {
             continue;
-        }
+        };
         let names: Vec<String> = holders
             .iter()
-            .map(|&i| format!("{}.{}", p.resources[i].rtype, p.resources[i].name))
+            .map(|&(_, i)| format!("{}.{}", p.resources[i].rtype, p.resources[i].name))
             .collect();
-        let second = &p.resources[holders[1]];
+        let second = &p.resources[*second];
         sink.emit(
             "ANA402",
             file,

@@ -62,85 +62,91 @@ impl LintEnv {
 
     /// The identity claims this block makes before expansion: the ANA402
     /// extractor (see [`hazards`]).
-    pub fn block_claims(&self, rb: &ResourceBlock) -> Vec<ClaimKey> {
+    pub fn block_claims<'a>(&'a self, rb: &'a ResourceBlock) -> impl Iterator<Item = ClaimKey<'a>> {
         hazards::block_claims(rb, &self.fold)
     }
 }
 
+/// A `(type, name)` a reference names, borrowed from the reference.
+pub type BlockName<'a> = (&'a str, &'a str);
+
 /// What one block (or, from [`outer_refs`], everything outside the blocks)
 /// references: the sets the caller's cross-block guards read (see the
-/// module docs for the exact rules).
+/// module docs for the exact rules). The names are borrowed from the syntax
+/// they were read off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockRefs {
+pub struct BlockRefs<'a> {
     /// Binding-blind resource references in attributes plus `depends_on`
     /// — exactly the dependency set the expander extracts, so equality
     /// means spliced instances keep identical `depends_on`.
-    pub expand_deps: BTreeSet<(String, String)>,
+    pub expand_deps: BTreeSet<BlockName<'a>>,
     /// Binding-aware two-part resource references in `count`/`for_each`/
     /// attributes plus `depends_on` — a superset of the hazard pass's edge
     /// sources, so equality means the block digraph is unchanged.
-    pub hazard_refs: BTreeSet<(String, String)>,
+    pub hazard_refs: BTreeSet<BlockName<'a>>,
     /// Variables this block references (binding-aware).
-    pub var_uses: BTreeSet<String>,
+    pub var_uses: BTreeSet<&'a str>,
     /// Locals this block references (binding-aware).
-    pub local_uses: BTreeSet<String>,
+    pub local_uses: BTreeSet<&'a str>,
 }
 
-impl BlockRefs {
+/// The `(type, name)` a reference of two parts or more starts with.
+fn block_name(r: &Reference) -> Option<BlockName<'_>> {
+    match r.parts.as_slice() {
+        [rtype, name, ..] => Some((rtype, name)),
+        _ => None,
+    }
+}
+
+impl<'a> BlockRefs<'a> {
     /// Whether an edit that turns these references into `new` keeps the
     /// same dependency edges: block digraph and expansion dependency set
     /// unchanged.
-    pub fn stable_under(&self, new: &BlockRefs) -> bool {
+    pub fn stable_under(&self, new: &BlockRefs<'_>) -> bool {
         self.expand_deps == new.expand_deps && self.hazard_refs == new.hazard_refs
     }
 
     /// Every `(type, name)` this block may have a dependency edge to: the
     /// expander's and the hazard pass's edge sources together (the ones
     /// that name no declared block are nobody's edge).
-    pub fn block_targets(&self) -> impl Iterator<Item = &(String, String)> {
-        self.expand_deps.union(&self.hazard_refs)
+    pub fn block_targets(&self) -> impl Iterator<Item = BlockName<'a>> + '_ {
+        self.expand_deps.union(&self.hazard_refs).copied()
     }
 
     /// The binding-aware walk the lint passes use, over one expression.
-    fn note_scoped(&mut self, expr: &Expr) {
+    fn note_scoped(&mut self, expr: &'a Expr) {
         let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r: &Reference, _| {
+        walk_refs_scoped(expr, &mut bound, &mut |r: &'a Reference, _| {
             match (r.root(), r.parts.get(1)) {
                 ("var", Some(n)) => {
-                    self.var_uses.insert(n.clone());
+                    self.var_uses.insert(n);
                 }
                 ("local", Some(n)) => {
-                    self.local_uses.insert(n.clone());
+                    self.local_uses.insert(n);
                 }
                 _ => {}
             }
-            if r.parts.len() >= 2 && is_resource_ref(r) {
-                self.hazard_refs
-                    .insert((r.parts[0].clone(), r.parts[1].clone()));
+            if is_resource_ref(r) {
+                self.hazard_refs.extend(block_name(r));
             }
         });
     }
 }
 
 /// Extract [`BlockRefs`] from one resource block.
-pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
+pub fn block_refs(rb: &ResourceBlock) -> BlockRefs<'_> {
     let mut out = BlockRefs::default();
     // Expansion deps: same walker the expander uses (binding-blind).
     for a in &rb.attrs {
         a.value.walk_refs(&mut |r, _| {
-            if is_resource_ref(r) && r.parts.len() >= 2 {
-                out.expand_deps
-                    .insert((r.parts[0].clone(), r.parts[1].clone()));
+            if is_resource_ref(r) {
+                out.expand_deps.extend(block_name(r));
             }
         });
     }
     for d in &rb.depends_on {
-        if d.parts.len() >= 2 {
-            out.expand_deps
-                .insert((d.parts[0].clone(), d.parts[1].clone()));
-            out.hazard_refs
-                .insert((d.parts[0].clone(), d.parts[1].clone()));
-        }
+        out.expand_deps.extend(block_name(d));
+        out.hazard_refs.extend(block_name(d));
     }
     // Hazard edges and var/local uses: the binding-aware walker the lint
     // passes use, over the same sites.
@@ -154,7 +160,7 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs {
 /// (variable defaults, locals, providers, data sources, module inputs,
 /// outputs): the uses and the resource references no block edit can touch.
 /// They expand to nothing, so `expand_deps` stays empty.
-pub fn outer_refs(p: &Program) -> BlockRefs {
+pub fn outer_refs(p: &Program) -> BlockRefs<'_> {
     let mut out = BlockRefs::default();
     for (expr, _) in outer_sites(p) {
         out.note_scoped(expr);
@@ -170,7 +176,7 @@ pub fn outer_refs(p: &Program) -> BlockRefs {
 pub fn block_is_clean(
     p: &Program,
     rb: &ResourceBlock,
-    refs: &BlockRefs,
+    refs: &BlockRefs<'_>,
     env: &LintEnv,
     edit: &DeclEdit,
     config: &LintConfig,
@@ -179,10 +185,7 @@ pub fn block_is_clean(
     // resolve. (ANA401/403 are covered by the caller's edge-stability
     // guard; the self-loop is the one hazard an edit can introduce while
     // keeping the *other* blocks' edges intact, so check it here.)
-    if refs
-        .hazard_refs
-        .contains(&(rb.rtype.clone(), rb.name.clone()))
-    {
+    if refs.hazard_refs.contains(&(&*rb.rtype, &*rb.name)) {
         return false;
     }
 
@@ -295,12 +298,8 @@ mod tests {
     fn refs_capture_deps_and_uses() {
         let p = program(CLEAN);
         let r = block_refs(&p.resources[1]);
-        assert!(r
-            .expand_deps
-            .contains(&("aws_s3_bucket".into(), "b".into())));
-        assert!(r
-            .hazard_refs
-            .contains(&("aws_s3_bucket".into(), "b".into())));
+        assert!(r.expand_deps.contains(&("aws_s3_bucket", "b")));
+        assert!(r.hazard_refs.contains(&("aws_s3_bucket", "b")));
         let r0 = block_refs(&p.resources[0]);
         assert!(r0.var_uses.contains("region"));
         assert!(r0.local_uses.contains("prefix"));
@@ -347,9 +346,7 @@ mod tests {
         let outer = outer_refs(&p);
         assert_eq!(outer.var_uses.len(), 2, "{outer:?}");
         assert!(outer.local_uses.is_empty(), "the block's use is not outer");
-        assert!(outer
-            .hazard_refs
-            .contains(&("aws_s3_bucket".into(), "b".into())));
+        assert!(outer.hazard_refs.contains(&("aws_s3_bucket", "b")));
         assert!(outer.expand_deps.is_empty());
     }
 
@@ -357,15 +354,12 @@ mod tests {
     fn claims_match_identity_attrs() {
         let p = program(CLEAN);
         let env = LintEnv::build(&p);
-        let c = env.block_claims(&p.resources[1]);
-        assert_eq!(
-            c,
-            vec![("aws_virtual_machine".into(), "name".into(), "web".into())]
-        );
+        let c: Vec<_> = env.block_claims(&p.resources[1]).collect();
+        assert_eq!(c, vec![("aws_virtual_machine", "name", "web".into())]);
         // count = 0 claims nothing
         let z = program(r#"resource "aws_virtual_machine" "z" { count = 0 name = "web" }"#);
         let zenv = LintEnv::build(&z);
         assert!(zenv.count_folds_zero(&z.resources[0]));
-        assert!(zenv.block_claims(&z.resources[0]).is_empty());
+        assert_eq!(zenv.block_claims(&z.resources[0]).count(), 0);
     }
 }

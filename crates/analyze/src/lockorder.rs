@@ -59,8 +59,8 @@ impl UnionFind {
 /// ANA503 — lock-order inversion between two estates.
 pub(crate) fn pass_lockorder(
     manifest: &Manifest,
-    g: &InstGraph,
-    aliases: &AliasIndex,
+    g: &InstGraph<'_>,
+    aliases: &AliasIndex<'_>,
     sink: &mut Sink<'_>,
 ) {
     // Deadlock needs two locks shared across estates; with fewer than two
@@ -135,7 +135,11 @@ pub(crate) fn pass_lockorder(
         // Order the shared keys by estate A's acquisition clock, then look
         // for an adjacent inversion in estate B's clock.
         // (key, estate-A clock, estate-B clock); a clock is (wave, pos).
-        type Acq<'k> = (&'k crate::alias::ClaimKey, (usize, usize), (usize, usize));
+        type Acq<'k> = (
+            &'k crate::alias::ClaimKey<'k>,
+            (usize, usize),
+            (usize, usize),
+        );
         let mut ordered: Vec<Acq<'_>> = keys.iter().map(|k| (*k, acq[k][ea], acq[k][eb])).collect();
         ordered.sort_by(|x, y| (x.1, x.0).cmp(&(y.1, y.0)));
         let inverted = ordered
@@ -144,7 +148,7 @@ pub(crate) fn pass_lockorder(
         let Some(w) = inverted else { continue };
         let (k1, a1, b1) = &w[0];
         let (k2, a2, b2) = &w[1];
-        let fmt_key = |k: &crate::alias::ClaimKey| format!("{}[{}={:?}]", k.0, k.1, k.2);
+        let fmt_key = |k: &crate::alias::ClaimKey<'_>| format!("{}[{}={:?}]", k.0, k.1, k.2);
         // Localize on estate A's earliest claimer of the first inverted key.
         let witness = &manifest.instances[a1.1];
         sink.emit(

@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 
 /// An identity claim `(rtype, attr, value)` — the cloud-side object a
 /// provisioning write locks.
-type LockKey = (String, String, String);
+type LockKey<'m> = cloudless::analyze::alias::ClaimKey<'m>;
 
 /// What the fuzzer observed across all replayed schedules.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -88,10 +88,10 @@ impl Oracle {
     pub fn fuzz(&self, manifest: &Manifest) -> OracleVerdict {
         let g = InstGraph::build(manifest);
         let n = manifest.instances.len();
-        let claims: Vec<Vec<LockKey>> = manifest
+        let claims: Vec<Vec<LockKey<'_>>> = manifest
             .instances
             .iter()
-            .map(|inst| instance_claims(inst))
+            .map(|inst| instance_claims(inst).collect())
             .collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut verdict = OracleVerdict::default();
@@ -109,15 +109,15 @@ impl Oracle {
     fn replay_execution(
         &self,
         manifest: &Manifest,
-        g: &InstGraph,
-        claims: &[Vec<LockKey>],
+        g: &InstGraph<'_>,
+        claims: &[Vec<LockKey<'_>>],
         order: &[usize],
         verdict: &mut OracleVerdict,
     ) {
         let n = manifest.instances.len();
         let mut done = vec![false; n];
         // identity -> live holder
-        let mut live: HashMap<&LockKey, usize> = HashMap::new();
+        let mut live: HashMap<&LockKey<'_>, usize> = HashMap::new();
         let mut unordered_read = false;
         let mut double_provision = false;
         let mut self_race = false;
@@ -176,9 +176,9 @@ impl Oracle {
     /// interleavings search for the mutual-block state.
     fn fuzz_locks(
         &self,
-        g: &InstGraph,
+        g: &InstGraph<'_>,
         n: usize,
-        claims: &[Vec<LockKey>],
+        claims: &[Vec<LockKey<'_>>],
         verdict: &mut OracleVerdict,
     ) {
         if n == 0 {
@@ -210,7 +210,7 @@ impl Oracle {
         }
         // Identities claimed by more than one instance are the contended
         // locks; order each estate's acquisitions by the wave clock.
-        let mut holders: BTreeMap<&LockKey, Vec<usize>> = BTreeMap::new();
+        let mut holders: BTreeMap<&LockKey<'_>, Vec<usize>> = BTreeMap::new();
         for (i, ks) in claims.iter().enumerate() {
             for k in ks {
                 holders.entry(k).or_default().push(i);
@@ -225,7 +225,7 @@ impl Oracle {
         }
         // estate -> [(clock, lock)] over contended locks only; the clock
         // is (wave, instance) so the set orders acquisitions determinately
-        type Acquisitions<'a> = BTreeSet<((usize, usize), &'a LockKey)>;
+        type Acquisitions<'a> = BTreeSet<((usize, usize), &'a LockKey<'a>)>;
         let mut seq: BTreeMap<usize, Acquisitions> = BTreeMap::new();
         for (k, hs) in &holders {
             if hs.len() < 2 {
@@ -236,7 +236,7 @@ impl Oracle {
                 seq.entry(estate).or_default().insert(((wave_of[h], h), k));
             }
         }
-        let estates: Vec<(usize, Vec<&LockKey>)> = seq
+        let estates: Vec<(usize, Vec<&LockKey<'_>>)> = seq
             .iter()
             .map(|(e, s)| {
                 // first acquisition only; re-acquiring a held lock is free
@@ -272,7 +272,7 @@ impl Oracle {
 /// A uniform-ish random topological order of the sealed DAG: at each step
 /// pick a random ready node. Every draw is a schedule the wave scheduler
 /// (or any work-conserving executor honoring the edges) could produce.
-fn random_topo_order(g: &InstGraph, n: usize, rng: &mut StdRng) -> Vec<usize> {
+fn random_topo_order(g: &InstGraph<'_>, n: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut indeg: Vec<usize> = (0..n)
         .map(|i| g.dag.in_degree(cloudless::graph::NodeId(i as u32)))
         .collect();

@@ -479,16 +479,17 @@ impl Cloudless {
                 DiffAction::NoOp => {}
             }
         }
-        let mut fleet: BTreeMap<(String, String), usize> = BTreeMap::new();
+        let mut fleet: BTreeMap<(&str, &str), usize> = BTreeMap::new();
         for inst in &manifest.instances {
             *fleet.entry(quota_key(inst)).or_insert(0) += 1;
         }
+        let fleet = fleet.into_iter();
         PlanSummary {
             creates,
             updates,
             deletes,
             replaces,
-            resulting_fleet: fleet.into_iter().map(|((t, r), n)| (t, r, n)).collect(),
+            resulting_fleet: (fleet.map(|((t, r), n)| (t.to_owned(), r.to_owned(), n))).collect(),
             monthly_cost: self.cost.manifest_monthly(manifest),
         }
     }

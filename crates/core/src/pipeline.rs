@@ -86,6 +86,7 @@
 //! `pipeline.runs_full`), so `cloudless watch` and the experiment
 //! harnesses can prove which stages actually ran.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
@@ -112,7 +113,7 @@ use cloudless_hcl::program::{
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
-use cloudless_types::{ResourceAddr, Value};
+use cloudless_types::{PairMap, ResourceAddr, Value};
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
@@ -274,78 +275,150 @@ fn same_rules(a: &[MinedSpec], b: &[MinedSpec]) -> bool {
         .eq(b.iter().map(MinedSpec::rule))
 }
 
-/// One thing a program holds, in the domain of the aggregate rule that
-/// polices it. Each of those rules bounds the holders of a claim — at most
-/// a limit for the identities, at least one for the readers — so one
-/// counted multiset serves all six.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum Claim {
-    /// ANA402: an identity that folds to a constant before expansion.
-    Block(ClaimKey),
+/// The aggregate rule that polices a claim. Each bounds the holders of a
+/// claim — at most a limit for the identities, at least one for the
+/// readers — so one counted multiset serves all six.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rule {
+    /// ANA402: an identity (by this attribute) that folds to a constant
+    /// before expansion.
+    Block(&'static str),
     /// ANA502: the identity of one expanded instance — finer than `Block`,
     /// which cannot see values that fold only under `count.index`/`each`.
-    Instance(ClaimKey),
+    Instance(&'static str),
     /// VAL306: a globally unique `(type, name)`.
-    Name((String, String)),
+    Name,
     /// VAL307: one instance in a `(type, region)` quota bucket.
-    Quota((String, String)),
+    Quota,
     /// ANA101: a reader of a variable; every one a clean program declares
     /// has a reader.
-    Var(String),
+    Var,
     /// ANA102: the same, of a local.
-    Local(String),
+    Local,
+}
+
+/// One thing a program holds, in the domain of the rule that polices it:
+/// `what` of resource type `of` (no type for the readers). Borrowed from the
+/// block or instance that holds it.
+#[derive(Clone, PartialEq, Eq)]
+struct Claim<'a> {
+    rule: Rule,
+    of: &'a str,
+    what: Cow<'a, str>,
+}
+
+impl<'a> Claim<'a> {
+    fn identity(rule: fn(&'static str) -> Rule, (of, attr, what): ClaimKey<'a>) -> Self {
+        let rule = rule(attr);
+        Claim { rule, of, what }
+    }
+
+    fn of(rule: Rule, (of, what): (&'a str, &'a str)) -> Self {
+        let what = Cow::Borrowed(what);
+        Claim { rule, of, what }
+    }
+
+    fn reader(rule: Rule, name: &'a str) -> Self {
+        Claim::of(rule, ("", name))
+    }
+}
+
+impl fmt::Debug for Claim<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Claim { rule, of, what } = self;
+        match rule {
+            Rule::Block(attr) => write!(f, "Block(({of:?}, {attr:?}, {what:?}))"),
+            Rule::Instance(attr) => write!(f, "Instance(({of:?}, {attr:?}, {what:?}))"),
+            Rule::Name | Rule::Quota => write!(f, "{rule:?}(({of:?}, {what:?}))"),
+            Rule::Var | Rule::Local => write!(f, "{rule:?}({what:?})"),
+        }
+    }
 }
 
 /// The identities a block claims before expansion — the one extractor
 /// behind the lint stage's all-blocks fill and its splice.
-fn identity_claims(rb: &ResourceBlock, env: &LintEnv) -> impl Iterator<Item = Claim> {
-    env.block_claims(rb).into_iter().map(Claim::Block)
+fn identity_claims<'a>(
+    rb: &'a ResourceBlock,
+    env: &'a LintEnv,
+) -> impl Iterator<Item = Claim<'a>> + 'a {
+    let claims = env.block_claims(rb);
+    claims.map(|key| Claim::identity(Rule::Block, key))
 }
 
 /// The reader claims of a block (or of everything outside the blocks) —
 /// the same, for the parse stage's fill and the lint stage's splice.
-fn reader_claims(refs: &BlockRefs) -> impl Iterator<Item = Claim> + '_ {
-    let vars = refs.var_uses.iter().cloned().map(Claim::Var);
-    vars.chain(refs.local_uses.iter().cloned().map(Claim::Local))
+fn reader_claims<'a>(refs: &'a BlockRefs<'_>) -> impl Iterator<Item = Claim<'a>> + 'a {
+    let vars = refs.var_uses.iter();
+    let vars = vars.map(|name| Claim::reader(Rule::Var, name));
+    let locals = refs.local_uses.iter();
+    vars.chain(locals.map(|name| Claim::reader(Rule::Local, name)))
 }
 
 /// Both, of a block whose references are `refs`.
 fn lint_claims<'a>(
-    rb: &ResourceBlock,
-    refs: &'a BlockRefs,
-    env: &LintEnv,
-) -> impl Iterator<Item = Claim> + 'a {
+    rb: &'a ResourceBlock,
+    refs: &'a BlockRefs<'_>,
+    env: &'a LintEnv,
+) -> impl Iterator<Item = Claim<'a>> + 'a {
     identity_claims(rb, env).chain(reader_claims(refs))
 }
 
 /// The claims a block's instances make — the same, for the analyze stage.
-fn instance_level_claims(instances: &[Arc<ResourceInstance>]) -> impl Iterator<Item = Claim> + '_ {
+fn instance_level_claims(
+    instances: &[Arc<ResourceInstance>],
+) -> impl Iterator<Item = Claim<'_>> + '_ {
     instances.iter().flat_map(|inst| {
-        (instance_claims(inst).into_iter().map(Claim::Instance))
-            .chain(name_claim(inst).map(Claim::Name))
-            .chain([Claim::Quota(quota_key(inst))])
+        let identities = instance_claims(inst);
+        (identities.map(|key| Claim::identity(Rule::Instance, key)))
+            .chain(name_claim(inst).map(|name| Claim::of(Rule::Name, name)))
+            .chain([Claim::of(Rule::Quota, quota_key(inst))])
     })
 }
 
-/// A counted multiset of [`Claim`]s: how many holders each has.
-type Claims = HashMap<Claim, usize>;
-
-/// A staged edit of [`Claims`]: per claim, holders gained minus holders
+/// A counted multiset of [`Claim`]s — how many holders each has — and,
+/// signed, a staged edit of one: per claim, holders gained minus holders
 /// lost between the in-scope blocks' old artifacts and their new ones.
-type ClaimsEdit = BTreeMap<Claim, isize>;
+/// Nested rule → `of` → `what`, so counting a claim borrows it: the memo
+/// copies a value out of the program once, when its first holder comes.
+#[derive(Default)]
+struct Claims(BTreeMap<Rule, PairMap<isize>>);
 
-/// Stage `by` more holders for each of `claims`.
-fn stage(edit: &mut ClaimsEdit, claims: impl Iterator<Item = Claim>, by: isize) {
-    for claim in claims {
-        *edit.entry(claim).or_insert(0) += by;
+impl Claims {
+    /// How many holders `claim` has.
+    fn held(&self, claim: &Claim<'_>) -> isize {
+        let of_rule = self.0.get(&claim.rule);
+        let held = of_rule.and_then(|claims| claims.get(claim.of, &claim.what));
+        held.copied().unwrap_or(0)
+    }
+
+    /// Give `claim` `by` more holders (fewer, when negative).
+    fn hold(&mut self, claim: &Claim<'_>, by: isize) {
+        let held = self.held(claim) + by;
+        let of_rule = self.0.entry(claim.rule).or_default();
+        match held {
+            0 => drop(of_rule.remove(claim.of, &claim.what)),
+            _ => drop(of_rule.insert(claim.of, &claim.what, held)),
+        }
+    }
+
+    /// Every claim counted, in order, with its count.
+    fn iter(&self) -> impl Iterator<Item = (Claim<'_>, isize)> {
+        self.0.iter().flat_map(|(&rule, claims)| {
+            claims
+                .iter()
+                .map(move |(of, what, &n)| (Claim::of(rule, (of, what)), n))
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.0.values().map(PairMap::len).sum()
     }
 }
 
-/// Give `claim` `by` more holders (fewer, when negative).
-fn hold(claims: &mut Claims, claim: Claim, by: isize) {
-    let held = claims.remove(&claim).unwrap_or(0);
-    if let Some(held) = held.checked_add_signed(by).filter(|&n| n > 0) {
-        claims.insert(claim, held);
+/// Stage `by` more holders for each of `claims`.
+fn stage<'a>(edit: &mut Claims, claims: impl Iterator<Item = Claim<'a>>, by: isize) {
+    for claim in claims {
+        edit.hold(&claim, by);
     }
 }
 
@@ -353,13 +426,13 @@ fn hold(claims: &mut Claims, claim: Claim, by: isize) {
 /// the most `bounds(claim)` allows or lost them below the least.
 fn out_of_bounds<'e>(
     claims: &Claims,
-    edit: &'e ClaimsEdit,
-    bounds: impl Fn(&Claim) -> (usize, usize),
-) -> Option<&'e Claim> {
-    let broken = |(claim, &by): &(&Claim, &isize)| {
-        let after = claims.get(*claim).copied().unwrap_or(0) as isize + by;
+    edit: &'e Claims,
+    bounds: impl Fn(&Claim<'_>) -> (usize, usize),
+) -> Option<Claim<'e>> {
+    let broken = |(claim, by): &(Claim<'_>, isize)| {
+        let after = claims.held(claim) + by;
         let (least, most) = bounds(claim);
-        (by > 0 && after > most as isize) || (by < 0 && after < least as isize)
+        (*by > 0 && after > most as isize) || (*by < 0 && after < least as isize)
     };
     edit.iter().find(broken).map(|(claim, _)| claim)
 }
@@ -371,32 +444,13 @@ struct PlanCache {
     serial: Option<u64>,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
-    /// Block type → block name → whether the block's last-visited instance
-    /// is created or replaced (nested, so a probe borrows its key).
-    dirty: HashMap<String, HashMap<String, bool>>,
+    /// Block `(type, name)` → whether the block's last-visited instance is
+    /// created or replaced.
+    dirty: PairMap<bool>,
     /// Non-NoOp changes by declaration position.
     changes: BTreeMap<usize, PlannedChange>,
     /// Deletions by rendered address — the state's own key, so its order.
     deletes: BTreeMap<String, PlannedChange>,
-}
-
-impl PlanCache {
-    /// Whether `rtype.name`'s last-visited instance is created or replaced
-    /// (`None`: not visited).
-    fn is_dirty(&self, rtype: &str, name: &str) -> Option<bool> {
-        self.dirty.get(rtype)?.get(name).copied()
-    }
-
-    fn set_dirty(&mut self, rtype: &str, name: &str, dirty: bool) {
-        if !self.dirty.contains_key(rtype) {
-            self.dirty.insert(rtype.to_owned(), HashMap::new());
-        }
-        let names = self.dirty.get_mut(rtype).expect("just ensured");
-        match names.get_mut(name) {
-            Some(known) => *known = dirty,
-            None => drop(names.insert(name.to_owned(), dirty)),
-        }
-    }
 }
 
 /// The memoized artifacts of one clean run, grouped by the stage that
@@ -421,7 +475,7 @@ struct Memo {
     /// or removes.
     program: Program,
     /// The `(type, name)`s that half references: blocks that cannot go.
-    outer: BTreeSet<(String, String)>,
+    outer: PairMap<()>,
     /// Block-level dependency DAG (edges: dependency → dependent).
     dag: Dag<()>,
     // lint
@@ -497,7 +551,7 @@ struct Splice {
     blocks: Vec<BlockEdit>,
     /// The block declarations the inserted and removed ones amount to.
     decls: DeclEdit,
-    claims: ClaimsEdit,
+    claims: Claims,
     /// Whether blocks were inserted or removed, and the memo's positional
     /// tables have been reshaped for it: nothing is left to put back.
     reshaped: bool,
@@ -832,9 +886,7 @@ impl<'a> Walk<'a> {
                 if *keep {
                     fresh.lint_env = env;
                     for rb in &fresh.program.resources {
-                        for claim in identity_claims(rb, &fresh.lint_env) {
-                            hold(&mut fresh.claims, claim, 1);
-                        }
+                        stage(&mut fresh.claims, identity_claims(rb, &fresh.lint_env), 1);
                     }
                 }
             }
@@ -887,7 +939,7 @@ impl<'a> Walk<'a> {
                     if let (Some((rb, _)), None) = (&old, &new) {
                         // the cold walk reports the dangling reference exactly
                         let dependents = memo.dag.successors(NodeId(b.at() as u32));
-                        let read = memo.outer.contains(&key(rb))
+                        let read = memo.outer.contains(&rb.rtype, &rb.name)
                             || dependents.iter().any(|d| !gone.contains(&d.index()));
                         ensure(!read, "structural edit (a removed block is still read)")?;
                     }
@@ -934,13 +986,13 @@ impl<'a> Walk<'a> {
                     };
                     let mut diags = Diagnostics::new();
                     let mut fresh: Vec<ResourceInstance> = Vec::new();
-                    expand_resource_block(
+                    let deps = expand_resource_block(
                         rb,
                         &memo.root.vars,
                         &memo.root.locals,
                         &declared,
                         ctx.data,
-                        &memo.program.filename,
+                        &memo.root.file,
                         &[],
                         &mut diags,
                         &mut fresh,
@@ -951,10 +1003,8 @@ impl<'a> Walk<'a> {
                         // as `expand_root` makes them once every block is
                         // expanded.
                         for inst in &mut fresh {
-                            let blocks = std::mem::take(&mut inst.depends_on);
-                            let addrs = blocks.iter().flat_map(|dep| {
-                                memo.addresses_of(dep.rtype.as_str(), &dep.name, earlier)
-                            });
+                            let addrs = (deps.iter())
+                                .flat_map(|(rtype, name)| memo.addresses_of(rtype, name, earlier));
                             inst.depends_on = addrs.filter(|addr| *addr != inst.addr).collect();
                         }
                     } else {
@@ -1045,9 +1095,11 @@ impl<'a> Walk<'a> {
                     *keep &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
                 }
                 if *keep {
-                    for claim in instance_level_claims(&out.manifest.instances) {
-                        hold(&mut fresh.claims, claim, 1);
-                    }
+                    stage(
+                        &mut fresh.claims,
+                        instance_level_claims(&out.manifest.instances),
+                        1,
+                    );
                 }
             }
             Scope::Blocks { memo, edit } => {
@@ -1070,16 +1122,16 @@ impl<'a> Walk<'a> {
 
     /// The aggregate rules over the claims staged so far: trip if landing
     /// `edit` would put one out of bounds.
-    fn hold_bounds(&self, memo: &Memo, edit: &ClaimsEdit) -> Result<(), Stop> {
+    fn hold_bounds(&self, memo: &Memo, edit: &Claims) -> Result<(), Stop> {
         const UNLIMITED: usize = isize::MAX as usize;
         let gated = self.lint_cfg.is_some();
-        let bounds = |claim: &Claim| match claim {
-            Claim::Quota((rtype, _)) => (self.ctx.catalog.get_str(rtype))
+        let bounds = |claim: &Claim<'_>| match claim.rule {
+            Rule::Quota => (self.ctx.catalog.get_str(claim.of))
                 .map_or((0, UNLIMITED), |schema| (0, schema.default_quota as usize)),
-            Claim::Name(_) => (0, 1),
+            Rule::Name => (0, 1),
             _ if !gated => (0, UNLIMITED),
-            Claim::Var(_) | Claim::Local(_) => (1, UNLIMITED),
-            Claim::Block(_) | Claim::Instance(_) => (0, 1),
+            Rule::Var | Rule::Local => (1, UNLIMITED),
+            Rule::Block(_) | Rule::Instance(_) => (0, 1),
         };
         match out_of_bounds(&memo.claims, edit, bounds) {
             Some(claim) => Err(Stop::Guard(format!("{claim:?} would be out of bounds"))),
@@ -1140,13 +1192,10 @@ impl<'a> Walk<'a> {
         for &idx in order.iter().filter(|i| replanned(i)) {
             let inst = &instances[idx];
             let mut dep_dirty =
-                |rtype: &str, name: &str| cache.is_dirty(rtype, name).unwrap_or(true);
+                |rtype: &str, name: &str| cache.dirty.get(rtype, name).copied().unwrap_or(true);
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
-            cache.set_dirty(
-                inst.addr.rtype.as_str(),
-                &inst.addr.name,
-                change.makes_dirty(),
-            );
+            let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
+            cache.dirty.insert(rtype, name, change.makes_dirty());
             if !change.action.is_noop() {
                 cache.changes.insert(idx, change);
             }
@@ -1256,24 +1305,22 @@ impl Memo {
         for (bi, rb) in blocks.iter().enumerate() {
             let refs = block_refs(rb);
             for (rtype, name) in refs.block_targets() {
-                let dep = block_of.get(&(rtype.as_str(), name.as_str()));
+                let dep = block_of.get(&(rtype, name));
                 let dep = dep.filter(|&&dep| dep != bi);
                 if dep.is_some_and(|&dep| builder.add_edge(nodes[dep], nodes[bi]).is_err()) {
                     return false;
                 }
             }
-            for claim in reader_claims(&refs) {
-                hold(&mut self.claims, claim, 1);
-            }
+            stage(&mut self.claims, reader_claims(&refs), 1);
         }
         let Ok(dag) = builder.seal() else {
             return false;
         };
         let outer = outer_refs(&self.program);
-        for claim in reader_claims(&outer) {
-            hold(&mut self.claims, claim, 1);
+        stage(&mut self.claims, reader_claims(&outer), 1);
+        for (rtype, name) in &outer.hazard_refs {
+            self.outer.insert(rtype, name, ());
         }
-        self.outer = outer.hazard_refs;
         self.dag = dag;
         self.config = (ctx.lint, ctx.level, ctx.inputs.clone());
         self.specs = ctx.mined_specs().to_vec();
@@ -1376,8 +1423,7 @@ impl Memo {
     /// Where the instances of block `rtype.name` sit in the manifest (none:
     /// no such block, or one that expands to nothing).
     fn positions_of(&self, rtype: &str, name: &str) -> &[usize] {
-        let key = (Vec::new(), format!("{rtype}.{name}"));
-        self.mindex.by_block.get(&key).map_or(&[], Vec::as_slice)
+        self.mindex.positions(&[], rtype, name)
     }
 
     /// The addresses of block `rtype.name`'s instances, the block being one
@@ -1408,10 +1454,10 @@ impl Memo {
         let env = &self.lint_env;
         let mut deps = Vec::new();
         // (what names no block is nobody's edge)
-        let names_block = |(t, n): &&(String, String)| env.declares(decls, t, n);
-        for target in refs.block_targets().filter(names_block) {
-            let (rtype, name) = target;
-            let (dep, disabled) = if decls.added.contains(target) {
+        let names_block = |(t, n): &(&str, &str)| env.declares(decls, t, n);
+        for (rtype, name) in refs.block_targets().filter(names_block) {
+            let added = |(t, n): &(String, String)| t == rtype && n == name;
+            let (dep, disabled) = if decls.added.iter().any(added) {
                 let Some(k) = staged(earlier, rtype, name) else {
                     let reason = "structural edit (an inserted block depends on a later one)";
                     return Err(Stop::Guard(reason.to_owned()));
@@ -1506,9 +1552,7 @@ impl Memo {
         for b in removed() {
             self.mindex.remove(&b.before);
             let rb = b.old.as_ref().expect("a removed block was parsed");
-            if let Some(names) = self.plan.dirty.get_mut(&rb.rtype) {
-                names.remove(&rb.name);
-            }
+            self.plan.dirty.remove(&rb.rtype, &rb.name);
         }
         self.mindex.shift(|at| instance_to[at]);
         self.plan.order = self.plan.order.iter().filter_map(moved).collect();
@@ -1539,8 +1583,8 @@ impl Memo {
                 self.manifest.instances[span].clone_from_slice(&b.after);
             }
         }
-        for (claim, by) in std::mem::take(&mut edit.claims) {
-            hold(&mut self.claims, claim, by);
+        for (claim, by) in std::mem::take(&mut edit.claims).iter() {
+            self.claims.hold(&claim, by);
         }
     }
 
@@ -1555,8 +1599,7 @@ impl Memo {
         }
         total += self.mindex.approx_bytes();
         total += self.claims.len() * 128;
-        let visited: usize = self.plan.dirty.values().map(HashMap::len).sum();
-        total += self.plan.order.len() * 8 + visited * 64;
+        total += self.plan.order.len() * 8 + self.plan.dirty.len() * 64;
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
         total
     }

@@ -285,7 +285,7 @@ fn aggregate_findings_equal_a_fold_over_the_extractors() {
         for key in manifest.instances.iter().map(|i| quota_key(i)) {
             *buckets.entry(key).or_default() += 1;
         }
-        let over = |((rtype, _), n): (&(String, String), &u32)| {
+        let over = |((rtype, _), n): (&(&str, &str), &u32)| {
             catalog.get_str(rtype).is_some_and(|s| *n > s.default_quota)
         };
         let expect = buckets.iter().filter(|&b| over(b)).count();

@@ -127,6 +127,9 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
         .values()
         .map(|r| (r.id.as_str(), &r.addr))
         .collect();
+    // a lifted instance was declared nowhere: one empty file name and span
+    // table for all of them
+    let (no_file, no_spans): (Arc<str>, Arc<BTreeMap<String, Span>>) = Default::default();
     let instances = checkpoint.resources.values().map(|then| {
         let schema = catalog.get(&then.addr.rtype);
         let managed = |k: &String| schema.and_then(|s| s.attr(k)).is_none_or(|a| !a.computed);
@@ -161,10 +164,10 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
             deferred,
             depends_on,
             span: Span::synthetic(),
-            attr_spans: BTreeMap::new(),
+            attr_spans: Arc::clone(&no_spans),
             lifecycle: Default::default(),
             env: Default::default(),
-            file: String::new(),
+            file: Arc::clone(&no_file),
         })
     });
     let known = |(name, v): (&String, &Value)| (name.clone(), OutputValue::Known(v.clone()));

@@ -84,7 +84,7 @@ fn attr_loc(inst: &ResourceInstance, attr: &str, label: impl Into<String>) -> Op
         })
         .unwrap_or(inst.span);
     Some(Location {
-        file: inst.file.clone(),
+        file: inst.file.to_string(),
         span,
         label: label.into(),
     })
@@ -92,7 +92,7 @@ fn attr_loc(inst: &ResourceInstance, attr: &str, label: impl Into<String>) -> Op
 
 /// Region of an instance at the IaC level (explicit attr or provider
 /// default).
-fn region_of(inst: &ResourceInstance) -> Option<String> {
+fn region_of(inst: &ResourceInstance) -> Option<&str> {
     Provider::effective_region(&inst.attrs, &inst.addr.rtype)
 }
 
@@ -102,7 +102,7 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
     let fallback = |root_cause: String| Explanation {
         addr: failed_addr.clone(),
         location: inst.map(|i| Location {
-            file: i.file.clone(),
+            file: i.file.to_string(),
             span: i.span,
             label: "resource declared here".to_owned(),
         }),
@@ -139,7 +139,7 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
                     for nic in nics {
                         if let Some(region) = region_of(nic) {
                             if region != vm_region {
-                                nic_region = Some(region.clone());
+                                nic_region = Some(region);
                                 if let Some(loc) = attr_loc(
                                     nic,
                                     "location",
@@ -208,7 +208,7 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
         "QuotaExceeded" => Explanation {
             addr: failed_addr.clone(),
             location: Some(Location {
-                file: inst.file.clone(),
+                file: inst.file.to_string(),
                 span: inst.span,
                 label: "resource declared here".to_owned(),
             }),
@@ -257,7 +257,7 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
         "PropertyChangeNotAllowed" => Explanation {
             addr: failed_addr.clone(),
             location: Some(Location {
-                file: inst.file.clone(),
+                file: inst.file.to_string(),
                 span: inst.span,
                 label: "resource declared here".to_owned(),
             }),

@@ -263,21 +263,21 @@ fn classify(head: &str) -> ChunkKind {
     let Some(rest) = rest.strip_prefix("resource") else {
         return ChunkKind::Other;
     };
-    let mut labels = Vec::new();
-    let mut rest = rest.trim_start();
-    for _ in 0..2 {
-        let Some(r) = rest.strip_prefix('"') else {
-            return ChunkKind::Other;
-        };
-        let Some(q) = r.find('"') else {
-            return ChunkKind::Other;
-        };
-        labels.push(r[..q].to_owned());
-        rest = r[q + 1..].trim_start();
+    let Some((rtype, rest)) = label(rest) else {
+        return ChunkKind::Other;
+    };
+    let Some((name, _)) = label(rest) else {
+        return ChunkKind::Other;
+    };
+    ChunkKind::Resource {
+        rtype: rtype.to_owned(),
+        name: name.to_owned(),
     }
-    let name = labels.pop().expect("two labels");
-    let rtype = labels.pop().expect("two labels");
-    ChunkKind::Resource { rtype, name }
+}
+
+/// The quoted label at the head of `rest`, and what follows it.
+fn label(rest: &str) -> Option<(&str, &str)> {
+    rest.trim_start().strip_prefix('"')?.split_once('"')
 }
 
 impl ChunkMap {

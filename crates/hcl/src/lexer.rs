@@ -4,30 +4,35 @@
 //! operators, and double-quoted strings with escape sequences and `${…}`
 //! template interpolation (with nested-brace tracking so `"${merge({a = 1},
 //! var.m)}"` lexes correctly).
+//!
+//! The lexer is pulled one token at a time (`Lexer::next_token`) and its
+//! tokens borrow the source: no token vector is built and no identifier is
+//! copied until the parser puts it in the tree.
+
+use std::borrow::Cow;
 
 use cloudless_types::{SourcePos, Span};
 
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::token::{StrPart, Token, TokenKind};
+use crate::token::{StrLit, StrPart, Token, TokenKind};
 
-/// Lex `source` into tokens (always ending with [`TokenKind::Eof`]).
-pub fn lex(source: &str, filename: &str) -> Result<Vec<Token>, Diagnostics> {
-    Lexer::new(source, filename).run()
-}
-
-struct Lexer<'s> {
+/// A cursor over source text that hands out one token per call.
+pub(crate) struct Lexer<'s, 'f> {
     src: &'s str,
     bytes: &'s [u8],
-    filename: &'s str,
+    filename: &'f str,
     pos: usize,
     line: u32,
     col: u32,
-    tokens: Vec<Token>,
-    diags: Diagnostics,
+    /// Whether the last token could end an expression — what tells a
+    /// binary minus from the sign of a literal.
+    after_value: bool,
+    /// What the lexer could not read (`HCL001`); it skips it and goes on.
+    pub(crate) diags: Diagnostics,
 }
 
-impl<'s> Lexer<'s> {
-    fn new(src: &'s str, filename: &'s str) -> Self {
+impl<'s, 'f> Lexer<'s, 'f> {
+    pub(crate) fn new(src: &'s str, filename: &'f str) -> Self {
         Lexer {
             src,
             bytes: src.as_bytes(),
@@ -35,7 +40,7 @@ impl<'s> Lexer<'s> {
             pos: 0,
             line: 1,
             col: 1,
-            tokens: Vec::new(),
+            after_value: false,
             diags: Diagnostics::new(),
         }
     }
@@ -64,69 +69,76 @@ impl<'s> Lexer<'s> {
         Some(b)
     }
 
+    /// Step over the character at the cursor, all of its bytes, so the
+    /// cursor never lands inside a code point.
+    fn bump_char(&mut self) -> Option<char> {
+        let ch = self.src[self.pos..].chars().next()?;
+        for _ in 0..ch.len_utf8() {
+            self.bump();
+        }
+        Some(ch)
+    }
+
     fn error(&mut self, start: SourcePos, msg: String) {
         let span = Span::new(start, self.here());
         self.diags
             .push(Diagnostic::error("HCL001", self.filename, span, msg));
     }
 
-    fn push(&mut self, start: SourcePos, kind: TokenKind) {
-        let span = Span::new(start, self.here());
-        self.tokens.push(Token { kind, span });
-    }
-
-    fn run(mut self) -> Result<Vec<Token>, Diagnostics> {
-        while let Some(b) = self.peek() {
+    /// The next token; [`TokenKind::Eof`] at the end of the source, as
+    /// often as it is asked for.
+    pub(crate) fn next_token(&mut self) -> Token<'s> {
+        let (start, kind) = loop {
             let start = self.here();
-            match b {
+            let Some(b) = self.peek() else {
+                break (start, TokenKind::Eof);
+            };
+            let kind = match b {
                 b' ' | b'\t' | b'\r' | b'\n' => {
                     self.bump();
+                    None
                 }
                 b'#' => self.skip_line_comment(),
                 b'/' if self.peek2() == Some(b'/') => self.skip_line_comment(),
                 b'/' if self.peek2() == Some(b'*') => self.skip_block_comment(start),
-                b'"' => self.lex_string(start),
-                b'0'..=b'9' => self.lex_number(start),
-                b'-' if matches!(self.peek2(), Some(b'0'..=b'9')) && !self.prev_is_value() => {
+                b'"' => Some(self.lex_string(start)),
+                b'0'..=b'9' => self.lex_number(start, false),
+                b'-' if matches!(self.peek2(), Some(b'0'..=b'9')) && !self.after_value => {
                     // negative literal only where a value is expected
                     self.bump();
-                    self.lex_number_with_sign(start, true);
+                    self.lex_number(start, true)
                 }
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_ident(start),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => Some(self.lex_ident()),
                 _ => self.lex_operator(start),
+            };
+            if let Some(kind) = kind {
+                break (start, kind);
             }
-        }
-        let start = self.here();
-        self.push(start, TokenKind::Eof);
-        self.diags.clone().into_result(self.tokens)
+        };
+        self.after_value = matches!(
+            kind,
+            TokenKind::Ident(_)
+                | TokenKind::Number(_)
+                | TokenKind::Str(_)
+                | TokenKind::RParen
+                | TokenKind::RBracket
+                | TokenKind::RBrace
+        );
+        let span = Span::new(start, self.here());
+        Token { kind, span }
     }
 
-    /// Whether the previous token could end an expression — used to
-    /// disambiguate unary minus from binary minus.
-    fn prev_is_value(&self) -> bool {
-        matches!(
-            self.tokens.last().map(|t| &t.kind),
-            Some(
-                TokenKind::Ident(_)
-                    | TokenKind::Number(_)
-                    | TokenKind::Str(_)
-                    | TokenKind::RParen
-                    | TokenKind::RBracket
-                    | TokenKind::RBrace
-            )
-        )
-    }
-
-    fn skip_line_comment(&mut self) {
+    fn skip_line_comment(&mut self) -> Option<TokenKind<'s>> {
         while let Some(b) = self.peek() {
             if b == b'\n' {
                 break;
             }
             self.bump();
         }
+        None
     }
 
-    fn skip_block_comment(&mut self, start: SourcePos) {
+    fn skip_block_comment(&mut self, start: SourcePos) -> Option<TokenKind<'s>> {
         self.bump(); // '/'
         self.bump(); // '*'
         loop {
@@ -134,24 +146,20 @@ impl<'s> Lexer<'s> {
                 Some(b'*') if self.peek2() == Some(b'/') => {
                     self.bump();
                     self.bump();
-                    return;
+                    return None;
                 }
                 Some(_) => {
                     self.bump();
                 }
                 None => {
                     self.error(start, "unterminated block comment".to_owned());
-                    return;
+                    return None;
                 }
             }
         }
     }
 
-    fn lex_number(&mut self, start: SourcePos) {
-        self.lex_number_with_sign(start, false);
-    }
-
-    fn lex_number_with_sign(&mut self, start: SourcePos, negative: bool) {
+    fn lex_number(&mut self, start: SourcePos, negative: bool) -> Option<TokenKind<'s>> {
         let num_start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.bump();
@@ -164,15 +172,15 @@ impl<'s> Lexer<'s> {
         }
         let text = &self.src[num_start..self.pos];
         match text.parse::<f64>() {
-            Ok(n) => {
-                let n = if negative { -n } else { n };
-                self.push(start, TokenKind::Number(n));
+            Ok(n) => Some(TokenKind::Number(if negative { -n } else { n })),
+            Err(_) => {
+                self.error(start, format!("invalid number literal {text:?}"));
+                None
             }
-            Err(_) => self.error(start, format!("invalid number literal {text:?}")),
         }
     }
 
-    fn lex_ident(&mut self, start: SourcePos) {
+    fn lex_ident(&mut self) -> TokenKind<'s> {
         let s = self.pos;
         while matches!(
             self.peek(),
@@ -180,42 +188,41 @@ impl<'s> Lexer<'s> {
         ) {
             self.bump();
         }
-        let text = self.src[s..self.pos].to_owned();
-        self.push(start, TokenKind::Ident(text));
+        TokenKind::Ident(&self.src[s..self.pos])
     }
 
-    fn lex_string(&mut self, start: SourcePos) {
+    fn lex_string(&mut self, start: SourcePos) -> TokenKind<'s> {
         self.bump(); // opening quote
-        let mut parts: Vec<StrPart> = Vec::new();
-        let mut lit = String::new();
-        loop {
+        let src = self.src;
+        let mut parts: Vec<StrPart<'s>> = Vec::new();
+        let mut run = LitRun::at(self.pos);
+        let last = loop {
             match self.peek() {
                 None => {
                     self.error(start, "unterminated string literal".to_owned());
-                    break;
+                    break run.end(src, self.pos);
                 }
                 Some(b'"') => {
+                    let last = run.end(src, self.pos);
                     self.bump();
-                    break;
+                    break last;
                 }
                 Some(b'\\') => {
+                    let text = run.decoding(src, self.pos);
                     self.bump();
                     // the escaped character may be multi-byte; consume it
                     // whole so the cursor never lands mid-codepoint
-                    let Some(escaped) = self.src[self.pos..].chars().next() else {
+                    let Some(escaped) = self.bump_char() else {
                         self.error(start, "unterminated string literal".to_owned());
-                        break;
+                        break run.end(src, self.pos);
                     };
-                    for _ in 0..escaped.len_utf8() {
-                        self.bump();
-                    }
                     match escaped {
-                        'n' => lit.push('\n'),
-                        't' => lit.push('\t'),
-                        'r' => lit.push('\r'),
-                        '\\' => lit.push('\\'),
-                        '"' => lit.push('"'),
-                        '$' => lit.push('$'),
+                        'n' => text.push('\n'),
+                        't' => text.push('\t'),
+                        'r' => text.push('\r'),
+                        '\\' => text.push('\\'),
+                        '"' => text.push('"'),
+                        '$' => text.push('$'),
                         other => {
                             let p = self.here();
                             self.error(p, format!("unknown escape '\\{other}'"));
@@ -227,75 +234,82 @@ impl<'s> Lexer<'s> {
                     if self.peek2() == Some(b'$')
                         && self.bytes.get(self.pos + 2) == Some(&b'{') =>
                 {
+                    run.decoding(src, self.pos).push_str("${");
                     self.bump();
                     self.bump();
                     self.bump();
-                    lit.push_str("${");
                 }
                 Some(b'$') if self.peek2() == Some(b'{') => {
+                    let lit = run.end(src, self.pos);
                     if !lit.is_empty() {
-                        parts.push(StrPart::Lit(std::mem::take(&mut lit)));
+                        parts.push(StrPart::Lit(lit));
                     }
                     self.bump(); // $
                     self.bump(); // {
-                    let interp_start = self.here();
-                    let src_start = self.pos;
-                    let mut depth = 1usize;
-                    let mut in_str = false;
-                    loop {
-                        match self.peek() {
-                            None => {
-                                self.error(start, "unterminated interpolation".to_owned());
-                                break;
-                            }
-                            Some(b'"') => {
-                                in_str = !in_str;
-                                self.bump();
-                            }
-                            Some(b'\\') if in_str => {
-                                self.bump();
-                                self.bump();
-                            }
-                            Some(b'{') if !in_str => {
-                                depth += 1;
-                                self.bump();
-                            }
-                            Some(b'}') if !in_str => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                                self.bump();
-                            }
-                            Some(_) => {
-                                self.bump();
-                            }
-                        }
-                    }
-                    let inner = self.src[src_start..self.pos].to_owned();
-                    let span = Span::new(interp_start, self.here());
-                    self.bump(); // closing }
-                    parts.push(StrPart::Interp(inner, span));
+                    parts.push(self.lex_interpolation(start));
+                    run = LitRun::at(self.pos);
                 }
                 Some(_) => {
-                    // consume one full UTF-8 character
-                    let ch_start = self.pos;
-                    let ch = self.src[ch_start..].chars().next().expect("valid utf8");
-                    for _ in 0..ch.len_utf8() {
-                        self.bump();
+                    if let (Some(ch), Some(text)) = (self.bump_char(), run.decoded.as_mut()) {
+                        text.push(ch);
                     }
-                    lit.push(ch);
+                }
+            }
+        };
+        if parts.is_empty() {
+            return TokenKind::Str(StrLit::Plain(last));
+        }
+        if !last.is_empty() {
+            parts.push(StrPart::Lit(last));
+        }
+        TokenKind::Str(StrLit::Template(parts))
+    }
+
+    /// The `…}` of an interpolation whose `${` is consumed, in the string
+    /// that opened at `start`.
+    fn lex_interpolation(&mut self, start: SourcePos) -> StrPart<'s> {
+        let interp_start = self.here();
+        let src_start = self.pos;
+        let mut depth = 1usize;
+        let mut in_str = false;
+        loop {
+            match self.peek() {
+                None => {
+                    self.error(start, "unterminated interpolation".to_owned());
+                    break;
+                }
+                Some(b'"') => {
+                    in_str = !in_str;
+                    self.bump();
+                }
+                Some(b'\\') if in_str => {
+                    self.bump();
+                    self.bump();
+                }
+                Some(b'{') if !in_str => {
+                    depth += 1;
+                    self.bump();
+                }
+                Some(b'}') if !in_str => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                    self.bump();
+                }
+                Some(_) => {
+                    self.bump();
                 }
             }
         }
-        if !lit.is_empty() || parts.is_empty() {
-            parts.push(StrPart::Lit(lit));
-        }
-        self.push(start, TokenKind::Str(parts));
+        let inner = &self.src[src_start..self.pos];
+        let span = Span::new(interp_start, self.here());
+        self.bump(); // closing }
+        StrPart::Interp(inner, span)
     }
 
-    fn lex_operator(&mut self, start: SourcePos) {
-        let b = self.bump().expect("peeked");
+    fn lex_operator(&mut self, start: SourcePos) -> Option<TokenKind<'s>> {
+        let b = self.bump()?;
         let kind = match b {
             b'{' => TokenKind::LBrace,
             b'}' => TokenKind::RBrace,
@@ -361,7 +375,7 @@ impl<'s> Lexer<'s> {
                     TokenKind::AndAnd
                 } else {
                     self.error(start, "expected '&&'".to_owned());
-                    return;
+                    return None;
                 }
             }
             b'|' => {
@@ -370,15 +384,48 @@ impl<'s> Lexer<'s> {
                     TokenKind::OrOr
                 } else {
                     self.error(start, "expected '||'".to_owned());
-                    return;
+                    return None;
                 }
             }
             other => {
                 self.error(start, format!("unexpected character {:?}", other as char));
-                return;
+                return None;
             }
         };
-        self.push(start, kind);
+        Some(kind)
+    }
+}
+
+/// A run of literal text inside a string: a slice of the source from
+/// `start` on, until an escape needs decoding — from then on `decoded`
+/// holds the text and grows.
+struct LitRun {
+    start: usize,
+    decoded: Option<String>,
+}
+
+impl LitRun {
+    fn at(start: usize) -> LitRun {
+        LitRun {
+            start,
+            decoded: None,
+        }
+    }
+
+    /// The buffer escapes decode into, seeded with the text the run has
+    /// borrowed up to `end`.
+    fn decoding(&mut self, src: &str, end: usize) -> &mut String {
+        let start = self.start;
+        self.decoded
+            .get_or_insert_with(|| src[start..end].to_owned())
+    }
+
+    /// The run's text, the run ending at `end`.
+    fn end<'s>(&mut self, src: &'s str, end: usize) -> Cow<'s, str> {
+        match self.decoded.take() {
+            Some(text) => Cow::Owned(text),
+            None => Cow::Borrowed(&src[self.start..end]),
+        }
     }
 }
 
@@ -386,7 +433,22 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    /// Every token of `source`, the closing [`TokenKind::Eof`] included,
+    /// or what the lexer could not read.
+    fn lex<'s>(source: &'s str, filename: &str) -> Result<Vec<Token<'s>>, Diagnostics> {
+        let mut lexer = Lexer::new(source, filename);
+        let mut tokens = Vec::new();
+        loop {
+            let token = lexer.next_token();
+            let done = token.kind == TokenKind::Eof;
+            tokens.push(token);
+            if done {
+                return lexer.diags.into_result(tokens);
+            }
+        }
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src, "test.tf")
             .expect("lex ok")
             .into_iter()
@@ -397,11 +459,11 @@ mod tests {
     #[test]
     fn idents_and_punct() {
         let k = kinds(r#"resource "aws_vm" "v" { size = 4 }"#);
-        assert!(matches!(&k[0], TokenKind::Ident(s) if s == "resource"));
+        assert_eq!(k[0], TokenKind::Ident("resource"));
         assert!(matches!(&k[1], TokenKind::Str(_)));
         assert!(matches!(&k[2], TokenKind::Str(_)));
         assert_eq!(k[3], TokenKind::LBrace);
-        assert!(matches!(&k[4], TokenKind::Ident(s) if s == "size"));
+        assert_eq!(k[4], TokenKind::Ident("size"));
         assert_eq!(k[5], TokenKind::Assign);
         assert_eq!(k[6], TokenKind::Number(4.0));
         assert_eq!(k[7], TokenKind::RBrace);
@@ -422,7 +484,7 @@ mod tests {
         assert_eq!(kinds("-7")[0], TokenKind::Number(-7.0));
         // HCL identifiers may contain dashes, so `x-7` is one identifier…
         let k = kinds("x-7");
-        assert!(matches!(&k[0], TokenKind::Ident(s) if s == "x-7"));
+        assert_eq!(k[0], TokenKind::Ident("x-7"));
         // …and subtraction needs whitespace, like idiomatic HCL
         let k = kinds("x - 7");
         assert!(matches!(&k[0], TokenKind::Ident(_)));
@@ -433,41 +495,52 @@ mod tests {
     #[test]
     fn string_with_escapes() {
         let k = kinds(r#""a\n\"b\"$${c}""#);
-        match &k[0] {
-            TokenKind::Str(parts) => {
-                assert_eq!(parts, &vec![StrPart::Lit("a\n\"b\"${c}".to_owned())]);
-            }
-            other => panic!("expected string, got {other:?}"),
+        let decoded = "a\n\"b\"${c}".to_owned();
+        assert_eq!(k[0], TokenKind::Str(StrLit::Plain(Cow::Owned(decoded))));
+    }
+
+    /// The parts of the template string that is `src`.
+    fn template(src: &str) -> Vec<StrPart<'_>> {
+        match kinds(src).swap_remove(0) {
+            TokenKind::Str(StrLit::Template(parts)) => parts,
+            other => panic!("expected a template string, got {other:?}"),
         }
     }
 
     #[test]
     fn string_interpolation_parts() {
-        let k = kinds(r#""vm-${var.name}-${count.index}""#);
-        match &k[0] {
-            TokenKind::Str(parts) => {
-                assert_eq!(parts.len(), 4);
-                assert!(matches!(&parts[0], StrPart::Lit(s) if s == "vm-"));
-                assert!(matches!(&parts[1], StrPart::Interp(s, _) if s == "var.name"));
-                assert!(matches!(&parts[2], StrPart::Lit(s) if s == "-"));
-                assert!(matches!(&parts[3], StrPart::Interp(s, _) if s == "count.index"));
-            }
-            other => panic!("expected string, got {other:?}"),
-        }
+        let parts = template(r#""vm-${var.name}-${count.index}""#);
+        assert_eq!(parts.len(), 4);
+        assert!(matches!(&parts[0], StrPart::Lit(s) if s == "vm-"));
+        assert!(matches!(parts[1], StrPart::Interp("var.name", _)));
+        assert!(matches!(&parts[2], StrPart::Lit(s) if s == "-"));
+        assert!(matches!(parts[3], StrPart::Interp("count.index", _)));
     }
 
     #[test]
     fn interpolation_with_nested_braces_and_strings() {
-        let k = kinds(r#""${merge({a = "}"}, m)}""#);
-        match &k[0] {
-            TokenKind::Str(parts) => {
-                assert_eq!(parts.len(), 1);
-                assert!(
-                    matches!(&parts[0], StrPart::Interp(s, _) if s == r#"merge({a = "}"}, m)"#)
-                );
-            }
-            other => panic!("expected string, got {other:?}"),
-        }
+        let parts = template(r#""${merge({a = "}"}, m)}""#);
+        assert_eq!(parts.len(), 1);
+        assert!(matches!(
+            parts[0],
+            StrPart::Interp(r#"merge({a = "}"}, m)"#, _)
+        ));
+    }
+
+    #[test]
+    fn text_that_needs_no_decoding_borrows_the_source() {
+        let src = r#"name "plain" "a${b}c" "esc\t""#;
+        let k = kinds(src);
+        assert!(matches!(
+            k[1],
+            TokenKind::Str(StrLit::Plain(Cow::Borrowed("plain")))
+        ));
+        let TokenKind::Str(StrLit::Template(parts)) = &k[2] else {
+            panic!("expected a template string, got {:?}", k[2]);
+        };
+        assert!(matches!(parts[0], StrPart::Lit(Cow::Borrowed("a"))));
+        assert!(matches!(parts[2], StrPart::Lit(Cow::Borrowed("c"))));
+        assert!(matches!(&k[3], TokenKind::Str(StrLit::Plain(Cow::Owned(s))) if s == "esc\t"));
     }
 
     #[test]
@@ -506,21 +579,13 @@ mod tests {
 
     #[test]
     fn empty_string_literal() {
-        let k = kinds(r#""""#);
-        match &k[0] {
-            TokenKind::Str(parts) => assert_eq!(parts, &vec![StrPart::Lit(String::new())]),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(kinds(r#""""#)[0], TokenKind::Str(StrLit::default()));
     }
 
     #[test]
     fn unicode_in_strings() {
         let k = kinds(r#""héllo-wörld""#);
-        match &k[0] {
-            TokenKind::Str(parts) => {
-                assert_eq!(parts, &vec![StrPart::Lit("héllo-wörld".to_owned())])
-            }
-            other => panic!("{other:?}"),
-        }
+        let text = Cow::Borrowed("héllo-wörld");
+        assert_eq!(k[0], TokenKind::Str(StrLit::Plain(text)));
     }
 }

@@ -34,8 +34,8 @@ use crate::ast::{
     Attribute, BinOp, Block, BlockBody, Expr, File, MapKey, Reference, TemplatePart, UnaryOp,
 };
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::lexer::lex;
-use crate::token::{StrPart, Token, TokenKind};
+use crate::lexer::Lexer;
+use crate::token::{StrLit, StrPart, Token, TokenKind};
 
 /// Deepest nesting of blocks and expressions a program may have. The
 /// parser, every pass after it and `Drop` all recurse over the tree built
@@ -47,9 +47,9 @@ const MAX_DEPTH: usize = 64;
 
 /// Parse a full file.
 pub fn parse(source: &str, filename: &str) -> Result<File, Diagnostics> {
-    let mut p = Parser::new(lex(source, filename)?, filename, 0);
+    let mut p = Parser::new(source, filename, 0);
     let file = p.file();
-    p.diags.into_result(file)
+    p.finish(file)
 }
 
 /// Parse a standalone expression (used for interpolations and by tests).
@@ -59,19 +59,27 @@ pub fn parse_expr(source: &str, filename: &str) -> Result<Expr, Diagnostics> {
 
 /// [`parse_expr`] for an expression already `depth` levels into a program.
 fn expr_at(source: &str, filename: &str, depth: usize) -> Result<Expr, Diagnostics> {
-    let mut p = Parser::new(lex(source, filename)?, filename, depth);
+    let mut p = Parser::new(source, filename, depth);
     let e = p.expr();
     if !p.at(&TokenKind::Eof) {
-        let t = p.peek().clone();
-        p.err(t.span, format!("unexpected {} after expression", t.kind));
+        let span = p.peek().span;
+        let msg = format!("unexpected {} after expression", p.peek_kind());
+        p.err(span, msg);
     }
-    p.diags.into_result(e)
+    p.finish(e)
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    filename: &'a str,
+/// The parser pulls tokens from the lexer as it goes — the one under the
+/// cursor, and the one after it when a decision needs two — and *takes*
+/// what it consumes: a token's text is copied once, into the node that
+/// owns it.
+struct Parser<'s> {
+    lexer: Lexer<'s, 's>,
+    /// The token under the cursor.
+    cur: Token<'s>,
+    /// The token after it, once something has looked that far.
+    ahead: Option<Token<'s>>,
+    filename: &'s str,
     diags: Diagnostics,
     /// Levels of the tree above the node being parsed.
     depth: usize,
@@ -81,7 +89,7 @@ struct Parser<'a> {
 
 /// Binary operators with their binding strength (higher binds tighter);
 /// all are left-associative.
-const BINARY_OPS: [(TokenKind, BinOp, u8); 13] = [
+const BINARY_OPS: [(TokenKind<'static>, BinOp, u8); 13] = [
     (TokenKind::OrOr, BinOp::Or, 0),
     (TokenKind::AndAnd, BinOp::And, 1),
     (TokenKind::Eq, BinOp::Eq, 2),
@@ -97,15 +105,37 @@ const BINARY_OPS: [(TokenKind, BinOp, u8); 13] = [
     (TokenKind::Percent, BinOp::Mod, 5),
 ];
 
-impl<'a> Parser<'a> {
-    fn new(tokens: Vec<Token>, filename: &'a str, depth: usize) -> Self {
+impl<'s> Parser<'s> {
+    fn new(source: &'s str, filename: &'s str, depth: usize) -> Self {
+        let mut lexer = Lexer::new(source, filename);
+        let cur = lexer.next_token();
         Parser {
-            tokens,
-            pos: 0,
+            lexer,
+            cur,
+            ahead: None,
             filename,
             diags: Diagnostics::new(),
             depth,
             halted: false,
+        }
+    }
+
+    /// What parsing amounts to. A source the lexer could not read in full
+    /// is refused with the lexer's diagnostics alone: what the parser made
+    /// of the tokens around the damage is not reported.
+    fn finish<T>(mut self, parsed: T) -> Result<T, Diagnostics> {
+        self.skip_to_eof();
+        if !self.lexer.diags.is_empty() {
+            return Err(self.lexer.diags);
+        }
+        self.diags.into_result(parsed)
+    }
+
+    /// Put the cursor on the end of the file, reading what is left for
+    /// the lexer's diagnostics only.
+    fn skip_to_eof(&mut self) {
+        while !self.at(&TokenKind::Eof) {
+            self.bump();
         }
     }
 
@@ -118,33 +148,46 @@ impl<'a> Parser<'a> {
             let span = self.peek().span;
             self.err(span, format!("nesting deeper than {MAX_DEPTH} levels"));
             self.halted = true;
-            self.pos = self.tokens.len() - 1;
+            self.skip_to_eof();
         }
         self.depth += 1;
         !self.halted
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&self) -> &Token<'s> {
+        &self.cur
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    fn peek_kind(&self) -> &TokenKind<'s> {
+        &self.cur.kind
     }
 
-    fn at(&self, k: &TokenKind) -> bool {
+    /// The token after the one under the cursor.
+    fn peek_ahead(&mut self) -> &Token<'s> {
+        let lexer = &mut self.lexer;
+        self.ahead.get_or_insert_with(|| lexer.next_token())
+    }
+
+    fn at(&self, k: &TokenKind<'_>) -> bool {
         self.peek_kind() == k
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    /// Whether the identifier `word` is under the cursor.
+    fn at_word(&self, word: &str) -> bool {
+        matches!(self.peek_kind(), TokenKind::Ident(s) if *s == word)
     }
 
-    fn eat(&mut self, k: &TokenKind) -> bool {
+    /// Consume the token under the cursor and hand it over. The end of the
+    /// file is never stepped past.
+    fn bump(&mut self) -> Token<'s> {
+        let next = match self.ahead.take() {
+            Some(token) => token,
+            None => self.lexer.next_token(),
+        };
+        std::mem::replace(&mut self.cur, next)
+    }
+
+    fn eat(&mut self, k: &TokenKind<'_>) -> bool {
         if self.at(k) {
             self.bump();
             true
@@ -153,17 +196,44 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, k: TokenKind) -> Token {
-        if self.at(&k) {
-            self.bump()
-        } else {
-            let t = self.peek().clone();
-            self.err(
-                t.span,
-                format!("expected {}, found {}", k.describe(), t.kind),
-            );
-            t
+    /// Consume the identifier under the cursor, if that is what is there.
+    fn take_ident(&mut self) -> Option<(&'s str, Span)> {
+        match self.cur.kind {
+            TokenKind::Ident(name) => Some((name, self.bump().span)),
+            _ => None,
         }
+    }
+
+    /// Consume the string literal under the cursor, if that is what is
+    /// there.
+    fn take_str(&mut self) -> Option<(StrLit<'s>, Span)> {
+        match &mut self.cur.kind {
+            TokenKind::Str(lit) => {
+                let lit = std::mem::take(lit);
+                Some((lit, self.bump().span))
+            }
+            _ => None,
+        }
+    }
+
+    /// Consume a `k`; its span, or — reported — that of what is there.
+    fn expect(&mut self, k: TokenKind<'_>) -> Span {
+        if self.at(&k) {
+            self.bump().span
+        } else {
+            let span = self.peek().span;
+            let msg = format!("expected {}, found {}", k.describe(), self.peek_kind());
+            self.err(span, msg);
+            span
+        }
+    }
+
+    /// Report that `what` was expected where the cursor is; the span.
+    fn err_expected(&mut self, what: &str) -> Span {
+        let span = self.peek().span;
+        let msg = format!("expected {what}, found {}", self.peek_kind());
+        self.err(span, msg);
+        span
     }
 
     fn err(&mut self, span: Span, msg: String) {
@@ -193,106 +263,65 @@ impl<'a> Parser<'a> {
     }
 
     fn block(&mut self) -> Option<Block> {
-        let start = self.peek().span;
-        let kind = match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                s
-            }
-            other => {
-                self.err(start, format!("expected block keyword, found {other}"));
-                return None;
-            }
+        let Some((kind, start)) = self.take_ident() else {
+            self.err_expected("block keyword");
+            return None;
         };
+        Some(self.block_after(kind, start, false))
+    }
+
+    /// The labels, body and closing brace of a block whose keyword `kind`
+    /// (at `start`) is consumed. A `nested` block's body sits one level
+    /// further down the tree.
+    fn block_after(&mut self, kind: &str, start: Span, nested: bool) -> Block {
         let mut labels = Vec::new();
         loop {
-            match self.peek_kind().clone() {
-                TokenKind::Str(parts) => {
-                    let t = self.bump();
-                    match plain_string(&parts) {
-                        Some(s) => labels.push(s),
-                        None => {
-                            self.err(t.span, "block labels cannot contain interpolations".into())
-                        }
+            if let Some((name, _)) = self.take_ident() {
+                labels.push(name.to_owned());
+            } else if let Some((lit, span)) = self.take_str() {
+                match lit {
+                    StrLit::Plain(text) => labels.push(text.into_owned()),
+                    StrLit::Template(_) => {
+                        self.err(span, "block labels cannot contain interpolations".into())
                     }
                 }
-                TokenKind::Ident(s) => {
-                    self.bump();
-                    labels.push(s);
-                }
-                _ => break,
+            } else {
+                break;
             }
         }
         self.expect(TokenKind::LBrace);
-        let body = self.body();
-        let end_tok = self.expect(TokenKind::RBrace);
-        Some(Block {
-            kind,
+        let body = if !nested || self.descend() {
+            self.body()
+        } else {
+            BlockBody::default()
+        };
+        self.depth -= usize::from(nested);
+        let end = self.expect(TokenKind::RBrace);
+        Block {
+            kind: kind.to_owned(),
             labels,
             body,
-            span: start.merge(end_tok.span),
-        })
+            span: start.merge(end),
+        }
     }
 
     fn body(&mut self) -> BlockBody {
         let mut body = BlockBody::default();
         while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
-            match self.peek_kind().clone() {
-                TokenKind::Ident(name) => {
-                    let name_tok = self.bump();
-                    if self.eat(&TokenKind::Assign) {
-                        let value = self.expr();
-                        body.attrs.push(Attribute {
-                            span: name_tok.span.merge(value.span()),
-                            name,
-                            value,
-                        });
-                    } else {
-                        // nested block: rewind is unnecessary, parse labels+body here
-                        let mut labels = Vec::new();
-                        loop {
-                            match self.peek_kind().clone() {
-                                TokenKind::Str(parts) => {
-                                    let t = self.bump();
-                                    match plain_string(&parts) {
-                                        Some(s) => labels.push(s),
-                                        None => self.err(
-                                            t.span,
-                                            "block labels cannot contain interpolations".into(),
-                                        ),
-                                    }
-                                }
-                                TokenKind::Ident(s) => {
-                                    self.bump();
-                                    labels.push(s);
-                                }
-                                _ => break,
-                            }
-                        }
-                        self.expect(TokenKind::LBrace);
-                        let inner = if self.descend() {
-                            self.body()
-                        } else {
-                            BlockBody::default()
-                        };
-                        self.depth -= 1;
-                        let end = self.expect(TokenKind::RBrace);
-                        body.blocks.push(Block {
-                            kind: name,
-                            labels,
-                            body: inner,
-                            span: name_tok.span.merge(end.span),
-                        });
-                    }
-                }
-                other => {
-                    let t = self.peek().clone();
-                    self.err(
-                        t.span,
-                        format!("expected attribute or block, found {other}"),
-                    );
-                    self.bump();
-                }
+            let Some((name, name_span)) = self.take_ident() else {
+                self.err_expected("attribute or block");
+                self.bump();
+                continue;
+            };
+            if self.eat(&TokenKind::Assign) {
+                let value = self.expr();
+                body.attrs.push(Attribute {
+                    span: name_span.merge(value.span()),
+                    name: name.to_owned(),
+                    value,
+                });
+            } else {
+                body.blocks.push(self.block_after(name, name_span, true));
             }
         }
         body
@@ -357,6 +386,21 @@ impl<'a> Parser<'a> {
         Expr::Unary(op, Box::new(e), span)
     }
 
+    /// Consume `.name` while the cursor is on a dot an identifier follows,
+    /// appending each name to `parts`; the span of the last one.
+    fn dotted(&mut self, parts: &mut Vec<String>) -> Option<Span> {
+        let mut last = None;
+        while self.at(&TokenKind::Dot) {
+            let TokenKind::Ident(name) = self.peek_ahead().kind else {
+                break;
+            };
+            self.bump(); // dot
+            last = Some(self.bump().span); // ident
+            parts.push(name.to_owned());
+        }
+        last
+    }
+
     fn postfix(&mut self) -> Expr {
         let entered = self.depth;
         let mut e = self.primary();
@@ -367,43 +411,24 @@ impl<'a> Parser<'a> {
                 if self.eat(&TokenKind::Star) {
                     let end = self.expect(TokenKind::RBracket);
                     let mut parts = Vec::new();
-                    let mut span = e.span().merge(end.span);
-                    while self.at(&TokenKind::Dot) {
-                        if let Some(Token {
-                            kind: TokenKind::Ident(name),
-                            span: s2,
-                        }) = self.tokens.get(self.pos + 1).cloned()
-                        {
-                            self.bump(); // dot
-                            self.bump(); // ident
-                            parts.push(name);
-                            span = span.merge(s2);
-                        } else {
-                            break;
-                        }
-                    }
+                    let last = self.dotted(&mut parts).unwrap_or(end);
+                    let span = e.span().merge(end).merge(last);
                     e = Expr::Splat(Box::new(e), parts, span);
                     continue;
                 }
                 let idx = self.expr();
                 let end = self.expect(TokenKind::RBracket);
-                let span = e.span().merge(end.span);
+                let span = e.span().merge(end);
                 e = Expr::Index(Box::new(e), Box::new(idx), span);
             } else {
                 // `.ident` traversal on an arbitrary base
                 self.bump();
-                match self.peek_kind().clone() {
-                    TokenKind::Ident(name) => {
-                        let t = self.bump();
-                        let span = e.span().merge(t.span);
-                        e = Expr::GetAttr(Box::new(e), name, span);
-                    }
-                    other => {
-                        let t = self.peek().clone();
-                        self.err(t.span, format!("expected attribute name, found {other}"));
-                        break;
-                    }
-                }
+                let Some((name, at)) = self.take_ident() else {
+                    self.err_expected("attribute name");
+                    break;
+                };
+                let span = e.span().merge(at);
+                e = Expr::GetAttr(Box::new(e), name.to_owned(), span);
             }
         }
         self.depth = entered;
@@ -411,43 +436,29 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Expr {
-        let t = self.peek().clone();
-        match t.kind {
+        let start = self.peek().span;
+        if let Some((lit, span)) = self.take_str() {
+            return self.template(lit, span);
+        }
+        if let Some((word, span)) = self.take_ident() {
+            return match word {
+                "true" => Expr::Bool(true, span),
+                "false" => Expr::Bool(false, span),
+                "null" => Expr::Null(span),
+                _ if self.at(&TokenKind::LParen) => self.call(word, span),
+                _ => self.reference(word, span),
+            };
+        }
+        match *self.peek_kind() {
             TokenKind::Number(n) => {
                 self.bump();
-                Expr::Num(n, t.span)
+                Expr::Num(n, start)
             }
-            TokenKind::Str(ref parts) => {
-                self.bump();
-                self.template(parts, t.span)
-            }
-            TokenKind::Ident(ref s) => match s.as_str() {
-                "true" => {
-                    self.bump();
-                    Expr::Bool(true, t.span)
-                }
-                "false" => {
-                    self.bump();
-                    Expr::Bool(false, t.span)
-                }
-                "null" => {
-                    self.bump();
-                    Expr::Null(t.span)
-                }
-                _ => {
-                    self.bump();
-                    if self.at(&TokenKind::LParen) {
-                        self.call(s.clone(), t.span)
-                    } else {
-                        self.reference(s.clone(), t.span)
-                    }
-                }
-            },
             TokenKind::LBracket => {
                 self.bump();
                 // list `for` comprehension
-                if matches!(self.peek_kind(), TokenKind::Ident(s) if s == "for") {
-                    return self.for_list(t.span);
+                if self.at_word("for") {
+                    return self.for_list(start);
                 }
                 let mut items = Vec::new();
                 while !self.at(&TokenKind::RBracket) && !self.at(&TokenKind::Eof) {
@@ -457,40 +468,30 @@ impl<'a> Parser<'a> {
                     }
                 }
                 let end = self.expect(TokenKind::RBracket);
-                Expr::List(items, t.span.merge(end.span))
+                Expr::List(items, start.merge(end))
             }
             TokenKind::LBrace => {
                 self.bump();
                 // map `for` comprehension
-                if matches!(self.peek_kind(), TokenKind::Ident(s) if s == "for") {
-                    return self.for_map(t.span);
+                if self.at_word("for") {
+                    return self.for_map(start);
                 }
                 let mut entries = Vec::new();
                 while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
-                    let key = match self.peek_kind().clone() {
-                        TokenKind::Ident(s) => {
-                            self.bump();
-                            MapKey::Ident(s)
-                        }
-                        TokenKind::Str(parts) => {
-                            let kt = self.bump();
-                            match plain_string(&parts) {
-                                Some(s) => MapKey::Str(s),
-                                None => {
-                                    self.err(
-                                        kt.span,
-                                        "map keys cannot contain interpolations".into(),
-                                    );
-                                    MapKey::Str(String::new())
-                                }
+                    let key = if let Some((name, _)) = self.take_ident() {
+                        MapKey::Ident(name.to_owned())
+                    } else if let Some((lit, span)) = self.take_str() {
+                        match lit {
+                            StrLit::Plain(text) => MapKey::Str(text.into_owned()),
+                            StrLit::Template(_) => {
+                                self.err(span, "map keys cannot contain interpolations".into());
+                                MapKey::Str(String::new())
                             }
                         }
-                        other => {
-                            let pt = self.peek().clone();
-                            self.err(pt.span, format!("expected map key, found {other}"));
-                            self.bump();
-                            continue;
-                        }
+                    } else {
+                        self.err_expected("map key");
+                        self.bump();
+                        continue;
                     };
                     if !self.eat(&TokenKind::Assign) {
                         self.expect(TokenKind::Colon);
@@ -501,18 +502,29 @@ impl<'a> Parser<'a> {
                     self.eat(&TokenKind::Comma);
                 }
                 let end = self.expect(TokenKind::RBrace);
-                Expr::Map(entries, t.span.merge(end.span))
+                Expr::Map(entries, start.merge(end))
             }
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.expr();
                 let end = self.expect(TokenKind::RParen);
-                Expr::Paren(Box::new(inner), t.span.merge(end.span))
+                Expr::Paren(Box::new(inner), start.merge(end))
             }
-            ref other => {
-                self.err(t.span, format!("expected expression, found {other}"));
+            _ => {
+                self.err_expected("expression");
                 self.bump();
-                Expr::Null(t.span)
+                Expr::Null(start)
+            }
+        }
+    }
+
+    /// A loop variable of a `for` header, `_` (reported) when there is none.
+    fn loop_var(&mut self) -> String {
+        match self.take_ident() {
+            Some((name, _)) => name.to_owned(),
+            None => {
+                self.err_expected("loop variable");
+                "_".to_owned()
             }
         }
     }
@@ -521,40 +533,16 @@ impl<'a> Parser<'a> {
     /// Returns `(index_var, var, collection)`.
     fn for_header(&mut self) -> (Option<String>, String, Expr) {
         self.bump(); // `for`
-        let first = match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                s
-            }
-            other => {
-                let t = self.peek().clone();
-                self.err(t.span, format!("expected loop variable, found {other}"));
-                "_".to_owned()
-            }
-        };
+        let first = self.loop_var();
         let (index_var, var) = if self.eat(&TokenKind::Comma) {
-            match self.peek_kind().clone() {
-                TokenKind::Ident(s) => {
-                    self.bump();
-                    (Some(first), s)
-                }
-                other => {
-                    let t = self.peek().clone();
-                    self.err(t.span, format!("expected loop variable, found {other}"));
-                    (Some(first), "_".to_owned())
-                }
-            }
+            (Some(first), self.loop_var())
         } else {
             (None, first)
         };
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) if s == "in" => {
-                self.bump();
-            }
-            other => {
-                let t = self.peek().clone();
-                self.err(t.span, format!("expected 'in', found {other}"));
-            }
+        if self.at_word("in") {
+            self.bump();
+        } else {
+            self.err_expected("'in'");
         }
         let collection = self.expr();
         self.expect(TokenKind::Colon);
@@ -563,7 +551,7 @@ impl<'a> Parser<'a> {
 
     /// Optional trailing `if cond` of a `for` expression.
     fn for_cond(&mut self) -> Option<Box<Expr>> {
-        if matches!(self.peek_kind(), TokenKind::Ident(s) if s == "if") {
+        if self.at_word("if") {
             self.bump();
             Some(Box::new(self.expr()))
         } else {
@@ -583,7 +571,7 @@ impl<'a> Parser<'a> {
             collection: Box::new(collection),
             body: Box::new(body),
             cond,
-            span: start.merge(end.span),
+            span: start.merge(end),
         }
     }
 
@@ -602,12 +590,12 @@ impl<'a> Parser<'a> {
             key: Box::new(key),
             value: Box::new(value),
             cond,
-            span: start.merge(end.span),
+            span: start.merge(end),
         }
     }
 
     /// `name(arg, …)` — function call.
-    fn call(&mut self, name: String, start: Span) -> Expr {
+    fn call(&mut self, name: &str, start: Span) -> Expr {
         self.expect(TokenKind::LParen);
         let mut args = Vec::new();
         while !self.at(&TokenKind::RParen) && !self.at(&TokenKind::Eof) {
@@ -617,39 +605,32 @@ impl<'a> Parser<'a> {
             }
         }
         let end = self.expect(TokenKind::RParen);
-        Expr::Call(name, args, start.merge(end.span))
+        Expr::Call(name.to_owned(), args, start.merge(end))
     }
 
     /// Greedy dotted reference: `a.b.c`. Stops at the first non-ident after
     /// a dot (so `a.b[0].c` parses as Index/GetAttr postfix on `a.b`).
-    fn reference(&mut self, first: String, start: Span) -> Expr {
-        let mut parts = vec![first];
-        let mut span = start;
-        while self.at(&TokenKind::Dot) {
-            // lookahead: only consume if next-next is an ident
-            if let Some(Token {
-                kind: TokenKind::Ident(name),
-                span: s2,
-            }) = self.tokens.get(self.pos + 1).cloned()
-            {
-                self.bump(); // dot
-                self.bump(); // ident
-                parts.push(name);
-                span = span.merge(s2);
-            } else {
-                break;
-            }
-        }
-        Expr::Ref(Reference { parts }, span)
+    fn reference(&mut self, first: &str, start: Span) -> Expr {
+        // most references are `type.name.attr` or shorter
+        let mut parts = Vec::with_capacity(3);
+        parts.push(first.to_owned());
+        let last = self.dotted(&mut parts).unwrap_or(start);
+        Expr::Ref(Reference { parts }, start.merge(last))
     }
 
     /// Build a template-string expression, recursively parsing
     /// interpolations and remapping their spans into file coordinates.
-    fn template(&mut self, parts: &[StrPart], span: Span) -> Expr {
-        let mut out = Vec::new();
+    fn template(&mut self, lit: StrLit<'s>, span: Span) -> Expr {
+        let parts = match lit {
+            StrLit::Plain(text) => {
+                return Expr::Str(vec![TemplatePart::Lit(text.into_owned())], span)
+            }
+            StrLit::Template(parts) => parts,
+        };
+        let mut out = Vec::with_capacity(parts.len());
         for p in parts {
             match p {
-                StrPart::Lit(s) => out.push(TemplatePart::Lit(s.clone())),
+                StrPart::Lit(text) => out.push(TemplatePart::Lit(text.into_owned())),
                 StrPart::Interp(src, interp_span) => {
                     match expr_at(src, self.filename, self.depth) {
                         Ok(mut e) => {
@@ -668,14 +649,6 @@ impl<'a> Parser<'a> {
             }
         }
         Expr::Str(out, span)
-    }
-}
-
-fn plain_string(parts: &[StrPart]) -> Option<String> {
-    match parts {
-        [] => Some(String::new()),
-        [StrPart::Lit(s)] => Some(s.clone()),
-        _ => None,
     }
 }
 

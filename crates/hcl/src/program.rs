@@ -14,9 +14,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use cloudless_types::{Attrs, ResourceAddr, ResourceTypeName, Span, Value};
+use cloudless_types::{Attrs, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value};
 
-use crate::ast::{Attribute, Block, Expr, File, Reference};
+use crate::ast::{Attribute, Block, BlockBody, Expr, File, Reference};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::eval::{eval, EvalError, Resolver, Scope};
 use crate::parser::parse;
@@ -114,165 +114,32 @@ pub struct Program {
     pub outputs: Vec<Output>,
 }
 
+/// Take the first attribute called `name` out of `attrs`.
+fn take_attr(attrs: &mut Vec<Attribute>, name: &str) -> Option<Attribute> {
+    let at = attrs.iter().position(|a| a.name == name)?;
+    Some(attrs.remove(at))
+}
+
 impl Program {
-    /// Classify a parsed [`File`] into a [`Program`].
+    /// Classify a parsed [`File`] into a [`Program`]. The file's blocks are
+    /// taken apart, not copied: every name and expression the parser
+    /// allocated moves into the declaration that holds it.
     pub fn from_file(file: File) -> Result<Program, Diagnostics> {
         let mut p = Program {
-            filename: file.filename.clone(),
+            filename: file.filename,
             ..Program::default()
         };
         let mut diags = Diagnostics::new();
-        let fname = &file.filename;
         for block in file.blocks {
-            match block.kind.as_str() {
-                "variable" => match block.label(0) {
-                    Some(name) => {
-                        let ty = block.body.attr("type").and_then(|a| match &a.value {
-                            Expr::Ref(r, _) if r.parts.len() == 1 => Some(r.parts[0].clone()),
-                            e => e.as_plain_str().map(str::to_owned),
-                        });
-                        let description = block
-                            .body
-                            .attr("description")
-                            .and_then(|a| a.value.as_plain_str().map(str::to_owned));
-                        let sensitive = matches!(
-                            block.body.attr("sensitive").map(|a| &a.value),
-                            Some(Expr::Bool(true, _))
-                        );
-                        p.variables.push(Variable {
-                            name: name.to_owned(),
-                            ty,
-                            default: block.body.attr("default").map(|a| a.value.clone()),
-                            description,
-                            sensitive,
-                            span: block.span,
-                        });
-                    }
-                    None => diags.push(Diagnostic::error(
-                        "HCL010",
-                        fname,
-                        block.span,
-                        "variable block requires a name label",
-                    )),
-                },
-                "locals" => {
-                    for a in &block.body.attrs {
-                        p.locals.push(LocalDef {
-                            name: a.name.clone(),
-                            value: a.value.clone(),
-                            span: a.span,
-                        });
-                    }
-                }
-                "provider" => match block.label(0) {
-                    Some(name) => p.providers.push(ProviderConfig {
-                        name: name.to_owned(),
-                        attrs: block.body.attrs.clone(),
-                        span: block.span,
-                    }),
-                    None => diags.push(Diagnostic::error(
-                        "HCL011",
-                        fname,
-                        block.span,
-                        "provider block requires a name label",
-                    )),
-                },
-                "data" => match (block.label(0), block.label(1)) {
-                    (Some(t), Some(n)) => p.data.push(DataBlock {
-                        rtype: t.to_owned(),
-                        name: n.to_owned(),
-                        attrs: block.body.attrs.clone(),
-                        span: block.span,
-                    }),
-                    _ => diags.push(Diagnostic::error(
-                        "HCL012",
-                        fname,
-                        block.span,
-                        "data block requires type and name labels",
-                    )),
-                },
-                "resource" => match (block.label(0), block.label(1)) {
-                    (Some(t), Some(n)) => match classify_resource(&block, t, n, fname) {
-                        Ok(rb) => p.resources.push(rb),
-                        Err(ds) => diags.extend(ds),
-                    },
-                    _ => diags.push(Diagnostic::error(
-                        "HCL013",
-                        fname,
-                        block.span,
-                        "resource block requires type and name labels",
-                    )),
-                },
-                "module" => match block.label(0) {
-                    Some(name) => {
-                        let source = block
-                            .body
-                            .attr("source")
-                            .and_then(|a| a.value.as_plain_str().map(str::to_owned));
-                        match source {
-                            Some(source) => p.modules.push(ModuleCall {
-                                name: name.to_owned(),
-                                source,
-                                inputs: block
-                                    .body
-                                    .attrs
-                                    .iter()
-                                    .filter(|a| a.name != "source")
-                                    .cloned()
-                                    .collect(),
-                                span: block.span,
-                            }),
-                            None => diags.push(Diagnostic::error(
-                                "HCL014",
-                                fname,
-                                block.span,
-                                "module block requires a literal `source` attribute",
-                            )),
-                        }
-                    }
-                    None => diags.push(Diagnostic::error(
-                        "HCL014",
-                        fname,
-                        block.span,
-                        "module block requires a name label",
-                    )),
-                },
-                "output" => match block.label(0) {
-                    Some(name) => match block.body.attr("value") {
-                        Some(a) => p.outputs.push(Output {
-                            name: name.to_owned(),
-                            value: a.value.clone(),
-                            span: block.span,
-                        }),
-                        None => diags.push(Diagnostic::error(
-                            "HCL015",
-                            fname,
-                            block.span,
-                            "output block requires a `value` attribute",
-                        )),
-                    },
-                    None => diags.push(Diagnostic::error(
-                        "HCL015",
-                        fname,
-                        block.span,
-                        "output block requires a name label",
-                    )),
-                },
-                "terraform" => {
-                    // settings block — accepted and ignored for compatibility
-                }
-                other => diags.push(Diagnostic::error(
-                    "HCL016",
-                    fname,
-                    block.span,
-                    format!("unknown block kind {other:?}"),
-                )),
+            if let Err(refused) = p.declare(block) {
+                diags.extend(refused);
             }
         }
+        let fname = &p.filename;
         // duplicate detection
         let mut seen = BTreeSet::new();
         for r in &p.resources {
-            if !seen.insert(format!("{}.{}", r.rtype, r.name)) {
+            if !seen.insert((r.rtype.as_str(), r.name.as_str())) {
                 diags.push(Diagnostic::error(
                     "HCL017",
                     fname,
@@ -283,7 +150,7 @@ impl Program {
         }
         let mut seen = BTreeSet::new();
         for v in &p.variables {
-            if !seen.insert(v.name.clone()) {
+            if !seen.insert(v.name.as_str()) {
                 diags.push(Diagnostic::error(
                     "HCL017",
                     fname,
@@ -295,6 +162,116 @@ impl Program {
         diags.into_result(p)
     }
 
+    /// Add what one top-level block declares.
+    fn declare(&mut self, block: Block) -> Result<(), Diagnostics> {
+        let Block {
+            kind,
+            labels,
+            mut body,
+            span,
+        } = block;
+        let refused = |code: &str, message: &str| {
+            Err(Diagnostic::error(code, &self.filename, span, message).into())
+        };
+        let mut labels = labels.into_iter();
+        match kind.as_str() {
+            "variable" => {
+                let Some(name) = labels.next() else {
+                    return refused("HCL010", "variable block requires a name label");
+                };
+                let ty = body.attr("type").and_then(|a| match &a.value {
+                    Expr::Ref(r, _) if r.parts.len() == 1 => Some(r.parts[0].clone()),
+                    e => e.as_plain_str().map(str::to_owned),
+                });
+                let description = body
+                    .attr("description")
+                    .and_then(|a| a.value.as_plain_str().map(str::to_owned));
+                let sensitive = matches!(
+                    body.attr("sensitive").map(|a| &a.value),
+                    Some(Expr::Bool(true, _))
+                );
+                self.variables.push(Variable {
+                    name,
+                    ty,
+                    default: take_attr(&mut body.attrs, "default").map(|a| a.value),
+                    description,
+                    sensitive,
+                    span,
+                });
+            }
+            "locals" => {
+                let defs = body.attrs.into_iter().map(|a| LocalDef {
+                    name: a.name,
+                    value: a.value,
+                    span: a.span,
+                });
+                self.locals.extend(defs);
+            }
+            "provider" => match labels.next() {
+                Some(name) => self.providers.push(ProviderConfig {
+                    name,
+                    attrs: body.attrs,
+                    span,
+                }),
+                None => return refused("HCL011", "provider block requires a name label"),
+            },
+            "data" => match (labels.next(), labels.next()) {
+                (Some(rtype), Some(name)) => self.data.push(DataBlock {
+                    rtype,
+                    name,
+                    attrs: body.attrs,
+                    span,
+                }),
+                _ => return refused("HCL012", "data block requires type and name labels"),
+            },
+            "resource" => match (labels.next(), labels.next()) {
+                (Some(rtype), Some(name)) => {
+                    let rb = classify_resource(rtype, name, body, span, &self.filename)?;
+                    self.resources.push(rb);
+                }
+                _ => return refused("HCL013", "resource block requires type and name labels"),
+            },
+            "module" => {
+                let Some(name) = labels.next() else {
+                    return refused("HCL014", "module block requires a name label");
+                };
+                let source = body.attr("source").and_then(|a| a.value.as_plain_str());
+                let Some(source) = source.map(str::to_owned) else {
+                    let message = "module block requires a literal `source` attribute";
+                    return refused("HCL014", message);
+                };
+                body.attrs.retain(|a| a.name != "source");
+                self.modules.push(ModuleCall {
+                    name,
+                    source,
+                    inputs: body.attrs,
+                    span,
+                });
+            }
+            "output" => {
+                let Some(name) = labels.next() else {
+                    return refused("HCL015", "output block requires a name label");
+                };
+                let Some(value) = take_attr(&mut body.attrs, "value") else {
+                    return refused("HCL015", "output block requires a `value` attribute");
+                };
+                self.outputs.push(Output {
+                    name,
+                    value: value.value,
+                    span,
+                });
+            }
+            "terraform" => {
+                // settings block — accepted and ignored for compatibility
+            }
+            other => {
+                let message = format!("unknown block kind {other:?}");
+                return refused("HCL016", &message);
+            }
+        }
+        Ok(())
+    }
+
     /// Find a resource block by `type.name`.
     pub fn resource(&self, rtype: &str, name: &str) -> Option<&ResourceBlock> {
         self.resources
@@ -303,32 +280,38 @@ impl Program {
     }
 }
 
+/// The resource block `rtype.name` out of its body: meta-arguments apart
+/// from plain attributes, nested blocks folded into list attributes.
 fn classify_resource(
-    block: &Block,
-    rtype: &str,
-    name: &str,
+    rtype: String,
+    name: String,
+    body: BlockBody,
+    span: Span,
     fname: &str,
 ) -> Result<ResourceBlock, Diagnostics> {
     let mut diags = Diagnostics::new();
     let mut rb = ResourceBlock {
-        rtype: rtype.to_owned(),
-        name: name.to_owned(),
+        rtype,
+        name,
         count: None,
         for_each: None,
         depends_on: Vec::new(),
         attrs: Vec::new(),
         lifecycle: Lifecycle::default(),
-        span: block.span,
+        span,
     };
-    for a in &block.body.attrs {
+    // the meta-arguments come out; the plain attributes stay where they are
+    let mut attrs = body.attrs;
+    attrs.retain_mut(|a| {
+        let value = |a: &mut Attribute| std::mem::replace(&mut a.value, Expr::Null(a.span));
         match a.name.as_str() {
-            "count" => rb.count = Some(a.value.clone()),
-            "for_each" => rb.for_each = Some(a.value.clone()),
-            "depends_on" => match &a.value {
+            "count" => rb.count = Some(value(a)),
+            "for_each" => rb.for_each = Some(value(a)),
+            "depends_on" => match value(a) {
                 Expr::List(items, _) => {
                     for item in items {
                         match item {
-                            Expr::Ref(r, _) => rb.depends_on.push(r.clone()),
+                            Expr::Ref(r, _) => rb.depends_on.push(r),
                             other => diags.push(Diagnostic::error(
                                 "HCL018",
                                 fname,
@@ -345,22 +328,24 @@ fn classify_resource(
                     "depends_on must be a list of resource references",
                 )),
             },
-            _ => rb.attrs.push(a.clone()),
+            _ => return true,
         }
-    }
+        false
+    });
+    rb.attrs = attrs;
     if rb.count.is_some() && rb.for_each.is_some() {
         diags.push(Diagnostic::error(
             "HCL019",
             fname,
-            block.span,
+            span,
             "a resource cannot use both `count` and `for_each`",
         ));
     }
     // Nested blocks: `lifecycle` is a meta-block; any other repeated nested
     // block (e.g. `ingress`) becomes a list-of-maps attribute, matching how
     // provider schemas model them.
-    let mut grouped: BTreeMap<String, Vec<&Block>> = BTreeMap::new();
-    for nb in &block.body.blocks {
+    let mut grouped: BTreeMap<String, Vec<(BlockBody, Span)>> = BTreeMap::new();
+    for nb in body.blocks {
         if nb.kind == "lifecycle" {
             for a in &nb.body.attrs {
                 let flag = matches!(a.value, Expr::Bool(true, _));
@@ -376,24 +361,19 @@ fn classify_resource(
                 }
             }
         } else {
-            grouped.entry(nb.kind.clone()).or_default().push(nb);
+            grouped.entry(nb.kind).or_default().push((nb.body, nb.span));
         }
     }
     for (kind, blocks) in grouped {
+        let span = blocks[0].1;
         let items: Vec<Expr> = blocks
-            .iter()
-            .map(|b| {
-                Expr::Map(
-                    b.body
-                        .attrs
-                        .iter()
-                        .map(|a| (crate::ast::MapKey::Ident(a.name.clone()), a.value.clone()))
-                        .collect(),
-                    b.span,
-                )
+            .into_iter()
+            .map(|(body, span)| {
+                let entries = body.attrs.into_iter();
+                let entries = entries.map(|a| (crate::ast::MapKey::Ident(a.name), a.value));
+                Expr::Map(entries.collect(), span)
             })
             .collect();
-        let span = blocks[0].span;
         rb.attrs.push(Attribute {
             name: kind,
             value: Expr::List(items, span),
@@ -479,13 +459,15 @@ pub struct ResourceInstance {
     /// Span of the resource block (for diagnostics).
     pub span: Span,
     /// Span of each attribute, including deferred ones (for precise
-    /// error localization, §3.5).
-    pub attr_spans: BTreeMap<String, Span>,
+    /// error localization, §3.5). One table per block, shared by its
+    /// instances.
+    pub attr_spans: Arc<BTreeMap<String, Span>>,
     pub lifecycle: Lifecycle,
     /// Captured scope for apply-time re-evaluation.
     pub env: EvalEnv,
-    /// File the resource was declared in.
-    pub file: String,
+    /// File the resource was declared in (one allocation per program, shared
+    /// by its instances).
+    pub file: Arc<str>,
 }
 
 impl ResourceInstance {
@@ -566,6 +548,8 @@ pub fn expand(
 /// single edited or added block later and splice the result in place.
 #[derive(Debug, Clone, Default)]
 pub struct RootExpansion {
+    /// The program's file name, as its instances share it.
+    pub file: Arc<str>,
     pub vars: Bindings,
     pub locals: Bindings,
     /// Per root resource block, in declaration order, where its instances
@@ -745,59 +729,84 @@ fn bind_env(
     (Arc::new(vars), Arc::new(locals))
 }
 
+/// The `(type, name)` of a block another block depends on, borrowed from the
+/// program that declares the dependent.
+pub type BlockKey<'p> = (&'p str, &'p str);
+
 /// Expand one resource block into its per-key instances (step 4 of
-/// expansion). `declared` answers whether `(type, name)` is a block of the
-/// same module, for dependency extraction; the produced instances
-/// still carry *block-level* `depends_on` addresses (key `None`) — the
-/// caller fixes them up to instance level once all blocks are expanded.
+/// expansion), appended to `out`, and return the blocks it depends on:
+/// explicit `depends_on` plus every resource its attributes reference.
+/// `declared` answers whether `(type, name)` is a block of the same module.
+/// The instances' own `depends_on` is left empty: dependencies are between
+/// blocks until every block is expanded, and the caller turns the returned
+/// keys into instance addresses then.
 #[allow(clippy::too_many_arguments)]
-pub fn expand_resource_block(
-    rb: &ResourceBlock,
-    vars: &Arc<BTreeMap<String, Value>>,
-    locals: &Arc<BTreeMap<String, Value>>,
+pub fn expand_resource_block<'p>(
+    rb: &'p ResourceBlock,
+    vars: &Bindings,
+    locals: &Bindings,
     declared: &dyn Fn(&str, &str) -> bool,
     data_resolver: &dyn Resolver,
-    fname: &str,
+    fname: &Arc<str>,
     module_path: &[String],
     diags: &mut Diagnostics,
     out: &mut Vec<ResourceInstance>,
-) {
+) -> BTreeSet<BlockKey<'p>> {
+    // Dependency extraction: explicit depends_on + references.
+    let mut dep_blocks: BTreeSet<BlockKey<'p>> = BTreeSet::new();
+    let mut note = |r: &'p Reference| {
+        if let [rtype, name, ..] = r.parts.as_slice() {
+            dep_blocks.insert((rtype, name));
+        }
+    };
+    rb.depends_on.iter().for_each(&mut note);
+    for a in &rb.attrs {
+        a.value.walk_refs(&mut |r, _| {
+            if is_resource_ref(r) {
+                note(r);
+            }
+        });
+    }
+
     let base_env = EvalEnv {
         vars: vars.clone(),
         locals: locals.clone(),
         count_index: None,
         each: None,
     };
-    let keys = match expansion_keys(rb, &base_env, data_resolver, fname, diags) {
-        Some(k) => k,
-        None => return,
+    let Some(keys) = expansion_keys(rb, &base_env, data_resolver, fname, diags) else {
+        return dep_blocks;
     };
-    for key in keys {
+    let mut attr_spans = BTreeMap::new();
+    for a in &rb.attrs {
+        attr_spans.insert(a.name.clone(), a.span);
+    }
+    let attr_spans = Arc::new(attr_spans);
+    for at in 0..keys.len() {
+        let (count_index, each, key) = keys.key(at);
         let env = EvalEnv {
-            vars: vars.clone(),
-            locals: locals.clone(),
-            count_index: key.index(),
-            each: key.each(),
+            count_index,
+            each,
+            ..base_env.clone()
         };
         let mut addr = ResourceAddr::root(ResourceTypeName::new(&rb.rtype), &rb.name);
         for m in module_path.iter().rev() {
             addr = addr.in_module(m.clone());
         }
-        addr.key = key.to_resource_key();
+        addr.key = key;
         let mut inst = ResourceInstance {
             addr,
             attrs: Attrs::new(),
             deferred: Vec::new(),
             depends_on: BTreeSet::new(),
             span: rb.span,
-            attr_spans: BTreeMap::new(),
+            attr_spans: Arc::clone(&attr_spans),
             lifecycle: rb.lifecycle,
-            env: env.clone(),
-            file: fname.to_owned(),
+            env,
+            file: Arc::clone(fname),
         };
-        let scope = env.scope(data_resolver);
+        let scope = inst.env.scope(data_resolver);
         for a in &rb.attrs {
-            inst.attr_spans.insert(a.name.clone(), a.span);
             match eval(&a.value, &scope) {
                 Ok(v) => {
                     inst.attrs.insert(a.name.clone(), v);
@@ -827,49 +836,21 @@ pub fn expand_resource_block(
                 )),
             }
         }
-        // Dependency extraction: explicit depends_on + references.
-        let mut dep_blocks: BTreeSet<(String, String)> = BTreeSet::new();
-        for d in &rb.depends_on {
-            if d.parts.len() >= 2 {
-                dep_blocks.insert((d.parts[0].clone(), d.parts[1].clone()));
-            }
+        drop(scope);
+        for (t, n) in dep_blocks.iter().filter(|(t, n)| !declared(t, n)) {
+            diags.push(Diagnostic::error(
+                "HCL037",
+                fname,
+                rb.span,
+                format!(
+                    "{}.{} references undeclared resource {t}.{n}",
+                    rb.rtype, rb.name
+                ),
+            ));
         }
-        for a in &rb.attrs {
-            a.value.walk_refs(&mut |r, _| {
-                if is_resource_ref(r) && r.parts.len() >= 2 {
-                    dep_blocks.insert((r.parts[0].clone(), r.parts[1].clone()));
-                }
-            });
-        }
-        for (t, n) in &dep_blocks {
-            if !declared(t, n) {
-                diags.push(Diagnostic::error(
-                    "HCL037",
-                    fname,
-                    rb.span,
-                    format!(
-                        "{}.{} references undeclared resource {t}.{n}",
-                        rb.rtype, rb.name
-                    ),
-                ));
-                continue;
-            }
-            // depend on every instance of the referenced block (they are
-            // expanded in program order, so targets may appear later —
-            // resolve after the loop).
-        }
-        inst.depends_on = dep_blocks
-            .into_iter()
-            .map(|(t, n)| {
-                let mut a = ResourceAddr::root(ResourceTypeName::new(t), n);
-                for m in module_path.iter().rev() {
-                    a = a.in_module(m.clone());
-                }
-                a
-            })
-            .collect();
         out.push(inst);
     }
+    dep_blocks
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -883,7 +864,8 @@ fn expand_into(
     diags: &mut Diagnostics,
     depth: usize,
 ) -> RootExpansion {
-    let fname = &program.filename;
+    let file: Arc<str> = Arc::from(program.filename.as_str());
+    let fname = &file;
 
     // 1–2. Bind variables and evaluate locals.
     let (vars, locals) = bind_env(
@@ -923,63 +905,47 @@ fn expand_into(
         }
     }
 
-    // 4. Expand resources.
-    // Set of `type.name` blocks in this module, for dependency extraction.
-    let block_names: BTreeSet<(String, String)> = program
-        .resources
-        .iter()
-        .map(|r| (r.rtype.clone(), r.name.clone()))
+    // 4. Expand resources. A block's instances sit side by side, so a
+    // dependency on `type.name` is a dependency on that block's range.
+    let block_of: HashMap<BlockKey<'_>, usize> = (program.resources.iter().enumerate())
+        .map(|(bi, r)| ((r.rtype.as_str(), r.name.as_str()), bi))
         .collect();
-
     let mut block_ranges = Vec::with_capacity(program.resources.len());
+    let mut block_deps = Vec::with_capacity(program.resources.len());
+    let mut insts = Vec::new();
     for rb in &program.resources {
-        let mut insts = Vec::new();
-        expand_resource_block(
+        block_deps.push(expand_resource_block(
             rb,
             &vars,
             &locals,
-            &|t, n| block_names.contains(&(t.to_owned(), n.to_owned())),
+            &|t, n| block_of.contains_key(&(t, n)),
             data_resolver,
             fname,
             module_path,
             diags,
             &mut insts,
-        );
+        ));
         let start = manifest.instances.len();
-        manifest.instances.extend(insts.into_iter().map(Arc::new));
+        manifest.instances.extend(insts.drain(..).map(Arc::new));
         block_ranges.push(start..manifest.instances.len());
     }
 
-    // Fix up block-level dependencies to instance-level: a dependency on
-    // `type.name` (key None) expands to all instances of that block.
-    // Group instance addresses by block once so each dependency resolves
-    // with one map probe instead of a scan over every instance (the scan
-    // was quadratic in program size).
-    let all_addrs: Vec<ResourceAddr> = manifest.instances.iter().map(|i| i.addr.clone()).collect();
-    let mut by_block: HashMap<(&[String], &str, &str), Vec<&ResourceAddr>> = HashMap::new();
-    for a in &all_addrs {
-        by_block
-            .entry((a.module_path.as_slice(), a.rtype.as_str(), a.name.as_str()))
-            .or_default()
-            .push(a);
-    }
-    for inst in &mut manifest.instances {
-        // freshly built this call, so refcount is 1 and this never clones
-        let inst = Arc::make_mut(inst);
-        let mut expanded = BTreeSet::new();
-        for dep in std::mem::take(&mut inst.depends_on) {
-            let key = (
-                dep.module_path.as_slice(),
-                dep.rtype.as_str(),
-                dep.name.as_str(),
-            );
-            for &a in by_block.get(&key).map(Vec::as_slice).unwrap_or_default() {
-                if *a != inst.addr {
-                    expanded.insert(a.clone());
-                }
-            }
+    // Now that every block is expanded, block-level dependencies become
+    // instance-level: each instance depends on every instance of the blocks
+    // its own block depends on (other than itself).
+    for (range, deps) in block_ranges.iter().zip(&block_deps) {
+        for at in range.clone() {
+            let own = &manifest.instances[at].addr;
+            let blocks = deps.iter().filter_map(|key| block_of.get(key));
+            let depends_on: BTreeSet<ResourceAddr> = blocks
+                .flat_map(|&bi| &manifest.instances[block_ranges[bi].clone()])
+                .map(|inst| &inst.addr)
+                .filter(|addr| *addr != own)
+                .cloned()
+                .collect();
+            // freshly built this call, so refcount is 1 and this never clones
+            Arc::make_mut(&mut manifest.instances[at]).depends_on = depends_on;
         }
-        inst.depends_on = expanded;
     }
 
     // 5. Modules (recursive).
@@ -1116,6 +1082,7 @@ fn expand_into(
     }
 
     RootExpansion {
+        file,
         vars,
         locals,
         block_ranges,
@@ -1131,33 +1098,34 @@ pub fn is_resource_ref(r: &Reference) -> bool {
     )
 }
 
-/// One expansion key of a resource block.
-enum ExpansionKey {
+/// The instances a resource block expands to.
+enum ExpansionKeys {
     Single,
-    Index(u32),
-    Each(String, Value),
+    /// `count = n`.
+    Count(u32),
+    /// `for_each`: each key with its value.
+    Each(Vec<(String, Value)>),
 }
 
-impl ExpansionKey {
-    fn index(&self) -> Option<u32> {
+impl ExpansionKeys {
+    fn len(&self) -> usize {
         match self {
-            ExpansionKey::Index(i) => Some(*i),
-            _ => None,
+            ExpansionKeys::Single => 1,
+            ExpansionKeys::Count(n) => *n as usize,
+            ExpansionKeys::Each(entries) => entries.len(),
         }
     }
 
-    fn each(&self) -> Option<(String, Value)> {
+    /// The `at`-th instance: its `count.index`, its `each`, its address key.
+    fn key(&self, at: usize) -> (Option<u32>, Option<(String, Value)>, ResourceKey) {
         match self {
-            ExpansionKey::Each(k, v) => Some((k.clone(), v.clone())),
-            _ => None,
-        }
-    }
-
-    fn to_resource_key(&self) -> cloudless_types::ResourceKey {
-        match self {
-            ExpansionKey::Single => cloudless_types::ResourceKey::None,
-            ExpansionKey::Index(i) => cloudless_types::ResourceKey::Index(*i),
-            ExpansionKey::Each(k, _) => cloudless_types::ResourceKey::Key(k.clone()),
+            ExpansionKeys::Single => (None, None, ResourceKey::None),
+            ExpansionKeys::Count(_) => (Some(at as u32), None, ResourceKey::Index(at as u32)),
+            ExpansionKeys::Each(entries) => {
+                let (key, value) = &entries[at];
+                let each = (key.clone(), value.clone());
+                (None, Some(each), ResourceKey::Key(key.clone()))
+            }
         }
     }
 }
@@ -1168,12 +1136,12 @@ fn expansion_keys(
     resolver: &dyn Resolver,
     fname: &str,
     diags: &mut Diagnostics,
-) -> Option<Vec<ExpansionKey>> {
+) -> Option<ExpansionKeys> {
     if let Some(count_expr) = &rb.count {
         let scope = env.scope(resolver);
         match eval(count_expr, &scope) {
             Ok(v) => match v.as_int() {
-                Some(n) if n >= 0 => Some((0..n as u32).map(ExpansionKey::Index).collect()),
+                Some(n) if n >= 0 => Some(ExpansionKeys::Count(n as u32)),
                 _ => {
                     diags.push(Diagnostic::error(
                         "HCL042",
@@ -1200,16 +1168,12 @@ fn expansion_keys(
     } else if let Some(fe) = &rb.for_each {
         let scope = env.scope(resolver);
         match eval(fe, &scope) {
-            Ok(Value::Map(m)) => Some(
-                m.into_iter()
-                    .map(|(k, v)| ExpansionKey::Each(k, v))
-                    .collect(),
-            ),
+            Ok(Value::Map(m)) => Some(ExpansionKeys::Each(m.into_iter().collect())),
             Ok(Value::List(items)) => {
                 let mut out = Vec::new();
                 for item in items {
                     match item {
-                        Value::Str(s) => out.push(ExpansionKey::Each(s.clone(), Value::Str(s))),
+                        Value::Str(s) => out.push((s.clone(), Value::Str(s))),
                         other => {
                             diags.push(Diagnostic::error(
                                 "HCL043",
@@ -1224,7 +1188,7 @@ fn expansion_keys(
                         }
                     }
                 }
-                Some(out)
+                Some(ExpansionKeys::Each(out))
             }
             Ok(other) => {
                 diags.push(Diagnostic::error(
@@ -1252,7 +1216,7 @@ fn expansion_keys(
             }
         }
     } else {
-        Some(vec![ExpansionKey::Single])
+        Some(ExpansionKeys::Single)
     }
 }
 

@@ -1,29 +1,32 @@
 //! Token definitions for the HCL lexer.
+//!
+//! Tokens borrow the source they were read from: an identifier is a slice
+//! of it, and so is string text that needed no decoding. The parser copies
+//! a name out exactly once, into the AST node that owns it.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use cloudless_types::Span;
 
 /// One lexed token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'s> {
+    pub kind: TokenKind<'s>,
     pub span: Span,
 }
 
 /// Every token kind the parser understands.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'s> {
     /// Bare identifier (`resource`, `aws_virtual_machine`, `var`…).
-    Ident(String),
+    /// `true` / `false` / `null` are lexed as identifiers and resolved by
+    /// the parser.
+    Ident(&'s str),
     /// Numeric literal.
     Number(f64),
-    /// String literal, decomposed into template parts (literal text and
-    /// `${…}` interpolations are separated by the lexer; interpolation
-    /// sources are re-lexed by the parser).
-    Str(Vec<StrPart>),
-    /// `true` / `false` keywords are lexed as Ident and resolved by the
-    /// parser; `null` likewise.
+    /// String literal (interpolation sources are re-lexed by the parser).
+    Str(StrLit<'s>),
     // Punctuation
     LBrace,
     RBrace,
@@ -57,17 +60,34 @@ pub enum TokenKind {
     Eof,
 }
 
-/// A piece of a (possibly interpolated) string literal.
+/// A string literal: its text when it holds no `${…}`, else its parts.
+/// Text is borrowed from the source unless an escape had to be decoded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StrPart {
-    /// Literal text (escapes already decoded).
-    Lit(String),
-    /// The raw source of a `${…}` interpolation, with the span of the
-    /// expression *inside* the braces (for nested diagnostics).
-    Interp(String, Span),
+pub enum StrLit<'s> {
+    /// Plain text (escapes already decoded), possibly empty.
+    Plain(Cow<'s, str>),
+    /// Literal text and interpolations, in source order; at least one
+    /// part is an interpolation and no literal part is empty.
+    Template(Vec<StrPart<'s>>),
 }
 
-impl TokenKind {
+impl Default for StrLit<'_> {
+    fn default() -> Self {
+        StrLit::Plain(Cow::Borrowed(""))
+    }
+}
+
+/// A piece of an interpolated string literal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StrPart<'s> {
+    /// Literal text (escapes already decoded).
+    Lit(Cow<'s, str>),
+    /// The raw source of a `${…}` interpolation, with the span of the
+    /// expression *inside* the braces (for nested diagnostics).
+    Interp(&'s str, Span),
+}
+
+impl TokenKind<'_> {
     /// Short human name used in "expected X, found Y" parse errors.
     pub fn describe(&self) -> String {
         match self {
@@ -106,7 +126,7 @@ impl TokenKind {
     }
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
     }

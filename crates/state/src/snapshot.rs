@@ -6,6 +6,7 @@
 //! address the user wrote, the id the cloud assigned, and the full attribute
 //! set observed at apply time.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use cloudless_types::{Attrs, Region, ResourceAddr, ResourceId, ResourceTypeName, SimTime, Value};
@@ -32,6 +33,43 @@ impl DeployedResource {
     }
 }
 
+/// Where a probe renders the key of an address: on the stack when it fits,
+/// which all but very long names and `for_each` keys do — the planner
+/// probes once per instance, and a probe should not go to the heap.
+struct KeyBuf {
+    bytes: [u8; 128],
+    len: usize,
+}
+
+impl KeyBuf {
+    fn new() -> Self {
+        KeyBuf {
+            bytes: [0; 128],
+            len: 0,
+        }
+    }
+
+    /// The key `addr` is stored under.
+    fn render(&mut self, addr: &ResourceAddr) -> Cow<'_, str> {
+        use std::fmt::Write as _;
+        let fits = write!(self, "{addr}").is_ok();
+        match std::str::from_utf8(&self.bytes[..self.len]) {
+            Ok(key) if fits => Cow::Borrowed(key),
+            _ => Cow::Owned(addr.to_string()),
+        }
+    }
+}
+
+impl std::fmt::Write for KeyBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        let room = self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+        room.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
 /// A point-in-time state document.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Snapshot {
@@ -55,12 +93,12 @@ impl Snapshot {
 
     /// Remove a resource by address; returns it if present.
     pub fn remove(&mut self, addr: &ResourceAddr) -> Option<DeployedResource> {
-        self.resources.remove(&addr.to_string())
+        self.resources.remove(KeyBuf::new().render(addr).as_ref())
     }
 
     /// Look up by address.
     pub fn get(&self, addr: &ResourceAddr) -> Option<&DeployedResource> {
-        self.resources.get(&addr.to_string())
+        self.resources.get(KeyBuf::new().render(addr).as_ref())
     }
 
     /// Look up by a pre-rendered address string (avoids re-rendering the
@@ -147,6 +185,20 @@ mod tests {
         assert_eq!(removed.id.as_str(), "vpc-1");
         assert!(s.is_empty());
         assert!(s.remove(&addr).is_none());
+    }
+
+    #[test]
+    fn a_key_too_long_for_the_stack_is_still_found() {
+        let mut s = Snapshot::new();
+        // a key exactly filling the probe's buffer, and ones around it
+        for pad in [100, 106, 107, 108, 300] {
+            let addr = format!("aws_s3_bucket.b[\"{}é\"]", "k".repeat(pad));
+            s.put(res(&addr, "b-1"));
+            let addr: ResourceAddr = addr.parse().unwrap();
+            assert_eq!(s.get(&addr).map(|r| &r.addr), Some(&addr), "{pad}");
+            assert!(s.remove(&addr).is_some(), "{pad}");
+        }
+        assert!(s.is_empty());
     }
 
     #[test]

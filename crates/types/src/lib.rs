@@ -18,6 +18,7 @@
 pub mod addr;
 pub mod cidr;
 pub mod intern;
+pub mod pairmap;
 pub mod provider;
 pub mod span;
 pub mod time;
@@ -25,6 +26,7 @@ pub mod value;
 
 pub use addr::{ResourceAddr, ResourceId, ResourceKey, ResourceTypeName};
 pub use intern::{AddrId, AddrTable, Interner, Symbol};
+pub use pairmap::PairMap;
 pub use provider::{Provider, Region};
 pub use span::{SourcePos, Span};
 pub use time::{SimDuration, SimTime};

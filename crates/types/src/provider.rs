@@ -56,18 +56,15 @@ impl Provider {
 
     /// The region a resource of type `rtype` with these attributes lands
     /// in: its `location`/`region` attribute, else its provider's default.
-    pub fn effective_region(
-        attrs: &crate::Attrs,
+    pub fn effective_region<'a>(
+        attrs: &'a crate::Attrs,
         rtype: &crate::ResourceTypeName,
-    ) -> Option<String> {
+    ) -> Option<&'a str> {
         let pinned = ["location", "region"]
             .iter()
             .find_map(|key| attrs.get(*key)?.as_str());
-        let default =
-            || Some(Provider::from_type_prefix(rtype.provider_prefix())?.default_region());
-        pinned
-            .map(str::to_owned)
-            .or_else(|| default().map(|r| r.as_str().to_owned()))
+        let default = || Some(Provider::from_type_prefix(rtype.provider_prefix())?.regions()[0]);
+        pinned.or_else(default)
     }
 
     /// Default region used when a program does not pin one.

@@ -45,7 +45,7 @@ pub fn check_scope(
     for &i in positions {
         let inst = &manifest.instances[i];
         schema::check_instance(inst, catalog, &mut diags);
-        semantic::check_instance(inst, catalog, &index.block_types, &mut diags);
+        semantic::check_instance(inst, catalog, index, &mut diags);
         rules::check_instance(inst, manifest, index, &mut diags);
         if let Some(miner) = miner {
             miner.check_instance(inst, &mut diags);
@@ -110,8 +110,7 @@ resource "azure_virtual_machine" "vm1" {
         index.shift(|p| if p >= 5 { p - 1 } else { p });
         index.insert(2, &after.instances[2..4]);
         let rebuilt = ManifestIndex::build(&after);
-        assert_eq!(index.by_block, rebuilt.by_block);
-        assert_eq!(index.block_types, rebuilt.block_types);
+        assert_eq!(index, rebuilt);
     }
 
     #[test]
@@ -139,10 +138,7 @@ resource "aws_s3_bucket" "a" { bucket = "logs" }
 resource "aws_virtual_machine" "vm" { name = "vm" }
 "#,
         );
-        assert_eq!(
-            name_claim(&m.instances[0]),
-            Some(("aws_s3_bucket".into(), "logs".into()))
-        );
+        assert_eq!(name_claim(&m.instances[0]), Some(("aws_s3_bucket", "logs")));
         assert_eq!(name_claim(&m.instances[1]), None);
         let (t, r) = quota_key(&m.instances[1]);
         assert_eq!(t, "aws_virtual_machine");

@@ -19,7 +19,7 @@ use cloudless_hcl::eval::DeferAll;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{fold, Diagnostic, Diagnostics, Folded};
 use cloudless_types::cidr::Cidr;
-use cloudless_types::{Provider, Span, Value};
+use cloudless_types::{PairMap, Provider, Span, Value};
 
 /// Run all cross-resource rules over a manifest and its index.
 pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
@@ -47,10 +47,6 @@ pub(crate) fn check_instance(
     rule_port_ranges(inst, diags);
 }
 
-/// `(module path, "type.name")` — how instances name the blocks they
-/// reference.
-pub type BlockKey = (Vec<String>, String);
-
 /// Positional index over a manifest's instances. Keyed by *instance
 /// position* rather than by reference, so one index serves a full run and
 /// survives the incremental pipeline's splices: an in-place attribute edit
@@ -61,17 +57,11 @@ pub type BlockKey = (Vec<String>, String);
 /// [`insert`]: ManifestIndex::insert
 /// [`remove`]: ManifestIndex::remove
 /// [`shift`]: ManifestIndex::shift
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ManifestIndex {
-    /// Block → positions of that block's instances.
-    pub by_block: BTreeMap<BlockKey, Vec<usize>>,
-    /// Block → resource type, for the semantic layer's reference-type
-    /// checks.
-    pub block_types: BTreeMap<BlockKey, String>,
-}
-
-fn block_key(inst: &ResourceInstance) -> BlockKey {
-    (inst.addr.module_path.clone(), inst.addr.block_id())
+    /// Module path → block `(type, name)` → positions of that block's
+    /// instances. A block is there exactly when it has an instance.
+    by_block: BTreeMap<Vec<String>, PairMap<Vec<usize>>>,
 }
 
 impl ManifestIndex {
@@ -81,16 +71,29 @@ impl ManifestIndex {
         index
     }
 
+    /// Where the instances of block `rtype.name` of the module at
+    /// `module_path` sit in the manifest (nowhere: no such block, or one
+    /// that expands to nothing).
+    pub fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+        let blocks = self.by_block.get(module_path);
+        blocks
+            .and_then(|blocks| blocks.get(rtype, name))
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// Index `instances`, which sit at positions `first..` of the manifest.
     pub fn insert(&mut self, first: usize, instances: &[Arc<ResourceInstance>]) {
         for (i, inst) in instances.iter().enumerate() {
-            let key = block_key(inst);
-            if let Some(positions) = self.by_block.get_mut(&key) {
-                positions.push(first + i);
-            } else {
-                self.block_types
-                    .insert(key.clone(), inst.addr.rtype.as_str().to_owned());
-                self.by_block.insert(key, vec![first + i]);
+            let addr = &inst.addr;
+            let Some(blocks) = self.by_block.get_mut(addr.module_path.as_slice()) else {
+                let mut blocks = PairMap::new();
+                blocks.insert(addr.rtype.as_str(), &addr.name, vec![first + i]);
+                self.by_block.insert(addr.module_path.clone(), blocks);
+                continue;
+            };
+            match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
+                Some(positions) => positions.push(first + i),
+                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, vec![first + i])),
             }
         }
     }
@@ -98,26 +101,31 @@ impl ManifestIndex {
     /// Forget the blocks of `instances` (every instance of each).
     pub fn remove(&mut self, instances: &[Arc<ResourceInstance>]) {
         for inst in instances {
-            let key = block_key(inst);
-            self.by_block.remove(&key);
-            self.block_types.remove(&key);
+            let (addr, path) = (&inst.addr, inst.addr.module_path.as_slice());
+            if let Some(blocks) = self.by_block.get_mut(path) {
+                blocks.remove(addr.rtype.as_str(), &addr.name);
+                if blocks.is_empty() {
+                    self.by_block.remove(path);
+                }
+            }
         }
     }
 
     /// Re-seat every position after the manifest's instances moved.
     pub fn shift(&mut self, moved: impl Fn(usize) -> usize) {
-        for position in self.by_block.values_mut().flatten() {
+        let blocks = self.by_block.values_mut().flat_map(PairMap::values_mut);
+        for position in blocks.flatten() {
             *position = moved(*position);
         }
     }
 
-    /// Approximate heap footprint, for cache budgeting: two maps keyed by
-    /// block, one position per instance.
+    /// Approximate heap footprint, for cache budgeting: a name and a
+    /// position list per block, one position per instance.
     pub fn approx_bytes(&self) -> usize {
-        let keys = self.by_block.keys();
-        let key_bytes: usize = keys.map(|(path, id)| 64 + id.len() + 32 * path.len()).sum();
-        let positions: usize = self.by_block.values().map(Vec::len).sum();
-        2 * key_bytes + positions * std::mem::size_of::<usize>()
+        let blocks = self.by_block.values().flat_map(PairMap::iter);
+        blocks
+            .map(|(_, name, positions)| 96 + name.len() + 8 * positions.len())
+            .sum()
     }
 }
 
@@ -139,13 +147,9 @@ impl<'a> Targets<'a> {
                 if r.parts.len() < 2 {
                     continue;
                 }
-                let key = (
-                    from.addr.module_path.clone(),
-                    format!("{}.{}", r.parts[0], r.parts[1]),
-                );
-                if let Some(list) = self.index.by_block.get(&key) {
-                    out.extend(list.iter().map(|&i| &*self.manifest.instances[i]));
-                }
+                let path = &from.addr.module_path;
+                let list = self.index.positions(path, &r.parts[0], &r.parts[1]);
+                out.extend(list.iter().map(|&i| &*self.manifest.instances[i]));
             }
         }
         out
@@ -159,7 +163,7 @@ pub(crate) fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
 
 /// The effective region of an instance: its `location`/`region` attribute,
 /// falling back to the provider default.
-pub fn region_of(inst: &ResourceInstance) -> Option<String> {
+pub fn region_of(inst: &ResourceInstance) -> Option<&str> {
     Provider::effective_region(&inst.attrs, &inst.addr.rtype)
 }
 
@@ -383,31 +387,31 @@ pub(crate) fn rule_port_ranges(inst: &ResourceInstance, diags: &mut Diagnostics)
 /// or `None` for types without global names
 /// ([`unique_name_attr`] is the one table of them) or instances without a
 /// known name value. Two live claims on the same key are a collision.
-pub fn name_claim(inst: &ResourceInstance) -> Option<(String, String)> {
+pub fn name_claim(inst: &ResourceInstance) -> Option<(&str, &str)> {
     let (name_attr, _) = unique_name_attr(inst.addr.rtype.as_str())?;
     let name = inst.attrs.get(name_attr).and_then(Value::as_str)?;
-    Some((inst.addr.rtype.as_str().to_owned(), name.to_owned()))
+    Some((inst.addr.rtype.as_str(), name))
 }
 
 /// The VAL307 quota bucket of an instance: `(type, effective region)`.
 /// The per-bucket instance count must stay within the catalog's
 /// `default_quota` for the type.
-pub fn quota_key(inst: &ResourceInstance) -> (String, String) {
+pub fn quota_key(inst: &ResourceInstance) -> (&str, &str) {
     (
-        inst.addr.rtype.as_str().to_owned(),
+        inst.addr.rtype.as_str(),
         region_of(inst).unwrap_or_default(),
     )
 }
 
 /// Globally-unique-name types must not collide *within the program* either.
 fn rule_unique_names(manifest: &Manifest, diags: &mut Diagnostics) {
-    let mut seen: BTreeMap<(String, String), &ResourceInstance> = BTreeMap::new();
+    let mut seen: BTreeMap<(&str, &str), &ResourceInstance> = BTreeMap::new();
     for inst in &manifest.instances {
         let Some(key) = name_claim(inst) else {
             continue;
         };
         if let Some(prev) = seen.get(&key) {
-            let name_attr = unique_name_attr(&key.0).map_or("name", |(attr, _)| attr);
+            let name_attr = unique_name_attr(key.0).map_or("name", |(attr, _)| attr);
             diags.push(Diagnostic::error(
                 "VAL306",
                 &inst.file,
@@ -426,12 +430,12 @@ fn rule_unique_names(manifest: &Manifest, diags: &mut Diagnostics) {
 /// Pre-flight quota check: the program alone must not exceed per-type
 /// quotas.
 fn rule_quota_bounds(manifest: &Manifest, catalog: &Catalog, diags: &mut Diagnostics) {
-    let mut counts: BTreeMap<(String, String), (usize, &ResourceInstance)> = BTreeMap::new();
+    let mut counts: BTreeMap<(&str, &str), (usize, &ResourceInstance)> = BTreeMap::new();
     for inst in &manifest.instances {
         counts.entry(quota_key(inst)).or_insert((0, inst)).0 += 1;
     }
     for ((rtype, region), (count, first)) in counts {
-        let Some(schema) = catalog.get_str(&rtype) else {
+        let Some(schema) = catalog.get_str(rtype) else {
             continue;
         };
         if count as u32 > schema.default_quota {

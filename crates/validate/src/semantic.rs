@@ -14,21 +14,19 @@
 //! `aws_s3_bucket.b.id` is a compile-time error here — and a deploy-time
 //! mystery in the baseline.
 
-use std::collections::BTreeMap;
-
 use cloudless_cloud::{Catalog, SemanticType};
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_types::cidr::Cidr;
 use cloudless_types::{Provider, Region};
 
-use crate::rules::{span_of, BlockKey, ManifestIndex};
+use crate::rules::{span_of, ManifestIndex};
 
 /// Check semantic types across a manifest and its index.
 pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
     let mut diags = Diagnostics::new();
     for inst in &manifest.instances {
-        check_instance(inst, catalog, &index.block_types, &mut diags);
+        check_instance(inst, catalog, index, &mut diags);
     }
     diags
 }
@@ -36,7 +34,7 @@ pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> D
 pub(crate) fn check_instance(
     inst: &ResourceInstance,
     catalog: &Catalog,
-    block_types: &BTreeMap<BlockKey, String>,
+    index: &ManifestIndex,
     diags: &mut Diagnostics,
 ) {
     let Some(schema) = catalog.get(&inst.addr.rtype) else {
@@ -131,13 +129,14 @@ pub(crate) fn check_instance(
             if r.parts.len() < 2 {
                 continue;
             }
-            let block_key = (
-                inst.addr.module_path.clone(),
-                format!("{}.{}", r.parts[0], r.parts[1]),
-            );
-            let Some(actual) = block_types.get(&block_key) else {
+            // a reference names its target's type
+            let (actual, name) = (&r.parts[0], &r.parts[1]);
+            if index
+                .positions(&inst.addr.module_path, actual, name)
+                .is_empty()
+            {
                 continue; // undeclared refs are reported during expansion
-            };
+            }
             if let Some(expected) = expected {
                 if actual != expected {
                     diags.push(
@@ -187,6 +186,7 @@ mod tests {
     use super::*;
     use cloudless_hcl::eval::MapResolver;
     use cloudless_hcl::program::{expand, ModuleLibrary, Program};
+    use std::collections::BTreeMap;
 
     fn diags(src: &str) -> Diagnostics {
         let p = Program::from_file(cloudless_hcl::parse(src, "main.tf").unwrap()).unwrap();

@@ -1,0 +1,271 @@
+//! Allocation budget of the cold front end: what a fresh `cloudless apply`
+//! asks of the heap to turn source text into a plan, per block.
+//!
+//! A fresh process runs `IncrementalPipeline::run` over every block of the
+//! program, and about half of that time is the allocator. The front end's
+//! rule is that a name is allocated once, syntax moves from stage to stage
+//! and a lookup borrows its key (DESIGN.md "The front end allocates once
+//! per name"); this test holds the rule by counting. Counts repeat exactly
+//! on any host and, as measured, in debug and release alike, so the gates
+//! are equalities in disguise: a regression shows as a higher count, and the
+//! per-stage table printed with it names the stage that grew.
+//!
+//! The test is a binary of its own because it installs a counting
+//! `#[global_allocator]`. The counters are per thread, so the tests here
+//! may run side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use cloudless::obs::{NullRecorder, Recorder};
+use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
+use cloudless::LintGate;
+use cloudless_analyze::incremental::LintEnv;
+use cloudless_analyze::{analyze_manifest, lint_program_in};
+use cloudless_bench::experiments::quota_raised_catalog;
+use cloudless_bench::workloads::random_layered;
+use cloudless_deploy::diff::{diff, render};
+use cloudless_deploy::resolver::DataResolver;
+use cloudless_hcl::fingerprint::ChunkMap;
+use cloudless_hcl::program::{expand_root, ModuleLibrary, Program};
+use cloudless_state::Snapshot;
+use cloudless_validate::incremental::ManifestIndex;
+use cloudless_validate::{validate_indexed, ValidationLevel};
+
+thread_local! {
+    /// (allocations, bytes requested) of this thread. `const`-initialised
+    /// and without a destructor, so reading it never allocates.
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    // a thread being torn down has no counter left; nothing measured runs there
+    let _ = TALLY.try_with(|t| {
+        let (allocs, total) = t.get();
+        t.set((allocs + 1, total + bytes as u64));
+    });
+}
+
+/// The system allocator, counting every request for memory (`realloc`
+/// included: growing a `Vec` or a `String` is a trip to the allocator).
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` touches only a thread-local
+// `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations and bytes one call made on this thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    allocs: u64,
+    bytes: u64,
+}
+
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let (allocs, bytes) = TALLY.with(Cell::get);
+    let out = f();
+    let (allocs_after, bytes_after) = TALLY.with(Cell::get);
+    let tally = Tally {
+        allocs: allocs_after - allocs,
+        bytes: bytes_after - bytes,
+    };
+    (out, tally)
+}
+
+/// One cold run over `random_layered(blocks, 42)` against an empty
+/// snapshot: the run's tally, and the same work stage by stage through the
+/// passes the pipeline's all-blocks walk calls.
+struct ColdRun {
+    blocks: usize,
+    total: Tally,
+    stages: Vec<(&'static str, Tally)>,
+}
+
+impl ColdRun {
+    fn measure(blocks: usize) -> ColdRun {
+        let source = random_layered(blocks, 42);
+        // quotas out of the way: VAL307 would refuse the program
+        let catalog = quota_raised_catalog();
+        let (inputs, modules, data) = (BTreeMap::new(), ModuleLibrary::new(), DataResolver::new());
+        let (state, recorder) = (Snapshot::new(), Arc::new(NullRecorder) as Arc<dyn Recorder>);
+        let ctx = PipelineCtx {
+            inputs: &inputs,
+            modules: &modules,
+            lint: LintGate::default(),
+            level: ValidationLevel::CloudRules,
+            data: &data,
+            catalog: &catalog,
+            state: &state,
+            miner: None,
+            recorder: &recorder,
+        };
+        let mut pipeline = IncrementalPipeline::default();
+        let (out, total) = counted(|| pipeline.run(&source, &ctx));
+        let out = out.unwrap_or_else(|_| panic!("the generated program is clean"));
+        assert!(!out.trace.fast_path, "{}", out.trace);
+        assert_eq!(out.manifest.instances.len(), blocks);
+        assert_eq!(out.changes.len(), blocks, "everything is to be created");
+        assert!(pipeline.is_warm(), "a clean run keeps its memo");
+        drop((out, pipeline));
+
+        let mut stages = Vec::new();
+        let mut stage = |name, tally| stages.push((name, tally));
+        let (file, t) = counted(|| cloudless_hcl::parse(&source, "main.tf"));
+        stage("parse", t);
+        let file = file.expect("parses");
+        let (program, t) = counted(|| Program::from_file(file));
+        stage("from_file", t);
+        let program = program.expect("classifies");
+        let (_, t) = counted(|| ChunkMap::build(&source));
+        stage("index (chunks)", t);
+        let cfg = LintGate::default()
+            .config()
+            .expect("the default gate lints");
+        let (report, t) = counted(|| {
+            let env = LintEnv::build(&program);
+            lint_program_in(&program, &modules, &cfg, &env)
+        });
+        stage("lint", t);
+        assert!(report.is_clean());
+        let (expanded, t) = counted(|| expand_root(&program, &inputs, &modules, &data));
+        stage("expand", t);
+        let (manifest, _) = expanded.expect("expands");
+        let (report, t) = counted(|| {
+            let index = ManifestIndex::build(&manifest);
+            validate_indexed(&manifest, &index, &catalog, ctx.level, None)
+        });
+        stage("validate", t);
+        assert!(report.diagnostics.is_empty());
+        let (outcome, t) = counted(|| analyze_manifest(&manifest, &cfg, None));
+        stage("analyze", t);
+        assert!(outcome.report.is_clean());
+        let (text, t) = counted(|| render(&diff(&manifest, &state, &catalog, &data)));
+        stage("plan", t);
+        assert!(!text.is_empty());
+
+        // what the run does beyond the passes: the block DAG and the reader
+        // counts of the parse stage's fill, the claims, the memo's copies
+        let staged = stages.iter().fold(Tally::default(), |sum, (_, t)| Tally {
+            allocs: sum.allocs + t.allocs,
+            bytes: sum.bytes + t.bytes,
+        });
+        let memo = Tally {
+            allocs: total.allocs.saturating_sub(staged.allocs),
+            bytes: total.bytes.saturating_sub(staged.bytes),
+        };
+        stages.push(("memo (the rest)", memo));
+        ColdRun {
+            blocks,
+            total,
+            stages,
+        }
+    }
+
+    fn allocs_per_block(&self) -> f64 {
+        self.total.allocs as f64 / self.blocks as f64
+    }
+
+    fn bytes_per_block(&self) -> f64 {
+        self.total.bytes as f64 / self.blocks as f64
+    }
+}
+
+impl std::fmt::Display for ColdRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let n = self.blocks as f64;
+        writeln!(
+            f,
+            "cold run at {} blocks: {} allocations ({:.1}/block), {} bytes ({:.0}/block)",
+            self.blocks,
+            self.total.allocs,
+            self.allocs_per_block(),
+            self.total.bytes,
+            self.bytes_per_block()
+        )?;
+        for (name, t) in &self.stages {
+            let (allocs, bytes) = (t.allocs as f64 / n, t.bytes as f64 / n);
+            writeln!(
+                f,
+                "  {name:<16} {:>10} allocations ({allocs:>6.1}/block) {:>12} bytes ({bytes:>7.0}/block)",
+                t.allocs, t.bytes
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Most allocations a cold run may make per block at 10 000 blocks.
+const ALLOCS_PER_BLOCK: f64 = 100.0;
+/// Most bytes it may ask for per block.
+const BYTES_PER_BLOCK: f64 = 14.0 * 1024.0;
+/// Most a tenfold estate may multiply the allocations by.
+const GROWTH_PER_DECADE: f64 = 10.5;
+
+fn hold_budget(small: &ColdRun, large: &ColdRun) {
+    println!("{small}{large}");
+    assert!(
+        large.allocs_per_block() <= ALLOCS_PER_BLOCK,
+        "{:.1} allocations per block, over the budget of {ALLOCS_PER_BLOCK}\n{large}",
+        large.allocs_per_block()
+    );
+    assert!(
+        large.bytes_per_block() <= BYTES_PER_BLOCK,
+        "{:.0} bytes allocated per block, over the budget of {BYTES_PER_BLOCK}\n{large}",
+        large.bytes_per_block()
+    );
+    let growth = large.total.allocs as f64 / small.total.allocs as f64;
+    assert!(
+        growth <= GROWTH_PER_DECADE,
+        "{}x the blocks took {growth:.2}x the allocations, over {GROWTH_PER_DECADE}x\n{small}{large}",
+        large.blocks / small.blocks
+    );
+}
+
+#[test]
+fn a_cold_run_allocates_within_budget_per_block() {
+    hold_budget(&ColdRun::measure(1_000), &ColdRun::measure(10_000));
+}
+
+#[test]
+fn counts_repeat_exactly() {
+    let (a, b) = (ColdRun::measure(500), ColdRun::measure(500));
+    assert_eq!(a.total, b.total, "{a}{b}");
+    assert_eq!(a.stages, b.stages);
+}
+
+/// The 100 000-block tier (release: `cargo test --release --test
+/// alloc_budget -- --ignored`).
+#[test]
+#[ignore = "100 000 blocks: run in release"]
+fn a_cold_run_allocates_within_budget_at_100k() {
+    hold_budget(&ColdRun::measure(10_000), &ColdRun::measure(100_000));
+}
