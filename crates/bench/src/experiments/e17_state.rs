@@ -72,6 +72,19 @@ pub struct StatePoint {
     /// it.
     #[serde(default)]
     pub export_ms: f64,
+    /// One-block apply on this world, mean of ten: clone the head, replace
+    /// one resource, `commit_snapshot` it with a 10 000-block program that
+    /// differs from the previous version's in one block. 0 in reports that
+    /// predate it.
+    #[serde(default)]
+    pub apply_ms: f64,
+    /// Log bytes the first of those applies appended (its program has no
+    /// earlier version to be an edit of, in either store).
+    #[serde(default)]
+    pub first_apply_bytes: f64,
+    /// Log bytes each of the nine after it appended, mean.
+    #[serde(default)]
+    pub apply_bytes: f64,
 }
 
 impl StatePoint {
@@ -177,7 +190,7 @@ fn only_in<'a>(a: &'a Snapshot, b: &Snapshot) -> Vec<&'a DeployedResource> {
     a.resources
         .iter()
         .filter(|(k, _)| !b.resources.contains_key(*k))
-        .map(|(_, v)| v)
+        .map(|(_, v)| v.as_ref())
         .collect()
 }
 
@@ -193,7 +206,7 @@ fn changed_between<'a>(
             b.resources
                 .get(k)
                 .filter(|theirs| theirs.attrs != mine.attrs)
-                .map(|theirs| (mine, theirs))
+                .map(|theirs| (mine.as_ref(), theirs.as_ref()))
         })
         .collect()
 }
@@ -302,6 +315,30 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
         (ms(t), json.len())
     });
 
+    // ---- the back half of a one-block apply, after everything above so
+    // the log those measured is the log they always measured
+    let mut store = reopened;
+    let mut program = crate::workloads::random_layered(10_000, crate::SEED);
+    let mut apply_total = 0.0;
+    let mut appended = Vec::new();
+    for k in 0..10 {
+        let marker = format!("\"r-{}\"", 500 * k + 7);
+        program = program.replacen(&marker, &format!("{marker}\n  tags = \"v{k}\""), 1);
+        let meta = CommitMeta {
+            config_source: Some(program.clone()),
+            ..CommitMeta::bare("bench apply")
+        };
+        let before = store.log_bytes();
+        let t = Instant::now();
+        let mut state = store.current().clone();
+        state.put(resource(k, u64::MAX - k as u64));
+        store.commit_snapshot(&state, meta).expect("apply commit");
+        drop(state);
+        apply_total += ms(t);
+        appended.push((store.log_bytes() - before) as f64);
+    }
+    let apply_bytes = appended[1..].iter().sum::<f64>() / 9.0;
+
     StatePoint {
         workload: name.to_owned(),
         resources: n,
@@ -317,6 +354,9 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
         legacy_bytes_per_version,
         open_ms,
         export_ms,
+        apply_ms: apply_total / 10.0,
+        first_apply_bytes: appended[0],
+        apply_bytes,
     }
 }
 
@@ -353,6 +393,7 @@ pub fn render(points: &[StatePoint]) -> String {
             "bytes/version",
             "open",
             "export",
+            "one-block apply",
         ],
     );
     for p in points {
@@ -386,6 +427,10 @@ pub fn render(points: &[StatePoint]) -> String {
             ),
             format!("{:.1}ms", p.open_ms),
             format!("{:.1}ms", p.export_ms),
+            format!(
+                "{:.2}ms, {:.0}B (first {:.0}B)",
+                p.apply_ms, p.apply_bytes, p.first_apply_bytes
+            ),
         ]);
     }
     t.render()
@@ -456,6 +501,14 @@ pub fn state_gates(points: &[StatePoint]) -> Vec<String> {
                 p.legacy_bytes_per_version,
             ),
         ];
+        // ROADMAP item 7: a one-resource delta with a one-block program
+        // edit appends under 64 KiB (0 = a report that predates the row)
+        if p.apply_bytes >= 65_536.0 {
+            out.push(format!(
+                "{workload}: a one-block apply appends {:.0} bytes to the log, over 64 KiB",
+                p.apply_bytes
+            ));
+        }
         for (op, speedup, log_cost, legacy_cost) in checks {
             if speedup < FLOOR {
                 out.push(format!(
@@ -480,6 +533,8 @@ mod tests {
         assert!(point.commit_ms > 0.0 && point.legacy_commit_ms > 0.0);
         assert!(point.open_ms > 0.0 && point.export_ms > 0.0);
         assert!(point.bytes_per_version > 0.0);
+        assert!(point.apply_ms > 0.0 && point.first_apply_bytes > 1e6);
+        assert!(point.apply_bytes < 65_536.0, "{point:?}");
         // at 200 resources a full snapshot still dwarfs a 3-resource delta
         assert!(point.bytes_ratio() > 3.0, "{point:?}");
         let json = serde_json::to_string(&vec![point.clone()]).unwrap();
@@ -504,6 +559,9 @@ mod tests {
             legacy_bytes_per_version: 30_000_000.0,
             open_ms: 900.0,
             export_ms: 300.0,
+            apply_ms: 2.0,
+            first_apply_bytes: 1_100_000.0,
+            apply_bytes: 1_000.0,
         };
         assert!(
             state_gates(&[mk(1.0)]).is_empty(),
@@ -512,6 +570,15 @@ mod tests {
         let flagged = state_gates(&[mk(100.0)]);
         assert_eq!(flagged.len(), 1, "5x commit fails: {flagged:?}");
         assert!(flagged[0].contains("commit"), "{flagged:?}");
+        let heavy = StatePoint {
+            apply_bytes: 1_100_000.0,
+            ..mk(1.0)
+        };
+        let flagged = state_gates(&[heavy]);
+        assert!(
+            flagged.len() == 1 && flagged[0].contains("64 KiB"),
+            "{flagged:?}"
+        );
         // a report without the gated workloads (smoke tiers, old baselines)
         // passes vacuously
         assert!(state_gates(&[]).is_empty());
@@ -534,7 +601,8 @@ mod tests {
                 "legacy_bytes_per_version":30000000.0}]"#,
         )
         .unwrap();
-        assert_eq!(old[0].open_ms, 0.0);
+        assert_eq!((old[0].open_ms, old[0].apply_bytes), (0.0, 0.0));
+        assert!(state_gates(&old).is_empty());
         assert!(regressions(&old, &fast, 0.2, 5.0).is_empty());
     }
 }

@@ -135,7 +135,7 @@ impl TxnManager {
         let inner = self.inner.lock();
         let version = inner.versions.get(&key).copied().unwrap_or(0);
         txn.observed.insert(key.clone(), version);
-        inner.snapshot.resources.get(&key).cloned()
+        inner.snapshot.get_str(&key).cloned()
     }
 
     /// Validate and apply. First committer wins; conflicting transactions
@@ -167,7 +167,8 @@ impl TxnManager {
         for (key, w) in &txn.writes {
             match w {
                 Write::Put(r) => {
-                    inner.snapshot.resources.insert(key.clone(), r.clone());
+                    let r = std::sync::Arc::new(r.clone());
+                    inner.snapshot.resources.insert(key.clone(), r);
                 }
                 Write::Delete => {
                     inner.snapshot.resources.remove(key);

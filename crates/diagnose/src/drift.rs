@@ -15,7 +15,7 @@
 //! occurrence time is in the event itself, so detection lag is just the
 //! polling interval.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use cloudless_cloud::{ActivityKind, ApiOp, ApiRequest, Cloud, OpOutcome};
@@ -134,6 +134,7 @@ impl Scanner {
         let listed: Vec<&DeployedResource> = state
             .resources
             .values()
+            .map(Arc::as_ref)
             .filter(|rec| live_ids.contains(&rec.id)) // the rest are Deleted below
             .collect();
         let reads = listed
@@ -246,6 +247,11 @@ impl LogWatcher {
         let (events, next) = cloud.activity().events_since(self.cursor);
         let examined = events.len();
         let mut report = DriftReport::default();
+        // id → managed resource, built by the first event that asks: one
+        // walk of the world per poll, not one per event (a quiet poll
+        // builds nothing). The first holder of an id in address order
+        // wins, as in `Snapshot::by_id`.
+        let mut by_id: Option<HashMap<&ResourceId, &DeployedResource>> = None;
         for ev in events {
             if self.trusted_principals.contains(ev.principal.as_str()) {
                 continue;
@@ -254,7 +260,14 @@ impl LogWatcher {
                 continue;
             }
             let Some(id) = &ev.id else { continue };
-            let managed = state.by_id(id);
+            let by_id = by_id.get_or_insert_with(|| {
+                let mut index = HashMap::with_capacity(state.len());
+                for r in state.resources.values() {
+                    index.entry(&r.id).or_insert(r.as_ref());
+                }
+                index
+            });
+            let managed = by_id.get(id).copied();
             let kind = match (ev.kind, managed.is_some()) {
                 (ActivityKind::Created, false) => DriftKind::Unmanaged,
                 (ActivityKind::Updated, true) => DriftKind::Modified,

@@ -13,10 +13,13 @@
 //! What compaction must NOT remove: any version record, or any blob a
 //! version's `puts`/`prev`/`dels`/`config` references — that is exactly
 //! the `LogStore::reachable_hashes` set, and it is what keeps
-//! `snapshot_at` working for *all* serials after compaction. The rewrite
-//! goes through [`crate::log::LogDevice::replace`] (temp file + rename on
-//! the file device), so a crash mid-compaction leaves either the old or
-//! the new log, never a blend.
+//! `snapshot_at` working for *all* serials after compaction. A program
+//! patch lives inside its version record and names its base by serial, so
+//! re-emitting every record keeps every chain, and the full copy a chain
+//! ends in is that version's `config`. The rewrite goes through
+//! [`crate::log::LogDevice::replace`] (temp file + rename on the file
+//! device), so a crash mid-compaction leaves either the old or the new
+//! log, never a blend.
 
 use std::collections::HashSet;
 

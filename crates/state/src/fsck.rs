@@ -14,6 +14,10 @@
 //! 4. **Checkpoint reachability** — each checkpoint's address→hash map
 //!    must equal the replayed fold at that point, its serial must match
 //!    the last version, and every hash it references must resolve.
+//! 5. **Program chain** — a version's `config` resolves to a blob seen
+//!    earlier; a `patch` names the newest earlier version that recorded a
+//!    program, and its window fits that program's text on `char`
+//!    boundaries, so every version's source can be rebuilt.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -115,9 +119,12 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
     }
 
     // pass 2: semantic replay
-    let mut blobs: HashMap<ContentHash, usize> = HashMap::new(); // hash → line
+    let mut blobs: HashMap<ContentHash, &str> = HashMap::new();
     let mut world: BTreeMap<String, ContentHash> = BTreeMap::new();
     let mut last_serial: Option<u64> = None;
+    // the newest version that recorded a program, and its text when the
+    // chain behind it could be followed
+    let mut program: Option<(u64, Option<String>)> = None;
     for (line, record) in &records {
         report.records += 1;
         match record {
@@ -130,7 +137,7 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
                         b.hash
                     ));
                 }
-                blobs.insert(b.hash, *line);
+                blobs.insert(b.hash, &*b.body);
             }
             LogRecord::Version(v) => {
                 report.versions += 1;
@@ -159,6 +166,38 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
                         ));
                     }
                     world.insert(p.addr.clone(), p.hash);
+                }
+                match (v.config, &v.patch) {
+                    (Some(full), _) => {
+                        let body = blobs.get(&full).map(|body| (*body).to_owned());
+                        if body.is_none() {
+                            report
+                                .errors
+                                .push(format!("line {line}: program blob {full} not yet in log"));
+                        }
+                        program = Some((v.serial, body));
+                    }
+                    (None, Some(patch)) => {
+                        // a chain already reported broken stays unknown
+                        let mut text = match program.take() {
+                            Some((base, text)) if base == patch.base => text,
+                            other => {
+                                report.errors.push(format!(
+                                    "line {line}: program patch on serial {} but the newest \
+                                     program is that of {:?}",
+                                    patch.base,
+                                    other.map(|(base, _)| base)
+                                ));
+                                None
+                            }
+                        };
+                        if let Some(Err(why)) = text.as_mut().map(|text| patch.apply(text)) {
+                            report.errors.push(format!("line {line}: {why}"));
+                            text = None;
+                        }
+                        program = Some((v.serial, text));
+                    }
+                    (None, None) => {}
                 }
                 for d in &v.dels {
                     match world.remove(&d.addr) {

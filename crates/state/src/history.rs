@@ -7,9 +7,9 @@
 //!
 //! The old store checkpointed a *full snapshot* per version; the log store
 //! keeps one [`VersionRecord`] per commit instead — author, message, time,
-//! config hash, and the delta — and this view answers the same queries
-//! (`latest`, `by_serial`) over those records without materializing any
-//! state. Materialization is a separate, explicit step
+//! the program (a hash or a patch) and the delta — and this view answers
+//! the same queries (`latest`, `by_serial`) over those records without
+//! materializing any state. Materialization is a separate, explicit step
 //! ([`crate::LogStore::snapshot_at`]), because most history queries never
 //! need it.
 
@@ -77,6 +77,7 @@ mod tests {
             puts: vec![],
             dels: vec![],
             outputs: BTreeMap::new(),
+            patch: None,
         }
     }
 

@@ -13,14 +13,16 @@
 //!
 //! * [`snapshot`] — the state document: the IaC-address → cloud-resource
 //!   mapping Terraform keeps in `terraform.tfstate`, serializable as JSON.
+//!   Its resources are shared (`Arc`), so a clone costs its keys.
 //! * [`store`] — the **log-structured store** ([`LogStore`]): an
 //!   append-only delta log where every commit records only changed
 //!   resources as content-addressed records, so commits, rollbacks, and
 //!   drift diffs read O(delta) instead of O(world).
 //! * [`cas`] — content addressing: each resource body stored once,
 //!   hash-shared across all versions that reference it.
-//! * [`log`] — the on-disk record format, checksummed line framing, and
-//!   torn-tail crash recovery.
+//! * [`log`] — the on-disk record format (a version holds its program as
+//!   a blob's hash or, inline, as a patch on the previous program),
+//!   checksummed line framing, and torn-tail crash recovery.
 //! * [`history`] — the time machine view: version metadata queries
 //!   (`latest`, `by_serial`, `at_time`) over the delta log, with
 //!   materialization ([`LogStore::snapshot_at`]) a separate explicit step.

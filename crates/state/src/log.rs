@@ -19,6 +19,23 @@
 //! periodically so recovery and integrity checks need not replay a cold
 //! prefix record-by-record).
 //!
+//! A version records the program that produced it in one of two ways. A
+//! **full copy** is a blob, named by `config` — the only form older logs
+//! hold. A **patch** ([`ProgramPatch`]) is written inline, as the last key
+//! of the version's own line, so it is torn or whole with its version: the
+//! serial of the most recent earlier version that has a program, how many
+//! bytes of that program's head and tail this one shares with it, and the
+//! text between them. A one-block edit of a megabyte program is then a few
+//! hundred bytes, found with one comparison of the two texts and no hash
+//! of either. Patches chain; a full copy is written again once the patches
+//! since the last one outweigh the text or number [`MAX_PATCH_CHAIN`], so
+//! reading any version's program reads at most twice its length. The
+//! `patch` key is left out when there is none: a record without one has
+//! the bytes it always had, and a log written before patches existed
+//! re-frames byte for byte. A reader that predates the key skips it, as
+//! it skips every key it does not know, and takes the version to record no
+//! program; state, history and rollback are unaffected.
+//!
 //! Crash consistency: appends are buffered into whole lines and a torn
 //! final record — truncated line, bad checksum, or unparsable tail — is
 //! *recovered* by truncating back to the last whole record on open.
@@ -91,27 +108,136 @@ pub struct BlobRecord {
     pub body: Arc<str>,
 }
 
-/// One committed version: only what changed, by content hash.
+/// Most patches between a version and the full copy of the program its
+/// chain ends in: what bounds the splices a read makes, where the byte rule
+/// alone would let a thousand unchanged re-applies chain a thousand empty
+/// patches.
+pub const MAX_PATCH_CHAIN: usize = 64;
+
+/// A version's program as one window of change over an earlier version's:
+/// `base`'s first `prefix` bytes, then `middle`, then `base`'s last
+/// `suffix` bytes. Both cuts fall on `char` boundaries of the base.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProgramPatch {
+    /// Serial of the version whose program this one edits: the most
+    /// recent earlier version that recorded one.
+    pub base: u64,
+    pub prefix: usize,
+    pub suffix: usize,
+    pub middle: String,
+}
+
+impl ProgramPatch {
+    /// The patch that turns `old` (the program of version `base`) into
+    /// `new`: the longest head and tail the two share, backed off to `char`
+    /// boundaries, and what `new` holds between them. One pass over the
+    /// shared bytes, no other.
+    pub(crate) fn between(base: u64, old: &str, new: &str) -> ProgramPatch {
+        let (o, n) = (old.as_bytes(), new.as_bytes());
+        let mut prefix = o.iter().zip(n).take_while(|(a, b)| a == b).count();
+        while !new.is_char_boundary(prefix) {
+            prefix -= 1;
+        }
+        let room = o.len().min(n.len()) - prefix;
+        let tails = o.iter().rev().zip(n.iter().rev());
+        let mut suffix = tails.take(room).take_while(|(a, b)| a == b).count();
+        while !new.is_char_boundary(n.len() - suffix) {
+            suffix -= 1;
+        }
+        ProgramPatch {
+            base,
+            prefix,
+            suffix,
+            middle: new[prefix..n.len() - suffix].to_owned(),
+        }
+    }
+
+    /// Turn `text`, the base's program, into this version's in place; or
+    /// say why the window does not fit it (a damaged record).
+    pub(crate) fn apply(&self, text: &mut String) -> Result<(), String> {
+        let end = text
+            .len()
+            .checked_sub(self.suffix)
+            .filter(|end| self.prefix <= *end)
+            .ok_or_else(|| {
+                format!(
+                    "program patch keeps {}+{} bytes of a {}-byte base",
+                    self.prefix,
+                    self.suffix,
+                    text.len()
+                )
+            })?;
+        if !text.is_char_boundary(self.prefix) || !text.is_char_boundary(end) {
+            return Err(format!(
+                "program patch cuts its base inside a character ({}..{end})",
+                self.prefix
+            ));
+        }
+        text.replace_range(self.prefix..end, &self.middle);
+        Ok(())
+    }
+}
+
+/// One committed version: only what changed, by content hash.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct VersionRecord {
     pub serial: u64,
     pub at: SimTime,
     pub author: String,
     pub message: String,
     /// Content hash of the IaC source that produced this version (the
-    /// config↔state mapping of the time machine); config bodies are
-    /// CAS-shared too, so an unchanged program costs one hash per version.
+    /// config↔state mapping of the time machine) when the log holds a full
+    /// copy of it; config bodies are CAS-shared too, so an unchanged
+    /// program costs one hash per version.
     pub config: Option<ContentHash>,
     pub puts: Vec<PutEntry>,
     pub dels: Vec<DelEntry>,
     /// Root-module outputs as of this version (small, stored inline).
     pub outputs: BTreeMap<String, Value>,
+    /// The source as an edit of an earlier version's, when that is how the
+    /// log holds it (`config` is then `None`). Absent from the record's
+    /// text when `None`.
+    pub patch: Option<ProgramPatch>,
 }
 
 impl VersionRecord {
     /// Number of delta entries (puts + dels).
     pub fn delta_len(&self) -> usize {
         self.puts.len() + self.dels.len()
+    }
+
+    /// Does this version record a program, in either form?
+    pub(crate) fn has_program(&self) -> bool {
+        self.config.is_some() || self.patch.is_some()
+    }
+}
+
+/// The derive's text — keys in declaration order — minus a `patch` that is
+/// not there, which is what keeps every older record's bytes.
+impl Serialize for VersionRecord {
+    fn ser(&self, w: &mut serde::Writer<'_>) {
+        w.begin_obj();
+        w.field(true, "serial");
+        self.serial.ser(w);
+        w.field(false, "at");
+        self.at.ser(w);
+        w.field(false, "author");
+        self.author.ser(w);
+        w.field(false, "message");
+        self.message.ser(w);
+        w.field(false, "config");
+        self.config.ser(w);
+        w.field(false, "puts");
+        self.puts.ser(w);
+        w.field(false, "dels");
+        self.dels.ser(w);
+        w.field(false, "outputs");
+        self.outputs.ser(w);
+        if let Some(patch) = &self.patch {
+            w.field(false, "patch");
+            patch.ser(w);
+        }
+        w.end_obj(false);
     }
 }
 
@@ -364,6 +490,7 @@ impl FileDevice {
 
 impl LogDevice for FileDevice {
     fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
+        // `File::read_to_end` reserves the file's remaining length itself
         let mut bytes = Vec::new();
         self.file.seek(std::io::SeekFrom::Start(0))?;
         self.file.read_to_end(&mut bytes)?;
@@ -413,6 +540,7 @@ mod tests {
             }],
             dels: vec![],
             outputs: BTreeMap::new(),
+            patch: None,
         })
     }
 

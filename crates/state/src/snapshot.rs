@@ -5,9 +5,15 @@
 //! (the cloud-level infrastructure)". Each [`DeployedResource`] records the
 //! address the user wrote, the id the cloud assigned, and the full attribute
 //! set observed at apply time.
+//!
+//! A [`Snapshot`] shares its resources: cloning one copies the keys and
+//! bumps a reference count per resource, so the hypothetical world an apply,
+//! a refresh or a reconcile works on costs nothing for what it leaves alone,
+//! and "did this resource change?" is first a pointer comparison.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use cloudless_types::{Attrs, Region, ResourceAddr, ResourceId, ResourceTypeName, SimTime, Value};
 use serde::{Deserialize, Serialize};
@@ -75,8 +81,9 @@ impl std::fmt::Write for KeyBuf {
 pub struct Snapshot {
     /// Monotonic serial, incremented on every apply.
     pub serial: u64,
-    /// Resources keyed by their rendered address (stable, sortable).
-    pub resources: BTreeMap<String, DeployedResource>,
+    /// Resources keyed by their rendered address (stable, sortable), each
+    /// shared with every snapshot it was cloned into or from.
+    pub resources: BTreeMap<String, Arc<DeployedResource>>,
     /// Root-module output values.
     pub outputs: BTreeMap<String, Value>,
 }
@@ -88,23 +95,26 @@ impl Snapshot {
 
     /// Insert or replace a resource.
     pub fn put(&mut self, r: DeployedResource) {
-        self.resources.insert(r.addr.to_string(), r);
+        self.resources.insert(r.addr.to_string(), Arc::new(r));
     }
 
-    /// Remove a resource by address; returns it if present.
+    /// Remove a resource by address; returns it if present (copied only
+    /// when another snapshot still holds it).
     pub fn remove(&mut self, addr: &ResourceAddr) -> Option<DeployedResource> {
-        self.resources.remove(KeyBuf::new().render(addr).as_ref())
+        self.resources
+            .remove(KeyBuf::new().render(addr).as_ref())
+            .map(Arc::unwrap_or_clone)
     }
 
     /// Look up by address.
     pub fn get(&self, addr: &ResourceAddr) -> Option<&DeployedResource> {
-        self.resources.get(KeyBuf::new().render(addr).as_ref())
+        self.get_str(KeyBuf::new().render(addr).as_ref())
     }
 
     /// Look up by a pre-rendered address string (avoids re-rendering the
     /// address on hot paths that already hold the string key).
     pub fn get_str(&self, key: &str) -> Option<&DeployedResource> {
-        self.resources.get(key)
+        self.resources.get(key).map(Arc::as_ref)
     }
 
     /// Every instance of the `rtype.name` block declared under
@@ -121,13 +131,17 @@ impl Snapshot {
         let bare = format!("{modules}{rtype}.{name}");
         // '\\' is the successor of '[': the range is every key extending `bare[`
         let keyed = format!("{bare}[")..format!("{bare}\\");
-        let keyed = self.resources.range(keyed).map(|(_, r)| r);
-        self.resources.get(&bare).into_iter().chain(keyed)
+        let keyed = self.resources.range(keyed).map(|(_, r)| r.as_ref());
+        self.get_str(&bare).into_iter().chain(keyed)
     }
 
-    /// Look up by cloud id.
+    /// Look up by cloud id: a scan of the world. A caller with many ids
+    /// to look up builds its own index over `resources` once.
     pub fn by_id(&self, id: &ResourceId) -> Option<&DeployedResource> {
-        self.resources.values().find(|r| &r.id == id)
+        self.resources
+            .values()
+            .find(|r| &r.id == id)
+            .map(Arc::as_ref)
     }
 
     /// All addresses, sorted.
@@ -185,6 +199,25 @@ mod tests {
         assert_eq!(removed.id.as_str(), "vpc-1");
         assert!(s.is_empty());
         assert!(s.remove(&addr).is_none());
+    }
+
+    #[test]
+    fn a_clone_shares_its_resources_until_one_side_changes_them() {
+        let mut s = Snapshot::new();
+        s.put(res("aws_vpc.main", "vpc-1"));
+        s.put(res("aws_subnet.a", "sn-1"));
+        let mut t = s.clone();
+        let shared = |a: &Snapshot, b: &Snapshot, key: &str| {
+            Arc::ptr_eq(&a.resources[key], &b.resources[key])
+        };
+        assert!(shared(&s, &t, "aws_vpc.main") && shared(&s, &t, "aws_subnet.a"));
+        // a put replaces one side's resource, a remove hands out a copy
+        t.put(res("aws_vpc.main", "vpc-2"));
+        let subnet: ResourceAddr = "aws_subnet.a".parse().unwrap();
+        assert_eq!(t.remove(&subnet).unwrap().id.as_str(), "sn-1");
+        assert_eq!(s.get_str("aws_vpc.main").unwrap().id.as_str(), "vpc-1");
+        assert_eq!(s.get(&subnet).unwrap().id.as_str(), "sn-1");
+        assert_eq!((s.len(), t.len()), (2, 1));
     }
 
     #[test]

@@ -8,6 +8,15 @@
 //! version stays addressable by walking delta records — so rollback and
 //! version-to-version diffs cost O(delta), not O(world).
 //!
+//! After the plan, a commit touches what the plan touched. The world is
+//! shared ([`Snapshot`] holds `Arc`s): the copy an apply works on, the
+//! snapshot it hands back and the head it becomes are the same resources
+//! but for the ones that changed, so the diff that finds those is a walk of
+//! pointers, and [`LogStore::snapshot_at`] decodes only what differs from
+//! the head. The program is recorded the same way — as its edit
+//! ([`ProgramPatch`], see [`crate::log`]), found by one comparison against
+//! the head's text.
+//!
 //! The store is the single source of truth for both "current state" and
 //! "time machine": [`LogStore::history`] serves the version metadata the
 //! old `History` held, [`LogStore::snapshot_at`] materializes any past
@@ -24,7 +33,8 @@ use crate::cas::{decode_resource, encode_resource, Cas, ContentHash};
 use crate::history::HistoryView;
 use crate::log::{
     frame_into, scan, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed, LogDevice,
-    LogRecord, MemDevice, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
+    LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
+    MAX_PATCH_CHAIN,
 };
 use crate::snapshot::{DeployedResource, Snapshot};
 
@@ -34,8 +44,9 @@ pub struct CommitMeta {
     pub at: SimTime,
     pub author: String,
     pub message: String,
-    /// The IaC source that produced this version, if any. Stored as a
-    /// CAS blob, so an unchanged program is one hash per version.
+    /// The IaC source that produced this version, if any. Stored as its
+    /// edit of the previous version's, or as a CAS blob when there is none
+    /// to edit or the edits have outgrown the text.
     pub config_source: Option<String>,
 }
 
@@ -64,6 +75,31 @@ pub struct StateDelta {
 impl StateDelta {
     pub fn is_empty(&self) -> bool {
         self.puts.is_empty() && self.dels.is_empty() && self.outputs.is_none()
+    }
+}
+
+/// A [`StateDelta`] on its way into the log: its puts are the snapshot's
+/// own `Arc`s, so folding them into the head copies nothing.
+#[derive(Default)]
+struct SharedDelta {
+    puts: Vec<Arc<DeployedResource>>,
+    dels: Vec<String>,
+    outputs: Option<BTreeMap<String, Value>>,
+}
+
+impl SharedDelta {
+    fn is_empty(&self) -> bool {
+        self.puts.is_empty() && self.dels.is_empty() && self.outputs.is_none()
+    }
+}
+
+impl From<StateDelta> for SharedDelta {
+    fn from(delta: StateDelta) -> SharedDelta {
+        SharedDelta {
+            puts: delta.puts.into_iter().map(Arc::new).collect(),
+            dels: delta.dels,
+            outputs: delta.outputs,
+        }
     }
 }
 
@@ -107,6 +143,11 @@ pub struct LogStore {
     pub(crate) entries_since_checkpoint: usize,
     /// Versions appended since the last checkpoint record (the lag gauge).
     pub(crate) versions_since_checkpoint: usize,
+    /// Index in `versions` of the newest version that records a program:
+    /// the base of the next patch.
+    program_head: Option<usize>,
+    /// That version's program, once a commit has needed it.
+    program_text: Option<Arc<str>>,
     pub(crate) recorder: Arc<dyn Recorder>,
     pub(crate) log_bytes: u64,
     pub(crate) torn_recoveries: u64,
@@ -188,6 +229,8 @@ impl LogStore {
             current_hashes: BTreeMap::new(),
             entries_since_checkpoint: 0,
             versions_since_checkpoint: 0,
+            program_head: None,
+            program_text: None,
             recorder: NullRecorder::shared(),
             log_bytes: 0,
             torn_recoveries: 0,
@@ -220,6 +263,22 @@ impl LogStore {
                 self.cas.insert_at(b.hash, b.body);
             }
             LogRecord::Version(v) => {
+                if let (None, Some(patch)) = (v.config, &v.patch) {
+                    // a patch edits the newest program before it; any
+                    // other base is not something this store wrote
+                    let head = self.program_head.and_then(|i| self.versions.get(i));
+                    let head = head.map(|v| v.serial);
+                    if head != Some(patch.base) {
+                        return Err(StoreError::Corrupt(format!(
+                            "version {} patches the program of serial {}, not of the \
+                             newest version that has one ({head:?})",
+                            v.serial, patch.base
+                        )));
+                    }
+                }
+                if v.has_program() {
+                    self.program_head = Some(self.versions.len());
+                }
                 for p in &v.puts {
                     self.current_hashes.insert(p.addr.clone(), p.hash);
                 }
@@ -251,14 +310,16 @@ impl LogStore {
     /// version's outputs (open-time only: after that, `current` is
     /// maintained incrementally).
     fn materialize_current(&mut self) -> Result<(), StoreError> {
-        self.current.resources.clear();
-        for (addr, hash) in &self.current_hashes {
+        // the hashes are in address order, so the map is built from one
+        // sorted run rather than by an insert per resource
+        let decoded = self.current_hashes.iter().map(|(addr, hash)| {
             let body = self.cas.get(hash).ok_or_else(|| {
                 StoreError::Corrupt(format!("resource {addr} references missing blob {hash}"))
             })?;
             let r = decode_resource(&body).map_err(StoreError::Corrupt)?;
-            self.current.resources.insert(addr.clone(), r);
-        }
+            Ok((addr.clone(), Arc::new(r)))
+        });
+        self.current.resources = decoded.collect::<Result<_, StoreError>>()?;
         if let Some(v) = self.versions.last() {
             self.current.outputs = v.outputs.clone();
         }
@@ -319,10 +380,70 @@ impl LogStore {
         HistoryView::new(&self.versions)
     }
 
-    /// The IaC source recorded for `serial`, if that version stored one.
+    /// The IaC source recorded for `serial`, if that version stored one
+    /// (`None` too when the records that hold it are damaged; `fsck` says
+    /// which).
     pub fn config_source(&self, serial: u64) -> Option<Arc<str>> {
-        let v = self.versions.iter().find(|v| v.serial == serial)?;
-        self.cas.get(&v.config?)
+        self.program_at(self.versions.iter().position(|v| v.serial == serial)?)
+    }
+
+    /// The patches between version `at` and the full copy of the program
+    /// its chain ends in, newest first, and that copy's address. `None`
+    /// when the version records no program or the chain is broken.
+    fn program_chain(&self, mut at: usize) -> Option<(Vec<&ProgramPatch>, ContentHash)> {
+        let mut patches = Vec::new();
+        loop {
+            let v = self.versions.get(at)?;
+            match (v.config, &v.patch) {
+                (Some(full), _) => return Some((patches, full)),
+                (None, Some(patch)) => {
+                    // strictly earlier, so the walk ends
+                    let earlier = &self.versions[..at];
+                    at = earlier
+                        .binary_search_by_key(&patch.base, |v| v.serial)
+                        .ok()?;
+                    patches.push(patch);
+                }
+                (None, None) => return None,
+            }
+        }
+    }
+
+    /// The program of version `at`: the full copy under its chain with the
+    /// chain's patches spliced in, oldest first.
+    fn program_at(&self, at: usize) -> Option<Arc<str>> {
+        if let (true, Some(text)) = (self.program_head == Some(at), &self.program_text) {
+            return Some(Arc::clone(text));
+        }
+        let (patches, full) = self.program_chain(at)?;
+        let full = self.cas.get(&full)?;
+        if patches.is_empty() {
+            return Some(full);
+        }
+        let mut text = String::from(&*full);
+        for patch in patches.iter().rev() {
+            patch.apply(&mut text).ok()?;
+        }
+        Some(text.into())
+    }
+
+    /// `source` as an edit of the head program, when there is one to edit
+    /// and its chain has room for another patch; `None` asks for a full
+    /// copy. Room is [`MAX_PATCH_CHAIN`] patches whose middles add up to no
+    /// more than the text, which keeps the program of any version within
+    /// two copies' worth of reading.
+    fn patch_for(&mut self, source: &str) -> Option<ProgramPatch> {
+        let head = self.program_head?;
+        let base = self.versions.get(head)?.serial;
+        let (chain, _) = self.program_chain(head)?;
+        if chain.len() >= MAX_PATCH_CHAIN {
+            return None;
+        }
+        let patched: usize = chain.iter().map(|patch| patch.middle.len()).sum();
+        let text = self.program_at(head)?;
+        let patch = ProgramPatch::between(base, &text, source);
+        self.program_text = Some(text);
+        (patched + patch.middle.len() <= source.len()).then_some(patch)
     }
 
     // --------------------------------------------------------- commits
@@ -330,6 +451,10 @@ impl LogStore {
     /// Append a version for `delta`, even if it is empty (converge always
     /// records that it ran). Returns the new serial.
     pub fn commit(&mut self, delta: StateDelta, meta: CommitMeta) -> Result<u64, StoreError> {
+        self.commit_next(delta.into(), meta)
+    }
+
+    fn commit_next(&mut self, delta: SharedDelta, meta: CommitMeta) -> Result<u64, StoreError> {
         let serial = self.current.serial + 1;
         self.commit_at(serial, delta, meta)?;
         Ok(serial)
@@ -352,7 +477,7 @@ impl LogStore {
         let puts_noop = delta
             .puts
             .iter()
-            .all(|r| self.current.resources.get(&r.addr.to_string()) == Some(r));
+            .all(|r| self.current.get(&r.addr) == Some(r));
         let dels_noop = delta
             .dels
             .iter()
@@ -373,7 +498,7 @@ impl LogStore {
         meta: CommitMeta,
     ) -> Result<u64, StoreError> {
         let delta = self.delta_from_snapshot(target);
-        self.commit(delta, meta)
+        self.commit_next(delta, meta)
     }
 
     /// Like [`LogStore::commit_snapshot`] but skips no-op commits.
@@ -383,10 +508,10 @@ impl LogStore {
         meta: CommitMeta,
     ) -> Result<Option<u64>, StoreError> {
         let delta = self.delta_from_snapshot(target);
-        if delta.puts.is_empty() && delta.dels.is_empty() && delta.outputs.is_none() {
+        if delta.is_empty() {
             return Ok(None);
         }
-        self.commit(delta, meta).map(Some)
+        self.commit_next(delta, meta).map(Some)
     }
 
     /// Commit a full snapshot *preserving its serial* (migration replay,
@@ -409,21 +534,24 @@ impl LogStore {
         Ok(target.serial)
     }
 
-    /// Diff `target` against the current world. O(world) comparisons but
-    /// O(delta) encodes: unchanged resources are `PartialEq`-skipped
-    /// before any JSON is produced.
-    fn delta_from_snapshot(&self, target: &Snapshot) -> StateDelta {
-        let mut delta = StateDelta::default();
+    /// Diff `target` against the current world: one walk of the two in
+    /// address order. A resource the target still shares with the head is
+    /// skipped on its pointer; only one that was put since is compared by
+    /// value, and only one that differs is encoded.
+    fn delta_from_snapshot(&self, target: &Snapshot) -> SharedDelta {
+        let mut delta = SharedDelta::default();
+        let mut head = self.current.resources.iter().peekable();
         for (addr, r) in &target.resources {
-            if self.current.resources.get(addr) != Some(r) {
-                delta.puts.push(r.clone());
+            // what the head holds before `addr` the target no longer does
+            while let Some((gone, _)) = head.next_if(|(held, _)| *held < addr) {
+                delta.dels.push(gone.clone());
+            }
+            match head.next_if(|(held, _)| *held == addr) {
+                Some((_, held)) if Arc::ptr_eq(held, r) || held == r => {}
+                _ => delta.puts.push(Arc::clone(r)),
             }
         }
-        for addr in self.current.resources.keys() {
-            if !target.resources.contains_key(addr) {
-                delta.dels.push(addr.clone());
-            }
-        }
+        delta.dels.extend(head.map(|(gone, _)| gone.clone()));
         if target.outputs != self.current.outputs {
             delta.outputs = Some(target.outputs.clone());
         }
@@ -435,7 +563,7 @@ impl LogStore {
     fn commit_at(
         &mut self,
         serial: u64,
-        delta: StateDelta,
+        delta: SharedDelta,
         meta: CommitMeta,
     ) -> Result<(), StoreError> {
         let mut lines = String::new();
@@ -481,9 +609,19 @@ impl LogStore {
                 dels.push(DelEntry { addr, prev });
             }
         }
-        let config = meta
-            .config_source
-            .map(|src| intern(&mut self.cas, src.into()));
+        // the program: its edit of the head's when that is the smaller
+        // record, which also spares hashing the text; else a blob
+        let mut program_text = None;
+        let mut config = None;
+        let mut patch = None;
+        if let Some(source) = meta.config_source {
+            patch = self.patch_for(&source);
+            let text: Arc<str> = source.into();
+            if patch.is_none() {
+                config = Some(intern(&mut self.cas, Arc::clone(&text)));
+            }
+            program_text = Some(text);
+        }
         let outputs = delta
             .outputs
             .unwrap_or_else(|| self.current.outputs.clone());
@@ -496,6 +634,7 @@ impl LogStore {
             puts,
             dels,
             outputs,
+            patch,
         };
         frame_into(&mut lines, Framed::Version(&version));
         if let Err(e) = self.device.append(lines.as_bytes()) {
@@ -520,6 +659,10 @@ impl LogStore {
         self.current.serial = serial;
         self.current.outputs = version.outputs.clone();
         self.entries_since_checkpoint += version.delta_len();
+        if program_text.is_some() {
+            self.program_head = Some(self.versions.len());
+            self.program_text = program_text;
+        }
         self.versions.push(version);
         self.versions_since_checkpoint += 1;
         self.maybe_checkpoint()?;
@@ -573,33 +716,12 @@ impl LogStore {
 
     // ----------------------------------------------------- time travel
 
-    /// Address → hash map as of `target` serial, by *undoing* every
-    /// version after it — O(total delta after target), never O(world).
-    /// `None` if the serial is not an addressable version (0 = the empty
-    /// pre-history world, which is addressable).
-    fn hashes_at(&self, target: u64) -> Option<BTreeMap<String, ContentHash>> {
-        if target == self.current.serial {
-            return Some(self.current_hashes.clone());
-        }
-        if target > self.current.serial {
-            return None;
-        }
-        let addressable = target == 0 || self.versions.iter().any(|v| v.serial == target);
-        if !addressable {
-            return None;
-        }
-        let mut map = self.current_hashes.clone();
-        for (addr, want) in self.touched_since(target) {
-            match want {
-                Some(hash) => {
-                    map.insert(addr, hash);
-                }
-                None => {
-                    map.remove(&addr);
-                }
-            }
-        }
-        Some(map)
+    /// Is `serial` a version of this log? The head is, and so is 0, the
+    /// empty pre-history world.
+    fn addressable(&self, serial: u64) -> bool {
+        serial == self.current.serial
+            || (serial < self.current.serial
+                && (serial == 0 || self.versions.iter().any(|v| v.serial == serial)))
     }
 
     /// Outputs as of `target` serial.
@@ -612,23 +734,33 @@ impl LogStore {
             .unwrap_or_default()
     }
 
-    /// Materialize the full snapshot at a historical serial. The
-    /// backward walk is O(delta); decoding the resulting world is
-    /// necessarily O(world at target).
+    /// Materialize the full snapshot at a historical serial: the head's
+    /// world, shared, with every address touched since put back to what it
+    /// held then. The backward walk and the decoding are O(delta); only the
+    /// keys are O(world at target). `None` if the serial is not an
+    /// addressable version.
     pub fn snapshot_at(&self, serial: u64) -> Option<Snapshot> {
-        if serial == self.current.serial {
-            return Some(self.current.clone());
+        if !self.addressable(serial) {
+            return None;
         }
-        let hashes = self.hashes_at(serial)?;
-        let mut snap = Snapshot {
-            serial,
-            resources: BTreeMap::new(),
-            outputs: self.outputs_at(serial),
-        };
-        for (addr, hash) in &hashes {
-            let body = self.cas.get(hash)?;
-            let r = decode_resource(&body).ok()?;
-            snap.resources.insert(addr.clone(), r);
+        let mut snap = self.current.clone();
+        if serial == self.current.serial {
+            return Some(snap);
+        }
+        snap.serial = serial;
+        snap.outputs = self.outputs_at(serial);
+        for (addr, want) in self.touched_since(serial) {
+            match want {
+                // touched and since put back: the head's copy is the one
+                Some(hash) if self.current_hashes.get(&addr) == Some(&hash) => {}
+                Some(hash) => {
+                    let r = decode_resource(&self.cas.get(&hash)?).ok()?;
+                    snap.resources.insert(addr, Arc::new(r));
+                }
+                None => {
+                    snap.resources.remove(&addr);
+                }
+            }
         }
         Some(snap)
     }
@@ -666,15 +798,12 @@ impl LogStore {
         target: u64,
         meta: CommitMeta,
     ) -> Result<Option<u64>, StoreError> {
-        let addressable = target == self.current.serial
-            || (target < self.current.serial
-                && (target == 0 || self.versions.iter().any(|v| v.serial == target)));
-        if !addressable {
+        if !self.addressable(target) {
             return Err(StoreError::Corrupt(format!(
                 "serial {target} is not an addressable version"
             )));
         }
-        let mut delta = StateDelta::default();
+        let mut delta = SharedDelta::default();
         for (addr, want) in self.touched_since(target) {
             match want {
                 Some(hash) => {
@@ -684,9 +813,8 @@ impl LogStore {
                                 "rollback target references missing blob {hash}"
                             ))
                         })?;
-                        delta
-                            .puts
-                            .push(decode_resource(&body).map_err(StoreError::Corrupt)?);
+                        let r = decode_resource(&body).map_err(StoreError::Corrupt)?;
+                        delta.puts.push(Arc::new(r));
                     }
                 }
                 None => {
@@ -700,10 +828,10 @@ impl LogStore {
         if outputs != self.current.outputs {
             delta.outputs = Some(outputs);
         }
-        if delta.puts.is_empty() && delta.dels.is_empty() && delta.outputs.is_none() {
+        if delta.is_empty() {
             return Ok(None);
         }
-        self.commit(delta, meta).map(Some)
+        self.commit_next(delta, meta).map(Some)
     }
 
     /// The changed addresses between two versions, walking only the
@@ -715,7 +843,7 @@ impl LogStore {
             (to, from, true)
         };
         for s in [a, b] {
-            if s != 0 && s != self.current.serial && !self.versions.iter().any(|v| v.serial == s) {
+            if !self.addressable(s) {
                 return Err(StoreError::Corrupt(format!(
                     "serial {s} is not an addressable version"
                 )));
@@ -770,7 +898,9 @@ impl LogStore {
 
     /// Every content hash reachable from any addressable version:
     /// the current world, plus every `prev`/`hash`/`config` in version
-    /// records. Compaction keeps exactly this set.
+    /// records. Compaction keeps exactly this set, and every version
+    /// record, so the full copy a chain of program patches ends in is
+    /// kept with the version that wrote it.
     pub(crate) fn reachable_hashes(&self) -> HashSet<ContentHash> {
         let mut keep: HashSet<ContentHash> = self.current_hashes.values().copied().collect();
         for v in &self.versions {
@@ -1052,38 +1182,73 @@ mod tests {
     }
 
     #[test]
-    fn config_source_is_cas_shared() {
+    fn a_program_is_recorded_as_its_edit_of_the_one_before() {
         let mut store = LogStore::in_memory();
-        let meta = |m: &str| CommitMeta {
-            config_source: Some("resource \"aws_vpc\" \"v\" {}".to_owned()),
-            ..CommitMeta::bare(m)
+        let commit = |store: &mut LogStore, source: &str| {
+            let meta = CommitMeta {
+                config_source: Some(source.to_owned()),
+                ..CommitMeta::bare("apply")
+            };
+            store.commit(StateDelta::default(), meta).unwrap()
         };
-        store
-            .commit(
-                StateDelta {
-                    puts: vec![res("aws_vpc.v", "a")],
-                    ..Default::default()
-                },
-                meta("one"),
-            )
-            .unwrap();
+        let block = |name: &str| format!("resource \"aws_vpc\" \"{name}\" {{}}\n");
+        // é and è share their first byte, which no window may split
+        let one = [block("a"), block("é"), block("c")].concat();
+        let two = [block("a"), block("è"), block("c")].concat();
+        commit(&mut store, &one);
         let after_first = store.log_bytes();
-        store
-            .commit(
-                StateDelta {
-                    puts: vec![res("aws_vpc.v", "b")],
-                    ..Default::default()
-                },
-                meta("two"),
-            )
-            .unwrap();
-        // same config didn't re-append its blob
-        assert!(store.records_deduped() >= 1);
+        commit(&mut store, &two);
+        commit(&mut store, &two);
+        commit(&mut store, "");
+
+        let versions: Vec<_> = store.history().iter().collect();
+        // the first program has nothing to edit: a blob, as ever
+        assert!(versions[0].config.is_some() && versions[0].patch.is_none());
+        // the second is the one block that changed, on a char boundary
+        let patch = versions[1].patch.as_ref().expect("an edit");
+        assert_eq!((versions[1].config, patch.base), (None, 1));
+        assert_eq!(patch.middle, "è");
+        assert_eq!(patch.prefix + "é".len() + patch.suffix, one.len());
+        // unchanged: an empty window; emptied: no text for the chain's
+        // two bytes to stay within, so a copy (of nothing)
+        assert_eq!(versions[2].patch.as_ref().map(|p| p.middle.len()), Some(0));
+        assert!(versions[3].config.is_some() && versions[3].patch.is_none());
+        assert_eq!(store.blob_count(), 2);
+        assert!(store.log_bytes() - after_first < 3 * 200 + one.len() as u64);
+
+        let sources = [&one, &two, &two, ""];
+        let check = |store: &LogStore| {
+            for (serial, source) in (1..).zip(sources) {
+                assert_eq!(store.config_source(serial).as_deref(), Some(source));
+            }
+            assert_eq!(store.config_source(5), None);
+        };
+        check(&store);
+        let bytes = store.device.read_all().unwrap();
+        assert!(crate::fsck_bytes(&bytes).clean());
+        let (mut reopened, _) =
+            LogStore::open_device(Box::new(MemDevice::from_bytes(bytes))).unwrap();
+        check(&reopened);
+        reopened.compact().unwrap();
+        check(&reopened);
+    }
+
+    #[test]
+    fn a_patch_outweighing_the_text_is_a_full_copy_again() {
+        let mut store = LogStore::in_memory();
+        for source in ["aaaa-1-zzzz", "aaaa-22-zzzz", "a completely different text"] {
+            let meta = CommitMeta {
+                config_source: Some(source.to_owned()),
+                ..CommitMeta::bare("apply")
+            };
+            store.commit(StateDelta::default(), meta).unwrap();
+        }
+        let full: Vec<bool> = store.history().iter().map(|v| v.config.is_some()).collect();
+        // a rewrite on top of an edit reads more than two copies: full copy
+        assert_eq!(full, [true, false, true]);
         assert_eq!(
-            store.config_source(1).as_deref(),
-            Some("resource \"aws_vpc\" \"v\" {}")
+            store.config_source(3).as_deref(),
+            Some("a completely different text")
         );
-        assert_eq!(store.config_source(1), store.config_source(2));
-        assert!(store.log_bytes() > after_first);
     }
 }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use cloudless_cloud::ResourceRecord;
 use cloudless_state::log::{
-    BlobRecord, CheckpointRecord, DelEntry, LogRecord, PutEntry, VersionRecord,
+    BlobRecord, CheckpointRecord, DelEntry, LogRecord, ProgramPatch, PutEntry, VersionRecord,
 };
 use cloudless_state::{ContentHash, DeployedResource};
 use cloudless_types::{ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
@@ -150,15 +150,23 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
         prev,
     });
     let del = (text(), hash()).prop_map(|(addr, prev)| DelEntry { addr, prev });
+    let patch = (any::<u64>(), 0usize..1 << 40, 0usize..1 << 40, text()).prop_map(
+        |(base, prefix, suffix, middle)| ProgramPatch {
+            base,
+            prefix,
+            suffix,
+            middle,
+        },
+    );
     let version = (
         (any::<u64>(), any::<u64>(), text(), text()),
         option_hash(),
         proptest::collection::vec(put, 0..4),
         proptest::collection::vec(del, 0..3),
-        outputs(),
+        (outputs(), prop_oneof![Just(None), patch.prop_map(Some)]),
     )
         .prop_map(
-            |((serial, at, author, message), config, puts, dels, outputs)| {
+            |((serial, at, author, message), config, puts, dels, (outputs, patch))| {
                 LogRecord::Version(VersionRecord {
                     serial,
                     at: SimTime(at),
@@ -168,6 +176,7 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
                     puts,
                     dels,
                     outputs,
+                    patch,
                 })
             },
         );

@@ -2,14 +2,17 @@
 //! reader untyped (`from_str::<Json>`) and typed (`Snapshot::from_json`),
 //! and the log scanner — answers a damaged document with `Ok` or `Err`,
 //! never a panic or an abort, and the scanner keeps telling a torn tail
-//! from mid-log corruption.
+//! from mid-log corruption. So does the reader of a program patch, whose
+//! offsets index another record's text.
 //!
 //! Documents start valid (a small snapshot, a small log) and are damaged
 //! by bit flips, truncations and splices (a range deleted, duplicated, or
 //! overwritten with bytes that matter to the grammar).
 
-use cloudless_state::log::{scan, LogRecord, ScanOutcome};
-use cloudless_state::{CommitMeta, DeployedResource, LogStore, Snapshot, StateDelta, StoreError};
+use cloudless_state::log::{frame_into, scan, LogRecord, ProgramPatch, ScanOutcome};
+use cloudless_state::{
+    fsck_bytes, CommitMeta, DeployedResource, LogStore, Snapshot, StateDelta, StoreError,
+};
 use cloudless_types::{ResourceId, SimTime, Value};
 use proptest::prelude::*;
 use serde::Json;
@@ -196,6 +199,129 @@ proptest! {
                 prop_assert!(matches!(e, StoreError::Corrupt(_)), "{e}");
                 prop_assert!(at < last_start || makes_or_breaks_a_line, "byte {at}: {e}");
             }
+        }
+    }
+}
+
+// ------------------------------------------------------------ the program
+
+/// Three programs, the second and third recorded as patches whose window
+/// has a two-byte character on either edge, and their texts.
+fn patched_log() -> (Vec<u8>, [String; 3]) {
+    let text = |n: u8| format!("# ünï\nresource \"x\" \"a\" {{ name = \"é{n}é\" }}\nlocals {{}}\n");
+    let sources = [text(1), text(2), text(3)];
+    let dir = std::env::temp_dir().join(format!("cloudless-mutation-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join(format!("{:?}.patched.log", std::thread::current().id()));
+    let _ = std::fs::remove_file(&path);
+    let (mut store, _) = LogStore::open_file(&path).expect("open");
+    for source in &sources {
+        let meta = CommitMeta {
+            config_source: Some(source.clone()),
+            ..CommitMeta::bare("mutation fixture")
+        };
+        store.commit(StateDelta::default(), meta).expect("commit");
+    }
+    let patched = store.history().iter().filter_map(|v| v.patch.as_ref());
+    let edges: Vec<_> = patched
+        .map(|p| (p.middle.len(), sources[0].len() - p.prefix - p.suffix))
+        .collect();
+    assert_eq!(edges, [(1, 1), (1, 1)], "two patches of the digit alone");
+    drop(store);
+    let log = std::fs::read(&path).expect("read log");
+    let _ = std::fs::remove_file(&path);
+    (log, sources)
+}
+
+/// `log` with the patch of version `serial` rewritten by `damage` and its
+/// line framed (checksummed) again.
+fn with_patch(log: &[u8], serial: u64, damage: impl Fn(&mut ProgramPatch)) -> Vec<u8> {
+    let (records, _) = records_of(log).expect("the fixture scans");
+    let mut out = format!("{}\n", cloudless_state::log::LOG_MAGIC);
+    for mut record in records {
+        if let LogRecord::Version(v) = &mut record {
+            if v.serial == serial {
+                damage(v.patch.as_mut().expect("a patched version"));
+            }
+        }
+        frame_into(&mut out, (&record).into());
+    }
+    out.into_bytes()
+}
+
+/// What a reader makes of the log: `fsck`'s verdict, and the programs of
+/// the three versions if it opens at all.
+fn read_programs(log: &[u8]) -> (bool, Option<[Option<String>; 3]>) {
+    let clean = fsck_bytes(log).clean();
+    let opened = LogStore::open_device(Box::new(cloudless_state::MemDevice::from_bytes(
+        log.to_vec(),
+    )));
+    let programs = opened.ok().map(|(store, _)| {
+        [1, 2, 3].map(|serial| store.config_source(serial).map(|text| text.to_string()))
+    });
+    (clean, programs)
+}
+
+/// A patch whose base serial, prefix or suffix no longer fits — the line
+/// checksummed again, so only the chain can tell — is reported by `fsck`,
+/// and is an error from `open` or an absent program from `config_source`,
+/// for its version and the ones patched on top of it. Never a panic, never
+/// a wrong text.
+#[test]
+fn a_damaged_program_patch_is_reported_and_never_read() {
+    let (log, sources) = patched_log();
+    let whole = sources.clone().map(Some);
+    assert_eq!(read_programs(&log), (true, Some(whole)));
+
+    type Damaged = (&'static str, u64, fn(&mut ProgramPatch));
+    let damages: [Damaged; 7] = [
+        ("base names a later version", 2, |p| p.base = 3),
+        ("base names no version", 2, |p| p.base = 0),
+        ("base skips the newest program", 3, |p| p.base = 1),
+        ("prefix past the base", 2, |p| p.prefix = usize::MAX),
+        ("suffix overlapping the prefix", 2, |p| p.suffix += 40),
+        // the window sits between two `é`: a byte either way is inside one
+        ("prefix inside a character", 3, |p| p.prefix -= 1),
+        ("suffix inside a character", 2, |p| p.suffix -= 1),
+    ];
+    for (what, serial, damage) in damages {
+        let damaged = with_patch(&log, serial, damage);
+        assert_ne!(damaged, log, "{what}");
+        let (clean, programs) = read_programs(&damaged);
+        assert!(!clean, "{what}: fsck must report it");
+        let Some(programs) = programs else {
+            continue; // refused at open
+        };
+        for (i, program) in programs.iter().enumerate() {
+            let intact = (i as u64) + 1 < serial;
+            assert_eq!(
+                program.as_deref(),
+                intact.then_some(sources[i].as_str()),
+                "{what}: serial {}",
+                i + 1
+            );
+        }
+    }
+}
+
+proptest! {
+    /// Any base, prefix and suffix at all in a patch: `fsck`, `open` and
+    /// `config_source` answer, and a log `fsck` calls clean opens.
+    #[test]
+    fn an_arbitrary_program_patch_is_an_answer_never_a_panic(
+        serial in 2u64..4,
+        base in prop_oneof![0u64..5, any::<u64>()],
+        prefix in prop_oneof![0usize..80, any::<usize>()],
+        suffix in prop_oneof![0usize..80, any::<usize>()],
+    ) {
+        let (log, _) = patched_log();
+        let damaged = with_patch(&log, serial, |p| {
+            (p.base, p.prefix, p.suffix) = (base, prefix, suffix);
+        });
+        let (clean, programs) = read_programs(&damaged);
+        if clean {
+            let programs = programs.expect("a clean log opens");
+            prop_assert!(programs.iter().all(Option::is_some));
         }
     }
 }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
-use cloudless_types::Value;
+use cloudless_types::{PairMap, Value};
 use serde::{Deserialize, Serialize};
 
 /// One mined specification.
@@ -60,6 +60,35 @@ impl MinedSpec {
     }
 }
 
+/// What the corpus says about one `(type, attribute)` pair.
+#[derive(Debug, Clone, Default)]
+struct AttrStats {
+    /// Instances setting the attribute.
+    set: usize,
+    /// Scalar value → count. The domain stops taking new values one past
+    /// `max_domain`, where it can no longer become a spec.
+    values: BTreeMap<String, usize>,
+}
+
+impl AttrStats {
+    fn count(&mut self, value: &Value, max_domain: usize) {
+        self.set += 1;
+        // only scalar values participate in value-domain mining
+        let seen = match value {
+            Value::Str(s) => s.as_str(),
+            Value::Bool(true) => "true",
+            Value::Bool(false) => "false",
+            _ => return,
+        };
+        let open = self.values.len() <= max_domain;
+        match self.values.get_mut(seen) {
+            Some(n) => *n += 1,
+            None if open => drop(self.values.insert(seen.to_owned(), 1)),
+            None => {}
+        }
+    }
+}
+
 /// Association miner over manifests.
 #[derive(Debug, Clone)]
 pub struct SpecMiner {
@@ -69,10 +98,8 @@ pub struct SpecMiner {
     max_domain: usize,
     /// Presence fraction above which an attribute is "expected".
     presence_threshold: f64,
-    /// (rtype, attr) → value → count
-    values: BTreeMap<(String, String), BTreeMap<String, usize>>,
-    /// (rtype, attr) → instances setting it
-    presence: BTreeMap<(String, String), usize>,
+    /// (rtype, attr) → what was observed of it
+    attrs: PairMap<AttrStats>,
     /// rtype → instances observed
     instances: BTreeMap<String, usize>,
     /// The specs the corpus supports, mined once per [`SpecMiner::observe`].
@@ -85,8 +112,7 @@ impl Default for SpecMiner {
             min_support: 5,
             max_domain: 4,
             presence_threshold: 0.9,
-            values: BTreeMap::new(),
-            presence: BTreeMap::new(),
+            attrs: PairMap::new(),
             instances: BTreeMap::new(),
             specs: Vec::new(),
         }
@@ -106,32 +132,27 @@ impl SpecMiner {
         }
     }
 
-    /// Feed one successfully-deployed manifest into the corpus.
+    /// Feed one successfully-deployed manifest into the corpus. Every
+    /// counter is looked up by borrowed names; a name is copied the first
+    /// time it is seen.
     pub fn observe(&mut self, manifest: &Manifest) {
         for inst in &manifest.instances {
-            let rtype = inst.addr.rtype.as_str().to_owned();
-            *self.instances.entry(rtype.clone()).or_insert(0) += 1;
+            let rtype = inst.addr.rtype.as_str();
+            match self.instances.get_mut(rtype) {
+                Some(n) => *n += 1,
+                None => drop(self.instances.insert(rtype.to_owned(), 1)),
+            }
             for (attr, value) in &inst.attrs {
                 if value.is_null() {
                     continue;
                 }
-                let key = (rtype.clone(), attr.clone());
-                *self.presence.entry(key.clone()).or_insert(0) += 1;
-                // only scalar values participate in value-domain mining
-                if let Value::Str(s) = value {
-                    *self
-                        .values
-                        .entry(key)
-                        .or_default()
-                        .entry(s.clone())
-                        .or_insert(0) += 1;
-                } else if let Value::Bool(b) = value {
-                    *self
-                        .values
-                        .entry(key)
-                        .or_default()
-                        .entry(b.to_string())
-                        .or_insert(0) += 1;
+                match self.attrs.get_mut(rtype, attr) {
+                    Some(stats) => stats.count(value, self.max_domain),
+                    None => {
+                        let mut stats = AttrStats::default();
+                        stats.count(value, self.max_domain);
+                        self.attrs.insert(rtype, attr, stats);
+                    }
                 }
             }
         }
@@ -146,33 +167,36 @@ impl SpecMiner {
 
     fn mine(&self) -> Vec<MinedSpec> {
         let mut out = Vec::new();
-        for ((rtype, attr), counts) in &self.values {
+        for (rtype, attr, stats) in self.attrs.iter() {
+            let counts = &stats.values;
             let support: usize = counts.values().sum();
-            if support >= self.min_support && counts.len() <= self.max_domain {
+            let scalar = !counts.is_empty();
+            if scalar && support >= self.min_support && counts.len() <= self.max_domain {
                 out.push(MinedSpec::ValueDomain {
-                    rtype: rtype.clone(),
-                    attr: attr.clone(),
+                    rtype: rtype.to_owned(),
+                    attr: attr.to_owned(),
                     domain: counts.keys().cloned().collect(),
                     support,
                 });
             }
         }
-        for ((rtype, attr), &set_count) in &self.presence {
+        for (rtype, attr, stats) in self.attrs.iter() {
+            let set_count = stats.set;
             let total = self.instances.get(rtype).copied().unwrap_or(0);
             if total >= self.min_support {
                 let fraction = set_count as f64 / total as f64;
                 if fraction >= self.presence_threshold && set_count < total {
                     // only interesting if not literally always present
                     out.push(MinedSpec::UsuallyPresent {
-                        rtype: rtype.clone(),
-                        attr: attr.clone(),
+                        rtype: rtype.to_owned(),
+                        attr: attr.to_owned(),
                         fraction,
                         support: total,
                     });
                 } else if (fraction - 1.0).abs() < f64::EPSILON {
                     out.push(MinedSpec::UsuallyPresent {
-                        rtype: rtype.clone(),
-                        attr: attr.clone(),
+                        rtype: rtype.to_owned(),
+                        attr: attr.to_owned(),
                         fraction,
                         support: total,
                     });

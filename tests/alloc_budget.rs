@@ -10,6 +10,11 @@
 //! are equalities in disguise: a regression shows as a higher count, and the
 //! per-stage table printed with it names the stage that grew.
 //!
+//! The back half of an apply has its own gate here
+//! (`the_back_half_of_a_one_block_apply_touches_one_block`): what cloning
+//! the world, committing a one-resource change with a one-block program
+//! edit, and the convention miner ask of the heap and of the log.
+//!
 //! The test is a binary of its own because it installs a counting
 //! `#[global_allocator]`. The counters are per thread, so the tests here
 //! may run side by side.
@@ -268,4 +273,89 @@ fn counts_repeat_exactly() {
 #[ignore = "100 000 blocks: run in release"]
 fn a_cold_run_allocates_within_budget_at_100k() {
     hold_budget(&ColdRun::measure(10_000), &ColdRun::measure(100_000));
+}
+
+/// The back half of a one-block `apply` on the converged 10 000-block
+/// world: after the plan, nothing the plan did not touch is copied,
+/// compared by value, hashed or appended (DESIGN.md "The world is shared").
+/// Counts and bytes, exact on any host.
+#[test]
+fn the_back_half_of_a_one_block_apply_touches_one_block() {
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+    use cloudless_state::{CommitMeta, LogStore};
+    use cloudless_types::Value;
+    use cloudless_validate::SpecMiner;
+
+    const BLOCKS: usize = 10_000;
+    let source = random_layered(BLOCKS, 42);
+    let mut engine = Cloudless::new(Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    });
+    let converged = engine.converge(&source).expect("the estate converges");
+    assert!(converged.apply.all_ok());
+    let meta = |source: &str| CommitMeta {
+        config_source: Some(source.to_owned()),
+        ..CommitMeta::bare("apply")
+    };
+    let mut store = LogStore::in_memory();
+    let first = store
+        .commit_snapshot(engine.state(), meta(&source))
+        .expect("the world commits");
+    assert_eq!(store.current().len(), BLOCKS);
+    drop(engine);
+
+    // (a) the hypothetical world `execute`, `refresh` and `reconcile` start from
+    let (mut state, clone) = counted(|| store.current().clone());
+    println!("snapshot clone at {BLOCKS} blocks: {clone:?}");
+
+    // one resource replaced, one block of the program edited
+    let before = store.current().clone();
+    let addr = before.addrs()[BLOCKS / 2].clone();
+    let mut edited = before.get(&addr).expect("is deployed").clone();
+    edited.attrs.insert("tags".into(), Value::from("edited"));
+    state.put(edited);
+    let marker = format!("\"r-{}\"", BLOCKS / 2);
+    let edited_source = source.replacen(&marker, &format!("{marker}\n  tags = \"edited\""), 1);
+    assert_ne!(edited_source, source);
+    let next = meta(&edited_source);
+
+    // (b) the commit of that world
+    let log_before = store.log_bytes();
+    let (second, commit) = counted(|| store.commit_snapshot(&state, next));
+    let second = second.expect("the edit commits");
+    let appended = store.log_bytes() - log_before;
+    println!("one-block commit: {commit:?}, {appended} bytes appended");
+    assert_eq!(
+        store.config_source(second).as_deref(),
+        Some(edited_source.as_str())
+    );
+    assert_eq!(store.config_source(first).as_deref(), Some(source.as_str()));
+
+    // (c) every resource but the replaced one is the same allocation in
+    // the old head, the new head and the time machine's view of the old one
+    let rewound = store.snapshot_at(first).expect("addressable");
+    assert_eq!(rewound, before);
+    let shared = |a: &Snapshot, b: &Snapshot| {
+        a.resources
+            .iter()
+            .filter(|(key, r)| b.resources.get(*key).is_some_and(|o| Arc::ptr_eq(r, o)))
+            .count()
+    };
+    assert_eq!(shared(&before, store.current()), BLOCKS - 1);
+    assert_eq!(shared(&before, &rewound), BLOCKS - 1);
+    assert_eq!(shared(store.current(), &rewound), BLOCKS - 1);
+
+    // (d) the miner counting a manifest of names it has not seen
+    let (_, mine) = counted(|| SpecMiner::new().observe(&converged.manifest));
+    println!("SpecMiner::observe at {BLOCKS} instances: {mine:?}");
+
+    assert!(clone.allocs <= 12_000, "{clone:?}");
+    assert!(commit.allocs <= 300, "{commit:?}");
+    assert!(appended < 64 * 1024, "{appended} bytes appended");
+    assert!(mine.allocs <= 1_000, "{mine:?}");
 }

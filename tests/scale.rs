@@ -32,6 +32,7 @@ use cloudless_cloud::{Catalog, CloudConfig};
 use cloudless_deploy::full_refresh;
 use cloudless_deploy::resolver::DataResolver;
 use cloudless_diagnose::reconcile::classify;
+use cloudless_diagnose::LogWatcher;
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
 use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Region, ResourceId, SimTime, Value};
@@ -242,6 +243,53 @@ fn full_refresh_grows_linearly_in_instances() {
         ratios.iter().any(|ratio| *ratio < 6.0),
         "full_refresh at {} instances over {n} took {ratios:.1?} times as long",
         4 * n
+    );
+}
+
+/// A converged layered estate of `instances` resources, `events` of them
+/// updated out of band, as a timer: each call is the fastest of five polls
+/// of the whole activity log by a fresh watcher.
+fn watch_drift_timer(instances: usize, events: usize) -> impl FnMut() -> f64 {
+    let mut engine = Cloudless::new(exact_unmetered());
+    let applied = engine.converge(&random_layered(instances, 7));
+    assert!(applied.expect("the estate converges").apply.all_ok());
+    let state = engine.state().clone();
+    let drifted = state.resources.values().step_by(instances / events);
+    for r in drifted.take(events) {
+        let tags = [("tags".to_owned(), Value::from("drifted"))].into();
+        let updated = engine.cloud_mut().out_of_band_update("intern", &r.id, tags);
+        updated.expect("the resource is live");
+    }
+    move || {
+        let polls = (0..5).map(|_| {
+            let mut watcher = LogWatcher::new([Config::default().principal]);
+            let start = Instant::now();
+            let report = watcher.poll(engine.cloud(), &state);
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(report.events.len(), events);
+            elapsed
+        });
+        polls.fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// A poll classifies each event against one id index of the world: 10x the
+/// estate and 10x the events is 10x the work and a little more (measured
+/// 10.5–11.7x, debug and release). Finding each event's resource by a scan
+/// of the world is 100x and more (240–300x from 1 000 to 10 000). The small
+/// estate is already several megabytes: from one that fits a core's cache
+/// to one that does not, the one walk of the world alone costs 30x. Best
+/// of three, as above.
+#[test]
+fn watch_drift_grows_linearly_in_events_and_instances() {
+    let (n, e) = (3_000, 300);
+    let (mut small, mut large) = (watch_drift_timer(n, e), watch_drift_timer(10 * n, 10 * e));
+    let ratios: Vec<f64> = (0..3).map(|_| large() / small()).collect();
+    assert!(
+        ratios.iter().any(|ratio| *ratio <= 15.0),
+        "a poll of {} events over {} instances took {ratios:.1?} times one of {e} over {n}",
+        10 * e,
+        10 * n
     );
 }
 
