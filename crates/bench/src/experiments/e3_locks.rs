@@ -55,10 +55,10 @@ fn touch_set(rng: &mut StdRng, hotspot: bool) -> Vec<ResourceAddr> {
 fn run_locked(manager: &dyn LockManager, teams: usize, hotspot: bool) -> (Duration, u64, Duration) {
     let started = Instant::now();
     let max_wait = parking_lot::Mutex::new(Duration::ZERO);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for team in 0..teams {
             let max_wait = &max_wait;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(SEED + team as u64);
                 let mut local_max = Duration::ZERO;
                 for _ in 0..UPDATES_PER_TEAM {
@@ -72,8 +72,7 @@ fn run_locked(manager: &dyn LockManager, teams: usize, hotspot: bool) -> (Durati
                 *m = (*m).max(local_max);
             });
         }
-    })
-    .expect("no panics");
+    });
     let elapsed = started.elapsed();
     let wait = *max_wait.lock();
     (elapsed, manager.stats().contended, wait)
@@ -82,10 +81,10 @@ fn run_locked(manager: &dyn LockManager, teams: usize, hotspot: bool) -> (Durati
 fn run_txn(teams: usize, hotspot: bool) -> (Duration, u64) {
     let mgr = Arc::new(TxnManager::new(Snapshot::new()));
     let started = Instant::now();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for team in 0..teams {
             let mgr = mgr.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(SEED + team as u64);
                 for u in 0..UPDATES_PER_TEAM {
                     let touches = touch_set(&mut rng, hotspot);
@@ -113,8 +112,7 @@ fn run_txn(teams: usize, hotspot: bool) -> (Duration, u64) {
                 }
             });
         }
-    })
-    .expect("no panics");
+    });
     let (_, conflicts) = mgr.stats();
     (started.elapsed(), conflicts)
 }

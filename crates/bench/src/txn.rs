@@ -328,10 +328,10 @@ mod tests {
     fn concurrent_commits_from_threads() {
         use std::sync::Arc;
         let mgr = Arc::new(TxnManager::new(Snapshot::new()));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..8 {
                 let mgr = mgr.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in 0..25 {
                         loop {
                             let mut t = mgr.begin();
@@ -345,8 +345,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(mgr.snapshot().len(), 200);
         let (commits, _) = mgr.stats();
         assert_eq!(commits, 200);

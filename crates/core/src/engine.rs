@@ -157,6 +157,10 @@ pub struct Planned {
     pub plan: Plan,
     /// Rendered plan text (what a user reviews).
     pub plan_text: String,
+    /// Whether `manifest` came off the memo: the spans of blocks the edit
+    /// left alone are then the ones they were parsed with, and a position
+    /// is reported from a cold run instead.
+    warm: bool,
 }
 
 /// The result of a successful (possibly partially failed) converge.
@@ -565,7 +569,7 @@ impl Cloudless {
             validation,
             changes,
             mut plan_text,
-            trace: _,
+            trace,
         } = self.run_pipeline(source, over)?;
         let state = over.unwrap_or(self.store.current());
         let mut plan = Plan::build(changes, state, self.cloud.catalog());
@@ -578,7 +582,14 @@ impl Cloudless {
             ));
             plan = restricted;
         }
-        self.guard_prevent_destroy(&plan)?;
+        if let Err(refusal) = self.guard_prevent_destroy(&plan) {
+            // the refusal names positions, and a cold run's are the file's
+            if !trace.fast_path {
+                return Err(refusal);
+            }
+            self.pipeline.clear();
+            return self.plan_over(source, targets, over);
+        }
         self.controller
             .admits_plan(self.summarize(&manifest, &plan))
             .map_err(ConvergeError::PolicyDenied)?;
@@ -587,6 +598,7 @@ impl Cloudless {
             validation,
             plan,
             plan_text,
+            warm: trace.fast_path,
         })
     }
 
@@ -672,12 +684,21 @@ impl Cloudless {
         source: &str,
     ) -> Result<ConvergeOutcome, ConvergeError> {
         let Planned {
-            manifest,
+            mut manifest,
             validation,
             plan,
             plan_text,
+            warm,
         } = planned;
         let apply = self.execute(&plan, &manifest.outputs, "apply", Some(source))?;
+        if warm && !apply.all_ok() {
+            // the explanations name positions, and a cold run's are the
+            // file's (it accepts what the warm run accepted: warm ≡ cold)
+            self.pipeline.clear();
+            if let Ok(cold) = self.run_pipeline(source, None) {
+                manifest = cold.manifest;
+            }
+        }
 
         // observe conventions from successful applies (§3.2 mining)
         if apply.all_ok() {

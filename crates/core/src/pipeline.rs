@@ -70,9 +70,18 @@
 //! leave no reader behind — no dependent in the block DAG, no output or
 //! local naming it, no variable or local it was the last reader of —
 //! retracts its claims, and turns into deletions of whichever of its
-//! addresses the state holds. In-scope chunks are parsed standalone, so
-//! spans in unedited blocks go stale; that is harmless, because a clean run
-//! emits no diagnostics and plan text holds no spans.
+//! addresses the state holds.
+//!
+//! # Where positions may be read
+//!
+//! An in-scope chunk is parsed at its place in the file (`parse_block`), so
+//! the spans of a block a splice re-derives are exactly a cold run's. A
+//! block the edit did not touch keeps the spans it was parsed with, and an
+//! edit above it has since moved it: those are never shown. A warm run emits
+//! no diagnostics and plan text holds no spans; a caller that is about to
+//! *report* a position off a warm run's manifest (the engine's
+//! `prevent_destroy` refusal, the explanation of a failed apply) reruns the
+//! front end cold and reports from that.
 //!
 //! One verdict can change under an unedited program: the spec miner learns
 //! from every apply. Mined findings are functions of one instance, so the
@@ -106,6 +115,7 @@ use cloudless_deploy::diff::{
 use cloudless_graph::{Dag, DagBuilder, ImpactScope, NodeId};
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::fingerprint::{diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap};
+use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
     expand_resource_block, expand_root, Manifest, ModuleLibrary, Program, ResourceBlock,
     ResourceInstance, RootExpansion,
@@ -113,7 +123,7 @@ use cloudless_hcl::program::{
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
-use cloudless_types::{PairMap, ResourceAddr, Value};
+use cloudless_types::{PairMap, ResourceAddr, SourcePos, Value};
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
@@ -470,7 +480,7 @@ struct Memo {
     /// order).
     block_chunk: Vec<usize>,
     /// The program's non-resource half (variables, locals, outputs, …).
-    /// A resource block's syntax is one standalone parse of its chunk of
+    /// A resource block's syntax is one parse (`parse_block`) of its chunk of
     /// `source` away, which is all a splice needs of a block it replaces
     /// or removes.
     program: Program,
@@ -514,6 +524,9 @@ struct BlockEdit {
     /// ([`Memo::reshape`]) the new ones are the memo's.
     was: Option<Seat>,
     now: Option<Seat>,
+    /// Its position: among the new source's blocks if it is there, else
+    /// among the memo's.
+    at: usize,
     /// parse: the block as each source has it.
     old: Option<ResourceBlock>,
     new: Option<ResourceBlock>,
@@ -525,13 +538,6 @@ struct BlockEdit {
 }
 
 impl BlockEdit {
-    /// Its position: among the new source's blocks if it is there, else
-    /// among the memo's.
-    fn at(&self) -> usize {
-        let (at, _) = (self.now.or(self.was)).expect("a block in scope sits in a source");
-        at
-    }
-
     fn inserted(&self) -> bool {
         self.was.is_none()
     }
@@ -938,7 +944,7 @@ impl<'a> Walk<'a> {
                     }
                     if let (Some((rb, _)), None) = (&old, &new) {
                         // the cold walk reports the dangling reference exactly
-                        let dependents = memo.dag.successors(NodeId(b.at() as u32));
+                        let dependents = memo.dag.successors(NodeId(b.at as u32));
                         let read = memo.outer.contains(&rb.rtype, &rb.name)
                             || dependents.iter().any(|d| !gone.contains(&d.index()));
                         ensure(!read, "structural edit (a removed block is still read)")?;
@@ -1225,19 +1231,25 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// Which of the blocks a splice inserted `earlier` is `rtype.name`.
-fn staged(earlier: &[BlockEdit], rtype: &str, name: &str) -> Option<usize> {
-    let named = |rb: &ResourceBlock| rb.rtype == rtype && rb.name == name;
-    let staged = |b: &BlockEdit| b.inserted() && b.new.as_ref().is_some_and(named);
-    earlier.iter().position(staged)
+/// Which of the blocks a splice inserted `earlier` is `rtype.name`, and the
+/// block.
+fn staged<'a>(
+    earlier: &'a [BlockEdit],
+    rtype: &str,
+    name: &str,
+) -> Option<(usize, &'a ResourceBlock)> {
+    let inserted = earlier.iter().enumerate().filter(|(_, b)| b.inserted());
+    let mut blocks = inserted.filter_map(|(k, b)| Some((k, b.new.as_ref()?)));
+    blocks.find(|(_, rb)| rb.rtype == rtype && rb.name == name)
 }
 
-/// Parse one in-scope chunk standalone; it must hold exactly the resource
-/// block the chunk scanner read off its head (stale spans are harmless, see
-/// the module docs).
+/// Parse one in-scope chunk where it sits in the file, so the block's spans
+/// are the ones a parse of the whole source gives it; it must hold exactly
+/// the resource block the chunk scanner read off its head.
 fn parse_block(source: &str, chunk: &Chunk, filename: &str) -> Result<ResourceBlock, Stop> {
     let text = &source[chunk.start..chunk.end];
-    let parsed = cloudless_hcl::parse(text, filename).and_then(Program::from_file);
+    let origin = SourcePos::new(chunk.line, 1, chunk.start as u32);
+    let parsed = parse_at(text, filename, origin).and_then(Program::from_file);
     ensure(parsed.is_ok(), "a block in scope does not parse")?;
     let mut rest = parsed.unwrap_or_default();
     let block = rest.resources.pop();
@@ -1367,6 +1379,7 @@ impl Memo {
                 }
                 blocks.push(BlockEdit {
                     was: Some((*was_at, old.start + ci)),
+                    at: *was_at,
                     ..BlockEdit::default()
                 });
                 *was_at += 1;
@@ -1389,6 +1402,7 @@ impl Memo {
                 }
                 blocks.push(BlockEdit {
                     now,
+                    at: now_at,
                     ..BlockEdit::default()
                 });
                 now_at += 1;
@@ -1410,6 +1424,7 @@ impl Memo {
                 blocks.push(BlockEdit {
                     was: Some((was_at, old.start + k)),
                     now,
+                    at: now_at,
                     ..BlockEdit::default()
                 });
             }
@@ -1430,7 +1445,7 @@ impl Memo {
     /// the splice inserted `earlier` or one of the memo's.
     fn addresses_of(&self, rtype: &str, name: &str, earlier: &[BlockEdit]) -> Vec<ResourceAddr> {
         match staged(earlier, rtype, name) {
-            Some(k) => (earlier[k].after.iter())
+            Some((k, _)) => (earlier[k].after.iter())
                 .map(|inst| inst.addr.clone())
                 .collect(),
             None => (self.positions_of(rtype, name).iter())
@@ -1458,11 +1473,10 @@ impl Memo {
         for (rtype, name) in refs.block_targets().filter(names_block) {
             let added = |(t, n): &(String, String)| t == rtype && n == name;
             let (dep, disabled) = if decls.added.iter().any(added) {
-                let Some(k) = staged(earlier, rtype, name) else {
+                let Some((k, rb)) = staged(earlier, rtype, name) else {
                     let reason = "structural edit (an inserted block depends on a later one)";
                     return Err(Stop::Guard(reason.to_owned()));
                 };
-                let rb = earlier[k].new.as_ref().expect("staged blocks are new");
                 (Dep::Staged(k), env.count_folds_zero(rb))
             } else {
                 let Some(&first) = self.positions_of(rtype, name).first() else {
@@ -1503,9 +1517,9 @@ impl Memo {
         while old < ranges.len() || came.peek().is_some() {
             let at = self.root.block_ranges.len();
             let first = self.manifest.instances.len();
-            if let Some(b) = came.next_if(|b| b.at() == at) {
+            if let Some(b) = came.next_if(|b| b.at == at) {
                 self.manifest.instances.extend_from_slice(&b.after);
-            } else if went.next_if(|b| b.at() == old).is_some() {
+            } else if went.next_if(|b| b.at == old).is_some() {
                 old += 1;
                 continue;
             } else {
@@ -1531,9 +1545,9 @@ impl Memo {
         let come = inserted().flat_map(|b| {
             let from = |dep: &Dep| match *dep {
                 Dep::Memo(at) => block_to[at],
-                Dep::Staged(k) => blocks[k].at(),
+                Dep::Staged(k) => blocks[k].at,
             };
-            b.deps.iter().map(move |dep| (from(dep), b.at()))
+            b.deps.iter().map(move |dep| (from(dep), b.at))
         });
         let there = |&(from, to): &(usize, usize)| from != GONE && to != GONE;
         for (from, to) in stay.chain(come).filter(there) {
@@ -1551,13 +1565,14 @@ impl Memo {
         let moved = |at: &usize| Some(instance_to[*at]).filter(|&to| to != GONE);
         for b in removed() {
             self.mindex.remove(&b.before);
-            let rb = b.old.as_ref().expect("a removed block was parsed");
+            let parsed = b.old.as_ref();
+            let rb = parsed.ok_or_else(|| Stop::Guard("a removed block was not parsed".into()))?;
             self.plan.dirty.remove(&rb.rtype, &rb.name);
         }
         self.mindex.shift(|at| instance_to[at]);
         self.plan.order = self.plan.order.iter().filter_map(moved).collect();
         for b in inserted() {
-            let span = self.root.block_ranges[b.at()].clone();
+            let span = self.root.block_ranges[b.at].clone();
             self.mindex.insert(span.start, &b.after);
             self.plan.order.extend(span.rev());
         }

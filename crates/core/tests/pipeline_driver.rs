@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use cloudless::analyze::incremental::LintEnv;
 use cloudless::analyze::{lint_program, LintConfig};
-use cloudless::cloud::Catalog;
+use cloudless::cloud::{Catalog, CloudConfig};
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::hcl::program::{expand, ModuleLibrary};
 use cloudless::obs::{NullRecorder, Recorder};
@@ -24,7 +24,7 @@ use cloudless::state::Snapshot;
 use cloudless::types::Value;
 use cloudless::validate::incremental::{name_claim, quota_key};
 use cloudless::validate::{validate, ValidationLevel};
-use cloudless::LintGate;
+use cloudless::{Cloudless, Config, ConvergeError, LintGate};
 
 struct Env {
     catalog: Catalog,
@@ -296,4 +296,85 @@ fn aggregate_findings_equal_a_fold_over_the_extractors() {
         tripped.iter().all(|&n| n > 0),
         "each rule must be exercised: {tripped:?}"
     );
+}
+
+// ------------------------------------------------ positions: warm ≡ cold
+
+/// What the engine shows a user for the last of `saves`, each converged in
+/// turn on one engine: the refusal or the explanations of what failed, as
+/// the CLI renders them. The `cold` twin drops its memo before the last
+/// save; the warm one must have replanned every save after the first
+/// incrementally.
+fn shown(config: fn() -> Config, saves: &[&str], cold: bool) -> String {
+    let mut engine = Cloudless::new(Config {
+        recorder: cloudless::obs::FlightRecorder::shared(64),
+        ..config()
+    });
+    let (last, earlier) = saves.split_last().expect("a save");
+    for save in earlier {
+        let _ = engine.converge(save);
+    }
+    if cold {
+        engine.clear_pipeline_cache();
+    }
+    let shown = match engine.converge(last) {
+        Ok(out) => out.explanations.iter().map(|e| e.render()).collect(),
+        Err(ConvergeError::Validation(report)) => {
+            let sources = cloudless::hcl::SourceMap::single("main.tf", *last);
+            report.diagnostics.render_pretty(&sources)
+        }
+        Err(other) => panic!("{other}"),
+    };
+    let metrics = engine.metrics().expect("flight recorder keeps metrics");
+    let warm_runs = metrics.counter("pipeline.runs_incremental") as usize;
+    assert!(
+        cold || warm_runs >= earlier.len(),
+        "{warm_runs} warm run(s)"
+    );
+    shown
+}
+
+/// A position the engine reports is the file's, whatever the memo held:
+/// the `prevent_destroy` refusal and the explanation of a failed apply
+/// read the same after a warm replan as after a cold run — when the block
+/// they point at is the one the save edited, and when the save only moved
+/// it (an edit above it, the block itself parsed saves ago).
+#[test]
+fn reported_positions_are_the_same_warm_and_cold() {
+    let exact = || Config {
+        cloud: CloudConfig::exact(),
+        ..Config::default()
+    };
+    let guarded = "resource \"aws_s3_bucket\" \"logs\" {\n  bucket = \"logs-main\"\n}\n\
+        resource \"aws_vpc\" \"v\" {\n  cidr_block = \"10.0.0.0/16\"\n  \
+        lifecycle {\n    prevent_destroy = true\n  }\n}\n";
+    let replaced = guarded.replace("10.0.0.0/16", "10.9.0.0/16");
+    let shifted = replaced.replace("  bucket =", "  # rotated\n  bucket =");
+
+    // a quota the live resources use up: only the cloud can refuse `b`
+    let tight = || {
+        let mut cloud = CloudConfig::exact();
+        cloud.quota_overrides.insert("aws_vpc".into(), 1);
+        Config {
+            cloud,
+            validation_level: ValidationLevel::Schema,
+            ..Config::default()
+        }
+    };
+    let one = "resource \"aws_vpc\" \"a\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
+    let two = format!("{one}resource \"aws_vpc\" \"b\" {{\n  cidr_block = \"10.1.0.0/16\"\n}}\n");
+    let moved = two.replacen("  cidr_block", "  # the first\n  cidr_block", 1);
+
+    type Case<'a> = (fn() -> Config, Vec<&'a str>, &'a str);
+    let cases: [Case<'_>; 4] = [
+        (exact, vec![guarded, &replaced], "main.tf:4:1"),
+        (exact, vec![guarded, &replaced, &shifted], "main.tf:5:1"),
+        (tight, vec![one, &two], "main.tf:4:1"),
+        (tight, vec![one, &two, &moved], "main.tf:5:1"),
+    ];
+    for (config, saves, at) in cases {
+        let cold = shown(config, &saves, true);
+        assert!(cold.contains(at), "expected {at} in:\n{cold}");
+        assert_eq!(shown(config, &saves, false), cold);
+    }
 }

@@ -276,10 +276,11 @@ fn follow_up(base: &str, edited: &str, spec: &Spec, kind: usize, a: usize, b: us
 // ------------------------------------------------------------- comparison
 
 /// Project a pipeline result onto everything externally observable. Spans
-/// are deliberately excluded: the fast path re-parses dirty chunks
-/// standalone, so line offsets inside unedited blocks may be stale — the
-/// documented (and harmless, since the clean path emits no diagnostics)
-/// exception to byte-identity.
+/// are not part of it: the fast path parses an in-scope chunk at its place
+/// in the file, so the blocks a splice re-derives carry a cold run's spans
+/// by construction, and a block the edit left alone keeps the ones it was
+/// parsed with — which nothing shows: every position a user sees comes from
+/// a cold run (`pipeline_driver.rs` holds the engine to that).
 fn observe(result: Result<FrontendOutput, PipelineError>) -> Result<(String, String), String> {
     match result {
         Ok(out) => {

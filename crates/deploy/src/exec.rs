@@ -1124,7 +1124,12 @@ impl<'a> Executor<'a> {
                     attrs,
                 }
             }
-            (Action::NoOp, _) => unreachable!("noops are not planned"),
+            (Action::NoOp, _) => {
+                return Err(CloudError::constraint(
+                    "StateInconsistent",
+                    format!("{addr} is planned but has nothing to do"),
+                ))
+            }
         };
         Ok(ApiRequest::new(op, &self.principal))
     }

@@ -112,21 +112,7 @@ impl Plan {
             let estimate = estimate(&change, catalog);
             builder.add_node(PlanNode { change, estimate });
         }
-        for (from, to) in edges {
-            builder
-                .add_edge(from, to)
-                .expect("endpoints interned above");
-        }
-        let (graph, dropped) = builder.seal_breaking_cycles();
-        let mut dropped_edges: Vec<(ResourceAddr, ResourceAddr)> = dropped
-            .into_iter()
-            .map(|(from, to)| {
-                (
-                    graph.node(from).change.addr.clone(),
-                    graph.node(to).change.addr.clone(),
-                )
-            })
-            .collect();
+        let (graph, mut dropped_edges) = seal(builder, edges);
         // a resource "depending on itself" is a degenerate cycle, too
         dropped_edges.extend(self_deps.into_iter().map(|a| (a.clone(), a)));
 
@@ -191,49 +177,46 @@ impl Plan {
             }
         }
         // node-id order preserves the original declaration order
-        let changes: Vec<PlannedChange> = self
-            .graph
-            .iter()
-            .filter(|(id, _)| keep[id.index()])
-            .map(|(_, node)| node.change.clone())
-            .collect();
-        let dropped = self.len() - changes.len();
-        let rebuilt = Plan::from_changes_with_edges(changes, self);
-        (rebuilt, dropped)
-    }
-
-    /// Rebuild a plan from a subset of this plan's changes, copying the
-    /// edges that survive the restriction.
-    fn from_changes_with_edges(changes: Vec<PlannedChange>, original: &Plan) -> Plan {
-        let n = changes.len();
+        let kept = || self.graph.iter().filter(|(id, _)| keep[id.index()]);
+        let n = kept().count();
         let mut addrs = AddrTable::with_capacity(n);
-        let mut remap: Vec<Option<NodeId>> = vec![None; original.len()];
+        let mut remap: Vec<Option<NodeId>> = vec![None; self.len()];
         let mut builder: DagBuilder<PlanNode> = DagBuilder::with_capacity(n);
-        for change in changes {
-            let old = original
-                .node_for(&change.addr)
-                .expect("restricted changes come from the original plan");
-            let estimate = original.graph.node(old).estimate;
-            addrs.intern(change.addr.clone());
-            let id = builder.add_node(PlanNode { change, estimate });
-            remap[old.index()] = Some(id);
+        for (old, node) in kept() {
+            addrs.intern(node.change.addr.clone());
+            remap[old.index()] = Some(builder.add_node(node.clone()));
         }
-        for (from, to) in original.graph.edges() {
-            if let (Some(f), Some(t)) = (remap[from.index()], remap[to.index()]) {
-                builder.add_edge(f, t).expect("endpoints exist");
-            }
-        }
-        let graph = builder
-            .seal()
-            .expect("subset of an acyclic graph is acyclic");
+        // the edges that survive the restriction
+        let edges = self.graph.edges();
+        let edges = edges.filter_map(|(from, to)| remap[from.index()].zip(remap[to.index()]));
+        let (graph, dropped_edges) = seal(builder, edges);
         let addr_strs = addrs.iter().map(|(_, a)| a.to_string()).collect();
-        Plan {
+        let restricted = Plan {
             graph,
             addrs,
             addr_strs,
-            dropped_edges: original.dropped_edges.clone(),
-        }
+            dropped_edges: [self.dropped_edges.clone(), dropped_edges].concat(),
+        };
+        (restricted, self.len() - n)
     }
+}
+
+/// Seal `builder` over `edges`. An edge the builder refuses (a self-edge)
+/// or the seal drops (it closes a cycle) comes back, by address, as an
+/// ordering the plan does not enforce — [`Plan::dropped_edges`].
+fn seal(
+    mut builder: DagBuilder<PlanNode>,
+    edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> (Dag<PlanNode>, Vec<(ResourceAddr, ResourceAddr)>) {
+    let refused = |&(from, to): &(NodeId, NodeId)| builder.add_edge(from, to).is_err();
+    let refused: Vec<_> = edges.into_iter().filter(refused).collect();
+    let (graph, dropped) = builder.seal_breaking_cycles();
+    let addr = |id: NodeId| graph.node(id).change.addr.clone();
+    let unenforced = dropped.into_iter().chain(refused);
+    let unenforced = unenforced
+        .map(|(from, to)| (addr(from), addr(to)))
+        .collect();
+    (graph, unenforced)
 }
 
 fn estimate(change: &PlannedChange, catalog: &Catalog) -> SimDuration {

@@ -193,6 +193,10 @@ impl SourceMap {
     }
 }
 
+/// Most characters of a source line (and carets under it) one rendered
+/// diagnostic shows; the rest of a longer line is cut, with `…` marks.
+const EXCERPT_WIDTH: usize = 160;
+
 impl Diagnostic {
     /// Render with a source excerpt and caret underline:
     ///
@@ -214,21 +218,34 @@ impl Diagnostic {
             if let Some(line) = sources.line(&self.file, self.span.start.line) {
                 let lineno = self.span.start.line.to_string();
                 let gutter = " ".repeat(lineno.len());
-                out.push_str(&format!("\n   {lineno} | {line}"));
+                let len = line.chars().count();
                 // caret run: from start.col to end.col on single-line spans,
                 // to the end of the line otherwise (cols are 1-based)
-                let from = (self.span.start.col.saturating_sub(1)) as usize;
+                let mut from = (self.span.start.col.saturating_sub(1)) as usize;
                 let to = if self.span.end.line == self.span.start.line
                     && self.span.end.col > self.span.start.col
                 {
                     (self.span.end.col.saturating_sub(1)) as usize
                 } else {
-                    line.chars().count()
+                    len
                 };
-                let width = to.saturating_sub(from).max(1);
+                // a line over the cap (machine-written, or damaged) is shown
+                // through a window that opens a little before the span
+                let mut lo = 0;
+                if len > EXCERPT_WIDTH {
+                    from = from.min(len);
+                    lo = from.saturating_sub(EXCERPT_WIDTH / 4);
+                }
+                let hi = (lo + EXCERPT_WIDTH).min(len);
+                let cut = |there: bool| if there { "…" } else { "" };
+                let (pre, post) = (cut(lo > 0), cut(hi < len));
+                let shown: String = line.chars().skip(lo).take(hi - lo).collect();
+                out.push_str(&format!("\n   {lineno} | {pre}{shown}{post}"));
+                let room = hi.saturating_sub(from).max(1);
+                let width = to.saturating_sub(from).clamp(1, room);
                 out.push_str(&format!(
                     "\n   {gutter} | {}{}",
-                    " ".repeat(from),
+                    " ".repeat(from - lo + pre.chars().count()),
                     "^".repeat(width)
                 ));
             }
@@ -306,6 +323,31 @@ mod tests {
         assert_eq!(ds.count(Severity::Warning), 1);
         assert_eq!(ds.count(Severity::Error), 1);
         assert_eq!(ds.len(), 2);
+    }
+
+    #[test]
+    fn a_long_line_is_excerpted_around_the_span() {
+        let line = format!("x = {}\"oops", "[".repeat(6_000_000));
+        let at = line.find('"').unwrap() as u32;
+        let span = Span::new(
+            SourcePos::new(1, at + 1, at),
+            SourcePos::new(1, at + 6, at + 5),
+        );
+        let d = Diagnostic::error("HCL001", "main.tf", span, "unterminated string literal");
+        let pretty = d.render_pretty(&SourceMap::single("main.tf", line));
+        assert!(pretty.len() < 1_000, "{} bytes", pretty.len());
+        let rows: Vec<&str> = pretty.lines().collect();
+        assert!(rows[1].starts_with("   1 | …[[[") && rows[1].ends_with("[\"oops"));
+        let caret = rows[2].find('^').unwrap() - "     | ".len();
+        assert_eq!(rows[1]["   1 | ".len()..].chars().nth(caret), Some('"'));
+        assert!(rows[2].ends_with("^^^^^") && !rows[2].ends_with("^^^^^^"));
+        // a multi-line span on a long line underlines to the cut, not past it
+        let open = Span::new(SourcePos::new(1, 5, 4), SourcePos::new(2, 1, 0));
+        let d = Diagnostic::error("HCL002", "main.tf", open, "unclosed");
+        let pretty = d.render_pretty(&SourceMap::single("main.tf", "x = [".repeat(2_000)));
+        let rows: Vec<&str> = pretty.lines().collect();
+        assert!(rows[1].starts_with("   1 | x = [x") && rows[1].ends_with('…'));
+        assert_eq!(rows[2].matches('^').count(), EXCERPT_WIDTH - 4);
     }
 
     #[test]

@@ -10,16 +10,22 @@
 //! with its offsets shifted.
 //!
 //! The scanner is deliberately *not* the lexer: it only needs to find
-//! top-level `}` closers, which requires tracking strings (with `${ … }`
-//! interpolations, which themselves nest strings), comments, and brace
-//! depth — nothing else. A diff never interprets the edit: it reports the
-//! window it re-scanned ([`ChunkDelta::Window`], old chunk range → new
-//! chunk range) over a table equal to a fresh scan's, and the caller reads
-//! bodies edited and blocks added, removed or renamed off the window. A
-//! source the scanner cannot chunk at all is one opaque chunk.
+//! top-level `}` closers, so it counts braces and newlines and nothing
+//! else. Where a string (with `${ … }` interpolations, which themselves
+//! nest strings) or a comment ends, and which block a chunk's head names,
+//! it asks [`crate::lexer`] — the parser's reader — so a chunk boundary is
+//! a block boundary by construction.
+//!
+//! A diff never interprets the edit: it reports the window it re-scanned
+//! ([`ChunkDelta::Window`], old chunk range → new chunk range) over a table
+//! equal to a fresh scan's, and the caller reads bodies edited and blocks
+//! added, removed or renamed off the window. A source the scanner cannot
+//! chunk at all is one opaque chunk.
 
 use std::fmt;
 use std::ops::Range;
+
+use crate::lexer::{comment_end, resource_head, string_end};
 
 /// FNV-1a 64-bit over a byte slice — stable, dependency-free, fast enough
 /// to hash only the chunks inside an edit window.
@@ -92,42 +98,6 @@ impl fmt::Display for ChunkKind {
     }
 }
 
-/// Scanner state for skipping a double-quoted string starting at `i`
-/// (byte of the opening `"`). Returns the index just past the closing
-/// quote. Handles `\` escapes and `${ … }` interpolations, which may nest
-/// strings (and those strings further interpolations).
-fn skip_string(b: &[u8], mut i: usize) -> usize {
-    debug_assert_eq!(b[i], b'"');
-    i += 1;
-    while i < b.len() {
-        match b[i] {
-            b'\\' => i += 2,
-            b'$' if i + 1 < b.len() && b[i + 1] == b'{' => {
-                // interpolation: balanced braces, strings nest
-                let mut depth = 1usize;
-                i += 2;
-                while i < b.len() && depth > 0 {
-                    match b[i] {
-                        b'{' => {
-                            depth += 1;
-                            i += 1;
-                        }
-                        b'}' => {
-                            depth -= 1;
-                            i += 1;
-                        }
-                        b'"' => i = skip_string(b, i),
-                        _ => i += 1,
-                    }
-                }
-            }
-            b'"' => return i + 1,
-            _ => i += 1,
-        }
-    }
-    i
-}
-
 /// Why a scan could not chunk its bytes.
 enum ScanError {
     /// The source ends inside a block: nothing aligns.
@@ -176,22 +146,13 @@ fn scan_from(
                     saw_block = false;
                 }
             }
-            b'#' => i = skip_line(b, i),
-            b'/' if i + 1 < b.len() && b[i + 1] == b'/' => i = skip_line(b, i),
-            b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                i += 2;
-                while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
-                    if b[i] == b'\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                i = (i + 2).min(b.len());
-            }
-            b'"' => {
-                let j = skip_string(b, i).min(b.len());
-                line += count_lines(&b[i..j]);
-                i = j;
+            b'#' | b'/' | b'"' => {
+                let end = match b[i] {
+                    b'"' => string_end(b, i),
+                    _ => comment_end(b, i).map_or(i + 1, |(end, _)| end),
+                };
+                line += count_lines(&b[i..end]);
+                i = end;
             }
             b'{' => {
                 depth += 1;
@@ -226,13 +187,6 @@ fn scan_from(
     Ok((chunks, line))
 }
 
-fn skip_line(b: &[u8], mut i: usize) -> usize {
-    while i < b.len() && b[i] != b'\n' {
-        i += 1;
-    }
-    i
-}
-
 fn make_chunk(src: &str, start: usize, end: usize, line: u32) -> Chunk {
     let bytes = &src.as_bytes()[start..end];
     Chunk {
@@ -240,44 +194,11 @@ fn make_chunk(src: &str, start: usize, end: usize, line: u32) -> Chunk {
         end,
         line,
         hash: fnv1a(bytes),
-        kind: classify(src[start..end].trim_start()),
+        kind: match resource_head(&src[start..end]) {
+            Some((rtype, name)) => ChunkKind::Resource { rtype, name },
+            None => ChunkKind::Other,
+        },
     }
-}
-
-/// Peek the head of a chunk: `resource "<t>" "<n>"` → `Resource`.
-fn classify(head: &str) -> ChunkKind {
-    let mut rest = head;
-    // skip leading comment lines
-    loop {
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix('#') {
-            rest = r.split_once('\n').map(|(_, r)| r).unwrap_or("");
-        } else if let Some(r) = rest.strip_prefix("//") {
-            rest = r.split_once('\n').map(|(_, r)| r).unwrap_or("");
-        } else if let Some(r) = rest.strip_prefix("/*") {
-            rest = r.split_once("*/").map(|(_, r)| r).unwrap_or("");
-        } else {
-            break;
-        }
-    }
-    let Some(rest) = rest.strip_prefix("resource") else {
-        return ChunkKind::Other;
-    };
-    let Some((rtype, rest)) = label(rest) else {
-        return ChunkKind::Other;
-    };
-    let Some((name, _)) = label(rest) else {
-        return ChunkKind::Other;
-    };
-    ChunkKind::Resource {
-        rtype: rtype.to_owned(),
-        name: name.to_owned(),
-    }
-}
-
-/// The quoted label at the head of `rest`, and what follows it.
-fn label(rest: &str) -> Option<(&str, &str)> {
-    rest.trim_start().strip_prefix('"')?.split_once('"')
 }
 
 impl ChunkMap {

@@ -1,4 +1,5 @@
-//! Hand-written lexer for the HCL subset.
+//! Hand-written lexer for the HCL subset, and the only place that knows
+//! its lexical syntax.
 //!
 //! Handles `#`, `//` and `/* */` comments, decimal numbers, identifiers,
 //! operators, and double-quoted strings with escape sequences and `${…}`
@@ -7,7 +8,16 @@
 //!
 //! The lexer is pulled one token at a time (`Lexer::next_token`) and its
 //! tokens borrow the source: no token vector is built and no identifier is
-//! copied until the parser puts it in the tree.
+//! copied until the parser puts it in the tree. It starts at an origin
+//! [`SourcePos`], so text cut out of a file — an interpolation, one
+//! top-level chunk — is lexed in the file's coordinates and no position is
+//! rewritten afterwards.
+//!
+//! Where a string ends (`closer`), where a comment ends (`comment_end`)
+//! and what a block's head names (`resource_head`) are decided here and
+//! nowhere else: the chunk scanner of [`crate::fingerprint`] counts braces
+//! and newlines and asks this module for the rest, so chunk boundaries are
+//! block boundaries.
 
 use std::borrow::Cow;
 
@@ -16,11 +26,111 @@ use cloudless_types::{SourcePos, Span};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::token::{StrLit, StrPart, Token, TokenKind};
 
+/// Deepest nesting a program may have: of blocks and expressions in the
+/// parser, of strings inside interpolations inside strings here. The
+/// parser, every pass after it and `Drop` all recurse over the tree, so
+/// this one cap keeps hostile input (200 kB of `[`, 900 kB of `"${`) a
+/// diagnostic where it would overflow the stack and abort the process. A
+/// level costs about 10 kB of stack in an unoptimized build, so 64 of them
+/// fit a 2 MB thread several times over; shipped programs nest under 10
+/// deep.
+pub(crate) const MAX_DEPTH: usize = 64;
+
+/// One past what closes the construct `b[i]` is the first byte inside of: the
+/// closing quote of a string (`in_str`), else the closing brace of an
+/// interpolation. Strings hold interpolations (`${`, unless escaped as
+/// `$${`), interpolations hold braces, comments and strings: the state is
+/// whether `i` is in a string plus the brace depth of every interpolation
+/// open around it, kept in a loop — nothing recurses, however the input nests.
+/// `Err` says why nothing closes it: the bytes run out, or it nests
+/// interpolations deeper than [`MAX_DEPTH`].
+fn closer(b: &[u8], mut i: usize, mut in_str: bool) -> Result<usize, String> {
+    let from_interp = !in_str;
+    // the innermost open interpolation's brace depth (0: none is open), and
+    // those of the ones around it
+    let mut depth = usize::from(from_interp);
+    let mut outer: Vec<usize> = Vec::new();
+    while let Some(&c) = b.get(i) {
+        i += 1;
+        match c {
+            b'\\' if in_str => i += 1,
+            b'$' if in_str && b[i..].starts_with(b"${") => i += 2,
+            b'$' if in_str && b.get(i) == Some(&b'{') => {
+                if outer.len() >= MAX_DEPTH {
+                    let why = format!("interpolations nested deeper than {MAX_DEPTH} levels");
+                    return Err(why);
+                }
+                if depth > 0 {
+                    outer.push(depth);
+                }
+                (i, depth, in_str) = (i + 1, 1, false);
+            }
+            b'"' if in_str && depth == 0 => return Ok(i),
+            b'"' => in_str = !in_str,
+            _ if in_str => {}
+            b'#' | b'/' => i = comment_end(b, i - 1).map_or(i, |(end, _)| end),
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    match outer.pop() {
+                        None if from_interp => return Ok(i),
+                        around => depth = around.unwrap_or(0),
+                    }
+                    in_str = true;
+                }
+            }
+            _ => {}
+        }
+    }
+    Err("unterminated interpolation".to_owned())
+}
+
+/// One past the closing quote of the string that opens at `b[open]`, its
+/// interpolations and the strings inside them skipped whole; the end of the
+/// bytes for a string nothing closes.
+pub(crate) fn string_end(b: &[u8], open: usize) -> usize {
+    closer(b, open + 1, true).unwrap_or(b.len())
+}
+
+/// The end of the comment that opens at `b[i]`, if one does, and whether it
+/// is closed: a `#` or `//` comment ends before its newline, a `/* */`
+/// after its `*/` — or, unclosed, where the bytes run out.
+pub(crate) fn comment_end(b: &[u8], i: usize) -> Option<(usize, bool)> {
+    let rest = &b[i..];
+    if rest.starts_with(b"#") || rest.starts_with(b"//") {
+        let len = rest.iter().position(|&c| c == b'\n');
+        Some((i + len.unwrap_or(rest.len()), true))
+    } else if rest.starts_with(b"/*") {
+        let close = rest[2..].windows(2).position(|w| w == b"*/");
+        Some(close.map_or((b.len(), false), |at| (i + at + 4, true)))
+    } else {
+        None
+    }
+}
+
+/// The `(type, name)` of the `resource "<type>" "<name>"` that `src` opens
+/// with, leading trivia aside: the labels the parser gives the block.
+pub(crate) fn resource_head(src: &str) -> Option<(String, String)> {
+    let mut lexer = Lexer::new(src, "", SourcePos::start());
+    if lexer.next_token().kind != TokenKind::Ident("resource") {
+        return None;
+    }
+    let mut label = || match lexer.next_token().kind {
+        TokenKind::Ident(name) => Some(name.to_owned()),
+        TokenKind::Str(StrLit::Plain(text)) => Some(text.into_owned()),
+        _ => None,
+    };
+    Some((label()?, label()?))
+}
+
 /// A cursor over source text that hands out one token per call.
 pub(crate) struct Lexer<'s, 'f> {
     src: &'s str,
     bytes: &'s [u8],
     filename: &'f str,
+    /// Where `src` starts in its file, in bytes.
+    base: u32,
     pos: usize,
     line: u32,
     col: u32,
@@ -32,21 +142,23 @@ pub(crate) struct Lexer<'s, 'f> {
 }
 
 impl<'s, 'f> Lexer<'s, 'f> {
-    pub(crate) fn new(src: &'s str, filename: &'f str) -> Self {
+    /// A lexer over `src`, text that sits at `origin` in `filename`.
+    pub(crate) fn new(src: &'s str, filename: &'f str, origin: SourcePos) -> Self {
         Lexer {
             src,
             bytes: src.as_bytes(),
             filename,
+            base: origin.offset,
             pos: 0,
-            line: 1,
-            col: 1,
+            line: origin.line,
+            col: origin.col,
             after_value: false,
             diags: Diagnostics::new(),
         }
     }
 
     fn here(&self) -> SourcePos {
-        SourcePos::new(self.line, self.col, self.pos as u32)
+        SourcePos::new(self.line, self.col, self.base + self.pos as u32)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -79,6 +191,13 @@ impl<'s, 'f> Lexer<'s, 'f> {
         Some(ch)
     }
 
+    /// Step to byte `end` of the source, a `char` boundary.
+    fn advance_to(&mut self, end: usize) {
+        while self.pos < end {
+            self.bump();
+        }
+    }
+
     fn error(&mut self, start: SourcePos, msg: String) {
         let span = Span::new(start, self.here());
         self.diags
@@ -98,9 +217,7 @@ impl<'s, 'f> Lexer<'s, 'f> {
                     self.bump();
                     None
                 }
-                b'#' => self.skip_line_comment(),
-                b'/' if self.peek2() == Some(b'/') => self.skip_line_comment(),
-                b'/' if self.peek2() == Some(b'*') => self.skip_block_comment(start),
+                b'#' | b'/' if self.skip_comment(start) => None,
                 b'"' => Some(self.lex_string(start)),
                 b'0'..=b'9' => self.lex_number(start, false),
                 b'-' if matches!(self.peek2(), Some(b'0'..=b'9')) && !self.after_value => {
@@ -128,35 +245,16 @@ impl<'s, 'f> Lexer<'s, 'f> {
         Token { kind, span }
     }
 
-    fn skip_line_comment(&mut self) -> Option<TokenKind<'s>> {
-        while let Some(b) = self.peek() {
-            if b == b'\n' {
-                break;
-            }
-            self.bump();
+    /// Step over the comment at the cursor, if one opens there.
+    fn skip_comment(&mut self, start: SourcePos) -> bool {
+        let Some((end, closed)) = comment_end(self.bytes, self.pos) else {
+            return false;
+        };
+        self.advance_to(end);
+        if !closed {
+            self.error(start, "unterminated block comment".to_owned());
         }
-        None
-    }
-
-    fn skip_block_comment(&mut self, start: SourcePos) -> Option<TokenKind<'s>> {
-        self.bump(); // '/'
-        self.bump(); // '*'
-        loop {
-            match self.peek() {
-                Some(b'*') if self.peek2() == Some(b'/') => {
-                    self.bump();
-                    self.bump();
-                    return None;
-                }
-                Some(_) => {
-                    self.bump();
-                }
-                None => {
-                    self.error(start, "unterminated block comment".to_owned());
-                    return None;
-                }
-            }
-        }
+        true
     }
 
     fn lex_number(&mut self, start: SourcePos, negative: bool) -> Option<TokenKind<'s>> {
@@ -246,7 +344,7 @@ impl<'s, 'f> Lexer<'s, 'f> {
                     }
                     self.bump(); // $
                     self.bump(); // {
-                    parts.push(self.lex_interpolation(start));
+                    parts.extend(self.interpolation(start));
                     run = LitRun::at(self.pos);
                 }
                 Some(_) => {
@@ -266,46 +364,23 @@ impl<'s, 'f> Lexer<'s, 'f> {
     }
 
     /// The `…}` of an interpolation whose `${` is consumed, in the string
-    /// that opened at `start`.
-    fn lex_interpolation(&mut self, start: SourcePos) -> StrPart<'s> {
-        let interp_start = self.here();
-        let src_start = self.pos;
-        let mut depth = 1usize;
-        let mut in_str = false;
-        loop {
-            match self.peek() {
-                None => {
-                    self.error(start, "unterminated interpolation".to_owned());
-                    break;
-                }
-                Some(b'"') => {
-                    in_str = !in_str;
-                    self.bump();
-                }
-                Some(b'\\') if in_str => {
-                    self.bump();
-                    self.bump();
-                }
-                Some(b'{') if !in_str => {
-                    depth += 1;
-                    self.bump();
-                }
-                Some(b'}') if !in_str => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                    self.bump();
-                }
-                Some(_) => {
-                    self.bump();
-                }
+    /// that opened at `start`; nothing (reported, and the rest of the source
+    /// consumed) when it does not close.
+    fn interpolation(&mut self, start: SourcePos) -> Option<StrPart<'s>> {
+        let (from, open, src) = (self.here(), self.pos, self.src);
+        match closer(self.bytes, open, false) {
+            Ok(end) => {
+                self.advance_to(end - 1);
+                let span = Span::new(from, self.here());
+                self.bump(); // closing }
+                Some(StrPart::Interp(&src[open..end - 1], span))
+            }
+            Err(why) => {
+                self.advance_to(self.bytes.len());
+                self.error(start, why);
+                None
             }
         }
-        let inner = &self.src[src_start..self.pos];
-        let span = Span::new(interp_start, self.here());
-        self.bump(); // closing }
-        StrPart::Interp(inner, span)
     }
 
     fn lex_operator(&mut self, start: SourcePos) -> Option<TokenKind<'s>> {
@@ -436,7 +511,7 @@ mod tests {
     /// Every token of `source`, the closing [`TokenKind::Eof`] included,
     /// or what the lexer could not read.
     fn lex<'s>(source: &'s str, filename: &str) -> Result<Vec<Token<'s>>, Diagnostics> {
-        let mut lexer = Lexer::new(source, filename);
+        let mut lexer = Lexer::new(source, filename, SourcePos::start());
         let mut tokens = Vec::new();
         loop {
             let token = lexer.next_token();
@@ -525,6 +600,43 @@ mod tests {
             parts[0],
             StrPart::Interp(r#"merge({a = "}"}, m)"#, _)
         ));
+    }
+
+    #[test]
+    fn strings_nest_in_interpolations_in_strings() {
+        // the inner string's `${"}"}` holds a brace and two quotes
+        let parts = template(r#""${ "a${"}"}" }!""#);
+        assert!(matches!(parts[0], StrPart::Interp(r#" "a${"}"}" "#, _)));
+        assert!(matches!(&parts[1], StrPart::Lit(s) if s == "!"));
+        // a comment in an interpolation hides what it holds, as it does
+        // from the lexer that reads the interpolation
+        let parts = template(r#""${ a /* "} */ }""#);
+        assert!(matches!(parts[0], StrPart::Interp(r#" a /* "} */ "#, _)));
+        // an escaped `$${` opens nothing
+        assert_eq!(string_end(br#""$${" }"#, 0), 5);
+        // and nesting past the cap is refused, not followed
+        let deep = r#""${"#.repeat(MAX_DEPTH + 2);
+        let err = lex(&deep, "t").unwrap_err();
+        assert!(err.items[0].message.contains("nested deeper"), "{err}");
+        assert_eq!(string_end(deep.as_bytes(), 0), deep.len());
+    }
+
+    #[test]
+    fn positions_start_at_the_origin() {
+        let mut lexer = Lexer::new("a\n  b", "t", SourcePos::new(7, 5, 40));
+        assert_eq!(lexer.next_token().span.start, SourcePos::new(7, 5, 40));
+        assert_eq!(lexer.next_token().span.start, SourcePos::new(8, 3, 44));
+    }
+
+    #[test]
+    fn the_head_of_a_block_is_what_the_parser_labels_it() {
+        let head = |src| resource_head(src);
+        let named = Some(("a_b".to_owned(), "c".to_owned()));
+        assert_eq!(head("# x\n/* y */ resource \"a_b\" \"c\" {"), named);
+        assert_eq!(head("resource a_b c {"), named);
+        assert_eq!(head("resource \"a_${b}\" \"c\" {"), None);
+        assert_eq!(head("variable \"a_b\" {"), None);
+        assert_eq!(head("/* resource \"a_b\" \"c\" {"), None);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! ```
 //!
 //! String interpolations (`"${…}"`) are parsed by recursively invoking the
-//! same parser on the interpolation source, then *remapping* the inner spans
-//! into file coordinates so diagnostics still point at real lines.
+//! same parser on the interpolation source *at its position in the file*:
+//! a parser starts at an origin, so every span it produces is in file
+//! coordinates and diagnostics point at real lines.
 
 use cloudless_types::{SourcePos, Span};
 
@@ -34,32 +35,36 @@ use crate::ast::{
     Attribute, BinOp, Block, BlockBody, Expr, File, MapKey, Reference, TemplatePart, UnaryOp,
 };
 use crate::diag::{Diagnostic, Diagnostics};
-use crate::lexer::Lexer;
+use crate::lexer::{Lexer, MAX_DEPTH};
 use crate::token::{StrLit, StrPart, Token, TokenKind};
-
-/// Deepest nesting of blocks and expressions a program may have. The
-/// parser, every pass after it and `Drop` all recurse over the tree built
-/// here, so this one cap keeps hostile input (200 kB of `[`) a diagnostic
-/// where it would overflow the stack and abort the process. A level costs
-/// about 10 kB of stack in an unoptimized build, so 64 of them fit a 2 MB
-/// thread several times over; shipped programs nest under 10 deep.
-const MAX_DEPTH: usize = 64;
 
 /// Parse a full file.
 pub fn parse(source: &str, filename: &str) -> Result<File, Diagnostics> {
-    let mut p = Parser::new(source, filename, 0);
+    parse_at(source, filename, SourcePos::start())
+}
+
+/// [`parse`] for whole top-level blocks cut out of `filename` at `origin`:
+/// every span of the result is a position in the file, not in `source`.
+pub fn parse_at(source: &str, filename: &str, origin: SourcePos) -> Result<File, Diagnostics> {
+    let mut p = Parser::new(source, filename, origin, 0);
     let file = p.file();
     p.finish(file)
 }
 
-/// Parse a standalone expression (used for interpolations and by tests).
+/// Parse a standalone expression (used by tests).
 pub fn parse_expr(source: &str, filename: &str) -> Result<Expr, Diagnostics> {
-    expr_at(source, filename, 0)
+    expr_at(source, filename, SourcePos::start(), 0)
 }
 
-/// [`parse_expr`] for an expression already `depth` levels into a program.
-fn expr_at(source: &str, filename: &str, depth: usize) -> Result<Expr, Diagnostics> {
-    let mut p = Parser::new(source, filename, depth);
+/// [`parse_expr`] for an expression that sits at `origin` in its file,
+/// already `depth` levels into a program.
+fn expr_at(
+    source: &str,
+    filename: &str,
+    origin: SourcePos,
+    depth: usize,
+) -> Result<Expr, Diagnostics> {
+    let mut p = Parser::new(source, filename, origin, depth);
     let e = p.expr();
     if !p.at(&TokenKind::Eof) {
         let span = p.peek().span;
@@ -106,8 +111,8 @@ const BINARY_OPS: [(TokenKind<'static>, BinOp, u8); 13] = [
 ];
 
 impl<'s> Parser<'s> {
-    fn new(source: &'s str, filename: &'s str, depth: usize) -> Self {
-        let mut lexer = Lexer::new(source, filename);
+    fn new(source: &'s str, filename: &'s str, origin: SourcePos, depth: usize) -> Self {
+        let mut lexer = Lexer::new(source, filename, origin);
         let cur = lexer.next_token();
         Parser {
             lexer,
@@ -618,8 +623,8 @@ impl<'s> Parser<'s> {
         Expr::Ref(Reference { parts }, start.merge(last))
     }
 
-    /// Build a template-string expression, recursively parsing
-    /// interpolations and remapping their spans into file coordinates.
+    /// Build a template-string expression, parsing each interpolation
+    /// where it sits in the file.
     fn template(&mut self, lit: StrLit<'s>, span: Span) -> Expr {
         let parts = match lit {
             StrLit::Plain(text) => {
@@ -631,17 +636,11 @@ impl<'s> Parser<'s> {
         for p in parts {
             match p {
                 StrPart::Lit(text) => out.push(TemplatePart::Lit(text.into_owned())),
-                StrPart::Interp(src, interp_span) => {
-                    match expr_at(src, self.filename, self.depth) {
-                        Ok(mut e) => {
-                            remap_spans(&mut e, interp_span.start);
-                            out.push(TemplatePart::Interp(e));
-                        }
+                StrPart::Interp(src, at) => {
+                    match expr_at(src, self.filename, at.start, self.depth) {
+                        Ok(e) => out.push(TemplatePart::Interp(e)),
                         Err(ds) => {
-                            for mut d in ds {
-                                d.span = remap_span(d.span, interp_span.start);
-                                self.diags.push(d);
-                            }
+                            self.diags.extend(ds);
                             out.push(TemplatePart::Lit(String::new()));
                         }
                     }
@@ -649,121 +648,6 @@ impl<'s> Parser<'s> {
             }
         }
         Expr::Str(out, span)
-    }
-}
-
-/// Shift a span lexed at line 1/offset 0 so it is expressed in the
-/// coordinates of the enclosing file, given the interpolation start.
-fn remap_pos(p: SourcePos, base: SourcePos) -> SourcePos {
-    SourcePos {
-        line: base.line + p.line - 1,
-        col: if p.line == 1 {
-            base.col + p.col - 1
-        } else {
-            p.col
-        },
-        offset: base.offset + p.offset,
-    }
-}
-
-fn remap_span(s: Span, base: SourcePos) -> Span {
-    Span::new(remap_pos(s.start, base), remap_pos(s.end, base))
-}
-
-/// Recursively remap every span inside an expression.
-fn remap_spans(e: &mut Expr, base: SourcePos) {
-    let fix = |s: &mut Span| *s = remap_span(*s, base);
-    match e {
-        Expr::Null(s) | Expr::Bool(_, s) | Expr::Num(_, s) => fix(s),
-        Expr::Str(parts, s) => {
-            fix(s);
-            for p in parts {
-                if let TemplatePart::Interp(inner) = p {
-                    remap_spans(inner, base);
-                }
-            }
-        }
-        Expr::List(items, s) => {
-            fix(s);
-            for i in items {
-                remap_spans(i, base);
-            }
-        }
-        Expr::Map(entries, s) => {
-            fix(s);
-            for (_, v) in entries {
-                remap_spans(v, base);
-            }
-        }
-        Expr::Ref(_, s) => fix(s),
-        Expr::Index(a, b, s) => {
-            fix(s);
-            remap_spans(a, base);
-            remap_spans(b, base);
-        }
-        Expr::GetAttr(a, _, s) => {
-            fix(s);
-            remap_spans(a, base);
-        }
-        Expr::Call(_, args, s) => {
-            fix(s);
-            for a in args {
-                remap_spans(a, base);
-            }
-        }
-        Expr::Unary(_, a, s) => {
-            fix(s);
-            remap_spans(a, base);
-        }
-        Expr::Binary(_, a, b, s) => {
-            fix(s);
-            remap_spans(a, base);
-            remap_spans(b, base);
-        }
-        Expr::Cond(a, b, c, s) => {
-            fix(s);
-            remap_spans(a, base);
-            remap_spans(b, base);
-            remap_spans(c, base);
-        }
-        Expr::Paren(a, s) => {
-            fix(s);
-            remap_spans(a, base);
-        }
-        Expr::Splat(a, _, s) => {
-            fix(s);
-            remap_spans(a, base);
-        }
-        Expr::ForList {
-            collection,
-            body,
-            cond,
-            span,
-            ..
-        } => {
-            fix(span);
-            remap_spans(collection, base);
-            remap_spans(body, base);
-            if let Some(c) = cond {
-                remap_spans(c, base);
-            }
-        }
-        Expr::ForMap {
-            collection,
-            key,
-            value,
-            cond,
-            span,
-            ..
-        } => {
-            fix(span);
-            remap_spans(collection, base);
-            remap_spans(key, base);
-            remap_spans(value, base);
-            if let Some(c) = cond {
-                remap_spans(c, base);
-            }
-        }
     }
 }
 
@@ -875,7 +759,7 @@ resource "aws_virtual_machine" "vm1" {
     }
 
     #[test]
-    fn interpolation_spans_remap_to_file() {
+    fn interpolation_spans_are_file_positions() {
         let src = "resource \"t\" \"n\" {\n  name = \"x-${var.who}\"\n}";
         let f = parse(src, "t").unwrap();
         let attr = f.blocks[0].body.attr("name").unwrap();

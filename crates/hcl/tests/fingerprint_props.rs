@@ -181,3 +181,125 @@ fn hostile_splices_never_panic_and_still_tile() {
         assert_tiles(&spliced(&new, &old), &old);
     }
 }
+
+// ------------------------------------------- chunk boundaries ≡ block boundaries
+
+use cloudless_hcl::fingerprint::ChunkKind;
+use cloudless_hcl::Block;
+
+/// The scanner and the parser read one lexical syntax, so they cut `src` in
+/// the same places: no top-level block straddles a chunk, and the resource
+/// chunks are the resource blocks — as many, in order, with the parser's
+/// labels, each block inside its chunk.
+fn assert_chunks_are_blocks(src: &str) {
+    let map = ChunkMap::build(src);
+    assert_tiles(&map, src);
+    let file = cloudless_hcl::parse(src, "t.tf").unwrap_or_else(|e| panic!("{e}\nin {src:?}"));
+    let range = |b: &Block| b.span.start.offset as usize..b.span.end.offset as usize;
+    for block in &file.blocks {
+        let at = range(block);
+        let chunk = map.chunks.iter().find(|c| c.end > at.start).expect("tiled");
+        assert!(chunk.start <= at.start && at.end <= chunk.end, "{src:?}");
+        assert_eq!(&src[at.start..at.start + block.kind.len()], block.kind);
+    }
+    let resources: Vec<&Block> = file
+        .blocks
+        .iter()
+        .filter(|b| b.kind == "resource")
+        .collect();
+    let chunks: Vec<usize> = map.resource_chunks().collect();
+    assert_eq!(chunks.len(), resources.len(), "{src:?}");
+    for (ci, block) in chunks.into_iter().zip(resources) {
+        let chunk = &map.chunks[ci];
+        let ChunkKind::Resource { rtype, name } = &chunk.kind else {
+            unreachable!("a resource chunk");
+        };
+        assert_eq!(
+            [rtype, name],
+            [&block.labels[0], &block.labels[1]],
+            "{src:?}"
+        );
+        assert!(chunk.start <= range(block).start && range(block).end <= chunk.end);
+    }
+}
+
+#[test]
+fn resource_chunks_of_every_shipped_program_are_its_resource_blocks() {
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/hcl");
+    let mut dirs = vec![std::path::PathBuf::from(examples)];
+    let mut programs = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).expect("a directory of programs") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "tf") {
+                let src = std::fs::read_to_string(&path).expect("a readable program");
+                // the defect corpus holds programs no reader accepts
+                if cloudless_hcl::parse(&src, "t.tf").is_ok() {
+                    assert_chunks_are_blocks(&src);
+                    programs += 1;
+                }
+            }
+        }
+    }
+    assert!(programs > 10, "found {programs} program(s)");
+}
+
+/// A template string that nests `depth` more levels of interpolation,
+/// littered with what a reader of string ends must not trip on: braces,
+/// escaped quotes, `$${`, comment openers, comments holding quotes.
+fn template(rng: &mut Rng, depth: usize) -> String {
+    let mut out = String::from("\"");
+    for _ in 0..rng.below(4) {
+        out.push_str(rng.pick(&["a", "}", "{", "\\\"", "$${", "$${}", "#", "//", "/*", " "]));
+        if depth > 0 && rng.below(2) == 0 {
+            let inner = template(rng, depth - 1);
+            out.push_str(&match rng.below(4) {
+                0 => format!("${{{inner}}}"),
+                1 => format!("${{ join(\"}}\", [{inner}, var.x]) }}"),
+                2 => format!("${{ {{ k = {inner} }}[\"k\"] /* \" }} */ }}"),
+                _ => format!("${{ cond ? {inner} : \"{{\" }}"),
+            });
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn nested_templates_end_where_the_parser_ends_them() {
+    // the shape the toggle-and-recursion readers disagreed on
+    let nested = r#""${ "a${"}"}" }""#;
+    let e = cloudless_hcl::parser::parse_expr(nested, "t").expect("a valid template");
+    let (vars, locals) = Default::default();
+    let scope = cloudless_hcl::Scope {
+        vars: &vars,
+        locals: &locals,
+        count_index: None,
+        each: None,
+        resolver: &cloudless_hcl::eval::DeferAll,
+        bindings: Vec::new(),
+    };
+    let value = cloudless_hcl::eval::eval(&e, &scope).expect("evaluates");
+    assert_eq!(value, cloudless_types::Value::from("a}"));
+
+    let mut rng = Rng(0x7E3A_91A7E);
+    let mut deepest = 0;
+    for _ in 0..4_000 {
+        let mut src = String::new();
+        for name in 0..1 + rng.below(3) {
+            let depth = rng.below(4);
+            deepest = deepest.max(depth);
+            src.push_str(rng.pick(&TRIVIA));
+            src.push_str(&format!(
+                "resource \"aws_s3_bucket\" \"b{name}\" {{\n  bucket = {}\n}}\n",
+                template(&mut rng, depth)
+            ));
+        }
+        assert_chunks_are_blocks(&src);
+        // and the table is the one a diff from the empty file arrives at
+        assert_eq!(spliced("", &src), ChunkMap::build(&src));
+    }
+    assert_eq!(deepest, 3);
+}

@@ -150,3 +150,35 @@ fn nesting_deeper_than_any_program_is_a_diagnostic_not_an_abort() {
     let messages: Vec<_> = refused.iter().map(|d| d.message.as_str()).collect();
     assert_eq!(messages, ["nesting deeper than 64 levels"]);
 }
+
+/// The chunk scanner reads every save before the parser does, in the
+/// long-lived process of `cloudless watch`: the floods that nest a reader
+/// to death — 900 kB of `"${`, of `/*`, of `{` — bare, inside a block and
+/// saved over a valid program, come back from `ChunkMap::build`, from
+/// `diff_chunks` in both directions and from `parse` on a 2 MB stack.
+#[test]
+fn floods_through_the_chunk_scanner_return_on_a_small_stack() {
+    use cloudless_hcl::fingerprint::{diff_chunks, ChunkMap};
+    let valid = "resource \"aws_vpc\" \"v\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
+    let reader = std::thread::Builder::new().stack_size(2 << 20);
+    let read = move || {
+        let valid_map = ChunkMap::build(valid);
+        for open in ["\"${", "/*", "{"] {
+            let flood = open.repeat(300_000);
+            for doc in [
+                flood.clone(),
+                format!("resource \"aws_vpc\" \"v\" {{\n  cidr_block = {flood}\n}}\n"),
+                format!("{valid}{flood}"),
+            ] {
+                let map = ChunkMap::build(&doc);
+                assert_eq!(map.chunks.last().map(|c| c.end), Some(doc.len()));
+                diff_chunks(&valid_map, valid, &doc);
+                diff_chunks(&map, &doc, valid);
+                let refused = cloudless_hcl::parse(&doc, "flood.tf");
+                assert!(refused.is_err(), "a flood of {open:?} is no program");
+            }
+        }
+    };
+    let done = reader.spawn(read).expect("a thread").join();
+    assert!(done.is_ok(), "a reader panicked");
+}

@@ -106,7 +106,9 @@ impl Deserialize for ContentHash {
 /// attribute ordering. Two `DeployedResource` values are content-equal
 /// exactly when their encodings (and hence hashes) are equal.
 pub fn encode_resource(r: &DeployedResource) -> String {
-    serde_json::to_string(r).expect("resource is serializable")
+    let mut body = String::new();
+    r.ser(&mut Writer::compact(&mut body));
+    body
 }
 
 /// Decode a canonical record body.

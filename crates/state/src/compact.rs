@@ -88,7 +88,7 @@ impl LogStore {
                 world.remove(&d.addr);
             }
             entries_since_checkpoint += v.delta_len();
-            if entries_since_checkpoint >= 64.max(world.len() / 4) {
+            if CheckpointRecord::due(entries_since_checkpoint, world.len()) {
                 let fold = CheckpointRecord {
                     serial: v.serial,
                     entries: world.iter().map(|(a, h)| (a.clone(), *h)).collect(),

@@ -22,8 +22,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
-use crate::cas::{fnv64, ContentHash};
-use crate::log::{LogRecord, LOG_MAGIC};
+use crate::cas::ContentHash;
+use crate::log::{Frames, LogRecord};
 
 /// What fsck found.
 #[derive(Debug, Clone, Default)]
@@ -76,47 +76,29 @@ pub fn fsck_file(path: &Path) -> Result<FsckReport, std::io::Error> {
 /// fsck raw log bytes. Never fails: all damage lands in the report.
 pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
     let mut report = FsckReport::default();
-    if bytes.is_empty() {
-        return report; // a fresh, never-opened log is clean
-    }
-    let header = format!("{LOG_MAGIC}\n");
-    if !bytes.starts_with(header.as_bytes()) {
-        // a partial header is the first-ever append torn mid-write:
-        // recoverable (truncate to empty), not structural corruption
-        if header.as_bytes().starts_with(bytes) {
-            report.torn_tail_bytes = bytes.len() as u64;
-        } else {
-            report
-                .errors
-                .push(format!("missing magic header {LOG_MAGIC:?}"));
+    // pass 1: framing — the walk open makes, except that a damaged line
+    // with more after it is noted and passed over, so every one is found
+    let mut frames = match Frames::after_header(bytes) {
+        Ok(frames) => frames,
+        Err(why) => {
+            report.errors.push(why);
+            return report;
         }
-        return report;
-    }
-
-    // pass 1: framing — split lines ourselves so we can localize damage
+    };
     let mut records: Vec<(usize, LogRecord)> = Vec::new(); // (line no, record)
-    let mut pos = header.len();
-    let mut line_no = 1usize;
-    while pos < bytes.len() {
-        line_no += 1;
-        let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-            report.torn_tail_bytes = (bytes.len() - pos) as u64;
-            break;
-        };
-        let is_last = pos + nl + 1 >= bytes.len();
-        let parsed = std::str::from_utf8(&bytes[pos..pos + nl])
-            .map_err(|e| format!("invalid utf-8: {e}"))
-            .and_then(parse_checked);
-        match parsed {
+    let mut whole = frames.pos;
+    while let Some((_, last, record)) = frames.next() {
+        let line_no = records.len() + report.errors.len() + 2;
+        match record {
             Ok(record) => records.push((line_no, record)),
-            Err(why) if is_last => {
-                report.torn_tail_bytes = (bytes.len() - pos) as u64;
-                let _ = why;
-            }
+            Err(_) if last => break,
             Err(why) => report.errors.push(format!("line {line_no}: {why}")),
         }
-        pos += nl + 1;
+        whole = frames.pos;
     }
+    // what follows the last whole line is a torn append: recoverable
+    // (open truncates it), not structural corruption
+    report.torn_tail_bytes = (bytes.len() - whole) as u64;
 
     // pass 2: semantic replay
     let mut blobs: HashMap<ContentHash, &str> = HashMap::new();
@@ -245,23 +227,10 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
     report
 }
 
-fn parse_checked(line: &str) -> Result<LogRecord, String> {
-    let (sum_hex, payload) = line
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum field".to_owned())?;
-    let want = u64::from_str_radix(sum_hex, 16).map_err(|_| format!("bad checksum {sum_hex:?}"))?;
-    let got = fnv64(payload.as_bytes());
-    if want != got {
-        return Err(format!(
-            "checksum mismatch: framed {want:016x}, computed {got:016x}"
-        ));
-    }
-    serde_json::from_str(payload).map_err(|e| format!("unparsable record: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cas::fnv64;
     use crate::log::MemDevice;
     use crate::store::{CommitMeta, LogStore, StateDelta};
     use cloudless_types::{Region, ResourceAddr, ResourceId, SimTime, Value};

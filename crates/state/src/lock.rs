@@ -371,17 +371,16 @@ mod tests {
         // simultaneously at some point; mainly we assert no deadlock and all
         // complete.
         let m = ResourceLockManager::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..8 {
                 let m = m.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for j in 0..50 {
                         let _g = m.acquire(scope(&[&format!("aws_vm.t{i}_{j}")]));
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(m.stats().acquisitions, 400);
         assert_eq!(m.stats().contended, 0, "disjoint scopes never contend");
     }
@@ -422,11 +421,11 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let m = ResourceLockManager::new();
         let in_critical = AtomicU32::new(0);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for i in 0..6 {
                 let m = m.clone();
                 let in_critical = &in_critical;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for _ in 0..30 {
                         let _g = m.acquire(scope(&["aws_vpc.hot", &format!("aws_vm.t{i}")]));
                         let now = in_critical.fetch_add(1, Ordering::SeqCst);
@@ -435,8 +434,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(m.stats().acquisitions, 180);
     }
 }

@@ -252,6 +252,15 @@ pub struct CheckpointRecord {
 }
 
 impl CheckpointRecord {
+    /// The checkpoint cadence: is a log that appended `entries` puts and
+    /// dels since its last checkpoint, over a world of `world` addresses,
+    /// due another? Often enough that a replay from the last one reads at
+    /// most a quarter of the world again, never more often than every 64
+    /// entries.
+    pub(crate) fn due(entries: usize, world: usize) -> bool {
+        entries >= 64.max(world / 4)
+    }
+
     /// Is this the fold `world`? Entries are written in address order, so
     /// the comparison is one walk over both, with no second map.
     pub fn folds_to(&self, world: &BTreeMap<String, ContentHash>) -> bool {
@@ -335,6 +344,46 @@ fn parse_line(bytes: &[u8]) -> Option<(usize, Result<LogRecord, String>)> {
 
 // --------------------------------------------------------------------- scan
 
+/// The framed lines of a log after its header, in order: the one walk
+/// every reader of a log's bytes makes (open through [`scan`], `fsck`).
+/// Each is the byte it starts at, whether nothing follows its newline (only
+/// such a line can be a torn append) and what it held, or why it cannot be
+/// read. The walk ends at the end of the bytes or at a tail no newline
+/// closes; `pos` is where the next line starts, or that tail.
+pub(crate) struct Frames<'a> {
+    bytes: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl Frames<'_> {
+    /// The header rule: a log is empty, or starts with [`LOG_MAGIC`] on a
+    /// line of its own, or is a prefix of that line — the very first append
+    /// torn mid-write, which holds no frame and recovers to the empty log.
+    /// Anything else is not a state log, and `Err` says so.
+    pub(crate) fn after_header(bytes: &[u8]) -> Result<Frames<'_>, String> {
+        let header = format!("{LOG_MAGIC}\n");
+        if bytes.starts_with(header.as_bytes()) {
+            let pos = header.len();
+            Ok(Frames { bytes, pos })
+        } else if header.as_bytes().starts_with(bytes) {
+            Ok(Frames { bytes: &[], pos: 0 })
+        } else {
+            Err(format!("missing magic header {LOG_MAGIC:?}"))
+        }
+    }
+}
+
+impl Iterator for Frames<'_> {
+    type Item = (usize, bool, Result<LogRecord, String>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (len, record) = parse_line(&self.bytes[self.pos..])?;
+        let at = self.pos;
+        self.pos += len + 1;
+        Some((at, self.pos >= self.bytes.len(), record))
+    }
+}
+
 /// Result of scanning raw log bytes.
 #[derive(Debug)]
 pub struct ScanOutcome {
@@ -359,47 +408,29 @@ pub fn scan(
     bytes: &[u8],
     mut each: impl FnMut(LogRecord) -> Result<(), StoreError>,
 ) -> Result<ScanOutcome, StoreError> {
-    let outcome = |records: usize, keep: usize| ScanOutcome {
-        records,
-        keep_len: keep as u64,
-        torn_bytes: (bytes.len() - keep) as u64,
-    };
-    if bytes.is_empty() {
-        return Ok(outcome(0, 0));
-    }
-    let header = format!("{LOG_MAGIC}\n");
-    if !bytes.starts_with(header.as_bytes()) {
-        // a crash during the very first append can leave a partial
-        // header; that prefix is a torn tail (recover to the empty log),
-        // anything else is corruption
-        if header.as_bytes().starts_with(bytes) {
-            return Ok(outcome(0, 0));
-        }
-        return Err(StoreError::Corrupt(format!(
-            "missing magic header {LOG_MAGIC:?}"
-        )));
-    }
+    let mut frames = Frames::after_header(bytes).map_err(StoreError::Corrupt)?;
     let mut records = 0;
-    let mut pos = header.len();
-    while let Some((nl, parsed)) = parse_line(&bytes[pos..]) {
-        match parsed {
-            Ok(record) => {
-                each(record)?;
-                records += 1;
-                pos += nl + 1;
-            }
-            // only the last record can be torn: everything after `pos`
-            // must belong to this one damaged line
-            Err(why) if pos + nl + 1 < bytes.len() => {
+    let mut keep = frames.pos;
+    while let Some((at, last, record)) = frames.next() {
+        match record {
+            Ok(record) => each(record)?,
+            // only the last record can be torn
+            Err(why) if !last => {
                 return Err(StoreError::Corrupt(format!(
-                    "record {} at byte {pos} is damaged mid-log ({why})",
+                    "record {} at byte {at} is damaged mid-log ({why})",
                     records + 1
                 )));
             }
             Err(_) => break,
         }
+        records += 1;
+        keep = frames.pos;
     }
-    Ok(outcome(records, pos))
+    Ok(ScanOutcome {
+        records,
+        keep_len: keep as u64,
+        torn_bytes: (bytes.len() - keep) as u64,
+    })
 }
 
 // ------------------------------------------------------------------ devices

@@ -174,11 +174,30 @@ impl Default for LogStore {
 impl LogStore {
     // ------------------------------------------------------------ open
 
-    /// Fresh, empty, memory-backed store.
+    /// Fresh, empty, memory-backed store: what opening an empty device
+    /// leaves, a log of the header alone.
     pub fn in_memory() -> LogStore {
-        LogStore::open_device(Box::new(MemDevice::new()))
-            .expect("empty mem device opens")
-            .0
+        let header = format!("{LOG_MAGIC}\n").into_bytes();
+        let log_bytes = header.len() as u64;
+        LogStore::empty(Box::new(MemDevice::from_bytes(header)), log_bytes)
+    }
+
+    /// A store that has replayed nothing, over a log of `log_bytes` bytes.
+    fn empty(device: Box<dyn LogDevice>, log_bytes: u64) -> LogStore {
+        LogStore {
+            device,
+            cas: Cas::new(),
+            versions: Vec::new(),
+            current: Snapshot::new(),
+            current_hashes: BTreeMap::new(),
+            entries_since_checkpoint: 0,
+            versions_since_checkpoint: 0,
+            program_head: None,
+            program_text: None,
+            recorder: NullRecorder::shared(),
+            log_bytes,
+            torn_recoveries: 0,
+        }
     }
 
     /// Memory-backed store seeded with an existing snapshot but no
@@ -221,20 +240,7 @@ impl LogStore {
         mut device: Box<dyn LogDevice>,
     ) -> Result<(LogStore, RecoveryReport), StoreError> {
         let bytes = device.read_all()?;
-        let mut store = LogStore {
-            device,
-            cas: Cas::new(),
-            versions: Vec::new(),
-            current: Snapshot::new(),
-            current_hashes: BTreeMap::new(),
-            entries_since_checkpoint: 0,
-            versions_since_checkpoint: 0,
-            program_head: None,
-            program_text: None,
-            recorder: NullRecorder::shared(),
-            log_bytes: 0,
-            torn_recoveries: 0,
-        };
+        let mut store = LogStore::empty(device, 0);
         let outcome = scan(&bytes, |record| store.replay(record))?;
         drop(bytes);
         store.log_bytes = outcome.keep_len;
@@ -684,7 +690,7 @@ impl LogStore {
     /// replay long cold prefixes, rare enough that checkpoints stay a
     /// small fraction of log bytes at scale.
     fn checkpoint_due(&self) -> bool {
-        self.entries_since_checkpoint >= 64.max(self.current_hashes.len() / 4)
+        CheckpointRecord::due(self.entries_since_checkpoint, self.current_hashes.len())
     }
 
     fn maybe_checkpoint(&mut self) -> Result<(), StoreError> {

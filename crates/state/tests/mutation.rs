@@ -325,3 +325,71 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------- one reader of the frames
+
+/// What a reader makes of a log: whole, whole up to a torn tail of so many
+/// bytes, or damaged beyond what a truncation repairs.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Clean,
+    Torn(u64),
+    Corrupt,
+}
+
+fn opened(log: &[u8]) -> Verdict {
+    let device = cloudless_state::MemDevice::from_bytes(log.to_vec());
+    match LogStore::open_device(Box::new(device)) {
+        Ok((_, recovery)) if recovery.torn_bytes_dropped == 0 => Verdict::Clean,
+        Ok((_, recovery)) => Verdict::Torn(recovery.torn_bytes_dropped),
+        Err(_) => Verdict::Corrupt,
+    }
+}
+
+fn checked(log: &[u8]) -> Verdict {
+    let report = fsck_bytes(log);
+    if !report.errors.is_empty() {
+        Verdict::Corrupt
+    } else if report.torn_tail_bytes > 0 {
+        Verdict::Torn(report.torn_tail_bytes)
+    } else {
+        Verdict::Clean
+    }
+}
+
+/// `open` and `fsck` read a log's frames through one walker, so they tell
+/// clean from torn from corrupt alike — to the byte of the tail — for the
+/// log cut anywhere and for any one bit of it flipped.
+#[test]
+fn open_and_fsck_agree_on_every_cut_and_every_flipped_bit() {
+    let (log, _) = pristine();
+    assert_eq!(
+        (opened(&log), checked(&log)),
+        (Verdict::Clean, Verdict::Clean)
+    );
+    for cut in 0..log.len() {
+        assert_eq!(opened(&log[..cut]), checked(&log[..cut]), "cut at {cut}");
+    }
+    let mut flipped = log.clone();
+    for at in 0..log.len() {
+        for bit in 0..8 {
+            flipped[at] ^= 1 << bit;
+            assert_eq!(opened(&flipped), checked(&flipped), "byte {at} bit {bit}");
+            flipped[at] ^= 1 << bit;
+        }
+    }
+}
+
+proptest! {
+    /// And for a log damaged one to three times over.
+    #[test]
+    fn open_and_fsck_agree_on_damaged_logs(hits in proptest::collection::vec(damage(), 1..4)) {
+        let (mut doc, _) = pristine();
+        for hit in &hits {
+            if !doc.is_empty() {
+                doc = hit.apply(&doc);
+            }
+        }
+        prop_assert_eq!(opened(&doc), checked(&doc));
+    }
+}

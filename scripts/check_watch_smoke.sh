@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke for `cloudless watch`: spawn the watcher on a tiny
-# program, save the file four times — two attribute edits, a third
-# resource block appended, the same block deleted again — and assert every
-# replan took the incremental path (the printed ChangeTrace leads with
-# "pipeline: incremental") and the append planned exactly one create. The
-# first event is the initial read and is expected to be a full run — only
-# the edits must be O(edit).
+# program, save the file six times — two attribute edits, a third
+# resource block appended, the same block deleted again, a hostile save
+# (900 kB of `"${`, which nests a recursive reader to death), the program
+# again — and assert every replan of a program took the incremental path
+# (the printed ChangeTrace leads with "pipeline: incremental"), the append
+# planned exactly one create, and the hostile save got a diagnostic from a
+# watcher that kept polling. The first event is the initial read and is
+# expected to be a full run — only the edits must be O(edit).
 set -euo pipefail
 
 out=${1:-/tmp/watch_smoke_out.txt}
@@ -36,8 +38,8 @@ EOF
 # the estate is deployed, so each plan below is the edit's alone
 "$bin" apply "$work/session" "$work/main.tf" > /dev/null
 
-# event 1: initial read (cold). events 2 to 5: the edits below.
-"$bin" watch "$work/session" "$work/main.tf" --poll-ms 50 --max-events 5 > "$out" &
+# event 1: initial read (cold). events 2 to 7: the saves below.
+"$bin" watch "$work/session" "$work/main.tf" --poll-ms 50 --max-events 7 > "$out" 2>&1 &
 pid=$!
 
 sleep 1
@@ -55,20 +57,14 @@ resource "aws_s3_bucket" "assets" {
 EOF
 mv "$work/three-blocks.tf" "$work/main.tf"
 sleep 1
+cp "$work/two-blocks.tf" "$work/again.tf"
 mv "$work/two-blocks.tf" "$work/main.tf"
-
-# the watcher exits on its own after 5 events; bound the wait at ~20s
-for _ in $(seq 1 100); do
-  kill -0 "$pid" 2>/dev/null || break
-  sleep 0.2
-done
-if kill -0 "$pid" 2>/dev/null; then
-  echo "watch smoke FAILED: watcher did not exit after 5 events" >&2
-  cat "$out" >&2
-  exit 1
-fi
-wait "$pid"
-pid=""
+sleep 1
+# a machine-written save gone wrong: the watcher refuses it and lives
+head -c 900000 < <(yes '"${' | tr -d '\n') > "$work/hostile.tf"
+mv "$work/hostile.tf" "$work/main.tf"
+sleep 1
+mv "$work/again.tf" "$work/main.tf"
 
 fail() {
   echo "watch smoke FAILED: $1" >&2
@@ -76,16 +72,31 @@ fail() {
   exit 1
 }
 
+# the watcher exits on its own after 7 events; bound the wait at ~20s
+for _ in $(seq 1 100); do
+  kill -0 "$pid" 2>/dev/null || break
+  sleep 0.2
+done
+if kill -0 "$pid" 2>/dev/null; then
+  fail "watcher did not exit after 7 events"
+fi
+wait "$pid" || { pid=""; fail "the watcher died"; }
+pid=""
+
 events=$(grep -c -- "--- event" "$out" || true)
 incremental=$(grep -c "pipeline: incremental" "$out" || true)
-if [[ "$events" -ne 5 || "$incremental" -ne 4 ]]; then
-  fail "$events events, $incremental incremental replans (want 5 events, 4 incremental)"
+if [[ "$events" -ne 7 || "$incremental" -ne 5 ]]; then
+  fail "$events events, $incremental incremental replans (want 7 events, 5 incremental)"
 fi
 # event 4 is the append: one block spliced in, one resource to create
 append=$(awk '/--- event 4/{on=1} /--- event 5/{on=0} on' "$out")
 grep -q "+1 inserted, −0 removed" <<<"$append" || fail "the append did not splice one block in"
 creates=$(grep -E '^ +\+ ' <<<"$append" || true)
 [[ "$creates" == "  + aws_s3_bucket.assets" ]] || fail "the append did not plan one create"
-awk '/--- event 5/{on=1} on' "$out" | grep -q "+0 inserted, −1 removed" ||
+awk '/--- event 5/{on=1} /--- event 6/{on=0} on' "$out" | grep -q "+0 inserted, −1 removed" ||
   fail "the delete did not splice one block out"
-echo "watch smoke ok: $events events, $incremental incremental replans, one block in and out"
+# event 6 is the hostile save: refused with a position, and a short excerpt
+hostile=$(awk '/--- event 6/{on=1} /--- event 7/{on=0} on' "$out")
+grep -q "error\[HCL001\] main.tf:1:1: " <<<"$hostile" || fail "the hostile save got no diagnostic"
+[[ ${#hostile} -lt 4000 ]] || fail "the hostile save's diagnostic is ${#hostile} bytes"
+echo "watch smoke ok: $events events, $incremental incremental replans, one block in and out, one hostile save refused"
