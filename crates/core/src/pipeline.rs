@@ -98,7 +98,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 use cloudless_analyze::alias::{instance_claims, replace_self_race, ClaimKey};
@@ -112,9 +111,11 @@ use cloudless_cloud::Catalog;
 use cloudless_deploy::diff::{
     delete_change, delete_changes, dependency_order, plan_one, render, PlannedChange,
 };
-use cloudless_graph::{Dag, DagBuilder, ImpactScope, NodeId};
+use cloudless_graph::{Dag, DagBuilder, NodeId};
 use cloudless_hcl::eval::Resolver;
-use cloudless_hcl::fingerprint::{diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap};
+use cloudless_hcl::fingerprint::{
+    diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap, ChunkWindow,
+};
 use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
     expand_resource_block, expand_root, Manifest, ModuleLibrary, Program, ResourceBlock,
@@ -551,8 +552,9 @@ impl BlockEdit {
 /// the memo only when the walk succeeds.
 #[derive(Default)]
 struct Splice {
-    /// The re-aligned chunk table (`None`: source unchanged).
-    chunks: Option<ChunkMap>,
+    /// The window of the memo's chunk table the edit reaches, re-scanned
+    /// (`None`: source unchanged).
+    window: Option<ChunkWindow>,
     /// The blocks in scope, in source order.
     blocks: Vec<BlockEdit>,
     /// The block declarations the inserted and removed ones amount to.
@@ -649,9 +651,9 @@ impl Scope {
         }
         let edit = match diff_chunks(&memo.chunks, &memo.source, source) {
             ChunkDelta::Unchanged => Splice::default(),
-            ChunkDelta::Window { old, new, map } => match memo.align(old, new, &map) {
+            ChunkDelta::Window(window) => match memo.align(&window) {
                 Ok(blocks) => Splice {
-                    chunks: Some(map),
+                    window: Some(window),
                     blocks,
                     ..Splice::default()
                 },
@@ -859,17 +861,18 @@ impl<'a> Walk<'a> {
                 *keep = *keep && fresh.index_source(self.source, self.ctx);
             }
             Scope::Blocks { memo, edit } => {
-                let Some(chunks) = &edit.chunks else {
+                let Some(window) = &edit.window else {
                     return Ok(()); // source unchanged
                 };
                 let filename = &memo.program.filename;
-                let parse = |source: &str, chunks: &ChunkMap, seat: Option<Seat>| {
-                    let chunk = seat.map(|(_, ci)| &chunks.chunks[ci]);
+                let parse = |source: &str, chunk: Option<&Chunk>| {
                     chunk.map(|c| parse_block(source, c, filename)).transpose()
                 };
                 for b in edit.blocks.iter_mut() {
-                    b.old = parse(&memo.source, &memo.chunks, b.was)?;
-                    b.new = parse(self.source, chunks, b.now)?;
+                    let was = b.was.map(|(_, ci)| &memo.chunks.chunks[ci]);
+                    let now = b.now.map(|(_, ci)| &window.chunks[ci - window.old.start]);
+                    b.old = parse(&memo.source, was)?;
+                    b.new = parse(self.source, now)?;
                 }
             }
         }
@@ -1146,20 +1149,26 @@ impl<'a> Walk<'a> {
     }
 
     /// **plan** — manifest × state → changes and plan text, through the
-    /// plan cache of the memo the run leaves behind. Its own scope is the
-    /// impact scope of the spliced `blocks` while the state serial stands,
-    /// and every instance when nothing is cached (`blocks` is `None`) or the
+    /// plan cache of the memo the run leaves behind: one pass along the
+    /// dependency order that visits the *marked* instances. The spliced
+    /// `blocks`' instances start marked while the state serial stands —
+    /// every instance when nothing is cached (`blocks` is `None`) or the
     /// state moved (an apply happened): the front-end artifacts stay, the
-    /// diff rebuilds.
+    /// diff rebuilds. [`plan_one`] reads nothing of a dependency but whether
+    /// it is created or replaced, so a visit marks its block's direct
+    /// dependents — they come later in the order — only when it changes that
+    /// flag. The static cone of the edit (`cloudless_graph::ImpactScope`,
+    /// ANA505) bounds what the pass can reach; it visits the part of the cone
+    /// whose inputs changed.
     fn plan(&mut self, memo: &mut Memo, blocks: Option<&[BlockEdit]>) {
         let (ctx, out) = (self.ctx, &mut self.out);
         let instances = &out.manifest.instances;
-        let cache = &mut memo.plan;
+        let (dag, ranges, cache) = (&memo.dag, &memo.root.block_ranges, &mut memo.plan);
         if blocks.is_none() {
             cache.order = dependency_order(&out.manifest);
         }
         // `None`: every instance
-        let in_scope: Option<HashSet<usize>> = match blocks {
+        let mut marked: Option<Vec<bool>> = match blocks {
             Some(blocks) if cache.serial == Some(ctx.state.serial) => {
                 // the addresses a removed block leaves in the state are
                 // deleted, the ones an inserted block declares no longer are
@@ -1175,11 +1184,11 @@ impl<'a> Walk<'a> {
                 {
                     cache.deletes.remove(&inst.addr.to_string());
                 }
-                let seeds = blocks.iter().filter_map(|b| b.now);
-                let seeds = seeds.map(|(at, _)| NodeId(at as u32));
-                let impact = ImpactScope::compute(&memo.dag, seeds).replan;
-                let ranges = &memo.root.block_ranges;
-                Some((impact.iter().flat_map(|node| ranges[node.index()].clone())).collect())
+                let mut marked = vec![false; instances.len()];
+                for (at, _) in blocks.iter().filter_map(|b| b.now) {
+                    marked[ranges[at].clone()].fill(true);
+                }
+                Some(marked)
             }
             _ => {
                 cache.serial = Some(ctx.state.serial);
@@ -1187,44 +1196,55 @@ impl<'a> Walk<'a> {
                 cache.deletes = deletes.map(|c| (c.addr.to_string(), c)).collect();
                 // an unvisited dependency (a cycle) reads as dirty, as in `diff`
                 cache.dirty.clear();
+                cache.changes.clear();
                 None
             }
         };
-        // replay the instances in scope along the dependency order, each
-        // reading its dependencies' dirtiness as the visit before left it
-        let replanned = |i: &usize| in_scope.as_ref().is_none_or(|scope| scope.contains(i));
-        cache.changes.retain(|i, _| !replanned(i));
-        let order = std::mem::take(&mut cache.order);
-        for &idx in order.iter().filter(|i| replanned(i)) {
+        // each visit reads its dependencies' dirtiness as the visit before
+        // left it: this pass's, or the run's that last planned them
+        let mut visited = 0;
+        for &idx in &cache.order {
+            if marked.as_ref().is_some_and(|marked| !marked[idx]) {
+                continue;
+            }
+            visited += 1;
             let inst = &instances[idx];
             let mut dep_dirty =
                 |rtype: &str, name: &str| cache.dirty.get(rtype, name).copied().unwrap_or(true);
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
             let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
-            cache.dirty.insert(rtype, name, change.makes_dirty());
-            if !change.action.is_noop() {
-                cache.changes.insert(idx, change);
+            let dirty = change.makes_dirty();
+            let was = cache.dirty.insert(rtype, name, dirty);
+            if let (Some(marked), true) = (&mut marked, was != Some(dirty)) {
+                // (marking on every flip between a block's instances
+                // over-marks, never under-marks)
+                let block = ranges.partition_point(|span| span.end <= idx);
+                for dependent in dag.successors(NodeId(block as u32)) {
+                    marked[ranges[dependent.index()].clone()].fill(true);
+                }
+            }
+            match change.action.is_noop() {
+                true => drop(cache.changes.remove(&idx)),
+                false => drop(cache.changes.insert(idx, change)),
             }
         }
-        cache.order = order;
         out.changes = (cache.changes.values().chain(cache.deletes.values()))
             .cloned()
             .collect();
         out.plan_text = render(&out.changes);
         let n = instances.len();
-        let (action, detail) = match (&in_scope, blocks) {
+        let (action, detail) = match (&marked, blocks) {
             (None, None) => ("full", format!("diffed {n} instance(s)")),
             (None, Some(_)) => {
                 let detail = format!("state serial changed, re-diffed {n} instance(s)");
                 ("full", detail)
             }
-            (Some(scope), _) => {
-                let action = match scope.len() {
+            (Some(_), _) => {
+                let action = match visited {
                     0 => "cached",
                     _ => "incremental",
                 };
-                let detail = format!("re-planned {}/{n} instance(s)", scope.len());
-                (action, detail)
+                (action, format!("re-planned {visited}/{n} instance(s)"))
             }
         };
         out.trace.stage("plan", action, detail);
@@ -1342,21 +1362,17 @@ impl Memo {
     }
 
     /// Read the blocks in scope off an edit window: chunks `old` of the
-    /// memo's table were re-scanned into chunks `new` of `map`. Walking the
-    /// new window, each chunk either continues a chunk of the old one — the
+    /// memo's table were re-scanned into the window's. Walking the new
+    /// window, each chunk either continues a chunk of the old one — the
     /// same `(type, name)`, further down than the last — or is an inserted
     /// block; the old chunks nothing continues are removed blocks. `Err`
     /// (why) when that is not the whole of the edit: a non-resource chunk
     /// changed, came or went, or blocks changed places.
-    fn align(
-        &self,
-        old: Range<usize>,
-        new: Range<usize>,
-        map: &ChunkMap,
-    ) -> Result<Vec<BlockEdit>, &'static str> {
+    fn align(&self, window: &ChunkWindow) -> Result<Vec<BlockEdit>, &'static str> {
         const NON_RESOURCE: &str = "edit touches a non-resource block";
         const REORDERED: &str = "structural edit (blocks reordered or declared twice)";
         let resource = |chunk: &Chunk| chunk.kind != ChunkKind::Other;
+        let old = &window.old;
         let was = &self.chunks.chunks[old.clone()];
         // where each block of the old window sits in it, built when the
         // first new chunk is not simply the next old one
@@ -1387,8 +1403,8 @@ impl Memo {
             *i = k;
             Ok(())
         };
-        for (ci, chunk) in map.chunks[new.clone()].iter().enumerate() {
-            let now = Some((now_at, new.start + ci));
+        for (ci, chunk) in window.chunks.iter().enumerate() {
+            let now = Some((now_at, old.start + ci));
             let continues = if was.get(i).is_some_and(|next| next.kind == chunk.kind) {
                 Some(i)
             } else if resource(chunk) {
@@ -1584,9 +1600,13 @@ impl Memo {
     /// Land the staged splice of a walk whose verdict stages all passed
     /// (its blocks stay behind for the plan stage).
     fn absorb(&mut self, edit: &mut Splice, source: &str) {
-        if let Some(chunks) = edit.chunks.take() {
-            self.chunks = chunks;
-            self.source = source.to_owned();
+        if let Some(window) = edit.window.take() {
+            // the window's bytes, rewritten in the buffer the memo owns:
+            // every byte outside it is the same in both sources
+            let was = self.chunks.byte_range(window.old.clone());
+            let now = was.start..was.end.wrapping_add_signed(window.shift);
+            self.source.replace_range(was, &source[now]);
+            self.chunks.splice(window);
             if edit.reshaped {
                 self.block_chunk = self.chunks.resource_chunks().collect();
             }

@@ -12,7 +12,13 @@
 //! top of an existing block, two at once with one reading the other),
 //! deleted (a leaf, a block others read, the only reader of a variable),
 //! renamed, swapped, and deleted and then re-added against the state that
-//! still holds them. A miner-active family does the same under a
+//! still holds them. A chain family runs against the *deployed* state of
+//! programs whose blocks read each other's computed attributes through four
+//! levels, `count` and `for_each` among them: there whether a block is
+//! replaced is an input of every plan downstream, a force-new edit cascades
+//! and its undo cascades back, and the warm plan stage — which visits a
+//! dependent only when that flag flips — must neither miss one nor leave
+//! the static cone of the edit. A miner-active family does the same under a
 //! [`SpecMiner`] that has observed a deployment, with edits that break its
 //! conventions and further observations that change them.
 //!
@@ -645,6 +651,330 @@ proptest! {
                 if warm_obs.is_err() {
                     nodes = before; // the user takes it back with the next save
                 }
+            }
+        }
+    }
+}
+
+// ------------------------------------------ chains of computed attributes
+
+/// The resource type of each level of a chain, and the attribute through
+/// which a block reads the `id` of one a level up: a VPC, subnets in it,
+/// interfaces in those, VMs on those. `vpc_id` and `subnet_id` force a new
+/// resource, `nic_ids` updates in place.
+const LEVELS: [(&str, &str); 4] = [
+    ("aws_vpc", ""),
+    ("aws_subnet", "vpc_id"),
+    ("aws_network_interface", "subnet_id"),
+    ("aws_virtual_machine", "nic_ids"),
+];
+
+/// One block of a program whose blocks read each other's computed
+/// attributes level by level, so that whether a block is replaced is an
+/// input of the plan of every block downstream of it.
+#[derive(Clone, PartialEq)]
+struct Link {
+    /// Names the block (`l<id>`) and numbers a subnet's address range.
+    id: usize,
+    /// Index into [`LEVELS`].
+    level: usize,
+    /// The block one level up it reads, by id — one without a `count`: a
+    /// counted block has no one `id` to read (VAL206).
+    reads: Option<usize>,
+    /// Instances: above 1 the block has a `count`, or, with `each`, a
+    /// `for_each` over as many keys.
+    count: usize,
+    each: bool,
+    /// Revision of its own force-new attribute (a VPC's and a subnet's
+    /// `cidr_block`); 0 is what is deployed.
+    forced: usize,
+    /// Revision of its `name`, which updates in place.
+    touched: usize,
+}
+
+fn render_links(links: &[Link]) -> String {
+    let mut out = String::new();
+    for link in links {
+        let Link { id, touched, .. } = link;
+        let (rtype, reads_through) = LEVELS[link.level];
+        out.push_str(&format!("resource \"{rtype}\" \"l{id}\" {{\n"));
+        let (index, dash) = match (link.count, link.each) {
+            (0 | 1, _) => ("", ""),
+            (count, false) => {
+                out.push_str(&format!("  count = {count}\n"));
+                ("${count.index}", "-")
+            }
+            (count, true) => {
+                let keys: Vec<String> = (0..count).map(|k| format!("\"{k}\"")).collect();
+                out.push_str(&format!("  for_each = [{}]\n", keys.join(", ")));
+                ("${each.key}", "-")
+            }
+        };
+        out.push_str(&format!("  name = \"x-l{id}-{touched}{dash}{index}\"\n"));
+        if let Some(up) = link.reads {
+            let (up_type, _) = LEVELS[link.level - 1];
+            let id = format!("{up_type}.l{up}.id");
+            let value = if link.level == 3 {
+                format!("[{id}]")
+            } else {
+                id
+            };
+            out.push_str(&format!("  {reads_through} = {value}\n"));
+        }
+        match link.level {
+            // every range holds every subnet below, whichever revision
+            0 => out.push_str(&format!(
+                "  cidr_block = \"10.0.0.0/{}\"\n",
+                15 - link.forced
+            )),
+            1 => {
+                let index = if index.is_empty() { "0" } else { index };
+                let (second, third) = (link.forced, format!("{id}{index}"));
+                out.push_str(&format!("  cidr_block = \"10.{second}.{third}.0/24\"\n"));
+            }
+            _ => {}
+        }
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// One save: `links` edited in place; `serial` numbers what it inserts.
+fn edit_links(links: &mut Vec<Link>, serial: usize, kind: usize, a: usize, b: usize) {
+    let i = a % links.len().max(1);
+    let link = |level: usize, reads: Option<usize>| Link {
+        id: serial,
+        level,
+        reads,
+        // a VPC is one; a counted subnet has digits for three
+        count: if level == 0 { 1 } else { [1, 1, 2, 3][b % 4] },
+        each: level == 3 && b % 8 >= 4,
+        forced: 0,
+        touched: 0,
+    };
+    match kind % 8 {
+        // the force-new attribute of a VPC or a subnet: its next revision,
+        // and, two or three of these later, the deployed one again
+        0 | 1 if links.get(i).is_some_and(|l| l.level < 2) => {
+            links[i].forced = (links[i].forced + 1) % (3 - links[i].level);
+        }
+        // … and straight back
+        2 if !links.is_empty() => links[i].forced = 0,
+        // an attribute that updates in place
+        0..=3 if !links.is_empty() => links[i].touched += 1,
+        // a block in, anywhere in the file, reading one a level up
+        4 | 5 => {
+            let level = b % LEVELS.len();
+            let ups = (links.iter()).filter(|l| l.level + 1 == level && l.count == 1);
+            let ups: Vec<usize> = ups.map(|l| l.id).collect();
+            match (level, ups.is_empty()) {
+                (0, _) => links.insert(a % (links.len() + 1), link(0, None)),
+                (_, false) => {
+                    let reads = Some(ups[a % ups.len()]);
+                    links.insert(a % (links.len() + 1), link(level, reads));
+                }
+                (_, true) => {}
+            }
+        }
+        // a block out, read or not
+        6 if !links.is_empty() => drop(links.remove(i)),
+        _ => {}
+    }
+}
+
+/// `k` and `n` of a run's `plan: … (re-planned k/n instance(s))`; `None`
+/// when the plan stage visited every instance.
+fn replanned(out: &FrontendOutput) -> Option<(usize, usize)> {
+    let plan = out.trace.stages.iter().find(|s| s.stage == "plan")?;
+    let counts = plan.detail.strip_prefix("re-planned ")?;
+    let (k, n) = counts.strip_suffix(" instance(s)")?.split_once('/')?;
+    Some((k.parse().ok()?, n.parse().ok()?))
+}
+
+/// How many instances the static cone of `edited` holds — the blocks with
+/// those ids and everything downstream of them (`ImpactScope`, what ANA505
+/// reports): the most a warm plan stage may visit.
+fn cone_instances(links: &[Link], edited: &[usize]) -> usize {
+    use cloudless::graph::{DagBuilder, ImpactScope};
+    let mut builder: DagBuilder<usize> = DagBuilder::with_capacity(links.len());
+    let nodes: Vec<_> = links
+        .iter()
+        .map(|l| builder.add_node(l.count.max(1)))
+        .collect();
+    let node_of = |id: usize| links.iter().position(|l| l.id == id).map(|at| nodes[at]);
+    for (link, &node) in links.iter().zip(&nodes) {
+        if let Some(up) = link.reads.and_then(node_of) {
+            builder
+                .add_edge(up, node)
+                .expect("levels only read upwards");
+        }
+    }
+    let dag = builder.seal().expect("levels only read upwards");
+    let cone = ImpactScope::compute(&dag, edited.iter().filter_map(|&id| node_of(id)));
+    cone.replan.iter().map(|&node| *dag.node(node)).sum()
+}
+
+/// The ids of the blocks of `after` that `before` does not hold as they are.
+fn edited_links(before: &[Link], after: &[Link]) -> Vec<usize> {
+    let edited = after.iter().filter(|l| !before.contains(l));
+    edited.map(|l| l.id).collect()
+}
+
+/// A chain of four levels, counted and keyed blocks among them, deployed:
+/// `l0` ← `l1` ← `l2` ← `l3` (×3, `for_each`), with a counted subnet `l4`
+/// (×2) off the VPC and a counted interface `l5` (×2) off the subnet.
+fn deployed_chain() -> Vec<Link> {
+    let link = |id, level, reads, count, each| Link {
+        id,
+        level,
+        reads,
+        count,
+        each,
+        forced: 0,
+        touched: 0,
+    };
+    vec![
+        link(0, 0, None, 1, false),
+        link(1, 1, Some(0), 1, false),
+        link(2, 2, Some(1), 1, false),
+        link(3, 3, Some(2), 3, true),
+        link(4, 1, Some(0), 2, false),
+        link(5, 2, Some(1), 2, false),
+    ]
+}
+
+/// The cutoff, both sides of it, on a chain deployed as written: a force-new
+/// edit at the top replaces or updates every block below it (each sees its
+/// dependency's attributes turn unknown) and taking it back restores them
+/// all; an in-place edit at the top re-plans the top and nothing else. Warm
+/// equals cold on each, and the plan stage never leaves the static cone.
+#[test]
+fn a_force_new_edit_cascades_down_a_chain_and_back() {
+    let env = Env::new();
+    let base = deployed_chain();
+    let state = converged_state(&render_links(&base), &env);
+    let ctx = env.ctx(&state);
+    let mut warm = IncrementalPipeline::default();
+    let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+    warm.run(&render_links(&base), &ctx)
+        .expect("the chain is clean");
+    assert!(warm.is_warm());
+
+    let mut links = base.clone();
+    let mut save = |links: &[Link], edited: &[usize]| {
+        let source = render_links(links);
+        let out = warm.run(&source, &ctx).expect("the save is clean");
+        assert!(out.trace.fast_path, "{}", out.trace);
+        let (k, n) = replanned(&out).expect("a warm plan stage");
+        assert_eq!(n, links.iter().map(|l| l.count).sum::<usize>());
+        assert!(k <= cone_instances(links, edited), "{}", out.trace);
+        let text = out.plan_text.clone();
+        assert_eq!(observe(Ok(out)), observe(cold.run(&source, &ctx)));
+        (k, text)
+    };
+
+    // the VPC's range: everything downstream is replaced or updated
+    links[0].forced = 1;
+    let (k, text) = save(&links, &[0]);
+    assert_eq!(k, 10, "the whole chain is visited:\n{text}");
+    for replaced in ["aws_vpc.l0", "aws_subnet.l1", "aws_subnet.l4[1]"] {
+        assert!(text.contains(&format!("-/+ {replaced}\n")), "{text}");
+    }
+    let unknown = "(known after apply)";
+    for reader in [
+        format!("-/+ aws_network_interface.l5[1]\n      subnet_id = {unknown}"),
+        format!("  ~ aws_virtual_machine.l3[\"2\"]\n      nic_ids = {unknown}"),
+    ] {
+        assert!(text.contains(&reader), "{text}");
+    }
+    let all = "Plan: 7 to add, 3 to change, 7 to destroy.";
+    assert!(text.contains(all), "{text}");
+
+    // an in-place edit on top of it flips nothing: one visit
+    links[0].touched = 1;
+    let (k, text) = save(&links, &[0]);
+    assert_eq!(k, 1, "{text}");
+    assert!(text.contains(all), "{text}");
+
+    // a block in and a block out, downstream of a replaced one
+    links.push(Link {
+        id: 6,
+        level: 3,
+        reads: Some(2),
+        count: 2,
+        each: false,
+        forced: 0,
+        touched: 0,
+    });
+    let (k, text) = save(&links, &[6]);
+    assert_eq!(k, 2, "{text}");
+    assert!(text.contains("Plan: 9 to add, 3 to change, 7 to destroy."));
+    links.pop();
+    let (k, _) = save(&links, &[]);
+    assert_eq!(k, 0);
+
+    // the range back as deployed: the cascade runs the other way
+    links[0].forced = 0;
+    let (k, text) = save(&links, &[0]);
+    assert_eq!(k, 10, "{text}");
+    assert!(text.contains("Plan: 0 to add, 1 to change, 0 to destroy."));
+    links[0].touched = 0;
+    let (k, text) = save(&links, &[0]);
+    assert_eq!(k, 1, "{text}");
+    assert!(text.contains("Plan: 0 to add, 0 to change, 0 to destroy."));
+
+    // mid-chain: a subnet's range replaces it and what reads it, not the VPC
+    links[1].forced = 1;
+    let (k, text) = save(&links, &[1]);
+    assert_eq!(k, 7, "{text}");
+    assert!(text.contains("Plan: 4 to add, 3 to change, 4 to destroy."));
+}
+
+proptest! {
+    /// One warm pipeline follows a stream of saves over a deployed program
+    /// whose blocks read each other's computed attributes through four
+    /// levels — force-new edits that cascade, the same taken back, in-place
+    /// edits that stop where they are made, blocks inserted and removed
+    /// (some saves refused, and undone) — and agrees with a cold pipeline on
+    /// every one while its plan stage stays inside the static cone of what
+    /// the save edited.
+    #[test]
+    fn a_stream_of_saves_over_a_chain_matches_cold_pipelines(
+        start in proptest::collection::vec((4..6usize, 0..32usize, 0..32usize), 0..6),
+        saves in proptest::collection::vec((0..8usize, 0..32usize, 0..32usize), 1..12),
+    ) {
+        let env = Env::new();
+        let empty = Snapshot::new();
+        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+        // the chain, grown by insertions the front end accepts
+        let mut links = deployed_chain();
+        for (serial, (kind, a, b)) in start.into_iter().enumerate() {
+            let before = links.clone();
+            edit_links(&mut links, 10 + serial, kind, a, b);
+            let mut probe = IncrementalPipeline::default();
+            if probe.run(&render_links(&links), &env.ctx(&empty)).is_err() || !probe.is_warm() {
+                links = before;
+            }
+        }
+        let base = render_links(&links);
+        let state = converged_state(&base, &env);
+        let ctx = env.ctx(&state);
+        let mut warm = IncrementalPipeline::default();
+        warm.run(&base, &ctx).expect("the start is clean");
+        prop_assert!(warm.is_warm());
+        for (serial, &(kind, a, b)) in saves.iter().enumerate() {
+            let before = links.clone();
+            edit_links(&mut links, 16 + serial, kind, a, b);
+            let source = render_links(&links);
+            let out = warm.run(&source, &ctx);
+            if let Some((k, _)) = out.as_ref().ok().and_then(replanned) {
+                let cone = cone_instances(&links, &edited_links(&before, &links));
+                prop_assert!(k <= cone, "save {}: re-planned {} of a cone of {}", serial, k, cone);
+            }
+            let warm_obs = observe(out);
+            prop_assert_eq!(&warm_obs, &observe(cold.run(&source, &ctx)), "save {}", serial);
+            if warm_obs.is_err() {
+                links = before; // the user takes it back with the next save
             }
         }
     }

@@ -4,10 +4,12 @@
 //! blocks actually changed* — without re-lexing the whole file. This module
 //! splits source text into **chunks** (one per top-level block, leading
 //! trivia attached to the block that follows it), hashes each chunk, and
-//! diffs an edited source against a cached [`ChunkMap`] in O(edit): a
-//! common-prefix/common-suffix byte scan narrows the edit to a window,
-//! only that window is re-scanned, and every chunk outside it is reused
-//! with its offsets shifted.
+//! diffs an edited source against a cached [`ChunkMap`]: a common-prefix/
+//! common-suffix compare (`memcmp` over blocks, the one O(source) step)
+//! narrows the edit to a window, only that window is re-scanned, and the
+//! diff hands back the window alone — the caller splices it into the table
+//! it holds ([`ChunkMap::splice`]), which shifts the offsets of the chunks
+//! after it and copies none.
 //!
 //! The scanner is deliberately *not* the lexer: it only needs to find
 //! top-level `}` closers, so it counts braces and newlines and nothing
@@ -17,10 +19,11 @@
 //! a block boundary by construction.
 //!
 //! A diff never interprets the edit: it reports the window it re-scanned
-//! ([`ChunkDelta::Window`], old chunk range → new chunk range) over a table
-//! equal to a fresh scan's, and the caller reads bodies edited and blocks
-//! added, removed or renamed off the window. A source the scanner cannot
-//! chunk at all is one opaque chunk.
+//! ([`ChunkWindow`], old chunk range → new chunks), the table with the
+//! window spliced in equals a fresh scan's, and the caller reads bodies
+//! edited and blocks added, removed or renamed off the window. A source the
+//! scanner cannot chunk at all is one opaque chunk, and a source it cannot
+//! window is a window over the whole table.
 
 use std::fmt;
 use std::ops::Range;
@@ -69,24 +72,32 @@ pub struct ChunkMap {
     pub src_len: usize,
 }
 
+/// The part of a cached [`ChunkMap`] an edit reaches, re-scanned: chunks
+/// `old` of the cached table became `chunks`, and every chunk after them is
+/// the cached one moved by `shift` bytes and `lines` lines. Either side may
+/// be empty (a pure insertion, a pure deletion), and the window may hold
+/// chunks the edit left alone: what changed inside it — bodies edited,
+/// blocks added, removed or renamed — is for the caller to read off the two
+/// sides' kinds and hashes. The cached table with the window spliced in
+/// ([`ChunkMap::splice`]) is the one a fresh [`ChunkMap::build`] of the new
+/// source yields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkWindow {
+    pub old: Range<usize>,
+    /// In the new source's coordinates: `chunks[i]` is chunk
+    /// `old.start + i` of the new table.
+    pub chunks: Vec<Chunk>,
+    pub shift: isize,
+    pub lines: i32,
+}
+
 /// Result of diffing an edited source against a cached [`ChunkMap`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChunkDelta {
     /// Byte-identical source.
     Unchanged,
-    /// The edit is confined to a window: chunks `old` of the cached map
-    /// were re-scanned into chunks `new` of `map`, and every chunk outside
-    /// the window is the cached one with its offsets shifted. Either range
-    /// may be empty (a pure insertion, a pure deletion), and the window may
-    /// hold chunks the edit left alone: what changed inside it — bodies
-    /// edited, blocks added, removed or renamed — is for the caller to read
-    /// off the two ranges' kinds and hashes. `map` is the table a fresh
-    /// [`ChunkMap::build`] of the new source yields.
-    Window {
-        old: Range<usize>,
-        new: Range<usize>,
-        map: ChunkMap,
-    },
+    /// The edit is confined to a window.
+    Window(ChunkWindow),
 }
 
 impl fmt::Display for ChunkKind {
@@ -224,51 +235,98 @@ impl ChunkMap {
             .map(|(i, _)| i)
     }
 
+    /// The bytes of the source that chunks `range` tile (an empty range:
+    /// the place between two chunks, or the end of the source). Chunk
+    /// boundaries, so `char` boundaries.
+    pub fn byte_range(&self, range: Range<usize>) -> Range<usize> {
+        let start_of = |i: usize| self.chunks.get(i).map_or(self.src_len, |c| c.start);
+        start_of(range.start)..start_of(range.end)
+    }
+
+    /// Land a window [`diff_chunks`] read off this table: its chunks take
+    /// the place of the ones it re-scanned, in place, and the chunks after
+    /// it move — integer adds, no chunk is copied or re-hashed.
+    pub fn splice(&mut self, window: ChunkWindow) {
+        let (shift, lines) = (window.shift, window.lines);
+        let tail = window.old.start + window.chunks.len();
+        self.chunks.splice(window.old, window.chunks);
+        for c in &mut self.chunks[tail..] {
+            c.start = c.start.wrapping_add_signed(shift);
+            c.end = c.end.wrapping_add_signed(shift);
+            c.line = c.line.wrapping_add_signed(lines);
+        }
+        self.src_len = self.src_len.wrapping_add_signed(shift);
+    }
+
     /// Approximate retained size in bytes (table only, not the source).
     pub fn approx_bytes(&self) -> usize {
         self.chunks.len() * std::mem::size_of::<Chunk>()
     }
 }
 
+/// What [`common_prefix`] and [`common_suffix`] compare at a time.
+const BLOCK: usize = 4096;
+
+/// How many leading bytes `a` and `b` share. Whole blocks are compared as
+/// slices (`memcmp`); only the block that differs is read byte by byte.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = a.chunks(BLOCK).zip(b.chunks(BLOCK));
+    let same = blocks.take_while(|(x, y)| x == y).count() * BLOCK;
+    let at = same.min(a.len()).min(b.len());
+    let rest = a[at..].iter().zip(&b[at..]);
+    at + rest.take_while(|(x, y)| x == y).count()
+}
+
+/// The same, of trailing bytes.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = a.rchunks(BLOCK).zip(b.rchunks(BLOCK));
+    let same = blocks.take_while(|(x, y)| x == y).count() * BLOCK;
+    let at = same.min(a.len()).min(b.len());
+    let rest = a[..a.len() - at].iter().rev();
+    let rest = rest.zip(b[..b.len() - at].iter().rev());
+    at + rest.take_while(|(x, y)| x == y).count()
+}
+
 /// Diff an edited `new_src` against the cached map of `old_src`.
 ///
-/// Cost is O(edit): a prefix/suffix byte scan locates the changed bytes,
-/// the re-scan starts at the last cached chunk boundary before them and
-/// stops at the first chunk end past them that is a cached boundary too,
-/// and the chunk table outside that window is reused with shifted offsets
-/// (O(#chunks) pointer arithmetic, no re-hashing). Starting and stopping on
-/// boundaries both scans share is what makes the spliced table the one a
-/// fresh scan builds: trivia around an inserted or deleted block re-attaches
-/// to whichever block the scanner gives it to.
+/// A prefix/suffix compare locates the changed bytes (they may begin and
+/// end inside a multi-byte character: the offsets are only ever held
+/// against chunk boundaries, never sliced at), the re-scan starts at the
+/// last cached chunk boundary before them and stops at the first chunk end
+/// past them that is a cached boundary too, and nothing outside that window
+/// is read: O(source) `memcmp` plus O(edit) scanning and hashing, no
+/// allocation but the window's chunks. Starting and stopping on boundaries
+/// both scans share is what makes the spliced table the one a fresh scan
+/// builds: trivia around an inserted or deleted block re-attaches to
+/// whichever block the scanner gives it to.
 pub fn diff_chunks(old: &ChunkMap, old_src: &str, new_src: &str) -> ChunkDelta {
     let (ob, nb) = (old_src.as_bytes(), new_src.as_bytes());
     debug_assert_eq!(old.src_len, ob.len(), "old map must match old source");
 
-    let common = |(a, b): &(&u8, &u8)| a == b;
-    let p = ob.iter().zip(nb).take_while(common).count();
+    let p = common_prefix(ob, nb);
     if p == ob.len() && p == nb.len() {
         return ChunkDelta::Unchanged;
     }
+    // the two may not overlap (`aaaa` → `aaa` shares three bytes, once)
     let max_s = ob.len().min(nb.len()) - p;
-    let tails = ob.iter().rev().zip(nb.iter().rev()).take(max_s);
-    let s = tails.take_while(common).count();
+    let s = common_suffix(&ob[ob.len() - max_s..], &nb[nb.len() - max_s..]);
 
+    let shift = nb.len() as isize - ob.len() as isize;
     let rebuilt = || {
-        let map = ChunkMap::build(new_src);
-        ChunkDelta::Window {
+        ChunkDelta::Window(ChunkWindow {
             old: 0..old.chunks.len(),
-            new: 0..map.chunks.len(),
-            map,
-        }
+            chunks: ChunkMap::build(new_src).chunks,
+            shift,
+            lines: 0,
+        })
     };
     if old.chunks.is_empty() {
         return rebuilt();
     }
     // An offset of the new source's unchanged tail is a place to stop when
     // the cached scan had a boundary there: which old chunk ends at it.
-    let delta = nb.len() as i64 - ob.len() as i64;
     let old_end_at = |e: usize| {
-        let o = usize::try_from(e as i64 - delta).ok()?;
+        let o = e.checked_add_signed(-shift)?;
         let ends_there = old.chunks.binary_search_by_key(&o, |c| c.end);
         ends_there.ok().filter(|_| e >= nb.len() - s)
     };
@@ -277,7 +335,7 @@ pub fn diff_chunks(old: &ChunkMap, old_src: &str, new_src: &str) -> ChunkDelta {
     // chunk before that.
     let mut a = old.chunks.partition_point(|c| c.end <= p);
     a = a.min(old.chunks.len() - 1);
-    let (window, line) = loop {
+    let (chunks, line) = loop {
         let first = &old.chunks[a];
         match scan_from(new_src, first.start, first.line, |e| {
             old_end_at(e).is_some()
@@ -288,28 +346,15 @@ pub fn diff_chunks(old: &ChunkMap, old_src: &str, new_src: &str) -> ChunkDelta {
         }
     };
     // one past the last cached chunk of the window
-    let end = window.last().map_or(nb.len(), |c| c.end);
+    let end = chunks.last().map_or(nb.len(), |c| c.end);
     let b = old_end_at(end).map_or(old.chunks.len(), |b| b + 1).max(a);
-
-    let mut chunks = Vec::with_capacity(a + window.len() + old.chunks.len() - b);
-    chunks.extend_from_slice(&old.chunks[..a]);
-    let new = a..a + window.len();
-    chunks.extend(window);
-    let dline = old.chunks.get(b).map_or(0, |c| line as i64 - c.line as i64);
-    chunks.extend(old.chunks[b..].iter().map(|c| Chunk {
-        start: (c.start as i64 + delta) as usize,
-        end: (c.end as i64 + delta) as usize,
-        line: (c.line as i64 + dline) as u32,
-        ..c.clone()
-    }));
-    ChunkDelta::Window {
+    let lines = old.chunks.get(b).map_or(0, |c| line as i32 - c.line as i32);
+    ChunkDelta::Window(ChunkWindow {
         old: a..b,
-        new,
-        map: ChunkMap {
-            chunks,
-            src_len: nb.len(),
-        },
-    }
+        chunks,
+        shift,
+        lines,
+    })
 }
 
 fn count_lines(bytes: &[u8]) -> u32 {
@@ -353,24 +398,31 @@ output "b" { value = aws_s3_bucket.logs.bucket }
         assert_eq!(map.resource_chunks().collect::<Vec<_>>(), vec![1, 2]);
     }
 
-    /// The diff of `old` → `new`, held against a fresh scan: the window's
-    /// (old, new) chunk ranges and the new-window chunks whose content no
-    /// old-window chunk of the same kind has.
+    /// The diff of `old` → `new`, spliced into the old table and held
+    /// against a fresh scan: the window's (old, new) chunk ranges and the
+    /// new-window chunks whose content no old-window chunk of the same kind
+    /// has.
     fn window(old: &str, new: &str) -> (Range<usize>, Range<usize>, Vec<usize>) {
-        let map = ChunkMap::build(old);
+        let mut map = ChunkMap::build(old);
         match diff_chunks(&map, old, new) {
-            ChunkDelta::Window {
-                old: was,
-                new: now,
-                map: spliced,
-            } => {
-                assert_eq!(spliced, ChunkMap::build(new), "spliced == full rescan");
+            ChunkDelta::Window(window) => {
+                let was = window.old.clone();
+                let now = was.start..was.start + window.chunks.len();
                 let known = |c: &Chunk| {
                     let same = |o: &Chunk| o.kind == c.kind && o.hash == c.hash;
                     map.chunks[was.clone()].iter().any(same)
                 };
-                let changed = now.clone().filter(|&i| !known(&spliced.chunks[i]));
+                let changed = now.clone().zip(&window.chunks);
+                let changed = changed.filter(|(_, c)| !known(c)).map(|(i, _)| i);
                 let changed = changed.collect();
+                let bytes = map.byte_range(was.clone());
+                map.splice(window);
+                assert_eq!(map, ChunkMap::build(new), "spliced == full rescan");
+                // the bytes outside the window are the ones both sources share
+                let grown = bytes.start..bytes.end + new.len() - old.len();
+                assert_eq!(map.byte_range(now.clone()), grown);
+                assert_eq!(old[..bytes.start], new[..grown.start]);
+                assert_eq!(old[bytes.end..], new[grown.end..]);
                 (was, now, changed)
             }
             other => panic!("expected a window, got {other:?}"),
@@ -469,6 +521,30 @@ output "b" { value = aws_s3_bucket.logs.bucket }
         let broken = SRC.replacen("}\n", "\n", 1);
         assert_eq!(window(SRC, &broken), (0..4, 0..1, vec![0]));
         assert_eq!(window(&broken, SRC).0, 0..1);
+    }
+
+    #[test]
+    fn prefix_and_suffix_share_no_byte_and_may_split_a_character() {
+        // `aaaa` → `aaa`: three bytes in common, not three and three
+        assert_eq!(
+            (common_prefix(b"aaaa", b"aaa"), common_suffix(b"a", b"")),
+            (3, 0)
+        );
+        assert_eq!(window("aaaa", "aaa"), (0..1, 0..1, vec![0]));
+        assert_eq!(window("aaa", "aaaa"), (0..1, 0..1, vec![0]));
+        let long = "a".repeat(3 * 4096 + 5);
+        assert_eq!(window(&long, &long[1..]), (0..1, 0..1, vec![0]));
+        // `é` → `è` differ in their second byte: the edit begins and ends
+        // inside a character, mid-block and across a compare block
+        for pad in [0, 4095] {
+            let lead = format!("# {}\n", "x".repeat(pad));
+            let src = format!(
+                "{lead}resource \"a\" \"x\" {{\n  v = \"é\"\n}}\nresource \"a\" \"y\" {{\n}}\n"
+            );
+            assert_eq!(window(&src, &src.replace('é', "è")), (0..1, 0..1, vec![0]));
+            assert_eq!(window(&src, &src.replace('é', "éé")), (0..1, 0..1, vec![0]));
+            assert_eq!(window(&src, &src.replace('é', "")), (0..1, 0..1, vec![0]));
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Seeded and exhaustive rather than shrinking: 24 000 syntax-valid edits
 //! (insert, delete, rename, swap, replace, trivia) of 1–8-block files, then
 //! 24 000 arbitrary byte splices the scanner has no reason to survive
-//! (unclosed quotes, stray braces, `${`, `/*`).
+//! (unclosed quotes, stray braces, `${`, `/*`, multi-byte characters cut
+//! anywhere a common prefix or suffix can end).
 
 use cloudless_hcl::fingerprint::{diff_chunks, ChunkDelta, ChunkMap};
 
@@ -98,7 +99,9 @@ fn valid_edit(rng: &mut Rng, blocks: &[String], tail: &str) -> String {
 }
 
 /// Bytes the scanner switches state on, spliced in anywhere.
-const HOSTILE: [&str; 10] = ["\"", "}", "{", "${", "/*", "*/", "#", "\\", "\n", "\"${\"}"];
+const HOSTILE: [&str; 12] = [
+    "\"", "}", "{", "${", "/*", "*/", "#", "\\", "\n", "\"${\"}", "é", "è",
+];
 
 fn hostile_edit(rng: &mut Rng, src: &str) -> String {
     let from = rng.below(src.len() + 1);
@@ -110,28 +113,29 @@ fn hostile_edit(rng: &mut Rng, src: &str) -> String {
     format!("{}{insert}{}", &src[..from], &src[to..])
 }
 
-/// The table `diff_chunks` leaves behind, and whether the window it
-/// reports is in bounds of both tables.
+/// The old source's table with the window `diff_chunks` reports spliced
+/// in, the window held in bounds of it.
 fn spliced(old: &str, new: &str) -> ChunkMap {
-    let map = ChunkMap::build(old);
+    let mut map = ChunkMap::build(old);
     match diff_chunks(&map, old, new) {
-        ChunkDelta::Unchanged => {
-            assert_eq!(old, new, "only an identical source is unchanged");
-            map
-        }
-        ChunkDelta::Window {
-            old: was,
-            new: now,
-            map: after,
-        } => {
+        ChunkDelta::Unchanged => assert_eq!(old, new, "only an identical source is unchanged"),
+        ChunkDelta::Window(window) => {
+            let was = &window.old;
             assert!(was.start <= was.end && was.end <= map.chunks.len());
-            assert!(now.start <= now.end && now.end <= after.chunks.len());
-            assert_eq!(was.start, now.start, "the window opens where it opens");
             let kept = map.chunks.len() - was.len();
-            assert_eq!(after.chunks.len(), kept + now.len());
-            after
+            let bytes = map.byte_range(was.clone());
+            assert_eq!(window.shift, new.len() as isize - old.len() as isize);
+            // what the window does not cover is what the sources share
+            assert_eq!(old.as_bytes()[..bytes.start], new.as_bytes()[..bytes.start]);
+            let tail = bytes.end.wrapping_add_signed(window.shift);
+            assert_eq!(old.as_bytes()[bytes.end..], new.as_bytes()[tail..]);
+            assert!(new.is_char_boundary(bytes.start) && new.is_char_boundary(tail));
+            let now = window.chunks.len();
+            map.splice(window);
+            assert_eq!(map.chunks.len(), kept + now);
         }
     }
+    map
 }
 
 fn assert_tiles(map: &ChunkMap, src: &str) {
@@ -168,6 +172,7 @@ fn spliced_table_equals_a_fresh_scan_on_valid_edits() {
 #[test]
 fn hostile_splices_never_panic_and_still_tile() {
     let mut rng = Rng(0xBAD_5EED);
+    let mut split = 0;
     for _ in 0..24_000 {
         let (blocks, tail) = file(&mut rng);
         let old = render(&blocks, &tail);
@@ -179,6 +184,44 @@ fn hostile_splices_never_panic_and_still_tile() {
         assert_eq!(map, ChunkMap::build(&new), "\nold: {old:?}\nnew: {new:?}");
         // and back again, from a table that may be one opaque chunk
         assert_tiles(&spliced(&new, &old), &old);
+        // `é` and `è` differ in their second byte: with one for the other
+        // the common prefix and suffix both end inside a character
+        let swap = |c| match c {
+            'é' => 'è',
+            'è' => 'é',
+            c => c,
+        };
+        let swapped: String = new.chars().map(swap).collect();
+        split += usize::from(swapped != new);
+        assert_eq!(
+            spliced(&new, &swapped),
+            ChunkMap::build(&swapped),
+            "{new:?}"
+        );
+    }
+    assert!(split > 2_000, "only {split} edits split a character");
+}
+
+/// What a compare a word or a block at a time can get wrong: a prefix and a
+/// suffix that would share bytes, and differences at either end of a block.
+#[test]
+fn prefix_and_suffix_never_overlap_whatever_the_length() {
+    for (old, new) in [("aaaa", "aaa"), ("aaa", "aaaa"), ("a", ""), ("", "a")] {
+        assert_eq!(spliced(old, new), ChunkMap::build(new), "{old:?} → {new:?}");
+    }
+    // a run of one byte, cut and grown by 1, 7, 8, 9 … bytes around the
+    // block sizes a fast compare reads in
+    let block = "resource \"a\" \"x\" {\n}\n";
+    for len in [7, 8, 9, 63, 64, 65, 4095, 4096, 4097, 8192] {
+        let old = format!("# {}\n{block}", "a".repeat(len));
+        for cut in [1, 7, 8, 9, len - 1, len]
+            .into_iter()
+            .filter(|&cut| cut <= len)
+        {
+            let new = format!("# {}\n{block}", "a".repeat(len - cut));
+            assert_eq!(spliced(&old, &new), ChunkMap::build(&new), "{len} − {cut}");
+            assert_eq!(spliced(&new, &old), ChunkMap::build(&old), "{len} + {cut}");
+        }
     }
 }
 

@@ -155,10 +155,18 @@ fn nesting_deeper_than_any_program_is_a_diagnostic_not_an_abort() {
 /// long-lived process of `cloudless watch`: the floods that nest a reader
 /// to death — 900 kB of `"${`, of `/*`, of `{` — bare, inside a block and
 /// saved over a valid program, come back from `ChunkMap::build`, from
-/// `diff_chunks` in both directions and from `parse` on a 2 MB stack.
+/// `diff_chunks` in both directions — as windows that splice into the table
+/// a fresh scan builds — and from `parse` on a 2 MB stack.
 #[test]
 fn floods_through_the_chunk_scanner_return_on_a_small_stack() {
-    use cloudless_hcl::fingerprint::{diff_chunks, ChunkMap};
+    use cloudless_hcl::fingerprint::{diff_chunks, ChunkDelta, ChunkMap};
+    let spliced = |map: &ChunkMap, old: &str, new: &str| {
+        let mut map = map.clone();
+        if let ChunkDelta::Window(window) = diff_chunks(&map, old, new) {
+            map.splice(window);
+        }
+        map
+    };
     let valid = "resource \"aws_vpc\" \"v\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
     let reader = std::thread::Builder::new().stack_size(2 << 20);
     let read = move || {
@@ -172,8 +180,8 @@ fn floods_through_the_chunk_scanner_return_on_a_small_stack() {
             ] {
                 let map = ChunkMap::build(&doc);
                 assert_eq!(map.chunks.last().map(|c| c.end), Some(doc.len()));
-                diff_chunks(&valid_map, valid, &doc);
-                diff_chunks(&map, &doc, valid);
+                assert_eq!(spliced(&valid_map, valid, &doc), map);
+                assert_eq!(spliced(&map, &doc, valid), valid_map);
                 let refused = cloudless_hcl::parse(&doc, "flood.tf");
                 assert!(refused.is_err(), "a flood of {open:?} is no program");
             }

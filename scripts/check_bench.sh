@@ -11,6 +11,11 @@
 # does — same host for measure and compare, so the 20% tolerance is
 # meaningful.
 #
+# `exp_scale --compare` also holds the candidate to E16's own gates
+# (`e16_replan::speedup_gates`): the block-edit replan's speedup floors over
+# the cold front end, and a first-layer edit replanning within 2x of a
+# last-layer one — a ratio of two measurements of one run, so host-independent.
+#
 # Usage:
 #   scripts/check_bench.sh            # committed pr vs committed baseline
 #   scripts/check_bench.sh --fresh    # fresh full-tier run vs baseline

@@ -15,6 +15,12 @@
 //! the world, committing a one-resource change with a one-block program
 //! edit, and the convention miner ask of the heap and of the log.
 //!
+//! So has a warm replan
+//! (`a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone`):
+//! one attribute of a first-layer block of the deployed estate, edited — the
+//! plan stage visits the block and at most its direct dependents, and the
+//! run allocates as often at 10 000 blocks as at 1 000.
+//!
 //! The test is a binary of its own because it installs a counting
 //! `#[global_allocator]`. The counters are per thread, so the tests here
 //! may run side by side.
@@ -358,4 +364,113 @@ fn the_back_half_of_a_one_block_apply_touches_one_block() {
     assert!(commit.allocs <= 300, "{commit:?}");
     assert!(appended < 64 * 1024, "{appended} bytes appended");
     assert!(mine.allocs <= 1_000, "{mine:?}");
+}
+
+/// One warm replan of `random_layered(blocks, 42)`, deployed: a
+/// one-attribute edit, in place, of a block of the *first* layer that two
+/// blocks read — its static cone is most of the program.
+struct WarmReplan {
+    tally: Tally,
+    /// `k` and `n` of the trace's `re-planned k/n instance(s)`.
+    replanned: (usize, usize),
+    dependents: usize,
+}
+
+impl WarmReplan {
+    fn measure(blocks: usize) -> WarmReplan {
+        use cloudless::{Cloudless, Config};
+        use cloudless_cloud::CloudConfig;
+
+        let source = random_layered(blocks, 42);
+        let catalog = quota_raised_catalog();
+        let mut engine = Cloudless::new(Config {
+            cloud: CloudConfig {
+                catalog: catalog.clone(),
+                ..CloudConfig::exact()
+            },
+            ..Config::default()
+        });
+        let converged = engine.converge(&source).expect("the estate converges");
+        assert!(converged.apply.all_ok());
+
+        // a security group's `name` updates in place, so the edit flips
+        // nothing a dependent reads
+        let width = (blocks / 64).max(8);
+        let readers = |i: usize| {
+            let reads = |close: char| source.matches(&format!(".r{i}{close}")).count();
+            reads(',') + reads(']')
+        };
+        let in_place = |i: &usize| {
+            let head = format!("resource \"aws_security_group\" \"r{i}\" ");
+            source.contains(&head) && readers(*i) == 2
+        };
+        let block = (0..width).find(in_place).expect("a group two blocks read");
+        let name = format!("\"r-{block}\"");
+        let edited = source.replacen(&name, &format!("\"r-{block}-edited\""), 1);
+        assert_ne!(edited, source);
+
+        let (inputs, modules, data) = (BTreeMap::new(), ModuleLibrary::new(), DataResolver::new());
+        let recorder = Arc::new(NullRecorder) as Arc<dyn Recorder>;
+        let ctx = PipelineCtx {
+            inputs: &inputs,
+            modules: &modules,
+            lint: LintGate::default(),
+            level: ValidationLevel::CloudRules,
+            data: &data,
+            catalog: &catalog,
+            state: engine.state(),
+            miner: None,
+            recorder: &recorder,
+        };
+        let mut pipeline = IncrementalPipeline::default();
+        let cold = pipeline.run(&source, &ctx);
+        assert!(cold.is_ok_and(|out| out.changes.is_empty()), "deployed");
+        let (out, tally) = counted(|| pipeline.run(&edited, &ctx));
+        let out = out.unwrap_or_else(|_| panic!("the edited program is clean"));
+        assert!(out.trace.fast_path, "{}", out.trace);
+        assert_eq!(out.changes.len(), 1, "one update");
+        let plan = out.trace.stages.iter().find(|s| s.stage == "plan");
+        let detail = plan.map_or("", |s| s.detail.as_str());
+        let counts = detail
+            .strip_prefix("re-planned ")
+            .and_then(|rest| rest.strip_suffix(" instance(s)"))
+            .and_then(|counts| counts.split_once('/'))
+            .unwrap_or_else(|| panic!("a warm plan stage says what it visited: {detail:?}"));
+        let count = |text: &str| text.parse().expect("a count");
+        WarmReplan {
+            tally,
+            replanned: (count(counts.0), count(counts.1)),
+            dependents: readers(block),
+        }
+    }
+}
+
+/// A warm replan costs what the edit changes, wherever in the dependency
+/// order the edit sits: the plan stage visits the edited block and at most
+/// its direct dependents — not the cone behind them — and the run asks the
+/// heap for no more at 10 000 blocks than at 1 000 (the chunk table and the
+/// source are spliced in place; a table copy alone is two `String`s a block).
+#[test]
+fn a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone() {
+    let (small, large) = (WarmReplan::measure(1_000), WarmReplan::measure(10_000));
+    for (run, blocks) in [(&small, 1_000), (&large, 10_000)] {
+        println!(
+            "warm first-layer replan at {blocks} blocks: {:?}, re-planned {:?}",
+            run.tally, run.replanned
+        );
+        let (k, n) = run.replanned;
+        assert_eq!(n, blocks);
+        assert!(
+            k <= 1 + run.dependents,
+            "re-planned {k} instances for one block and its {} direct dependents",
+            run.dependents
+        );
+    }
+    let growth = large.tally.allocs as f64 / small.tally.allocs as f64;
+    assert!(
+        growth <= 1.25,
+        "10x the blocks took {growth:.2}x the allocations of a warm replan: {:?} → {:?}",
+        small.tally,
+        large.tally
+    );
 }
