@@ -9,7 +9,7 @@
 //! breaker, and a bigger attempt budget).
 //!
 //! A second table shows checkpoint/resume: a partially-failed apply's
-//! [`ApplyReport`] is fed back via [`Executor::resume`], and only the
+//! completed addresses are fed back via [`Executor::resume_from`], and only the
 //! unfinished frontier re-executes.
 
 use cloudless::cloud::{Cloud, CloudConfig, FaultPlan};
@@ -105,7 +105,7 @@ pub fn run() -> String {
     let data = DataResolver::new();
     let resumed = Executor::new(STRATEGY, &data)
         .with_resilience(ResiliencePolicy::standard())
-        .resume(&plan, &mut cloud, &mut state, &first);
+        .resume_from(&plan, &mut cloud, &mut state, &first.completed_addrs());
     let mut t2 = Table::new(
         "E11b — checkpoint/resume after a partially-failed apply (storm)",
         &["phase", "nodes ok", "new attempts", "makespan"],
@@ -176,7 +176,7 @@ mod tests {
             let data = DataResolver::new();
             let resumed = Executor::new(STRATEGY, &data)
                 .with_resilience(tough)
-                .resume(&plan, &mut cloud, &mut state, &first);
+                .resume_from(&plan, &mut cloud, &mut state, &first.completed_addrs());
             assert!(
                 resumed.all_ok(),
                 "seed {seed}: resume should converge: {:?}",

@@ -95,7 +95,11 @@ commands:
             [--trace <out.json>]       write a chrome://tracing trace of the apply
             [--events <out.jsonl>]     dump raw flight-recorder events as JSONL
   destroy   <dir>                      destroy all managed resources: apply of
-                                       nothing, with apply's flags but --target
+                                       nothing
+            [--retries <n>]            as in apply
+            [--deadline-factor <f>]    as in apply
+            [--trace <out.json>]       as in apply
+            [--events <out.jsonl>]     as in apply
   state     <dir>                      list managed resources
   state     history  <dir>             list committed versions (time machine)
   state     rollback <dir> <serial>    time-travel state to a past serial
@@ -143,10 +147,8 @@ const ANALYZE_FLAGS: [Flag; 5] = [
     ("--allow", Some("a rule id or name")),
     ("--format", Some("text, json or sarif")),
 ];
-/// The flags of `apply`: `--resume` is scanned so that `apply` can say what
-/// replaced it, `plan` takes `--target`, `destroy` what follows it.
-const APPLY_FLAGS: [Flag; 6] = [
-    ("--resume", None),
+/// The flags of `apply`: `plan` takes `--target`, `destroy` what follows it.
+const APPLY_FLAGS: [Flag; 5] = [
     ("--target", Some("a resource address")),
     ("--retries", Some("a count")),
     ("--deadline-factor", Some("a number")),
@@ -169,13 +171,13 @@ const VERBS: [Verb; 18] = [
     ("validate", &[FILE], &[], Bare(validate)),
     ("lint", &[FILE], ANALYZE_FLAGS.split_at(2).1, Bare(analyze)),
     ("analyze", &[FILE], &ANALYZE_FLAGS, Bare(analyze)),
-    ("plan", &[DIR, FILE], &[APPLY_FLAGS[1]], InSession(plan)),
+    ("plan", &[DIR, FILE], &[APPLY_FLAGS[0]], InSession(plan)),
     ("watch", &[DIR, FILE], &WATCH_FLAGS, InSession(watch)),
     ("apply", &[DIR, FILE], &APPLY_FLAGS, Recorded(apply)),
     (
         "destroy",
         &[DIR],
-        APPLY_FLAGS.split_at(2).1,
+        APPLY_FLAGS.split_at(1).1,
         Recorded(apply),
     ),
     ("state fsck", &[DIR], &[], Bare(state_fsck)),
@@ -602,13 +604,6 @@ fn apply(
     recorder: &Arc<FlightRecorder>,
     engine: &mut Cloudless,
 ) -> Result<Ran, String> {
-    if args.value("--resume").is_some() {
-        return Err(
-            "--resume is gone: state records what a failed apply landed, \
-                    so a plain `apply` plans and runs only what is left"
-                .into(),
-        );
-    }
     let source = &match args.positional.get(1) {
         Some(file) => read_program(file)?,
         None => String::new(),
@@ -901,7 +896,41 @@ fn rogue(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::Ordering;
+
+    /// `USAGE` and `VERBS` name the same verbs, and under each verb the
+    /// same flags: a usage line two spaces in starts a verb (its words up to
+    /// the first `<…>`), and every `[--flag …]` down to the next one is its.
+    #[test]
+    fn usage_and_the_verb_table_agree() {
+        let mut usage: Vec<(String, BTreeSet<&str>)> = Vec::new();
+        for line in USAGE
+            .lines()
+            .skip_while(|line| *line != "commands:")
+            .skip(1)
+        {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                let words = line.split_whitespace();
+                let name: Vec<&str> = words.take_while(|w| !w.starts_with('<')).collect();
+                usage.push((name.join(" "), BTreeSet::new()));
+            }
+            let flags = line.split("[--").skip(1);
+            let names = flags.map(|f| f.split([' ', ']']).next().expect("a flag name"));
+            let verb = usage.last_mut().expect("a verb line comes first");
+            verb.1.extend(names);
+        }
+        let mut table: Vec<(String, BTreeSet<&str>)> = VERBS
+            .iter()
+            .map(|(name, _, flags, _)| {
+                let flags = flags.iter().map(|(flag, _)| flag.trim_start_matches("--"));
+                (name.to_string(), flags.collect())
+            })
+            .collect();
+        usage.sort();
+        table.sort();
+        assert_eq!(usage, table);
+    }
 
     /// `apply` (or `destroy`, after an apply) in a session whose state log
     /// refuses the commit: what the verb ended with, and the `cloud.json`

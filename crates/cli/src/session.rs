@@ -8,7 +8,7 @@
 //! be upgraded in place with `cloudless state migrate <dir>`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cloudless::cloud::{CloudConfig, ResourceRecord};
@@ -119,7 +119,7 @@ impl Session {
     /// `cloudless metrics` renders it.
     pub fn save_metrics(&self, snapshot: &MetricsSnapshot) -> Result<(), String> {
         let json = serde_json::to_string_pretty(snapshot).map_err(|e| e.to_string())?;
-        std::fs::write(self.metrics_path(), json).map_err(|e| e.to_string())
+        replace(&self.metrics_path(), &json)
     }
 
     /// The metrics snapshot of the last instrumented command, if any.
@@ -138,10 +138,55 @@ impl Session {
     /// commits already landed in `state.log` as they happened; this
     /// refreshes the `state.json` mirror and the cloud's records.
     pub fn save(&self, engine: &Cloudless) -> Result<(), String> {
-        std::fs::write(self.state_path(), engine.state().to_json()).map_err(|e| e.to_string())?;
+        replace(&self.state_path(), &engine.state().to_json())?;
         let records = engine.cloud().export_records();
         let json = serde_json::to_string_pretty(records).map_err(|e| e.to_string())?;
-        std::fs::write(self.cloud_path(), json).map_err(|e| e.to_string())?;
-        Ok(())
+        replace(&self.cloud_path(), &json)
+    }
+}
+
+/// Replace a session file whole: a sibling temp file, renamed over it (as
+/// the state log's compaction does). A crash mid-write leaves the old file
+/// and a temp file nothing reads — `cloud.json` is the simulator's cloud
+/// itself, so a torn one is a lost cloud.
+fn replace(path: &Path, text: &str) -> Result<(), String> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, text)
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_leftover_temp_file_is_ignored_on_load_and_replaced_on_save() {
+        let dir = std::env::temp_dir().join(format!("cloudless-session-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = Session::init(dir.to_str().expect("utf8 tmp path")).expect("init");
+        // what a crash in the middle of the last save left behind
+        let leftovers = ["state.json.tmp", "cloud.json.tmp", "metrics.json.tmp"];
+        for name in leftovers {
+            std::fs::write(dir.join(name), "{\"half\": [").expect("write");
+        }
+
+        let mut engine = session.engine(None).expect("loads past the temp files");
+        assert!(session.load_metrics().expect("no metrics yet").is_none());
+        let program = "resource \"aws_vpc\" \"main\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
+        assert!(engine.converge(program).expect("applies").apply.all_ok());
+        session.save(&engine).expect("save");
+        session
+            .save_metrics(&MetricsSnapshot::default())
+            .expect("save metrics");
+
+        for name in leftovers {
+            assert!(!dir.join(name).exists(), "{name} was renamed over its file");
+        }
+        let reloaded = session.engine(None).expect("reloads");
+        assert_eq!(reloaded.cloud().export_records().len(), 1);
+        assert_eq!(reloaded.state().len(), 1);
+        assert!(session.load_metrics().expect("metrics").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

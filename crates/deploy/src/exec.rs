@@ -1,4 +1,4 @@
-//! Plan executors: sequential, Terraform-style walk, and critical-path.
+//! The plan executor: one event loop over the simulated cloud.
 //!
 //! §3.3: "Current IaC frameworks only perform basic dependency analysis on
 //! the resource dependency graph, missing out potential acceleration
@@ -9,9 +9,9 @@
 //! for various cloud resources, retries in case of resource hanging or
 //! failure."
 //!
-//! All strategies run the same [`Plan`] against the same [`Cloud`]; the
-//! only difference is *which ready node is submitted next and how many are
-//! allowed in flight*:
+//! Every strategy runs the same [`Plan`] against the same [`Cloud`]; a
+//! strategy decides only *which ready node is submitted next and how many
+//! may be in flight*:
 //!
 //! * [`Strategy::Sequential`] — one operation at a time (the worst case,
 //!   and the effective behavior of `-parallelism=1`).
@@ -23,11 +23,19 @@
 //!   admits only `k` ops, the `k` most critical go first; non-critical work
 //!   yields (§3.3's "make way").
 //!
-//! Orthogonal to the strategy, every apply runs under a
-//! [`ResiliencePolicy`] (see [`crate::resilience`]): per-op deadlines that
-//! cancel hung ops, exponential backoff with seeded jitter between
-//! retries, per-provider circuit breakers, and checkpoint/resume of
-//! partially-failed applies via [`Executor::resume`].
+//! A node is a short list of steps (`Step`), one cloud op each (a replace is
+//! two), and its state holds the index of the step in flight: a retry
+//! resubmits that step, a landed step submits the next. Every op reaches
+//! the cloud through one function, `Executor::submit` — the ready nodes a
+//! tick picks, a node whose backoff ran out, the next step of a node — which
+//! is where the provider's breaker is told and where attempts, the op → node
+//! table and deadlines are kept.
+//!
+//! Every apply runs under a [`ResiliencePolicy`] (see
+//! [`crate::resilience`]): per-op deadlines that cancel hung ops,
+//! exponential backoff with seeded jitter between retries, and per-provider
+//! circuit breakers. [`Executor::resume_from`] re-runs a plan past the nodes
+//! an earlier run of it landed.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -46,7 +54,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::diff::Action;
-use crate::plan::Plan;
+use crate::plan::{Plan, PlanNode};
 use crate::resilience::{CircuitBreaker, ResiliencePolicy};
 use crate::resolver::StateResolver;
 
@@ -186,14 +194,41 @@ impl ApplyReport {
         self.node_stats.values().map(|s| s.attempts as u64).sum()
     }
 
-    /// Addresses that landed successfully — the checkpoint a resumed apply
-    /// starts from (see [`Executor::resume`]).
+    /// Addresses that landed successfully — what a re-run of the same plan
+    /// starts past (see [`Executor::resume_from`]).
     pub fn completed_addrs(&self) -> BTreeSet<String> {
         self.results
             .iter()
             .filter(|(_, r)| r.is_ok())
             .map(|(a, _)| a.clone())
             .collect()
+    }
+}
+
+/// One cloud op of a node.
+#[derive(Clone, Copy)]
+enum Step {
+    Create,
+    Update,
+    /// Of the id the address held when the node started, so the trailing
+    /// delete of a create-before-destroy replace is the same step as the
+    /// leading delete of a plain one.
+    Delete,
+}
+
+/// The ops a node's change takes, in order.
+fn steps(node: &PlanNode) -> &'static [Step] {
+    let cbd = || {
+        let desired = node.change.desired.as_ref();
+        desired.is_some_and(|d| d.lifecycle.create_before_destroy)
+    };
+    match node.change.action {
+        Action::Create => &[Step::Create],
+        Action::Update { .. } => &[Step::Update],
+        Action::Delete => &[Step::Delete],
+        Action::Replace { .. } if cbd() => &[Step::Create, Step::Delete],
+        Action::Replace { .. } => &[Step::Delete, Step::Create],
+        Action::NoOp => &[],
     }
 }
 
@@ -204,13 +239,11 @@ enum NodeState {
         deps_left: usize,
     },
     Ready,
-    /// The delete half of a (destroy-then-create) replace is in flight.
-    Replacing,
-    /// The create half of a create-before-destroy replace is in flight.
-    ReplacingCbdCreate,
-    /// The trailing delete of a create-before-destroy replace is in flight.
-    ReplacingCbdDelete,
-    InFlight,
+    /// `steps(node)[step]` is at the cloud, or waiting out a backoff to be
+    /// submitted again; the steps before it landed.
+    InFlight {
+        step: usize,
+    },
     Done,
     Failed,
     Skipped,
@@ -219,9 +252,9 @@ enum NodeState {
 /// Mutable machinery of one apply run.
 struct Run {
     states: Vec<NodeState>,
-    /// Terminal result per node, indexed by `NodeId::index()`. `None` for
-    /// nodes that never reached a terminal state (apply abandoned early).
-    /// The string-keyed report map is built once at the end.
+    /// Terminal result per node, indexed by `NodeId::index()`: `Some` for
+    /// every node by the time the loop ends. The string-keyed report map is
+    /// built once at the end.
     results: Vec<Option<NodeResult>>,
     op_to_node: BTreeMap<OpId, NodeId>,
     /// Cancel-by deadline of every in-flight op that has one.
@@ -231,8 +264,10 @@ struct Run {
     /// which reproduces the legacy immediate-retry order exactly.
     backoffs: BTreeSet<(SimTime, NodeId)>,
     stats: Vec<NodeStats>,
-    /// Old cloud ids of create-before-destroy replaces, deleted last.
-    cbd_old: BTreeMap<NodeId, ResourceId>,
+    /// The cloud id each address held when its node started: what an
+    /// update addresses and a delete step deletes, whatever the steps
+    /// before it put in state.
+    old_ids: Vec<Option<ResourceId>>,
     breakers: BTreeMap<Provider, CircuitBreaker>,
     /// Backoff-jitter RNG (independent of the cloud's RNG).
     rng: StdRng,
@@ -331,7 +366,7 @@ impl<'a> Executor<'a> {
 
     /// Region for a resource: explicit `location`-ish attribute, provider
     /// override, or provider default.
-    fn region_for(&self, node: &crate::plan::PlanNode) -> Region {
+    fn region_for(&self, node: &PlanNode) -> Region {
         for key in ["location", "region"] {
             if let Some(Value::Str(s)) = node.change.planned_attrs.get(key) {
                 return Region::new(s.clone());
@@ -348,36 +383,15 @@ impl<'a> Executor<'a> {
 
     /// Execute `plan` against `cloud`, updating `state` as resources land.
     pub fn apply(&self, plan: &Plan, cloud: &mut Cloud, state: &mut Snapshot) -> ApplyReport {
-        self.run(plan, cloud, state, &BTreeSet::new())
+        self.resume_from(plan, cloud, state, &BTreeSet::new())
     }
 
-    /// Resume a partially-failed apply: nodes that are `Ok` in `prior` are
-    /// pre-marked done (their resources are already in `state`) and only
-    /// the unfinished frontier is executed.
-    pub fn resume(
-        &self,
-        plan: &Plan,
-        cloud: &mut Cloud,
-        state: &mut Snapshot,
-        prior: &ApplyReport,
-    ) -> ApplyReport {
-        self.run(plan, cloud, state, &prior.completed_addrs())
-    }
-
-    /// Like [`Executor::resume`] but from a bare completed-address set.
+    /// Re-run `plan` past the nodes an earlier run of it landed: the
+    /// addresses in `completed` are pre-marked done (their resources are
+    /// already in `state`) and only the unfinished frontier is executed.
     /// Only for re-running the same [`Plan`]: a fresh plan against the
     /// state a failed apply left already holds just the unfinished nodes.
     pub fn resume_from(
-        &self,
-        plan: &Plan,
-        cloud: &mut Cloud,
-        state: &mut Snapshot,
-        completed: &BTreeSet<String>,
-    ) -> ApplyReport {
-        self.run(plan, cloud, state, completed)
-    }
-
-    fn run(
         &self,
         plan: &Plan,
         cloud: &mut Cloud,
@@ -421,7 +435,7 @@ impl<'a> Executor<'a> {
             deadlines: BTreeMap::new(),
             backoffs: BTreeSet::new(),
             stats: vec![NodeStats::default(); n],
-            cbd_old: BTreeMap::new(),
+            old_ids: vec![None; n],
             breakers: match &self.resilience.breaker {
                 Some(cfg) => Provider::ALL
                     .iter()
@@ -506,7 +520,7 @@ impl<'a> Executor<'a> {
                             .field("op_id", op.0),
                     );
                 }
-                self.breaker_outcome(&mut run, plan, node, now, false);
+                self.tell_breaker(&mut run, plan, node, now, |b| b.on_outcome(now, false));
                 let err = CloudError::transient(
                     "DeadlineExceeded",
                     format!(
@@ -517,97 +531,36 @@ impl<'a> Executor<'a> {
                 self.handle_retryable(&mut run, plan, cloud, node, err, true);
             }
 
-            // (1) Release due backoffs: resubmit each node in its saved
-            // phase. Retries bypass the strategy's in-flight bound, exactly
-            // as the legacy immediate retry did — the rate limiter is the
-            // real backpressure.
-            while let Some(&(t, node)) = run.backoffs.iter().next() {
-                if t > cloud.now() {
-                    break;
-                }
+            // (1) Release due backoffs: each node resubmits the step its
+            // state names. Retries bypass the strategy's in-flight bound and
+            // the breaker's admission — the rate limiter is the real
+            // backpressure.
+            self.submit(&mut run, plan, cloud, state, |run, _| {
+                let &(t, node) = run.backoffs.first().filter(|(t, _)| *t <= now)?;
                 run.backoffs.remove(&(t, node));
-                self.resubmit(&mut run, plan, cloud, state, node);
-            }
+                Some(node)
+            });
 
             // (2) Submit as many ready nodes as the strategy and the
-            // breakers allow. Selection stays sequential (breaker admission
-            // is order-sensitive, and `on_submit` fires at selection time,
-            // which is safe because submission never advances sim time) but
-            // the cloud round-trips are batched into one `submit_batch`
-            // call per tick.
-            let mut batch_nodes: Vec<NodeId> = Vec::new();
-            let mut batch_reqs: Vec<ApiRequest> = Vec::new();
-            loop {
-                if run.in_flight + batch_nodes.len() >= max_in_flight {
-                    break;
+            // breakers allow. A refusal at the front door frees its slot
+            // (and its probe) without an event to wait for: go round again,
+            // or ready nodes behind it would never be visited.
+            let refused = self.submit(&mut run, plan, cloud, state, |run, picked| {
+                if run.in_flight + picked >= max_in_flight {
+                    return None;
                 }
-                let Some(next) = self.pick_ready(plan, &mut run, cloud.now()) else {
-                    break;
-                };
-                let node_ref = plan.graph.node(next);
-                let is_replace = matches!(node_ref.change.action, Action::Replace { .. });
-                let cbd = is_replace
-                    && node_ref
-                        .change
-                        .desired
-                        .as_ref()
-                        .map(|d| d.lifecycle.create_before_destroy)
-                        .unwrap_or(false);
-                if cbd {
-                    // remember the old id before the address is overwritten
-                    if let Some(rec) = state.get(&node_ref.change.addr) {
-                        run.cbd_old.insert(next, rec.id.clone());
-                    }
-                }
-                // set the phase before submitting so a retry of this op
-                // resubmits the same phase
-                run.states[next.index()] = if cbd {
-                    NodeState::ReplacingCbdCreate
-                } else if is_replace {
-                    NodeState::Replacing
-                } else {
-                    NodeState::InFlight
-                };
-                match self.build_request(next, plan, state, cbd) {
-                    Ok(req) => {
-                        self.breaker_on_submit(&mut run, plan, next, cloud.now());
-                        batch_nodes.push(next);
-                        batch_reqs.push(req);
-                    }
-                    // finalization failure — never reached the cloud.
-                    // A dependent of `next` cannot already sit in the batch:
-                    // it is still Waiting, so the skip cascade never touches
-                    // a picked node.
-                    Err(error) => {
-                        let now = cloud.now();
-                        self.fail_node(&mut run, plan, next, error, false, now)
-                    }
-                }
-            }
-            if !batch_nodes.is_empty() {
-                let outcomes = cloud.submit_batch(batch_reqs);
-                for (node, outcome) in batch_nodes.into_iter().zip(outcomes) {
-                    match outcome {
-                        Ok(op) => self.note_submitted(&mut run, plan, cloud, node, op),
-                        // front-door rejection
-                        Err(e) => {
-                            let now = cloud.now();
-                            self.fail_node(
-                                &mut run,
-                                plan,
-                                node,
-                                CloudError::constraint("ApiRejected", e.to_string()),
-                                false,
-                                now,
-                            );
-                        }
-                    }
-                }
+                self.pick_ready(plan, run, now)
+            });
+            if refused {
+                continue;
             }
 
             // (3) Find the next event in sim time: a completion, a deadline
             // expiry, a backoff release, or (when ready work is shed by an
-            // open breaker) a half-open probe slot.
+            // open breaker) a half-open probe slot. A cooldown that has run
+            // out is not an event to wait for: (2) took what it admits,
+            // unless the strategy's bound is full — and then it is a
+            // completion that frees the slot.
             let next_completion = cloud.next_completion_at();
             let next_deadline = run.deadlines.values().copied().min();
             let next_backoff = run.backoffs.iter().next().map(|&(t, _)| t);
@@ -616,6 +569,7 @@ impl<'a> Executor<'a> {
                 run.breakers
                     .values()
                     .filter_map(|b| b.next_probe_at())
+                    .filter(|&t| t > now)
                     .min()
             } else {
                 None
@@ -648,7 +602,7 @@ impl<'a> Executor<'a> {
             run.in_flight -= 1;
             let at = completion.at;
             let ok = !matches!(completion.outcome, OpOutcome::Failed(_));
-            self.breaker_outcome(&mut run, plan, node, at, ok);
+            self.tell_breaker(&mut run, plan, node, at, |b| b.on_outcome(at, ok));
 
             match completion.outcome {
                 OpOutcome::Failed(err) if err.retryable => {
@@ -657,58 +611,29 @@ impl<'a> Executor<'a> {
                 OpOutcome::Failed(err) => {
                     self.fail_node(&mut run, plan, node, err, false, at);
                 }
-                outcome => match run.states[node.index()] {
-                    // create-before-destroy: the create landed → record the
-                    // new resource, then delete the old one by its saved id
-                    NodeState::ReplacingCbdCreate => {
-                        self.record_success(node, plan, state, outcome, at);
-                        match run.cbd_old.get(&node).cloned() {
-                            // nothing to delete (state had no prior record)
-                            None => self.complete_node(&mut run, plan, node, at),
-                            Some(old_id) => {
-                                match cloud.submit(ApiRequest::new(
-                                    ApiOp::Delete { id: old_id },
-                                    &self.principal,
-                                )) {
-                                    Ok(op) => {
-                                        run.states[node.index()] = NodeState::ReplacingCbdDelete;
-                                        self.note_submit(&mut run, plan, cloud, node, op);
-                                    }
-                                    Err(e) => self.fail_node(
-                                        &mut run,
-                                        plan,
-                                        node,
-                                        CloudError::constraint("ApiRejected", e.to_string()),
-                                        false,
-                                        at,
-                                    ),
-                                }
-                            }
+                outcome => {
+                    self.record_success(node, plan, state, outcome, at);
+                    let more = match &mut run.states[node.index()] {
+                        NodeState::InFlight { step } => {
+                            *step += 1;
+                            *step < steps(plan.graph.node(node)).len()
                         }
-                    }
-                    // trailing CBD delete done → the node is complete (the
-                    // new resource is already in state; do NOT remove the
-                    // address)
-                    NodeState::ReplacingCbdDelete => self.complete_node(&mut run, plan, node, at),
-                    // delete half of a replace done → remove from state,
-                    // submit the create half
-                    NodeState::Replacing => {
-                        let addr = &plan.graph.node(node).change.addr;
-                        state.remove(addr);
-                        run.states[node.index()] = NodeState::InFlight;
-                        match self.submit_node(node, plan, cloud, state, true) {
-                            Ok(op) => self.note_submit(&mut run, plan, cloud, node, op),
-                            Err(error) => self.fail_node(&mut run, plan, node, error, false, at),
-                        }
-                    }
-                    _ => {
-                        self.record_success(node, plan, state, outcome, at);
+                        _ => false,
+                    };
+                    if more {
+                        let mut next = Some(node);
+                        self.submit(&mut run, plan, cloud, state, |_, _| next.take());
+                    } else {
                         self.complete_node(&mut run, plan, node, at);
                     }
-                },
+                }
             }
         }
 
+        debug_assert!(
+            run.results.iter().all(Option::is_some),
+            "the apply ended with a node neither run nor skipped"
+        );
         let finished_at = cloud.now();
         self.obs.observe(
             "deploy.apply_makespan_ms",
@@ -751,108 +676,82 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Account for a just-submitted op: deadline registration, breaker
-    /// notification, and attempt counting. Used by the single-op paths
-    /// (retries, replace phases); the batched submit loop notifies the
-    /// breaker at selection time and calls [`Executor::note_submitted`].
-    fn note_submit(&self, run: &mut Run, plan: &Plan, cloud: &Cloud, node: NodeId, op: OpId) {
-        self.account_submit(run, plan, cloud, node, op);
-        self.breaker_on_submit(run, plan, node, cloud.now());
-        self.register_deadline(run, plan, cloud, node, op);
-    }
-
-    /// Batch-path counterpart of [`Executor::note_submit`]: the breaker's
-    /// `on_submit` already ran when the node was picked.
-    fn note_submitted(&self, run: &mut Run, plan: &Plan, cloud: &Cloud, node: NodeId, op: OpId) {
-        self.account_submit(run, plan, cloud, node, op);
-        self.register_deadline(run, plan, cloud, node, op);
-    }
-
-    fn account_submit(&self, run: &mut Run, plan: &Plan, cloud: &Cloud, node: NodeId, op: OpId) {
-        run.ops_submitted += 1;
-        run.stats[node.index()].attempts += 1;
-        run.op_to_node.insert(op, node);
-        run.in_flight += 1;
-        if self.obs.enabled() && run.node_spans[node.index()].is_none() {
-            // First submission opens the node's lifecycle span.
-            let span = self.obs.next_span();
-            run.node_spans[node.index()] = span;
-            self.obs.record(
-                Event::enter("deploy", "node", cloud.now())
-                    .span(span)
-                    .parent(run.apply_span)
-                    .field("addr", plan.addr_str(node)),
-            );
-        }
-    }
-
-    /// Notify the node's provider breaker of a submission, emitting a
-    /// transition event if its state changed.
-    fn breaker_on_submit(&self, run: &mut Run, plan: &Plan, node: NodeId, now: SimTime) {
-        if let Some(b) = self.node_breaker(run, plan, node) {
-            let before = b.state().label();
-            b.on_submit(now);
-            let after = b.state().label();
-            if before != after {
-                self.emit_breaker_transition(plan, node, now, before, after);
-            }
-        }
-    }
-
-    fn register_deadline(&self, run: &mut Run, plan: &Plan, cloud: &Cloud, node: NodeId, op: OpId) {
-        if let Some(allowance) = self
-            .resilience
-            .deadline
-            .allowance(plan.graph.node(node).estimate)
-        {
-            // The deadline clock starts when the provider admits the op,
-            // not at submission: queueing behind the rate limiter is
-            // throttling, not hanging.
-            let start = cloud.op_started_at(op).unwrap_or(cloud.now());
-            run.deadlines.insert(op, start + allowance);
-        }
-    }
-
-    /// Resubmit a node whose backoff just released, in its saved phase.
-    fn resubmit(
+    /// The one door to the cloud. `next` names the nodes to submit, given
+    /// how many this call already holds: the ready nodes of a tick, the nodes
+    /// whose backoff ran out, or a node whose step just landed and has
+    /// another. Each goes out with the step its state names, in one
+    /// `submit_batch`; the breaker is told as each is taken, because whether
+    /// the next ready node is admitted depends on it (submitting never
+    /// advances sim time, so telling it early is safe). Returns whether the
+    /// front door refused any.
+    fn submit(
         &self,
         run: &mut Run,
         plan: &Plan,
         cloud: &mut Cloud,
-        state: &mut Snapshot,
-        node: NodeId,
-    ) {
-        let submitted = match run.states[node.index()] {
-            // the trailing CBD delete retries directly by the saved id
-            NodeState::ReplacingCbdDelete => {
-                let Some(old_id) = run.cbd_old.get(&node).cloned() else {
-                    let now = cloud.now();
-                    self.complete_node(run, plan, node, now);
-                    return;
-                };
-                cloud
-                    .submit(ApiRequest::new(
-                        ApiOp::Delete { id: old_id },
-                        &self.principal,
-                    ))
-                    .map_err(|e| CloudError::constraint("ApiRejected", e.to_string()))
-            }
-            ref st => {
-                // InFlight covers both a plain node and the create half of
-                // a replace whose delete already landed; Replacing is the
-                // delete half.
-                let create_phase =
-                    matches!(st, NodeState::InFlight | NodeState::ReplacingCbdCreate);
-                self.submit_node(node, plan, cloud, state, create_phase)
-            }
-        };
-        match submitted {
-            Ok(op) => self.note_submit(run, plan, cloud, node, op),
-            Err(error) => {
-                let now = cloud.now();
-                self.fail_node(run, plan, node, error, false, now)
+        state: &Snapshot,
+        mut next: impl FnMut(&mut Run, usize) -> Option<NodeId>,
+    ) -> bool {
+        let now = cloud.now();
+        let mut taken: Vec<(NodeId, bool)> = Vec::new();
+        let mut requests: Vec<ApiRequest> = Vec::new();
+        while let Some(node) = next(run, taken.len()) {
+            match self.build_request(run, plan, state, node) {
+                Ok(request) => {
+                    let probe = self.tell_breaker(run, plan, node, now, |b| b.on_submit(now));
+                    taken.push((node, probe == Some(true)));
+                    requests.push(request);
+                }
+                // Finalization failure — never reached the cloud. A
+                // dependent of `node` cannot already be among the taken: it
+                // is still Waiting, so the skip cascade never touches one.
+                Err(error) => self.fail_node(run, plan, node, error, false, now),
             }
         }
+        if requests.is_empty() {
+            return false;
+        }
+        let mut refused = false;
+        for ((node, probe), outcome) in taken.into_iter().zip(cloud.submit_batch(requests)) {
+            let op = match outcome {
+                Ok(op) => op,
+                // A rejected request says nothing about the provider's
+                // health: a half-open probe gives its slot back.
+                Err(e) => {
+                    refused = true;
+                    if probe {
+                        self.tell_breaker(run, plan, node, now, CircuitBreaker::on_refused);
+                    }
+                    let error = CloudError::constraint("ApiRejected", e.to_string());
+                    self.fail_node(run, plan, node, error, false, now);
+                    continue;
+                }
+            };
+            run.ops_submitted += 1;
+            run.stats[node.index()].attempts += 1;
+            run.op_to_node.insert(op, node);
+            run.in_flight += 1;
+            if self.obs.enabled() && run.node_spans[node.index()].is_none() {
+                // First submission opens the node's lifecycle span.
+                let span = self.obs.next_span();
+                run.node_spans[node.index()] = span;
+                self.obs.record(
+                    Event::enter("deploy", "node", now)
+                        .span(span)
+                        .parent(run.apply_span)
+                        .field("addr", plan.addr_str(node)),
+                );
+            }
+            let estimate = plan.graph.node(node).estimate;
+            if let Some(allowance) = self.resilience.deadline.allowance(estimate) {
+                // The deadline clock starts when the provider admits the op,
+                // not at submission: queueing behind the rate limiter is
+                // throttling, not hanging.
+                let start = cloud.op_started_at(op).unwrap_or(now);
+                run.deadlines.insert(op, start + allowance);
+            }
+        }
+        refused
     }
 
     /// Decide the fate of a retryable failure (`timed_out` = deadline
@@ -969,59 +868,34 @@ impl<'a> Executor<'a> {
         );
     }
 
-    /// Feed an op outcome to the node's provider breaker, emitting a
-    /// trace event and counter whenever the breaker changes state
+    /// Tell the breaker guarding this node's provider, if any, something,
+    /// with a trace event and a counter whenever that changes its state
     /// (closed → open, open → half-open, half-open → closed/open).
-    fn breaker_outcome(&self, run: &mut Run, plan: &Plan, node: NodeId, at: SimTime, ok: bool) {
-        let Some(b) = self.node_breaker(run, plan, node) else {
-            return;
-        };
-        let before = b.state().label();
-        b.on_outcome(at, ok);
-        let after = b.state().label();
-        if before != after {
-            self.emit_breaker_transition(plan, node, at, before, after);
-        }
-    }
-
-    fn emit_breaker_transition(
+    fn tell_breaker<T>(
         &self,
+        run: &mut Run,
         plan: &Plan,
         node: NodeId,
         at: SimTime,
-        from: &'static str,
-        to: &'static str,
-    ) {
-        self.obs.counter("deploy.breaker_transitions", 1);
-        if self.obs.enabled() {
-            self.obs.record(
-                Event::instant("deploy", "breaker", at)
-                    .field(
-                        "provider",
-                        plan.graph
-                            .node(node)
-                            .change
-                            .addr
-                            .rtype
-                            .provider_prefix()
-                            .to_string(),
-                    )
-                    .field("from", from)
-                    .field("to", to),
-            );
-        }
-    }
-
-    /// The breaker guarding this node's provider, if any.
-    fn node_breaker<'r>(
-        &self,
-        run: &'r mut Run,
-        plan: &Plan,
-        node: NodeId,
-    ) -> Option<&'r mut CircuitBreaker> {
+        tell: impl FnOnce(&mut CircuitBreaker) -> T,
+    ) -> Option<T> {
         let prefix = plan.graph.node(node).change.addr.rtype.provider_prefix();
-        let p = Provider::from_type_prefix(prefix)?;
-        run.breakers.get_mut(&p)
+        let b = run.breakers.get_mut(&Provider::from_type_prefix(prefix)?)?;
+        let from = b.state().label();
+        let told = tell(b);
+        let to = b.state().label();
+        if from != to {
+            self.obs.counter("deploy.breaker_transitions", 1);
+            if self.obs.enabled() {
+                self.obs.record(
+                    Event::instant("deploy", "breaker", at)
+                        .field("provider", prefix.to_string())
+                        .field("from", from)
+                        .field("to", to),
+                );
+            }
+        }
+        Some(told)
     }
 
     fn breaker_admits(&self, run: &Run, plan: &Plan, node: NodeId, now: SimTime) -> bool {
@@ -1055,6 +929,7 @@ impl<'a> Executor<'a> {
                 continue;
             }
             run.ready_count -= 1;
+            run.states[id.index()] = NodeState::InFlight { step: 0 };
             picked = Some(id);
             break;
         }
@@ -1062,74 +937,45 @@ impl<'a> Executor<'a> {
         picked
     }
 
-    /// Submit the cloud op for one node. `create_phase` selects the second
-    /// half of a replace.
-    fn submit_node(
-        &self,
-        node: NodeId,
-        plan: &Plan,
-        cloud: &mut Cloud,
-        state: &Snapshot,
-        create_phase: bool,
-    ) -> Result<OpId, CloudError> {
-        let req = self.build_request(node, plan, state, create_phase)?;
-        cloud
-            .submit(req)
-            .map_err(|e| CloudError::constraint("ApiRejected", e.to_string()))
-    }
-
-    /// Build the API request for one node without submitting it (the
-    /// batched submit loop collects requests and submits them together).
+    /// The API request of the step the node's state names.
     fn build_request(
         &self,
-        node: NodeId,
+        run: &mut Run,
         plan: &Plan,
         state: &Snapshot,
-        create_phase: bool,
+        node: NodeId,
     ) -> Result<ApiRequest, CloudError> {
         let pn = plan.graph.node(node);
         let addr = &pn.change.addr;
-        let op = match (&pn.change.action, create_phase) {
-            (Action::Delete, _) | (Action::Replace { .. }, false) => {
-                let rec = state.get(addr).ok_or_else(|| {
-                    CloudError::constraint(
-                        "StateInconsistent",
-                        format!("{addr} is planned for deletion but absent from state"),
-                    )
-                })?;
-                ApiOp::Delete { id: rec.id.clone() }
+        let inconsistent = |what: &str| {
+            CloudError::constraint("StateInconsistent", format!("{addr} is planned {what}"))
+        };
+        let NodeState::InFlight { step } = run.states[node.index()] else {
+            return Err(inconsistent("but has no step in flight"));
+        };
+        if step == 0 {
+            // Nothing of this node has landed: state still holds what it
+            // replaces, on a retry of the first step as on the first try.
+            run.old_ids[node.index()] = state.get(addr).map(|rec| rec.id.clone());
+        }
+        let old_id = || run.old_ids[node.index()].clone();
+        let op = match (steps(pn).get(step), &pn.change.action) {
+            (Some(Step::Delete), _) => ApiOp::Delete {
+                id: old_id().ok_or_else(|| inconsistent("for deletion but absent from state"))?,
+            },
+            (Some(Step::Create), _) => ApiOp::Create {
+                rtype: addr.rtype.clone(),
+                region: self.region_for(pn),
+                attrs: self.finalize_attrs(pn, state, &[])?,
+            },
+            (Some(Step::Update), Action::Update { changed }) => {
+                let id =
+                    old_id().ok_or_else(|| inconsistent("for update but absent from state"))?;
+                let mut attrs = self.finalize_attrs(pn, state, changed)?;
+                attrs.retain(|k, _| changed.contains(k));
+                ApiOp::Update { id, attrs }
             }
-            (Action::Create, _) | (Action::Replace { .. }, true) => {
-                let attrs = self.finalize_attrs(pn, state, &[])?;
-                ApiOp::Create {
-                    rtype: addr.rtype.clone(),
-                    region: self.region_for(pn),
-                    attrs,
-                }
-            }
-            (Action::Update { changed }, _) => {
-                let rec = state.get(addr).ok_or_else(|| {
-                    CloudError::constraint(
-                        "StateInconsistent",
-                        format!("{addr} is planned for update but absent from state"),
-                    )
-                })?;
-                let all = self.finalize_attrs(pn, state, changed)?;
-                let attrs: Attrs = all
-                    .into_iter()
-                    .filter(|(k, _)| changed.contains(k))
-                    .collect();
-                ApiOp::Update {
-                    id: rec.id.clone(),
-                    attrs,
-                }
-            }
-            (Action::NoOp, _) => {
-                return Err(CloudError::constraint(
-                    "StateInconsistent",
-                    format!("{addr} is planned but has nothing to do"),
-                ))
-            }
+            _ => return Err(inconsistent("but has nothing to do")),
         };
         Ok(ApiRequest::new(op, &self.principal))
     }
@@ -1142,7 +988,7 @@ impl<'a> Executor<'a> {
     /// or the cloud keeps the old value and the diff never closes.
     fn finalize_attrs(
         &self,
-        pn: &crate::plan::PlanNode,
+        pn: &PlanNode,
         state: &Snapshot,
         unset: &[String],
     ) -> Result<Attrs, CloudError> {
@@ -1202,7 +1048,11 @@ impl<'a> Executor<'a> {
                     created_at: at,
                 });
             }
-            OpOutcome::Deleted { .. } => {
+            // a create-before-destroy replace deletes the old resource
+            // after state took the new one: that record stays
+            OpOutcome::Deleted { id }
+                if state.get(&pn.change.addr).is_some_and(|rec| rec.id == id) =>
+            {
                 state.remove(&pn.change.addr);
             }
             _ => {}
@@ -1553,66 +1403,6 @@ resource "aws_s3_bucket" "b" {
     }
 
     #[test]
-    fn replace_retry_resubmits_the_create_half() {
-        // Regression test for the legacy executor's inverted retry phase:
-        // a retryable failure on the *create* half of a replace must retry
-        // the create, not resubmit the delete (which would hit
-        // StateInconsistent — the record was already removed). Over 40
-        // seeds at a 50% fault rate, the delete-ok-then-create-fails
-        // sequence occurs with near certainty.
-        let catalog = Catalog::standard();
-        let data = DataResolver::new();
-        let mut exercised = false;
-        for seed in 0..40u64 {
-            let mut config = CloudConfig::exact();
-            config.faults = FaultPlan {
-                transient_failure_rate: 0.5,
-                hang_rate: 0.0,
-                hang_factor: 1.0,
-            };
-            let mut cloud = Cloud::new(config, seed);
-            let mut state = Snapshot::new();
-            let exec = Executor::new(Strategy::Sequential, &data);
-            let v1 = manifest(r#"resource "aws_vpc" "v" { cidr_block = "10.0.0.0/16" }"#);
-            let plan = Plan::build(diff(&v1, &state, &catalog, &data), &state, &catalog);
-            if !exec.apply(&plan, &mut cloud, &mut state).all_ok() {
-                continue; // ~1.6% of seeds exhaust even 6 attempts
-            }
-
-            let v2 = manifest(r#"resource "aws_vpc" "v" { cidr_block = "10.99.0.0/16" }"#);
-            let plan2 = Plan::build(diff(&v2, &state, &catalog, &data), &state, &catalog);
-            let report = exec.apply(&plan2, &mut cloud, &mut state);
-            // A seed may legitimately exhaust the attempt budget — but the
-            // failure must then be the provider's transient error. The
-            // inverted-phase bug instead resubmitted the delete half and
-            // died on StateInconsistent.
-            for (addr, e) in report.errors() {
-                assert_ne!(
-                    e.code, "StateInconsistent",
-                    "seed {seed}: {addr} retried the wrong phase of the replace"
-                );
-            }
-            if !report.all_ok() {
-                continue;
-            }
-            if report.node_stats["aws_vpc.v"].retries > 0 {
-                exercised = true;
-            }
-            assert_eq!(cloud.records().len(), 1, "seed {seed}: exactly one vpc");
-            assert_eq!(
-                state
-                    .get(&"aws_vpc.v".parse().unwrap())
-                    .unwrap()
-                    .attrs
-                    .get("cidr_block"),
-                Some(&Value::from("10.99.0.0/16")),
-                "seed {seed}"
-            );
-        }
-        assert!(exercised, "no seed exercised the replace retry path");
-    }
-
-    #[test]
     fn hung_ops_are_cancelled_and_retried() {
         // Every op hangs at 10× its estimate; the deadline cancels at 2×
         // and the retry budget is exhausted → the node fails *as timed
@@ -1739,6 +1529,111 @@ resource "aws_s3_bucket" "b" {
         assert_eq!(report.results.len(), 20);
     }
 
+    /// 19 buckets, one with an attribute the type does not define, 9 more,
+    /// under a provider that fails every op: the breaker trips on the tenth
+    /// outcome and the bad block is the half-open probe. The front door
+    /// refuses it, so the provider never answers; the slot has to come back
+    /// or the nine behind it are neither run nor skipped.
+    #[test]
+    fn a_refused_probe_gives_the_half_open_slot_back() {
+        let catalog = Catalog::standard();
+        let data = DataResolver::new();
+        let mut config = CloudConfig::exact();
+        config.faults = FaultPlan {
+            transient_failure_rate: 1.0,
+            hang_rate: 0.0,
+            hang_factor: 1.0,
+        };
+        let mut cloud = Cloud::new(config, 3);
+        let mut state = Snapshot::new();
+        let m = manifest(
+            r#"
+resource "aws_s3_bucket" "a" {
+  count  = 19
+  bucket = "a-${count.index}"
+}
+resource "aws_s3_bucket" "bad" {
+  bucket   = "bad"
+  nonsense = "x"
+}
+resource "aws_s3_bucket" "c" {
+  count  = 9
+  bucket = "c-${count.index}"
+}
+"#,
+        );
+        let plan = Plan::build(diff(&m, &state, &catalog, &data), &state, &catalog);
+        let mut policy = ResiliencePolicy::standard();
+        policy.retry.max_attempts_per_node = 1;
+        let exec = Executor::new(Strategy::TerraformWalk { parallelism: 10 }, &data)
+            .with_resilience(policy);
+        let report = exec.apply(&plan, &mut cloud, &mut state);
+        // the tenth outcome, then each of the nine probes that follow the bad one
+        assert_eq!(report.breaker_trips, 10);
+        let bad = &report.results["aws_s3_bucket.bad"];
+        assert!(
+            matches!(bad, NodeResult::Failed { error, .. } if error.code == "ApiRejected"),
+            "{bad:?}"
+        );
+        assert_eq!(report.results.len(), plan.len());
+        assert_eq!(report.failures(), 29);
+    }
+
+    /// The same door with the breaker closed: one op at a time, a refusal
+    /// leaves nothing in flight and no timer to wait for, and the ready nodes
+    /// behind it still run.
+    #[test]
+    fn a_refused_request_does_not_end_the_apply() {
+        let src = r#"
+resource "aws_s3_bucket" "bad" {
+  bucket   = "bad"
+  nonsense = "x"
+}
+resource "aws_s3_bucket" "c" {
+  count  = 3
+  bucket = "c-${count.index}"
+}
+"#;
+        let (report, state, _) = apply_src(src, Strategy::Sequential);
+        assert_eq!(report.results.len(), 4, "{:?}", report.results);
+        assert_eq!(report.failures(), 1);
+        assert_eq!(state.len(), 3);
+    }
+
+    /// One op at a time against a provider that fails everything: the
+    /// breaker opens on the tenth outcome, and the retry that goes out under
+    /// it takes minutes, so the cooldown runs out with a node ready and no
+    /// slot free. That is not an event — the loop used to wake for it at a
+    /// time already past, forever.
+    #[test]
+    fn a_cooldown_that_runs_out_with_no_slot_free_waits_for_the_completion() {
+        let catalog = Catalog::standard();
+        let data = DataResolver::new();
+        let mut config = CloudConfig::exact();
+        config.faults = FaultPlan {
+            transient_failure_rate: 1.0,
+            hang_rate: 0.0,
+            hang_factor: 1.0,
+        };
+        let mut cloud = Cloud::new(config, 3);
+        let mut state = Snapshot::new();
+        let m = manifest(
+            r#"
+resource "aws_db_instance" "db" {
+  count  = 3
+  name   = "db-${count.index}"
+  engine = "postgres16"
+}
+"#,
+        );
+        let plan = Plan::build(diff(&m, &state, &catalog, &data), &state, &catalog);
+        let exec = Executor::new(Strategy::Sequential, &data);
+        let report = exec.apply(&plan, &mut cloud, &mut state);
+        assert!(report.breaker_trips > 0);
+        assert_eq!(report.failures(), 3);
+        assert_eq!(report.ops_submitted, 18, "three nodes, six attempts each");
+    }
+
     #[test]
     fn resume_completes_partial_apply_without_duplicates() {
         let catalog = Catalog::standard();
@@ -1775,7 +1670,7 @@ resource "aws_s3_bucket" "b" {
         // resume with the standard policy: only the unfinished frontier
         // runs, completed nodes are not resubmitted
         let exec2 = Executor::new(Strategy::TerraformWalk { parallelism: 10 }, &data);
-        let second = exec2.resume(&plan, &mut cloud, &mut state, &first);
+        let second = exec2.resume_from(&plan, &mut cloud, &mut state, &completed);
         assert!(second.all_ok(), "{:?}", second.errors());
         assert_eq!(state.len(), 5);
         assert_eq!(cloud.records().len(), 5, "no duplicate resources");

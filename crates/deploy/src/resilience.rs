@@ -198,16 +198,25 @@ impl CircuitBreaker {
     }
 
     /// Record that a submission was made at `now`. An open breaker past
-    /// its cooldown half-opens and treats this submission as the probe.
-    pub fn on_submit(&mut self, now: SimTime) {
-        match self.state {
-            BreakerState::Open { until } if now >= until => {
-                self.state = BreakerState::HalfOpen { probing: true };
-            }
-            BreakerState::HalfOpen { probing: false } => {
-                self.state = BreakerState::HalfOpen { probing: true };
-            }
-            _ => {}
+    /// its cooldown half-opens and treats this submission as the probe, as
+    /// does a half-open one whose slot is free: `true` when it is the probe.
+    pub fn on_submit(&mut self, now: SimTime) -> bool {
+        let probe = match self.state {
+            BreakerState::Closed => false,
+            BreakerState::Open { until } => now >= until,
+            BreakerState::HalfOpen { probing } => !probing,
+        };
+        if probe {
+            self.state = BreakerState::HalfOpen { probing: true };
+        }
+        probe
+    }
+
+    /// The probe never reached the provider (the front door refused the
+    /// request), so it will have no outcome: the slot is free again.
+    pub fn on_refused(&mut self) {
+        if self.state == (BreakerState::HalfOpen { probing: true }) {
+            self.state = BreakerState::HalfOpen { probing: false };
         }
     }
 
@@ -422,6 +431,27 @@ mod tests {
         b.on_outcome(SimTime(23_000), true);
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.would_admit(SimTime(23_000)));
+    }
+
+    #[test]
+    fn a_refused_probe_frees_the_slot_and_only_the_probe_does() {
+        let mut b = CircuitBreaker::new(BreakerConfig {
+            min_samples: 1,
+            ..BreakerConfig::default()
+        });
+        b.on_outcome(SimTime::ZERO, false);
+        let later = b.next_probe_at().expect("open");
+        assert!(!b.on_submit(SimTime::ZERO), "a retry under an open breaker");
+        assert!(b.on_submit(later), "the first submission past the cooldown");
+        assert!(!b.on_submit(later), "a retry beside the probe");
+        assert!(!b.would_admit(later));
+        b.on_refused();
+        assert!(b.would_admit(later), "the next ready node is the probe");
+        assert!(b.on_submit(later));
+        b.on_outcome(later, true);
+        assert_eq!(b.state(), BreakerState::Closed);
+        b.on_refused();
+        assert_eq!(b.state(), BreakerState::Closed, "nothing to give back");
     }
 
     #[test]

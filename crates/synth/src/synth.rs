@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use cloudless_cloud::{AttrKind, Catalog, ResourceSchema, SemanticType};
+use cloudless_cloud::{AttrKind, Catalog, SemanticType};
 use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, Reference, TemplatePart};
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
 use cloudless_hcl::render_file;
@@ -515,9 +515,6 @@ fn misspell(name: &str) -> String {
     }
     chars.into_iter().collect()
 }
-
-/// Needed by generate(); re-exported for the baseline path in bench code.
-pub(crate) fn _schema_helper(_: &ResourceSchema) {}
 
 #[cfg(test)]
 mod tests {
