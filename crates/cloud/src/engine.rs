@@ -227,6 +227,8 @@ pub struct Cloud {
     fault_rng: StdRng,
     next_op: u64,
     next_resource: u64,
+    /// How often [`Cloud::import_records`] replaced the records.
+    imports: u64,
     calls: BTreeMap<Provider, ApiCallStats>,
     /// Observability sink. The default [`NullRecorder`] drops everything,
     /// so recording is strictly opt-in and never perturbs determinism.
@@ -259,6 +261,7 @@ impl Cloud {
             fault_rng: StdRng::seed_from_u64(fault_seed),
             next_op: 0,
             next_resource: 0,
+            imports: 0,
             calls: BTreeMap::new(),
             obs: Arc::new(NullRecorder),
         }
@@ -310,6 +313,12 @@ impl Cloud {
     /// The activity log (§3.5 observability).
     pub fn activity(&self) -> &ActivityLog {
         &self.log
+    }
+
+    /// How many times [`Cloud::import_records`] has replaced the records:
+    /// the one change to them that no activity-log entry names.
+    pub fn imports(&self) -> u64 {
+        self.imports
     }
 
     /// Per-provider API call statistics.
@@ -508,7 +517,7 @@ impl Cloud {
         let mean = self.op_mean_latency(&request.op);
         let mut duration = self.config.latency.sample(mean, &mut self.rng);
         let fault = if request.op.is_read() {
-            FaultOutcome::Normal
+            self.config.faults.roll_read(&mut self.fault_rng)
         } else {
             self.config.faults.roll(&mut self.fault_rng)
         };
@@ -1117,6 +1126,7 @@ impl Cloud {
         }
         self.records = records;
         self.live = LiveIndex::build(&self.records);
+        self.imports += 1;
     }
 
     /// Export live records (CLI session persistence).
@@ -1657,6 +1667,7 @@ mod tests {
             transient_failure_rate: 1.0,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut c = Cloud::new(config, 7);
         let done = c
@@ -1669,6 +1680,32 @@ mod tests {
         let err = done.outcome.error().unwrap();
         assert!(err.retryable);
         assert!(c.records().is_empty());
+    }
+
+    #[test]
+    fn a_failed_read_is_retryable_and_logs_nothing() {
+        let mut config = CloudConfig::exact();
+        config.faults = FaultPlan {
+            read_failure_rate: 1.0,
+            ..FaultPlan::none()
+        };
+        let mut c = Cloud::new(config, 7);
+        let done = c
+            .submit_and_settle(create_req(
+                "aws_s3_bucket",
+                "us-east-1",
+                attrs([("bucket", Value::from("b"))]),
+            ))
+            .unwrap();
+        let id = match done.outcome {
+            OpOutcome::Created { id, .. } => id,
+            other => panic!("{other:?}"),
+        };
+        let logged = c.activity().len();
+        let read = ApiRequest::new(ApiOp::Read { id }, "test");
+        let done = c.submit_and_settle(read).unwrap();
+        assert!(done.outcome.error().is_some_and(|e| e.retryable));
+        assert_eq!(c.activity().len(), logged);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   `InternalServerError`-style [`crate::CloudError`];
 //! * **hangs** — the op takes `hang_factor ×` its sampled latency (the
 //!   "resource hanging" case; schedulers and retry policies must tolerate
-//!   it).
+//!   it);
+//! * **failed reads** — a `Read` completes with the same retryable error,
+//!   so a refresh learns nothing about that resource this time.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -23,6 +25,8 @@ pub struct FaultPlan {
     pub hang_rate: f64,
     /// Latency multiplier applied to hanging ops.
     pub hang_factor: f64,
+    /// Probability that a read fails transiently.
+    pub read_failure_rate: f64,
 }
 
 impl Default for FaultPlan {
@@ -32,6 +36,7 @@ impl Default for FaultPlan {
             transient_failure_rate: 0.01,
             hang_rate: 0.02,
             hang_factor: 8.0,
+            read_failure_rate: 0.0,
         }
     }
 }
@@ -44,6 +49,7 @@ impl FaultPlan {
             transient_failure_rate: 0.0,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            read_failure_rate: 0.0,
         }
     }
 
@@ -53,6 +59,7 @@ impl FaultPlan {
             transient_failure_rate: 0.15,
             hang_rate: 0.10,
             hang_factor: 10.0,
+            read_failure_rate: 0.0,
         }
     }
 
@@ -65,6 +72,7 @@ impl FaultPlan {
             transient_failure_rate: 0.30,
             hang_rate: 0.10,
             hang_factor: 12.0,
+            read_failure_rate: 0.0,
         }
     }
 
@@ -75,6 +83,16 @@ impl FaultPlan {
         }
         if self.hang_rate > 0.0 && rng.gen_bool(self.hang_rate) {
             return FaultOutcome::Hang;
+        }
+        FaultOutcome::Normal
+    }
+
+    /// Decide the fate of one read: it fails or it does not. A plan whose
+    /// reads cannot fail draws nothing, so adding reads to a run leaves the
+    /// faults its mutations roll where they were.
+    pub fn roll_read(&self, rng: &mut impl Rng) -> FaultOutcome {
+        if self.read_failure_rate > 0.0 && rng.gen_bool(self.read_failure_rate) {
+            return FaultOutcome::TransientFailure;
         }
         FaultOutcome::Normal
     }
@@ -109,6 +127,7 @@ mod tests {
             transient_failure_rate: 0.2,
             hang_rate: 0.2,
             hang_factor: 5.0,
+            ..FaultPlan::none()
         };
         let mut rng = StdRng::seed_from_u64(42);
         let mut fails = 0;

@@ -69,6 +69,7 @@ proptest! {
             transient_failure_rate: fail_rate,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, seed);
         let mut expected_live = std::collections::BTreeSet::new();

@@ -9,6 +9,11 @@
 //! the state it adopted from the cloud: its dry run is the first half over
 //! that state. The surrounding methods cover the rest of the operate phase:
 //! refresh, drift watching, failure explanation.
+//!
+//! A refresh reads what the cloud's activity log names since the engine's
+//! *sync point* — the log position as of which the committed state matched
+//! the cloud at every address it holds — and every managed resource only
+//! when the engine holds none (see [`Cloudless::refresh`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,8 +27,8 @@ use cloudless_cloud::{Cloud, CloudConfig};
 use cloudless_deploy::diff::{render, Action as DiffAction};
 use cloudless_deploy::resolver::{DataResolver, StateResolver};
 use cloudless_deploy::{
-    full_refresh, plan_rollback, ApplyReport, Executor, Plan, RefreshReport, ResiliencePolicy,
-    RollbackPlan, Strategy,
+    full_refresh, plan_rollback, refresh_since, ApplyReport, Executor, Plan, RefreshReport,
+    ResiliencePolicy, RollbackPlan, Strategy,
 };
 use cloudless_diagnose::{explain, DriftReport, Explanation, LogWatcher};
 use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, OutputValue, Program};
@@ -200,6 +205,22 @@ pub struct ReconcileReport {
     pub dry_run: bool,
 }
 
+/// Where the committed state is known to match the cloud's records: at
+/// every address it holds whose id the activity log does not name from
+/// position `log` on.
+#[derive(Debug, Clone, Copy)]
+struct SyncPoint {
+    /// The log's length when the refresh that took it began.
+    log: u64,
+    /// The committed serial it holds for: a commit that does not carry it
+    /// forward (a rollback of the state document, a commit made late)
+    /// leaves it behind.
+    serial: u64,
+    /// The cloud's [`Cloud::imports`]: records replaced wholesale are named
+    /// by no log entry.
+    imports: u64,
+}
+
 /// The cloudless engine.
 pub struct Cloudless {
     cloud: Cloud,
@@ -216,6 +237,9 @@ pub struct Cloudless {
     /// program source: work the cloud already holds that no version
     /// records yet. See [`Cloudless::commit`].
     uncommitted: Option<(Snapshot, String, Option<String>)>,
+    /// See [`SyncPoint`]; it holds only while its serial and import count
+    /// are current ([`Cloudless::synced`]).
+    sync: Option<SyncPoint>,
 }
 
 impl Cloudless {
@@ -239,11 +263,19 @@ impl Cloudless {
             config,
             pipeline: IncrementalPipeline::default(),
             uncommitted: None,
+            // an empty state matches an empty cloud
+            sync: Some(SyncPoint {
+                log: 0,
+                serial: 0,
+                imports: 0,
+            }),
         }
     }
 
     /// Rebuild an engine from persisted session data (CLI): the golden
-    /// state snapshot plus the cloud's live records.
+    /// state snapshot plus the cloud's live records. The import leaves the
+    /// engine without a sync point: its first refresh reads every managed
+    /// resource.
     pub fn with_session(
         config: Config,
         state: Snapshot,
@@ -258,7 +290,8 @@ impl Cloudless {
 
     /// Rebuild an engine around an already-open (typically file-backed)
     /// log store: every commit the engine makes lands in the store's
-    /// device, and the full version history is immediately queryable.
+    /// device, and the full version history is immediately queryable. Like
+    /// [`Cloudless::with_session`], it starts without a sync point.
     pub fn with_store(
         config: Config,
         store: LogStore,
@@ -338,6 +371,52 @@ impl Cloudless {
             self.uncommitted = Some((state, message.to_owned(), source.map(str::to_owned)));
         }
         done
+    }
+
+    /// The log position a refresh may start from: the sync point's, while
+    /// neither the committed serial nor the cloud's records have moved
+    /// past it unseen.
+    fn synced(&self) -> Option<u64> {
+        let holds =
+            |sp: &SyncPoint| sp.serial == self.store.serial() && sp.imports == self.cloud.imports();
+        self.sync.filter(holds).map(|sp| sp.log)
+    }
+
+    /// A sync point at log position `log` for the state now committed.
+    fn sync_point(&self, log: u64) -> SyncPoint {
+        SyncPoint {
+            log,
+            serial: self.store.serial(),
+            imports: self.cloud.imports(),
+        }
+    }
+
+    /// A clone of the committed state refreshed from the cloud — from the
+    /// sync point when one holds, else at every address — and the log
+    /// position the refresh began at: where a sync point for it, once
+    /// committed, would sit.
+    fn refreshed(
+        cloud: &mut Cloud,
+        committed: &Snapshot,
+        principal: &str,
+        since: Option<u64>,
+    ) -> (Snapshot, RefreshReport, u64) {
+        let at = cloud.activity().len() as u64;
+        let mut state = committed.clone();
+        let report = match since {
+            Some(since) => refresh_since(cloud, &mut state, principal, since),
+            None => full_refresh(cloud, &mut state, principal),
+        };
+        (state, report, at)
+    }
+
+    /// The refreshed state of a refresh that began at log position `at` is
+    /// committed: take a sync point there, unless a read did not settle.
+    /// The sync point before it, if it still holds, names that resource.
+    fn settle(&mut self, at: u64, refresh: &RefreshReport) {
+        if refresh.unsettled.is_empty() {
+            self.sync = Some(self.sync_point(at));
+        }
     }
 
     /// Commit the snapshot an earlier operation could not, if there is one.
@@ -618,6 +697,7 @@ impl Cloudless {
     ) -> Result<ApplyReport, StoreError> {
         let _guard = self.locks.acquire(LockScope::of(plan.lock_scope()));
 
+        let synced = self.synced();
         let mut state = self.store.current().clone();
         let mut executor = Executor::new(self.config.strategy, &self.data)
             .with_resilience(self.config.resilience.clone())
@@ -655,6 +735,9 @@ impl Cloudless {
         // source that produced them (time machine, §3.4)
         let message = format!("{verb} via {}", apply.strategy);
         self.commit(state, &message, source, true)?;
+        // the log names every op the executor submitted, so what the apply
+        // changed is read again from the sync point: it carries forward
+        self.sync = synced.map(|log| self.sync_point(log));
         Ok(apply)
     }
 
@@ -727,12 +810,21 @@ impl Cloudless {
 
     // ---------- operate ----------
 
-    /// Full state refresh through the cloud API.
+    /// Refresh the committed state through the cloud API and commit it.
+    /// From the sync point it reads the resources the activity log names
+    /// since; without one — an engine rebuilt from session files, or after
+    /// [`Cloudless::rollback_state`], a wholesale `Cloud::import_records`, a
+    /// commit the log refused or a read that did not settle — it reads every
+    /// managed resource, and either way it finds what a full refresh would.
+    /// A refresh whose every read settled leaves the engine synced.
     pub fn refresh(&mut self) -> Result<RefreshReport, StoreError> {
         self.commit_uncommitted()?;
-        let mut state = self.store.current().clone();
-        let report = full_refresh(&mut self.cloud, &mut state, &self.config.principal);
+        let since = self.synced();
+        let principal = &self.config.principal;
+        let (state, report, at) =
+            Self::refreshed(&mut self.cloud, self.store.current(), principal, since);
         self.commit(state, "refresh", None, false)?;
+        self.settle(at, &report);
         Ok(report)
     }
 
@@ -751,15 +843,21 @@ impl Cloudless {
     }
 
     /// Close the drift loop (§3.5's "regenerate the IaC-level program"):
-    /// refresh live state, classify every out-of-band mutation into minimal
-    /// program edit ops, synthesize a lint-clean patch through the
-    /// validate-and-repair loop, fold imports/moves into a state clone, and
-    /// plan the patched program over that adopted state — the one residual
-    /// plan, held against every gate of [`Cloudless::plan`]. A dry run
-    /// returns it and leaves the engine untouched. A real run commits the
+    /// refresh live state into a clone (as [`Cloudless::refresh`] reads
+    /// it), classify every out-of-band mutation into minimal program edit
+    /// ops, synthesize a lint-clean patch through the validate-and-repair
+    /// loop, fold imports/moves into the clone, and plan the patched program
+    /// over that adopted state — the one residual plan, held against every
+    /// gate of [`Cloudless::plan`]. A dry run returns it and leaves the
+    /// engine untouched, its sync point included. A real run commits the
     /// adopted state and executes that same plan, so residual drift (ops
     /// the repair loop dropped) is overwritten, then proves that the
     /// patched program re-plans to an empty diff.
+    ///
+    /// What the memo already holds is not derived again: the expansion of
+    /// `source` is the memo's when the memo holds exactly that program, and
+    /// an adoption that changed nothing is the committed state, planned
+    /// through the plan cache.
     ///
     /// A refusal — the input program does not parse/expand, no patch (not
     /// even the op-free program) passes the front-end gates, or the
@@ -772,21 +870,34 @@ impl Cloudless {
     ) -> Result<ReconcileReport, ConvergeError> {
         let file = cloudless_hcl::parse(source, "main.tf").map_err(ConvergeError::Frontend)?;
         let program = Program::from_file(file.clone()).map_err(ConvergeError::Frontend)?;
+        // a snapshot an earlier run could not commit goes in first even on
+        // a dry run, or what it created would read as rogue
+        self.commit_uncommitted()?;
+        // classify reads no span, so the memo's expansion serves when the
+        // memo holds this very program; a cold one is refused before
+        // anything is read
         let (inputs, modules) = (&self.config.inputs, &self.config.modules);
-        let manifest =
-            expand(&program, inputs, modules, &self.data).map_err(ConvergeError::Frontend)?;
+        let cold;
+        let manifest = match self.pipeline.manifest_of(source, inputs) {
+            Some(memo) => memo,
+            None => {
+                cold = expand(&program, inputs, modules, &self.data)
+                    .map_err(ConvergeError::Frontend)?;
+                &cold
+            }
+        };
 
         // observe: fold live truth into a state clone (committed only on a
-        // real run; a snapshot an earlier run could not commit goes in
-        // first even on a dry run, or what it created would read as rogue)
-        self.commit_uncommitted()?;
-        let mut state = self.store.current().clone();
-        let refresh = full_refresh(&mut self.cloud, &mut state, &self.config.principal);
+        // real run)
+        let since = self.synced();
+        let principal = &self.config.principal;
+        let (mut state, refresh, at) =
+            Self::refreshed(&mut self.cloud, self.store.current(), principal, since);
 
         // classify drift into edit ops
         let drift = cloudless_diagnose::reconcile::classify(
             &program,
-            &manifest,
+            manifest,
             &state,
             self.cloud.records(),
             self.cloud.catalog(),
@@ -848,8 +959,14 @@ impl Cloudless {
 
         // decide: the residual plan of the patched program over the
         // adopted state. Adopted drift is already a no-op in it, dropped
-        // ops' drift is overwritten back to the program
-        let planned = self.plan_over(&outcome.source, &[], Some(&state))?;
+        // ops' drift is overwritten back to the program. An adoption that
+        // changed nothing is the committed state, whose plan is cached
+        let unchanged = refresh.updated.is_empty()
+            && refresh.missing.is_empty()
+            && outcome.plan.imports.is_empty()
+            && outcome.plan.moves.is_empty();
+        let over = (!unchanged).then_some(&state);
+        let planned = self.plan_over(&outcome.source, &[], over)?;
         let mut converged = planned.plan.is_empty();
         let (plan_text, apply) = if dry_run {
             (planned.plan_text, None)
@@ -857,6 +974,7 @@ impl Cloudless {
             // act: adopt, run the plan a dry run shows, prove the fixpoint
             // (a proof the gates refuse proves nothing)
             self.commit(state, "reconcile: adopt drift", None, false)?;
+            self.settle(at, &refresh);
             let applied = self.apply_planned(planned, &outcome.source)?;
             let proof = self.plan(&outcome.source, &[]);
             converged = proof.is_ok_and(|p| p.plan.is_empty());

@@ -707,6 +707,15 @@ impl IncrementalPipeline {
         self.memo.is_some()
     }
 
+    /// The memo's manifest, when the memo holds exactly `source` expanded
+    /// under `inputs`. It is a cold expansion's but for the spans of the
+    /// blocks no edit reached (see "Where positions may be read"): a caller
+    /// that reads no span may take it in place of expanding `source` again.
+    pub fn manifest_of(&self, source: &str, inputs: &BTreeMap<String, Value>) -> Option<&Manifest> {
+        let memo = self.memo.as_deref()?;
+        (memo.source == source && memo.config.2 == *inputs).then_some(&memo.manifest)
+    }
+
     /// Approximate heap bytes retained by the memo.
     pub fn approx_bytes(&self) -> usize {
         self.memo.as_ref().map_or(0, |m| m.approx_bytes())

@@ -85,3 +85,31 @@ fn a_retry_of_the_same_content_frames_its_blobs_again() {
         LogStore::open_device(Box::new(MemDevice::from_bytes(logged))).expect("log reopens");
     assert_eq!(reopened.current().resources, target.resources);
 }
+
+/// A refused commit leaves the engine without a sync point: the refresh
+/// after it reads every managed resource, not only the ones the log names.
+#[test]
+fn the_refresh_after_a_refused_commit_reads_every_resource() {
+    let (mut engine, healthy, _) = flaky_engine();
+    let two = format!("{SRC}resource \"aws_s3_bucket\" \"b\" {{ bucket = \"b\" }}\n");
+    assert!(engine.converge(&two).expect("deploys").apply.all_ok());
+    assert_eq!(
+        engine.refresh().expect("commits").reads,
+        2,
+        "a store engine starts unsynced"
+    );
+    assert_eq!(
+        engine.refresh().expect("commits").reads,
+        0,
+        "then reads what the log names"
+    );
+
+    healthy.store(false, Ordering::SeqCst);
+    let renamed = two.replace("bucket = \"b\"", "bucket = \"b2\"");
+    let err = engine
+        .converge(&renamed)
+        .expect_err("the commit cannot land");
+    assert!(matches!(err, ConvergeError::State(_)), "{err}");
+    healthy.store(true, Ordering::SeqCst);
+    assert_eq!(engine.refresh().expect("commits").reads, 2);
+}

@@ -1,13 +1,17 @@
 //! `reconcile` decides with the call every other verb decides with: its dry
 //! run is refused by whatever refuses its real run, before either writes
 //! anything, and a plan over a state nobody committed neither reads nor
-//! leaves plan-stage artifacts in the pipeline memo.
+//! leaves plan-stage artifacts in the pipeline memo. What a reconcile takes
+//! from the memo — the expansion of its input, the plan of an adoption that
+//! changed nothing — it takes with a cold run's result. And what it reads of
+//! the cloud is what the activity log names: counted, so exact on any host.
 
 mod common;
 
+use cloudless::cloud::{Catalog, CloudConfig};
 use cloudless::types::value::attrs;
-use cloudless::types::Value;
-use cloudless::{Cloudless, ConvergeError};
+use cloudless::types::{ResourceId, Value};
+use cloudless::{Cloudless, Config, ConvergeError};
 
 const WEB: &str = r#"
 resource "aws_vpc" "main" { cidr_block = "10.0.0.0/16" }
@@ -109,4 +113,147 @@ fn a_dry_run_reads_no_plan_artifacts_of_the_plan_before_it() {
     assert!(e.plan(WEB, &[]).expect("plans").plan.is_empty());
     let patched = assert_previews_the_overwrite(&mut e);
     assert_plans_as_cold(&mut e, &patched);
+}
+
+/// `WEB` with a line added to its first block: the memo the edit leaves
+/// holds the later blocks' spans from before it, one line off.
+fn edited() -> String {
+    WEB.replace(
+        "resource \"aws_vpc\" \"main\" { cidr_block = \"10.0.0.0/16\" }",
+        "resource \"aws_vpc\" \"main\" {\n  cidr_block = \"10.0.0.0/16\"\n  name = \"main\"\n}",
+    )
+}
+
+/// What one reconcile said and left, as text.
+fn reconciled(e: &mut Cloudless, source: &str, dry_run: bool) -> [String; 4] {
+    let r = e.reconcile(source, dry_run).expect("reconciles");
+    let ops = format!("{:?} {:?} {:?}", r.plan.ops, r.plan.moves, r.plan.imports);
+    [r.patched_source, ops, r.plan_text, e.state().to_json()]
+}
+
+#[test]
+fn a_reconcile_from_the_memo_is_the_cold_reconcile() {
+    let source = edited();
+    // no drift (the adoption changes nothing); drift of every class the
+    // classifier adopts or overwrites
+    for drifted in [false, true] {
+        let mut runs = Vec::new();
+        for warm in [true, false] {
+            let mut e = deployed();
+            assert!(e
+                .converge(&source)
+                .expect("the edit applies")
+                .apply
+                .all_ok());
+            if drifted {
+                let id = |e: &Cloudless, addr: &str| e.state().get_str(addr).unwrap().id.clone();
+                let (subnet, web0) = (
+                    id(&e, "aws_subnet.app"),
+                    id(&e, "aws_virtual_machine.web[0]"),
+                );
+                let cloud = e.cloud_mut();
+                let cidr = attrs([("cidr_block", Value::from("10.0.5.0/24"))]);
+                cloud.out_of_band_update("clickops", &subnet, cidr).unwrap();
+                let name = attrs([("name", Value::from("hand-renamed"))]);
+                cloud.out_of_band_update("cowboy", &web0, name).unwrap();
+                let bucket = attrs([("bucket", Value::from("shadow-data"))]);
+                cloud
+                    .out_of_band_create("clickops", "aws_s3_bucket", "us-east-1", bucket)
+                    .unwrap();
+            }
+            let held = e
+                .pipeline()
+                .manifest_of(&source, &Default::default())
+                .is_some();
+            assert!(held, "the converge leaves the memo holding the program");
+            if !warm {
+                e.clear_pipeline_cache();
+            }
+            let dry = reconciled(&mut e, &source, true);
+            let real = reconciled(&mut e, &source, false);
+            runs.push((dry, real));
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "warm (left) and cold (right), drifted: {drifted}"
+        );
+    }
+}
+
+/// Exact latencies and the bucket quota out of the way.
+fn unmetered() -> Config {
+    let mut catalog = Catalog::standard();
+    let mut bucket = catalog
+        .get_str("aws_s3_bucket")
+        .expect("a known type")
+        .clone();
+    bucket.default_quota = u32::MAX;
+    catalog.add(bucket);
+    let cloud = CloudConfig {
+        catalog,
+        ..CloudConfig::exact()
+    };
+    Config {
+        cloud,
+        ..common::config()
+    }
+}
+
+/// `blocks` buckets and a fleet of `blocks / 8` more, converged in one
+/// engine.
+fn estate(blocks: usize) -> (Cloudless, String) {
+    let mut source: String = (0..blocks)
+        .map(|i| format!("resource \"aws_s3_bucket\" \"b{i}\" {{ bucket = \"b-{i}\" }}\n"))
+        .collect();
+    source += &format!(
+        "resource \"aws_s3_bucket\" \"fleet\" {{\n  count  = {}\n  bucket = \"fleet-${{count.index}}\"\n}}\n",
+        blocks / 8
+    );
+    let mut e = Cloudless::new(unmetered());
+    assert!(e.converge(&source).expect("deploys").apply.all_ok());
+    (e, source)
+}
+
+/// In one engine, the follow-up of a real reconcile reads nothing and a
+/// reconcile after `k` out-of-band updates reads at most `k`, whatever the
+/// size of the estate; an engine rebuilt over the same state and records —
+/// a CLI process — reads every managed resource on its first reconcile.
+#[test]
+fn a_reconcile_reads_what_the_activity_log_names() {
+    for blocks in [2_000, 8_000] {
+        let (mut e, source) = estate(blocks);
+        let reconciled = |e: &mut Cloudless, source: &str, dry_run: bool| {
+            let r = e.reconcile(source, dry_run).expect("reconciles");
+            assert!(r.converged, "{}", r.plan_text);
+            (r.refresh.reads, r.patched_source)
+        };
+        let (_, patched) = reconciled(&mut e, &source, false);
+        let (reads, _) = reconciled(&mut e, &patched, true);
+        assert_eq!(reads, 0, "the clean follow-up at {blocks} blocks");
+
+        let k = 5;
+        let every = e.state().len() / k;
+        let drifted = e.state().resources.values().step_by(every);
+        let drifted: Vec<ResourceId> = drifted.map(|r| r.id.clone()).collect();
+        for id in &drifted {
+            let tags = attrs([("tags", Value::from("drifted"))]);
+            e.cloud_mut()
+                .out_of_band_update("intern", id, tags)
+                .unwrap();
+        }
+        let (reads, _) = reconciled(&mut e, &patched, false);
+        assert!(
+            reads as usize <= drifted.len(),
+            "{reads} reads after {drifted:?}"
+        );
+
+        let (state, records) = (e.state().clone(), e.cloud().records().clone());
+        let mut reloaded = Cloudless::with_session(unmetered(), state, records);
+        let (reads, _) = reconciled(&mut reloaded, &patched, true);
+        assert_eq!(
+            reads as usize,
+            reloaded.state().len(),
+            "a session engine's first"
+        );
+    }
 }

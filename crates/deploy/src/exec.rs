@@ -1239,6 +1239,7 @@ resource "azure_lb" "lb" {
             transient_failure_rate: 0.4,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 1234);
         let mut state = Snapshot::new();
@@ -1284,6 +1285,7 @@ resource "aws_s3_bucket" "b" {
             transient_failure_rate: 0.4,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 1234);
         let mut state = Snapshot::new();
@@ -1414,6 +1416,7 @@ resource "aws_s3_bucket" "b" {
             transient_failure_rate: 0.0,
             hang_rate: 1.0,
             hang_factor: 10.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 7);
         let mut state = Snapshot::new();
@@ -1468,6 +1471,7 @@ resource "aws_virtual_machine" "vm" {
                 transient_failure_rate: 0.0,
                 hang_rate: 0.4,
                 hang_factor: 20.0,
+                ..FaultPlan::none()
             };
             let mut cloud = Cloud::new(config, 11);
             let mut state = Snapshot::new();
@@ -1507,6 +1511,7 @@ resource "aws_virtual_machine" "vm" {
             transient_failure_rate: 0.9,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 3);
         let mut state = Snapshot::new();
@@ -1543,6 +1548,7 @@ resource "aws_s3_bucket" "b" {
             transient_failure_rate: 1.0,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 3);
         let mut state = Snapshot::new();
@@ -1614,6 +1620,7 @@ resource "aws_s3_bucket" "c" {
             transient_failure_rate: 1.0,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         let mut cloud = Cloud::new(config, 3);
         let mut state = Snapshot::new();
@@ -1643,6 +1650,7 @@ resource "aws_db_instance" "db" {
             transient_failure_rate: 0.5,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         };
         // a fragile policy: no retries at all → the first apply fails part
         // of the graph

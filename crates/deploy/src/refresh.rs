@@ -3,12 +3,19 @@
 //! §3.3: "even a single resource update will trigger expensive queries on
 //! all cloud-level resource state and recomputation of the deployment plan
 //! from the ground up." [`full_refresh`] is that baseline — one `Read` per
-//! managed resource, every time. [`scoped_refresh`] reads only a subset (the
-//! impact scope of an edit, as the front-end pipeline's warm replan names
-//! it), which is where the API-call savings of incremental updates come
-//! from.
+//! managed resource, every time. [`scoped_refresh`] reads only a subset;
+//! [`refresh_since`] picks the subset off the activity log (§3.5): the
+//! resources whose ids it names past a position.
+//!
+//! The engine's `refresh` and `reconcile` call [`refresh_since`] from their
+//! *sync point* — the log position as of which the committed state matched
+//! the cloud — and [`full_refresh`] only when they hold none: an engine
+//! rebuilt from session files (every CLI process), or one whose state or
+//! cloud records changed in a way no log entry names. E2's refresh-cost
+//! comparison and the reconciler's unit suites call [`full_refresh`] and
+//! [`scoped_refresh`] directly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use cloudless_cloud::{ApiOp, ApiRequest, Cloud, OpOutcome};
 use cloudless_state::Snapshot;
@@ -23,6 +30,9 @@ pub struct RefreshReport {
     pub updated: Vec<ResourceAddr>,
     /// Resources that no longer exist in the cloud (deleted out of band).
     pub missing: Vec<ResourceAddr>,
+    /// Resources whose read did not settle (it failed and may be retried):
+    /// their records in the snapshot are as they were.
+    pub unsettled: Vec<ResourceAddr>,
     /// Virtual time the refresh took.
     pub duration: SimDuration,
 }
@@ -31,6 +41,28 @@ pub struct RefreshReport {
 pub fn full_refresh(cloud: &mut Cloud, state: &mut Snapshot, principal: &str) -> RefreshReport {
     let addrs: Vec<ResourceAddr> = state.addrs();
     scoped_refresh(cloud, state, principal, addrs.into_iter().collect())
+}
+
+/// Refresh the resources whose ids the activity log names from position
+/// `since` on. When `state` matched the cloud at every address as of
+/// `since`, these are the only ones that can differ, and this finds what
+/// [`full_refresh`] would; a quiet log costs no read.
+pub fn refresh_since(
+    cloud: &mut Cloud,
+    state: &mut Snapshot,
+    principal: &str,
+    since: u64,
+) -> RefreshReport {
+    let (events, _) = cloud.activity().events_since(since);
+    let named: HashSet<&ResourceId> = events.iter().filter_map(|ev| ev.id.as_ref()).collect();
+    let scope = match named.is_empty() {
+        true => BTreeSet::new(),
+        false => (state.resources.values())
+            .filter(|r| named.contains(&r.id))
+            .map(|r| r.addr.clone())
+            .collect(),
+    };
+    scoped_refresh(cloud, state, principal, scope)
 }
 
 /// Refresh only the given addresses (incremental path).
@@ -62,7 +94,10 @@ pub fn scoped_refresh(
                 match done.outcome {
                     OpOutcome::ReadOk { attrs, .. } => Some(attrs),
                     OpOutcome::Failed(e) if e.code == "ResourceNotFound" => None,
-                    _ => continue,
+                    _ => {
+                        report.unsettled.push(addr);
+                        continue;
+                    }
                 }
             }
         };
@@ -171,5 +206,44 @@ resource "aws_s3_bucket" "b" {
         let report = scoped_refresh(&mut cloud, &mut state, "refresher", scope);
         assert_eq!(report.reads, 1);
         assert_eq!(cloud.total_api_calls() - before, 1);
+    }
+
+    #[test]
+    fn refresh_since_reads_what_the_log_names_after_the_position() {
+        let (mut cloud, mut state) = build(SRC);
+        let since = cloud.activity().len() as u64;
+        let quiet = refresh_since(&mut cloud, &mut state, "refresher", since);
+        assert_eq!(quiet.reads, 0);
+        let bucket = |i: usize| format!("aws_s3_bucket.b[{i}]").parse().unwrap();
+        let id = |state: &Snapshot, i| state.get(&bucket(i)).unwrap().id.clone();
+        let (renamed, deleted) = (id(&state, 0), id(&state, 2));
+        let tags = attrs([("tags", Value::from("drifted"))]);
+        cloud.out_of_band_update("legacy", &renamed, tags).unwrap();
+        cloud.out_of_band_delete("legacy", &deleted).unwrap();
+        let report = refresh_since(&mut cloud, &mut state, "refresher", since);
+        // the front door refuses the deleted id's read: one completes
+        assert_eq!(report.reads, 1);
+        assert_eq!(report.updated, vec![bucket(0)]);
+        assert_eq!(report.missing, vec![bucket(2)]);
+        // from the start of the log, every resource the apply created
+        assert_eq!(refresh_since(&mut cloud, &mut state, "r", 0).reads, 3);
+    }
+
+    #[test]
+    fn a_read_that_fails_leaves_its_record_and_says_so() {
+        let (mut cloud, mut state) = build(SRC);
+        let vpc: ResourceAddr = "aws_vpc.v".parse().unwrap();
+        let id = state.get(&vpc).unwrap().id.clone();
+        let renamed = attrs([("name", Value::from("renamed"))]);
+        cloud.out_of_band_update("legacy", &id, renamed).unwrap();
+        cloud.set_fault_plan(cloudless_cloud::FaultPlan {
+            read_failure_rate: 1.0,
+            ..cloudless_cloud::FaultPlan::none()
+        });
+        let before = state.clone();
+        let report = full_refresh(&mut cloud, &mut state, "refresher");
+        assert_eq!(report.unsettled, state.addrs());
+        assert!(report.updated.is_empty() && report.missing.is_empty());
+        assert_eq!(state, before);
     }
 }

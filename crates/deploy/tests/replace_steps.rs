@@ -66,12 +66,14 @@ fn replace_under(cbd: bool, hang: bool, budget: u32, seed: u64) -> Seen {
             transient_failure_rate: 0.0,
             hang_rate: 0.5,
             hang_factor: 10.0,
+            ..FaultPlan::none()
         }
     } else {
         FaultPlan {
             transient_failure_rate: 0.5,
             hang_rate: 0.0,
             hang_factor: 1.0,
+            ..FaultPlan::none()
         }
     });
     cloud.set_fault_seed(seed);

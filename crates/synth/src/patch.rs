@@ -19,7 +19,7 @@
 //! the gate, reconciliation is refused ([`PatchOutcome::ok`] = false),
 //! which is exactly the deny-lint path the CLI surfaces.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cloudless_analyze::{lint_program, LintConfig};
 use cloudless_cloud::Catalog;
@@ -28,7 +28,7 @@ use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, MapKey};
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
 use cloudless_hcl::render_file;
 use cloudless_port::naive::value_to_expr;
-use cloudless_types::{Span, Value};
+use cloudless_types::{Attrs, Span, Value};
 use cloudless_validate::{validate, ValidationLevel};
 
 /// Result of a [`synthesize_patch`] run.
@@ -53,78 +53,112 @@ pub struct PatchOutcome {
 }
 
 /// Apply edit ops to a program AST. Pure function; unknown targets are
-/// ignored (the repair loop treats a no-op edit as harmless).
+/// ignored (the repair loop treats a no-op edit as harmless). An op edits
+/// the first block its `type.name` names when it runs — one an earlier op
+/// added included, one an earlier op removed not — and `RemoveBlock`
+/// removes every such block. One index of the blocks the ops name, built in
+/// one pass, finds them: O(ops + blocks), where a scan per op was their
+/// product.
 pub fn apply_ops(base: &File, ops: &[EditOp]) -> File {
     let mut file = base.clone();
-    for op in ops {
-        apply_one(&mut file, op);
+    // (type, name) → the live blocks it names, in file order: only the
+    // names an op edits or removes
+    let mut named: HashMap<(&str, &str), Vec<usize>> = (ops.iter().filter_map(target_block))
+        .map(|key| (key, Vec::new()))
+        .collect();
+    for (at, block) in base.blocks.iter().enumerate() {
+        if let Some(blocks) = resource_key(block).and_then(|key| named.get_mut(&key)) {
+            blocks.push(at);
+        }
     }
-    file
-}
-
-fn apply_one(file: &mut File, op: &EditOp) {
-    let sp = Span::synthetic();
-    match op {
-        EditOp::SetAttr {
-            rtype,
-            name,
-            attr,
-            value,
-        } => {
-            if let Some(block) = resource_block_mut(file, rtype, name) {
-                set_attr(block, attr, value_to_expr(value));
+    let mut removed = vec![false; base.blocks.len()];
+    for op in ops {
+        match op {
+            EditOp::RemoveBlock { rtype, name } => {
+                let blocks = named.get_mut(&(rtype.as_str(), name.as_str()));
+                for at in blocks.map(std::mem::take).unwrap_or_default() {
+                    removed[at] = true;
+                }
             }
-        }
-        EditOp::SetCount { rtype, name, count } => {
-            if let Some(block) = resource_block_mut(file, rtype, name) {
-                set_attr(block, "count", Expr::Num(*count as f64, sp));
+            EditOp::AddBlock {
+                rtype,
+                label,
+                attrs,
+                ..
+            } => {
+                if let Some(blocks) = named.get_mut(&(rtype.as_str(), label.as_str())) {
+                    blocks.push(file.blocks.len());
+                }
+                file.blocks.push(added_block(rtype.as_str(), label, attrs));
+                removed.push(false);
             }
-        }
-        EditOp::RemoveForEachKeys { rtype, name, keys } => {
-            if let Some(block) = resource_block_mut(file, rtype, name) {
-                if let Some(fe) = block.body.attrs.iter_mut().find(|a| a.name == "for_each") {
-                    fe.value = remove_keys(&fe.value, keys);
+            _ => {
+                let first = target_block(op).and_then(|key| named.get(&key)?.first());
+                if let Some(&at) = first {
+                    edit_block(&mut file.blocks[at], op);
                 }
             }
         }
-        EditOp::RemoveBlock { rtype, name } => {
-            file.blocks.retain(|b| {
-                !(b.kind == "resource"
-                    && b.label(0) == Some(rtype.as_str())
-                    && b.label(1) == Some(name.as_str()))
-            });
-        }
-        EditOp::AddBlock {
-            rtype,
-            label,
-            attrs,
-            ..
-        } => {
-            let body_attrs = attrs
-                .iter()
-                .map(|(name, value)| Attribute {
-                    name: name.clone(),
-                    value: value_to_expr(value),
-                    span: sp,
-                })
-                .collect();
-            file.blocks.push(Block {
-                kind: "resource".to_owned(),
-                labels: vec![rtype.as_str().to_owned(), label.clone()],
-                body: BlockBody {
-                    attrs: body_attrs,
-                    blocks: vec![],
-                },
-                span: sp,
-            });
-        }
+    }
+    let mut gone = removed.into_iter();
+    file.blocks.retain(|_| !gone.next().unwrap_or(false));
+    file
+}
+
+/// The `(type, name)` of the resource block an op edits or removes.
+fn target_block(op: &EditOp) -> Option<(&str, &str)> {
+    match op {
+        EditOp::SetAttr { rtype, name, .. }
+        | EditOp::SetCount { rtype, name, .. }
+        | EditOp::RemoveForEachKeys { rtype, name, .. }
+        | EditOp::RemoveBlock { rtype, name } => Some((rtype, name)),
+        EditOp::AddBlock { .. } => None,
     }
 }
 
-fn resource_block_mut<'f>(file: &'f mut File, rtype: &str, name: &str) -> Option<&'f mut Block> {
-    file.blocks
-        .iter_mut()
-        .find(|b| b.kind == "resource" && b.label(0) == Some(rtype) && b.label(1) == Some(name))
+/// The `(type, name)` a resource block declares.
+fn resource_key(block: &Block) -> Option<(&str, &str)> {
+    let labels = (block.label(0), block.label(1));
+    match (block.kind == "resource", labels) {
+        (true, (Some(rtype), Some(name))) => Some((rtype, name)),
+        _ => None,
+    }
+}
+
+/// Apply an op that edits a block in place (`SetAttr`, `SetCount`,
+/// `RemoveForEachKeys`) to its target.
+fn edit_block(block: &mut Block, op: &EditOp) {
+    match op {
+        EditOp::SetAttr { attr, value, .. } => set_attr(block, attr, value_to_expr(value)),
+        EditOp::SetCount { count, .. } => {
+            set_attr(block, "count", Expr::Num(*count as f64, Span::synthetic()))
+        }
+        EditOp::RemoveForEachKeys { keys, .. } => {
+            if let Some(fe) = block.body.attrs.iter_mut().find(|a| a.name == "for_each") {
+                fe.value = remove_keys(&fe.value, keys);
+            }
+        }
+        EditOp::RemoveBlock { .. } | EditOp::AddBlock { .. } => {}
+    }
+}
+
+/// The block an `AddBlock` of `rtype.label` appends.
+fn added_block(rtype: &str, label: &str, attrs: &Attrs) -> Block {
+    let sp = Span::synthetic();
+    let attrs = attrs.iter().map(|(name, value)| Attribute {
+        name: name.clone(),
+        value: value_to_expr(value),
+        span: sp,
+    });
+    Block {
+        kind: "resource".to_owned(),
+        labels: vec![rtype.to_owned(), label.to_owned()],
+        body: BlockBody {
+            attrs: attrs.collect(),
+            blocks: vec![],
+        },
+        span: sp,
+    }
 }
 
 fn set_attr(block: &mut Block, name: &str, value: Expr) {
@@ -572,6 +606,92 @@ resource "aws_s3_bucket" "b" { bucket = "x" }
             "{:?}",
             out.errors
         );
+    }
+
+    /// `apply_ops` as a scan: each op walks the blocks for its target, and
+    /// each `RemoveBlock` filters the file.
+    fn apply_ops_by_scan(base: &File, ops: &[EditOp]) -> File {
+        let mut file = base.clone();
+        for op in ops {
+            match op {
+                EditOp::RemoveBlock { rtype, name } => {
+                    let key = Some((rtype.as_str(), name.as_str()));
+                    file.blocks.retain(|b| resource_key(b) != key);
+                }
+                EditOp::AddBlock {
+                    rtype,
+                    label,
+                    attrs,
+                    ..
+                } => file.blocks.push(added_block(rtype.as_str(), label, attrs)),
+                _ => {
+                    let mut blocks = file.blocks.iter_mut();
+                    if let Some(b) = blocks.find(|b| resource_key(b) == target_block(op)) {
+                        edit_block(b, op);
+                    }
+                }
+            }
+        }
+        file
+    }
+
+    /// Two blocks named `b.a` (and a `variable "a"` beside them), a
+    /// `for_each` block and one no op names: duplicates are where "the
+    /// first live block" and "every block" part ways.
+    const DUPLICATES: &str = r#"
+variable "a" { default = "x" }
+resource "b" "a" { bucket = "one" }
+resource "b" "c" {
+  for_each = ["k0", "k1", "k2"]
+  bucket   = each.key
+}
+resource "b" "a" { bucket = "two" }
+resource "b" "untouched" { bucket = "u" }
+"#;
+
+    /// An op on one of four names of type `b`, `a` and `c` among them.
+    fn gen_op((kind, name, payload): (usize, usize, usize)) -> EditOp {
+        let (rtype, name) = ("b".to_owned(), ["a", "c", "d", "e"][name % 4].to_owned());
+        match kind % 5 {
+            0 => EditOp::SetAttr {
+                rtype,
+                name,
+                attr: ["bucket", "tags"][payload % 2].into(),
+                value: Value::from(format!("v{payload}")),
+            },
+            1 => EditOp::SetCount {
+                rtype,
+                name,
+                count: payload,
+            },
+            2 => EditOp::RemoveForEachKeys {
+                rtype,
+                name,
+                keys: [format!("k{}", payload % 3)].into(),
+            },
+            3 => EditOp::RemoveBlock { rtype, name },
+            _ => EditOp::AddBlock {
+                rtype: ResourceTypeName::new(rtype),
+                label: name,
+                region: Region::new("us-east-1"),
+                attrs: attrs([("bucket", Value::from(format!("added-{payload}")))]),
+                id: ResourceId::new(format!("x-{payload}")),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// The index finds what the scan found: the same file for every op
+        /// list, repeated ops, a set after a remove and a set after an add
+        /// of the same name included.
+        #[test]
+        fn apply_ops_is_the_scan(
+            ops in proptest::collection::vec((0usize..5, 0usize..4, 0usize..6), 0..24),
+        ) {
+            let base = cloudless_hcl::parse(DUPLICATES, "main.tf").unwrap();
+            let ops: Vec<EditOp> = ops.into_iter().map(gen_op).collect();
+            proptest::prop_assert_eq!(apply_ops(&base, &ops), apply_ops_by_scan(&base, &ops));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ fn chaotic_engine(seed: u64, transient: f64, hang: f64) -> Cloudless {
         transient_failure_rate: transient,
         hang_rate: hang,
         hang_factor: 8.0,
+        ..FaultPlan::none()
     };
     Cloudless::new(Config {
         cloud,
@@ -130,6 +131,7 @@ fn deadlines_cancel_hangs_and_still_converge() {
             transient_failure_rate: 0.0,
             hang_rate: 0.4,
             hang_factor: 20.0,
+            ..FaultPlan::none()
         };
         Cloudless::new(Config {
             cloud,

@@ -3,11 +3,16 @@
 //! `reconcile(mutate(apply(p)))` patches `p` into a program that re-plans
 //! to an **empty diff** — and a second reconcile of the patched program is
 //! a fixpoint. Plus: scenario families from the adversarial generator hold
-//! the invariant for arbitrary seeds, with oracle-exact patches.
+//! the invariant for arbitrary seeds, with oracle-exact patches. And a
+//! refresh from the engine's sync point finds what a full refresh finds,
+//! over arbitrary sequences of drift, applies, refreshes, reconciles,
+//! rollbacks, record imports and failing reads.
 
-use cloudless::cloud::CloudConfig;
+use cloudless::cloud::{CloudConfig, FaultPlan};
+use cloudless::deploy::full_refresh;
+use cloudless::state::Snapshot;
 use cloudless::types::value::attrs;
-use cloudless::types::Value;
+use cloudless::types::{ResourceAddr, Value};
 use cloudless::{Cloudless, Config};
 use cloudless_bench::scenarios::{generate, Family};
 use proptest::prelude::*;
@@ -93,7 +98,182 @@ fn gen_mutations() -> impl Strategy<Value = Vec<Mutation>> {
     proptest::collection::vec((0usize..3, 0usize..16, "[a-z]{1,6}"), 0..6)
 }
 
+/// One step of a refresh sequence: (what, which resource or version,
+/// payload).
+type Step = (usize, usize, usize);
+
+fn gen_steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0usize..10, 0usize..16, 0usize..8), 1..24)
+}
+
+/// The programs a sequence converges: `SRC`, a grown and a shrunk fleet, a
+/// renamed bucket, a block gone.
+fn programs() -> [String; 5] {
+    [
+        SRC.to_owned(),
+        SRC.replace("count  = 3", "count  = 4"),
+        SRC.replace("count  = 3", "count  = 2"),
+        SRC.replace("solo-data", "solo-v2"),
+        SRC.replace(
+            "resource \"aws_s3_bucket\" \"spare\" { bucket = \"spare-data\" }\n",
+            "",
+        ),
+    ]
+}
+
+fn faults(reads_fail: bool) -> FaultPlan {
+    FaultPlan {
+        read_failure_rate: if reads_fail { 0.5 } else { 0.0 },
+        ..FaultPlan::none()
+    }
+}
+
+/// What a full refresh finds over a clone of `state` (updated, missing),
+/// with no read failing.
+fn full_scan(e: &mut Cloudless, state: &Snapshot, reads_fail: bool) -> [Vec<ResourceAddr>; 2] {
+    e.cloud_mut().set_fault_plan(FaultPlan::none());
+    let report = full_refresh(e.cloud_mut(), &mut state.clone(), "checker");
+    e.cloud_mut().set_fault_plan(faults(reads_fail));
+    [report.updated, report.missing]
+}
+
+/// The committed state matches the cloud: a full refresh over it finds
+/// nothing.
+fn assert_in_sync(e: &mut Cloudless, reads_fail: bool, after: &str) {
+    let committed = e.state().clone();
+    let found = full_scan(e, &committed, reads_fail);
+    assert_eq!(found, [vec![], vec![]], "after {after}: (updated, missing)");
+}
+
+/// Run one sequence, checking as it goes.
+fn run_steps(steps: &[Step]) {
+    let mut e = deployed();
+    let programs = programs();
+    let (mut program, mut reads_fail) = (SRC.to_owned(), false);
+    for (i, &(what, which, payload)) in steps.iter().enumerate() {
+        let addrs: Vec<ResourceAddr> = e.state().addrs();
+        let managed = addrs
+            .get(which % addrs.len().max(1))
+            .and_then(|a| e.state().get(a));
+        let id = managed.map(|r| r.id.clone());
+        let after = format!("step {i} of {steps:?}");
+        match what {
+            0 | 1 => {
+                if let (Some(id), Some(r)) = (&id, managed) {
+                    let attr = match (r.rtype.as_str(), payload % 2) {
+                        ("aws_vpc", _) => "name",
+                        (_, 0) => "bucket",
+                        _ => "tags",
+                    };
+                    let drift = attrs([(attr, Value::from(format!("drift-{payload}")))]);
+                    let _ = e.cloud_mut().out_of_band_update("chaos", id, drift);
+                }
+            }
+            2 => {
+                if let Some(id) = &id {
+                    let _ = e.cloud_mut().out_of_band_delete("chaos", id);
+                }
+            }
+            3 => {
+                let bucket = attrs([("bucket", Value::from(format!("rogue-{payload}")))]);
+                let cloud = e.cloud_mut();
+                let _ = cloud.out_of_band_create("chaos", "aws_s3_bucket", "us-east-1", bucket);
+            }
+            4 => {
+                program = programs[payload % programs.len()].clone();
+                let _ = e.converge(&program);
+            }
+            5 => {
+                let report = e.refresh().expect("an in-memory log commits");
+                if report.unsettled.is_empty() {
+                    assert_in_sync(&mut e, reads_fail, &after);
+                }
+            }
+            6 => {
+                let before = e.state().clone();
+                let expected = full_scan(&mut e, &before, reads_fail);
+                if let Ok(r) = e.reconcile(&program, true) {
+                    if r.refresh.unsettled.is_empty() {
+                        let found = [r.refresh.updated, r.refresh.missing];
+                        assert_eq!(found, expected, "dry run, {after}: (updated, missing)");
+                    }
+                }
+            }
+            7 => {
+                if let Ok(r) = e.reconcile(&program, false) {
+                    program = r.patched_source;
+                    if r.refresh.unsettled.is_empty() {
+                        assert_in_sync(&mut e, reads_fail, &after);
+                    }
+                }
+            }
+            8 => {
+                let serials: Vec<u64> = e.history().iter().map(|v| v.serial).collect();
+                let _ = e.rollback_state(serials[which % serials.len()]);
+            }
+            9 if payload < 4 => {
+                // records replaced wholesale: one changed or one gone
+                let mut records = e.cloud().records().clone();
+                if let Some(id) = &id {
+                    match payload % 2 {
+                        0 => drop(records.remove(id)),
+                        _ => {
+                            if let Some(rec) = records.get_mut(id) {
+                                let tags = Value::from(format!("imported-{payload}"));
+                                rec.attrs.insert("tags".to_owned(), tags);
+                            }
+                        }
+                    }
+                }
+                e.cloud_mut().import_records(records);
+            }
+            _ => {
+                reads_fail = !reads_fail;
+                e.cloud_mut().set_fault_plan(faults(reads_fail));
+            }
+        }
+    }
+}
+
+/// A refresh reads what the log names since the one before: everything the
+/// engine created, then nothing, then the one resource drifted; after a
+/// rollback of the state document, everything again.
+#[test]
+fn a_refresh_from_the_sync_point_reads_what_the_log_names() {
+    let mut e = deployed();
+    let everything = e.state().len() as u64;
+    // the engine created every resource it holds: all of them are named
+    assert_eq!(e.refresh().expect("commits").reads, everything);
+    assert_eq!(e.refresh().expect("commits").reads, 0, "a quiet log");
+    let solo = e
+        .state()
+        .get_str("aws_s3_bucket.solo")
+        .expect("deployed")
+        .id
+        .clone();
+    let renamed = attrs([("bucket", Value::from("solo-renamed"))]);
+    e.cloud_mut()
+        .out_of_band_update("chaos", &solo, renamed)
+        .unwrap();
+    let report = e.refresh().expect("commits");
+    assert_eq!((report.reads, report.updated.len()), (1, 1));
+    // a rollback of the state document leaves the sync point behind
+    let first = e.history().iter().next().expect("the deploy").serial;
+    e.rollback_state(first).expect("rolls back");
+    let report = e.refresh().expect("commits");
+    assert_eq!((report.reads, report.updated.len()), (everything, 1));
+}
+
 proptest! {
+    /// Every refresh and every real reconcile whose reads all settled
+    /// leaves a committed state a full refresh finds nothing in; every dry
+    /// run's refresh finds what a full refresh of the state it started from
+    /// does.
+    #[test]
+    fn a_refresh_from_the_sync_point_finds_what_a_full_refresh_finds(steps in gen_steps()) {
+        run_steps(&steps);
+    }
+
     /// The round-trip invariant: whatever the mutation sequence did, the
     /// reconciler's patched program re-plans to an empty diff, and
     /// reconciling the patched program again changes nothing.
