@@ -187,9 +187,9 @@ fn sample_min<T>(samples: u32, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
 
 /// Legacy comparator, half one: resources of `a` whose address `b` lacks.
 fn only_in<'a>(a: &'a Snapshot, b: &Snapshot) -> Vec<&'a DeployedResource> {
-    a.resources
+    a.resources()
         .iter()
-        .filter(|(k, _)| !b.resources.contains_key(*k))
+        .filter(|(k, _)| !b.resources().contains_key(*k))
         .map(|(_, v)| v.as_ref())
         .collect()
 }
@@ -200,10 +200,10 @@ fn changed_between<'a>(
     a: &'a Snapshot,
     b: &'a Snapshot,
 ) -> Vec<(&'a DeployedResource, &'a DeployedResource)> {
-    a.resources
+    a.resources()
         .iter()
         .filter_map(|(k, mine)| {
-            b.resources
+            b.resources()
                 .get(k)
                 .filter(|theirs| theirs.attrs != mine.attrs)
                 .map(|theirs| (mine.as_ref(), theirs.as_ref()))
@@ -287,7 +287,7 @@ pub fn measure(name: &str, n: usize, versions: usize, delta: usize) -> StatePoin
         let snap = Snapshot::from_json(&json).expect("legacy snapshot parses");
         (ms(t), snap)
     });
-    assert_eq!(restored.resources.len(), n);
+    assert_eq!(restored.len(), n);
     let (legacy_diff_ms, legacy_changed) = sample_min(3, || {
         let t = Instant::now();
         let changed = changed_between(&old_world, &new_world).len()

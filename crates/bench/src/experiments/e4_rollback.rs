@@ -49,7 +49,7 @@ struct Outcome {
 fn divergence(engine: &Cloudless, checkpoint: &cloudless::state::Snapshot) -> usize {
     let catalog = engine.cloud().catalog();
     let mut diverged = 0;
-    for rec in checkpoint.resources.values() {
+    for rec in checkpoint.resources().values() {
         let Some(live) = engine.cloud().records().values().find(|r| {
             r.rtype == rec.rtype && r.attrs.get("name") == rec.attrs.get("name") || r.id == rec.id
         }) else {

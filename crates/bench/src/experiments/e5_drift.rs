@@ -62,7 +62,7 @@ fn run_detector(n: usize, events: usize, use_scanner: bool) -> Detection {
     let schedule = drift_times(events, SEED);
     // distinct victims, seeded shuffle (sampling with replacement would
     // conflate "two events on one resource" with a missed detection)
-    let mut ids: Vec<_> = state.resources.values().map(|r| r.id.clone()).collect();
+    let mut ids: Vec<_> = state.resources().values().map(|r| r.id.clone()).collect();
     let mut rng = StdRng::seed_from_u64(SEED + 1);
     for i in (1..ids.len()).rev() {
         ids.swap(i, rng.gen_range(0..=i));

@@ -27,7 +27,7 @@ use cloudless_state::{DeployedResource, Snapshot};
 #[allow(clippy::large_enum_variant)] // Put carries the payload by design
 enum Write {
     Put(DeployedResource),
-    Delete,
+    Delete(ResourceAddr),
 }
 
 /// Transaction failure.
@@ -69,7 +69,8 @@ impl Transaction {
 
     /// Stage a delete.
     pub fn delete(&mut self, addr: &ResourceAddr) {
-        self.writes.insert(addr.to_string(), Write::Delete);
+        self.writes
+            .insert(addr.to_string(), Write::Delete(addr.clone()));
     }
 
     /// Number of staged writes.
@@ -129,7 +130,7 @@ impl TxnManager {
         if let Some(w) = txn.writes.get(&key) {
             return match w {
                 Write::Put(r) => Some(r.clone()),
-                Write::Delete => None,
+                Write::Delete(_) => None,
             };
         }
         let inner = self.inner.lock();
@@ -166,12 +167,9 @@ impl TxnManager {
         // Apply atomically.
         for (key, w) in &txn.writes {
             match w {
-                Write::Put(r) => {
-                    let r = std::sync::Arc::new(r.clone());
-                    inner.snapshot.resources.insert(key.clone(), r);
-                }
-                Write::Delete => {
-                    inner.snapshot.resources.remove(key);
+                Write::Put(r) => inner.snapshot.put(r.clone()),
+                Write::Delete(addr) => {
+                    inner.snapshot.remove(addr);
                 }
             }
             *inner.versions.entry(key.clone()).or_insert(0) += 1;

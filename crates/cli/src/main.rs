@@ -651,7 +651,7 @@ fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     if engine.state().is_empty() {
         println!("(no resources under management)");
     }
-    for (addr, rec) in &engine.state().resources {
+    for (addr, rec) in engine.state().resources() {
         println!("{addr:<50} {:<16} {}", rec.id.to_string(), rec.region);
     }
     Ok(Ran::ReadOnly)

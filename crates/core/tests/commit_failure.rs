@@ -83,7 +83,7 @@ fn a_retry_of_the_same_content_frames_its_blobs_again() {
     let logged = bytes.lock().expect("test mutex").clone();
     let (reopened, _) =
         LogStore::open_device(Box::new(MemDevice::from_bytes(logged))).expect("log reopens");
-    assert_eq!(reopened.current().resources, target.resources);
+    assert_eq!(reopened.current().resources(), target.resources());
 }
 
 /// A refused commit leaves the engine without a sync point: the refresh

@@ -465,7 +465,7 @@ fn generated_edits_exercise_both_paths() {
                 cold(&next, &state),
                 "kind {kind} follow-up"
             );
-            if (kind, state.resources.is_empty()) == (14, false) {
+            if (kind, state.is_empty()) == (14, false) {
                 assert!(text.contains("0 to add"), "re-added, not created: {text}");
             }
         }

@@ -233,7 +233,7 @@ fn a_reconcile_reads_what_the_activity_log_names() {
 
         let k = 5;
         let every = e.state().len() / k;
-        let drifted = e.state().resources.values().step_by(every);
+        let drifted = e.state().resources().values().step_by(every);
         let drifted: Vec<ResourceId> = drifted.map(|r| r.id.clone()).collect();
         for id in &drifted {
             let tags = attrs([("tags", Value::from("drifted"))]);

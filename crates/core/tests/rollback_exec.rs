@@ -62,7 +62,7 @@ fn roll_back(engine: &mut Cloudless, checkpoint: u64) -> ApplyReport {
 /// the cloud holds `unmanaged` records besides.
 fn assert_state_is_the_cloud(engine: &Cloudless, unmanaged: usize) {
     let records = engine.cloud().records();
-    for r in engine.state().resources.values() {
+    for r in engine.state().resources().values() {
         let live = records.get(&r.id);
         let live = live.unwrap_or_else(|| panic!("{} is in state only", r.addr));
         assert_eq!(live.attrs, r.attrs, "{}", r.addr);
@@ -83,7 +83,7 @@ fn a_replaced_chain_rolls_back_in_dependency_order_with_live_ids() {
     let mut engine = Cloudless::new(config());
     let (v1, v2) = (chain(0, 1), chain(9, 1));
     let checkpoint = deployed(&mut engine, &v1, &v2);
-    let dead_vpc = engine.state_at(checkpoint).expect("v1").resources["aws_vpc.v"]
+    let dead_vpc = engine.state_at(checkpoint).expect("v1").resources()["aws_vpc.v"]
         .id
         .clone();
 

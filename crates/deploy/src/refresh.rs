@@ -15,7 +15,7 @@
 //! comparison and the reconciler's unit suites call [`full_refresh`] and
 //! [`scoped_refresh`] directly.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use cloudless_cloud::{ApiOp, ApiRequest, Cloud, OpOutcome};
 use cloudless_state::Snapshot;
@@ -46,7 +46,9 @@ pub fn full_refresh(cloud: &mut Cloud, state: &mut Snapshot, principal: &str) ->
 /// Refresh the resources whose ids the activity log names from position
 /// `since` on. When `state` matched the cloud at every address as of
 /// `since`, these are the only ones that can differ, and this finds what
-/// [`full_refresh`] would; a quiet log costs no read.
+/// [`full_refresh`] would; a quiet log costs no read. Each event finds its
+/// resource by one probe of the state's id index, so the scope costs the
+/// events, not the world.
 pub fn refresh_since(
     cloud: &mut Cloud,
     state: &mut Snapshot,
@@ -54,14 +56,10 @@ pub fn refresh_since(
     since: u64,
 ) -> RefreshReport {
     let (events, _) = cloud.activity().events_since(since);
-    let named: HashSet<&ResourceId> = events.iter().filter_map(|ev| ev.id.as_ref()).collect();
-    let scope = match named.is_empty() {
-        true => BTreeSet::new(),
-        false => (state.resources.values())
-            .filter(|r| named.contains(&r.id))
-            .map(|r| r.addr.clone())
-            .collect(),
-    };
+    let named = events
+        .iter()
+        .filter_map(|ev| state.by_id(ev.id.as_ref()?.as_str()));
+    let scope = named.map(|r| r.addr.clone()).collect();
     scoped_refresh(cloud, state, principal, scope)
 }
 

@@ -334,7 +334,7 @@ mod tests {
             for rtype in ["aws_vm", "aws_vm_pool"] {
                 for name in ["web", "web2", "web_a", "web-a", "ghost"] {
                     let mut scanned: Vec<String> = snap
-                        .resources
+                        .resources()
                         .values()
                         .filter(|d| {
                             d.addr.module_path == module

@@ -29,7 +29,7 @@
 //! as the dead id: it resolves against whatever the dependency's id is when
 //! the dependent is (re)built.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cloudless_cloud::Catalog;
@@ -87,20 +87,21 @@ fn id_of(addr: &ResourceAddr) -> Expr {
     Expr::GetAttr(Box::new(instance), "id".to_owned(), sp)
 }
 
-/// A checkpoint attribute value with every id in `owners` (the checkpoint's
-/// resources by provider id; those in `module` are referable) replaced by a
-/// reference to its resource: a string or a list of strings, the two shapes
-/// a cloud reference takes. `None` when the value names no such resource.
+/// A checkpoint attribute value with every id of a `checkpoint` resource
+/// (those in `module` are referable) replaced by a reference to that
+/// resource: a string or a list of strings, the two shapes a cloud
+/// reference takes. `None` when the value names no such resource.
 fn as_reference(
     v: &Value,
-    owners: &HashMap<&str, &ResourceAddr>,
+    checkpoint: &Snapshot,
     module: &[String],
 ) -> Option<(Expr, Vec<ResourceAddr>)> {
     let sp = Span::synthetic();
     let mut targets = Vec::new();
-    let mut lifted = |s: &str| match owners.get(s).filter(|a| a.module_path == module) {
+    let owner = |s: &str| checkpoint.by_id(s).map(|r| &r.addr);
+    let mut lifted = |s: &str| match owner(s).filter(|a| a.module_path == module) {
         Some(addr) => {
-            targets.push((*addr).clone());
+            targets.push(addr.clone());
             id_of(addr)
         }
         None => Expr::Str(vec![TemplatePart::Lit(s.to_owned())], sp),
@@ -122,15 +123,10 @@ fn as_reference(
 /// checkpoint does not, the recorded dependencies, and a deferred reference
 /// wherever an attribute held another checkpoint resource's id.
 fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
-    let owners: HashMap<&str, &ResourceAddr> = checkpoint
-        .resources
-        .values()
-        .map(|r| (r.id.as_str(), &r.addr))
-        .collect();
     // a lifted instance was declared nowhere: one empty file name and span
     // table for all of them
     let (no_file, no_spans): (Arc<str>, Arc<BTreeMap<String, Span>>) = Default::default();
-    let instances = checkpoint.resources.values().map(|then| {
+    let instances = checkpoint.resources().values().map(|then| {
         let schema = catalog.get(&then.addr.rtype);
         let managed = |k: &String| schema.and_then(|s| s.attr(k)).is_none_or(|a| !a.computed);
         let mut attrs = Attrs::new();
@@ -142,7 +138,7 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
             attrs.extend(unset.map(|k| (k.clone(), Value::Null)));
         }
         for (name, v) in then.attrs.iter().filter(|(k, _)| managed(k)) {
-            match as_reference(v, &owners, &then.addr.module_path) {
+            match as_reference(v, checkpoint, &then.addr.module_path) {
                 Some((expr, targets)) => {
                     let waiting_on = targets.iter().map(block_of).collect();
                     depends_on.extend(targets);

@@ -15,7 +15,7 @@
 //! occurrence time is in the event itself, so detection lag is just the
 //! polling interval.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cloudless_cloud::{ActivityKind, ApiOp, ApiRequest, Cloud, OpOutcome};
@@ -132,7 +132,7 @@ impl Scanner {
 
         // 2. Read every managed resource and compare attributes.
         let listed: Vec<&DeployedResource> = state
-            .resources
+            .resources()
             .values()
             .map(Arc::as_ref)
             .filter(|rec| live_ids.contains(&rec.id)) // the rest are Deleted below
@@ -159,8 +159,7 @@ impl Scanner {
         }
 
         // 3. Managed-but-gone and live-but-unmanaged.
-        let managed_ids: BTreeSet<&ResourceId> = state.resources.values().map(|r| &r.id).collect();
-        for rec in state.resources.values() {
+        for rec in state.resources().values() {
             if !live_ids.contains(&rec.id) {
                 report.events.push(DriftEvent {
                     kind: DriftKind::Deleted,
@@ -173,7 +172,7 @@ impl Scanner {
             }
         }
         for id in &live_ids {
-            if !managed_ids.contains(id) {
+            if state.by_id(id.as_str()).is_none() {
                 report.events.push(DriftEvent {
                     kind: DriftKind::Unmanaged,
                     addr: None,
@@ -239,19 +238,16 @@ impl LogWatcher {
         self
     }
 
-    /// One poll: classify new events. Costs zero resource API calls — the
-    /// activity log is an independent, cheap endpoint (Azure Activity Log /
-    /// GCP Audit Log are not subject to resource-API rate limits).
+    /// One poll: classify new events, each by one probe of the state's id
+    /// index, so a poll costs its events, not the world. Costs zero resource
+    /// API calls — the activity log is an independent, cheap endpoint (Azure
+    /// Activity Log / GCP Audit Log are not subject to resource-API rate
+    /// limits).
     pub fn poll(&mut self, cloud: &Cloud, state: &Snapshot) -> DriftReport {
         let now = cloud.now();
         let (events, next) = cloud.activity().events_since(self.cursor);
         let examined = events.len();
         let mut report = DriftReport::default();
-        // id → managed resource, built by the first event that asks: one
-        // walk of the world per poll, not one per event (a quiet poll
-        // builds nothing). The first holder of an id in address order
-        // wins, as in `Snapshot::by_id`.
-        let mut by_id: Option<HashMap<&ResourceId, &DeployedResource>> = None;
         for ev in events {
             if self.trusted_principals.contains(ev.principal.as_str()) {
                 continue;
@@ -260,14 +256,7 @@ impl LogWatcher {
                 continue;
             }
             let Some(id) = &ev.id else { continue };
-            let by_id = by_id.get_or_insert_with(|| {
-                let mut index = HashMap::with_capacity(state.len());
-                for r in state.resources.values() {
-                    index.entry(&r.id).or_insert(r.as_ref());
-                }
-                index
-            });
-            let managed = by_id.get(id).copied();
+            let managed = state.by_id(id.as_str());
             let kind = match (ev.kind, managed.is_some()) {
                 (ActivityKind::Created, false) => DriftKind::Unmanaged,
                 (ActivityKind::Updated, true) => DriftKind::Modified,

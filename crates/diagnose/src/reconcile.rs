@@ -290,12 +290,11 @@ fn classify_unmanaged(
     catalog: &Catalog,
     plan: &mut ReconcilePlan,
 ) {
-    let managed: BTreeSet<&ResourceId> = state.resources.values().map(|r| &r.id).collect();
     // Seed the label allocator with every block name already in the program
     // so imported labels never collide with declared ones.
     let mut taken: BTreeSet<String> = program.resources.iter().map(|r| r.name.clone()).collect();
     for (id, rec) in records {
-        if managed.contains(id) {
+        if state.by_id(id.as_str()).is_some() {
             continue;
         }
         let Some(schema) = catalog.get(&rec.rtype) else {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
-use crate::snapshot::DeployedResource;
+use crate::snapshot::{check_key, DeployedResource};
 
 const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV64_PRIME: u64 = 0x00000100000001B3;
@@ -111,9 +111,12 @@ pub fn encode_resource(r: &DeployedResource) -> String {
     body
 }
 
-/// Decode a canonical record body.
-pub fn decode_resource(body: &str) -> Result<DeployedResource, String> {
-    serde_json::from_str(body).map_err(|e| format!("corrupt resource record: {e}"))
+/// Decode the record body a log entry stores under the rendered address
+/// `key`, refused when it is not that address's record.
+pub fn decode_resource(key: &str, body: &str) -> Result<DeployedResource, String> {
+    let r = serde_json::from_str(body).map_err(|e| format!("corrupt resource record: {e}"))?;
+    check_key(key, &r)?;
+    Ok(r)
 }
 
 /// The in-memory blob index: content hash → canonical body. Bodies are
@@ -244,8 +247,9 @@ mod tests {
         let r = res("aws_subnet.s[0]", "sn");
         let body = encode_resource(&r);
         assert!(!body.contains('\n'), "bodies must be line-framable");
-        assert_eq!(decode_resource(&body).unwrap(), r);
-        assert!(decode_resource("{broken").is_err());
+        assert_eq!(decode_resource("aws_subnet.s[0]", &body).unwrap(), r);
+        assert!(decode_resource("aws_subnet.s[1]", &body).is_err());
+        assert!(decode_resource("aws_subnet.s[0]", "{broken").is_err());
     }
 
     #[test]

@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(report.blobs_dropped, 1);
         assert_eq!(store.blob_count(), blobs_before - 1);
         assert_eq!(
-            store.current().resources["aws_vpc.v"].attr("name"),
+            store.current().resources()["aws_vpc.v"].attr("name"),
             Some(&Value::from("kept"))
         );
     }

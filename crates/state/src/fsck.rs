@@ -8,9 +8,10 @@
 //! 2. **Content addresses** — every blob's framed hash must equal the
 //!    FNV-128 of its body.
 //! 3. **Version chain** — serials strictly increase; every `puts` hash
-//!    resolves to a blob seen earlier in the log; every `prev` (and
-//!    `dels` entry) must match the world as replayed up to that record,
-//!    so the O(delta) undo chain is provably consistent.
+//!    resolves to a blob seen earlier in the log that holds the record of
+//!    the put's address; every `prev` (and `dels` entry) must match the
+//!    world as replayed up to that record, so the O(delta) undo chain is
+//!    provably consistent.
 //! 4. **Checkpoint reachability** — each checkpoint's address→hash map
 //!    must equal the replayed fold at that point, its serial must match
 //!    the last version, and every hash it references must resolve.
@@ -22,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
-use crate::cas::ContentHash;
+use crate::cas::{decode_resource, ContentHash};
 use crate::log::{Frames, LogRecord};
 
 /// What fsck found.
@@ -133,11 +134,20 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
                 }
                 last_serial = Some(v.serial);
                 for p in &v.puts {
-                    if !blobs.contains_key(&p.hash) {
-                        report.errors.push(format!(
+                    match blobs
+                        .get(&p.hash)
+                        .map(|body| decode_resource(&p.addr, body))
+                    {
+                        None => report.errors.push(format!(
                             "line {line}: put {} references blob {} not yet in log",
                             p.addr, p.hash
-                        ));
+                        )),
+                        Some(Err(why)) => {
+                            report
+                                .errors
+                                .push(format!("line {line}: put {}: {why}", p.addr));
+                        }
+                        Some(Ok(_)) => {}
                     }
                     if world.get(&p.addr).copied() != p.prev {
                         report.errors.push(format!(

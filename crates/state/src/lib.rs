@@ -13,7 +13,8 @@
 //!
 //! * [`snapshot`] — the state document: the IaC-address → cloud-resource
 //!   mapping Terraform keeps in `terraform.tfstate`, serializable as JSON.
-//!   Its resources are shared (`Arc`), so a clone costs its keys.
+//!   Its resources are shared (`Arc`) and indexed by cloud id, so a clone
+//!   costs its keys and one table.
 //! * [`store`] — the **log-structured store** ([`LogStore`]): an
 //!   append-only delta log where every commit records only changed
 //!   resources as content-addressed records, so commits, rollbacks, and

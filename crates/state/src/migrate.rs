@@ -226,6 +226,22 @@ mod tests {
     }
 
     #[test]
+    fn a_history_record_under_another_address_is_refused() {
+        let dir = tmpdir("misfiled");
+        legacy_session(&dir);
+        let path = dir.join("history.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let misfiled = text.replacen("\"aws_subnet.a\"", "\"aws_subnet.b\"", 1);
+        assert_ne!(misfiled, text);
+        std::fs::write(&path, misfiled).unwrap();
+        let err = migrate_dir(&dir).unwrap_err();
+        assert!(err.starts_with("history.json corrupt"), "{err}");
+        assert!(err.contains("is that of aws_subnet.a"), "{err}");
+        assert!(!dir.join("state.log").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn migration_errors_leave_no_log_behind() {
         let dir = tmpdir("cleanup");
         std::fs::write(dir.join("state.json"), "{not json").unwrap();

@@ -9,14 +9,18 @@
 //! A [`Snapshot`] shares its resources: cloning one copies the keys and
 //! bumps a reference count per resource, so the hypothetical world an apply,
 //! a refresh or a reconcile works on costs nothing for what it leaves alone,
-//! and "did this resource change?" is first a pointer comparison.
+//! and "did this resource change?" is first a pointer comparison. It also
+//! answers "which managed resource has this cloud id" — what a drift poll,
+//! a log-scoped refresh and the reconciler ask of every event — from an
+//! index its writes keep, in one probe.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::borrow::{Borrow, Cow};
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use cloudless_types::{Attrs, Region, ResourceAddr, ResourceId, ResourceTypeName, SimTime, Value};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
 /// One resource the IaC engine manages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,16 +80,114 @@ impl std::fmt::Write for KeyBuf {
     }
 }
 
+/// An entry of the id index: the snapshot's own `Arc` of a record, hashed
+/// and compared by its cloud id, so that a probe takes the id's `&str` and
+/// an entry costs a pointer.
+#[derive(Clone)]
+struct ById(Arc<DeployedResource>);
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.id.as_str().hash(state);
+    }
+}
+
+impl PartialEq for ById {
+    fn eq(&self, other: &ById) -> bool {
+        self.0.id == other.0.id
+    }
+}
+
+impl Eq for ById {}
+
+impl Borrow<str> for ById {
+    fn borrow(&self) -> &str {
+        self.0.id.as_str()
+    }
+}
+
+/// Refuse a record stored under a key that is not its rendered address: a
+/// `get` of its address would miss it and the next `put` would make a
+/// second copy. Every reader of stored records checks this.
+pub(crate) fn check_key(key: &str, r: &DeployedResource) -> Result<(), String> {
+    if KeyBuf::new().render(&r.addr) == key {
+        Ok(())
+    } else {
+        Err(format!(
+            "the record stored under {key} is that of {}",
+            r.addr
+        ))
+    }
+}
+
 /// A point-in-time state document.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Its records are keyed by rendered address and indexed by cloud id.
+/// Every write goes through [`Snapshot::put`] and [`Snapshot::remove`],
+/// which keep both, so [`Snapshot::by_id`] is one probe. A clone shares
+/// the records and copies the keys and the index's pointers.
+#[derive(Clone, Default)]
 pub struct Snapshot {
     /// Monotonic serial, incremented on every apply.
     pub serial: u64,
     /// Resources keyed by their rendered address (stable, sortable), each
     /// shared with every snapshot it was cloned into or from.
-    pub resources: BTreeMap<String, Arc<DeployedResource>>,
+    resources: BTreeMap<String, Arc<DeployedResource>>,
+    /// The same records by cloud id.
+    by_id: HashSet<ById>,
     /// Root-module output values.
     pub outputs: BTreeMap<String, Value>,
+}
+
+impl std::fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("serial", &self.serial)
+            .field("resources", &self.resources)
+            .field("outputs", &self.outputs)
+            .finish()
+    }
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        // the index is a function of the records
+        (self.serial, &self.resources, &self.outputs)
+            == (other.serial, &other.resources, &other.outputs)
+    }
+}
+
+impl Serialize for Snapshot {
+    fn ser(&self, w: &mut Writer<'_>) {
+        w.begin_obj();
+        w.field(true, "serial");
+        self.serial.ser(w);
+        w.field(false, "resources");
+        self.resources.ser(w);
+        w.field(false, "outputs");
+        self.outputs.ser(w);
+        w.end_obj(false);
+    }
+}
+
+/// A snapshot as stored, before [`Snapshot::from_records`] checks and
+/// indexes it.
+#[derive(Deserialize)]
+struct Stored {
+    serial: u64,
+    resources: BTreeMap<String, Arc<DeployedResource>>,
+    outputs: BTreeMap<String, Value>,
+}
+
+impl Deserialize for Snapshot {
+    fn deser(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let Stored {
+            serial,
+            resources,
+            outputs,
+        } = Stored::deser(r)?;
+        Snapshot::from_records(serial, resources, outputs).map_err(DeError::from)
+    }
 }
 
 impl Snapshot {
@@ -93,17 +195,78 @@ impl Snapshot {
         Self::default()
     }
 
+    /// A snapshot of records read from storage, refused when a key is not
+    /// its record's address.
+    pub(crate) fn from_records(
+        serial: u64,
+        resources: BTreeMap<String, Arc<DeployedResource>>,
+        outputs: BTreeMap<String, Value>,
+    ) -> Result<Snapshot, String> {
+        let mut by_id = HashSet::with_capacity(resources.len());
+        for (key, r) in &resources {
+            check_key(key, r)?;
+            by_id.replace(ById(Arc::clone(r)));
+        }
+        Ok(Snapshot {
+            serial,
+            resources,
+            by_id,
+            outputs,
+        })
+    }
+
     /// Insert or replace a resource.
+    ///
+    /// The id index names the record put last: when another address
+    /// already holds `r`'s id, that record stays under its address but
+    /// [`Snapshot::by_id`] no longer finds it, and once `r` goes, the id is
+    /// not indexed at all. The engine never writes such a world (the cloud
+    /// assigns each resource its own id); a hand-made one can be.
     pub fn put(&mut self, r: DeployedResource) {
-        self.resources.insert(r.addr.to_string(), Arc::new(r));
+        self.insert(r.addr.to_string(), Arc::new(r));
+    }
+
+    /// [`Snapshot::put`] of a shared record under its rendered address.
+    pub(crate) fn insert(&mut self, key: String, r: Arc<DeployedResource>) {
+        match self.resources.insert(key, Arc::clone(&r)) {
+            // an edit in place: the replace below takes the entry over
+            Some(old) if old.id == r.id => {}
+            Some(old) => self.unindex(&old),
+            None => {}
+        }
+        self.by_id.replace(ById(r));
     }
 
     /// Remove a resource by address; returns it if present (copied only
     /// when another snapshot still holds it).
     pub fn remove(&mut self, addr: &ResourceAddr) -> Option<DeployedResource> {
-        self.resources
-            .remove(KeyBuf::new().render(addr).as_ref())
+        self.take(KeyBuf::new().render(addr).as_ref())
             .map(Arc::unwrap_or_clone)
+    }
+
+    /// Remove the record under a rendered address, with its index entry.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Arc<DeployedResource>> {
+        let r = self.resources.remove(key)?;
+        self.unindex(&r);
+        Some(r)
+    }
+
+    /// Drop `r`'s index entry, if the entry for its id is `r`'s.
+    fn unindex(&mut self, r: &Arc<DeployedResource>) {
+        let id = r.id.as_str();
+        if self
+            .by_id
+            .get(id)
+            .is_some_and(|held| Arc::ptr_eq(&held.0, r))
+        {
+            self.by_id.remove(id);
+        }
+    }
+
+    /// Every resource by rendered address, in address order. Read-only:
+    /// writes go through `put` and `remove`, which keep the id index.
+    pub fn resources(&self) -> &BTreeMap<String, Arc<DeployedResource>> {
+        &self.resources
     }
 
     /// Look up by address.
@@ -135,13 +298,9 @@ impl Snapshot {
         self.get_str(&bare).into_iter().chain(keyed)
     }
 
-    /// Look up by cloud id: a scan of the world. A caller with many ids
-    /// to look up builds its own index over `resources` once.
-    pub fn by_id(&self, id: &ResourceId) -> Option<&DeployedResource> {
-        self.resources
-            .values()
-            .find(|r| &r.id == id)
-            .map(Arc::as_ref)
+    /// Look up by cloud id: one probe of the index.
+    pub fn by_id(&self, id: &str) -> Option<&DeployedResource> {
+        self.by_id.get(id).map(|held| held.0.as_ref())
     }
 
     /// All addresses, sorted.
@@ -194,7 +353,7 @@ mod tests {
         assert_eq!(s.len(), 1);
         let addr: ResourceAddr = "aws_vpc.main".parse().unwrap();
         assert_eq!(s.get(&addr).unwrap().id.as_str(), "vpc-1");
-        assert_eq!(s.by_id(&ResourceId::new("vpc-1")).unwrap().addr, addr);
+        assert_eq!(s.by_id("vpc-1").unwrap().addr, addr);
         let removed = s.remove(&addr).unwrap();
         assert_eq!(removed.id.as_str(), "vpc-1");
         assert!(s.is_empty());
@@ -208,7 +367,7 @@ mod tests {
         s.put(res("aws_subnet.a", "sn-1"));
         let mut t = s.clone();
         let shared = |a: &Snapshot, b: &Snapshot, key: &str| {
-            Arc::ptr_eq(&a.resources[key], &b.resources[key])
+            Arc::ptr_eq(&a.resources()[key], &b.resources()[key])
         };
         assert!(shared(&s, &t, "aws_vpc.main") && shared(&s, &t, "aws_subnet.a"));
         // a put replaces one side's resource, a remove hands out a copy
@@ -244,6 +403,21 @@ mod tests {
         let json = s.to_json();
         let back = Snapshot::from_json(&json).expect("parse");
         assert_eq!(back, s);
+        let subnet = back.by_id("sn-1").map(|r| r.addr.to_string());
+        assert_eq!(subnet.as_deref(), Some("aws_subnet.a[0]"));
+    }
+
+    /// A record under a key that is not its address is one `get` misses
+    /// and the next `put` copies: reading one is an error.
+    #[test]
+    fn a_record_under_another_address_is_refused() {
+        let mut s = Snapshot::new();
+        s.put(res("aws_vpc.main", "vpc-1"));
+        let json = s.to_json();
+        let moved = json.replacen("\"aws_vpc.main\"", "\"aws_vpc.other\"", 1);
+        assert_ne!(moved, json);
+        let err = Snapshot::from_json(&moved).expect_err("refused");
+        assert!(err.to_string().contains("aws_vpc.other"), "{err}");
     }
 
     /// Nesting that used to overflow the stack is an error wherever it

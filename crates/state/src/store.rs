@@ -214,7 +214,7 @@ impl LogStore {
     /// (legacy-state adoption; serial is taken from the snapshot).
     fn seed(&mut self, snapshot: Snapshot) {
         self.current_hashes.clear();
-        for (addr, r) in &snapshot.resources {
+        for (addr, r) in snapshot.resources() {
             let (hash, _) = self.cas.insert(encode_resource(r).into());
             self.current_hashes.insert(addr.clone(), hash);
         }
@@ -322,13 +322,14 @@ impl LogStore {
             let body = self.cas.get(hash).ok_or_else(|| {
                 StoreError::Corrupt(format!("resource {addr} references missing blob {hash}"))
             })?;
-            let r = decode_resource(&body).map_err(StoreError::Corrupt)?;
+            let r = decode_resource(addr, &body).map_err(StoreError::Corrupt)?;
             Ok((addr.clone(), Arc::new(r)))
         });
-        self.current.resources = decoded.collect::<Result<_, StoreError>>()?;
-        if let Some(v) = self.versions.last() {
-            self.current.outputs = v.outputs.clone();
-        }
+        let resources = decoded.collect::<Result<_, StoreError>>()?;
+        let outputs = self.versions.last().map(|v| v.outputs.clone());
+        let (serial, outputs) = (self.current.serial, outputs.unwrap_or_default());
+        self.current =
+            Snapshot::from_records(serial, resources, outputs).map_err(StoreError::Corrupt)?;
         Ok(())
     }
 
@@ -546,8 +547,8 @@ impl LogStore {
     /// value, and only one that differs is encoded.
     fn delta_from_snapshot(&self, target: &Snapshot) -> SharedDelta {
         let mut delta = SharedDelta::default();
-        let mut head = self.current.resources.iter().peekable();
-        for (addr, r) in &target.resources {
+        let mut head = self.current.resources().iter().peekable();
+        for (addr, r) in target.resources() {
             // what the head holds before `addr` the target no longer does
             while let Some((gone, _)) = head.next_if(|(held, _)| *held < addr) {
                 delta.dels.push(gone.clone());
@@ -656,11 +657,11 @@ impl LogStore {
         // fold into the in-memory state
         for (r, p) in resources.into_iter().zip(&version.puts) {
             self.current_hashes.insert(p.addr.clone(), p.hash);
-            self.current.resources.insert(p.addr.clone(), r);
+            self.current.insert(p.addr.clone(), r);
         }
         for d in &version.dels {
             self.current_hashes.remove(&d.addr);
-            self.current.resources.remove(&d.addr);
+            self.current.take(&d.addr);
         }
         self.current.serial = serial;
         self.current.outputs = version.outputs.clone();
@@ -744,7 +745,8 @@ impl LogStore {
     /// world, shared, with every address touched since put back to what it
     /// held then. The backward walk and the decoding are O(delta); only the
     /// keys are O(world at target). `None` if the serial is not an
-    /// addressable version.
+    /// addressable version, or a record it needs is damaged or stored under
+    /// another address (`fsck` says which).
     pub fn snapshot_at(&self, serial: u64) -> Option<Snapshot> {
         if !self.addressable(serial) {
             return None;
@@ -760,11 +762,11 @@ impl LogStore {
                 // touched and since put back: the head's copy is the one
                 Some(hash) if self.current_hashes.get(&addr) == Some(&hash) => {}
                 Some(hash) => {
-                    let r = decode_resource(&self.cas.get(&hash)?).ok()?;
-                    snap.resources.insert(addr, Arc::new(r));
+                    let r = decode_resource(&addr, &self.cas.get(&hash)?).ok()?;
+                    snap.insert(addr, Arc::new(r));
                 }
                 None => {
-                    snap.resources.remove(&addr);
+                    snap.take(&addr);
                 }
             }
         }
@@ -819,7 +821,7 @@ impl LogStore {
                                 "rollback target references missing blob {hash}"
                             ))
                         })?;
-                        let r = decode_resource(&body).map_err(StoreError::Corrupt)?;
+                        let r = decode_resource(&addr, &body).map_err(StoreError::Corrupt)?;
                         delta.puts.push(Arc::new(r));
                     }
                 }
@@ -1025,16 +1027,16 @@ mod tests {
         put(&mut store, "aws_vpc.v", "b");
         put(&mut store, "aws_subnet.s", "c");
         let v0 = store.snapshot_at(0).unwrap();
-        assert!(v0.resources.is_empty());
+        assert!(v0.is_empty());
         let v1 = store.snapshot_at(1).unwrap();
         assert_eq!(
-            v1.resources["aws_vpc.v"].attr("name"),
+            v1.resources()["aws_vpc.v"].attr("name"),
             Some(&Value::from("a"))
         );
         assert_eq!(v1.len(), 1);
         let v2 = store.snapshot_at(2).unwrap();
         assert_eq!(
-            v2.resources["aws_vpc.v"].attr("name"),
+            v2.resources()["aws_vpc.v"].attr("name"),
             Some(&Value::from("b"))
         );
         let v3 = store.snapshot_at(3).unwrap();
@@ -1055,7 +1057,7 @@ mod tests {
         assert_eq!(rolled, Some(4));
         assert_eq!(store.current().len(), 1);
         assert_eq!(
-            store.current().resources["aws_vpc.v"].attr("name"),
+            store.current().resources()["aws_vpc.v"].attr("name"),
             Some(&Value::from("a"))
         );
         // rolling back again is a fixpoint: no new version
@@ -1144,6 +1146,70 @@ mod tests {
         };
         let (_, report2) = LogStore::open_device(Box::new(MemDevice::from_bytes(bytes))).unwrap();
         assert_eq!(report2.torn_bytes_dropped, 0);
+    }
+
+    /// A log putting `aws_vpc.a` = "a" and `aws_vpc.b` = "b" at version 1
+    /// and `aws_vpc.a` = "a2" at version 2, with one hash in version
+    /// `serial`'s line swapped for another under a valid checksum: damage
+    /// that only a reader checking what a put's blob holds can see.
+    fn misfiled(serial: u64, from: (&str, &str), to: (&str, &str)) -> Vec<u8> {
+        let mut store = LogStore::in_memory();
+        let (a, b) = (res("aws_vpc.a", "a"), res("aws_vpc.b", "b"));
+        let both = StateDelta {
+            puts: vec![a, b],
+            ..Default::default()
+        };
+        store.commit(both, CommitMeta::bare("both")).unwrap();
+        put(&mut store, "aws_vpc.a", "a2");
+        let hash = |(addr, name)| ContentHash::of(&encode_resource(&res(addr, name))).to_string();
+        let text = String::from_utf8(store.device.read_all().unwrap()).unwrap();
+        let mut out = String::new();
+        for line in text.lines() {
+            let payload = line.split_once(' ').map_or("", |(_, payload)| payload);
+            if payload.starts_with("{\"Version\"")
+                && payload.contains(&format!("\"serial\":{serial},"))
+            {
+                let payload = payload.replacen(&hash(from), &hash(to), 1);
+                assert_ne!(line.split_once(' ').map(|(_, p)| p), Some(payload.as_str()));
+                out.push_str(&format!(
+                    "{:016x} {payload}\n",
+                    crate::cas::fnv64(payload.as_bytes())
+                ));
+            } else {
+                out.push_str(&format!("{line}\n"));
+            }
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn open_refuses_a_head_record_stored_under_another_address() {
+        let bytes = misfiled(2, ("aws_vpc.a", "a2"), ("aws_vpc.b", "b"));
+        let opened = LogStore::open_device(Box::new(MemDevice::from_bytes(bytes)));
+        let err = opened.expect_err("refused").to_string();
+        assert!(err.contains("aws_vpc.a is that of aws_vpc.b"), "{err}");
+    }
+
+    #[test]
+    fn the_time_machine_refuses_a_record_stored_under_another_address() {
+        // version 2's undo entry for a names b's record as a's at version 1
+        let bytes = misfiled(2, ("aws_vpc.a", "a"), ("aws_vpc.b", "b"));
+        let (mut store, _) = LogStore::open_device(Box::new(MemDevice::from_bytes(bytes))).unwrap();
+        assert!(store.snapshot_at(2).is_some(), "the head is sound");
+        assert_eq!(store.snapshot_at(1), None);
+        let rollback = store.rollback_to(1, CommitMeta::bare("rollback"));
+        assert!(rollback.is_err(), "{rollback:?}");
+        assert_eq!(store.serial(), 2);
+    }
+
+    #[test]
+    fn fsck_names_a_record_stored_under_another_address() {
+        let bytes = misfiled(2, ("aws_vpc.a", "a2"), ("aws_vpc.b", "b"));
+        let report = crate::fsck_bytes(&bytes);
+        let named = |e: &String| {
+            e.contains("put aws_vpc.a: the record stored under aws_vpc.a is that of aws_vpc.b")
+        };
+        assert!(report.errors.iter().any(named), "{}", report.render());
     }
 
     #[test]

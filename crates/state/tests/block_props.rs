@@ -1,9 +1,14 @@
-//! Property: [`Snapshot::block`] — one probe plus one key range — finds
-//! exactly the instances a filter over the whole map finds, in the same
-//! (rendered-address) order, whatever else the snapshot holds.
+//! Properties of the snapshot's lookups that are not a walk of its map:
+//!
+//! - [`Snapshot::block`] — one probe plus one key range — finds exactly the
+//!   instances a filter over the whole map finds, in the same
+//!   (rendered-address) order, whatever else the snapshot holds;
+//! - [`Snapshot::by_id`] — one probe of the index `put` and `remove` keep —
+//!   finds what a scan of the map finds for every id, through puts,
+//!   replacements, removals, moves and clones mutated on either side.
 
 use cloudless_state::{DeployedResource, Snapshot};
-use cloudless_types::{ResourceAddr, ResourceId, ResourceKey, SimTime};
+use cloudless_types::{ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
 use proptest::prelude::*;
 
 /// Module paths, types and names that extend one another, so that a
@@ -58,7 +63,7 @@ proptest! {
             for rtype in RTYPES {
                 for name in NAMES {
                     let scanned: Vec<&ResourceAddr> = snap
-                        .resources
+                        .resources()
                         .values()
                         .map(|r| &r.addr)
                         .filter(|a| {
@@ -74,5 +79,117 @@ proptest! {
         }
         // the blocks partition the snapshot
         prop_assert_eq!(found, snap.len());
+    }
+}
+
+/// Addresses the id-index property writes to: few, so that puts land on
+/// occupied addresses and moves on occupied targets.
+const SLOTS: usize = 6;
+
+fn slot(i: usize) -> ResourceAddr {
+    let addr = ResourceAddr::root("aws_vm", "web");
+    match i % 3 {
+        0 => addr.indexed(i as u32),
+        1 => addr.keyed(format!("k{i}")),
+        _ => ResourceAddr::root("aws_vm", format!("w{i}")),
+    }
+}
+
+/// One write to one of two snapshots (`side` 0 or 1).
+#[derive(Debug, Clone)]
+enum Write {
+    /// A new resource, with an id never used before, at `at`: a create, or
+    /// the replacement of whatever `at` held.
+    Put {
+        side: usize,
+        at: usize,
+    },
+    /// What `at` holds, its attributes edited, put back: the same id.
+    Edit {
+        side: usize,
+        at: usize,
+    },
+    Remove {
+        side: usize,
+        at: usize,
+    },
+    /// What `from` holds, removed and put under `to` with its id, as
+    /// reconcile moves a resource: `to`'s record, if any, is replaced.
+    Move {
+        side: usize,
+        from: usize,
+        to: usize,
+    },
+    /// Snapshot 1 becomes a clone of snapshot 0.
+    Fork,
+}
+
+fn writes() -> impl Strategy<Value = Vec<Write>> {
+    let write =
+        (0u8..5, 0usize..2, 0..SLOTS, 0..SLOTS).prop_map(|(kind, side, at, to)| match kind {
+            0 => Write::Put { side, at },
+            1 => Write::Edit { side, at },
+            2 => Write::Remove { side, at },
+            3 => Write::Move { side, from: at, to },
+            _ => Write::Fork,
+        });
+    proptest::collection::vec(write, 0..60)
+}
+
+fn resource(addr: ResourceAddr, id: String) -> DeployedResource {
+    DeployedResource {
+        id: ResourceId::new(id),
+        rtype: addr.rtype.clone(),
+        region: "us-east-1".into(),
+        attrs: Default::default(),
+        depends_on: Vec::new(),
+        created_at: SimTime::ZERO,
+        addr,
+    }
+}
+
+/// `by_id` against a scan of the map, for every id ever issued: the same
+/// record, and so `None` for an id no record holds any longer.
+fn assert_indexed_as_scanned(snap: &Snapshot, issued: usize) {
+    for n in 0..issued {
+        let id = format!("id-{n}");
+        let scanned = snap.resources().values().find(|r| r.id.as_str() == id);
+        prop_assert_eq!(snap.by_id(&id), scanned.map(|r| &**r), "{}", id);
+    }
+}
+
+proptest! {
+    #[test]
+    fn by_id_equals_the_whole_map_scan(writes in writes()) {
+        let mut snaps = [Snapshot::new(), Snapshot::new()];
+        let mut issued = 0;
+        for write in writes {
+            match write {
+                Write::Fork => snaps[1] = snaps[0].clone(),
+                Write::Put { side, at } => {
+                    snaps[side].put(resource(slot(at), format!("id-{issued}")));
+                    issued += 1;
+                }
+                Write::Edit { side, at } => {
+                    if let Some(held) = snaps[side].get(&slot(at)) {
+                        let mut edited = held.clone();
+                        edited.attrs.insert("tags".into(), Value::from(format!("e{issued}")));
+                        snaps[side].put(edited);
+                    }
+                }
+                Write::Remove { side, at } => {
+                    snaps[side].remove(&slot(at));
+                }
+                Write::Move { side, from, to } => {
+                    if let Some(mut moved) = snaps[side].remove(&slot(from)) {
+                        moved.addr = slot(to);
+                        snaps[side].put(moved);
+                    }
+                }
+            }
+            for snap in &snaps {
+                assert_indexed_as_scanned(snap, issued);
+            }
+        }
     }
 }

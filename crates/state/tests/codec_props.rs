@@ -230,7 +230,7 @@ proptest! {
         assert_round_trips(&r);
         // and through the store's canonical encoding
         let body = cloudless_state::cas::encode_resource(&r);
-        prop_assert_eq!(cloudless_state::cas::decode_resource(&body).expect("decodes"), r);
+        prop_assert_eq!(cloudless_state::cas::decode_resource(&r.addr.to_string(), &body).expect("decodes"), r);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn torn_final_append_recovers_and_persists() {
     assert!(report.torn_bytes_dropped > 0);
     assert_eq!(recovered.serial(), serial_before_crash);
     assert_eq!(recovered.torn_recoveries(), 1);
-    assert_eq!(recovered.current().resources.len(), 2);
+    assert_eq!(recovered.current().len(), 2);
     // the torn version line is gone; its already-flushed blob line may
     // survive as an orphan (compaction sweeps those), so the recovered
     // length sits between the last whole commit and the chop point
@@ -92,7 +92,7 @@ fn torn_header_recovers_to_an_empty_log() {
     let (store, report) = LogStore::open_file(&path).expect("recovery");
     assert!(report.torn_bytes_dropped > 0);
     assert_eq!(store.serial(), 0);
-    assert!(store.current().resources.is_empty());
+    assert!(store.current().is_empty());
     drop(store);
     let fsck = fsck_file(&path).expect("fsck reads");
     assert!(fsck.clean(), "{}", fsck.render());

@@ -119,7 +119,7 @@ fn drive(path: &Path, ops: &[Op]) -> (LogStore, Vec<(u64, Model)>) {
 }
 
 fn assert_matches_model(snap: &Snapshot, model: &Model) {
-    assert_eq!(snap.resources, model.resources);
+    assert_eq!(snap.resources(), &model.resources);
     assert_eq!(snap.outputs, model.outputs);
 }
 
@@ -139,7 +139,7 @@ proptest! {
         prop_assert_eq!(recovery.torn_bytes_dropped, 0);
         prop_assert_eq!(reopened.serial(), store.serial());
         assert_matches_model(reopened.current(), &Model {
-            resources: store.current().resources.clone(),
+            resources: store.current().resources().clone(),
             outputs: store.current().outputs.clone(),
         });
         for (serial, model) in &committed {
@@ -220,7 +220,7 @@ proptest! {
             None => {
                 // only the empty pre-history world has no committed model
                 prop_assert_eq!(serial, 0);
-                prop_assert!(reopened.current().resources.is_empty());
+                prop_assert!(reopened.current().is_empty());
             }
         }
         drop(reopened);

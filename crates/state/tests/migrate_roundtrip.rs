@@ -123,7 +123,7 @@ fn history_less_sessions_migrate_to_a_single_version() {
     assert_eq!(report.versions, 1);
     let (store, _) = LogStore::open_file(&dir.join("state.log")).expect("open");
     assert_eq!(store.serial(), 7, "the legacy serial is preserved");
-    assert_eq!(store.current().resources.len(), 1);
+    assert_eq!(store.current().len(), 1);
     assert_eq!(
         store.snapshot_at(7).expect("addressable").to_json(),
         store.current().to_json()

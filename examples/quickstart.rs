@@ -35,7 +35,7 @@ fn main() {
     );
 
     println!("\n=== resulting state ===");
-    for (addr, rec) in &engine.state().resources {
+    for (addr, rec) in engine.state().resources() {
         println!("  {addr}  ->  {}  ({})", rec.id, rec.region);
     }
 

@@ -21,12 +21,12 @@
 //! plan stage visits the block and at most its direct dependents, and the
 //! run allocates as often at 10 000 blocks as at 1 000.
 //!
-//! The test is a binary of its own because it installs a counting
-//! `#[global_allocator]`. The counters are per thread, so the tests here
-//! may run side by side.
+//! So has a drift poll (`a_poll_costs_its_events_not_the_estate`): the
+//! same events over a fourfold estate, the same allocations and no more
+//! bytes — the state answers "who holds this id" from its own index.
+//!
+//! The counting `#[global_allocator]` is `counting/mod.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -45,72 +45,8 @@ use cloudless_state::Snapshot;
 use cloudless_validate::incremental::ManifestIndex;
 use cloudless_validate::{validate_indexed, ValidationLevel};
 
-thread_local! {
-    /// (allocations, bytes requested) of this thread. `const`-initialised
-    /// and without a destructor, so reading it never allocates.
-    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // a thread being torn down has no counter left; nothing measured runs there
-    let _ = TALLY.try_with(|t| {
-        let (allocs, total) = t.get();
-        t.set((allocs + 1, total + bytes as u64));
-    });
-}
-
-/// The system allocator, counting every request for memory (`realloc`
-/// included: growing a `Vec` or a `String` is a trip to the allocator).
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; `note` touches only a thread-local
-// `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations and bytes one call made on this thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    allocs: u64,
-    bytes: u64,
-}
-
-fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    let (allocs, bytes) = TALLY.with(Cell::get);
-    let out = f();
-    let (allocs_after, bytes_after) = TALLY.with(Cell::get);
-    let tally = Tally {
-        allocs: allocs_after - allocs,
-        bytes: bytes_after - bytes,
-    };
-    (out, tally)
-}
+mod counting;
+use counting::{counted, Tally};
 
 /// One cold run over `random_layered(blocks, 42)` against an empty
 /// snapshot: the run's tally, and the same work stage by stage through the
@@ -347,9 +283,9 @@ fn the_back_half_of_a_one_block_apply_touches_one_block() {
     let rewound = store.snapshot_at(first).expect("addressable");
     assert_eq!(rewound, before);
     let shared = |a: &Snapshot, b: &Snapshot| {
-        a.resources
+        a.resources()
             .iter()
-            .filter(|(key, r)| b.resources.get(*key).is_some_and(|o| Arc::ptr_eq(r, o)))
+            .filter(|(key, r)| b.resources().get(*key).is_some_and(|o| Arc::ptr_eq(r, o)))
             .count()
     };
     assert_eq!(shared(&before, store.current()), BLOCKS - 1);
@@ -472,5 +408,59 @@ fn a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone() {
         "10x the blocks took {growth:.2}x the allocations of a warm replan: {:?} → {:?}",
         small.tally,
         large.tally
+    );
+}
+
+/// Out-of-band updates in each drifted estate below.
+const POLL_EVENTS: usize = 300;
+
+/// `random_layered(blocks, 7)`, converged, with [`POLL_EVENTS`] of its
+/// resources updated out of band: the tally of one poll of the whole
+/// activity log by a fresh watcher.
+fn poll_of_drift(blocks: usize) -> Tally {
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+    use cloudless_diagnose::LogWatcher;
+    use cloudless_types::Value;
+
+    let mut engine = Cloudless::new(Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    });
+    let converged = engine.converge(&random_layered(blocks, 7));
+    assert!(converged.expect("the estate converges").apply.all_ok());
+    let state = engine.state().clone();
+    let drifted = state.resources().values().step_by(blocks / POLL_EVENTS);
+    for r in drifted.take(POLL_EVENTS) {
+        let tags = [("tags".to_owned(), Value::from("drifted"))].into();
+        let updated = engine.cloud_mut().out_of_band_update("intern", &r.id, tags);
+        updated.expect("the resource is live");
+    }
+    let mut watcher = LogWatcher::new([Config::default().principal]);
+    let (report, tally) = counted(|| watcher.poll(engine.cloud(), &state));
+    assert_eq!(report.events.len(), POLL_EVENTS);
+    tally
+}
+
+/// A poll classifies each event by one probe of the state's id index, so
+/// it asks the heap for its report and nothing per resource: the same
+/// number of events over 2 000 and over 8 000 blocks makes the same
+/// allocations, and the bytes differ only by the longer address names of
+/// the larger estate. An index of the world built per poll is bytes per
+/// resource.
+#[test]
+fn a_poll_costs_its_events_not_the_estate() {
+    let (small, large) = (poll_of_drift(2_000), poll_of_drift(8_000));
+    println!("a poll of {POLL_EVENTS} drift events at 2 000 / 8 000 blocks: {small:?} / {large:?}");
+    assert_eq!(large.allocs, small.allocs, "{small:?} → {large:?}");
+    // a name or an id a few characters longer, per event
+    let slack = 8 * POLL_EVENTS as u64;
+    assert!(
+        large.bytes <= small.bytes + slack,
+        "4x the estate took {} more bytes for the same events: {small:?} → {large:?}",
+        large.bytes - small.bytes
     );
 }

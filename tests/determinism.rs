@@ -65,7 +65,7 @@ fn different_seed_same_structure() {
     let a: cloudless::state::Snapshot = cloudless::state::Snapshot::from_json(&s1).unwrap();
     let b: cloudless::state::Snapshot = cloudless::state::Snapshot::from_json(&s2).unwrap();
     assert_eq!(a.addrs(), b.addrs());
-    for (ra, rb) in a.resources.values().zip(b.resources.values()) {
+    for (ra, rb) in a.resources().values().zip(b.resources().values()) {
         assert_eq!(ra.attr("name"), rb.attr("name"));
         assert_eq!(ra.region, rb.region);
     }

@@ -203,7 +203,7 @@ fn reconcile_closes_the_loop_on_mixed_drift() {
     // and the rogue is now under management
     assert!(e
         .state()
-        .resources
+        .resources()
         .keys()
         .any(|a| a.starts_with("aws_s3_bucket.rogue_import_me")));
 }

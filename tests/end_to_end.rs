@@ -118,7 +118,7 @@ resource "azure_virtual_machine" "vm" {
         // project addresses + managed attrs (ids differ across runs)
         let mut shape: Vec<(String, Option<String>)> = e
             .state()
-            .resources
+            .resources()
             .values()
             .map(|r| {
                 (

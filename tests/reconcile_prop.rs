@@ -44,7 +44,7 @@ type Mutation = (usize, usize, String);
 fn mutate(e: &mut Cloudless, muts: &[Mutation]) -> usize {
     let mut applied = 0;
     for (kind, target, payload) in muts {
-        let addrs: Vec<_> = e.state().resources.keys().cloned().collect();
+        let addrs: Vec<_> = e.state().resources().keys().cloned().collect();
         match kind % 3 {
             0 => {
                 let addr = addrs[target % addrs.len()].parse().unwrap();

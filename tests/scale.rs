@@ -1,27 +1,23 @@
-//! Scale regression guard: the random-10k workload must run through the
-//! whole pipeline (generate, parse+expand, diff, plan, schedule, apply)
-//! within a generous wall-clock budget.
+//! Scale regression guards that count work instead of timing it, so they
+//! fail the same way on every host.
 //!
-//! The budget is deliberately loose — tier-1 tests may run unoptimized and
-//! on shared hardware — but it is tight enough to catch a reintroduced
-//! quadratic hot path: before the O(V+E) plan/schedule/apply rework, the
-//! 10k pipeline was over an order of magnitude slower than it is now, and
-//! any O(n^2) stage blows well past this limit at n = 10_000.
+//! The random-10k workload runs through the whole pipeline (generate,
+//! parse+expand, diff, plan, schedule, apply) and keeps its shape; its
+//! allocations per decade are `alloc_budget.rs`'s gate, and its times are
+//! `BENCH_*.json`'s (E14, release-only, checked by `scripts/check_bench.sh`).
 //!
-//! Precise trajectory tracking lives in `BENCH_*.json` (E14, release-only,
-//! checked by `scripts/check_bench.sh`); this test is only a coarse
-//! backstop that runs with the regular suite.
-//!
-//! The drift classifier gets a host-independent guard instead of a budget:
-//! its time at 4× the blocks over its time at 1×, which is 4 for one
-//! grouping pass and 16 for a scan of the manifest per block. So does the
-//! structural splice: a block inserted into or deleted from a warm memo
-//! over its program's cold run, which is a few percent when the splice
-//! renumbers integers and at least 1 when it re-derives the world.
+//! The drift classifier and the full refresh are held to allocations linear
+//! in the estate: 4x the blocks is about 4x the allocations, and a pass that
+//! builds something per block over all of them is 16x. A quadratic walk
+//! that allocates nothing is invisible to a count; their wall-time ratios
+//! are the `#[ignore]`d `*_time_*` tests, run in release by CI. A
+//! structural save — a block inserted into or deleted from a warm memo —
+//! asks the heap for a small fraction of what the program's cold run does,
+//! and its trace puts one block in scope.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
@@ -31,92 +27,136 @@ use cloudless_bench::workloads::random_layered;
 use cloudless_cloud::{Catalog, CloudConfig};
 use cloudless_deploy::full_refresh;
 use cloudless_deploy::resolver::DataResolver;
-use cloudless_diagnose::reconcile::classify;
-use cloudless_diagnose::LogWatcher;
-use cloudless_hcl::program::{expand, ModuleLibrary, Program};
+use cloudless_diagnose::reconcile::{classify, ReconcilePlan};
+use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, Program};
 use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::{Region, ResourceId, SimTime, Value};
 use cloudless_validate::ValidationLevel;
 
+mod counting;
+use counting::counted;
+
+/// The 10k pipeline end to end, held to its shape; its allocations and its
+/// times are gated elsewhere (see the module docs).
 #[test]
 fn random_10k_pipeline_within_wall_budget() {
-    // Debug builds are roughly 10-20x slower than release; the release
-    // pipeline finishes in ~0.2s, so 120s leaves two orders of magnitude
-    // of headroom while still failing fast on quadratic behavior.
-    let budget = Duration::from_secs(120);
-    let start = Instant::now();
     let point = e14_scale::measure("random-10k", 10_000, 1);
-    let elapsed = start.elapsed();
-
     assert_eq!(point.nodes, 10_000, "workload should expand to 10k nodes");
     assert!(point.edges > 0, "workload should have dependency edges");
     assert!(point.waves > 0, "schedule should produce waves");
+}
+
+/// A drifted estate of `blocks` layered singletons plus a `count` fleet and
+/// a `for_each` set of `blocks / 8` instances each, as `classify` takes it.
+struct Drifted {
+    program: Program,
+    manifest: Manifest,
+    state: Snapshot,
+}
+
+impl Drifted {
+    fn new(blocks: usize) -> Drifted {
+        let fleet = blocks / 8;
+        let keys: Vec<String> = (0..fleet).map(|k| format!("\"k{k}\"")).collect();
+        let source = format!(
+            "{}resource \"aws_s3_bucket\" \"fleet\" {{\n  count = {fleet}\n  bucket = \"fleet-${{count.index}}\"\n}}\n\
+             resource \"aws_s3_bucket\" \"set\" {{\n  for_each = [{}]\n  bucket = \"set-${{each.key}}\"\n}}\n",
+            random_layered(blocks, 7),
+            keys.join(", ")
+        );
+        let program =
+            Program::from_file(cloudless_hcl::parse(&source, "main.tf").unwrap()).unwrap();
+        let data = DataResolver::new();
+        let manifest = expand(&program, &BTreeMap::new(), &ModuleLibrary::new(), &data).unwrap();
+        assert_eq!(manifest.instances.len(), blocks + 2 * fleet);
+
+        // the state a converge would have left, then drift: every 7th
+        // instance deleted out of band, every 11th with an attribute changed
+        let mut state = Snapshot::new();
+        for (i, inst) in manifest.instances.iter().enumerate() {
+            if i % 7 == 3 {
+                continue;
+            }
+            let mut attrs = inst.attrs.clone();
+            if i % 11 == 5 {
+                if let Some(value) = attrs.values_mut().next() {
+                    *value = Value::from("drifted");
+                }
+            }
+            state.put(DeployedResource {
+                addr: inst.addr.clone(),
+                id: ResourceId::new(format!("id-{i}")),
+                rtype: inst.addr.rtype.clone(),
+                region: Region::new("us-east-1"),
+                attrs,
+                depends_on: Vec::new(),
+                created_at: SimTime::default(),
+            });
+        }
+        Drifted {
+            program,
+            manifest,
+            state,
+        }
+    }
+
+    fn classify(&self) -> ReconcilePlan {
+        let (records, catalog) = (BTreeMap::new(), Catalog::standard());
+        let plan = classify(
+            &self.program,
+            &self.manifest,
+            &self.state,
+            &records,
+            &catalog,
+        );
+        let blocks = self.program.resources.len() - 2;
+        assert!(plan.ops.len() > blocks / 10, "the drift must classify");
+        assert!(!plan.moves.is_empty() && !plan.overwrites.is_empty());
+        plan
+    }
+}
+
+/// Allocations of one `classify`: 4x the blocks is 4x and a little more
+/// (maps and vectors double as they grow); a pass that builds something
+/// per block over the manifest is 16x.
+#[test]
+fn classify_grows_linearly_in_blocks() {
+    let n = 2_000;
+    let tally = |blocks| {
+        let drifted = Drifted::new(blocks);
+        counted(|| drifted.classify()).1
+    };
+    let (small, large) = (tally(n), tally(4 * n));
+    let ratio = large.allocs as f64 / small.allocs as f64;
+    println!("classify at {n} / {} blocks: {small:?} / {large:?}", 4 * n);
     assert!(
-        elapsed < budget,
-        "random-10k pipeline took {elapsed:?}, over the {budget:?} budget; \
-         stage millis: {:?}",
-        point.millis
+        ratio < 4.5,
+        "classify made {ratio:.2}x the allocations at 4x the blocks: {small:?} → {large:?}"
     );
 }
 
-/// Median wall time of three `classify` runs over a drifted estate of
-/// `blocks` layered singletons plus a `count` fleet and a `for_each` set of
-/// `blocks / 8` instances each.
+/// Median wall time of three `classify` runs over [`Drifted`].
 fn classify_millis(blocks: usize) -> f64 {
-    let fleet = blocks / 8;
-    let keys: Vec<String> = (0..fleet).map(|k| format!("\"k{k}\"")).collect();
-    let source = format!(
-        "{}resource \"aws_s3_bucket\" \"fleet\" {{\n  count = {fleet}\n  bucket = \"fleet-${{count.index}}\"\n}}\n\
-         resource \"aws_s3_bucket\" \"set\" {{\n  for_each = [{}]\n  bucket = \"set-${{each.key}}\"\n}}\n",
-        random_layered(blocks, 7),
-        keys.join(", ")
-    );
-    let program = Program::from_file(cloudless_hcl::parse(&source, "main.tf").unwrap()).unwrap();
-    let data = DataResolver::new();
-    let manifest = expand(&program, &BTreeMap::new(), &ModuleLibrary::new(), &data).unwrap();
-    assert_eq!(manifest.instances.len(), blocks + 2 * fleet);
-
-    // the state a converge would have left, then drift: every 7th instance
-    // deleted out of band, every 11th with an attribute changed
-    let mut state = Snapshot::new();
-    for (i, inst) in manifest.instances.iter().enumerate() {
-        if i % 7 == 3 {
-            continue;
-        }
-        let mut attrs = inst.attrs.clone();
-        if i % 11 == 5 {
-            if let Some(value) = attrs.values_mut().next() {
-                *value = Value::from("drifted");
-            }
-        }
-        state.put(DeployedResource {
-            addr: inst.addr.clone(),
-            id: ResourceId::new(format!("id-{i}")),
-            rtype: inst.addr.rtype.clone(),
-            region: Region::new("us-east-1"),
-            attrs,
-            depends_on: Vec::new(),
-            created_at: SimTime::default(),
-        });
-    }
-
-    let (records, catalog) = (BTreeMap::new(), Catalog::standard());
+    let drifted = Drifted::new(blocks);
     let mut millis: Vec<f64> = (0..3)
         .map(|_| {
             let start = Instant::now();
-            let plan = classify(&program, &manifest, &state, &records, &catalog);
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            assert!(plan.ops.len() > blocks / 10, "the drift must classify");
-            assert!(!plan.moves.is_empty() && !plan.overwrites.is_empty());
-            elapsed
+            drifted.classify();
+            start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
     millis.sort_by(f64::total_cmp);
     millis[1]
 }
 
+/// The wall-time backstop of `classify_grows_linearly_in_blocks`: its time
+/// at 4x the blocks over its time at 1x, which is 4 for one grouping pass
+/// and 16 for a scan of the manifest per block. It depends on the host's
+/// caches and load, so it is `#[ignore]`d and run in release by CI:
+/// `cargo test --release --test scale -- --ignored`.
 #[test]
-fn classify_grows_linearly_in_blocks() {
+#[ignore = "wall-time ratio: run in release"]
+fn classify_time_grows_linearly_in_blocks() {
     let n = 2_000;
     let (small, large) = (classify_millis(n), classify_millis(4 * n));
     let ratio = large / small;
@@ -128,6 +168,23 @@ fn classify_grows_linearly_in_blocks() {
     );
 }
 
+/// `k`, `n` and what the shape adds of a warm run's `k of n block(s) in
+/// scope[, +a inserted, −r removed]`.
+fn in_scope(detail: &str) -> (usize, usize, String) {
+    let (counts, shape) = detail
+        .split_once(" block(s) in scope")
+        .unwrap_or_else(|| panic!("a warm run says what it had in scope: {detail:?}"));
+    let (k, n) = counts.split_once(" of ").expect("k of n");
+    let count = |text: &str| text.parse().expect("a count");
+    (count(k), count(n), shape.to_owned())
+}
+
+/// A block inserted into, or deleted from, a warm memo of 8 000 blocks: the
+/// trace puts the one block in scope, and the save asks the heap for at
+/// most a quarter of what the program's cold run does. Measured when the
+/// gate was set: 44 241–44 280 allocations a save against 475 252 for the
+/// cold run, 9.3 %, so the bound has a 2.7x margin; a splice that
+/// re-derives the world is the whole cold run.
 #[test]
 fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
     let blocks = 8_000;
@@ -147,18 +204,15 @@ fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
         miner: None,
         recorder: &recorder,
     };
-    let median = |mut millis: Vec<f64>| {
-        millis.sort_by(f64::total_cmp);
-        millis[millis.len() / 2]
-    };
-    let timed = |pipe: &mut IncrementalPipeline, source: &str, fast: bool| {
-        let start = Instant::now();
-        let out = pipe.run(source, &ctx).unwrap_or_else(|_| panic!("clean"));
+    // the run's allocations and, warm, the parse stage's scope
+    let run = |pipe: &mut IncrementalPipeline, source: &str, fast: bool| {
+        let (out, tally) = counted(|| pipe.run(source, &ctx));
+        let out = out.unwrap_or_else(|_| panic!("clean"));
         assert_eq!(out.trace.fast_path, fast, "{}", out.trace);
-        start.elapsed().as_secs_f64() * 1e3
+        let parse = out.trace.stages.iter().find(|s| s.stage == "parse");
+        (tally, parse.map(|s| s.detail.clone()).unwrap_or_default())
     };
-    let colds = (0..3).map(|_| timed(&mut IncrementalPipeline::default(), &base, false));
-    let cold = median(colds.collect());
+    let (cold, _) = run(&mut IncrementalPipeline::default(), &base, false);
 
     // one warm memo; each insert is followed by the delete that undoes it
     let extra = "resource \"aws_s3_bucket\" \"extra\" {\n  bucket = \"extra\"\n}\n";
@@ -170,24 +224,29 @@ fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
     let appended = format!("{base}{extra}");
     let inserted = format!("{}{extra}{}", &base[..middle], &base[middle..]);
     let mut warm = IncrementalPipeline::default();
-    timed(&mut warm, &base, false);
+    run(&mut warm, &base, false);
     for (shape, grown) in [
         ("a tail append", &appended),
         ("a mid-file insert", &inserted),
     ] {
-        let mut saves = (Vec::new(), Vec::new());
-        for _ in 0..3 {
-            saves.0.push(timed(&mut warm, grown, true));
-            saves.1.push(timed(&mut warm, &base, true));
-        }
-        for (what, millis) in [
-            (shape, median(saves.0)),
-            ("the matching delete", median(saves.1)),
+        for (what, source, scope) in [
+            (shape, grown, (1, blocks + 1, ", +1 inserted, −0 removed")),
+            (
+                "the matching delete",
+                &base,
+                (1, blocks, ", +0 inserted, −1 removed"),
+            ),
         ] {
+            let (save, detail) = run(&mut warm, source, true);
+            println!("{what}: {save:?} against a cold run's {cold:?}: {detail}");
+            let (k, n, resized) = in_scope(&detail);
+            assert_eq!((k, n, resized.as_str()), scope, "{what}: {detail}");
             assert!(
-                millis * 4.0 <= cold,
-                "{what} took {millis:.2} ms on a warm memo against {cold:.2} ms for a cold run \
-                 of the same {blocks} blocks: a splice is O(edit) plus one integer renumbering"
+                save.allocs * 4 <= cold.allocs,
+                "{what} made {} allocations on a warm memo against {} for a cold run of the \
+                 same {blocks} blocks: a splice is O(edit) plus one integer renumbering",
+                save.allocs,
+                cold.allocs
             );
         }
     }
@@ -205,91 +264,79 @@ fn exact_unmetered() -> Config {
     }
 }
 
-/// A converged layered estate of `instances` resources, as a timer: each
-/// call is the median wall time of three `full_refresh` passes over it.
-fn full_refresh_timer(instances: usize) -> impl FnMut() -> f64 {
+/// A converged layered estate of `instances` resources, and a refresh of
+/// it: each call is one `full_refresh` pass over a copy of its state, run
+/// inside `measure` (a count or a clock), and what `measure` returned.
+fn full_refresh_pass<T>(
+    instances: usize,
+    measure: impl Fn(&mut dyn FnMut()) -> T,
+) -> impl FnMut() -> T {
     let mut engine = Cloudless::new(exact_unmetered());
     let applied = engine.converge(&random_layered(instances, 7));
     assert!(applied.expect("the estate converges").apply.all_ok());
     let state = engine.state().clone();
     move || {
-        let mut millis: Vec<f64> = (0..3)
-            .map(|_| {
-                let mut state = state.clone();
-                let start = Instant::now();
-                let report = full_refresh(engine.cloud_mut(), &mut state, "refresher");
-                let elapsed = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(report.reads, instances as u64);
-                assert!(report.updated.is_empty() && report.missing.is_empty());
-                elapsed
-            })
-            .collect();
-        millis.sort_by(f64::total_cmp);
-        millis[1]
+        let (mut state, mut report) = (state.clone(), None);
+        let measured = measure(&mut || {
+            report = Some(full_refresh(engine.cloud_mut(), &mut state, "refresher"));
+        });
+        let report = report.expect("the pass ran");
+        assert_eq!(report.reads, instances as u64);
+        assert!(report.updated.is_empty() && report.missing.is_empty());
+        measured
     }
 }
 
 /// One read per resource, each completion looked up once: 4x the estate is
-/// 4x the reads and about 5x the time (ordered maps, a heap, a larger working
-/// set). Looking every completion up by a scan of them all, as the refresh
-/// and the drift scan did, is 16x. A busy host inflates one reading, not
-/// three in a row, so the guard takes the best of three.
+/// 4x the reads and about 4x the allocations. Looking every completion up
+/// by a scan that collects them, or building a per-resource index of the
+/// world per read, is 16x.
 #[test]
 fn full_refresh_grows_linearly_in_instances() {
     let n = 2_000;
-    let (mut small, mut large) = (full_refresh_timer(n), full_refresh_timer(4 * n));
-    let ratios: Vec<f64> = (0..3).map(|_| large() / small()).collect();
+    let tally = |instances| full_refresh_pass(instances, |pass| counted(pass).1)();
+    let (small, large) = (tally(n), tally(4 * n));
+    let ratio = large.allocs as f64 / small.allocs as f64;
+    println!(
+        "full_refresh at {n} / {} instances: {small:?} / {large:?}",
+        4 * n
+    );
+    assert!(
+        ratio < 4.5,
+        "full_refresh made {ratio:.2}x the allocations at 4x the instances: {small:?} → {large:?}"
+    );
+}
+
+/// The wall-time backstop of `full_refresh_grows_linearly_in_instances`:
+/// about 5x the time at 4x the estate (ordered maps, a heap, a larger
+/// working set), where a scan of every completion per completion, as the
+/// refresh and the drift scan once did, is 16x. A busy host inflates one
+/// reading, not three in a row, so it takes the best of three ratios of
+/// medians of three. It depends on the host's caches and load, so it is
+/// `#[ignore]`d and run in release by CI: `cargo test --release --test
+/// scale -- --ignored`.
+#[test]
+#[ignore = "wall-time ratio: run in release"]
+fn full_refresh_time_grows_linearly_in_instances() {
+    let n = 2_000;
+    let timed = |pass: &mut dyn FnMut()| {
+        let start = Instant::now();
+        pass();
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    let median = |pass: &mut dyn FnMut() -> f64| {
+        let mut millis: Vec<f64> = (0..3).map(|_| pass()).collect();
+        millis.sort_by(f64::total_cmp);
+        millis[1]
+    };
+    let (mut small, mut large) = (full_refresh_pass(n, timed), full_refresh_pass(4 * n, timed));
+    let ratios: Vec<f64> = (0..3)
+        .map(|_| median(&mut large) / median(&mut small))
+        .collect();
     assert!(
         ratios.iter().any(|ratio| *ratio < 6.0),
         "full_refresh at {} instances over {n} took {ratios:.1?} times as long",
         4 * n
-    );
-}
-
-/// A converged layered estate of `instances` resources, `events` of them
-/// updated out of band, as a timer: each call is the fastest of five polls
-/// of the whole activity log by a fresh watcher.
-fn watch_drift_timer(instances: usize, events: usize) -> impl FnMut() -> f64 {
-    let mut engine = Cloudless::new(exact_unmetered());
-    let applied = engine.converge(&random_layered(instances, 7));
-    assert!(applied.expect("the estate converges").apply.all_ok());
-    let state = engine.state().clone();
-    let drifted = state.resources.values().step_by(instances / events);
-    for r in drifted.take(events) {
-        let tags = [("tags".to_owned(), Value::from("drifted"))].into();
-        let updated = engine.cloud_mut().out_of_band_update("intern", &r.id, tags);
-        updated.expect("the resource is live");
-    }
-    move || {
-        let polls = (0..5).map(|_| {
-            let mut watcher = LogWatcher::new([Config::default().principal]);
-            let start = Instant::now();
-            let report = watcher.poll(engine.cloud(), &state);
-            let elapsed = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(report.events.len(), events);
-            elapsed
-        });
-        polls.fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// A poll classifies each event against one id index of the world: 10x the
-/// estate and 10x the events is 10x the work and a little more (measured
-/// 10.5–11.7x, debug and release). Finding each event's resource by a scan
-/// of the world is 100x and more (240–300x from 1 000 to 10 000). The small
-/// estate is already several megabytes: from one that fits a core's cache
-/// to one that does not, the one walk of the world alone costs 30x. Best
-/// of three, as above.
-#[test]
-fn watch_drift_grows_linearly_in_events_and_instances() {
-    let (n, e) = (3_000, 300);
-    let (mut small, mut large) = (watch_drift_timer(n, e), watch_drift_timer(10 * n, 10 * e));
-    let ratios: Vec<f64> = (0..3).map(|_| large() / small()).collect();
-    assert!(
-        ratios.iter().any(|ratio| *ratio <= 15.0),
-        "a poll of {} events over {} instances took {ratios:.1?} times one of {e} over {n}",
-        10 * e,
-        10 * n
     );
 }
 
