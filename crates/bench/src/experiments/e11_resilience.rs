@@ -6,7 +6,8 @@
 //! compares the legacy executor policy (immediate retry ×3, no deadlines,
 //! no breaker) against the resilient one (exponential backoff with seeded
 //! jitter, per-op deadlines that cancel hung ops, a per-provider circuit
-//! breaker, and a bigger attempt budget).
+//! breaker, and a bigger attempt budget). The legacy policy is [`legacy`],
+//! kept here because no product path runs it.
 //!
 //! A second table shows checkpoint/resume: a partially-failed apply's
 //! completed addresses are fed back via [`Executor::resume_from`], and only the
@@ -14,7 +15,9 @@
 
 use cloudless::cloud::{Cloud, CloudConfig, FaultPlan};
 use cloudless::deploy::resolver::DataResolver;
-use cloudless::deploy::{diff, ApplyReport, Executor, Plan, ResiliencePolicy, Strategy};
+use cloudless::deploy::{
+    diff, ApplyReport, DeadlinePolicy, Executor, Plan, ResiliencePolicy, RetryPolicy, Strategy,
+};
 use cloudless::state::Snapshot;
 
 use crate::table::Table;
@@ -22,6 +25,17 @@ use crate::workloads;
 use crate::SEED;
 
 const STRATEGY: Strategy = Strategy::CriticalPath { max_in_flight: 64 };
+
+/// The seed executor's behavior: immediate retries, no deadlines, no
+/// breaker.
+pub fn legacy() -> ResiliencePolicy {
+    ResiliencePolicy {
+        retry: RetryPolicy::immediate(),
+        deadline: DeadlinePolicy::None,
+        breaker: None,
+        seed: 7,
+    }
+}
 
 /// Like [`super::deploy`] but with faults on and no `all_ok` assertion —
 /// partial failure is the point here.
@@ -88,7 +102,7 @@ pub fn run() -> String {
     ];
     for (plan_name, faults) in plans {
         for (policy_name, policy) in [
-            ("legacy", ResiliencePolicy::legacy()),
+            ("legacy", legacy()),
             ("resilient", ResiliencePolicy::standard()),
         ] {
             let (report, _, _, _) = faulty_apply(&src, policy, faults, SEED);
@@ -100,7 +114,7 @@ pub fn run() -> String {
     // checkpoint/resume: fail under the legacy policy mid-storm, then feed
     // the partial report back and finish with the resilient policy.
     let (first, mut cloud, mut state, plan) =
-        faulty_apply(&src, ResiliencePolicy::legacy(), FaultPlan::storm(), SEED);
+        faulty_apply(&src, legacy(), FaultPlan::storm(), SEED);
     let completed_before = first.completed_addrs().len();
     let data = DataResolver::new();
     let resumed = Executor::new(STRATEGY, &data)
@@ -136,15 +150,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn legacy_policy_reproduces_immediate_retry() {
+        // 40% transient faults, no hangs: the legacy policy retries at once,
+        // never cancels and never trips a breaker
+        let faults = FaultPlan {
+            transient_failure_rate: 0.4,
+            hang_rate: 0.0,
+            hang_factor: 1.0,
+            ..FaultPlan::none()
+        };
+        let src = r#"
+resource "aws_s3_bucket" "b" {
+  count  = 10
+  bucket = "bucket-${count.index}"
+}
+"#;
+        let (report, _, state, _) = faulty_apply(src, legacy(), faults, 1234);
+        assert!(report.all_ok(), "{:?}", report.errors());
+        assert!(report.retries > 0);
+        assert_eq!((report.timeouts, report.breaker_trips), (0, 0));
+        assert_eq!(state.len(), 10);
+    }
+
+    #[test]
     fn resilient_policy_beats_legacy_under_storm() {
         // everything is seeded, so scan for a storm that visibly hurts the
         // legacy policy (a 30% transient rate breaks ~1 in 60 nodes per
         // attempt budget; cascaded skips amplify it on some seeds)
         let src = workloads::random_dag(60, SEED);
         for seed in 0..50 {
-            let (legacy, _, _, _) =
-                faulty_apply(&src, ResiliencePolicy::legacy(), FaultPlan::storm(), seed);
-            let legacy_bad = legacy.failures() + legacy.skips();
+            let (baseline, _, _, _) = faulty_apply(&src, legacy(), FaultPlan::storm(), seed);
+            let legacy_bad = baseline.failures() + baseline.skips();
             if legacy_bad < 3 {
                 continue;
             }
@@ -169,7 +205,7 @@ mod tests {
         tough.retry.max_attempts_per_node = 12;
         for seed in 0..50 {
             let (first, mut cloud, mut state, plan) =
-                faulty_apply(&src, ResiliencePolicy::legacy(), FaultPlan::storm(), seed);
+                faulty_apply(&src, legacy(), FaultPlan::storm(), seed);
             if first.all_ok() {
                 continue;
             }

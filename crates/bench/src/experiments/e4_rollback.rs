@@ -57,28 +57,15 @@ fn divergence(engine: &Cloudless, checkpoint: &cloudless::state::Snapshot) -> us
             continue;
         };
         let schema = catalog.get(&rec.rtype);
-        for (k, v) in &rec.attrs {
-            let computed = schema
-                .and_then(|s| s.attr(k))
-                .map(|a| a.computed)
-                .unwrap_or(false);
-            if computed {
-                continue;
-            }
+        let managed = |k: &String| schema.is_some_and(|s| s.settable(k).is_some());
+        for (k, v) in rec.attrs.iter().filter(|(k, _)| managed(k)) {
             if live.attrs.get(k) != Some(v) {
                 diverged += 1;
             }
         }
         // attrs present live but absent at checkpoint count too
-        for k in live.attrs.keys() {
-            let computed = schema
-                .and_then(|s| s.attr(k))
-                .map(|a| a.computed)
-                .unwrap_or(false);
-            if !computed && !rec.attrs.contains_key(k) {
-                diverged += 1;
-            }
-        }
+        let set_since = |k: &&String| managed(k) && !rec.attrs.contains_key(*k);
+        diverged += live.attrs.keys().filter(set_since).count();
     }
     diverged
 }

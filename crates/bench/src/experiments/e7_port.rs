@@ -9,16 +9,62 @@
 //! IaC), then ported both ways. Quality metrics per DESIGN.md; fidelity is
 //! asserted by round-trip (generated program diffs to all-no-ops against
 //! the imported state).
+//!
+//! The naive side is [`naive_port`], the Terraformer/Aztfy-style baseline
+//! the paper criticizes, kept here because no product path ports that way.
 
-use cloudless::cloud::CloudConfig;
+use std::collections::BTreeSet;
+
+use cloudless::cloud::{Catalog, CloudConfig, ResourceRecord};
 use cloudless::deploy::diff::{diff, Action};
 use cloudless::deploy::resolver::DataResolver;
-use cloudless::port::{metrics, naive_port, optimized_port};
+use cloudless::hcl::ast::{Attribute, Block, BlockBody, File};
+use cloudless::hcl::value_to_expr;
+use cloudless::port::{label_for, metrics, optimized_port};
 use cloudless::state::{DeployedResource, Snapshot};
+use cloudless::types::Span;
 
 use crate::table::{f, pct, Table};
 use crate::workloads::clickops_fleet;
 use crate::SEED;
+
+/// Port `records` the naive way: one `resource` block per record, in id
+/// order, every attribute a program may set dumped verbatim, references
+/// left as hardcoded id strings — the "lacks clear structures" output.
+pub fn naive_port(records: &[ResourceRecord], catalog: &Catalog) -> File {
+    let sp = Span::synthetic();
+    let mut taken = BTreeSet::new();
+    let mut sorted: Vec<&ResourceRecord> = records.iter().collect();
+    sorted.sort_by(|a, b| a.id.cmp(&b.id));
+    let blocks = sorted.into_iter().map(|record| {
+        let label = label_for(record, &mut taken);
+        let schema = catalog.get(&record.rtype);
+        // even the naive tool keeps to what the API accepts back, or its
+        // output would not even apply
+        let settable = record
+            .attrs
+            .iter()
+            .filter(|(name, _)| schema.is_some_and(|s| s.settable(name).is_some()));
+        let attrs = settable.map(|(name, value)| Attribute {
+            name: name.clone(),
+            value: value_to_expr(value),
+            span: sp,
+        });
+        Block {
+            kind: "resource".to_owned(),
+            labels: vec![record.rtype.as_str().to_owned(), label],
+            body: BlockBody {
+                attrs: attrs.collect(),
+                blocks: vec![],
+            },
+            span: sp,
+        }
+    });
+    File {
+        filename: "imported.tf".to_owned(),
+        blocks: blocks.collect(),
+    }
+}
 
 struct PortOutcome {
     lines: usize,
@@ -270,6 +316,100 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudless::types::value::attrs;
+    use cloudless::types::{Region, ResourceId, ResourceTypeName, SimTime, Value};
+
+    fn record(id: &str, rtype: &str, a: cloudless::types::Attrs) -> ResourceRecord {
+        ResourceRecord {
+            id: ResourceId::new(id),
+            rtype: ResourceTypeName::new(rtype),
+            region: Region::new("us-east-1"),
+            attrs: a,
+            created_at: SimTime::ZERO,
+            updated_at: SimTime::ZERO,
+        }
+    }
+
+    #[test]
+    fn naive_port_emits_one_block_per_record() {
+        let records = vec![
+            record(
+                "aws-v-0001",
+                "aws_vpc",
+                attrs([
+                    ("cidr_block", Value::from("10.0.0.0/16")),
+                    ("id", Value::from("aws-v-0001")),
+                ]),
+            ),
+            record(
+                "aws-sb-0002",
+                "aws_s3_bucket",
+                attrs([
+                    ("bucket", Value::from("logs")),
+                    ("id", Value::from("aws-sb-0002")),
+                    ("arn", Value::from("arn:sim:aws:us-east-1:aws-sb-0002")),
+                    ("bogus_attribute", Value::from("x")),
+                ]),
+            ),
+        ];
+        let file = naive_port(&records, &Catalog::standard());
+        assert_eq!(file.blocks.len(), 2);
+        // computed (id, arn) and undeclared attrs are skipped; the rest
+        // dumped verbatim
+        let bucket = file
+            .blocks
+            .iter()
+            .find(|b| b.labels[0] == "aws_s3_bucket")
+            .unwrap();
+        assert!(bucket.body.attr("bucket").is_some());
+        for skipped in ["id", "arn", "bogus_attribute"] {
+            assert!(bucket.body.attr(skipped).is_none(), "{skipped}");
+        }
+        // output re-parses
+        let text = cloudless::hcl::render_file(&file);
+        assert!(cloudless::hcl::parse(&text, "t").is_ok(), "{text}");
+    }
+
+    #[test]
+    fn labels_are_sanitized_and_unique() {
+        let bucket = |id, name| record(id, "aws_s3_bucket", attrs([("bucket", Value::from(name))]));
+        let records = vec![
+            bucket("x-1", "my-logs"),
+            bucket("x-2", "my-logs"),
+            bucket("x-3", "42weird name!"),
+        ];
+        let file = naive_port(&records, &Catalog::standard());
+        let labels: Vec<&str> = file.blocks.iter().map(|b| b.labels[1].as_str()).collect();
+        assert_eq!(labels, ["my_logs", "my_logs_2", "r42weird_name_"]);
+    }
+
+    #[test]
+    fn references_stay_hardcoded() {
+        // the baseline's defining flaw
+        let records = vec![
+            record(
+                "vpc-1",
+                "aws_vpc",
+                attrs([("cidr_block", Value::from("10.0.0.0/16"))]),
+            ),
+            record(
+                "sn-1",
+                "aws_subnet",
+                attrs([
+                    ("vpc_id", Value::from("vpc-1")),
+                    ("cidr_block", Value::from("10.0.1.0/24")),
+                ]),
+            ),
+        ];
+        let file = naive_port(&records, &Catalog::standard());
+        let subnet = file
+            .blocks
+            .iter()
+            .find(|b| b.labels[0] == "aws_subnet")
+            .unwrap();
+        let vpc_id = subnet.body.attr("vpc_id").unwrap();
+        assert_eq!(vpc_id.value.as_plain_str(), Some("vpc-1"));
+    }
 
     #[test]
     fn optimizer_dominates_naive_on_every_metric() {

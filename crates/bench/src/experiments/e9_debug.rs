@@ -21,7 +21,6 @@ use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::{diff, Executor, Plan, Strategy};
 use cloudless::diagnose::explain;
 use cloudless::state::Snapshot;
-use cloudless::validate::ValidationLevel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,7 +54,6 @@ fn measure(class: &str, truth_attr: &str) -> Score {
         with_related: 0,
         total: 0,
     };
-    let _ = ValidationLevel::SyntaxOnly; // baseline pipeline skips validation
     for _ in 0..20 {
         let src = super::e6_validate::program(class, &mut rng);
         let manifest = super::manifest_of(&src);

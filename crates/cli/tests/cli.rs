@@ -117,6 +117,22 @@ fn full_session_lifecycle() {
 }
 
 #[test]
+fn an_import_after_an_undeclared_rogue_attribute_validates() {
+    let t = TempSession::new("import-undeclared");
+    assert!(run(&["init", t.path()]).status.success());
+    let tf = t.write("infra.tf", PROGRAM);
+    let out = run(&["apply", t.path(), &tf]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["rogue", t.path(), "aws_vpc.main", "bogus_attribute", "x"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let imported = stdout(&run(&["import", t.path()]));
+    assert!(!imported.contains("bogus_attribute"), "{imported}");
+    let out = run(&["validate", &t.write("imported.tf", &imported)]);
+    assert!(out.status.success(), "{}\n{imported}", stderr(&out));
+}
+
+#[test]
 fn validate_catches_cloud_rules_without_a_session() {
     let t = TempSession::new("validate");
     std::fs::create_dir_all(&t.dir).unwrap();

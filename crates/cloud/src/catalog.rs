@@ -146,6 +146,13 @@ impl ResourceSchema {
         self.attrs.get(name)
     }
 
+    /// The schema of `name` when a program may set it: declared, and not
+    /// computed. Everything that writes live state back as code keeps
+    /// exactly these attributes.
+    pub fn settable(&self, name: &str) -> Option<&AttrSchema> {
+        self.attr(name).filter(|a| !a.computed)
+    }
+
     /// All required, non-computed attributes.
     pub fn required_attrs(&self) -> impl Iterator<Item = &AttrSchema> {
         self.attrs.values().filter(|a| a.required && !a.computed)

@@ -57,8 +57,7 @@ pub struct Config {
     /// too, [`LintGate::Off`] skips the analyzer.
     pub lint: LintGate,
     /// Retry / deadline / circuit-breaker behavior of applies
-    /// ([`ResiliencePolicy::standard`] unless configured otherwise;
-    /// [`ResiliencePolicy::legacy`] restores the pre-resilience executor).
+    /// ([`ResiliencePolicy::standard`] unless configured otherwise).
     pub resilience: ResiliencePolicy,
     /// Variable inputs passed to programs.
     pub inputs: BTreeMap<String, Value>,

@@ -143,10 +143,10 @@ pub enum PipelineError {
 }
 
 impl PipelineError {
-    /// The failing diagnostics as `CODE: message` lines — the format the
-    /// patch repair loop ([`cloudless_synth::synthesize_patch_with`])
-    /// matches against edit-op targets. Lint findings below `fail_on` are
-    /// elided, mirroring [`cloudless_synth::check_patch`].
+    /// The failing diagnostics as `CODE: message` lines — what the patch
+    /// repair loop ([`cloudless_synth::synthesize_patch_with`]) matches
+    /// against edit-op targets when this pipeline is its critic. Lint
+    /// findings below `fail_on` and validation warnings are elided.
     pub fn patch_messages(&self, fail_on: cloudless_hcl::Severity) -> Vec<String> {
         match self {
             PipelineError::Frontend(diags) => diags
@@ -268,14 +268,8 @@ pub struct PipelineCtx<'a> {
 }
 
 impl<'a> PipelineCtx<'a> {
-    /// The miner, at the levels where validation consults it.
-    fn miner(&self) -> Option<&'a SpecMiner> {
-        self.miner
-            .filter(|_| self.level > ValidationLevel::SyntaxOnly)
-    }
-
     fn mined_specs(&self) -> &'a [MinedSpec] {
-        self.miner().map_or(&[], SpecMiner::specs)
+        self.miner.map_or(&[], SpecMiner::specs)
     }
 }
 
@@ -643,7 +637,7 @@ impl Scope {
             // program, so it stands under the new conventions unless one of
             // its own instances deviates from them.
             let deviates = |miner: &SpecMiner| !miner.check(&memo.manifest).is_empty();
-            if ctx.miner().is_some_and(deviates) {
+            if ctx.miner.is_some_and(deviates) {
                 let reason = "memoized program deviates from the spec miner's new conventions";
                 return Scope::all(reason, keep, Some(memo));
             }
@@ -1089,7 +1083,7 @@ impl<'a> Walk<'a> {
                 let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
                 let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
                 let (manifest, mindex) = (&out.manifest, &memo.mindex);
-                let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner());
+                let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner);
                 ensure(found.is_empty(), "edited scope has validation findings")?;
             }
         }

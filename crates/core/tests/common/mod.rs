@@ -1,5 +1,6 @@
 //! Shared by the commit-path suites: an engine over a state log that can
-//! be made to refuse appends.
+//! be made to refuse appends, and two devices that fail the way a full disk
+//! does — part of an append written, or only a checkpoint refused.
 #![allow(dead_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,6 +45,79 @@ impl LogDevice for FlakyDevice {
 
     fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         *self.bytes.lock().expect("test mutex") = bytes.to_vec();
+        Ok(())
+    }
+}
+
+/// A [`FlakyDevice`] whose refused appends first write half their bytes,
+/// as `write_all` does when the disk fills mid-write; a `stuck` one refuses
+/// to truncate too while it is unhealthy.
+pub struct TearingDevice {
+    pub flaky: FlakyDevice,
+    pub stuck: bool,
+}
+
+impl TearingDevice {
+    fn healthy(&self) -> bool {
+        self.flaky.healthy.load(Ordering::SeqCst)
+    }
+}
+
+impl LogDevice for TearingDevice {
+    fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
+        self.flaky.read_all()
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if !self.healthy() {
+            let half = &bytes[..bytes.len() / 2];
+            self.flaky
+                .bytes
+                .lock()
+                .expect("test mutex")
+                .extend_from_slice(half);
+        }
+        self.flaky.append(bytes)
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+        if self.stuck && !self.healthy() {
+            return Err(StoreError::Io(std::io::Error::other("device busy")));
+        }
+        self.flaky.truncate(len)
+    }
+
+    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        self.flaky.replace(bytes)
+    }
+}
+
+/// A log device that refuses every append carrying a checkpoint record and
+/// takes every other.
+pub struct NoCheckpointDevice(pub Arc<Mutex<Vec<u8>>>);
+
+impl LogDevice for NoCheckpointDevice {
+    fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
+        Ok(self.0.lock().expect("test mutex").clone())
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if String::from_utf8_lossy(bytes).contains("{\"Checkpoint\"") {
+            return Err(StoreError::Io(std::io::Error::other(
+                "no space left on device",
+            )));
+        }
+        self.0.lock().expect("test mutex").extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
+        self.0.lock().expect("test mutex").truncate(len as usize);
+        Ok(())
+    }
+
+    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        *self.0.lock().expect("test mutex") = bytes.to_vec();
         Ok(())
     }
 }

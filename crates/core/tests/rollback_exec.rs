@@ -232,6 +232,40 @@ fn a_failed_node_skips_its_dependents_and_a_second_rollback_finishes() {
 }
 
 #[test]
+fn an_attribute_no_schema_declares_is_not_the_rollbacks_to_unset() {
+    let mut engine = Cloudless::new(config());
+    let v1 = chain(0, 1);
+    assert!(engine.converge(&v1).expect("v1").apply.all_ok());
+    let checkpoint = engine.history().latest().expect("v1 committed").serial;
+    // out of band: a name the program could set, and a setting no schema
+    // declares, which only the out-of-band path accepts
+    let vpc = engine
+        .state()
+        .get(&addr("aws_vpc.v"))
+        .expect("vpc")
+        .id
+        .clone();
+    let drift = [("name", "renamed"), ("bogus_attribute", "x")];
+    let drift = drift.map(|(k, v)| (k.to_owned(), Value::from(v)));
+    let cloud = engine.cloud_mut();
+    cloud
+        .out_of_band_update("legacy", &vpc, drift.into())
+        .expect("applies");
+
+    let plan = engine.plan_rollback_to(checkpoint).expect("plans");
+    assert_eq!((plan.redeployments(), plan.reverts()), (0, 1));
+    let report = engine.execute_rollback(&plan).expect("commits");
+    assert!(report.all_ok(), "{:?}", report.errors());
+    let live = &engine.cloud().records()[&vpc].attrs;
+    assert_eq!(
+        (live.get("name"), live.get("bogus_attribute")),
+        (None, Some(&Value::from("x")))
+    );
+    assert_state_is_the_cloud(&engine, 0);
+    assert_restored(&mut engine, &v1, checkpoint);
+}
+
+#[test]
 fn rollback_retries_transient_faults() {
     let mut engine = Cloudless::new(Config {
         seed: 1234,

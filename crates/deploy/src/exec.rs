@@ -1093,10 +1093,20 @@ impl<'a> Executor<'a> {
 mod tests {
     use super::*;
     use crate::diff::diff;
-    use crate::resilience::DeadlinePolicy;
+    use crate::resilience::{DeadlinePolicy, RetryPolicy};
     use crate::resolver::DataResolver;
     use cloudless_cloud::{Catalog, CloudConfig, FaultPlan};
     use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, Program};
+
+    /// Retries without backoff, no deadlines, no breaker.
+    fn immediate_retries() -> ResiliencePolicy {
+        ResiliencePolicy {
+            retry: RetryPolicy::immediate(),
+            deadline: DeadlinePolicy::None,
+            breaker: None,
+            seed: 7,
+        }
+    }
 
     fn manifest(src: &str) -> Manifest {
         let p = Program::from_file(cloudless_hcl::parse(src, "main.tf").unwrap()).unwrap();
@@ -1272,42 +1282,6 @@ resource "aws_s3_bucket" "b" {
                 .sum::<u64>(),
             report.retries
         );
-    }
-
-    #[test]
-    fn legacy_policy_reproduces_immediate_retry() {
-        // Same scenario as above under the legacy (seed-faithful) policy:
-        // zero backoff, 3 retries, no deadlines, no breaker.
-        let catalog = Catalog::standard();
-        let data = DataResolver::new();
-        let mut config = CloudConfig::exact();
-        config.faults = FaultPlan {
-            transient_failure_rate: 0.4,
-            hang_rate: 0.0,
-            hang_factor: 1.0,
-            ..FaultPlan::none()
-        };
-        let mut cloud = Cloud::new(config, 1234);
-        let mut state = Snapshot::new();
-        let m = manifest(
-            r#"
-resource "aws_s3_bucket" "b" {
-  count  = 10
-  bucket = "bucket-${count.index}"
-}
-"#,
-        );
-        let changes = diff(&m, &state, &catalog, &data);
-        let plan = Plan::build(changes, &state, &catalog);
-        let exec = Executor::new(Strategy::TerraformWalk { parallelism: 10 }, &data)
-            .with_resilience(ResiliencePolicy::legacy());
-        let report = exec.apply(&plan, &mut cloud, &mut state);
-        assert!(report.all_ok(), "{:?}", report.errors());
-        assert!(report.retries > 0);
-        // immediate retries add no delay: the makespan equals a single
-        // round of bucket creates (all parallel, exact latencies)
-        assert_eq!(report.timeouts, 0);
-        assert_eq!(report.breaker_trips, 0);
     }
 
     #[test]
@@ -1487,7 +1461,7 @@ resource "aws_virtual_machine" "vm" {
             floor: SimDuration::ZERO,
         };
         let with_deadlines = run_with(tight);
-        let without = run_with(ResiliencePolicy::legacy());
+        let without = run_with(immediate_retries());
         assert!(with_deadlines.all_ok(), "{:?}", with_deadlines.errors());
         assert!(without.all_ok());
         assert!(with_deadlines.timeouts > 0, "deadlines fired");
@@ -1655,11 +1629,11 @@ resource "aws_db_instance" "db" {
         // a fragile policy: no retries at all → the first apply fails part
         // of the graph
         let fragile = ResiliencePolicy {
-            retry: crate::resilience::RetryPolicy {
+            retry: RetryPolicy {
                 max_attempts_per_node: 1,
-                ..crate::resilience::RetryPolicy::immediate()
+                ..RetryPolicy::immediate()
             },
-            ..ResiliencePolicy::legacy()
+            ..immediate_retries()
         };
         let mut cloud = Cloud::new(config, 5);
         let mut state = Snapshot::new();

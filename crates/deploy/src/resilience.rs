@@ -301,17 +301,6 @@ impl ResiliencePolicy {
             seed: 7,
         }
     }
-
-    /// The seed executor's behavior: immediate retries, no deadlines, no
-    /// breaker. Kept as the E11 baseline and an escape hatch.
-    pub fn legacy() -> Self {
-        ResiliencePolicy {
-            retry: RetryPolicy::immediate(),
-            deadline: DeadlinePolicy::None,
-            breaker: None,
-            seed: 7,
-        }
-    }
 }
 
 impl Default for ResiliencePolicy {

@@ -14,7 +14,10 @@
 //! re-apply leaves it in place (experiment E4 measures that gap). It lifts
 //! the checkpointed *state* into a desired manifest instead and hands it to
 //! the planner every apply uses — [`diff`] against the live (refresh
-//! first!) state, then [`Plan::build`]:
+//! first!) state, then [`Plan::build`]. The managed attributes are those a
+//! program may set ([`ResourceSchema::settable`]): one the schema does not
+//! declare is not the lift's to restore, and the cloud would refuse to name
+//! it.
 //!
 //! * a managed attribute differs, none of them `force_new` → in-place
 //!   update back to the checkpoint value;
@@ -28,6 +31,8 @@
 //! checkpoint resource's id is lifted as a reference to that resource, not
 //! as the dead id: it resolves against whatever the dependency's id is when
 //! the dependent is (re)built.
+//!
+//! [`ResourceSchema::settable`]: cloudless_cloud::ResourceSchema::settable
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -118,7 +123,7 @@ fn as_reference(
 }
 
 /// Lift a checkpointed snapshot into the desired manifest that restores it
-/// over `live`: per resource its managed (non-computed) attributes, an
+/// over `live`: per resource its managed (settable) attributes, an
 /// explicit null for every managed attribute `live` carries and the
 /// checkpoint does not, the recorded dependencies, and a deferred reference
 /// wherever an attribute held another checkpoint resource's id.
@@ -128,7 +133,7 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
     let (no_file, no_spans): (Arc<str>, Arc<BTreeMap<String, Span>>) = Default::default();
     let instances = checkpoint.resources().values().map(|then| {
         let schema = catalog.get(&then.addr.rtype);
-        let managed = |k: &String| schema.and_then(|s| s.attr(k)).is_none_or(|a| !a.computed);
+        let managed = |k: &String| schema.is_some_and(|s| s.settable(k).is_some());
         let mut attrs = Attrs::new();
         let mut deferred = Vec::new();
         let mut depends_on: BTreeSet<_> = then.depends_on.iter().cloned().collect();

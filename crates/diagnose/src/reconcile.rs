@@ -302,17 +302,15 @@ fn classify_unmanaged(
                 .push((id.clone(), format!("no schema for {}", rec.rtype)));
             continue;
         };
-        // The API will not accept computed attributes back, and validation
-        // rejects attributes the schema does not know: import only the
-        // settable subset. The full live attribute set still lands in state
-        // via the import, so the plan stays empty.
+        // Import only what a program may set. The full live attribute set
+        // still lands in state via the import, so the plan stays empty.
         let attrs: Attrs = rec
             .attrs
             .iter()
-            .filter(|(name, _)| schema.attr(name).map(|a| !a.computed).unwrap_or(false))
+            .filter(|(name, _)| schema.settable(name).is_some())
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        let label = cloudless_port::naive::label_for(rec, &mut taken);
+        let label = cloudless_port::label_for(rec, &mut taken);
         let addr = ResourceAddr::root(rec.rtype.clone(), &label);
         plan.imports.push((addr, id.clone()));
         plan.ops.push(EditOp::AddBlock {

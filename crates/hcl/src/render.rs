@@ -5,10 +5,64 @@
 //! covered by property tests. Formatting follows `terraform fmt`
 //! conventions: two-space indent, attributes aligned per block, one blank
 //! line between top-level blocks.
+//!
+//! Everything that writes values back as code — the porters, reconcile's
+//! adoption, the synthesizer — turns them into literals with
+//! [`value_to_expr`] and names into labels with [`sanitize_ident`], so what
+//! they emit is what this renderer and the parser read back.
 
 use std::fmt::Write as _;
 
+use cloudless_types::{Span, Value};
+
 use crate::ast::{BinOp, Block, Expr, File, MapKey, TemplatePart, UnaryOp};
+
+/// A [`Value`] as the literal expression that evaluates to it. A map key is
+/// written bare only where the identifier rule changes nothing but its case,
+/// and is not `for`, which would open a comprehension; any other is quoted.
+pub fn value_to_expr(v: &Value) -> Expr {
+    let sp = Span::synthetic();
+    match v {
+        Value::Null => Expr::Null(sp),
+        Value::Bool(b) => Expr::Bool(*b, sp),
+        Value::Num(n) => Expr::Num(*n, sp),
+        Value::Str(s) => Expr::Str(vec![TemplatePart::Lit(s.clone())], sp),
+        Value::List(items) => Expr::List(items.iter().map(value_to_expr).collect(), sp),
+        Value::Map(m) => {
+            let key = |k: &String| {
+                if k != "for" && sanitize_ident(k).eq_ignore_ascii_case(k) {
+                    MapKey::Ident(k.clone())
+                } else {
+                    MapKey::Str(k.clone())
+                }
+            };
+            Expr::Map(
+                m.iter().map(|(k, v)| (key(k), value_to_expr(v))).collect(),
+                sp,
+            )
+        }
+    }
+}
+
+/// `s` as an identifier, the one rule for every generated label: each
+/// character but an ASCII letter or digit becomes `_`, the result is
+/// lowercase, and one that is empty or starts with a digit gains an `r`.
+pub fn sanitize_ident(s: &str) -> String {
+    let mut out: String = s
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    if out.chars().next().is_none_or(|c| c.is_ascii_digit()) {
+        out.insert(0, 'r');
+    }
+    out
+}
 
 /// Render a whole file.
 pub fn render_file(file: &File) -> String {
@@ -103,7 +157,11 @@ pub fn render_expr(e: &Expr) -> String {
                 .map(|(k, v)| {
                     let key = match k {
                         MapKey::Ident(s) => s.clone(),
-                        MapKey::Str(s) => format!("{s:?}"),
+                        MapKey::Str(s) => {
+                            let mut quoted = String::from("\"");
+                            push_escaped(s, &mut quoted);
+                            quoted + "\""
+                        }
                     };
                     format!("{key} = {}", render_expr(v))
                 })

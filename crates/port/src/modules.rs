@@ -27,9 +27,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use cloudless_cloud::{Catalog, ResourceRecord, SemanticType};
 use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, Reference, TemplatePart};
 use cloudless_hcl::program::ModuleLibrary;
+use cloudless_hcl::value_to_expr;
 use cloudless_types::{ResourceAddr, ResourceId, Span, Value};
 
-use crate::naive::value_to_expr;
 use crate::optimize::{optimized_port, PortResult};
 
 /// Result of a module-aware port.
@@ -86,10 +86,9 @@ fn shape_of(
         let schema = catalog.get(&m.record.rtype)?;
         let mut attr_parts = Vec::new();
         for (k, v) in &m.record.attrs {
-            let a = schema.attr(k)?;
-            if a.computed || k == m.name_key {
+            let Some(a) = schema.settable(k).filter(|_| k != m.name_key) else {
                 continue;
-            }
+            };
             let rendered = match &a.semantic {
                 SemanticType::RefTo(_) | SemanticType::ListOfRefs(_) => {
                     // internal refs become suffixes; external refs disqualify
@@ -269,12 +268,9 @@ fn render_module(members: &[Member<'_>], catalog: &Catalog) -> String {
         let schema = catalog.get(&m.record.rtype);
         let mut attrs = Vec::new();
         for (k, v) in &m.record.attrs {
-            let Some(a) = schema.and_then(|s| s.attr(k)) else {
+            let Some(a) = schema.and_then(|s| s.settable(k)).filter(|_| !v.is_null()) else {
                 continue;
             };
-            if a.computed || v.is_null() {
-                continue;
-            }
             let value = if k == m.name_key {
                 // name = "${var.prefix}-suffix"
                 Expr::Str(

@@ -5,9 +5,9 @@
 //! 1. **Reference recovery** — attribute values that equal another imported
 //!    resource's id become real references (`aws_vpc.main.id`), restoring
 //!    the dependency graph the cloud state only holds implicitly.
-//! 2. **Attribute pruning** — computed attributes and nulls are dropped
-//!    ("many of its cloud-level attributes could be removed when porting to
-//!    the IaC level", §3.1).
+//! 2. **Attribute pruning** — only what a program may set is kept
+//!    ([`ResourceSchema::settable`]), and no nulls ("many of its cloud-level
+//!    attributes could be removed when porting to the IaC level", §3.1).
 //! 3. **Group compaction** — homogeneous fleets become a single block with
 //!    `count` (values differing only in one embedded integer index become
 //!    `"web-${count.index}"` templates), or `for_each` when exactly one
@@ -17,14 +17,15 @@
 //! from cloud ids to the generated IaC addresses, and the round-trip test
 //! expands the generated program and diffs it against the imported state —
 //! all no-ops required.
+//!
+//! [`ResourceSchema::settable`]: cloudless_cloud::ResourceSchema::settable
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cloudless_cloud::{Catalog, ResourceRecord, SemanticType};
 use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, Reference, TemplatePart};
+use cloudless_hcl::{sanitize_ident, value_to_expr};
 use cloudless_types::{ResourceAddr, ResourceId, Span, Value};
-
-use crate::naive::value_to_expr;
 
 /// Result of a port: the program plus the id → address mapping needed to
 /// seed the IaC state ("import").
@@ -139,24 +140,17 @@ pub fn optimized_port(records: &[ResourceRecord], catalog: &Catalog) -> PortResu
 
         let rep = g.members[0];
         for (name, value) in &rep.attrs {
-            // prune computed attrs and nulls
-            if let Some(s) = schema {
-                if s.attr(name).map(|a| a.computed).unwrap_or(false) {
-                    continue;
-                }
-            }
+            // prune what a program may not set, and nulls
+            let Some(a) = schema.and_then(|s| s.settable(name)) else {
+                continue;
+            };
             if value.is_null() {
                 continue;
             }
-            let is_ref_attr = schema
-                .and_then(|s| s.attr(name))
-                .map(|a| {
-                    matches!(
-                        a.semantic,
-                        SemanticType::RefTo(_) | SemanticType::ListOfRefs(_)
-                    )
-                })
-                .unwrap_or(false);
+            let is_ref_attr = matches!(
+                a.semantic,
+                SemanticType::RefTo(_) | SemanticType::ListOfRefs(_)
+            );
 
             let expr = if is_ref_attr {
                 match value {
@@ -296,13 +290,9 @@ fn plan_groups<'a>(sorted: &[&'a ResourceRecord], catalog: &Catalog) -> Vec<Plan
     // Signature: type + attr keys + each attr value with digit runs masked.
     let signature = |r: &ResourceRecord| -> String {
         let mut parts = vec![r.rtype.as_str().to_owned(), r.region.to_string()];
+        let schema = catalog.get(&r.rtype);
         for (k, v) in &r.attrs {
-            if catalog
-                .get(&r.rtype)
-                .and_then(|s| s.attr(k))
-                .map(|a| a.computed)
-                .unwrap_or(false)
-            {
+            if schema.and_then(|s| s.settable(k)).is_none() {
                 continue;
             }
             let rendered = match v {
@@ -362,7 +352,7 @@ fn plan_groups<'a>(sorted: &[&'a ResourceRecord], catalog: &Catalog) -> Vec<Plan
         // true singletons (or unverifiable groups) fall back to one block
         // each
         for m in members {
-            let label = crate::naive::label_for(m, &mut taken);
+            let label = crate::label_for(m, &mut taken);
             groups.push(PlannedGroup {
                 rtype: m.rtype.as_str().to_owned(),
                 label,
@@ -396,23 +386,7 @@ fn mask_digits(s: &str) -> String {
 /// Verify that a signature group really compacts. On success the members
 /// are reordered into index order and the kind is returned.
 fn verify_group(members: &mut Vec<&ResourceRecord>, catalog: &Catalog) -> Option<GroupKind> {
-    let schema = catalog.get(&members[0].rtype);
-    let keys: Vec<&String> = members[0].attrs.keys().collect();
-    // non-computed attrs that vary across members
-    let varying: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let computed = schema
-                .and_then(|s| s.attr(k))
-                .map(|a| a.computed)
-                .unwrap_or(false);
-            !computed
-                && members
-                    .windows(2)
-                    .any(|w| w[0].attrs[**k] != w[1].attrs[**k])
-        })
-        .copied()
-        .collect();
+    let varying = varying(members, catalog);
     if varying.is_empty() {
         // identical resources (e.g. unnamed gateways): plain count, no
         // templated attrs
@@ -480,26 +454,12 @@ fn verify_group(members: &mut Vec<&ResourceRecord>, catalog: &Catalog) -> Option
 /// `Name` semantics (grouping by CIDR or password values would produce
 /// nonsense keys).
 fn try_for_each_named(members: &mut Vec<&ResourceRecord>, catalog: &Catalog) -> Option<GroupKind> {
-    let schema = catalog.get(&members[0].rtype);
-    let keys: Vec<&String> = members[0].attrs.keys().collect();
-    let varying: Vec<&String> = keys
-        .iter()
-        .filter(|k| {
-            let computed = schema
-                .and_then(|s| s.attr(k))
-                .map(|a| a.computed)
-                .unwrap_or(false);
-            !computed
-                && members
-                    .windows(2)
-                    .any(|w| w[0].attrs[**k] != w[1].attrs[**k])
-        })
-        .copied()
-        .collect();
+    let varying = varying(members, catalog);
     if varying.len() != 1 {
         return None;
     }
-    let is_name = schema
+    let is_name = catalog
+        .get(&members[0].rtype)
         .and_then(|s| s.attr(varying[0]))
         .map(|a| matches!(a.semantic, SemanticType::Name))
         .unwrap_or(false);
@@ -507,6 +467,19 @@ fn try_for_each_named(members: &mut Vec<&ResourceRecord>, catalog: &Catalog) -> 
         return None;
     }
     try_for_each(members, &varying)
+}
+
+/// The attributes a program may set whose values differ across `members`.
+fn varying<'a>(members: &[&'a ResourceRecord], catalog: &Catalog) -> Vec<&'a String> {
+    let schema = catalog.get(&members[0].rtype);
+    let settable = |k: &&String| schema.is_some_and(|s| s.settable(k).is_some());
+    let differs = |k: &&String| members.windows(2).any(|w| w[0].attrs[*k] != w[1].attrs[*k]);
+    members[0]
+        .attrs
+        .keys()
+        .filter(settable)
+        .filter(differs)
+        .collect()
 }
 
 /// Fallback compaction: exactly one attr varies with distinct string values.
@@ -557,18 +530,7 @@ fn group_label(members: &[&ResourceRecord], taken: &mut BTreeSet<String>) -> Str
     } else {
         members[0].rtype.short_name().to_owned()
     };
-    let base: String = base
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect::<String>()
-        .to_lowercase();
-    let mut label = base.clone();
-    let mut n = 2;
-    while !taken.insert(label.clone()) {
-        label = format!("{base}_{n}");
-        n += 1;
-    }
-    label
+    crate::unique(sanitize_ident(&base), taken)
 }
 
 #[cfg(test)]

@@ -150,6 +150,9 @@ pub struct LogStore {
     program_text: Option<Arc<str>>,
     pub(crate) recorder: Arc<dyn Recorder>,
     pub(crate) log_bytes: u64,
+    /// A failed append may have left bytes past `log_bytes` that the device
+    /// would not cut back yet: the next append cuts them first.
+    torn_tail: bool,
     pub(crate) torn_recoveries: u64,
 }
 
@@ -196,6 +199,7 @@ impl LogStore {
             program_text: None,
             recorder: NullRecorder::shared(),
             log_bytes,
+            torn_tail: false,
             torn_recoveries: 0,
         }
     }
@@ -251,9 +255,7 @@ impl LogStore {
         if outcome.keep_len == 0 {
             // brand-new log (or one whose first-ever append tore inside
             // the header): stamp the header
-            let header = format!("{LOG_MAGIC}\n");
-            store.device.append(header.as_bytes())?;
-            store.log_bytes = header.len() as u64;
+            store.append(format!("{LOG_MAGIC}\n").as_bytes())?;
         }
         store.materialize_current()?;
         let report = RecoveryReport {
@@ -644,7 +646,7 @@ impl LogStore {
             patch,
         };
         frame_into(&mut lines, Framed::Version(&version));
-        if let Err(e) = self.device.append(lines.as_bytes()) {
+        if let Err(e) = self.append(lines.as_bytes()) {
             // nothing was logged, so nothing may be remembered: a retry
             // has to frame these blobs again
             for hash in &new_blobs {
@@ -652,7 +654,6 @@ impl LogStore {
             }
             return Err(e);
         }
-        self.log_bytes += lines.len() as u64;
 
         // fold into the in-memory state
         for (r, p) in resources.into_iter().zip(&version.puts) {
@@ -672,7 +673,7 @@ impl LogStore {
         }
         self.versions.push(version);
         self.versions_since_checkpoint += 1;
-        self.maybe_checkpoint()?;
+        self.maybe_checkpoint();
 
         self.recorder.counter("state.commits", 1);
         self.recorder
@@ -694,11 +695,13 @@ impl LogStore {
         CheckpointRecord::due(self.entries_since_checkpoint, self.current_hashes.len())
     }
 
-    fn maybe_checkpoint(&mut self) -> Result<(), StoreError> {
-        if !self.checkpoint_due() {
-            return Ok(());
+    /// Fold a checkpoint if one is due. The version before it is already
+    /// on the device, so a fold that cannot be appended fails nothing: it
+    /// stays due, and the next commit tries again.
+    fn maybe_checkpoint(&mut self) {
+        if self.checkpoint_due() && self.append_checkpoint().is_err() {
+            self.recorder.counter("state.checkpoints_deferred", 1);
         }
-        self.append_checkpoint()
     }
 
     /// Fold the current world into a checkpoint record at the log head.
@@ -714,10 +717,26 @@ impl LogStore {
         };
         let mut line = String::new();
         frame_into(&mut line, Framed::Checkpoint(&fold));
-        self.device.append(line.as_bytes())?;
-        self.log_bytes += line.len() as u64;
+        self.append(line.as_bytes())?;
         self.entries_since_checkpoint = 0;
         self.versions_since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Append whole records at `log_bytes`. An append that fails may have
+    /// written part of them (`write_all` stops where the disk filled): the
+    /// device is cut back to `log_bytes` now, or — when that fails too —
+    /// before the next append, so the log only ever grows by whole records.
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if self.torn_tail {
+            self.device.truncate(self.log_bytes)?;
+            self.torn_tail = false;
+        }
+        if let Err(e) = self.device.append(bytes) {
+            self.torn_tail = self.device.truncate(self.log_bytes).is_err();
+            return Err(e);
+        }
+        self.log_bytes += bytes.len() as u64;
         Ok(())
     }
 

@@ -24,7 +24,8 @@
 //! * [`intent`] — what the user asks for.
 //! * [`synth`] — the guided synthesizer + the unguided baseline.
 //! * [`patch`] — reconcile patch synthesis: AST surgery for drift edit
-//!   ops, wrapped in the same validate-and-repair loop.
+//!   ops, wrapped in a repair loop whose critic is the caller's deployment
+//!   gate.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +34,5 @@ pub mod patch;
 pub mod synth;
 
 pub use intent::{Intent, WantedResource};
-pub use patch::{
-    apply_ops, check_patch, synthesize_patch, synthesize_patch_with, PatchConfig, PatchOutcome,
-};
+pub use patch::{apply_ops, synthesize_patch_with, PatchConfig, PatchOutcome};
 pub use synth::{synthesize, unguided_baseline, SynthConfig, SynthReport};

@@ -2,12 +2,14 @@
 //!
 //! [`apply_ops`] performs the AST surgery for a list of
 //! [`EditOp`]s produced by `cloudless_diagnose::reconcile::classify`;
-//! [`synthesize_patch`] wraps it in the validate-and-repair loop — the
-//! "fail, learn, refine" cycle of deployability-centric synthesis, with
-//! the lint gate and the validator standing in for the LLM critic:
+//! [`synthesize_patch_with`] wraps it in the validate-and-repair loop — the
+//! "fail, learn, refine" cycle of deployability-centric synthesis, with the
+//! deployment's own gate as the critic:
 //!
-//! 1. **fail** — render the candidate patch and run it through the full
-//!    front end (parse → classify → lint gate → expand → validate);
+//! 1. **fail** — render the candidate patch and hand it to the caller's
+//!    checker, which the engine makes its converge pipeline (parse → lint →
+//!    expand → validate → analyze → plan), so a candidate is admitted
+//!    exactly when an apply of it would be;
 //! 2. **learn** — attribute each error message back to the edit op whose
 //!    `type.name` target it mentions;
 //! 3. **refine** — drop the implicated ops and try again. A dropped op's
@@ -19,19 +21,15 @@
 //! the gate, reconciliation is refused ([`PatchOutcome::ok`] = false),
 //! which is exactly the deny-lint path the CLI surfaces.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use cloudless_analyze::{lint_program, LintConfig};
-use cloudless_cloud::Catalog;
+use cloudless_analyze::LintConfig;
 use cloudless_diagnose::reconcile::{EditOp, ReconcilePlan};
-use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, MapKey};
-use cloudless_hcl::program::{expand, ModuleLibrary, Program};
-use cloudless_hcl::render_file;
-use cloudless_port::naive::value_to_expr;
-use cloudless_types::{Attrs, Span, Value};
-use cloudless_validate::{validate, ValidationLevel};
+use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File};
+use cloudless_hcl::{render_file, value_to_expr};
+use cloudless_types::{Attrs, Span};
 
-/// Result of a [`synthesize_patch`] run.
+/// Result of a [`synthesize_patch_with`] run.
 #[derive(Debug, Clone)]
 pub struct PatchOutcome {
     /// The patched AST (the base file when every op was dropped).
@@ -45,8 +43,8 @@ pub struct PatchOutcome {
     pub dropped: Vec<(EditOp, String)>,
     /// Check iterations used (≥ 1).
     pub iterations: usize,
-    /// Whether the final candidate passes parse + lint + expand + validate.
-    /// `false` means even the op-free program fails the gate.
+    /// Whether the checker admitted the final candidate. `false` means even
+    /// the op-free program fails the gate.
     pub ok: bool,
     /// Error messages of the final attempt when `ok` is false.
     pub errors: Vec<String>,
@@ -185,12 +183,7 @@ fn remove_keys(expr: &Expr, keys: &std::collections::BTreeSet<String>) -> Expr {
         Expr::Map(pairs, sp) => Expr::Map(
             pairs
                 .iter()
-                .filter(|(k, _)| {
-                    let key = match k {
-                        MapKey::Ident(s) | MapKey::Str(s) => s.as_str(),
-                    };
-                    !keys.contains(key)
-                })
+                .filter(|(k, _)| !keys.contains(k.as_str()))
                 .cloned()
                 .collect(),
             *sp,
@@ -218,30 +211,17 @@ impl Default for PatchConfig {
 }
 
 /// Synthesize a minimal patch for `plan` against `base`, repairing by
-/// dropping ops the front end rejects.
+/// dropping the ops `checker` rejects. Given a candidate source, the
+/// checker returns the failing messages, empty when it admits it; the
+/// engine routes it through its memoized converge pipeline, so repeated
+/// repair iterations — and the converge that follows a successful patch —
+/// do not each pay a full parse/lint/expand/validate.
 ///
 /// Error→op attribution is textual: an op is implicated when any error
 /// message contains its `type.name` target (validator and lint messages
 /// both lead with resource addresses). When an iteration fails but no op
 /// is implicated, the most recently added op is dropped — blind refinement
 /// still guarantees termination.
-pub fn synthesize_patch(
-    base: &File,
-    plan: &ReconcilePlan,
-    catalog: &Catalog,
-    modules: &ModuleLibrary,
-    inputs: &BTreeMap<String, Value>,
-    config: &PatchConfig,
-) -> PatchOutcome {
-    let mut checker = |source: &str| check_patch(source, catalog, modules, inputs, &config.lint);
-    synthesize_patch_with(base, plan, config, &mut checker)
-}
-
-/// [`synthesize_patch`] with a caller-supplied candidate checker: given a
-/// candidate source, return the failing messages (empty = admitted). The
-/// engine routes this through its memoized converge pipeline so repeated
-/// repair iterations — and the converge that follows a successful patch —
-/// do not each pay a full parse/lint/expand/validate.
 pub fn synthesize_patch_with(
     base: &File,
     plan: &ReconcilePlan,
@@ -341,272 +321,11 @@ fn surviving_plan(original: &ReconcilePlan, active: &[EditOp]) -> ReconcilePlan 
     }
 }
 
-/// The full front end as a pass/fail check returning the failing messages,
-/// each prefixed with its diagnostic code.
-pub fn check_patch(
-    source: &str,
-    catalog: &Catalog,
-    modules: &ModuleLibrary,
-    inputs: &BTreeMap<String, Value>,
-    lint: &LintConfig,
-) -> Vec<String> {
-    let file = match cloudless_hcl::parse(source, "reconcile.tf") {
-        Ok(f) => f,
-        Err(diags) => return messages(&diags),
-    };
-    let program = match Program::from_file(file) {
-        Ok(p) => p,
-        Err(diags) => return messages(&diags),
-    };
-    let report = lint_program(&program, modules, lint);
-    if report.fails(lint) {
-        return report
-            .findings
-            .iter()
-            .filter(|f| f.diagnostic.severity >= lint.fail_on)
-            .map(|f| format!("{}: {}", f.diagnostic.code, f.diagnostic.message))
-            .collect();
-    }
-    let manifest = match expand(&program, inputs, modules, &cloudless_hcl::eval::DeferAll) {
-        Ok(m) => m,
-        Err(diags) => return messages(&diags),
-    };
-    let v = validate(&manifest, catalog, ValidationLevel::CloudRules, None);
-    v.diagnostics
-        .iter()
-        .filter(|d| d.severity == cloudless_hcl::Severity::Error)
-        .map(|d| format!("{}: {}", d.code, d.message))
-        .collect()
-}
-
-fn messages(diags: &cloudless_hcl::Diagnostics) -> Vec<String> {
-    diags
-        .iter()
-        .map(|d| format!("{}: {}", d.code, d.message))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloudless_types::value::attrs;
-    use cloudless_types::{Region, ResourceId, ResourceTypeName};
-
-    const BASE: &str = r#"
-resource "aws_vpc" "v" { cidr_block = "10.0.0.0/16" }
-resource "aws_s3_bucket" "b" {
-  count  = 4
-  bucket = "bucket-${count.index}"
-}
-resource "aws_subnet" "s" {
-  for_each   = ["alpha", "beta"]
-  vpc_id     = aws_vpc.v.id
-  cidr_block = "10.0.1.0/24"
-}
-"#;
-
-    fn base() -> File {
-        cloudless_hcl::parse(BASE, "main.tf").unwrap()
-    }
-
-    fn synth(plan: &ReconcilePlan) -> PatchOutcome {
-        synthesize_patch(
-            &base(),
-            plan,
-            &Catalog::standard(),
-            &ModuleLibrary::new(),
-            &BTreeMap::new(),
-            &PatchConfig::default(),
-        )
-    }
-
-    #[test]
-    fn set_attr_rewrites_in_place() {
-        let plan = ReconcilePlan {
-            ops: vec![EditOp::SetAttr {
-                rtype: "aws_vpc".into(),
-                name: "v".into(),
-                attr: "name".into(),
-                value: Value::from("renamed-by-clickops"),
-            }],
-            ..Default::default()
-        };
-        let out = synth(&plan);
-        assert!(out.ok, "{:?}", out.errors);
-        assert_eq!(out.iterations, 1);
-        assert!(out.source.contains("renamed-by-clickops"), "{}", out.source);
-        assert!(out.dropped.is_empty());
-    }
-
-    #[test]
-    fn set_count_and_remove_keys() {
-        let plan = ReconcilePlan {
-            ops: vec![
-                EditOp::SetCount {
-                    rtype: "aws_s3_bucket".into(),
-                    name: "b".into(),
-                    count: 2,
-                },
-                EditOp::RemoveForEachKeys {
-                    rtype: "aws_subnet".into(),
-                    name: "s".into(),
-                    keys: ["beta".to_owned()].into(),
-                },
-            ],
-            ..Default::default()
-        };
-        let out = synth(&plan);
-        assert!(out.ok, "{:?}", out.errors);
-        let patched = cloudless_hcl::parse(&out.source, "t").unwrap();
-        let bucket = patched
-            .blocks
-            .iter()
-            .find(|b| b.label(0) == Some("aws_s3_bucket"))
-            .unwrap();
-        assert!(
-            matches!(bucket.body.attr("count").unwrap().value, Expr::Num(n, _) if n == 2.0),
-            "{}",
-            out.source
-        );
-        assert!(!out.source.contains("beta"), "{}", out.source);
-        assert!(out.source.contains("alpha"));
-    }
-
-    #[test]
-    fn add_block_renders_literal_attrs() {
-        let plan = ReconcilePlan {
-            ops: vec![EditOp::AddBlock {
-                rtype: ResourceTypeName::new("aws_s3_bucket"),
-                label: "rogue".into(),
-                region: Region::new("us-east-1"),
-                attrs: attrs([("bucket", Value::from("rogue-data"))]),
-                id: ResourceId::new("x-1"),
-            }],
-            imports: vec![(
-                "aws_s3_bucket.rogue".parse().unwrap(),
-                ResourceId::new("x-1"),
-            )],
-            ..Default::default()
-        };
-        let out = synth(&plan);
-        assert!(out.ok, "{:?}", out.errors);
-        assert!(
-            out.source.contains(r#"resource "aws_s3_bucket" "rogue""#),
-            "{}",
-            out.source
-        );
-        assert_eq!(out.plan.imports.len(), 1, "import survives with its op");
-    }
-
-    #[test]
-    fn invalid_op_is_dropped_and_its_import_filtered() {
-        // rogue block with an attribute the schema rejects → the repair
-        // loop drops the AddBlock (and with it the import) but keeps the
-        // valid SetAttr
-        let plan = ReconcilePlan {
-            ops: vec![
-                EditOp::AddBlock {
-                    rtype: ResourceTypeName::new("aws_s3_bucket"),
-                    label: "rogue".into(),
-                    region: Region::new("us-east-1"),
-                    attrs: attrs([
-                        ("bucket", Value::from("rogue-data")),
-                        ("no_such_attribute", Value::from("boom")),
-                    ]),
-                    id: ResourceId::new("x-1"),
-                },
-                EditOp::SetAttr {
-                    rtype: "aws_vpc".into(),
-                    name: "v".into(),
-                    attr: "name".into(),
-                    value: Value::from("renamed"),
-                },
-            ],
-            imports: vec![(
-                "aws_s3_bucket.rogue".parse().unwrap(),
-                ResourceId::new("x-1"),
-            )],
-            ..Default::default()
-        };
-        let out = synth(&plan);
-        assert!(out.ok, "{:?}", out.errors);
-        assert_eq!(out.iterations, 2);
-        assert_eq!(out.dropped.len(), 1);
-        assert!(matches!(out.dropped[0].0, EditOp::AddBlock { .. }));
-        assert!(out.plan.imports.is_empty(), "dropped op takes its import");
-        assert!(out.source.contains("renamed"), "valid op survives");
-        assert!(!out.source.contains("rogue"));
-    }
-
-    #[test]
-    fn dropped_set_count_takes_its_moves() {
-        // a count edit that breaks validation (impossible here directly, so
-        // simulate by pairing SetCount with a bad SetAttr on the same block
-        // is not enough — instead target a block that does not exist; the
-        // no-op edit leaves the program valid, so instead check the filter
-        // directly)
-        let plan = ReconcilePlan {
-            ops: vec![],
-            moves: vec![(
-                "aws_s3_bucket.b[2]".parse().unwrap(),
-                "aws_s3_bucket.b[1]".parse().unwrap(),
-            )],
-            ..Default::default()
-        };
-        let filtered = surviving_plan(&plan, &[]);
-        assert!(filtered.moves.is_empty());
-        let keep = surviving_plan(
-            &plan,
-            &[EditOp::SetCount {
-                rtype: "aws_s3_bucket".into(),
-                name: "b".into(),
-                count: 3,
-            }],
-        );
-        assert_eq!(keep.moves.len(), 1);
-    }
-
-    #[test]
-    fn unsatisfiable_gate_refuses() {
-        // base program with a warning-level finding + DenyWarnings gate:
-        // no subset of ops can fix the *base*, so reconcile refuses
-        let src = r#"
-variable "unused" { default = 1 }
-resource "aws_s3_bucket" "b" { bucket = "x" }
-"#;
-        let file = cloudless_hcl::parse(src, "main.tf").unwrap();
-        let plan = ReconcilePlan {
-            ops: vec![EditOp::SetAttr {
-                rtype: "aws_s3_bucket".into(),
-                name: "b".into(),
-                attr: "bucket".into(),
-                value: Value::from("y"),
-            }],
-            ..Default::default()
-        };
-        let config = PatchConfig {
-            lint: LintConfig {
-                fail_on: cloudless_hcl::Severity::Warning,
-                ..LintConfig::default()
-            },
-            ..PatchConfig::default()
-        };
-        let out = synthesize_patch(
-            &file,
-            &plan,
-            &Catalog::standard(),
-            &ModuleLibrary::new(),
-            &BTreeMap::new(),
-            &config,
-        );
-        assert!(!out.ok);
-        assert!(!out.errors.is_empty());
-        assert!(
-            out.errors.iter().any(|e| e.contains("ANA101")),
-            "{:?}",
-            out.errors
-        );
-    }
+    use cloudless_types::{Region, ResourceId, ResourceTypeName, Value};
 
     /// `apply_ops` as a scan: each op walks the blocks for its target, and
     /// each `RemoveBlock` filters the file.
@@ -680,47 +399,30 @@ resource "b" "untouched" { bucket = "u" }
         }
     }
 
+    fn op_lists() -> impl proptest::strategy::Strategy<Value = Vec<EditOp>> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec((0usize..5, 0usize..4, 0usize..6), 0..24)
+            .prop_map(|ops| ops.into_iter().map(gen_op).collect())
+    }
+
     proptest::proptest! {
         /// The index finds what the scan found: the same file for every op
         /// list, repeated ops, a set after a remove and a set after an add
         /// of the same name included.
         #[test]
-        fn apply_ops_is_the_scan(
-            ops in proptest::collection::vec((0usize..5, 0usize..4, 0usize..6), 0..24),
-        ) {
+        fn apply_ops_is_the_scan(ops in op_lists()) {
             let base = cloudless_hcl::parse(DUPLICATES, "main.tf").unwrap();
-            let ops: Vec<EditOp> = ops.into_iter().map(gen_op).collect();
             proptest::prop_assert_eq!(apply_ops(&base, &ops), apply_ops_by_scan(&base, &ops));
         }
-    }
 
-    #[test]
-    fn repair_terminates_on_all_bad_ops() {
-        let plan = ReconcilePlan {
-            ops: vec![
-                EditOp::SetAttr {
-                    rtype: "aws_vpc".into(),
-                    name: "v".into(),
-                    attr: "cidr_block".into(),
-                    value: Value::from("not-a-cidr"),
-                },
-                EditOp::AddBlock {
-                    rtype: ResourceTypeName::new("aws_s3_bucket"),
-                    label: "bad".into(),
-                    region: Region::new("us-east-1"),
-                    attrs: attrs([("nonsense", Value::from(1.0))]),
-                    id: ResourceId::new("x-9"),
-                },
-            ],
-            ..Default::default()
-        };
-        let out = synth(&plan);
-        assert!(
-            out.ok,
-            "repair must converge to the clean base: {:?}",
-            out.errors
-        );
-        assert_eq!(out.dropped.len(), 2);
-        assert!(out.plan.ops.is_empty());
+        /// A batch of ops edits what applying them one at a time does.
+        #[test]
+        fn apply_ops_is_one_op_at_a_time(ops in op_lists()) {
+            let base = cloudless_hcl::parse(DUPLICATES, "main.tf").unwrap();
+            let one_at_a_time = ops
+                .iter()
+                .fold(base.clone(), |file, op| apply_ops(&file, std::slice::from_ref(op)));
+            proptest::prop_assert_eq!(apply_ops(&base, &ops), one_at_a_time);
+        }
     }
 }

@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use cloudless_cloud::{AttrKind, Catalog, SemanticType};
 use cloudless_hcl::ast::{Attribute, Block, BlockBody, Expr, File, Reference, TemplatePart};
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
-use cloudless_hcl::render_file;
-use cloudless_types::{Provider, Span, Value};
+use cloudless_hcl::{render_file, sanitize_ident, value_to_expr};
+use cloudless_types::{Provider, Span};
 use cloudless_validate::{validate, SpecMiner, ValidationLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,7 +184,7 @@ fn generate(
     let mut worklist: Vec<(String, usize, String, cloudless_types::Attrs)> = Vec::new();
     for w in intent.resources.iter().rev() {
         if !label_of_type.contains_key(&w.rtype) {
-            label_of_type.insert(w.rtype.clone(), sanitize(&w.name_hint));
+            label_of_type.insert(w.rtype.clone(), sanitize_ident(&w.name_hint));
             worklist.push((
                 w.rtype.clone(),
                 w.count,
@@ -206,7 +206,7 @@ fn generate(
         if let Some(label) = label_of_type.get(rtype) {
             return label.clone();
         }
-        let label = sanitize(hint);
+        let label = sanitize_ident(hint);
         label_of_type.insert(rtype.to_owned(), label.clone());
         worklist.push((rtype.to_owned(), count, hint.to_owned(), Default::default()));
         label
@@ -216,7 +216,7 @@ fn generate(
         let label = label_of_type
             .get(&rtype)
             .cloned()
-            .unwrap_or_else(|| sanitize(&hint));
+            .unwrap_or_else(|| sanitize_ident(&hint));
         let Some(schema) = catalog.get_str(&rtype) else {
             // unknown type requested: emit as-is; validation will flag it
             planned.push(PlannedBlock {
@@ -225,14 +225,14 @@ fn generate(
                 count,
                 attrs: overrides
                     .iter()
-                    .map(|(k, v)| (k.clone(), value_expr(v)))
+                    .map(|(k, v)| (k.clone(), value_to_expr(v)))
                     .collect(),
             });
             continue;
         };
         let mut attrs: BTreeMap<String, Expr> = overrides
             .iter()
-            .map(|(k, v)| (k.clone(), value_expr(v)))
+            .map(|(k, v)| (k.clone(), value_to_expr(v)))
             .collect();
         let provider = schema.provider;
         let region = intent.region_for(provider);
@@ -309,12 +309,12 @@ fn generate(
 
         // retrieval: conventions for optional attributes
         for ((rt, attr_name), v) in &conventions {
-            if rt == &rtype && !attrs.contains_key(attr_name) {
-                if let Some(a) = schema.attr(attr_name) {
-                    if !a.computed && a.kind == AttrKind::Str {
-                        attrs.insert(attr_name.clone(), str_expr(v, sp));
-                    }
-                }
+            let settable = schema.settable(attr_name);
+            if rt == &rtype
+                && !attrs.contains_key(attr_name)
+                && settable.is_some_and(|a| a.kind == AttrKind::Str)
+            {
+                attrs.insert(attr_name.clone(), str_expr(v, sp));
             }
         }
 
@@ -434,14 +434,6 @@ fn fix_cidr_containment(planned: &mut [PlannedBlock], catalog: &Catalog) {
     let _ = catalog;
 }
 
-fn sanitize(s: &str) -> String {
-    let out: String = s
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    out.to_lowercase()
-}
-
 fn str_expr(s: &str, sp: Span) -> Expr {
     Expr::Str(vec![TemplatePart::Lit(s.to_owned())], sp)
 }
@@ -467,23 +459,6 @@ fn ref_expr(rtype: &str, label: &str, index: Option<Expr>, sp: Span) -> Expr {
         None => base,
     };
     Expr::GetAttr(Box::new(indexed), "id".to_owned(), sp)
-}
-
-fn value_expr(v: &Value) -> Expr {
-    let sp = Span::synthetic();
-    match v {
-        Value::Null => Expr::Null(sp),
-        Value::Bool(b) => Expr::Bool(*b, sp),
-        Value::Num(n) => Expr::Num(*n, sp),
-        Value::Str(s) => str_expr(s, sp),
-        Value::List(items) => Expr::List(items.iter().map(value_expr).collect(), sp),
-        Value::Map(m) => Expr::Map(
-            m.iter()
-                .map(|(k, v)| (cloudless_hcl::ast::MapKey::Ident(k.clone()), value_expr(v)))
-                .collect(),
-            sp,
-        ),
-    }
 }
 
 fn default_for_kind(kind: AttrKind, sp: Span) -> Expr {
@@ -520,6 +495,7 @@ fn misspell(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::intent::WantedResource;
+    use cloudless_types::Value;
 
     fn catalog() -> Catalog {
         Catalog::standard()
@@ -609,6 +585,29 @@ mod tests {
         let r = synthesize(&intent, &catalog(), None, &SynthConfig::default());
         assert!(r.valid);
         assert!(r.source.contains("versioning = true"), "{}", r.source);
+    }
+
+    #[test]
+    fn a_hint_with_a_leading_digit_makes_labels_that_lex() {
+        let intent = Intent::new(vec![WantedResource::new("aws_subnet", 1, "3tier")]);
+        let r = synthesize(&intent, &catalog(), None, &SynthConfig::default());
+        assert!(r.valid, "errors in:\n{}", r.source);
+        assert!(r.source.contains("aws_vpc.r3tier_vpc.id"), "{}", r.source);
+    }
+
+    #[test]
+    fn a_map_key_that_is_no_identifier_is_quoted() {
+        let tags = Value::Map([("kubernetes.io/role".to_owned(), Value::from("node"))].into());
+        let intent = Intent::new(vec![
+            WantedResource::new("aws_s3_bucket", 1, "logs").with_attr("tags", tags)
+        ]);
+        let r = synthesize(&intent, &catalog(), None, &SynthConfig::default());
+        assert!(r.valid, "errors in:\n{}", r.source);
+        assert!(
+            r.source.contains(r#""kubernetes.io/role" = "node""#),
+            "{}",
+            r.source
+        );
     }
 
     #[test]

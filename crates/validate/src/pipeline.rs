@@ -8,16 +8,13 @@ use crate::mining::SpecMiner;
 use crate::rules::ManifestIndex;
 use crate::{rules, schema, semantic};
 
-/// How deep to validate. The baseline IaC behavior (§2.1's "basic
-/// validation … for format and grammatical correctness") corresponds to
-/// [`ValidationLevel::SyntaxOnly`] — the program already parsed and
-/// expanded, so there is nothing left to check. Experiment E6 sweeps this
-/// level.
+/// How deep to validate, each level adding checks to the one before.
+/// Experiment E6 sweeps the levels against §2.1's "basic validation … for
+/// format and grammatical correctness", which is parsing and expanding and
+/// nothing after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum ValidationLevel {
-    /// Parse/expand only (the Figure 1(a) baseline).
-    SyntaxOnly,
-    /// + catalog schema checks.
+    /// Catalog schema checks.
     Schema,
     /// + semantic types (§3.2).
     Semantic,
@@ -27,8 +24,7 @@ pub enum ValidationLevel {
 }
 
 impl ValidationLevel {
-    pub const ALL: [ValidationLevel; 4] = [
-        ValidationLevel::SyntaxOnly,
+    pub const ALL: [ValidationLevel; 3] = [
         ValidationLevel::Schema,
         ValidationLevel::Semantic,
         ValidationLevel::CloudRules,
@@ -36,7 +32,6 @@ impl ValidationLevel {
 
     pub fn name(&self) -> &'static str {
         match self {
-            ValidationLevel::SyntaxOnly => "syntax-only",
             ValidationLevel::Schema => "schema",
             ValidationLevel::Semantic => "semantic-types",
             ValidationLevel::CloudRules => "cloud-rules",
@@ -62,8 +57,7 @@ impl ValidationReport {
 }
 
 /// Validate an expanded manifest at the given level. Pass a [`SpecMiner`]
-/// to additionally run mined-convention checks (advisory only, any level
-/// above syntax).
+/// to additionally run mined-convention checks (advisory only).
 pub fn validate(
     manifest: &Manifest,
     catalog: &Catalog,
@@ -88,20 +82,15 @@ pub fn validate_indexed(
     level: ValidationLevel,
     miner: Option<&SpecMiner>,
 ) -> ValidationReport {
-    let mut diagnostics = Diagnostics::new();
-    if level >= ValidationLevel::Schema {
-        diagnostics.extend(schema::check(manifest, catalog));
-    }
+    let mut diagnostics = schema::check(manifest, catalog);
     if level >= ValidationLevel::Semantic {
         diagnostics.extend(semantic::check(manifest, index, catalog));
     }
     if level >= ValidationLevel::CloudRules {
         diagnostics.extend(rules::check(manifest, index, catalog));
     }
-    if level > ValidationLevel::SyntaxOnly {
-        if let Some(m) = miner {
-            diagnostics.extend(m.check(manifest));
-        }
+    if let Some(m) = miner {
+        diagnostics.extend(m.check(manifest));
     }
     ValidationReport { level, diagnostics }
 }
@@ -124,8 +113,8 @@ mod tests {
         .unwrap()
     }
 
-    /// Region mismatch: syntactically fine, schema fine, semantically fine,
-    /// only the cloud-rules layer catches it — the paper's exact scenario.
+    /// Region mismatch: schema fine, semantically fine, only the
+    /// cloud-rules layer catches it — the paper's exact scenario.
     const NIC_MISMATCH: &str = r#"
 resource "azure_network_interface" "n1" {
   name     = "n1"
@@ -142,11 +131,9 @@ resource "azure_virtual_machine" "vm1" {
     fn levels_catch_progressively_more() {
         let m = manifest(NIC_MISMATCH);
         let catalog = Catalog::standard();
-        let syntax = validate(&m, &catalog, ValidationLevel::SyntaxOnly, None);
         let schema = validate(&m, &catalog, ValidationLevel::Schema, None);
         let semantic = validate(&m, &catalog, ValidationLevel::Semantic, None);
         let rules = validate(&m, &catalog, ValidationLevel::CloudRules, None);
-        assert!(syntax.ok());
         assert!(schema.ok());
         assert!(semantic.ok());
         assert!(!rules.ok(), "only cloud-rules catches the region mismatch");
@@ -173,7 +160,6 @@ resource "aws_subnet" "s" {
 
     #[test]
     fn levels_are_ordered() {
-        assert!(ValidationLevel::SyntaxOnly < ValidationLevel::Schema);
         assert!(ValidationLevel::Schema < ValidationLevel::Semantic);
         assert!(ValidationLevel::Semantic < ValidationLevel::CloudRules);
     }

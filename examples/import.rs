@@ -10,9 +10,10 @@
 //! ```
 
 use cloudless::cloud::{ApiOp, ApiRequest, Cloud, CloudConfig, OpOutcome, ResourceRecord};
-use cloudless::port::{metrics, naive_port, optimized_port};
+use cloudless::port::{metrics, optimized_port};
 use cloudless::types::value::attrs;
 use cloudless::types::{Region, ResourceTypeName, Value};
+use cloudless_bench::experiments::e7_port::naive_port;
 
 /// Build a fleet the way a ClickOps admin would: one API call at a time.
 fn clickops_build(cloud: &mut Cloud) -> Vec<ResourceRecord> {

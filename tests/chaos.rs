@@ -5,6 +5,7 @@ use cloudless::cloud::{CloudConfig, FaultPlan};
 use cloudless::deploy::{DeadlinePolicy, ResiliencePolicy, Strategy};
 use cloudless::types::SimDuration;
 use cloudless::{Cloudless, Config};
+use cloudless_bench::experiments::e11_resilience::legacy;
 
 const FLEET: &str = r#"
 resource "aws_vpc" "main" { cidr_block = "10.0.0.0/16" }
@@ -149,8 +150,7 @@ fn deadlines_cancel_hangs_and_still_converge() {
     assert_eq!(tight.state().len(), 12);
     assert_eq!(tight.cloud().records().len(), 12, "no orphans from cancels");
 
-    let mut legacy = build(ResiliencePolicy::legacy());
-    let legacy_out = legacy.converge(FLEET).expect("legacy runs");
+    let legacy_out = build(legacy()).converge(FLEET).expect("legacy runs");
     assert!(legacy_out.apply.all_ok());
     assert_eq!(legacy_out.apply.timeouts, 0, "legacy never cancels");
     assert!(
