@@ -6,6 +6,7 @@
 //! change, we can confine the changes to a significantly smaller resource
 //! subgraph."
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -127,7 +128,7 @@ fn measure(n: usize, k: usize) -> (Cell, Cell) {
     let _ = refresh;
 
     // ---- incremental: the warm front end names the impact scope ----
-    let (_, mut cloud, mut state) = super::deploy(
+    let (_, mut cloud, state) = super::deploy(
         &old_src,
         Strategy::TerraformWalk { parallelism: 10 },
         e2_cloud_config(),
@@ -167,7 +168,9 @@ fn measure(n: usize, k: usize) -> (Cell, Cell) {
         );
         scope.insert(change.addr);
     }
-    scoped_refresh(&mut cloud, &mut state, "engine", scope);
+    let mut refreshed = Cow::Borrowed(&state);
+    scoped_refresh(&mut cloud, &mut refreshed, "engine", scope);
+    let state = refreshed.into_owned();
     let plan = Plan::build(replan(&new_src, &state), &state, &catalog);
     let inc = Cell {
         reads: cloud.total_api_calls() - reads_before,

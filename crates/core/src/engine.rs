@@ -15,6 +15,7 @@
 //! the cloud at every address it holds — and every managed resource only
 //! when the engine holds none (see [`Cloudless::refresh`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -27,10 +28,12 @@ use cloudless_cloud::{Cloud, CloudConfig};
 use cloudless_deploy::diff::{render, Action as DiffAction};
 use cloudless_deploy::resolver::{DataResolver, StateResolver};
 use cloudless_deploy::{
-    full_refresh, plan_rollback, refresh_since, ApplyReport, Executor, Plan, RefreshReport,
+    plan_rollback, refresh_all, refresh_since, ApplyReport, Executor, Plan, RefreshReport,
     ResiliencePolicy, RollbackPlan, Strategy,
 };
+use cloudless_diagnose::reconcile::{classify_scope, Scope};
 use cloudless_diagnose::{explain, DriftReport, Explanation, LogWatcher};
+use cloudless_hcl::ast::File;
 use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, OutputValue, Program};
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::{MetricsSnapshot, NullRecorder, Recorder};
@@ -220,6 +223,11 @@ struct SyncPoint {
     imports: u64,
 }
 
+/// The state a plan decides against when it is not the committed one: a
+/// snapshot nobody committed, and the addresses where it differs from the
+/// committed state.
+type Over<'a> = Option<(&'a Snapshot, &'a [ResourceAddr])>;
+
 /// The cloudless engine.
 pub struct Cloudless {
     cloud: Cloud,
@@ -390,23 +398,27 @@ impl Cloudless {
         }
     }
 
-    /// A clone of the committed state refreshed from the cloud — from the
-    /// sync point when one holds, else at every address — and the log
-    /// position the refresh began at: where a sync point for it, once
-    /// committed, would sit.
+    /// The committed state refreshed from the cloud — from the sync point
+    /// when one holds, else at every address; a copy only when a read found
+    /// a record changed or gone — and the log position the refresh began at:
+    /// where a sync point for it, once committed, would sit.
     fn refreshed(
         cloud: &mut Cloud,
         committed: &Snapshot,
         principal: &str,
         since: Option<u64>,
-    ) -> (Snapshot, RefreshReport, u64) {
+    ) -> (Option<Snapshot>, RefreshReport, u64) {
         let at = cloud.activity().len() as u64;
-        let mut state = committed.clone();
+        let mut state = Cow::Borrowed(committed);
         let report = match since {
             Some(since) => refresh_since(cloud, &mut state, principal, since),
-            None => full_refresh(cloud, &mut state, principal),
+            None => refresh_all(cloud, &mut state, principal),
         };
-        (state, report, at)
+        let folded = match state {
+            Cow::Owned(state) => Some(state),
+            Cow::Borrowed(_) => None,
+        };
+        (folded, report, at)
     }
 
     /// The refreshed state of a refresh that began at log position `at` is
@@ -475,15 +487,16 @@ impl Cloudless {
     // ---------- plan / apply ----------
 
     /// Run the memoized front end (parse → lint → expand → validate →
-    /// diff) over `source` against `over`, or the committed state. The plan
-    /// cache is keyed by state serial, and a snapshot nobody committed
-    /// shares its serial with the one it was cloned from: a run over one
-    /// neither reads nor leaves plan-stage artifacts (the front-end memo
-    /// stays warm).
+    /// diff) over `source` against the committed state, or against `over`:
+    /// a snapshot nobody committed and the addresses where it differs from
+    /// the committed state. The plan of such a snapshot is the plan cache's
+    /// with those addresses planned again, and is the cache's afterwards
+    /// only once the snapshot is committed ([`IncrementalPipeline`]'s
+    /// `adopted`).
     fn run_pipeline(
         &mut self,
         source: &str,
-        over: Option<&Snapshot>,
+        over: Over<'_>,
     ) -> Result<FrontendOutput, PipelineError> {
         let Cloudless {
             pipeline,
@@ -501,18 +514,11 @@ impl Cloudless {
             level: config.validation_level,
             data: &*data,
             catalog: cloud.catalog(),
-            state: over.unwrap_or(store.current()),
+            state: over.map_or(store.current(), |(state, _)| state),
             miner: Some(&*miner),
             recorder: &config.recorder,
         };
-        if over.is_some() {
-            pipeline.forget_plan();
-        }
-        let out = pipeline.run(source, &ctx);
-        if over.is_some() {
-            pipeline.forget_plan();
-        }
-        out
+        pipeline.run_over(source, &ctx, over.map(|(_, delta)| delta))
     }
 
     /// Plan-only converge front end through the memoized pipeline: parse,
@@ -546,7 +552,8 @@ impl Cloudless {
         &self.pipeline
     }
 
-    /// Summarize a plan for policy admission.
+    /// Summarize a plan for policy admission: every instance and its cost,
+    /// so only when a policy is bound to the deploy phase to read it.
     fn summarize(&self, manifest: &Manifest, plan: &Plan) -> PlanSummary {
         let mut creates = 0;
         let mut updates = 0;
@@ -634,13 +641,14 @@ impl Cloudless {
     }
 
     /// [`Cloudless::plan`] against the state it is handed: `over`, a
-    /// snapshot nobody committed (the reconciler's adopted state), or the
-    /// committed one. Every decision the engine makes is this call.
+    /// snapshot nobody committed (the reconciler's adopted state) with the
+    /// addresses where it differs, or the committed one. Every decision the
+    /// engine makes is this call.
     fn plan_over(
         &mut self,
         source: &str,
         targets: &[ResourceAddr],
-        over: Option<&Snapshot>,
+        over: Over<'_>,
     ) -> Result<Planned, ConvergeError> {
         let FrontendOutput {
             manifest,
@@ -649,7 +657,7 @@ impl Cloudless {
             mut plan_text,
             trace,
         } = self.run_pipeline(source, over)?;
-        let state = over.unwrap_or(self.store.current());
+        let state = over.map_or(self.store.current(), |(state, _)| state);
         let mut plan = Plan::build(changes, state, self.cloud.catalog());
         if !targets.is_empty() {
             let (restricted, dropped) = plan.restrict_to(targets);
@@ -668,9 +676,11 @@ impl Cloudless {
             self.pipeline.clear();
             return self.plan_over(source, targets, over);
         }
-        self.controller
-            .admits_plan(self.summarize(&manifest, &plan))
-            .map_err(ConvergeError::PolicyDenied)?;
+        if self.controller.watches(LifecyclePhase::Deploy) {
+            self.controller
+                .admits_plan(self.summarize(&manifest, &plan))
+                .map_err(ConvergeError::PolicyDenied)?;
+        }
         Ok(Planned {
             manifest,
             validation,
@@ -731,9 +741,14 @@ impl Cloudless {
         }
 
         // the delta log records only the changed resources, plus the
-        // source that produced them (time machine, §3.4)
+        // source that produced them (time machine, §3.4); the executor
+        // wrote the state at the plan's addresses alone, so the plan cache
+        // owes those and keeps the rest
         let message = format!("{verb} via {}", apply.strategy);
+        let from = self.store.serial();
         self.commit(state, &message, source, true)?;
+        let touched = plan.graph.iter().map(|(_, node)| node.change.addr.clone());
+        self.pipeline.moved(from, self.store.serial(), touched);
         // the log names every op the executor submitted, so what the apply
         // changed is read again from the sync point: it carries forward
         self.sync = synced.map(|log| self.sync_point(log));
@@ -820,9 +835,14 @@ impl Cloudless {
         self.commit_uncommitted()?;
         let since = self.synced();
         let principal = &self.config.principal;
-        let (state, report, at) =
+        let (folded, report, at) =
             Self::refreshed(&mut self.cloud, self.store.current(), principal, since);
-        self.commit(state, "refresh", None, false)?;
+        if let Some(state) = folded {
+            let from = self.store.serial();
+            self.commit(state, "refresh", None, false)?;
+            let touched = report.updated.iter().chain(&report.missing).cloned();
+            self.pipeline.moved(from, self.store.serial(), touched);
+        }
         self.settle(at, &report);
         Ok(report)
     }
@@ -842,21 +862,30 @@ impl Cloudless {
     }
 
     /// Close the drift loop (§3.5's "regenerate the IaC-level program"):
-    /// refresh live state into a clone (as [`Cloudless::refresh`] reads
-    /// it), classify every out-of-band mutation into minimal program edit
-    /// ops, synthesize a lint-clean patch through the validate-and-repair
-    /// loop, fold imports/moves into the clone, and plan the patched program
-    /// over that adopted state — the one residual plan, held against every
-    /// gate of [`Cloudless::plan`]. A dry run returns it and leaves the
-    /// engine untouched, its sync point included. A real run commits the
-    /// adopted state and executes that same plan, so residual drift (ops
-    /// the repair loop dropped) is overwritten, then proves that the
-    /// patched program re-plans to an empty diff.
+    /// refresh live state into the committed state's copy (as
+    /// [`Cloudless::refresh`] reads it), classify every out-of-band mutation
+    /// into minimal program edit ops, synthesize a lint-clean patch through
+    /// the validate-and-repair loop, fold imports/moves into the copy, and
+    /// plan the patched program over that adopted state — the one residual
+    /// plan, held against every gate of [`Cloudless::plan`]. A dry run
+    /// returns it and leaves the engine untouched, its sync point included.
+    /// A real run commits the adopted state and executes that same plan, so
+    /// residual drift (ops the repair loop dropped) is overwritten, then
+    /// proves that the patched program re-plans to an empty diff.
     ///
-    /// What the memo already holds is not derived again: the expansion of
-    /// `source` is the memo's when the memo holds exactly that program, and
-    /// an adoption that changed nothing is the committed state, planned
-    /// through the plan cache.
+    /// Each step reads what the engine already holds and costs what
+    /// drifted. The refresh reads what the log names since the sync point
+    /// and copies the committed state only to fold a change in. When the
+    /// memo holds `source` and its plan cache is of the committed serial,
+    /// classification visits only the blocks that can hold drift
+    /// ([`IncrementalPipeline`]'s `drift_scope`), parsed off the memo's
+    /// chunks, and walks the cloud's records only when there are more of
+    /// them than the state holds; otherwise it visits every block of a cold
+    /// parse. A patch with no op is `source` byte for byte, so a reconcile
+    /// that classifies nothing parses and renders nothing. The adopted
+    /// state is planned as the committed one plus the addresses where it
+    /// differs, and committing it keeps that plan, so the proof after an
+    /// apply of nothing is a cache hit.
     ///
     /// A refusal — the input program does not parse/expand, no patch (not
     /// even the op-free program) passes the front-end gates, or the
@@ -867,129 +896,186 @@ impl Cloudless {
         source: &str,
         dry_run: bool,
     ) -> Result<ReconcileReport, ConvergeError> {
-        let file = cloudless_hcl::parse(source, "main.tf").map_err(ConvergeError::Frontend)?;
-        let program = Program::from_file(file.clone()).map_err(ConvergeError::Frontend)?;
+        // a program the memo holds parsed and expanded clean; any other is
+        // parsed and expanded here, and refused before anything is read or
+        // written
+        let inputs = &self.config.inputs;
+        let mut cold = match self.pipeline.manifest_of(source, inputs) {
+            Some(_) => None,
+            None => Some(self.cold(source)?),
+        };
         // a snapshot an earlier run could not commit goes in first even on
         // a dry run, or what it created would read as rogue
         self.commit_uncommitted()?;
-        // classify reads no span, so the memo's expansion serves when the
-        // memo holds this very program; a cold one is refused before
-        // anything is read
-        let (inputs, modules) = (&self.config.inputs, &self.config.modules);
-        let cold;
-        let manifest = match self.pipeline.manifest_of(source, inputs) {
-            Some(memo) => memo,
-            None => {
-                cold = expand(&program, inputs, modules, &self.data)
-                    .map_err(ConvergeError::Frontend)?;
-                &cold
-            }
-        };
 
-        // observe: fold live truth into a state clone (committed only on a
-        // real run)
+        // observe: fold live truth into a copy of the committed state (one
+        // only if a read changed something; committed only on a real run)
         let since = self.synced();
         let principal = &self.config.principal;
-        let (mut state, refresh, at) =
+        let (mut adopted, refresh, at) =
             Self::refreshed(&mut self.cloud, self.store.current(), principal, since);
+        let state = adopted.as_ref().unwrap_or(self.store.current());
 
-        // classify drift into edit ops
-        let drift = cloudless_diagnose::reconcile::classify(
-            &program,
-            manifest,
-            &state,
-            self.cloud.records(),
-            self.cloud.catalog(),
-        );
+        // classify drift into edit ops. Read from a sync point with every
+        // read settled, each state entry is a live record: none is
+        // unmanaged unless there are more records than entries
+        let records = self.cloud.records();
+        let all_held =
+            since.is_some() && refresh.unsettled.is_empty() && records.len() == state.len();
+        self.pipeline.settle_plan();
+        let (inputs, serial) = (&self.config.inputs, self.store.serial());
+        let touched = refresh.updated.iter().chain(&refresh.missing);
+        let scoped = (self.pipeline).drift_scope(source, inputs, serial, touched, !all_held);
+        let scope = match scoped {
+            Some((blocks, names)) => Scope::blocks(blocks, names),
+            None => {
+                let whole = match cold.take() {
+                    Some(whole) => whole,
+                    None => self.cold(source)?,
+                };
+                let (_, program, manifest) = &*cold.insert(whole);
+                Scope::every_block(program, manifest)
+            }
+        };
+        let recorder = &self.config.recorder;
+        recorder.counter("reconcile.blocks_classified", scope.len() as u64);
+        let drift = classify_scope(scope, state, records, self.cloud.catalog());
 
         // synthesize the patch under the engine's lint gate, routing every
         // candidate through the memoized pipeline: a repaired candidate that
         // differs from the previous one in a single op replays only the
         // impacted subgraph, and the final accepted candidate leaves the
-        // memo warm so the converge below re-parses nothing
-        let patch_config = cloudless_synth::PatchConfig {
-            lint: self.config.lint.config().unwrap_or_default(),
-            ..cloudless_synth::PatchConfig::default()
-        };
-        let fail_on = patch_config.lint.fail_on;
-        let mut refused: Option<PipelineError> = None;
-        let mut checker = |candidate: &str| match self.run_pipeline(candidate, None) {
-            Ok(_) => Vec::new(),
-            Err(err) => {
-                let messages = err.patch_messages(fail_on);
-                refused = Some(err);
-                messages
+        // memo warm so the converge below re-parses nothing. No op: the
+        // patch is the program as written, which the plan below gates
+        let (plan, dropped, patched, iterations) = if drift.ops.is_empty() {
+            (drift, Vec::new(), source.to_owned(), 1)
+        } else {
+            let parsed;
+            let file = match &cold {
+                Some((file, _, _)) => file,
+                None => {
+                    parsed = self.parse(source)?;
+                    &parsed
+                }
+            };
+            let patch_config = cloudless_synth::PatchConfig {
+                lint: self.config.lint.config().unwrap_or_default(),
+                ..cloudless_synth::PatchConfig::default()
+            };
+            let fail_on = patch_config.lint.fail_on;
+            let mut refused: Option<PipelineError> = None;
+            let mut checker = |candidate: &str| match self.run_pipeline(candidate, None) {
+                Ok(_) => Vec::new(),
+                Err(err) => {
+                    let messages = err.patch_messages(fail_on);
+                    refused = Some(err);
+                    messages
+                }
+            };
+            let outcome = cloudless_synth::synthesize_patch(
+                source,
+                file,
+                &drift,
+                &patch_config,
+                &mut checker,
+            );
+            if let (false, Some(err)) = (outcome.ok, refused) {
+                // even the unpatched program is refused: pass the refusal on
+                // rather than emit a patch that cannot be admitted
+                return Err(err.into());
             }
+            (
+                outcome.plan,
+                outcome.dropped,
+                outcome.source,
+                outcome.iterations,
+            )
         };
-        let outcome =
-            cloudless_synth::synthesize_patch_with(&file, &drift, &patch_config, &mut checker);
-        if let (false, Some(err)) = (outcome.ok, refused) {
-            // even the unpatched program is refused: pass the refusal on
-            // rather than emit a patch that cannot be admitted
-            return Err(err.into());
-        }
 
         // state surgery the surviving ops justify: bind imports to their
         // live ids, renumber counted survivors (two phases so overlapping
         // moves cannot clobber each other)
-        for (addr, id) in &outcome.plan.imports {
-            if let Some(rec) = self.cloud.records().get(id) {
-                state.put(cloudless_state::DeployedResource {
-                    addr: addr.clone(),
-                    id: id.clone(),
-                    rtype: rec.rtype.clone(),
-                    region: rec.region.clone(),
-                    attrs: rec.attrs.clone(),
-                    depends_on: Vec::new(),
-                    created_at: rec.created_at,
-                });
+        if !plan.imports.is_empty() || !plan.moves.is_empty() {
+            let state = adopted.get_or_insert_with(|| self.store.current().clone());
+            for (addr, id) in &plan.imports {
+                if let Some(rec) = self.cloud.records().get(id) {
+                    state.put(cloudless_state::DeployedResource {
+                        addr: addr.clone(),
+                        id: id.clone(),
+                        rtype: rec.rtype.clone(),
+                        region: rec.region.clone(),
+                        attrs: rec.attrs.clone(),
+                        depends_on: Vec::new(),
+                        created_at: rec.created_at,
+                    });
+                }
             }
-        }
-        let moved: Vec<_> = outcome
-            .plan
-            .moves
-            .iter()
-            .filter_map(|(from, to)| state.remove(from).map(|r| (to.clone(), r)))
-            .collect();
-        for (to, mut r) in moved {
-            r.addr = to;
-            state.put(r);
+            let moved: Vec<_> = (plan.moves.iter())
+                .filter_map(|(from, to)| state.remove(from).map(|r| (to.clone(), r)))
+                .collect();
+            for (to, mut r) in moved {
+                r.addr = to;
+                state.put(r);
+            }
         }
 
         // decide: the residual plan of the patched program over the
-        // adopted state. Adopted drift is already a no-op in it, dropped
-        // ops' drift is overwritten back to the program. An adoption that
-        // changed nothing is the committed state, whose plan is cached
-        let unchanged = refresh.updated.is_empty()
-            && refresh.missing.is_empty()
-            && outcome.plan.imports.is_empty()
-            && outcome.plan.moves.is_empty();
-        let over = (!unchanged).then_some(&state);
-        let planned = self.plan_over(&outcome.source, &[], over)?;
+        // adopted state — the committed one where it adopted nothing.
+        // Adopted drift is already a no-op in it, dropped ops' drift is
+        // overwritten back to the program
+        let delta: Vec<ResourceAddr> = (refresh.updated.iter())
+            .chain(&refresh.missing)
+            .chain(plan.imports.iter().map(|(addr, _)| addr))
+            .chain(plan.moves.iter().flat_map(|(from, to)| [from, to]))
+            .cloned()
+            .collect();
+        let over = adopted.as_ref().map(|state| (state, &delta[..]));
+        let planned = self.plan_over(&patched, &[], over)?;
         let mut converged = planned.plan.is_empty();
         let (plan_text, apply) = if dry_run {
             (planned.plan_text, None)
         } else {
             // act: adopt, run the plan a dry run shows, prove the fixpoint
             // (a proof the gates refuse proves nothing)
-            self.commit(state, "reconcile: adopt drift", None, false)?;
+            if let Some(state) = adopted {
+                self.commit(state, "reconcile: adopt drift", None, false)?;
+                self.pipeline.adopted(self.store.serial());
+            }
             self.settle(at, &refresh);
-            let applied = self.apply_planned(planned, &outcome.source)?;
-            let proof = self.plan(&outcome.source, &[]);
+            let applied = self.apply_planned(planned, &patched)?;
+            let proof = self.plan(&patched, &[]);
             converged = proof.is_ok_and(|p| p.plan.is_empty());
             (applied.plan_text, Some(applied.apply))
         };
         Ok(ReconcileReport {
-            plan: outcome.plan,
-            dropped: outcome.dropped,
-            patched_source: outcome.source,
-            iterations: outcome.iterations,
+            plan,
+            dropped,
+            patched_source: patched,
+            iterations,
             refresh,
             plan_text,
             apply,
             converged,
             dry_run,
         })
+    }
+
+    /// Parse a program a reconcile reads (counted: one that classifies
+    /// nothing, of a program the memo holds, parses nothing).
+    fn parse(&self, source: &str) -> Result<File, ConvergeError> {
+        self.config.recorder.counter("reconcile.parses", 1);
+        cloudless_hcl::parse(source, "main.tf").map_err(ConvergeError::Frontend)
+    }
+
+    /// [`Cloudless::parse`], the program the file declares, and its cold
+    /// expansion under the engine's inputs and modules.
+    fn cold(&self, source: &str) -> Result<(File, Program, Manifest), ConvergeError> {
+        let file = self.parse(source)?;
+        let program = Program::from_file(file.clone()).map_err(ConvergeError::Frontend)?;
+        let (inputs, modules) = (&self.config.inputs, &self.config.modules);
+        let manifest =
+            expand(&program, inputs, modules, &self.data).map_err(ConvergeError::Frontend)?;
+        Ok((file, program, manifest))
     }
 
     /// Feed a metric observation to operate-phase policies.

@@ -90,10 +90,21 @@
 //! before anything is reused, and the validate guard holds the in-scope
 //! instances against the miner like any other per-instance layer.
 //!
+//! # The plan cache follows the state
+//!
+//! The plan stage's cache is the plan against the state committed at one
+//! serial, and moves with the state by delta: a commit that says which
+//! addresses it wrote re-keys it (`IncrementalPipeline::moved`), and a run
+//! against a snapshot nobody committed (`IncrementalPipeline::run_over`)
+//! plans the addresses where it differs and is undone unless that snapshot
+//! is committed next (`IncrementalPipeline::adopted`). Either way the next
+//! run plans the changed addresses and the blocks that read them, never the
+//! world.
+//!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
-//! `pipeline.runs_full`), so `cloudless watch` and the experiment
-//! harnesses can prove which stages actually ran.
+//! `pipeline.runs_full`, `pipeline.instances_planned`), so `cloudless
+//! watch` and the experiment harnesses can prove which stages actually ran.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -124,7 +135,7 @@ use cloudless_hcl::program::{
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
-use cloudless_types::{PairMap, ResourceAddr, SourcePos, Value};
+use cloudless_types::{PairMap, ResourceAddr, ResourceKey, SourcePos, Value};
 use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
@@ -442,11 +453,23 @@ fn out_of_bounds<'e>(
     edit.iter().find(broken).map(|(claim, _)| claim)
 }
 
-/// Plan-stage artifacts, valid for one state serial.
+/// Plan-stage artifacts: the plan of the memo's manifest against the state
+/// committed at `serial`, except at the addresses `away`.
 #[derive(Default)]
 struct PlanCache {
-    /// The state serial the rest was planned against (`None`: nothing yet).
+    /// The committed serial the rest was planned against (`None`: nothing
+    /// yet, or a snapshot nobody has committed).
     serial: Option<u64>,
+    /// Where the state committed at `serial` differs from the one the rest
+    /// was planned against: what a commit whose delta is known changed
+    /// ([`IncrementalPipeline::moved`]). The next run plans them again.
+    away: Vec<ResourceAddr>,
+    /// What the last run overwrote when it planned a snapshot nobody has
+    /// committed, latest last: kept when that snapshot is committed
+    /// ([`IncrementalPipeline::adopted`]), undone before anything else
+    /// reads the cache. Empty after a pass that rebuilt everything (the
+    /// cache is then that snapshot's, and `serial` is `None`).
+    speculative: Option<Vec<Undo>>,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
     /// Block `(type, name)` → whether the block's last-visited instance is
@@ -456,6 +479,62 @@ struct PlanCache {
     changes: BTreeMap<usize, PlannedChange>,
     /// Deletions by rendered address — the state's own key, so its order.
     deletes: BTreeMap<String, PlannedChange>,
+}
+
+/// One write a pass over a snapshot nobody committed made to the plan
+/// cache, with what it overwrote.
+enum Undo {
+    /// The change at a manifest position.
+    Change(usize, Option<PlannedChange>),
+    /// The dirtiness of the block of the instance at a manifest position.
+    Dirty(usize, Option<bool>),
+    /// The deletion of a rendered address.
+    Delete(String, Option<PlannedChange>),
+}
+
+/// Put `was` back as `map`'s entry for `key`.
+fn restore<K: Ord>(map: &mut BTreeMap<K, PlannedChange>, key: K, was: Option<PlannedChange>) {
+    match was {
+        Some(change) => drop(map.insert(key, change)),
+        None => drop(map.remove(&key)),
+    }
+}
+
+impl PlanCache {
+    /// Undo the plan of a snapshot nobody committed, if the last run made
+    /// one; `instances` is the manifest that run planned.
+    fn settle(&mut self, instances: &[Arc<ResourceInstance>]) {
+        for undo in self.speculative.take().into_iter().flatten().rev() {
+            match undo {
+                Undo::Change(at, was) => restore(&mut self.changes, at, was),
+                Undo::Delete(addr, was) => restore(&mut self.deletes, addr, was),
+                Undo::Dirty(at, was) => {
+                    let addr = &instances[at].addr;
+                    let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
+                    match was {
+                        Some(dirty) => drop(self.dirty.insert(rtype, name, dirty)),
+                        None => drop(self.dirty.remove(rtype, name)),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Which of a block's instances, at manifest positions `at`, has address
+/// `addr`: a counted block's sit in index order, so that one is a probe.
+fn instance_at(
+    instances: &[Arc<ResourceInstance>],
+    at: &[usize],
+    addr: &ResourceAddr,
+) -> Option<usize> {
+    let is = |p: &&usize| instances[**p].addr == *addr;
+    let probe = match addr.key {
+        ResourceKey::None => at.first(),
+        ResourceKey::Index(i) => at.get(i as usize),
+        ResourceKey::Key(_) => None,
+    };
+    probe.filter(is).or_else(|| at.iter().find(is)).copied()
 }
 
 /// The memoized artifacts of one clean run, grouped by the stage that
@@ -686,14 +765,98 @@ impl IncrementalPipeline {
         self.memo = None;
     }
 
-    /// Drop what the plan stage cached and keep the front end's artifacts:
-    /// the next run re-diffs every instance. The plan cache is keyed by
-    /// state serial, so a run over a snapshot nobody committed — it shares
-    /// its serial with the one it was cloned from — is bracketed by this.
-    pub(crate) fn forget_plan(&mut self) {
+    /// Undo the plan of a snapshot nobody committed, if the last run made
+    /// one: the plan cache is then the committed state's again.
+    pub(crate) fn settle_plan(&mut self) {
         if let Some(memo) = &mut self.memo {
-            memo.plan.serial = None;
+            memo.plan.settle(&memo.manifest.instances);
         }
+    }
+
+    /// The snapshot the last run planned against, one nobody had committed,
+    /// is now committed at `serial`: its plan is the cache's.
+    pub(crate) fn adopted(&mut self, serial: u64) {
+        let Some(memo) = &mut self.memo else {
+            return;
+        };
+        if memo.plan.speculative.take().is_some() {
+            memo.plan.serial = Some(serial);
+            memo.plan.away.clear();
+        }
+    }
+
+    /// A commit moved the state from serial `from` to `to` and changed it
+    /// at the addresses `delta` alone: a cache of `from` stays, owing a plan
+    /// of those addresses.
+    pub(crate) fn moved(
+        &mut self,
+        from: u64,
+        to: u64,
+        delta: impl IntoIterator<Item = ResourceAddr>,
+    ) {
+        self.settle_plan();
+        if let Some(plan) = self.memo.as_mut().map(|memo| &mut memo.plan) {
+            if plan.serial == Some(from) {
+                plan.serial = Some(to);
+                plan.away.extend(delta);
+            }
+        }
+    }
+
+    /// The blocks of `source` a reconcile must classify against the state
+    /// committed at `serial` refreshed at the addresses `refreshed`, when the
+    /// memo can say: it holds `source` expanded under `inputs`, and its plan
+    /// cache is of that serial. A block the cache plans to a no-op at every
+    /// instance holds, at each, every attribute it declares (the planner's
+    /// rule is the classifier's, [`cloudless_types::value::attr_differs`]),
+    /// so drift can only be in a block with a refreshed address, an address
+    /// the cache owes a plan of, or a change in the cache. Each is parsed
+    /// off its chunk, in declaration order, with its instances. With
+    /// `names`, every block name the program declares comes too.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn drift_scope<'m, 'r>(
+        &'m self,
+        source: &str,
+        inputs: &BTreeMap<String, Value>,
+        serial: u64,
+        refreshed: impl Iterator<Item = &'r ResourceAddr>,
+        names: bool,
+    ) -> Option<(
+        Vec<(ResourceBlock, &'m [Arc<ResourceInstance>])>,
+        Option<BTreeSet<String>>,
+    )> {
+        self.manifest_of(source, inputs)?;
+        let memo = self.memo.as_deref()?;
+        let plan = &memo.plan;
+        if plan.serial != Some(serial) || plan.speculative.is_some() {
+            return None;
+        }
+        let ranges = &memo.root.block_ranges;
+        let block_of = |at: usize| ranges.partition_point(|span| span.end <= at);
+        let mut scope: BTreeSet<usize> = plan.changes.keys().map(|&at| block_of(at)).collect();
+        let mut reach = |addr: &ResourceAddr| {
+            let at = memo
+                .mindex
+                .positions(&addr.module_path, addr.rtype.as_str(), &addr.name);
+            scope.extend(at.first().map(|&at| block_of(at)));
+        };
+        refreshed.for_each(&mut reach);
+        plan.away.iter().for_each(reach);
+        let mut blocks = Vec::with_capacity(scope.len());
+        for b in scope {
+            let chunk = &memo.chunks.chunks[memo.block_chunk[b]];
+            let rb = parse_block(&memo.source, chunk, &memo.program.filename).ok()?;
+            blocks.push((rb, &memo.manifest.instances[ranges[b].clone()]));
+        }
+        let names = names.then(|| {
+            let kinds = memo.chunks.chunks.iter().map(|chunk| &chunk.kind);
+            let named = kinds.filter_map(|kind| match kind {
+                ChunkKind::Resource { name, .. } => Some(name.clone()),
+                ChunkKind::Other => None,
+            });
+            named.collect()
+        });
+        Some((blocks, names))
     }
 
     /// Whether a memo is currently held.
@@ -726,10 +889,26 @@ impl IncrementalPipeline {
         source: &str,
         ctx: &PipelineCtx<'_>,
     ) -> Result<FrontendOutput, PipelineError> {
+        self.run_over(source, ctx, None)
+    }
+
+    /// [`IncrementalPipeline::run`] against `ctx.state`, which with `delta`
+    /// is a snapshot nobody committed that differs from the state committed
+    /// at its serial at those addresses alone (the reconciler's adopted
+    /// state). Its plan is the cache's with those addresses planned again,
+    /// and stays the cache's only if the snapshot is committed
+    /// ([`IncrementalPipeline::adopted`]).
+    pub(crate) fn run_over(
+        &mut self,
+        source: &str,
+        ctx: &PipelineCtx<'_>,
+        delta: Option<&[ResourceAddr]>,
+    ) -> Result<FrontendOutput, PipelineError> {
+        self.settle_plan();
         let keep = self.config.max_cache_bytes > 0;
         let mut scope = Scope::pick(self.memo.take(), source, ctx, keep);
         let mut walk = loop {
-            let mut walk = Walk::new(source, ctx);
+            let mut walk = Walk::new(source, ctx, delta);
             match walk.verdicts(&mut scope) {
                 Ok(()) => break walk,
                 Err(Stop::Guard(reason)) => scope = Scope::all(reason, keep, scope.into_memo()),
@@ -791,15 +970,19 @@ impl IncrementalPipeline {
 struct Walk<'a> {
     source: &'a str,
     ctx: &'a PipelineCtx<'a>,
+    /// Where `ctx.state` differs from the committed state at its serial,
+    /// when it is a snapshot nobody committed.
+    delta: Option<&'a [ResourceAddr]>,
     lint_cfg: Option<LintConfig>,
     out: FrontendOutput,
 }
 
 impl<'a> Walk<'a> {
-    fn new(source: &'a str, ctx: &'a PipelineCtx<'a>) -> Self {
+    fn new(source: &'a str, ctx: &'a PipelineCtx<'a>, delta: Option<&'a [ResourceAddr]>) -> Self {
         Walk {
             source,
             ctx,
+            delta,
             lint_cfg: ctx.lint.config(),
             out: FrontendOutput {
                 manifest: Manifest::default(),
@@ -1153,85 +1336,166 @@ impl<'a> Walk<'a> {
 
     /// **plan** — manifest × state → changes and plan text, through the
     /// plan cache of the memo the run leaves behind: one pass along the
-    /// dependency order that visits the *marked* instances. The spliced
-    /// `blocks`' instances start marked while the state serial stands —
-    /// every instance when nothing is cached (`blocks` is `None`) or the
-    /// state moved (an apply happened): the front-end artifacts stay, the
-    /// diff rebuilds. [`plan_one`] reads nothing of a dependency but whether
-    /// it is created or replaced, so a visit marks its block's direct
-    /// dependents — they come later in the order — only when it changes that
-    /// flag. The static cone of the edit (`cloudless_graph::ImpactScope`,
-    /// ANA505) bounds what the pass can reach; it visits the part of the cone
-    /// whose inputs changed.
+    /// dependency order that visits the *marked* instances. While the
+    /// state serial stands, the spliced `blocks`' instances start marked,
+    /// and so does what the state changed under the cache — the addresses a
+    /// commit since moved (`away`) and those where a snapshot nobody
+    /// committed differs (`delta`) — with every block that reads theirs
+    /// (a reader resolves the block's records off the state). Every instance
+    /// is marked when nothing is cached (`blocks` is `None`), the serial
+    /// moved by a commit of unknown delta, or a snapshot nobody committed
+    /// comes with an edit: the front-end artifacts stay, the diff rebuilds.
+    /// [`plan_one`] reads nothing of a dependency but its records and
+    /// whether it is created or replaced, so a visit marks its block's
+    /// direct dependents — they come later in the order — only when it
+    /// changes that flag. The static cone of the edit
+    /// (`cloudless_graph::ImpactScope`, ANA505) bounds what the pass can
+    /// reach; it visits the part of the cone whose inputs changed.
+    ///
+    /// A pass over a snapshot nobody committed logs what it overwrites, so
+    /// that the cache is the committed state's again unless that snapshot
+    /// is committed next.
     fn plan(&mut self, memo: &mut Memo, blocks: Option<&[BlockEdit]>) {
-        let (ctx, out) = (self.ctx, &mut self.out);
+        let (ctx, delta, out) = (self.ctx, self.delta, &mut self.out);
         let instances = &out.manifest.instances;
-        let (dag, ranges, cache) = (&memo.dag, &memo.root.block_ranges, &mut memo.plan);
+        let (dag, ranges) = (&memo.dag, &memo.root.block_ranges);
+        let (mindex, lint_env) = (&memo.mindex, &memo.lint_env);
+        let PlanCache {
+            serial,
+            away,
+            speculative,
+            order,
+            dirty,
+            changes,
+            deletes,
+        } = &mut memo.plan;
         if blocks.is_none() {
-            cache.order = dependency_order(&out.manifest);
+            *order = dependency_order(&out.manifest);
         }
+        let mut log = delta.map(|_| Vec::new());
+        let mark_readers = |marked: &mut [bool], block: usize| {
+            for dependent in dag.successors(NodeId(block as u32)) {
+                marked[ranges[dependent.index()].clone()].fill(true);
+            }
+        };
+        let reused = blocks.filter(|blocks| {
+            *serial == Some(ctx.state.serial) && (delta.is_none() || blocks.is_empty())
+        });
         // `None`: every instance
-        let mut marked: Option<Vec<bool>> = match blocks {
-            Some(blocks) if cache.serial == Some(ctx.state.serial) => {
+        let mut marked: Option<Vec<bool>> = match reused {
+            None => None,
+            Some(blocks) => 'reuse: {
                 // the addresses a removed block leaves in the state are
                 // deleted, the ones an inserted block declares no longer are
                 for b in blocks.iter().filter(|b| b.removed()) {
                     let left = b.before.iter().filter_map(|inst| ctx.state.get(&inst.addr));
-                    let deletes = left.map(|r| (r.addr.to_string(), delete_change(r)));
-                    cache.deletes.extend(deletes);
+                    deletes.extend(left.map(|r| (r.addr.to_string(), delete_change(r))));
                 }
                 for inst in blocks
                     .iter()
                     .filter(|b| b.inserted())
                     .flat_map(|b| &b.after)
                 {
-                    cache.deletes.remove(&inst.addr.to_string());
+                    deletes.remove(&inst.addr.to_string());
                 }
                 let mut marked = vec![false; instances.len()];
                 for (at, _) in blocks.iter().filter_map(|b| b.now) {
                     marked[ranges[at].clone()].fill(true);
                 }
+                // an address no instance has is a deletion exactly when the
+                // state holds it
+                let mut redelete = |addr: &ResourceAddr| {
+                    let key = addr.to_string();
+                    let was = match ctx.state.get(addr) {
+                        Some(r) => deletes.insert(key.clone(), delete_change(r)),
+                        None => deletes.remove(&key),
+                    };
+                    if let Some(log) = &mut log {
+                        log.push(Undo::Delete(key, was));
+                    }
+                };
+                for addr in away.iter().chain(delta.into_iter().flatten()) {
+                    let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
+                    let at = mindex.positions(&addr.module_path, rtype, name);
+                    let Some(&first) = at.first() else {
+                        // nothing says which blocks read a declared block
+                        // that has no instance
+                        let root = addr.module_path.is_empty();
+                        if root && lint_env.declares(&DeclEdit::default(), rtype, name) {
+                            break 'reuse None;
+                        }
+                        redelete(addr);
+                        continue;
+                    };
+                    mark_readers(
+                        &mut marked,
+                        ranges.partition_point(|span| span.end <= first),
+                    );
+                    match instance_at(instances, at, addr) {
+                        Some(idx) => marked[idx] = true,
+                        None => redelete(addr),
+                    }
+                }
                 Some(marked)
             }
-            _ => {
-                cache.serial = Some(ctx.state.serial);
-                let deletes = delete_changes(&out.manifest, ctx.state).into_iter();
-                cache.deletes = deletes.map(|c| (c.addr.to_string(), c)).collect();
-                // an unvisited dependency (a cycle) reads as dirty, as in `diff`
-                cache.dirty.clear();
-                cache.changes.clear();
-                None
-            }
         };
+        if marked.is_none() {
+            *serial = Some(ctx.state.serial);
+            away.clear();
+            let all = delete_changes(&out.manifest, ctx.state).into_iter();
+            *deletes = all.map(|c| (c.addr.to_string(), c)).collect();
+            // an unvisited dependency (a cycle) reads as dirty, as in `diff`
+            dirty.clear();
+            changes.clear();
+            // nothing to undo: the whole cache is this run's
+            log = None;
+        }
         // each visit reads its dependencies' dirtiness as the visit before
         // left it: this pass's, or the run's that last planned them
         let mut visited = 0;
-        for &idx in &cache.order {
+        for &idx in order.iter() {
             if marked.as_ref().is_some_and(|marked| !marked[idx]) {
                 continue;
             }
             visited += 1;
             let inst = &instances[idx];
             let mut dep_dirty =
-                |rtype: &str, name: &str| cache.dirty.get(rtype, name).copied().unwrap_or(true);
+                |rtype: &str, name: &str| dirty.get(rtype, name).copied().unwrap_or(true);
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
             let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
-            let dirty = change.makes_dirty();
-            let was = cache.dirty.insert(rtype, name, dirty);
-            if let (Some(marked), true) = (&mut marked, was != Some(dirty)) {
+            let flag = change.makes_dirty();
+            let was = dirty.insert(rtype, name, flag);
+            if let Some(log) = &mut log {
+                log.push(Undo::Dirty(idx, was));
+            }
+            if let (Some(marked), true) = (&mut marked, was != Some(flag)) {
                 // (marking on every flip between a block's instances
                 // over-marks, never under-marks)
-                let block = ranges.partition_point(|span| span.end <= idx);
-                for dependent in dag.successors(NodeId(block as u32)) {
-                    marked[ranges[dependent.index()].clone()].fill(true);
-                }
+                mark_readers(marked, ranges.partition_point(|span| span.end <= idx));
             }
-            match change.action.is_noop() {
-                true => drop(cache.changes.remove(&idx)),
-                false => drop(cache.changes.insert(idx, change)),
+            let was = match change.action.is_noop() {
+                true => changes.remove(&idx),
+                false => changes.insert(idx, change),
+            };
+            if let Some(log) = &mut log {
+                log.push(Undo::Change(idx, was));
             }
         }
-        out.changes = (cache.changes.values().chain(cache.deletes.values()))
+        ctx.recorder
+            .counter("pipeline.instances_planned", visited as u64);
+        match delta {
+            // the addresses it owed are planned
+            None => away.clear(),
+            Some(_) => {
+                // a snapshot's plan rebuilt from nothing is of no committed
+                // serial until that snapshot is committed
+                if log.is_none() {
+                    *serial = None;
+                }
+                *speculative = Some(log.unwrap_or_default());
+            }
+        }
+        out.changes = (changes.values().chain(deletes.values()))
             .cloned()
             .collect();
         out.plan_text = render(&out.changes);

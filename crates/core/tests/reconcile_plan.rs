@@ -3,12 +3,15 @@
 //! anything, and a plan over a state nobody committed neither reads nor
 //! leaves plan-stage artifacts in the pipeline memo. What a reconcile takes
 //! from the memo — the expansion of its input, the plan of an adoption that
-//! changed nothing — it takes with a cold run's result. And what it reads of
-//! the cloud is what the activity log names: counted, so exact on any host.
+//! changed nothing — it takes with a cold run's result, round after round of
+//! drift. And what it reads of the cloud is what the activity log names, and
+//! what it goes through of the program is what drifted: counted, so exact
+//! on any host.
 
 mod common;
 
 use cloudless::cloud::{Catalog, CloudConfig};
+use cloudless::obs::FlightRecorder;
 use cloudless::types::value::attrs;
 use cloudless::types::{ResourceId, Value};
 use cloudless::{Cloudless, Config, ConvergeError};
@@ -97,6 +100,13 @@ fn assert_plans_as_cold(e: &mut Cloudless, source: &str) {
     assert_eq!(warm, cold);
 }
 
+/// What the plan stage of a plan of `source` says it visited.
+fn replanned(e: &mut Cloudless, source: &str) -> String {
+    let (_, trace) = e.plan_incremental(source).expect("plans");
+    let plan = trace.stages.iter().find(|s| s.stage == "plan");
+    plan.map(|s| s.detail.clone()).unwrap_or_default()
+}
+
 #[test]
 fn a_dry_run_leaves_no_plan_artifacts_for_the_next_plan() {
     let mut e = renamed();
@@ -112,6 +122,10 @@ fn a_dry_run_reads_no_plan_artifacts_of_the_plan_before_it() {
     // not be served
     assert!(e.plan(WEB, &[]).expect("plans").plan.is_empty());
     let patched = assert_previews_the_overwrite(&mut e);
+    // and what the dry run planned over its adopted state is undone: the
+    // plan of the committed state is the cache's, untouched
+    let visited = replanned(&mut e, &patched);
+    assert!(visited.starts_with("re-planned 0/"), "{visited}");
     assert_plans_as_cold(&mut e, &patched);
 }
 
@@ -131,11 +145,51 @@ fn reconciled(e: &mut Cloudless, source: &str, dry_run: bool) -> [String; 4] {
     [r.patched_source, ops, r.plan_text, e.state().to_json()]
 }
 
+/// Round `round` of out-of-band drift on the reconciled estate: every class
+/// the classifier adopts or overwrites, across the rounds.
+fn drift(e: &mut Cloudless, round: usize) {
+    let id = |e: &Cloudless, addr: &str| e.state().get_str(addr).unwrap().id.clone();
+    let update = |e: &mut Cloudless, addr: &str, attr: &str, value: &str| {
+        let id = id(e, addr);
+        let drifted = attrs([(attr, Value::from(value))]);
+        e.cloud_mut()
+            .out_of_band_update("cowboy", &id, drifted)
+            .unwrap();
+    };
+    let rogue = |e: &mut Cloudless, bucket: &str| {
+        let bucket = attrs([("bucket", Value::from(bucket))]);
+        let cloud = e.cloud_mut();
+        cloud
+            .out_of_band_create("clickops", "aws_s3_bucket", "us-east-1", bucket)
+            .unwrap();
+    };
+    match round {
+        0 => {
+            update(e, "aws_subnet.app", "cidr_block", "10.0.5.0/24");
+            update(e, "aws_virtual_machine.web[0]", "name", "hand-renamed");
+            rogue(e, "shadow-data");
+        }
+        1 => {
+            let web1 = id(e, "aws_virtual_machine.web[1]");
+            e.cloud_mut().out_of_band_delete("intern", &web1).unwrap();
+            update(e, "aws_vpc.main", "name", "hand-named");
+            update(e, "aws_vpc.main", "tags", "undeclared");
+            rogue(e, "second-shadow");
+        }
+        _ => {
+            let shadow = id(e, "aws_s3_bucket.shadow_data");
+            e.cloud_mut().out_of_band_delete("intern", &shadow).unwrap();
+            update(e, "aws_s3_bucket.second_shadow", "bucket", "renamed-shadow");
+            update(e, "aws_virtual_machine.web[0]", "name", "renamed-again");
+        }
+    }
+}
+
 #[test]
 fn a_reconcile_from_the_memo_is_the_cold_reconcile() {
     let source = edited();
     // no drift (the adoption changes nothing); drift of every class the
-    // classifier adopts or overwrites
+    // classifier adopts or overwrites, round after round in one engine
     for drifted in [false, true] {
         let mut runs = Vec::new();
         for warm in [true, false] {
@@ -145,33 +199,26 @@ fn a_reconcile_from_the_memo_is_the_cold_reconcile() {
                 .expect("the edit applies")
                 .apply
                 .all_ok());
-            if drifted {
-                let id = |e: &Cloudless, addr: &str| e.state().get_str(addr).unwrap().id.clone();
-                let (subnet, web0) = (
-                    id(&e, "aws_subnet.app"),
-                    id(&e, "aws_virtual_machine.web[0]"),
-                );
-                let cloud = e.cloud_mut();
-                let cidr = attrs([("cidr_block", Value::from("10.0.5.0/24"))]);
-                cloud.out_of_band_update("clickops", &subnet, cidr).unwrap();
-                let name = attrs([("name", Value::from("hand-renamed"))]);
-                cloud.out_of_band_update("cowboy", &web0, name).unwrap();
-                let bucket = attrs([("bucket", Value::from("shadow-data"))]);
-                cloud
-                    .out_of_band_create("clickops", "aws_s3_bucket", "us-east-1", bucket)
-                    .unwrap();
-            }
             let held = e
                 .pipeline()
                 .manifest_of(&source, &Default::default())
                 .is_some();
             assert!(held, "the converge leaves the memo holding the program");
-            if !warm {
-                e.clear_pipeline_cache();
+            let mut program = source.clone();
+            let mut rounds = Vec::new();
+            for round in 0..3 {
+                if drifted {
+                    drift(&mut e, round);
+                }
+                if !warm {
+                    e.clear_pipeline_cache();
+                }
+                let dry = reconciled(&mut e, &program, true);
+                let real = reconciled(&mut e, &program, false);
+                program = real[0].clone();
+                rounds.push((dry, real));
             }
-            let dry = reconciled(&mut e, &source, true);
-            let real = reconciled(&mut e, &source, false);
-            runs.push((dry, real));
+            runs.push(rounds);
         }
         assert_eq!(
             runs[0], runs[1],
@@ -195,8 +242,27 @@ fn unmetered() -> Config {
     };
     Config {
         cloud,
+        recorder: FlightRecorder::shared(16),
         ..common::config()
     }
+}
+
+/// The counters of `e` that say how much of the program a reconcile went
+/// through: blocks classified, instances planned, parses of the program.
+fn work(e: &Cloudless) -> [u64; 3] {
+    let m = e.metrics().expect("a flight recorder keeps metrics");
+    [
+        "reconcile.blocks_classified",
+        "pipeline.instances_planned",
+        "reconcile.parses",
+    ]
+    .map(|name| m.counter(name))
+}
+
+/// How much more work `e` has counted than `before`.
+fn since(e: &Cloudless, before: [u64; 3]) -> [u64; 3] {
+    let now = work(e);
+    [0, 1, 2].map(|i| now[i] - before[i])
 }
 
 /// `blocks` buckets and a fleet of `blocks / 8` more, converged in one
@@ -218,6 +284,10 @@ fn estate(blocks: usize) -> (Cloudless, String) {
 /// reconcile after `k` out-of-band updates reads at most `k`, whatever the
 /// size of the estate; an engine rebuilt over the same state and records —
 /// a CLI process — reads every managed resource on its first reconcile.
+/// What the reconcile goes through of the program is counted too: the
+/// follow-up classifies no block and parses nothing, and after `k` updates
+/// it classifies at most `k` blocks and plans at most their instances (the
+/// buckets have no dependents).
 #[test]
 fn a_reconcile_reads_what_the_activity_log_names() {
     for blocks in [2_000, 8_000] {
@@ -228,8 +298,15 @@ fn a_reconcile_reads_what_the_activity_log_names() {
             (r.refresh.reads, r.patched_source)
         };
         let (_, patched) = reconciled(&mut e, &source, false);
+        let before = work(&e);
         let (reads, _) = reconciled(&mut e, &patched, true);
         assert_eq!(reads, 0, "the clean follow-up at {blocks} blocks");
+        let [classified, _, parses] = since(&e, before);
+        assert_eq!(
+            (classified, parses),
+            (0, 0),
+            "the clean follow-up at {blocks} blocks"
+        );
 
         let k = 5;
         let every = e.state().len() / k;
@@ -241,10 +318,18 @@ fn a_reconcile_reads_what_the_activity_log_names() {
                 .out_of_band_update("intern", id, tags)
                 .unwrap();
         }
+        let before = work(&e);
         let (reads, _) = reconciled(&mut e, &patched, false);
         assert!(
             reads as usize <= drifted.len(),
             "{reads} reads after {drifted:?}"
+        );
+        let [classified, planned, parses] = since(&e, before);
+        let k = drifted.len() as u64;
+        assert!(
+            classified <= k && planned <= k && parses == 0,
+            "after {k} updates at {blocks} blocks: {classified} block(s) classified, \
+             {planned} instance(s) planned, {parses} parse(s)"
         );
 
         let (state, records) = (e.state().clone(), e.cloud().records().clone());

@@ -14,7 +14,8 @@ use cloudless_cloud::Catalog;
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_state::{DeployedResource, Snapshot};
-use cloudless_types::{Attrs, ResourceAddr, Value};
+use cloudless_types::value::attr_differs;
+use cloudless_types::{Attrs, ResourceAddr};
 
 use crate::resolver::StateResolver;
 
@@ -162,8 +163,7 @@ pub fn plan_one(
             let mut force_new = false;
             let schema = catalog.get(&inst.addr.rtype);
             for (name, desired_v) in &planned {
-                let prior_v = prior.attrs.get(name).unwrap_or(&Value::Null);
-                if prior_v != desired_v && !(desired_v.is_null() && prior_v.is_null()) {
+                if attr_differs(prior.attrs.get(name), desired_v) {
                     changed.push(name.clone());
                     if let Some(s) = schema {
                         if s.attr(name).map(|a| a.force_new).unwrap_or(false) {
@@ -310,7 +310,7 @@ mod tests {
     use crate::resolver::DataResolver;
     use cloudless_hcl::program::{expand, ModuleLibrary, Program};
     use cloudless_types::value::attrs;
-    use cloudless_types::{Region, ResourceId, SimTime};
+    use cloudless_types::{Region, ResourceId, SimTime, Value};
 
     fn manifest(src: &str) -> Manifest {
         let p = Program::from_file(cloudless_hcl::parse(src, "main.tf").unwrap()).unwrap();

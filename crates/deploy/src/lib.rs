@@ -39,7 +39,7 @@ pub mod rollback;
 pub use diff::{diff, Action, PlannedChange};
 pub use exec::{ApplyReport, Executor, NodeResult, NodeStats, Strategy};
 pub use plan::{Plan, PlanNode};
-pub use refresh::{full_refresh, refresh_since, scoped_refresh, RefreshReport};
+pub use refresh::{full_refresh, refresh_all, refresh_since, scoped_refresh, RefreshReport};
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, DeadlinePolicy, ResiliencePolicy, RetryPolicy,
 };

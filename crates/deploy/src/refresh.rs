@@ -9,12 +9,15 @@
 //!
 //! The engine's `refresh` and `reconcile` call [`refresh_since`] from their
 //! *sync point* — the log position as of which the committed state matched
-//! the cloud — and [`full_refresh`] only when they hold none: an engine
+//! the cloud — and [`refresh_all`] only when they hold none: an engine
 //! rebuilt from session files (every CLI process), or one whose state or
-//! cloud records changed in a way no log entry names. E2's refresh-cost
-//! comparison and the reconciler's unit suites call [`full_refresh`] and
-//! [`scoped_refresh`] directly.
+//! cloud records changed in a way no log entry names. Both take the
+//! committed snapshot by reference (a [`Cow`]) and copy it only when a read
+//! finds a record changed: a refresh that finds nothing costs no copy of
+//! the world. E2's refresh-cost comparison and the reconciler's unit suites
+//! call [`full_refresh`] and [`scoped_refresh`] directly.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use cloudless_cloud::{ApiOp, ApiRequest, Cloud, OpOutcome};
@@ -39,6 +42,19 @@ pub struct RefreshReport {
 
 /// Refresh every resource in the snapshot (the Terraform-default baseline).
 pub fn full_refresh(cloud: &mut Cloud, state: &mut Snapshot, principal: &str) -> RefreshReport {
+    let mut owned = Cow::Owned(std::mem::take(state));
+    let report = refresh_all(cloud, &mut owned, principal);
+    *state = owned.into_owned();
+    report
+}
+
+/// [`full_refresh`] of a snapshot the caller may hold by reference: it is
+/// copied only when a read finds a record changed.
+pub fn refresh_all(
+    cloud: &mut Cloud,
+    state: &mut Cow<'_, Snapshot>,
+    principal: &str,
+) -> RefreshReport {
     let addrs: Vec<ResourceAddr> = state.addrs();
     scoped_refresh(cloud, state, principal, addrs.into_iter().collect())
 }
@@ -51,7 +67,7 @@ pub fn full_refresh(cloud: &mut Cloud, state: &mut Snapshot, principal: &str) ->
 /// events, not the world.
 pub fn refresh_since(
     cloud: &mut Cloud,
-    state: &mut Snapshot,
+    state: &mut Cow<'_, Snapshot>,
     principal: &str,
     since: u64,
 ) -> RefreshReport {
@@ -63,10 +79,12 @@ pub fn refresh_since(
     scoped_refresh(cloud, state, principal, scope)
 }
 
-/// Refresh only the given addresses (incremental path).
+/// Refresh only the given addresses (incremental path). The snapshot is
+/// copied, if the caller holds it by reference, only when a read finds a
+/// record changed or gone.
 pub fn scoped_refresh(
     cloud: &mut Cloud,
-    state: &mut Snapshot,
+    state: &mut Cow<'_, Snapshot>,
     principal: &str,
     addrs: BTreeSet<ResourceAddr>,
 ) -> RefreshReport {
@@ -101,13 +119,13 @@ pub fn scoped_refresh(
         };
         match (live, state.get(&addr)) {
             (None, _) => {
-                state.remove(&addr);
+                state.to_mut().remove(&addr);
                 report.missing.push(addr);
             }
             (Some(attrs), Some(rec)) if rec.attrs != attrs => {
                 let mut rec = rec.clone();
                 rec.attrs = attrs;
-                state.put(rec);
+                state.to_mut().put(rec);
                 report.updated.push(addr);
             }
             _ => {}
@@ -198,20 +216,25 @@ resource "aws_s3_bucket" "b" {
 
     #[test]
     fn scoped_refresh_reads_only_scope() {
-        let (mut cloud, mut state) = build(SRC);
+        let (mut cloud, state) = build(SRC);
         let before = cloud.total_api_calls();
         let scope: BTreeSet<ResourceAddr> = ["aws_vpc.v".parse().unwrap()].into();
-        let report = scoped_refresh(&mut cloud, &mut state, "refresher", scope);
+        let report = scoped_refresh(&mut cloud, &mut Cow::Borrowed(&state), "refresher", scope);
         assert_eq!(report.reads, 1);
         assert_eq!(cloud.total_api_calls() - before, 1);
     }
 
     #[test]
     fn refresh_since_reads_what_the_log_names_after_the_position() {
-        let (mut cloud, mut state) = build(SRC);
+        let (mut cloud, state) = build(SRC);
         let since = cloud.activity().len() as u64;
+        let mut state = Cow::Borrowed(&state);
         let quiet = refresh_since(&mut cloud, &mut state, "refresher", since);
         assert_eq!(quiet.reads, 0);
+        assert!(
+            matches!(state, Cow::Borrowed(_)),
+            "a quiet log copies nothing"
+        );
         let bucket = |i: usize| format!("aws_s3_bucket.b[{i}]").parse().unwrap();
         let id = |state: &Snapshot, i| state.get(&bucket(i)).unwrap().id.clone();
         let (renamed, deleted) = (id(&state, 0), id(&state, 2));

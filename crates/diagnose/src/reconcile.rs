@@ -25,14 +25,18 @@
 //! validate-and-repair loop live in `cloudless-synth`, and the state
 //! surgery (imports, moves) in the `cloudless` facade.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use cloudless_cloud::{Catalog, ResourceRecord};
 use cloudless_hcl::ast::Expr;
 use cloudless_hcl::program::{Manifest, Program, ResourceBlock, ResourceInstance};
-use cloudless_state::{DeployedResource, Snapshot};
-use cloudless_types::{Attrs, Region, ResourceAddr, ResourceId, ResourceKey, ResourceTypeName};
+use cloudless_state::Snapshot;
+use cloudless_types::value::attr_differs;
+use cloudless_types::{
+    Attrs, Region, ResourceAddr, ResourceId, ResourceKey, ResourceTypeName, Value,
+};
 use serde::{Deserialize, Serialize};
 
 /// One minimal program edit that folds a piece of drift back into IaC.
@@ -140,13 +144,85 @@ impl ReconcilePlan {
     }
 }
 
-/// Classify the difference between a program's expansion and the refreshed
-/// state + live records into a [`ReconcilePlan`].
+/// What of a program a classification visits: resource blocks in
+/// declaration order, each with its expanded instances, and whether the
+/// cloud's records are walked for unmanaged ones.
 ///
-/// `state` must already be refreshed (deleted resources pruned, drifted
-/// attributes folded in) — the classifier compares the program's *declared*
-/// attributes against it, so drift on attributes the program never sets
-/// needs no edit at all.
+/// [`Scope::every_block`] is the whole program. A caller that knows which
+/// blocks can hold drift — the engine, from what its refresh changed and
+/// what its plan cache says is not a no-op — hands [`Scope::blocks`] those
+/// alone: a block outside them classifies to nothing, so the plan is the
+/// one the whole program gives.
+pub struct Scope<'a> {
+    blocks: Vec<(Cow<'a, ResourceBlock>, Vec<&'a ResourceInstance>)>,
+    /// Instances expanded inside modules: drift there is never patchable
+    /// at the root program level, and a deleted one is left to the
+    /// converge.
+    nested: Vec<&'a ResourceInstance>,
+    /// Every block name the program declares — the labels an import may not
+    /// take — or `None`: no record can be unmanaged, and none is walked.
+    declared: Option<BTreeSet<String>>,
+}
+
+impl<'a> Scope<'a> {
+    /// Every block of `program`, with the instances of its expansion
+    /// `manifest`: one pass over the manifest hands each root instance to
+    /// its block, so the per-block work is O(block), not a scan of the
+    /// world.
+    pub fn every_block(program: &'a Program, manifest: &'a Manifest) -> Scope<'a> {
+        let mut by_block: HashMap<(&str, &str), Vec<&ResourceInstance>> = HashMap::new();
+        let mut nested = Vec::new();
+        for inst in manifest.instances.iter().map(Arc::as_ref) {
+            if inst.addr.module_path.is_empty() {
+                let block = (inst.addr.rtype.as_str(), inst.addr.name.as_str());
+                by_block.entry(block).or_default().push(inst);
+            } else {
+                nested.push(inst);
+            }
+        }
+        // a program declares each block once
+        let blocks = (program.resources.iter()).map(|rb| {
+            let insts = by_block.remove(&(rb.rtype.as_str(), rb.name.as_str()));
+            (Cow::Borrowed(rb), insts.unwrap_or_default())
+        });
+        let declared = program.resources.iter().map(|rb| rb.name.clone());
+        Scope {
+            blocks: blocks.collect(),
+            nested,
+            declared: Some(declared.collect()),
+        }
+    }
+
+    /// Some root-module blocks of a program without modules, in declaration
+    /// order, each with its instances; `declared` as in the struct.
+    pub fn blocks(
+        blocks: impl IntoIterator<Item = (ResourceBlock, &'a [Arc<ResourceInstance>])>,
+        declared: Option<BTreeSet<String>>,
+    ) -> Scope<'a> {
+        let blocks = blocks.into_iter().map(|(rb, insts)| {
+            let insts = insts.iter().map(Arc::as_ref).collect();
+            (Cow::Owned(rb), insts)
+        });
+        Scope {
+            blocks: blocks.collect(),
+            nested: Vec::new(),
+            declared,
+        }
+    }
+
+    /// How many blocks it visits.
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+}
+
+/// Classify the difference between a program's expansion and the refreshed
+/// state + live records into a [`ReconcilePlan`]: [`classify_scope`] of
+/// every block.
 pub fn classify(
     program: &Program,
     manifest: &Manifest,
@@ -154,43 +230,50 @@ pub fn classify(
     records: &BTreeMap<ResourceId, ResourceRecord>,
     catalog: &Catalog,
 ) -> ReconcilePlan {
+    classify_scope(
+        Scope::every_block(program, manifest),
+        state,
+        records,
+        catalog,
+    )
+}
+
+/// Classify the blocks of `scope` against the refreshed state, and the
+/// records no state entry holds when it walks them.
+///
+/// `state` must already be refreshed (deleted resources pruned, drifted
+/// attributes folded in) — the classifier compares the program's *declared*
+/// attributes against it, so drift on attributes the program never sets
+/// needs no edit at all.
+pub fn classify_scope(
+    scope: Scope<'_>,
+    state: &Snapshot,
+    records: &BTreeMap<ResourceId, ResourceRecord>,
+    catalog: &Catalog,
+) -> ReconcilePlan {
     let mut plan = ReconcilePlan::default();
-
-    // One pass over the manifest pairs every instance with its state record
-    // and hands each root instance to its block, so the per-block work below
-    // is O(block), not a scan of the world.
-    let mut by_block: HashMap<(&str, &str), Vec<Observed<'_>>> = HashMap::new();
-    // Drift inside module-expanded instances is never patchable at the root
-    // program level: leave it to the converge.
-    let mut module_missing = Vec::new();
-    for inst in manifest.instances.iter().map(Arc::as_ref) {
-        let rec = state.get(&inst.addr);
-        if inst.addr.module_path.is_empty() {
-            let block = (inst.addr.rtype.as_str(), inst.addr.name.as_str());
-            by_block.entry(block).or_default().push((inst, rec));
-        } else if rec.is_none() {
-            module_missing.push(inst.addr.clone());
-        }
+    for (rb, insts) in &scope.blocks {
+        classify_block(rb, insts, state, &mut plan);
     }
-
-    for rb in &program.resources {
-        let insts = by_block.get(&(rb.rtype.as_str(), rb.name.as_str()));
-        classify_block(rb, insts.map_or(&[], Vec::as_slice), &mut plan);
+    let nested = scope.nested.iter();
+    let missing = nested.filter(|inst| state.get(&inst.addr).is_none());
+    plan.overwrites
+        .extend(missing.map(|inst| inst.addr.clone()));
+    if let Some(declared) = scope.declared {
+        classify_unmanaged(declared, state, records, catalog, &mut plan);
     }
-    plan.overwrites.extend(module_missing);
-
-    classify_unmanaged(program, state, records, catalog, &mut plan);
     plan
 }
 
-/// One expanded instance and its record in the refreshed state (`None`:
-/// deleted out of band).
-type Observed<'a> = (&'a ResourceInstance, Option<&'a DeployedResource>);
-
-fn classify_block(rb: &ResourceBlock, insts: &[Observed<'_>], plan: &mut ReconcilePlan) {
+fn classify_block(
+    rb: &ResourceBlock,
+    insts: &[&ResourceInstance],
+    state: &Snapshot,
+    plan: &mut ReconcilePlan,
+) {
     let (mut live, mut missing) = (Vec::new(), Vec::new());
-    for &(inst, rec) in insts {
-        match rec {
+    for &inst in insts {
+        match state.get(&inst.addr) {
             Some(rec) => live.push((inst, rec)),
             None => missing.push(inst),
         }
@@ -237,22 +320,17 @@ fn classify_block(rb: &ResourceBlock, insts: &[Observed<'_>], plan: &mut Reconci
         }
     }
 
-    // Attribute drift on surviving instances. Only plan-time-known attrs
-    // are comparable; deferred (reference-valued) attrs are re-resolved by
-    // the differ and stomped by the converge if drifted.
+    // Attribute drift on surviving instances, by the planner's rule (a
+    // declared `null` matches an absent attribute). Only plan-time-known
+    // attrs are comparable; deferred (reference-valued) attrs are
+    // re-resolved by the differ and stomped by the converge if drifted.
     let singleton = rb.count.is_none() && rb.for_each.is_none();
     for (inst, rec) in &live {
-        let mut drifted: Vec<(&String, &cloudless_types::Value)> = inst
+        let mut drifted: Vec<(&String, &Value)> = inst
             .attrs
             .iter()
-            .filter(|(name, desired)| rec.attrs.get(name.as_str()) != Some(desired))
-            .map(|(name, _)| {
-                let live_v = rec
-                    .attrs
-                    .get(name.as_str())
-                    .unwrap_or(&cloudless_types::Value::Null);
-                (name, live_v)
-            })
+            .filter(|(name, desired)| attr_differs(rec.attrs.get(name.as_str()), desired))
+            .map(|(name, _)| (name, rec.attrs.get(name.as_str()).unwrap_or(&Value::Null)))
             .collect();
         drifted.sort_by(|a, b| a.0.cmp(b.0));
         if drifted.is_empty() {
@@ -283,16 +361,15 @@ fn for_each_is_literal(rb: &ResourceBlock) -> bool {
     }
 }
 
+/// `taken` starts as every block name the program declares, so imported
+/// labels never collide with declared ones.
 fn classify_unmanaged(
-    program: &Program,
+    mut taken: BTreeSet<String>,
     state: &Snapshot,
     records: &BTreeMap<ResourceId, ResourceRecord>,
     catalog: &Catalog,
     plan: &mut ReconcilePlan,
 ) {
-    // Seed the label allocator with every block name already in the program
-    // so imported labels never collide with declared ones.
-    let mut taken: BTreeSet<String> = program.resources.iter().map(|r| r.name.clone()).collect();
     for (id, rec) in records {
         if state.by_id(id.as_str()).is_some() {
             continue;
@@ -486,6 +563,32 @@ resource "aws_subnet" "s" {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A declared `null` is an attribute the executor never submits: the
+    /// record lacks it, and the planner reads that as no change. So does the
+    /// classifier, for a literal and for a null-defaulted variable, on a
+    /// singleton and on a counted block.
+    #[test]
+    fn a_declared_null_the_record_lacks_is_not_drift() {
+        let src = r#"
+variable "tags" { default = null }
+resource "aws_vpc" "v" {
+  cidr_block = "10.0.0.0/16"
+  name       = null
+}
+resource "aws_s3_bucket" "b" {
+  count  = 2
+  bucket = "bucket-${count.index}"
+  tags   = var.tags
+}
+"#;
+        let (p, mut cloud, mut state) = world(src);
+        let vpc = state.get(&"aws_vpc.v".parse().unwrap()).unwrap();
+        assert_eq!(vpc.attrs.get("name"), None, "the null was never submitted");
+        let plan = classify_world(&p, &mut cloud, &mut state);
+        assert!(plan.is_empty(), "{plan:?}");
+        assert!(plan.overwrites.is_empty(), "{:?}", plan.overwrites);
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl Controller {
         self.policies.is_empty()
     }
 
+    /// Whether any registered policy is bound to `phase`: a caller whose
+    /// observation costs something to build asks before building it.
+    pub fn watches(&self, phase: LifecyclePhase) -> bool {
+        self.policies.iter().any(|p| p.phases().contains(&phase))
+    }
+
     /// Route one observation to every policy bound to `phase`; returns the
     /// collected actions (in registration order).
     pub fn feed(&mut self, phase: LifecyclePhase, observation: &Observation) -> Vec<Action> {

@@ -34,5 +34,5 @@ pub mod patch;
 pub mod synth;
 
 pub use intent::{Intent, WantedResource};
-pub use patch::{apply_ops, synthesize_patch_with, PatchConfig, PatchOutcome};
+pub use patch::{apply_ops, synthesize_patch, synthesize_patch_with, PatchConfig, PatchOutcome};
 pub use synth::{synthesize, unguided_baseline, SynthConfig, SynthReport};

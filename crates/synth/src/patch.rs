@@ -228,13 +228,39 @@ pub fn synthesize_patch_with(
     config: &PatchConfig,
     checker: &mut dyn FnMut(&str) -> Vec<String>,
 ) -> PatchOutcome {
+    repair(base, None, plan, config, checker)
+}
+
+/// [`synthesize_patch_with`] of the program whose text is `text` and whose
+/// syntax tree is `base`: a candidate with no op left is `text` itself, byte
+/// for byte, not `base` rendered again.
+pub fn synthesize_patch(
+    text: &str,
+    base: &File,
+    plan: &ReconcilePlan,
+    config: &PatchConfig,
+    checker: &mut dyn FnMut(&str) -> Vec<String>,
+) -> PatchOutcome {
+    repair(base, Some(text), plan, config, checker)
+}
+
+fn repair(
+    base: &File,
+    text: Option<&str>,
+    plan: &ReconcilePlan,
+    config: &PatchConfig,
+    checker: &mut dyn FnMut(&str) -> Vec<String>,
+) -> PatchOutcome {
     let mut active: Vec<EditOp> = plan.ops.clone();
     let mut dropped: Vec<(EditOp, String)> = Vec::new();
     let mut iterations = 0;
     loop {
         iterations += 1;
         let file = apply_ops(base, &active);
-        let source = render_file(&file);
+        let source = match text {
+            Some(text) if active.is_empty() => text.to_owned(),
+            _ => render_file(&file),
+        };
         let errors = checker(&source);
         if errors.is_empty() {
             return PatchOutcome {

@@ -258,6 +258,14 @@ pub fn attrs<K: Into<String>, I: IntoIterator<Item = (K, Value)>>(entries: I) ->
     entries.into_iter().map(|(k, v)| (k.into(), v)).collect()
 }
 
+/// Whether a recorded attribute (`None`: the record has none) differs from
+/// the value a program declares for it. An absent attribute reads as
+/// `null`: the executor submits no null, so a declared `null` is never
+/// recorded. The planner and the drift classifier both ask this.
+pub fn attr_differs(recorded: Option<&Value>, declared: &Value) -> bool {
+    recorded.unwrap_or(&Value::Null) != declared
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

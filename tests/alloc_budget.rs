@@ -25,6 +25,10 @@
 //! same events over a fourfold estate, the same allocations and no more
 //! bytes — the state answers "who holds this id" from its own index.
 //!
+//! And a reconcile that finds nothing
+//! (`a_clean_reconcile_costs_its_drift_not_the_estate`): the same
+//! allocations over a fourfold estate, and bytes a constant per block.
+//!
 //! The counting `#[global_allocator]` is `counting/mod.rs`.
 
 use std::collections::BTreeMap;
@@ -443,6 +447,59 @@ fn poll_of_drift(blocks: usize) -> Tally {
     let (report, tally) = counted(|| watcher.poll(engine.cloud(), &state));
     assert_eq!(report.events.len(), POLL_EVENTS);
     tally
+}
+
+/// Most bytes a clean reconcile may ask for per block: the copies of the
+/// instance list and of the program text the plan and the report hand
+/// out, a flag per instance for the plan stage's marks.
+const CLEAN_RECONCILE_BYTES_PER_BLOCK: u64 = 160;
+
+/// `random_layered(blocks, 7)`, converged and reconciled once — which
+/// leaves a sync point and the memo holding the program — then the tally of
+/// the clean follow-up, a dry run.
+fn clean_reconcile(blocks: usize) -> Tally {
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+
+    let mut engine = Cloudless::new(Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    });
+    let converged = engine.converge(&random_layered(blocks, 7));
+    assert!(converged.expect("the estate converges").apply.all_ok());
+    let first = engine.reconcile(&random_layered(blocks, 7), false);
+    let patched = first.expect("a clean estate reconciles").patched_source;
+    let (report, tally) = counted(|| engine.reconcile(&patched, true));
+    let report = report.unwrap_or_else(|e| panic!("the follow-up reconciles: {e}"));
+    assert!(
+        report.converged && report.plan.is_empty(),
+        "{:?}",
+        report.plan
+    );
+    assert_eq!(report.refresh.reads, 0);
+    tally
+}
+
+/// A reconcile that finds nothing reads what the activity log names since
+/// the sync point (nothing), classifies the blocks the refresh and the plan
+/// cache name (none) and plans through the cache: it copies no state,
+/// parses and renders no program, walks no record, and asks the heap as
+/// often at 8 000 blocks as at 2 000, for bytes a constant per block.
+#[test]
+fn a_clean_reconcile_costs_its_drift_not_the_estate() {
+    let (small, large) = (clean_reconcile(2_000), clean_reconcile(8_000));
+    println!("a clean reconcile at 2 000 / 8 000 blocks: {small:?} / {large:?}");
+    assert_eq!(large.allocs, small.allocs, "{small:?} → {large:?}");
+    for (tally, blocks) in [(small, 2_000), (large, 8_000)] {
+        assert!(
+            tally.bytes <= CLEAN_RECONCILE_BYTES_PER_BLOCK * blocks,
+            "{} bytes at {blocks} blocks, over {CLEAN_RECONCILE_BYTES_PER_BLOCK} a block",
+            tally.bytes
+        );
+    }
 }
 
 /// A poll classifies each event by one probe of the state's id index, so

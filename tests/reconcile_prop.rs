@@ -6,10 +6,13 @@
 //! the invariant for arbitrary seeds, with oracle-exact patches. And a
 //! refresh from the engine's sync point finds what a full refresh finds,
 //! over arbitrary sequences of drift, applies, refreshes, reconciles,
-//! rollbacks, record imports and failing reads.
+//! rollbacks, record imports and failing reads; and a reconcile that reads
+//! the blocks the memo names and plans the delta decides what a cold one
+//! over every block decides.
 
 use cloudless::cloud::{CloudConfig, FaultPlan};
 use cloudless::deploy::full_refresh;
+use cloudless::obs::FlightRecorder;
 use cloudless::state::Snapshot;
 use cloudless::types::value::attrs;
 use cloudless::types::{ResourceAddr, Value};
@@ -235,6 +238,121 @@ fn run_steps(steps: &[Step]) {
     }
 }
 
+/// What a dry run of `program` decides, as text: the classification (ops,
+/// moves, imports, overwrites and skipped, in order), the patch and the
+/// residual plan.
+fn decided(e: &mut Cloudless, program: &str) -> Option<[String; 3]> {
+    let r = e.reconcile(program, true).ok()?;
+    Some([format!("{:?}", r.plan), r.patched_source, r.plan_text])
+}
+
+/// Blocks classified so far.
+fn classified(e: &Cloudless) -> u64 {
+    let metrics = e.metrics().expect("a flight recorder keeps metrics");
+    metrics.counter("reconcile.blocks_classified")
+}
+
+/// Blocks that read others' records: a drifted `solo.bucket` (which forces
+/// a replacement) or `origin.acl` (which does not), or a replaced `net`,
+/// changes what they plan to.
+const READERS: &str = r#"
+resource "aws_s3_bucket" "origin" {
+  bucket = "origin-data"
+  acl    = "private"
+}
+resource "aws_s3_bucket" "mirror" {
+  bucket = "${aws_s3_bucket.solo.bucket}-mirror"
+  acl    = aws_s3_bucket.origin.acl
+}
+resource "aws_subnet" "app" {
+  vpc_id     = aws_vpc.net.id
+  cidr_block = "10.0.1.0/24"
+}
+"#;
+
+/// Run one sequence of drift, converges, edits not applied yet and
+/// reconciles, holding at every step that a dry run from the memo — the
+/// blocks the refresh and the plan cache name, planned as the committed
+/// state plus the adoption — decides what one from a cold memo decides over
+/// every block.
+fn run_scoped(steps: &[Step]) {
+    let mut e = Cloudless::new(Config {
+        cloud: CloudConfig::exact(),
+        seed: 1234,
+        recorder: FlightRecorder::shared(16),
+        ..Config::default()
+    });
+    let programs = programs().map(|program| program + READERS);
+    let mut program = programs[0].clone();
+    e.converge(&program).expect("base deploy");
+    for (i, &(what, which, payload)) in steps.iter().enumerate() {
+        let addrs: Vec<ResourceAddr> = e.state().addrs();
+        let managed = addrs.get(which % addrs.len().max(1));
+        let id = managed.and_then(|a| e.state().get(a)).map(|r| r.id.clone());
+        let rtype = managed.map(|a| a.rtype.as_str().to_owned());
+        match (what % 6, id) {
+            (0, Some(id)) => {
+                let attr = match (rtype.as_deref(), payload % 3) {
+                    (Some("aws_vpc"), _) => "name",
+                    (Some("aws_subnet"), _) => "cidr_block",
+                    (_, 0) => "bucket",
+                    (_, 1) => "acl",
+                    _ => "tags",
+                };
+                let value = match attr {
+                    "cidr_block" => format!("10.0.{}.0/24", 2 + payload),
+                    _ => format!("drift-{payload}"),
+                };
+                let drift = attrs([(attr, Value::from(value))]);
+                let _ = e.cloud_mut().out_of_band_update("chaos", &id, drift);
+            }
+            (1, Some(id)) => drop(e.cloud_mut().out_of_band_delete("chaos", &id)),
+            (2, _) => {
+                let bucket = attrs([("bucket", Value::from(format!("rogue-{payload}")))]);
+                let cloud = e.cloud_mut();
+                let _ = cloud.out_of_band_create("chaos", "aws_s3_bucket", "us-east-1", bucket);
+            }
+            (3, _) => {
+                program = programs[payload % programs.len()].clone();
+                let _ = e.converge(&program);
+            }
+            // an edit the state does not hold yet: the plan cache has changes
+            (4, _) => program = programs[payload % programs.len()].clone(),
+            _ => {
+                if let Ok(r) = e.reconcile(&program, false) {
+                    program = r.patched_source;
+                }
+            }
+        }
+        let plan_text = |e: &mut Cloudless| e.plan(&program, &[]).map(|p| p.plan_text).ok();
+        let before = classified(&e);
+        let warm = decided(&mut e, &program);
+        let scoped = classified(&e) - before;
+        // what the dry run planned over its adopted state is not the
+        // committed state's plan
+        let warm_plan = plan_text(&mut e);
+        e.clear_pipeline_cache();
+        let before = classified(&e);
+        let cold = decided(&mut e, &program);
+        let every = classified(&e) - before;
+        assert_eq!(
+            warm, cold,
+            "step {i} of {steps:?}: from the memo (left), cold (right)"
+        );
+        assert!(
+            scoped <= every,
+            "step {i}: {scoped} block(s) from the memo, {every} cold"
+        );
+        // the cold run left the memo cold: this plan warms it again over
+        // the committed state, as the engine's own runs would have
+        let cold_plan = plan_text(&mut e);
+        assert_eq!(
+            warm_plan, cold_plan,
+            "step {i} of {steps:?}: the plan after a dry run"
+        );
+    }
+}
+
 /// A refresh reads what the log names since the one before: everything the
 /// engine created, then nothing, then the one resource drifted; after a
 /// rollback of the state document, everything again.
@@ -272,6 +390,15 @@ proptest! {
     #[test]
     fn a_refresh_from_the_sync_point_finds_what_a_full_refresh_finds(steps in gen_steps()) {
         run_steps(&steps);
+    }
+
+    /// Whatever drift, converges and reconciles came before, a reconcile
+    /// that classifies the blocks the memo names and plans the adopted
+    /// state as a delta on the plan cache decides exactly what one over
+    /// every block, planned cold, decides.
+    #[test]
+    fn a_scoped_reconcile_decides_what_a_cold_one_decides(steps in gen_steps()) {
+        run_scoped(&steps);
     }
 
     /// The round-trip invariant: whatever the mutation sequence did, the
