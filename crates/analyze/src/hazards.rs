@@ -77,14 +77,18 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
             .or_insert(i);
     }
 
-    // --- block-level dependency digraph: edge dependency -> dependent
+    // --- block-level dependency digraph: edge dependency -> dependent,
+    // self-loops left out (ANA404 reports them, ANA401 ignores them)
     let mut g = Digraph::new(n);
-    // (from, to) -> first span that creates the edge, for reporting
+    // (from, to) -> first span that creates the edge, for reporting;
+    // self-loops included
     let mut edge_spans: BTreeMap<(usize, usize), Span> = BTreeMap::new();
     for (i, r) in p.resources.iter().enumerate() {
         let mut note = |dep: &Reference, span: Span| {
             if let Some(j) = block_target(dep, &block_index) {
-                g.add_edge(j, i);
+                if j != i {
+                    g.add_edge(j, i);
+                }
                 edge_spans.entry((j, i)).or_insert(span);
             }
         };
@@ -98,15 +102,12 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     }
 
     // --- ANA404 self-reference (report before the generic cycle finding)
-    let mut self_ref = vec![false; n];
-    for (i, flag) in self_ref.iter_mut().enumerate() {
-        if g.has_edge(i, i) {
-            *flag = true;
-            let r = &p.resources[i];
+    for (i, r) in p.resources.iter().enumerate() {
+        if let Some(&span) = edge_spans.get(&(i, i)) {
             sink.emit(
                 "ANA404",
                 file,
-                edge_spans.get(&(i, i)).copied().unwrap_or(r.span),
+                span,
                 format!(
                     "{}.{} references its own attributes; the value can never resolve",
                     r.rtype, r.name
@@ -116,14 +117,8 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
         }
     }
 
-    // --- ANA401 reference cycle (ignoring pure self-loops, already reported)
-    let mut acyclic = g.clone();
-    for (i, &is_self) in self_ref.iter().enumerate() {
-        if is_self {
-            acyclic.remove_edge(i, i);
-        }
-    }
-    if let Some(cycle) = acyclic.find_cycle() {
+    // --- ANA401 reference cycle (pure self-loops are reported already)
+    if let Some(cycle) = g.find_cycle() {
         let names: Vec<String> = cycle
             .iter()
             .map(|&i| format!("{}.{}", p.resources[i].rtype, p.resources[i].name))
@@ -146,13 +141,17 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
         );
     }
 
-    // --- ANA403 dangling dependency: edges into blocks whose count folds to 0
+    // --- ANA403 dangling dependency: edges into blocks whose count folds
+    // to 0. The map is in (from, to) order, so a block's out-edges are one
+    // range of it.
     for (i, r) in p.resources.iter().enumerate() {
         if !count_folds_zero(r, env) {
             continue;
         }
-        for ((from, to), span) in &edge_spans {
-            if *from != i || *to == i {
+        for ((_, to), span) in edge_spans.range((i, 0)..(i + 1, 0)) {
+            #[cfg(test)]
+            tests::EDGES_READ.with(|read| read.set(read.get() + 1));
+            if *to == i {
                 continue;
             }
             let d = &p.resources[*to];
@@ -195,5 +194,50 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
             ),
             Some("merge the blocks or give each a distinct identity"),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::fmt::Write;
+
+    use cloudless_hcl::program::ModuleLibrary;
+
+    use crate::{lint_source, LintConfig};
+
+    thread_local! {
+        /// The edges the ANA403 walk has read on this thread.
+        pub(super) static EDGES_READ: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The dangling-dependency walk reads each disabled block's own
+    /// out-edges, not every edge of the program once per disabled block.
+    #[test]
+    fn dangling_dependencies_read_each_edge_once() {
+        const BLOCKS: usize = 1_000;
+        let mut src = String::new();
+        for i in 0..BLOCKS {
+            let _ = writeln!(
+                src,
+                "resource \"aws_network\" \"n{i}\" {{\n  count = 0\n  name  = \"n{i}\"\n}}"
+            );
+            let _ = writeln!(
+                src,
+                "resource \"aws_virtual_machine\" \"v{i}\" {{\n  name       = \"v{i}\"\n  \
+                 network_id = aws_network.n{i}.id\n}}"
+            );
+        }
+        EDGES_READ.with(|read| read.set(0));
+        let report = lint_source(
+            &src,
+            "main.tf",
+            &ModuleLibrary::new(),
+            &LintConfig::default(),
+        );
+        let findings = report.expect("parses").findings;
+        let dangling = findings.iter().filter(|f| f.diagnostic.code == "ANA403");
+        assert_eq!(dangling.count(), BLOCKS);
+        assert_eq!(EDGES_READ.with(Cell::get), BLOCKS);
     }
 }

@@ -211,6 +211,37 @@ mod tests {
         assert_eq!(reopened.checkpoint_lag(), 0);
     }
 
+    /// On disk, compaction renames a synced temp file over the log: none is
+    /// left behind, the log it leaves is clean, and it reopens to the same
+    /// world.
+    #[test]
+    fn a_file_compaction_leaves_a_clean_log_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("cloudless-compact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.log");
+        std::fs::remove_file(&path).ok();
+        let (mut store, _) = LogStore::open_file(&path).unwrap();
+        for i in 0..40 {
+            put(
+                &mut store,
+                &format!("aws_subnet.s{}", i % 5),
+                &format!("m{i}"),
+            );
+        }
+        store.compact().unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.log"], "a temp file is left: {names:?}");
+        let fsck = crate::fsck_file(&path).unwrap();
+        assert!(fsck.clean(), "{}", fsck.render());
+        let (reopened, recovery) = LogStore::open_file(&path).unwrap();
+        assert_eq!(recovery.torn_bytes_dropped, 0);
+        assert_eq!(reopened.current(), store.current());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn compaction_drops_orphaned_blobs() {
         let mut store = LogStore::in_memory();

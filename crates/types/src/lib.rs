@@ -18,6 +18,7 @@
 pub mod addr;
 pub mod cidr;
 pub mod intern;
+pub mod join;
 pub mod pairmap;
 pub mod provider;
 pub mod span;
@@ -26,6 +27,7 @@ pub mod value;
 
 pub use addr::{ResourceAddr, ResourceId, ResourceKey, ResourceTypeName};
 pub use intern::{AddrId, AddrTable, Interner, Symbol};
+pub use join::join;
 pub use pairmap::PairMap;
 pub use provider::{Provider, Region};
 pub use span::{SourcePos, Span};

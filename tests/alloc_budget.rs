@@ -203,11 +203,13 @@ fn hold_budget(small: &ColdRun, large: &ColdRun) {
 
 #[test]
 fn a_cold_run_allocates_within_budget_per_block() {
+    let _serial = counting::serial();
     hold_budget(&ColdRun::measure(1_000), &ColdRun::measure(10_000));
 }
 
 #[test]
 fn counts_repeat_exactly() {
+    let _serial = counting::serial();
     let (a, b) = (ColdRun::measure(500), ColdRun::measure(500));
     assert_eq!(a.total, b.total, "{a}{b}");
     assert_eq!(a.stages, b.stages);
@@ -218,6 +220,7 @@ fn counts_repeat_exactly() {
 #[test]
 #[ignore = "100 000 blocks: run in release"]
 fn a_cold_run_allocates_within_budget_at_100k() {
+    let _serial = counting::serial();
     hold_budget(&ColdRun::measure(10_000), &ColdRun::measure(100_000));
 }
 
@@ -227,6 +230,7 @@ fn a_cold_run_allocates_within_budget_at_100k() {
 /// Counts and bytes, exact on any host.
 #[test]
 fn the_back_half_of_a_one_block_apply_touches_one_block() {
+    let _serial = counting::serial();
     use cloudless::{Cloudless, Config};
     use cloudless_cloud::CloudConfig;
     use cloudless_state::{CommitMeta, LogStore};
@@ -392,6 +396,7 @@ impl WarmReplan {
 /// source are spliced in place; a table copy alone is two `String`s a block).
 #[test]
 fn a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone() {
+    let _serial = counting::serial();
     let (small, large) = (WarmReplan::measure(1_000), WarmReplan::measure(10_000));
     for (run, blocks) in [(&small, 1_000), (&large, 10_000)] {
         println!(
@@ -490,6 +495,7 @@ fn clean_reconcile(blocks: usize) -> Tally {
 /// often at 8 000 blocks as at 2 000, for bytes a constant per block.
 #[test]
 fn a_clean_reconcile_costs_its_drift_not_the_estate() {
+    let _serial = counting::serial();
     let (small, large) = (clean_reconcile(2_000), clean_reconcile(8_000));
     println!("a clean reconcile at 2 000 / 8 000 blocks: {small:?} / {large:?}");
     assert_eq!(large.allocs, small.allocs, "{small:?} → {large:?}");
@@ -510,6 +516,7 @@ fn a_clean_reconcile_costs_its_drift_not_the_estate() {
 /// resource.
 #[test]
 fn a_poll_costs_its_events_not_the_estate() {
+    let _serial = counting::serial();
     let (small, large) = (poll_of_drift(2_000), poll_of_drift(8_000));
     println!("a poll of {POLL_EVENTS} drift events at 2 000 / 8 000 blocks: {small:?} / {large:?}");
     assert_eq!(large.allocs, small.allocs, "{small:?} → {large:?}");

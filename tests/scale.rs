@@ -40,6 +40,7 @@ use counting::counted;
 /// times are gated elsewhere (see the module docs).
 #[test]
 fn random_10k_pipeline_within_wall_budget() {
+    let _serial = counting::serial();
     let point = e14_scale::measure("random-10k", 10_000, 1);
     assert_eq!(point.nodes, 10_000, "workload should expand to 10k nodes");
     assert!(point.edges > 0, "workload should have dependency edges");
@@ -121,6 +122,7 @@ impl Drifted {
 /// per block over the manifest is 16x.
 #[test]
 fn classify_grows_linearly_in_blocks() {
+    let _serial = counting::serial();
     let n = 2_000;
     let tally = |blocks| {
         let drifted = Drifted::new(blocks);
@@ -157,6 +159,7 @@ fn classify_millis(blocks: usize) -> f64 {
 #[test]
 #[ignore = "wall-time ratio: run in release"]
 fn classify_time_grows_linearly_in_blocks() {
+    let _serial = counting::serial();
     let n = 2_000;
     let (small, large) = (classify_millis(n), classify_millis(4 * n));
     let ratio = large / small;
@@ -187,6 +190,7 @@ fn in_scope(detail: &str) -> (usize, usize, String) {
 /// re-derives the world is the whole cold run.
 #[test]
 fn a_structural_save_replans_in_a_fraction_of_a_cold_run() {
+    let _serial = counting::serial();
     let blocks = 8_000;
     let base = random_layered(blocks, 7);
     // quotas out of the way: VAL307 would refuse the program
@@ -293,6 +297,7 @@ fn full_refresh_pass<T>(
 /// world per read, is 16x.
 #[test]
 fn full_refresh_grows_linearly_in_instances() {
+    let _serial = counting::serial();
     let n = 2_000;
     let tally = |instances| full_refresh_pass(instances, |pass| counted(pass).1)();
     let (small, large) = (tally(n), tally(4 * n));
@@ -318,6 +323,7 @@ fn full_refresh_grows_linearly_in_instances() {
 #[test]
 #[ignore = "wall-time ratio: run in release"]
 fn full_refresh_time_grows_linearly_in_instances() {
+    let _serial = counting::serial();
     let n = 2_000;
     let timed = |pass: &mut dyn FnMut()| {
         let start = Instant::now();
@@ -380,6 +386,7 @@ fn destroy_leaves_nothing(blocks: usize) {
 /// is the default-run size, the next test the one that failed.
 #[test]
 fn destroy_of_a_layered_estate_leaves_nothing_behind() {
+    let _serial = counting::serial();
     destroy_leaves_nothing(2_000);
 }
 
@@ -387,5 +394,6 @@ fn destroy_of_a_layered_estate_leaves_nothing_behind() {
 #[test]
 #[ignore]
 fn destroy_of_the_10k_layered_estate_leaves_nothing_behind() {
+    let _serial = counting::serial();
     destroy_leaves_nothing(10_000);
 }
