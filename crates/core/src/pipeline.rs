@@ -29,7 +29,11 @@
 //!   re-derives the in-scope blocks' artifacts with the same per-block
 //!   functions the whole-program passes fold over, holds them against
 //!   *guards*, and stages the result in a `Splice` — O(scope), never a copy
-//!   of the memo.
+//!   of the memo. The one table it writes early is the memo's instance
+//!   list: the expand stage puts the edited blocks' new instances there in
+//!   place, and a walk that stops after it puts the old ones back. The
+//!   run's output shares that list ([`cloudless_hcl::Instances`]), so a
+//!   warm run copies nothing the size of the program.
 //!
 //! A cold run is therefore the same walk over an empty memo, and a guard
 //! trip restarts the same walk with every block in scope. A splice lands
@@ -116,6 +120,7 @@ use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use cloudless_analyze::alias::{instance_claims, replace_self_race, ClaimKey};
@@ -494,6 +499,9 @@ struct PlanCache {
     speculative: Option<Vec<Undo>>,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
+    /// Each instance's place in `order`: a pass visits what it marks by
+    /// this key, smallest first.
+    rank: Vec<usize>,
     /// Block `(type, name)` → whether the block's last-visited instance is
     /// created or replaced.
     dirty: PairMap<bool>,
@@ -523,6 +531,16 @@ fn restore<K: Ord>(map: &mut BTreeMap<K, PlannedChange>, key: K, was: Option<Pla
 }
 
 impl PlanCache {
+    /// Visit the instances in `order` from now on.
+    fn set_order(&mut self, order: Vec<usize>) {
+        self.rank.clear();
+        self.rank.resize(order.len(), 0);
+        for (r, &at) in order.iter().enumerate() {
+            self.rank[at] = r;
+        }
+        self.order = order;
+    }
+
     /// Undo the plan of a snapshot nobody committed, if the last run made
     /// one; `instances` is the manifest that run planned.
     fn settle(&mut self, instances: &[Arc<ResourceInstance>]) {
@@ -655,6 +673,10 @@ struct Splice {
     /// The block declarations the inserted and removed ones amount to.
     decls: DeclEdit,
     claims: Claims,
+    /// Whether the edited blocks' new instances are in the memo's list,
+    /// where the expand stage writes them: their old ones go back if a
+    /// later stage stops the walk.
+    written: bool,
     /// Whether blocks were inserted or removed, and the memo's positional
     /// tables have been reshaped for it: nothing is left to put back.
     reshaped: bool,
@@ -761,11 +783,17 @@ impl Scope {
         }
     }
 
-    /// The memo as it stood before the run, if it still does.
+    /// The memo as it stood before the run, if it can: the edited blocks'
+    /// old instances put back, unless the splice reshaped it.
     fn into_memo(self) -> Option<Box<Memo>> {
         match self {
             Scope::All { old, .. } => old,
-            Scope::Blocks { memo, edit } => (!edit.reshaped).then_some(memo),
+            Scope::Blocks { mut memo, edit } => (!edit.reshaped).then(|| {
+                if edit.written {
+                    memo.write_edited(&edit.blocks, |b| &b.before);
+                }
+                memo
+            }),
         }
     }
 }
@@ -953,6 +981,8 @@ impl IncrementalPipeline {
             } => (fresh, None, Some(reason), keep),
             Scope::Blocks { mut memo, mut edit } => {
                 memo.absorb(&mut edit, source);
+                // the memo's list, edit and all: no copy of the world
+                walk.out.manifest = memo.manifest.clone();
                 (memo, Some(edit), None, true)
             }
         };
@@ -1130,7 +1160,8 @@ impl<'a> Walk<'a> {
     }
 
     /// Take an all-blocks expansion: the caller's manifest, and the memo's
-    /// copy and root bindings while the memo may still be kept.
+    /// share of it (one instance list) and root bindings while the memo may
+    /// still be kept.
     fn expanded(&mut self, fresh: &mut Memo, keep: &mut bool, expanded: (Manifest, RootExpansion)) {
         let (manifest, root) = expanded;
         *keep &= manifest.warnings.is_empty();
@@ -1350,15 +1381,9 @@ impl<'a> Walk<'a> {
                     edit.reshaped = true;
                     memo.reshape(&edit.blocks)?;
                 }
-                // the caller's copy (`Arc` bumps) with the edited ranges
-                // replaced, which the memo's are only on success
-                self.out.manifest = memo.manifest.clone();
-                for b in edit.blocks.iter().filter(|b| !b.inserted()) {
-                    if let Some((at, _)) = b.now {
-                        let span = memo.root.block_ranges[at].clone();
-                        self.out.manifest.instances[span].clone_from_slice(&b.after);
-                    }
-                }
+                // in place, O(edit): a stopped walk puts `before` back
+                memo.write_edited(&edit.blocks, |b| &b.after);
+                edit.written = true;
             }
         }
         Ok(())
@@ -1385,7 +1410,7 @@ impl<'a> Walk<'a> {
                 }
                 let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
                 let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
-                let (manifest, mindex) = (&self.out.manifest, &memo.mindex);
+                let (manifest, mindex) = (&memo.manifest, &memo.mindex);
                 let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner);
                 ensure(found.is_empty(), "edited scope has validation findings")?;
             }
@@ -1477,29 +1502,34 @@ impl<'a> Walk<'a> {
         let instances = &manifest.instances;
         let (dag, ranges) = (&memo.dag, &memo.root.block_ranges);
         let (mindex, lint_env) = (&memo.mindex, &memo.lint_env);
+        if blocks.is_none() {
+            memo.plan.set_order(dependency_order(manifest));
+        }
         let PlanCache {
             serial,
             away,
             speculative,
             order,
+            rank,
             dirty,
             changes,
             deletes,
         } = &mut memo.plan;
-        if blocks.is_none() {
-            *order = dependency_order(manifest);
-        }
         let mut log = delta.map(|_| Vec::new());
-        let mark_readers = |marked: &mut [bool], block: usize| {
+        // a mark is an instance's rank: the pass pops the smallest
+        let mark = |marked: &mut BTreeSet<usize>, span: Range<usize>| {
+            marked.extend(span.map(|at| rank[at]));
+        };
+        let mark_readers = |marked: &mut BTreeSet<usize>, block: usize| {
             for dependent in dag.successors(NodeId(block as u32)) {
-                marked[ranges[dependent.index()].clone()].fill(true);
+                mark(marked, ranges[dependent.index()].clone());
             }
         };
         let reused = blocks.filter(|blocks| {
             *serial == Some(ctx.state.serial) && (delta.is_none() || blocks.is_empty())
         });
         // `None`: every instance
-        let mut marked: Option<Vec<bool>> = match reused {
+        let mut marked: Option<BTreeSet<usize>> = match reused {
             None => None,
             Some(blocks) => 'reuse: {
                 // the addresses a removed block leaves in the state are
@@ -1515,9 +1545,9 @@ impl<'a> Walk<'a> {
                 {
                     deletes.remove(&inst.addr.to_string());
                 }
-                let mut marked = vec![false; instances.len()];
+                let mut marked = BTreeSet::new();
                 for (at, _) in blocks.iter().filter_map(|b| b.now) {
-                    marked[ranges[at].clone()].fill(true);
+                    mark(&mut marked, ranges[at].clone());
                 }
                 // an address no instance has is a deletion exactly when the
                 // state holds it
@@ -1549,7 +1579,7 @@ impl<'a> Walk<'a> {
                         ranges.partition_point(|span| span.end <= first),
                     );
                     match instance_at(instances, at, addr) {
-                        Some(idx) => marked[idx] = true,
+                        Some(idx) => mark(&mut marked, idx..idx + 1),
                         None => redelete(addr),
                     }
                 }
@@ -1569,11 +1599,21 @@ impl<'a> Walk<'a> {
         }
         // each visit reads its dependencies' dirtiness as the visit before
         // left it: this pass's, or the run's that last planned them
-        let mut visited = 0;
-        for &idx in order.iter() {
-            if marked.as_ref().is_some_and(|marked| !marked[idx]) {
-                continue;
-            }
+        let (mut visited, mut next) = (0, 0);
+        loop {
+            let r = match &mut marked {
+                None => next,
+                Some(marked) => match marked.pop_first() {
+                    // a mark behind the pass is one it has passed
+                    Some(r) if r < next => continue,
+                    Some(r) => r,
+                    None => break,
+                },
+            };
+            let Some(&idx) = order.get(r) else {
+                break;
+            };
+            next = r + 1;
             visited += 1;
             let inst = &instances[idx];
             let mut dep_dirty =
@@ -1978,28 +2018,31 @@ impl Memo {
     /// any of an inserted block's artifacts but its instances is there: the
     /// removed blocks' rows go, rows for the inserted ones come, and every
     /// position in between is renumbered — one O(blocks + instances) pass
-    /// of integers and `Arc` bumps that derives no block's artifacts again.
-    /// The edited blocks keep their rows (and their old instances, until
-    /// the splice lands).
+    /// of integers and moves that derives no block's artifacts again. The
+    /// edited blocks keep their rows (and their old instances, until the
+    /// expand stage writes their new ones).
     fn reshape(&mut self, blocks: &[BlockEdit]) -> Result<(), Stop> {
         const GONE: usize = usize::MAX;
         let ranges = std::mem::take(&mut self.root.block_ranges);
-        let instances = std::mem::take(&mut self.manifest.instances);
+        let mut was = std::mem::take(self.manifest.instances.make_mut()).into_iter();
+        let mut instances = Vec::with_capacity(was.len());
         let inserted = || blocks.iter().filter(|b| b.inserted());
         let removed = || blocks.iter().filter(|b| b.removed());
 
         // old block → new block, old instance → new instance, as the new
         // blocks' ranges line up
         let mut block_to = vec![GONE; ranges.len()];
-        let mut instance_to = vec![GONE; instances.len()];
+        let mut instance_to = vec![GONE; was.len()];
         let (mut came, mut went) = (inserted().peekable(), removed().peekable());
         let mut old = 0;
         while old < ranges.len() || came.peek().is_some() {
             let at = self.root.block_ranges.len();
-            let first = self.manifest.instances.len();
+            let first = instances.len();
             if let Some(b) = came.next_if(|b| b.at == at) {
-                self.manifest.instances.extend_from_slice(&b.after);
+                instances.extend_from_slice(&b.after);
             } else if went.next_if(|b| b.at == old).is_some() {
+                // (its instances live on in the splice's `before`)
+                was.by_ref().take(ranges[old].len()).for_each(drop);
                 old += 1;
                 continue;
             } else {
@@ -2008,11 +2051,12 @@ impl Memo {
                 for (k, from) in span.clone().enumerate() {
                     instance_to[from] = first + k;
                 }
-                self.manifest.instances.extend_from_slice(&instances[span]);
+                instances.extend(was.by_ref().take(span.len()));
                 old += 1;
             }
-            (self.root.block_ranges).push(first..self.manifest.instances.len());
+            (self.root.block_ranges).push(first..instances.len());
         }
+        *self.manifest.instances.make_mut() = instances;
 
         // the block DAG: the edges between blocks that stay, and each
         // inserted block's edges from what it depends on
@@ -2050,15 +2094,34 @@ impl Memo {
             self.plan.dirty.remove(&rb.rtype, &rb.name);
         }
         self.mindex.shift(|at| instance_to[at]);
-        self.plan.order = self.plan.order.iter().filter_map(moved).collect();
+        let mut order: Vec<usize> = self.plan.order.iter().filter_map(moved).collect();
         for b in inserted() {
             let span = self.root.block_ranges[b.at].clone();
             self.mindex.insert(span.start, &b.after);
-            self.plan.order.extend(span.rev());
+            order.extend(span.rev());
         }
+        self.plan.set_order(order);
         let changes = std::mem::take(&mut self.plan.changes).into_iter();
         self.plan.changes = (changes.filter_map(|(at, c)| Some((moved(&at)?, c)))).collect();
         Ok(())
+    }
+
+    /// Write one side of each edited block's instances — `after` for the
+    /// expand stage's splice, `before` when a stopped walk puts them back —
+    /// over the block's range of the memo's list, in place. A list a run's
+    /// output still shares is copied once first
+    /// ([`cloudless_hcl::Instances::make_mut`]).
+    fn write_edited(
+        &mut self,
+        blocks: &[BlockEdit],
+        side: fn(&BlockEdit) -> &[Arc<ResourceInstance>],
+    ) {
+        for b in blocks.iter().filter(|b| !b.inserted()) {
+            if let Some((at, _)) = b.now {
+                let span = self.root.block_ranges[at].clone();
+                self.manifest.instances.make_mut()[span].clone_from_slice(side(b));
+            }
+        }
     }
 
     /// Land the staged splice of a walk whose verdict stages all passed
@@ -2076,12 +2139,6 @@ impl Memo {
             }
         }
         self.lint_env.apply(std::mem::take(&mut edit.decls));
-        for b in edit.blocks.iter().filter(|b| !b.inserted()) {
-            if let Some((at, _)) = b.now {
-                let span = self.root.block_ranges[at].clone();
-                self.manifest.instances[span].clone_from_slice(&b.after);
-            }
-        }
         for (claim, by) in std::mem::take(&mut edit.claims).iter() {
             self.claims.hold(&claim, by);
         }
@@ -2106,7 +2163,11 @@ impl Memo {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::{Cloudless, Config};
+    use cloudless_deploy::resolver::DataResolver;
+    use cloudless_hcl::Instances;
+    use cloudless_obs::NullRecorder;
 
     const SRC: &str = r#"
 variable "region" { default = "us-east-1" }
@@ -2231,6 +2292,114 @@ resource "aws_s3_bucket" "logs" {
         let (cold_text, ct) = cold.plan_incremental(&edited).unwrap();
         assert!(!ct.fast_path);
         assert_eq!(text, cold_text);
+    }
+
+    /// Run `f` with a context over the standard catalog and an empty state.
+    fn with_ctx(f: impl FnOnce(&PipelineCtx<'_>)) {
+        let (inputs, modules) = (BTreeMap::new(), ModuleLibrary::new());
+        let (data, catalog) = (DataResolver::new(), Catalog::standard());
+        let (state, recorder) = (Snapshot::new(), Arc::new(NullRecorder) as Arc<dyn Recorder>);
+        f(&PipelineCtx {
+            inputs: &inputs,
+            modules: &modules,
+            lint: LintGate::default(),
+            level: ValidationLevel::CloudRules,
+            data: &data,
+            catalog: &catalog,
+            state: &state,
+            miner: None,
+            recorder: &recorder,
+        });
+    }
+
+    /// The memo's instance list.
+    fn memo_list(pipeline: &IncrementalPipeline) -> &Instances {
+        &pipeline.memo.as_deref().expect("a memo").manifest.instances
+    }
+
+    #[test]
+    fn a_warm_output_shares_the_memo_list_and_a_held_one_keeps_its_own() {
+        let cidr = |out: &FrontendOutput| {
+            let mut instances = out.manifest.instances.iter();
+            let subnet = instances.find(|inst| inst.addr.rtype.as_str() == "aws_subnet");
+            subnet.and_then(|inst| inst.attrs.get("cidr_block").cloned())
+        };
+        with_ctx(|ctx| {
+            let mut pipeline = IncrementalPipeline::default();
+            let cold = pipeline.run(SRC, ctx).unwrap();
+            assert!(Instances::ptr_eq(
+                &cold.manifest.instances,
+                memo_list(&pipeline)
+            ));
+            drop(cold);
+            let first = SRC.replace("10.0.1.0/24", "10.0.2.0/24");
+            let held = pipeline.run(&first, ctx).unwrap();
+            assert!(held.trace.fast_path, "{}", held.trace);
+            assert!(Instances::ptr_eq(
+                &held.manifest.instances,
+                memo_list(&pipeline)
+            ));
+
+            // the next splice writes a list of its own, once, and the held
+            // output still reads the instances it was handed
+            let second = SRC.replace("10.0.1.0/24", "10.0.3.0/24");
+            let next = pipeline.run(&second, ctx).unwrap();
+            assert!(next.trace.fast_path, "{}", next.trace);
+            assert!(!Instances::ptr_eq(
+                &held.manifest.instances,
+                memo_list(&pipeline)
+            ));
+            assert!(Instances::ptr_eq(
+                &next.manifest.instances,
+                memo_list(&pipeline)
+            ));
+            assert_eq!(cidr(&held), Some(Value::from("10.0.2.0/24")));
+            assert_eq!(cidr(&next), Some(Value::from("10.0.3.0/24")));
+            let cold = IncrementalPipeline::default().run(&first, ctx).unwrap();
+            assert_eq!(
+                format!("{:?}", held.manifest),
+                format!("{:?}", cold.manifest)
+            );
+        });
+    }
+
+    #[test]
+    fn a_splice_stopped_past_expand_puts_the_memo_instances_back() {
+        let media = "resource \"aws_s3_bucket\" \"media\" {\n  count  = 2\n  bucket = \"media-${count.index}-${var.region}\"\n}\n";
+        let base = format!("{SRC}{media}");
+        let stops = [
+            // VAL304: the subnet leaves its network
+            (
+                base.replace("10.0.1.0/24", "10.1.1.0/24"),
+                "validation findings",
+            ),
+            // ANA502: two buckets of one name, one of them known only once
+            // `count.index` is
+            (base.replace("logs-", "media-1-"), "Instance("),
+        ];
+        for (stopped, at) in stops {
+            with_ctx(|ctx| {
+                let mut pipeline = IncrementalPipeline::default();
+                drop(pipeline.run(&base, ctx).unwrap());
+                let before = memo_list(&pipeline).to_vec();
+                let mut scope = Scope::pick(pipeline.memo.take(), &stopped, ctx, true);
+                let verdicts = Walk::new(&stopped, ctx, None).verdicts(&mut scope);
+                let Err(Stop::Guard(reason)) = verdicts else {
+                    panic!("the splice must stop at a guard");
+                };
+                assert!(reason.contains(at), "{reason}");
+                pipeline.memo = scope.into_memo();
+                let list = memo_list(&pipeline);
+                assert_eq!(list.len(), before.len());
+                assert!(list.iter().zip(&before).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+                let next = base.replace("logs-${var.region}", "logs-v2-${var.region}");
+                let warm = pipeline.run(&next, ctx).unwrap();
+                assert!(warm.trace.fast_path, "{}", warm.trace);
+                let cold = IncrementalPipeline::default().run(&next, ctx).unwrap();
+                assert_eq!(warm.plan_text, cold.plan_text);
+            });
+        }
     }
 
     #[test]

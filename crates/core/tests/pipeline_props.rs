@@ -293,29 +293,29 @@ fn follow_up(base: &str, edited: &str, spec: &Spec, kind: usize, a: usize, b: us
 /// parsed with — which nothing shows: every position a user sees comes from
 /// a cold run (`pipeline_driver.rs` holds the engine to that).
 fn observe(result: Result<FrontendOutput, PipelineError>) -> Result<(String, String), String> {
-    match result {
-        Ok(out) => {
-            let mut shape = String::new();
-            for inst in &out.manifest.instances {
-                shape.push_str(&format!(
-                    "{} attrs={:?} deps={:?} deferred={}\n",
-                    inst.addr,
-                    inst.attrs,
-                    inst.depends_on,
-                    inst.deferred.len()
-                ));
-            }
-            for c in &out.changes {
-                if !c.action.is_noop() {
-                    shape.push_str(&format!("{} {:?}\n", c.addr, c.action));
-                }
-            }
-            // a run that reports anything went cold, so spans are exact
-            shape.push_str(&out.validation.diagnostics.to_string());
-            Ok((out.plan_text, shape))
-        }
-        Err(err) => Err(error_key(&err)),
+    result.as_ref().map(shape).map_err(error_key)
+}
+
+/// What [`observe`] sees of an output that came back.
+fn shape(out: &FrontendOutput) -> (String, String) {
+    let mut shape = String::new();
+    for inst in &out.manifest.instances {
+        shape.push_str(&format!(
+            "{} attrs={:?} deps={:?} deferred={}\n",
+            inst.addr,
+            inst.attrs,
+            inst.depends_on,
+            inst.deferred.len()
+        ));
     }
+    for c in &out.changes {
+        if !c.action.is_noop() {
+            shape.push_str(&format!("{} {:?}\n", c.addr, c.action));
+        }
+    }
+    // a run that reports anything went cold, so spans are exact
+    shape.push_str(&out.validation.diagnostics.to_string());
+    (out.plan_text.clone(), shape)
 }
 
 /// The stage an error surfaced at plus its diagnostic codes, in order.
@@ -608,7 +608,9 @@ proptest! {
     /// them, against an empty state and against the converged state of where
     /// the stream started (so blocks go, come back, and are still there) —
     /// with the lint gate on, and with it off, when expansion and validation
-    /// are all that refuses a dangling reference.
+    /// are all that refuses a dangling reference. The output of the last
+    /// save that planned is held across each next one, which writes the
+    /// instance list it shares with the memo: it reads what it read.
     #[test]
     fn a_stream_of_saves_matches_cold_pipelines(
         start in proptest::collection::vec((0..12usize, 0..32usize, 0..32usize), 0..6),
@@ -645,16 +647,20 @@ proptest! {
             let ctx = gate(lint, env.ctx(&state));
             let mut nodes = nodes.clone();
             let mut warm = IncrementalPipeline::default();
-            warm.run(&base, &ctx).expect("the start is clean");
+            let start = warm.run(&base, &ctx).expect("the start is clean");
             prop_assert!(warm.is_warm());
+            let mut held = (shape(&start), start);
             for (serial, &(kind, a, b)) in saves.iter().enumerate() {
                 let before = nodes.clone();
                 edit_nodes(&mut nodes, 100 + serial, kind, a, b);
                 let source = render_nodes(&nodes);
-                let warm_obs = observe(warm.run(&source, &ctx));
+                let out = warm.run(&source, &ctx);
+                let warm_obs = out.as_ref().map(shape).map_err(error_key);
                 prop_assert_eq!(&warm_obs, &observe(cold.run(&source, &ctx)), "save {}", serial);
-                if warm_obs.is_err() {
-                    nodes = before; // the user takes it back with the next save
+                prop_assert_eq!(&shape(&held.1), &held.0, "held across save {}", serial);
+                match out {
+                    Ok(out) => held = (warm_obs.unwrap_or_default(), out),
+                    Err(_) => nodes = before, // the user takes it back with the next save
                 }
             }
         }

@@ -50,7 +50,9 @@ pub use diag::{Diagnostic, Diagnostics, Severity, SourceMap};
 pub use eval::{EvalError, Refs, Resolver, Scope};
 pub use fold::{fold, Folded};
 pub use parser::parse;
-pub use program::{expand, DeferredAttr, Manifest, ModuleLibrary, Program, ResourceInstance};
+pub use program::{
+    expand, DeferredAttr, Instances, Manifest, ModuleLibrary, Program, ResourceInstance,
+};
 pub use render::{render_file, sanitize_ident, value_to_expr};
 
 /// Parse a source file and analyze it into a [`Program`] in one call.

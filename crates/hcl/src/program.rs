@@ -491,15 +491,62 @@ pub enum OutputValue {
     },
 }
 
+/// A manifest's instances: one list, shared copy-on-write.
+///
+/// Cloning is O(1), one reference-count bump, so a clone of a
+/// [`Manifest`] costs its outputs, not its instances. [`Instances::make_mut`]
+/// is the one way to write: it copies the list first only when another
+/// clone still shares it, which is once per clone kept alive across a
+/// write (the pipeline's memo writes its own list in place while no run's
+/// output is held).
+#[derive(Debug, Clone, Default)]
+pub struct Instances(Arc<Vec<Arc<ResourceInstance>>>);
+
+impl Instances {
+    /// The list, for writing: unshared first if another clone holds it.
+    pub fn make_mut(&mut self) -> &mut Vec<Arc<ResourceInstance>> {
+        Arc::make_mut(&mut self.0)
+    }
+
+    /// Whether `a` and `b` are the same list, not merely equal ones.
+    pub fn ptr_eq(a: &Instances, b: &Instances) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for Instances {
+    type Target = [Arc<ResourceInstance>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Instances {
+    type Item = &'a Arc<ResourceInstance>;
+    type IntoIter = std::slice::Iter<'a, Arc<ResourceInstance>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<Arc<ResourceInstance>> for Instances {
+    fn from_iter<I: IntoIterator<Item = Arc<ResourceInstance>>>(iter: I) -> Self {
+        Instances(Arc::new(iter.into_iter().collect()))
+    }
+}
+
 /// The expanded desired state: what the planner diffs against reality.
 ///
 /// Instances are `Arc`-shared so downstream consumers (the differ's
 /// `PlannedChange::desired`, plan nodes, executors) can hold them without
 /// deep-copying attribute and expression trees — at 100k resources those
-/// copies dominated the diff wall-clock.
+/// copies dominated the diff wall-clock — and the list of them is
+/// [`Instances`], so cloning a manifest copies none of it.
 #[derive(Debug, Clone, Default)]
 pub struct Manifest {
-    pub instances: Vec<Arc<ResourceInstance>>,
+    pub instances: Instances,
     pub outputs: BTreeMap<String, OutputValue>,
     /// Evaluated provider configuration blocks (`provider "aws" { … }`),
     /// keyed by provider name.
@@ -913,6 +960,7 @@ fn expand_into(
     let mut block_ranges = Vec::with_capacity(program.resources.len());
     let mut block_deps = Vec::with_capacity(program.resources.len());
     let mut insts = Vec::new();
+    let instances = manifest.instances.make_mut();
     for rb in &program.resources {
         block_deps.push(expand_resource_block(
             rb,
@@ -925,9 +973,9 @@ fn expand_into(
             diags,
             &mut insts,
         ));
-        let start = manifest.instances.len();
-        manifest.instances.extend(insts.drain(..).map(Arc::new));
-        block_ranges.push(start..manifest.instances.len());
+        let start = instances.len();
+        instances.extend(insts.drain(..).map(Arc::new));
+        block_ranges.push(start..instances.len());
     }
 
     // Now that every block is expanded, block-level dependencies become
@@ -935,16 +983,16 @@ fn expand_into(
     // its own block depends on (other than itself).
     for (range, deps) in block_ranges.iter().zip(&block_deps) {
         for at in range.clone() {
-            let own = &manifest.instances[at].addr;
+            let own = &instances[at].addr;
             let blocks = deps.iter().filter_map(|key| block_of.get(key));
             let depends_on: BTreeSet<ResourceAddr> = blocks
-                .flat_map(|&bi| &manifest.instances[block_ranges[bi].clone()])
+                .flat_map(|&bi| &instances[block_ranges[bi].clone()])
                 .map(|inst| &inst.addr)
                 .filter(|addr| *addr != own)
                 .cloned()
                 .collect();
             // freshly built this call, so refcount is 1 and this never clones
-            Arc::make_mut(&mut manifest.instances[at]).depends_on = depends_on;
+            Arc::make_mut(&mut instances[at]).depends_on = depends_on;
         }
     }
 
@@ -1031,7 +1079,8 @@ fn expand_into(
             diags,
             depth + 1,
         );
-        manifest.instances.extend(child_manifest.instances);
+        let child = child_manifest.instances.make_mut();
+        manifest.instances.make_mut().append(child);
         manifest.warnings.extend(child_manifest.warnings);
         for (name, out) in child_manifest.outputs {
             manifest

@@ -19,7 +19,11 @@
 //! (`a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone`):
 //! one attribute of a first-layer block of the deployed estate, edited — the
 //! plan stage visits the block and at most its direct dependents, and the
-//! run allocates as often at 10 000 blocks as at 1 000.
+//! run asks the heap as often, and for as many bytes, at 10 000 blocks as
+//! at 1 000. And so has the run of unchanged source that follows it
+//! (`a_warm_run_of_unchanged_source_costs_nothing_the_size_of_the_estate`),
+//! the cache hit a reconcile's proof takes: a run's output shares the memo's
+//! instance list, so neither copies it.
 //!
 //! So has a drift poll (`a_poll_costs_its_events_not_the_estate`): the
 //! same events over a fourfold estate, the same allocations and no more
@@ -32,10 +36,10 @@
 //! The counting `#[global_allocator]` is `counting/mod.rs`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cloudless::obs::{NullRecorder, Recorder};
-use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
+use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx};
 use cloudless::LintGate;
 use cloudless_analyze::incremental::LintEnv;
 use cloudless_analyze::{analyze_manifest, lint_program_in};
@@ -310,14 +314,20 @@ fn the_back_half_of_a_one_block_apply_touches_one_block() {
     assert!(mine.allocs <= 1_000, "{mine:?}");
 }
 
-/// One warm replan of `random_layered(blocks, 42)`, deployed: a
-/// one-attribute edit, in place, of a block of the *first* layer that two
-/// blocks read — its static cone is most of the program.
+/// Two consecutive warm replans of `random_layered(blocks, 42)`, deployed:
+/// one attribute, edited in place, of a block of the *first* layer that two
+/// blocks read — its static cone is most of the program — and edited again;
+/// then a run of the same source once more.
 struct WarmReplan {
+    blocks: usize,
+    /// The second edit's run: the first grows the memo's source buffer
+    /// once, which is bytes the size of the estate no later edit pays.
     tally: Tally,
-    /// `k` and `n` of the trace's `re-planned k/n instance(s)`.
+    /// `k` and `n` of its trace's `re-planned k/n instance(s)`.
     replanned: (usize, usize),
     dependents: usize,
+    /// The run of unchanged source.
+    unchanged: Tally,
 }
 
 impl WarmReplan {
@@ -350,8 +360,10 @@ impl WarmReplan {
         };
         let block = (0..width).find(in_place).expect("a group two blocks read");
         let name = format!("\"r-{block}\"");
-        let edited = source.replacen(&name, &format!("\"r-{block}-edited\""), 1);
-        assert_ne!(edited, source);
+        // two edits of the same length
+        let edited = |to: &str| source.replacen(&name, &format!("\"r-{block}-{to}\""), 1);
+        let (first, second) = (edited("edited"), edited("update"));
+        assert_ne!(first, source);
 
         let (inputs, modules, data) = (BTreeMap::new(), ModuleLibrary::new(), DataResolver::new());
         let recorder = Arc::new(NullRecorder) as Arc<dyn Recorder>;
@@ -369,7 +381,12 @@ impl WarmReplan {
         let mut pipeline = IncrementalPipeline::default();
         let cold = pipeline.run(&source, &ctx);
         assert!(cold.is_ok_and(|out| out.changes.is_empty()), "deployed");
-        let (out, tally) = counted(|| pipeline.run(&edited, &ctx));
+        let warm = pipeline.run(&first, &ctx);
+        assert!(
+            warm.is_ok_and(|out| out.trace.fast_path),
+            "the first edit splices"
+        );
+        let (out, tally) = counted(|| pipeline.run(&second, &ctx));
         let out = out.unwrap_or_else(|_| panic!("the edited program is clean"));
         assert!(out.trace.fast_path, "{}", out.trace);
         assert_eq!(out.changes.len(), 1, "one update");
@@ -381,43 +398,110 @@ impl WarmReplan {
             .and_then(|counts| counts.split_once('/'))
             .unwrap_or_else(|| panic!("a warm plan stage says what it visited: {detail:?}"));
         let count = |text: &str| text.parse().expect("a count");
+        let replanned = (count(counts.0), count(counts.1));
+        drop(out);
+        let (again, unchanged) = counted(|| pipeline.run(&second, &ctx));
+        let cached = |out: &FrontendOutput| out.trace.fast_path && out.changes.len() == 1;
+        assert!(
+            again.is_ok_and(|out| cached(&out)),
+            "unchanged source is a cache hit"
+        );
         WarmReplan {
+            blocks,
             tally,
-            replanned: (count(counts.0), count(counts.1)),
+            replanned,
             dependents: readers(block),
+            unchanged,
         }
     }
 }
 
-/// A warm replan costs what the edit changes, wherever in the dependency
-/// order the edit sits: the plan stage visits the edited block and at most
-/// its direct dependents — not the cone behind them — and the run asks the
-/// heap for no more at 10 000 blocks than at 1 000 (the chunk table and the
-/// source are spliced in place; a table copy alone is two `String`s a block).
-#[test]
-fn a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone() {
-    let _serial = counting::serial();
-    let (small, large) = (WarmReplan::measure(1_000), WarmReplan::measure(10_000));
-    for (run, blocks) in [(&small, 1_000), (&large, 10_000)] {
-        println!(
-            "warm first-layer replan at {blocks} blocks: {:?}, re-planned {:?}",
-            run.tally, run.replanned
+/// Most a tenfold estate may multiply a warm run's allocations or bytes by.
+const WARM_GROWTH_PER_DECADE: f64 = 1.25;
+
+/// Hold `what` of the larger estate's runs to the smaller one's: as many
+/// allocations and bytes, give or take [`WARM_GROWTH_PER_DECADE`].
+fn hold_warm(what: &str, small: &WarmReplan, large: &WarmReplan, tally: fn(&WarmReplan) -> Tally) {
+    let (a, b) = (tally(small), tally(large));
+    println!(
+        "{what} at {} / {} blocks: {a:?} / {b:?}",
+        small.blocks, large.blocks
+    );
+    for (unit, a, b) in [
+        ("allocations", a.allocs, b.allocs),
+        ("bytes", a.bytes, b.bytes),
+    ] {
+        let growth = b as f64 / a as f64;
+        assert!(
+            growth <= WARM_GROWTH_PER_DECADE,
+            "{}x the blocks took {growth:.2}x the {unit} of {what}: {a} → {b}",
+            large.blocks / small.blocks
         );
+    }
+}
+
+/// The first-layer edit's gate: what it re-plans, and what it asks of the heap.
+fn hold_warm_replan(small: &WarmReplan, large: &WarmReplan) {
+    for run in [small, large] {
         let (k, n) = run.replanned;
-        assert_eq!(n, blocks);
+        println!(
+            "warm first-layer replan at {} blocks: re-planned {k}/{n}",
+            run.blocks
+        );
+        assert_eq!(n, run.blocks);
         assert!(
             k <= 1 + run.dependents,
             "re-planned {k} instances for one block and its {} direct dependents",
             run.dependents
         );
     }
-    let growth = large.tally.allocs as f64 / small.tally.allocs as f64;
-    assert!(
-        growth <= 1.25,
-        "10x the blocks took {growth:.2}x the allocations of a warm replan: {:?} → {:?}",
-        small.tally,
-        large.tally
-    );
+    hold_warm("a warm first-layer replan", small, large, |run| run.tally);
+}
+
+/// The measurements at 1 000 and 10 000 blocks, made once for the gates
+/// that read them.
+fn warm_runs() -> &'static (WarmReplan, WarmReplan) {
+    static RUNS: OnceLock<(WarmReplan, WarmReplan)> = OnceLock::new();
+    RUNS.get_or_init(|| (WarmReplan::measure(1_000), WarmReplan::measure(10_000)))
+}
+
+/// A warm replan costs what the edit changes, wherever in the dependency
+/// order the edit sits: the plan stage visits the edited block and at most
+/// its direct dependents — not the cone behind them, and not a flag per
+/// instance — and the run asks the heap for no more at 10 000 blocks than at
+/// 1 000 (the chunk table and the source are spliced in place, and the
+/// memo's instance list is written in place and shared with the output: a
+/// copy of either is bytes a block).
+#[test]
+fn a_warm_replan_of_a_first_layer_block_costs_the_edit_not_the_cone() {
+    let _serial = counting::serial();
+    let (small, large) = warm_runs();
+    hold_warm_replan(small, large);
+}
+
+/// A run of the source the memo holds reads its plan off the cache and
+/// hands out the memo's instance list: as many allocations and bytes at
+/// 10 000 blocks as at 1 000.
+#[test]
+fn a_warm_run_of_unchanged_source_costs_nothing_the_size_of_the_estate() {
+    let _serial = counting::serial();
+    let (small, large) = warm_runs();
+    hold_warm("a run of unchanged source", small, large, |run| {
+        run.unchanged
+    });
+}
+
+/// Both warm gates at 10 000 and 100 000 blocks (release: `cargo test
+/// --release --test alloc_budget -- --ignored`).
+#[test]
+#[ignore = "100 000 blocks: run in release"]
+fn a_warm_replan_costs_the_edit_at_100k() {
+    let _serial = counting::serial();
+    let (small, large) = (WarmReplan::measure(10_000), WarmReplan::measure(100_000));
+    hold_warm_replan(&small, &large);
+    hold_warm("a run of unchanged source", &small, &large, |run| {
+        run.unchanged
+    });
 }
 
 /// Out-of-band updates in each drifted estate below.
@@ -455,8 +539,8 @@ fn poll_of_drift(blocks: usize) -> Tally {
 }
 
 /// Most bytes a clean reconcile may ask for per block: the copies of the
-/// instance list and of the program text the plan and the report hand
-/// out, a flag per instance for the plan stage's marks.
+/// program text the plan and the report hand out (the instance list is
+/// the memo's, shared, and the plan stage marks nothing per instance).
 const CLEAN_RECONCILE_BYTES_PER_BLOCK: u64 = 160;
 
 /// `random_layered(blocks, 7)`, converged and reconciled once — which
