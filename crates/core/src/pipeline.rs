@@ -35,20 +35,14 @@
 //!   run's output shares that list ([`cloudless_hcl::Instances`]), so a
 //!   warm run copies nothing the size of the program.
 //!
-//! A cold run is therefore the same walk over an empty memo, and a guard
-//! trip restarts the same walk with every block in scope. A splice lands
-//! in the memo only when its walk succeeds, and an all-blocks walk holds on
-//! to the memo it would replace until its lint stage has passed: a program
-//! refused for a syntax error or a lint finding (a typo mid-edit) leaves
-//! the memo exactly as it was, so the fix replans incrementally. Past lint
-//! the old memo is released before the O(world) stages allocate, so peak
-//! memory is one memo, not two.
-//!
-//! A cold start — an all-blocks walk with no memo to give back — runs in
-//! two joins ([`cloudless_types::join()`]): lint beside expand, then validate
-//! and analyze beside the plan. Refusals are taken in stage order once both
-//! sides are back, and the memo and the recorder hear of the helper's work
-//! only then, on the caller, so the run is the sequential walk's.
+//! Every all-blocks walk, a guard trip's restart included, runs in two joins
+//! ([`cloudless_types::join()`]): lint beside expand, then validate and
+//! analyze beside the plan. Refusals are taken in stage order, on the
+//! caller, which alone tells the memo and the recorder. A splice lands in
+//! the memo only when its walk succeeds; an all-blocks walk gives back the
+//! memo it replaces when parse or lint refuses (a typo mid-edit), so the
+//! fix replans incrementally. That memo is dropped once lint passes, and
+//! until then it is held beside the new expansion.
 //!
 //! # Inserting and removing blocks
 //!
@@ -695,8 +689,8 @@ impl Splice {
 /// The scope owns the memo for the length of a run; [`IncrementalPipeline::run`]
 /// puts back what the run's outcome leaves of it.
 enum Scope {
-    /// Every block: nothing is reused, the verdict stages run the reference
-    /// whole-program passes, and the artifacts fill `fresh`.
+    /// Every block, in [`Walk::cold`]: nothing is reused, and the artifacts
+    /// fill `fresh`.
     All {
         /// Why no narrower scope would do (the trace's fallback reason).
         reason: String,
@@ -704,8 +698,7 @@ enum Scope {
         /// Whether `fresh` may still be kept: memoization is on and the run
         /// has been clean so far. Stages skip their fill once it is not.
         keep: bool,
-        /// The memo this run replaces if it succeeds: restored when the
-        /// parse or lint stage refuses the program, released after them.
+        /// The memo this run replaces: given back if parse or lint refuses.
         old: Option<Box<Memo>>,
     },
     /// The blocks of `memo` and of the new source that `edit` names
@@ -971,7 +964,7 @@ impl IncrementalPipeline {
         };
         // Nothing refuses a program past the verdict stages, so the plan
         // stage works on the memo this run leaves behind: the fresh one, or
-        // the old one with the splice in (a cold start planned it already).
+        // the old one with the splice in (an all-blocks walk planned it).
         let (mut memo, edit, reason, keep) = match scope {
             Scope::All {
                 reason,
@@ -1042,8 +1035,8 @@ impl<'a> Walk<'a> {
             lint_cfg: ctx.lint.config(),
             out: FrontendOutput {
                 manifest: Manifest::default(),
-                // what a clean program validates to; the validate stage
-                // overwrites it when it runs the full pass
+                // what a clean program validates to; an all-blocks walk
+                // overwrites it with the full pass's report
                 validation: ValidationReport {
                     level: ctx.level,
                     diagnostics: Diagnostics::new(),
@@ -1056,47 +1049,34 @@ impl<'a> Walk<'a> {
     }
 
     /// The driver's walk up to the last stage that can refuse a program
-    /// or trip a guard; [`Walk::plan`] completes it, except on a cold start,
-    /// which plans beside its verdicts ([`Walk::cold`]) and hands the pass
-    /// back. (With no block in scope the stages loop over nothing.)
+    /// or trip a guard; [`Walk::plan`] completes a splice's, and an
+    /// all-blocks walk ([`Walk::cold`]) plans beside its verdicts and hands
+    /// the pass back. (With no block in scope the stages loop over nothing.)
     fn verdicts(&mut self, scope: &mut Scope) -> Result<Option<PlanPass>, Stop> {
-        let planned = match scope {
+        let (planned, action, detail) = match scope {
             Scope::All {
-                fresh,
-                keep,
-                old: None,
-                ..
-            } => Some(self.cold(fresh, keep)?),
-            _ => {
-                self.parse(scope)?;
-                self.lint(scope)?;
-                // The stages from here on allocate O(world) under `All`, so
-                // the memo this run would replace goes first: peak memory
-                // stays one memo, and a program refused by a later stage
-                // costs the next save a cold run (a syntax error or a lint
-                // finding does not).
-                if let Scope::All { old, .. } = scope {
-                    *old = None;
+                fresh, keep, old, ..
+            } => {
+                let planned = self.cold(fresh, keep, old)?;
+                (Some(planned), "full", "every block in scope".to_owned())
+            }
+            Scope::Blocks { memo, edit } => {
+                self.parse(memo, edit)?;
+                self.lint(memo, edit)?;
+                self.expand(memo, edit)?;
+                self.validate(memo, edit)?;
+                self.analyze(memo, edit)?;
+                if edit.blocks.is_empty() {
+                    (None, "cached", "no block in scope".to_owned())
+                } else {
+                    let (k, n) = (edit.blocks.len(), memo.root.block_ranges.len());
+                    let shape = match edit.resized() {
+                        (0, 0) => String::new(),
+                        (a, r) => format!(", +{a} inserted, −{r} removed"),
+                    };
+                    let detail = format!("{k} of {n} block(s) in scope{shape}");
+                    (None, "incremental", detail)
                 }
-                self.expand(scope)?;
-                self.validate(scope)?;
-                self.analyze(scope)?;
-                None
-            }
-        };
-        let (action, detail) = match scope {
-            Scope::All { .. } => ("full", "every block in scope".to_owned()),
-            Scope::Blocks { edit, .. } if edit.blocks.is_empty() => {
-                ("cached", "no block in scope".to_owned())
-            }
-            Scope::Blocks { edit, memo } => {
-                let (k, n) = (edit.blocks.len(), memo.root.block_ranges.len());
-                let shape = match edit.resized() {
-                    (0, 0) => String::new(),
-                    (a, r) => format!(", +{a} inserted, −{r} removed"),
-                };
-                let detail = format!("{k} of {n} block(s) in scope{shape}");
-                ("incremental", detail)
             }
         };
         for stage in ["parse", "lint", "expand", "validate", "analyze"] {
@@ -1105,19 +1085,31 @@ impl<'a> Walk<'a> {
         Ok(planned)
     }
 
-    /// A cold start — every block in scope, no memo to give back — in two
-    /// joins: lint beside expand and the source index, then validate and
-    /// analyze beside the plan, each helper on what the stages before its
-    /// join left. Refusals are taken once both sides are back, in stage
-    /// order (lint's before expand's, validate's before analyze's), and a
-    /// refused run's plan goes with it; the memo and the recorder hear of
-    /// the helper's work only then, on this thread.
-    fn cold(&mut self, fresh: &mut Memo, keep: &mut bool) -> Result<PlanPass, Stop> {
+    /// Every block in scope, in two joins: lint beside expand and the source
+    /// index, then validate and analyze beside the plan, each helper on what
+    /// the stages before its join left. Refusals are taken once both sides
+    /// are back, in stage order (lint's before expand's, validate's before
+    /// analyze's), and a refused run's plan goes with it; the memo and the
+    /// recorder hear of the helper's work only then, on this thread. The
+    /// `old` memo goes back if parse or lint refuses, and the lint helper
+    /// drops it once lint passes.
+    fn cold(
+        &mut self,
+        fresh: &mut Memo,
+        keep: &mut bool,
+        old: &mut Option<Box<Memo>>,
+    ) -> Result<PlanPass, Stop> {
         let (ctx, source, cfg) = (self.ctx, self.source, self.lint_cfg.as_ref());
         let mut program = parse_program(source)?;
-        let (modules, claim) = (ctx.modules, *keep);
+        let (modules, claim, held) = (ctx.modules, *keep, old.take());
         let (linted, expanded) = join(
-            || lint_all(&program, modules, cfg, claim),
+            || match lint_all(&program, modules, cfg, claim) {
+                Ok(linted) => {
+                    drop(held);
+                    Ok(linted)
+                }
+                Err(err) => Err((err, held)),
+            },
             || {
                 let expanded = expand_root(&program, ctx.inputs, modules, ctx.data);
                 expanded.map(|expanded| {
@@ -1126,18 +1118,25 @@ impl<'a> Walk<'a> {
                 })
             },
         );
-        let linted = linted?;
-        let (expanded, indexed) = expanded.map_err(PipelineError::Frontend)?;
+        let linted = linted.map_err(|(err, held)| {
+            *old = held;
+            err
+        })?;
+        let ((manifest, root), indexed) = expanded.map_err(PipelineError::Frontend)?;
         *keep &= indexed;
         fresh.linted(linted, keep);
-        self.expanded(fresh, keep, expanded);
+        *keep &= manifest.warnings.is_empty();
+        if *keep {
+            fresh.root = root;
+            fresh.manifest = manifest.clone();
+        }
+        self.out.manifest = manifest;
         // the last reader of block syntax is done: the memo keeps none, and
         // the helper drops it
         let resources = std::mem::take(&mut program.resources);
         fresh.program = program;
         let (catalog, level, miner) = (ctx.catalog, ctx.level, ctx.miner);
         let (manifest, delta, claim) = (&self.out.manifest, self.delta, *keep);
-        let cfg = self.lint_cfg.as_ref();
         let (checked, planned) = join(
             move || -> Result<_, PipelineError> {
                 drop(resources);
@@ -1153,52 +1152,21 @@ impl<'a> Walk<'a> {
                 Walk::plan(ctx, delta, manifest, fresh, None)
             },
         );
-        let (validated, analyzed) = checked?;
-        self.validated(fresh, keep, validated);
-        self.analyzed(analyzed, keep)?;
-        Ok(planned)
-    }
-
-    /// Take an all-blocks expansion: the caller's manifest, and the memo's
-    /// share of it (one instance list) and root bindings while the memo may
-    /// still be kept.
-    fn expanded(&mut self, fresh: &mut Memo, keep: &mut bool, expanded: (Manifest, RootExpansion)) {
-        let (manifest, root) = expanded;
-        *keep &= manifest.warnings.is_empty();
-        if *keep {
-            fresh.root = root;
-            fresh.manifest = manifest.clone();
-        }
-        self.out.manifest = manifest;
-    }
-
-    /// Take an all-blocks validation the program passed: the report, and
-    /// the memo's index while the memo may still be kept.
-    fn validated(
-        &mut self,
-        fresh: &mut Memo,
-        keep: &mut bool,
-        (mindex, report): (ManifestIndex, ValidationReport),
-    ) {
+        let ((mindex, report), analyzed) = checked?;
         *keep &= report.diagnostics.is_empty();
         self.out.validation = report;
         if *keep {
             fresh.mindex = mindex;
         }
-    }
-
-    /// Take an all-blocks analysis (`None`: no lint gate, none ran): record
-    /// it, and refuse the program if it fails the gate.
-    fn analyzed(&self, outcome: Option<AnalysisOutcome>, keep: &mut bool) -> Result<(), Stop> {
-        let (Some(cfg), Some(outcome)) = (&self.lint_cfg, outcome) else {
-            return Ok(());
-        };
-        record_analysis(self.ctx.recorder.as_ref(), &outcome);
-        if outcome.report.fails(cfg) {
-            return Err(PipelineError::Lint(outcome.report).into());
+        // `analyzed` is `None` when there is no lint gate
+        if let (Some(cfg), Some(outcome)) = (cfg, analyzed) {
+            record_analysis(ctx.recorder.as_ref(), &outcome);
+            if outcome.report.fails(cfg) {
+                return Err(PipelineError::Lint(outcome.report).into());
+            }
+            *keep &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
         }
-        *keep &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
-        Ok(())
+        Ok(planned)
     }
 
     /// Land a plan pass: the output, the trace's plan stage, the count.
@@ -1213,243 +1181,182 @@ impl<'a> Walk<'a> {
         self.out.trace.stage("plan", action, detail);
     }
 
-    /// **parse** — source → program, chunk ↔ block tables, block DAG,
-    /// reader counts.
-    fn parse(&mut self, scope: &mut Scope) -> Result<(), Stop> {
-        match scope {
-            Scope::All { fresh, keep, .. } => {
-                let program = parse_program(self.source)?;
-                *keep = *keep && fresh.index_source(&program, self.source, self.ctx);
-                fresh.program = program;
-            }
-            Scope::Blocks { memo, edit } => {
-                let Some(window) = &edit.window else {
-                    return Ok(()); // source unchanged
-                };
-                let filename = &memo.program.filename;
-                let parse = |source: &str, chunk: Option<&Chunk>| {
-                    chunk.map(|c| parse_block(source, c, filename)).transpose()
-                };
-                for b in edit.blocks.iter_mut() {
-                    let was = b.was.map(|(_, ci)| &memo.chunks.chunks[ci]);
-                    let now = b.now.map(|(_, ci)| &window.chunks[ci - window.old.start]);
-                    b.old = parse(&memo.source, was)?;
-                    b.new = parse(self.source, now)?;
-                }
-            }
+    /// **parse** — the in-scope blocks, as each source has them.
+    fn parse(&self, memo: &Memo, edit: &mut Splice) -> Result<(), Stop> {
+        let Some(window) = &edit.window else {
+            return Ok(()); // source unchanged
+        };
+        let filename = &memo.program.filename;
+        let parse = |source: &str, chunk: Option<&Chunk>| {
+            chunk.map(|c| parse_block(source, c, filename)).transpose()
+        };
+        for b in edit.blocks.iter_mut() {
+            let was = b.was.map(|(_, ci)| &memo.chunks.chunks[ci]);
+            let now = b.now.map(|(_, ci)| &window.chunks[ci - window.old.start]);
+            b.old = parse(&memo.source, was)?;
+            b.new = parse(self.source, now)?;
         }
         Ok(())
     }
 
-    /// **lint** — the static-analysis gate over the un-expanded program.
-    /// Keeps the fold/taint/declaration environment.
-    fn lint(&mut self, scope: &mut Scope) -> Result<(), Stop> {
-        match scope {
-            Scope::All { fresh, keep, .. } => {
-                let (modules, cfg) = (self.ctx.modules, self.lint_cfg.as_ref());
-                let linted = lint_all(&fresh.program, modules, cfg, *keep)?;
-                fresh.linted(linted, keep);
+    /// **lint** — hold the in-scope blocks to the memo's lint environment:
+    /// clean, the same dependency edges, and what they declare, retract and
+    /// depend on accounted for.
+    fn lint(&self, memo: &Memo, edit: &mut Splice) -> Result<(), Stop> {
+        let Splice {
+            blocks,
+            decls,
+            claims,
+            ..
+        } = edit;
+        let env = &memo.lint_env;
+        let key = |rb: &ResourceBlock| (rb.rtype.clone(), rb.name.clone());
+        // what the splice declares and retracts, and the seats it vacates
+        let leaving = blocks.iter().filter(|b| b.removed());
+        decls.removed = leaving.filter_map(|b| b.old.as_ref()).map(key).collect();
+        let coming = blocks.iter().filter(|b| b.inserted());
+        for rb in coming.filter_map(|b| b.new.as_ref()) {
+            let twice = env.declares(decls, &rb.rtype, &rb.name);
+            ensure(!twice, "structural edit (a block is declared twice)")?;
+            decls.added.push(key(rb));
+        }
+        let gone: HashSet<usize> = (blocks.iter().filter(|b| b.removed()))
+            .filter_map(|b| b.was.map(|(at, _)| at))
+            .collect();
+        for at in 0..blocks.len() {
+            let (earlier, rest) = blocks.split_at_mut(at);
+            let b = &mut rest[0];
+            let old = b.old.as_ref().map(|rb| (rb, block_refs(rb)));
+            let new = b.new.as_ref().map(|rb| (rb, block_refs(rb)));
+            if let (Some((old_rb, old)), Some((rb, new))) = (&old, &new) {
+                // Reference stability stands in for the whole-program
+                // graph passes, and no block may flip to or from count = 0.
+                ensure(old.stable_under(new), "dependency edges changed")?;
+                let flipped = env.count_folds_zero(rb) != env.count_folds_zero(old_rb);
+                ensure(!flipped, "count-disabled status changed")?;
             }
-            Scope::Blocks { memo, edit } => {
-                let Splice {
-                    blocks,
-                    decls,
-                    claims,
-                    ..
-                } = &mut **edit;
-                let env = &memo.lint_env;
-                let key = |rb: &ResourceBlock| (rb.rtype.clone(), rb.name.clone());
-                // what the splice declares and retracts, and the seats it
-                // vacates
-                let leaving = blocks.iter().filter(|b| b.removed());
-                decls.removed = leaving.filter_map(|b| b.old.as_ref()).map(key).collect();
-                let coming = blocks.iter().filter(|b| b.inserted());
-                for rb in coming.filter_map(|b| b.new.as_ref()) {
-                    let twice = env.declares(decls, &rb.rtype, &rb.name);
-                    ensure(!twice, "structural edit (a block is declared twice)")?;
-                    decls.added.push(key(rb));
-                }
-                let gone: HashSet<usize> = (blocks.iter().filter(|b| b.removed()))
-                    .filter_map(|b| b.was.map(|(at, _)| at))
-                    .collect();
-                for at in 0..blocks.len() {
-                    let (earlier, rest) = blocks.split_at_mut(at);
-                    let b = &mut rest[0];
-                    let old = b.old.as_ref().map(|rb| (rb, block_refs(rb)));
-                    let new = b.new.as_ref().map(|rb| (rb, block_refs(rb)));
-                    if let (Some((old_rb, old)), Some((rb, new))) = (&old, &new) {
-                        // Reference stability stands in for the whole-program
-                        // graph passes, and no block may flip to or from count = 0.
-                        ensure(old.stable_under(new), "dependency edges changed")?;
-                        let flipped = env.count_folds_zero(rb) != env.count_folds_zero(old_rb);
-                        ensure(!flipped, "count-disabled status changed")?;
-                    }
-                    if let Some((rb, refs)) = &new {
-                        let clean = |cfg| block_is_clean(&memo.program, rb, refs, env, decls, cfg);
-                        let clean = self.lint_cfg.as_ref().is_none_or(clean);
-                        ensure(clean, "edited block has lint findings")?;
-                        stage(claims, lint_claims(rb, refs, env), 1);
-                    }
-                    if let (None, Some((_, refs))) = (&old, &new) {
-                        b.deps = memo.dependencies(refs, decls, earlier)?;
-                    }
-                    if let Some((rb, refs)) = &old {
-                        stage(claims, lint_claims(rb, refs, env), -1);
-                    }
-                    if let (Some((rb, _)), None) = (&old, &new) {
-                        // the cold walk reports the dangling reference exactly
-                        let dependents = memo.dag.successors(NodeId(b.at as u32));
-                        let read = memo.outer.contains(&rb.rtype, &rb.name)
-                            || dependents.iter().any(|d| !gone.contains(&d.index()));
-                        ensure(!read, "structural edit (a removed block is still read)")?;
-                    }
-                }
-                // ANA101/102 and ANA402 are the lint gate's to refuse
-                self.hold_bounds(memo, claims)?;
+            if let Some((rb, refs)) = &new {
+                let clean = |cfg| block_is_clean(&memo.program, rb, refs, env, decls, cfg);
+                let clean = self.lint_cfg.as_ref().is_none_or(clean);
+                ensure(clean, "edited block has lint findings")?;
+                stage(claims, lint_claims(rb, refs, env), 1);
+            }
+            if let (None, Some((_, refs))) = (&old, &new) {
+                b.deps = memo.dependencies(refs, decls, earlier)?;
+            }
+            if let Some((rb, refs)) = &old {
+                stage(claims, lint_claims(rb, refs, env), -1);
+            }
+            if let (Some((rb, _)), None) = (&old, &new) {
+                // the cold walk reports the dangling reference exactly
+                let dependents = memo.dag.successors(NodeId(b.at as u32));
+                let read = memo.outer.contains(&rb.rtype, &rb.name)
+                    || dependents.iter().any(|d| !gone.contains(&d.index()));
+                ensure(!read, "structural edit (a removed block is still read)")?;
             }
         }
-        Ok(())
+        // ANA101/102 and ANA402 are the lint gate's to refuse
+        self.hold_bounds(memo, claims)
     }
 
-    /// **expand** — program → manifest. Keeps the root bindings and block
-    /// ranges a later splice expands under. A splice that inserts or
-    /// removes blocks reshapes the memo's positional tables here, once every
-    /// block's new instances are known.
-    fn expand(&mut self, scope: &mut Scope) -> Result<(), Stop> {
+    /// **expand** — the in-scope blocks' instances, under the memo's root
+    /// bindings, written into the memo's list in place. A splice that
+    /// inserts or removes blocks reshapes the memo's positional tables here,
+    /// once every block's new instances are known.
+    fn expand(&self, memo: &mut Memo, edit: &mut Splice) -> Result<(), Stop> {
         let ctx = self.ctx;
-        match scope {
-            Scope::All { fresh, keep, .. } => {
-                let expanded = expand_root(&fresh.program, ctx.inputs, ctx.modules, ctx.data)
-                    .map_err(PipelineError::Frontend)?;
-                self.expanded(fresh, keep, expanded);
-                // the last reader of block syntax: the memo keeps none
-                fresh.program.resources = Vec::new();
+        let Splice { blocks, decls, .. } = &mut *edit;
+        let declared = |t: &str, n: &str| memo.lint_env.declares(decls, t, n);
+        for at in 0..blocks.len() {
+            let (earlier, rest) = blocks.split_at_mut(at);
+            let b = &mut rest[0];
+            if let Some((was, _)) = b.was {
+                let span = memo.root.block_ranges[was].clone();
+                b.before = memo.manifest.instances[span].to_vec();
             }
-            Scope::Blocks { memo, edit } => {
-                let Splice { blocks, decls, .. } = &mut **edit;
-                let declared = |t: &str, n: &str| memo.lint_env.declares(decls, t, n);
-                for at in 0..blocks.len() {
-                    let (earlier, rest) = blocks.split_at_mut(at);
-                    let b = &mut rest[0];
-                    if let Some((was, _)) = b.was {
-                        let span = memo.root.block_ranges[was].clone();
-                        b.before = memo.manifest.instances[span].to_vec();
-                    }
-                    let Some(rb) = &b.new else {
-                        continue;
-                    };
-                    let mut diags = Diagnostics::new();
-                    let mut fresh: Vec<ResourceInstance> = Vec::new();
-                    let deps = expand_resource_block(
-                        rb,
-                        &memo.root.vars,
-                        &memo.root.locals,
-                        &declared,
-                        ctx.data,
-                        &memo.root.file,
-                        &[],
-                        &mut diags,
-                        &mut fresh,
-                    );
-                    ensure(diags.is_empty(), "expansion produced diagnostics")?;
-                    if b.inserted() {
-                        // Block-level dependencies become instance-level,
-                        // as `expand_root` makes them once every block is
-                        // expanded.
-                        for inst in &mut fresh {
-                            let addrs = (deps.iter())
-                                .flat_map(|(rtype, name)| memo.addresses_of(rtype, name, earlier));
-                            inst.depends_on = addrs.filter(|addr| *addr != inst.addr).collect();
-                        }
-                    } else {
-                        let addrs = fresh.iter().map(|inst| &inst.addr);
-                        ensure(
-                            addrs.eq(b.before.iter().map(|inst| &inst.addr)),
-                            "instance addresses changed",
-                        )?;
-                        // Instance-level `depends_on` copies over from the
-                        // cached instances (exact: `expand_deps` is unchanged).
-                        for (new, old) in fresh.iter_mut().zip(&b.before) {
-                            new.depends_on = old.depends_on.clone();
-                        }
-                    }
-                    b.after = fresh.into_iter().map(Arc::new).collect();
+            let Some(rb) = &b.new else {
+                continue;
+            };
+            let mut diags = Diagnostics::new();
+            let mut fresh: Vec<ResourceInstance> = Vec::new();
+            let deps = expand_resource_block(
+                rb,
+                &memo.root.vars,
+                &memo.root.locals,
+                &declared,
+                ctx.data,
+                &memo.root.file,
+                &[],
+                &mut diags,
+                &mut fresh,
+            );
+            ensure(diags.is_empty(), "expansion produced diagnostics")?;
+            if b.inserted() {
+                // Block-level dependencies become instance-level, as
+                // `expand_root` makes them once every block is expanded.
+                for inst in &mut fresh {
+                    let addrs = (deps.iter())
+                        .flat_map(|(rtype, name)| memo.addresses_of(rtype, name, earlier));
+                    inst.depends_on = addrs.filter(|addr| *addr != inst.addr).collect();
                 }
-                if edit.resized() != (0, 0) {
-                    // nothing is left of the memo as it stood: a guard that
-                    // trips from here on drops it
-                    edit.reshaped = true;
-                    memo.reshape(&edit.blocks)?;
+            } else {
+                let addrs = fresh.iter().map(|inst| &inst.addr);
+                ensure(
+                    addrs.eq(b.before.iter().map(|inst| &inst.addr)),
+                    "instance addresses changed",
+                )?;
+                // Instance-level `depends_on` copies over from the cached
+                // instances (exact: `expand_deps` is unchanged).
+                for (new, old) in fresh.iter_mut().zip(&b.before) {
+                    new.depends_on = old.depends_on.clone();
                 }
-                // in place, O(edit): a stopped walk puts `before` back
-                memo.write_edited(&edit.blocks, |b| &b.after);
-                edit.written = true;
             }
+            b.after = fresh.into_iter().map(Arc::new).collect();
         }
+        if edit.resized() != (0, 0) {
+            // nothing is left of the memo as it stood: a guard that trips
+            // from here on drops it
+            edit.reshaped = true;
+            memo.reshape(&edit.blocks)?;
+        }
+        // in place, O(edit): a stopped walk puts `before` back
+        memo.write_edited(&edit.blocks, |b| &b.after);
+        edit.written = true;
         Ok(())
     }
 
-    /// **validate** — compile-time validation of the manifest. Keeps the
-    /// positional index the scoped re-check resolves references through.
-    fn validate(&mut self, scope: &mut Scope) -> Result<(), Stop> {
-        let ctx = self.ctx;
-        match scope {
-            Scope::All { fresh, keep, .. } => {
-                let manifest = &self.out.manifest;
-                let validated = validate_all(manifest, ctx.catalog, ctx.level, ctx.miner)?;
-                self.validated(fresh, keep, validated);
-            }
-            Scope::Blocks { memo, edit } => {
-                // re-check the edited and inserted blocks and their direct
-                // dependents
-                let mut in_scope: BTreeSet<usize> = BTreeSet::new();
-                for (at, _) in edit.blocks.iter().filter_map(|b| b.now) {
-                    let dependents = memo.dag.successors(NodeId(at as u32));
-                    in_scope.extend(dependents.iter().map(|node| node.index()));
-                    in_scope.insert(at);
-                }
-                let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
-                let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
-                let (manifest, mindex) = (&memo.manifest, &memo.mindex);
-                let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner);
-                ensure(found.is_empty(), "edited scope has validation findings")?;
-            }
+    /// **validate** — re-check the edited and inserted blocks and their
+    /// direct dependents through the memo's positional index.
+    fn validate(&self, memo: &Memo, edit: &Splice) -> Result<(), Stop> {
+        let mut in_scope: BTreeSet<usize> = BTreeSet::new();
+        for (at, _) in edit.blocks.iter().filter_map(|b| b.now) {
+            let dependents = memo.dag.successors(NodeId(at as u32));
+            in_scope.extend(dependents.iter().map(|node| node.index()));
+            in_scope.insert(at);
         }
-        Ok(())
+        let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
+        let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
+        let (ctx, manifest, mindex) = (self.ctx, &memo.manifest, &memo.mindex);
+        let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner);
+        ensure(found.is_empty(), "edited scope has validation findings")
     }
 
-    /// **analyze** — the whole-program concurrency gate over the expanded
-    /// manifest (happens-before, aliasing, lock order). Keeps the claims
-    /// multiset, through which the splice also holds the aggregate rules of
-    /// the stages before it (ANA101/102, ANA402, VAL306, VAL307).
-    fn analyze(&mut self, scope: &mut Scope) -> Result<(), Stop> {
-        match scope {
-            Scope::All { fresh, keep, .. } => {
-                let manifest = &self.out.manifest;
-                let cfg = self.lint_cfg.as_ref();
-                let analyzed = cfg.map(|cfg| analyze_manifest(manifest, cfg, None));
-                self.analyzed(analyzed, keep)?;
-                if *keep {
-                    let claims = instance_level_claims(&self.out.manifest.instances);
-                    stage(&mut fresh.claims, claims, 1);
-                }
-            }
-            Scope::Blocks { memo, edit } => {
-                let gated = self.lint_cfg.is_some();
-                let Splice { blocks, claims, .. } = &mut **edit;
-                for b in blocks.iter() {
-                    stage(claims, instance_level_claims(&b.before), -1);
-                    stage(claims, instance_level_claims(&b.after), 1);
-                    // ANA504 is a finding: only the full analysis reports it
-                    ensure(
-                        !gated || b.after.iter().all(|i| replace_self_race(i).is_none()),
-                        "create_before_destroy with plan-time identity (replace self-race)",
-                    )?;
-                }
-                self.hold_bounds(memo, claims)?;
-            }
+    /// **analyze** — hold the in-scope instances' claims to the aggregate
+    /// rules of every stage (ANA101/102, ANA402, VAL306, VAL307) through the
+    /// memo's claims multiset.
+    fn analyze(&self, memo: &Memo, edit: &mut Splice) -> Result<(), Stop> {
+        let gated = self.lint_cfg.is_some();
+        let Splice { blocks, claims, .. } = edit;
+        for b in blocks.iter() {
+            stage(claims, instance_level_claims(&b.before), -1);
+            stage(claims, instance_level_claims(&b.after), 1);
+            // ANA504 is a finding: only the full analysis reports it
+            ensure(
+                !gated || b.after.iter().all(|i| replace_self_race(i).is_none()),
+                "create_before_destroy with plan-time identity (replace self-race)",
+            )?;
         }
-        Ok(())
+        self.hold_bounds(memo, claims)
     }
 
     /// The aggregate rules over the claims staged so far: trip if landing

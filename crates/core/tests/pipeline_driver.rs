@@ -221,8 +221,8 @@ resource "aws_s3_bucket" "logs" {
 }
 "#;
 
-/// A program both lint and expand refuse is refused for lint's finding, as
-/// the sequential walk refuses it; each refusal stands on its own.
+/// A program both lint and expand refuse is refused for lint's finding, the
+/// earlier stage's; each refusal stands on its own.
 #[test]
 fn a_cold_start_refused_by_lint_and_by_expand_reports_lint() {
     let env = Env::new();
@@ -259,7 +259,9 @@ fn a_cold_start_refused_by_validate_and_by_analyze_reports_validation() {
 }
 
 /// A cold start that is refused — by whichever stage — keeps no memo: the
-/// next run is cold again, and the first clean one keeps its memo.
+/// next run is cold again, and the first clean one keeps its memo. The
+/// same saves to a warm pipeline are refused as a cold run refuses them,
+/// and only a parse or lint refusal gives the memo back.
 #[test]
 fn a_refused_cold_start_keeps_no_memo() {
     let env = Env::new();
@@ -275,6 +277,24 @@ fn a_refused_cold_start_keeps_no_memo() {
         assert!(pipe.run(src, &env.ctx()).is_err());
         assert!(!pipe.is_warm(), "a refused cold start kept a memo");
     }
+    // primed under another validation level, so that every save is an
+    // all-blocks walk that holds the memo: a splice that inserts blocks
+    // would drop it before a validate or analyze refusal
+    let primed = PipelineCtx {
+        level: ValidationLevel::Semantic,
+        ..env.ctx()
+    };
+    let mut kept = Vec::new();
+    for src in &refused {
+        let mut pipe = IncrementalPipeline::default();
+        pipe.run(SRC, &primed).expect("base is clean");
+        let err = pipe.run(src, &env.ctx()).err().expect("refused");
+        let cold = env.cold(src).err().expect("refused");
+        assert_eq!(refusal(&err), refusal(&cold));
+        kept.push(pipe.is_warm());
+    }
+    // syntax error, lint, validate, analyze, expand
+    assert_eq!(kept, [true, true, false, false, false]);
     let mut pipe = IncrementalPipeline::default();
     let out = pipe.run(SRC, &env.ctx()).expect("clean");
     assert!(!out.trace.fast_path && pipe.is_warm());

@@ -22,10 +22,9 @@
 //! [`SpecMiner`] that has observed a deployment, with edits that break its
 //! conventions and further observations that change them.
 //!
-//! On a host with two cores a cold run takes the joined schedule (lint
-//! beside expand, validate and analyze beside the plan;
-//! `cloudless_types::join`), while the warm runs splice on one thread: the
-//! two schedules are held to each other.
+//! On a host with two cores every all-blocks run joins (lint beside
+//! expand, validate and analyze beside the plan; `cloudless_types::join`),
+//! while a splice runs on one thread: the two are held to each other.
 //!
 //! A second group pins the memory contract: a bounded memo cache never
 //! retains a snapshot that exceeds its byte budget, and dropping the memo

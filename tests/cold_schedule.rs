@@ -1,10 +1,9 @@
-//! A cold start of the front end runs two joins when the host gives the
-//! process a second core — lint beside expand, validate and analyze beside
-//! the plan (`cloudless_types::join`) — and one thread otherwise. An
-//! all-blocks walk that still holds an old memo keeps the sequential
-//! schedule. Whichever ran, a caller sees the same run: the same output, and
-//! the same calls to its recorder in the same order, all made on the
-//! caller's thread.
+//! Every all-blocks walk of the front end runs two joins when the host
+//! gives the process a second core — lint beside expand, validate and
+//! analyze beside the plan (`cloudless_types::join`) — and one thread
+//! otherwise, whether or not it holds the memo of an earlier save. Either
+//! way a caller sees the same run: the same output, and the same calls to
+//! its recorder in the same order, all made on the caller's thread.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -105,8 +104,24 @@ fn observed(out: &FrontendOutput) -> String {
     seen
 }
 
+/// The helpers `join` spawned while `f` ran, checked against the cores the
+/// host gives the process: two joins on two cores, no thread on one.
+fn joined<T>(walk: &str, f: impl FnOnce() -> T) -> T {
+    let spawned = helpers_spawned();
+    let out = f();
+    let helpers = helpers_spawned() - spawned;
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("{cores} core(s): the {walk} spawned {helpers} helper(s)");
+    if cores > 1 {
+        assert!(helpers >= 2, "{walk}: two joins, {helpers} helper(s)");
+    } else {
+        assert_eq!(helpers, 0, "{walk}: one core spawns no thread");
+    }
+    out
+}
+
 #[test]
-fn a_joined_cold_run_tells_its_recorder_what_the_sequential_walk_does() {
+fn a_walk_that_holds_a_memo_is_a_joined_cold_start() {
     let source = random_layered(10_000, 42);
     // quotas out of the way: VAL307 would refuse the program
     let catalog = quota_raised_catalog();
@@ -131,36 +146,29 @@ fn a_joined_cold_run_tells_its_recorder_what_the_sequential_walk_does() {
         |value: &str| format!("{source}output \"schedule\" {{\n  value = \"{value}\"\n}}\n");
     let measured = output("measured");
 
-    // sequential: an all-blocks walk that holds the memo of an earlier save
-    let mut sequential = IncrementalPipeline::default();
+    // an all-blocks walk that holds the memo of an earlier save
+    let mut held = IncrementalPipeline::default();
     let quiet = Arc::new(Calls::default()) as Arc<dyn Recorder>;
-    run(&mut sequential, &output("primed"), &quiet);
-    let told_sequential = Arc::new(Calls::default());
-    let recorder = Arc::clone(&told_sequential) as Arc<dyn Recorder>;
-    let walked = run(&mut sequential, &measured, &recorder);
+    run(&mut held, &output("primed"), &quiet);
+    let told_held = Arc::new(Calls::default());
+    let recorder = Arc::clone(&told_held) as Arc<dyn Recorder>;
+    let walked = joined("walk that holds a memo", || {
+        run(&mut held, &measured, &recorder)
+    });
     let reason = walked.trace.fallback_reason.as_deref().unwrap_or("");
     assert!(reason.contains("non-resource"), "{reason}");
 
-    // a cold start: joined on a host with two cores
-    let spawned = helpers_spawned();
-    let told_joined = Arc::new(Calls::default());
-    let recorder = Arc::clone(&told_joined) as Arc<dyn Recorder>;
+    // a cold start
+    let told_cold = Arc::new(Calls::default());
+    let recorder = Arc::clone(&told_cold) as Arc<dyn Recorder>;
     let mut fresh = IncrementalPipeline::default();
-    let cold = run(&mut fresh, &measured, &recorder);
+    let cold = joined("cold start", || run(&mut fresh, &measured, &recorder));
     let reason = cold.trace.fallback_reason.as_deref().unwrap_or("");
     assert!(reason.contains("no memo"), "{reason}");
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let helpers = helpers_spawned() - spawned;
-    println!("{cores} core(s): the cold start spawned {helpers} helper(s)");
-    if cores > 1 {
-        assert!(helpers >= 2, "two joins, {helpers} helper(s)");
-    } else {
-        assert_eq!(helpers, 0, "one core spawns no thread");
-    }
 
     assert_eq!(observed(&cold), observed(&walked));
-    assert!(sequential.is_warm() && fresh.is_warm());
-    let (joined, sequential) = (told_joined.heard(), told_sequential.heard());
-    assert!(!joined.0.is_empty(), "the run counts what it did");
-    assert_eq!(joined, sequential);
+    assert!(held.is_warm() && fresh.is_warm());
+    let (cold, held) = (told_cold.heard(), told_held.heard());
+    assert!(!cold.0.is_empty(), "the run counts what it did");
+    assert_eq!(cold, held);
 }
