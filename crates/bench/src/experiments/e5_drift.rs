@@ -16,11 +16,17 @@
 //!   (log reads are not resource-API calls).
 //!
 //! Metrics: events detected, mean detection lag, resource API calls burnt.
+//!
+//! The scanner is [`Scanner`], kept here because no product path scans:
+//! `cloudless drift` reads live resources through refresh.
 
-use cloudless::cloud::{CloudConfig, RateLimit};
+use std::collections::BTreeSet;
+
+use cloudless::cloud::{ApiOp, ApiRequest, Cloud, CloudConfig, OpOutcome, RateLimit};
 use cloudless::deploy::Strategy;
-use cloudless::diagnose::{LogWatcher, Scanner};
-use cloudless::types::{SimDuration, SimTime, Value};
+use cloudless::diagnose::{DriftEvent, DriftKind, DriftReport, LogWatcher};
+use cloudless::state::Snapshot;
+use cloudless::types::{Provider, ResourceId, SimDuration, SimTime, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +35,78 @@ use crate::workloads;
 use crate::SEED;
 
 const DAY: u64 = 24 * 3_600_000;
+
+/// The driftctl-style baseline: every pass Lists each provider and Reads
+/// every managed resource — O(n) rate-limited API calls per pass.
+pub struct Scanner;
+
+impl Scanner {
+    const PRINCIPAL: &'static str = "drift-scanner";
+
+    /// One full scan pass.
+    pub fn scan(&self, cloud: &mut Cloud, state: &Snapshot) -> DriftReport {
+        let started = cloud.now();
+        let calls_before = cloud.total_api_calls();
+        let mut report = DriftReport::default();
+
+        // 1. List every provider.
+        let mut live_ids: BTreeSet<ResourceId> = BTreeSet::new();
+        for provider in Provider::ALL {
+            let list = ApiRequest::new(ApiOp::List { provider }, Self::PRINCIPAL);
+            if let Ok(done) = cloud.submit_and_settle(list) {
+                if let OpOutcome::Listed { ids } = done.outcome {
+                    live_ids.extend(ids);
+                }
+            }
+        }
+
+        // 2. Read every managed resource and compare attributes.
+        let listed: Vec<_> = state
+            .resources()
+            .values()
+            .filter(|rec| live_ids.contains(&rec.id)) // the rest are Deleted below
+            .collect();
+        let reads = listed
+            .iter()
+            .map(|rec| ApiRequest::new(ApiOp::Read { id: rec.id.clone() }, Self::PRINCIPAL))
+            .collect();
+        let settled = cloud.settle_batch(reads);
+        let finished = cloud.now();
+        let event = |kind, addr, id: &ResourceId| DriftEvent {
+            kind,
+            addr,
+            id: id.clone(),
+            principal: None, // the scanner cannot attribute drift
+            occurred_at: finished,
+            detected_at: finished,
+        };
+        for (rec, done) in listed.into_iter().zip(settled) {
+            if let Ok(OpOutcome::ReadOk { attrs, .. }) = done.map(|c| c.outcome) {
+                if attrs != rec.attrs {
+                    let modified = event(DriftKind::Modified, Some(rec.addr.clone()), &rec.id);
+                    report.events.push(modified);
+                }
+            }
+        }
+
+        // 3. Managed-but-gone and live-but-unmanaged.
+        for rec in state.resources().values() {
+            if !live_ids.contains(&rec.id) {
+                let deleted = event(DriftKind::Deleted, Some(rec.addr.clone()), &rec.id);
+                report.events.push(deleted);
+            }
+        }
+        for id in &live_ids {
+            if state.by_id(id.as_str()).is_none() {
+                report.events.push(event(DriftKind::Unmanaged, None, id));
+            }
+        }
+
+        report.api_calls = cloud.total_api_calls() - calls_before;
+        report.duration = finished.since(started);
+        report
+    }
+}
 
 struct Detection {
     detected: usize,
@@ -69,7 +147,6 @@ fn run_detector(n: usize, events: usize, use_scanner: bool) -> Detection {
     }
 
     let mut watcher = LogWatcher::new(["cloudless-engine".to_owned()]).from_now(&cloud);
-    let scanner = Scanner::new();
 
     let mut next_event = 0usize;
     // ground-truth occurrence time per victim id (the harness knows; the
@@ -112,7 +189,7 @@ fn run_detector(n: usize, events: usize, use_scanner: bool) -> Detection {
         let report = if use_scanner {
             // the scanner needs an up-to-date snapshot of what we *believe*;
             // we use the original state (drift means cloud != state)
-            scanner.scan(&mut cloud, &state)
+            Scanner.scan(&mut cloud, &state)
         } else {
             watcher.poll(&cloud, &state)
         };
@@ -190,6 +267,20 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudless::types::value::attrs;
+
+    fn deployed() -> (Cloud, Snapshot) {
+        let src = r#"
+resource "aws_vpc" "v" { cidr_block = "10.0.0.0/16" }
+resource "aws_s3_bucket" "b" {
+  count  = 4
+  bucket = "bucket-${count.index}"
+}
+"#;
+        let walk = Strategy::TerraformWalk { parallelism: 10 };
+        let (_, cloud, state) = super::super::deploy(src, walk, CloudConfig::exact(), 7);
+        (cloud, state)
+    }
 
     #[test]
     fn watcher_detects_all_with_low_lag_and_zero_cost() {
@@ -208,5 +299,68 @@ mod tests {
         assert_eq!(small.attributed, 0);
         // 6h cadence → worst-case lag 6h, mean around 3h
         assert!(small.mean_lag >= SimDuration::from_mins(30));
+    }
+
+    #[test]
+    fn scanner_finds_same_drift_at_api_cost() {
+        let (mut cloud, state) = deployed();
+        let vpc_id = state.get(&"aws_vpc.v".parse().unwrap()).unwrap().id.clone();
+        cloud
+            .out_of_band_update(
+                "legacy-script",
+                &vpc_id,
+                attrs([("name", Value::from("x"))]),
+            )
+            .unwrap();
+        let r = Scanner.scan(&mut cloud, &state);
+        assert_eq!(r.events.len(), 1);
+        assert_eq!(r.events[0].kind, DriftKind::Modified);
+        // cost: 3 lists + 5 reads
+        assert_eq!(r.api_calls, 3 + 5);
+        assert!(r.duration.millis() > 0);
+        // the scanner cannot attribute drift
+        assert!(r.events[0].principal.is_none());
+    }
+
+    #[test]
+    fn scanner_detects_deletion_and_unmanaged() {
+        let (mut cloud, state) = deployed();
+        let bucket = state
+            .get(&"aws_s3_bucket.b[0]".parse().unwrap())
+            .unwrap()
+            .id
+            .clone();
+        cloud.out_of_band_delete("intern", &bucket).unwrap();
+        cloud
+            .out_of_band_create(
+                "intern",
+                "aws_s3_bucket",
+                "us-east-1",
+                attrs([("bucket", Value::from("rogue"))]),
+            )
+            .unwrap();
+        let r = Scanner.scan(&mut cloud, &state);
+        assert!(r.events.iter().any(|e| e.kind == DriftKind::Deleted));
+        assert!(r.events.iter().any(|e| e.kind == DriftKind::Unmanaged));
+    }
+
+    #[test]
+    fn watcher_lag_is_poll_interval_scanner_cost_is_linear() {
+        // The crux of experiment E5 in miniature.
+        let (mut cloud, state) = deployed();
+        let mut w = LogWatcher::new(["cloudless-engine".to_owned()]).from_now(&cloud);
+        let vpc_id = state.get(&"aws_vpc.v".parse().unwrap()).unwrap().id.clone();
+        let t_drift = cloud.now();
+        cloud
+            .out_of_band_update("legacy", &vpc_id, attrs([("name", Value::from("x"))]))
+            .unwrap();
+        // poll 30 virtual seconds later
+        cloud.advance_to(t_drift + SimDuration::from_secs(30));
+        let r = w.poll(&cloud, &state);
+        assert_eq!(r.events[0].lag().millis(), 30_000);
+        assert_eq!(r.api_calls, 0);
+        // the scanner burns API calls proportional to fleet size
+        let scan = Scanner.scan(&mut cloud, &state);
+        assert!(scan.api_calls >= state.len() as u64);
     }
 }

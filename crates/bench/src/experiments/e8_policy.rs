@@ -14,11 +14,12 @@
 use cloudless::policy::engine::{Controller, LifecyclePhase};
 use cloudless::policy::observe::{Observation, PlanSummary};
 use cloudless::policy::{
-    Action, BudgetPolicy, RegionPinPolicy, TemplateExtractor, ThresholdScalePolicy, TraceGen,
+    Action, BudgetPolicy, RegionPinPolicy, TemplateExtractor, ThresholdScalePolicy,
 };
 use cloudless::types::{SimDuration, SimTime};
 
 use crate::table::{f, pct, Table};
+use crate::telemetry::TraceGen;
 use crate::SEED;
 
 const CAPACITY: f64 = 1000.0;

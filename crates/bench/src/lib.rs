@@ -13,6 +13,7 @@ pub mod locks;
 pub mod oracle;
 pub mod scenarios;
 pub mod table;
+pub mod telemetry;
 pub mod txn;
 pub mod workloads;
 

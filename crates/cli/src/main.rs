@@ -1,9 +1,9 @@
 //! `cloudless` — the CLI over the cloudless engine and its simulated
 //! multi-cloud.
 //!
-//! A *session directory* holds the persistent world: the golden state
-//! (`state.json`) and the simulated cloud's live resources
-//! (`cloud.json`). Commands mirror the Figure 1(b) lifecycle:
+//! A *session directory* holds the persistent world: the state log
+//! (`state.log`) and the simulated cloud's live resources (`cloud.json`).
+//! Commands mirror the Figure 1(b) lifecycle:
 //!
 //! ```text
 //! cloudless init      <dir>                 # create a session
@@ -14,7 +14,7 @@
 //! cloudless apply     <dir> <file.tf>       # converge (validate→plan→apply)
 //! cloudless destroy   <dir>                 # apply of the empty program
 //! cloudless state     <dir>                 # list managed resources
-//! cloudless drift     <dir>                 # scan for out-of-band changes
+//! cloudless drift     <dir>                 # refresh, report drift
 //! cloudless reconcile <dir> <file.tf>       # fold drift back into the program
 //! cloudless import    <dir> [--modules]     # port live cloud → IaC program
 //! cloudless rogue     <dir> <addr> <k> <v>  # simulate an out-of-band edit
@@ -105,7 +105,7 @@ commands:
   state     rollback <dir> <serial>    time-travel state to a past serial
   state     fsck     <dir>             verify the delta log's integrity
   state     migrate  <dir>             upgrade a legacy session to the log store
-  drift     <dir>                      scan the cloud for drift
+  drift     <dir>                      refresh, report drift
   reconcile <dir> <file.tf>            fold drift back into the program:
                                        classify, synthesize a minimal patch,
                                        converge to a zero-diff plan
@@ -661,13 +661,7 @@ fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
 /// checksums, content-address integrity, undo-chain consistency, and
 /// checkpoint reachability. Exits non-zero unless the log is clean.
 fn state_fsck(args: &Args) -> Result<(), String> {
-    let dir = args.positional[0];
-    let log = Session::load(dir)?.log_path();
-    if !log.exists() {
-        return Err(format!(
-            "{dir} has no state.log (legacy session — run `cloudless state migrate {dir}` first)"
-        ));
-    }
+    let log = Session::load(args.positional[0])?.log_path();
     let report = cloudless::state::fsck_file(&log)
         .map_err(|e| format!("cannot read {}: {e}", log.display()))?;
     print!("{}", report.render());
@@ -683,7 +677,6 @@ fn state_fsck(args: &Args) -> Result<(), String> {
 /// version found in `history.json` (if present) byte-identically.
 fn state_migrate(args: &Args) -> Result<(), String> {
     let dir = args.positional[0];
-    Session::load(dir)?; // validates the directory is a session
     let report = cloudless::state::migrate_dir(std::path::Path::new(dir))?;
     println!(
         "migrated: {} version(s), {} resource(s), state.log is {} byte(s)",
@@ -728,28 +721,33 @@ fn state_rollback(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
     Ok(Ran::Changed(Ok(())))
 }
 
-fn drift(_: &Args, recorder: &Arc<FlightRecorder>, engine: &mut Cloudless) -> Result<Ran, String> {
-    let scanner = cloudless::diagnose::Scanner::new().with_recorder(recorder.clone());
+/// `cloudless drift <dir>`: the refresh an engine without a sync point
+/// makes, read into a copy of state that is dropped, plus every cloud
+/// record no state entry holds.
+fn drift(_: &Args, _: &Arc<FlightRecorder>, engine: &mut Cloudless) -> Result<Ran, String> {
     let state = engine.state().clone();
-    let report = scanner.scan(engine.cloud_mut(), &state);
-    if report.events.is_empty() {
-        println!("no drift detected ({} API calls)", report.api_calls);
+    let mut copy = std::borrow::Cow::Borrowed(&state);
+    let refresh = cloudless::deploy::refresh_all(engine.cloud_mut(), &mut copy, "cloudless-drift");
+    let records = engine.cloud().export_records().keys();
+    let unmanaged = records.filter(|id| state.by_id(id.as_str()).is_none());
+    let modified = refresh.updated.iter().map(|a| format!("Modified: {a}"));
+    let events: Vec<String> = modified
+        .chain(refresh.missing.iter().map(|a| format!("Deleted: {a}")))
+        .chain(unmanaged.map(|id| format!("Unmanaged: {id}")))
+        .collect();
+    if events.is_empty() {
+        println!("no drift detected ({} API calls)", refresh.reads);
     } else {
-        for ev in &report.events {
-            let target = ev
-                .addr
-                .as_ref()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| ev.id.to_string());
-            println!("{:?}: {target}", ev.kind);
+        for event in &events {
+            println!("{event}");
         }
         println!(
             "{} drift event(s); `cloudless apply` overwrites them, `cloudless reconcile` folds them into the program ({} API calls)",
-            report.events.len(),
-            report.api_calls
+            events.len(),
+            refresh.reads
         );
     }
-    // a scan only reads: the metrics are all it leaves behind
+    // a refresh only reads: the metrics are all it leaves behind
     Ok(Ran::ReadOnly)
 }
 

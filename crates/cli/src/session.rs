@@ -1,11 +1,10 @@
 //! Session persistence: the CLI's world lives in a session directory.
 //!
-//! Log-native sessions hold `state.log` (the append-only delta log — the
-//! source of truth for state *and* version history), a `state.json`
-//! mirror of the current snapshot (kept for interop/inspection), and
-//! `cloud.json` (live simulated resources). Legacy sessions have only
-//! `state.json`; they load transparently (state without history) and can
-//! be upgraded in place with `cloudless state migrate <dir>`.
+//! A session is its `state.log` (the append-only delta log — the source of
+//! truth for state *and* version history), beside `cloud.json` (live
+//! simulated resources) and a `state.json` mirror of the current snapshot
+//! that is written for inspection and never read. A legacy directory, with
+//! `state.json` but no log, is refused until `cloudless state migrate`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -28,7 +27,7 @@ impl Session {
         let path = PathBuf::from(dir);
         std::fs::create_dir_all(&path).map_err(|e| format!("cannot create {dir}: {e}"))?;
         let s = Session { dir: path };
-        if s.state_path().exists() {
+        if s.log_path().exists() || s.state_path().exists() {
             return Err(format!("{dir} already holds a session"));
         }
         std::fs::write(s.state_path(), Snapshot::new().to_json()).map_err(|e| e.to_string())?;
@@ -48,21 +47,27 @@ impl Session {
     }
 
     pub fn load(dir: &str) -> Result<Session, String> {
-        let path = PathBuf::from(dir);
-        let s = Session { dir: path };
-        if !s.state_path().exists() {
-            return Err(format!(
+        let s = Session {
+            dir: PathBuf::from(dir),
+        };
+        if s.log_path().exists() {
+            Ok(s)
+        } else if s.state_path().exists() {
+            Err(format!(
+                "{dir} has no state.log (legacy session — run `cloudless state migrate {dir}` first)"
+            ))
+        } else {
+            Err(format!(
                 "{dir} is not a session (run `cloudless init {dir}` first)"
-            ));
+            ))
         }
-        Ok(s)
     }
 
     fn state_path(&self) -> PathBuf {
         self.dir.join("state.json")
     }
 
-    /// The delta log (absent in legacy, pre-migration sessions).
+    /// The delta log.
     pub fn log_path(&self) -> PathBuf {
         self.dir.join("state.log")
     }
@@ -95,24 +100,15 @@ impl Session {
             recorder,
             ..Config::default()
         };
-        if self.log_path().exists() {
-            // log-native: the delta log is the source of truth; a torn
-            // final record (crash mid-commit) is truncated and persisted
-            let (store, recovery) =
-                LogStore::open_file(&self.log_path()).map_err(|e| e.to_string())?;
-            if recovery.torn_bytes_dropped > 0 {
-                eprintln!(
-                    "state.log: recovered torn final record ({} byte(s) dropped)",
-                    recovery.torn_bytes_dropped
-                );
-            }
-            return Ok(Cloudless::with_store(config, store, records));
+        // a torn final record (crash mid-commit) is truncated and persisted
+        let (store, recovery) = LogStore::open_file(&self.log_path()).map_err(|e| e.to_string())?;
+        if recovery.torn_bytes_dropped > 0 {
+            eprintln!(
+                "state.log: recovered torn final record ({} byte(s) dropped)",
+                recovery.torn_bytes_dropped
+            );
         }
-        // legacy layout: full-JSON snapshot, no version history
-        let state_text = std::fs::read_to_string(self.state_path()).map_err(|e| e.to_string())?;
-        let state =
-            Snapshot::from_json(&state_text).map_err(|e| format!("state.json corrupt: {e}"))?;
-        Ok(Cloudless::with_session(config, state, records))
+        Ok(Cloudless::with_store(config, store, records))
     }
 
     /// Persist the metrics snapshot of the last instrumented command;

@@ -546,17 +546,18 @@ fn a_hostile_session_file_is_a_diagnostic_not_an_abort() {
         assert!(stderr(&out).contains(why), "{}", stderr(&out));
     }
 
-    // the legacy layout reads `state.json` the same way
-    t.write("cloud.json", "{}");
+    // `state migrate`, the one reader of the legacy layout, reads
+    // `state.json` the same way and leaves no log behind
     std::fs::remove_file(t.dir.join("state.log")).unwrap();
     t.write("state.json", &hostile);
-    let out = run(&["apply", t.path(), &tf]);
+    let out = run(&["state", "migrate", t.path()]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(
         stderr(&out).contains("state.json corrupt: "),
         "{}",
         stderr(&out)
     );
+    assert!(!t.dir.join("state.log").exists());
 }
 
 #[test]
@@ -916,8 +917,11 @@ fn state_fsck_flags_torn_log_and_open_recovers_it() {
     assert!(stdout(&out).contains("clean"), "{}", stdout(&out));
 }
 
+/// A session is its log: a legacy directory (`state.json`, no `state.log`)
+/// is refused, untouched, by every verb that opens an engine, since nothing
+/// committed there would be kept. `state migrate` gives it a log.
 #[test]
-fn legacy_session_loads_and_migrates_to_log_store() {
+fn a_legacy_session_is_refused_until_it_migrates_to_the_log_store() {
     let t = TempSession::new("migrate");
     assert!(run(&["init", t.path()]).status.success());
     let tf = t.write("infra.tf", PROGRAM);
@@ -925,19 +929,27 @@ fn legacy_session_loads_and_migrates_to_log_store() {
 
     // turn the session legacy: drop the log, keep the state.json mirror
     std::fs::remove_file(t.dir.join("state.log")).unwrap();
-
-    // fsck points at migrate for legacy sessions
-    let out = run(&["state", "fsck", t.path()]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("state migrate"), "{}", stderr(&out));
-
-    // legacy sessions still load (state, no history)
-    let out = run(&["state", t.path()]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("aws_vpc.main"));
-    let out = run(&["state", "history", t.path()]);
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("no versions"), "{}", stdout(&out));
+    let before = session_files(&t);
+    let dir = t.path();
+    let refusal = format!(
+        "{dir} has no state.log (legacy session — run `cloudless state migrate {dir}` first)"
+    );
+    let openers: [&[&str]; 8] = [
+        &["state", dir],
+        &["state", "history", dir],
+        &["state", "fsck", dir],
+        &["plan", dir, &tf],
+        &["apply", dir, &tf],
+        &["drift", dir],
+        &["reconcile", dir, &tf],
+        &["analyze", &tf, "--state", dir],
+    ];
+    for args in openers {
+        let (out, refused) = (run(args), refusal.as_str());
+        assert!(!out.status.success(), "{args:?} opened a legacy session");
+        assert!(stderr(&out).contains(refused), "{args:?}: {}", stderr(&out));
+        assert!(session_files(&t) == before, "{args:?} wrote to the session");
+    }
 
     // migrate, then everything is log-native again
     let out = run(&["state", "migrate", t.path()]);
@@ -1070,6 +1082,95 @@ fn a_verb_that_only_reads_rewrites_no_session_file() {
     let mut after = session_files(&t);
     assert!(after.remove("metrics.json") != before.remove("metrics.json"));
     assert!(after == before, "drift wrote more than its metrics");
+}
+
+/// One drift of each kind, edited into `cloud.json`: a managed record
+/// changed, a managed record gone, and a record no state entry holds.
+#[test]
+fn drift_reports_every_kind() {
+    use cloudless::cloud::ResourceRecord;
+    use cloudless::types::{ResourceId, Value};
+    use std::collections::BTreeMap;
+
+    let t = TempSession::new("drift-kinds");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    let text = std::fs::read_to_string(t.dir.join("cloud.json")).unwrap();
+    let mut records: BTreeMap<ResourceId, ResourceRecord> = serde_json::from_str(&text).unwrap();
+    let id_of = |rtype: &str| {
+        let found = records.values().find(|r| r.rtype.as_str() == rtype);
+        found.expect("applied").id.clone()
+    };
+    let (vpc, subnet) = (id_of("aws_vpc"), id_of("aws_subnet"));
+
+    records.remove(&subnet);
+    let changed = records.get_mut(&vpc).unwrap();
+    let cidr = Value::from("10.9.0.0/16");
+    changed.attrs.insert("cidr_block".into(), cidr);
+    let mut stray = changed.clone();
+    stray.id = ResourceId::new("aws-v-0099");
+    stray.attrs.insert("id".into(), Value::from("aws-v-0099"));
+    stray.attrs.insert("name".into(), Value::from("stray"));
+    records.insert(stray.id.clone(), stray);
+    let edited = serde_json::to_string_pretty(&records).unwrap();
+    t.write("cloud.json", &edited);
+
+    let out = run(&["drift", t.path()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(
+        lines[..3],
+        [
+            "Modified: aws_vpc.main",
+            "Deleted: aws_subnet.app",
+            "Unmanaged: aws-v-0099"
+        ],
+        "{text}"
+    );
+    assert!(lines[3].starts_with("3 drift event(s); "), "{text}");
+    assert_eq!(lines.len(), 4, "{text}");
+}
+
+/// A session is its log: with the `state.json` mirror gone, every verb
+/// still opens it.
+#[test]
+fn a_session_without_its_mirror_still_loads() {
+    let t = TempSession::new("no-mirror");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    std::fs::remove_file(t.dir.join("state.json")).unwrap();
+
+    let out = run(&["state", t.path()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("aws_vpc.main"), "{}", stdout(&out));
+    let out = run(&["apply", t.path(), &tf]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("0 to add, 0 to change, 0 to destroy"));
+    assert!(t.dir.join("state.json").exists(), "apply wrote the mirror");
+}
+
+/// `init` over a session's log would reopen it and empty the cloud it
+/// describes: it refuses, and leaves every file as it was.
+#[test]
+fn init_refuses_a_directory_that_holds_a_log() {
+    let t = TempSession::new("reinit");
+    run(&["init", t.path()]);
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    std::fs::remove_file(t.dir.join("state.json")).unwrap();
+
+    let before = session_files(&t);
+    let out = run(&["init", t.path()]);
+    assert!(!out.status.success(), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("already holds a session"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(session_files(&t) == before, "init rewrote the session");
 }
 
 /// `cloudless destroy` of a layered estate of `blocks` resources. The estate

@@ -279,26 +279,20 @@ impl Cloudless {
         }
     }
 
-    /// Rebuild an engine from persisted session data (CLI): the golden
-    /// state snapshot plus the cloud's live records. The import leaves the
-    /// engine without a sync point: its first refresh reads every managed
-    /// resource.
+    /// [`Cloudless::with_store`] over an in-memory log seeded with `state`.
     pub fn with_session(
         config: Config,
         state: Snapshot,
         records: BTreeMap<cloudless_types::ResourceId, cloudless_cloud::ResourceRecord>,
     ) -> Self {
-        let mut engine = Cloudless::new(config);
-        engine.cloud.import_records(records);
-        let recorder = Arc::clone(&engine.config.recorder);
-        engine.store = LogStore::in_memory_seeded(state).with_recorder(recorder);
-        engine
+        Self::with_store(config, LogStore::in_memory_seeded(state), records)
     }
 
     /// Rebuild an engine around an already-open (typically file-backed)
-    /// log store: every commit the engine makes lands in the store's
-    /// device, and the full version history is immediately queryable. Like
-    /// [`Cloudless::with_session`], it starts without a sync point.
+    /// log store and the cloud's live records: every commit the engine
+    /// makes lands in the store's device, and the full version history is
+    /// immediately queryable. The import leaves the engine without a sync
+    /// point: its first refresh reads every managed resource.
     pub fn with_store(
         config: Config,
         store: LogStore,

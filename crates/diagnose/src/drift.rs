@@ -1,4 +1,4 @@
-//! Drift detection: log-native watcher vs. full-scan baseline.
+//! Drift detection from the cloud's activity log.
 //!
 //! §3.5: "Industry tools like driftctl attempt to bypass the IaC frameworks
 //! and directly use cloud-level API to scan the deployment state, which
@@ -8,20 +8,18 @@
 //! own stack, by an observability component that relies on cloud activity
 //! logs to detect 'drift events'."
 //!
-//! [`Scanner`] is the baseline: every pass Lists the provider and Reads
-//! every managed resource — O(n) rate-limited API calls per pass.
-//! [`LogWatcher`] is the cloudless design: it keeps a cursor into the
-//! activity log and classifies only *new* events — O(changes), and the
-//! occurrence time is in the event itself, so detection lag is just the
-//! polling interval.
+//! [`LogWatcher`] is that component: it keeps a cursor into the activity
+//! log and classifies only *new* events — O(changes), and the occurrence
+//! time is in the event itself, so detection lag is just the polling
+//! interval. E5's driftctl-style scanner lives with the harness.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cloudless_cloud::{ActivityKind, ApiOp, ApiRequest, Cloud, OpOutcome};
+use cloudless_cloud::{ActivityKind, Cloud};
 use cloudless_obs::{Event, NullRecorder, Recorder};
-use cloudless_state::{DeployedResource, Snapshot};
-use cloudless_types::{Provider, ResourceAddr, ResourceId, SimTime};
+use cloudless_state::Snapshot;
+use cloudless_types::{ResourceAddr, ResourceId, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// What kind of drift was observed.
@@ -69,141 +67,6 @@ pub struct DriftReport {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline: full API scan (driftctl-style)
-// ---------------------------------------------------------------------------
-
-/// Scans the cloud through the public API and diffs against state.
-pub struct Scanner {
-    pub principal: String,
-    /// Providers to scan.
-    pub providers: Vec<Provider>,
-    obs: Arc<dyn Recorder>,
-}
-
-impl Default for Scanner {
-    fn default() -> Self {
-        Scanner {
-            principal: "drift-scanner".to_owned(),
-            providers: Provider::ALL.to_vec(),
-            obs: Arc::new(NullRecorder),
-        }
-    }
-}
-
-impl Scanner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach a recorder: each scan pass becomes a span carrying its API
-    /// cost, so traces show what a driftctl-style baseline burns per pass.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.obs = recorder;
-        self
-    }
-
-    /// One full scan pass.
-    pub fn scan(&self, cloud: &mut Cloud, state: &Snapshot) -> DriftReport {
-        let started = cloud.now();
-        let calls_before = cloud.total_api_calls();
-        let scan_span = if self.obs.enabled() {
-            let span = self.obs.next_span();
-            self.obs.record(
-                Event::enter("diagnose", "scan", started)
-                    .span(span)
-                    .field("managed", state.len() as u64),
-            );
-            span
-        } else {
-            cloudless_obs::SpanId::NONE
-        };
-        let mut report = DriftReport::default();
-
-        // 1. List every provider.
-        let mut live_ids: BTreeSet<ResourceId> = BTreeSet::new();
-        for &p in &self.providers {
-            let list = ApiRequest::new(ApiOp::List { provider: p }, &self.principal);
-            if let Ok(done) = cloud.submit_and_settle(list) {
-                if let OpOutcome::Listed { ids } = done.outcome {
-                    live_ids.extend(ids);
-                }
-            }
-        }
-
-        // 2. Read every managed resource and compare attributes.
-        let listed: Vec<&DeployedResource> = state
-            .resources()
-            .values()
-            .map(Arc::as_ref)
-            .filter(|rec| live_ids.contains(&rec.id)) // the rest are Deleted below
-            .collect();
-        let reads = listed
-            .iter()
-            .map(|rec| ApiRequest::new(ApiOp::Read { id: rec.id.clone() }, &self.principal))
-            .collect();
-        let settled = cloud.settle_batch(reads);
-        let finished = cloud.now();
-        for (rec, done) in listed.into_iter().zip(settled) {
-            if let Ok(OpOutcome::ReadOk { attrs, .. }) = done.map(|c| c.outcome) {
-                if attrs != rec.attrs {
-                    report.events.push(DriftEvent {
-                        kind: DriftKind::Modified,
-                        addr: Some(rec.addr.clone()),
-                        id: rec.id.clone(),
-                        principal: None, // the scanner cannot attribute drift
-                        occurred_at: finished,
-                        detected_at: finished,
-                    });
-                }
-            }
-        }
-
-        // 3. Managed-but-gone and live-but-unmanaged.
-        for rec in state.resources().values() {
-            if !live_ids.contains(&rec.id) {
-                report.events.push(DriftEvent {
-                    kind: DriftKind::Deleted,
-                    addr: Some(rec.addr.clone()),
-                    id: rec.id.clone(),
-                    principal: None,
-                    occurred_at: finished,
-                    detected_at: finished,
-                });
-            }
-        }
-        for id in &live_ids {
-            if state.by_id(id.as_str()).is_none() {
-                report.events.push(DriftEvent {
-                    kind: DriftKind::Unmanaged,
-                    addr: None,
-                    id: id.clone(),
-                    principal: None,
-                    occurred_at: finished,
-                    detected_at: finished,
-                });
-            }
-        }
-
-        report.api_calls = cloud.total_api_calls() - calls_before;
-        report.duration = finished.since(started);
-        self.obs.counter("diagnose.scan_passes", 1);
-        self.obs
-            .counter("diagnose.scan_api_calls", report.api_calls);
-        self.obs
-            .observe("diagnose.scan_duration_ms", report.duration.millis() as f64);
-        if !scan_span.is_none() {
-            self.obs.record(
-                Event::exit("diagnose", "scan", finished)
-                    .span(scan_span)
-                    .field("api_calls", report.api_calls)
-                    .field("drift_events", report.events.len() as u64),
-            );
-        }
-        report
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Cloudless: activity-log watcher
 // ---------------------------------------------------------------------------
 
@@ -226,7 +89,7 @@ impl LogWatcher {
 
     /// Attach a recorder: each poll emits an instant with the number of log
     /// events examined and drift events found — the log-native cost signal
-    /// that E5 contrasts with [`Scanner`] API spend.
+    /// that E5 contrasts with a full scan's API spend.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.obs = recorder;
         self
@@ -419,70 +282,6 @@ resource "aws_s3_bucket" "b" {
         assert_eq!(r.events.len(), 2);
         assert!(r.events.iter().any(|e| e.kind == DriftKind::Deleted));
         assert!(r.events.iter().any(|e| e.kind == DriftKind::Unmanaged));
-    }
-
-    #[test]
-    fn scanner_finds_same_drift_at_api_cost() {
-        let (mut cloud, state) = deployed();
-        let vpc_id = state.get(&"aws_vpc.v".parse().unwrap()).unwrap().id.clone();
-        cloud
-            .out_of_band_update(
-                "legacy-script",
-                &vpc_id,
-                attrs([("name", Value::from("x"))]),
-            )
-            .unwrap();
-        let scanner = Scanner::new();
-        let r = scanner.scan(&mut cloud, &state);
-        assert_eq!(r.events.len(), 1);
-        assert_eq!(r.events[0].kind, DriftKind::Modified);
-        // cost: 3 lists + 5 reads
-        assert_eq!(r.api_calls, 3 + 5);
-        assert!(r.duration.millis() > 0);
-        // the scanner cannot attribute drift
-        assert!(r.events[0].principal.is_none());
-    }
-
-    #[test]
-    fn scanner_detects_deletion_and_unmanaged() {
-        let (mut cloud, state) = deployed();
-        let bucket = state
-            .get(&"aws_s3_bucket.b[0]".parse().unwrap())
-            .unwrap()
-            .id
-            .clone();
-        cloud.out_of_band_delete("intern", &bucket).unwrap();
-        cloud
-            .out_of_band_create(
-                "intern",
-                "aws_s3_bucket",
-                "us-east-1",
-                attrs([("bucket", Value::from("rogue"))]),
-            )
-            .unwrap();
-        let r = Scanner::new().scan(&mut cloud, &state);
-        assert!(r.events.iter().any(|e| e.kind == DriftKind::Deleted));
-        assert!(r.events.iter().any(|e| e.kind == DriftKind::Unmanaged));
-    }
-
-    #[test]
-    fn watcher_lag_is_poll_interval_scanner_cost_is_linear() {
-        // The crux of experiment E5 in miniature.
-        let (mut cloud, state) = deployed();
-        let mut w = LogWatcher::new([ENGINE.to_owned()]).from_now(&cloud);
-        let vpc_id = state.get(&"aws_vpc.v".parse().unwrap()).unwrap().id.clone();
-        let t_drift = cloud.now();
-        cloud
-            .out_of_band_update("legacy", &vpc_id, attrs([("name", Value::from("x"))]))
-            .unwrap();
-        // poll 30 virtual seconds later
-        cloud.advance_to(t_drift + cloudless_types::SimDuration::from_secs(30));
-        let r = w.poll(&cloud, &state);
-        assert_eq!(r.events[0].lag().millis(), 30_000);
-        assert_eq!(r.api_calls, 0);
-        // the scanner burns API calls proportional to fleet size
-        let scan = Scanner::new().scan(&mut cloud, &state);
-        assert!(scan.api_calls >= state.len() as u64);
     }
 
     #[test]

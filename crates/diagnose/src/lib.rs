@@ -8,9 +8,8 @@
 //! possible fixes."
 //!
 //! * [`drift`] — the observability component: an activity-log watcher
-//!   (cloudless-native, §3.5's proposal) and a driftctl-style full API
-//!   scanner (the baseline whose "significant time overhead due to cloud
-//!   API rate limiting" experiment E5 measures), plus reconciliation.
+//!   (cloudless-native, §3.5's proposal) and the reconciliation policy.
+//!   Live resources are read by refresh (`cloudless-deploy`).
 //! * [`explain`](mod@explain) — the repair component: translates opaque provider errors
 //!   ("Linux virtual machine creation failed because specified NIC is not
 //!   found") into root causes anchored at exact source lines, with fix
@@ -25,6 +24,6 @@ pub mod drift;
 pub mod explain;
 pub mod reconcile;
 
-pub use drift::{DriftEvent, DriftKind, DriftReport, LogWatcher, Reconciliation, Scanner};
+pub use drift::{DriftEvent, DriftKind, DriftReport, LogWatcher, Reconciliation};
 pub use explain::{explain, Explanation};
 pub use reconcile::{classify, EditOp, ReconcilePlan};

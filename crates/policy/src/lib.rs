@@ -21,9 +21,6 @@
 //! * [`builtin`] — concrete policies, including the paper's VPN-gateway
 //!   autoscaler, budget caps, region pinning and required-attribute rules.
 //! * [`cost`] — a monthly cost model used by budget policies and reporting.
-//! * [`telemetry`] — seeded synthetic load traces (diurnal + bursts) that
-//!   stand in for production metrics (we have no real tenants; see
-//!   DESIGN.md substitutions).
 //! * [`outlier`] — template extraction over a program corpus and deviation
 //!   detection for new programs (§3.6's "turn the problem into outlier
 //!   detection").
@@ -39,7 +36,6 @@ pub mod cost;
 pub mod engine;
 pub mod observe;
 pub mod outlier;
-pub mod telemetry;
 
 pub use action::Action;
 pub use builtin::{BudgetPolicy, RegionPinPolicy, RequiredAttrPolicy, ThresholdScalePolicy};
@@ -47,4 +43,3 @@ pub use cost::CostModel;
 pub use engine::{Controller, LifecyclePhase, Policy};
 pub use observe::Observation;
 pub use outlier::TemplateExtractor;
-pub use telemetry::TraceGen;

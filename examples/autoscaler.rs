@@ -15,9 +15,10 @@
 //! [`ThresholdScalePolicy`]: cloudless::policy::ThresholdScalePolicy
 
 use cloudless::cloud::CloudConfig;
-use cloudless::policy::{Action, ThresholdScalePolicy, TraceGen};
+use cloudless::policy::{Action, ThresholdScalePolicy};
 use cloudless::types::{SimDuration, SimTime};
 use cloudless::{Cloudless, Config};
+use cloudless_bench::telemetry::TraceGen;
 
 const CAPACITY_MBPS: f64 = 1000.0;
 
