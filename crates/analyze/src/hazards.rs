@@ -25,7 +25,7 @@ use crate::report::Sink;
 
 /// Attributes that name the cloud-side entity a resource manages. Two
 /// blocks of the same type agreeing on one of these manage the same thing.
-pub(crate) const IDENTITY_ATTRS: &[&str] = &["name", "bucket"];
+pub const IDENTITY_ATTRS: &[&str] = &["name", "bucket"];
 
 /// Whether the block's `count` folds to exactly 0: it expands to nothing,
 /// so it claims no identity (ANA402) and every edge into it dangles

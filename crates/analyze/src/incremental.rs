@@ -49,6 +49,7 @@ use cloudless_hcl::ast::{Expr, Reference};
 use crate::dataflow::{block_exprs, check_block_consts, outer_sites, walk_refs_scoped};
 pub use crate::dataflow::{DeclEdit, LintEnv};
 use crate::hazards;
+pub use crate::hazards::IDENTITY_ATTRS;
 use crate::report::Sink;
 use crate::rules::LintConfig;
 

@@ -659,12 +659,29 @@ fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
 
 /// `cloudless state fsck <dir>`: verify the delta log offline — record
 /// checksums, content-address integrity, undo-chain consistency, and
-/// checkpoint reachability. Exits non-zero unless the log is clean.
+/// checkpoint reachability. Exits non-zero unless the log is clean. The memo
+/// image beside it is reported too — valid for a serial, stale with the
+/// reason a fresh engine would refuse it, or absent — and never decides the
+/// exit status: it is a cache.
 fn state_fsck(args: &Args) -> Result<(), String> {
-    let log = Session::load(args.positional[0])?.log_path();
+    let session = Session::load(args.positional[0])?;
+    let log = session.log_path();
     let report = cloudless::state::fsck_file(&log)
         .map_err(|e| format!("cannot read {}: {e}", log.display()))?;
     print!("{}", report.render());
+    // an engine opens a torn log by cutting it: only a clean one is opened
+    let image = match report.clean() {
+        true => session
+            .engine(None)
+            .map(|mut engine| engine.check_memo_image()),
+        false => Err("the log is not clean".to_owned()),
+    };
+    match image {
+        Ok(Ok(Some(serial))) => println!("memo.bin: valid for serial {serial}"),
+        Ok(Ok(None)) => println!("memo.bin: absent"),
+        Ok(Err(refusal)) => println!("memo.bin: stale ({refusal})"),
+        Err(why) => println!("memo.bin: not checked ({why})"),
+    }
     if report.clean() {
         Ok(())
     } else {

@@ -1231,3 +1231,56 @@ fn destroy_clears_a_layered_estate_of_2k_blocks() {
 fn destroy_clears_the_layered_estate_of_10k_blocks() {
     destroy_clears_a_layered_estate(10_000);
 }
+
+/// `memo.bin` is a cache: `state fsck` reports it — valid for the serial
+/// the last apply committed, stale with the reason a fresh engine refuses
+/// it, absent — and exits on the log alone, and an apply over a damaged
+/// image plans cold and succeeds.
+#[test]
+fn a_damaged_memo_image_is_reported_by_fsck_and_survived_by_apply() {
+    let t = TempSession::new("memo-image");
+    assert!(run(&["init", t.path()]).status.success());
+    let out = run(&["state", "fsck", t.path()]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("memo.bin: absent"),
+        "{}",
+        stdout(&out)
+    );
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    let out = run(&["state", "fsck", t.path()]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("memo.bin: valid for serial 1"),
+        "{}",
+        stdout(&out)
+    );
+
+    // a byte of the image flipped: fsck stays clean and names the damage
+    let image = t.dir.join("memo.bin");
+    let mut bytes = std::fs::read(&image).expect("apply wrote the image");
+    let at = bytes.len() / 2;
+    bytes[at] ^= 1;
+    std::fs::write(&image, &bytes).unwrap();
+    let out = run(&["state", "fsck", t.path()]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("clean"), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("memo.bin: stale (MEM004"),
+        "{}",
+        stdout(&out)
+    );
+
+    // the next apply plans cold, applies, and writes a valid image again
+    let edited = t.write("infra.tf", &PROGRAM.replace("10.0.1.0/24", "10.0.2.0/24"));
+    let out = run(&["apply", t.path(), &edited]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("aws_subnet.app"), "{}", stdout(&out));
+    let out = run(&["state", "fsck", t.path()]);
+    assert!(
+        stdout(&out).contains("memo.bin: valid for serial 2"),
+        "{}",
+        stdout(&out)
+    );
+}

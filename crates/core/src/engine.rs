@@ -21,10 +21,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::pipeline::{
-    ChangeTrace, FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
+    ChangeTrace, FrontendOutput, ImageKey, ImageRefusal, IncrementalPipeline, PipelineConfig,
+    PipelineCtx, PipelineError,
 };
 use cloudless_analyze::{LintGate, LintReport};
-use cloudless_cloud::{Cloud, CloudConfig};
+use cloudless_cloud::{Catalog, Cloud, CloudConfig};
 use cloudless_deploy::diff::{render, Action as DiffAction};
 use cloudless_deploy::resolver::{DataResolver, StateResolver};
 use cloudless_deploy::{
@@ -228,6 +229,25 @@ struct SyncPoint {
 /// committed state.
 type Over<'a> = Option<(&'a Snapshot, &'a [ResourceAddr])>;
 
+/// The key of a memo image in an engine whose catalog, modules and data are
+/// these, over `store` as it stands: its serial, its log's length and what
+/// its last version wrote.
+fn image_key(
+    catalog: &Catalog,
+    modules: &ModuleLibrary,
+    data: &DataResolver,
+    store: &LogStore,
+) -> ImageKey {
+    let fnv = |text: String| cloudless_state::cas::fnv64(text.as_bytes());
+    let head = store.history().latest();
+    ImageKey {
+        env: fnv(format!("{catalog:?}\n{modules:?}\n{data:?}")),
+        serial: store.serial(),
+        log_bytes: store.log_bytes(),
+        head: head.map_or(0, |v| fnv(format!("{:?}", (v.serial, &v.puts, &v.dels)))),
+    }
+}
+
 /// The cloudless engine.
 pub struct Cloudless {
     cloud: Cloud,
@@ -330,6 +350,12 @@ impl Cloudless {
     /// The log-structured state store (metrics, fsck, compaction hooks).
     pub fn store(&self) -> &LogStore {
         &self.store
+    }
+
+    /// The log store, device and memo image included, for a fresh engine
+    /// to reopen (a new process, in a test).
+    pub fn into_store(self) -> LogStore {
+        self.store
     }
 
     /// Materialize the full state at a historical serial — O(delta) walk
@@ -501,6 +527,11 @@ impl Cloudless {
             config,
             ..
         } = self;
+        // the first run reads the image beside the log
+        let image = (pipeline.wants_image() && store.keeps_image()).then(|| {
+            let key = image_key(cloud.catalog(), &config.modules, data, store);
+            (store.read_image().map_err(|e| e.to_string()), key)
+        });
         let ctx = PipelineCtx {
             inputs: &config.inputs,
             modules: &config.modules,
@@ -512,7 +543,61 @@ impl Cloudless {
             miner: Some(&*miner),
             recorder: &config.recorder,
         };
+        if let Some((image, key)) = image {
+            pipeline.warm_from_image(image, key, &ctx);
+        }
         pipeline.run_over(source, &ctx, over.map(|(_, delta)| delta))
+    }
+
+    /// Checkpoint the memo beside the state log, after a commit the plan
+    /// cache has followed: a fresh process starts from it warm. A cache, so
+    /// a write that fails costs the next process its warm start, nothing
+    /// more.
+    fn checkpoint_memo(&mut self) {
+        if !self.store.keeps_image() || !self.pipeline.is_warm() {
+            return;
+        }
+        let key = image_key(
+            self.cloud.catalog(),
+            &self.config.modules,
+            &self.data,
+            &self.store,
+        );
+        let pipeline = &self.pipeline;
+        let written = self
+            .store
+            .write_image(&mut |w| pipeline.write_image(key, w));
+        let counter = match written {
+            Ok(()) => "pipeline.memo_image_writes",
+            Err(_) => "pipeline.memo_image_write_failures",
+        };
+        self.config.recorder.counter(counter, 1);
+    }
+
+    /// Whether the memo image beside the state log would warm this
+    /// engine's first run: the serial it was written at, `None` when there
+    /// is none, or why it would be refused (`MEM0xx`). Loads nothing.
+    pub fn check_memo_image(&mut self) -> Result<Option<u64>, ImageRefusal> {
+        let image = self.store.read_image().map_err(|e| e.to_string());
+        let key = image_key(
+            self.cloud.catalog(),
+            &self.config.modules,
+            &self.data,
+            &self.store,
+        );
+        let config = &self.config;
+        let ctx = PipelineCtx {
+            inputs: &config.inputs,
+            modules: &config.modules,
+            lint: config.lint,
+            level: config.validation_level,
+            data: &self.data,
+            catalog: self.cloud.catalog(),
+            state: self.store.current(),
+            miner: Some(&self.miner),
+            recorder: &config.recorder,
+        };
+        IncrementalPipeline::check_image(image, key, &ctx)
     }
 
     /// Plan-only converge front end through the memoized pipeline: parse,
@@ -743,6 +828,7 @@ impl Cloudless {
         self.commit(state, &message, source, true)?;
         let touched = plan.graph.iter().map(|(_, node)| node.change.addr.clone());
         self.pipeline.moved(from, self.store.serial(), touched);
+        self.checkpoint_memo();
         // the log names every op the executor submitted, so what the apply
         // changed is read again from the sync point: it carries forward
         self.sync = synced.map(|log| self.sync_point(log));
@@ -836,6 +922,7 @@ impl Cloudless {
             self.commit(state, "refresh", None, false)?;
             let touched = report.updated.iter().chain(&report.missing).cloned();
             self.pipeline.moved(from, self.store.serial(), touched);
+            self.checkpoint_memo();
         }
         self.settle(at, &report);
         Ok(report)
@@ -1034,6 +1121,7 @@ impl Cloudless {
             if let Some(state) = adopted {
                 self.commit(state, "reconcile: adopt drift", None, false)?;
                 self.pipeline.adopted(self.store.serial());
+                self.checkpoint_memo();
             }
             self.settle(at, &refresh);
             let applied = self.apply_planned(planned, &patched)?;

@@ -115,6 +115,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cloudless_analyze::alias::{instance_claims, replace_self_race, ClaimKey};
@@ -146,6 +147,11 @@ use cloudless_validate::incremental::{check_scope, name_claim, quota_key, Manife
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
 };
+
+mod image;
+
+pub(crate) use image::ImageKey;
+pub use image::Refusal as ImageRefusal;
 
 /// Why a pipeline run refused to produce a plan — the front-end subset of
 /// the engine's converge errors.
@@ -607,6 +613,9 @@ struct Memo {
     claims: Claims,
     // plan
     plan: PlanCache,
+    /// The frames of the image the memo was loaded from, and what has
+    /// changed since.
+    image: image::Cached,
 }
 
 /// Where a block sits in one version of the source: its position among the
@@ -792,20 +801,103 @@ impl Scope {
 }
 
 /// The memoizing pipeline. One per engine; owns the memo across calls.
-#[derive(Default)]
 pub struct IncrementalPipeline {
     memo: Option<Box<Memo>>,
     config: PipelineConfig,
+    /// Whether a memo image may still warm the first run: no run has been
+    /// made and the memo has not been cleared.
+    image_pending: bool,
+    /// What the image did for the first run, for that run's trace.
+    image_note: Option<(&'static str, String)>,
+}
+
+impl Default for IncrementalPipeline {
+    fn default() -> Self {
+        IncrementalPipeline::new(PipelineConfig::default())
+    }
 }
 
 impl IncrementalPipeline {
     pub fn new(config: PipelineConfig) -> Self {
-        IncrementalPipeline { memo: None, config }
+        IncrementalPipeline {
+            memo: None,
+            config,
+            image_pending: true,
+            image_note: None,
+        }
     }
 
     /// Drop the memo; the next run is cold.
     pub fn clear(&mut self) {
         self.memo = None;
+        self.image_pending = false;
+    }
+
+    /// Whether the next run would take a memo image: it is the first, and
+    /// memoization is on.
+    pub(crate) fn wants_image(&self) -> bool {
+        self.image_pending && self.config.max_cache_bytes > 0
+    }
+
+    /// Take the memo an image under `key` holds, for a run under `ctx`; or
+    /// note why not (`MEM0xx`) — the run is then the cold start it would
+    /// have been. The reason goes in the next run's trace, and a
+    /// `pipeline.memo_image_*` counter into the recorder.
+    pub(crate) fn warm_from_image(
+        &mut self,
+        image: Result<Option<Vec<u8>>, String>,
+        key: ImageKey,
+        ctx: &PipelineCtx<'_>,
+    ) {
+        self.image_pending = false;
+        // (a loaded memo is sized as a warm one is, not at all: the engine
+        // that wrote it sized it fresh)
+        self.image_note = Some(match image::open(image, key, ctx) {
+            Ok(image::Loaded {
+                memo,
+                serial,
+                planned,
+            }) => {
+                ctx.recorder.counter("pipeline.memo_image_loads", 1);
+                let blocks = memo.root.block_ranges.len();
+                self.memo = Some(memo);
+                let plans = match planned {
+                    true => "the edit",
+                    false => "every instance",
+                };
+                let detail = format!("{blocks} block(s) of serial {serial}; plans {plans}");
+                ("loaded", detail)
+            }
+            Err(refusal) => {
+                ctx.recorder.counter("pipeline.memo_image_refusals", 1);
+                ("refused", refusal.to_string())
+            }
+        });
+    }
+
+    /// Whether an image under `key` would warm a run under `ctx`: the
+    /// serial it was written at, `None` when there is none, or why not.
+    pub(crate) fn check_image(
+        image: Result<Option<Vec<u8>>, String>,
+        key: ImageKey,
+        ctx: &PipelineCtx<'_>,
+    ) -> Result<Option<u64>, ImageRefusal> {
+        if let Ok(None) = image {
+            return Ok(None);
+        }
+        image::open(image, key, ctx).map(|loaded| Some(loaded.serial))
+    }
+
+    /// Write the memo, if one is held, as an image under `key` through `w`.
+    pub(crate) fn write_image(
+        &self,
+        key: ImageKey,
+        w: &mut dyn std::io::Write,
+    ) -> std::io::Result<()> {
+        match &self.memo {
+            Some(memo) => image::write(memo, key, w),
+            None => Ok(()),
+        }
     }
 
     /// Undo the plan of a snapshot nobody committed, if the last run made
@@ -948,6 +1040,8 @@ impl IncrementalPipeline {
         delta: Option<&[ResourceAddr]>,
     ) -> Result<FrontendOutput, PipelineError> {
         self.settle_plan();
+        self.image_pending = false;
+        let image = self.image_note.take();
         let keep = self.config.max_cache_bytes > 0;
         let mut scope = Scope::pick(self.memo.take(), source, ctx, keep);
         let (mut walk, planned) = loop {
@@ -985,6 +1079,9 @@ impl IncrementalPipeline {
         });
         walk.planned(pass);
         let trace = &mut walk.out.trace;
+        if let Some((action, detail)) = image {
+            trace.stage("image", action, detail);
+        }
         trace.fast_path = reason.is_none();
         trace.fallback_reason = reason;
         self.memo = if trace.fast_path {
@@ -1092,7 +1189,8 @@ impl<'a> Walk<'a> {
     /// analyze's), and a refused run's plan goes with it; the memo and the
     /// recorder hear of the helper's work only then, on this thread. The
     /// `old` memo goes back if parse or lint refuses, and the lint helper
-    /// drops it once lint passes.
+    /// drops it once lint passes. Inline (one core) lint runs first, and a
+    /// program it refuses is not expanded.
     fn cold(
         &mut self,
         fresh: &mut Memo,
@@ -1102,15 +1200,22 @@ impl<'a> Walk<'a> {
         let (ctx, source, cfg) = (self.ctx, self.source, self.lint_cfg.as_ref());
         let mut program = parse_program(source)?;
         let (modules, claim, held) = (ctx.modules, *keep, old.take());
+        let refused = AtomicBool::new(false);
         let (linted, expanded) = join(
             || match lint_all(&program, modules, cfg, claim) {
                 Ok(linted) => {
                     drop(held);
                     Ok(linted)
                 }
-                Err(err) => Err((err, held)),
+                Err(err) => {
+                    refused.store(true, Ordering::Relaxed);
+                    Err((err, held))
+                }
             },
             || {
+                if refused.load(Ordering::Relaxed) {
+                    return Err(Diagnostics::new());
+                }
                 let expanded = expand_root(&program, ctx.inputs, modules, ctx.data);
                 expanded.map(|expanded| {
                     let indexed = claim && fresh.index_source(&program, source, ctx);
@@ -1317,7 +1422,11 @@ impl<'a> Walk<'a> {
             // nothing is left of the memo as it stood: a guard that trips
             // from here on drops it
             edit.reshaped = true;
+            memo.image.forget();
             memo.reshape(&edit.blocks)?;
+        }
+        for (at, _) in edit.blocks.iter().filter_map(|b| b.now) {
+            memo.image.block(at);
         }
         // in place, O(edit): a stopped walk puts `before` back
         memo.write_edited(&edit.blocks, |b| &b.after);
@@ -1494,6 +1603,8 @@ impl<'a> Walk<'a> {
             }
         };
         if marked.is_none() {
+            // every block's dirtiness is planned again
+            memo.image.forget();
             *serial = Some(ctx.state.serial);
             away.clear();
             let all = delete_changes(manifest, ctx.state).into_iter();
@@ -1529,6 +1640,10 @@ impl<'a> Walk<'a> {
             let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
             let flag = change.makes_dirty();
             let was = dirty.insert(rtype, name, flag);
+            if was != Some(flag) {
+                memo.image
+                    .block(ranges.partition_point(|span| span.end <= idx));
+            }
             if let Some(log) = &mut log {
                 log.push(Undo::Dirty(idx, was));
             }
@@ -2040,6 +2155,8 @@ impl Memo {
             let was = self.chunks.byte_range(window.old.clone());
             let now = was.start..was.end.wrapping_add_signed(window.shift);
             self.source.replace_range(was, &source[now]);
+            let rescanned = window.old.start..window.old.start + window.chunks.len();
+            rescanned.for_each(|at| self.image.chunk(at));
             self.chunks.splice(window);
             if edit.reshaped {
                 self.block_chunk = self.chunks.resource_chunks().collect();
@@ -2064,7 +2181,7 @@ impl Memo {
         total += self.claims.len() * 128;
         total += self.plan.order.len() * 8 + self.plan.dirty.len() * 64;
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
-        total
+        total + self.image.approx_bytes()
     }
 }
 

@@ -1,0 +1,309 @@
+//! The memo image beside the state log is a cache: nothing in it may change
+//! what the engine decides. A fresh engine whose first run finds the image
+//! damaged, of another format, or under another key says why (`MEM0xx`) in
+//! that run's trace, and plans exactly what an engine without the image
+//! plans.
+//!
+//! The image starts valid — written by the commit of an engine that
+//! converged a program with a variable, a local, an output, `count`,
+//! `for_each` and deferred attributes — and is damaged by a flipped bit in
+//! every byte and by every cut; then each part of the key changes
+//! under it: the inputs, the lint gate, the validation level and a quota of
+//! the catalog. Last, an image a loaded memo writes — copying the frames no
+//! save changed — is held to the edit and to the plan cache's dirtiness it
+//! carries, hop after hop of fresh engines.
+
+use std::collections::BTreeMap;
+
+use cloudless::cloud::{CloudConfig, ResourceRecord};
+use cloudless::state::{LogStore, MemDevice};
+use cloudless::types::{ResourceId, Value};
+use cloudless::validate::ValidationLevel;
+use cloudless::{Cloudless, Config, LintGate};
+
+type Records = BTreeMap<ResourceId, ResourceRecord>;
+
+const SRC: &str = r#"variable "region" {
+  default = "us-east-1"
+}
+locals {
+  prefix = "app"
+}
+resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_subnet" "app" {
+  count      = 2
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.${count.index}.0/24"
+}
+resource "aws_s3_bucket" "logs" {
+  for_each = ["a", "b"]
+  bucket   = "${local.prefix}-${each.value}-${var.region}"
+  acl      = "private"
+}
+output "vpc" {
+  value = aws_vpc.main.id
+}
+"#;
+
+/// The save a fresh engine plans first: one block's attribute, which
+/// updates in place.
+fn edited() -> String {
+    SRC.replace("\"private\"", "\"public-read\"")
+}
+
+fn standard() -> Config {
+    Config {
+        cloud: CloudConfig::exact(),
+        ..Config::default()
+    }
+}
+
+/// The log, the image and the cloud an engine under `config` leaves once
+/// it has converged `source`.
+fn converged(config: Config, source: &str) -> (Vec<u8>, Vec<u8>, Records) {
+    let device = MemDevice::new().imaged(None);
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("opens");
+    let mut engine = Cloudless::with_store(config, store, Records::new());
+    let outcome = engine.converge(source).expect("the program converges");
+    assert!(outcome.apply.all_ok());
+    let records = engine.cloud().export_records().clone();
+    let mut device = engine.into_store().into_device();
+    let log = device.read_all().expect("the log");
+    let image = device
+        .read_image()
+        .expect("the image")
+        .expect("a commit writes one");
+    (log, image, records)
+}
+
+/// The first run of a fresh engine under `config` over `log`, with `image`
+/// beside it (or no image slot at all): its plan or refusal, and its trace.
+fn first_run(
+    config: Config,
+    log: &[u8],
+    image: Option<Vec<u8>>,
+    records: &Records,
+) -> (String, String) {
+    let device = MemDevice::from_bytes(log.to_vec());
+    let device = match image {
+        Some(image) => device.imaged(Some(image)),
+        None => device,
+    };
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("the log opens");
+    let mut engine = Cloudless::with_store(config, store, records.clone());
+    match engine.plan_incremental(&edited()) {
+        Ok((text, trace)) => (text, trace.to_string()),
+        Err(e) => (format!("refused: {e}"), String::new()),
+    }
+}
+
+/// The reason a refused image gave, from a run's trace.
+fn refusal(trace: &str) -> Option<&str> {
+    let at = trace.find("image: refused (")?;
+    Some(&trace[at + "image: refused (".len()..])
+}
+
+#[test]
+fn a_valid_image_warms_the_first_run_and_plans_as_cold() {
+    let (log, image, records) = converged(standard(), SRC);
+    let (warm, trace) = first_run(standard(), &log, Some(image), &records);
+    assert!(trace.contains("pipeline: incremental"), "{trace}");
+    assert!(
+        trace.contains("image: loaded (3 block(s) of serial 1; plans the edit)"),
+        "{trace}"
+    );
+    let (cold, cold_trace) = first_run(standard(), &log, None, &records);
+    assert!(
+        !cold_trace.contains("image:"),
+        "no slot, no image: {cold_trace}"
+    );
+    assert_eq!(warm, cold);
+    assert!(warm.contains("aws_s3_bucket.logs"), "{warm}");
+}
+
+#[test]
+fn every_flipped_or_cut_byte_is_refused_and_plans_as_cold() {
+    let (log, image, records) = converged(standard(), SRC);
+    let (cold, _) = first_run(standard(), &log, None, &records);
+    let check = |damaged: Vec<u8>, what: &str| {
+        let (plan, trace) = first_run(standard(), &log, Some(damaged), &records);
+        let why = refusal(&trace).unwrap_or_else(|| panic!("{what} was not refused:\n{trace}"));
+        assert!(why.starts_with("MEM00"), "{what}: {why}");
+        assert!(
+            trace.contains("pipeline: full (no memo (first run))"),
+            "{what}: {trace}"
+        );
+        assert_eq!(plan, cold, "{what}");
+    };
+    for at in 0..image.len() {
+        let mut flipped = image.clone();
+        flipped[at] ^= 1;
+        check(flipped, &format!("byte {at} flipped"));
+    }
+    for cut in 0..image.len() {
+        check(image[..cut].to_vec(), &format!("the cut at {cut}"));
+    }
+}
+
+#[test]
+fn each_part_of_the_key_refuses_the_image_and_plans_as_cold() {
+    let (log, image, records) = converged(standard(), SRC);
+    let inputs = || {
+        let mut config = standard();
+        config
+            .inputs
+            .insert("region".into(), Value::from("eu-west-1"));
+        config
+    };
+    let gate = || Config {
+        lint: LintGate::Off,
+        ..standard()
+    };
+    let level = || Config {
+        validation_level: ValidationLevel::Semantic,
+        ..standard()
+    };
+    let quota = || {
+        let mut config = standard();
+        let mut schema = config
+            .cloud
+            .catalog
+            .get_str("aws_s3_bucket")
+            .expect("a bucket")
+            .clone();
+        schema.default_quota += 1;
+        config.cloud.catalog.add(schema);
+        config
+    };
+    /// A configuration, made anew for each engine.
+    type Make = fn() -> Config;
+    let changed: [(&str, Make); 4] = [
+        ("inputs", inputs),
+        ("lint gate", gate),
+        ("validation level", level),
+        ("catalog", quota),
+    ];
+    for (what, config) in changed {
+        let (plan, trace) = first_run(config(), &log, Some(image.clone()), &records);
+        let why = refusal(&trace).unwrap_or_else(|| panic!("{what}: not refused:\n{trace}"));
+        assert!(why.starts_with("MEM003"), "{what}: {why}");
+        assert_eq!(plan, first_run(config(), &log, None, &records).0, "{what}");
+    }
+}
+
+#[test]
+fn an_image_of_an_older_format_is_refused_and_plans_as_cold() {
+    let (log, image, records) = converged(standard(), SRC);
+    let text = String::from_utf8(image).expect("an image is text");
+    let older = text.replacen("cloudless-memo v1\n", "cloudless-memo v0\n", 1);
+    let (plan, trace) = first_run(standard(), &log, Some(older.into_bytes()), &records);
+    let why = refusal(&trace).expect("refused");
+    assert!(why.starts_with("MEM002"), "{why}");
+    assert_eq!(plan, first_run(standard(), &log, None, &records).0);
+}
+
+/// An engine over `log` with `image` beside it, applying to a cloud of
+/// `records`.
+fn open(log: Vec<u8>, image: Option<Vec<u8>>, records: Records) -> Cloudless {
+    let device = MemDevice::from_bytes(log).imaged(image);
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("the log opens");
+    Cloudless::with_store(standard(), store, records)
+}
+
+/// The log, the image and the cloud `engine` leaves.
+fn close(engine: Cloudless) -> (Vec<u8>, Option<Vec<u8>>, Records) {
+    let records = engine.cloud().export_records().clone();
+    let mut device = engine.into_store().into_device();
+    (
+        device.read_all().expect("log"),
+        device.read_image().expect("image"),
+        records,
+    )
+}
+
+/// A memo loaded from an image writes the next image copying every frame
+/// no save reached: after an apply that changes nothing (the plan cache of
+/// the deployed state) and one in-place edit, a fourth engine holds the
+/// edit — its first run over the edited source splices nothing — and plans
+/// what a cold engine plans.
+#[test]
+fn an_image_written_by_a_loaded_memo_holds_its_edit() {
+    let (log, image, records) = converged(standard(), SRC);
+    let mut settled = open(log, Some(image), records);
+    assert!(settled
+        .converge(SRC)
+        .expect("the program stands")
+        .apply
+        .all_ok());
+    let (log, image, records) = close(settled);
+    let mut edit = open(log, image, records);
+    assert!(edit
+        .converge(&edited())
+        .expect("the edit applies")
+        .apply
+        .all_ok());
+    let (log, image, records) = close(edit);
+    let mut fourth = open(log.clone(), image, records.clone());
+    let (plan, trace) = fourth.plan_incremental(&edited()).expect("the edit plans");
+    let trace = trace.to_string();
+    assert!(trace.contains("image: loaded"), "{trace}");
+    assert!(
+        trace.contains("parse: cached (no block in scope)"),
+        "{trace}"
+    );
+    let (store, _) = LogStore::open_device(Box::new(MemDevice::from_bytes(log))).expect("opens");
+    let mut cold = Cloudless::with_store(standard(), store, records);
+    assert_eq!(
+        plan,
+        cold.plan_incremental(&edited()).expect("the edit plans").0
+    );
+}
+
+/// A chain whose blocks read each other's computed `id`: a VM reads an
+/// interface, which reads a subnet, which reads a VPC.
+const CHAIN: &str = r#"resource "aws_vpc" "main" {
+  name       = "main"
+  cidr_block = "10.0.0.0/15"
+}
+resource "aws_subnet" "app" {
+  name       = "app"
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.1.0/24"
+}
+resource "aws_network_interface" "nic" {
+  name      = "nic"
+  subnet_id = aws_subnet.app.id
+}
+resource "aws_virtual_machine" "vm" {
+  name    = "vm"
+  nic_ids = [aws_network_interface.nic.id]
+}
+"#;
+
+/// The plan cache's dirtiness is in the frames of blocks: an apply that
+/// changes nothing turns every block created before from dirty to clean
+/// without editing one, and the image it writes says so. A later edit of
+/// the VM alone plans its interface's `id` as known, as a cold engine does.
+#[test]
+fn a_dirtiness_the_plan_cache_changed_is_written_again() {
+    let (log, image, records) = converged(standard(), CHAIN);
+    let mut settled = open(log, Some(image), records);
+    assert!(settled
+        .converge(CHAIN)
+        .expect("the chain stands")
+        .apply
+        .all_ok());
+    let (log, image, records) = close(settled);
+    let renamed = CHAIN.replace("name    = \"vm\"", "name    = \"vm-2\"");
+    let mut warm = open(log.clone(), image, records.clone());
+    let (plan, trace) = warm.plan_incremental(&renamed).expect("the rename plans");
+    assert!(trace.to_string().contains("image: loaded"), "{trace}");
+    let mut cold = open(log, None, records);
+    assert_eq!(
+        plan,
+        cold.plan_incremental(&renamed).expect("the rename plans").0
+    );
+    assert!(!plan.contains("known after apply"), "{plan}");
+}

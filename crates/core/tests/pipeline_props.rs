@@ -20,7 +20,10 @@
 //! dependent only when that flag flips — must neither miss one nor leave
 //! the static cone of the edit. A miner-active family does the same under a
 //! [`SpecMiner`] that has observed a deployment, with edits that break its
-//! conventions and further observations that change them.
+//! conventions and further observations that change them. An engine family
+//! reopens a converged store in a fresh engine that starts from the memo
+//! image its predecessor checkpointed, and holds every plan, refusal, state
+//! and cloud it leaves to a fresh engine's without the image.
 //!
 //! On a host with two cores every all-blocks run joins (lint beside
 //! expand, validate and analyze beside the plan; `cloudless_types::join`),
@@ -34,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cloudless::cloud::{Catalog, Cloud, CloudConfig};
+use cloudless::cloud::{Catalog, Cloud, CloudConfig, ResourceRecord};
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::{diff, Executor, Plan, Strategy};
 use cloudless::hcl::program::{expand, ModuleLibrary, Program};
@@ -42,10 +45,10 @@ use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{
     FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
 };
-use cloudless::state::Snapshot;
-use cloudless::types::Value;
+use cloudless::state::{LogStore, MemDevice, Snapshot};
+use cloudless::types::{ResourceId, Value};
 use cloudless::validate::{SpecMiner, ValidationLevel};
-use cloudless::LintGate;
+use cloudless::{Cloudless, Config, LintGate};
 use proptest::prelude::*;
 
 /// Everything a `PipelineCtx` borrows, owned in one place so tests can
@@ -986,6 +989,119 @@ proptest! {
             if warm_obs.is_err() {
                 links = before; // the user takes it back with the next save
             }
+        }
+    }
+}
+
+// ------------------------------------------------ a fresh engine, warm
+
+/// The cloud's records, as a session keeps them.
+type Records = BTreeMap<ResourceId, ResourceRecord>;
+
+/// An engine over the log in `device`, applying to a cloud of `records`:
+/// what a fresh process opens.
+fn engine_over(device: MemDevice, records: &Records) -> Cloudless {
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("the log opens");
+    let config = Config {
+        cloud: CloudConfig::exact(),
+        ..Config::default()
+    };
+    Cloudless::with_store(config, store, records.clone())
+}
+
+/// What a user sees of one apply: its plan, the state and the cloud it
+/// leaves — or its refusal.
+fn applied(engine: &mut Cloudless, source: &str) -> Result<(String, String, String), String> {
+    let out = engine.converge(source).map_err(|e| e.to_string())?;
+    let records = serde_json::to_string(engine.cloud().export_records());
+    let records = records.expect("records render");
+    Ok((out.plan_text, engine.state().to_json(), records))
+}
+
+/// The base of an image case, its edit and the save after it: a generated
+/// program and one of [`apply_edit`]'s edits (values, blocks in and out,
+/// refusals), or a chain of computed attributes — `count`, `for_each` and
+/// deferred attributes among them — and one of [`edit_links`]'.
+fn image_case(chain: bool, spec: &Spec, kind: usize, a: usize, b: usize) -> [String; 3] {
+    if chain {
+        let mut links = deployed_chain();
+        let base = render_links(&links);
+        edit_links(&mut links, 10, kind, a, b);
+        let edited = render_links(&links);
+        edit_links(&mut links, 11, kind + 1, a + 1, b);
+        [base, edited, render_links(&links)]
+    } else {
+        let base = base_source(spec);
+        let edited = apply_edit(&base, spec, kind, a, b);
+        let next = follow_up(&base, &edited, spec, kind, a, b);
+        [base, edited, next]
+    }
+}
+
+proptest! {
+    /// An engine converges a program and checkpoints its memo beside the
+    /// log. A fresh engine opens that log and image and makes an edit —
+    /// an attribute, blocks in and out, a refused save — and the save after
+    /// it: it plans, applies, refuses and leaves the state and the cloud
+    /// byte for byte as a fresh engine without the image does. Its first run
+    /// takes the image and plans the edit alone; after a rollback of the
+    /// state the image is of another serial, and the first run plans every
+    /// instance. The image it writes in turn, which copies the frames its
+    /// saves did not reach, warms a third engine that plans as cold.
+    #[test]
+    fn a_fresh_engine_warm_from_its_image_matches_a_cold_one(
+        spec in proptest::collection::vec((0..TYPES.len(), any::<bool>()), 2..8),
+        chain in any::<bool>(),
+        kind in 0..KINDS,
+        a in 0..32usize,
+        b in 0..32usize,
+        rolled in any::<bool>(),
+    ) {
+        let [base, edited, next] = image_case(chain, &spec, kind, a, b);
+        let mut first = engine_over(MemDevice::new().imaged(None), &Records::new());
+        first.converge(&base).expect("the base is clean");
+        let mut rolled_back = false;
+        if rolled {
+            let [_, touched, _] = image_case(chain, &spec, 0, a + 2, b);
+            let _ = first.converge(&touched);
+            rolled_back = first.rollback_state(1).expect("serial 1 is committed").is_some();
+        }
+        let records = first.cloud().export_records().clone();
+        let mut device = first.into_store().into_device();
+        let (log, image) = (device.read_all().expect("log"), device.read_image().expect("image"));
+        prop_assert!(image.is_some(), "a commit checkpoints the memo");
+        let mut warm = engine_over(MemDevice::from_bytes(log.clone()).imaged(image), &records);
+        let mut cold = engine_over(MemDevice::from_bytes(log), &records);
+
+        let planned = warm.plan_incremental(&edited).map_err(|e| e.to_string());
+        let cold_plan = cold.plan_incremental(&edited).map_err(|e| e.to_string());
+        prop_assert_eq!(
+            planned.as_ref().map(|(text, _)| text),
+            cold_plan.as_ref().map(|(text, _)| text)
+        );
+        if let Ok((_, trace)) = &planned {
+            let trace = trace.to_string();
+            prop_assert!(trace.contains("image: loaded"), "{}", trace);
+            let plans = if rolled_back { "plans every instance" } else { "plans the edit" };
+            prop_assert!(trace.contains(plans), "{}", trace);
+        }
+        prop_assert_eq!(applied(&mut warm, &edited), applied(&mut cold, &edited));
+        prop_assert_eq!(applied(&mut warm, &next), applied(&mut cold, &next));
+
+        // the image the warm engine wrote — the frames of blocks no save
+        // reached copied from the one it loaded — warms a third engine
+        let records = warm.cloud().export_records().clone();
+        let mut device = warm.into_store().into_device();
+        let (log, image) = (device.read_all().expect("log"), device.read_image().expect("image"));
+        let mut third = engine_over(MemDevice::from_bytes(log.clone()).imaged(image), &records);
+        let mut cold = engine_over(MemDevice::from_bytes(log), &records);
+        for source in [&base, &edited] {
+            let planned = third.plan_incremental(source).map_err(|e| e.to_string());
+            let cold_plan = cold.plan_incremental(source).map_err(|e| e.to_string());
+            prop_assert_eq!(
+                planned.as_ref().map(|(text, _)| text),
+                cold_plan.as_ref().map(|(text, _)| text)
+            );
         }
     }
 }

@@ -117,6 +117,7 @@ impl Resolver for StateResolver<'_> {
 /// * `data.<provider>_region.current.name` — the provider's default region
 ///   (or the one pinned in `provider` config).
 /// * anything registered via [`DataResolver::insert`].
+#[derive(Debug)]
 pub struct DataResolver {
     /// Provider → effective region.
     regions: BTreeMap<Provider, String>,

@@ -61,7 +61,9 @@ pub use compact::CompactReport;
 pub use fsck::{fsck_bytes, fsck_file, FsckReport};
 pub use history::HistoryView;
 pub use lock::{LockGuard, LockManager, LockScope, ObservedLockManager, ResourceLockManager};
-pub use log::{rename_synced, sync_parent, LogDevice, MemDevice, StoreError, VersionRecord};
+pub use log::{
+    rename_synced, sync_parent, Frames, ImageWrite, LogDevice, MemDevice, StoreError, VersionRecord,
+};
 pub use migrate::{migrate_dir, LegacyHistoryEntry, MigrateReport};
 pub use snapshot::{DeployedResource, Snapshot};
 pub use store::{CommitMeta, DiffEntry, LogStore, RecoveryReport, StateDelta, VersionDiff};

@@ -43,7 +43,8 @@
 //! truncation and is reported as an error instead.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, Write};
+use std::io::{BufWriter, Read, Seek, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -301,9 +302,15 @@ impl<'a> From<&'a LogRecord> for Framed<'a> {
 }
 
 /// Append `record` to `out` as one checksummed log line (with trailing
-/// newline). The payload is written in place and the checksum field in
-/// front of it filled in afterwards.
+/// newline).
 pub fn frame_into(out: &mut String, record: Framed<'_>) {
+    frame_payload(out, record);
+}
+
+/// [`frame_into`] for a record of any kind: the memo image beside the log
+/// frames records of its own the same way. The payload is written in place
+/// and the checksum field in front of it filled in afterwards.
+pub fn frame_payload(out: &mut String, record: impl Serialize) {
     let sum_at = out.len();
     out.push_str("0000000000000000 ");
     let payload_at = out.len();
@@ -319,7 +326,7 @@ pub fn frame_into(out: &mut String, record: Framed<'_>) {
 /// to the first space, then the payload up to the newline, hashed on the
 /// way there. `None` when no newline ends it (a torn tail by definition),
 /// else the line's length without the newline and what it held.
-fn parse_line(bytes: &[u8]) -> Option<(usize, Result<LogRecord, String>)> {
+fn parse_line<T: Deserialize>(bytes: &[u8]) -> Option<(usize, Result<T, String>)> {
     let field = bytes.iter().position(|&b| b == b' ' || b == b'\n')?;
     if bytes[field] == b'\n' {
         return Some((field, Err("missing checksum field".to_owned())));
@@ -330,8 +337,14 @@ fn parse_line(bytes: &[u8]) -> Option<(usize, Result<LogRecord, String>)> {
         .map_err(|e| format!("invalid utf-8: {e}"))
         .and_then(|line| {
             let (sum_hex, payload) = line.split_at(field);
-            let want = u64::from_str_radix(sum_hex, 16)
-                .map_err(|_| format!("bad checksum {sum_hex:?}"))?;
+            // sixteen lowercase hex digits, as written: no other spelling
+            // of the same number is a frame's
+            let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+            let written = sum_hex.len() == 16 && sum_hex.bytes().all(lower_hex);
+            let want = (written
+                .then(|| u64::from_str_radix(sum_hex, 16).ok())
+                .flatten())
+            .ok_or_else(|| format!("bad checksum {sum_hex:?}"))?;
             if want != got {
                 return Err(format!(
                     "checksum mismatch: framed {want:016x}, computed {got:016x}"
@@ -345,16 +358,57 @@ fn parse_line(bytes: &[u8]) -> Option<(usize, Result<LogRecord, String>)> {
 // --------------------------------------------------------------------- scan
 
 /// The framed lines of a log after its header, in order: the one walk
-/// every reader of a log's bytes makes (open through [`scan`], `fsck`).
-/// Each is the byte it starts at, whether nothing follows its newline in
-/// the whole log (only such a line can be a torn append) and what it held,
-/// or why it cannot be read. The walk ends at `end` (the end of the bytes,
-/// or a line boundary [`Frames::split`] cut at) or at a tail no newline
-/// closes; `pos` is where the next line starts, or that tail.
-pub(crate) struct Frames<'a> {
+/// every reader of a log's bytes makes (open through [`scan`], `fsck`, and
+/// the engine reading its memo image, whose records are `T`s). Each is the
+/// byte it starts at, whether nothing follows its newline in the whole log
+/// (only such a line can be a torn append) and what it held, or why it
+/// cannot be read. The walk ends at `end` (the end of the bytes, or a line
+/// boundary [`Frames::split`] cut at) or at a tail no newline closes; `pos`
+/// is where the next line starts, or that tail.
+pub struct Frames<'a, T = LogRecord> {
     bytes: &'a [u8],
     pub(crate) pos: usize,
     end: usize,
+    records: PhantomData<fn() -> T>,
+}
+
+impl<'a, T> Frames<'a, T> {
+    /// The framed lines after a first line that is exactly `header`, or
+    /// `None` when the bytes do not start with it.
+    pub fn after_line(bytes: &'a [u8], header: &str) -> Option<Frames<'a, T>> {
+        let first = bytes.strip_prefix(header.as_bytes())?.strip_prefix(b"\n")?;
+        let pos = bytes.len() - first.len();
+        let end = bytes.len();
+        let records = PhantomData;
+        Some(Frames {
+            bytes,
+            pos,
+            end,
+            records,
+        })
+    }
+
+    /// Cut the walk in two at the first newline past the middle of what is
+    /// left: this walk stops there, and the one returned goes on from it.
+    pub fn split(&mut self) -> Frames<'a, T> {
+        let mid = self.pos + (self.end - self.pos) / 2;
+        let newline = self.bytes[mid..self.end].iter().position(|&b| b == b'\n');
+        let cut = newline.map_or(self.end, |at| mid + at + 1);
+        let rest = Frames { pos: cut, ..*self };
+        self.end = cut;
+        rest
+    }
+
+    /// The byte the next line starts at.
+    pub fn next_at(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether the walk has read every line up to its end: it stops short
+    /// at a tail no newline closes.
+    pub fn finished(&self) -> bool {
+        self.pos >= self.end
+    }
 }
 
 impl<'a> Frames<'a> {
@@ -364,43 +418,29 @@ impl<'a> Frames<'a> {
     /// Anything else is not a state log, and `Err` says so.
     pub(crate) fn after_header(bytes: &'a [u8]) -> Result<Frames<'a>, String> {
         let header = format!("{LOG_MAGIC}\n");
-        if bytes.starts_with(header.as_bytes()) {
-            let (pos, end) = (header.len(), bytes.len());
-            Ok(Frames { bytes, pos, end })
+        if let Some(frames) = Frames::after_line(bytes, LOG_MAGIC) {
+            Ok(frames)
         } else if header.as_bytes().starts_with(bytes) {
+            let records = PhantomData;
             Ok(Frames {
                 bytes: &[],
                 pos: 0,
                 end: 0,
+                records,
             })
         } else {
             Err(format!("missing magic header {LOG_MAGIC:?}"))
         }
     }
-
-    /// Cut the walk in two at the first newline past the middle of what is
-    /// left: this walk stops there, and the one returned goes on from it.
-    pub(crate) fn split(&mut self) -> Frames<'a> {
-        let mid = self.pos + (self.end - self.pos) / 2;
-        let newline = self.bytes[mid..self.end].iter().position(|&b| b == b'\n');
-        let cut = newline.map_or(self.end, |at| mid + at + 1);
-        let rest = Frames {
-            bytes: self.bytes,
-            pos: cut,
-            end: self.end,
-        };
-        self.end = cut;
-        rest
-    }
 }
 
 /// One framed line: where it starts, whether it ends the log, what it held.
-type Frame = (usize, bool, Result<LogRecord, String>);
+type Frame<T = LogRecord> = (usize, bool, Result<T, String>);
 
-impl Iterator for Frames<'_> {
-    type Item = Frame;
+impl<T: Deserialize> Iterator for Frames<'_, T> {
+    type Item = Frame<T>;
 
-    fn next(&mut self) -> Option<Frame> {
+    fn next(&mut self) -> Option<Frame<T>> {
         let (len, record) = parse_line(&self.bytes[self.pos..self.end])?;
         let at = self.pos;
         self.pos += len + 1;
@@ -516,12 +556,36 @@ pub trait LogDevice: Send {
     fn truncate(&mut self, len: u64) -> Result<(), StoreError>;
     /// Atomically replace the whole contents (compaction rewrite).
     fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
+
+    /// Whether the device has a slot for a memo image beside the log: a
+    /// cache of the engine's front end, which nothing but the engine reads
+    /// and which may be lost at any time.
+    fn keeps_image(&self) -> bool {
+        false
+    }
+
+    /// The memo image, if there is one.
+    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(None)
+    }
+
+    /// Replace the memo image with what `write` writes, whole or not at
+    /// all (a device without a slot ignores it).
+    fn write_image(&mut self, _write: &mut ImageWrite<'_>) -> Result<(), StoreError> {
+        Ok(())
+    }
 }
 
+/// What writes a memo image: frame by frame into the sink it is given.
+pub type ImageWrite<'a> = dyn FnMut(&mut dyn Write) -> std::io::Result<()> + 'a;
+
 /// In-memory device: property tests, seeded engine stores, experiments.
+/// It has a memo image slot only when asked for one ([`MemDevice::imaged`]).
 #[derive(Debug, Default)]
 pub struct MemDevice {
     bytes: Vec<u8>,
+    /// `None`: no slot; `Some(None)`: an empty one.
+    image: Option<Option<Vec<u8>>>,
 }
 
 impl MemDevice {
@@ -531,7 +595,13 @@ impl MemDevice {
 
     /// Start from existing bytes (replay a captured log).
     pub fn from_bytes(bytes: Vec<u8>) -> MemDevice {
-        MemDevice { bytes }
+        MemDevice { bytes, image: None }
+    }
+
+    /// The same device with a memo image slot holding `image`.
+    pub fn imaged(self, image: Option<Vec<u8>>) -> MemDevice {
+        let image = Some(image);
+        MemDevice { image, ..self }
     }
 
     /// The raw log bytes (tests snapshot these to simulate crashes).
@@ -557,6 +627,24 @@ impl LogDevice for MemDevice {
 
     fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.bytes = bytes.to_vec();
+        Ok(())
+    }
+
+    fn keeps_image(&self) -> bool {
+        self.image.is_some()
+    }
+
+    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(self.image.clone().flatten())
+    }
+
+    fn write_image(&mut self, write: &mut ImageWrite<'_>) -> Result<(), StoreError> {
+        let Some(slot) = &mut self.image else {
+            return Ok(());
+        };
+        let mut image = Vec::new();
+        write(&mut image)?;
+        *slot = Some(image);
         Ok(())
     }
 }
@@ -585,6 +673,11 @@ impl FileDevice {
 
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Where the memo image lives: `memo.bin` beside the log.
+    pub fn image_path(&self) -> PathBuf {
+        self.path.with_file_name("memo.bin")
     }
 
     /// [`LogDevice::replace`] with the directory sync `sync` (a seam for
@@ -625,6 +718,31 @@ impl LogDevice for FileDevice {
 
     fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.replace_then_sync(bytes, sync_parent)
+    }
+
+    fn keeps_image(&self) -> bool {
+        true
+    }
+
+    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+        match std::fs::read(self.image_path()) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Through a small buffer into a temp file renamed over the image. No
+    /// sync: a cache lost in a crash costs one cold start, and a torn one
+    /// is refused by its checksums.
+    fn write_image(&mut self, write: &mut ImageWrite<'_>) -> Result<(), StoreError> {
+        let (path, tmp) = (self.image_path(), self.path.with_file_name("memo.bin.tmp"));
+        let mut file = BufWriter::with_capacity(64 * 1024, std::fs::File::create(&tmp)?);
+        write(&mut file)?;
+        file.flush()?;
+        drop(file);
+        std::fs::rename(tmp, path)?;
+        Ok(())
     }
 }
 

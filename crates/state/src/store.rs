@@ -32,8 +32,8 @@ use cloudless_types::{join, SimTime, Value};
 use crate::cas::{decode_resource, encode_resource, Cas, ContentHash};
 use crate::history::HistoryView;
 use crate::log::{
-    frame_into, scan, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed, LogDevice,
-    LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
+    frame_into, scan, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed, ImageWrite,
+    LogDevice, LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
     MAX_PATCH_CHAIN,
 };
 use crate::snapshot::{DeployedResource, Snapshot};
@@ -342,6 +342,26 @@ impl LogStore {
         self.current =
             Snapshot::from_records(serial, resources, outputs).map_err(StoreError::Corrupt)?;
         Ok(())
+    }
+
+    /// Whether the device keeps a memo image beside the log.
+    pub fn keeps_image(&self) -> bool {
+        self.device.keeps_image()
+    }
+
+    /// The memo image beside the log, if the device keeps one.
+    pub fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+        self.device.read_image()
+    }
+
+    /// Replace the memo image beside the log with what `write` writes.
+    pub fn write_image(&mut self, write: &mut ImageWrite<'_>) -> Result<(), StoreError> {
+        self.device.write_image(write)
+    }
+
+    /// The device, to reopen the store over (a fresh process, in a test).
+    pub fn into_device(self) -> Box<dyn LogDevice> {
+        self.device
     }
 
     /// Install an observability recorder (metrics listed in the crate

@@ -33,6 +33,10 @@
 //! (`a_clean_reconcile_costs_its_drift_not_the_estate`): the same
 //! allocations over a fourfold estate, and bytes a constant per block.
 //!
+//! And opening the state log of the 10 000-resource estate
+//! (`opening_the_state_log_scans_within_budget`): its scan allocates once a
+//! resource body, not once per growth of one.
+//!
 //! The counting `#[global_allocator]` is `counting/mod.rs`.
 
 use std::collections::BTreeMap;
@@ -611,4 +615,55 @@ fn a_poll_costs_its_events_not_the_estate() {
         "4x the estate took {} more bytes for the same events: {small:?} → {large:?}",
         large.bytes - small.bytes
     );
+}
+
+/// Opening the state log of the 10 000-resource estate starts with a scan
+/// that decodes every record. A resource's body is a JSON string holding
+/// escaped JSON, unescaped in one allocation (`serde::Reader::string`
+/// reserves what the raw text bounds); growing it as it decodes cost about
+/// seven allocations a body.
+#[test]
+fn opening_the_state_log_scans_within_budget() {
+    let _serial = counting::serial();
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+    use cloudless_state::{CommitMeta, LogStore};
+
+    const BLOCKS: usize = 10_000;
+    let source = random_layered(BLOCKS, 42);
+    let mut engine = Cloudless::new(Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    });
+    assert!(engine
+        .converge(&source)
+        .expect("the estate converges")
+        .apply
+        .all_ok());
+    let dir = std::env::temp_dir().join(format!("cloudless-scan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = dir.join("state.log");
+    let _ = std::fs::remove_file(&path);
+    let (mut store, _) = LogStore::open_file(&path).expect("the log opens");
+    let meta = CommitMeta {
+        config_source: Some(source.clone()),
+        ..CommitMeta::bare("apply")
+    };
+    store
+        .commit_snapshot(engine.state(), meta)
+        .expect("the world commits");
+    drop((store, engine));
+    let bytes = std::fs::read(&path).expect("the log reads");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (scanned, scan) = counted(|| cloudless_state::log::scan(&bytes, |_| Ok(())));
+    let records = scanned.expect("the log scans").records;
+    println!(
+        "scan of a {}-byte log, {records} record(s): {scan:?}",
+        bytes.len()
+    );
+    assert!(records > BLOCKS, "{records} records");
+    assert!(scan.allocs <= 60_000, "{scan:?}");
 }

@@ -3,9 +3,12 @@
 //! analyze beside the plan (`cloudless_types::join`) — and one thread
 //! otherwise, whether or not it holds the memo of an earlier save. Either
 //! way a caller sees the same run: the same output, and the same calls to
-//! its recorder in the same order, all made on the caller's thread.
+//! its recorder in the same order, all made on the caller's thread. On one
+//! core lint runs before expand, and a program lint refuses is not
+//! expanded.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cloudless::obs::{Event, FlightRecorder, MetricsSnapshot, Recorder, SpanId};
@@ -14,9 +17,12 @@ use cloudless::LintGate;
 use cloudless_bench::experiments::quota_raised_catalog;
 use cloudless_bench::workloads::random_layered;
 use cloudless_deploy::resolver::DataResolver;
+use cloudless_hcl::ast::Reference;
+use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::program::ModuleLibrary;
 use cloudless_state::Snapshot;
 use cloudless_types::join::helpers_spawned;
+use cloudless_types::Value;
 use cloudless_validate::ValidationLevel;
 
 /// A flight recorder that also keeps every call made to it, in order, with
@@ -171,4 +177,67 @@ fn a_walk_that_holds_a_memo_is_a_joined_cold_start() {
     let (cold, held) = (told_cold.heard(), told_held.heard());
     assert!(!cold.0.is_empty(), "the run counts what it did");
     assert_eq!(cold, held);
+}
+
+/// The data resolver, counting what expansion asks it: every reference an
+/// attribute makes is one question, and nothing but expansion asks.
+#[derive(Default)]
+struct Asked {
+    data: DataResolver,
+    asked: AtomicUsize,
+}
+
+impl Resolver for Asked {
+    fn resolve(&self, reference: &Reference) -> Result<Option<Value>, String> {
+        self.asked.fetch_add(1, Ordering::Relaxed);
+        self.data.resolve(reference)
+    }
+}
+
+/// On one core `join` runs lint and then expand, and a program lint
+/// refuses (here a dependency cycle) is not expanded: the resolver hears
+/// nothing. Expansion of the same program without the cycle asks it about
+/// every reference; so may a refused one's on two cores, where expand runs
+/// beside lint.
+#[test]
+fn a_lint_refusal_expands_nothing_inline() {
+    let clean = "resource \"aws_vpc\" \"main\" { cidr_block = \"10.0.0.0/16\" }\n\
+                 resource \"aws_subnet\" \"app\" {\n  vpc_id     = aws_vpc.main.id\n  cidr_block = \"10.0.1.0/24\"\n}\n";
+    let cycle = "resource \"aws_s3_bucket\" \"x\" {\n  bucket     = \"x\"\n  depends_on = [aws_s3_bucket.y]\n}\n\
+                 resource \"aws_s3_bucket\" \"y\" {\n  bucket     = \"y\"\n  depends_on = [aws_s3_bucket.x]\n}\n";
+    let (inputs, modules, catalog) = (
+        BTreeMap::new(),
+        ModuleLibrary::new(),
+        quota_raised_catalog(),
+    );
+    let state = Snapshot::new();
+    let recorder = Arc::new(Calls::default()) as Arc<dyn Recorder>;
+    let run = |source: &str| {
+        let data = Asked::default();
+        let ctx = PipelineCtx {
+            inputs: &inputs,
+            modules: &modules,
+            lint: LintGate::default(),
+            level: ValidationLevel::CloudRules,
+            data: &data,
+            catalog: &catalog,
+            state: &state,
+            miner: None,
+            recorder: &recorder,
+        };
+        let refused = IncrementalPipeline::default().run(source, &ctx).is_err();
+        (refused, data.asked.load(Ordering::Relaxed))
+    };
+    let (refused, asked) = run(clean);
+    assert!(
+        !refused && asked > 0,
+        "expansion asks about every reference: {asked}"
+    );
+    let (refused, asked) = run(&format!("{clean}{cycle}"));
+    assert!(refused, "lint refuses a dependency cycle");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("{cores} core(s): a refused walk asked the resolver {asked} time(s)");
+    if cores == 1 {
+        assert_eq!(asked, 0, "inline, a refused program is not expanded");
+    }
 }
