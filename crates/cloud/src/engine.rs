@@ -962,7 +962,7 @@ impl Cloud {
             .and_then(Value::as_str)
             .unwrap_or(id.as_str())
             .to_owned();
-        for a in schema.computed_attrs() {
+        let computed = schema.computed_attrs().map(|a| {
             let v = match a.name.as_str() {
                 "id" => Value::from(id.as_str()),
                 "arn" => Value::from(format!(
@@ -982,8 +982,9 @@ impl Cloud {
                 }
                 other => Value::from(format!("{id}-{other}")),
             };
-            attrs.insert(a.name.clone(), v);
-        }
+            (a.name.clone(), v)
+        });
+        attrs.extend(computed);
     }
 
     // ------------------------------------------------------------------

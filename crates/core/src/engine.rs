@@ -1072,6 +1072,9 @@ impl Cloudless {
                 outcome.iterations,
             )
         };
+        // the cold parse and expansion served the classifier and the
+        // synthesizer; freed now, not after the plan and the apply
+        drop(cold);
 
         // state surgery the surviving ops justify: bind imports to their
         // live ids, renumber counted survivors (two phases so overlapping

@@ -36,7 +36,7 @@
 //! cold start it would have been without one.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::io::Write;
 use std::ops::Range;
@@ -54,7 +54,8 @@ use cloudless_state::cas::fnv64;
 use cloudless_state::log::frame_payload;
 use cloudless_state::Frames;
 use cloudless_types::{
-    join, Attrs, ResourceAddr, ResourceKey, ResourceTypeName, SourcePos, Span, Value,
+    join, Attrs, ResourceAddr, ResourceKey, ResourceTypeName, SourcePos, Span, Value, VecMap,
+    VecSet,
 };
 use cloudless_validate::incremental::ManifestIndex;
 use cloudless_validate::SpecMiner;
@@ -665,8 +666,11 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
     let instances = &built.instances;
     let (mid, deps) = (instances.len() / 2, std::mem::take(&mut built.deps));
     let sets = |on: &[Vec<u32>]| {
-        let addr = |&at: &u32| instances.get(at as usize).map(|inst| inst.addr.clone());
-        let set = |on: &Vec<u32>| on.iter().map(addr).collect::<Option<BTreeSet<_>>>();
+        let addr = |&at: &u32| instances[at as usize].addr.clone();
+        let set = |on: &Vec<u32>| {
+            let held = on.iter().all(|&at| (at as usize) < instances.len());
+            held.then(|| on.iter().map(addr).collect::<VecSet<_>>())
+        };
         on.iter().map(set).collect::<Option<Vec<_>>>()
     };
     let (rest, sets) = join(|| sets(&deps[mid..]), || sets(&deps[..mid]));
@@ -853,7 +857,7 @@ impl Built {
                     addr,
                     attrs,
                     deferred: Vec::new(),
-                    depends_on: BTreeSet::new(),
+                    depends_on: VecSet::new(),
                     span: nowhere,
                     attr_spans: Arc::default(),
                     lifecycle,
@@ -1017,7 +1021,7 @@ fn assemble(memo: &mut Memo, built: Built, head: &Head) -> Result<Later, Refusal
                 let chunk = &chunks[block_chunk[b]];
                 let place = |rec: SpanRec| rec.span(chunk.line, chunk.start);
                 let attr_spans = attr_spans.into_iter().map(|(a, rec)| (a, place(rec)));
-                let attr_spans = Arc::new(attr_spans.collect::<BTreeMap<_, _>>());
+                let attr_spans = Arc::new(attr_spans.collect::<VecMap<_, _>>());
                 for inst in &mut instances[ranges[b].start - base..ranges[b].end - base] {
                     inst.span = place(span);
                     inst.attr_spans = Arc::clone(&attr_spans);

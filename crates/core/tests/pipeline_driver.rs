@@ -173,6 +173,33 @@ fn the_memo_after_a_guard_trip_serves_the_next_edit() {
     );
 }
 
+/// A block that sets one argument twice is refused at the second setting,
+/// warm as cold: the splice parses the edited block as the cold walk does,
+/// and keeps its memo for the fix.
+#[test]
+fn a_repeated_argument_is_refused_warm_and_cold() {
+    let env = Env::new();
+    let mut pipe = IncrementalPipeline::default();
+    pipe.run(SRC, &env.ctx()).expect("base is clean");
+    let twice = SRC.replace(
+        "bucket = \"logs-main\"",
+        "bucket = \"logs-main\"\n  bucket = \"logs-next\"",
+    );
+    let shown = |err: PipelineError| match err {
+        PipelineError::Frontend(diags) => diags.to_string(),
+        other => panic!("refused past the front end: {other:?}"),
+    };
+    let warm = shown(pipe.run(&twice, &env.ctx()).err().expect("refused warm"));
+    let cold = shown(env.cold(&twice).err().expect("refused cold"));
+    assert_eq!(warm, cold);
+    assert!(
+        cold.contains("HCL045") && cold.contains("main.tf:9:3"),
+        "{cold}"
+    );
+    let fixed = pipe.run(SRC, &env.ctx()).expect("the fix is clean");
+    assert!(fixed.trace.fast_path, "{}", fixed.trace);
+}
+
 // ------------------------------------------- a cold start's two joins
 
 /// The codes of a refusal, after the stage that made it.

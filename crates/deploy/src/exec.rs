@@ -995,17 +995,19 @@ impl<'a> Executor<'a> {
         let Some(desired) = &pn.change.desired else {
             return Ok(pn.change.planned_attrs.clone());
         };
-        let mut attrs = desired.attrs.clone();
-        if !desired.deferred.is_empty() {
+        let mut attrs = if desired.deferred.is_empty() {
+            desired.attrs.clone()
+        } else {
             let resolver = StateResolver::new(state)
                 .in_module(&desired.addr.module_path)
                 .with_data(self.data);
             let scope = desired.env.scope(&resolver);
+            // the known attributes, then the finalized ones: sorted once
+            let mut all = Vec::with_capacity(desired.attrs.len() + desired.deferred.len());
+            all.extend(desired.attrs.iter().map(|(k, v)| (k.clone(), v.clone())));
             for d in &desired.deferred {
                 match eval(&d.expr, &scope) {
-                    Ok(v) => {
-                        attrs.insert(d.name.clone(), v);
-                    }
+                    Ok(v) => all.push((d.name.clone(), v)),
                     Err(e) => {
                         return Err(CloudError::constraint(
                             "UnresolvedReference",
@@ -1017,7 +1019,8 @@ impl<'a> Executor<'a> {
                     }
                 }
             }
-        }
+            all.into_iter().collect()
+        };
         attrs.retain(|k, v| !v.is_null() || unset.contains(k));
         Ok(attrs)
     }

@@ -55,7 +55,10 @@ impl<'a> StateResolver<'a> {
         let mut indexed: Vec<(&ResourceKey, Value)> = self
             .snapshot
             .block(&self.module_path, rtype, name)
-            .map(|r| (&r.addr.key, Value::Map(r.attrs.clone())))
+            .map(|r| {
+                let attrs = r.attrs.iter().map(|(k, v)| (k.clone(), v.clone()));
+                (&r.addr.key, attrs.collect())
+            })
             .collect();
         if indexed.is_empty() {
             return None;

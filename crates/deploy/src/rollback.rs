@@ -34,7 +34,7 @@
 //!
 //! [`ResourceSchema::settable`]: cloudless_cloud::ResourceSchema::settable
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cloudless_cloud::Catalog;
@@ -42,7 +42,7 @@ use cloudless_hcl::ast::{Expr, Reference, TemplatePart};
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::program::{DeferredAttr, Manifest, OutputValue, ResourceInstance};
 use cloudless_state::Snapshot;
-use cloudless_types::{Attrs, ResourceAddr, ResourceKey, Span, Value};
+use cloudless_types::{ResourceAddr, ResourceKey, Span, Value, VecMap};
 
 use crate::diff::{diff, Action};
 use crate::plan::Plan;
@@ -130,13 +130,14 @@ fn as_reference(
 fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
     // a lifted instance was declared nowhere: one empty file name and span
     // table for all of them
-    let (no_file, no_spans): (Arc<str>, Arc<BTreeMap<String, Span>>) = Default::default();
+    let (no_file, no_spans): (Arc<str>, Arc<VecMap<String, Span>>) = Default::default();
     let instances = checkpoint.resources().values().map(|then| {
         let schema = catalog.get(&then.addr.rtype);
         let managed = |k: &String| schema.is_some_and(|s| s.settable(k).is_some());
-        let mut attrs = Attrs::new();
+        // attributes and dependencies gathered, then each sorted once
+        let mut attrs = Vec::new();
         let mut deferred = Vec::new();
-        let mut depends_on: BTreeSet<_> = then.depends_on.iter().cloned().collect();
+        let mut depends_on = then.depends_on.clone();
         if let Some(now) = live.get(&then.addr) {
             let set_since = |k: &&String| managed(k) && !then.attrs.contains_key(*k);
             let unset = now.attrs.keys().filter(set_since);
@@ -154,16 +155,14 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
                         waiting_on,
                     });
                 }
-                None => {
-                    attrs.insert(name.clone(), v.clone());
-                }
+                None => attrs.push((name.clone(), v.clone())),
             }
         }
         Arc::new(ResourceInstance {
             addr: then.addr.clone(),
-            attrs,
+            attrs: attrs.into_iter().collect(),
             deferred,
-            depends_on,
+            depends_on: depends_on.into_iter().collect(),
             span: Span::synthetic(),
             attr_spans: Arc::clone(&no_spans),
             lifecycle: Default::default(),
@@ -202,7 +201,7 @@ mod tests {
     use crate::resolver::DataResolver;
     use cloudless_state::DeployedResource;
     use cloudless_types::value::attrs;
-    use cloudless_types::{Region, ResourceId, SimTime};
+    use cloudless_types::{Attrs, Region, ResourceId, SimTime};
 
     fn deployed(addr: &str, id: &str, a: Attrs) -> DeployedResource {
         let addr: ResourceAddr = addr.parse().unwrap();

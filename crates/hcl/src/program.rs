@@ -14,7 +14,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use cloudless_types::{Attrs, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value};
+use cloudless_types::{
+    Attrs, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value, VecMap, VecSet,
+};
 
 use crate::ast::{Attribute, Block, BlockBody, Expr, File, Reference};
 use crate::diag::{Diagnostic, Diagnostics};
@@ -170,6 +172,11 @@ impl Program {
             mut body,
             span,
         } = block;
+        let mut repeated = Diagnostics::new();
+        repeated_arguments(&body, &self.filename, &mut repeated);
+        if !repeated.is_empty() {
+            return Err(repeated);
+        }
         let refused = |code: &str, message: &str| {
             Err(Diagnostic::error(code, &self.filename, span, message).into())
         };
@@ -277,6 +284,27 @@ impl Program {
         self.resources
             .iter()
             .find(|r| r.rtype == rtype && r.name == name)
+    }
+}
+
+/// `HCL045` at each argument a block body sets again, naming where it was
+/// first set; nested blocks' bodies too. One value would silently win.
+fn repeated_arguments(body: &BlockBody, fname: &str, diags: &mut Diagnostics) {
+    for (at, a) in body.attrs.iter().enumerate() {
+        if let Some(first) = body.attrs[..at].iter().find(|b| b.name == a.name) {
+            diags.push(Diagnostic::error(
+                "HCL045",
+                fname,
+                a.span,
+                format!(
+                    "argument {:?} is set twice; it was first set at {fname}:{}",
+                    a.name, first.span.start
+                ),
+            ));
+        }
+    }
+    for nested in &body.blocks {
+        repeated_arguments(&nested.body, fname, diags);
     }
 }
 
@@ -455,13 +483,13 @@ pub struct ResourceInstance {
     /// Attributes that must be finalized at apply time.
     pub deferred: Vec<DeferredAttr>,
     /// Addresses of instances this one depends on (references + depends_on).
-    pub depends_on: BTreeSet<ResourceAddr>,
+    pub depends_on: VecSet<ResourceAddr>,
     /// Span of the resource block (for diagnostics).
     pub span: Span,
     /// Span of each attribute, including deferred ones (for precise
     /// error localization, §3.5). One table per block, shared by its
     /// instances.
-    pub attr_spans: Arc<BTreeMap<String, Span>>,
+    pub attr_spans: Arc<VecMap<String, Span>>,
     pub lifecycle: Lifecycle,
     /// Captured scope for apply-time re-evaluation.
     pub env: EvalEnv,
@@ -824,11 +852,10 @@ pub fn expand_resource_block<'p>(
     let Some(keys) = expansion_keys(rb, &base_env, data_resolver, fname, diags) else {
         return dep_blocks;
     };
-    let mut attr_spans = BTreeMap::new();
-    for a in &rb.attrs {
-        attr_spans.insert(a.name.clone(), a.span);
-    }
-    let attr_spans = Arc::new(attr_spans);
+    let attr_spans = rb.attrs.iter().map(|a| (a.name.clone(), a.span));
+    let attr_spans = Arc::new(attr_spans.collect::<VecMap<_, _>>());
+    // the known attributes of one instance, before they become its map
+    let mut known = Vec::new();
     for at in 0..keys.len() {
         let (count_index, each, key) = keys.key(at);
         let env = EvalEnv {
@@ -845,7 +872,7 @@ pub fn expand_resource_block<'p>(
             addr,
             attrs: Attrs::new(),
             deferred: Vec::new(),
-            depends_on: BTreeSet::new(),
+            depends_on: VecSet::new(),
             span: rb.span,
             attr_spans: Arc::clone(&attr_spans),
             lifecycle: rb.lifecycle,
@@ -855,9 +882,7 @@ pub fn expand_resource_block<'p>(
         let scope = inst.env.scope(data_resolver);
         for a in &rb.attrs {
             match eval(&a.value, &scope) {
-                Ok(v) => {
-                    inst.attrs.insert(a.name.clone(), v);
-                }
+                Ok(v) => known.push((a.name.clone(), v)),
                 Err(e) if e.is_deferred() => {
                     let mut waiting = Vec::new();
                     a.value.walk_refs(&mut |r, _| {
@@ -884,6 +909,7 @@ pub fn expand_resource_block<'p>(
             }
         }
         drop(scope);
+        inst.attrs = known.drain(..).collect();
         for (t, n) in dep_blocks.iter().filter(|(t, n)| !declared(t, n)) {
             diags.push(Diagnostic::error(
                 "HCL037",
@@ -985,7 +1011,7 @@ fn expand_into(
         for at in range.clone() {
             let own = &instances[at].addr;
             let blocks = deps.iter().filter_map(|key| block_of.get(key));
-            let depends_on: BTreeSet<ResourceAddr> = blocks
+            let depends_on: VecSet<ResourceAddr> = blocks
                 .flat_map(|&bi| &instances[block_ranges[bi].clone()])
                 .map(|inst| &inst.addr)
                 .filter(|addr| *addr != own)
@@ -1629,6 +1655,26 @@ resource "aws_vm" "v" { name = "b" }
         )
         .unwrap();
         assert!(Program::from_file(f).is_err());
+    }
+
+    #[test]
+    fn a_repeated_argument_is_refused_where_it_repeats() {
+        let src = "resource \"aws_s3_bucket\" \"b\" {\n  bucket = \"one\"\n  bucket = \"two\"\n\
+                   ingress {\n    port = 1\n    port = 2\n  }\n}\n";
+        let err = Program::from_file(parse(src, "main.tf").unwrap()).unwrap_err();
+        let found: Vec<_> = err
+            .iter()
+            .map(|d| (d.code.as_str(), d.span.start.line))
+            .collect();
+        assert_eq!(found, [("HCL045", 3), ("HCL045", 6)], "{err}");
+        assert!(
+            err.to_string().contains("first set at main.tf:2:3"),
+            "{err}"
+        );
+        // the same name in two nested blocks is two blocks, not a repeat
+        let src =
+            "resource \"aws_sg\" \"g\" {\n  ingress { port = 1 }\n  ingress { port = 2 }\n}\n";
+        assert!(Program::from_file(parse(src, "main.tf").unwrap()).is_ok());
     }
 
     #[test]

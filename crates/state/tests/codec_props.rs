@@ -21,7 +21,7 @@ use cloudless_state::log::{
     BlobRecord, CheckpointRecord, DelEntry, LogRecord, ProgramPatch, PutEntry, VersionRecord,
 };
 use cloudless_state::{ContentHash, DeployedResource};
-use cloudless_types::{ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
+use cloudless_types::{Attrs, ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
 use proptest::prelude::*;
 use serde::{Deserialize, Json, Serialize};
 
@@ -64,8 +64,8 @@ fn value() -> BoxedStrategy<Value> {
     })
 }
 
-fn attrs() -> impl Strategy<Value = BTreeMap<String, Value>> {
-    proptest::collection::btree_map(text(), value(), 0..4)
+fn attrs() -> impl Strategy<Value = Attrs> {
+    proptest::collection::btree_map(text(), value(), 0..4).prop_map(Attrs::from_iter)
 }
 
 fn addr() -> impl Strategy<Value = ResourceAddr> {

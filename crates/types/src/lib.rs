@@ -24,6 +24,7 @@ pub mod provider;
 pub mod span;
 pub mod time;
 pub mod value;
+pub mod vecmap;
 
 pub use addr::{ResourceAddr, ResourceId, ResourceKey, ResourceTypeName};
 pub use intern::{AddrId, AddrTable, Interner, Symbol};
@@ -33,3 +34,4 @@ pub use provider::{Provider, Region};
 pub use span::{SourcePos, Span};
 pub use time::{SimDuration, SimTime};
 pub use value::{Attrs, Value, ValueKind};
+pub use vecmap::{VecMap, VecSet};

@@ -10,9 +10,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Attribute map of a resource. `BTreeMap` keeps iteration (and therefore
-/// serialization, diffing and hashing) deterministic across runs.
-pub type Attrs = BTreeMap<String, Value>;
+/// Attribute map of a resource. Ordered by name, so iteration (and therefore
+/// serialization, diffing and hashing) is deterministic across runs; one
+/// sorted vector, because a resource has a few attributes.
+pub type Attrs = crate::VecMap<String, Value>;
 
 /// A dynamically-typed configuration value.
 ///

@@ -131,3 +131,211 @@ proptest! {
         let _ = SimDuration::from_millis(ms as u64).to_string();
     }
 }
+
+// ---------- the sorted-vector map and set against the B-tree ones ----------
+
+mod flat {
+    use std::collections::hash_map::DefaultHasher;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::fmt::Debug;
+    use std::hash::{Hash, Hasher};
+
+    use cloudless_types::{Attrs, Value, VecMap, VecSet};
+    use proptest::prelude::*;
+    use serde::Serialize;
+
+    /// One step of a random session with a map (the set reads the key).
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(String, u32),
+        Remove(String),
+        /// Keep the entries whose value is not `n` mod 3.
+        Retain(u32),
+        Extend(Vec<(String, u32)>),
+    }
+
+    /// Few keys, so inserts replace and removes hit.
+    fn key() -> impl Strategy<Value = String> {
+        (0u8..12).prop_map(|k| format!("k{k}"))
+    }
+
+    fn pairs() -> impl Strategy<Value = Vec<(String, u32)>> {
+        proptest::collection::vec((key(), 0u32..100), 0..24)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (key(), 0u32..100).prop_map(|(k, v)| Op::Insert(k, v)),
+            (key(), 0u32..100).prop_map(|(k, v)| Op::Insert(k, v)),
+            key().prop_map(Op::Remove),
+            (0u32..3).prop_map(Op::Retain),
+            proptest::collection::vec((key(), 0u32..100), 0..6).prop_map(Op::Extend),
+        ]
+    }
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    fn json(x: &impl Serialize) -> (String, String) {
+        let compact = serde_json::to_string(x).expect("serializes");
+        (
+            compact,
+            serde_json::to_string_pretty(x).expect("serializes"),
+        )
+    }
+
+    /// Everything the two can be told apart by: order, `Debug`, `Hash` and
+    /// both JSON texts.
+    fn same<F: Debug + Hash + Serialize, T: Debug + Hash + Serialize>(flat: &F, tree: &T) {
+        assert_eq!(format!("{flat:?}"), format!("{tree:?}"));
+        assert_eq!(format!("{flat:#?}"), format!("{tree:#?}"));
+        assert_eq!(hash_of(flat), hash_of(tree));
+        assert_eq!(json(flat), json(tree));
+    }
+
+    fn same_map(flat: &VecMap<String, u32>, tree: &BTreeMap<String, u32>) {
+        assert_eq!(flat.len(), tree.len());
+        assert!(flat.iter().eq(tree.iter()));
+        assert!(flat.iter().rev().eq(tree.iter().rev()));
+        assert!(flat.keys().eq(tree.keys()) && flat.values().eq(tree.values()));
+        same(flat, tree);
+    }
+
+    fn same_set(flat: &VecSet<String>, tree: &BTreeSet<String>) {
+        assert_eq!(flat.len(), tree.len());
+        assert!(flat.iter().eq(tree.iter()));
+        same(flat, tree);
+    }
+
+    /// An object with the keys as given, repeats and disorder included.
+    fn object(pairs: &[(String, u32)]) -> String {
+        let entries: Vec<_> = pairs.iter().map(|(k, v)| format!("{k:?}:{v}")).collect();
+        format!("{{{}}}", entries.join(","))
+    }
+
+    proptest! {
+        #[test]
+        fn a_flat_map_behaves_as_a_btree_map(
+            ops in proptest::collection::vec(op(), 0..40),
+            probes in proptest::collection::vec(key(), 0..8),
+        ) {
+            let (mut flat, mut tree) = (VecMap::new(), BTreeMap::new());
+            for op in ops {
+                match op {
+                    Op::Insert(k, v) => prop_assert_eq!(flat.insert(k.clone(), v), tree.insert(k, v)),
+                    Op::Remove(k) => prop_assert_eq!(flat.remove(k.as_str()), tree.remove(k.as_str())),
+                    Op::Retain(n) => {
+                        flat.retain(|_, v| *v % 3 != n);
+                        tree.retain(|_, v| *v % 3 != n);
+                    }
+                    Op::Extend(pairs) => {
+                        flat.extend(pairs.clone());
+                        tree.extend(pairs);
+                    }
+                }
+                same_map(&flat, &tree);
+            }
+            for k in &probes {
+                prop_assert_eq!(flat.get(k.as_str()), tree.get(k.as_str()));
+                prop_assert_eq!(flat.contains_key(k.as_str()), tree.contains_key(k.as_str()));
+                if let (Some(a), Some(b)) = (flat.get_mut(k.as_str()), tree.get_mut(k.as_str())) {
+                    *a += 1;
+                    *b += 1;
+                }
+            }
+            same_map(&flat, &tree);
+        }
+
+        #[test]
+        fn a_flat_set_behaves_as_a_btree_set(
+            ops in proptest::collection::vec(op(), 0..40),
+            probes in proptest::collection::vec(key(), 0..8),
+        ) {
+            let (mut flat, mut tree) = (VecSet::new(), BTreeSet::new());
+            for op in ops {
+                match op {
+                    Op::Insert(k, _) => prop_assert_eq!(flat.insert(k.clone()), tree.insert(k)),
+                    Op::Remove(k) => prop_assert_eq!(flat.remove(k.as_str()), tree.remove(k.as_str())),
+                    Op::Retain(n) => {
+                        let keep = |k: &String| k.len() % 3 != n as usize;
+                        flat.retain(keep);
+                        tree.retain(keep);
+                    }
+                    Op::Extend(pairs) => {
+                        flat.extend(pairs.iter().map(|(k, _)| k.clone()));
+                        tree.extend(pairs.into_iter().map(|(k, _)| k));
+                    }
+                }
+                same_set(&flat, &tree);
+            }
+            for k in &probes {
+                prop_assert_eq!(flat.contains(k.as_str()), tree.contains(k.as_str()));
+            }
+        }
+
+        #[test]
+        fn collecting_and_reading_keep_what_a_btree_keeps(a in pairs(), b in pairs()) {
+            // collect with repeated keys: the last value of each
+            let (flat, tree): (VecMap<_, _>, BTreeMap<_, _>) =
+                (a.iter().cloned().collect(), a.iter().cloned().collect());
+            same_map(&flat, &tree);
+            fn keys(pairs: &[(String, u32)]) -> impl Iterator<Item = String> + '_ {
+                pairs.iter().map(|(k, _)| k.clone())
+            }
+            let (set, tree_set): (VecSet<_>, BTreeSet<_>) = (keys(&a).collect(), keys(&a).collect());
+            same_set(&set, &tree_set);
+
+            // an object with repeated keys, in any order, reads as the B-tree reads it
+            let text = object(&a);
+            let read: VecMap<String, u32> = serde_json::from_str(&text).expect("an object");
+            let tree_read: BTreeMap<String, u32> = serde_json::from_str(&text).expect("an object");
+            same_map(&read, &tree_read);
+            let text = serde_json::to_string(&keys(&a).collect::<Vec<_>>()).expect("serializes");
+            let read: VecSet<String> = serde_json::from_str(&text).expect("an array");
+            same_set(&read, &serde_json::from_str(&text).expect("an array"));
+
+            // two maps and two sets compare as the B-trees do
+            let (other, other_tree): (VecMap<_, _>, BTreeMap<_, _>) =
+                (b.iter().cloned().collect(), b.iter().cloned().collect());
+            prop_assert_eq!(flat == other, tree == other_tree);
+            prop_assert_eq!(flat.cmp(&other), tree.cmp(&other_tree));
+            prop_assert_eq!(flat.partial_cmp(&other), tree.partial_cmp(&other_tree));
+            let (other_set, other_tree_set): (VecSet<_>, BTreeSet<_>) =
+                (keys(&b).collect(), keys(&b).collect());
+            prop_assert_eq!(set == other_set, tree_set == other_tree_set);
+            prop_assert_eq!(set.cmp(&other_set), tree_set.cmp(&other_tree_set));
+        }
+
+        #[test]
+        fn attributes_write_and_read_as_a_btree_map_does(
+            entries in proptest::collection::vec(
+                (
+                    "[a-z_]{1,4}",
+                    prop_oneof![
+                        Just(Value::Null),
+                        any::<bool>().prop_map(Value::Bool),
+                        any::<f64>().prop_map(Value::Num),
+                        "[a-zA-Z0-9 _\"\\\\./-]{0,12}".prop_map(Value::from),
+                        proptest::collection::vec("[a-z]{0,6}".prop_map(Value::from), 0..4)
+                            .prop_map(Value::List),
+                    ],
+                ),
+                0..8,
+            )
+        ) {
+            let flat: Attrs = entries.iter().cloned().collect();
+            let tree: BTreeMap<String, Value> = entries.iter().cloned().collect();
+            prop_assert_eq!(format!("{flat:?}"), format!("{tree:?}"));
+            prop_assert_eq!(json(&flat), json(&tree));
+            let (compact, pretty) = json(&tree);
+            for text in [compact, pretty] {
+                let read: Attrs = serde_json::from_str(&text).expect("reads");
+                let tree_read: BTreeMap<String, Value> = serde_json::from_str(&text).expect("reads");
+                prop_assert_eq!(json(&read), json(&tree_read));
+            }
+        }
+    }
+}

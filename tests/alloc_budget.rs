@@ -37,6 +37,12 @@
 //! (`opening_the_state_log_scans_within_budget`): its scan allocates once a
 //! resource body, not once per growth of one.
 //!
+//! And what an engine keeps once it has converged the estate
+//! (`a_converged_engine_keeps_a_constant_per_block`): its memo, state and
+//! cloud records, in live bytes per block: bounded at 10 000 blocks, and
+//! within 1.1x of the figure at 1 000 (DESIGN.md "Small maps are sorted
+//! vectors").
+//!
 //! The counting `#[global_allocator]` is `counting/mod.rs`.
 
 use std::collections::BTreeMap;
@@ -136,10 +142,12 @@ impl ColdRun {
         let staged = stages.iter().fold(Tally::default(), |sum, (_, t)| Tally {
             allocs: sum.allocs + t.allocs,
             bytes: sum.bytes + t.bytes,
+            live: sum.live + t.live,
         });
         let memo = Tally {
             allocs: total.allocs.saturating_sub(staged.allocs),
             bytes: total.bytes.saturating_sub(staged.bytes),
+            live: total.live - staged.live,
         };
         stages.push(("memo (the rest)", memo));
         ColdRun {
@@ -666,4 +674,80 @@ fn opening_the_state_log_scans_within_budget() {
     );
     assert!(records > BLOCKS, "{records} records");
     assert!(scan.allocs <= 60_000, "{scan:?}");
+}
+
+/// The bytes an engine keeps per block once it has converged
+/// `random_layered(blocks, 42)`: its memo, its state (the snapshot and the
+/// in-memory log) and the cloud's records — the world a fresh `apply`
+/// holds three times over at its peak.
+fn retained_per_block(blocks: usize) -> f64 {
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+
+    let source = random_layered(blocks, 42);
+    let config = Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    };
+    let (engine, tally) = counted(|| {
+        let mut engine = Cloudless::new(config);
+        let converged = engine.converge(&source).expect("the estate converges");
+        assert!(converged.apply.all_ok());
+        engine
+    });
+    let per_block = tally.live as f64 / blocks as f64;
+    println!(
+        "an engine converged on {blocks} blocks keeps {} bytes ({per_block:.0}/block)",
+        tally.live
+    );
+    drop(engine);
+    per_block
+}
+
+/// Most bytes an engine converged on 10 000 blocks may keep per block:
+/// measured 7 740, plus 10%. With `BTreeMap` attribute maps, `BTreeSet`
+/// dependency sets and `BTreeMap` span tables, each an eleven-slot leaf
+/// however few entries it holds, it was 11 151.
+const RETAINED_PER_BLOCK: f64 = 8_500.0;
+/// Most a tenfold estate may multiply the bytes kept per block by.
+const RETAINED_GROWTH_PER_DECADE: f64 = 1.1;
+
+fn hold_retained(small: (usize, f64), large: (usize, f64)) {
+    assert!(
+        large.1 <= RETAINED_PER_BLOCK,
+        "{:.0} bytes kept per block at {} blocks, over {RETAINED_PER_BLOCK}",
+        large.1,
+        large.0
+    );
+    assert!(
+        large.1 <= small.1 * RETAINED_GROWTH_PER_DECADE,
+        "{:.0} bytes kept per block at {} blocks, {:.0} at {}",
+        large.1,
+        large.0,
+        small.1,
+        small.0
+    );
+}
+
+/// A converged engine keeps a constant per block, and a small one: a
+/// resource's attributes, its dependencies and its block's argument spans
+/// are each one vector of their exact length.
+#[test]
+fn a_converged_engine_keeps_a_constant_per_block() {
+    let _serial = counting::serial();
+    let small = (1_000, retained_per_block(1_000));
+    hold_retained(small, (10_000, retained_per_block(10_000)));
+}
+
+/// The same at 10 000 and 100 000 blocks (release: `cargo test --release
+/// --test alloc_budget -- --ignored`).
+#[test]
+#[ignore = "100 000 blocks: run in release"]
+fn a_converged_engine_keeps_a_constant_per_block_at_100k() {
+    let _serial = counting::serial();
+    let small = (10_000, retained_per_block(10_000));
+    hold_retained(small, (100_000, retained_per_block(100_000)));
 }

@@ -1,7 +1,8 @@
 //! A counting `#[global_allocator]` for the test binaries that gate on work
 //! instead of time (`alloc_budget.rs`, `scale.rs`). Counts repeat exactly on
 //! any host and, as measured, in debug and release alike, so a gate on them
-//! fails the same way everywhere.
+//! fails the same way everywhere. Beside the requests it keeps the bytes
+//! still live — a free subtracts — so a gate can bound what a call keeps.
 //!
 //! The tally is process-wide: the front end runs some of its stages on a
 //! helper thread (`cloudless_types::join`), and their allocations are the
@@ -13,12 +14,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Allocations and bytes requested by the threads that count.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes they allocated less the bytes they freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 /// Whether a thread's allocations count.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -37,7 +40,8 @@ thread_local! {
     static ROLE: Cell<Role> = const { Cell::new(Role::Unknown) };
 }
 
-fn note(bytes: usize) {
+/// A request for `bytes` that leaves `live` more (or fewer) bytes held.
+fn note(bytes: usize, live: isize) {
     let counts = ROLE.try_with(|role| match role.get() {
         Role::Counted => true,
         Role::Ignored | Role::Asking => false,
@@ -51,6 +55,17 @@ fn note(bytes: usize) {
     if counts.unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        LIVE.fetch_add(live as i64, Ordering::Relaxed);
+    }
+}
+
+/// A free of `bytes`, by a thread that counts. It does not ask a thread it
+/// has not asked yet: a thread that frees before it allocates is being torn
+/// down, or frees what it did not count.
+fn note_free(bytes: usize) {
+    let counts = ROLE.try_with(|role| role.get() == Role::Counted);
+    if counts.unwrap_or(false) {
+        LIVE.fetch_sub(bytes as i64, Ordering::Relaxed);
     }
 }
 
@@ -60,29 +75,31 @@ struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract. `note` touches a `const` thread-local
-// `Cell` and two atomics; the one call that may allocate, the first
-// `thread::current()` of a thread, re-enters it as `Role::Asking`, which
-// counts nothing and asks nothing.
+// `Cell` and three atomics, `note_free` the `Cell` and one atomic; the one
+// call that may allocate, the first `thread::current()` of a thread in
+// `note`, re-enters it as `Role::Asking`, which counts nothing and asks
+// nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as isize);
         // SAFETY: the caller's contract is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as isize);
         // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -100,17 +117,21 @@ pub fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Allocations and bytes one call made, its helper threads included.
+/// Allocations and bytes one call made, its helper threads included, and
+/// the bytes it left live (what it returned or stored, less what it freed
+/// of what was there before).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     pub allocs: u64,
     pub bytes: u64,
+    pub live: i64,
 }
 
 fn tally() -> Tally {
     Tally {
         allocs: ALLOCS.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
+        live: LIVE.load(Ordering::Relaxed),
     }
 }
 
@@ -123,6 +144,7 @@ pub fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
     let tally = Tally {
         allocs: after.allocs - before.allocs,
         bytes: after.bytes - before.bytes,
+        live: after.live - before.live,
     };
     (out, tally)
 }
