@@ -41,7 +41,7 @@ use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::Strategy;
 use cloudless::hcl::program::ModuleLibrary;
 use cloudless::obs::{NullRecorder, Recorder};
-use cloudless::pipeline::{IncrementalPipeline, PipelineConfig, PipelineCtx};
+use cloudless::pipeline::{IncrementalPipeline, PipelineCtx};
 use cloudless::validate::ValidationLevel;
 use cloudless::LintGate;
 use serde::{Deserialize, Serialize};
@@ -167,7 +167,7 @@ pub fn measure(name: &str, n: usize, iters: u32) -> ReplanPoint {
     let mut full_ms = f64::INFINITY;
     for rev in 0..iters {
         let edited = edit_block(&src, i_block, rev);
-        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
+        let mut cold = IncrementalPipeline::default();
         let t = Instant::now();
         let out = cold
             .run(&edited, &ctx)

@@ -10,7 +10,7 @@
 //! `K` resources drawn from a pool of `N`, holding its lock for a small
 //! critical section that stands in for the control-plane round trip.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cloudless::state::{LockManager, LockScope, ResourceLockManager, Snapshot};
@@ -54,7 +54,7 @@ fn touch_set(rng: &mut StdRng, hotspot: bool) -> Vec<ResourceAddr> {
 /// (total wall time, contended count, max single-acquisition wait)
 fn run_locked(manager: &dyn LockManager, teams: usize, hotspot: bool) -> (Duration, u64, Duration) {
     let started = Instant::now();
-    let max_wait = parking_lot::Mutex::new(Duration::ZERO);
+    let max_wait = Mutex::new(Duration::ZERO);
     std::thread::scope(|s| {
         for team in 0..teams {
             let max_wait = &max_wait;
@@ -68,13 +68,13 @@ fn run_locked(manager: &dyn LockManager, teams: usize, hotspot: bool) -> (Durati
                     local_max = local_max.max(t0.elapsed());
                     std::thread::sleep(HOLD);
                 }
-                let mut m = max_wait.lock();
+                let mut m = max_wait.lock().unwrap_or_else(PoisonError::into_inner);
                 *m = (*m).max(local_max);
             });
         }
     });
     let elapsed = started.elapsed();
-    let wait = *max_wait.lock();
+    let wait = *max_wait.lock().unwrap_or_else(PoisonError::into_inner);
     (elapsed, manager.stats().contended, wait)
 }
 

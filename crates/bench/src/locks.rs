@@ -11,11 +11,10 @@
 //! [`ResourceLockManager`]: cloudless_state::ResourceLockManager
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use cloudless_state::lock::LockStats;
 use cloudless_state::{LockGuard, LockManager, LockScope};
-use parking_lot::{Condvar, Mutex};
 
 // ---------------------------------------------------------------------------
 // Global lock (baseline)
@@ -42,25 +41,27 @@ impl GlobalLock {
 
 impl LockManager for GlobalLock {
     fn acquire(&self, _scope: LockScope) -> LockGuard {
-        let mut held = self.0.held.lock();
+        let mut held = self.0.held.lock().unwrap_or_else(PoisonError::into_inner);
         if *held {
             self.0.contended.fetch_add(1, Ordering::Relaxed);
-            while *held {
-                self.0.cv.wait(&mut held);
-            }
+            held = self
+                .0
+                .cv
+                .wait_while(held, |held| *held)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         *held = true;
         self.0.acquisitions.fetch_add(1, Ordering::Relaxed);
         let me = self.clone();
         LockGuard::new(move || {
-            let mut held = me.0.held.lock();
+            let mut held = me.0.held.lock().unwrap_or_else(PoisonError::into_inner);
             *held = false;
             me.0.cv.notify_all();
         })
     }
 
     fn try_acquire(&self, _scope: LockScope) -> Option<LockGuard> {
-        let mut held = self.0.held.lock();
+        let mut held = self.0.held.lock().unwrap_or_else(PoisonError::into_inner);
         if *held {
             return None;
         }
@@ -68,7 +69,7 @@ impl LockManager for GlobalLock {
         self.0.acquisitions.fetch_add(1, Ordering::Relaxed);
         let me = self.clone();
         Some(LockGuard::new(move || {
-            let mut held = me.0.held.lock();
+            let mut held = me.0.held.lock().unwrap_or_else(PoisonError::into_inner);
             *held = false;
             me.0.cv.notify_all();
         }))
@@ -139,15 +140,17 @@ impl FairResourceLockManager {
 
 impl LockManager for FairResourceLockManager {
     fn acquire(&self, scope: LockScope) -> LockGuard {
-        let mut st = self.0.state.lock();
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.queue.push((ticket, scope.clone()));
         if !st.may_admit(ticket, &scope) {
             self.0.contended.fetch_add(1, Ordering::Relaxed);
-            while !st.may_admit(ticket, &scope) {
-                self.0.cv.wait(&mut st);
-            }
+            st = self
+                .0
+                .cv
+                .wait_while(st, |st| !st.may_admit(ticket, &scope))
+                .unwrap_or_else(PoisonError::into_inner);
         }
         st.queue.retain(|(t, _)| *t != ticket);
         st.held.push(scope.clone());
@@ -158,7 +161,7 @@ impl LockManager for FairResourceLockManager {
         self.0.cv.notify_all();
         let me = self.clone();
         LockGuard::new(move || {
-            let mut st = me.0.state.lock();
+            let mut st = me.0.state.lock().unwrap_or_else(PoisonError::into_inner);
             st.release(&scope);
             drop(st);
             me.0.cv.notify_all();
@@ -166,7 +169,7 @@ impl LockManager for FairResourceLockManager {
     }
 
     fn try_acquire(&self, scope: LockScope) -> Option<LockGuard> {
-        let mut st = self.0.state.lock();
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
         // fairness: refuse if any waiter conflicts, even if the resources
         // themselves are free
         let next = st.next_ticket;
@@ -178,7 +181,7 @@ impl LockManager for FairResourceLockManager {
         self.0.acquisitions.fetch_add(1, Ordering::Relaxed);
         let me = self.clone();
         Some(LockGuard::new(move || {
-            let mut st = me.0.state.lock();
+            let mut st = me.0.state.lock().unwrap_or_else(PoisonError::into_inner);
             st.release(&scope);
             drop(st);
             me.0.cv.notify_all();
@@ -219,7 +222,7 @@ mod tests {
     fn fair_lock_preserves_arrival_order_on_conflicts() {
         use std::sync::atomic::AtomicUsize;
         let m = FairResourceLockManager::new();
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         let g = m.acquire(scope(&["aws_vpc.hot"]));
         let started = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -235,10 +238,18 @@ mod tests {
                 started.fetch_add(1, Ordering::SeqCst);
                 // give the ticket time to enqueue before the next arrival
                 let _g = m2.acquire(scope(&["aws_vpc.hot"]));
-                order.lock().push(i);
+                order.lock().unwrap_or_else(PoisonError::into_inner).push(i);
             }));
             // wait until thread i has actually queued (its ticket taken)
-            while m.0.state.lock().queue.len() != i + 1 {
+            while m
+                .0
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .queue
+                .len()
+                != i + 1
+            {
                 std::thread::yield_now();
             }
         }
@@ -246,7 +257,11 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3], "FIFO admission");
+        assert_eq!(
+            *order.lock().unwrap_or_else(PoisonError::into_inner),
+            vec![0, 1, 2, 3],
+            "FIFO admission"
+        );
     }
 
     #[test]

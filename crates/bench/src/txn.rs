@@ -16,9 +16,9 @@
 //! transactional analogue of the per-resource lock.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 use cloudless_types::ResourceAddr;
-use parking_lot::Mutex;
 
 use cloudless_state::{DeployedResource, Snapshot};
 
@@ -133,7 +133,7 @@ impl TxnManager {
                 Write::Delete(_) => None,
             };
         }
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let version = inner.versions.get(&key).copied().unwrap_or(0);
         txn.observed.insert(key.clone(), version);
         inner.snapshot.get_str(&key).cloned()
@@ -142,7 +142,7 @@ impl TxnManager {
     /// Validate and apply. First committer wins; conflicting transactions
     /// fail and must retry from fresh reads.
     pub fn commit(&self, txn: Transaction) -> Result<u64, TxnError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         // Validate everything observed *and* everything blindly written.
         for key in txn.observed.keys().chain(txn.writes.keys()) {
             let current = inner.versions.get(key).copied().unwrap_or(0);
@@ -181,12 +181,16 @@ impl TxnManager {
 
     /// Current snapshot (clone).
     pub fn snapshot(&self) -> Snapshot {
-        self.inner.lock().snapshot.clone()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .snapshot
+            .clone()
     }
 
     /// (commits, conflicts) so far.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         (inner.commits, inner.conflicts)
     }
 }

@@ -21,8 +21,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::pipeline::{
-    ChangeTrace, FrontendOutput, ImageKey, ImageRefusal, IncrementalPipeline, PipelineConfig,
-    PipelineCtx, PipelineError,
+    ChangeTrace, FrontendOutput, ImageKey, ImageRefusal, IncrementalPipeline, PipelineCtx,
+    PipelineError,
 };
 use cloudless_analyze::{LintGate, LintReport};
 use cloudless_cloud::{Catalog, Cloud, CloudConfig};
@@ -510,9 +510,8 @@ impl Cloudless {
     /// diff) over `source` against the committed state, or against `over`:
     /// a snapshot nobody committed and the addresses where it differs from
     /// the committed state. The plan of such a snapshot is the plan cache's
-    /// with those addresses planned again, and is the cache's afterwards
-    /// only once the snapshot is committed ([`IncrementalPipeline`]'s
-    /// `adopted`).
+    /// with those addresses planned again, and the cache owes them until the
+    /// snapshot is committed ([`IncrementalPipeline`]'s `adopted`).
     fn run_pipeline(
         &mut self,
         source: &str,
@@ -619,11 +618,6 @@ impl Cloudless {
     /// cold full run.
     pub fn clear_pipeline_cache(&mut self) {
         self.pipeline.clear();
-    }
-
-    /// Replace the pipeline configuration (and drop any memo).
-    pub fn set_pipeline_config(&mut self, config: PipelineConfig) {
-        self.pipeline = IncrementalPipeline::new(config);
     }
 
     /// The incremental pipeline (memo introspection for tests/tools).
@@ -1003,7 +997,6 @@ impl Cloudless {
         let records = self.cloud.records();
         let all_held =
             since.is_some() && refresh.unsettled.is_empty() && records.len() == state.len();
-        self.pipeline.settle_plan();
         let (inputs, serial) = (&self.config.inputs, self.store.serial());
         let touched = refresh.updated.iter().chain(&refresh.missing);
         let scoped = (self.pipeline).drift_scope(source, inputs, serial, touched, !all_held);

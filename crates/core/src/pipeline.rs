@@ -97,13 +97,13 @@
 //! # The plan cache follows the state
 //!
 //! The plan stage's cache is the plan against the state committed at one
-//! serial, and moves with the state by delta: a commit that says which
-//! addresses it wrote re-keys it (`IncrementalPipeline::moved`), and a run
-//! against a snapshot nobody committed (`IncrementalPipeline::run_over`)
-//! plans the addresses where it differs and is undone unless that snapshot
-//! is committed next (`IncrementalPipeline::adopted`). Either way the next
-//! run plans the changed addresses and the blocks that read them, never the
-//! world.
+//! serial, owing a plan of the addresses where that state differs from the
+//! one it was planned against. A commit that says which addresses it wrote
+//! owes those (`IncrementalPipeline::moved`); a run against a snapshot
+//! nobody committed (`IncrementalPipeline::run_over`) owes the addresses
+//! where the snapshot differs, until that snapshot is committed
+//! (`IncrementalPipeline::adopted`). The next run plans what is owed and
+//! the blocks that read it, never the world.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
@@ -188,25 +188,6 @@ impl PipelineError {
                 .filter(|d| d.severity == cloudless_hcl::Severity::Error)
                 .map(|d| format!("{}: {}", d.code, d.message))
                 .collect(),
-        }
-    }
-}
-
-/// Pipeline tuning knobs.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Byte budget for the memo cache (approximate, see
-    /// [`IncrementalPipeline::approx_bytes`]). When a run's retained
-    /// artifacts would exceed it, the memo is dropped and every subsequent
-    /// run is cold until the program shrinks. `0` disables memoization.
-    pub max_cache_bytes: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            // generous: a 100k-resource program retains roughly 200 MB
-            max_cache_bytes: 1 << 30,
         }
     }
 }
@@ -485,18 +466,18 @@ fn out_of_bounds<'e>(
 #[derive(Default)]
 struct PlanCache {
     /// The committed serial the rest was planned against (`None`: nothing
-    /// yet, or a snapshot nobody has committed).
+    /// yet).
     serial: Option<u64>,
     /// Where the state committed at `serial` differs from the one the rest
     /// was planned against: what a commit whose delta is known changed
-    /// ([`IncrementalPipeline::moved`]). The next run plans them again.
+    /// ([`IncrementalPipeline::moved`]), or where the snapshot nobody
+    /// committed that the last run planned differs. The next run plans
+    /// them again.
     away: Vec<ResourceAddr>,
-    /// What the last run overwrote when it planned a snapshot nobody has
-    /// committed, latest last: kept when that snapshot is committed
-    /// ([`IncrementalPipeline::adopted`]), undone before anything else
-    /// reads the cache. Empty after a pass that rebuilt everything (the
-    /// cache is then that snapshot's, and `serial` is `None`).
-    speculative: Option<Vec<Undo>>,
+    /// Whether `away` is exactly where the last run's snapshot differs:
+    /// committing that snapshot pays the debt
+    /// ([`IncrementalPipeline::adopted`]).
+    over: bool,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
     /// Each instance's place in `order`: a pass visits what it marks by
@@ -511,25 +492,6 @@ struct PlanCache {
     deletes: BTreeMap<String, PlannedChange>,
 }
 
-/// One write a pass over a snapshot nobody committed made to the plan
-/// cache, with what it overwrote.
-enum Undo {
-    /// The change at a manifest position.
-    Change(usize, Option<PlannedChange>),
-    /// The dirtiness of the block of the instance at a manifest position.
-    Dirty(usize, Option<bool>),
-    /// The deletion of a rendered address.
-    Delete(String, Option<PlannedChange>),
-}
-
-/// Put `was` back as `map`'s entry for `key`.
-fn restore<K: Ord>(map: &mut BTreeMap<K, PlannedChange>, key: K, was: Option<PlannedChange>) {
-    match was {
-        Some(change) => drop(map.insert(key, change)),
-        None => drop(map.remove(&key)),
-    }
-}
-
 impl PlanCache {
     /// Visit the instances in `order` from now on.
     fn set_order(&mut self, order: Vec<usize>) {
@@ -539,25 +501,6 @@ impl PlanCache {
             self.rank[at] = r;
         }
         self.order = order;
-    }
-
-    /// Undo the plan of a snapshot nobody committed, if the last run made
-    /// one; `instances` is the manifest that run planned.
-    fn settle(&mut self, instances: &[Arc<ResourceInstance>]) {
-        for undo in self.speculative.take().into_iter().flatten().rev() {
-            match undo {
-                Undo::Change(at, was) => restore(&mut self.changes, at, was),
-                Undo::Delete(addr, was) => restore(&mut self.deletes, addr, was),
-                Undo::Dirty(at, was) => {
-                    let addr = &instances[at].addr;
-                    let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
-                    match was {
-                        Some(dirty) => drop(self.dirty.insert(rtype, name, dirty)),
-                        None => drop(self.dirty.remove(rtype, name)),
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -704,8 +647,8 @@ enum Scope {
         /// Why no narrower scope would do (the trace's fallback reason).
         reason: String,
         fresh: Box<Memo>,
-        /// Whether `fresh` may still be kept: memoization is on and the run
-        /// has been clean so far. Stages skip their fill once it is not.
+        /// Whether `fresh` may still be kept: the run has been clean so far.
+        /// Stages skip their fill once it is not.
         keep: bool,
         /// The memo this run replaces: given back if parse or lint refuses.
         old: Option<Box<Memo>>,
@@ -739,23 +682,23 @@ fn ensure(holds: bool, reason: &str) -> Result<(), Stop> {
 }
 
 impl Scope {
-    fn all(reason: impl Into<String>, keep: bool, old: Option<Box<Memo>>) -> Scope {
+    fn all(reason: impl Into<String>, old: Option<Box<Memo>>) -> Scope {
         Scope::All {
             reason: reason.into(),
             fresh: Box::default(),
-            keep,
+            keep: true,
             old,
         }
     }
 
     /// Align the edit to chunks and pick the narrowest sound scope.
-    fn pick(memo: Option<Box<Memo>>, source: &str, ctx: &PipelineCtx<'_>, keep: bool) -> Scope {
+    fn pick(memo: Option<Box<Memo>>, source: &str, ctx: &PipelineCtx<'_>) -> Scope {
         let Some(mut memo) = memo else {
-            return Scope::all("no memo (first run)", keep, None);
+            return Scope::all("no memo (first run)", None);
         };
         let (gate, level, inputs) = &memo.config;
         if (*gate, *level, inputs) != (ctx.lint, ctx.level, ctx.inputs) {
-            return Scope::all("engine configuration changed", keep, Some(memo));
+            return Scope::all("engine configuration changed", Some(memo));
         }
         if !same_rules(&memo.specs, ctx.mined_specs()) {
             // Mined findings are per instance and the memo is of a clean
@@ -764,7 +707,7 @@ impl Scope {
             let deviates = |miner: &SpecMiner| !miner.check(&memo.manifest).is_empty();
             if ctx.miner.is_some_and(deviates) {
                 let reason = "memoized program deviates from the spec miner's new conventions";
-                return Scope::all(reason, keep, Some(memo));
+                return Scope::all(reason, Some(memo));
             }
             memo.specs = ctx.mined_specs().to_vec();
         }
@@ -776,7 +719,7 @@ impl Scope {
                     blocks,
                     ..Splice::default()
                 },
-                Err(reason) => return Scope::all(reason, keep, Some(memo)),
+                Err(reason) => return Scope::all(reason, Some(memo)),
             },
         };
         Scope::Blocks {
@@ -803,7 +746,6 @@ impl Scope {
 /// The memoizing pipeline. One per engine; owns the memo across calls.
 pub struct IncrementalPipeline {
     memo: Option<Box<Memo>>,
-    config: PipelineConfig,
     /// Whether a memo image may still warm the first run: no run has been
     /// made and the memo has not been cleared.
     image_pending: bool,
@@ -813,30 +755,24 @@ pub struct IncrementalPipeline {
 
 impl Default for IncrementalPipeline {
     fn default() -> Self {
-        IncrementalPipeline::new(PipelineConfig::default())
-    }
-}
-
-impl IncrementalPipeline {
-    pub fn new(config: PipelineConfig) -> Self {
         IncrementalPipeline {
             memo: None,
-            config,
             image_pending: true,
             image_note: None,
         }
     }
+}
 
+impl IncrementalPipeline {
     /// Drop the memo; the next run is cold.
     pub fn clear(&mut self) {
         self.memo = None;
         self.image_pending = false;
     }
 
-    /// Whether the next run would take a memo image: it is the first, and
-    /// memoization is on.
+    /// Whether the next run would take a memo image: it is the first.
     pub(crate) fn wants_image(&self) -> bool {
-        self.image_pending && self.config.max_cache_bytes > 0
+        self.image_pending
     }
 
     /// Take the memo an image under `key` holds, for a run under `ctx`; or
@@ -900,23 +836,14 @@ impl IncrementalPipeline {
         }
     }
 
-    /// Undo the plan of a snapshot nobody committed, if the last run made
-    /// one: the plan cache is then the committed state's again.
-    pub(crate) fn settle_plan(&mut self) {
-        if let Some(memo) = &mut self.memo {
-            memo.plan.settle(&memo.manifest.instances);
-        }
-    }
-
     /// The snapshot the last run planned against, one nobody had committed,
-    /// is now committed at `serial`: its plan is the cache's.
+    /// is now committed at `serial`: the cache owes nothing for it.
     pub(crate) fn adopted(&mut self, serial: u64) {
-        let Some(memo) = &mut self.memo else {
-            return;
-        };
-        if memo.plan.speculative.take().is_some() {
-            memo.plan.serial = Some(serial);
-            memo.plan.away.clear();
+        if let Some(plan) = self.memo.as_mut().map(|memo| &mut memo.plan) {
+            if std::mem::take(&mut plan.over) {
+                plan.serial = Some(serial);
+                plan.away.clear();
+            }
         }
     }
 
@@ -929,7 +856,6 @@ impl IncrementalPipeline {
         to: u64,
         delta: impl IntoIterator<Item = ResourceAddr>,
     ) {
-        self.settle_plan();
         if let Some(plan) = self.memo.as_mut().map(|memo| &mut memo.plan) {
             if plan.serial == Some(from) {
                 plan.serial = Some(to);
@@ -963,7 +889,7 @@ impl IncrementalPipeline {
         self.manifest_of(source, inputs)?;
         let memo = self.memo.as_deref()?;
         let plan = &memo.plan;
-        if plan.serial != Some(serial) || plan.speculative.is_some() {
+        if plan.serial != Some(serial) {
             return None;
         }
         let ranges = &memo.root.block_ranges;
@@ -1031,24 +957,22 @@ impl IncrementalPipeline {
     /// is a snapshot nobody committed that differs from the state committed
     /// at its serial at those addresses alone (the reconciler's adopted
     /// state). Its plan is the cache's with those addresses planned again,
-    /// and stays the cache's only if the snapshot is committed
-    /// ([`IncrementalPipeline::adopted`]).
+    /// and the cache owes them a plan against the committed state until that
+    /// snapshot is committed ([`IncrementalPipeline::adopted`]).
     pub(crate) fn run_over(
         &mut self,
         source: &str,
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
     ) -> Result<FrontendOutput, PipelineError> {
-        self.settle_plan();
         self.image_pending = false;
         let image = self.image_note.take();
-        let keep = self.config.max_cache_bytes > 0;
-        let mut scope = Scope::pick(self.memo.take(), source, ctx, keep);
+        let mut scope = Scope::pick(self.memo.take(), source, ctx);
         let (mut walk, planned) = loop {
             let mut walk = Walk::new(source, ctx, delta);
             match walk.verdicts(&mut scope) {
                 Ok(planned) => break (walk, planned),
-                Err(Stop::Guard(reason)) => scope = Scope::all(reason, keep, scope.into_memo()),
+                Err(Stop::Guard(reason)) => scope = Scope::all(reason, scope.into_memo()),
                 Err(Stop::Refused(err)) => {
                     ctx.recorder.counter("pipeline.runs_full", 1);
                     self.memo = scope.into_memo();
@@ -1089,24 +1013,11 @@ impl IncrementalPipeline {
             Some(memo)
         } else {
             ctx.recorder.counter("pipeline.runs_full", 1);
-            if !keep {
-                trace.stage("memo", "skipped", "run not clean or not eligible");
-                None
-            } else {
-                // sizing a memo walks every instance: only a fresh one,
-                // about to be stored, pays for it
-                let bytes = memo.approx_bytes();
-                let budget = self.config.max_cache_bytes;
-                if bytes > budget {
-                    ctx.recorder.counter("pipeline.evictions", 1);
-                    let detail = format!("{bytes} bytes exceeds the {budget}-byte budget");
-                    trace.stage("memo", "evicted", detail);
-                    None
-                } else {
-                    trace.stage("memo", "stored", format!("~{bytes} bytes retained"));
-                    Some(memo)
-                }
+            match keep {
+                true => trace.stage("memo", "stored", "run clean"),
+                false => trace.stage("memo", "skipped", "run not clean"),
             }
+            keep.then_some(memo)
         };
         Ok(walk.out)
     }
@@ -1495,9 +1406,9 @@ impl<'a> Walk<'a> {
     /// commit since moved (`away`) and those where a snapshot nobody
     /// committed differs (`delta`) — with every block that reads theirs
     /// (a reader resolves the block's records off the state). Every instance
-    /// is marked when nothing is cached (`blocks` is `None`), the serial
-    /// moved by a commit of unknown delta, or a snapshot nobody committed
-    /// comes with an edit: the front-end artifacts stay, the diff rebuilds.
+    /// is marked when nothing is cached (`blocks` is `None`) or the serial
+    /// moved by a commit of unknown delta: the front-end artifacts stay, the
+    /// diff rebuilds.
     /// [`plan_one`] reads nothing of a dependency but its records and
     /// whether it is created or replaced, so a visit marks its block's
     /// direct dependents — they come later in the order — only when it
@@ -1505,9 +1416,8 @@ impl<'a> Walk<'a> {
     /// (`cloudless_graph::ImpactScope`, ANA505) bounds what the pass can
     /// reach; it visits the part of the cone whose inputs changed.
     ///
-    /// A pass over a snapshot nobody committed logs what it overwrites, so
-    /// that the cache is the committed state's again unless that snapshot
-    /// is committed next.
+    /// A pass over a snapshot nobody committed leaves a cache that owes
+    /// `delta`, as a commit leaves one that owes what it wrote.
     fn plan(
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
@@ -1524,14 +1434,13 @@ impl<'a> Walk<'a> {
         let PlanCache {
             serial,
             away,
-            speculative,
+            over,
             order,
             rank,
             dirty,
             changes,
             deletes,
         } = &mut memo.plan;
-        let mut log = delta.map(|_| Vec::new());
         // a mark is an instance's rank: the pass pops the smallest
         let mark = |marked: &mut BTreeSet<usize>, span: Range<usize>| {
             marked.extend(span.map(|at| rank[at]));
@@ -1541,9 +1450,7 @@ impl<'a> Walk<'a> {
                 mark(marked, ranges[dependent.index()].clone());
             }
         };
-        let reused = blocks.filter(|blocks| {
-            *serial == Some(ctx.state.serial) && (delta.is_none() || blocks.is_empty())
-        });
+        let reused = blocks.filter(|_| *serial == Some(ctx.state.serial));
         // `None`: every instance
         let mut marked: Option<BTreeSet<usize>> = match reused {
             None => None,
@@ -1567,15 +1474,9 @@ impl<'a> Walk<'a> {
                 }
                 // an address no instance has is a deletion exactly when the
                 // state holds it
-                let mut redelete = |addr: &ResourceAddr| {
-                    let key = addr.to_string();
-                    let was = match ctx.state.get(addr) {
-                        Some(r) => deletes.insert(key.clone(), delete_change(r)),
-                        None => deletes.remove(&key),
-                    };
-                    if let Some(log) = &mut log {
-                        log.push(Undo::Delete(key, was));
-                    }
+                let mut redelete = |addr: &ResourceAddr| match ctx.state.get(addr) {
+                    Some(r) => drop(deletes.insert(addr.to_string(), delete_change(r))),
+                    None => drop(deletes.remove(&addr.to_string())),
                 };
                 for addr in away.iter().chain(delta.into_iter().flatten()) {
                     let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
@@ -1612,8 +1513,6 @@ impl<'a> Walk<'a> {
             // an unvisited dependency (a cycle) reads as dirty, as in `diff`
             dirty.clear();
             changes.clear();
-            // nothing to undo: the whole cache is this run's
-            log = None;
         }
         // each visit reads its dependencies' dirtiness as the visit before
         // left it: this pass's, or the run's that last planned them
@@ -1644,34 +1543,19 @@ impl<'a> Walk<'a> {
                 memo.image
                     .block(ranges.partition_point(|span| span.end <= idx));
             }
-            if let Some(log) = &mut log {
-                log.push(Undo::Dirty(idx, was));
-            }
             if let (Some(marked), true) = (&mut marked, was != Some(flag)) {
                 // (marking on every flip between a block's instances
                 // over-marks, never under-marks)
                 mark_readers(marked, ranges.partition_point(|span| span.end <= idx));
             }
-            let was = match change.action.is_noop() {
-                true => changes.remove(&idx),
-                false => changes.insert(idx, change),
-            };
-            if let Some(log) = &mut log {
-                log.push(Undo::Change(idx, was));
+            match change.action.is_noop() {
+                true => drop(changes.remove(&idx)),
+                false => drop(changes.insert(idx, change)),
             }
         }
-        match delta {
-            // the addresses it owed are planned
-            None => away.clear(),
-            Some(_) => {
-                // a snapshot's plan rebuilt from nothing is of no committed
-                // serial until that snapshot is committed
-                if log.is_none() {
-                    *serial = None;
-                }
-                *speculative = Some(log.unwrap_or_default());
-            }
-        }
+        // the addresses it owed are planned; a snapshot's own are owed
+        *away = delta.map_or_else(Vec::new, <[_]>::to_vec);
+        *over = delta.is_some();
         let planned: Vec<PlannedChange> = (changes.values().chain(deletes.values()))
             .cloned()
             .collect();
@@ -2230,6 +2114,10 @@ resource "aws_s3_bucket" "logs" {
         assert!(t.fast_path, "{t}");
         assert!(t.stages.iter().all(|s| s.action == "cached"), "{t}");
         assert_eq!(a, b);
+        // the memo is sized while held, and nothing once dropped
+        assert!(e.pipeline().approx_bytes() > 0);
+        e.clear_pipeline_cache();
+        assert_eq!(e.pipeline().approx_bytes(), 0);
     }
 
     #[test]
@@ -2320,9 +2208,13 @@ resource "aws_s3_bucket" "logs" {
 
     /// Run `f` with a context over the standard catalog and an empty state.
     fn with_ctx(f: impl FnOnce(&PipelineCtx<'_>)) {
+        with_state(&Snapshot::new(), f);
+    }
+
+    fn with_state(state: &Snapshot, f: impl FnOnce(&PipelineCtx<'_>)) {
         let (inputs, modules) = (BTreeMap::new(), ModuleLibrary::new());
         let (data, catalog) = (DataResolver::new(), Catalog::standard());
-        let (state, recorder) = (Snapshot::new(), Arc::new(NullRecorder) as Arc<dyn Recorder>);
+        let recorder = Arc::new(NullRecorder) as Arc<dyn Recorder>;
         f(&PipelineCtx {
             inputs: &inputs,
             modules: &modules,
@@ -2330,9 +2222,50 @@ resource "aws_s3_bucket" "logs" {
             level: ValidationLevel::CloudRules,
             data: &data,
             catalog: &catalog,
-            state: &state,
+            state,
             miner: None,
             recorder: &recorder,
+        });
+    }
+
+    /// What the plan stage of `out` says it visited.
+    fn replanned(out: &FrontendOutput) -> &str {
+        let plan = out.trace.stages.iter().find(|s| s.stage == "plan");
+        plan.map_or("", |s| s.detail.as_str())
+    }
+
+    /// A run with an edit over a snapshot nobody committed splices: it
+    /// plans the edit's cone and the snapshot's delta, and owes the delta
+    /// to the next run against the committed state, which plans as cold.
+    #[test]
+    fn a_run_over_a_snapshot_splices_the_edit_and_owes_the_delta() {
+        let src = format!(
+            "{SRC}resource \"aws_s3_bucket\" \"media\" {{ bucket = \"media\" }}\n\
+             resource \"aws_s3_bucket\" \"docs\" {{ bucket = \"docs\" }}\n"
+        );
+        let mut e = engine();
+        e.converge(&src).unwrap();
+        let committed = e.state().clone();
+        let mut drifted = committed.clone();
+        let mut media = drifted.get_str("aws_s3_bucket.media").unwrap().clone();
+        media.attrs.insert("bucket".into(), Value::from("moved"));
+        let delta = [media.addr.clone()];
+        drifted.put(media);
+        let edited = src.replace("logs-${var.region}", "logs-v2-${var.region}");
+        let mut pipeline = IncrementalPipeline::default();
+        with_state(&committed, |ctx| drop(pipeline.run(&src, ctx).unwrap()));
+        with_state(&drifted, |ctx| {
+            let over = pipeline.run_over(&edited, ctx, Some(&delta)).unwrap();
+            assert!(over.trace.fast_path, "{}", over.trace);
+            assert_eq!(replanned(&over), "re-planned 2/5 instance(s)");
+            let cold = IncrementalPipeline::default().run(&edited, ctx).unwrap();
+            assert_eq!(over.plan_text, cold.plan_text);
+        });
+        with_state(&committed, |ctx| {
+            let warm = pipeline.run(&edited, ctx).unwrap();
+            assert_eq!(replanned(&warm), "re-planned 1/5 instance(s)");
+            let cold = IncrementalPipeline::default().run(&edited, ctx).unwrap();
+            assert_eq!(warm.plan_text, cold.plan_text);
         });
     }
 
@@ -2406,7 +2339,7 @@ resource "aws_s3_bucket" "logs" {
                 let mut pipeline = IncrementalPipeline::default();
                 drop(pipeline.run(&base, ctx).unwrap());
                 let before = memo_list(&pipeline).to_vec();
-                let mut scope = Scope::pick(pipeline.memo.take(), &stopped, ctx, true);
+                let mut scope = Scope::pick(pipeline.memo.take(), &stopped, ctx);
                 let verdicts = Walk::new(&stopped, ctx, None).verdicts(&mut scope);
                 let Err(Stop::Guard(reason)) = verdicts else {
                     panic!("the splice must stop at a guard");
@@ -2424,19 +2357,5 @@ resource "aws_s3_bucket" "logs" {
                 assert_eq!(warm.plan_text, cold.plan_text);
             });
         }
-    }
-
-    #[test]
-    fn eviction_respects_byte_budget() {
-        let mut e = engine();
-        e.set_pipeline_config(crate::PipelineConfig {
-            max_cache_bytes: 64,
-        });
-        let (_, t) = e.plan_incremental(SRC).unwrap();
-        assert!(!t.fast_path);
-        assert!(!e.pipeline().is_warm(), "memo must be evicted");
-        assert!(e.pipeline().approx_bytes() <= 64);
-        let (_, t2) = e.plan_incremental(SRC).unwrap();
-        assert!(!t2.fast_path, "evicted memo keeps runs cold");
     }
 }

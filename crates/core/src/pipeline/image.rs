@@ -388,7 +388,7 @@ pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::R
         serial: key.serial,
         log_bytes: key.log_bytes,
         head: key.head,
-        planned: plan.serial == Some(key.serial) && plan.speculative.is_none(),
+        planned: plan.serial == Some(key.serial),
         source_bytes: memo.source.len(),
         blocks: memo.root.block_ranges.len(),
         others: others.map(|chunk| (chunk.start, chunk.end)).collect(),

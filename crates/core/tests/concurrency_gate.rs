@@ -20,7 +20,7 @@ use cloudless::cloud::Catalog;
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::hcl::program::ModuleLibrary;
 use cloudless::obs::{NullRecorder, Recorder};
-use cloudless::pipeline::{IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError};
+use cloudless::pipeline::{IncrementalPipeline, PipelineCtx, PipelineError};
 use cloudless::state::Snapshot;
 use cloudless::types::Value;
 use cloudless::validate::ValidationLevel;
@@ -116,8 +116,7 @@ resource "aws_virtual_machine" "solo" {
     );
 
     // The cold pipeline agrees byte-for-byte (same findings, same spans).
-    let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
-    let Err(cold_err) = cold.run(&edited, &ctx) else {
+    let Err(cold_err) = IncrementalPipeline::default().run(&edited, &ctx) else {
         panic!("cold run rejects the collision too");
     };
     let PipelineError::Lint(cold_report) = &cold_err else {
@@ -258,8 +257,7 @@ proptest! {
         let mut warm = IncrementalPipeline::default();
         warm.run(clean_base, &ctx).expect("seed is clean");
         let warm_out = warm.run(&src, &ctx);
-        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
-        let cold_out = cold.run(&src, &ctx);
+        let cold_out = IncrementalPipeline::default().run(&src, &ctx);
         match (warm_out, cold_out) {
             (Ok(w), Ok(c)) => prop_assert_eq!(w.plan_text, c.plan_text),
             (Err(PipelineError::Lint(w)), Err(PipelineError::Lint(c))) => {

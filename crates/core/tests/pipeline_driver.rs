@@ -17,9 +17,7 @@ use cloudless::cloud::{Catalog, CloudConfig};
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::hcl::program::{expand, ModuleLibrary};
 use cloudless::obs::{NullRecorder, Recorder};
-use cloudless::pipeline::{
-    FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
-};
+use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx, PipelineError};
 use cloudless::state::Snapshot;
 use cloudless::types::Value;
 use cloudless::validate::incremental::{name_claim, quota_key};
@@ -61,9 +59,9 @@ impl Env {
         }
     }
 
-    /// A cold run of `source`: a fresh pipeline that keeps no memo.
+    /// A cold run of `source`: a fresh pipeline.
     fn cold(&self, source: &str) -> Result<FrontendOutput, PipelineError> {
-        IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 }).run(source, &self.ctx())
+        IncrementalPipeline::default().run(source, &self.ctx())
     }
 }
 
@@ -200,6 +198,32 @@ fn a_repeated_argument_is_refused_warm_and_cold() {
     assert!(fixed.trace.fast_path, "{}", fixed.trace);
 }
 
+/// An object literal that sets one key twice (`a` and `"a"` alike) is
+/// refused at the second key, warm as cold, and the memo waits for the fix.
+#[test]
+fn a_repeated_map_key_is_refused_warm_and_cold() {
+    let env = Env::new();
+    let mut pipe = IncrementalPipeline::default();
+    pipe.run(SRC, &env.ctx()).expect("base is clean");
+    let twice = SRC.replace(
+        "bucket = \"logs-main\"",
+        "bucket = \"logs-main\"\n  tags   = { a = \"1\", \"a\" = \"2\" }",
+    );
+    let shown = |err: PipelineError| match err {
+        PipelineError::Frontend(diags) => diags.to_string(),
+        other => panic!("refused past the front end: {other:?}"),
+    };
+    let warm = shown(pipe.run(&twice, &env.ctx()).err().expect("refused warm"));
+    let cold = shown(env.cold(&twice).err().expect("refused cold"));
+    assert_eq!(warm, cold);
+    assert!(
+        cold.contains("[HCL046] main.tf:10:23") && cold.contains("first set at main.tf:10:14"),
+        "{cold}"
+    );
+    let fixed = pipe.run(SRC, &env.ctx()).expect("the fix is clean");
+    assert!(fixed.trace.fast_path, "{}", fixed.trace);
+}
+
 // ------------------------------------------- a cold start's two joins
 
 /// The codes of a refusal, after the stage that made it.
@@ -263,8 +287,10 @@ fn a_cold_start_refused_by_lint_and_by_expand_reports_lint() {
         lint: LintGate::Off,
         ..env.ctx()
     };
-    let mut pipe = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
-    let err = pipe.run(src, &ungated).err().expect("refused");
+    let err = IncrementalPipeline::default()
+        .run(src, &ungated)
+        .err()
+        .expect("refused");
     let (stage, codes) = refusal(&err);
     assert_eq!(stage, "frontend", "{codes:?}");
     assert!(codes.iter().any(|c| c == "HCL031"), "{codes:?}");

@@ -27,12 +27,8 @@
 //!
 //! On a host with two cores every all-blocks run joins (lint beside
 //! expand, validate and analyze beside the plan; `cloudless_types::join`),
-//! while a splice runs on one thread: the two are held to each other.
-//!
-//! A second group pins the memory contract: a bounded memo cache never
-//! retains a snapshot that exceeds its byte budget, and dropping the memo
-//! never changes results. The scale variant (100k resources) is `#[ignore]`
-//! so the default test tier stays fast; CI runs it in release.
+//! while a splice runs on one thread: the two are held to each other. The
+//! cold reference is a fresh pipeline per run.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,9 +38,7 @@ use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::{diff, Executor, Plan, Strategy};
 use cloudless::hcl::program::{expand, ModuleLibrary, Program};
 use cloudless::obs::{NullRecorder, Recorder};
-use cloudless::pipeline::{
-    FrontendOutput, IncrementalPipeline, PipelineConfig, PipelineCtx, PipelineError,
-};
+use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx, PipelineError};
 use cloudless::state::{LogStore, MemDevice, Snapshot};
 use cloudless::types::{ResourceId, Value};
 use cloudless::validate::{SpecMiner, ValidationLevel};
@@ -298,6 +292,11 @@ fn observe(result: Result<FrontendOutput, PipelineError>) -> Result<(String, Str
     result.as_ref().map(shape).map_err(error_key)
 }
 
+/// A cold run: a fresh pipeline per run, so nothing is spliced.
+fn cold_run(source: &str, ctx: &PipelineCtx<'_>) -> Result<FrontendOutput, PipelineError> {
+    IncrementalPipeline::default().run(source, ctx)
+}
+
 /// What [`observe`] sees of an output that came back.
 fn shape(out: &FrontendOutput) -> (String, String) {
     let mut shape = String::new();
@@ -350,9 +349,8 @@ fn error_key(err: &PipelineError) -> String {
 /// state (the realistic `cloudless watch` regime: replans are near-zero
 /// diff).
 fn converged_state(src: &str, env: &Env) -> Snapshot {
-    let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
     let empty = Snapshot::new();
-    let out = cold
+    let out = IncrementalPipeline::default()
         .run(src, &env.ctx(&empty))
         .expect("generated base program is clean");
     let mut state = Snapshot::new();
@@ -378,14 +376,13 @@ fn check_against_state(env: &Env, state: &Snapshot, base: &str, edited: &str, fo
     assert!(warm.is_warm(), "clean base must be memo-eligible");
 
     let warm_obs = observe(warm.run(edited, &ctx));
-    let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
-    let cold_obs = observe(cold.run(edited, &ctx));
+    let cold_obs = observe(cold_run(edited, &ctx));
     assert_eq!(warm_obs, cold_obs, "warm replan diverged on the edit");
 
     // a second edit on top exercises the spliced memo (after an error the
     // memo is dropped and this replays cold — still must agree)
     let warm_obs = observe(warm.run(followup, &ctx));
-    let cold_obs = observe(cold.run(followup, &ctx));
+    let cold_obs = observe(cold_run(followup, &ctx));
     assert_eq!(warm_obs, cold_obs, "warm replan diverged on the follow-up");
 }
 
@@ -426,10 +423,7 @@ fn generated_edits_exercise_both_paths() {
     let spec: Spec = vec![(0, false), (1, true), (2, true), (3, false)];
     let base = base_source(&spec);
     let touched = apply_edit(&base, &spec, 0, 2, 0);
-    let cold = |source: &str, state: &Snapshot| {
-        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
-        observe(cold.run(source, &env.ctx(state)))
-    };
+    let cold = |source: &str, state: &Snapshot| observe(cold_run(source, &env.ctx(state)));
 
     // (kind, block, on the fast path, what the fallback reason names)
     let shapes = [
@@ -632,7 +626,6 @@ proptest! {
             reads: None,
             tags: 1,
         }];
-        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
         let empty = Snapshot::new();
         // a clean program to start from: grown by the same edits, the ones
         // a cold run refuses or finds fault with undone
@@ -658,7 +651,7 @@ proptest! {
                 let source = render_nodes(&nodes);
                 let out = warm.run(&source, &ctx);
                 let warm_obs = out.as_ref().map(shape).map_err(error_key);
-                prop_assert_eq!(&warm_obs, &observe(cold.run(&source, &ctx)), "save {}", serial);
+                prop_assert_eq!(&warm_obs, &observe(cold_run(&source, &ctx)), "save {}", serial);
                 prop_assert_eq!(&shape(&held.1), &held.0, "held across save {}", serial);
                 match out {
                     Ok(out) => held = (warm_obs.unwrap_or_default(), out),
@@ -868,7 +861,6 @@ fn a_force_new_edit_cascades_down_a_chain_and_back() {
     let state = converged_state(&render_links(&base), &env);
     let ctx = env.ctx(&state);
     let mut warm = IncrementalPipeline::default();
-    let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
     warm.run(&render_links(&base), &ctx)
         .expect("the chain is clean");
     assert!(warm.is_warm());
@@ -882,7 +874,7 @@ fn a_force_new_edit_cascades_down_a_chain_and_back() {
         assert_eq!(n, links.iter().map(|l| l.count).sum::<usize>());
         assert!(k <= cone_instances(links, edited), "{}", out.trace);
         let text = out.plan_text.clone();
-        assert_eq!(observe(Ok(out)), observe(cold.run(&source, &ctx)));
+        assert_eq!(observe(Ok(out)), observe(cold_run(&source, &ctx)));
         (k, text)
     };
 
@@ -958,7 +950,6 @@ proptest! {
     ) {
         let env = Env::new();
         let empty = Snapshot::new();
-        let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
         // the chain, grown by insertions the front end accepts
         let mut links = deployed_chain();
         for (serial, (kind, a, b)) in start.into_iter().enumerate() {
@@ -985,7 +976,7 @@ proptest! {
                 prop_assert!(k <= cone, "save {}: re-planned {} of a cone of {}", serial, k, cone);
             }
             let warm_obs = observe(out);
-            prop_assert_eq!(&warm_obs, &observe(cold.run(&source, &ctx)), "save {}", serial);
+            prop_assert_eq!(&warm_obs, &observe(cold_run(&source, &ctx)), "save {}", serial);
             if warm_obs.is_err() {
                 links = before; // the user takes it back with the next save
             }
@@ -1254,17 +1245,16 @@ proptest! {
         for state in [Snapshot::new(), converged_state(&fleet_source(&base), &env)] {
             let mut miner = miner.clone();
             let mut warm = IncrementalPipeline::default();
-            let mut cold = IncrementalPipeline::new(PipelineConfig { max_cache_bytes: 0 });
             let ctx = env.ctx_mined(&state, &miner);
             warm.run(&fleet_source(&base), &ctx).expect("the observed fleet is clean");
             prop_assert!(warm.is_warm(), "a clean run under a miner must be memo-eligible");
             let source = fleet_source(&edited);
-            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold.run(&source, &ctx)));
+            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold_run(&source, &ctx)));
 
             observe_deployment(&mut miner, &env, &later_deployment(&base, later));
             let ctx = env.ctx_mined(&state, &miner);
             let source = fleet_source(&followup);
-            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold.run(&source, &ctx)));
+            prop_assert_eq!(observe(warm.run(&source, &ctx)), observe(cold_run(&source, &ctx)));
         }
     }
 }
@@ -1326,88 +1316,4 @@ fn mined_edits_exercise_the_key_and_the_guard() {
     let reason = out.trace.fallback_reason.clone().unwrap_or_default();
     assert!(reason.contains("spec miner"), "{}", out.trace);
     assert_eq!(codes(&out), vec!["VAL402"; base.len()]);
-}
-
-// -------------------------------------------------------------- eviction
-
-/// Deterministic layered program in the same shape as the bench workloads
-/// (bench itself is not importable from core — dependency cycle).
-fn layered_source(n: usize) -> String {
-    let width = (n / 16).max(4);
-    let mut out = String::with_capacity(n * 80);
-    for i in 0..n {
-        let (rtype, attr) = TYPES[i % TYPES.len()];
-        out.push_str(&format!(
-            "resource \"{rtype}\" \"b{i}\" {{\n  {attr} = \"v-{i}\"\n"
-        ));
-        if i >= width {
-            let target = i - width + (i % 3);
-            let target = target.min(i - 1);
-            let (dt, _) = TYPES[target % TYPES.len()];
-            out.push_str(&format!("  depends_on = [{dt}.b{target}]\n"));
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
-/// A memo larger than the configured byte budget is evicted rather than
-/// retained, and the bounded pipeline keeps producing plans identical to
-/// an unbounded one.
-fn check_budget(n: usize) {
-    let env = Env::with_raised_quotas();
-    let src = layered_source(n);
-    let empty = Snapshot::new();
-
-    // generous budget: the memo is retained and its accounting is sane
-    let generous = 1usize << 30;
-    let mut pipe = IncrementalPipeline::new(PipelineConfig {
-        max_cache_bytes: generous,
-    });
-    let reference = pipe
-        .run(&src, &env.ctx(&empty))
-        .expect("layered program is clean");
-    assert!(pipe.is_warm());
-    let footprint = pipe.approx_bytes();
-    assert!(footprint > 0, "warm memo must account for its bytes");
-    assert!(
-        footprint <= generous,
-        "memo footprint {footprint} exceeds the budget it was admitted under"
-    );
-
-    // a budget below the known footprint: the memo must be evicted, the
-    // cache stays bounded, and results are unchanged
-    let tight = footprint / 4;
-    let mut bounded = IncrementalPipeline::new(PipelineConfig {
-        max_cache_bytes: tight,
-    });
-    for round in 0..2 {
-        let out = bounded
-            .run(&src, &env.ctx(&empty))
-            .expect("layered program is clean");
-        assert!(!out.trace.fast_path, "round {round} cannot be a cache hit");
-        assert!(
-            !bounded.is_warm(),
-            "memo of ~{footprint} bytes retained under a {tight}-byte budget"
-        );
-        assert_eq!(bounded.approx_bytes(), 0, "evicted memo still accounted");
-        assert_eq!(
-            out.plan_text, reference.plan_text,
-            "eviction changed the plan"
-        );
-    }
-}
-
-#[test]
-fn bounded_memo_respects_byte_budget() {
-    check_budget(2_000);
-}
-
-/// The ISSUE-mandated scale point. Heavy (100k resources through a debug
-/// front end), so ignored by default; CI runs it in release via
-/// `cargo test --release -p cloudless --test pipeline_props -- --ignored`.
-#[test]
-#[ignore = "heavy: 100k-resource eviction check; run in release with -- --ignored"]
-fn bounded_memo_respects_byte_budget_at_100k() {
-    check_budget(100_000);
 }

@@ -122,10 +122,10 @@ fn a_dry_run_reads_no_plan_artifacts_of_the_plan_before_it() {
     // not be served
     assert!(e.plan(WEB, &[]).expect("plans").plan.is_empty());
     let patched = assert_previews_the_overwrite(&mut e);
-    // and what the dry run planned over its adopted state is undone: the
-    // plan of the committed state is the cache's, untouched
+    // and the cache owes the committed state a plan of what the dry run
+    // planned over its adopted state: the drifted instance, alone
     let visited = replanned(&mut e, &patched);
-    assert!(visited.starts_with("re-planned 0/"), "{visited}");
+    assert!(visited.starts_with("re-planned 1/4"), "{visited}");
     assert_plans_as_cold(&mut e, &patched);
 }
 

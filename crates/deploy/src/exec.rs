@@ -47,9 +47,7 @@ use cloudless_graph::NodeId;
 use cloudless_hcl::eval::{eval, Resolver};
 use cloudless_obs::{Event, NullRecorder, Recorder, SpanId};
 use cloudless_state::{DeployedResource, Snapshot};
-use cloudless_types::{
-    Attrs, Provider, Region, ResourceAddr, ResourceId, SimDuration, SimTime, Value,
-};
+use cloudless_types::{Attrs, Provider, Region, ResourceAddr, ResourceId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -327,9 +325,6 @@ fn release_successors(
 /// snapshot it updates as resources land.
 pub struct Executor<'a> {
     pub strategy: Strategy,
-    /// Default region per provider prefix (from `provider` blocks); falls
-    /// back to the provider default.
-    pub region_overrides: BTreeMap<String, Region>,
     /// Principal recorded in the activity log.
     pub principal: String,
     /// Data-source resolver for apply-time finalization.
@@ -344,7 +339,6 @@ impl<'a> Executor<'a> {
     pub fn new(strategy: Strategy, data: &'a dyn Resolver) -> Self {
         Executor {
             strategy,
-            region_overrides: BTreeMap::new(),
             principal: "cloudless-engine".to_owned(),
             data,
             resilience: ResiliencePolicy::standard(),
@@ -364,21 +358,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Region for a resource: explicit `location`-ish attribute, provider
-    /// override, or provider default.
+    /// Region for a resource: the shared rule
+    /// ([`Provider::effective_region`]), `us-east-1` for a type no provider
+    /// claims.
     fn region_for(&self, node: &PlanNode) -> Region {
-        for key in ["location", "region"] {
-            if let Some(Value::Str(s)) = node.change.planned_attrs.get(key) {
-                return Region::new(s.clone());
-            }
-        }
-        let prefix = node.change.addr.rtype.provider_prefix();
-        if let Some(r) = self.region_overrides.get(prefix) {
-            return r.clone();
-        }
-        Provider::from_type_prefix(prefix)
-            .map(|p| p.default_region())
-            .unwrap_or_else(|| Region::new("us-east-1"))
+        let change = &node.change;
+        let region = Provider::effective_region(&change.planned_attrs, &change.addr.rtype);
+        Region::new(region.unwrap_or("us-east-1"))
     }
 
     /// Execute `plan` against `cloud`, updating `state` as resources land.
@@ -1100,6 +1086,7 @@ mod tests {
     use crate::resolver::DataResolver;
     use cloudless_cloud::{Catalog, CloudConfig, FaultPlan};
     use cloudless_hcl::program::{expand, Manifest, ModuleLibrary, Program};
+    use cloudless_types::Value;
 
     /// Retries without backoff, no deadlines, no breaker.
     fn immediate_retries() -> ResiliencePolicy {

@@ -242,11 +242,42 @@ impl<'s> Parser<'s> {
     }
 
     fn err(&mut self, span: Span, msg: String) {
+        self.err_code("HCL002", span, msg);
+    }
+
+    fn err_code(&mut self, code: &str, span: Span, msg: String) {
         if self.halted {
             return;
         }
         self.diags
-            .push(Diagnostic::error("HCL002", self.filename, span, msg));
+            .push(Diagnostic::error(code, self.filename, span, msg));
+    }
+
+    /// `HCL046` at each key a map constructor sets again, naming where it
+    /// was first set (`a` and `"a"` are one key; `spans` holds each entry's
+    /// key, `None` for one already refused). One value would silently win.
+    fn repeated_keys(&mut self, entries: &[(MapKey, Expr)], spans: &[Option<Span>]) {
+        if entries.len() < 2 {
+            return;
+        }
+        let mut first = std::collections::BTreeMap::new();
+        let mut repeats = Vec::new();
+        for ((key, _), span) in entries.iter().zip(spans) {
+            let Some(span) = *span else { continue };
+            if let Some(&at) = first.get(key.as_str()) {
+                repeats.push((key.as_str(), span, at));
+            } else {
+                first.insert(key.as_str(), span);
+            }
+        }
+        for (key, span, at) in repeats {
+            let fname = self.filename;
+            let msg = format!(
+                "key {key:?} is set twice; it was first set at {fname}:{}",
+                at.start
+            );
+            self.err_code("HCL046", span, msg);
+        }
     }
 
     // ----- blocks -----
@@ -481,16 +512,16 @@ impl<'s> Parser<'s> {
                 if self.at_word("for") {
                     return self.for_map(start);
                 }
-                let mut entries = Vec::new();
+                let (mut entries, mut spans) = (Vec::new(), Vec::new());
                 while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
-                    let key = if let Some((name, _)) = self.take_ident() {
-                        MapKey::Ident(name.to_owned())
+                    let (key, span) = if let Some((name, span)) = self.take_ident() {
+                        (MapKey::Ident(name.to_owned()), Some(span))
                     } else if let Some((lit, span)) = self.take_str() {
                         match lit {
-                            StrLit::Plain(text) => MapKey::Str(text.into_owned()),
+                            StrLit::Plain(text) => (MapKey::Str(text.into_owned()), Some(span)),
                             StrLit::Template(_) => {
                                 self.err(span, "map keys cannot contain interpolations".into());
-                                MapKey::Str(String::new())
+                                (MapKey::Str(String::new()), None)
                             }
                         }
                     } else {
@@ -503,9 +534,11 @@ impl<'s> Parser<'s> {
                     }
                     let value = self.expr();
                     entries.push((key, value));
+                    spans.push(span);
                     // comma separators are optional in map constructors
                     self.eat(&TokenKind::Comma);
                 }
+                self.repeated_keys(&entries, &spans);
                 let end = self.expect(TokenKind::RBrace);
                 Expr::Map(entries, start.merge(end))
             }
@@ -686,6 +719,30 @@ resource "aws_virtual_machine" "vm1" {
         let nic_ids = vm.body.attr("nic_ids").expect("nic_ids");
         let refs: Vec<String> = nic_ids.value.refs().iter().map(|r| r.dotted()).collect();
         assert_eq!(refs, vec!["aws_network_interface.n1.id"]);
+    }
+
+    #[test]
+    fn a_repeated_map_key_is_refused_where_it_repeats() {
+        let src = "resource \"aws_s3_bucket\" \"b\" {\n  tags = {\n    a = \"1\"\n    \"a\" = \"2\"\n    \
+                   b = { x = 1, x = 2 }\n  }\n}\n";
+        let err = parse(src, "main.tf").unwrap_err();
+        let found: Vec<_> = err
+            .iter()
+            .map(|d| (d.code.as_str(), d.span.start.line))
+            .collect();
+        assert_eq!(found, [("HCL046", 5), ("HCL046", 4)], "{err}");
+        let text = err.to_string();
+        assert!(
+            text.contains("\"a\" is set twice; it was first set at main.tf:3:5"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"x\" is set twice; it was first set at main.tf:5:11"),
+            "{text}"
+        );
+        // one key per map: the same key in two maps is no repeat
+        let src = "locals {\n  m = { a = 1 }\n  n = { a = 2, b = { a = 3 } }\n}\n";
+        assert!(parse(src, "main.tf").is_ok());
     }
 
     #[test]

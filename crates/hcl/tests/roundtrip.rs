@@ -21,6 +21,20 @@ fn arb_key() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Whether a map anywhere in `e` sets one key twice.
+fn repeats_a_key(e: &Expr) -> bool {
+    match e {
+        Expr::List(items, _) => items.iter().any(repeats_a_key),
+        Expr::Map(entries, _) => {
+            let keys: std::collections::BTreeSet<_> =
+                entries.iter().map(|(k, _)| k.as_str()).collect();
+            keys.len() < entries.len() || entries.iter().any(|(_, v)| repeats_a_key(v))
+        }
+        Expr::Cond(c, t, f, _) => [c, t, f].iter().any(|e| repeats_a_key(e)),
+        _ => false,
+    }
+}
+
 /// Strategy for arbitrary *evaluable* expressions (no references, so they
 /// can be evaluated without a scope).
 fn arb_expr() -> impl Strategy<Value = Expr> {
@@ -87,19 +101,32 @@ proptest! {
         prop_assert_eq!(back.as_ref().ok(), Some(&v), "through {}", rendered);
     }
 
-    /// render → parse → eval gives the same value as evaluating directly.
+    /// render → parse → eval gives the same value as evaluating directly;
+    /// a map that sets one key twice renders to text the parser refuses
+    /// (`HCL046`).
     #[test]
     fn render_parse_eval_round_trip(e in arb_expr()) {
         let scope = Scope::bare(&DeferAll);
         let direct = eval(&e, &scope);
         let rendered = render_expr(&e);
-        let reparsed = parse_expr(&rendered, "rt")
-            .unwrap_or_else(|d| panic!("rendered source must re-parse: {d}\nsource: {rendered}"));
-        let via_text = eval(&reparsed, &scope);
-        match (direct, via_text) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "value changed through render: {}", rendered),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "divergence through render: {:?} vs {:?} ({})", a, b, rendered),
+        if repeats_a_key(&e) {
+            let refused = parse_expr(&rendered, "rt").err();
+            let codes: Option<Vec<_>> = refused.map(|d| d.iter().map(|d| d.code.clone()).collect());
+            prop_assert!(
+                codes.as_ref().is_some_and(|c| c.iter().all(|c| c == "HCL046")),
+                "{:?} ({})",
+                codes,
+                rendered
+            );
+        } else {
+            let reparsed = parse_expr(&rendered, "rt")
+                .unwrap_or_else(|d| panic!("rendered source must re-parse: {d}\nsource: {rendered}"));
+            let via_text = eval(&reparsed, &scope);
+            match (direct, via_text) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "value changed through render: {}", rendered),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "divergence through render: {:?} vs {:?} ({})", a, b, rendered),
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 //! * [`FlightRecorder`] — a bounded, drop-counting ring buffer of
 //!   structured [`Event`]s plus a [`MetricsRegistry`]. Sequence numbers
 //!   and the drop counter are atomics; the ring itself sits behind a
-//!   `parking_lot` mutex (lock-free-*ish*: the hot path is one short
+//!   `std::sync` mutex (lock-free-*ish*: the hot path is one short
 //!   critical section, never blocking on I/O).
 //! * [`Event::enter`]/[`Event::exit`] — span pairs stamped with both the
 //!   cloud's virtual clock and a monotonic wall clock, tied by a [`SpanId`]

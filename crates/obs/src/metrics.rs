@@ -7,8 +7,8 @@
 //! wall microseconds both fit comfortably).
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Upper bounds of the fixed histogram buckets. Values above the last
@@ -197,17 +197,21 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The registry's tables; a panicking holder does not wedge the rest.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn counter(&self, name: &'static str, delta: u64) {
-        *self.inner.lock().counters.entry(name).or_insert(0) += delta;
+        *self.lock().counters.entry(name).or_insert(0) += delta;
     }
 
     pub fn gauge(&self, name: &'static str, value: f64) {
-        self.inner.lock().gauges.insert(name, value);
+        self.lock().gauges.insert(name, value);
     }
 
     pub fn observe(&self, name: &'static str, value: f64) {
-        self.inner
-            .lock()
+        self.lock()
             .histograms
             .entry(name)
             .or_insert_with(Histogram::new)
@@ -215,7 +219,7 @@ impl MetricsRegistry {
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner
                 .counters

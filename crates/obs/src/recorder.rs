@@ -2,10 +2,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::event::{Event, SpanId};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -116,18 +114,23 @@ impl FlightRecorder {
         Arc::new(FlightRecorder::new(capacity))
     }
 
+    /// The ring; a panicking holder does not wedge the rest.
+    fn ring(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Events currently buffered, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.ring.lock().iter().cloned().collect()
+        self.ring().iter().cloned().collect()
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
+        self.ring().is_empty()
     }
 
     /// Total events ever recorded (including evicted ones).
@@ -164,7 +167,7 @@ impl Recorder for FlightRecorder {
     fn record(&self, mut event: Event) {
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         event.wall_ns = self.birth.elapsed().as_nanos() as u64;
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring();
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

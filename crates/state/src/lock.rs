@@ -12,17 +12,16 @@
 //! measured against (today's Terraform-style global lock, a fair variant)
 //! live with experiment E3 in `cloudless-bench` and implement the same
 //! [`LockManager`], so E3 swaps them under identical workloads. These are
-//! real thread synchronization primitives (`parking_lot`), not simulations
+//! real thread synchronization primitives (`std::sync`), not simulations
 //! — the concurrency experiments run on actual OS threads.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cloudless_obs::{Event, Recorder};
 use cloudless_types::{ResourceAddr, SimTime};
-use parking_lot::{Condvar, Mutex};
 
 /// What a lock request covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,23 +160,29 @@ impl ResourceLockManager {
     pub fn new() -> std::sync::Arc<Self> {
         std::sync::Arc::new(ResourceLockManager::default())
     }
+
+    /// The lock table; a panicking holder does not wedge the rest.
+    fn state(&self) -> MutexGuard<'_, ResourceLockState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl LockManager for std::sync::Arc<ResourceLockManager> {
     fn acquire(&self, scope: LockScope) -> LockGuard {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if !st.can_admit(&scope) {
             self.contended.fetch_add(1, Ordering::Relaxed);
-            while !st.can_admit(&scope) {
-                self.cv.wait(&mut st);
-            }
+            st = self
+                .cv
+                .wait_while(st, |st| !st.can_admit(&scope))
+                .unwrap_or_else(PoisonError::into_inner);
         }
         st.admit(&scope);
         drop(st);
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         let me = self.clone();
         LockGuard::new(move || {
-            let mut st = me.state.lock();
+            let mut st = me.state();
             st.release(&scope);
             drop(st);
             me.cv.notify_all();
@@ -185,7 +190,7 @@ impl LockManager for std::sync::Arc<ResourceLockManager> {
     }
 
     fn try_acquire(&self, scope: LockScope) -> Option<LockGuard> {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         if !st.can_admit(&scope) {
             return None;
         }
@@ -194,7 +199,7 @@ impl LockManager for std::sync::Arc<ResourceLockManager> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         let me = self.clone();
         Some(LockGuard::new(move || {
-            let mut st = me.state.lock();
+            let mut st = me.state();
             st.release(&scope);
             drop(st);
             me.cv.notify_all();

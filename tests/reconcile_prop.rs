@@ -328,8 +328,8 @@ fn run_scoped(steps: &[Step]) {
         let before = classified(&e);
         let warm = decided(&mut e, &program);
         let scoped = classified(&e) - before;
-        // what the dry run planned over its adopted state is not the
-        // committed state's plan
+        // what the dry run planned over its adopted state is owed a plan
+        // against the committed state
         let warm_plan = plan_text(&mut e);
         e.clear_pipeline_cache();
         let before = classified(&e);
