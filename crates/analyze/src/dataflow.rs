@@ -236,16 +236,25 @@ pub(crate) struct Decls {
     vars: BTreeSet<String>,
     locals: BTreeSet<String>,
     modules: BTreeSet<String>,
-    blocks: PairMap<()>,
+    pub(crate) blocks: PairMap<()>,
 }
 
 /// The resource blocks a structural edit declares and retracts, staged on
-/// top of a cached [`LintEnv`] until the edit lands ([`LintEnv::apply`]).
+/// top of the blocks a caller holds declared ([`DeclEdit::declares`]).
 /// `(type, name)` pairs; an edit holds a handful.
 #[derive(Debug, Default)]
 pub struct DeclEdit {
     pub added: Vec<(String, String)>,
     pub removed: Vec<(String, String)>,
+}
+
+impl DeclEdit {
+    /// Whether `rtype.name` is a declared resource block once this edit
+    /// lands on the blocks `declared` says are.
+    pub fn declares(&self, declared: impl Fn(&str, &str) -> bool, rtype: &str, name: &str) -> bool {
+        let named = |(t, n): &(String, String)| t == rtype && n == name;
+        self.added.iter().any(named) || (declared(rtype, name) && !self.removed.iter().any(named))
+    }
 }
 
 impl Decls {
@@ -262,25 +271,19 @@ impl Decls {
         }
     }
 
-    /// Whether `rtype.name` is a declared resource block once `edit` lands.
-    fn declares(&self, edit: &DeclEdit, rtype: &str, name: &str) -> bool {
-        let named = |(t, n): &(String, String)| t == rtype && n == name;
-        let cached = || self.blocks.contains(rtype, name);
-        edit.added.iter().any(named) || (cached() && !edit.removed.iter().any(named))
-    }
-
-    /// Whether a `depends_on`-style reference names a declared block
-    /// (references too short to name one pass).
-    pub(crate) fn has_block(&self, r: &Reference, edit: &DeclEdit) -> bool {
-        r.parts.len() < 2 || self.declares(edit, &r.parts[0], &r.parts[1])
+    /// Whether a `depends_on`-style reference names a block `declared`
+    /// says is declared (references too short to name one pass).
+    pub(crate) fn has_block(&self, r: &Reference, declared: &dyn Fn(&str, &str) -> bool) -> bool {
+        r.parts.len() < 2 || declared(&r.parts[0], &r.parts[1])
     }
 
     /// The ANA103 site check: what `r` names, when that thing is not
-    /// declared, plus the fix to suggest.
+    /// declared (a resource block: when `declared` says it is not), plus
+    /// the fix to suggest.
     pub(crate) fn undeclared(
         &self,
         r: &Reference,
-        edit: &DeclEdit,
+        declared: &dyn Fn(&str, &str) -> bool,
     ) -> Option<(String, Option<&'static str>)> {
         let name = r.parts.get(1);
         match r.root() {
@@ -301,7 +304,7 @@ impl Decls {
             "module" => name
                 .filter(|n| !self.modules.contains(*n))
                 .map(|n| (format!("module module.{n}"), None)),
-            _ => (!self.has_block(r, edit)).then(|| {
+            _ => (!self.has_block(r, declared)).then(|| {
                 (
                     format!(
                         "resource {}.{} — it would defer forever and the value silently never resolves",
@@ -321,7 +324,7 @@ pub(crate) fn pass_defuse(
     sink: &mut Sink<'_>,
 ) {
     let file = &p.filename;
-    let as_declared = &DeclEdit::default();
+    let as_declared = &|rtype: &str, name: &str| decls.blocks.contains(rtype, name);
 
     // --- ANA104 duplicate definitions
     let mut vars: BTreeSet<&str> = BTreeSet::new();
@@ -952,8 +955,9 @@ pub(crate) fn pass_taint(p: &Program, taint: &Taint, sink: &mut Sink<'_>) {
 /// taint sets and the declared names. [`crate::lint_program`] builds one
 /// per run; the incremental pipeline caches it, which stays sound while
 /// only resource blocks change (variables, locals, outputs and modules live
-/// in other chunks): a body edit leaves it as it is, and a block added or
-/// removed is a [`DeclEdit`] of the declared names.
+/// in other chunks): a body edit leaves it as it is, and which resource
+/// blocks are declared the pipeline says itself, a [`DeclEdit`] staged on
+/// top of its own names.
 #[derive(Default)]
 pub struct LintEnv {
     pub(crate) fold: FoldEnv,
@@ -967,21 +971,6 @@ impl LintEnv {
             fold: FoldEnv::build(p),
             taint: Taint::of(p),
             decls: Decls::of(p),
-        }
-    }
-
-    /// Whether `rtype.name` is a declared resource block once `edit` lands.
-    pub fn declares(&self, edit: &DeclEdit, rtype: &str, name: &str) -> bool {
-        self.decls.declares(edit, rtype, name)
-    }
-
-    /// Land a staged edit of the declared resource blocks.
-    pub fn apply(&mut self, edit: DeclEdit) {
-        for (rtype, name) in &edit.removed {
-            self.decls.blocks.remove(rtype, name);
-        }
-        for (rtype, name) in &edit.added {
-            self.decls.blocks.insert(rtype, name, ());
         }
     }
 }

@@ -10,9 +10,10 @@
 //! whole-program passes are themselves folds of — no rule is written twice:
 //!
 //! * [`LintEnv`] is the program-wide context the passes share (fold
-//!   environment, taint sets, declared names), cached across edits; a
-//!   [`DeclEdit`] stages the blocks an edit declares and retracts on top of
-//!   it, and lands with [`LintEnv::apply`].
+//!   environment, taint sets, declared names), cached across edits; which
+//!   resource blocks are declared the caller says ([`block_is_clean`]'s
+//!   `declared`), a [`DeclEdit`] staging the blocks an edit declares and
+//!   retracts on top of what it holds.
 //! * [`block_is_clean`] re-runs every check that reads the block's own
 //!   text — undeclared references (ANA103), count/port/CIDR folding
 //!   (ANA201/202/203), taint sinks (ANA302), self-reference (ANA404) —
@@ -170,7 +171,7 @@ pub fn outer_refs(p: &Program) -> BlockRefs<'_> {
 }
 
 /// Re-run every block-local lint check against `rb` (whose references are
-/// `refs`), with the blocks `edit` stages declared and retracted, and
+/// `refs`), with the resource blocks `declared` says are declared, and
 /// report whether the block is finding-free — and suppression-free: an
 /// allow-listed finding still forces the caller onto the full path, because
 /// the full run would change the report's `suppressed` count.
@@ -179,7 +180,7 @@ pub fn block_is_clean(
     rb: &ResourceBlock,
     refs: &BlockRefs<'_>,
     env: &LintEnv,
-    edit: &DeclEdit,
+    declared: &dyn Fn(&str, &str) -> bool,
     config: &LintConfig,
 ) -> bool {
     // ANA404: a reference to the block's own (type, name) can never
@@ -191,14 +192,17 @@ pub fn block_is_clean(
     }
 
     // ANA103: undeclared references (only the verdict matters).
-    let mut declared = rb.depends_on.iter().all(|d| env.decls.has_block(d, edit));
+    let mut known = rb
+        .depends_on
+        .iter()
+        .all(|d| env.decls.has_block(d, declared));
     for expr in block_exprs(rb) {
         let mut bound = Vec::new();
         walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            declared &= env.decls.undeclared(r, edit).is_none();
+            known &= env.decls.undeclared(r, declared).is_none();
         });
     }
-    if !declared {
+    if !known {
         return false;
     }
 
@@ -221,7 +225,7 @@ mod tests {
     }
 
     fn clean(p: &Program, rb: &ResourceBlock, env: &LintEnv) -> bool {
-        let as_declared = DeclEdit::default();
+        let as_declared = |t: &str, n: &str| env.decls.blocks.contains(t, n);
         block_is_clean(
             p,
             rb,
@@ -309,28 +313,35 @@ mod tests {
     #[test]
     fn staged_declarations_decide_what_is_declared() {
         let p = program(CLEAN);
-        let mut env = LintEnv::build(&p);
+        let env = LintEnv::build(&p);
         let vm = &p.resources[1]; // reads aws_s3_bucket.b
-        let check = |env: &LintEnv, edit: &DeclEdit| {
-            block_is_clean(&p, vm, &block_refs(vm), env, edit, &LintConfig::default())
+                                  // the blocks the caller holds declared: the program's, or none
+        let check = |held: bool, edit: &DeclEdit| {
+            let declared = |t: &str, n: &str| {
+                edit.declares(|t, n| held && env.decls.blocks.contains(t, n), t, n)
+            };
+            block_is_clean(
+                &p,
+                vm,
+                &block_refs(vm),
+                &env,
+                &declared,
+                &LintConfig::default(),
+            )
         };
         let bucket = ("aws_s3_bucket".to_owned(), "b".to_owned());
         let retract = DeclEdit {
             removed: vec![bucket.clone()],
             ..DeclEdit::default()
         };
-        assert!(check(&env, &DeclEdit::default()));
-        assert!(!check(&env, &retract), "reads a retracted block");
-        assert!(!env.declares(&retract, "aws_s3_bucket", "b"));
-        env.apply(retract);
-        assert!(!check(&env, &DeclEdit::default()));
+        assert!(check(true, &DeclEdit::default()));
+        assert!(!check(true, &retract), "reads a retracted block");
+        assert!(!check(false, &DeclEdit::default()));
         let declare = DeclEdit {
             added: vec![bucket],
             ..DeclEdit::default()
         };
-        assert!(check(&env, &declare));
-        env.apply(declare);
-        assert!(env.declares(&DeclEdit::default(), "aws_s3_bucket", "b"));
+        assert!(check(false, &declare));
     }
 
     #[test]

@@ -1284,3 +1284,36 @@ fn a_damaged_memo_image_is_reported_by_fsck_and_survived_by_apply() {
         stdout(&out)
     );
 }
+
+/// A `provider` block's `region` is where its provider's resources land
+/// unless they pin their own: the validator, the planner and the executor
+/// read the one rule, and `state` shows the region the bucket went to.
+#[test]
+fn a_provider_blocks_region_is_where_its_resources_land() {
+    let t = TempSession::new("provider-region");
+    run(&["init", t.path()]);
+    let tf = t.write(
+        "infra.tf",
+        r#"provider "aws" {
+  region = "eu-west-1"
+}
+resource "aws_s3_bucket" "logs" {
+  bucket = "logs-eu"
+}
+"#,
+    );
+    let out = run(&["apply", t.path(), &tf]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["state", t.path()]);
+    let state = stdout(&out);
+    let region = |addr: &str| {
+        let line = state.lines().find(|line| line.starts_with(addr));
+        line.and_then(|line| line.split_whitespace().last())
+            .map(str::to_owned)
+    };
+    assert_eq!(
+        region("aws_s3_bucket.logs "),
+        Some("eu-west-1".into()),
+        "{state}"
+    );
+}

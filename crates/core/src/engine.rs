@@ -230,8 +230,8 @@ struct SyncPoint {
 type Over<'a> = Option<(&'a Snapshot, &'a [ResourceAddr])>;
 
 /// The key of a memo image in an engine whose catalog, modules and data are
-/// these, over `store` as it stands: its serial, its log's length and what
-/// its last version wrote.
+/// these, over `store` as it stands: its serial, its log's length and the
+/// checksum of its last version's frame.
 fn image_key(
     catalog: &Catalog,
     modules: &ModuleLibrary,
@@ -239,12 +239,11 @@ fn image_key(
     store: &LogStore,
 ) -> ImageKey {
     let fnv = |text: String| cloudless_state::cas::fnv64(text.as_bytes());
-    let head = store.history().latest();
     ImageKey {
         env: fnv(format!("{catalog:?}\n{modules:?}\n{data:?}")),
         serial: store.serial(),
         log_bytes: store.log_bytes(),
-        head: head.map_or(0, |v| fnv(format!("{:?}", (v.serial, &v.puts, &v.dels)))),
+        head: store.head_sum(),
     }
 }
 
@@ -567,10 +566,22 @@ impl Cloudless {
             .store
             .write_image(&mut |w| pipeline.write_image(key, w));
         let counter = match written {
-            Ok(()) => "pipeline.memo_image_writes",
+            Ok(()) => {
+                self.pipeline.written();
+                "pipeline.memo_image_writes"
+            }
             Err(_) => "pipeline.memo_image_write_failures",
         };
         self.config.recorder.counter(counter, 1);
+    }
+
+    /// Checkpoint the memo when no image beside the state log would warm
+    /// a fresh process: a `plan` or a reconcile's dry run that followed no
+    /// commit of this engine leaves one for the next.
+    fn checkpoint_unimaged(&mut self) {
+        if !self.pipeline.imaged() {
+            self.checkpoint_memo();
+        }
     }
 
     /// Whether the memo image beside the state log would warm this
@@ -704,11 +715,20 @@ impl Cloudless {
     /// semantics; empty = the whole plan), and hold it against the
     /// `prevent_destroy` guard and the registered policies. Refuses exactly
     /// what `converge` refuses and touches neither the cloud nor the state.
+    /// A memo no image holds yet is checkpointed for the next process.
     pub fn plan(
         &mut self,
         source: &str,
         targets: &[ResourceAddr],
     ) -> Result<Planned, ConvergeError> {
+        let planned = self.decide(source, targets)?;
+        self.checkpoint_unimaged();
+        Ok(planned)
+    }
+
+    /// [`Cloudless::plan`] against the committed state, for an apply that
+    /// checkpoints what it commits.
+    fn decide(&mut self, source: &str, targets: &[ResourceAddr]) -> Result<Planned, ConvergeError> {
         self.commit_uncommitted()?;
         self.plan_over(source, targets, None)
     }
@@ -843,7 +863,7 @@ impl Cloudless {
         source: &str,
         targets: &[ResourceAddr],
     ) -> Result<ConvergeOutcome, ConvergeError> {
-        let planned = self.plan(source, targets)?;
+        let planned = self.decide(source, targets)?;
         self.apply_planned(planned, source)
     }
 
@@ -1110,6 +1130,7 @@ impl Cloudless {
         let planned = self.plan_over(&patched, &[], over)?;
         let mut converged = planned.plan.is_empty();
         let (plan_text, apply) = if dry_run {
+            self.checkpoint_unimaged();
             (planned.plan_text, None)
         } else {
             // act: adopt, run the plan a dry run shows, prove the fixpoint

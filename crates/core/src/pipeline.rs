@@ -47,13 +47,15 @@
 //! # Inserting and removing blocks
 //!
 //! The memo's tables are positional — block *i*'s chunk, its node in the
-//! block DAG, its range of the manifest's instances, their places in the
-//! validation index and in the plan's visiting order. A body edit moves
+//! block DAG, its place in the name order, its range of the manifest's
+//! instances, their places in the plan's visiting order. A body edit moves
 //! none of them. A splice that inserts or removes blocks *reshapes* them,
-//! once, between its expand and validate stages
-//! (`Memo::reshape`): one O(blocks) pass renumbers what
-//! stays and makes room for what comes, and no per-block artifact outside
-//! the scope is derived again. The lint stage has passed by then, which is
+//! once, between its expand and validate stages (`Memo::reshape`), its
+//! source window landed first so that every block's name is the new
+//! source's: one O(blocks) pass renumbers what stays and makes room for
+//! what comes (the instance list keeps the blocks a memo loaded from an
+//! image has not decoded undecoded), and no per-block artifact outside the
+//! scope is derived again. The lint stage has passed by then, which is
 //! the last stage after which a refused program gets its memo back; a guard
 //! that trips on a reshaped memo drops it, as the all-blocks walk it
 //! restarts would have.
@@ -136,20 +138,23 @@ use cloudless_hcl::fingerprint::{
 };
 use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
-    expand_resource_block, expand_root, Manifest, ModuleLibrary, Program, ResourceBlock,
-    ResourceInstance, RootExpansion,
+    expand_resource_block, expand_root, provider_region, Instances, Manifest, ModuleLibrary, Piece,
+    Program, ResourceBlock, ResourceInstance, RootExpansion,
 };
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
 use cloudless_types::{join, PairMap, ResourceAddr, ResourceKey, SourcePos, Value};
-use cloudless_validate::incremental::{check_scope, name_claim, quota_key, ManifestIndex};
+use cloudless_validate::incremental::{
+    check_scope, name_claim, quota_key, ManifestIndex, Positions,
+};
 use cloudless_validate::{
     validate_indexed, MinedSpec, SpecMiner, ValidationLevel, ValidationReport,
 };
 
 mod image;
 
+use image::ClaimTable;
 pub(crate) use image::ImageKey;
 pub use image::Refusal as ImageRefusal;
 
@@ -387,32 +392,44 @@ fn instance_level_claims(
 /// A counted multiset of [`Claim`]s — how many holders each has — and,
 /// signed, a staged edit of one: per claim, holders gained minus holders
 /// lost between the in-scope blocks' old artifacts and their new ones.
-/// Nested rule → `of` → `what`, so counting a claim borrows it: the memo
-/// copies a value out of the program once, when its first holder comes.
+/// A memo loaded from an image counts the image's table ([`ClaimTable`],
+/// searched where it sits) and what has been held since; any other counts
+/// all of it in `delta`. Nested rule → `of` → `what`, so counting a claim
+/// borrows it: the memo copies a value out of the program once, when its
+/// first holder comes.
 #[derive(Default)]
-struct Claims(BTreeMap<Rule, PairMap<isize>>);
+struct Claims {
+    base: ClaimTable,
+    delta: BTreeMap<Rule, PairMap<isize>>,
+}
 
 impl Claims {
     /// How many holders `claim` has.
     fn held(&self, claim: &Claim<'_>) -> isize {
-        let of_rule = self.0.get(&claim.rule);
+        self.base.held(claim.rule, claim.of, &claim.what) + self.since(claim)
+    }
+
+    /// How many holders `claim` gained since the image (all of them,
+    /// without one).
+    fn since(&self, claim: &Claim<'_>) -> isize {
+        let of_rule = self.delta.get(&claim.rule);
         let held = of_rule.and_then(|claims| claims.get(claim.of, &claim.what));
         held.copied().unwrap_or(0)
     }
 
     /// Give `claim` `by` more holders (fewer, when negative).
     fn hold(&mut self, claim: &Claim<'_>, by: isize) {
-        let held = self.held(claim) + by;
-        let of_rule = self.0.entry(claim.rule).or_default();
+        let held = self.since(claim) + by;
+        let of_rule = self.delta.entry(claim.rule).or_default();
         match held {
             0 => drop(of_rule.remove(claim.of, &claim.what)),
             _ => drop(of_rule.insert(claim.of, &claim.what, held)),
         }
     }
 
-    /// Every claim counted, in order, with its count.
+    /// Every claim held since the image, in order, with its count.
     fn iter(&self) -> impl Iterator<Item = (Claim<'_>, isize)> {
-        self.0.iter().flat_map(|(&rule, claims)| {
+        self.delta.iter().flat_map(|(&rule, claims)| {
             claims
                 .iter()
                 .map(move |(of, what, &n)| (Claim::of(rule, (of, what)), n))
@@ -420,15 +437,15 @@ impl Claims {
     }
 
     fn len(&self) -> usize {
-        self.0.values().map(PairMap::len).sum()
+        self.base.len() + self.delta.values().map(PairMap::len).sum::<usize>()
     }
 
     /// Count `other`'s holders in too. The stages claim under rules of
     /// their own, so a fill moves whole rules over; a rule both count is
     /// held claim by claim.
     fn merge(&mut self, other: Claims) {
-        for (rule, claims) in other.0 {
-            if let Entry::Vacant(slot) = self.0.entry(rule) {
+        for (rule, claims) in other.delta {
+            if let Entry::Vacant(slot) = self.delta.entry(rule) {
                 slot.insert(claims);
                 continue;
             }
@@ -483,13 +500,63 @@ struct PlanCache {
     /// Each instance's place in `order`: a pass visits what it marks by
     /// this key, smallest first.
     rank: Vec<usize>,
-    /// Block `(type, name)` → whether the block's last-visited instance is
-    /// created or replaced.
-    dirty: PairMap<bool>,
+    /// Whether each block's last-visited instance is created or replaced.
+    dirty: Dirty,
     /// Non-NoOp changes by declaration position.
     changes: BTreeMap<usize, PlannedChange>,
     /// Deletions by rendered address — the state's own key, so its order.
     deletes: BTreeMap<String, PlannedChange>,
+}
+
+/// Whether each block's last-visited instance is created or replaced: as
+/// the image the memo was loaded from had it, by block, and as visited
+/// since, by `(type, name)` (every block visited, without an image).
+#[derive(Default)]
+struct Dirty {
+    image: Vec<Option<bool>>,
+    since: PairMap<bool>,
+}
+
+impl Dirty {
+    /// Block `rtype.name`'s dirtiness (`None`: no instance of it visited).
+    fn get(&self, memo: &Memo, rtype: &str, name: &str) -> Option<bool> {
+        let since = self.since.get(rtype, name).copied();
+        let image = || match self.image.is_empty() {
+            true => None,
+            false => *self.image.get(memo.block_named(rtype, name)?)?,
+        };
+        since.or_else(image)
+    }
+
+    /// Visit block `rtype.name` with `flag`: what it was before.
+    fn insert(&mut self, memo: &Memo, rtype: &str, name: &str, flag: bool) -> Option<bool> {
+        let was = self.get(memo, rtype, name);
+        self.since.insert(rtype, name, flag);
+        was
+    }
+
+    fn clear(&mut self) {
+        self.image.clear();
+        self.since.clear();
+    }
+
+    /// Each block of `memo`'s dirtiness, in block order: what has been
+    /// visited since, in name order, walked beside the blocks in name order.
+    fn by_block(&self, memo: &Memo) -> Vec<Option<bool>> {
+        let mut flags = self.image.clone();
+        flags.resize(memo.root.block_ranges.len(), None);
+        let mut blocks = memo.by_name.iter().map(|&b| b as usize).peekable();
+        for (rtype, name, &flag) in self.since.iter() {
+            while blocks
+                .next_if(|&b| memo.name_of(b) < (rtype, name))
+                .is_some()
+            {}
+            if let Some(b) = blocks.next_if(|&b| memo.name_of(b) == (rtype, name)) {
+                flags[b] = Some(flag);
+            }
+        }
+        flags
+    }
 }
 
 impl PlanCache {
@@ -506,12 +573,8 @@ impl PlanCache {
 
 /// Which of a block's instances, at manifest positions `at`, has address
 /// `addr`: a counted block's sit in index order, so that one is a probe.
-fn instance_at(
-    instances: &[Arc<ResourceInstance>],
-    at: &[usize],
-    addr: &ResourceAddr,
-) -> Option<usize> {
-    let is = |p: &&usize| instances[**p].addr == *addr;
+fn instance_at(instances: &Instances, at: &[usize], addr: &ResourceAddr) -> Option<usize> {
+    let is = |p: &&usize| instances.at(**p).addr == *addr;
     let probe = match addr.key {
         ResourceKey::None => at.first(),
         ResourceKey::Index(i) => at.get(i as usize),
@@ -545,20 +608,24 @@ struct Memo {
     outer: PairMap<()>,
     /// Block-level dependency DAG (edges: dependency → dependent).
     dag: Dag<()>,
-    // lint
+    /// The blocks in `(type, name)` order: what a block's name is looked up
+    /// in (its declaration, its instances, its dirtiness).
+    by_name: Vec<u32>,
+    // lint (the resource blocks it declares are `by_name`'s)
     lint_env: LintEnv,
     // expand
     root: RootExpansion,
     manifest: Manifest,
-    // validate
-    mindex: ManifestIndex,
+    // validate: each instance's own position, which the positions of a
+    // block's instances are a range of
+    seats: Vec<usize>,
     // parse (readers), lint (block identities), analyze (the rest)
     claims: Claims,
     // plan
     plan: PlanCache,
-    /// The frames of the image the memo was loaded from, and what has
-    /// changed since.
-    image: image::Cached,
+    /// The image the memo was loaded from: the records of the blocks it
+    /// still holds as the image has them are copied from it.
+    image: Option<Arc<image::Image>>,
 }
 
 /// Where a block sits in one version of the source: its position among the
@@ -751,6 +818,9 @@ pub struct IncrementalPipeline {
     image_pending: bool,
     /// What the image did for the first run, for that run's trace.
     image_note: Option<(&'static str, String)>,
+    /// Whether an image beside the log warms the next process: one warmed
+    /// the first run, or the memo has been written since.
+    imaged: bool,
 }
 
 impl Default for IncrementalPipeline {
@@ -759,6 +829,7 @@ impl Default for IncrementalPipeline {
             memo: None,
             image_pending: true,
             image_note: None,
+            imaged: false,
         }
     }
 }
@@ -797,6 +868,7 @@ impl IncrementalPipeline {
                 ctx.recorder.counter("pipeline.memo_image_loads", 1);
                 let blocks = memo.root.block_ranges.len();
                 self.memo = Some(memo);
+                self.imaged = true;
                 let plans = match planned {
                     true => "the edit",
                     false => "every instance",
@@ -822,6 +894,17 @@ impl IncrementalPipeline {
             return Ok(None);
         }
         image::open(image, key, ctx).map(|loaded| Some(loaded.serial))
+    }
+
+    /// Whether an image beside the log warms the next process (see
+    /// [`IncrementalPipeline::written`]).
+    pub(crate) fn imaged(&self) -> bool {
+        self.imaged
+    }
+
+    /// The memo has been written as the image beside the log.
+    pub(crate) fn written(&mut self) {
+        self.imaged = true;
     }
 
     /// Write the memo, if one is held, as an image under `key` through `w`.
@@ -896,9 +979,7 @@ impl IncrementalPipeline {
         let block_of = |at: usize| ranges.partition_point(|span| span.end <= at);
         let mut scope: BTreeSet<usize> = plan.changes.keys().map(|&at| block_of(at)).collect();
         let mut reach = |addr: &ResourceAddr| {
-            let at = memo
-                .mindex
-                .positions(&addr.module_path, addr.rtype.as_str(), &addr.name);
+            let at = memo.positions(&addr.module_path, addr.rtype.as_str(), &addr.name);
             scope.extend(at.first().map(|&at| block_of(at)));
         };
         refreshed.for_each(&mut reach);
@@ -907,7 +988,7 @@ impl IncrementalPipeline {
         for b in scope {
             let chunk = &memo.chunks.chunks[memo.block_chunk[b]];
             let rb = parse_block(&memo.source, chunk, &memo.program.filename).ok()?;
-            blocks.push((rb, &memo.manifest.instances[ranges[b].clone()]));
+            blocks.push((rb, memo.manifest.instances.slice(ranges[b].clone())));
         }
         let names = names.then(|| {
             let kinds = memo.chunks.chunks.iter().map(|chunk| &chunk.kind);
@@ -1168,11 +1249,11 @@ impl<'a> Walk<'a> {
                 Walk::plan(ctx, delta, manifest, fresh, None)
             },
         );
-        let ((mindex, report), analyzed) = checked?;
+        let (report, analyzed) = checked?;
         *keep &= report.diagnostics.is_empty();
         self.out.validation = report;
         if *keep {
-            fresh.mindex = mindex;
+            fresh.seats = (0..self.out.manifest.instances.len()).collect();
         }
         // `analyzed` is `None` when there is no lint gate
         if let (Some(cfg), Some(outcome)) = (cfg, analyzed) {
@@ -1226,13 +1307,14 @@ impl<'a> Walk<'a> {
             ..
         } = edit;
         let env = &memo.lint_env;
+        let declares = |decls: &DeclEdit, t: &str, n: &str| memo.declares(decls, t, n);
         let key = |rb: &ResourceBlock| (rb.rtype.clone(), rb.name.clone());
         // what the splice declares and retracts, and the seats it vacates
         let leaving = blocks.iter().filter(|b| b.removed());
         decls.removed = leaving.filter_map(|b| b.old.as_ref()).map(key).collect();
         let coming = blocks.iter().filter(|b| b.inserted());
         for rb in coming.filter_map(|b| b.new.as_ref()) {
-            let twice = env.declares(decls, &rb.rtype, &rb.name);
+            let twice = declares(decls, &rb.rtype, &rb.name);
             ensure(!twice, "structural edit (a block is declared twice)")?;
             decls.added.push(key(rb));
         }
@@ -1252,7 +1334,8 @@ impl<'a> Walk<'a> {
                 ensure(!flipped, "count-disabled status changed")?;
             }
             if let Some((rb, refs)) = &new {
-                let clean = |cfg| block_is_clean(&memo.program, rb, refs, env, decls, cfg);
+                let declared = |t: &str, n: &str| declares(decls, t, n);
+                let clean = |cfg| block_is_clean(&memo.program, rb, refs, env, &declared, cfg);
                 let clean = self.lint_cfg.as_ref().is_none_or(clean);
                 ensure(clean, "edited block has lint findings")?;
                 stage(claims, lint_claims(rb, refs, env), 1);
@@ -1282,13 +1365,13 @@ impl<'a> Walk<'a> {
     fn expand(&self, memo: &mut Memo, edit: &mut Splice) -> Result<(), Stop> {
         let ctx = self.ctx;
         let Splice { blocks, decls, .. } = &mut *edit;
-        let declared = |t: &str, n: &str| memo.lint_env.declares(decls, t, n);
+        let declared = |t: &str, n: &str| memo.declares(decls, t, n);
         for at in 0..blocks.len() {
             let (earlier, rest) = blocks.split_at_mut(at);
             let b = &mut rest[0];
             if let Some((was, _)) = b.was {
                 let span = memo.root.block_ranges[was].clone();
-                b.before = memo.manifest.instances[span].to_vec();
+                b.before = memo.manifest.instances.slice(span).to_vec();
             }
             let Some(rb) = &b.new else {
                 continue;
@@ -1307,6 +1390,10 @@ impl<'a> Walk<'a> {
                 &mut fresh,
             );
             ensure(diags.is_empty(), "expansion produced diagnostics")?;
+            for inst in &mut fresh {
+                let config = &memo.manifest.provider_config;
+                inst.provider_region = provider_region(config, &inst.addr.rtype);
+            }
             if b.inserted() {
                 // Block-level dependencies become instance-level, as
                 // `expand_root` makes them once every block is expanded.
@@ -1333,11 +1420,8 @@ impl<'a> Walk<'a> {
             // nothing is left of the memo as it stood: a guard that trips
             // from here on drops it
             edit.reshaped = true;
-            memo.image.forget();
+            memo.land(edit, self.source);
             memo.reshape(&edit.blocks)?;
-        }
-        for (at, _) in edit.blocks.iter().filter_map(|b| b.now) {
-            memo.image.block(at);
         }
         // in place, O(edit): a stopped walk puts `before` back
         memo.write_edited(&edit.blocks, |b| &b.after);
@@ -1356,8 +1440,8 @@ impl<'a> Walk<'a> {
         }
         let instances_of = |&bi: &usize| memo.root.block_ranges[bi].clone();
         let positions: Vec<usize> = in_scope.iter().flat_map(instances_of).collect();
-        let (ctx, manifest, mindex) = (self.ctx, &memo.manifest, &memo.mindex);
-        let found = check_scope(manifest, mindex, &positions, ctx.catalog, ctx.miner);
+        let (ctx, manifest) = (self.ctx, &memo.manifest);
+        let found = check_scope(manifest, memo, &positions, ctx.catalog, ctx.miner);
         ensure(found.is_empty(), "edited scope has validation findings")
     }
 
@@ -1425,12 +1509,27 @@ impl<'a> Walk<'a> {
         memo: &mut Memo,
         blocks: Option<&[BlockEdit]>,
     ) -> PlanPass {
+        let mut plan = std::mem::take(&mut memo.plan);
+        let pass = Walk::pass(ctx, delta, manifest, memo, &mut plan, blocks);
+        memo.plan = plan;
+        pass
+    }
+
+    /// [`Walk::plan`]'s pass, with the plan cache out of the memo it reads.
+    fn pass(
+        ctx: &PipelineCtx<'_>,
+        delta: Option<&[ResourceAddr]>,
+        manifest: &Manifest,
+        memo: &Memo,
+        plan: &mut PlanCache,
+        blocks: Option<&[BlockEdit]>,
+    ) -> PlanPass {
         let instances = &manifest.instances;
-        let (dag, ranges) = (&memo.dag, &memo.root.block_ranges);
-        let (mindex, lint_env) = (&memo.mindex, &memo.lint_env);
         if blocks.is_none() {
-            memo.plan.set_order(dependency_order(manifest));
+            plan.set_order(dependency_order(manifest));
         }
+        let (dag, ranges) = (&memo.dag, &memo.root.block_ranges);
+        let block_of = |at: usize| ranges.partition_point(|span| span.end <= at);
         let PlanCache {
             serial,
             away,
@@ -1440,7 +1539,7 @@ impl<'a> Walk<'a> {
             dirty,
             changes,
             deletes,
-        } = &mut memo.plan;
+        } = plan;
         // a mark is an instance's rank: the pass pops the smallest
         let mark = |marked: &mut BTreeSet<usize>, span: Range<usize>| {
             marked.extend(span.map(|at| rank[at]));
@@ -1480,21 +1579,18 @@ impl<'a> Walk<'a> {
                 };
                 for addr in away.iter().chain(delta.into_iter().flatten()) {
                     let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
-                    let at = mindex.positions(&addr.module_path, rtype, name);
+                    let at = memo.positions(&addr.module_path, rtype, name);
                     let Some(&first) = at.first() else {
                         // nothing says which blocks read a declared block
                         // that has no instance
                         let root = addr.module_path.is_empty();
-                        if root && lint_env.declares(&DeclEdit::default(), rtype, name) {
+                        if root && memo.block_named(rtype, name).is_some() {
                             break 'reuse None;
                         }
                         redelete(addr);
                         continue;
                     };
-                    mark_readers(
-                        &mut marked,
-                        ranges.partition_point(|span| span.end <= first),
-                    );
+                    mark_readers(&mut marked, block_of(first));
                     match instance_at(instances, at, addr) {
                         Some(idx) => mark(&mut marked, idx..idx + 1),
                         None => redelete(addr),
@@ -1505,7 +1601,6 @@ impl<'a> Walk<'a> {
         };
         if marked.is_none() {
             // every block's dirtiness is planned again
-            memo.image.forget();
             *serial = Some(ctx.state.serial);
             away.clear();
             let all = delete_changes(manifest, ctx.state).into_iter();
@@ -1532,21 +1627,17 @@ impl<'a> Walk<'a> {
             };
             next = r + 1;
             visited += 1;
-            let inst = &instances[idx];
+            let inst = instances.at(idx);
             let mut dep_dirty =
-                |rtype: &str, name: &str| dirty.get(rtype, name).copied().unwrap_or(true);
+                |rtype: &str, name: &str| dirty.get(memo, rtype, name).unwrap_or(true);
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
             let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
             let flag = change.makes_dirty();
-            let was = dirty.insert(rtype, name, flag);
-            if was != Some(flag) {
-                memo.image
-                    .block(ranges.partition_point(|span| span.end <= idx));
-            }
+            let was = dirty.insert(memo, rtype, name, flag);
             if let (Some(marked), true) = (&mut marked, was != Some(flag)) {
                 // (marking on every flip between a block's instances
                 // over-marks, never under-marks)
-                mark_readers(marked, ranges.partition_point(|span| span.end <= idx));
+                mark_readers(marked, block_of(idx));
             }
             match change.action.is_noop() {
                 true => drop(changes.remove(&idx)),
@@ -1635,20 +1726,20 @@ fn lint_all(
     Ok(Linted { env, clean, claims })
 }
 
-/// The validate stage over every instance: the positional index and the
-/// report of a program it passes.
+/// The validate stage over every instance: the report of a program it
+/// passes.
 fn validate_all(
     manifest: &Manifest,
     catalog: &Catalog,
     level: ValidationLevel,
     miner: Option<&SpecMiner>,
-) -> Result<(ManifestIndex, ValidationReport), PipelineError> {
+) -> Result<ValidationReport, PipelineError> {
     let mindex = ManifestIndex::build(manifest);
     let report = validate_indexed(manifest, &mindex, catalog, level, miner);
     if !report.ok() {
         return Err(PipelineError::Validation(report));
     }
-    Ok((mindex, report))
+    Ok(report)
 }
 
 /// Which of the blocks a splice inserted `earlier` is `rtype.name`, and the
@@ -1768,7 +1859,32 @@ impl Memo {
         self.specs = ctx.mined_specs().to_vec();
         self.source = source.to_owned();
         self.chunks = chunks;
+        let names = blocks.iter().enumerate();
+        let mut names: Vec<_> = names
+            .map(|(b, rb)| (rb.rtype.as_str(), &rb.name, b))
+            .collect();
+        names.sort_unstable();
+        self.by_name = names.into_iter().map(|(.., b)| b as u32).collect();
         true
+    }
+
+    /// Block `b`'s `(type, name)`.
+    fn name_of(&self, b: usize) -> (&str, &str) {
+        match &self.chunks.chunks[self.block_chunk[b]].kind {
+            ChunkKind::Resource { rtype, name } => (rtype, name),
+            ChunkKind::Other => ("", ""),
+        }
+    }
+
+    /// The block declared as `rtype.name`, if one is.
+    fn block_named(&self, rtype: &str, name: &str) -> Option<usize> {
+        let at = (self.by_name).binary_search_by(|&b| self.name_of(b as usize).cmp(&(rtype, name)));
+        at.ok().map(|at| self.by_name[at] as usize)
+    }
+
+    /// Whether `rtype.name` is a declared resource block once `decls` lands.
+    fn declares(&self, decls: &DeclEdit, rtype: &str, name: &str) -> bool {
+        decls.declares(|t, n| self.block_named(t, n).is_some(), rtype, name)
     }
 
     /// Read the blocks in scope off an edit window: chunks `old` of the
@@ -1861,12 +1977,6 @@ impl Memo {
         Ok(blocks)
     }
 
-    /// Where the instances of block `rtype.name` sit in the manifest (none:
-    /// no such block, or one that expands to nothing).
-    fn positions_of(&self, rtype: &str, name: &str) -> &[usize] {
-        self.mindex.positions(&[], rtype, name)
-    }
-
     /// The addresses of block `rtype.name`'s instances, the block being one
     /// the splice inserted `earlier` or one of the memo's.
     fn addresses_of(&self, rtype: &str, name: &str, earlier: &[BlockEdit]) -> Vec<ResourceAddr> {
@@ -1874,8 +1984,8 @@ impl Memo {
             Some((k, _)) => (earlier[k].after.iter())
                 .map(|inst| inst.addr.clone())
                 .collect(),
-            None => (self.positions_of(rtype, name).iter())
-                .map(|&at| self.manifest.instances[at].addr.clone())
+            None => (self.positions(&[], rtype, name).iter())
+                .map(|&at| self.manifest.instances.at(at).addr.clone())
                 .collect(),
         }
     }
@@ -1895,7 +2005,7 @@ impl Memo {
         let env = &self.lint_env;
         let mut deps = Vec::new();
         // (what names no block is nobody's edge)
-        let names_block = |(t, n): &(&str, &str)| env.declares(decls, t, n);
+        let names_block = |(t, n): &(&str, &str)| self.declares(decls, t, n);
         for (rtype, name) in refs.block_targets().filter(names_block) {
             let added = |(t, n): &(String, String)| t == rtype && n == name;
             let (dep, disabled) = if decls.added.iter().any(added) {
@@ -1905,7 +2015,7 @@ impl Memo {
                 };
                 (Dep::Staged(k), env.count_folds_zero(rb))
             } else {
-                let Some(&first) = self.positions_of(rtype, name).first() else {
+                let Some(&first) = self.positions(&[], rtype, name).first() else {
                     let reason = "structural edit (an inserted block depends on an empty one)";
                     return Err(Stop::Guard(reason.to_owned()));
                 };
@@ -1930,25 +2040,23 @@ impl Memo {
     fn reshape(&mut self, blocks: &[BlockEdit]) -> Result<(), Stop> {
         const GONE: usize = usize::MAX;
         let ranges = std::mem::take(&mut self.root.block_ranges);
-        let mut was = std::mem::take(self.manifest.instances.make_mut()).into_iter();
-        let mut instances = Vec::with_capacity(was.len());
         let inserted = || blocks.iter().filter(|b| b.inserted());
         let removed = || blocks.iter().filter(|b| b.removed());
 
         // old block → new block, old instance → new instance, as the new
         // blocks' ranges line up
         let mut block_to = vec![GONE; ranges.len()];
-        let mut instance_to = vec![GONE; was.len()];
+        let mut instance_to = vec![GONE; self.manifest.instances.len()];
         let (mut came, mut went) = (inserted().peekable(), removed().peekable());
-        let mut old = 0;
+        let (mut old, mut pieces, mut len) = (0, Vec::new(), 0);
         while old < ranges.len() || came.peek().is_some() {
             let at = self.root.block_ranges.len();
-            let first = instances.len();
+            let first = len;
             if let Some(b) = came.next_if(|b| b.at == at) {
-                instances.extend_from_slice(&b.after);
+                pieces.push(Piece::New(&b.after));
+                len += b.after.len();
             } else if went.next_if(|b| b.at == old).is_some() {
                 // (its instances live on in the splice's `before`)
-                was.by_ref().take(ranges[old].len()).for_each(drop);
                 old += 1;
                 continue;
             } else {
@@ -1957,12 +2065,14 @@ impl Memo {
                 for (k, from) in span.clone().enumerate() {
                     instance_to[from] = first + k;
                 }
-                instances.extend(was.by_ref().take(span.len()));
+                len += span.len();
+                pieces.push(Piece::Kept(old, span));
                 old += 1;
             }
-            (self.root.block_ranges).push(first..instances.len());
+            (self.root.block_ranges).push(first..len);
         }
-        *self.manifest.instances.make_mut() = instances;
+        self.manifest.instances.regroup(pieces.into_iter());
+        self.seats = (0..len).collect();
 
         // the block DAG: the edges between blocks that stay, and each
         // inserted block's edges from what it depends on
@@ -1988,23 +2098,38 @@ impl Memo {
         ensure(sealed.is_ok(), "structural edit (a dependency cycle)")?;
         self.dag = sealed.unwrap_or_default();
 
-        // The validation index and the plan cache. What stays keeps its
-        // place in the visiting order, and what comes goes last — nothing
+        // The names and the plan cache. What stays keeps its place in the
+        // name order and the visiting order, and what comes is put in its
+        // place by name, and goes last in the visiting order — nothing
         // depends on it — each block's first instance visited last, as
         // Kahn's stack leaves it.
         let moved = |at: &usize| Some(instance_to[*at]).filter(|&to| to != GONE);
+        let kept = self.by_name.iter().map(|&b| block_to[b as usize]);
+        self.by_name = kept.filter(|&b| b != GONE).map(|b| b as u32).collect();
         for b in removed() {
-            self.mindex.remove(&b.before);
             let parsed = b.old.as_ref();
             let rb = parsed.ok_or_else(|| Stop::Guard("a removed block was not parsed".into()))?;
-            self.plan.dirty.remove(&rb.rtype, &rb.name);
+            self.plan.dirty.since.remove(&rb.rtype, &rb.name);
         }
-        self.mindex.shift(|at| instance_to[at]);
+        let image = std::mem::take(&mut self.plan.dirty.image);
+        if !image.is_empty() {
+            let mut placed = vec![None; self.root.block_ranges.len()];
+            for (flag, &to) in image.into_iter().zip(&block_to) {
+                if to != GONE {
+                    placed[to] = flag;
+                }
+            }
+            self.plan.dirty.image = placed;
+        }
         let mut order: Vec<usize> = self.plan.order.iter().filter_map(moved).collect();
         for b in inserted() {
             let span = self.root.block_ranges[b.at].clone();
-            self.mindex.insert(span.start, &b.after);
             order.extend(span.rev());
+            let name = (b.new.as_ref()).map(|rb| (rb.rtype.as_str(), rb.name.as_str()));
+            let name =
+                name.ok_or_else(|| Stop::Guard("an inserted block was not parsed".into()))?;
+            let at = (self.by_name).partition_point(|&k| self.name_of(k as usize) < name);
+            self.by_name.insert(at, b.at as u32);
         }
         self.plan.set_order(order);
         let changes = std::mem::take(&mut self.plan.changes).into_iter();
@@ -2025,7 +2150,23 @@ impl Memo {
         for b in blocks.iter().filter(|b| !b.inserted()) {
             if let Some((at, _)) = b.now {
                 let span = self.root.block_ranges[at].clone();
-                self.manifest.instances.make_mut()[span].clone_from_slice(side(b));
+                self.manifest.instances.write(span, side(b));
+            }
+        }
+    }
+
+    /// Land the staged splice's source window: the window's bytes, written
+    /// in the buffer the memo owns (every byte outside it is the same in
+    /// both sources), and its chunks. A reshape lands it first, so that the
+    /// blocks' names are the new source's.
+    fn land(&mut self, edit: &mut Splice, source: &str) {
+        if let Some(window) = edit.window.take() {
+            let was = self.chunks.byte_range(window.old.clone());
+            let now = was.start..was.end.wrapping_add_signed(window.shift);
+            self.source.replace_range(was, &source[now]);
+            self.chunks.splice(window);
+            if edit.reshaped {
+                self.block_chunk = self.chunks.resource_chunks().collect();
             }
         }
     }
@@ -2033,39 +2174,35 @@ impl Memo {
     /// Land the staged splice of a walk whose verdict stages all passed
     /// (its blocks stay behind for the plan stage).
     fn absorb(&mut self, edit: &mut Splice, source: &str) {
-        if let Some(window) = edit.window.take() {
-            // the window's bytes, rewritten in the buffer the memo owns:
-            // every byte outside it is the same in both sources
-            let was = self.chunks.byte_range(window.old.clone());
-            let now = was.start..was.end.wrapping_add_signed(window.shift);
-            self.source.replace_range(was, &source[now]);
-            let rescanned = window.old.start..window.old.start + window.chunks.len();
-            rescanned.for_each(|at| self.image.chunk(at));
-            self.chunks.splice(window);
-            if edit.reshaped {
-                self.block_chunk = self.chunks.resource_chunks().collect();
-            }
-        }
-        self.lint_env.apply(std::mem::take(&mut edit.decls));
+        self.land(edit, source);
         for (claim, by) in std::mem::take(&mut edit.claims).iter() {
             self.claims.hold(&claim, by);
         }
     }
 
-    /// Approximate retained heap bytes — intentionally coarse; the budget
-    /// is a guard rail, not an allocator.
+    /// Approximate retained heap bytes — intentionally coarse, and read
+    /// off the tables' lengths: no block is decoded to size it.
     fn approx_bytes(&self) -> usize {
         let mut total = self.source.len() * 2; // source + program text-ish
         total += self.chunks.approx_bytes();
         total += self.block_chunk.len() * 768;
-        for inst in &self.manifest.instances {
-            total += 384 + inst.attrs.len() * 96 + inst.deferred.len() * 160;
-        }
-        total += self.mindex.approx_bytes();
-        total += self.claims.len() * 128;
-        total += self.plan.order.len() * 8 + self.plan.dirty.len() * 64;
+        total += self.manifest.instances.len() * 480;
+        total += self.claims.len() * 128 + self.seats.len() * 8;
+        total += self.plan.order.len() * 16 + self.plan.dirty.image.len();
+        total += self.plan.dirty.since.len() * 64;
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
-        total + self.image.approx_bytes()
+        total + self.image.as_ref().map_or(0, |image| image.len())
+    }
+}
+
+impl Positions for Memo {
+    /// A block's instances sit side by side: their positions are its range
+    /// of `seats`. (A memo holds the root module alone.)
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+        let block = self
+            .block_named(rtype, name)
+            .filter(|_| module_path.is_empty());
+        block.map_or(&[], |b| &self.seats[self.root.block_ranges[b].clone()])
     }
 }
 

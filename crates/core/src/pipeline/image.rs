@@ -2,83 +2,72 @@
 //! so that a fresh process splices its first edit instead of walking every
 //! block cold.
 //!
-//! The image is a sequence of frames in `state.log`'s framing — a header
-//! line, then one checksummed JSON record per line — read by the log's one
-//! reader ([`Frames`]). It holds what costs more to derive than to decode:
-//! the source text, each block's instances (attributes, keys, dependencies,
-//! spans), the block DAG's edges, the claims the lint stage and the readers
-//! make, and the plan cache's visiting order and dirtiness. Everything else
-//! is derived at load: the chunk table from the chunks' lengths and the
-//! source; the program's non-resource half by parsing its chunks where they
-//! sit in the file, and from it the root bindings, the outputs and the lint
-//! environment; the validation index and the instance-level claims from the
-//! manifest; each instance's place in the visiting order from the order. A
-//! block with a deferred attribute is parsed and expanded again
-//! (expressions are not encoded).
+//! The image is a header line, flat little-endian sections, a directory of
+//! where each sits, and one checksum over every byte before it. The
+//! sections: the source and its chunk table (offsets, first lines, hashes
+//! and block names); each block's instance count, plan dirtiness and
+//! record; the blocks in name order; the block DAG's successors; the plan
+//! cache's visiting order and the addresses it owes; and the claims in key
+//! order, each written as it is made. Opening an image checks the checksum,
+//! copies the integer tables and validates them, and parses the program's
+//! non-resource half off its chunks. It decodes no block (but every one of
+//! an image that owes a plan of most of them): a block's record (its
+//! instances, spans and lifecycle) is decoded when a read of the instance
+//! list first reaches it ([`Instances::by_block`]), and a claim is looked
+//! up where it sits ([`ClaimTable`]). A block with a deferred
+//! attribute is decoded, parsed and expanded again at open (expressions are
+//! not encoded). The checksum vouches for every record: one that does not
+//! decode is the writer's defect, and stops the process rather than be
+//! planned from.
 //!
-//! A block's record and a piece of the source say nothing of where they
-//! sit: spans count from the start of the block's chunk, and a piece holds
-//! a fixed number of chunks. So an edit changes the records of the blocks
-//! it touches, and a memo loaded from an image writes every other frame
-//! back as it read it ([`Cached`]).
+//! A record says nothing of where its block sits (spans count from the start
+//! of its chunk), so the memo writes the next image copying the records of
+//! the blocks no edit reached and encoding the rest.
 //!
-//! The key is the format version (the header line) and a fingerprint of
-//! everything a walk reads besides the source and the state: the inputs,
-//! the lint gate, the validation level, the mined specs' rules, and the
-//! catalog, module library and data resolver. The plan cache is anchored
-//! to the serial, log length and last version it was written at; a store
-//! anywhere else keeps the front-end memo and re-plans every instance.
-//! Changes and deletions are not encoded: their addresses are owed a plan,
-//! as a commit owes the ones it wrote.
-//!
-//! An image that is absent, of another version, under another key, damaged
-//! or inconsistent is refused with a `MEM0xx` reason, and the run is the
-//! cold start it would have been without one.
+//! The key is the format version (the header line) and a fingerprint of what
+//! a walk reads besides the source and the state: the inputs, the lint gate,
+//! the validation level, the mined specs' rules, and the catalog, module
+//! library and data resolver. The plan cache is anchored to the serial, log
+//! length and last version's frame it was written at; a store anywhere else
+//! keeps the front-end memo and re-plans every instance. An image that is
+//! absent, of another version, under another key, damaged or inconsistent is
+//! refused with a `MEM0xx` reason, and the run is the cold start it would
+//! have been.
 
-use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Ordering;
 use std::fmt;
 use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
-use cloudless_analyze::incremental::{outer_refs, DeclEdit, LintEnv, IDENTITY_ATTRS};
+use cloudless_analyze::incremental::{outer_refs, LintEnv};
 use cloudless_graph::{DagBuilder, NodeId};
-use cloudless_hcl::eval::Resolver;
-use cloudless_hcl::fingerprint::{fnv1a, Chunk, ChunkKind, ChunkMap};
+use cloudless_hcl::fingerprint::{Chunk, ChunkKind, ChunkMap};
+use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
-    expand_resource_block, expand_root, EvalEnv, Lifecycle, Program, ResourceInstance,
+    expand_resource_block, expand_root, provider_region, BlockSource, EvalEnv, Instances,
+    Lifecycle, Program, ResourceInstance, RootExpansion,
 };
 use cloudless_hcl::Diagnostics;
+use cloudless_obs::Recorder;
 use cloudless_state::cas::fnv64;
-use cloudless_state::log::frame_payload;
-use cloudless_state::Frames;
 use cloudless_types::{
     join, Attrs, ResourceAddr, ResourceKey, ResourceTypeName, SourcePos, Span, Value, VecMap,
-    VecSet,
 };
-use cloudless_validate::incremental::ManifestIndex;
-use cloudless_validate::SpecMiner;
 use serde::{Deserialize, Serialize};
 
-use super::{instance_level_claims, parse_block, stage, Claim, Claims, Memo, PipelineCtx, Rule};
+use super::{parse_block, Claims, Memo, PipelineCtx, Rule};
 
 /// The header line: the format and its version.
-const MAGIC: &str = "cloudless-memo v1";
+const MAGIC: &str = "cloudless-memo v2";
 /// What every version's header starts with.
 const MAGIC_STEM: &str = "cloudless-memo v";
-
-/// Blocks, claims or chunks of source per frame: what the writer's buffer
-/// holds at once.
-const PER_FRAME: usize = 256;
-/// Frames of blocks each side of a join frames before they are written.
-const BATCH: usize = 8;
 
 /// What a walk reads besides the source and the state, that the engine
 /// holds and the memo does not (the catalog, the module library and the
 /// data resolver, fingerprinted), and where the image's plan cache is
-/// anchored: the committed serial, the log's length and a fingerprint of
-/// what the last version wrote.
+/// anchored: the committed serial, the log's length and the checksum of the
+/// last version's frame.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ImageKey {
     pub env: u64,
@@ -115,14 +104,6 @@ fn absent(why: impl Into<String>) -> Refusal {
     }
 }
 
-/// MEM004: a frame cannot be read.
-fn damaged(at: usize, why: String) -> Refusal {
-    Refusal {
-        code: "MEM004",
-        why: format!("the frame at byte {at} is damaged ({why})"),
-    }
-}
-
 /// MEM005: the image's contents do not fit together.
 fn inconsistent<T>(why: impl Into<String>) -> Result<T, Refusal> {
     refuse("MEM005", why)
@@ -143,7 +124,426 @@ fn rules_of(specs: &[cloudless_validate::MinedSpec]) -> u64 {
     fnv64(format!("{rules:?}").as_bytes())
 }
 
-// ------------------------------------------------------------------ frames
+/// The image's checksum, fed as the bytes go by: four interleaved
+/// multiply-xor lanes over 32-byte blocks of 8-byte words, so every word
+/// sits behind a bijection and a changed one changes the sum; the length
+/// goes in last, so a cut does too.
+struct Sum {
+    lanes: [u64; 4],
+    /// The first `held` bytes of a block not yet whole.
+    pending: [u8; 32],
+    held: usize,
+    len: u64,
+}
+
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Sum {
+    fn new() -> Sum {
+        Sum {
+            lanes: [1, 2, 3, 4],
+            pending: [0; 32],
+            held: 0,
+            len: 0,
+        }
+    }
+
+    fn block(&mut self, block: &[u8]) {
+        for (lane, word) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().unwrap_or_default());
+            *lane = (*lane ^ word).wrapping_mul(K).rotate_left(29);
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.held > 0 {
+            let take = bytes.len().min(32 - self.held);
+            self.pending[self.held..self.held + take].copy_from_slice(&bytes[..take]);
+            (self.held, bytes) = (self.held + take, &bytes[take..]);
+            if self.held < 32 {
+                return;
+            }
+            let block = self.pending;
+            self.block(&block);
+            self.held = 0;
+        }
+        let mut blocks = bytes.chunks_exact(32);
+        for block in blocks.by_ref() {
+            self.block(block);
+        }
+        let rest = blocks.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.held = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        let mut tail = [0u8; 32];
+        tail[..self.held].copy_from_slice(&self.pending[..self.held]);
+        self.block(&tail);
+        let mix = |h: u64| (h ^ (h >> 31)).wrapping_mul(K);
+        let folded = (self.lanes.iter()).fold(self.len, |sum, &lane| {
+            (sum.rotate_left(17) ^ mix(lane)).wrapping_mul(K)
+        });
+        folded ^ (folded >> 29)
+    }
+}
+
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut sum = Sum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+// ------------------------------------------------------------------ bytes
+
+/// The sections of an image, in the order they are written; the directory
+/// at its end says where each one is.
+const HEAD: usize = 0;
+const SOURCE: usize = 1;
+const NAMES: usize = 2;
+const CHUNKS: usize = 3;
+const RECORDS: usize = 4;
+const BLOCKS: usize = 5;
+const BY_NAME: usize = 6;
+const SUCC_AT: usize = 7;
+const SUCC: usize = 8;
+const ORDER: usize = 9;
+const OWED: usize = 10;
+const CLAIM_HEAP: usize = 11;
+const CLAIM_AT: usize = 12;
+const SECTIONS: usize = 13;
+
+fn too_large() -> std::io::Error {
+    std::io::Error::other("the memo is too large for a memo image")
+}
+
+fn u32_of(v: usize) -> std::io::Result<[u8; 4]> {
+    Ok(u32::try_from(v).map_err(|_| too_large())?.to_le_bytes())
+}
+
+/// What an image on its way out gathers before it sums and writes it.
+const BUFFER: usize = 1 << 16;
+
+/// An image on its way out: its sections gathered in a buffer, summed and
+/// written into `w` a buffer at a time, then the directory and the sum.
+struct Out<'w> {
+    w: &'w mut dyn Write,
+    buf: Vec<u8>,
+    sum: Sum,
+    /// Bytes written so far.
+    at: usize,
+    /// Where each section written so far starts.
+    starts: Vec<usize>,
+}
+
+impl<'w> Out<'w> {
+    fn new(w: &'w mut dyn Write) -> Out<'w> {
+        Out {
+            w,
+            buf: Vec::with_capacity(BUFFER),
+            sum: Sum::new(),
+            at: 0,
+            starts: Vec::with_capacity(SECTIONS),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.sum.update(&self.buf);
+        self.w.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.at += bytes.len();
+        if self.buf.len() + bytes.len() > BUFFER {
+            self.flush()?;
+        }
+        if bytes.len() >= BUFFER {
+            self.sum.update(bytes);
+            return self.w.write_all(bytes);
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// The next section starts here.
+    fn section(&mut self) {
+        self.starts.push(self.at);
+    }
+
+    fn u8(&mut self, v: u8) -> std::io::Result<()> {
+        self.put(&[v])
+    }
+
+    fn u32(&mut self, v: usize) -> std::io::Result<()> {
+        self.put(&u32_of(v)?)
+    }
+
+    fn u64(&mut self, v: u64) -> std::io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    /// A length, then the bytes.
+    fn bytes(&mut self, b: &[u8]) -> std::io::Result<()> {
+        self.u32(b.len())?;
+        self.put(b)
+    }
+
+    /// The directory (each section's start and end), then the sum.
+    fn finish(mut self) -> std::io::Result<()> {
+        let starts = std::mem::take(&mut self.starts);
+        let ends: Vec<usize> = starts.iter().skip(1).copied().chain([self.at]).collect();
+        for (start, end) in starts.into_iter().zip(ends) {
+            self.u32(start)?;
+            self.u32(end)?;
+        }
+        self.flush()?;
+        let Out { w, sum, .. } = self;
+        w.write_all(&sum.finish().to_le_bytes())
+    }
+}
+
+/// A read of a table, every length checked against what is left.
+struct In<'b> {
+    bytes: &'b [u8],
+    at: usize,
+}
+
+impl<'b> In<'b> {
+    fn take(&mut self, n: usize) -> Option<&'b [u8]> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())?;
+        let taken = &self.bytes[self.at..end];
+        self.at = end;
+        Some(taken)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<usize> {
+        Some(u32_at(self.take(4)?, 0))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// A length, then that many bytes.
+    fn bytes(&mut self) -> Option<&'b [u8]> {
+        let n = self.u32()?;
+        self.take(n)
+    }
+
+    fn done(&self) -> bool {
+        self.at == self.bytes.len()
+    }
+}
+
+/// The `u32` at byte `at` of `b` (zero past its end).
+fn u32_at(b: &[u8], at: usize) -> usize {
+    let word = b.get(at..at + 4).and_then(|w| w.try_into().ok());
+    u32::from_le_bytes(word.unwrap_or_default()) as usize
+}
+
+// ------------------------------------------------------------------ claims
+
+/// A claim's key as the claim table orders it: the rule's tag and attribute
+/// (the order [`Rule`] has), then what it is of and what it claims.
+type ClaimKey<'a> = (u8, &'a [u8], &'a [u8], &'a [u8]);
+
+fn rule_key(rule: Rule) -> (u8, &'static str) {
+    match rule {
+        Rule::Block(attr) => (0, attr),
+        Rule::Instance(attr) => (1, attr),
+        Rule::Name => (2, ""),
+        Rule::Quota => (3, ""),
+        Rule::Var => (4, ""),
+        Rule::Local => (5, ""),
+    }
+}
+
+/// The claims an image holds, searched where they sit: entries in key order
+/// in a heap, each a tag, an attribute, an owner, a value and a count,
+/// reached through a table of their offsets. Empty for a memo no image
+/// loaded.
+#[derive(Clone, Default)]
+pub(super) struct ClaimTable {
+    image: Option<Arc<Image>>,
+}
+
+impl ClaimTable {
+    fn heap(&self) -> &[u8] {
+        self.image
+            .as_deref()
+            .map_or(&[], |image| image.section(CLAIM_HEAP))
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.image
+            .as_deref()
+            .map_or(0, |image| image.section(CLAIM_AT).len() / 4)
+    }
+
+    /// Where entry `k` starts in the heap (the heap's end, past the last).
+    fn offset(&self, k: usize) -> usize {
+        match self.image.as_deref() {
+            Some(image) if k < self.len() => u32_at(image.section(CLAIM_AT), 4 * k),
+            _ => self.heap().len(),
+        }
+    }
+
+    /// Entry `k`: its key and its count.
+    fn entry(&self, k: usize) -> Option<(ClaimKey<'_>, i64)> {
+        let mut read = In {
+            bytes: self.heap().get(self.offset(k)..)?,
+            at: 0,
+        };
+        let tag = read.u8()?;
+        let attr_len = read.u8()? as usize;
+        let attr = read.take(attr_len)?;
+        let of = read.bytes()?;
+        let what = read.bytes()?;
+        let count = read.u64()? as i64;
+        Some(((tag, attr, of, what), count))
+    }
+
+    /// Where `key` is among the entries (`Err`: where it would go).
+    fn search(&self, key: &ClaimKey<'_>) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let Some((at, _)) = self.entry(mid) else {
+                return Err(lo);
+            };
+            match at.cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// How many holders the image gives `claim`.
+    pub(super) fn held(&self, rule: Rule, of: &str, what: &str) -> isize {
+        let (tag, attr) = rule_key(rule);
+        let key: ClaimKey<'_> = (tag, attr.as_bytes(), of.as_bytes(), what.as_bytes());
+        match self.search(&key) {
+            Ok(k) => self.entry(k).map_or(0, |(_, count)| count as isize),
+            Err(_) => 0,
+        }
+    }
+
+    /// Whether every entry reads, they are in key order with no zero count,
+    /// and each starts where the one before it ends.
+    fn in_order(&self) -> bool {
+        let mut last = None;
+        for k in 0..self.len() {
+            let Some((key, count)) = self.entry(k) else {
+                return false;
+            };
+            let (_, attr, of, what) = key;
+            let len = 2 + attr.len() + 4 + of.len() + 4 + what.len() + 8;
+            let fits = self.offset(k) + len == self.offset(k + 1);
+            if count == 0 || !fits || last.is_some_and(|last| last >= key) {
+                return false;
+            }
+            last = Some(key);
+        }
+        self.offset(0) == 0
+    }
+}
+
+/// A claims heap on its way out: the base table's entries `..next` are
+/// written, and where each entry written starts.
+struct ClaimsOut<'c> {
+    base: &'c ClaimTable,
+    next: usize,
+    offsets: Vec<u32>,
+    /// Bytes of heap written.
+    at: usize,
+}
+
+impl ClaimsOut<'_> {
+    /// Copy the base table's entries up to `k`, in one run.
+    fn copy_to(&mut self, k: usize, out: &mut Out<'_>) -> std::io::Result<()> {
+        let (from, to) = (self.base.offset(self.next), self.base.offset(k));
+        for j in self.next..k {
+            let at = self.base.offset(j) - from + self.at;
+            self.offsets
+                .push(u32::try_from(at).map_err(|_| too_large())?);
+        }
+        out.put(&self.base.heap()[from..to])?;
+        self.at += to - from;
+        self.next = k;
+        Ok(())
+    }
+
+    fn entry(&mut self, key: ClaimKey<'_>, held: i64, out: &mut Out<'_>) -> std::io::Result<()> {
+        let (tag, attr, of, what) = key;
+        self.offsets
+            .push(u32::try_from(self.at).map_err(|_| too_large())?);
+        let at = out.at;
+        out.u8(tag)?;
+        out.u8(u8::try_from(attr.len()).map_err(|_| too_large())?)?;
+        out.put(attr)?;
+        out.bytes(of)?;
+        out.bytes(what)?;
+        out.u64(held as u64)?;
+        self.at += out.at - at;
+        Ok(())
+    }
+}
+
+/// Write the claims of `claims` — the image's table copied by the run, with
+/// what the memo has held since merged in, in key order — as a heap, then
+/// the table of its offsets.
+fn write_claims(claims: &Claims, out: &mut Out<'_>) -> std::io::Result<()> {
+    let base = &claims.base;
+    let mut heap = ClaimsOut {
+        base,
+        next: 0,
+        offsets: Vec::with_capacity(base.len() + 64),
+        at: 0,
+    };
+    out.section();
+    let delta = claims.delta.iter().flat_map(|(&rule, held)| {
+        let (tag, attr) = rule_key(rule);
+        held.iter().map(move |(of, what, &by)| {
+            ((tag, attr.as_bytes(), of.as_bytes(), what.as_bytes()), by)
+        })
+    });
+    for (key, by) in delta {
+        let held = match base.search(&key) {
+            Ok(k) => {
+                heap.copy_to(k, out)?;
+                heap.next = k + 1;
+                base.entry(k).map_or(0, |(_, held)| held)
+            }
+            Err(k) => {
+                heap.copy_to(k, out)?;
+                0
+            }
+        };
+        if held + by as i64 != 0 {
+            heap.entry(key, held + by as i64, out)?;
+        }
+    }
+    heap.copy_to(base.len(), out)?;
+    out.section();
+    for at in heap.offsets {
+        out.put(&at.to_le_bytes())?;
+    }
+    Ok(())
+}
+
+// ------------------------------------------------------------------ records
 
 /// A span, counted from the start of its block's chunk: lines from the
 /// chunk's first, bytes from its first; columns as they are.
@@ -173,34 +573,13 @@ impl SpanRec {
     }
 }
 
-/// The head frame.
-#[derive(Serialize, Deserialize)]
-struct Head {
-    key: u64,
-    /// The rules of the mined specs the memo is clean under.
-    specs: u64,
-    /// The committed serial, log length and last version the plan cache is
-    /// of, when it is of one (`planned`).
-    serial: u64,
-    log_bytes: u64,
-    head: u64,
-    planned: bool,
-    source_bytes: usize,
-    blocks: usize,
-    /// Where the chunks that hold no resource block start and end.
-    others: Vec<(usize, usize)>,
-    /// How many variables, locals, providers, data blocks and outputs they
-    /// declare: parsed at load, they must declare as many.
-    outer: Vec<usize>,
-}
-
-/// One instance: its key, attributes, dependencies (by position in the
-/// manifest), `count.index` and `each`.
+/// One instance: its key, attributes, dependencies (`type`, `name`, key),
+/// `count.index` and `each`.
 #[derive(Serialize)]
 struct InstOut<'a>(
     &'a ResourceKey,
     &'a Attrs,
-    Vec<u32>,
+    Vec<(&'a str, &'a str, &'a ResourceKey)>,
     Option<u32>,
     Option<&'a (String, Value)>,
 );
@@ -209,288 +588,25 @@ struct InstOut<'a>(
 struct InstIn(
     ResourceKey,
     Attrs,
-    Vec<u32>,
+    Vec<(String, String, ResourceKey)>,
     Option<u32>,
     Option<(String, Value)>,
 );
 
-/// One resource block, in source order: its type and name, the length of
-/// its chunk, its span, lifecycle bits and attribute spans, the blocks that
-/// depend on it, its dirtiness in the plan cache, whether it has a deferred
-/// attribute, and its instances.
+/// One block's record: its span, lifecycle bits and attribute spans, and its
+/// instances.
 #[derive(Serialize)]
-struct BlockOut<'a>(
-    &'a str,
-    &'a str,
-    usize,
-    SpanRec,
-    u8,
-    Vec<(&'a str, SpanRec)>,
-    Vec<u32>,
-    Option<bool>,
-    bool,
-    Vec<InstOut<'a>>,
-);
+struct BlockOut<'a>(SpanRec, u8, Vec<(&'a str, SpanRec)>, Vec<InstOut<'a>>);
 
 #[derive(Deserialize)]
-struct BlockIn(
-    String,
-    String,
-    usize,
-    SpanRec,
-    u8,
-    Vec<(String, SpanRec)>,
-    Vec<u32>,
-    Option<bool>,
-    bool,
-    Vec<InstIn>,
-);
+struct BlockIn(SpanRec, u8, Vec<(String, SpanRec)>, Vec<InstIn>);
 
-/// A claim of a rule the manifest does not give back: a block's identity
-/// (by the attribute it claims), or a reader of a variable or a local.
-#[derive(Serialize)]
-struct ClaimOut<'a>(&'a str, &'a str, &'a str, i64);
-
-#[derive(Deserialize)]
-struct ClaimIn(String, String, String, i64);
-
-/// An address the plan cache owes a plan: an instance's, by position, or
-/// one no instance has.
-#[derive(Serialize, Deserialize)]
-enum Owed {
-    At(u32),
-    Addr(ResourceAddr),
+fn lifecycle_bits(l: Lifecycle) -> u8 {
+    u8::from(l.prevent_destroy) | u8::from(l.create_before_destroy) << 1
 }
 
-#[derive(Serialize)]
-enum Out<'a> {
-    Head(&'a Head),
-    Source(&'a str),
-    Blocks(Vec<BlockOut<'a>>),
-    Claims(Vec<ClaimOut<'a>>),
-    Plan(Vec<u32>, Vec<Owed>),
-    End(u64),
-}
-
-#[derive(Deserialize)]
-enum In {
-    Head(Head),
-    Source(String),
-    Blocks(Vec<BlockIn>),
-    Claims(Vec<ClaimIn>),
-    Plan(Vec<u32>, Vec<Owed>),
-    End(u64),
-}
-
-/// The reader rules, by the name a claim frame gives them.
-const READERS: [(Rule, &str); 2] = [(Rule::Var, "var"), (Rule::Local, "local")];
-
-/// The frames of the image a memo was loaded from, as read: the `k`-th
-/// piece of source and frame of blocks are written again as they were while
-/// no chunk and no block of theirs has changed since.
-#[derive(Default)]
-pub(super) struct Cached {
-    bytes: Vec<u8>,
-    /// Each piece of source's bytes in `bytes`.
-    pieces: Vec<Range<usize>>,
-    /// Each frame of blocks' bytes in `bytes`.
-    blocks: Vec<Range<usize>>,
-    /// Chunks and blocks whose frames no longer hold them as they are.
-    chunks_changed: BTreeSet<usize>,
-    blocks_changed: BTreeSet<usize>,
-}
-
-impl Cached {
-    /// Chunk `at` of the memo changed.
-    pub(super) fn chunk(&mut self, at: usize) {
-        if !self.bytes.is_empty() {
-            self.chunks_changed.insert(at);
-        }
-    }
-
-    /// Block `at` of the memo changed.
-    pub(super) fn block(&mut self, at: usize) {
-        if !self.bytes.is_empty() {
-            self.blocks_changed.insert(at);
-        }
-    }
-
-    /// The memo's chunks or blocks were renumbered: no frame is written
-    /// again.
-    pub(super) fn forget(&mut self) {
-        *self = Cached::default();
-    }
-
-    /// The bytes of frame `k` of `frames`, unless one of its `items` (what
-    /// the `k`-th frame of a kind holds) changed since.
-    fn reuse<'c>(
-        &'c self,
-        frames: &[Range<usize>],
-        k: usize,
-        changed: &BTreeSet<usize>,
-        items: Range<usize>,
-    ) -> Option<&'c [u8]> {
-        let frame = frames.get(k)?;
-        changed
-            .range(items)
-            .next()
-            .is_none()
-            .then(|| &self.bytes[frame.clone()])
-    }
-
-    pub(super) fn approx_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-}
-
-// ------------------------------------------------------------------ write
-
-/// Frames on their way out: each framed in one buffer, then written.
-struct Emit<'w> {
-    w: &'w mut dyn Write,
-    buf: String,
-    frames: u64,
-}
-
-impl Emit<'_> {
-    fn frame(&mut self, out: Out<'_>) -> std::io::Result<()> {
-        self.buf.clear();
-        frame_payload(&mut self.buf, out);
-        self.frames += 1;
-        self.w.write_all(self.buf.as_bytes())
-    }
-
-    /// Frames framed elsewhere: the bytes and how many.
-    fn framed(&mut self, bytes: &[u8], frames: u64) -> std::io::Result<()> {
-        self.frames += frames;
-        self.w.write_all(bytes)
-    }
-}
-
-/// Write `memo` as an image under `key`, frame by frame through `w`. A
-/// frame the memo loaded and has not changed since is copied; the blocks
-/// are framed a few frames at a time in two halves side by side ([`join`]),
-/// which the writer's buffers bound.
-pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::Result<()> {
-    w.write_all(format!("{MAGIC}\n").as_bytes())?;
-    let mut out = Emit {
-        w,
-        buf: String::new(),
-        frames: 0,
-    };
-    let (plan, cached) = (&memo.plan, &memo.image);
-    let config = (&memo.config.0, &memo.config.1, &memo.config.2);
-    let chunks = &memo.chunks.chunks;
-    let others = chunks.iter().filter(|chunk| chunk.kind == ChunkKind::Other);
-    let head = Head {
-        key: key_of(config, key.env),
-        specs: rules_of(&memo.specs),
-        serial: key.serial,
-        log_bytes: key.log_bytes,
-        head: key.head,
-        planned: plan.serial == Some(key.serial),
-        source_bytes: memo.source.len(),
-        blocks: memo.root.block_ranges.len(),
-        others: others.map(|chunk| (chunk.start, chunk.end)).collect(),
-        outer: outer_counts(&memo.program),
-    };
-    out.frame(Out::Head(&head))?;
-    for (k, first) in (0..chunks.len()).step_by(PER_FRAME).enumerate() {
-        let last = chunks.len().min(first + PER_FRAME);
-        match cached.reuse(&cached.pieces, k, &cached.chunks_changed, first..last) {
-            Some(bytes) => out.framed(bytes, 1)?,
-            None => {
-                let text = &memo.source[chunks[first].start..chunks[last - 1].end];
-                out.frame(Out::Source(text))?;
-            }
-        }
-    }
-    let positions: HashMap<&ResourceAddr, u32> = (memo.manifest.instances.iter())
-        .enumerate()
-        .map(|(at, inst)| (&inst.addr, at as u32))
-        .collect();
-    let position = |addr: &ResourceAddr| positions.get(addr).copied();
-    let n = memo.root.block_ranges.len();
-    let blocks = |frames: Range<usize>| -> std::io::Result<Vec<u8>> {
-        let mut bytes = Vec::new();
-        for k in frames {
-            let items = k * PER_FRAME..n.min((k + 1) * PER_FRAME);
-            match cached.reuse(&cached.blocks, k, &cached.blocks_changed, items.clone()) {
-                Some(reused) => bytes.extend_from_slice(reused),
-                None => {
-                    let records = items.map(|b| block(memo, b, &position));
-                    let records = records.collect::<std::io::Result<_>>()?;
-                    let mut text = String::new();
-                    frame_payload(&mut text, Out::Blocks(records));
-                    bytes.extend_from_slice(text.as_bytes());
-                }
-            }
-        }
-        Ok(bytes)
-    };
-    let frames = n.div_ceil(PER_FRAME);
-    for first in (0..frames).step_by(2 * BATCH) {
-        let (mid, end) = ((first + BATCH).min(frames), (first + 2 * BATCH).min(frames));
-        let (back, front) = join(|| blocks(mid..end), || blocks(first..mid));
-        out.framed(&front?, (mid - first) as u64)?;
-        out.framed(&back?, (end - mid) as u64)?;
-    }
-    // the claims the manifest does not give back
-    let mut encoded = Vec::new();
-    for (rule, claims) in &memo.claims.0 {
-        let kind = match rule {
-            Rule::Block(attr) => *attr,
-            Rule::Var | Rule::Local => READERS.iter().find(|(r, _)| r == rule).map_or("", |r| r.1),
-            Rule::Instance(_) | Rule::Name | Rule::Quota => continue,
-        };
-        encoded.extend(
-            claims
-                .iter()
-                .map(|(of, what, &n)| ClaimOut(kind, of, what, n as i64)),
-        );
-    }
-    let mut encoded = encoded.into_iter().peekable();
-    while encoded.peek().is_some() {
-        out.frame(Out::Claims(encoded.by_ref().take(PER_FRAME).collect()))?;
-    }
-    let order = plan.order.iter().map(|&at| at as u32).collect();
-    let owed = |addr: &ResourceAddr| match position(addr) {
-        Some(at) => Owed::At(at),
-        None => Owed::Addr(addr.clone()),
-    };
-    let mut owes: Vec<Owed> = plan.away.iter().map(owed).collect();
-    owes.extend(plan.changes.keys().map(|&at| Owed::At(at as u32)));
-    owes.extend(plan.deletes.values().map(|change| owed(&change.addr)));
-    out.frame(Out::Plan(order, owes))?;
-    let end = out.frames + 1;
-    out.frame(Out::End(end))
-}
-
-/// The record of block `b` of `memo`, its instances' dependencies placed
-/// by `position`.
-fn block<'m>(
-    memo: &'m Memo,
-    b: usize,
-    position: &impl Fn(&ResourceAddr) -> Option<u32>,
-) -> std::io::Result<BlockOut<'m>> {
-    let chunk = &memo.chunks.chunks[memo.block_chunk[b]];
-    let ChunkKind::Resource { rtype, name } = &chunk.kind else {
-        return Err(std::io::Error::other("a block's chunk holds no resource"));
-    };
-    let of = &memo.manifest.instances[memo.root.block_ranges[b].clone()];
-    let mut insts = Vec::with_capacity(of.len());
-    for inst in of {
-        let deps = inst.depends_on.iter().map(|addr| {
-            position(addr).ok_or_else(|| std::io::Error::other("a dependency is no instance"))
-        });
-        insts.push(InstOut(
-            &inst.addr.key,
-            &inst.attrs,
-            deps.collect::<Result<_, _>>()?,
-            inst.env.count_index,
-            inst.env.each.as_ref(),
-        ));
-    }
+/// The record of the block whose chunk is `chunk` and instances `of`.
+fn record(chunk: &Chunk, of: &[Arc<ResourceInstance>]) -> String {
     let rel = |span: Span| SpanRec::of(span, chunk);
     let (span, lifecycle, attr_spans) = match of.first() {
         Some(inst) => {
@@ -503,33 +619,334 @@ fn block<'m>(
         }
         None => (SpanRec(0, 1, 0, 0, 1, 0), 0, Vec::new()),
     };
-    let dependents = memo.dag.successors(NodeId(b as u32));
-    Ok(BlockOut(
-        rtype,
-        name,
-        chunk.end - chunk.start,
-        span,
-        lifecycle,
-        attr_spans,
-        dependents.iter().map(|d| d.index() as u32).collect(),
-        memo.plan.dirty.get(rtype, name).copied(),
-        of.iter().any(|inst| !inst.deferred.is_empty()),
-        insts,
-    ))
+    let insts = of.iter().map(|inst| {
+        let deps = inst.depends_on.iter();
+        let deps = deps.map(|d| (d.rtype.as_str(), d.name.as_str(), &d.key));
+        InstOut(
+            &inst.addr.key,
+            &inst.attrs,
+            deps.collect(),
+            inst.env.count_index,
+            inst.env.each.as_ref(),
+        )
+    });
+    let rec = BlockOut(span, lifecycle, attr_spans, insts.collect());
+    serde_json::to_string(&rec).unwrap_or_default()
 }
 
-fn lifecycle_bits(l: Lifecycle) -> u8 {
-    u8::from(l.prevent_destroy) | u8::from(l.create_before_destroy) << 1
+// ------------------------------------------------------------------ tables
+
+/// A chunk's entry: start, end, first line, hash, and the offsets and
+/// lengths of its type and name in the names section (a chunk that holds no
+/// resource has no type).
+const CHUNK: usize = 4 * 3 + 8 + 4 * 4;
+/// Blocks whose records a write encodes at once, half on each side of a
+/// [`join`].
+const BATCH: usize = 4096;
+/// A block's entry: its chunk, its record's offset and length, its count of
+/// instances and its flags ([`DIRTY`], [`CLEAN`], [`DEFERRED`]).
+const BLOCK: usize = 4 * 4 + 1;
+const CLEAN: u8 = 1;
+const DIRTY: u8 = 2;
+const DEFERRED: u8 = 4;
+
+/// An opened image: its bytes, where its sections sit in them, and what the
+/// records of its blocks are decoded under.
+pub(super) struct Image {
+    bytes: Vec<u8>,
+    sections: [Range<usize>; SECTIONS],
+    file: Arc<str>,
+    vars: cloudless_hcl::program::Bindings,
+    locals: cloudless_hcl::program::Bindings,
+    /// The program's evaluated `provider` blocks.
+    providers: std::collections::BTreeMap<String, Attrs>,
+    recorder: Arc<dyn Recorder>,
 }
 
-fn outer_counts(p: &Program) -> Vec<usize> {
+impl Image {
+    fn section(&self, s: usize) -> &[u8] {
+        &self.bytes[self.sections[s].clone()]
+    }
+
+    /// How many bytes the image holds.
+    pub(super) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Field `k` (a `u32`) of block `b`'s entry.
+    fn block_field(&self, b: usize, k: usize) -> usize {
+        u32_at(self.section(BLOCKS), b * BLOCK + 4 * k)
+    }
+
+    fn flags(&self, b: usize) -> u8 {
+        self.section(BLOCKS)[b * BLOCK + 16]
+    }
+
+    /// Where block `b`'s record sits in the image.
+    fn record_at(&self, b: usize) -> Range<usize> {
+        let at = self.sections[RECORDS].start + self.block_field(b, 1);
+        at..at + self.block_field(b, 2)
+    }
+
+    fn name(&self, at: Range<usize>) -> &str {
+        std::str::from_utf8(&self.section(NAMES)[at]).unwrap_or_default()
+    }
+}
+
+impl BlockSource for Image {
+    fn decode(&self, b: usize) -> Vec<ResourceInstance> {
+        let bytes = &self.bytes[self.record_at(b)];
+        self.recorder
+            .counter("pipeline.image_bytes_decoded", bytes.len() as u64);
+        let decoded = std::str::from_utf8(bytes).map_err(|e| e.to_string());
+        let decoded = decoded
+            .and_then(|text| serde_json::from_str::<BlockIn>(text).map_err(|e| e.to_string()));
+        let count = self.block_field(b, 3);
+        let decoded = decoded.and_then(|block| match block.3.len() {
+            n if n == count => Ok(block),
+            n => Err(format!("{n} instance(s), not {count}")),
+        });
+        let BlockIn(span, lifecycle, attr_spans, insts) = decoded.unwrap_or_else(|why| {
+            panic!("the memo image's record of block {b} does not decode under a valid checksum: {why}")
+        });
+        let (start, _, line, _, [rtype, name]) =
+            chunk_entry(self.section(CHUNKS), self.block_field(b, 0));
+        let (rtype, name) = (ResourceTypeName::new(self.name(rtype)), self.name(name));
+        let region = provider_region(&self.providers, &rtype);
+        let attr_spans = attr_spans
+            .into_iter()
+            .map(|(a, rec)| (a, rec.span(line, start)));
+        let attr_spans = Arc::new(attr_spans.collect::<VecMap<_, _>>());
+        let lifecycle = Lifecycle {
+            prevent_destroy: lifecycle & 1 != 0,
+            create_before_destroy: lifecycle & 2 != 0,
+        };
+        let addr = |rtype: &str, name: &str, key: ResourceKey| ResourceAddr {
+            key,
+            ..ResourceAddr::root(ResourceTypeName::new(rtype), name)
+        };
+        let instance = |InstIn(key, attrs, deps, count_index, each)| ResourceInstance {
+            addr: ResourceAddr {
+                key,
+                ..ResourceAddr::root(rtype.clone(), name)
+            },
+            attrs,
+            deferred: Vec::new(),
+            depends_on: deps.into_iter().map(|(t, n, k)| addr(&t, &n, k)).collect(),
+            span: span.span(line, start),
+            attr_spans: Arc::clone(&attr_spans),
+            lifecycle,
+            env: EvalEnv {
+                vars: Arc::clone(&self.vars),
+                locals: Arc::clone(&self.locals),
+                count_index,
+                each,
+            },
+            file: Arc::clone(&self.file),
+            provider_region: region.clone(),
+        };
+        insts.into_iter().map(instance).collect()
+    }
+}
+
+/// Chunk `c` of the chunk table `chunks`: start, end, first line, hash, and
+/// where its type and name sit in the names section.
+fn chunk_entry(chunks: &[u8], c: usize) -> (usize, usize, u32, u64, [Range<usize>; 2]) {
+    let e = c * CHUNK;
+    let field = |k: usize| u32_at(chunks, e + 4 * k);
+    let hash = chunks.get(e + 12..e + 20).and_then(|h| h.try_into().ok());
+    let name = |k: usize| field(5 + 2 * k)..field(5 + 2 * k) + field(6 + 2 * k);
+    let hash = u64::from_le_bytes(hash.unwrap_or_default());
+    (
+        field(0),
+        field(1),
+        field(2) as u32,
+        hash,
+        [name(0), name(1)],
+    )
+}
+
+// ------------------------------------------------------------------ write
+
+/// Write `memo` as an image under `key` through `w`, section by section:
+/// the tables encoded anew, the records of the blocks the memo still holds
+/// as its image had them copied in runs, and every other block's encoded.
+pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::Result<()> {
+    let image = memo.image.as_deref();
+    let mut out = Out::new(w);
+    out.put(format!("{MAGIC}\n").as_bytes())?;
+    let plan = &memo.plan;
+    let config = (&memo.config.0, &memo.config.1, &memo.config.2);
+    out.section();
+    out.u64(key_of(config, key.env))?;
+    out.u64(rules_of(&memo.specs))?;
+    out.u64(key.serial)?;
+    out.u64(key.log_bytes)?;
+    out.u64(key.head)?;
+    out.u8(u8::from(plan.serial == Some(key.serial)))?;
+    for n in outer_counts(&memo.program) {
+        out.u32(n)?;
+    }
+    out.section();
+    out.put(memo.source.as_bytes())?;
+
+    // the chunks' names, then the chunks
+    let chunks = &memo.chunks.chunks;
+    fn names(chunk: &Chunk) -> [&str; 2] {
+        match &chunk.kind {
+            ChunkKind::Resource { rtype, name } => [rtype, name],
+            ChunkKind::Other => ["", ""],
+        }
+    }
+    out.section();
+    for chunk in chunks {
+        for name in names(chunk) {
+            out.put(name.as_bytes())?;
+        }
+    }
+    out.section();
+    let mut heap = 0;
+    for chunk in chunks {
+        let [rtype, name] = names(chunk);
+        let (start, end, line) = (chunk.start, chunk.end, chunk.line as usize);
+        let names = [heap, rtype.len(), heap + rtype.len(), name.len()];
+        heap += rtype.len() + name.len();
+        let mut entry = [0u8; CHUNK];
+        for (k, field) in [start, end, line].into_iter().chain(names).enumerate() {
+            // (the hash sits between the first line and the names)
+            let at = if k < 3 { 4 * k } else { 4 * k + 8 };
+            entry[at..at + 4].copy_from_slice(&u32_of(field)?);
+        }
+        entry[12..20].copy_from_slice(&chunk.hash.to_le_bytes());
+        out.put(&entry)?;
+    }
+
+    // the records: the image's copied in runs, the rest encoded a batch of
+    // blocks at a time, in two halves side by side ([`join`]); then the
+    // blocks
+    let instances = &memo.manifest.instances;
+    let ranges = &memo.root.block_ranges;
+    let sourced = |b: usize| image.zip(instances.sourced(ranges[b].clone()));
+    let encode = |blocks: Range<usize>| -> Vec<Option<String>> {
+        let fresh = |b: usize| {
+            let of = || instances.slice(ranges[b].clone());
+            (sourced(b).is_none()).then(|| record(&chunks[memo.block_chunk[b]], of()))
+        };
+        blocks.map(fresh).collect()
+    };
+    let mut placed = Vec::with_capacity(ranges.len());
+    out.section();
+    let (records, mut at, mut run) = (out.at, 0, 0..0);
+    for first in (0..ranges.len()).step_by(BATCH) {
+        let (last, mid) = ((first + BATCH).min(ranges.len()), first + BATCH / 2);
+        let mid = mid.min(last);
+        // (a helper only when both halves have a block to encode)
+        let todo = |blocks: Range<usize>| blocks.into_iter().any(|b| sourced(b).is_none());
+        let (back, front) = match todo(first..mid) && todo(mid..last) {
+            true => join(|| encode(mid..last), || encode(first..mid)),
+            false => (encode(mid..last), encode(first..mid)),
+        };
+        for (b, fresh) in (first..last).zip(front.into_iter().chain(back)) {
+            let deferred = match (sourced(b), fresh) {
+                (Some((image, from)), _) => {
+                    let record = image.record_at(from);
+                    if record.start != run.end {
+                        let copied = std::mem::replace(&mut run, record.start..record.start);
+                        out.put(&image.bytes[copied])?;
+                    }
+                    run.end = record.end;
+                    at += record.len();
+                    image.flags(from) & DEFERRED
+                }
+                (None, record) => {
+                    if let Some(image) = image {
+                        out.put(&image.bytes[std::mem::take(&mut run)])?;
+                    }
+                    let record = record.unwrap_or_default();
+                    out.put(record.as_bytes())?;
+                    at += record.len();
+                    let of = instances.slice(ranges[b].clone());
+                    match of.iter().any(|inst| !inst.deferred.is_empty()) {
+                        true => DEFERRED,
+                        false => 0,
+                    }
+                }
+            };
+            placed.push((at, deferred));
+        }
+    }
+    if let Some(image) = image {
+        out.put(&image.bytes[run])?;
+    }
+    debug_assert_eq!(out.at - records, at);
+    let dirty = plan.dirty.by_block(memo);
+    out.section();
+    let mut from = 0;
+    for (b, (span, &(to, deferred))) in ranges.iter().zip(&placed).enumerate() {
+        out.u32(memo.block_chunk[b])?;
+        out.u32(from)?;
+        out.u32(to - from)?;
+        out.u32(span.len())?;
+        let dirty = match dirty[b] {
+            None => 0,
+            Some(false) => CLEAN,
+            Some(true) => DIRTY,
+        };
+        out.u8(dirty | deferred)?;
+        from = to;
+    }
+    out.section();
+    for &b in &memo.by_name {
+        out.u32(b as usize)?;
+    }
+    // the block DAG's successors
+    out.section();
+    let mut at = 0;
+    for b in 0..ranges.len() {
+        out.u32(at)?;
+        at += memo.dag.successors(NodeId(b as u32)).len();
+    }
+    out.u32(at)?;
+    out.section();
+    for b in 0..ranges.len() {
+        for d in memo.dag.successors(NodeId(b as u32)) {
+            out.u32(d.index())?;
+        }
+    }
+    // the plan cache: the visiting order, and the addresses it owes
+    out.section();
+    for &at in &plan.order {
+        out.u32(at)?;
+    }
+    out.section();
+    // (by position the changes, whose instances a write has at hand; by
+    // name the rest)
+    let by_name = |out: &mut Out<'_>, addr: &ResourceAddr| {
+        out.u8(1)?;
+        out.bytes(addr.to_string().as_bytes())
+    };
+    for addr in &plan.away {
+        by_name(&mut out, addr)?;
+    }
+    for &at in plan.changes.keys() {
+        out.u8(0)?;
+        out.u32(at)?;
+    }
+    for change in plan.deletes.values() {
+        by_name(&mut out, &change.addr)?;
+    }
+    write_claims(&memo.claims, &mut out)?;
+    out.finish()
+}
+
+fn outer_counts(p: &Program) -> [usize; 5] {
     let (v, l, p, d, o) = (&p.variables, &p.locals, &p.providers, &p.data, &p.outputs);
-    vec![v.len(), l.len(), p.len(), d.len(), o.len()]
+    [v.len(), l.len(), p.len(), d.len(), o.len()]
 }
 
 // ------------------------------------------------------------------- read
 
-/// What a decoded image gives the pipeline: the memo, the serial it was
+/// What an opened image gives the pipeline: the memo, the serial it was
 /// written at, and whether its plan cache is of the committed state (else
 /// it plans every instance).
 pub(crate) struct Loaded {
@@ -538,7 +955,7 @@ pub(crate) struct Loaded {
     pub planned: bool,
 }
 
-/// Decode what the store read as its image, or say why not.
+/// Open what the store read as its image, or say why not.
 pub(crate) fn open(
     image: Result<Option<Vec<u8>>, String>,
     key: ImageKey,
@@ -551,533 +968,378 @@ pub(crate) fn open(
     }
 }
 
-/// What one half of the frames after the source holds: its blocks, built,
-/// and where each frame of them sits; the claims; the plan cache; the end
-/// frame, by its place in the half.
-#[derive(Default)]
-struct Half {
-    built: Built,
-    frames_of_blocks: Vec<Range<usize>>,
-    claims: Vec<ClaimIn>,
-    plan: Option<(Vec<u32>, Vec<Owed>)>,
-    end: Option<(u64, u64)>,
-    frames: u64,
-}
-
-/// Decode the frames of `frames` and build the blocks they hold as they
-/// come, or say why not.
-fn half(frames: &mut Frames<'_, In>) -> Result<Half, Refusal> {
-    let mut half = Half::default();
-    while let Some((at, _, frame)) = frames.next() {
-        let frame = frame.map_err(|why| damaged(at, why))?;
-        half.frames += 1;
-        match frame {
-            _ if half.end.is_some() => return refuse("MEM004", "a frame past the end"),
-            In::Blocks(blocks) => {
-                half.built.add(blocks);
-                half.frames_of_blocks.push(at..frames.next_at());
-            }
-            In::Claims(part) => half.claims.extend(part),
-            In::Plan(order, owed) => half.plan = Some((order, owed)),
-            In::End(n) => half.end = Some((n, half.frames)),
-            In::Head(_) | In::Source(_) => return inconsistent("a frame out of place"),
-        }
-    }
-    match frames.finished() {
-        true => Ok(half),
-        false => refuse("MEM004", "the image ends in a torn frame"),
-    }
-}
-
-/// Decode `bytes` into a memo for a run under `ctx` in an engine whose
-/// key is `key`, or say why not. The head and the source are read first;
-/// the frames after them are decoded in two halves side by side, and the
-/// memo is built in joins ([`join`]) of about equal halves.
-fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, Refusal> {
-    let Some(mut frames) = Frames::<In>::after_line(&bytes, MAGIC) else {
-        let line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
-        let line = String::from_utf8_lossy(line);
-        return match line.strip_prefix(MAGIC_STEM) {
-            Some(version) => refuse(
-                "MEM002",
-                format!("image of format v{version}, not {MAGIC:?}"),
-            ),
-            None => refuse("MEM004", "not a memo image (no header)"),
-        };
-    };
-    let next = |frames: &mut Frames<'_, In>| match frames.next() {
-        Some((at, _, frame)) => frame.map_err(|why| damaged(at, why)).map(|f| (at, f)),
-        None => refuse("MEM004", "the image ends early"),
-    };
-    let (_, In::Head(head)) = next(&mut frames)? else {
-        return refuse("MEM004", "the image has no head");
-    };
-    if head.key != key_of((ctx.lint, ctx.level, ctx.inputs), key.env) {
-        let why = "image under another key (inputs, lint gate, validation level, catalog, \
-                   modules or data differ)";
-        return refuse("MEM003", why);
-    }
-    // (no count the image gives is larger than the image)
-    let mut source = String::with_capacity(head.source_bytes.min(bytes.len()));
-    let mut pieces = Vec::new();
-    while source.len() < head.source_bytes {
-        let (at, In::Source(piece)) = next(&mut frames)? else {
-            return inconsistent("the source is short");
-        };
-        source.push_str(&piece);
-        pieces.push(at..frames.next_at());
-    }
-    let read = 1 + pieces.len() as u64;
-
-    // the rest in two halves side by side, each built as it is decoded
-    let mut back = frames.split();
-    let (back, front) = join(move || half(&mut back), || half(&mut frames));
-    let (mut front, back) = (front?, back?);
-    let end = match (front.end, back.end) {
-        (Some((n, at)), None) if back.frames == 0 => Some((n, read + at)),
-        (None, Some((n, at))) => Some((n, read + front.frames + at)),
-        _ => None,
-    };
-    match end {
-        Some((n, at)) if n == at => {}
-        Some((n, at)) => return refuse("MEM004", format!("frame {at} ends an image of {n}")),
-        None => return refuse("MEM004", "the image does not end once, last"),
-    }
-    let Some((order, owed)) = front.plan.or(back.plan) else {
-        return inconsistent("no plan cache");
-    };
-    let mut claims = front.claims;
-    claims.extend(back.claims);
-    let mut built = front.built;
-    built.absorb(back.built);
-    front.frames_of_blocks.extend(back.frames_of_blocks);
-    if source.len() != head.source_bytes || built.ranges.len() != head.blocks {
-        return inconsistent("the source or the blocks are short");
-    }
-    if built
-        .edges
-        .iter()
-        .any(|&(_, to)| to as usize >= head.blocks)
-    {
-        return inconsistent("the block DAG has an edge past the blocks");
-    }
-
-    // the instances' dependencies in two halves
-    let instances = &built.instances;
-    let (mid, deps) = (instances.len() / 2, std::mem::take(&mut built.deps));
-    let sets = |on: &[Vec<u32>]| {
-        let addr = |&at: &u32| instances[at as usize].addr.clone();
-        let set = |on: &Vec<u32>| {
-            let held = on.iter().all(|&at| (at as usize) < instances.len());
-            held.then(|| on.iter().map(addr).collect::<VecSet<_>>())
-        };
-        on.iter().map(set).collect::<Option<Vec<_>>>()
-    };
-    let (rest, sets) = join(|| sets(&deps[mid..]), || sets(&deps[..mid]));
-    let Some(sets) = sets
-        .zip(rest)
-        .map(|(sets, rest)| sets.into_iter().chain(rest))
-    else {
-        return inconsistent("a dependency past the manifest");
-    };
-    for (inst, set) in built.instances.iter_mut().zip(sets) {
-        inst.depends_on = set;
-    }
-    let mut memo = derive(source, &head, ctx)?;
-    let Later { dirty, deferred } = assemble(&mut memo, built, &head)?;
-    memo.image = Cached {
-        bytes,
-        pieces,
-        blocks: front.frames_of_blocks,
-        ..Cached::default()
-    };
-
-    // the index, the plan cache, its dirtiness and the decoded claims beside
-    // the claims the instances make and the declared blocks
-    let Memo {
-        manifest,
-        mindex,
-        claims: held,
-        plan: cache,
-        lint_env,
-        chunks,
-        block_chunk,
-        ..
-    } = &mut *memo;
-    let (chunks, block_chunk) = (&chunks.chunks, &*block_chunk);
-    let (decoded, ()) = join(
-        || -> Result<_, Refusal> {
-            *mindex = ManifestIndex::build(manifest);
-            place(cache, &manifest.instances, order, owed)?;
-            for (b, flag) in dirty {
-                if let ChunkKind::Resource { rtype, name } = &chunks[block_chunk[b]].kind {
-                    cache.dirty.insert(rtype, name, flag);
-                }
-            }
-            let mut decoded = Claims::default();
-            for ClaimIn(kind, of, what, n) in &claims {
-                let reader = READERS.iter().find(|(_, name)| name == kind);
-                let rule = match reader {
-                    Some((rule, _)) => *rule,
-                    None => match IDENTITY_ATTRS.iter().find(|attr| *attr == kind) {
-                        Some(attr) => Rule::Block(attr),
-                        None => return inconsistent(format!("a claim of unknown kind {kind:?}")),
-                    },
-                };
-                let what = Cow::Borrowed(what.as_str());
-                decoded.hold(&Claim { rule, of, what }, *n as isize);
-            }
-            Ok(decoded)
-        },
-        || {
-            stage(held, instance_level_claims(&manifest.instances), 1);
-            let kinds = block_chunk.iter().map(|&ci| &chunks[ci].kind);
-            let added = kinds.filter_map(|kind| match kind {
-                ChunkKind::Resource { rtype, name } => Some((rtype.clone(), name.clone())),
-                ChunkKind::Other => None,
-            });
-            let added = added.collect();
-            lint_env.apply(DeclEdit {
-                added,
-                removed: Vec::new(),
-            });
-        },
-    );
-    held.merge(decoded?);
-    for b in deferred {
-        reexpand(&mut memo, b, ctx)?;
-    }
-    let deviates = |miner: &SpecMiner| !miner.check(&memo.manifest).is_empty();
-    if head.specs != rules_of(ctx.mined_specs()) && ctx.miner.is_some_and(deviates) {
-        let why = "the image's program deviates from the spec miner's conventions";
-        return refuse("MEM003", why);
-    }
-    let at = (head.serial, head.log_bytes, head.head);
-    let anchored = head.planned && at == (key.serial, key.log_bytes, key.head);
-    if anchored {
-        memo.plan.serial = Some(head.serial);
-    } else {
-        memo.plan.away.clear();
-    }
-    Ok(Loaded {
-        memo,
-        serial: head.serial,
-        planned: anchored,
-    })
-}
-
-/// The plan cache's visiting order, and the addresses it owes a plan.
-fn place(
-    cache: &mut super::PlanCache,
-    instances: &[Arc<ResourceInstance>],
-    order: Vec<u32>,
-    owed: Vec<Owed>,
-) -> Result<(), Refusal> {
-    let mut seen = vec![false; instances.len()];
-    for &at in &order {
-        let fresh = seen
-            .get_mut(at as usize)
-            .map(|s| !std::mem::replace(s, true));
-        if fresh != Some(true) {
-            return inconsistent("the visiting order is no order of the instances");
-        }
-    }
-    if order.len() != instances.len() {
-        return inconsistent("the visiting order is no order of the instances");
-    }
-    cache.set_order(order.into_iter().map(|at| at as usize).collect());
-    for owes in owed {
-        cache.away.push(match owes {
-            Owed::At(at) => match instances.get(at as usize) {
-                Some(inst) => inst.addr.clone(),
-                None => return inconsistent("a plan is owed past the manifest"),
-            },
-            Owed::Addr(addr) => addr,
-        });
-    }
-    Ok(())
-}
-
-/// A block's span and its attributes' spans, from the start of its chunk.
-type Spans = (SpanRec, Vec<(String, SpanRec)>);
-
-/// What a run of consecutive blocks builds on its own: their instances
-/// (dependencies, spans, bindings and file still to come) with the
-/// dependencies by position, each block's range of them, the block DAG's
-/// edges from them, the type, name and length of their chunks and their
-/// spans there (none for a block without instances), the plan cache's
-/// dirtiness of them, and the ones to expand again.
-#[derive(Default)]
-struct Built {
-    instances: Vec<ResourceInstance>,
-    deps: Vec<Vec<u32>>,
-    ranges: Vec<Range<usize>>,
-    edges: Vec<(u32, u32)>,
-    chunks: Vec<(String, String, usize)>,
-    spans: Vec<Option<Spans>>,
-    dirty: Vec<(usize, bool)>,
-    deferred: Vec<usize>,
-}
-
-impl Built {
-    /// Build `blocks`, the ones after these.
-    fn add(&mut self, blocks: Vec<BlockIn>) {
-        let (env, file) = (EvalEnv::default(), Arc::<str>::from(""));
-        let nowhere = Span::new(SourcePos::start(), SourcePos::start());
-        for block in blocks {
-            let b = self.ranges.len();
-            let BlockIn(
-                rtype,
-                name,
-                len,
-                span,
-                lifecycle,
-                spans,
-                dependents,
-                dirty,
-                deferred,
-                insts,
-            ) = block;
-            self.edges
-                .extend(dependents.into_iter().map(|d| (b as u32, d)));
-            self.dirty.extend(dirty.map(|dirty| (b, dirty)));
-            if deferred {
-                self.deferred.push(b);
-            }
-            let start = self.instances.len();
-            let lifecycle = Lifecycle {
-                prevent_destroy: lifecycle & 1 != 0,
-                create_before_destroy: lifecycle & 2 != 0,
-            };
-            let rtype_name = ResourceTypeName::new(rtype.as_str());
-            for InstIn(key, attrs, on, count_index, each) in insts {
-                let mut addr = ResourceAddr::root(rtype_name.clone(), name.as_str());
-                addr.key = key;
-                self.instances.push(ResourceInstance {
-                    addr,
-                    attrs,
-                    deferred: Vec::new(),
-                    depends_on: VecSet::new(),
-                    span: nowhere,
-                    attr_spans: Arc::default(),
-                    lifecycle,
-                    env: EvalEnv {
-                        count_index,
-                        each,
-                        ..env.clone()
-                    },
-                    file: Arc::clone(&file),
-                });
-                self.deps.push(on);
-            }
-            let has = start < self.instances.len();
-            self.spans.push(has.then_some((span, spans)));
-            self.ranges.push(start..self.instances.len());
-            self.chunks.push((rtype, name, len));
-        }
-    }
-
-    /// Append the run of blocks that follows these.
-    fn absorb(&mut self, next: Built) {
-        let (blocks, instances) = (self.ranges.len(), self.instances.len());
-        self.instances.extend(next.instances);
-        self.deps.extend(next.deps);
-        let ranges = next.ranges.into_iter();
-        self.ranges
-            .extend(ranges.map(|span| span.start + instances..span.end + instances));
-        let shift = |(from, to): (u32, u32)| (from + blocks as u32, to);
-        self.edges.extend(next.edges.into_iter().map(shift));
-        self.chunks.extend(next.chunks);
-        self.spans.extend(next.spans);
-        self.dirty
-            .extend(next.dirty.into_iter().map(|(b, dirty)| (b + blocks, dirty)));
-        self.deferred
-            .extend(next.deferred.into_iter().map(|b| b + blocks));
-    }
-}
-
-/// The memo's tables that follow from the source alone (and the engine's
-/// configuration, which the key matched): the program's non-resource half,
-/// parsed where it sits in the file, and what is derived from it.
-fn derive(source: String, head: &Head, ctx: &PipelineCtx<'_>) -> Result<Box<Memo>, Refusal> {
+/// The program's non-resource half: each chunk that holds no resource
+/// block, parsed where it sits in the file.
+fn outer_half(source: &str, chunks: &[Chunk]) -> Result<Program, Refusal> {
     let mut program = Program {
         filename: "main.tf".to_owned(),
         ..Program::default()
     };
-    if !head.others.is_empty() {
-        // the source with everything but those chunks blanked out, lines
-        // kept: the non-resource half parses where it sits in the file
-        let blank = |b: u8| if b == b'\n' { b } else { b' ' };
-        let mut masked: Vec<u8> = source.bytes().map(blank).collect();
-        for &(start, end) in &head.others {
-            let (Some(to), Some(from)) = (masked.get_mut(start..end), source.get(start..end))
-            else {
-                return inconsistent("a chunk past the source");
-            };
-            to.copy_from_slice(from.as_bytes());
-        }
-        let parsed = String::from_utf8(masked).ok().and_then(|masked| {
-            let file = cloudless_hcl::parse(&masked, "main.tf");
-            file.and_then(Program::from_file).ok()
-        });
-        let Some(parsed) = parsed else {
+    for chunk in chunks.iter().filter(|chunk| chunk.kind == ChunkKind::Other) {
+        let origin = SourcePos::new(chunk.line, 1, chunk.start as u32);
+        let text = &source[chunk.start..chunk.end];
+        let parsed = parse_at(text, "main.tf", origin).and_then(Program::from_file);
+        let Ok(part) = parsed else {
             return inconsistent("the program's non-resource half does not parse");
         };
-        program = parsed;
+        if !part.resources.is_empty() || !part.modules.is_empty() {
+            return inconsistent("the program's non-resource half holds blocks it may not");
+        }
+        program.variables.extend(part.variables);
+        program.locals.extend(part.locals);
+        program.providers.extend(part.providers);
+        program.data.extend(part.data);
+        program.outputs.extend(part.outputs);
     }
-    if !program.resources.is_empty() || !program.modules.is_empty() {
-        return inconsistent("the program's non-resource half holds blocks it may not");
+    Ok(program)
+}
+
+/// An address the plan cache owes a plan: an instance's, by position, or
+/// one no instance has.
+enum Owed {
+    At(usize),
+    Addr(ResourceAddr),
+}
+
+/// What the tables of an image say, copied out of its bytes: everything
+/// but the claims and the records, which are read where they sit.
+struct Tables {
+    chunks: ChunkMap,
+    block_chunk: Vec<usize>,
+    ranges: Vec<Range<usize>>,
+    flags: Vec<u8>,
+    by_name: Vec<u32>,
+    dag: cloudless_graph::Dag<()>,
+    order: Vec<usize>,
+    owed: Vec<Owed>,
+}
+
+/// Where each section of `bytes` (an image whose checksum sits at `body`)
+/// is, as its directory says.
+fn directory(
+    bytes: &[u8],
+    body: usize,
+    header: usize,
+) -> Result<[Range<usize>; SECTIONS], Refusal> {
+    let Some(dir) = body.checked_sub(8 * SECTIONS).filter(|&dir| dir >= header) else {
+        return inconsistent("the image has no directory");
+    };
+    let mut sections: [Range<usize>; SECTIONS] = Default::default();
+    for (s, section) in sections.iter_mut().enumerate() {
+        let (start, end) = (u32_at(bytes, dir + 8 * s), u32_at(bytes, dir + 8 * s + 4));
+        if start < header || start > end || end > dir {
+            return inconsistent("a section runs outside the image");
+        }
+        *section = start..end;
     }
-    if outer_counts(&program) != head.outer {
+    Ok(sections)
+}
+
+/// Open `bytes` as a memo for a run under `ctx` in an engine whose key is
+/// `key`, or say why not.
+fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, Refusal> {
+    let header = format!("{MAGIC}\n");
+    if !bytes.starts_with(header.as_bytes()) {
+        let line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        let line = String::from_utf8_lossy(line);
+        return match line.strip_prefix(MAGIC_STEM) {
+            Some(version) if bytes.len() > line.len() => refuse(
+                "MEM002",
+                format!("image of format v{version}, not {MAGIC:?}"),
+            ),
+            _ => refuse("MEM004", "not a memo image (no header)"),
+        };
+    }
+    let Some(body) = bytes
+        .len()
+        .checked_sub(8)
+        .filter(|&end| end >= header.len())
+    else {
+        return refuse("MEM004", "the image ends early");
+    };
+    let written = u64::from_le_bytes(bytes[body..].try_into().unwrap_or_default());
+    if written != checksum(&bytes[..body]) {
+        return refuse("MEM004", "the image's checksum does not match its bytes");
+    }
+    let sections = directory(&bytes, body, header.len())?;
+    let section = |s: usize| &bytes[sections[s].clone()];
+    let mut head = In {
+        bytes: section(HEAD),
+        at: 0,
+    };
+    let fields = (
+        head.u64(),
+        head.u64(),
+        head.u64(),
+        head.u64(),
+        head.u64(),
+        head.u8(),
+    );
+    let (Some(id), Some(specs), Some(serial), Some(log_bytes), Some(at_head), Some(planned)) =
+        fields
+    else {
+        return inconsistent("the head is short");
+    };
+    if id != key_of((ctx.lint, ctx.level, ctx.inputs), key.env) {
+        let why = "image under another key (inputs, lint gate, validation level, catalog, \
+                   modules or data differ)";
+        return refuse("MEM003", why);
+    }
+    let mut outer = [0; 5];
+    for n in &mut outer {
+        *n = head
+            .u32()
+            .map_or_else(|| inconsistent("the head is short"), Ok)?;
+    }
+    let Ok(source) = std::str::from_utf8(section(SOURCE)) else {
+        return inconsistent("the source is not text");
+    };
+    let source = source.to_owned();
+    let tables = tables(&section, &source)?;
+    let Tables {
+        chunks,
+        block_chunk,
+        ranges,
+        flags,
+        by_name,
+        dag,
+        order,
+        owed,
+    } = tables;
+
+    // the non-resource half, parsed, and its expansion
+    let program = outer_half(&source, &chunks.chunks)?;
+    if outer_counts(&program) != outer {
         return inconsistent("the program's non-resource half declares other blocks");
     }
     let expanded = expand_root(&program, ctx.inputs, ctx.modules, ctx.data);
-    let Ok((manifest, root)) = expanded else {
+    let Ok((mut manifest, root)) = expanded else {
         return inconsistent("the program's non-resource half does not expand");
     };
     if !manifest.warnings.is_empty() {
         return inconsistent("the program's non-resource half expands with warnings");
     }
+    let image = Arc::new(Image {
+        bytes,
+        sections,
+        file: Arc::clone(&root.file),
+        vars: Arc::clone(&root.vars),
+        locals: Arc::clone(&root.locals),
+        providers: manifest.provider_config.clone(),
+        recorder: Arc::clone(ctx.recorder),
+    });
+    let claims = ClaimTable {
+        image: Some(Arc::clone(&image)),
+    };
+    if !claims.in_order() {
+        return inconsistent("the claims are not in key order");
+    }
+    let m = order.len();
+    let counts = ranges.iter().map(|span| span.len());
+    manifest.instances = Instances::by_block(Arc::clone(&image) as Arc<dyn BlockSource>, counts);
     let mut memo = Box::new(Memo {
         config: (ctx.lint, ctx.level, ctx.inputs.clone()),
         specs: ctx.mined_specs().to_vec(),
         lint_env: LintEnv::build(&program),
         manifest,
-        root,
+        root: RootExpansion {
+            block_ranges: ranges,
+            ..root
+        },
         source,
+        chunks,
+        block_chunk,
+        dag,
+        by_name,
+        seats: (0..m).collect(),
+        image: Some(image),
         ..Memo::default()
     });
+    memo.claims.base = claims;
     for (rtype, name) in &outer_refs(&program).hazard_refs {
         memo.outer.insert(rtype, name, ());
     }
     memo.program = program;
-    Ok(memo)
+    memo.plan.set_order(order);
+    let dirty = |f: &u8| match f & (CLEAN | DIRTY) {
+        CLEAN => Some(false),
+        DIRTY => Some(true),
+        _ => None,
+    };
+    memo.plan.dirty.image = flags.iter().map(dirty).collect();
+    for (b, f) in flags.iter().enumerate() {
+        if f & DEFERRED != 0 {
+            reexpand(&mut memo, b, ctx)?;
+        }
+    }
+    if specs != rules_of(ctx.mined_specs())
+        && ctx
+            .miner
+            .is_some_and(|miner| !miner.check(&memo.manifest).is_empty())
+    {
+        let why = "the image's program deviates from the spec miner's conventions";
+        return refuse("MEM003", why);
+    }
+    let anchored =
+        planned == 1 && (serial, log_bytes, at_head) == (key.serial, key.log_bytes, key.head);
+    if anchored && 2 * owed.len() >= m {
+        // the run plans most instances again: their blocks are decoded at
+        // once, in two halves side by side
+        let _ = &memo.manifest.instances[..];
+    }
+    if anchored {
+        memo.plan.serial = Some(serial);
+        for owes in owed {
+            let addr = match owes {
+                Owed::Addr(addr) => addr,
+                Owed::At(at) => memo.manifest.instances.at(at).addr.clone(),
+            };
+            memo.plan.away.push(addr);
+        }
+    }
+    Ok(Loaded {
+        memo,
+        serial,
+        planned: anchored,
+    })
 }
 
-/// Put the blocks into the memo: the chunk table, tiling the source with
-/// the other chunks (each hashed, and its first line counted); the block
-/// DAG; the instances, placed in their chunks and bound to the root
-/// module's bindings and file. What is left for later: the blocks to expand
-/// again and the plan cache's dirtiness.
-fn assemble(memo: &mut Memo, built: Built, head: &Head) -> Result<Later, Refusal> {
-    let Built {
-        mut instances,
-        ranges,
-        edges,
-        chunks: blocks,
-        mut spans,
-        dirty,
-        deferred,
-        ..
-    } = built;
-    let mut tiles = Tiles {
-        source: &memo.source,
-        chunks: Vec::new(),
-        at: 0,
-        line: 1,
+/// Read the tables off the sections `section` gives, and check that they
+/// fit together and `source`.
+fn tables<'b>(section: &impl Fn(usize) -> &'b [u8], source: &str) -> Result<Tables, Refusal> {
+    let (entries, names) = (section(CHUNKS), section(NAMES));
+    let Ok(names) = std::str::from_utf8(names) else {
+        return inconsistent("a block name is not text");
     };
-    let mut others = head.others.iter().peekable();
-    for (rtype, name, len) in blocks {
-        while let Some(&(start, end)) = others.next_if(|(start, _)| *start == tiles.at) {
-            tiles.take(start, end, ChunkKind::Other)?;
-        }
-        let kind = ChunkKind::Resource { rtype, name };
-        let end = tiles.at.saturating_add(len);
-        tiles.take(tiles.at, end, kind)?;
+    if !entries.len().is_multiple_of(CHUNK) {
+        return inconsistent("the chunk table is cut");
     }
-    for &(start, end) in others {
-        tiles.take(start, end, ChunkKind::Other)?;
-    }
-    if tiles.at != memo.source.len() {
-        return inconsistent("the chunks do not tile the source");
-    }
-    let (chunks, src_len) = (tiles.chunks, memo.source.len());
-    memo.chunks = ChunkMap { chunks, src_len };
-    memo.block_chunk = memo.chunks.resource_chunks().collect();
-    let mut builder: DagBuilder<()> = DagBuilder::with_capacity(ranges.len());
-    for _ in &ranges {
-        builder.add_node(());
-    }
-    for (from, to) in edges {
-        if builder.add_edge(NodeId(from), NodeId(to)).is_err() {
-            return inconsistent("the block DAG has an edge it cannot");
-        }
-    }
-    let Ok(dag) = builder.seal() else {
-        return inconsistent("the block DAG has a cycle");
-    };
-    // the spans and bindings in two halves
-    let mid = ranges.len() / 2;
-    let (first, rest) = instances.split_at_mut(ranges.get(mid).map_or(0, |span| span.start));
-    let rest_spans = spans.split_off(mid);
-    let (root, chunks, block_chunk) = (&memo.root, &memo.chunks.chunks, &memo.block_chunk);
-    let place =
-        |instances: &mut [ResourceInstance], blocks: Range<usize>, spans: Vec<Option<Spans>>| {
-            let base = ranges.get(blocks.start).map_or(0, |span| span.start);
-            for (b, spans) in blocks.zip(spans) {
-                let Some((span, attr_spans)) = spans else {
-                    continue;
-                };
-                let chunk = &chunks[block_chunk[b]];
-                let place = |rec: SpanRec| rec.span(chunk.line, chunk.start);
-                let attr_spans = attr_spans.into_iter().map(|(a, rec)| (a, place(rec)));
-                let attr_spans = Arc::new(attr_spans.collect::<VecMap<_, _>>());
-                for inst in &mut instances[ranges[b].start - base..ranges[b].end - base] {
-                    inst.span = place(span);
-                    inst.attr_spans = Arc::clone(&attr_spans);
-                    inst.env.vars = Arc::clone(&root.vars);
-                    inst.env.locals = Arc::clone(&root.locals);
-                    inst.file = Arc::clone(&root.file);
-                }
-            }
+    // the chunk table, tiling the source
+    let mut chunks = Vec::with_capacity(entries.len() / CHUNK);
+    let mut end = 0;
+    for c in 0..entries.len() / CHUNK {
+        let (start, stop, line, hash, [rtype, name]) = chunk_entry(entries, c);
+        let kind = match (names.get(rtype), names.get(name)) {
+            (Some(""), Some("")) => ChunkKind::Other,
+            (Some(rtype), Some(name)) if !rtype.is_empty() => ChunkKind::Resource {
+                rtype: rtype.to_owned(),
+                name: name.to_owned(),
+            },
+            _ => return inconsistent("a block name is not in the names"),
         };
-    let n = ranges.len();
-    join(
-        || place(rest, mid..n, rest_spans),
-        || place(first, 0..mid, spans),
-    );
-    memo.dag = dag;
-    memo.root.block_ranges = ranges;
-    *memo.manifest.instances.make_mut() = instances.into_iter().map(Arc::new).collect();
-    Ok(Later { dirty, deferred })
-}
-
-/// What a memo's load does once its manifest is in place: the plan
-/// cache's dirtiness of each block, and the blocks to expand again.
-struct Later {
-    dirty: Vec<(usize, bool)>,
-    deferred: Vec<usize>,
-}
-
-/// The chunk table as it is laid over the source, chunk after chunk: each
-/// hashed, and its first line counted.
-struct Tiles<'s> {
-    source: &'s str,
-    chunks: Vec<Chunk>,
-    at: usize,
-    line: u32,
-}
-
-impl Tiles<'_> {
-    /// The next chunk, `start..end` of the source, of `kind`.
-    fn take(&mut self, start: usize, end: usize, kind: ChunkKind) -> Result<(), Refusal> {
-        let fits = start == self.at && start < end && self.source.is_char_boundary(end);
-        let Some(bytes) = self.source.as_bytes().get(start..end).filter(|_| fits) else {
+        let fits = start == end && start < stop && stop <= source.len();
+        if !fits || !source.is_char_boundary(stop) {
             return inconsistent("the chunks do not tile the source");
-        };
-        let line = self.line;
-        self.line += bytes.iter().filter(|&&b| b == b'\n').count() as u32;
-        self.at = end;
-        let hash = fnv1a(bytes);
-        self.chunks.push(Chunk {
+        }
+        end = stop;
+        chunks.push(Chunk {
             start,
-            end,
+            end: stop,
             line,
             hash,
             kind,
         });
-        Ok(())
     }
+    if end != source.len() {
+        return inconsistent("the chunks do not tile the source");
+    }
+    let chunks = ChunkMap {
+        chunks,
+        src_len: source.len(),
+    };
+    let block_chunk: Vec<usize> = chunks.resource_chunks().collect();
+
+    // the blocks, their names' order, their successors and the plan cache
+    let (n, m) = (block_chunk.len(), section(ORDER).len() / 4);
+    let (entries, records) = (section(BLOCKS), section(RECORDS).len());
+    let (by_name, succ_at, succ) = (section(BY_NAME), section(SUCC_AT), section(SUCC));
+    let sized = entries.len() == n * BLOCK && by_name.len() == 4 * n;
+    if !sized || succ_at.len() != 4 * (n + 1) || !section(ORDER).len().is_multiple_of(4) {
+        return inconsistent("the block tables are not the source's");
+    }
+    let by_name: Vec<u32> = (0..n).map(|k| u32_at(by_name, 4 * k) as u32).collect();
+    let order: Vec<usize> = (0..m).map(|k| u32_at(section(ORDER), 4 * k)).collect();
+    let mut owed = Vec::new();
+    let mut read = In {
+        bytes: section(OWED),
+        at: 0,
+    };
+    while !read.done() {
+        let owes = match read.u8() {
+            Some(0) => read.u32().filter(|&at| at < m).map(Owed::At),
+            _ => (read.bytes())
+                .and_then(|addr| std::str::from_utf8(addr).ok()?.parse().ok())
+                .map(Owed::Addr),
+        };
+        let Some(owes) = owes else {
+            return inconsistent("an owed address does not read");
+        };
+        owed.push(owes);
+    }
+
+    let (mut ranges, mut flags, mut first) = (Vec::with_capacity(n), Vec::with_capacity(n), 0);
+    for b in 0..n {
+        let entry = &entries[b * BLOCK..];
+        let (chunk, at, len, count) = (
+            u32_at(entry, 0),
+            u32_at(entry, 4),
+            u32_at(entry, 8),
+            u32_at(entry, 12),
+        );
+        let fits = at.checked_add(len).is_some_and(|end| end <= records);
+        if chunk != block_chunk[b] || !fits {
+            return inconsistent("a block is not where its chunk is");
+        }
+        ranges.push(first..first + count);
+        first += count;
+        flags.push(entry[16]);
+    }
+    let mut seen = vec![false; m];
+    let placed = |at: &usize| at < &m && !std::mem::replace(&mut seen[*at], true);
+    if first != m || !order.iter().all(placed) {
+        return inconsistent("the visiting order is no order of the instances");
+    }
+    let name_of = |b: u32| match chunks.chunks.get(*block_chunk.get(b as usize)?)?.kind {
+        ChunkKind::Resource {
+            ref rtype,
+            ref name,
+        } => Some((rtype.as_str(), name.as_str())),
+        ChunkKind::Other => None,
+    };
+    let sorted = by_name.windows(2).all(|w| name_of(w[0]) < name_of(w[1]));
+    if by_name.iter().any(|&b| b as usize >= n) || !sorted {
+        return inconsistent("the blocks are not in name order");
+    }
+    let mut dag: DagBuilder<()> = DagBuilder::with_capacity(n);
+    for _ in 0..n {
+        dag.add_node(());
+    }
+    for b in 0..n {
+        let (from, to) = (u32_at(succ_at, 4 * b), u32_at(succ_at, 4 * b + 4));
+        if from > to || 4 * to > succ.len() {
+            return inconsistent("the block DAG has an edge it cannot");
+        }
+        for k in from..to {
+            let d = u32_at(succ, 4 * k);
+            let edge = (d < n).then(|| dag.add_edge(NodeId(b as u32), NodeId(d as u32)));
+            if !matches!(edge, Some(Ok(_))) {
+                return inconsistent("the block DAG has an edge it cannot");
+            }
+        }
+    }
+    let Ok(dag) = dag.seal() else {
+        return inconsistent("the block DAG has a cycle");
+    };
+    Ok(Tables {
+        chunks,
+        block_chunk,
+        ranges,
+        flags,
+        by_name,
+        dag,
+        order,
+        owed,
+    })
 }
 
 /// A block with a deferred attribute, parsed off its chunk and expanded
@@ -1088,35 +1350,36 @@ fn reexpand(memo: &mut Memo, b: usize, ctx: &PipelineCtx<'_>) -> Result<(), Refu
     let Ok(rb) = parse_block(&memo.source, chunk, &memo.program.filename) else {
         return inconsistent("a block with a deferred attribute does not parse");
     };
-    let declared = |t: &str, n: &str| memo.lint_env.declares(&DeclEdit::default(), t, n);
+    let declared = |t: &str, n: &str| memo.block_named(t, n).is_some();
     let (mut diags, mut fresh) = (Diagnostics::new(), Vec::new());
     let root = &memo.root;
-    let data: &dyn Resolver = ctx.data;
     expand_resource_block(
         &rb,
         &root.vars,
         &root.locals,
         &declared,
-        data,
+        ctx.data,
         &root.file,
         &[],
         &mut diags,
         &mut fresh,
     );
     let range = memo.root.block_ranges[b].clone();
-    let decoded = &mut memo.manifest.instances.make_mut()[range];
+    let decoded = memo.manifest.instances.slice(range.clone());
     let same = |(was, now): (&Arc<ResourceInstance>, &ResourceInstance)| {
         was.addr == now.addr && was.attrs == now.attrs
     };
     if !diags.is_empty() || decoded.len() != fresh.len() || !decoded.iter().zip(&fresh).all(same) {
         return inconsistent("a block with a deferred attribute expands otherwise");
     }
-    for (inst, fresh) in decoded.iter_mut().zip(fresh) {
-        let Some(inst) = Arc::get_mut(inst) else {
-            return inconsistent("an instance is shared before it is loaded");
-        };
-        (inst.deferred, inst.span, inst.attr_spans) =
-            (fresh.deferred, fresh.span, fresh.attr_spans);
-    }
+    let placed: Vec<Arc<ResourceInstance>> = (decoded.iter().zip(fresh))
+        .map(|(was, fresh)| {
+            let mut inst = ResourceInstance::clone(was);
+            (inst.deferred, inst.span, inst.attr_spans) =
+                (fresh.deferred, fresh.span, fresh.attr_spans);
+            Arc::new(inst)
+        })
+        .collect();
+    memo.manifest.instances.write(range, &placed);
     Ok(())
 }

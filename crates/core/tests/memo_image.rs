@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 
 use cloudless::cloud::{CloudConfig, ResourceRecord};
+use cloudless::obs::FlightRecorder;
 use cloudless::state::{LogStore, MemDevice};
 use cloudless::types::{ResourceId, Value};
 use cloudless::validate::ValidationLevel;
@@ -196,9 +197,11 @@ fn each_part_of_the_key_refuses_the_image_and_plans_as_cold() {
 #[test]
 fn an_image_of_an_older_format_is_refused_and_plans_as_cold() {
     let (log, image, records) = converged(standard(), SRC);
-    let text = String::from_utf8(image).expect("an image is text");
-    let older = text.replacen("cloudless-memo v1\n", "cloudless-memo v0\n", 1);
-    let (plan, trace) = first_run(standard(), &log, Some(older.into_bytes()), &records);
+    let header = b"cloudless-memo v2\n";
+    assert!(image.starts_with(header), "the image opens with its format");
+    let mut older = b"cloudless-memo v1\n".to_vec();
+    older.extend_from_slice(&image[header.len()..]);
+    let (plan, trace) = first_run(standard(), &log, Some(older), &records);
     let why = refusal(&trace).expect("refused");
     assert!(why.starts_with("MEM002"), "{why}");
     assert_eq!(plan, first_run(standard(), &log, None, &records).0);
@@ -306,4 +309,87 @@ fn a_dirtiness_the_plan_cache_changed_is_written_again() {
         cold.plan_incremental(&renamed).expect("the rename plans").0
     );
     assert!(!plan.contains("known after apply"), "{plan}");
+}
+
+/// A byte flipped inside the record of a block the edit leaves alone — the
+/// VPC's, whose record the first run would never decode — is refused before
+/// the run starts, and the run plans as cold.
+#[test]
+fn a_flipped_byte_in_a_block_the_edit_leaves_is_refused_before_the_run() {
+    let (log, image, records) = converged(standard(), SRC);
+    let (cold, _) = first_run(standard(), &log, None, &records);
+    // the source holds the VPC's block too: the last copy is its record's
+    let needle = b"10.0.0.0/16";
+    let at = (image.windows(needle.len()))
+        .rposition(|window| window == needle)
+        .expect("the VPC's record holds its cidr_block");
+    let source = (image.windows(needle.len())).position(|window| window == needle);
+    assert!(
+        source.is_some_and(|first| first < at),
+        "the record follows the source"
+    );
+    let mut flipped = image.clone();
+    flipped[at + 3] ^= 1;
+    let (plan, trace) = first_run(standard(), &log, Some(flipped), &records);
+    let why = refusal(&trace).unwrap_or_else(|| panic!("not refused:\n{trace}"));
+    assert!(why.starts_with("MEM004"), "{why}");
+    assert!(
+        trace.contains("pipeline: full (no memo (first run))"),
+        "{trace}"
+    );
+    assert_eq!(plan, cold);
+}
+
+/// A `plan` whose memo no image holds yet — here, the image the apply wrote
+/// is gone — leaves one, and a fresh engine's apply of the same program
+/// starts from it.
+#[test]
+fn a_plan_leaves_the_image_a_fresh_apply_starts_from() {
+    let (log, _, records) = converged(standard(), SRC);
+    let mut planner = open(log, None, records);
+    planner.plan(&edited(), &[]).expect("the edit plans");
+    let (log, image, records) = close(planner);
+    assert!(image.is_some(), "the plan wrote the image");
+
+    let (plan, trace) = first_run(standard(), &log, image.clone(), &records);
+    assert!(trace.contains("image: loaded"), "{trace}");
+    assert_eq!(plan, first_run(standard(), &log, None, &records).0);
+
+    let recorder = FlightRecorder::shared(16);
+    let config = Config {
+        recorder: recorder.clone(),
+        ..standard()
+    };
+    let device = MemDevice::from_bytes(log).imaged(image);
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("the log opens");
+    let mut apply = Cloudless::with_store(config, store, records);
+    assert!(apply.converge(&edited()).expect("applies").apply.all_ok());
+    let metrics = apply.metrics().expect("a flight recorder keeps metrics");
+    assert_eq!(metrics.counter("pipeline.memo_image_loads"), 1);
+    assert_eq!(metrics.counter("pipeline.runs_incremental"), 1);
+}
+
+/// A block inserted into a memo loaded from an image reads a block the
+/// image holds: the edge between them is the memo's, so when the block it
+/// reads turns into a replacement, the inserted one is planned again — a
+/// replacement too — as a cold engine plans it.
+#[test]
+fn a_block_inserted_after_a_load_follows_the_block_it_reads() {
+    let vpc = "resource \"aws_vpc\" \"main\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
+    let both = format!(
+        "{vpc}resource \"aws_subnet\" \"app\" {{\n  vpc_id     = aws_vpc.main.id\n  cidr_block = \"10.0.1.0/24\"\n}}\n"
+    );
+    let (log, image, records) = converged(standard(), &both);
+    let replaced = both.replace("10.0.0.0/16", "10.0.0.0/15");
+    let mut warm = open(log.clone(), Some(image), records.clone());
+    let (_, trace) = warm.plan_incremental(vpc).expect("the removal plans");
+    assert!(trace.to_string().contains("image: loaded"), "{trace}");
+    let (_, trace) = warm.plan_incremental(&both).expect("the insert plans");
+    assert!(trace.to_string().contains("+1 inserted"), "{trace}");
+    let (plan, trace) = warm.plan_incremental(&replaced).expect("the edit plans");
+    assert!(trace.fast_path, "{trace}");
+    let mut cold = open(log, None, records);
+    let (cold_plan, _) = cold.plan_incremental(&replaced).expect("the edit plans");
+    assert_eq!(plan, cold_plan);
+    assert!(plan.contains("-/+ aws_subnet.app"), "{plan}");
 }

@@ -359,11 +359,14 @@ impl<'a> Executor<'a> {
     }
 
     /// Region for a resource: the shared rule
-    /// ([`Provider::effective_region`]), `us-east-1` for a type no provider
-    /// claims.
+    /// ([`Provider::effective_region`]) over its planned attributes and its
+    /// provider block's region, `us-east-1` for a type no provider claims.
     fn region_for(&self, node: &PlanNode) -> Region {
         let change = &node.change;
-        let region = Provider::effective_region(&change.planned_attrs, &change.addr.rtype);
+        let desired = change.desired.as_deref();
+        let configured = desired.and_then(|inst| inst.provider_region.as_deref());
+        let rtype = &change.addr.rtype;
+        let region = Provider::effective_region(&change.planned_attrs, rtype, configured);
         Region::new(region.unwrap_or("us-east-1"))
     }
 

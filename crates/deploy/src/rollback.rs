@@ -168,6 +168,7 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
             lifecycle: Default::default(),
             env: Default::default(),
             file: Arc::clone(&no_file),
+            provider_region: Some(Arc::from(then.region.as_str())),
         })
     });
     let known = |(name, v): (&String, &Value)| (name.clone(), OutputValue::Known(v.clone()));

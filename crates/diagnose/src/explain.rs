@@ -93,7 +93,8 @@ fn attr_loc(inst: &ResourceInstance, attr: &str, label: impl Into<String>) -> Op
 /// Region of an instance at the IaC level (explicit attr or provider
 /// default).
 fn region_of(inst: &ResourceInstance) -> Option<&str> {
-    Provider::effective_region(&inst.attrs, &inst.addr.rtype)
+    let configured = inst.provider_region.as_deref();
+    Provider::effective_region(&inst.attrs, &inst.addr.rtype, configured)
 }
 
 /// Translate a cloud error on `failed_addr` back to the program.

@@ -12,7 +12,7 @@
 //! [`Manifest`] — the desired-state document the rest of the stack consumes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cloudless_types::{
     Attrs, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value, VecMap, VecSet,
@@ -496,6 +496,23 @@ pub struct ResourceInstance {
     /// File the resource was declared in (one allocation per program, shared
     /// by its instances).
     pub file: Arc<str>,
+    /// The `region` its provider's `provider` block sets, if it sets one:
+    /// the region it lands in unless it pins its own
+    /// ([`cloudless_types::Provider::effective_region`]).
+    pub provider_region: Option<Arc<str>>,
+}
+
+/// The `region` the `provider` block of `rtype`'s provider sets among
+/// `config` (a manifest's evaluated `provider` blocks), if it sets one.
+pub fn provider_region(
+    config: &BTreeMap<String, Attrs>,
+    rtype: &ResourceTypeName,
+) -> Option<Arc<str>> {
+    let region = config
+        .get(rtype.provider_prefix())?
+        .get("region")?
+        .as_str()?;
+    Some(Arc::from(region))
 }
 
 impl ResourceInstance {
@@ -519,21 +536,260 @@ pub enum OutputValue {
     },
 }
 
-/// A manifest's instances: one list, shared copy-on-write.
+/// A manifest's instances: one list, shared copy-on-write, and read by the
+/// block when it comes from a [`BlockSource`].
 ///
 /// Cloning is O(1), one reference-count bump, so a clone of a
-/// [`Manifest`] costs its outputs, not its instances. [`Instances::make_mut`]
-/// is the one way to write: it copies the list first only when another
-/// clone still shares it, which is once per clone kept alive across a
-/// write (the pipeline's memo writes its own list in place while no run's
-/// output is held).
-#[derive(Debug, Clone, Default)]
-pub struct Instances(Arc<Vec<Arc<ResourceInstance>>>);
+/// [`Manifest`] costs its outputs, not its instances. A list built whole
+/// ([`FromIterator`]) is a slice ([`std::ops::Deref`]). A list built by the
+/// block ([`Instances::by_block`]) decodes a block the first time a read
+/// reaches it: [`Instances::at`] and [`Instances::slice`] within one block
+/// decode that block, [`Instances::len`] none, and a read of the whole
+/// slice every block left, once, in two halves side by side. A decoded
+/// block's instances are the ones every later read returns.
+///
+/// The writes copy the list first only when another clone still shares it:
+/// [`Instances::write`] replaces a block's instances and
+/// [`Instances::regroup`] rebuilds the list from its blocks and new ones,
+/// both leaving the other blocks as undecoded as they were;
+/// [`Instances::make_mut`] is the slice, for writing.
+#[derive(Clone, Default)]
+pub struct Instances(Arc<List>);
+
+/// The list behind [`Instances`].
+#[derive(Clone, Default)]
+struct List {
+    /// The whole list, once read whole (from the start, when built whole).
+    all: OnceLock<Vec<Arc<ResourceInstance>>>,
+    /// Until then, its blocks.
+    blocks: Option<Blocks>,
+}
+
+/// A list read by the block: where each block starts, and each one's
+/// instances, decoded or given. A block is shared by every list that holds
+/// it, so it is decoded once for all of them.
+#[derive(Clone)]
+struct Blocks {
+    source: Arc<dyn BlockSource>,
+    /// Each block's first instance, then one past the last.
+    starts: Vec<usize>,
+    slots: Vec<Arc<Slot>>,
+}
+
+/// One block of a [`Blocks`]: the source's block it decodes from (none when
+/// a write gave it), and its instances once there.
+struct Slot {
+    from: Option<usize>,
+    got: OnceLock<Box<[Arc<ResourceInstance>]>>,
+}
+
+impl Slot {
+    fn given(with: &[Arc<ResourceInstance>]) -> Arc<Slot> {
+        let got = OnceLock::from(Box::from(with));
+        Arc::new(Slot { from: None, got })
+    }
+}
+
+/// Where a list read by the block decodes its blocks from.
+pub trait BlockSource: Send + Sync {
+    /// The instances of block `b`.
+    fn decode(&self, b: usize) -> Vec<ResourceInstance>;
+}
+
+/// A piece of the list [`Instances::regroup`] builds: the old list's block
+/// at an index, its instances at a range, or new instances.
+pub enum Piece<'a> {
+    Kept(usize, std::ops::Range<usize>),
+    New(&'a [Arc<ResourceInstance>]),
+}
+
+impl Blocks {
+    /// The block instance `at` sits in.
+    fn block_of(&self, at: usize) -> usize {
+        self.starts.partition_point(|&start| start <= at) - 1
+    }
+
+    /// Block `b`'s instances, decoded if they are not yet.
+    fn block(&self, b: usize) -> &[Arc<ResourceInstance>] {
+        let slot = &self.slots[b];
+        slot.got.get_or_init(|| {
+            let decoded = slot.from.map_or_else(Vec::new, |b| self.source.decode(b));
+            decoded.into_iter().map(Arc::new).collect()
+        })
+    }
+
+    /// Whether block `b` is exactly the instances at `span`.
+    fn holds(&self, b: usize, span: &std::ops::Range<usize>) -> bool {
+        b < self.slots.len() && self.starts[b] == span.start && self.starts[b + 1] == span.end
+    }
+
+    /// Every block's instances in order, the ones still undecoded decoded
+    /// in two halves side by side.
+    fn gather(&self) -> Vec<Arc<ResourceInstance>> {
+        let half = |blocks: std::ops::Range<usize>| {
+            let mut out = Vec::with_capacity(self.starts[blocks.end] - self.starts[blocks.start]);
+            for b in blocks {
+                out.extend_from_slice(self.block(b));
+            }
+            out
+        };
+        let (n, mid) = (self.slots.len(), self.slots.len() / 2);
+        let (rest, mut all) = cloudless_types::join(|| half(mid..n), || half(0..mid));
+        all.extend(rest);
+        all
+    }
+
+    /// The block whose instances are exactly `span`, if one is (and `span`
+    /// is not empty).
+    fn exactly(&self, span: &std::ops::Range<usize>) -> Option<usize> {
+        let b = self.block_of(span.start);
+        let ends = (span.start < span.end) && self.starts.get(b + 1) == Some(&span.end);
+        (ends && self.starts[b] == span.start).then_some(b)
+    }
+}
+
+impl List {
+    fn whole(&self) -> &Vec<Arc<ResourceInstance>> {
+        self.all
+            .get_or_init(|| self.blocks.as_ref().map_or_else(Vec::new, Blocks::gather))
+    }
+
+    /// The blocks, while the list is read by the block.
+    fn by_block(&self) -> Option<&Blocks> {
+        self.blocks.as_ref().filter(|_| self.all.get().is_none())
+    }
+}
 
 impl Instances {
-    /// The list, for writing: unshared first if another clone holds it.
+    /// A list of blocks of `counts` instances each, block `b` decoded from
+    /// `source` when a read first reaches it.
+    pub fn by_block(
+        source: Arc<dyn BlockSource>,
+        counts: impl Iterator<Item = usize>,
+    ) -> Instances {
+        let mut starts = vec![0];
+        let mut slots = Vec::new();
+        for (b, n) in counts.enumerate() {
+            starts.push(starts[b] + n);
+            let got = OnceLock::new();
+            slots.push(Arc::new(Slot { from: Some(b), got }));
+        }
+        let blocks = Some(Blocks {
+            source,
+            starts,
+            slots,
+        });
+        Instances(Arc::new(List {
+            all: OnceLock::new(),
+            blocks,
+        }))
+    }
+
+    /// How many instances the list holds (decodes nothing).
+    pub fn len(&self) -> usize {
+        match self.0.by_block() {
+            Some(blocks) => blocks.starts.last().copied().unwrap_or(0),
+            None => self.0.whole().len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Instance `at` (decodes its block).
+    pub fn at(&self, at: usize) -> &Arc<ResourceInstance> {
+        &self.slice(at..at + 1)[0]
+    }
+
+    /// The instances at `span`: the block's, when it lies within one (it
+    /// decodes that block alone), else the whole list's.
+    pub fn slice(&self, span: std::ops::Range<usize>) -> &[Arc<ResourceInstance>] {
+        if let Some(blocks) = self.0.by_block().filter(|_| span.start < span.end) {
+            let b = blocks.block_of(span.start);
+            let start = blocks.starts[b];
+            if span.end <= blocks.starts[b + 1] {
+                return &blocks.block(b)[span.start - start..span.end - start];
+            }
+        }
+        &self.0.whole()[span]
+    }
+
+    /// The source's block the list's block at exactly `span` still holds as
+    /// the source gives it (decoded or not), if the list is read by the
+    /// block and no write has replaced it.
+    pub fn sourced(&self, span: std::ops::Range<usize>) -> Option<usize> {
+        let blocks = self.0.blocks.as_ref()?;
+        blocks.slots[blocks.exactly(&span)?].from
+    }
+
+    /// Replace the instances at `span` with as many others: within the one
+    /// block `span` is, that block alone (no other is decoded).
+    pub fn write(&mut self, span: std::ops::Range<usize>, with: &[Arc<ResourceInstance>]) {
+        if span.is_empty() {
+            return;
+        }
+        if let Some(b) = self.0.by_block().and_then(|blocks| blocks.exactly(&span)) {
+            let list = Arc::make_mut(&mut self.0);
+            if let Some(blocks) = &mut list.blocks {
+                blocks.slots[b] = Slot::given(with);
+                return;
+            }
+        }
+        self.make_mut()[span].clone_from_slice(with);
+    }
+
+    /// The list made of `pieces` in order: blocks of this list, each at its
+    /// index and range (still undecoded, when it is), and new instances,
+    /// each a block.
+    pub fn regroup<'a>(&mut self, pieces: impl Iterator<Item = Piece<'a>>) {
+        let pieces: Vec<Piece<'a>> = pieces.collect();
+        let aligned = |blocks: &Blocks| {
+            pieces.iter().all(|piece| match piece {
+                Piece::Kept(b, span) => blocks.holds(*b, span),
+                Piece::New(_) => true,
+            })
+        };
+        if let Some(blocks) = self.0.by_block().filter(|blocks| aligned(blocks)) {
+            let (mut starts, mut slots) = (vec![0], Vec::with_capacity(pieces.len()));
+            for piece in &pieces {
+                let (slot, n) = match piece {
+                    Piece::Kept(b, span) => (Arc::clone(&blocks.slots[*b]), span.len()),
+                    Piece::New(with) => (Slot::given(with), with.len()),
+                };
+                starts.push(starts[starts.len() - 1] + n);
+                slots.push(slot);
+            }
+            let source = Arc::clone(&blocks.source);
+            let blocks = Some(Blocks {
+                source,
+                starts,
+                slots,
+            });
+            self.0 = Arc::new(List {
+                all: OnceLock::new(),
+                blocks,
+            });
+            return;
+        }
+        let was = self.0.whole();
+        let mut list = Vec::with_capacity(was.len());
+        for piece in pieces {
+            match piece {
+                Piece::Kept(_, span) => list.extend_from_slice(&was[span]),
+                Piece::New(with) => list.extend_from_slice(with),
+            }
+        }
+        *self = list.into_iter().collect();
+    }
+
+    /// The list, for writing: every block decoded, and unshared first if
+    /// another clone holds it.
     pub fn make_mut(&mut self) -> &mut Vec<Arc<ResourceInstance>> {
-        Arc::make_mut(&mut self.0)
+        self.0.whole();
+        let list = Arc::make_mut(&mut self.0);
+        list.blocks = None;
+        list.all.get_mut().expect("the whole list was just read")
     }
 
     /// Whether `a` and `b` are the same list, not merely equal ones.
@@ -542,11 +798,17 @@ impl Instances {
     }
 }
 
+impl std::fmt::Debug for Instances {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Instances").field(self.0.whole()).finish()
+    }
+}
+
 impl std::ops::Deref for Instances {
     type Target = [Arc<ResourceInstance>];
 
     fn deref(&self) -> &Self::Target {
-        &self.0
+        self.0.whole()
     }
 }
 
@@ -555,13 +817,14 @@ impl<'a> IntoIterator for &'a Instances {
     type IntoIter = std::slice::Iter<'a, Arc<ResourceInstance>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.0.whole().iter()
     }
 }
 
 impl FromIterator<Arc<ResourceInstance>> for Instances {
     fn from_iter<I: IntoIterator<Item = Arc<ResourceInstance>>>(iter: I) -> Self {
-        Instances(Arc::new(iter.into_iter().collect()))
+        let all = OnceLock::from(iter.into_iter().collect::<Vec<_>>());
+        Instances(Arc::new(List { all, blocks: None }))
     }
 }
 
@@ -651,6 +914,19 @@ pub fn expand_root(
         &mut diags,
         0,
     );
+    // every instance, a module's too, lands where the root's provider
+    // block says
+    if manifest
+        .provider_config
+        .values()
+        .any(|attrs| attrs.contains_key("region"))
+    {
+        let config = &manifest.provider_config;
+        for inst in manifest.instances.make_mut() {
+            let region = provider_region(config, &inst.addr.rtype);
+            Arc::make_mut(inst).provider_region = region;
+        }
+    }
     diags.into_result((manifest, root))
 }
 
@@ -878,6 +1154,7 @@ pub fn expand_resource_block<'p>(
             lifecycle: rb.lifecycle,
             env,
             file: Arc::clone(fname),
+            provider_region: None,
         };
         let scope = inst.env.scope(data_resolver);
         for a in &rb.attrs {

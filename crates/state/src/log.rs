@@ -322,6 +322,17 @@ pub fn frame_payload(out: &mut String, record: impl Serialize) {
     out.push('\n');
 }
 
+/// The checksum field of the framed line at the head of `bytes` (0 when it
+/// has none).
+pub fn frame_sum(bytes: &[u8]) -> u64 {
+    let field = bytes
+        .get(..16)
+        .and_then(|hex| std::str::from_utf8(hex).ok());
+    field
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .unwrap_or(0)
+}
+
 /// Decode the framed line at the head of `bytes`: the checksum field up
 /// to the first space, then the payload up to the newline, hashed on the
 /// way there. `None` when no newline ends it (a torn tail by definition),
@@ -478,6 +489,14 @@ pub fn scan(
     bytes: &[u8],
     mut each: impl FnMut(LogRecord) -> Result<(), StoreError>,
 ) -> Result<ScanOutcome, StoreError> {
+    scan_at(bytes, |record, _| each(record))
+}
+
+/// [`scan`], handing `each` the byte each record's frame starts at too.
+pub fn scan_at(
+    bytes: &[u8],
+    mut each: impl FnMut(LogRecord, usize) -> Result<(), StoreError>,
+) -> Result<ScanOutcome, StoreError> {
     let mut head = Frames::after_header(bytes).map_err(StoreError::Corrupt)?;
     let mut tail = head.split();
     let mut visit = Visit {
@@ -521,12 +540,12 @@ impl Visit {
     fn frames(
         &mut self,
         frames: impl IntoIterator<Item = Frame>,
-        each: &mut impl FnMut(LogRecord) -> Result<(), StoreError>,
+        each: &mut impl FnMut(LogRecord, usize) -> Result<(), StoreError>,
     ) -> Result<bool, StoreError> {
         for (at, last, record) in frames {
             self.keep = at;
             match record {
-                Ok(record) => each(record)?,
+                Ok(record) => each(record, at)?,
                 // only the last record can be torn
                 Err(why) if !last => {
                     return Err(StoreError::Corrupt(format!(

@@ -32,9 +32,9 @@ use cloudless_types::{join, SimTime, Value};
 use crate::cas::{decode_resource, encode_resource, Cas, ContentHash};
 use crate::history::HistoryView;
 use crate::log::{
-    frame_into, scan, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed, ImageWrite,
-    LogDevice, LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord, LOG_MAGIC,
-    MAX_PATCH_CHAIN,
+    frame_into, frame_sum, scan_at, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed,
+    ImageWrite, LogDevice, LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord,
+    LOG_MAGIC, MAX_PATCH_CHAIN,
 };
 use crate::snapshot::{DeployedResource, Snapshot};
 
@@ -150,6 +150,9 @@ pub struct LogStore {
     program_text: Option<Arc<str>>,
     pub(crate) recorder: Arc<dyn Recorder>,
     pub(crate) log_bytes: u64,
+    /// The checksum of the newest version's frame (0 before the first): a
+    /// fingerprint of the head that costs nothing to read.
+    head: u64,
     /// A failed append may have left bytes past `log_bytes` that the device
     /// would not cut back yet: the next append cuts them first.
     torn_tail: bool,
@@ -199,6 +202,7 @@ impl LogStore {
             program_text: None,
             recorder: NullRecorder::shared(),
             log_bytes,
+            head: 0,
             torn_tail: false,
             torn_recoveries: 0,
         }
@@ -245,7 +249,14 @@ impl LogStore {
     ) -> Result<(LogStore, RecoveryReport), StoreError> {
         let bytes = device.read_all()?;
         let mut store = LogStore::empty(device, 0);
-        let outcome = scan(&bytes, |record| store.replay(record))?;
+        let mut head_at = None;
+        let outcome = scan_at(&bytes, |record, at| {
+            if let LogRecord::Version(_) = record {
+                head_at = Some(at);
+            }
+            store.replay(record)
+        })?;
+        store.head = head_at.map_or(0, |at| frame_sum(&bytes[at..]));
         drop(bytes);
         store.log_bytes = outcome.keep_len;
         if outcome.torn_bytes > 0 {
@@ -386,6 +397,12 @@ impl LogStore {
     /// Current serial.
     pub fn serial(&self) -> u64 {
         self.current.serial
+    }
+
+    /// The checksum of the newest version's frame, 0 when there is none: it
+    /// tells two logs apart whose newest versions differ.
+    pub fn head_sum(&self) -> u64 {
+        self.head
     }
 
     /// Bytes in the on-disk (or in-memory) log.
@@ -674,6 +691,7 @@ impl LogStore {
             outputs,
             patch,
         };
+        let version_at = lines.len();
         frame_into(&mut lines, Framed::Version(&version));
         if let Err(e) = self.append(lines.as_bytes()) {
             // nothing was logged, so nothing may be remembered: a retry
@@ -684,6 +702,7 @@ impl LogStore {
             return Err(e);
         }
 
+        self.head = frame_sum(&lines.as_bytes()[version_at..]);
         // fold into the in-memory state
         for (r, p) in resources.into_iter().zip(&version.puts) {
             self.current_hashes.insert(p.addr.clone(), p.hash);

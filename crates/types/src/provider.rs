@@ -55,16 +55,19 @@ impl Provider {
     }
 
     /// The region a resource of type `rtype` with these attributes lands
-    /// in: its `location`/`region` attribute, else its provider's default.
+    /// in: its `location`/`region` attribute, else the region its
+    /// provider's `provider` block sets (`configured`), else its provider's
+    /// default.
     pub fn effective_region<'a>(
         attrs: &'a crate::Attrs,
         rtype: &crate::ResourceTypeName,
+        configured: Option<&'a str>,
     ) -> Option<&'a str> {
         let pinned = ["location", "region"]
             .iter()
             .find_map(|key| attrs.get(*key)?.as_str());
         let default = || Some(Provider::from_type_prefix(rtype.provider_prefix())?.regions()[0]);
-        pinned.or_else(default)
+        pinned.or(configured).or_else(default)
     }
 
     /// Default region used when a program does not pin one.

@@ -14,11 +14,18 @@
 //! These are advisory (warnings/notes, never errors): mined conventions are
 //! heuristics, not ground truth — which is also why the policy engine's
 //! outlier detection (§3.6) reuses this module's machinery.
+//!
+//! Observation is deferred: an observed manifest's instance list is kept
+//! (an O(1) clone) and counted the first time the specs are read, so an
+//! apply that reads no spec afterwards — every CLI process — never walks
+//! what it deployed. Counts, specs and their order are those of counting
+//! at once.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use cloudless_hcl::program::{Manifest, ResourceInstance};
+use cloudless_hcl::program::{Instances, Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_types::{PairMap, Value};
 use serde::{Deserialize, Serialize};
@@ -90,6 +97,13 @@ impl AttrStats {
 }
 
 /// Association miner over manifests.
+///
+/// Observation is deferred: [`SpecMiner::observe`] keeps the manifest's
+/// instance list (an O(1) clone) and the corpus folds the lists it holds in
+/// the first time the specs are read ([`SpecMiner::specs`],
+/// [`SpecMiner::check`], [`SpecMiner::check_instance`]), in the order they
+/// were observed. A process that applies and exits reads no spec after its
+/// apply, and so never walks the manifest it observed.
 #[derive(Debug, Clone)]
 pub struct SpecMiner {
     /// Minimum observations of a `(type, attr)` before mining a spec.
@@ -98,11 +112,22 @@ pub struct SpecMiner {
     max_domain: usize,
     /// Presence fraction above which an attribute is "expected".
     presence_threshold: f64,
+    /// The corpus, up to `pending`.
+    folded: Corpus,
+    /// Instance lists observed and not folded in yet.
+    pending: Vec<Instances>,
+    /// `folded` with `pending` folded in, once read.
+    read: OnceLock<Corpus>,
+}
+
+/// What the miner has observed, and the specs it supports.
+#[derive(Debug, Clone, Default)]
+struct Corpus {
     /// (rtype, attr) → what was observed of it
     attrs: PairMap<AttrStats>,
     /// rtype → instances observed
     instances: BTreeMap<String, usize>,
-    /// The specs the corpus supports, mined once per [`SpecMiner::observe`].
+    /// The specs the corpus supports.
     specs: Vec<MinedSpec>,
 }
 
@@ -112,9 +137,9 @@ impl Default for SpecMiner {
             min_support: 5,
             max_domain: 4,
             presence_threshold: 0.9,
-            attrs: PairMap::new(),
-            instances: BTreeMap::new(),
-            specs: Vec::new(),
+            folded: Corpus::default(),
+            pending: Vec::new(),
+            read: OnceLock::new(),
         }
     }
 }
@@ -132,42 +157,65 @@ impl SpecMiner {
         }
     }
 
-    /// Feed one successfully-deployed manifest into the corpus. Every
-    /// counter is looked up by borrowed names; a name is copied the first
-    /// time it is seen.
+    /// Feed one successfully-deployed manifest into the corpus: its
+    /// instances are counted when the specs are next read.
     pub fn observe(&mut self, manifest: &Manifest) {
-        for inst in &manifest.instances {
+        if let Some(read) = self.read.take() {
+            self.folded = read;
+            self.pending.clear();
+        }
+        self.pending.push(manifest.instances.clone());
+    }
+
+    /// The corpus with every observation folded in.
+    fn corpus(&self) -> &Corpus {
+        if self.pending.is_empty() {
+            return &self.folded;
+        }
+        self.read.get_or_init(|| {
+            let mut corpus = self.folded.clone();
+            for instances in &self.pending {
+                self.fold(&mut corpus, instances);
+            }
+            corpus.specs = self.mine(&corpus);
+            corpus
+        })
+    }
+
+    /// Count `instances` into `corpus`. Every counter is looked up by
+    /// borrowed names; a name is copied the first time it is seen.
+    fn fold(&self, corpus: &mut Corpus, instances: &Instances) {
+        for inst in instances {
             let rtype = inst.addr.rtype.as_str();
-            match self.instances.get_mut(rtype) {
+            match corpus.instances.get_mut(rtype) {
                 Some(n) => *n += 1,
-                None => drop(self.instances.insert(rtype.to_owned(), 1)),
+                None => drop(corpus.instances.insert(rtype.to_owned(), 1)),
             }
             for (attr, value) in &inst.attrs {
                 if value.is_null() {
                     continue;
                 }
-                match self.attrs.get_mut(rtype, attr) {
+                match corpus.attrs.get_mut(rtype, attr) {
                     Some(stats) => stats.count(value, self.max_domain),
                     None => {
                         let mut stats = AttrStats::default();
                         stats.count(value, self.max_domain);
-                        self.attrs.insert(rtype, attr, stats);
+                        corpus.attrs.insert(rtype, attr, stats);
                     }
                 }
             }
         }
-        self.specs = self.mine();
     }
 
     /// The mined specs: value specs, then presence specs, each in
     /// `(type, attribute)` order.
     pub fn specs(&self) -> &[MinedSpec] {
-        &self.specs
+        &self.corpus().specs
     }
 
-    fn mine(&self) -> Vec<MinedSpec> {
+    fn mine(&self, corpus: &Corpus) -> Vec<MinedSpec> {
         let mut out = Vec::new();
-        for (rtype, attr, stats) in self.attrs.iter() {
+        for (rtype, attr, stats) in corpus.attrs.iter() {
             let counts = &stats.values;
             let support: usize = counts.values().sum();
             let scalar = !counts.is_empty();
@@ -180,9 +228,9 @@ impl SpecMiner {
                 });
             }
         }
-        for (rtype, attr, stats) in self.attrs.iter() {
+        for (rtype, attr, stats) in corpus.attrs.iter() {
             let set_count = stats.set;
-            let total = self.instances.get(rtype).copied().unwrap_or(0);
+            let total = corpus.instances.get(rtype).copied().unwrap_or(0);
             if total >= self.min_support {
                 let fraction = set_count as f64 / total as f64;
                 if fraction >= self.presence_threshold && set_count < total {
@@ -220,7 +268,7 @@ impl SpecMiner {
     /// is the fold of this over the manifest.
     pub fn check_instance(&self, inst: &ResourceInstance, diags: &mut Diagnostics) {
         let rtype = inst.addr.rtype.as_str();
-        for spec in &self.specs {
+        for spec in self.specs() {
             match spec {
                 MinedSpec::ValueDomain {
                     rtype: rt,

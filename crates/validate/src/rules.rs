@@ -11,7 +11,6 @@
 //! anything is provisioned (experiment E6 quantifies the difference).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use cloudless_cloud::constraints::unique_name_attr;
 use cloudless_cloud::Catalog;
@@ -36,7 +35,7 @@ pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> D
 pub(crate) fn check_instance(
     inst: &ResourceInstance,
     manifest: &Manifest,
-    index: &ManifestIndex,
+    index: &dyn Positions,
     diags: &mut Diagnostics,
 ) {
     let targets = Targets { manifest, index };
@@ -47,16 +46,25 @@ pub(crate) fn check_instance(
     rule_port_ranges(inst, diags);
 }
 
-/// Positional index over a manifest's instances. Keyed by *instance
-/// position* rather than by reference, so one index serves a full run and
-/// survives the incremental pipeline's splices: an in-place attribute edit
-/// leaves it valid as it is (addresses and their order stand), and a block
-/// added or removed is an [`insert`], a [`remove`] and one [`shift`] of the
-/// positions after it.
-///
-/// [`insert`]: ManifestIndex::insert
-/// [`remove`]: ManifestIndex::remove
-/// [`shift`]: ManifestIndex::shift
+/// Where the instances of a block sit in a manifest: the lookup the
+/// per-instance rules make to follow a reference.
+pub trait Positions {
+    /// Where the instances of block `rtype.name` of the module at
+    /// `module_path` sit in the manifest (nowhere: no such block, or one
+    /// that expands to nothing).
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize];
+}
+
+impl Positions for ManifestIndex {
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+        ManifestIndex::positions(self, module_path, rtype, name)
+    }
+}
+
+/// Positional index over a manifest's instances, keyed by *instance
+/// position* rather than by reference: what a full run follows references
+/// through. (The incremental pipeline's memo answers the same lookups from
+/// its own tables.)
 #[derive(Debug, Default, PartialEq)]
 pub struct ManifestIndex {
     /// Module path → block `(type, name)` → positions of that block's
@@ -67,7 +75,19 @@ pub struct ManifestIndex {
 impl ManifestIndex {
     pub fn build(manifest: &Manifest) -> ManifestIndex {
         let mut index = ManifestIndex::default();
-        index.insert(0, &manifest.instances);
+        for (at, inst) in manifest.instances.iter().enumerate() {
+            let addr = &inst.addr;
+            let Some(blocks) = index.by_block.get_mut(addr.module_path.as_slice()) else {
+                let mut blocks = PairMap::new();
+                blocks.insert(addr.rtype.as_str(), &addr.name, vec![at]);
+                index.by_block.insert(addr.module_path.clone(), blocks);
+                continue;
+            };
+            match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
+                Some(positions) => positions.push(at),
+                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, vec![at])),
+            }
+        }
         index
     }
 
@@ -80,59 +100,12 @@ impl ManifestIndex {
             .and_then(|blocks| blocks.get(rtype, name))
             .map_or(&[], Vec::as_slice)
     }
-
-    /// Index `instances`, which sit at positions `first..` of the manifest.
-    pub fn insert(&mut self, first: usize, instances: &[Arc<ResourceInstance>]) {
-        for (i, inst) in instances.iter().enumerate() {
-            let addr = &inst.addr;
-            let Some(blocks) = self.by_block.get_mut(addr.module_path.as_slice()) else {
-                let mut blocks = PairMap::new();
-                blocks.insert(addr.rtype.as_str(), &addr.name, vec![first + i]);
-                self.by_block.insert(addr.module_path.clone(), blocks);
-                continue;
-            };
-            match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
-                Some(positions) => positions.push(first + i),
-                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, vec![first + i])),
-            }
-        }
-    }
-
-    /// Forget the blocks of `instances` (every instance of each).
-    pub fn remove(&mut self, instances: &[Arc<ResourceInstance>]) {
-        for inst in instances {
-            let (addr, path) = (&inst.addr, inst.addr.module_path.as_slice());
-            if let Some(blocks) = self.by_block.get_mut(path) {
-                blocks.remove(addr.rtype.as_str(), &addr.name);
-                if blocks.is_empty() {
-                    self.by_block.remove(path);
-                }
-            }
-        }
-    }
-
-    /// Re-seat every position after the manifest's instances moved.
-    pub fn shift(&mut self, moved: impl Fn(usize) -> usize) {
-        let blocks = self.by_block.values_mut().flat_map(PairMap::values_mut);
-        for position in blocks.flatten() {
-            *position = moved(*position);
-        }
-    }
-
-    /// Approximate heap footprint, for cache budgeting: a name and a
-    /// position list per block, one position per instance.
-    pub fn approx_bytes(&self) -> usize {
-        let blocks = self.by_block.values().flat_map(PairMap::iter);
-        blocks
-            .map(|(_, name, positions)| 96 + name.len() + 8 * positions.len())
-            .sum()
-    }
 }
 
 /// Resolves an instance's references to the instances they point at.
 pub(crate) struct Targets<'a> {
     manifest: &'a Manifest,
-    index: &'a ManifestIndex,
+    index: &'a dyn Positions,
 }
 
 impl<'a> Targets<'a> {
@@ -149,7 +122,7 @@ impl<'a> Targets<'a> {
                 }
                 let path = &from.addr.module_path;
                 let list = self.index.positions(path, &r.parts[0], &r.parts[1]);
-                out.extend(list.iter().map(|&i| &*self.manifest.instances[i]));
+                out.extend(list.iter().map(|&i| &**self.manifest.instances.at(i)));
             }
         }
         out
@@ -164,7 +137,8 @@ pub(crate) fn span_of(inst: &ResourceInstance, attr: &str) -> Span {
 /// The effective region of an instance: its `location`/`region` attribute,
 /// falling back to the provider default.
 pub fn region_of(inst: &ResourceInstance) -> Option<&str> {
-    Provider::effective_region(&inst.attrs, &inst.addr.rtype)
+    let configured = inst.provider_region.as_deref();
+    Provider::effective_region(&inst.attrs, &inst.addr.rtype, configured)
 }
 
 /// §3.2 flagship: VM and its NICs must share a region.

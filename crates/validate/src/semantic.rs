@@ -20,7 +20,7 @@ use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_types::cidr::Cidr;
 use cloudless_types::{Provider, Region};
 
-use crate::rules::{span_of, ManifestIndex};
+use crate::rules::{span_of, ManifestIndex, Positions};
 
 /// Check semantic types across a manifest and its index.
 pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
@@ -34,7 +34,7 @@ pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> D
 pub(crate) fn check_instance(
     inst: &ResourceInstance,
     catalog: &Catalog,
-    index: &ManifestIndex,
+    index: &dyn Positions,
     diags: &mut Diagnostics,
 ) {
     let Some(schema) = catalog.get(&inst.addr.rtype) else {
