@@ -229,6 +229,27 @@ struct SyncPoint {
 /// committed state.
 type Over<'a> = Option<(&'a Snapshot, &'a [ResourceAddr])>;
 
+/// What a pipeline run under `config` reads of the engine, against `state`.
+fn pipeline_ctx<'a>(
+    config: &'a Config,
+    data: &'a DataResolver,
+    catalog: &'a Catalog,
+    state: &'a Snapshot,
+    miner: &'a SpecMiner,
+) -> PipelineCtx<'a> {
+    PipelineCtx {
+        inputs: &config.inputs,
+        modules: &config.modules,
+        lint: config.lint,
+        level: config.validation_level,
+        data,
+        catalog,
+        state,
+        miner: Some(miner),
+        recorder: &config.recorder,
+    }
+}
+
 /// The key of a memo image in an engine whose catalog, modules and data are
 /// these, over `store` as it stands: its serial, its log's length and the
 /// checksum of its last version's frame.
@@ -530,21 +551,23 @@ impl Cloudless {
             let key = image_key(cloud.catalog(), &config.modules, data, store);
             (store.read_image().map_err(|e| e.to_string()), key)
         });
-        let ctx = PipelineCtx {
-            inputs: &config.inputs,
-            modules: &config.modules,
-            lint: config.lint,
-            level: config.validation_level,
-            data: &*data,
-            catalog: cloud.catalog(),
-            state: over.map_or(store.current(), |(state, _)| state),
-            miner: Some(&*miner),
-            recorder: &config.recorder,
-        };
+        let state = over.map_or(store.current(), |(state, _)| state);
+        let ctx = pipeline_ctx(config, data, cloud.catalog(), state, miner);
         if let Some((image, key)) = image {
             pipeline.warm_from_image(image, key, &ctx);
         }
         pipeline.run_over(source, &ctx, over.map(|(_, delta)| delta))
+    }
+
+    /// A commit from serial `from` wrote the state at the addresses `delta`
+    /// alone: the plan cache follows it and settles
+    /// ([`IncrementalPipeline`]'s `committed`), and the memo is checkpointed
+    /// owing no plan.
+    fn committed(&mut self, from: u64, delta: impl IntoIterator<Item = ResourceAddr>) {
+        let (catalog, state) = (self.cloud.catalog(), self.store.current());
+        let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
+        self.pipeline.committed(from, delta, &ctx);
+        self.checkpoint_memo();
     }
 
     /// Checkpoint the memo beside the state log, after a commit the plan
@@ -595,18 +618,8 @@ impl Cloudless {
             &self.data,
             &self.store,
         );
-        let config = &self.config;
-        let ctx = PipelineCtx {
-            inputs: &config.inputs,
-            modules: &config.modules,
-            lint: config.lint,
-            level: config.validation_level,
-            data: &self.data,
-            catalog: self.cloud.catalog(),
-            state: self.store.current(),
-            miner: Some(&self.miner),
-            recorder: &config.recorder,
-        };
+        let (catalog, state) = (self.cloud.catalog(), self.store.current());
+        let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
         IncrementalPipeline::check_image(image, key, &ctx)
     }
 
@@ -836,13 +849,12 @@ impl Cloudless {
         // the delta log records only the changed resources, plus the
         // source that produced them (time machine, §3.4); the executor
         // wrote the state at the plan's addresses alone, so the plan cache
-        // owes those and keeps the rest
+        // plans those again and keeps the rest
         let message = format!("{verb} via {}", apply.strategy);
         let from = self.store.serial();
         self.commit(state, &message, source, true)?;
         let touched = plan.graph.iter().map(|(_, node)| node.change.addr.clone());
-        self.pipeline.moved(from, self.store.serial(), touched);
-        self.checkpoint_memo();
+        self.committed(from, touched);
         // the log names every op the executor submitted, so what the apply
         // changed is read again from the sync point: it carries forward
         self.sync = synced.map(|log| self.sync_point(log));
@@ -935,8 +947,7 @@ impl Cloudless {
             let from = self.store.serial();
             self.commit(state, "refresh", None, false)?;
             let touched = report.updated.iter().chain(&report.missing).cloned();
-            self.pipeline.moved(from, self.store.serial(), touched);
-            self.checkpoint_memo();
+            self.committed(from, touched);
         }
         self.settle(at, &report);
         Ok(report)

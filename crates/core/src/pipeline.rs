@@ -101,16 +101,19 @@
 //! The plan stage's cache is the plan against the state committed at one
 //! serial, owing a plan of the addresses where that state differs from the
 //! one it was planned against. A commit that says which addresses it wrote
-//! owes those (`IncrementalPipeline::moved`); a run against a snapshot
-//! nobody committed (`IncrementalPipeline::run_over`) owes the addresses
-//! where the snapshot differs, until that snapshot is committed
+//! settles at once (`IncrementalPipeline::committed`): the cache moves to
+//! the new serial and plans those addresses and the blocks that read them
+//! there and then, so it owes nothing. A run against a snapshot nobody
+//! committed (`IncrementalPipeline::run_over`) owes the addresses where the
+//! snapshot differs, until that snapshot is committed
 //! (`IncrementalPipeline::adopted`). The next run plans what is owed and
 //! the blocks that read it, never the world.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
-//! `pipeline.runs_full`, `pipeline.instances_planned`), so `cloudless
-//! watch` and the experiment harnesses can prove which stages actually ran.
+//! `pipeline.runs_full`, `pipeline.instances_planned`, and the settling
+//! passes' `pipeline.instances_settled`), so `cloudless watch` and the
+//! experiment harnesses can prove which stages actually ran.
 
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
@@ -486,10 +489,10 @@ struct PlanCache {
     /// yet).
     serial: Option<u64>,
     /// Where the state committed at `serial` differs from the one the rest
-    /// was planned against: what a commit whose delta is known changed
-    /// ([`IncrementalPipeline::moved`]), or where the snapshot nobody
-    /// committed that the last run planned differs. The next run plans
-    /// them again.
+    /// was planned against: where the snapshot nobody committed that the
+    /// last run planned differs (a commit whose delta is known plans what
+    /// it changed at once, [`IncrementalPipeline::committed`]). The next
+    /// run plans them again.
     away: Vec<ResourceAddr>,
     /// Whether `away` is exactly where the last run's snapshot differs:
     /// committing that snapshot pays the debt
@@ -930,21 +933,31 @@ impl IncrementalPipeline {
         }
     }
 
-    /// A commit moved the state from serial `from` to `to` and changed it
-    /// at the addresses `delta` alone: a cache of `from` stays, owing a plan
-    /// of those addresses.
-    pub(crate) fn moved(
+    /// A commit moved the state from serial `from` to `ctx.state`'s and
+    /// changed it at the addresses `delta` alone. A cache of `from` follows
+    /// it and settles at once: the pass the next run would make of those
+    /// addresses and the blocks that read them, against the state just
+    /// committed, is made now, while the instances it reads are at hand. The
+    /// cache then owes nothing, and nor does an image written of it. A cache
+    /// of another serial is left as it was. The pass is not a run: its
+    /// visits count as `pipeline.instances_settled`.
+    pub(crate) fn committed(
         &mut self,
         from: u64,
-        to: u64,
         delta: impl IntoIterator<Item = ResourceAddr>,
+        ctx: &PipelineCtx<'_>,
     ) {
-        if let Some(plan) = self.memo.as_mut().map(|memo| &mut memo.plan) {
-            if plan.serial == Some(from) {
-                plan.serial = Some(to);
-                plan.away.extend(delta);
-            }
-        }
+        let followed = |memo: &&mut Memo| memo.plan.serial == Some(from);
+        let Some(memo) = self.memo.as_deref_mut().filter(followed) else {
+            return;
+        };
+        let mut plan = std::mem::take(&mut memo.plan);
+        plan.serial = Some(ctx.state.serial);
+        plan.away.extend(delta);
+        let (visited, _) = Walk::pass(ctx, None, &memo.manifest, memo, &mut plan, Some(&[]));
+        memo.plan = plan;
+        ctx.recorder
+            .counter("pipeline.instances_settled", visited as u64);
     }
 
     /// The blocks of `source` a reconcile must classify against the state
@@ -1486,9 +1499,9 @@ impl<'a> Walk<'a> {
     /// plan cache of the memo the run leaves behind: one pass along the
     /// dependency order that visits the *marked* instances. While the
     /// state serial stands, the spliced `blocks`' instances start marked,
-    /// and so does what the state changed under the cache — the addresses a
-    /// commit since moved (`away`) and those where a snapshot nobody
-    /// committed differs (`delta`) — with every block that reads theirs
+    /// and so does what the state changed under the cache — the addresses
+    /// it owes (`away`) and those where a snapshot nobody committed differs
+    /// (`delta`) — with every block that reads theirs
     /// (a reader resolves the block's records off the state). Every instance
     /// is marked when nothing is cached (`blocks` is `None`) or the serial
     /// moved by a commit of unknown delta: the front-end artifacts stay, the
@@ -1501,7 +1514,9 @@ impl<'a> Walk<'a> {
     /// reach; it visits the part of the cone whose inputs changed.
     ///
     /// A pass over a snapshot nobody committed leaves a cache that owes
-    /// `delta`, as a commit leaves one that owes what it wrote.
+    /// `delta`. A commit of known delta makes the same pass with no edit
+    /// ([`IncrementalPipeline::committed`]) and leaves a cache that owes
+    /// nothing.
     fn plan(
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
@@ -1510,12 +1525,36 @@ impl<'a> Walk<'a> {
         blocks: Option<&[BlockEdit]>,
     ) -> PlanPass {
         let mut plan = std::mem::take(&mut memo.plan);
-        let pass = Walk::pass(ctx, delta, manifest, memo, &mut plan, blocks);
+        let (visited, every) = Walk::pass(ctx, delta, manifest, memo, &mut plan, blocks);
+        let planned: Vec<PlannedChange> = (plan.changes.values().chain(plan.deletes.values()))
+            .cloned()
+            .collect();
         memo.plan = plan;
-        pass
+        let n = manifest.instances.len();
+        let trace = match (every, blocks) {
+            (true, None) => ("full", format!("diffed {n} instance(s)")),
+            (true, Some(_)) => {
+                let detail = format!("state serial changed, re-diffed {n} instance(s)");
+                ("full", detail)
+            }
+            (false, _) => {
+                let action = match visited {
+                    0 => "cached",
+                    _ => "incremental",
+                };
+                (action, format!("re-planned {visited}/{n} instance(s)"))
+            }
+        };
+        PlanPass {
+            text: render(&planned),
+            changes: planned,
+            visited,
+            trace,
+        }
     }
 
-    /// [`Walk::plan`]'s pass, with the plan cache out of the memo it reads.
+    /// [`Walk::plan`]'s pass, with the plan cache out of the memo it reads:
+    /// how many instances it visited, and whether it visited every one.
     fn pass(
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
@@ -1523,7 +1562,7 @@ impl<'a> Walk<'a> {
         memo: &Memo,
         plan: &mut PlanCache,
         blocks: Option<&[BlockEdit]>,
-    ) -> PlanPass {
+    ) -> (usize, bool) {
         let instances = &manifest.instances;
         if blocks.is_none() {
             plan.set_order(dependency_order(manifest));
@@ -1647,31 +1686,7 @@ impl<'a> Walk<'a> {
         // the addresses it owed are planned; a snapshot's own are owed
         *away = delta.map_or_else(Vec::new, <[_]>::to_vec);
         *over = delta.is_some();
-        let planned: Vec<PlannedChange> = (changes.values().chain(deletes.values()))
-            .cloned()
-            .collect();
-        let text = render(&planned);
-        let n = instances.len();
-        let (action, detail) = match (&marked, blocks) {
-            (None, None) => ("full", format!("diffed {n} instance(s)")),
-            (None, Some(_)) => {
-                let detail = format!("state serial changed, re-diffed {n} instance(s)");
-                ("full", detail)
-            }
-            (Some(_), _) => {
-                let action = match visited {
-                    0 => "cached",
-                    _ => "incremental",
-                };
-                (action, format!("re-planned {visited}/{n} instance(s)"))
-            }
-        };
-        PlanPass {
-            changes: planned,
-            text,
-            visited,
-            trace: (action, detail),
-        }
+        (visited, marked.is_none())
     }
 }
 

@@ -10,11 +10,10 @@
 //! cache's visiting order and the addresses it owes; and the claims in key
 //! order, each written as it is made. Opening an image checks the checksum,
 //! copies the integer tables and validates them, and parses the program's
-//! non-resource half off its chunks. It decodes no block (but every one of
-//! an image that owes a plan of most of them): a block's record (its
-//! instances, spans and lifecycle) is decoded when a read of the instance
-//! list first reaches it ([`Instances::by_block`]), and a claim is looked
-//! up where it sits ([`ClaimTable`]). A block with a deferred
+//! non-resource half off its chunks. It decodes no block: a block's record
+//! (its instances, spans and lifecycle) is decoded when a read of the
+//! instance list first reaches it ([`Instances::by_block`]), and a claim is
+//! looked up where it sits ([`ClaimTable`]). A block with a deferred
 //! attribute is decoded, parsed and expanded again at open (expressions are
 //! not encoded). The checksum vouches for every record: one that does not
 //! decode is the writer's defect, and stops the process rather than be
@@ -947,8 +946,10 @@ fn outer_counts(p: &Program) -> [usize; 5] {
 // ------------------------------------------------------------------- read
 
 /// What an opened image gives the pipeline: the memo, the serial it was
-/// written at, and whether its plan cache is of the committed state (else
-/// it plans every instance).
+/// written at, and whether its plan cache is of the committed state. If it
+/// is, the first run plans the edit and what the image owes: the changes
+/// and deletions its plan holds (none once an apply has landed whole). If
+/// not, it plans every instance.
 pub(crate) struct Loaded {
     pub memo: Box<Memo>,
     pub serial: u64,
@@ -1182,11 +1183,6 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
     }
     let anchored =
         planned == 1 && (serial, log_bytes, at_head) == (key.serial, key.log_bytes, key.head);
-    if anchored && 2 * owed.len() >= m {
-        // the run plans most instances again: their blocks are decoded at
-        // once, in two halves side by side
-        let _ = &memo.manifest.instances[..];
-    }
     if anchored {
         memo.plan.serial = Some(serial);
         for owes in owed {

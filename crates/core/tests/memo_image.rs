@@ -11,14 +11,17 @@
 //! under it: the inputs, the lint gate, the validation level and a quota of
 //! the catalog. Last, an image a loaded memo writes — copying the frames no
 //! save changed — is held to the edit and to the plan cache's dirtiness it
-//! carries, hop after hop of fresh engines.
+//! carries, hop after hop of fresh engines. A commit settles the plan cache
+//! before the image is written: after an apply that fails part-way and
+//! after a refresh that folds drift in, the next plan is a cold engine's,
+//! in the same engine and in a fresh one warm from the image.
 
 use std::collections::BTreeMap;
 
-use cloudless::cloud::{CloudConfig, ResourceRecord};
+use cloudless::cloud::{CloudConfig, FaultPlan, ResourceRecord};
 use cloudless::obs::FlightRecorder;
 use cloudless::state::{LogStore, MemDevice};
-use cloudless::types::{ResourceId, Value};
+use cloudless::types::{Attrs, ResourceId, Value};
 use cloudless::validate::ValidationLevel;
 use cloudless::{Cloudless, Config, LintGate};
 
@@ -392,4 +395,98 @@ fn a_block_inserted_after_a_load_follows_the_block_it_reads() {
     let (cold_plan, _) = cold.plan_incremental(&replaced).expect("the edit plans");
     assert_eq!(plan, cold_plan);
     assert!(plan.contains("-/+ aws_subnet.app"), "{plan}");
+}
+
+/// `engine`, which has just committed, plans each of `sources` as a cold
+/// engine over the log it leaves does: itself first, from its settled
+/// cache (`plan: cached`), then a fresh engine warm from its image.
+fn plans_as_cold(mut engine: Cloudless, sources: &[&str]) {
+    let (held, trace) = engine
+        .plan_incremental(sources[0])
+        .expect("the program plans");
+    let trace = trace.to_string();
+    assert!(trace.contains("plan: cached"), "{trace}");
+    let (log, image, records) = close(engine);
+    assert!(image.is_some(), "the commit wrote an image");
+    let cold = |source: &str| {
+        let mut cold = open(log.clone(), None, records.clone());
+        cold.plan_incremental(source).expect("the program plans").0
+    };
+    assert_eq!(held, cold(sources[0]));
+    let mut fresh = open(log.clone(), image, records.clone());
+    for (k, source) in sources.iter().enumerate() {
+        let (plan, trace) = fresh.plan_incremental(source).expect("the program plans");
+        if k == 0 {
+            let trace = trace.to_string();
+            assert!(trace.contains("image: loaded"), "{trace}");
+        }
+        assert_eq!(plan, cold(source), "save {k}");
+    }
+}
+
+/// An apply that fails part-way commits what it did and settles the plan
+/// cache against it: the failed changes and what reads them plan again, as
+/// a cold engine plans them. The failing apply is the first, from a cold
+/// memo, or the edit after it, from a warm one.
+#[test]
+fn an_apply_that_fails_part_way_settles_as_cold() {
+    let edited = edited();
+    let sources = [SRC, &edited];
+    let mut partial = [0; 2];
+    for seed in 0..24 {
+        for step in 0..sources.len() {
+            let mut config = standard();
+            config.seed = seed;
+            config.cloud.faults = FaultPlan {
+                transient_failure_rate: 0.7,
+                ..FaultPlan::none()
+            };
+            let device = MemDevice::new().imaged(None);
+            let (store, _) = LogStore::open_device(Box::new(device)).expect("opens");
+            let mut engine = Cloudless::with_store(config, store, Records::new());
+            let mut landed = true;
+            for source in &sources[..=step] {
+                let outcome = engine.converge(source).expect("the program converges");
+                landed = outcome.apply.all_ok();
+            }
+            if landed || engine.state().is_empty() {
+                continue;
+            }
+            partial[step] += 1;
+            // the program it applied last first
+            let mut next = sources;
+            next.swap(0, step);
+            plans_as_cold(engine, &next);
+        }
+    }
+    assert!(
+        partial.iter().all(|&n| n > 0),
+        "failed part-way: {partial:?}"
+    );
+}
+
+/// A refresh folds out-of-band drift into the state — an attribute changed,
+/// a resource deleted — and settles the plan cache against it: the repairs
+/// plan as a cold engine plans them.
+#[test]
+fn a_refresh_of_drift_settles_as_cold() {
+    let mut engine = open(Vec::new(), None, Records::new());
+    assert!(engine.converge(SRC).expect("converges").apply.all_ok());
+    let ids: Vec<ResourceId> = engine
+        .state()
+        .resources()
+        .values()
+        .map(|r| r.id.clone())
+        .collect();
+    let cloud = engine.cloud_mut();
+    let drift = Attrs::from_iter([("acl".to_owned(), Value::from("public-read"))]);
+    cloud
+        .out_of_band_update("intern", &ids[0], drift)
+        .expect("drifts");
+    cloud
+        .out_of_band_delete("intern", &ids[1])
+        .expect("deletes");
+    let report = engine.refresh().expect("the refresh commits");
+    assert_eq!((report.updated.len(), report.missing.len()), (1, 1));
+    plans_as_cold(engine, &[SRC, &edited()]);
 }

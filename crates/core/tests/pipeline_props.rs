@@ -23,7 +23,10 @@
 //! conventions and further observations that change them. An engine family
 //! reopens a converged store in a fresh engine that starts from the memo
 //! image its predecessor checkpointed, and holds every plan, refusal, state
-//! and cloud it leaves to a fresh engine's without the image.
+//! and cloud it leaves to a fresh engine's without the image; and holds the
+//! plan cache a commit settles — after an apply that fails part-way under
+//! injected faults, and after a refresh of out-of-band drift — to a cold
+//! engine's, in the engine that committed and from the image it wrote.
 //!
 //! On a host with two cores every all-blocks run joins (lint beside
 //! expand, validate and analyze beside the plan; `cloudless_types::join`),
@@ -33,14 +36,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cloudless::cloud::{Catalog, Cloud, CloudConfig, ResourceRecord};
+use cloudless::cloud::{Catalog, Cloud, CloudConfig, FaultPlan, ResourceRecord};
 use cloudless::deploy::resolver::DataResolver;
 use cloudless::deploy::{diff, Executor, Plan, Strategy};
 use cloudless::hcl::program::{expand, ModuleLibrary, Program};
 use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx, PipelineError};
 use cloudless::state::{LogStore, MemDevice, Snapshot};
-use cloudless::types::{ResourceId, Value};
+use cloudless::types::{Attrs, ResourceId, Value};
 use cloudless::validate::{SpecMiner, ValidationLevel};
 use cloudless::{Cloudless, Config, LintGate};
 use proptest::prelude::*;
@@ -1093,6 +1096,95 @@ proptest! {
                 planned.as_ref().map(|(text, _)| text),
                 cold_plan.as_ref().map(|(text, _)| text)
             );
+        }
+    }
+}
+
+/// `engine`, which has just committed, plans `base` from the cache the
+/// commit settled — visiting no instance — as a cold engine over the log it
+/// leaves plans it; a fresh engine warm from the image it wrote plans
+/// `base` and then `edited` as cold. The log, the image and the cloud.
+fn settled_as_cold(
+    mut engine: Cloudless,
+    base: &str,
+    edited: &str,
+) -> (Vec<u8>, Option<Vec<u8>>, Records) {
+    let held = engine.plan_incremental(base).map_err(|e| e.to_string());
+    let records = engine.cloud().export_records().clone();
+    let mut device = engine.into_store().into_device();
+    let (log, image) = (
+        device.read_all().expect("log"),
+        device.read_image().expect("image"),
+    );
+    assert!(image.is_some(), "a commit checkpoints the memo");
+    let cold = |source: &str| {
+        let mut cold = engine_over(MemDevice::from_bytes(log.clone()), &records);
+        cold.plan_incremental(source)
+            .map(|(text, _)| text)
+            .map_err(|e| e.to_string())
+    };
+    if let Ok((_, trace)) = &held {
+        assert!(trace.to_string().contains("plan: cached"), "{}", trace);
+    }
+    assert_eq!(held.map(|(text, _)| text), cold(base));
+    let mut fresh = engine_over(
+        MemDevice::from_bytes(log.clone()).imaged(image.clone()),
+        &records,
+    );
+    for source in [base, edited] {
+        let planned = fresh.plan_incremental(source).map(|(text, _)| text);
+        assert_eq!(planned.map_err(|e| e.to_string()), cold(source));
+    }
+    (log, image, records)
+}
+
+proptest! {
+    /// A commit of known delta settles the plan cache before the image is
+    /// written. An apply under injected faults that may fail part-way, then
+    /// — in a fresh engine warm from its image — a refresh that folds an
+    /// out-of-band update and deletion in: after each, the next plans are a
+    /// cold engine's, in the engine that committed and in a fresh one warm
+    /// from the image it wrote.
+    #[test]
+    fn a_settled_commit_plans_as_cold(
+        spec in proptest::collection::vec((0..TYPES.len(), any::<bool>()), 2..8),
+        chain in any::<bool>(),
+        kind in 0..KINDS,
+        a in 0..32usize,
+        b in 0..32usize,
+        seed in 0..64u64,
+    ) {
+        let [base, edited, _] = image_case(chain, &spec, kind, a, b);
+        let (store, _) = LogStore::open_device(Box::new(MemDevice::new().imaged(None)))
+            .expect("the log opens");
+        let faults = FaultPlan {
+            transient_failure_rate: 0.8,
+            ..FaultPlan::none()
+        };
+        let config = Config {
+            cloud: CloudConfig { faults, ..CloudConfig::exact() },
+            seed,
+            ..Config::default()
+        };
+        let mut faulty = Cloudless::with_store(config, store, Records::new());
+        faulty.converge(&base).expect("the base is clean");
+        let (log, image, records) = settled_as_cold(faulty, &base, &edited);
+
+        let mut engine = engine_over(MemDevice::from_bytes(log).imaged(image), &records);
+        let _ = engine.plan_incremental(&base);
+        let ids: Vec<ResourceId> = engine.state().resources().values().map(|r| r.id.clone()).collect();
+        if !ids.is_empty() {
+            let cloud = engine.cloud_mut();
+            let tags = Attrs::from_iter([("tags".to_owned(), Value::from("drifted"))]);
+            cloud.out_of_band_update("intern", &ids[a % ids.len()], tags).expect("drifts");
+            if ids.len() > 1 {
+                let gone = &ids[(a + 1 + b % (ids.len() - 1)) % ids.len()];
+                cloud.out_of_band_delete("intern", gone).expect("deletes");
+            }
+            let refresh = engine.refresh().expect("the refresh commits");
+            let folded = (refresh.updated.len(), refresh.missing.len());
+            prop_assert_eq!(folded, (1, usize::from(ids.len() > 1)));
+            settled_as_cold(engine, &base, &edited);
         }
     }
 }

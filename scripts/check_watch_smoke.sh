@@ -9,7 +9,8 @@
 # into a replacement, the append planned exactly one create, and the hostile
 # save got a diagnostic from a watcher that kept polling. The first event is
 # the initial read, warm from the memo image the apply wrote beside the
-# log; every event but the hostile save's is incremental.
+# log: the apply settled its plan, so it re-plans no instance. Every event
+# but the hostile save's is incremental.
 set -euo pipefail
 
 out=${1:-/tmp/watch_smoke_out.txt}
@@ -97,6 +98,7 @@ if [[ "$events" -ne 8 || "$incremental" -ne 7 ]]; then
   fail "$events events, $incremental incremental replans (want 8 events, 7 incremental)"
 fi
 event() { awk -v from="--- event $1" -v to="--- event $(($1 + 1))" '$0 ~ from{on=1} $0 ~ to{on=0} on' "$out"; }
+event 1 | grep -q "re-planned 0/2 instance" || fail "the first read re-planned what the apply wrote"
 # events 3 and 4 are the two sides of the plan stage's cutoff
 event 3 | grep -q "re-planned 2/2 instance" || fail "the replaced bucket's dependent was not re-planned"
 event 4 | grep -q "re-planned 1/2 instance" || fail "an in-place edit re-planned more than its block"

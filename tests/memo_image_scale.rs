@@ -1,8 +1,10 @@
 //! A fresh engine reads its memo image by the block: the first plan of a
 //! one-block edit decodes the records of the blocks the edit reaches, not
-//! the estate's. Counted (`pipeline.image_bytes_decoded`), so it fails the
-//! same way on every host; the wall-time probe at 10 000 blocks is
-//! `#[ignore]`d and run in release:
+//! the estate's, and the first plan of the program just applied plans and
+//! decodes nothing, as the apply settled its plan before writing the image.
+//! Counted (`pipeline.image_bytes_decoded`, `pipeline.instances_planned`),
+//! so it fails the same way on every host; the wall-time probe at 10 000
+//! blocks is `#[ignore]`d and run in release:
 //! `cargo test --release --offline --test memo_image_scale -- --ignored --nocapture`.
 
 use std::collections::BTreeMap;
@@ -51,17 +53,12 @@ fn close(engine: Cloudless) -> (Vec<u8>, Option<Vec<u8>>) {
     (log, device.read_image().expect("the image"))
 }
 
-/// A layered estate of `blocks` blocks applied, and applied again by a
-/// fresh engine so that the image it leaves owes no plan: the log, the
-/// image and the cloud.
+/// `source` applied: the log, the image and the cloud.
 fn settled(source: &str) -> (Vec<u8>, Option<Vec<u8>>, Records) {
     let mut first = open(Vec::new(), None, Records::new());
     assert!(first.converge(source).expect("converges").apply.all_ok());
     let records = first.cloud().export_records().clone();
     let (log, image) = close(first);
-    let mut again = open(log, image, records.clone());
-    assert!(again.converge(source).expect("stands").apply.all_ok());
-    let (log, image) = close(again);
     assert!(image.is_some(), "an apply leaves an image");
     (log, image, records)
 }
@@ -94,6 +91,30 @@ fn a_one_block_edit_decodes_the_blocks_it_reaches_not_the_estate() {
         large as f64 <= 1.2 * small as f64 + 2_048.0,
         "{large} bytes decoded at 8k blocks against {small} at 1k"
     );
+}
+
+/// An apply settles the plan it leaves: a fresh engine's first plan of the
+/// program just applied plans no instance and decodes no block's record, at
+/// 1 000 blocks as at 8 000.
+#[test]
+fn a_fresh_plan_of_the_program_just_applied_plans_and_decodes_nothing() {
+    for blocks in [1_000, 8_000] {
+        let source = random_layered(blocks, 42);
+        let (log, image, records) = settled(&source);
+        let mut fresh = open(log, image, records);
+        let (plan, trace) = fresh.plan_incremental(&source).expect("the program plans");
+        let trace = trace.to_string();
+        assert!(trace.contains("image: loaded"), "{trace}");
+        assert!(trace.contains("plan: cached"), "{trace}");
+        assert!(!plan.contains(" + "), "{blocks} blocks: {plan}");
+        let metrics = fresh.metrics().expect("a flight recorder keeps metrics");
+        let counted = ["pipeline.instances_planned", "pipeline.image_bytes_decoded"];
+        assert_eq!(
+            counted.map(|c| metrics.counter(c)),
+            [0, 0],
+            "{blocks} blocks"
+        );
+    }
 }
 
 /// The wall-time probe: a settled layered estate of 10 000 blocks; a fresh
