@@ -660,9 +660,10 @@ fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
 /// `cloudless state fsck <dir>`: verify the delta log offline — record
 /// checksums, content-address integrity, undo-chain consistency, and
 /// checkpoint reachability. Exits non-zero unless the log is clean. The memo
-/// image beside it is reported too — valid for a serial, stale with the
-/// reason a fresh engine would refuse it, or absent — and never decides the
-/// exit status: it is a cache.
+/// image beside it is reported too — valid for a serial (and, when that is
+/// not the head's, that the next run re-plans every instance), stale with
+/// the reason a fresh engine would refuse it, or absent — and never decides
+/// the exit status: it is a cache.
 fn state_fsck(args: &Args) -> Result<(), String> {
     let session = Session::load(args.positional[0])?;
     let log = session.log_path();
@@ -673,13 +674,16 @@ fn state_fsck(args: &Args) -> Result<(), String> {
     let image = match report.clean() {
         true => session
             .engine(None)
-            .map(|mut engine| engine.check_memo_image()),
+            .map(|mut engine| (engine.check_memo_image(), engine.state().serial)),
         false => Err("the log is not clean".to_owned()),
     };
     match image {
-        Ok(Ok(Some(serial))) => println!("memo.bin: valid for serial {serial}"),
-        Ok(Ok(None)) => println!("memo.bin: absent"),
-        Ok(Err(refusal)) => println!("memo.bin: stale ({refusal})"),
+        Ok((Ok(Some(serial)), head)) if serial != head => println!(
+            "memo.bin: valid for serial {serial} (head is {head}: the next run re-plans every instance)"
+        ),
+        Ok((Ok(Some(serial)), _)) => println!("memo.bin: valid for serial {serial}"),
+        Ok((Ok(None), _)) => println!("memo.bin: absent"),
+        Ok((Err(refusal), _)) => println!("memo.bin: stale ({refusal})"),
         Err(why) => println!("memo.bin: not checked ({why})"),
     }
     if report.clean() {

@@ -1285,6 +1285,34 @@ fn a_damaged_memo_image_is_reported_by_fsck_and_survived_by_apply() {
     );
 }
 
+/// `state fsck` says when `memo.bin` trails the log: `state rollback`
+/// loads no memo, so the version it commits leaves the last apply's image
+/// behind, and the next run re-plans every instance. The `plan` that does
+/// so writes the image again, at the head.
+#[test]
+fn fsck_says_when_the_memo_image_trails_the_log() {
+    let t = TempSession::new("memo-trails");
+    assert!(run(&["init", t.path()]).status.success());
+    let v1 = t.write("v1.tf", PROGRAM);
+    let v2 = t.write("v2.tf", PROGRAM_V2);
+    for tf in [&v1, &v2] {
+        let out = run(&["apply", t.path(), tf]);
+        assert!(out.status.success(), "{}", stderr(&out));
+    }
+    let out = run(&["state", "rollback", t.path(), "1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["state", "fsck", t.path()]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    let trails = "memo.bin: valid for serial 2 (head is 3: the next run re-plans every instance)";
+    assert!(stdout(&out).contains(trails), "{}", stdout(&out));
+
+    let out = run(&["plan", t.path(), &v1]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = run(&["state", "fsck", t.path()]);
+    let head = "memo.bin: valid for serial 3";
+    assert!(stdout(&out).lines().any(|l| l == head), "{}", stdout(&out));
+}
+
 /// A `provider` block's `region` is where its provider's resources land
 /// unless they pin their own: the validator, the planner and the executor
 /// read the one rule, and `state` shows the region the bucket went to.

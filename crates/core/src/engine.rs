@@ -398,7 +398,9 @@ impl Cloudless {
     /// nothing changed. A snapshot the log refuses is kept, and every
     /// operation that touches the cloud or the log commits it first
     /// ([`Cloudless::commit_uncommitted`]): until that lands the engine does
-    /// nothing else, so work the cloud already holds is never redone.
+    /// nothing else, so work the cloud already holds is never redone. This
+    /// is the one door every commit goes through: what lands settles the
+    /// plan cache ([`Cloudless::landed`]), and no caller says what it wrote.
     fn commit(
         &mut self,
         state: Snapshot,
@@ -406,7 +408,7 @@ impl Cloudless {
         source: Option<&str>,
         always: bool,
     ) -> Result<(), StoreError> {
-        let meta = self.meta(message, source);
+        let (from, meta) = (self.store.serial(), self.meta(message, source));
         let done = if always {
             self.store.commit_snapshot(&state, meta).map(drop)
         } else {
@@ -417,7 +419,28 @@ impl Cloudless {
         if done.is_err() {
             self.uncommitted = Some((state, message.to_owned(), source.map(str::to_owned)));
         }
+        self.landed(from);
         done
+    }
+
+    /// The tail of every commit, [`Cloudless::rollback_state`]'s included:
+    /// if a version landed on serial `from`, the plan cache follows what it
+    /// changed, read off the log ([`IncrementalPipeline`]'s `committed`:
+    /// only a cache of `from` reads it, so an engine without one parses
+    /// nothing), and the memo of a cache that followed is checkpointed
+    /// owing no plan.
+    fn landed(&mut self, from: u64) {
+        let latest = self.store.history().latest();
+        let Some(version) = latest.filter(|_| self.store.serial() != from) else {
+            return;
+        };
+        let puts = version.puts.iter().map(|put| &put.addr);
+        let delta = puts.chain(version.dels.iter().map(|del| &del.addr));
+        let (catalog, state) = (self.cloud.catalog(), self.store.current());
+        let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
+        if (self.pipeline).committed(from, delta.map(|addr| addr.parse()), &ctx) {
+            self.checkpoint_memo();
+        }
     }
 
     /// The log position a refresh may start from: the sync point's, while
@@ -486,9 +509,10 @@ impl Cloudless {
     pub fn rollback_state(&mut self, serial: u64) -> Result<Option<u64>, String> {
         self.commit_uncommitted().map_err(|e| e.to_string())?;
         let meta = self.meta(&format!("rollback state to serial {serial}"), None);
-        self.store
-            .rollback_to(serial, meta)
-            .map_err(|e| e.to_string())
+        let from = self.store.serial();
+        let rolled = (self.store.rollback_to(serial, meta)).map_err(|e| e.to_string())?;
+        self.landed(from);
+        Ok(rolled)
     }
 
     /// The policy controller (register policies here).
@@ -531,7 +555,7 @@ impl Cloudless {
     /// a snapshot nobody committed and the addresses where it differs from
     /// the committed state. The plan of such a snapshot is the plan cache's
     /// with those addresses planned again, and the cache owes them until the
-    /// snapshot is committed ([`IncrementalPipeline`]'s `adopted`).
+    /// next run or commit ([`Cloudless::landed`]).
     fn run_pipeline(
         &mut self,
         source: &str,
@@ -557,17 +581,6 @@ impl Cloudless {
             pipeline.warm_from_image(image, key, &ctx);
         }
         pipeline.run_over(source, &ctx, over.map(|(_, delta)| delta))
-    }
-
-    /// A commit from serial `from` wrote the state at the addresses `delta`
-    /// alone: the plan cache follows it and settles
-    /// ([`IncrementalPipeline`]'s `committed`), and the memo is checkpointed
-    /// owing no plan.
-    fn committed(&mut self, from: u64, delta: impl IntoIterator<Item = ResourceAddr>) {
-        let (catalog, state) = (self.cloud.catalog(), self.store.current());
-        let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
-        self.pipeline.committed(from, delta, &ctx);
-        self.checkpoint_memo();
     }
 
     /// Checkpoint the memo beside the state log, after a commit the plan
@@ -847,14 +860,9 @@ impl Cloudless {
         }
 
         // the delta log records only the changed resources, plus the
-        // source that produced them (time machine, §3.4); the executor
-        // wrote the state at the plan's addresses alone, so the plan cache
-        // plans those again and keeps the rest
+        // source that produced them (time machine, §3.4)
         let message = format!("{verb} via {}", apply.strategy);
-        let from = self.store.serial();
         self.commit(state, &message, source, true)?;
-        let touched = plan.graph.iter().map(|(_, node)| node.change.addr.clone());
-        self.committed(from, touched);
         // the log names every op the executor submitted, so what the apply
         // changed is read again from the sync point: it carries forward
         self.sync = synced.map(|log| self.sync_point(log));
@@ -944,10 +952,7 @@ impl Cloudless {
         let (folded, report, at) =
             Self::refreshed(&mut self.cloud, self.store.current(), principal, since);
         if let Some(state) = folded {
-            let from = self.store.serial();
             self.commit(state, "refresh", None, false)?;
-            let touched = report.updated.iter().chain(&report.missing).cloned();
-            self.committed(from, touched);
         }
         self.settle(at, &report);
         Ok(report)
@@ -990,8 +995,8 @@ impl Cloudless {
     /// parse. A patch with no op is `source` byte for byte, so a reconcile
     /// that classifies nothing parses and renders nothing. The adopted
     /// state is planned as the committed one plus the addresses where it
-    /// differs, and committing it keeps that plan, so the proof after an
-    /// apply of nothing is a cache hit.
+    /// differs, and committing it settles those alone, so the proof after
+    /// an apply of nothing is a cache hit.
     ///
     /// A refusal — the input program does not parse/expand, no patch (not
     /// even the op-free program) passes the front-end gates, or the
@@ -1148,8 +1153,6 @@ impl Cloudless {
             // (a proof the gates refuse proves nothing)
             if let Some(state) = adopted {
                 self.commit(state, "reconcile: adopt drift", None, false)?;
-                self.pipeline.adopted(self.store.serial());
-                self.checkpoint_memo();
             }
             self.settle(at, &refresh);
             let applied = self.apply_planned(planned, &patched)?;

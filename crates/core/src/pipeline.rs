@@ -100,14 +100,15 @@
 //!
 //! The plan stage's cache is the plan against the state committed at one
 //! serial, owing a plan of the addresses where that state differs from the
-//! one it was planned against. A commit that says which addresses it wrote
-//! settles at once (`IncrementalPipeline::committed`): the cache moves to
-//! the new serial and plans those addresses and the blocks that read them
-//! there and then, so it owes nothing. A run against a snapshot nobody
-//! committed (`IncrementalPipeline::run_over`) owes the addresses where the
-//! snapshot differs, until that snapshot is committed
-//! (`IncrementalPipeline::adopted`). The next run plans what is owed and
-//! the blocks that read it, never the world.
+//! one it was planned against. Every commit settles at once
+//! (`IncrementalPipeline::committed`, handed the delta the state log wrote
+//! for the version): a cache of the serial the commit left moves to the new
+//! one and plans what it owes, the addresses the version changed and the
+//! blocks that read them there and then, so it owes nothing. A run against
+//! a snapshot nobody committed (`IncrementalPipeline::run_over`) owes the
+//! addresses where the snapshot differs, and the commit of that snapshot
+//! settles them like any other. The next run plans what is owed and the
+//! blocks that read it, never the world.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
@@ -490,14 +491,10 @@ struct PlanCache {
     serial: Option<u64>,
     /// Where the state committed at `serial` differs from the one the rest
     /// was planned against: where the snapshot nobody committed that the
-    /// last run planned differs (a commit whose delta is known plans what
-    /// it changed at once, [`IncrementalPipeline::committed`]). The next
-    /// run plans them again.
+    /// last run planned differs (a commit plans what it changed at once,
+    /// [`IncrementalPipeline::committed`]). The next run, or the next
+    /// commit's settle, plans them again.
     away: Vec<ResourceAddr>,
-    /// Whether `away` is exactly where the last run's snapshot differs:
-    /// committing that snapshot pays the debt
-    /// ([`IncrementalPipeline::adopted`]).
-    over: bool,
     /// Dependency (Kahn) order over the manifest's instances.
     order: Vec<usize>,
     /// Each instance's place in `order`: a pass visits what it marks by
@@ -821,8 +818,9 @@ pub struct IncrementalPipeline {
     image_pending: bool,
     /// What the image did for the first run, for that run's trace.
     image_note: Option<(&'static str, String)>,
-    /// Whether an image beside the log warms the next process: one warmed
-    /// the first run, or the memo has been written since.
+    /// Whether an image beside the log warms the next process: one whose
+    /// plan cache is of the committed state warmed the first run, or the
+    /// memo has been written since; and no commit has landed after either.
     imaged: bool,
 }
 
@@ -871,7 +869,7 @@ impl IncrementalPipeline {
                 ctx.recorder.counter("pipeline.memo_image_loads", 1);
                 let blocks = memo.root.block_ranges.len();
                 self.memo = Some(memo);
-                self.imaged = true;
+                self.imaged = planned;
                 let plans = match planned {
                     true => "the edit",
                     false => "every instance",
@@ -922,34 +920,34 @@ impl IncrementalPipeline {
         }
     }
 
-    /// The snapshot the last run planned against, one nobody had committed,
-    /// is now committed at `serial`: the cache owes nothing for it.
-    pub(crate) fn adopted(&mut self, serial: u64) {
-        if let Some(plan) = self.memo.as_mut().map(|memo| &mut memo.plan) {
-            if std::mem::take(&mut plan.over) {
-                plan.serial = Some(serial);
-                plan.away.clear();
-            }
-        }
-    }
-
     /// A commit moved the state from serial `from` to `ctx.state`'s and
-    /// changed it at the addresses `delta` alone. A cache of `from` follows
-    /// it and settles at once: the pass the next run would make of those
-    /// addresses and the blocks that read them, against the state just
-    /// committed, is made now, while the instances it reads are at hand. The
-    /// cache then owes nothing, and nor does an image written of it. A cache
-    /// of another serial is left as it was. The pass is not a run: its
-    /// visits count as `pipeline.instances_settled`.
-    pub(crate) fn committed(
+    /// changed it at the addresses `delta` alone, as the state log wrote
+    /// them. A cache of `from` follows it and settles at once: the pass the
+    /// next run would make of what it owes, those addresses and the blocks
+    /// that read them, against the state just committed, is made now, while
+    /// the instances it reads are at hand. The cache then owes nothing, and
+    /// nor does an image written of it. A cache of another serial reads
+    /// nothing of `delta` and is left as it was, and so is one when an
+    /// address does not parse (the log wrote none such): the next run plans
+    /// every instance. Returns whether the cache followed. Either way the
+    /// image beside the log now trails the log: the engine writes it again
+    /// after a cache that followed, the next run's checkpoint otherwise. The
+    /// pass is not a run: its visits count as `pipeline.instances_settled`.
+    pub(crate) fn committed<E>(
         &mut self,
         from: u64,
-        delta: impl IntoIterator<Item = ResourceAddr>,
+        delta: impl IntoIterator<Item = Result<ResourceAddr, E>>,
         ctx: &PipelineCtx<'_>,
-    ) {
+    ) -> bool {
+        self.imaged = false;
         let followed = |memo: &&mut Memo| memo.plan.serial == Some(from);
         let Some(memo) = self.memo.as_deref_mut().filter(followed) else {
-            return;
+            return false;
+        };
+        let delta = delta.into_iter().collect::<Result<Vec<_>, E>>();
+        debug_assert!(delta.is_ok(), "a logged address does not parse");
+        let Ok(delta) = delta else {
+            return false;
         };
         let mut plan = std::mem::take(&mut memo.plan);
         plan.serial = Some(ctx.state.serial);
@@ -958,6 +956,7 @@ impl IncrementalPipeline {
         memo.plan = plan;
         ctx.recorder
             .counter("pipeline.instances_settled", visited as u64);
+        true
     }
 
     /// The blocks of `source` a reconcile must classify against the state
@@ -1051,8 +1050,8 @@ impl IncrementalPipeline {
     /// is a snapshot nobody committed that differs from the state committed
     /// at its serial at those addresses alone (the reconciler's adopted
     /// state). Its plan is the cache's with those addresses planned again,
-    /// and the cache owes them a plan against the committed state until that
-    /// snapshot is committed ([`IncrementalPipeline::adopted`]).
+    /// and the cache owes them a plan against the committed state, which
+    /// the next run or commit ([`IncrementalPipeline::committed`]) makes.
     pub(crate) fn run_over(
         &mut self,
         source: &str,
@@ -1504,8 +1503,9 @@ impl<'a> Walk<'a> {
     /// (`delta`) — with every block that reads theirs
     /// (a reader resolves the block's records off the state). Every instance
     /// is marked when nothing is cached (`blocks` is `None`) or the serial
-    /// moved by a commit of unknown delta: the front-end artifacts stay, the
-    /// diff rebuilds.
+    /// moved by a commit the cache did not follow (it was of another serial,
+    /// or held by no engine that committed): the front-end artifacts stay,
+    /// the diff rebuilds.
     /// [`plan_one`] reads nothing of a dependency but its records and
     /// whether it is created or replaced, so a visit marks its block's
     /// direct dependents — they come later in the order — only when it
@@ -1514,9 +1514,9 @@ impl<'a> Walk<'a> {
     /// reach; it visits the part of the cone whose inputs changed.
     ///
     /// A pass over a snapshot nobody committed leaves a cache that owes
-    /// `delta`. A commit of known delta makes the same pass with no edit
-    /// ([`IncrementalPipeline::committed`]) and leaves a cache that owes
-    /// nothing.
+    /// `delta`. Every commit makes the same pass with no edit over what
+    /// the log wrote ([`IncrementalPipeline::committed`]) and leaves a cache
+    /// that owes nothing.
     fn plan(
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
@@ -1572,7 +1572,6 @@ impl<'a> Walk<'a> {
         let PlanCache {
             serial,
             away,
-            over,
             order,
             rank,
             dirty,
@@ -1685,7 +1684,6 @@ impl<'a> Walk<'a> {
         }
         // the addresses it owed are planned; a snapshot's own are owed
         *away = delta.map_or_else(Vec::new, <[_]>::to_vec);
-        *over = delta.is_some();
         (visited, marked.is_none())
     }
 }
@@ -2418,6 +2416,26 @@ resource "aws_s3_bucket" "logs" {
             assert_eq!(replanned(&warm), "re-planned 1/5 instance(s)");
             let cold = IncrementalPipeline::default().run(&edited, ctx).unwrap();
             assert_eq!(warm.plan_text, cold.plan_text);
+        });
+    }
+
+    /// A commit leaves the image beside the log behind it. A cache of the
+    /// serial the commit started from follows it, so the engine writes the
+    /// image again at once; one of another serial does not, and the
+    /// engine leaves the image to the next run's checkpoint.
+    #[test]
+    fn a_commit_unimages_and_only_a_cache_of_its_serial_follows() {
+        with_ctx(|ctx| {
+            let mut pipeline = IncrementalPipeline::default();
+            drop(pipeline.run(SRC, ctx).unwrap());
+            let serial = ctx.state.serial;
+            let none = std::iter::empty::<Result<ResourceAddr, String>>();
+            pipeline.written();
+            assert!(!pipeline.committed(serial + 1, none.clone(), ctx));
+            assert!(!pipeline.imaged());
+            pipeline.written();
+            assert!(pipeline.committed(serial, none, ctx));
+            assert!(!pipeline.imaged());
         });
     }
 

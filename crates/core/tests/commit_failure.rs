@@ -54,9 +54,16 @@ fn a_failed_append_is_an_error_and_a_retry_commits_without_reapplying() {
     assert_eq!(engine.cloud().total_api_calls(), calls);
 
     healthy.store(true, Ordering::SeqCst);
+    let planned = |e: &Cloudless| {
+        let metrics = e.metrics().expect("a flight recorder keeps metrics");
+        metrics.counter("pipeline.instances_planned")
+    };
+    let before = planned(&engine);
     let out = engine.converge(SRC).expect("a healthy device commits");
-    // the refused snapshot went in first, so the retry had nothing to do
+    // the refused snapshot went in first, so the retry had nothing to do;
+    // its commit settled the plan cache, so the retry planned nothing
     assert_eq!(out.apply.ops_submitted, 0, "{}", out.plan_text);
+    assert_eq!(planned(&engine) - before, 0, "the late commit settled");
     assert_eq!(engine.state().len(), 1);
     assert_eq!(
         engine.cloud().records().len(),

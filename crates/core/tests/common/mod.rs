@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cloudless::cloud::CloudConfig;
+use cloudless::obs::FlightRecorder;
 use cloudless::state::{LogDevice, LogStore, StoreError};
 use cloudless::{Cloudless, Config};
 
@@ -135,7 +136,7 @@ pub const SRC: &str = r#"resource "aws_vpc" "main" {
 "#;
 
 /// An engine over a log device that fails while `healthy` is off, plus the
-/// bytes that reached the device.
+/// bytes that reached the device. Its recorder keeps metrics.
 pub fn flaky_engine() -> (Cloudless, Arc<AtomicBool>, Arc<Mutex<Vec<u8>>>) {
     let bytes = Arc::new(Mutex::new(Vec::new()));
     let healthy = Arc::new(AtomicBool::new(true));
@@ -144,6 +145,10 @@ pub fn flaky_engine() -> (Cloudless, Arc<AtomicBool>, Arc<Mutex<Vec<u8>>>) {
         healthy: Arc::clone(&healthy),
     };
     let (store, _) = LogStore::open_device(Box::new(device)).expect("fresh log opens");
-    let engine = Cloudless::with_store(config(), store, Default::default());
+    let config = Config {
+        recorder: FlightRecorder::shared(16),
+        ..config()
+    };
+    let engine = Cloudless::with_store(config, store, Default::default());
     (engine, healthy, bytes)
 }

@@ -490,3 +490,112 @@ fn a_refresh_of_drift_settles_as_cold() {
     assert_eq!((report.updated.len(), report.missing.len()), (1, 1));
     plans_as_cold(engine, &[SRC, &edited()]);
 }
+
+/// A rollback of the state document settles the plan cache like any other
+/// commit: after an apply of the edit and a rollback to the base, the next
+/// plan of each program visits the rolled-back instances and their readers
+/// at most — here the two buckets, which nothing reads — never every
+/// instance, and plans what a cold engine plans.
+#[test]
+fn a_state_rollback_settles_as_cold() {
+    let config = Config {
+        recorder: FlightRecorder::shared(16),
+        ..standard()
+    };
+    let (store, _) = LogStore::open_device(Box::new(MemDevice::new().imaged(None))).expect("opens");
+    let mut engine = Cloudless::with_store(config, store, Records::new());
+    let edited = edited();
+    for source in [SRC, &edited] {
+        assert!(engine.converge(source).expect("converges").apply.all_ok());
+    }
+    let rolled = engine.rollback_state(1).expect("serial 1 is committed");
+    assert_eq!(rolled, Some(3));
+    let version = engine.history().latest().expect("the rollback's version");
+    assert_eq!(version.delta_len(), 2, "the buckets' acl");
+    let planned = |e: &Cloudless| {
+        let metrics = e.metrics().expect("a flight recorder keeps metrics");
+        metrics.counter("pipeline.instances_planned")
+    };
+    let mut plans = Vec::new();
+    for source in [SRC, &edited] {
+        let before = planned(&engine);
+        let (plan, trace) = engine.plan_incremental(source).expect("the program plans");
+        assert!(!trace.to_string().contains("re-diffed"), "{trace}");
+        assert!(planned(&engine) - before <= 2, "{trace}");
+        plans.push(plan);
+    }
+    let (log, _, records) = close(engine);
+    for (source, plan) in [SRC, &edited].into_iter().zip(plans) {
+        let mut cold = open(log.clone(), None, records.clone());
+        assert_eq!(plan, cold.plan_incremental(source).expect("plans").0);
+    }
+}
+
+/// An image of another serial warms the front end of the next process, not
+/// its plan, so that process writes the image again: after a fresh engine
+/// commits a refresh of drift before any run — no memo follows that commit
+/// — a `plan` leaves an image of the head's serial, and the next engine's
+/// first run plans the edit alone, as cold.
+#[test]
+fn a_plan_after_a_commit_no_memo_followed_writes_the_image_again() {
+    let (log, image, records) = converged(standard(), SRC);
+    let mut refresher = open(log, Some(image), records);
+    let id = (refresher.state().resources().values().next())
+        .expect("the program deployed")
+        .id
+        .clone();
+    let drift = Attrs::from_iter([("acl".to_owned(), Value::from("public-read"))]);
+    (refresher.cloud_mut())
+        .out_of_band_update("intern", &id, drift)
+        .expect("drifts");
+    let report = refresher.refresh().expect("the refresh commits");
+    assert_eq!(report.updated.len(), 1);
+    let (log, image, records) = close(refresher);
+
+    let mut planner = open(log, image, records);
+    let head = planner.state().serial;
+    let stale = planner.check_memo_image();
+    assert!(
+        matches!(stale, Ok(Some(serial)) if serial < head),
+        "{stale:?}"
+    );
+    planner.plan(&edited(), &[]).expect("the edit plans");
+    let written = planner.check_memo_image();
+    assert!(
+        matches!(written, Ok(Some(serial)) if serial == head),
+        "{written:?}"
+    );
+    let (log, image, records) = close(planner);
+    let (plan, trace) = first_run(standard(), &log, image, &records);
+    assert!(trace.contains("plans the edit"), "{trace}");
+    assert_eq!(plan, first_run(standard(), &log, None, &records).0);
+}
+
+/// A `for_each` key with a quote or a backslash is written to the log
+/// escaped, and the commit reads it back exactly: after an apply that
+/// creates such instances, and one that updates them, the next plan of the
+/// program applied is a no-op from the plan cache, in the same engine and
+/// in a fresh one warm from the image, as a cold engine plans it.
+#[test]
+fn a_key_with_a_quote_or_a_backslash_settles_as_cold() {
+    const KEYED: &str = r#"resource "aws_s3_bucket" "logs" {
+  for_each = { "a\"b" = "one", "x\\y" = "two", "[0]" = "three" }
+  bucket   = "logs-${each.value}"
+  acl      = "private"
+}
+"#;
+    let edited = KEYED.replace("\"private\"", "\"public-read\"");
+    let (store, _) = LogStore::open_device(Box::new(MemDevice::new().imaged(None))).expect("opens");
+    let mut engine = Cloudless::with_store(standard(), store, Records::new());
+    for source in [KEYED, &edited] {
+        assert!(engine.converge(source).expect("converges").apply.all_ok());
+        let (plan, trace) = engine.plan_incremental(source).expect("the program plans");
+        assert!(trace.to_string().contains("plan: cached"), "{trace}");
+        assert!(
+            plan.contains("Plan: 0 to add, 0 to change, 0 to destroy."),
+            "{plan}"
+        );
+    }
+    assert_eq!(engine.state().resources().len(), 3);
+    plans_as_cold(engine, &[&edited, KEYED]);
+}

@@ -160,11 +160,16 @@ impl FromStr for ResourceAddr {
                     .rfind(']')
                     .ok_or_else(|| AddrParseError(format!("{s}: unclosed '['")))?;
                 let inner = &s[open + 1..close];
-                let key = if let Ok(i) = inner.parse::<u32>() {
+                let quoted = inner.len() >= 2 && inner.starts_with('"') && inner.ends_with('"');
+                let key = if quoted {
+                    let unquoted = &inner[1..inner.len() - 1];
+                    let key = unescape(unquoted)
+                        .ok_or_else(|| AddrParseError(format!("{s}: bad escape in key")))?;
+                    ResourceKey::Key(key)
+                } else if let Ok(i) = inner.parse::<u32>() {
                     ResourceKey::Index(i)
                 } else {
-                    let trimmed = inner.trim_matches('"');
-                    ResourceKey::Key(trimmed.to_owned())
+                    ResourceKey::Key(inner.to_owned())
                 };
                 (&s[..open], key)
             }
@@ -188,6 +193,36 @@ impl FromStr for ResourceAddr {
             key,
         })
     }
+}
+
+/// The key a `{:?}` of a `str` escaped, without its quotes: the inverse of
+/// [`ResourceKey`]'s `Display`, so an address survives a round trip through
+/// its text. `None` for an escape `{:?}` does not write.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            '0' => '\0',
+            c @ ('\\' | '"' | '\'') => c,
+            'u' => {
+                let rest = chars.as_str().strip_prefix('{')?;
+                let (hex, tail) = rest.split_once('}')?;
+                let c = char::from_u32(u32::from_str_radix(hex, 16).ok()?)?;
+                chars = tail.chars();
+                c
+            }
+            _ => return None,
+        });
+    }
+    Some(out)
 }
 
 /// A cloud-level resource id assigned by the provider at creation time.
@@ -250,6 +285,38 @@ mod tests {
         assert_eq!(a.to_string(), "aws_vm.web[\"eu\"]");
         let parsed: ResourceAddr = a.to_string().parse().expect("parse");
         assert_eq!(parsed, a);
+        for key in [
+            "a\"b",
+            "x\\y",
+            "\"",
+            "\\",
+            "]",
+            "[0]",
+            "7",
+            "",
+            "\u{1}\u{301}é",
+        ] {
+            let a = ResourceAddr::root(ResourceTypeName::new("aws_vm"), "web").keyed(key);
+            let parsed: ResourceAddr = a.to_string().parse().expect("parse");
+            assert_eq!(parsed, a, "{a}");
+        }
+        let unquoted: ResourceAddr = "aws_vm.web[eu]".parse().expect("parse");
+        assert_eq!(unquoted.key, ResourceKey::Key("eu".to_owned()));
+        assert!("aws_vm.web[\"a\\q\"]".parse::<ResourceAddr>().is_err());
+    }
+
+    proptest::proptest! {
+        /// Parsing is the exact inverse of `Display`, whatever a
+        /// `for_each` key holds: quotes, backslashes, brackets, control
+        /// characters, digits.
+        #[test]
+        fn a_keyed_addr_round_trips(key in "(\\PC|[\"\\\\\\[\\]\n\t\r\u{0}\u{7f}\u{301}0-9])*") {
+            let a = ResourceAddr::root(ResourceTypeName::new("aws_vm"), "web")
+                .keyed(key)
+                .in_module("net");
+            let parsed: ResourceAddr = a.to_string().parse().expect("parse");
+            proptest::prop_assert_eq!(parsed, a);
+        }
     }
 
     #[test]
