@@ -110,6 +110,16 @@
 //! settles them like any other. The next run plans what is owed and the
 //! blocks that read it, never the world.
 //!
+//! The cache keeps what it knows of a block by its position, beside the
+//! memo's other block tables: whether the instance of it a pass visited
+//! last is created or replaced (all `plan_one` reads of a dependency) is
+//! one entry of a table the memo image stores as it stands, and an address
+//! resolves to its block once, by name, and from there to the block's
+//! range of instances and its readers in the block DAG — a block with no
+//! instance included. A program the memo cannot keep (modules, findings,
+//! expansion warnings) has no such tables: its walk plans it with the
+//! whole-graph diff ([`cloudless_deploy::diff::diff`]) and keeps no cache.
+//!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
 //! `pipeline.runs_full`, `pipeline.instances_planned`, and the settling
@@ -133,7 +143,7 @@ use cloudless_analyze::{
 };
 use cloudless_cloud::Catalog;
 use cloudless_deploy::diff::{
-    delete_change, delete_changes, dependency_order, plan_one, render, PlannedChange,
+    delete_change, delete_changes, dependency_order, diff, plan_one, render, PlannedChange,
 };
 use cloudless_graph::{Dag, DagBuilder, NodeId};
 use cloudless_hcl::eval::Resolver;
@@ -483,7 +493,9 @@ fn out_of_bounds<'e>(
 }
 
 /// Plan-stage artifacts: the plan of the memo's manifest against the state
-/// committed at `serial`, except at the addresses `away`.
+/// committed at `serial`, except at the addresses `away`. Only a memo that
+/// is kept has one: a program it cannot keep is planned by `diff`
+/// ([`Walk::diffed`]).
 #[derive(Default)]
 struct PlanCache {
     /// The committed serial the rest was planned against (`None`: nothing
@@ -500,63 +512,14 @@ struct PlanCache {
     /// Each instance's place in `order`: a pass visits what it marks by
     /// this key, smallest first.
     rank: Vec<usize>,
-    /// Whether each block's last-visited instance is created or replaced.
-    dirty: Dirty,
+    /// Whether each block's last-visited instance is created or replaced,
+    /// by block (`None`: none of its instances visited) — the table the
+    /// memo image stores.
+    dirty: Vec<Option<bool>>,
     /// Non-NoOp changes by declaration position.
     changes: BTreeMap<usize, PlannedChange>,
     /// Deletions by rendered address — the state's own key, so its order.
     deletes: BTreeMap<String, PlannedChange>,
-}
-
-/// Whether each block's last-visited instance is created or replaced: as
-/// the image the memo was loaded from had it, by block, and as visited
-/// since, by `(type, name)` (every block visited, without an image).
-#[derive(Default)]
-struct Dirty {
-    image: Vec<Option<bool>>,
-    since: PairMap<bool>,
-}
-
-impl Dirty {
-    /// Block `rtype.name`'s dirtiness (`None`: no instance of it visited).
-    fn get(&self, memo: &Memo, rtype: &str, name: &str) -> Option<bool> {
-        let since = self.since.get(rtype, name).copied();
-        let image = || match self.image.is_empty() {
-            true => None,
-            false => *self.image.get(memo.block_named(rtype, name)?)?,
-        };
-        since.or_else(image)
-    }
-
-    /// Visit block `rtype.name` with `flag`: what it was before.
-    fn insert(&mut self, memo: &Memo, rtype: &str, name: &str, flag: bool) -> Option<bool> {
-        let was = self.get(memo, rtype, name);
-        self.since.insert(rtype, name, flag);
-        was
-    }
-
-    fn clear(&mut self) {
-        self.image.clear();
-        self.since.clear();
-    }
-
-    /// Each block of `memo`'s dirtiness, in block order: what has been
-    /// visited since, in name order, walked beside the blocks in name order.
-    fn by_block(&self, memo: &Memo) -> Vec<Option<bool>> {
-        let mut flags = self.image.clone();
-        flags.resize(memo.root.block_ranges.len(), None);
-        let mut blocks = memo.by_name.iter().map(|&b| b as usize).peekable();
-        for (rtype, name, &flag) in self.since.iter() {
-            while blocks
-                .next_if(|&b| memo.name_of(b) < (rtype, name))
-                .is_some()
-            {}
-            if let Some(b) = blocks.next_if(|&b| memo.name_of(b) == (rtype, name)) {
-                flags[b] = Some(flag);
-            }
-        }
-        flags
-    }
 }
 
 impl PlanCache {
@@ -573,14 +536,15 @@ impl PlanCache {
 
 /// Which of a block's instances, at manifest positions `at`, has address
 /// `addr`: a counted block's sit in index order, so that one is a probe.
-fn instance_at(instances: &Instances, at: &[usize], addr: &ResourceAddr) -> Option<usize> {
-    let is = |p: &&usize| instances.at(**p).addr == *addr;
+fn instance_at(instances: &Instances, at: Range<usize>, addr: &ResourceAddr) -> Option<usize> {
+    let is = |p: &usize| instances.at(*p).addr == *addr;
     let probe = match addr.key {
-        ResourceKey::None => at.first(),
-        ResourceKey::Index(i) => at.get(i as usize),
+        ResourceKey::None => Some(at.start),
+        ResourceKey::Index(i) => at.start.checked_add(i as usize),
         ResourceKey::Key(_) => None,
     };
-    probe.filter(is).or_else(|| at.iter().find(is)).copied()
+    let probe = probe.filter(|p| at.contains(p) && is(p));
+    probe.or_else(|| at.clone().find(is))
 }
 
 /// The memoized artifacts of one clean run, grouped by the stage that
@@ -609,16 +573,14 @@ struct Memo {
     /// Block-level dependency DAG (edges: dependency → dependent).
     dag: Dag<()>,
     /// The blocks in `(type, name)` order: what a block's name is looked up
-    /// in (its declaration, its instances, its dirtiness).
+    /// in, once, for everything kept by block (its declaration, its range of
+    /// instances, its dirtiness).
     by_name: Vec<u32>,
     // lint (the resource blocks it declares are `by_name`'s)
     lint_env: LintEnv,
     // expand
     root: RootExpansion,
     manifest: Manifest,
-    // validate: each instance's own position, which the positions of a
-    // block's instances are a range of
-    seats: Vec<usize>,
     // parse (readers), lint (block identities), analyze (the rest)
     claims: Claims,
     // plan
@@ -990,12 +952,8 @@ impl IncrementalPipeline {
         let ranges = &memo.root.block_ranges;
         let block_of = |at: usize| ranges.partition_point(|span| span.end <= at);
         let mut scope: BTreeSet<usize> = plan.changes.keys().map(|&at| block_of(at)).collect();
-        let mut reach = |addr: &ResourceAddr| {
-            let at = memo.positions(&addr.module_path, addr.rtype.as_str(), &addr.name);
-            scope.extend(at.first().map(|&at| block_of(at)));
-        };
-        refreshed.for_each(&mut reach);
-        plan.away.iter().for_each(reach);
+        scope.extend(refreshed.filter_map(|addr| memo.block_holding(addr)));
+        scope.extend(plan.away.iter().filter_map(|addr| memo.block_holding(addr)));
         let mut blocks = Vec::with_capacity(scope.len());
         for b in scope {
             let chunk = &memo.chunks.chunks[memo.block_chunk[b]];
@@ -1194,7 +1152,9 @@ impl<'a> Walk<'a> {
     /// recorder hear of the helper's work only then, on this thread. The
     /// `old` memo goes back if parse or lint refuses, and the lint helper
     /// drops it once lint passes. Inline (one core) lint runs first, and a
-    /// program it refuses is not expanded.
+    /// program it refuses is not expanded. A program whose memo cannot be
+    /// kept by the time the second join starts is planned by
+    /// [`Walk::diffed`].
     fn cold(
         &mut self,
         fresh: &mut Memo,
@@ -1254,19 +1214,17 @@ impl<'a> Walk<'a> {
                 Ok((validated, analyzed))
             },
             || {
-                if claim {
-                    let claims = instance_level_claims(&manifest.instances);
-                    stage(&mut fresh.claims, claims, 1);
+                if !claim {
+                    return Walk::diffed(ctx, manifest);
                 }
+                let claims = instance_level_claims(&manifest.instances);
+                stage(&mut fresh.claims, claims, 1);
                 Walk::plan(ctx, delta, manifest, fresh, None)
             },
         );
         let (report, analyzed) = checked?;
         *keep &= report.diagnostics.is_empty();
         self.out.validation = report;
-        if *keep {
-            fresh.seats = (0..self.out.manifest.instances.len()).collect();
-        }
         // `analyzed` is `None` when there is no lint gate
         if let (Some(cfg), Some(outcome)) = (cfg, analyzed) {
             record_analysis(ctx.recorder.as_ref(), &outcome);
@@ -1553,6 +1511,20 @@ impl<'a> Walk<'a> {
         }
     }
 
+    /// **plan**, of a program the memo cannot keep (modules, findings,
+    /// expansion warnings): the whole-graph diff, with no cache to fill.
+    fn diffed(ctx: &PipelineCtx<'_>, manifest: &Manifest) -> PlanPass {
+        let all = diff(manifest, ctx.state, ctx.catalog, ctx.data).into_iter();
+        let changes: Vec<PlannedChange> = all.filter(|c| !c.action.is_noop()).collect();
+        let n = manifest.instances.len();
+        PlanPass {
+            text: render(&changes),
+            changes,
+            visited: n,
+            trace: ("full", format!("diffed {n} instance(s)")),
+        }
+    }
+
     /// [`Walk::plan`]'s pass, with the plan cache out of the memo it reads:
     /// how many instances it visited, and whether it visited every one.
     fn pass(
@@ -1589,54 +1561,41 @@ impl<'a> Walk<'a> {
         };
         let reused = blocks.filter(|_| *serial == Some(ctx.state.serial));
         // `None`: every instance
-        let mut marked: Option<BTreeSet<usize>> = match reused {
-            None => None,
-            Some(blocks) => 'reuse: {
-                // the addresses a removed block leaves in the state are
-                // deleted, the ones an inserted block declares no longer are
-                for b in blocks.iter().filter(|b| b.removed()) {
-                    let left = b.before.iter().filter_map(|inst| ctx.state.get(&inst.addr));
-                    deletes.extend(left.map(|r| (r.addr.to_string(), delete_change(r))));
-                }
-                for inst in blocks
-                    .iter()
-                    .filter(|b| b.inserted())
-                    .flat_map(|b| &b.after)
-                {
-                    deletes.remove(&inst.addr.to_string());
-                }
-                let mut marked = BTreeSet::new();
-                for (at, _) in blocks.iter().filter_map(|b| b.now) {
-                    mark(&mut marked, ranges[at].clone());
-                }
-                // an address no instance has is a deletion exactly when the
-                // state holds it
-                let mut redelete = |addr: &ResourceAddr| match ctx.state.get(addr) {
-                    Some(r) => drop(deletes.insert(addr.to_string(), delete_change(r))),
-                    None => drop(deletes.remove(&addr.to_string())),
-                };
-                for addr in away.iter().chain(delta.into_iter().flatten()) {
-                    let (rtype, name) = (addr.rtype.as_str(), addr.name.as_str());
-                    let at = memo.positions(&addr.module_path, rtype, name);
-                    let Some(&first) = at.first() else {
-                        // nothing says which blocks read a declared block
-                        // that has no instance
-                        let root = addr.module_path.is_empty();
-                        if root && memo.block_named(rtype, name).is_some() {
-                            break 'reuse None;
-                        }
-                        redelete(addr);
-                        continue;
-                    };
-                    mark_readers(&mut marked, block_of(first));
-                    match instance_at(instances, at, addr) {
-                        Some(idx) => mark(&mut marked, idx..idx + 1),
-                        None => redelete(addr),
-                    }
-                }
-                Some(marked)
+        let mut marked: Option<BTreeSet<usize>> = reused.map(|blocks| {
+            // the addresses a removed block leaves in the state are
+            // deleted, the ones an inserted block declares no longer are
+            for b in blocks.iter().filter(|b| b.removed()) {
+                let left = b.before.iter().filter_map(|inst| ctx.state.get(&inst.addr));
+                deletes.extend(left.map(|r| (r.addr.to_string(), delete_change(r))));
             }
-        };
+            for inst in blocks
+                .iter()
+                .filter(|b| b.inserted())
+                .flat_map(|b| &b.after)
+            {
+                deletes.remove(&inst.addr.to_string());
+            }
+            let mut marked = BTreeSet::new();
+            for (at, _) in blocks.iter().filter_map(|b| b.now) {
+                mark(&mut marked, ranges[at].clone());
+            }
+            for addr in away.iter().chain(delta.into_iter().flatten()) {
+                let block = memo.block_holding(addr);
+                if let Some(b) = block {
+                    mark_readers(&mut marked, b);
+                }
+                match block.and_then(|b| instance_at(instances, ranges[b].clone(), addr)) {
+                    Some(idx) => mark(&mut marked, idx..idx + 1),
+                    // an address no instance has is a deletion exactly
+                    // when the state holds it
+                    None => match ctx.state.get(addr) {
+                        Some(r) => drop(deletes.insert(addr.to_string(), delete_change(r))),
+                        None => drop(deletes.remove(&addr.to_string())),
+                    },
+                }
+            }
+            marked
+        });
         if marked.is_none() {
             // every block's dirtiness is planned again
             *serial = Some(ctx.state.serial);
@@ -1645,6 +1604,7 @@ impl<'a> Walk<'a> {
             *deletes = all.map(|c| (c.addr.to_string(), c)).collect();
             // an unvisited dependency (a cycle) reads as dirty, as in `diff`
             dirty.clear();
+            dirty.resize(ranges.len(), None);
             changes.clear();
         }
         // each visit reads its dependencies' dirtiness as the visit before
@@ -1666,16 +1626,17 @@ impl<'a> Walk<'a> {
             next = r + 1;
             visited += 1;
             let inst = instances.at(idx);
-            let mut dep_dirty =
-                |rtype: &str, name: &str| dirty.get(memo, rtype, name).unwrap_or(true);
+            let mut dep_dirty = |rtype: &str, name: &str| {
+                let block = memo.block_named(rtype, name);
+                block.and_then(|b| dirty[b]).unwrap_or(true)
+            };
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
-            let (rtype, name) = (inst.addr.rtype.as_str(), &inst.addr.name);
-            let flag = change.makes_dirty();
-            let was = dirty.insert(memo, rtype, name, flag);
+            let (b, flag) = (block_of(idx), change.makes_dirty());
+            let was = dirty[b].replace(flag);
             if let (Some(marked), true) = (&mut marked, was != Some(flag)) {
                 // (marking on every flip between a block's instances
                 // over-marks, never under-marks)
-                mark_readers(marked, block_of(idx));
+                mark_readers(marked, b);
             }
             match change.action.is_noop() {
                 true => drop(changes.remove(&idx)),
@@ -1895,6 +1856,13 @@ impl Memo {
         at.ok().map(|at| self.by_name[at] as usize)
     }
 
+    /// The block that declares `addr`, if one does: a memo holds the root
+    /// module alone.
+    fn block_holding(&self, addr: &ResourceAddr) -> Option<usize> {
+        let root = addr.module_path.is_empty();
+        (self.block_named(addr.rtype.as_str(), &addr.name)).filter(|_| root)
+    }
+
     /// Whether `rtype.name` is a declared resource block once `decls` lands.
     fn declares(&self, decls: &DeclEdit, rtype: &str, name: &str) -> bool {
         decls.declares(|t, n| self.block_named(t, n).is_some(), rtype, name)
@@ -1997,8 +1965,8 @@ impl Memo {
             Some((k, _)) => (earlier[k].after.iter())
                 .map(|inst| inst.addr.clone())
                 .collect(),
-            None => (self.positions(&[], rtype, name).iter())
-                .map(|&at| self.manifest.instances.at(at).addr.clone())
+            None => (self.positions(&[], rtype, name))
+                .map(|at| self.manifest.instances.at(at).addr.clone())
                 .collect(),
         }
     }
@@ -2021,21 +1989,21 @@ impl Memo {
         let names_block = |(t, n): &(&str, &str)| self.declares(decls, t, n);
         for (rtype, name) in refs.block_targets().filter(names_block) {
             let added = |(t, n): &(String, String)| t == rtype && n == name;
-            let (dep, disabled) = if decls.added.iter().any(added) {
-                let Some((k, rb)) = staged(earlier, rtype, name) else {
-                    let reason = "structural edit (an inserted block depends on a later one)";
-                    return Err(Stop::Guard(reason.to_owned()));
-                };
-                (Dep::Staged(k), env.count_folds_zero(rb))
-            } else {
-                let Some(&first) = self.positions(&[], rtype, name).first() else {
-                    let reason = "structural edit (an inserted block depends on an empty one)";
-                    return Err(Stop::Guard(reason.to_owned()));
-                };
-                let at = (self.root.block_ranges).partition_point(|span| span.end <= first);
-                let chunk = &self.chunks.chunks[self.block_chunk[at]];
-                let rb = parse_block(&self.source, chunk, &self.program.filename)?;
-                (Dep::Memo(at), env.count_folds_zero(&rb))
+            let inserted = decls.added.iter().any(added);
+            let (dep, disabled) = match self.block_named(rtype, name) {
+                Some(at) if !inserted => {
+                    let chunk = &self.chunks.chunks[self.block_chunk[at]];
+                    let rb = parse_block(&self.source, chunk, &self.program.filename)?;
+                    (Dep::Memo(at), env.count_folds_zero(&rb))
+                }
+                // (declared, and not the memo's: inserted)
+                _ => {
+                    let Some((k, rb)) = staged(earlier, rtype, name) else {
+                        let reason = "structural edit (an inserted block depends on a later one)";
+                        return Err(Stop::Guard(reason.to_owned()));
+                    };
+                    (Dep::Staged(k), env.count_folds_zero(rb))
+                }
             };
             ensure(!disabled, "structural edit (a count-disabled dependency)")?;
             deps.push(dep);
@@ -2085,7 +2053,6 @@ impl Memo {
             (self.root.block_ranges).push(first..len);
         }
         self.manifest.instances.regroup(pieces.into_iter());
-        self.seats = (0..len).collect();
 
         // the block DAG: the edges between blocks that stay, and each
         // inserted block's edges from what it depends on
@@ -2112,28 +2079,21 @@ impl Memo {
         self.dag = sealed.unwrap_or_default();
 
         // The names and the plan cache. What stays keeps its place in the
-        // name order and the visiting order, and what comes is put in its
-        // place by name, and goes last in the visiting order — nothing
-        // depends on it — each block's first instance visited last, as
-        // Kahn's stack leaves it.
+        // name order, its dirtiness and its place in the visiting order, and
+        // what comes is put in its place by name, is visited by no pass yet,
+        // and goes last in the visiting order — nothing depends on it —
+        // each block's first instance visited last, as Kahn's stack leaves
+        // it.
         let moved = |at: &usize| Some(instance_to[*at]).filter(|&to| to != GONE);
         let kept = self.by_name.iter().map(|&b| block_to[b as usize]);
         self.by_name = kept.filter(|&b| b != GONE).map(|b| b as u32).collect();
-        for b in removed() {
-            let parsed = b.old.as_ref();
-            let rb = parsed.ok_or_else(|| Stop::Guard("a removed block was not parsed".into()))?;
-            self.plan.dirty.since.remove(&rb.rtype, &rb.name);
-        }
-        let image = std::mem::take(&mut self.plan.dirty.image);
-        if !image.is_empty() {
-            let mut placed = vec![None; self.root.block_ranges.len()];
-            for (flag, &to) in image.into_iter().zip(&block_to) {
-                if to != GONE {
-                    placed[to] = flag;
-                }
+        let mut dirty = vec![None; self.root.block_ranges.len()];
+        for (&flag, &to) in self.plan.dirty.iter().zip(&block_to) {
+            if to != GONE {
+                dirty[to] = flag;
             }
-            self.plan.dirty.image = placed;
         }
+        self.plan.dirty = dirty;
         let mut order: Vec<usize> = self.plan.order.iter().filter_map(moved).collect();
         for b in inserted() {
             let span = self.root.block_ranges[b.at].clone();
@@ -2200,22 +2160,21 @@ impl Memo {
         total += self.chunks.approx_bytes();
         total += self.block_chunk.len() * 768;
         total += self.manifest.instances.len() * 480;
-        total += self.claims.len() * 128 + self.seats.len() * 8;
-        total += self.plan.order.len() * 16 + self.plan.dirty.image.len();
-        total += self.plan.dirty.since.len() * 64;
+        total += self.claims.len() * 128;
+        total += self.plan.order.len() * 16 + self.plan.dirty.len();
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
         total + self.image.as_ref().map_or(0, |image| image.len())
     }
 }
 
 impl Positions for Memo {
-    /// A block's instances sit side by side: their positions are its range
-    /// of `seats`. (A memo holds the root module alone.)
-    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+    /// The block's range of the instance list. (A memo holds the root module
+    /// alone.)
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
         let block = self
             .block_named(rtype, name)
             .filter(|_| module_path.is_empty());
-        block.map_or(&[], |b| &self.seats[self.root.block_ranges[b].clone()])
+        block.map_or(0..0, |b| self.root.block_ranges[b].clone())
     }
 }
 
@@ -2380,7 +2339,11 @@ resource "aws_s3_bucket" "logs" {
 
     /// What the plan stage of `out` says it visited.
     fn replanned(out: &FrontendOutput) -> &str {
-        let plan = out.trace.stages.iter().find(|s| s.stage == "plan");
+        replanned_in(&out.trace)
+    }
+
+    fn replanned_in(trace: &ChangeTrace) -> &str {
+        let plan = trace.stages.iter().find(|s| s.stage == "plan");
         plan.map_or("", |s| s.detail.as_str())
     }
 
@@ -2436,6 +2399,51 @@ resource "aws_s3_bucket" "logs" {
             pipeline.written();
             assert!(pipeline.committed(serial, none, ctx));
             assert!(!pipeline.imaged());
+        });
+    }
+
+    /// A block with no instance is found by its name like any other: a
+    /// block inserted after it may read it, and a commit that deletes the
+    /// last address it held settles its readers, not every instance. Each
+    /// plan is a cold one's.
+    #[test]
+    fn a_block_with_no_instance_is_read_through_its_block() {
+        let spare = |keys: &str| {
+            format!(
+                "{SRC}resource \"aws_s3_bucket\" \"spare\" {{\n  for_each = [{keys}]\n  \
+                 bucket   = \"spare-${{each.key}}\"\n}}\n"
+            )
+        };
+        let reader = "resource \"aws_s3_bucket\" \"late\" {\n  bucket     = \"late\"\n  \
+                      depends_on = [aws_s3_bucket.spare]\n}\n";
+        let (empty, read) = (spare(""), format!("{}{reader}", spare("")));
+        let mut e = engine();
+        e.plan_incremental(&empty).unwrap();
+        let (text, t) = e.plan_incremental(&read).unwrap();
+        assert!(t.fast_path, "the reader must splice in:\n{t}");
+        assert!(t.to_string().contains("+1 inserted, −0 removed"), "{t}");
+        assert_eq!(text, engine().plan_incremental(&read).unwrap().0);
+
+        let mut e = Cloudless::new(Config {
+            recorder: cloudless_obs::FlightRecorder::shared(16),
+            ..Config::default()
+        });
+        let settled = |e: &Cloudless| {
+            let metrics = e.metrics().expect("a flight recorder keeps metrics");
+            metrics.counter("pipeline.instances_settled")
+        };
+        let held = format!("{}{reader}", spare("\"a\""));
+        assert!(e.converge(&held).unwrap().apply.all_ok());
+        let before = settled(&e);
+        assert!(e.converge(&read).unwrap().apply.all_ok());
+        let settled = settled(&e) - before;
+        assert_eq!(settled, 1, "the deletion settles its reader alone");
+        let (text, t) = e.plan_incremental(&read).unwrap();
+        assert!(t.fast_path, "{t}");
+        assert_eq!(replanned_in(&t), "re-planned 0/4 instance(s)");
+        with_state(e.state(), |ctx| {
+            let cold = IncrementalPipeline::default().run(&read, ctx).unwrap();
+            assert_eq!(text, cold.plan_text);
         });
     }
 

@@ -8,16 +8,18 @@
 //! and block names); each block's instance count, plan dirtiness and
 //! record; the blocks in name order; the block DAG's successors; the plan
 //! cache's visiting order and the addresses it owes; and the claims in key
-//! order, each written as it is made. Opening an image checks the checksum,
-//! copies the integer tables and validates them, and parses the program's
-//! non-resource half off its chunks. It decodes no block: a block's record
-//! (its instances, spans and lifecycle) is decoded when a read of the
-//! instance list first reaches it ([`Instances::by_block`]), and a claim is
-//! looked up where it sits ([`ClaimTable`]). A block with a deferred
-//! attribute is decoded, parsed and expanded again at open (expressions are
-//! not encoded). The checksum vouches for every record: one that does not
-//! decode is the writer's defect, and stops the process rather than be
-//! planned from.
+//! order, each written as it is made. The memo keeps the plan dirtiness as
+//! one entry a block too, so that table is written and read as it stands;
+//! a block's name resolves to its position through the name order. Opening
+//! an image checks the checksum, copies the integer tables and validates
+//! them, and parses the program's non-resource half off its chunks. It
+//! decodes no block: a block's record (its instances, spans and lifecycle)
+//! is decoded when a read of the instance list first reaches it
+//! ([`Instances::by_block`]), and a claim is looked up where it sits
+//! ([`ClaimTable`]). A block with a deferred attribute is decoded, parsed
+//! and expanded again at open (expressions are not encoded). The checksum
+//! vouches for every record: one that does not decode is the writer's
+//! defect, and stops the process rather than be planned from.
 //!
 //! A record says nothing of where its block sits (spans count from the start
 //! of its chunk), so the memo writes the next image copying the records of
@@ -878,7 +880,6 @@ pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::R
         out.put(&image.bytes[run])?;
     }
     debug_assert_eq!(out.at - records, at);
-    let dirty = plan.dirty.by_block(memo);
     out.section();
     let mut from = 0;
     for (b, (span, &(to, deferred))) in ranges.iter().zip(&placed).enumerate() {
@@ -886,7 +887,7 @@ pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::R
         out.u32(from)?;
         out.u32(to - from)?;
         out.u32(span.len())?;
-        let dirty = match dirty[b] {
+        let dirty = match plan.dirty.get(b).copied().flatten() {
             None => 0,
             Some(false) => CLEAN,
             Some(true) => DIRTY,
@@ -1135,7 +1136,6 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
     if !claims.in_order() {
         return inconsistent("the claims are not in key order");
     }
-    let m = order.len();
     let counts = ranges.iter().map(|span| span.len());
     manifest.instances = Instances::by_block(Arc::clone(&image) as Arc<dyn BlockSource>, counts);
     let mut memo = Box::new(Memo {
@@ -1152,7 +1152,6 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
         block_chunk,
         dag,
         by_name,
-        seats: (0..m).collect(),
         image: Some(image),
         ..Memo::default()
     });
@@ -1167,7 +1166,7 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
         DIRTY => Some(true),
         _ => None,
     };
-    memo.plan.dirty.image = flags.iter().map(dirty).collect();
+    memo.plan.dirty = flags.iter().map(dirty).collect();
     for (b, f) in flags.iter().enumerate() {
         if f & DEFERRED != 0 {
             reexpand(&mut memo, b, ctx)?;

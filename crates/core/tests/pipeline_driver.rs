@@ -7,16 +7,19 @@
 //! * The whole-program aggregate rules (ANA402, VAL306, VAL307) are folds
 //!   over the same per-block / per-instance extractors the splice path
 //!   maintains its claims multiset with.
+//! * A program the memo cannot keep is planned by the whole-graph diff.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cloudless::analyze::incremental::LintEnv;
 use cloudless::analyze::{lint_program, LintConfig};
-use cloudless::cloud::{Catalog, CloudConfig};
+use cloudless::cloud::{Catalog, Cloud, CloudConfig};
+use cloudless::deploy::diff::render;
 use cloudless::deploy::resolver::DataResolver;
+use cloudless::deploy::{diff, Executor, Plan, Strategy};
 use cloudless::hcl::program::{expand, ModuleLibrary};
-use cloudless::obs::{NullRecorder, Recorder};
+use cloudless::obs::{FlightRecorder, NullRecorder, Recorder};
 use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx, PipelineError};
 use cloudless::state::Snapshot;
 use cloudless::types::Value;
@@ -477,6 +480,76 @@ fn aggregate_findings_equal_a_fold_over_the_extractors() {
         tripped.iter().all(|&n| n > 0),
         "each rule must be exercised: {tripped:?}"
     );
+}
+
+// ------------------------------------------ programs the memo cannot keep
+
+/// The state `source` deploys to from nothing, in `env`.
+fn deployed(env: &Env, source: &str) -> Snapshot {
+    let program = cloudless::hcl::load(source, "main.tf").expect("the program parses");
+    let manifest = expand(&program, &env.inputs, &env.modules, &env.data).expect("expands");
+    let mut state = Snapshot::new();
+    let changes = diff(&manifest, &state, &env.catalog, &env.data);
+    let plan = Plan::build(changes, &state, &env.catalog);
+    let mut cloud = Cloud::new(CloudConfig::exact(), 7);
+    let report =
+        Executor::new(Strategy::Sequential, &env.data).apply(&plan, &mut cloud, &mut state);
+    assert!(report.all_ok(), "{:?}", report.errors());
+    state
+}
+
+/// A program the memo cannot keep — a module whose block reads another
+/// block's computed attribute, a program with a lint warning the default
+/// gate lets through — is planned by the whole-graph diff: against a
+/// converged state and a partly drifted one, a run's plan text is the
+/// rendering of `diff` with the no-ops dropped, byte for byte; it counts
+/// every instance as planned and keeps no memo.
+#[test]
+fn a_program_the_memo_cannot_keep_is_planned_by_diff() {
+    let mut env = Env::new();
+    env.modules.insert("./modules/network", NETWORK_MODULE);
+    let module = format!(
+        "module \"net\" {{\n  source = \"./modules/network\"\n  cidr   = \"10.1.0.0/16\"\n}}\n{SRC}"
+    );
+    let warned = format!("variable \"unused\" {{ default = \"x\" }}\n{SRC}");
+    for source in [module, warned] {
+        let converged = deployed(&env, &source);
+        let mut drifted = converged.clone();
+        let mut subnet = converged
+            .get_str("aws_subnet.app")
+            .expect("deployed")
+            .clone();
+        subnet
+            .attrs
+            .insert("cidr_block".into(), Value::from("10.0.9.0/24"));
+        drifted.put(subnet);
+        drifted.remove(&"aws_s3_bucket.logs".parse().expect("an address"));
+        for (state, changed) in [(converged, 0), (drifted, 2)] {
+            env.state = state;
+            let recorder: Arc<dyn Recorder> = FlightRecorder::shared(16);
+            let ctx = PipelineCtx {
+                recorder: &recorder,
+                ..env.ctx()
+            };
+            let mut pipe = IncrementalPipeline::default();
+            let out = pipe.run(&source, &ctx).expect("the program plans");
+            let program = cloudless::hcl::load(&source, "main.tf").expect("parses");
+            let manifest = expand(&program, &env.inputs, &env.modules, &env.data).expect("expands");
+            let all = diff(&manifest, &env.state, &env.catalog, &env.data).into_iter();
+            let changes: Vec<_> = all.filter(|c| !c.action.is_noop()).collect();
+            assert_eq!(changes.len(), changed, "{source}");
+            assert_eq!(out.plan_text, render(&changes), "{source}");
+            let n = manifest.instances.len();
+            let trace = out.trace.to_string();
+            assert!(
+                trace.contains(&format!("plan: full (diffed {n} instance(s))")),
+                "{trace}"
+            );
+            let metrics = recorder.metrics().expect("a flight recorder keeps metrics");
+            assert_eq!(metrics.counter("pipeline.instances_planned"), n as u64);
+            assert!(!pipe.is_warm(), "{source}");
+        }
+    }
 }
 
 // ------------------------------------------------ positions: warm ≡ cold

@@ -11,6 +11,7 @@
 //! anything is provisioned (experiment E6 quantifies the difference).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use cloudless_cloud::constraints::unique_name_attr;
 use cloudless_cloud::Catalog;
@@ -47,16 +48,17 @@ pub(crate) fn check_instance(
 }
 
 /// Where the instances of a block sit in a manifest: the lookup the
-/// per-instance rules make to follow a reference.
+/// per-instance rules make to follow a reference. Expansion lays a block's
+/// instances side by side, so they sit at one range of positions.
 pub trait Positions {
     /// Where the instances of block `rtype.name` of the module at
-    /// `module_path` sit in the manifest (nowhere: no such block, or one
-    /// that expands to nothing).
-    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize];
+    /// `module_path` sit in the manifest (an empty range: no such block, or
+    /// one that expands to nothing).
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize>;
 }
 
 impl Positions for ManifestIndex {
-    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
         ManifestIndex::positions(self, module_path, rtype, name)
     }
 }
@@ -67,9 +69,9 @@ impl Positions for ManifestIndex {
 /// its own tables.)
 #[derive(Debug, Default, PartialEq)]
 pub struct ManifestIndex {
-    /// Module path → block `(type, name)` → positions of that block's
+    /// Module path → block `(type, name)` → the range of that block's
     /// instances. A block is there exactly when it has an instance.
-    by_block: BTreeMap<Vec<String>, PairMap<Vec<usize>>>,
+    by_block: BTreeMap<Vec<String>, PairMap<Range<usize>>>,
 }
 
 impl ManifestIndex {
@@ -79,26 +81,28 @@ impl ManifestIndex {
             let addr = &inst.addr;
             let Some(blocks) = index.by_block.get_mut(addr.module_path.as_slice()) else {
                 let mut blocks = PairMap::new();
-                blocks.insert(addr.rtype.as_str(), &addr.name, vec![at]);
+                blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1);
                 index.by_block.insert(addr.module_path.clone(), blocks);
                 continue;
             };
             match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
-                Some(positions) => positions.push(at),
-                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, vec![at])),
+                Some(range) => {
+                    debug_assert_eq!(range.end, at, "{addr}: a block's instances sit apart");
+                    range.end = at + 1;
+                }
+                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1)),
             }
         }
         index
     }
 
     /// Where the instances of block `rtype.name` of the module at
-    /// `module_path` sit in the manifest (nowhere: no such block, or one
-    /// that expands to nothing).
-    pub fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> &[usize] {
+    /// `module_path` sit in the manifest (an empty range: no such block, or
+    /// one that expands to nothing).
+    pub fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
         let blocks = self.by_block.get(module_path);
-        blocks
-            .and_then(|blocks| blocks.get(rtype, name))
-            .map_or(&[], Vec::as_slice)
+        let range = blocks.and_then(|blocks| blocks.get(rtype, name));
+        range.map_or(0..0, Range::clone)
     }
 }
 
@@ -121,8 +125,8 @@ impl<'a> Targets<'a> {
                     continue;
                 }
                 let path = &from.addr.module_path;
-                let list = self.index.positions(path, &r.parts[0], &r.parts[1]);
-                out.extend(list.iter().map(|&i| &**self.manifest.instances.at(i)));
+                let range = self.index.positions(path, &r.parts[0], &r.parts[1]);
+                out.extend(range.map(|i| &**self.manifest.instances.at(i)));
             }
         }
         out
@@ -445,6 +449,63 @@ mod tests {
         )
         .unwrap();
         check(&m, &ManifestIndex::build(&m), &Catalog::standard())
+    }
+
+    /// Each block's positions are the range that holds exactly its
+    /// instances — in the root module and in two calls of one module — and
+    /// a block that expands to nothing has an empty one.
+    #[test]
+    fn a_block_is_the_range_of_its_instances() {
+        let mut lib = ModuleLibrary::new();
+        lib.insert(
+            "./modules/pair",
+            r#"
+resource "aws_vpc" "main" {
+  count      = 2
+  cidr_block = "10.${count.index}.0.0/16"
+}
+resource "aws_s3_bucket" "logs" { bucket = "logs" }
+"#,
+        );
+        let src = r#"
+resource "aws_s3_bucket" "off" {
+  count  = 0
+  bucket = "off"
+}
+module "a" { source = "./modules/pair" }
+resource "aws_vpc" "main" {
+  count      = 3
+  cidr_block = "10.9.0.0/16"
+}
+module "b" { source = "./modules/pair" }
+"#;
+        let p = Program::from_file(cloudless_hcl::parse(src, "main.tf").unwrap()).unwrap();
+        let m = expand(&p, &BTreeMap::new(), &lib, &MapResolver::new()).unwrap();
+        let index = ManifestIndex::build(&m);
+        let key = |inst: &ResourceInstance| {
+            let addr = &inst.addr;
+            (
+                addr.module_path.clone(),
+                addr.rtype.to_string(),
+                addr.name.clone(),
+            )
+        };
+        let mut blocks: BTreeMap<_, Vec<usize>> = BTreeMap::new();
+        for (at, inst) in m.instances.iter().enumerate() {
+            blocks.entry(key(inst)).or_default().push(at);
+        }
+        let paths: Vec<&[String]> = blocks.keys().map(|(path, ..)| path.as_slice()).collect();
+        assert!(paths.contains(&&["a".to_owned()][..]), "{paths:?}");
+        assert!(paths.contains(&&["b".to_owned()][..]), "{paths:?}");
+        assert_eq!(blocks.len(), 5, "{blocks:?}");
+        for ((path, rtype, name), at) in &blocks {
+            let range = index.positions(path, rtype, name);
+            assert_eq!(range.collect::<Vec<_>>(), *at, "{path:?} {rtype}.{name}");
+        }
+        assert!(index.positions(&[], "aws_s3_bucket", "off").is_empty());
+        assert!(index
+            .positions(&["c".to_owned()], "aws_vpc", "main")
+            .is_empty());
     }
 
     #[test]

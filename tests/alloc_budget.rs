@@ -708,12 +708,14 @@ fn retained_per_block(blocks: usize) -> f64 {
 }
 
 /// Most bytes an engine converged on 10 000 blocks may keep per block:
-/// measured 7 157 (6 748 at 1 000), plus 10%. Before the apply settled its
-/// plan cache, which kept a planned create of every instance until the
-/// next run, it was 7 664; with `BTreeMap` attribute maps, `BTreeSet`
+/// measured 7 104 (6 694 at 1 000), plus 10%. While the plan cache kept
+/// each block's dirtiness under its `(type, name)` as well and the memo a
+/// position per instance, it was 7 157 (6 748 at 1 000); before the apply
+/// settled its plan cache, which kept a planned create of every instance
+/// until the next run, 7 664; with `BTreeMap` attribute maps, `BTreeSet`
 /// dependency sets and `BTreeMap` span tables, each an eleven-slot leaf
 /// however few entries it holds, 11 151.
-const RETAINED_PER_BLOCK: f64 = 7_873.0;
+const RETAINED_PER_BLOCK: f64 = 7_814.0;
 /// Most a tenfold estate may multiply the bytes kept per block by.
 const RETAINED_GROWTH_PER_DECADE: f64 = 1.1;
 
