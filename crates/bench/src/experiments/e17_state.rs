@@ -190,7 +190,7 @@ fn only_in<'a>(a: &'a Snapshot, b: &Snapshot) -> Vec<&'a DeployedResource> {
     a.resources()
         .iter()
         .filter(|(k, _)| !b.resources().contains_key(*k))
-        .map(|(_, v)| v.as_ref())
+        .map(|(_, v)| v.resource())
         .collect()
 }
 
@@ -206,7 +206,7 @@ fn changed_between<'a>(
             b.resources()
                 .get(k)
                 .filter(|theirs| theirs.attrs != mine.attrs)
-                .map(|theirs| (mine.as_ref(), theirs.as_ref()))
+                .map(|theirs| (mine.resource(), theirs.resource()))
         })
         .collect()
 }

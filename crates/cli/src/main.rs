@@ -289,7 +289,8 @@ fn in_session(
 
 /// The closing half of [`in_session`]: metrics persist whenever the engine
 /// recorded any (`cloudless metrics` renders them), the session only when
-/// the verb says it may have changed.
+/// the verb says it may have changed. A verb that read a record of the log
+/// that did not decode fails naming it, and writes no session file.
 fn run_and_close(
     session: &Session,
     mut engine: Cloudless,
@@ -300,7 +301,8 @@ fn run_and_close(
         session.save_metrics(&metrics)?;
     }
     match ran? {
-        Ran::ReadOnly => Ok(()),
+        // what a verb read of a record that did not decode was its head
+        Ran::ReadOnly => engine.state().check().map_err(|e| e.to_string()),
         Ran::Changed(end) => {
             session.save(&engine)?;
             end
@@ -469,7 +471,7 @@ fn refusal(err: ConvergeError, source: &str) -> String {
             }
             msg
         }
-        err @ ConvergeError::State(_) => err.to_string(),
+        err @ (ConvergeError::State(_) | ConvergeError::Unreadable(_)) => err.to_string(),
     }
 }
 
@@ -648,12 +650,18 @@ fn print_apply(apply: &ApplyReport) {
 }
 
 fn state(_: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
-    if engine.state().is_empty() {
+    let state = engine.state();
+    let mut listed = String::new();
+    for (addr, rec) in state.resources() {
+        let line = format!("{addr:<50} {:<16} {}\n", rec.id.to_string(), rec.region);
+        listed.push_str(&line);
+    }
+    // nothing is listed when a record listed does not decode
+    state.check().map_err(|e| e.to_string())?;
+    if state.is_empty() {
         println!("(no resources under management)");
     }
-    for (addr, rec) in engine.state().resources() {
-        println!("{addr:<50} {:<16} {}", rec.id.to_string(), rec.region);
-    }
+    print!("{listed}");
     Ok(Ran::ReadOnly)
 }
 

@@ -134,7 +134,10 @@ impl Session {
     /// commits already landed in `state.log` as they happened; this
     /// refreshes the `state.json` mirror and the cloud's records.
     pub fn save(&self, engine: &Cloudless) -> Result<(), String> {
-        replace(&self.state_path(), &engine.state().to_json())?;
+        let state = engine.state().to_json();
+        // a record the render read that did not decode was written as its head
+        engine.state().check().map_err(|e| e.to_string())?;
+        replace(&self.state_path(), &state)?;
         let records = engine.cloud().export_records();
         let json = serde_json::to_string_pretty(records).map_err(|e| e.to_string())?;
         replace(&self.cloud_path(), &json)

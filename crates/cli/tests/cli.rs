@@ -917,6 +917,64 @@ fn state_fsck_flags_torn_log_and_open_recovers_it() {
     assert!(stdout(&out).contains("clean"), "{}", stdout(&out));
 }
 
+/// A record of the log whose head reads but whose rest does not decode —
+/// a checksum-valid blob line no reader can take whole — opens, and stops
+/// the first verb that reads it: exit 1 naming its address, nothing
+/// printed as state, nothing applied or committed. `fsck` names it too.
+#[test]
+fn a_record_that_does_not_decode_stops_the_verb_that_reads_it() {
+    use cloudless::state::cas::fnv64;
+
+    let t = TempSession::new("undecodable");
+    assert!(run(&["init", t.path()]).status.success());
+    let tf = t.write("infra.tf", PROGRAM);
+    assert!(run(&["apply", t.path(), &tf]).status.success());
+    let log = t.dir.join("state.log");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut forged = String::new();
+    for line in text.lines() {
+        match line.split_once(' ') {
+            Some((_, payload)) if payload.contains(r#"\"rtype\":\"aws_subnet\""#) => {
+                let payload = payload.replacen(r#"\"region\":\""#, r#"\"region\":@\""#, 1);
+                assert!(payload.contains('@'), "{payload}");
+                forged.push_str(&format!("{:016x} {payload}\n", fnv64(payload.as_bytes())));
+            }
+            _ => forged.push_str(&format!("{line}\n")),
+        }
+    }
+    std::fs::write(&log, &forged).unwrap();
+    let edited = t.write("edited.tf", &PROGRAM.replace("10.0.1.0/24", "10.0.2.0/24"));
+    let named = |out: &Output| {
+        assert!(!out.status.success(), "{}", stdout(out));
+        let err = stderr(out);
+        assert!(
+            err.contains("the record of aws_subnet.app does not decode"),
+            "{err}"
+        );
+    };
+
+    // the state and the cloud (an instrumented verb keeps its metrics)
+    let session = |t: &TempSession| {
+        let mut files = session_files(t);
+        files.remove("metrics.json");
+        files
+    };
+    let before = session(&t);
+    let listed = run(&["state", t.path()]);
+    named(&listed);
+    assert_eq!(stdout(&listed), "");
+    named(&run(&["plan", t.path(), &edited]));
+    named(&run(&["apply", t.path(), &edited]));
+    assert!(session(&t) == before, "a refused verb wrote to the session");
+    let fsck = run(&["state", "fsck", t.path()]);
+    assert!(!fsck.status.success());
+    let report = stdout(&fsck);
+    assert!(
+        report.contains("put aws_subnet.app: corrupt resource record"),
+        "{report}"
+    );
+}
+
 /// A session is its log: a legacy directory (`state.json`, no `state.log`)
 /// is refused, untouched, by every verb that opens an engine, since nothing
 /// committed there would be kept. `state migrate` gives it a log.

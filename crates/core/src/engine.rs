@@ -108,6 +108,10 @@ pub enum ConvergeError {
     /// engine keeps the refused snapshot and commits it ahead of its next
     /// operation, so a retry does not apply the same work twice.
     State(StoreError),
+    /// A record of the committed state that the plan read does not decode:
+    /// the log is damaged there, and what was read of the record is its
+    /// head alone. Nothing was applied or committed.
+    Unreadable(StoreError),
 }
 
 impl fmt::Display for ConvergeError {
@@ -134,6 +138,7 @@ impl fmt::Display for ConvergeError {
                 write!(f, "plan denied by policy: {} denial(s)", actions.len())
             }
             ConvergeError::State(e) => write!(f, "state commit failed: {e}"),
+            ConvergeError::Unreadable(e) => write!(f, "{e}"),
         }
     }
 }
@@ -778,6 +783,8 @@ impl Cloudless {
         } = self.run_pipeline(source, over)?;
         let state = over.map_or(self.store.current(), |(state, _)| state);
         let mut plan = Plan::build(changes, state, self.cloud.catalog());
+        // a record the plan read that did not decode was read as its head
+        state.check().map_err(ConvergeError::Unreadable)?;
         if !targets.is_empty() {
             let (restricted, dropped) = plan.restrict_to(targets);
             let kept = restricted.graph.iter().map(|(_, node)| node.change.clone());

@@ -67,6 +67,7 @@ fn verdict(result: Result<String, ConvergeError>) -> Result<String, (&'static st
             ("policy", actions.iter().map(|a| format!("{a:?}")).collect())
         }
         ConvergeError::State(e) => ("state", vec![e.to_string()]),
+        ConvergeError::Unreadable(e) => ("unreadable", vec![e.to_string()]),
     })
 }
 

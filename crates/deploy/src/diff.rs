@@ -210,7 +210,7 @@ pub fn delete_changes(manifest: &Manifest, state: &Snapshot) -> Vec<PlannedChang
     let desired_addrs: HashSet<&ResourceAddr> =
         manifest.instances.iter().map(|i| &i.addr).collect();
     let undesired = |r: &&DeployedResource| !desired_addrs.contains(&r.addr);
-    let deployed = state.resources().values().map(|r| &**r);
+    let deployed = state.resources().values().map(|r| r.resource());
     deployed.filter(undesired).map(delete_change).collect()
 }
 

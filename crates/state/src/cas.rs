@@ -13,7 +13,9 @@
 //! as the per-record line checksum in the log framing.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use serde::{DeError, Deserialize, Reader, Serialize, Writer};
 
@@ -119,14 +121,364 @@ pub fn decode_resource(key: &str, body: &str) -> Result<DeployedResource, String
     Ok(r)
 }
 
-/// The in-memory blob index: content hash → canonical body. Bodies are
-/// `Arc<str>` so materializing snapshots shares rather than copies.
+/// The text of a log as the open read it, kept whole: each blob read then
+/// is a range of it, and each record read then keeps it and is decoded
+/// from it when first read. It counts those decodes and keeps the first
+/// that failed, for the operation that read it to refuse.
+#[derive(Debug, Default)]
+pub struct LogImage {
+    text: String,
+    decoded: AtomicU64,
+    damage: OnceLock<String>,
+}
+
+impl LogImage {
+    pub(crate) fn new(text: String) -> LogImage {
+        LogImage {
+            text,
+            ..LogImage::default()
+        }
+    }
+
+    /// Records decoded from this text so far.
+    pub fn decoded(&self) -> u64 {
+        self.decoded.load(Ordering::Relaxed)
+    }
+
+    /// Why the first record read from this text that did not decode is
+    /// damaged, if one has been read.
+    pub fn damage(&self) -> Option<&str> {
+        self.damage.get().map(String::as_str)
+    }
+
+    pub(crate) fn count_decode(&self) {
+        self.decoded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn report(&self, why: String) {
+        let _ = self.damage.set(why);
+    }
+}
+
+/// A blob's body: the text itself, or where it sits in a log read at open
+/// — a JSON string's text between the quotes of its frame, escaped as
+/// written.
+#[derive(Debug, Clone)]
+pub enum Text {
+    Owned(Arc<str>),
+    Logged(Arc<LogImage>, Range<usize>),
+}
+
+impl Text {
+    /// Append the body to `out`, unescaping it out of its frame.
+    pub fn read_into(&self, out: &mut String) -> Result<(), String> {
+        self.front_into(usize::MAX, out)
+    }
+
+    /// The body as one shared string: the one it is, or one unescaped.
+    pub fn to_shared(&self) -> Result<Arc<str>, String> {
+        match self {
+            Text::Owned(text) => Ok(Arc::clone(text)),
+            Text::Logged(_, at) => {
+                let mut out = String::with_capacity(at.len());
+                self.read_into(&mut out)?;
+                Ok(out.into())
+            }
+        }
+    }
+
+    /// At least the first `want` bytes of the body, unescaped into `out`
+    /// (all of it when it is shorter). Run by run, while the escapes are
+    /// the one-character ones every record and program is written with;
+    /// else the whole body, by the codec.
+    pub(crate) fn front_into(&self, want: usize, out: &mut String) -> Result<(), String> {
+        let (image, at) = match self {
+            Text::Owned(text) => {
+                out.push_str(text);
+                return Ok(());
+            }
+            Text::Logged(image, at) => (image, at),
+        };
+        // the text with the frame's quotes around it
+        let quoted = (at.start.checked_sub(1))
+            .and_then(|start| image.text.get(start..at.end + 1))
+            .ok_or_else(|| format!("a blob body at bytes {at:?} is outside the log"))?;
+        let start = out.len();
+        if unescape_front(
+            &quoted[1..quoted.len() - 1],
+            start.saturating_add(want),
+            out,
+        ) {
+            return Ok(());
+        }
+        out.truncate(start);
+        let text = Reader::new(quoted).string();
+        out.push_str(&text.map_err(|e| format!("corrupt blob body: {e}"))?);
+        Ok(())
+    }
+
+    /// Lay the body out into `out` as a `serde::Writer` — pretty at
+    /// `level`, or compact — writes the record it holds, without decoding
+    /// it; see [`lay_out`]. `false` for a body not in the store's one
+    /// spelling of a record, which the caller decodes instead.
+    pub(crate) fn lay_out(&self, pretty: bool, level: usize, out: &mut String) -> bool {
+        match self {
+            Text::Logged(image, at) => image
+                .text
+                .get(at.clone())
+                .is_some_and(|raw| lay_out(raw, pretty, level, out)),
+            Text::Owned(_) => false,
+        }
+    }
+
+    /// The log read at open that holds the body, if one does.
+    pub(crate) fn image(&self) -> Option<&LogImage> {
+        match self {
+            Text::Owned(_) => None,
+            Text::Logged(image, _) => Some(image),
+        }
+    }
+
+    /// Bytes of the body as it is held.
+    fn len(&self) -> usize {
+        match self {
+            Text::Owned(text) => text.len(),
+            Text::Logged(_, at) => at.len(),
+        }
+    }
+}
+
+/// Unescape the front of `raw`, a body's text as its frame escapes it,
+/// into `out` until it holds `want` bytes or the text ends, while every
+/// escape on the way stands for one character; `false` at a `\u` escape,
+/// or one that is not JSON's.
+fn unescape_front(raw: &str, want: usize, out: &mut String) -> bool {
+    let bytes = raw.as_bytes();
+    let mut at = 0;
+    while out.len() < want {
+        let Some(escape) = bytes[at..].iter().position(|&b| b == b'\\') else {
+            out.push_str(&raw[at..]);
+            return true;
+        };
+        let escape = at + escape;
+        out.push_str(&raw[at..escape]);
+        out.push(match bytes.get(escape + 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            _ => return false,
+        });
+        at = escape + 2;
+    }
+    true
+}
+
+/// Lay out `raw` — a body's text as its frame escapes it — into `out` as
+/// `serde::Writer` lays out the record it holds, pretty at `level` or
+/// compact, in one pass over the frame's text. The store writes a record
+/// one way only: compact, with strings escaped as `Writer::str` escapes
+/// them and numbers as it writes them, so its layout is that text with
+/// newlines and indents between the tokens. `false` as soon as the text
+/// is not in that form — not JSON, whitespace, an escape `Writer::str`
+/// does not write, nesting past `serde::MAX_DEPTH` — with a part of the
+/// layout in `out`.
+fn lay_out(raw: &str, pretty: bool, level: usize, out: &mut String) -> bool {
+    /// What the next token must be.
+    enum Next {
+        Value,
+        Key,
+        Colon,
+        /// A `,` or the close of the innermost container, or the end.
+        Sep,
+    }
+    let bytes = raw.as_bytes();
+    let newline = |out: &mut String, depth: usize| {
+        if pretty {
+            out.push('\n');
+            (0..depth).for_each(|_| out.push_str("  "));
+        }
+    };
+    // the open containers, innermost last: `true` for an object
+    let mut open: Vec<bool> = Vec::new();
+    let (mut at, mut next) = (0, Next::Value);
+    loop {
+        match next {
+            Next::Value | Next::Key if bytes[at..].starts_with(b"\\\"") => {
+                match copy_string(raw, at + 2, out) {
+                    Some(end) => at = end,
+                    None => return false,
+                }
+                next = match next {
+                    Next::Key => Next::Colon,
+                    _ => Next::Sep,
+                };
+            }
+            Next::Key => return false,
+            Next::Value => match bytes.get(at) {
+                Some(&b @ (b'{' | b'[')) => {
+                    let close = if b == b'{' { b'}' } else { b']' };
+                    if bytes.get(at + 1) == Some(&close) {
+                        out.push_str(&raw[at..at + 2]);
+                        at += 2;
+                        next = Next::Sep;
+                        continue;
+                    }
+                    if open.len() == serde::MAX_DEPTH {
+                        return false;
+                    }
+                    out.push(b as char);
+                    open.push(b == b'{');
+                    newline(out, level + open.len());
+                    at += 1;
+                    next = if b == b'{' { Next::Key } else { Next::Value };
+                }
+                Some(_) => {
+                    let token = bytes[at..].iter().position(
+                        |&b| !matches!(b, b'a'..=b'z' | b'0'..=b'9' | b'-' | b'+' | b'.' | b'E'),
+                    );
+                    let end = token.map_or(bytes.len(), |len| at + len);
+                    if !is_literal(&raw[at..end]) {
+                        return false;
+                    }
+                    out.push_str(&raw[at..end]);
+                    at = end;
+                    next = Next::Sep;
+                }
+                None => return false,
+            },
+            Next::Colon if bytes.get(at) == Some(&b':') => {
+                out.push_str(if pretty { ": " } else { ":" });
+                at += 1;
+                next = Next::Value;
+            }
+            Next::Colon => return false,
+            Next::Sep => {
+                let Some(&object) = open.last() else {
+                    return at == bytes.len();
+                };
+                match bytes.get(at) {
+                    Some(b',') => {
+                        out.push(',');
+                        newline(out, level + open.len());
+                        next = if object { Next::Key } else { Next::Value };
+                    }
+                    Some(b'}') if object => {
+                        open.pop();
+                        newline(out, level + open.len());
+                        out.push('}');
+                    }
+                    Some(b']') if !object => {
+                        open.pop();
+                        newline(out, level + open.len());
+                        out.push(']');
+                    }
+                    _ => return false,
+                }
+                at += 1;
+            }
+        }
+    }
+}
+
+/// Copy the string whose text starts at `at` of `raw` (past the frame's
+/// escape of its opening quote), quotes and escapes and all, to `out`; the
+/// byte past the frame's escape of its closing quote, or `None` when it is
+/// not a string `Writer::str` writes.
+fn copy_string(raw: &str, mut at: usize, out: &mut String) -> Option<usize> {
+    let bytes = raw.as_bytes();
+    out.push('"');
+    loop {
+        let escape = at + bytes[at..].iter().position(|&b| b == b'\\')?;
+        out.push_str(&raw[at..escape]);
+        // the frame escapes a quote and a backslash of the body; any other
+        // escape there is a control character, which no string holds raw
+        match bytes.get(escape + 1)? {
+            b'"' => {
+                out.push('"');
+                return Some(escape + 2);
+            }
+            b'\\' => {}
+            _ => return None,
+        }
+        // the body's own escape, as the frame escapes it
+        out.push('\\');
+        at = escape + 2;
+        match bytes.get(at)? {
+            b'\\' => {
+                let escaped = *bytes.get(at + 1)?;
+                if escaped != b'"' && escaped != b'\\' {
+                    return None;
+                }
+                out.push(escaped as char);
+                at += 2;
+            }
+            b @ (b'n' | b'r' | b't' | b'b' | b'f') => {
+                out.push(*b as char);
+                at += 1;
+            }
+            b'u' => {
+                // `\u00xx`, lowercase, for a control character without a
+                // short escape
+                let hex = raw.get(at + 1..at + 5)?;
+                let lower = hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+                let code = u8::from_str_radix(hex, 16).ok().filter(|_| lower)?;
+                if code >= 0x20 || matches!(code, 0x08 | 0x09 | 0x0a | 0x0c | 0x0d) {
+                    return None;
+                }
+                out.push('u');
+                out.push_str(hex);
+                at += 5;
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// Whether `token` is a literal as `serde::Writer` writes one: `true`,
+/// `false`, `null` or a JSON number.
+fn is_literal(token: &str) -> bool {
+    if matches!(token, "true" | "false" | "null") {
+        return true;
+    }
+    let digits = |s: &str| s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let rest = token.strip_prefix('-').unwrap_or(token);
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest.starts_with('0')) {
+        return false;
+    }
+    let mut rest = &rest[int..];
+    if let Some(fraction) = rest.strip_prefix('.') {
+        let n = digits(fraction);
+        if n == 0 {
+            return false;
+        }
+        rest = &fraction[n..];
+    }
+    if let Some(exponent) = rest.strip_prefix(['e', 'E']) {
+        let exponent = exponent.strip_prefix(['+', '-']).unwrap_or(exponent);
+        let n = digits(exponent);
+        if n == 0 {
+            return false;
+        }
+        rest = &exponent[n..];
+    }
+    rest.is_empty()
+}
+
+/// The in-memory blob index: content hash → body. A body the open read
+/// stays where it sits in the log's text; one committed since is shared
+/// with the record that wrote it.
 #[derive(Debug, Default)]
 pub struct Cas {
-    blobs: HashMap<ContentHash, Arc<str>>,
+    blobs: HashMap<ContentHash, Text>,
     /// Inserts that found the blob already present (records deduped).
     dedup_hits: u64,
-    /// Total bytes of unique blob bodies held.
+    /// Total bytes of unique blob bodies held, as held.
     bytes: u64,
 }
 
@@ -139,13 +491,13 @@ impl Cas {
     /// a repeat insert is the dedup hit the log exists to exploit.
     pub fn insert(&mut self, body: Arc<str>) -> (ContentHash, bool) {
         let hash = ContentHash::of(&body);
-        let added = self.insert_at(hash, body);
+        let added = self.insert_at(hash, Text::Owned(body));
         (hash, added)
     }
 
     /// Insert a body under a caller-supplied hash (log replay, where the
     /// hash was framed with the blob). Returns whether it was newly added.
-    pub fn insert_at(&mut self, hash: ContentHash, body: Arc<str>) -> bool {
+    pub fn insert_at(&mut self, hash: ContentHash, body: Text) -> bool {
         if self.blobs.contains_key(&hash) {
             self.dedup_hits += 1;
             return false;
@@ -163,8 +515,8 @@ impl Cas {
         }
     }
 
-    pub fn get(&self, hash: &ContentHash) -> Option<Arc<str>> {
-        self.blobs.get(hash).cloned()
+    pub fn get(&self, hash: &ContentHash) -> Option<&Text> {
+        self.blobs.get(hash)
     }
 
     pub fn contains(&self, hash: &ContentHash) -> bool {
@@ -185,7 +537,7 @@ impl Cas {
         self.dedup_hits
     }
 
-    /// Total unique body bytes.
+    /// Total unique body bytes, as held.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -270,6 +622,22 @@ mod tests {
         assert_eq!(cas.len(), 1);
         assert_eq!(cas.bytes(), 8);
         assert!(cas.get(&h1).is_some());
+    }
+
+    /// A body read where its frame holds it is the text framed, whatever
+    /// the frame escaped: run by run, or by the codec past a `\u` escape.
+    #[test]
+    fn a_logged_body_reads_back_as_framed() {
+        for body in ["plain", "q\" b\\ n\n t\t / é😀", "ctl \u{1} after", ""] {
+            let mut framed = String::new();
+            Writer::compact(&mut framed).str(body);
+            let at = 1..framed.len() - 1;
+            let text = Text::Logged(Arc::new(LogImage::new(framed)), at);
+            let mut out = String::from(">");
+            text.read_into(&mut out).unwrap();
+            assert_eq!(out, format!(">{body}"));
+            assert_eq!(&*text.to_shared().unwrap(), body);
+        }
     }
 
     #[test]

@@ -62,7 +62,9 @@ impl LogStore {
             }
             let body = cas
                 .get(&hash)
-                .ok_or_else(|| StoreError::Corrupt(format!("missing blob {hash} in compaction")))?;
+                .ok_or_else(|| StoreError::Corrupt(format!("missing blob {hash} in compaction")))?
+                .to_shared()
+                .map_err(StoreError::Corrupt)?;
             frame_into(out, Framed::Blob(&BlobRecord { hash, body }));
             written.insert(hash);
             Ok(())
@@ -101,18 +103,17 @@ impl LogStore {
         }
         // seeded stores carry world content with no version records; their
         // blobs still need to survive the rewrite
-        for hash in self.current_hashes.values() {
-            emit_blob(&mut out, &mut written, &self.cas, *hash)?;
+        for (_, hash) in self.current.hashes() {
+            emit_blob(&mut out, &mut written, &self.cas, hash)?;
         }
         // close with a head checkpoint (unless the policy fold already
         // landed exactly at the head) so reopen/fsck never replay a tail
-        if entries_since_checkpoint > 0 || checkpoints == 0 || world != self.current_hashes {
+        let at_head = world.iter().map(|(a, h)| (a, *h)).eq(self.current.hashes());
+        if entries_since_checkpoint > 0 || checkpoints == 0 || !at_head {
             let head = CheckpointRecord {
                 serial: self.current.serial,
-                entries: self
-                    .current_hashes
-                    .iter()
-                    .map(|(a, h)| (a.clone(), *h))
+                entries: (self.current.hashes())
+                    .map(|(a, h)| (a.clone(), h))
                     .collect(),
                 outputs: self.current.outputs.clone(),
             };

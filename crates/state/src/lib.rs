@@ -13,8 +13,9 @@
 //!
 //! * [`snapshot`] — the state document: the IaC-address → cloud-resource
 //!   mapping Terraform keeps in `terraform.tfstate`, serializable as JSON.
-//!   Its resources are shared (`Arc`) and indexed by cloud id, so a clone
-//!   costs its keys and one table.
+//!   Its records are shared (`Arc`) and indexed by cloud id, so a clone
+//!   costs its keys and one table; a record read from the log is decoded
+//!   when first read.
 //! * [`store`] — the **log-structured store** ([`LogStore`]): an
 //!   append-only delta log where every commit records only changed
 //!   resources as content-addressed records, so commits, rollbacks, and
@@ -42,7 +43,7 @@
 //! With a recorder installed ([`LogStore::set_recorder`]) the store emits:
 //! `state.commits` / `state.compactions` / `state.torn_recoveries`
 //! (counters), and `state.log_bytes` / `state.records_deduped` /
-//! `state.checkpoint_lag` (gauges).
+//! `state.records_decoded` / `state.checkpoint_lag` (gauges).
 
 #![forbid(unsafe_code)]
 
@@ -65,5 +66,5 @@ pub use log::{
     rename_synced, sync_parent, Frames, ImageWrite, LogDevice, MemDevice, StoreError, VersionRecord,
 };
 pub use migrate::{migrate_dir, LegacyHistoryEntry, MigrateReport};
-pub use snapshot::{DeployedResource, Snapshot};
+pub use snapshot::{DeployedResource, Record, Snapshot};
 pub use store::{CommitMeta, DiffEntry, LogStore, RecoveryReport, StateDelta, VersionDiff};

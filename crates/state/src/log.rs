@@ -45,6 +45,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufWriter, Read, Seek, Write};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -301,6 +302,64 @@ impl<'a> From<&'a LogRecord> for Framed<'a> {
     }
 }
 
+/// A record as the open reads it: a blob as its hash and where its body
+/// sits in the payload — the text of the JSON string, escapes and all,
+/// checked but not unescaped — and any other record whole. Blob and record
+/// are the same text [`LogRecord`] reads, accepted and refused alike.
+#[derive(Debug)]
+pub(crate) enum Indexed {
+    Blob(ContentHash, Range<usize>),
+    Version(VersionRecord),
+    Checkpoint(CheckpointRecord),
+}
+
+impl Deserialize for Indexed {
+    fn deser(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        let not_a_variant = || serde::DeError::new("expected variant of LogRecord");
+        if r.peek_value() != Some(b'{') {
+            return Err(not_a_variant());
+        }
+        r.begin_obj()?;
+        if !r.next_entry()? {
+            return Err(not_a_variant());
+        }
+        let record = match &*r.key()? {
+            "Blob" => {
+                let (mut hash, mut body) = (None, None);
+                r.begin_obj()
+                    .map_err(|_| serde::DeError::new("expected object for BlobRecord"))?;
+                while r.next_entry()? {
+                    match &*r.key()? {
+                        "hash" if hash.is_none() => hash = Some(r.field("hash")?),
+                        "body" if body.is_none() => {
+                            let at = r.raw_string();
+                            body = Some(at.map_err(|e| format!("field `body`: {e}"))?);
+                        }
+                        _ => r.skip_value()?,
+                    }
+                }
+                let hash = hash.map_or_else(|| serde::missing("hash"), Ok)?;
+                let body = body.ok_or_else(|| serde::DeError::new("missing field `body`"))?;
+                Indexed::Blob(hash, body)
+            }
+            "Version" => Indexed::Version(VersionRecord::deser(r)?),
+            "Checkpoint" => Indexed::Checkpoint(CheckpointRecord::deser(r)?),
+            other => return Err(format!("unknown LogRecord variant {other}").into()),
+        };
+        if r.next_entry()? {
+            return Err(not_a_variant());
+        }
+        Ok(record)
+    }
+}
+
+/// Where the payload of the frame starting at byte `at` starts: past its
+/// sixteen-digit checksum and the space after it (a frame whose checksum
+/// is spelt any other way is not read).
+pub(crate) fn payload_at(at: usize) -> usize {
+    at + 17
+}
+
 /// Append `record` to `out` as one checksummed log line (with trailing
 /// newline).
 pub fn frame_into(out: &mut String, record: Framed<'_>) {
@@ -420,14 +479,12 @@ impl<'a, T> Frames<'a, T> {
     pub fn finished(&self) -> bool {
         self.pos >= self.end
     }
-}
 
-impl<'a> Frames<'a> {
     /// The header rule: a log is empty, or starts with [`LOG_MAGIC`] on a
     /// line of its own, or is a prefix of that line — the very first append
     /// torn mid-write, which holds no frame and recovers to the empty log.
     /// Anything else is not a state log, and `Err` says so.
-    pub(crate) fn after_header(bytes: &'a [u8]) -> Result<Frames<'a>, String> {
+    pub(crate) fn after_header(bytes: &'a [u8]) -> Result<Frames<'a, T>, String> {
         let header = format!("{LOG_MAGIC}\n");
         if let Some(frames) = Frames::after_line(bytes, LOG_MAGIC) {
             Ok(frames)
@@ -492,12 +549,14 @@ pub fn scan(
     scan_at(bytes, |record, _| each(record))
 }
 
-/// [`scan`], handing `each` the byte each record's frame starts at too.
-pub fn scan_at(
+/// [`scan`] reading the records as `T`s (the open reads blobs as where
+/// their bodies sit), handing `each` the byte each record's frame starts
+/// at too.
+pub fn scan_at<T: Deserialize + Send>(
     bytes: &[u8],
-    mut each: impl FnMut(LogRecord, usize) -> Result<(), StoreError>,
+    mut each: impl FnMut(T, usize) -> Result<(), StoreError>,
 ) -> Result<ScanOutcome, StoreError> {
-    let mut head = Frames::after_header(bytes).map_err(StoreError::Corrupt)?;
+    let mut head = Frames::<T>::after_header(bytes).map_err(StoreError::Corrupt)?;
     let mut tail = head.split();
     let mut visit = Visit {
         records: 0,
@@ -505,7 +564,7 @@ pub fn scan_at(
     };
     let (tail, torn) = join(
         move || {
-            let lines: Vec<Frame> = tail.by_ref().collect();
+            let lines: Vec<Frame<T>> = tail.by_ref().collect();
             (lines, tail.pos)
         },
         || visit.frames(&mut head, &mut each),
@@ -537,10 +596,10 @@ impl Visit {
     /// Visit `frames` in order: `Ok(true)` when a torn final line ends
     /// them (`keep` is then where it starts), `Ok(false)` when they run out
     /// (the caller knows where).
-    fn frames(
+    fn frames<T>(
         &mut self,
-        frames: impl IntoIterator<Item = Frame>,
-        each: &mut impl FnMut(LogRecord, usize) -> Result<(), StoreError>,
+        frames: impl IntoIterator<Item = Frame<T>>,
+        each: &mut impl FnMut(T, usize) -> Result<(), StoreError>,
     ) -> Result<bool, StoreError> {
         for (at, last, record) in frames {
             self.keep = at;

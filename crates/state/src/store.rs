@@ -1,42 +1,50 @@
 //! The log-structured state store.
 //!
-//! [`LogStore`] replaces the old full-snapshot-per-version store: every
-//! commit appends one [`VersionRecord`] holding only the *changed*
-//! resources, each stored once in the content-addressed blob index
-//! ([`crate::cas::Cas`]) and referenced by hash thereafter. The live
-//! world is kept materialized (`current`), while every historical
-//! version stays addressable by walking delta records — so rollback and
-//! version-to-version diffs cost O(delta), not O(world).
+//! [`LogStore`] keeps every version as a delta: each commit appends one
+//! [`VersionRecord`] holding only the *changed* resources, each stored once
+//! in the content-addressed blob index ([`crate::cas::Cas`]) and referenced
+//! by hash thereafter. Every historical version stays addressable by
+//! walking delta records, so rollback and version-to-version diffs cost
+//! O(delta), not O(world).
+//!
+//! Opening a log checksums every frame and folds every version and
+//! checkpoint, but builds no world: a blob is indexed by where its body
+//! sits in the log's text, and the head's world ([`LogStore::current`]) is
+//! its records as heads — address and cloud id, read off the front of each
+//! body — over those bodies, each decoded when first read
+//! ([`crate::snapshot::Record`]). The live map carries each record's
+//! content hash, so a commit's `prev` entries and a checkpoint's fold read
+//! it there.
 //!
 //! After the plan, a commit touches what the plan touched. The world is
 //! shared ([`Snapshot`] holds `Arc`s): the copy an apply works on, the
-//! snapshot it hands back and the head it becomes are the same resources
-//! but for the ones that changed, so the diff that finds those is a walk of
+//! snapshot it hands back and the head it becomes are the same records but
+//! for the ones that changed, so the diff that finds those is a walk of
 //! pointers, and [`LogStore::snapshot_at`] decodes only what differs from
 //! the head. The program is recorded the same way — as its edit
 //! ([`ProgramPatch`], see [`crate::log`]), found by one comparison against
 //! the head's text.
 //!
 //! The store is the single source of truth for both "current state" and
-//! "time machine": [`LogStore::history`] serves the version metadata the
-//! old `History` held, [`LogStore::snapshot_at`] materializes any past
-//! serial, and [`LogStore::rollback_to`] commits the inverse delta.
+//! "time machine": [`LogStore::history`] serves the version metadata,
+//! [`LogStore::snapshot_at`] materializes any past serial, and
+//! [`LogStore::rollback_to`] commits the inverse delta.
 
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
 use cloudless_obs::{NullRecorder, Recorder};
-use cloudless_types::{join, SimTime, Value};
+use cloudless_types::{SimTime, Value};
 
-use crate::cas::{decode_resource, encode_resource, Cas, ContentHash};
+use crate::cas::{encode_resource, Cas, ContentHash, LogImage, Text};
 use crate::history::HistoryView;
 use crate::log::{
-    frame_into, frame_sum, scan_at, BlobRecord, CheckpointRecord, DelEntry, FileDevice, Framed,
-    ImageWrite, LogDevice, LogRecord, MemDevice, ProgramPatch, PutEntry, StoreError, VersionRecord,
-    LOG_MAGIC, MAX_PATCH_CHAIN,
+    frame_into, frame_sum, payload_at, scan_at, BlobRecord, CheckpointRecord, DelEntry, FileDevice,
+    Framed, ImageWrite, Indexed, LogDevice, MemDevice, ProgramPatch, PutEntry, StoreError,
+    VersionRecord, LOG_MAGIC, MAX_PATCH_CHAIN,
 };
-use crate::snapshot::{DeployedResource, Snapshot};
+use crate::snapshot::{Body, DeployedResource, Record, Snapshot};
 
 /// Who/when/why metadata attached to a commit.
 #[derive(Debug, Clone)]
@@ -79,10 +87,11 @@ impl StateDelta {
 }
 
 /// A [`StateDelta`] on its way into the log: its puts are the snapshot's
-/// own `Arc`s, so folding them into the head copies nothing.
+/// own `Arc`s under their rendered addresses, so folding them into the head
+/// copies nothing.
 #[derive(Default)]
 struct SharedDelta {
-    puts: Vec<Arc<DeployedResource>>,
+    puts: Vec<(String, Arc<Record>)>,
     dels: Vec<String>,
     outputs: Option<BTreeMap<String, Value>>,
 }
@@ -96,7 +105,9 @@ impl SharedDelta {
 impl From<StateDelta> for SharedDelta {
     fn from(delta: StateDelta) -> SharedDelta {
         SharedDelta {
-            puts: delta.puts.into_iter().map(Arc::new).collect(),
+            puts: (delta.puts.into_iter())
+                .map(|r| (r.addr.to_string(), Arc::new(Record::put(r))))
+                .collect(),
             dels: delta.dels,
             outputs: delta.outputs,
         }
@@ -130,15 +141,15 @@ pub struct VersionDiff {
     pub changed: Vec<DiffEntry>,
 }
 
-/// The log-structured store: append-only device + blob index +
-/// materialized current world.
+/// The log-structured store: append-only device + blob index + the head's
+/// world.
 pub struct LogStore {
     pub(crate) device: Box<dyn LogDevice>,
     pub(crate) cas: Cas,
     pub(crate) versions: Vec<VersionRecord>,
     pub(crate) current: Snapshot,
-    /// Current world as address → content hash (the fold of all deltas).
-    pub(crate) current_hashes: BTreeMap<String, ContentHash>,
+    /// The log's text as the open read it: the bodies of its blobs.
+    log: Arc<LogImage>,
     /// Delta entries appended since the last checkpoint record.
     pub(crate) entries_since_checkpoint: usize,
     /// Versions appended since the last checkpoint record (the lag gauge).
@@ -195,7 +206,7 @@ impl LogStore {
             cas: Cas::new(),
             versions: Vec::new(),
             current: Snapshot::new(),
-            current_hashes: BTreeMap::new(),
+            log: Arc::default(),
             entries_since_checkpoint: 0,
             versions_since_checkpoint: 0,
             program_head: None,
@@ -221,10 +232,9 @@ impl LogStore {
     /// Replace the materialized world without committing a version
     /// (legacy-state adoption; serial is taken from the snapshot).
     fn seed(&mut self, snapshot: Snapshot) {
-        self.current_hashes.clear();
-        for (addr, r) in snapshot.resources() {
-            let (hash, _) = self.cas.insert(encode_resource(r).into());
-            self.current_hashes.insert(addr.clone(), hash);
+        for r in snapshot.resources().values() {
+            let Body { hash, text } = r.body().clone();
+            self.cas.insert_at(hash, text);
         }
         self.current = snapshot;
     }
@@ -236,39 +246,68 @@ impl LogStore {
     }
 
     /// Open any device: scan, replaying each record into the in-memory
-    /// indexes as it is decoded, recover the tail if torn (persisted via
-    /// `truncate`), then decode the live world.
+    /// indexes as it is read, recover the tail if torn (persisted via
+    /// `truncate`), then read the head's records as far as their heads.
     ///
-    /// Each byte of the log is visited once and each live resource decoded
-    /// once: a blob line's body is unescaped straight into the blob index
-    /// (never parsed as JSON there), no list of records is built, the raw
-    /// bytes are dropped before the world is materialized, and only the
-    /// blobs the head still references are decoded.
+    /// Each byte of the log is visited once by the scan, and each live
+    /// body once more for its head: a blob line is indexed by where its
+    /// body sits (checked, never unescaped or parsed as JSON there), no
+    /// list of records is built, and no body is decoded. The text is kept:
+    /// the records point into it.
     pub fn open_device(
         mut device: Box<dyn LogDevice>,
     ) -> Result<(LogStore, RecoveryReport), StoreError> {
-        let bytes = device.read_all()?;
+        let mut bytes = device.read_all()?;
         let mut store = LogStore::empty(device, 0);
         let mut head_at = None;
+        // the fold of every delta, and where each blob's body sits
+        let mut live = BTreeMap::new();
+        let mut blobs = Vec::new();
         let outcome = scan_at(&bytes, |record, at| {
-            if let LogRecord::Version(_) = record {
-                head_at = Some(at);
+            match record {
+                Indexed::Blob(hash, body) => {
+                    let at = payload_at(at);
+                    blobs.push((hash, at + body.start..at + body.end));
+                }
+                Indexed::Version(v) => {
+                    head_at = Some(at);
+                    store.replay(v, &mut live)?;
+                }
+                Indexed::Checkpoint(c) => {
+                    // a checkpoint is a fold of everything before it — the
+                    // replayed map must agree, otherwise the log is damaged
+                    if !c.folds_to(&live) {
+                        return Err(StoreError::Corrupt(format!(
+                            "checkpoint at serial {} disagrees with replayed state",
+                            c.serial
+                        )));
+                    }
+                    store.entries_since_checkpoint = 0;
+                    store.versions_since_checkpoint = 0;
+                }
             }
-            store.replay(record)
+            Ok(())
         })?;
         store.head = head_at.map_or(0, |at| frame_sum(&bytes[at..]));
-        drop(bytes);
         store.log_bytes = outcome.keep_len;
         if outcome.torn_bytes > 0 {
             store.device.truncate(outcome.keep_len)?;
             store.torn_recoveries = 1;
+        }
+        bytes.truncate(outcome.keep_len as usize);
+        // every whole line is UTF-8, and so is what they make up
+        let text = String::from_utf8(bytes)
+            .map_err(|e| StoreError::Corrupt(format!("the log is not UTF-8: {e}")))?;
+        store.log = Arc::new(LogImage::new(text));
+        for (hash, body) in blobs {
+            (store.cas).insert_at(hash, Text::Logged(Arc::clone(&store.log), body));
         }
         if outcome.keep_len == 0 {
             // brand-new log (or one whose first-ever append tore inside
             // the header): stamp the header
             store.append(format!("{LOG_MAGIC}\n").as_bytes())?;
         }
-        store.materialize_current()?;
+        store.current = store.read_head(live)?;
         let report = RecoveryReport {
             torn_bytes_dropped: outcome.torn_bytes,
             versions: store.versions.len(),
@@ -276,83 +315,59 @@ impl LogStore {
         Ok((store, report))
     }
 
-    fn replay(&mut self, record: LogRecord) -> Result<(), StoreError> {
-        match record {
-            LogRecord::Blob(b) => {
-                self.cas.insert_at(b.hash, b.body);
-            }
-            LogRecord::Version(v) => {
-                if let (None, Some(patch)) = (v.config, &v.patch) {
-                    // a patch edits the newest program before it; any
-                    // other base is not something this store wrote
-                    let head = self.program_head.and_then(|i| self.versions.get(i));
-                    let head = head.map(|v| v.serial);
-                    if head != Some(patch.base) {
-                        return Err(StoreError::Corrupt(format!(
-                            "version {} patches the program of serial {}, not of the \
-                             newest version that has one ({head:?})",
-                            v.serial, patch.base
-                        )));
-                    }
-                }
-                if v.has_program() {
-                    self.program_head = Some(self.versions.len());
-                }
-                for p in &v.puts {
-                    self.current_hashes.insert(p.addr.clone(), p.hash);
-                }
-                for d in &v.dels {
-                    self.current_hashes.remove(&d.addr);
-                }
-                self.current.serial = v.serial;
-                self.entries_since_checkpoint += v.delta_len();
-                self.versions_since_checkpoint += 1;
-                self.versions.push(v);
-            }
-            LogRecord::Checkpoint(c) => {
-                // a checkpoint is a fold of everything before it — the
-                // replayed map must agree, otherwise the log is damaged
-                if !c.folds_to(&self.current_hashes) {
-                    return Err(StoreError::Corrupt(format!(
-                        "checkpoint at serial {} disagrees with replayed state",
-                        c.serial
-                    )));
-                }
-                self.entries_since_checkpoint = 0;
-                self.versions_since_checkpoint = 0;
+    /// Fold one version into the replayed world `live`.
+    fn replay(
+        &mut self,
+        v: VersionRecord,
+        live: &mut BTreeMap<String, ContentHash>,
+    ) -> Result<(), StoreError> {
+        if let (None, Some(patch)) = (v.config, &v.patch) {
+            // a patch edits the newest program before it; any
+            // other base is not something this store wrote
+            let head = self.program_head.and_then(|i| self.versions.get(i));
+            let head = head.map(|v| v.serial);
+            if head != Some(patch.base) {
+                return Err(StoreError::Corrupt(format!(
+                    "version {} patches the program of serial {}, not of the \
+                     newest version that has one ({head:?})",
+                    v.serial, patch.base
+                )));
             }
         }
+        if v.has_program() {
+            self.program_head = Some(self.versions.len());
+        }
+        for p in &v.puts {
+            live.insert(p.addr.clone(), p.hash);
+        }
+        for d in &v.dels {
+            live.remove(&d.addr);
+        }
+        self.current.serial = v.serial;
+        self.entries_since_checkpoint += v.delta_len();
+        self.versions_since_checkpoint += 1;
+        self.versions.push(v);
         Ok(())
     }
 
-    /// Decode the current world from `current_hashes` and take the last
-    /// version's outputs (open-time only: after that, `current` is
-    /// maintained incrementally).
-    fn materialize_current(&mut self) -> Result<(), StoreError> {
-        let (cas, hashes) = (&self.cas, &self.current_hashes);
-        let decode = |(addr, hash): (&String, &ContentHash)| {
-            let body = cas.get(hash).ok_or_else(|| {
+    /// The head's world from the replayed fold `live`: each record read as
+    /// far as its head, which must name the address it is stored under, and
+    /// the last version's outputs.
+    fn read_head(&self, live: BTreeMap<String, ContentHash>) -> Result<Snapshot, StoreError> {
+        let mut scratch = String::new();
+        let records = live.into_iter().map(|(addr, hash)| {
+            let text = self.cas.get(&hash).cloned().ok_or_else(|| {
                 StoreError::Corrupt(format!("resource {addr} references missing blob {hash}"))
             })?;
-            let r = decode_resource(addr, &body).map_err(StoreError::Corrupt)?;
-            Ok::<_, StoreError>((addr.clone(), Arc::new(r)))
-        };
-        let decode_from = |skip: usize, take: usize| {
-            let part = hashes.iter().skip(skip).take(take);
-            part.map(decode).collect::<Result<Vec<_>, _>>()
-        };
-        // in two halves, the second on a helper; the first damaged blob by
-        // address is the one reported
-        let half = hashes.len() / 2;
-        let (second, first) = join(|| decode_from(half, usize::MAX), || decode_from(0, half));
-        // the hashes are in address order, so the map is built from one
-        // sorted run rather than by an insert per resource
-        let resources = first?.into_iter().chain(second?).collect();
+            let r = Record::logged(&addr, hash, text, &mut scratch).map_err(StoreError::Corrupt)?;
+            Ok((addr, Arc::new(r)))
+        });
+        // in address order, so the map is built from one sorted run
+        let resources = records.collect::<Result<_, StoreError>>()?;
         let outputs = self.versions.last().map(|v| v.outputs.clone());
         let (serial, outputs) = (self.current.serial, outputs.unwrap_or_default());
-        self.current =
-            Snapshot::from_records(serial, resources, outputs).map_err(StoreError::Corrupt)?;
-        Ok(())
+        let log = Some(Arc::clone(&self.log));
+        Ok(Snapshot::indexed(serial, resources, outputs, log))
     }
 
     /// Whether the device keeps a memo image beside the log.
@@ -415,6 +430,12 @@ impl LogStore {
         self.cas.dedup_hits()
     }
 
+    /// Records decoded from the log's text since the open: by a first
+    /// read of the head's world, and by the time machine.
+    pub fn records_decoded(&self) -> u64 {
+        self.log.decoded()
+    }
+
     /// Versions appended since the last checkpoint record.
     pub fn checkpoint_lag(&self) -> usize {
         self.versions_since_checkpoint
@@ -471,7 +492,7 @@ impl LogStore {
             return Some(Arc::clone(text));
         }
         let (patches, full) = self.program_chain(at)?;
-        let full = self.cas.get(&full)?;
+        let full = self.cas.get(&full)?.to_shared().ok()?;
         if patches.is_empty() {
             return Some(full);
         }
@@ -529,14 +550,15 @@ impl LogStore {
     }
 
     fn delta_is_noop(&self, delta: &StateDelta) -> bool {
-        let puts_noop = delta
-            .puts
-            .iter()
-            .all(|r| self.current.get(&r.addr) == Some(r));
+        // by content: a record nobody has read is not decoded to compare
+        let puts_noop = delta.puts.iter().all(|r| {
+            let hash = ContentHash::of(&encode_resource(r));
+            self.current.hash_of(&r.addr.to_string()) == Some(hash)
+        });
         let dels_noop = delta
             .dels
             .iter()
-            .all(|addr| !self.current_hashes.contains_key(addr));
+            .all(|addr| !self.current.resources().contains_key(addr));
         let outputs_noop = delta
             .outputs
             .as_ref()
@@ -590,9 +612,10 @@ impl LogStore {
     }
 
     /// Diff `target` against the current world: one walk of the two in
-    /// address order. A resource the target still shares with the head is
-    /// skipped on its pointer; only one that was put since is compared by
-    /// value, and only one that differs is encoded.
+    /// address order. A record the target still shares with the head is
+    /// skipped on its pointer; only one that was put since is compared, by
+    /// its content hash (it is encoded for that, once, as the commit would
+    /// encode it), and nothing is decoded.
     fn delta_from_snapshot(&self, target: &Snapshot) -> SharedDelta {
         let mut delta = SharedDelta::default();
         let mut head = self.current.resources().iter().peekable();
@@ -603,7 +626,7 @@ impl LogStore {
             }
             match head.next_if(|(held, _)| *held == addr) {
                 Some((_, held)) if Arc::ptr_eq(held, r) || held == r => {}
-                _ => delta.puts.push(Arc::clone(r)),
+                _ => delta.puts.push((addr.clone(), Arc::clone(r))),
             }
         }
         delta.dels.extend(head.map(|(gone, _)| gone.clone()));
@@ -614,25 +637,32 @@ impl LogStore {
     }
 
     /// The single append path: write new blobs + the version record, then
-    /// maybe fold a checkpoint.
+    /// maybe fold a checkpoint. Refused once a record read from the log
+    /// has not decoded: what was read of it is its head alone.
     fn commit_at(
         &mut self,
         serial: u64,
         delta: SharedDelta,
         meta: CommitMeta,
     ) -> Result<(), StoreError> {
+        self.current.check()?;
         let mut lines = String::new();
         // blobs this commit adds to the CAS, to take back if the append fails
         let mut new_blobs: Vec<ContentHash> = Vec::new();
         // a body goes to the blob index and, when new, into the append
         // buffer as a framed blob line: shared, never copied in between
-        let mut intern = |cas: &mut Cas, body: Arc<str>| {
-            let (hash, added) = cas.insert(body.clone());
-            if added {
-                new_blobs.push(hash);
+        let mut intern = |cas: &mut Cas, Body { hash, text }: Body| {
+            if !cas.contains(&hash) {
+                let body = text.to_shared().map_err(|why| {
+                    // nothing is appended, so nothing this commit indexed stays
+                    new_blobs.drain(..).for_each(|hash| cas.evict(&hash));
+                    StoreError::Corrupt(why)
+                })?;
                 frame_into(&mut lines, Framed::Blob(&BlobRecord { hash, body }));
+                new_blobs.push(hash);
             }
-            hash
+            cas.insert_at(hash, text);
+            Ok::<_, StoreError>(hash)
         };
         let mut resources = Vec::with_capacity(delta.puts.len());
         let mut puts = Vec::with_capacity(delta.puts.len());
@@ -641,12 +671,11 @@ impl LogStore {
         // *through* the delta when it touches an address twice, which is
         // what fsck's replay and the undo walk both expect
         let mut staged: BTreeMap<String, Option<ContentHash>> = BTreeMap::new();
-        for r in delta.puts {
-            let addr = r.addr.to_string();
-            let hash = intern(&mut self.cas, encode_resource(&r).into());
+        for (addr, r) in delta.puts {
+            let hash = intern(&mut self.cas, r.body().clone())?;
             let prev = match staged.get(&addr) {
                 Some(s) => *s,
-                None => self.current_hashes.get(&addr).copied(),
+                None => self.current.hash_of(&addr),
             };
             staged.insert(addr.clone(), Some(hash));
             puts.push(PutEntry { addr, hash, prev });
@@ -656,7 +685,7 @@ impl LogStore {
         for addr in delta.dels {
             let prev = match staged.get(&addr) {
                 Some(s) => *s,
-                None => self.current_hashes.get(&addr).copied(),
+                None => self.current.hash_of(&addr),
             };
             // deleting an absent address is a no-op, not an undo entry
             if let Some(prev) = prev {
@@ -673,7 +702,12 @@ impl LogStore {
             patch = self.patch_for(&source);
             let text: Arc<str> = source.into();
             if patch.is_none() {
-                config = Some(intern(&mut self.cas, Arc::clone(&text)));
+                let hash = ContentHash::of(&text);
+                let body = Body {
+                    hash,
+                    text: Text::Owned(Arc::clone(&text)),
+                };
+                config = Some(intern(&mut self.cas, body)?);
             }
             program_text = Some(text);
         }
@@ -705,11 +739,9 @@ impl LogStore {
         self.head = frame_sum(&lines.as_bytes()[version_at..]);
         // fold into the in-memory state
         for (r, p) in resources.into_iter().zip(&version.puts) {
-            self.current_hashes.insert(p.addr.clone(), p.hash);
             self.current.insert(p.addr.clone(), r);
         }
         for d in &version.dels {
-            self.current_hashes.remove(&d.addr);
             self.current.take(&d.addr);
         }
         self.current.serial = serial;
@@ -732,6 +764,8 @@ impl LogStore {
         );
         self.recorder
             .gauge("state.records_deduped", self.cas.dedup_hits() as f64);
+        self.recorder
+            .gauge("state.records_decoded", self.log.decoded() as f64);
         Ok(())
     }
 
@@ -740,7 +774,7 @@ impl LogStore {
     /// replay long cold prefixes, rare enough that checkpoints stay a
     /// small fraction of log bytes at scale.
     fn checkpoint_due(&self) -> bool {
-        CheckpointRecord::due(self.entries_since_checkpoint, self.current_hashes.len())
+        CheckpointRecord::due(self.entries_since_checkpoint, self.current.len())
     }
 
     /// Fold a checkpoint if one is due. The version before it is already
@@ -756,10 +790,8 @@ impl LogStore {
     pub fn append_checkpoint(&mut self) -> Result<(), StoreError> {
         let fold = CheckpointRecord {
             serial: self.current.serial,
-            entries: self
-                .current_hashes
-                .iter()
-                .map(|(a, h)| (a.clone(), *h))
+            entries: (self.current.hashes())
+                .map(|(a, h)| (a.clone(), h))
                 .collect(),
             outputs: self.current.outputs.clone(),
         };
@@ -810,8 +842,8 @@ impl LogStore {
 
     /// Materialize the full snapshot at a historical serial: the head's
     /// world, shared, with every address touched since put back to what it
-    /// held then. The backward walk and the decoding are O(delta); only the
-    /// keys are O(world at target). `None` if the serial is not an
+    /// held then, decoded. The backward walk and the decoding are O(delta);
+    /// only the keys are O(world at target). `None` if the serial is not an
     /// addressable version, or a record it needs is damaged or stored under
     /// another address (`fsck` says which).
     pub fn snapshot_at(&self, serial: u64) -> Option<Snapshot> {
@@ -827,10 +859,10 @@ impl LogStore {
         for (addr, want) in self.touched_since(serial) {
             match want {
                 // touched and since put back: the head's copy is the one
-                Some(hash) if self.current_hashes.get(&addr) == Some(&hash) => {}
+                Some(hash) if self.current.hash_of(&addr) == Some(hash) => {}
                 Some(hash) => {
-                    let r = decode_resource(&addr, &self.cas.get(&hash)?).ok()?;
-                    snap.insert(addr, Arc::new(r));
+                    let r = self.record_at(&addr, hash).ok()?;
+                    snap.insert(addr, r);
                 }
                 None => {
                     snap.take(&addr);
@@ -864,6 +896,17 @@ impl LogStore {
         touched
     }
 
+    /// The record `hash` under `addr`, decoded: refused when the blob is
+    /// missing or damaged, or holds another address's record.
+    fn record_at(&self, addr: &str, hash: ContentHash) -> Result<Arc<Record>, StoreError> {
+        let text =
+            self.cas.get(&hash).cloned().ok_or_else(|| {
+                StoreError::Corrupt(format!("{addr} references missing blob {hash}"))
+            })?;
+        let r = Record::decoded(addr, hash, text).map_err(StoreError::Corrupt)?;
+        Ok(Arc::new(r))
+    }
+
     /// Commit the inverse delta that returns the world to `target`
     /// serial. O(delta between target and head): only addresses touched
     /// since the target are examined, decoded, and re-logged. Returns
@@ -882,18 +925,13 @@ impl LogStore {
         for (addr, want) in self.touched_since(target) {
             match want {
                 Some(hash) => {
-                    if self.current_hashes.get(&addr) != Some(&hash) {
-                        let body = self.cas.get(&hash).ok_or_else(|| {
-                            StoreError::Corrupt(format!(
-                                "rollback target references missing blob {hash}"
-                            ))
-                        })?;
-                        let r = decode_resource(&addr, &body).map_err(StoreError::Corrupt)?;
-                        delta.puts.push(Arc::new(r));
+                    if self.current.hash_of(&addr) != Some(hash) {
+                        let r = self.record_at(&addr, hash)?;
+                        delta.puts.push((addr, r));
                     }
                 }
                 None => {
-                    if self.current_hashes.contains_key(&addr) {
+                    if self.current.resources().contains_key(&addr) {
                         delta.dels.push(addr);
                     }
                 }
@@ -977,7 +1015,7 @@ impl LogStore {
     /// record, so the full copy a chain of program patches ends in is
     /// kept with the version that wrote it.
     pub(crate) fn reachable_hashes(&self) -> HashSet<ContentHash> {
-        let mut keep: HashSet<ContentHash> = self.current_hashes.values().copied().collect();
+        let mut keep: HashSet<ContentHash> = self.current.hashes().map(|(_, h)| h).collect();
         for v in &self.versions {
             for p in &v.puts {
                 keep.insert(p.hash);
@@ -999,6 +1037,7 @@ impl LogStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::LogRecord;
     use cloudless_types::{Region, ResourceAddr, ResourceId};
 
     pub(crate) fn res(addr: &str, name: &str) -> DeployedResource {
@@ -1277,6 +1316,125 @@ mod tests {
             e.contains("put aws_vpc.a: the record stored under aws_vpc.a is that of aws_vpc.b")
         };
         assert!(report.errors.iter().any(named), "{}", report.render());
+    }
+
+    /// A log putting `aws_vpc.a` = "a" and `aws_vpc.b` = "b", with the body
+    /// of a's blob replaced by `forge` of it under a valid checksum (and
+    /// its framed hash kept): damage only a reader of the body can see.
+    fn forged(forge: impl Fn(&str) -> String) -> Vec<u8> {
+        let mut store = LogStore::in_memory();
+        let (a, b) = (res("aws_vpc.a", "a"), res("aws_vpc.b", "b"));
+        let both = StateDelta {
+            puts: vec![a.clone(), b],
+            ..Default::default()
+        };
+        store.commit(both, CommitMeta::bare("both")).unwrap();
+        let target = encode_resource(&a);
+        let text = String::from_utf8(store.device.read_all().unwrap()).unwrap();
+        let mut out = String::new();
+        for line in text.lines() {
+            let payload = line.split_once(' ').map_or("", |(_, payload)| payload);
+            match serde_json::from_str(payload) {
+                Ok(LogRecord::Blob(blob)) if *blob.body == target => {
+                    let body = forge(&blob.body);
+                    assert_ne!(body, target);
+                    let hash = blob.hash;
+                    let body = body.into();
+                    frame_into(&mut out, Framed::Blob(&BlobRecord { hash, body }));
+                }
+                _ => out.push_str(&format!("{line}\n")),
+            }
+        }
+        out.into_bytes()
+    }
+
+    /// The head of `aws_vpc.a`'s body does not decode: its id is a number.
+    fn head_forged() -> Vec<u8> {
+        forged(|body| body.replacen("\"id\":\"id-1\"", "\"id\":7", 1))
+    }
+
+    /// The head of `aws_vpc.a`'s body decodes, the rest is not JSON.
+    fn tail_forged() -> Vec<u8> {
+        forged(|body| body.replacen("\"region\":\"us-east-1\"", "\"region\":us-east-1", 1))
+    }
+
+    fn opened(bytes: Vec<u8>) -> Result<LogStore, StoreError> {
+        LogStore::open_device(Box::new(MemDevice::from_bytes(bytes))).map(|(store, _)| store)
+    }
+
+    #[test]
+    fn open_refuses_a_live_record_whose_head_does_not_decode() {
+        let err = opened(head_forged()).expect_err("refused").to_string();
+        assert!(err.contains("corrupt resource record"), "{err}");
+        assert!(err.contains("field `id`"), "{err}");
+    }
+
+    /// A body whose head reads opens; the first read of the rest reads it
+    /// as its head alone and reports it, so the snapshot and every commit
+    /// are refused, naming the address — and `fsck` names it too.
+    #[test]
+    fn a_live_record_whose_tail_does_not_decode_stops_its_first_reader() {
+        let addr: cloudless_types::ResourceAddr = "aws_vpc.a".parse().unwrap();
+        let named = |e: StoreError| {
+            let e = e.to_string();
+            assert!(e.contains("the record of aws_vpc.a does not decode"), "{e}");
+        };
+
+        let mut store = opened(tail_forged()).expect("the head reads");
+        assert!(store.current().check().is_ok());
+        assert_eq!(store.records_decoded(), 0);
+        let held = store.current().get(&addr).expect("held").clone();
+        assert_eq!((held.id.as_str(), held.attrs.len()), ("id-1", 0));
+        named(store.current().check().expect_err("refused"));
+        let again = store.commit(StateDelta::default(), CommitMeta::bare("after"));
+        named(again.expect_err("no commit after a damaged read"));
+        assert_eq!((store.serial(), store.history().len()), (1, 1));
+
+        // the render reads it too; b is rendered whole
+        let store = opened(tail_forged()).expect("the head reads");
+        let json = store.current().to_json();
+        named(store.current().check().expect_err("the render refuses"));
+        assert!(json.contains("\"name\": \"b\""), "{json}");
+
+        for bytes in [head_forged(), tail_forged()] {
+            let report = crate::fsck_bytes(&bytes);
+            let put = |e: &String| e.contains("put aws_vpc.a: corrupt resource record");
+            assert!(report.errors.iter().any(put), "{}", report.render());
+        }
+    }
+
+    /// A one-record edit of a log of `records` records, reopened: what
+    /// `snapshot_at` the version before it and a `rollback_to` it decode.
+    fn rewind_decodes(records: usize) -> (u64, u64) {
+        let mut store = LogStore::in_memory();
+        let world: Vec<_> = (0..records)
+            .map(|i| res(&format!("aws_vpc.v{i:05}"), "a"))
+            .collect();
+        let all = StateDelta {
+            puts: world,
+            ..Default::default()
+        };
+        store.commit(all, CommitMeta::bare("world")).unwrap();
+        put(&mut store, "aws_vpc.v00007", "b");
+        let bytes = store.device.read_all().unwrap();
+        let mut store = opened(bytes).expect("opens");
+        assert_eq!(store.records_decoded(), 0);
+        let before = store.snapshot_at(store.serial() - 1).expect("addressable");
+        assert_eq!(before.len(), records);
+        let rewound = store.records_decoded();
+        let meta = CommitMeta::bare("rollback");
+        assert_eq!(store.rollback_to(1, meta).unwrap(), Some(3));
+        let rolled = store.records_decoded() - rewound;
+        let v7 = store.current().get_str("aws_vpc.v00007").expect("held");
+        assert_eq!(v7.attr("name"), Some(&Value::from("a")));
+        (rewound, rolled)
+    }
+
+    #[test]
+    fn the_time_machine_decodes_the_delta_not_the_world() {
+        let small = rewind_decodes(1_000);
+        assert_eq!(small, rewind_decodes(8_000));
+        assert_eq!(small, (1, 1));
     }
 
     #[test]

@@ -154,7 +154,7 @@ fn assert_indexed_as_scanned(snap: &Snapshot, issued: usize) {
     for n in 0..issued {
         let id = format!("id-{n}");
         let scanned = snap.resources().values().find(|r| r.id.as_str() == id);
-        prop_assert_eq!(snap.by_id(&id), scanned.map(|r| &**r), "{}", id);
+        prop_assert_eq!(snap.by_id(&id), scanned.map(|r| r.resource()), "{}", id);
     }
 }
 

@@ -2,7 +2,10 @@
 //! session files and the state log are made of.
 //!
 //! Three laws, for `Value`, `DeployedResource`, `LogRecord` and the
-//! cloud's `ResourceRecord`:
+//! cloud's `ResourceRecord`, and one of the state document: a snapshot
+//! reopened from the log renders its unread records as decoded ones.
+//!
+//! The three:
 //!
 //! 1. typed round trip — `from_str(to_string(x)) == x`;
 //! 2. text round trip — reading the compact text as untyped [`Json`] and
@@ -20,7 +23,7 @@ use cloudless_cloud::ResourceRecord;
 use cloudless_state::log::{
     BlobRecord, CheckpointRecord, DelEntry, LogRecord, ProgramPatch, PutEntry, VersionRecord,
 };
-use cloudless_state::{ContentHash, DeployedResource};
+use cloudless_state::{CommitMeta, ContentHash, DeployedResource, LogStore, MemDevice, StateDelta};
 use cloudless_types::{Attrs, ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
 use proptest::prelude::*;
 use serde::{Deserialize, Json, Serialize};
@@ -236,6 +239,37 @@ proptest! {
     #[test]
     fn log_records_round_trip(r in log_record()) {
         assert_round_trips(&r);
+    }
+
+    /// A snapshot reopened from the log renders its records unread, by
+    /// re-indenting their bodies: byte for byte what it renders once every
+    /// record is decoded, and what the snapshot committed rendered.
+    #[test]
+    fn an_unread_snapshot_renders_as_a_decoded_one(
+        records in proptest::collection::vec(deployed(), 0..6),
+        outputs in outputs(),
+    ) {
+        let mut store = LogStore::in_memory();
+        let delta = StateDelta {
+            puts: records,
+            outputs: Some(outputs),
+            ..StateDelta::default()
+        };
+        store.commit(delta, CommitMeta::bare("render")).expect("commits");
+        let committed = store.current().to_json();
+        let bytes = store.into_device().read_all().expect("reads");
+        let (reopened, _) = LogStore::open_device(Box::new(MemDevice::from_bytes(bytes)))
+            .expect("reopens");
+        let unread = reopened.current().to_json();
+        prop_assert_eq!(reopened.records_decoded(), 0);
+        for r in reopened.current().resources().values() {
+            r.resource();
+        }
+        let held = reopened.current().len() as u64;
+        prop_assert_eq!(reopened.records_decoded(), held);
+        prop_assert_eq!(&unread, &reopened.current().to_json());
+        prop_assert_eq!(&unread, &committed);
+        prop_assert!(reopened.current().check().is_ok());
     }
 
     #[test]

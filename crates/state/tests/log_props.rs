@@ -11,7 +11,6 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use cloudless_state::log::MAX_PATCH_CHAIN;
 use cloudless_state::{fsck_bytes, CommitMeta, DeployedResource, LogStore, Snapshot, StateDelta};
@@ -69,7 +68,7 @@ fn scratch_log() -> PathBuf {
 /// committed version.
 #[derive(Clone, Debug, PartialEq)]
 struct Model {
-    resources: BTreeMap<String, Arc<DeployedResource>>,
+    resources: BTreeMap<String, DeployedResource>,
     outputs: BTreeMap<String, Value>,
 }
 
@@ -98,9 +97,7 @@ fn drive(path: &Path, ops: &[Op]) -> (LogStore, Vec<(u64, Model)>) {
         // model mirrors the store's delta semantics: all puts apply in
         // order, then all deletes
         for r in &delta.puts {
-            model
-                .resources
-                .insert(r.addr.to_string(), Arc::new(r.clone()));
+            model.resources.insert(r.addr.to_string(), r.clone());
         }
         for a in &delta.dels {
             model.resources.remove(a);
@@ -119,7 +116,8 @@ fn drive(path: &Path, ops: &[Op]) -> (LogStore, Vec<(u64, Model)>) {
 }
 
 fn assert_matches_model(snap: &Snapshot, model: &Model) {
-    assert_eq!(snap.resources(), &model.resources);
+    let held = snap.resources().iter().map(|(a, r)| (a, r.resource()));
+    assert!(held.eq(&model.resources));
     assert_eq!(snap.outputs, model.outputs);
 }
 
@@ -139,7 +137,9 @@ proptest! {
         prop_assert_eq!(recovery.torn_bytes_dropped, 0);
         prop_assert_eq!(reopened.serial(), store.serial());
         assert_matches_model(reopened.current(), &Model {
-            resources: store.current().resources().clone(),
+            resources: (store.current().resources().iter())
+                .map(|(a, r)| (a.clone(), r.resource().clone()))
+                .collect(),
             outputs: store.current().outputs.clone(),
         });
         for (serial, model) in &committed {

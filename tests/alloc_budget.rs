@@ -35,7 +35,10 @@
 //!
 //! And opening the state log of the 10 000-resource estate
 //! (`opening_the_state_log_scans_within_budget`): its scan allocates once a
-//! resource body, not once per growth of one.
+//! resource body, not once per growth of one. The open itself decodes no
+//! record, a `get` the one it reads and the `state.json` render none, and
+//! it allocates a constant per live record
+//! (`opening_the_state_log_decodes_no_record`).
 //!
 //! And what an engine keeps once it has converged the estate
 //! (`a_converged_engine_keeps_a_constant_per_block`): its memo, state and
@@ -674,6 +677,67 @@ fn opening_the_state_log_scans_within_budget() {
     );
     assert!(records > BLOCKS, "{records} records");
     assert!(scan.allocs <= 60_000, "{scan:?}");
+}
+
+/// Most allocations the open of the 10 000-resource estate's log may make
+/// per live record: measured 72 679 in all (7.3 a record: its key, its
+/// `Arc`, its cloud id, the head's address read and dropped, the version's
+/// put entry and the maps' nodes), plus 10%.
+const OPEN_ALLOCS_PER_RECORD: f64 = 8.0;
+
+/// Opening the same log builds no world: the scan indexes each blob by
+/// where its body sits and each live record is read as far as its head, so
+/// the open decodes no record; a `get` decodes the one it reads, and the
+/// `state.json` render re-indents the bodies nobody has read.
+#[test]
+fn opening_the_state_log_decodes_no_record() {
+    let _serial = counting::serial();
+    use cloudless::{Cloudless, Config};
+    use cloudless_cloud::CloudConfig;
+    use cloudless_state::{CommitMeta, LogStore, MemDevice};
+
+    const BLOCKS: usize = 10_000;
+    let source = random_layered(BLOCKS, 42);
+    let mut engine = Cloudless::new(Config {
+        cloud: CloudConfig {
+            catalog: quota_raised_catalog(),
+            ..CloudConfig::exact()
+        },
+        ..Config::default()
+    });
+    assert!(engine
+        .converge(&source)
+        .expect("the estate converges")
+        .apply
+        .all_ok());
+    let mut store = LogStore::in_memory();
+    let meta = CommitMeta {
+        config_source: Some(source.clone()),
+        ..CommitMeta::bare("apply")
+    };
+    store
+        .commit_snapshot(engine.state(), meta)
+        .expect("the world commits");
+    let rendered = engine.state().to_json();
+    let addr = engine.state().addrs()[BLOCKS / 2].clone();
+    drop((source, engine));
+    let bytes = store.into_device().read_all().expect("the log reads");
+
+    let (opened, open) = counted(|| LogStore::open_device(Box::new(MemDevice::from_bytes(bytes))));
+    let (store, _) = opened.expect("the log opens");
+    println!("open of the {BLOCKS}-resource log: {open:?}");
+    assert_eq!(store.current().len(), BLOCKS);
+    assert_eq!(store.records_decoded(), 0, "the open decodes no record");
+    assert!(store.current().get(&addr).is_some());
+    assert_eq!(
+        store.records_decoded(),
+        1,
+        "a get decodes the record it reads"
+    );
+    assert_eq!(store.current().to_json(), rendered);
+    assert_eq!(store.records_decoded(), 1, "the render decodes nothing");
+    let per_record = open.allocs as f64 / BLOCKS as f64;
+    assert!(per_record <= OPEN_ALLOCS_PER_RECORD, "{open:?}");
 }
 
 /// The bytes an engine keeps per block once it has converged
