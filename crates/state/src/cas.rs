@@ -28,12 +28,14 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013B;
 
 /// FNV-1a 64-bit — the log's per-line checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
+    bytes.iter().fold(FNV64_OFFSET, |h, &b| fnv64_byte(h, b))
+}
+
+/// One byte more of an FNV-1a 64-bit hash `h`: for a walk that hashes a
+/// line while it reads it.
+#[inline]
+pub(crate) fn fnv64_byte(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
 }
 
 /// FNV-1a 64-bit of the bytes before the first `\n` (of all of them when
@@ -46,8 +48,7 @@ pub fn fnv64_line(bytes: &[u8]) -> (u64, Option<usize>) {
         if b == b'\n' {
             return (h, Some(i));
         }
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
+        h = fnv64_byte(h, b);
     }
     (h, None)
 }
@@ -228,6 +229,15 @@ impl Text {
                 .get(at.clone())
                 .is_some_and(|raw| lay_out(raw, pretty, level, out)),
             Text::Owned(_) => false,
+        }
+    }
+
+    /// The body's text as its frame escapes it, when it sits in a log read
+    /// at open.
+    pub(crate) fn escaped(&self) -> Option<&str> {
+        match self {
+            Text::Owned(_) => None,
+            Text::Logged(image, at) => image.text.get(at.clone()),
         }
     }
 

@@ -52,7 +52,7 @@ use std::sync::Arc;
 use cloudless_types::{join, SimTime, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::cas::{fnv64, fnv64_line, ContentHash};
+use crate::cas::{fnv64, fnv64_byte, fnv64_line, ContentHash};
 
 /// The first line of every state log.
 pub const LOG_MAGIC: &str = "cloudless-statelog v1";
@@ -306,6 +306,10 @@ impl<'a> From<&'a LogRecord> for Framed<'a> {
 /// sits in the payload — the text of the JSON string, escapes and all,
 /// checked but not unescaped — and any other record whole. Blob and record
 /// are the same text [`LogRecord`] reads, accepted and refused alike.
+///
+/// A blob line in the one layout the store writes is read by
+/// `blob_line`, one pass that checksums it and checks its body; every
+/// other line by the codec, as [`LogRecord`] is.
 #[derive(Debug)]
 pub(crate) enum Indexed {
     Blob(ContentHash, Range<usize>),
@@ -351,6 +355,147 @@ impl Deserialize for Indexed {
         }
         Ok(record)
     }
+}
+
+impl FrameRecord for Indexed {
+    fn fast_line(bytes: &[u8]) -> Option<(usize, Indexed)> {
+        let (len, hash, body) = blob_line(bytes)?;
+        Some((len, Indexed::Blob(hash, body)))
+    }
+}
+
+impl FrameRecord for LogRecord {}
+
+/// A record type a [`Frames`] walk reads lines as. Every line is read by
+/// the codec — the checksum field, then the payload parsed — unless the
+/// type reads it on a path of its own.
+pub trait FrameRecord: Deserialize {
+    /// The line at the head of `bytes`, read on the type's own path: its
+    /// length without the newline and its record. `None` hands the line to
+    /// the codec, which must read any line this accepts to the same record.
+    fn fast_line(_bytes: &[u8]) -> Option<(usize, Self)> {
+        None
+    }
+}
+
+/// An [`Indexed`] read by the codec alone: what `blob_line` must agree
+/// with, line for line.
+struct ByCodec(Indexed);
+
+impl Deserialize for ByCodec {
+    fn deser(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        Indexed::deser(r).map(ByCodec)
+    }
+}
+
+impl FrameRecord for ByCodec {}
+
+/// One line of a walk as [`indexed_both_ways`] reports it: where it
+/// starts, whether it ends the log, and the record it read (`{:?}`) or
+/// the refusal.
+#[doc(hidden)]
+pub type WalkedLine = (usize, bool, Result<String, String>);
+
+/// The walk of `log` past its header as the open reads it, blob lines on
+/// `blob_line`'s path, and the same walk with every line read by the
+/// codec. The two are equal for every log; empty when the header is not
+/// `LOG_MAGIC`'s line.
+#[doc(hidden)]
+pub fn indexed_both_ways(log: &[u8]) -> [Vec<WalkedLine>; 2] {
+    fn walk<T: FrameRecord>(log: &[u8], indexed: fn(T) -> Indexed) -> Vec<WalkedLine> {
+        let line =
+            |(at, last, read): Frame<T>| (at, last, read.map(|r| format!("{:?}", indexed(r))));
+        let frames = Frames::after_line(log, LOG_MAGIC).into_iter().flatten();
+        frames.map(line).collect()
+    }
+    let by_codec = walk(log, |ByCodec(record)| record);
+    [walk(log, |record| record), by_codec]
+}
+
+/// What a blob line opens with, up to its hash, and what comes between the
+/// hash and the body: the store writes no other layout.
+const BLOB_OPEN: &[u8] = br#"{"Blob":{"hash":""#;
+const BLOB_BODY: &[u8] = br#"","body":""#;
+
+/// What each byte of a blob body is, as its frame escapes it, to the pass
+/// that reads it ([`body_pass`]): flags of the kinds below.
+const BODY_BYTES: [u32; 256] = {
+    let mut class = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'"' => QUOTE,
+            b'\\' => BACKSLASH,
+            b'/' | b'n' | b'r' | b't' | b'b' | b'f' => 0,
+            b'\n' => NEWLINE | LONE,
+            0x80.. => HIGH | LONE,
+            _ => LONE,
+        };
+        b += 1;
+    }
+    class
+};
+const BACKSLASH: u32 = 1;
+/// A byte a backslash may not escape: JSON's short escapes are the others
+/// (`\u` is not one).
+const LONE: u32 = 2;
+const QUOTE: u32 = 4;
+const NEWLINE: u32 = 8;
+/// A byte that is not ASCII.
+const HIGH: u32 = 16;
+
+/// The checksum `h` carried through a blob body as its frame escapes it, up
+/// to the quote that ends it or a newline: the checksum with that byte, its
+/// index, and the flags of every byte on the way — [`LONE`] only where it
+/// follows a backslash, a bad escape. `None` when the bytes end first.
+/// `escaped` is 1 on a byte after a backslash that is not itself escaped;
+/// one branch a byte ends the loop, and nothing else branches.
+fn body_pass(mut h: u64, body: &[u8]) -> Option<(u64, usize, u32)> {
+    let (mut escaped, mut flags) = (0, 0);
+    for (i, &b) in body.iter().enumerate() {
+        h = fnv64_byte(h, b);
+        let class = BODY_BYTES[usize::from(b)];
+        flags |= class & (escaped << 1 | !LONE);
+        if class & ((QUOTE | NEWLINE) ^ escaped << 2) != 0 {
+            return Some((h, i, flags));
+        }
+        escaped = class & (escaped ^ BACKSLASH);
+    }
+    None
+}
+
+/// The blob line at the head of `bytes` in the layout the store writes —
+/// `<16 hex> {"Blob":{"hash":"<32 hex>","body":"…"}}` — read in one pass
+/// that checksums it, checks its body's escapes as `serde::Reader` checks a
+/// string's and finds its end: the line's length without the newline, the
+/// hash, and where the body sits in the payload. `None` for any other line
+/// and for one that fails a check (a `\u` escape included), which the codec
+/// then reads, and refuses in its own words.
+fn blob_line(bytes: &[u8]) -> Option<(usize, ContentHash, Range<usize>)> {
+    let lower_hex = |b: &u8| b.is_ascii_digit() || (b'a'..=b'f').contains(b);
+    let sum = bytes.get(..16).filter(|sum| sum.iter().all(lower_hex))?;
+    let payload = bytes.get(17..).filter(|_| bytes[16] == b' ')?;
+    let hash = payload.strip_prefix(BLOB_OPEN)?.get(..32)?;
+    let start = BLOB_OPEN.len() + 32 + BLOB_BODY.len();
+    if !hash.iter().all(lower_hex) || payload.get(start - BLOB_BODY.len()..start)? != BLOB_BODY {
+        return None;
+    }
+    let (h, len, flags) = body_pass(fnv64(&payload[..start]), &payload[start..])?;
+    let at = start + len;
+    if flags & LONE != 0 || payload[at] != b'"' {
+        return None;
+    }
+    let body = start..at;
+    if payload.get(at + 1..at + 4)? != b"}}\n" {
+        return None;
+    }
+    let h = fnv64_byte(fnv64_byte(h, b'}'), b'}');
+    let want = u64::from_str_radix(std::str::from_utf8(sum).ok()?, 16).ok()?;
+    if h != want || (flags & HIGH != 0 && std::str::from_utf8(&payload[body.clone()]).is_err()) {
+        return None;
+    }
+    let hash = u128::from_str_radix(std::str::from_utf8(hash).ok()?, 16).ok()?;
+    Some((payload_at(0) + at + 3, ContentHash(hash), body))
 }
 
 /// Where the payload of the frame starting at byte `at` starts: past its
@@ -458,12 +603,22 @@ impl<'a, T> Frames<'a, T> {
         })
     }
 
-    /// Cut the walk in two at the first newline past the middle of what is
-    /// left: this walk stops there, and the one returned goes on from it.
+    /// Cut the walk in two where the halves cost about the same: this walk
+    /// stops at the line boundary nearest the cut, and the one returned
+    /// goes on from it. A version or checkpoint line costs the walk more a
+    /// byte than a blob line (`RECORD_WEIGHT`), so what is left is weighed
+    /// by samples (`middle_by_work`), not cut at its middle byte.
     pub fn split(&mut self) -> Frames<'a, T> {
-        let mid = self.pos + (self.end - self.pos) / 2;
-        let newline = self.bytes[mid..self.end].iter().position(|&b| b == b'\n');
-        let cut = newline.map_or(self.end, |at| mid + at + 1);
+        let (from, end) = (self.pos, self.end);
+        let mid = from + middle_by_work(&self.bytes[from..end]);
+        // the nearest newline, looked for on both sides at once: a line can
+        // be a megabyte long (a program, a version of the whole world)
+        let newline = |at: usize| self.bytes[at] == b'\n';
+        let near = (0..end - from).find_map(|d| {
+            let ahead = (mid + d < end && newline(mid + d)).then_some(mid + d + 1);
+            ahead.or_else(|| (d < mid - from && newline(mid - 1 - d)).then(|| mid - d))
+        });
+        let cut = near.unwrap_or(end);
         let rest = Frames { pos: cut, ..*self };
         self.end = cut;
         rest
@@ -502,14 +657,73 @@ impl<'a, T> Frames<'a, T> {
     }
 }
 
+/// How many times a byte of a version or checkpoint line costs a half of
+/// the walk what a byte of a blob line does: the codec parses and builds
+/// the one, [`blob_line`] checksums and steps over the other, and the
+/// caller's half also visits what it reads. At 2 the halves of the
+/// 10 000-resource estate's log end within a millisecond of each other
+/// (at 3, 2 ms apart; cut at the middle byte, 4).
+const RECORD_WEIGHT: usize = 2;
+
+/// Stretches [`middle_by_work`] weighs a log in, and the bytes it samples
+/// at the start of each.
+const SPLIT_STRETCHES: usize = 64;
+const SAMPLE_BYTES: usize = 256;
+
+/// Where the bytes of a log past its header cost a walk as much before as
+/// after: each of [`SPLIT_STRETCHES`] equal stretches weighs its length,
+/// times [`RECORD_WEIGHT`] when the sample at its start reads as version or
+/// checkpoint text. Both halves are read whole wherever the cut falls; the
+/// weights only decide how long each takes.
+fn middle_by_work(bytes: &[u8]) -> usize {
+    let stretch = bytes.len().div_ceil(SPLIT_STRETCHES).max(1);
+    let weight = |chunk: &[u8]| {
+        let sample = &chunk[..chunk.len().min(SAMPLE_BYTES)];
+        if reads_as_records(sample) {
+            RECORD_WEIGHT
+        } else {
+            1
+        }
+    };
+    let total: usize = bytes.chunks(stretch).map(|c| c.len() * weight(c)).sum();
+    let mut before = 0;
+    for (i, chunk) in bytes.chunks(stretch).enumerate() {
+        let w = weight(chunk);
+        let cost = chunk.len() * w;
+        if 2 * (before + cost) >= total {
+            return i * stretch + (total / 2).saturating_sub(before) / w;
+        }
+        before += cost;
+    }
+    bytes.len()
+}
+
+/// Whether a sample of a log reads as version or checkpoint text, whose
+/// quotes are bare, rather than as a blob's body, whose quotes its frame
+/// escapes: more quotes after no backslash than after one.
+fn reads_as_records(sample: &[u8]) -> bool {
+    let (mut bare, mut escaped) = (0, 0);
+    for (i, _) in sample.iter().enumerate().filter(|(_, &b)| b == b'"') {
+        match i.checked_sub(1).map(|before| sample[before]) {
+            Some(b'\\') => escaped += 1,
+            _ => bare += 1,
+        }
+    }
+    bare > escaped
+}
+
 /// One framed line: where it starts, whether it ends the log, what it held.
 type Frame<T = LogRecord> = (usize, bool, Result<T, String>);
 
-impl<T: Deserialize> Iterator for Frames<'_, T> {
+impl<T: FrameRecord> Iterator for Frames<'_, T> {
     type Item = Frame<T>;
 
     fn next(&mut self) -> Option<Frame<T>> {
-        let (len, record) = parse_line(&self.bytes[self.pos..self.end])?;
+        let bytes = &self.bytes[self.pos..self.end];
+        let (len, record) = match T::fast_line(bytes) {
+            Some((len, record)) => (len, Ok(record)),
+            None => parse_line(bytes)?,
+        };
         let at = self.pos;
         self.pos += len + 1;
         Some((at, self.pos >= self.bytes.len(), record))
@@ -538,10 +752,10 @@ pub struct ScanOutcome {
 /// further records cannot be a torn append and is [`StoreError::Corrupt`],
 /// as is whatever `each` refuses; the first by position decides.
 ///
-/// The log is read in two halves cut at a newline past its middle: a
-/// helper decodes the second half's lines while the caller decodes and
-/// visits the first's, then the caller visits the second's (see
-/// [`cloudless_types::join()`]).
+/// The log is read in two halves that cost about the same
+/// ([`Frames::split`]): a helper reads the second half's lines while the
+/// caller reads and visits the first's, then the caller visits the
+/// second's (see [`cloudless_types::join()`]).
 pub fn scan(
     bytes: &[u8],
     mut each: impl FnMut(LogRecord) -> Result<(), StoreError>,
@@ -549,10 +763,11 @@ pub fn scan(
     scan_at(bytes, |record, _| each(record))
 }
 
-/// [`scan`] reading the records as `T`s (the open reads blobs as where
-/// their bodies sit), handing `each` the byte each record's frame starts
-/// at too.
-pub fn scan_at<T: Deserialize + Send>(
+/// [`scan`] reading the records as `T`s (the open reads them as
+/// `Indexed`: a blob as where its body sits, read on `blob_line`'s
+/// one pass when the store wrote it), handing `each` the byte each
+/// record's frame starts at too.
+pub fn scan_at<T: FrameRecord + Send>(
     bytes: &[u8],
     mut each: impl FnMut(T, usize) -> Result<(), StoreError>,
 ) -> Result<ScanOutcome, StoreError> {
@@ -960,10 +1175,14 @@ mod tests {
         assert!(corrupt_at(&[early, late]).starts_with(&first));
         let second = format!("record {late} at byte {} ", starts[late - 1]);
         assert!(corrupt_at(&[late]).starts_with(&second));
-        // the first half's last line: the cut is the first newline past the
-        // middle, so it is the line that holds the middle byte
-        let middle = starts[0] + (whole.len() - starts[0]) / 2;
-        let cut = starts.iter().filter(|&&at| at <= middle).count();
+        // the first half's last line, where the split cuts this log
+        let halves = Frames::<LogRecord>::after_header(&whole).map(|mut head| head.split());
+        let second = halves.expect("a log").next_at();
+        assert!(
+            starts[0] < second && second < whole.len(),
+            "cut at {second}"
+        );
+        let cut = starts.iter().filter(|&&at| at < second).count();
         let at_cut = format!("record {cut} at byte {} ", starts[cut - 1]);
         assert!(corrupt_at(&[cut]).starts_with(&at_cut));
         // the last line damaged is a torn append; one before it is not
@@ -975,6 +1194,43 @@ mod tests {
         let cut = &whole[..whole.len() - 1];
         let torn = scan(cut, |_| Ok(())).expect("a torn tail recovers");
         assert_eq!(torn.keep_len, starts[records.len() - 1] as u64);
+    }
+
+    /// A version line costs a walk more a byte than a blob line: a log of
+    /// blobs and then as many bytes of versions is cut inside its versions,
+    /// at a line boundary nearer their start than the log's middle byte.
+    #[test]
+    fn a_log_is_cut_where_its_halves_cost_the_same() {
+        let mut log = format!("{LOG_MAGIC}\n");
+        for n in 0..2_000 {
+            let body =
+                format!(r#"{{"addr":"aws_vpc.v{n}","id":"vpc-{n}","attrs":{{"a":"1","b":"2"}}}}"#);
+            let hash = ContentHash::of(&body);
+            let body = body.into();
+            frame_into(&mut log, Framed::Blob(&BlobRecord { hash, body }));
+        }
+        let blobs_end = log.len();
+        let mut serial = 0;
+        while log.len() < 2 * blobs_end {
+            serial += 1;
+            frame_into(&mut log, (&version(serial)).into());
+        }
+        let bytes = log.into_bytes();
+        let mut head = Frames::<LogRecord>::after_header(&bytes).expect("a log");
+        let cut = head.split().next_at();
+        let middle = blobs_end + (bytes.len() - blobs_end) / 2;
+        assert!(
+            blobs_end < cut && cut < middle,
+            "{blobs_end} < {cut} < {middle}"
+        );
+        assert_eq!(bytes[cut - 1], b'\n');
+        // a log of blobs alone is cut at about its middle byte
+        let mut head = Frames::<LogRecord>::after_header(&bytes[..blobs_end]).expect("a log");
+        let cut = head.split().next_at() as f64;
+        assert!(
+            (cut / blobs_end as f64 - 0.5).abs() < 0.02,
+            "{cut} of {blobs_end}"
+        );
     }
 
     #[test]

@@ -73,6 +73,11 @@ impl KeyBuf {
         }
     }
 
+    /// What has been written, when all of it fitted.
+    fn as_str(&self) -> Option<&str> {
+        std::str::from_utf8(&self.bytes[..self.len]).ok()
+    }
+
     /// The key `addr` is stored under.
     fn render(&mut self, addr: &ResourceAddr) -> Cow<'_, str> {
         use std::fmt::Write as _;
@@ -150,15 +155,21 @@ impl Record {
         text: Text,
         scratch: &mut String,
     ) -> Result<Record, String> {
-        scratch.clear();
-        text.front_into(HEAD_BYTES, scratch)?;
-        let head = read_head(scratch).or_else(|_| {
-            scratch.clear();
-            text.read_into(scratch)?;
-            read_head(scratch).map_err(|e| format!("corrupt resource record: {e}"))
-        });
-        let (addr, id) = head?;
-        check_addr(key, &addr)?;
+        let id = match text.escaped().and_then(|raw| head_in_place(raw, key)) {
+            Some(id) => ResourceId::new(id),
+            None => {
+                scratch.clear();
+                text.front_into(HEAD_BYTES, scratch)?;
+                let head = read_head(scratch).or_else(|_| {
+                    scratch.clear();
+                    text.read_into(scratch)?;
+                    read_head(scratch).map_err(|e| format!("corrupt resource record: {e}"))
+                });
+                let (addr, id) = head?;
+                check_addr(key, &addr)?;
+                id
+            }
+        };
         Ok(Record {
             logged_id: Some(id),
             body: OnceLock::from(Body { hash, text }),
@@ -316,6 +327,57 @@ fn read_head(body: &str) -> Result<(ResourceAddr, ResourceId), DeError> {
         (None, _) => Err(DeError::new("missing field `addr`")),
         (_, None) => Err(DeError::new("missing field `id`")),
     }
+}
+
+/// The cloud id that opens `raw` — a canonical body as its frame escapes it
+/// — when the address before it is `key`'s, read in place: the address's
+/// parts are rendered from the text into a stack buffer as
+/// `ResourceAddr`'s `Display` renders them and compared with `key`, and no
+/// address is built. `None` for a head in any other layout (an escape in
+/// one of its strings, a key `{:?}` escapes, keys in another order), for one
+/// that does not fit the buffer, and for one of another address: the codec
+/// reads those ([`read_head`]) and refuses in its own words.
+fn head_in_place<'a>(raw: &'a str, key: &str) -> Option<&'a str> {
+    use std::fmt::Write as _;
+    // a string with no escape in it, and what follows it
+    fn plain(rest: &str) -> Option<(&str, &str)> {
+        let text = rest.strip_prefix(r#"\""#)?;
+        let end = text.find('\\')?;
+        Some((&text[..end], text[end..].strip_prefix(r#"\""#)?))
+    }
+    let mut buf = KeyBuf::new();
+    let mut rest = raw.strip_prefix(r#"{\"addr\":{\"module_path\":["#)?;
+    if let Some((module, after)) = plain(rest) {
+        write!(buf, "module.{module}.").ok()?;
+        rest = after;
+        while let Some(after) = rest.strip_prefix(',') {
+            let (module, after) = plain(after)?;
+            write!(buf, "module.{module}.").ok()?;
+            rest = after;
+        }
+    }
+    let (rtype, rest) = plain(rest.strip_prefix(r#"],\"rtype\":"#)?)?;
+    let (name, rest) = plain(rest.strip_prefix(r#",\"name\":"#)?)?;
+    write!(buf, "{rtype}.{name}").ok()?;
+    let rest = rest.strip_prefix(r#",\"key\":"#)?;
+    let rest = if let Some(rest) = rest.strip_prefix(r#"\"None\""#) {
+        rest
+    } else if let Some(rest) = rest.strip_prefix(r#"{\"Index\":"#) {
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let index: u32 = rest[..digits].parse().ok()?;
+        write!(buf, "[{index}]").ok()?;
+        rest[digits..].strip_prefix('}')?
+    } else {
+        let (k, rest) = plain(rest.strip_prefix(r#"{\"Key\":"#)?)?;
+        // `{:?}` writes printable ASCII but a quote and a backslash as it is
+        if !k.bytes().all(|b| (b' '..=b'~').contains(&b)) {
+            return None;
+        }
+        write!(buf, "[\"{k}\"]").ok()?;
+        rest.strip_prefix('}')?
+    };
+    let (id, _) = plain(rest.strip_prefix(r#"},\"id\":"#)?)?;
+    (buf.as_str()? == key).then_some(id)
 }
 
 /// An entry of the id index: the snapshot's own `Arc` of a record, hashed
@@ -663,6 +725,37 @@ mod tests {
             assert!(s.remove(&addr).is_some(), "{pad}");
         }
         assert!(s.is_empty());
+    }
+
+    /// A head as the store writes it is read in place, whatever the shape
+    /// of its address: the id when it names the key's address, `None` when
+    /// another's, or when one of its strings holds an escape or a key
+    /// `{:?}` might escape (the codec reads those).
+    #[test]
+    fn a_head_the_store_writes_is_read_in_place() {
+        let escaped = |addr: &str| {
+            let mut framed = String::new();
+            Writer::compact(&mut framed).str(&encode_resource(&res(addr, "vpc-1")));
+            framed[1..framed.len() - 1].to_owned()
+        };
+        let plain = [
+            "aws_vpc.main",
+            "aws_subnet.s[3]",
+            r#"module.net.module.az.aws_subnet.s["us-east-1a"]"#,
+            r#"aws_vpc.k["a b"]"#,
+        ];
+        for addr in plain {
+            let raw = escaped(addr);
+            assert_eq!(head_in_place(&raw, addr), Some("vpc-1"), "{addr}");
+            assert_eq!(head_in_place(&raw, "aws_vpc.other"), None, "{addr}");
+        }
+        for addr in [
+            r#"aws_vpc.k["a\"b"]"#,
+            r#"aws_vpc.k["é"]"#,
+            r#"aws_vpc.k["t\tb"]"#,
+        ] {
+            assert_eq!(head_in_place(&escaped(addr), addr), None, "{addr}");
+        }
     }
 
     #[test]

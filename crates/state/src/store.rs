@@ -35,7 +35,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use cloudless_obs::{NullRecorder, Recorder};
-use cloudless_types::{SimTime, Value};
+use cloudless_types::{join, SimTime, Value};
 
 use crate::cas::{encode_resource, Cas, ContentHash, LogImage, Text};
 use crate::history::HistoryView;
@@ -249,11 +249,15 @@ impl LogStore {
     /// indexes as it is read, recover the tail if torn (persisted via
     /// `truncate`), then read the head's records as far as their heads.
     ///
-    /// Each byte of the log is visited once by the scan, and each live
-    /// body once more for its head: a blob line is indexed by where its
-    /// body sits (checked, never unescaped or parsed as JSON there), no
-    /// list of records is built, and no body is decoded. The text is kept:
-    /// the records point into it.
+    /// Each byte of the log is visited once by the scan, and the front of
+    /// each live body once more for its head: a blob line the store wrote
+    /// is checksummed, checked and indexed by where its body sits in one
+    /// pass (never unescaped or parsed as JSON there), no list of records
+    /// is built, and no body is decoded. A head is checked in place against
+    /// the address it is stored under, building no address. Both the scan
+    /// and the heads are split in two halves of about equal cost, read
+    /// side by side on two cores ([`scan_at`] and `read_head`).
+    /// The text is kept: the records point into it.
     pub fn open_device(
         mut device: Box<dyn LogDevice>,
     ) -> Result<(LogStore, RecoveryReport), StoreError> {
@@ -352,18 +356,30 @@ impl LogStore {
 
     /// The head's world from the replayed fold `live`: each record read as
     /// far as its head, which must name the address it is stored under, and
-    /// the last version's outputs.
+    /// the last version's outputs. The world is read in two halves side by
+    /// side (see [`cloudless_types::join()`]); the refusal is the first bad
+    /// record in address order, whichever half finds it.
     fn read_head(&self, live: BTreeMap<String, ContentHash>) -> Result<Snapshot, StoreError> {
-        let mut scratch = String::new();
-        let records = live.into_iter().map(|(addr, hash)| {
-            let text = self.cas.get(&hash).cloned().ok_or_else(|| {
-                StoreError::Corrupt(format!("resource {addr} references missing blob {hash}"))
-            })?;
-            let r = Record::logged(&addr, hash, text, &mut scratch).map_err(StoreError::Corrupt)?;
-            Ok((addr, Arc::new(r)))
-        });
+        let cas = &self.cas;
+        let read = |live: Vec<(String, ContentHash)>| {
+            let mut scratch = String::new();
+            let records = live.into_iter().map(|(addr, hash)| {
+                let text = cas.get(&hash).cloned().ok_or_else(|| {
+                    StoreError::Corrupt(format!("resource {addr} references missing blob {hash}"))
+                })?;
+                let r =
+                    Record::logged(&addr, hash, text, &mut scratch).map_err(StoreError::Corrupt)?;
+                Ok((addr, Arc::new(r)))
+            });
+            records.collect::<Result<Vec<_>, StoreError>>()
+        };
+        let mut first: Vec<_> = live.into_iter().collect();
+        let second = first.split_off(first.len() / 2);
+        let (second, first) = join(move || read(second), || read(first));
+        let mut records = first?;
+        records.extend(second?);
         // in address order, so the map is built from one sorted run
-        let resources = records.collect::<Result<_, StoreError>>()?;
+        let resources = records.into_iter().collect();
         let outputs = self.versions.last().map(|v| v.outputs.clone());
         let (serial, outputs) = (self.current.serial, outputs.unwrap_or_default());
         let log = Some(Arc::clone(&self.log));
@@ -1316,6 +1332,108 @@ mod tests {
             e.contains("put aws_vpc.a: the record stored under aws_vpc.a is that of aws_vpc.b")
         };
         assert!(report.errors.iter().any(named), "{}", report.render());
+    }
+
+    /// A log of a record under each of `addrs`, committed at once, in which
+    /// each `(stored, body)` of `swaps` has the record stored under
+    /// `addrs[stored]` be `addrs[body]`'s — in the version and in the
+    /// checkpoint that folds it, under valid checksums.
+    fn misfiled_world(addrs: &[String], swaps: &[(usize, usize)]) -> Vec<u8> {
+        let mut store = LogStore::in_memory();
+        let record = |i: usize| res(&addrs[i], &i.to_string());
+        let world = (0..addrs.len()).map(record).collect();
+        let all = StateDelta {
+            puts: world,
+            ..Default::default()
+        };
+        store.commit(all, CommitMeta::bare("world")).unwrap();
+        let hash = |i: usize| ContentHash::of(&encode_resource(&record(i))).to_string();
+        let json = |addr: &String| serde_json::to_string(addr).unwrap();
+        let text = String::from_utf8(store.device.read_all().unwrap()).unwrap();
+        let (header, lines) = text.split_once('\n').unwrap();
+        let mut out = format!("{header}\n");
+        for line in lines.lines() {
+            let mut payload = line.split_once(' ').unwrap().1.to_owned();
+            for &(stored, body) in swaps {
+                let (addr, from, to) = (json(&addrs[stored]), hash(stored), hash(body));
+                let put = format!(r#""addr":{addr},"hash":"{from}""#);
+                let entry = format!(r#"[{addr},"{from}"]"#);
+                for held in [put, entry] {
+                    payload = payload.replace(&held, &held.replace(&from, &to));
+                }
+            }
+            out.push_str(&format!(
+                "{:016x} {payload}\n",
+                crate::cas::fnv64(payload.as_bytes())
+            ));
+        }
+        out.into_bytes()
+    }
+
+    /// Whichever half of the live records holds it, the open refuses the
+    /// first misfiled record in address order, in a small world and a
+    /// large one, on one core or two.
+    #[test]
+    fn open_refuses_the_first_misfiled_record_in_address_order() {
+        let named = |(stored, body): (usize, usize)| {
+            format!("the record stored under aws_vpc.v{stored:05} is that of aws_vpc.v{body:05}")
+        };
+        for records in [8, 2_000] {
+            let addrs: Vec<String> = (0..records).map(|i| format!("aws_vpc.v{i:05}")).collect();
+            assert_eq!(
+                opened(misfiled_world(&addrs, &[])).unwrap().current().len(),
+                records
+            );
+            let refused = |swaps: &[(usize, usize)]| {
+                let opened = opened(misfiled_world(&addrs, swaps));
+                opened.expect_err("refused").to_string()
+            };
+            let (early, late) = ((records / 4, records / 4 + 1), (records * 3 / 4, 3));
+            for swaps in [[early, late], [late, early]] {
+                let err = refused(&swaps);
+                assert!(err.contains(&named(early)), "{records}: {err}");
+            }
+            let err = refused(&[late]);
+            assert!(err.contains(&named(late)), "{records}: {err}");
+        }
+    }
+
+    /// A head the store would not write with a fast read of it — a
+    /// `for_each` key with a quote or a backslash, `name` before `rtype` —
+    /// is read by the codec: it opens when it names its own address, and
+    /// is refused in the same words when it names another.
+    #[test]
+    fn a_head_in_another_spelling_is_read_by_the_codec() {
+        let addrs = [
+            r#"aws_vpc.k["a\"b"]"#,
+            r#"aws_vpc.k["plain"]"#,
+            r#"aws_vpc.k["z\\y"]"#,
+        ];
+        let addrs = addrs.map(String::from);
+        let store = opened(misfiled_world(&addrs, &[])).expect("opens");
+        let held: Vec<&String> = store.current().resources().keys().collect();
+        assert_eq!(held, addrs.iter().collect::<Vec<_>>());
+        let err = opened(misfiled_world(&addrs, &[(2, 1), (0, 1)])).expect_err("refused");
+        let err = err.to_string();
+        let named = format!(
+            "the record stored under {} is that of {}",
+            addrs[0], addrs[1]
+        );
+        assert!(err.contains(&named), "{err}");
+
+        let reordered = |body: &str| {
+            let canonical = r#""rtype":"aws_vpc","name":"a""#;
+            body.replacen(canonical, r#""name":"a","rtype":"aws_vpc""#, 1)
+        };
+        let store = opened(forged(reordered)).expect("a reordered head opens");
+        let a = store.current().resources()["aws_vpc.a"].clone();
+        assert_eq!((a.id.as_str(), store.records_decoded()), ("id-1", 1));
+        let misnamed = |body: &str| reordered(body).replacen(r#""name":"a""#, r#""name":"c""#, 1);
+        let err = opened(forged(misnamed)).expect_err("refused").to_string();
+        assert!(
+            err.contains("stored under aws_vpc.a is that of aws_vpc.c"),
+            "{err}"
+        );
     }
 
     /// A log putting `aws_vpc.a` = "a" and `aws_vpc.b` = "b", with the body

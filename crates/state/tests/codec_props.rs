@@ -3,7 +3,9 @@
 //!
 //! Three laws, for `Value`, `DeployedResource`, `LogRecord` and the
 //! cloud's `ResourceRecord`, and one of the state document: a snapshot
-//! reopened from the log renders its unread records as decoded ones.
+//! reopened from the log renders its unread records as decoded ones. And
+//! one of the log's reader: the one pass that reads a blob line the store
+//! wrote reads every line, whole, cut or flipped, as the codec does.
 //!
 //! The three:
 //!
@@ -20,8 +22,10 @@
 use std::collections::BTreeMap;
 
 use cloudless_cloud::ResourceRecord;
+use cloudless_state::cas::fnv64;
 use cloudless_state::log::{
-    BlobRecord, CheckpointRecord, DelEntry, LogRecord, ProgramPatch, PutEntry, VersionRecord,
+    indexed_both_ways, BlobRecord, CheckpointRecord, DelEntry, LogRecord, ProgramPatch, PutEntry,
+    VersionRecord, LOG_MAGIC,
 };
 use cloudless_state::{CommitMeta, ContentHash, DeployedResource, LogStore, MemDevice, StateDelta};
 use cloudless_types::{Attrs, ResourceAddr, ResourceId, ResourceKey, SimTime, Value};
@@ -198,6 +202,92 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
     prop_oneof![blob, version, checkpoint]
 }
 
+/// A piece of a blob body as the store's frames spell one: plain and
+/// non-ASCII text, DEL, and every escape `Writer::str` writes.
+fn written_piece() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        prop_oneof![
+            Just("abc"),
+            Just("{k:v}"),
+            Just(" , "),
+            Just("é✓😀"),
+            Just("\u{7f}")
+        ],
+        prop_oneof![
+            Just(r#"\""#),
+            Just(r"\\"),
+            Just(r"\n"),
+            Just(r"\r"),
+            Just(r"\t")
+        ],
+        prop_oneof![Just(r"\b"), Just(r"\f"), Just(r"\u0001"), Just(r"\u001f")],
+    ]
+}
+
+/// What no body the store frames holds: `\/`, other `\u` escapes (a
+/// letter, a surrogate pair, lone surrogates, one cut short), escapes JSON
+/// does not have, raw control bytes, a raw newline, a bare quote, and a
+/// backslash before the closing quote.
+const ODD: [&str; 14] = [
+    r"\/",
+    r"\u00e9",
+    r"\ud83d\ude00",
+    r"\ud800",
+    r"\udc00x",
+    r"\u12",
+    r"\x",
+    r"\U0041",
+    r"\ ",
+    "\u{1}",
+    "\t",
+    "\n",
+    "\"",
+    "\\",
+];
+
+/// A blob line's payload: in the layout the store writes (`0`), or with
+/// its keys reordered, whitespace between its tokens, a second `hash`, an
+/// escape in its hash or in a key, an uppercase hash, a key more, or text
+/// after it.
+fn blob_payload(layout: u8, hash: ContentHash, b: &str) -> String {
+    let h = hash.to_string();
+    match layout {
+        0 => format!(r#"{{"Blob":{{"hash":"{h}","body":"{b}"}}}}"#),
+        1 => format!(r#"{{"Blob":{{"body":"{b}","hash":"{h}"}}}}"#),
+        2 => format!(r#"{{ "Blob" : {{ "hash" : "{h}" , "body" : "{b}" }} }}"#),
+        3 => format!(r#"{{"Blob":{{"hash":"{h}","hash":"{h}","body":"{b}"}}}}"#),
+        4 => format!(
+            r#"{{"Blob":{{"hash":"\u00{:x}{}","body":"{b}"}}}}"#,
+            h.as_bytes()[0],
+            &h[1..]
+        ),
+        5 => format!(r#"{{"Blob":{{"ha\u0073h":"{h}","body":"{b}"}}}}"#),
+        6 => format!(
+            r#"{{"Blob":{{"hash":"{}","body":"{b}"}}}}"#,
+            h.to_uppercase()
+        ),
+        7 => format!(r#"{{"Blob":{{"hash":"{h}","body":"{b}","later":1}}}}"#),
+        _ => format!(r#"{{"Blob":{{"hash":"{h}","body":"{b}"}}}} "#),
+    }
+}
+
+/// A log of the framed `payloads`, each under its checksum.
+fn log_of(payloads: &[&str]) -> Vec<u8> {
+    let mut log = format!("{LOG_MAGIC}\n");
+    for payload in payloads {
+        log.push_str(&format!("{:016x} {payload}\n", fnv64(payload.as_bytes())));
+    }
+    log.into_bytes()
+}
+
+/// The same walk of `log` on the blob line's own path as by the codec
+/// alone: each line's `(at, last, record or refusal)`.
+fn walks_agree(log: &[u8]) {
+    let [fast, by_codec] = indexed_both_ways(log);
+    let text = String::from_utf8_lossy(log);
+    assert_eq!(fast, by_codec, "{text}");
+}
+
 /// The three laws, for one value.
 fn assert_round_trips<T>(x: &T)
 where
@@ -278,5 +368,47 @@ proptest! {
     ) {
         // the shape of `cloud.json`: a map keyed by a string newtype
         assert_round_trips(&records);
+    }
+
+    /// A blob line is read on its own path only when the codec reads it to
+    /// the same record. A body as the store writes one, in the store's
+    /// layout or another, alone or before a second line: whole, cut at
+    /// every byte and with any one bit flipped. The same body with each odd
+    /// spelling put into it, in the store's layout: whole and cut at every
+    /// byte. Each line reads the same way on both paths, refusals in the
+    /// codec's words.
+    #[test]
+    fn a_blob_line_reads_on_its_own_path_as_the_codec_reads_it(
+        first_hash in hash(),
+        pieces in proptest::collection::vec(written_piece(), 0..8),
+        at in any::<usize>(),
+        layout in prop_oneof![Just(0u8), Just(0u8), 0u8..9],
+        then in prop_oneof![Just(None), (0u8..9, hash()).prop_map(Some)],
+    ) {
+        let body = pieces.concat();
+        let header = LOG_MAGIC.len() + 1;
+        let first = blob_payload(layout, first_hash, &body);
+        let then = then.map(|(layout, hash)| blob_payload(layout, hash, "x"));
+        let log = log_of(&[Some(&*first), then.as_deref()].into_iter().flatten().collect::<Vec<_>>());
+        walks_agree(&log);
+        for cut in header..log.len() {
+            walks_agree(&log[..cut]);
+        }
+        for at in header..log.len() {
+            for bit in 0..8 {
+                let mut flipped = log.clone();
+                flipped[at] ^= 1 << bit;
+                walks_agree(&flipped);
+            }
+        }
+        for odd in ODD {
+            let mut pieces = pieces.clone();
+            pieces.insert(at % (pieces.len() + 1), odd);
+            let log = log_of(&[&*blob_payload(0, first_hash, &pieces.concat())]);
+            walks_agree(&log);
+            for cut in header..log.len() {
+                walks_agree(&log[..cut]);
+            }
+        }
     }
 }

@@ -680,10 +680,10 @@ fn opening_the_state_log_scans_within_budget() {
 }
 
 /// Most allocations the open of the 10 000-resource estate's log may make
-/// per live record: measured 72 679 in all (7.3 a record: its key, its
-/// `Arc`, its cloud id, the head's address read and dropped, the version's
-/// put entry and the maps' nodes), plus 10%.
-const OPEN_ALLOCS_PER_RECORD: f64 = 8.0;
+/// per live record: measured 52 694 in all (5.3 a record: its key, its
+/// `Arc`, its cloud id, the version's put entry and the maps' nodes), plus
+/// 10%. While each head built its address to check it, 72 679 (7.3).
+const OPEN_ALLOCS_PER_RECORD: f64 = 5.8;
 
 /// Opening the same log builds no world: the scan indexes each blob by
 /// where its body sits and each live record is read as far as its head, so
