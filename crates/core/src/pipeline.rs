@@ -38,7 +38,10 @@
 //! Every all-blocks walk, a guard trip's restart included, runs in two joins
 //! ([`cloudless_types::join()`]): lint beside expand, then validate and
 //! analyze beside the plan. Refusals are taken in stage order, on the
-//! caller, which alone tells the memo and the recorder. A splice lands in
+//! caller, which alone tells the memo and the recorder. The walk fills its
+//! fresh memo whatever the program, and decides once, at its end, whether
+//! the program is clean; the run keeps the memo exactly then, and writes
+//! every row of its trace in one place. A splice lands in
 //! the memo only when its walk succeeds; an all-blocks walk gives back the
 //! memo it replaces when parse or lint refuses (a typo mid-edit), so the
 //! fix replans incrementally. That memo is dropped once lint passes, and
@@ -116,9 +119,12 @@
 //! one entry of a table the memo image stores as it stands, and an address
 //! resolves to its block once, by name, and from there to the block's
 //! range of instances and its readers in the block DAG — a block with no
-//! instance included. A program the memo cannot keep (modules, findings,
-//! expansion warnings) has no such tables: its walk plans it with the
-//! whole-graph diff ([`cloudless_deploy::diff::diff`]) and keeps no cache.
+//! instance included. Every program the memo indexes is planned through
+//! these tables, one with findings or warnings included (its memo is then
+//! not kept); a program it cannot index (modules, chunks the scanner
+//! cannot separate, a block cycle) has none: its walk plans it with the
+//! whole-graph diff ([`cloudless_deploy::diff::diff`]), which plans what
+//! the cache would.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
@@ -227,9 +233,11 @@ pub struct FrontendOutput {
 /// What each stage of one run did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageTrace {
-    /// `parse` | `lint` | `expand` | `validate` | `plan`.
+    /// `parse` | `lint` | `expand` | `validate` | `analyze` | `plan` |
+    /// `image` | `memo`.
     pub stage: &'static str,
-    /// `full` | `incremental` | `cached`.
+    /// `full` | `incremental` | `cached` for the stages; `loaded` |
+    /// `refused` for the memo image; `stored` | `skipped` for the memo.
     pub action: &'static str,
     /// Human-readable amplification: what subset ran.
     pub detail: String,
@@ -243,16 +251,6 @@ pub struct ChangeTrace {
     pub fast_path: bool,
     /// Why the fast path was refused (cold runs only).
     pub fallback_reason: Option<String>,
-}
-
-impl ChangeTrace {
-    fn stage(&mut self, stage: &'static str, action: &'static str, detail: impl Into<String>) {
-        self.stages.push(StageTrace {
-            stage,
-            action,
-            detail: detail.into(),
-        });
-    }
 }
 
 impl fmt::Display for ChangeTrace {
@@ -493,9 +491,9 @@ fn out_of_bounds<'e>(
 }
 
 /// Plan-stage artifacts: the plan of the memo's manifest against the state
-/// committed at `serial`, except at the addresses `away`. Only a memo that
-/// is kept has one: a program it cannot keep is planned by `diff`
-/// ([`Walk::diffed`]).
+/// committed at `serial`, except at the addresses `away`. Every memo that
+/// indexes its program has one: a program it cannot index is planned by
+/// `diff` ([`Walk::diffed`]).
 #[derive(Default)]
 struct PlanCache {
     /// The committed serial the rest was planned against (`None`: nothing
@@ -676,9 +674,6 @@ enum Scope {
         /// Why no narrower scope would do (the trace's fallback reason).
         reason: String,
         fresh: Box<Memo>,
-        /// Whether `fresh` may still be kept: the run has been clean so far.
-        /// Stages skip their fill once it is not.
-        keep: bool,
         /// The memo this run replaces: given back if parse or lint refuses.
         old: Option<Box<Memo>>,
     },
@@ -715,7 +710,6 @@ impl Scope {
         Scope::All {
             reason: reason.into(),
             fresh: Box::default(),
-            keep: true,
             old,
         }
     }
@@ -1019,10 +1013,10 @@ impl IncrementalPipeline {
         self.image_pending = false;
         let image = self.image_note.take();
         let mut scope = Scope::pick(self.memo.take(), source, ctx);
-        let (mut walk, planned) = loop {
+        let (mut walk, (pass, clean, (action, detail))) = loop {
             let mut walk = Walk::new(source, ctx, delta);
             match walk.verdicts(&mut scope) {
-                Ok(planned) => break (walk, planned),
+                Ok(walked) => break (walk, walked),
                 Err(Stop::Guard(reason)) => scope = Scope::all(reason, scope.into_memo()),
                 Err(Stop::Refused(err)) => {
                     ctx.recorder.counter("pipeline.runs_full", 1);
@@ -1031,45 +1025,43 @@ impl IncrementalPipeline {
                 }
             }
         };
-        // Nothing refuses a program past the verdict stages, so the plan
-        // stage works on the memo this run leaves behind: the fresh one, or
-        // the old one with the splice in (an all-blocks walk planned it).
-        let (mut memo, edit, reason, keep) = match scope {
-            Scope::All {
-                reason,
-                fresh,
-                keep,
-                ..
-            } => (fresh, None, Some(reason), keep),
-            Scope::Blocks { mut memo, mut edit } => {
-                memo.absorb(&mut edit, source);
-                // the memo's list, edit and all: no copy of the world
-                walk.out.manifest = memo.manifest.clone();
-                (memo, Some(edit), None, true)
-            }
+        let (memo, reason) = match scope {
+            Scope::All { reason, fresh, .. } => (fresh, Some(reason)),
+            Scope::Blocks { memo, .. } => (memo, None),
         };
-        let pass = planned.unwrap_or_else(|| {
-            let blocks = edit.as_ref().map(|edit| &edit.blocks[..]);
-            Walk::plan(ctx, delta, &walk.out.manifest, &mut memo, blocks)
+        let fast_path = reason.is_none();
+        let visited = pass.visited as u64;
+        ctx.recorder.counter("pipeline.instances_planned", visited);
+        let runs = match fast_path {
+            true => "pipeline.runs_incremental",
+            false => "pipeline.runs_full",
+        };
+        ctx.recorder.counter(runs, 1);
+        let verdict_rows = ["parse", "lint", "expand", "validate", "analyze"];
+        let verdict_rows = verdict_rows.map(|stage| (stage, action, detail.clone()));
+        let plan_row = ("plan", pass.trace.0, pass.trace.1);
+        let image_row = image.map(|(action, detail)| ("image", action, detail));
+        // a splice's memo is kept; a cold start's when the run is clean
+        let memo_row = (!fast_path).then(|| match clean {
+            true => ("memo", "stored", "run clean".to_owned()),
+            false => ("memo", "skipped", "run not clean".to_owned()),
         });
-        walk.planned(pass);
-        let trace = &mut walk.out.trace;
-        if let Some((action, detail)) = image {
-            trace.stage("image", action, detail);
-        }
-        trace.fast_path = reason.is_none();
-        trace.fallback_reason = reason;
-        self.memo = if trace.fast_path {
-            ctx.recorder.counter("pipeline.runs_incremental", 1);
-            Some(memo)
-        } else {
-            ctx.recorder.counter("pipeline.runs_full", 1);
-            match keep {
-                true => trace.stage("memo", "stored", "run clean"),
-                false => trace.stage("memo", "skipped", "run not clean"),
-            }
-            keep.then_some(memo)
+        let rows = (verdict_rows.into_iter().chain([plan_row]))
+            .chain(image_row)
+            .chain(memo_row);
+        let stages = rows.map(|(stage, action, detail)| StageTrace {
+            stage,
+            action,
+            detail,
+        });
+        walk.out.trace = ChangeTrace {
+            stages: stages.collect(),
+            fast_path,
+            fallback_reason: reason,
         };
+        walk.out.changes = pass.changes;
+        walk.out.plan_text = pass.text;
+        self.memo = clean.then_some(memo);
         Ok(walk.out)
     }
 }
@@ -1107,41 +1099,46 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// The driver's walk up to the last stage that can refuse a program
-    /// or trip a guard; [`Walk::plan`] completes a splice's, and an
-    /// all-blocks walk ([`Walk::cold`]) plans beside its verdicts and hands
-    /// the pass back. (With no block in scope the stages loop over nothing.)
-    fn verdicts(&mut self, scope: &mut Scope) -> Result<Option<PlanPass>, Stop> {
-        let (planned, action, detail) = match scope {
-            Scope::All {
-                fresh, keep, old, ..
-            } => {
-                let planned = self.cold(fresh, keep, old)?;
-                (Some(planned), "full", "every block in scope".to_owned())
+    /// The driver's walk: its plan pass, whether the program is clean (the
+    /// memo it leaves may be kept), and what the stages up to analyze did
+    /// (the trace's action and detail). An all-blocks walk ([`Walk::cold`])
+    /// plans beside its verdicts; a splice lands in the memo once its last
+    /// verdict passes, and [`Walk::plan`] plans the memo with it in. (With
+    /// no block in scope the stages loop over nothing.)
+    fn verdicts(
+        &mut self,
+        scope: &mut Scope,
+    ) -> Result<(PlanPass, bool, (&'static str, String)), Stop> {
+        let (memo, edit) = match scope {
+            Scope::All { fresh, old, .. } => {
+                let (pass, clean) = self.cold(fresh, old)?;
+                return Ok((pass, clean, ("full", "every block in scope".to_owned())));
             }
-            Scope::Blocks { memo, edit } => {
-                self.parse(memo, edit)?;
-                self.lint(memo, edit)?;
-                self.expand(memo, edit)?;
-                self.validate(memo, edit)?;
-                self.analyze(memo, edit)?;
-                if edit.blocks.is_empty() {
-                    (None, "cached", "no block in scope".to_owned())
-                } else {
-                    let (k, n) = (edit.blocks.len(), memo.root.block_ranges.len());
-                    let shape = match edit.resized() {
-                        (0, 0) => String::new(),
-                        (a, r) => format!(", +{a} inserted, −{r} removed"),
-                    };
-                    let detail = format!("{k} of {n} block(s) in scope{shape}");
-                    (None, "incremental", detail)
-                }
-            }
+            Scope::Blocks { memo, edit } => (memo, edit),
         };
-        for stage in ["parse", "lint", "expand", "validate", "analyze"] {
-            self.out.trace.stage(stage, action, detail.clone());
-        }
-        Ok(planned)
+        self.parse(memo, edit)?;
+        self.lint(memo, edit)?;
+        self.expand(memo, edit)?;
+        self.validate(memo, edit)?;
+        self.analyze(memo, edit)?;
+        let row = if edit.blocks.is_empty() {
+            ("cached", "no block in scope".to_owned())
+        } else {
+            let (k, n) = (edit.blocks.len(), memo.root.block_ranges.len());
+            let shape = match edit.resized() {
+                (0, 0) => String::new(),
+                (a, r) => format!(", +{a} inserted, −{r} removed"),
+            };
+            let detail = format!("{k} of {n} block(s) in scope{shape}");
+            ("incremental", detail)
+        };
+        // nothing refuses a program past the verdict stages
+        memo.absorb(edit, self.source);
+        // the memo's list, edit and all: no copy of the world
+        self.out.manifest = memo.manifest.clone();
+        let (ctx, delta, blocks) = (self.ctx, self.delta, Some(&edit.blocks[..]));
+        let pass = Walk::plan(ctx, delta, &self.out.manifest, memo, blocks);
+        Ok((pass, true, row))
     }
 
     /// Every block in scope, in two joins: lint beside expand and the source
@@ -1152,21 +1149,21 @@ impl<'a> Walk<'a> {
     /// recorder hear of the helper's work only then, on this thread. The
     /// `old` memo goes back if parse or lint refuses, and the lint helper
     /// drops it once lint passes. Inline (one core) lint runs first, and a
-    /// program it refuses is not expanded. A program whose memo cannot be
-    /// kept by the time the second join starts is planned by
-    /// [`Walk::diffed`].
+    /// program it refuses is not expanded. Every stage fills `fresh`; a
+    /// program it cannot index ([`Memo::index_source`]) is planned by
+    /// [`Walk::diffed`]. Returns the plan pass and whether the program is
+    /// clean: indexed, with no finding, suppression or warning.
     fn cold(
         &mut self,
         fresh: &mut Memo,
-        keep: &mut bool,
         old: &mut Option<Box<Memo>>,
-    ) -> Result<PlanPass, Stop> {
+    ) -> Result<(PlanPass, bool), Stop> {
         let (ctx, source, cfg) = (self.ctx, self.source, self.lint_cfg.as_ref());
         let mut program = parse_program(source)?;
-        let (modules, claim, held) = (ctx.modules, *keep, old.take());
+        let (modules, held) = (ctx.modules, old.take());
         let refused = AtomicBool::new(false);
         let (linted, expanded) = join(
-            || match lint_all(&program, modules, cfg, claim) {
+            || match lint_all(&program, modules, cfg) {
                 Ok(linted) => {
                     drop(held);
                     Ok(linted)
@@ -1181,10 +1178,7 @@ impl<'a> Walk<'a> {
                     return Err(Diagnostics::new());
                 }
                 let expanded = expand_root(&program, ctx.inputs, modules, ctx.data);
-                expanded.map(|expanded| {
-                    let indexed = claim && fresh.index_source(&program, source, ctx);
-                    (expanded, indexed)
-                })
+                expanded.map(|expanded| (expanded, fresh.index_source(&program, source, ctx)))
             },
         );
         let linted = linted.map_err(|(err, held)| {
@@ -1192,20 +1186,18 @@ impl<'a> Walk<'a> {
             err
         })?;
         let ((manifest, root), indexed) = expanded.map_err(PipelineError::Frontend)?;
-        *keep &= indexed;
-        fresh.linted(linted, keep);
-        *keep &= manifest.warnings.is_empty();
-        if *keep {
-            fresh.root = root;
-            fresh.manifest = manifest.clone();
-        }
+        let mut clean = indexed && linted.clean && manifest.warnings.is_empty();
+        fresh.lint_env = linted.env;
+        fresh.claims.merge(linted.claims);
+        fresh.root = root;
+        fresh.manifest = manifest.clone();
         self.out.manifest = manifest;
         // the last reader of block syntax is done: the memo keeps none, and
         // the helper drops it
         let resources = std::mem::take(&mut program.resources);
         fresh.program = program;
         let (catalog, level, miner) = (ctx.catalog, ctx.level, ctx.miner);
-        let (manifest, delta, claim) = (&self.out.manifest, self.delta, *keep);
+        let (manifest, delta) = (&self.out.manifest, self.delta);
         let (checked, planned) = join(
             move || -> Result<_, PipelineError> {
                 drop(resources);
@@ -1214,7 +1206,7 @@ impl<'a> Walk<'a> {
                 Ok((validated, analyzed))
             },
             || {
-                if !claim {
+                if !indexed {
                     return Walk::diffed(ctx, manifest);
                 }
                 let claims = instance_level_claims(&manifest.instances);
@@ -1223,7 +1215,7 @@ impl<'a> Walk<'a> {
             },
         );
         let (report, analyzed) = checked?;
-        *keep &= report.diagnostics.is_empty();
+        clean &= report.diagnostics.is_empty();
         self.out.validation = report;
         // `analyzed` is `None` when there is no lint gate
         if let (Some(cfg), Some(outcome)) = (cfg, analyzed) {
@@ -1231,21 +1223,9 @@ impl<'a> Walk<'a> {
             if outcome.report.fails(cfg) {
                 return Err(PipelineError::Lint(outcome.report).into());
             }
-            *keep &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
+            clean &= outcome.report.findings.is_empty() && outcome.report.suppressed == 0;
         }
-        Ok(planned)
-    }
-
-    /// Land a plan pass: the output, the trace's plan stage, the count.
-    fn planned(&mut self, pass: PlanPass) {
-        let visited = pass.visited as u64;
-        self.ctx
-            .recorder
-            .counter("pipeline.instances_planned", visited);
-        let (action, detail) = pass.trace;
-        self.out.changes = pass.changes;
-        self.out.plan_text = pass.text;
-        self.out.trace.stage("plan", action, detail);
+        Ok((planned, clean))
     }
 
     /// **parse** — the in-scope blocks, as each source has them.
@@ -1511,8 +1491,9 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// **plan**, of a program the memo cannot keep (modules, findings,
-    /// expansion warnings): the whole-graph diff, with no cache to fill.
+    /// **plan**, of a program the memo cannot index (modules, chunks the
+    /// scanner cannot separate, a block cycle): the whole-graph diff, with
+    /// no cache to fill.
     fn diffed(ctx: &PipelineCtx<'_>, manifest: &Manifest) -> PlanPass {
         let all = diff(manifest, ctx.state, ctx.catalog, ctx.data).into_iter();
         let changes: Vec<PlannedChange> = all.filter(|c| !c.action.is_noop()).collect();
@@ -1660,7 +1641,7 @@ struct PlanPass {
 
 /// What the lint stage derives of the whole program: its environment,
 /// whether no finding (or suppression) stands, and the blocks' identity
-/// claims (when asked for).
+/// claims.
 struct Linted {
     env: LintEnv,
     clean: bool,
@@ -1674,13 +1655,12 @@ fn parse_program(source: &str) -> Result<Program, Stop> {
 }
 
 /// The lint stage over every block (`cfg`: the gate, `None` when off):
-/// refuse a program that fails the gate; with `claim`, collect the blocks'
-/// identity claims.
+/// refuse a program that fails the gate; collect the blocks' identity
+/// claims.
 fn lint_all(
     program: &Program,
     modules: &ModuleLibrary,
     cfg: Option<&LintConfig>,
-    claim: bool,
 ) -> Result<Linted, PipelineError> {
     let env = LintEnv::build(program);
     let mut clean = true;
@@ -1692,10 +1672,8 @@ fn lint_all(
         clean = report.findings.is_empty() && report.suppressed == 0;
     }
     let mut claims = Claims::default();
-    if claim && clean {
-        for rb in &program.resources {
-            stage(&mut claims, identity_claims(rb, &env), 1);
-        }
+    for rb in &program.resources {
+        stage(&mut claims, identity_claims(rb, &env), 1);
     }
     Ok(Linted { env, clean, claims })
 }
@@ -1771,20 +1749,10 @@ fn record_analysis(recorder: &dyn Recorder, outcome: &AnalysisOutcome) {
 }
 
 impl Memo {
-    /// The lint stage's fill, while the memo may still be kept: the
-    /// environment and the blocks' identity claims.
-    fn linted(&mut self, linted: Linted, keep: &mut bool) {
-        *keep &= linted.clean;
-        if *keep {
-            self.lint_env = linted.env;
-            self.claims.merge(linted.claims);
-        }
-    }
-
     /// The parse stage's fill: the configuration key, the block → chunk
     /// table, the block DAG and the reader counts. `false` when the
-    /// program's shape defeats a per-block splice (modules, duplicate block
-    /// keys, chunks the scanner could not separate, a dependency cycle).
+    /// program's shape defeats a per-block splice (modules, chunks the
+    /// scanner could not separate, a dependency cycle).
     fn index_source(&mut self, program: &Program, source: &str, ctx: &PipelineCtx<'_>) -> bool {
         let blocks = &program.resources;
         let chunks = ChunkMap::build(source);
@@ -1800,12 +1768,12 @@ impl Memo {
         if !one_to_one || !program.modules.is_empty() {
             return false;
         }
-        let mut block_of: HashMap<(&str, &str), usize> = HashMap::with_capacity(blocks.len());
-        for (bi, rb) in blocks.iter().enumerate() {
-            if block_of.insert((&rb.rtype, &rb.name), bi).is_some() {
-                return false;
-            }
-        }
+        let names = blocks.iter().enumerate();
+        let block_of: HashMap<(&str, &str), usize> = names
+            .map(|(bi, rb)| ((rb.rtype.as_str(), rb.name.as_str()), bi))
+            .collect();
+        // `Program::from_file` refuses a block declared twice (HCL017)
+        debug_assert_eq!(block_of.len(), blocks.len(), "a block is declared twice");
 
         let mut builder: DagBuilder<()> = DagBuilder::with_capacity(blocks.len());
         let nodes: Vec<NodeId> = blocks.iter().map(|_| builder.add_node(())).collect();

@@ -7,7 +7,8 @@
 //! * The whole-program aggregate rules (ANA402, VAL306, VAL307) are folds
 //!   over the same per-block / per-instance extractors the splice path
 //!   maintains its claims multiset with.
-//! * A program the memo cannot keep is planned by the whole-graph diff.
+//! * A program the memo cannot keep plans what the whole-graph diff plans.
+//! * The trace of each kind of run reads the same, row by row.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -500,8 +501,10 @@ fn deployed(env: &Env, source: &str) -> Snapshot {
 
 /// A program the memo cannot keep — a module whose block reads another
 /// block's computed attribute, a program with a lint warning the default
-/// gate lets through — is planned by the whole-graph diff: against a
-/// converged state and a partly drifted one, a run's plan text is the
+/// gate lets through, one with an expansion warning (HCL032: an input no
+/// variable declares), one with a validation warning (VAL204: a hardcoded
+/// id where a reference belongs) — plans as the whole-graph diff: against
+/// a converged state and a partly drifted one, a run's plan text is the
 /// rendering of `diff` with the no-ops dropped, byte for byte; it counts
 /// every instance as planned and keeps no memo.
 #[test]
@@ -512,8 +515,24 @@ fn a_program_the_memo_cannot_keep_is_planned_by_diff() {
         "module \"net\" {{\n  source = \"./modules/network\"\n  cidr   = \"10.1.0.0/16\"\n}}\n{SRC}"
     );
     let warned = format!("variable \"unused\" {{ default = \"x\" }}\n{SRC}");
-    for source in [module, warned] {
-        let converged = deployed(&env, &source);
+    let stray = BTreeMap::from([("stray".to_owned(), Value::from("x"))]);
+    // the subnet names the VPC it was deployed into by its id
+    let vpc = deployed(&env, SRC);
+    let vpc = vpc
+        .get_str("aws_vpc.main")
+        .expect("deployed")
+        .id
+        .to_string();
+    let hardcoded = SRC.replace("aws_vpc.main.id", &format!("{vpc:?}"));
+    let programs = [
+        (module, BTreeMap::new(), None),
+        (warned, BTreeMap::new(), None),
+        (SRC.to_owned(), stray, None),
+        (hardcoded, BTreeMap::new(), Some(SRC)),
+    ];
+    for (source, inputs, deploys) in programs {
+        env.inputs = inputs;
+        let converged = deployed(&env, deploys.unwrap_or(&source));
         let mut drifted = converged.clone();
         let mut subnet = converged
             .get_str("aws_subnet.app")
@@ -631,4 +650,166 @@ fn reported_positions_are_the_same_warm_and_cold() {
         assert!(cold.contains(at), "expected {at} in:\n{cold}");
         assert_eq!(shown(config, &saves, false), cold);
     }
+}
+
+// ------------------------------------------------------ the trace, pinned
+
+/// A fresh engine over the log and image an engine leaves once it has
+/// converged `SRC`, the image's header replaced by `header`: the trace of
+/// its first plan of a one-block edit.
+fn first_trace(header: Option<&[u8]>) -> String {
+    use cloudless::state::{LogStore, MemDevice};
+    let exact = || Config {
+        cloud: CloudConfig::exact(),
+        ..Config::default()
+    };
+    let device = MemDevice::new().imaged(None);
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("opens");
+    let mut engine = Cloudless::with_store(exact(), store, BTreeMap::new());
+    assert!(engine.converge(SRC).expect("converges").apply.all_ok());
+    let records = engine.cloud().export_records().clone();
+    let mut device = engine.into_store().into_device();
+    let log = device.read_all().expect("the log");
+    let mut image = device.read_image().expect("the image").expect("written");
+    if let Some(header) = header {
+        let end = image.iter().position(|&b| b == b'\n').expect("a header") + 1;
+        image.splice(..end, header.iter().copied());
+    }
+    let device = MemDevice::from_bytes(log).imaged(Some(image));
+    let (store, _) = LogStore::open_device(Box::new(device)).expect("the log opens");
+    let mut engine = Cloudless::with_store(exact(), store, records);
+    let edited = SRC.replace("logs-main", "logs-next");
+    let (_, trace) = engine.plan_incremental(&edited).expect("plans");
+    trace.to_string()
+}
+
+/// `lines`, each ended by a newline: a trace as it prints.
+fn rows(lines: &[&str]) -> String {
+    lines.iter().map(|line| format!("{line}\n")).collect()
+}
+
+/// What each kind of run writes in its trace, row by row: a cold run, an
+/// unchanged source, a one-block edit, an inserted block, a guard trip, a
+/// run that keeps no memo, and an engine's first run warm from its image
+/// and one whose image is refused.
+#[test]
+fn the_trace_reads_row_by_row() {
+    let env = Env::new();
+    let mut pipe = IncrementalPipeline::default();
+    let mut trace = |source: &str| {
+        let out = pipe.run(source, &env.ctx()).expect("the program plans");
+        out.trace.to_string()
+    };
+    let edited = SRC.replace("logs-main", "logs-next");
+    let inserted =
+        format!("{edited}resource \"aws_s3_bucket\" \"more\" {{\n  bucket = \"more\"\n}}\n");
+    // the VPC renamed: the old name is removed while the subnet reads it
+    let renamed = inserted
+        .replace("aws_vpc.main", "aws_vpc.core")
+        .replace("\"main\"", "\"core\"");
+    // a lint warning (ANA101): the memo is not kept
+    let warned = format!("variable \"unused\" {{ default = \"x\" }}\n{renamed}");
+    let cases = [
+        (
+            SRC,
+            rows(&[
+                "pipeline: full (no memo (first run))",
+                "  parse: full (every block in scope)",
+                "  lint: full (every block in scope)",
+                "  expand: full (every block in scope)",
+                "  validate: full (every block in scope)",
+                "  analyze: full (every block in scope)",
+                "  plan: full (diffed 3 instance(s))",
+                "  memo: stored (run clean)",
+            ]),
+        ),
+        (
+            SRC,
+            rows(&[
+                "pipeline: incremental",
+                "  parse: cached (no block in scope)",
+                "  lint: cached (no block in scope)",
+                "  expand: cached (no block in scope)",
+                "  validate: cached (no block in scope)",
+                "  analyze: cached (no block in scope)",
+                "  plan: cached (re-planned 0/3 instance(s))",
+            ]),
+        ),
+        (
+            edited.as_str(),
+            rows(&[
+                "pipeline: incremental",
+                "  parse: incremental (1 of 3 block(s) in scope)",
+                "  lint: incremental (1 of 3 block(s) in scope)",
+                "  expand: incremental (1 of 3 block(s) in scope)",
+                "  validate: incremental (1 of 3 block(s) in scope)",
+                "  analyze: incremental (1 of 3 block(s) in scope)",
+                "  plan: incremental (re-planned 1/3 instance(s))",
+            ]),
+        ),
+        (
+            inserted.as_str(),
+            rows(&[
+                "pipeline: incremental",
+                "  parse: incremental (1 of 4 block(s) in scope, +1 inserted, −0 removed)",
+                "  lint: incremental (1 of 4 block(s) in scope, +1 inserted, −0 removed)",
+                "  expand: incremental (1 of 4 block(s) in scope, +1 inserted, −0 removed)",
+                "  validate: incremental (1 of 4 block(s) in scope, +1 inserted, −0 removed)",
+                "  analyze: incremental (1 of 4 block(s) in scope, +1 inserted, −0 removed)",
+                "  plan: incremental (re-planned 1/4 instance(s))",
+            ]),
+        ),
+        (
+            renamed.as_str(),
+            rows(&[
+                "pipeline: full (structural edit (a removed block is still read))",
+                "  parse: full (every block in scope)",
+                "  lint: full (every block in scope)",
+                "  expand: full (every block in scope)",
+                "  validate: full (every block in scope)",
+                "  analyze: full (every block in scope)",
+                "  plan: full (diffed 4 instance(s))",
+                "  memo: stored (run clean)",
+            ]),
+        ),
+        (
+            warned.as_str(),
+            rows(&[
+                "pipeline: full (edit touches a non-resource block)",
+                "  parse: full (every block in scope)",
+                "  lint: full (every block in scope)",
+                "  expand: full (every block in scope)",
+                "  validate: full (every block in scope)",
+                "  analyze: full (every block in scope)",
+                "  plan: full (diffed 4 instance(s))",
+                "  memo: skipped (run not clean)",
+            ]),
+        ),
+    ];
+    for (source, expected) in cases {
+        assert_eq!(trace(source), expected, "{source}");
+    }
+    let warm = rows(&[
+        "pipeline: incremental",
+        "  parse: incremental (1 of 3 block(s) in scope)",
+        "  lint: incremental (1 of 3 block(s) in scope)",
+        "  expand: incremental (1 of 3 block(s) in scope)",
+        "  validate: incremental (1 of 3 block(s) in scope)",
+        "  analyze: incremental (1 of 3 block(s) in scope)",
+        "  plan: incremental (re-planned 1/3 instance(s))",
+        "  image: loaded (3 block(s) of serial 1; plans the edit)",
+    ]);
+    assert_eq!(first_trace(None), warm);
+    let refused = rows(&[
+        "pipeline: full (no memo (first run))",
+        "  parse: full (every block in scope)",
+        "  lint: full (every block in scope)",
+        "  expand: full (every block in scope)",
+        "  validate: full (every block in scope)",
+        "  analyze: full (every block in scope)",
+        "  plan: full (diffed 3 instance(s))",
+        "  image: refused (MEM002: image of format v1, not \"cloudless-memo v2\")",
+        "  memo: stored (run clean)",
+    ]);
+    assert_eq!(first_trace(Some(b"cloudless-memo v1\n")), refused);
 }

@@ -171,11 +171,6 @@ pub enum Text {
 }
 
 impl Text {
-    /// Append the body to `out`, unescaping it out of its frame.
-    pub fn read_into(&self, out: &mut String) -> Result<(), String> {
-        self.front_into(usize::MAX, out)
-    }
-
     /// The body as one shared string: the one it is, or one unescaped.
     pub fn to_shared(&self) -> Result<Arc<str>, String> {
         match self {
@@ -188,11 +183,10 @@ impl Text {
         }
     }
 
-    /// At least the first `want` bytes of the body, unescaped into `out`
-    /// (all of it when it is shorter). Run by run, while the escapes are
-    /// the one-character ones every record and program is written with;
-    /// else the whole body, by the codec.
-    pub(crate) fn front_into(&self, want: usize, out: &mut String) -> Result<(), String> {
+    /// Append the body to `out`, unescaping it out of its frame: run by
+    /// run, while the escapes are the one-character ones every record and
+    /// program is written with; else by the codec.
+    pub fn read_into(&self, out: &mut String) -> Result<(), String> {
         let (image, at) = match self {
             Text::Owned(text) => {
                 out.push_str(text);
@@ -205,11 +199,7 @@ impl Text {
             .and_then(|start| image.text.get(start..at.end + 1))
             .ok_or_else(|| format!("a blob body at bytes {at:?} is outside the log"))?;
         let start = out.len();
-        if unescape_front(
-            &quoted[1..quoted.len() - 1],
-            start.saturating_add(want),
-            out,
-        ) {
+        if unescape(&quoted[1..quoted.len() - 1], out) {
             return Ok(());
         }
         out.truncate(start);
@@ -258,14 +248,13 @@ impl Text {
     }
 }
 
-/// Unescape the front of `raw`, a body's text as its frame escapes it,
-/// into `out` until it holds `want` bytes or the text ends, while every
-/// escape on the way stands for one character; `false` at a `\u` escape,
-/// or one that is not JSON's.
-fn unescape_front(raw: &str, want: usize, out: &mut String) -> bool {
+/// Unescape `raw`, a body's text as its frame escapes it, into `out`, while
+/// every escape on the way stands for one character; `false` at a `\u`
+/// escape, or one that is not JSON's.
+fn unescape(raw: &str, out: &mut String) -> bool {
     let bytes = raw.as_bytes();
     let mut at = 0;
-    while out.len() < want {
+    loop {
         let Some(escape) = bytes[at..].iter().position(|&b| b == b'\\') else {
             out.push_str(&raw[at..]);
             return true;
@@ -285,7 +274,6 @@ fn unescape_front(raw: &str, want: usize, out: &mut String) -> bool {
         });
         at = escape + 2;
     }
-    true
 }
 
 /// Lay out `raw` — a body's text as its frame escapes it — into `out` as

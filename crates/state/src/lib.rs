@@ -63,7 +63,7 @@ pub use fsck::{fsck_bytes, fsck_file, FsckReport};
 pub use history::HistoryView;
 pub use lock::{LockGuard, LockManager, LockScope, ObservedLockManager, ResourceLockManager};
 pub use log::{
-    rename_synced, sync_parent, Frames, ImageWrite, LogDevice, MemDevice, StoreError, VersionRecord,
+    rename_synced, sync_parent, ImageWrite, LogDevice, MemDevice, StoreError, VersionRecord,
 };
 pub use migrate::{migrate_dir, LegacyHistoryEntry, MigrateReport};
 pub use snapshot::{DeployedResource, Record, Snapshot};

@@ -398,14 +398,14 @@ pub type WalkedLine = (usize, bool, Result<String, String>);
 
 /// The walk of `log` past its header as the open reads it, blob lines on
 /// `blob_line`'s path, and the same walk with every line read by the
-/// codec. The two are equal for every log; empty when the header is not
-/// `LOG_MAGIC`'s line.
+/// codec. The two are equal for every log; empty when the log has no
+/// header line, or is not a state log.
 #[doc(hidden)]
 pub fn indexed_both_ways(log: &[u8]) -> [Vec<WalkedLine>; 2] {
     fn walk<T: FrameRecord>(log: &[u8], indexed: fn(T) -> Indexed) -> Vec<WalkedLine> {
         let line =
             |(at, last, read): Frame<T>| (at, last, read.map(|r| format!("{:?}", indexed(r))));
-        let frames = Frames::after_line(log, LOG_MAGIC).into_iter().flatten();
+        let frames = Frames::after_header(log).into_iter().flatten();
         frames.map(line).collect()
     }
     let by_codec = walk(log, |ByCodec(record)| record);
@@ -506,15 +506,9 @@ pub(crate) fn payload_at(at: usize) -> usize {
 }
 
 /// Append `record` to `out` as one checksummed log line (with trailing
-/// newline).
+/// newline). The payload is written in place and the checksum field in
+/// front of it filled in afterwards.
 pub fn frame_into(out: &mut String, record: Framed<'_>) {
-    frame_payload(out, record);
-}
-
-/// [`frame_into`] for a record of any kind: the memo image beside the log
-/// frames records of its own the same way. The payload is written in place
-/// and the checksum field in front of it filled in afterwards.
-pub fn frame_payload(out: &mut String, record: impl Serialize) {
     let sum_at = out.len();
     out.push_str("0000000000000000 ");
     let payload_at = out.len();
@@ -573,11 +567,10 @@ fn parse_line<T: Deserialize>(bytes: &[u8]) -> Option<(usize, Result<T, String>)
 // --------------------------------------------------------------------- scan
 
 /// The framed lines of a log after its header, in order: the one walk
-/// every reader of a log's bytes makes (open through [`scan`], `fsck`, and
-/// the engine reading its memo image, whose records are `T`s). Each is the
-/// byte it starts at, whether nothing follows its newline in the whole log
-/// (only such a line can be a torn append) and what it held, or why it
-/// cannot be read. The walk ends at `end` (the end of the bytes, or a line
+/// every reader of a log's bytes makes (open through [`scan`], and
+/// `fsck`), each line read as a `T`. Each is the byte it starts at,
+/// whether nothing follows its newline in the whole log (only such a line
+/// can be a torn append) and what it held, or why it cannot be read. The walk ends at `end` (the end of the bytes, or a line
 /// boundary [`Frames::split`] cut at) or at a tail no newline closes; `pos`
 /// is where the next line starts, or that tail.
 pub struct Frames<'a, T = LogRecord> {
@@ -588,21 +581,6 @@ pub struct Frames<'a, T = LogRecord> {
 }
 
 impl<'a, T> Frames<'a, T> {
-    /// The framed lines after a first line that is exactly `header`, or
-    /// `None` when the bytes do not start with it.
-    pub fn after_line(bytes: &'a [u8], header: &str) -> Option<Frames<'a, T>> {
-        let first = bytes.strip_prefix(header.as_bytes())?.strip_prefix(b"\n")?;
-        let pos = bytes.len() - first.len();
-        let end = bytes.len();
-        let records = PhantomData;
-        Some(Frames {
-            bytes,
-            pos,
-            end,
-            records,
-        })
-    }
-
     /// Cut the walk in two where the halves cost about the same: this walk
     /// stops at the line boundary nearest the cut, and the one returned
     /// goes on from it. A version or checkpoint line costs the walk more a
@@ -641,19 +619,20 @@ impl<'a, T> Frames<'a, T> {
     /// Anything else is not a state log, and `Err` says so.
     pub(crate) fn after_header(bytes: &'a [u8]) -> Result<Frames<'a, T>, String> {
         let header = format!("{LOG_MAGIC}\n");
-        if let Some(frames) = Frames::after_line(bytes, LOG_MAGIC) {
-            Ok(frames)
+        let (bytes, pos) = if bytes.starts_with(header.as_bytes()) {
+            (bytes, header.len())
         } else if header.as_bytes().starts_with(bytes) {
-            let records = PhantomData;
-            Ok(Frames {
-                bytes: &[],
-                pos: 0,
-                end: 0,
-                records,
-            })
+            (&[][..], 0)
         } else {
-            Err(format!("missing magic header {LOG_MAGIC:?}"))
-        }
+            return Err(format!("missing magic header {LOG_MAGIC:?}"));
+        };
+        let (end, records) = (bytes.len(), PhantomData);
+        Ok(Frames {
+            bytes,
+            pos,
+            end,
+            records,
+        })
     }
 }
 

@@ -147,8 +147,8 @@ impl Record {
 
     /// The record stored under `key` as the blob `hash`, read as far as
     /// its head: refused when the head does not read or names another
-    /// address. `scratch` holds the front of the body, unescaped, while the
-    /// head is read; the whole body when the front does not hold the head.
+    /// address. A head not read in place is read off the whole body,
+    /// unescaped into `scratch`.
     pub(crate) fn logged(
         key: &str,
         hash: ContentHash,
@@ -159,13 +159,9 @@ impl Record {
             Some(id) => ResourceId::new(id),
             None => {
                 scratch.clear();
-                text.front_into(HEAD_BYTES, scratch)?;
-                let head = read_head(scratch).or_else(|_| {
-                    scratch.clear();
-                    text.read_into(scratch)?;
-                    read_head(scratch).map_err(|e| format!("corrupt resource record: {e}"))
-                });
-                let (addr, id) = head?;
+                text.read_into(scratch)?;
+                let head = read_head(scratch);
+                let (addr, id) = head.map_err(|e| format!("corrupt resource record: {e}"))?;
                 check_addr(key, &addr)?;
                 id
             }
@@ -300,11 +296,6 @@ fn decode(body: &Text, text: &mut String) -> Result<DeployedResource, String> {
     }
     Ok(r)
 }
-
-/// Bytes of a body unescaped to read its head, the `addr` and `id` that
-/// open it: about 100 for a root-module address, so a head longer than
-/// this (a deep module path, a long `for_each` key) costs the whole body.
-const HEAD_BYTES: usize = 128;
 
 /// The `addr` and `id` that open a canonical body, read with the codec:
 /// two fields, whatever follows them.
