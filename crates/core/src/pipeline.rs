@@ -55,10 +55,15 @@
 //! none of them. A splice that inserts or removes blocks *reshapes* them,
 //! once, between its expand and validate stages (`Memo::reshape`), its
 //! source window landed first so that every block's name is the new
-//! source's: one O(blocks) pass renumbers what stays and makes room for
+//! source's. Everything before the first inserted or removed block keeps
+//! its row; from there on what stays is renumbered and room is made for
 //! what comes (the instance list keeps the blocks a memo loaded from an
-//! image has not decoded undecoded), and no per-block artifact outside the
-//! scope is derived again. The lint stage has passed by then, which is
+//! image has not decoded undecoded), and the block DAG is spliced
+//! ([`cloudless_graph::Dag::splice`]), not sealed again. So a block
+//! appended at the end of the file, or removed from there, costs its edit,
+//! and one inserted at the head renumbers every block
+//! (`pipeline.blocks_renumbered` counts them); no per-block artifact
+//! outside the scope is derived again. The lint stage has passed by then, which is
 //! the last stage after which a refused program gets its memo back; a guard
 //! that trips on a reshaped memo drops it, as the all-blocks walk it
 //! restarts would have.
@@ -128,8 +133,9 @@
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
 //! engine's metrics registry (`pipeline.runs_incremental`,
-//! `pipeline.runs_full`, `pipeline.instances_planned`, and the settling
-//! passes' `pipeline.instances_settled`), so `cloudless watch` and the
+//! `pipeline.runs_full`, `pipeline.instances_planned`, a reshape's
+//! `pipeline.blocks_renumbered`, and the settling passes'
+//! `pipeline.instances_settled`), so `cloudless watch` and the
 //! experiment harnesses can prove which stages actually ran.
 
 use std::borrow::Cow;
@@ -151,7 +157,7 @@ use cloudless_cloud::Catalog;
 use cloudless_deploy::diff::{
     delete_change, delete_changes, dependency_order, diff, plan_one, render, PlannedChange,
 };
-use cloudless_graph::{Dag, DagBuilder, NodeId};
+use cloudless_graph::{Dag, DagBuilder, NodeId, Origin, Renumbering};
 use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::fingerprint::{
     diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap, ChunkWindow,
@@ -592,15 +598,6 @@ struct Memo {
 /// resource blocks and the chunk that holds it.
 type Seat = (usize, usize);
 
-/// A block an inserted block depends on.
-#[derive(Clone, Copy)]
-enum Dep {
-    /// A block of the memo, by its position there.
-    Memo(usize),
-    /// A block the same splice inserts, by its index in the splice.
-    Staged(usize),
-}
-
 /// One block of a splice, old and new: an edited block has both sides, an
 /// inserted one only the new, a removed one only the old. Each stage fills
 /// in what it derives of either side.
@@ -617,8 +614,9 @@ struct BlockEdit {
     /// parse: the block as each source has it.
     old: Option<ResourceBlock>,
     new: Option<ResourceBlock>,
-    /// lint: what an inserted block depends on.
-    deps: Vec<Dep>,
+    /// lint: what an inserted block depends on — a block of the memo, by
+    /// its position there, or one the splice inserts before it.
+    deps: Vec<Origin>,
     /// expand: its instances in the memo's manifest and in the new one.
     before: Vec<Arc<ResourceInstance>>,
     after: Vec<Arc<ResourceInstance>>,
@@ -1370,8 +1368,9 @@ impl<'a> Walk<'a> {
             // nothing is left of the memo as it stood: a guard that trips
             // from here on drops it
             edit.reshaped = true;
-            memo.land(edit, self.source);
-            memo.reshape(&edit.blocks)?;
+            let window = edit.window.take();
+            let renumbered = memo.reshape(&edit.blocks, window, self.source)?;
+            (ctx.recorder).counter("pipeline.blocks_renumbered", renumbered as u64);
         }
         // in place, O(edit): a stopped walk puts `before` back
         memo.write_edited(&edit.blocks, |b| &b.after);
@@ -1694,16 +1693,16 @@ fn validate_all(
     Ok(report)
 }
 
-/// Which of the blocks a splice inserted `earlier` is `rtype.name`, and the
-/// block.
+/// Which of the blocks a splice inserted `earlier` is `rtype.name` (its
+/// place among them), and the block.
 fn staged<'a>(
     earlier: &'a [BlockEdit],
     rtype: &str,
     name: &str,
-) -> Option<(usize, &'a ResourceBlock)> {
-    let inserted = earlier.iter().enumerate().filter(|(_, b)| b.inserted());
-    let mut blocks = inserted.filter_map(|(k, b)| Some((k, b.new.as_ref()?)));
-    blocks.find(|(_, rb)| rb.rtype == rtype && rb.name == name)
+) -> Option<(usize, &'a BlockEdit, &'a ResourceBlock)> {
+    let inserted = earlier.iter().filter(|b| b.inserted()).enumerate();
+    let mut blocks = inserted.filter_map(|(k, b)| Some((k, b, b.new.as_ref()?)));
+    blocks.find(|(.., rb)| rb.rtype == rtype && rb.name == name)
 }
 
 /// Parse one in-scope chunk where it sits in the file, so the block's spans
@@ -1777,12 +1776,18 @@ impl Memo {
 
         let mut builder: DagBuilder<()> = DagBuilder::with_capacity(blocks.len());
         let nodes: Vec<NodeId> = blocks.iter().map(|_| builder.add_node(())).collect();
+        let mut deps: Vec<usize> = Vec::new();
         for (bi, rb) in blocks.iter().enumerate() {
             let refs = block_refs(rb);
-            for (rtype, name) in refs.block_targets() {
-                let dep = block_of.get(&(rtype, name));
-                let dep = dep.filter(|&&dep| dep != bi);
-                if dep.is_some_and(|&dep| builder.add_edge(nodes[dep], nodes[bi]).is_err()) {
+            let targets = refs
+                .block_targets()
+                .filter_map(|(rtype, name)| block_of.get(&(rtype, name)));
+            deps.extend(targets.filter(|&&dep| dep != bi));
+            // each block's dependencies in ascending order, as a splice
+            // keeps them (`cloudless_graph::splice`)
+            deps.sort_unstable();
+            for dep in deps.drain(..) {
+                if builder.add_edge(nodes[dep], nodes[bi]).is_err() {
                     return false;
                 }
             }
@@ -1930,9 +1935,7 @@ impl Memo {
     /// the splice inserted `earlier` or one of the memo's.
     fn addresses_of(&self, rtype: &str, name: &str, earlier: &[BlockEdit]) -> Vec<ResourceAddr> {
         match staged(earlier, rtype, name) {
-            Some((k, _)) => (earlier[k].after.iter())
-                .map(|inst| inst.addr.clone())
-                .collect(),
+            Some((_, b, _)) => (b.after.iter()).map(|inst| inst.addr.clone()).collect(),
             None => (self.positions(&[], rtype, name))
                 .map(|at| self.manifest.instances.at(at).addr.clone())
                 .collect(),
@@ -1950,7 +1953,7 @@ impl Memo {
         refs: &BlockRefs,
         decls: &DeclEdit,
         earlier: &[BlockEdit],
-    ) -> Result<Vec<Dep>, Stop> {
+    ) -> Result<Vec<Origin>, Stop> {
         let env = &self.lint_env;
         let mut deps = Vec::new();
         // (what names no block is nobody's edge)
@@ -1962,15 +1965,16 @@ impl Memo {
                 Some(at) if !inserted => {
                     let chunk = &self.chunks.chunks[self.block_chunk[at]];
                     let rb = parse_block(&self.source, chunk, &self.program.filename)?;
-                    (Dep::Memo(at), env.count_folds_zero(&rb))
+                    let at = NodeId(at as u32);
+                    (Origin::Standing(at), env.count_folds_zero(&rb))
                 }
                 // (declared, and not the memo's: inserted)
                 _ => {
-                    let Some((k, rb)) = staged(earlier, rtype, name) else {
+                    let Some((k, _, rb)) = staged(earlier, rtype, name) else {
                         let reason = "structural edit (an inserted block depends on a later one)";
                         return Err(Stop::Guard(reason.to_owned()));
                     };
-                    (Dep::Staged(k), env.count_folds_zero(rb))
+                    (Origin::Inserted(k), env.count_folds_zero(rb))
                 }
             };
             ensure(!disabled, "structural edit (a count-disabled dependency)")?;
@@ -1980,102 +1984,150 @@ impl Memo {
     }
 
     /// Make the positional tables those of the new source's blocks, before
-    /// any of an inserted block's artifacts but its instances is there: the
-    /// removed blocks' rows go, rows for the inserted ones come, and every
-    /// position in between is renumbered — one O(blocks + instances) pass
-    /// of integers and moves that derives no block's artifacts again. The
+    /// any of an inserted block's artifacts but its instances is there, and
+    /// land the source `window`: the removed blocks' rows go, rows for the
+    /// inserted ones come, and every block from the first of them on that
+    /// changes position is renumbered. Integers and moves, and only of what
+    /// moves: the blocks before the first inserted or removed one, and their
+    /// instances, keep their rows, and the block DAG is spliced
+    /// ([`Dag::splice`]), not sealed again. So an append or removal at the
+    /// end of the program costs the edit (and a copy of the DAG's rows from
+    /// the first block it reads), an insertion at the head every block. The
     /// edited blocks keep their rows (and their old instances, until the
-    /// expand stage writes their new ones).
-    fn reshape(&mut self, blocks: &[BlockEdit]) -> Result<(), Stop> {
+    /// expand stage writes their new ones). Returns how many blocks it
+    /// moved, inserted or removed.
+    fn reshape(
+        &mut self,
+        blocks: &[BlockEdit],
+        window: Option<ChunkWindow>,
+        source: &str,
+    ) -> Result<usize, Stop> {
         const GONE: usize = usize::MAX;
-        let ranges = std::mem::take(&mut self.root.block_ranges);
-        let inserted = || blocks.iter().filter(|b| b.inserted());
-        let removed = || blocks.iter().filter(|b| b.removed());
+        let id = |b: &BlockEdit| NodeId(b.at as u32);
+        let removed: Vec<NodeId> = blocks.iter().filter(|b| b.removed()).map(id).collect();
+        let came: Vec<&BlockEdit> = blocks.iter().filter(|b| b.inserted()).collect();
+        let inserted: Vec<NodeId> = came.iter().map(|b| id(b)).collect();
+        let to = Renumbering::new(self.root.block_ranges.len(), &removed, &inserted);
+        let to = to.map_err(|err| Stop::Guard(format!("structural edit ({err})")))?;
+        let first = to.first();
 
-        // old block → new block, old instance → new instance, as the new
-        // blocks' ranges line up
-        let mut block_to = vec![GONE; ranges.len()];
-        let mut instance_to = vec![GONE; self.manifest.instances.len()];
-        let (mut came, mut went) = (inserted().peekable(), removed().peekable());
-        let (mut old, mut pieces, mut len) = (0, Vec::new(), 0);
-        while old < ranges.len() || came.peek().is_some() {
-            let at = self.root.block_ranges.len();
-            let first = len;
-            if let Some(b) = came.next_if(|b| b.at == at) {
-                pieces.push(Piece::New(&b.after));
-                len += b.after.len();
-            } else if went.next_if(|b| b.at == old).is_some() {
-                // (its instances live on in the splice's `before`)
-                old += 1;
-                continue;
-            } else {
-                let span = ranges[old].clone();
-                block_to[old] = at;
-                for (k, from) in span.clone().enumerate() {
-                    instance_to[from] = first + k;
+        // the names that go leave the name order while they are the memo's
+        for gone in &removed {
+            let name = self.name_of(gone.index());
+            let at = (self.by_name).binary_search_by(|&b| self.name_of(b as usize).cmp(&name));
+            let at = at.map_err(|_| Stop::Guard("a removed block has no name".into()))?;
+            self.by_name.remove(at);
+        }
+        // then the new source lands, and with it each block's chunk from
+        // the window on
+        if let Some(window) = window {
+            let start = window.old.start;
+            self.land(window, source);
+            let kept = self.block_chunk.partition_point(|&ci| ci < start);
+            self.block_chunk.truncate(kept);
+            let chunks = self.chunks.chunks[start..].iter().enumerate();
+            let resource = chunks.filter(|(_, chunk)| chunk.kind != ChunkKind::Other);
+            self.block_chunk.extend(resource.map(|(ci, _)| start + ci));
+        }
+
+        // The blocks from `first` on, and their instances, as the new ones
+        // line up: what stays keeps its dirtiness, what comes is visited by
+        // no pass yet.
+        let ranges = self.root.block_ranges.split_off(first);
+        let dirty = self.plan.dirty.split_off(first);
+        let from = self.root.block_ranges.last().map_or(0, |span| span.end);
+        let mut instance_to = vec![GONE; ranges.last().map_or(from, |span| span.end) - from];
+        let (mut pieces, mut len) = (Vec::with_capacity(to.places().len()), from);
+        for place in to.places() {
+            let start = len;
+            match *place {
+                Origin::Standing(old) => {
+                    let k = old.index() - first;
+                    let span = ranges[k].clone();
+                    for (i, at) in span.clone().enumerate() {
+                        instance_to[at - from] = start + i;
+                    }
+                    len += span.len();
+                    self.plan.dirty.push(dirty[k]);
+                    pieces.push(Piece::Kept(old.index(), span));
                 }
-                len += span.len();
-                pieces.push(Piece::Kept(old, span));
-                old += 1;
+                Origin::Inserted(k) => {
+                    len += came[k].after.len();
+                    self.plan.dirty.push(None);
+                    pieces.push(Piece::New(&came[k].after));
+                }
             }
-            (self.root.block_ranges).push(first..len);
+            self.root.block_ranges.push(start..len);
         }
-        self.manifest.instances.regroup(pieces.into_iter());
+        (self.manifest.instances).regroup(first, from, pieces.into_iter());
 
-        // the block DAG: the edges between blocks that stay, and each
-        // inserted block's edges from what it depends on
-        let mut builder: DagBuilder<()> = DagBuilder::with_capacity(self.root.block_ranges.len());
-        for _ in &self.root.block_ranges {
-            builder.add_node(());
-        }
-        let edges = self.dag.edges();
-        let stay = edges.map(|(from, to)| (block_to[from.index()], block_to[to.index()]));
-        let come = inserted().flat_map(|b| {
-            let from = |dep: &Dep| match *dep {
-                Dep::Memo(at) => block_to[at],
-                Dep::Staged(k) => blocks[k].at,
-            };
-            b.deps.iter().map(move |dep| (from(dep), b.at))
-        });
-        let there = |&(from, to): &(usize, usize)| from != GONE && to != GONE;
-        for (from, to) in stay.chain(come).filter(there) {
-            let edge = builder.add_edge(NodeId(from as u32), NodeId(to as u32));
-            ensure(edge.is_ok(), "structural edit (a self-dependency)")?;
-        }
-        let sealed = builder.seal();
-        ensure(sealed.is_ok(), "structural edit (a dependency cycle)")?;
-        self.dag = sealed.unwrap_or_default();
+        // the block DAG: each inserted block reads blocks of the memo and
+        // ones inserted before it, so the splice's order check holds
+        let reads = came.iter().map(|b| ((), &b.deps[..]));
+        let dag = std::mem::take(&mut self.dag).splice(&to, reads);
+        self.dag = dag.map_err(|err| Stop::Guard(format!("structural edit ({err})")))?;
 
-        // The names and the plan cache. What stays keeps its place in the
-        // name order, its dirtiness and its place in the visiting order, and
-        // what comes is put in its place by name, is visited by no pass yet,
-        // and goes last in the visiting order — nothing depends on it —
-        // each block's first instance visited last, as Kahn's stack leaves
-        // it.
-        let moved = |at: &usize| Some(instance_to[*at]).filter(|&to| to != GONE);
-        let kept = self.by_name.iter().map(|&b| block_to[b as usize]);
-        self.by_name = kept.filter(|&b| b != GONE).map(|b| b as u32).collect();
-        let mut dirty = vec![None; self.root.block_ranges.len()];
-        for (&flag, &to) in self.plan.dirty.iter().zip(&block_to) {
-            if to != GONE {
-                dirty[to] = flag;
+        // The name order: what stays keeps its place (renumbered when it
+        // moved), and what comes is put in its place by name.
+        if to.moved() > 0 {
+            for b in &mut self.by_name {
+                *b = to.get(NodeId(*b)).map_or(*b, |moved| moved.0);
             }
         }
-        self.plan.dirty = dirty;
-        let mut order: Vec<usize> = self.plan.order.iter().filter_map(moved).collect();
-        for b in inserted() {
-            let span = self.root.block_ranges[b.at].clone();
-            order.extend(span.rev());
-            let name = (b.new.as_ref()).map(|rb| (rb.rtype.as_str(), rb.name.as_str()));
-            let name =
-                name.ok_or_else(|| Stop::Guard("an inserted block was not parsed".into()))?;
+        for b in &came {
+            let name = self.name_of(b.at);
             let at = (self.by_name).partition_point(|&k| self.name_of(k as usize) < name);
             self.by_name.insert(at, b.at as u32);
         }
-        self.plan.set_order(order);
-        let changes = std::mem::take(&mut self.plan.changes).into_iter();
-        self.plan.changes = (changes.filter_map(|(at, c)| Some((moved(&at)?, c)))).collect();
-        Ok(())
+
+        // The visiting order: what stays keeps its place in it, what went
+        // leaves it, and what comes goes last — nothing depends on it —
+        // each block's first instance visited last, as Kahn's stack leaves
+        // it. Only the instances from `from` on have moved or gone.
+        let PlanCache {
+            order,
+            rank,
+            changes,
+            ..
+        } = &mut self.plan;
+        debug_assert_eq!(order.len(), rank.len(), "the order covers the instances");
+        let ranks = rank.split_off(from);
+        let mut left = order.len();
+        for (&r, &now) in ranks.iter().zip(&instance_to) {
+            order[r] = now;
+            if now == GONE {
+                left = left.min(r);
+            }
+        }
+        rank.resize(len, 0);
+        for (&r, &now) in ranks.iter().zip(&instance_to) {
+            if now != GONE {
+                rank[now] = r;
+            }
+        }
+        if left < order.len() {
+            // close the gaps from the first: the ranks behind it move up
+            let mut kept = left;
+            for r in left..order.len() {
+                let at = order[r];
+                if at != GONE {
+                    order[kept] = at;
+                    rank[at] = kept;
+                    kept += 1;
+                }
+            }
+            order.truncate(kept);
+        }
+        for b in &came {
+            for at in self.root.block_ranges[b.at].clone().rev() {
+                rank[at] = order.len();
+                order.push(at);
+            }
+        }
+        let moved = changes.split_off(&from).into_iter();
+        let moved = moved.map(|(at, change)| (instance_to[at - from], change));
+        changes.extend(moved.filter(|(at, _)| *at != GONE));
+        Ok(to.renumbered())
     }
 
     /// Write one side of each edited block's instances — `after` for the
@@ -2096,26 +2148,23 @@ impl Memo {
         }
     }
 
-    /// Land the staged splice's source window: the window's bytes, written
-    /// in the buffer the memo owns (every byte outside it is the same in
-    /// both sources), and its chunks. A reshape lands it first, so that the
+    /// Land a splice's source window: the window's bytes, written in the
+    /// buffer the memo owns (every byte outside it is the same in both
+    /// sources), and its chunks. A reshape lands it itself, so that the
     /// blocks' names are the new source's.
-    fn land(&mut self, edit: &mut Splice, source: &str) {
-        if let Some(window) = edit.window.take() {
-            let was = self.chunks.byte_range(window.old.clone());
-            let now = was.start..was.end.wrapping_add_signed(window.shift);
-            self.source.replace_range(was, &source[now]);
-            self.chunks.splice(window);
-            if edit.reshaped {
-                self.block_chunk = self.chunks.resource_chunks().collect();
-            }
-        }
+    fn land(&mut self, window: ChunkWindow, source: &str) {
+        let was = self.chunks.byte_range(window.old.clone());
+        let now = was.start..was.end.wrapping_add_signed(window.shift);
+        self.source.replace_range(was, &source[now]);
+        self.chunks.splice(window);
     }
 
     /// Land the staged splice of a walk whose verdict stages all passed
     /// (its blocks stay behind for the plan stage).
     fn absorb(&mut self, edit: &mut Splice, source: &str) {
-        self.land(edit, source);
+        if let Some(window) = edit.window.take() {
+            self.land(window, source);
+        }
         for (claim, by) in std::mem::take(&mut edit.claims).iter() {
             self.claims.hold(&claim, by);
         }

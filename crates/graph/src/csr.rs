@@ -81,6 +81,22 @@ impl Csr {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
+    /// Cut the rows from `row` on off into a table of their own (its row 0
+    /// is this one's `row`): O(the rows and entries cut).
+    pub(crate) fn split_off(&mut self, row: usize) -> Csr {
+        let base = self.offsets[row];
+        let targets = self.targets.split_off(base as usize);
+        let offsets = self.offsets[row..].iter().map(|&at| at - base).collect();
+        self.offsets.truncate(row + 1);
+        Csr { offsets, targets }
+    }
+
+    /// Append a row.
+    pub(crate) fn push_row(&mut self, row: impl IntoIterator<Item = NodeId>) {
+        self.targets.extend(row);
+        self.offsets.push(self.targets.len() as u32);
+    }
+
     /// Find one cycle, if any, as the list of nodes along it (`[a, b, c]`
     /// means `a → b → c → a`; a self-loop yields `[a]`). Iterative
     /// three-color DFS, deterministic: lowest-numbered roots first, edges in

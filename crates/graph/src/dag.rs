@@ -1,8 +1,10 @@
 //! The core DAG container.
 //!
-//! Nodes are appended and never removed (plans are built once and consumed);
-//! "removal" for incremental planning is expressed by *subgraph views*
-//! computed in [`crate::impact`]. Construction is two-phase: a
+//! A plan graph is built once and consumed; "removal" for incremental
+//! planning is expressed by *subgraph views* computed in [`crate::impact`].
+//! A long-lived graph (the pipeline memo's block DAG) inserts and removes
+//! nodes by [`Dag::splice`] ([`crate::splice`]), which costs what moves
+//! rather than a seal. Construction is two-phase: a
 //! [`DagBuilder`] accepts nodes and edges in O(1) each, and `seal()` runs a
 //! single O(V+E) acyclicity validation before handing out an immutable
 //! [`Dag`] — so building a plan graph is linear in its size instead of the
@@ -46,6 +48,10 @@ pub enum EdgeError {
     },
     /// One of the endpoints does not exist.
     UnknownNode(NodeId),
+    /// A node a splice inserts at `to` depends on the splice's inserted
+    /// node number `from`, which is not inserted before it
+    /// ([`crate::splice`]).
+    Forward { from: usize, to: NodeId },
 }
 
 impl fmt::Display for EdgeError {
@@ -63,6 +69,12 @@ impl fmt::Display for EdgeError {
                 Ok(())
             }
             EdgeError::UnknownNode(n) => write!(f, "unknown node {n}"),
+            EdgeError::Forward { from, to } => {
+                write!(
+                    f,
+                    "node {to} depends on inserted node #{from}, not inserted before it"
+                )
+            }
         }
     }
 }
@@ -71,10 +83,10 @@ impl std::error::Error for EdgeError {}
 
 /// Sealed topology: forward and reverse CSR over the same edge set. Shared
 /// behind an `Arc` by every view derived from the same build.
-#[derive(Debug)]
-struct Topology {
-    succ: Csr,
-    pred: Csr,
+#[derive(Debug, Clone)]
+pub(crate) struct Topology {
+    pub(crate) succ: Csr,
+    pub(crate) pred: Csr,
 }
 
 /// Incremental construction of a [`Dag`]: `add_node` / `add_edge` are O(1)
@@ -229,8 +241,8 @@ fn dedup_edges(n: usize, mut edges: Vec<(NodeId, NodeId)>) -> Vec<(NodeId, NodeI
 /// editable via [`Dag::node_mut`].
 #[derive(Debug, Clone)]
 pub struct Dag<N> {
-    nodes: Vec<N>,
-    topo: Arc<Topology>,
+    pub(crate) nodes: Vec<N>,
+    pub(crate) topo: Arc<Topology>,
 }
 
 impl<N> Default for Dag<N> {

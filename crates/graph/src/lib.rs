@@ -14,6 +14,10 @@
 //! * [`Dag`] — an immutable directed acyclic graph in flat CSR form, built
 //!   through [`DagBuilder`] with O(1) edge appends and one O(V+E)
 //!   acyclicity validation at seal time; deterministic iteration order.
+//! * [`splice`] — nodes inserted into and removed from a sealed [`Dag`]
+//!   through a [`Renumbering`], at the cost of what moves: no seal, and the
+//!   order "standing nodes, then inserted ones in turn" in place of the
+//!   cycle check.
 //! * [`csr`] — the shared compressed-sparse-row adjacency and cycle
 //!   detection used by the sealed graph and the raw [`cycles::Digraph`].
 //! * [`topo`] — topological orders and level (wave) schedules.
@@ -32,10 +36,12 @@ pub mod csr;
 pub mod cycles;
 pub mod dag;
 pub mod impact;
+pub mod splice;
 pub mod topo;
 
 pub use critical::{CriticalPathAnalysis, NodeSchedule};
 pub use csr::Csr;
 pub use dag::{Dag, DagBuilder, EdgeError, NodeId};
 pub use impact::ImpactScope;
+pub use splice::{Origin, Renumbering};
 pub use topo::{levels, topo_sort, Cycle};

@@ -739,48 +739,51 @@ impl Instances {
         self.make_mut()[span].clone_from_slice(with);
     }
 
-    /// The list made of `pieces` in order: blocks of this list, each at its
-    /// index and range (still undecoded, when it is), and new instances,
-    /// each a block.
-    pub fn regroup<'a>(&mut self, pieces: impl Iterator<Item = Piece<'a>>) {
+    /// The list whose first `keep` blocks — its instances before `at` — are
+    /// this list's, followed by `pieces` in order: blocks of this list from
+    /// `keep` on, each at its index and range (still undecoded, when it
+    /// is), and new instances, each a block. O(what follows `at`), unless
+    /// another clone shares the list: then it is copied once.
+    pub fn regroup<'a>(&mut self, keep: usize, at: usize, pieces: impl Iterator<Item = Piece<'a>>) {
         let pieces: Vec<Piece<'a>> = pieces.collect();
         let aligned = |blocks: &Blocks| {
-            pieces.iter().all(|piece| match piece {
-                Piece::Kept(b, span) => blocks.holds(*b, span),
-                Piece::New(_) => true,
-            })
+            blocks.starts.get(keep) == Some(&at)
+                && pieces.iter().all(|piece| match piece {
+                    Piece::Kept(b, span) => *b >= keep && blocks.holds(*b, span),
+                    Piece::New(_) => true,
+                })
         };
-        if let Some(blocks) = self.0.by_block().filter(|blocks| aligned(blocks)) {
-            let (mut starts, mut slots) = (vec![0], Vec::with_capacity(pieces.len()));
-            for piece in &pieces {
-                let (slot, n) = match piece {
-                    Piece::Kept(b, span) => (Arc::clone(&blocks.slots[*b]), span.len()),
-                    Piece::New(with) => (Slot::given(with), with.len()),
-                };
-                starts.push(starts[starts.len() - 1] + n);
-                slots.push(slot);
+        if self.0.by_block().is_some_and(aligned) {
+            if let Some(blocks) = &mut Arc::make_mut(&mut self.0).blocks {
+                let was = blocks.slots.split_off(keep);
+                blocks.starts.truncate(keep + 1);
+                for piece in &pieces {
+                    let (slot, n) = match piece {
+                        Piece::Kept(b, span) => (Arc::clone(&was[b - keep]), span.len()),
+                        Piece::New(with) => (Slot::given(with), with.len()),
+                    };
+                    blocks
+                        .starts
+                        .push(blocks.starts[blocks.starts.len() - 1] + n);
+                    blocks.slots.push(slot);
+                }
+                return;
             }
-            let source = Arc::clone(&blocks.source);
-            let blocks = Some(Blocks {
-                source,
-                starts,
-                slots,
-            });
-            self.0 = Arc::new(List {
-                all: OnceLock::new(),
-                blocks,
-            });
-            return;
         }
-        let was = self.0.whole();
-        let mut list = Vec::with_capacity(was.len());
+        let list = self.make_mut();
+        // the instances from `at` on, moved out and back in piece by piece
+        let mut was = list.split_off(at).into_iter();
+        let mut next = at;
         for piece in pieces {
             match piece {
-                Piece::Kept(_, span) => list.extend_from_slice(&was[span]),
+                Piece::Kept(_, span) => {
+                    was.by_ref().take(span.start - next).for_each(drop);
+                    list.extend(was.by_ref().take(span.len()));
+                    next = span.end;
+                }
                 Piece::New(with) => list.extend_from_slice(with),
             }
         }
-        *self = list.into_iter().collect();
     }
 
     /// The list, for writing: every block decoded, and unshared first if
