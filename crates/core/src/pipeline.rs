@@ -1776,18 +1776,12 @@ impl Memo {
 
         let mut builder: DagBuilder<()> = DagBuilder::with_capacity(blocks.len());
         let nodes: Vec<NodeId> = blocks.iter().map(|_| builder.add_node(())).collect();
-        let mut deps: Vec<usize> = Vec::new();
         for (bi, rb) in blocks.iter().enumerate() {
             let refs = block_refs(rb);
-            let targets = refs
-                .block_targets()
-                .filter_map(|(rtype, name)| block_of.get(&(rtype, name)));
-            deps.extend(targets.filter(|&&dep| dep != bi));
-            // each block's dependencies in ascending order, as a splice
-            // keeps them (`cloudless_graph::splice`)
-            deps.sort_unstable();
-            for dep in deps.drain(..) {
-                if builder.add_edge(nodes[dep], nodes[bi]).is_err() {
+            for (rtype, name) in refs.block_targets() {
+                let dep = block_of.get(&(rtype, name));
+                let dep = dep.filter(|&&dep| dep != bi);
+                if dep.is_some_and(|&dep| builder.add_edge(nodes[dep], nodes[bi]).is_err()) {
                     return false;
                 }
             }

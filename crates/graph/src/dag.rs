@@ -48,10 +48,6 @@ pub enum EdgeError {
     },
     /// One of the endpoints does not exist.
     UnknownNode(NodeId),
-    /// A node a splice inserts at `to` depends on the splice's inserted
-    /// node number `from`, which is not inserted before it
-    /// ([`crate::splice`]).
-    Forward { from: usize, to: NodeId },
 }
 
 impl fmt::Display for EdgeError {
@@ -69,12 +65,6 @@ impl fmt::Display for EdgeError {
                 Ok(())
             }
             EdgeError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            EdgeError::Forward { from, to } => {
-                write!(
-                    f,
-                    "node {to} depends on inserted node #{from}, not inserted before it"
-                )
-            }
         }
     }
 }

@@ -14,10 +14,11 @@
 //!
 //! The spliced graph is the one [`crate::DagBuilder::seal`] builds from the
 //! old graph's [`Dag::edges`], renumbered, followed by each inserted node's
-//! in-edges in turn: successor rows are the same, and so are predecessor
-//! rows wherever the old graph lists a node's predecessors in ascending
-//! order, as `seal` does from edges added in `from` order and as every
-//! splice of such a graph does.
+//! in-edges in turn: successor rows are the same, and predecessor rows
+//! hold the same nodes. A standing node's predecessor row keeps the old
+//! graph's order, so it is `seal`'s row for row where the old graph lists
+//! each node's predecessors in ascending order (as `seal` does from edges
+//! added in `from` order, and as every splice of such a graph does).
 //!
 //! Cost: a row before the first inserted or removed node is read only when
 //! it gains or loses an entry, or when some standing node's id changes (then
@@ -165,10 +166,10 @@ impl<N> Dag<N> {
     /// This graph renumbered by `to`, with the `inserted` nodes in (their
     /// payloads and what each depends on, in the order of their ids). See
     /// the [module docs](crate::splice) for what it equals and what it
-    /// costs. Refused: an in-edge from a removed or unknown node
-    /// ([`EdgeError::UnknownNode`]), from the node itself
-    /// ([`EdgeError::WouldCycle`]) or from a node inserted after it
-    /// ([`EdgeError::Forward`]); a renumbering of another graph, or one
+    /// costs. Refused: an in-edge from the node itself
+    /// ([`EdgeError::WouldCycle`]); one from a removed or unknown node, or
+    /// from a node inserted after it, which is not there yet
+    /// ([`EdgeError::UnknownNode`]); a renumbering of another graph, or one
     /// that inserts another number of nodes.
     pub fn splice<'d>(
         mut self,
@@ -198,7 +199,10 @@ impl<N> Dag<N> {
                             path,
                         });
                     }
-                    Origin::Inserted(j) => return Err(EdgeError::Forward { from: j, to: at[k] }),
+                    Origin::Inserted(j) => {
+                        let later = at.get(j).copied().unwrap_or(NodeId(u32::MAX));
+                        return Err(EdgeError::UnknownNode(later));
+                    }
                 };
                 if !reads[row..].contains(&from) {
                     reads.push(from);

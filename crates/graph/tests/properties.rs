@@ -369,7 +369,7 @@ proptest! {
         let gone = edit.removed.first().copied();
         let (bad, refused): (Origin, fn(&EdgeError) -> bool) = match (how, gone) {
             (0, _) => (Origin::Inserted(j), |e| matches!(e, EdgeError::WouldCycle { .. })),
-            (1, _) | (_, None) => (Origin::Inserted(j + 1), |e| matches!(e, EdgeError::Forward { .. })),
+            (1, _) | (_, None) => (Origin::Inserted(j + 1), |e| matches!(e, EdgeError::UnknownNode(_))),
             (_, Some(old)) => (Origin::Standing(old), |e| matches!(e, EdgeError::UnknownNode(_))),
         };
         edit.deps[j].push(bad);

@@ -754,7 +754,11 @@ impl Instances {
                 })
         };
         if self.0.by_block().is_some_and(aligned) {
-            if let Some(blocks) = &mut Arc::make_mut(&mut self.0).blocks {
+            let list = Arc::make_mut(&mut self.0);
+            // (a copy of a list another clone read whole since the check
+            // is read by the block again)
+            list.all = OnceLock::new();
+            if let Some(blocks) = &mut list.blocks {
                 let was = blocks.slots.split_off(keep);
                 blocks.starts.truncate(keep + 1);
                 for piece in &pieces {
