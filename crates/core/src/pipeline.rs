@@ -118,10 +118,10 @@
 //! settles them like any other. The next run plans what is owed and the
 //! blocks that read it, never the world.
 //!
-//! The cache keeps what it knows of a block by its position, beside the
-//! memo's other block tables: whether the instance of it a pass visited
-//! last is created or replaced (all `plan_one` reads of a dependency) is
-//! one entry of a table the memo image stores as it stands, and an address
+//! The cache keeps no table of its own by block: whether a block is
+//! created or replaced (all `plan_one` reads of a dependency) is read off
+//! its changes where a visit asks — dirty when the block has no instance or
+//! its first instance is created or replaced, as in `diff` — and an address
 //! resolves to its block once, by name, and from there to the block's
 //! range of instances and its readers in the block DAG — a block with no
 //! instance included. Every program the memo indexes is planned through
@@ -516,10 +516,6 @@ struct PlanCache {
     /// Each instance's place in `order`: a pass visits what it marks by
     /// this key, smallest first.
     rank: Vec<usize>,
-    /// Whether each block's last-visited instance is created or replaced,
-    /// by block (`None`: none of its instances visited) — the table the
-    /// memo image stores.
-    dirty: Vec<Option<bool>>,
     /// Non-NoOp changes by declaration position.
     changes: BTreeMap<usize, PlannedChange>,
     /// Deletions by rendered address — the state's own key, so its order.
@@ -578,7 +574,7 @@ struct Memo {
     dag: Dag<()>,
     /// The blocks in `(type, name)` order: what a block's name is looked up
     /// in, once, for everything kept by block (its declaration, its range of
-    /// instances, its dirtiness).
+    /// instances).
     by_name: Vec<u32>,
     // lint (the resource blocks it declares are `by_name`'s)
     lint_env: LintEnv,
@@ -1444,9 +1440,10 @@ impl<'a> Walk<'a> {
     /// or held by no engine that committed): the front-end artifacts stay,
     /// the diff rebuilds.
     /// [`plan_one`] reads nothing of a dependency but its records and
-    /// whether it is created or replaced, so a visit marks its block's
-    /// direct dependents — they come later in the order — only when it
-    /// changes that flag. The static cone of the edit
+    /// whether it is created or replaced, which the change at its first
+    /// instance says. So a visit marks its block's direct dependents (they
+    /// come later in the order) only when it is to a block's first instance
+    /// and flips that answer. The static cone of the edit
     /// (`cloudless_graph::ImpactScope`, ANA505) bounds what the pass can
     /// reach; it visits the part of the cone whose inputs changed.
     ///
@@ -1526,7 +1523,6 @@ impl<'a> Walk<'a> {
             away,
             order,
             rank,
-            dirty,
             changes,
             deletes,
         } = plan;
@@ -1577,18 +1573,21 @@ impl<'a> Walk<'a> {
             marked
         });
         if marked.is_none() {
-            // every block's dirtiness is planned again
+            // every instance is planned again
             *serial = Some(ctx.state.serial);
             away.clear();
             let all = delete_changes(manifest, ctx.state).into_iter();
             *deletes = all.map(|c| (c.addr.to_string(), c)).collect();
-            // an unvisited dependency (a cycle) reads as dirty, as in `diff`
-            dirty.clear();
-            dirty.resize(ranges.len(), None);
             changes.clear();
         }
-        // each visit reads its dependencies' dirtiness as the visit before
-        // left it: this pass's, or the run's that last planned them
+        // A block is dirty when it has no instance or its first instance is
+        // created or replaced: the instance Kahn's stack visits last, as in
+        // `diff`. Each visit reads that off the changes as the visit before
+        // left them: this pass's, or the run's that last planned them.
+        let dirty_at = |changes: &BTreeMap<usize, PlannedChange>, b: usize| {
+            let first = changes.get(&ranges[b].start);
+            ranges[b].is_empty() || first.is_some_and(PlannedChange::makes_dirty)
+        };
         let (mut visited, mut next) = (0, 0);
         loop {
             let r = match &mut marked {
@@ -1608,14 +1607,13 @@ impl<'a> Walk<'a> {
             let inst = instances.at(idx);
             let mut dep_dirty = |rtype: &str, name: &str| {
                 let block = memo.block_named(rtype, name);
-                block.and_then(|b| dirty[b]).unwrap_or(true)
+                block.is_none_or(|b| dirty_at(changes, b))
             };
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
-            let (b, flag) = (block_of(idx), change.makes_dirty());
-            let was = dirty[b].replace(flag);
-            if let (Some(marked), true) = (&mut marked, was != Some(flag)) {
-                // (marking on every flip between a block's instances
-                // over-marks, never under-marks)
+            // only a visit to a block's first instance changes its dirtiness
+            let b = block_of(idx);
+            let flips = ranges[b].start == idx && dirty_at(changes, b) != change.makes_dirty();
+            if let (Some(marked), true) = (&mut marked, flips) {
                 mark_readers(marked, b);
             }
             match change.action.is_noop() {
@@ -2025,10 +2023,8 @@ impl Memo {
         }
 
         // The blocks from `first` on, and their instances, as the new ones
-        // line up: what stays keeps its dirtiness, what comes is visited by
-        // no pass yet.
+        // line up.
         let ranges = self.root.block_ranges.split_off(first);
-        let dirty = self.plan.dirty.split_off(first);
         let from = self.root.block_ranges.last().map_or(0, |span| span.end);
         let mut instance_to = vec![GONE; ranges.last().map_or(from, |span| span.end) - from];
         let (mut pieces, mut len) = (Vec::with_capacity(to.places().len()), from);
@@ -2042,12 +2038,10 @@ impl Memo {
                         instance_to[at - from] = start + i;
                     }
                     len += span.len();
-                    self.plan.dirty.push(dirty[k]);
                     pieces.push(Piece::Kept(old.index(), span));
                 }
                 Origin::Inserted(k) => {
                     len += came[k].after.len();
-                    self.plan.dirty.push(None);
                     pieces.push(Piece::New(&came[k].after));
                 }
             }
@@ -2077,7 +2071,9 @@ impl Memo {
         // The visiting order: what stays keeps its place in it, what went
         // leaves it, and what comes goes last — nothing depends on it —
         // each block's first instance visited last, as Kahn's stack leaves
-        // it. Only the instances from `from` on have moved or gone.
+        // it (the order within a block decides nothing: a block's dirtiness
+        // is its first instance's). Only the instances from `from` on have
+        // moved or gone.
         let PlanCache {
             order,
             rank,
@@ -2172,7 +2168,7 @@ impl Memo {
         total += self.block_chunk.len() * 768;
         total += self.manifest.instances.len() * 480;
         total += self.claims.len() * 128;
-        total += self.plan.order.len() * 16 + self.plan.dirty.len();
+        total += self.plan.order.len() * 16;
         total += (self.plan.changes.len() + self.plan.deletes.len()) * 512;
         total + self.image.as_ref().map_or(0, |image| image.len())
     }

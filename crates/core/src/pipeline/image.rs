@@ -5,12 +5,13 @@
 //! The image is a header line, flat little-endian sections, a directory of
 //! where each sits, and one checksum over every byte before it. The
 //! sections: the source and its chunk table (offsets, first lines, hashes
-//! and block names); each block's instance count, plan dirtiness and
-//! record; the blocks in name order; the block DAG's successors; the plan
-//! cache's visiting order and the addresses it owes; and the claims in key
-//! order, each written as it is made. The memo keeps the plan dirtiness as
-//! one entry a block too, so that table is written and read as it stands;
-//! a block's name resolves to its position through the name order. Opening
+//! and block names); each block's instance count and record; the blocks in
+//! name order; the block DAG's successors; the plan cache's visiting order
+//! and the addresses it owes; and the claims in key order, each written as
+//! it is made. A block's name resolves to its position through the name
+//! order. No block's dirtiness is written: the plan cache reads it off its
+//! changes, which the image owes, so the first run plans each dirty block's
+//! first instance again and the blocks that read it. Opening
 //! an image checks the checksum, copies the integer tables and validates
 //! them, and parses the program's non-resource half off its chunks. It
 //! decodes no block: a block's record (its instances, spans and lifecycle)
@@ -60,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use super::{parse_block, Claims, Memo, PipelineCtx, Rule};
 
 /// The header line: the format and its version.
-const MAGIC: &str = "cloudless-memo v2";
+const MAGIC: &str = "cloudless-memo v3";
 /// What every version's header starts with.
 const MAGIC_STEM: &str = "cloudless-memo v";
 
@@ -645,11 +646,9 @@ const CHUNK: usize = 4 * 3 + 8 + 4 * 4;
 /// [`join`].
 const BATCH: usize = 4096;
 /// A block's entry: its chunk, its record's offset and length, its count of
-/// instances and its flags ([`DIRTY`], [`CLEAN`], [`DEFERRED`]).
+/// instances and its flags ([`DEFERRED`]).
 const BLOCK: usize = 4 * 4 + 1;
-const CLEAN: u8 = 1;
-const DIRTY: u8 = 2;
-const DEFERRED: u8 = 4;
+const DEFERRED: u8 = 1;
 
 /// An opened image: its bytes, where its sections sit in them, and what the
 /// records of its blocks are decoded under.
@@ -887,12 +886,7 @@ pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::R
         out.u32(from)?;
         out.u32(to - from)?;
         out.u32(span.len())?;
-        let dirty = match plan.dirty.get(b).copied().flatten() {
-            None => 0,
-            Some(false) => CLEAN,
-            Some(true) => DIRTY,
-        };
-        out.u8(dirty | deferred)?;
+        out.u8(deferred)?;
         from = to;
     }
     out.section();
@@ -1161,12 +1155,6 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
     }
     memo.program = program;
     memo.plan.set_order(order);
-    let dirty = |f: &u8| match f & (CLEAN | DIRTY) {
-        CLEAN => Some(false),
-        DIRTY => Some(true),
-        _ => None,
-    };
-    memo.plan.dirty = flags.iter().map(dirty).collect();
     for (b, f) in flags.iter().enumerate() {
         if f & DEFERRED != 0 {
             reexpand(&mut memo, b, ctx)?;

@@ -200,9 +200,9 @@ fn each_part_of_the_key_refuses_the_image_and_plans_as_cold() {
 #[test]
 fn an_image_of_an_older_format_is_refused_and_plans_as_cold() {
     let (log, image, records) = converged(standard(), SRC);
-    let header = b"cloudless-memo v2\n";
+    let header = b"cloudless-memo v3\n";
     assert!(image.starts_with(header), "the image opens with its format");
-    let mut older = b"cloudless-memo v1\n".to_vec();
+    let mut older = b"cloudless-memo v2\n".to_vec();
     older.extend_from_slice(&image[header.len()..]);
     let (plan, trace) = first_run(standard(), &log, Some(older), &records);
     let why = refusal(&trace).expect("refused");
@@ -489,6 +489,32 @@ fn a_refresh_of_drift_settles_as_cold() {
     let report = engine.refresh().expect("the refresh commits");
     assert_eq!((report.updated.len(), report.missing.len()), (1, 1));
     plans_as_cold(engine, &[SRC, &edited()]);
+}
+
+/// A counted VPC whose first instance a bucket's name reads.
+const COUNTED: &str = r#"resource "aws_vpc" "v" {
+  count      = 2
+  cidr_block = "10.${count.index}.0.0/16"
+}
+resource "aws_s3_bucket" "g" {
+  bucket = "logs-${aws_vpc.v[0].id}"
+}
+"#;
+
+/// A refresh that folds in the deletion of a block's second instance
+/// leaves the block as clean as its first instance is: the settled cache
+/// plans the VPC's re-creation alone, as a cold engine does, and not a
+/// replacement of the bucket that reads `v[0]`.
+#[test]
+fn a_deleted_instance_past_the_first_leaves_its_block_clean() {
+    let mut engine = open(Vec::new(), None, Records::new());
+    assert!(engine.converge(COUNTED).expect("converges").apply.all_ok());
+    let id = engine.state().resources()["aws_vpc.v[1]"].id.clone();
+    let cloud = engine.cloud_mut();
+    cloud.out_of_band_delete("intern", &id).expect("deletes");
+    let report = engine.refresh().expect("the refresh commits");
+    assert_eq!(report.missing.len(), 1);
+    plans_as_cold(engine, &[COUNTED]);
 }
 
 /// A rollback of the state document settles the plan cache like any other

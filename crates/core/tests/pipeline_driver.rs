@@ -808,7 +808,7 @@ fn the_trace_reads_row_by_row() {
         "  validate: full (every block in scope)",
         "  analyze: full (every block in scope)",
         "  plan: full (diffed 3 instance(s))",
-        "  image: refused (MEM002: image of format v1, not \"cloudless-memo v2\")",
+        "  image: refused (MEM002: image of format v1, not \"cloudless-memo v3\")",
         "  memo: stored (run clean)",
     ]);
     assert_eq!(first_trace(Some(b"cloudless-memo v1\n")), refused);

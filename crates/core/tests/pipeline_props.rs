@@ -37,8 +37,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cloudless::cloud::{Catalog, Cloud, CloudConfig, FaultPlan, ResourceRecord};
+use cloudless::deploy::diff::render;
 use cloudless::deploy::resolver::DataResolver;
-use cloudless::deploy::{diff, Executor, Plan, Strategy};
+use cloudless::deploy::{diff, Executor, Plan, PlannedChange, Strategy};
 use cloudless::hcl::program::{expand, ModuleLibrary, Program};
 use cloudless::obs::{NullRecorder, Recorder};
 use cloudless::pipeline::{FrontendOutput, IncrementalPipeline, PipelineCtx, PipelineError};
@@ -369,9 +370,26 @@ fn converged_state(src: &str, env: &Env) -> Snapshot {
     state
 }
 
+/// A cold run of `source` against `state`, whose plan — when it plans — is
+/// the one `deploy::diff` renders for its manifest, no-ops dropped.
+fn cold_as_diffed(env: &Env, state: &Snapshot, source: &str) -> Result<(String, String), String> {
+    let cold = cold_run(source, &env.ctx(state));
+    if let Ok(out) = &cold {
+        let all = diff(&out.manifest, state, &env.catalog, &env.data);
+        let changes: Vec<PlannedChange> = all.into_iter().filter(|c| !c.action.is_noop()).collect();
+        assert_eq!(
+            out.plan_text,
+            render(&changes),
+            "the cold plan is not diff's"
+        );
+    }
+    observe(cold)
+}
+
 /// The core differential check: against `state`, a warm pipeline that saw
 /// `base` must produce the same observation for `edited` (and then for a
-/// follow-up edit) as a cold pipeline seeing each source fresh.
+/// follow-up edit) as a cold pipeline seeing each source fresh, which plans
+/// what `deploy::diff` plans.
 fn check_against_state(env: &Env, state: &Snapshot, base: &str, edited: &str, followup: &str) {
     let ctx = env.ctx(state);
     let mut warm = IncrementalPipeline::default();
@@ -379,13 +397,13 @@ fn check_against_state(env: &Env, state: &Snapshot, base: &str, edited: &str, fo
     assert!(warm.is_warm(), "clean base must be memo-eligible");
 
     let warm_obs = observe(warm.run(edited, &ctx));
-    let cold_obs = observe(cold_run(edited, &ctx));
+    let cold_obs = cold_as_diffed(env, state, edited);
     assert_eq!(warm_obs, cold_obs, "warm replan diverged on the edit");
 
     // a second edit on top exercises the spliced memo (after an error the
     // memo is dropped and this replays cold — still must agree)
     let warm_obs = observe(warm.run(followup, &ctx));
-    let cold_obs = observe(cold_run(followup, &ctx));
+    let cold_obs = cold_as_diffed(env, state, followup);
     assert_eq!(warm_obs, cold_obs, "warm replan diverged on the follow-up");
 }
 
@@ -1216,6 +1234,75 @@ proptest! {
                 settled_as_cold(engine, &edited, &base);
             }
         }
+    }
+}
+
+// --------------------------------------------- counted blocks, one deleted
+
+/// Counted VPCs `v0..`, `counts[j]` instances each, their CIDRs read off a
+/// `locals` list, and a bucket `gN` for each `(j, k)` of `reads`, whose
+/// name reads `aws_vpc.vJ[k].id` (`j` and `k` taken modulo what there is).
+/// `moved` is the place in the list whose CIDR is another: an edit of one
+/// instance, which replaces it.
+fn counted_source(counts: &[usize], reads: &[(usize, usize)], moved: Option<usize>) -> String {
+    let total: usize = counts.iter().sum();
+    let cidr = |n: usize| match moved == Some(n) {
+        true => format!("\"10.{}.0.0/16\"", 100 + n),
+        false => format!("\"10.{n}.0.0/16\""),
+    };
+    let cidrs: Vec<String> = (0..total).map(cidr).collect();
+    let mut out = format!("locals {{\n  cidrs = [{}]\n}}\n", cidrs.join(", "));
+    let mut first = 0;
+    for (j, &count) in counts.iter().enumerate() {
+        out.push_str(&format!(
+            "resource \"aws_vpc\" \"v{j}\" {{\n  count      = {count}\n  cidr_block = local.cidrs[{first} + count.index]\n}}\n"
+        ));
+        first += count;
+    }
+    for (n, &(j, k)) in reads.iter().enumerate() {
+        let j = j % counts.len();
+        let k = k % counts[j];
+        out.push_str(&format!(
+            "resource \"aws_s3_bucket\" \"g{n}\" {{\n  bucket = \"g{n}-${{aws_vpc.v{j}[{k}].id}}\"\n}}\n"
+        ));
+    }
+    out
+}
+
+proptest! {
+    /// Counted VPCs, buckets that read one instance of them each, and an
+    /// out-of-band deletion of one instance that a refresh folds in: a
+    /// block is as dirty as its first instance, so the settled cache plans
+    /// the program and an edit of one instance's CIDR as a cold engine
+    /// does, in the engine that committed and in a fresh one warm from its
+    /// image — and a warm pipeline against the refreshed state plans them
+    /// as a cold one, which plans what `deploy::diff` plans.
+    #[test]
+    fn a_settled_deletion_of_one_instance_plans_as_cold(
+        counts in proptest::collection::vec(1..4usize, 1..4),
+        reads in proptest::collection::vec((0..4usize, 0..4usize), 1..5),
+        moved in 0..12usize,
+        gone in 0..12usize,
+    ) {
+        let base = counted_source(&counts, &reads, None);
+        let total: usize = counts.iter().sum();
+        let edited = counted_source(&counts, &reads, Some(moved % total));
+        let mut engine = engine_over(MemDevice::new().imaged(None), &Records::new());
+        let outcome = engine.converge(&base).expect("the base is clean");
+        prop_assert!(outcome.apply.all_ok());
+        prop_assert!(engine.pipeline().is_warm(), "the memo indexes the program");
+        let vpcs: Vec<ResourceId> = (engine.state().resources().values())
+            .filter(|r| r.rtype.as_str() == "aws_vpc")
+            .map(|r| r.id.clone())
+            .collect();
+        prop_assert_eq!(vpcs.len(), total);
+        let cloud = engine.cloud_mut();
+        cloud.out_of_band_delete("intern", &vpcs[gone % total]).expect("deletes");
+        let refresh = engine.refresh().expect("the refresh commits");
+        prop_assert_eq!(refresh.missing.len(), 1);
+        let state = engine.state().clone();
+        settled_as_cold(engine, &base, &edited);
+        check_against_state(&Env::new(), &state, &base, &edited, &base);
     }
 }
 

@@ -120,9 +120,11 @@ pub fn diff(
 
 /// Diff a single instance against prior state. `dep_dirty` answers whether
 /// a referenced block `(type, name)` is being created or replaced — in the
-/// full diff it closes over the dirtiness accumulated in dependency order;
-/// the incremental planner feeds it from a cached map. The caller is
-/// responsible for recording this change's own dirtiness afterwards.
+/// full diff it closes over the dirtiness accumulated in dependency order
+/// (a block's last-visited instance, which Kahn's stack makes its first);
+/// the incremental planner reads the change its cache holds at the block's
+/// first instance. The caller is responsible for recording this change
+/// afterwards.
 pub fn plan_one(
     inst: &Arc<ResourceInstance>,
     state: &Snapshot,

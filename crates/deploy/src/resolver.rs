@@ -16,6 +16,10 @@ use cloudless_types::{Provider, ResourceKey, ResourceTypeName, Value};
 
 use cloudless_state::Snapshot;
 
+/// The most missing indexes a counted block's list is padded over: each is
+/// a null the list holds, and a state log is untrusted input.
+const MAX_GAPS: usize = 1024;
+
 /// Resolver over a state snapshot, with an optional fallback for `data.*`
 /// references.
 pub struct StateResolver<'a> {
@@ -50,7 +54,14 @@ impl<'a> StateResolver<'a> {
 
     /// Build the attribute view of all instances of a `type.name` block:
     /// a single instance resolves to its attribute map; `count` instances
-    /// resolve to a list ordered by index; `for_each` instances to a map.
+    /// resolve to a list with each record at its index; `for_each`
+    /// instances to a map.
+    ///
+    /// An index the state holds no record of (not created yet, or deleted
+    /// out of band) is not yet known: a gap in the list is null, which no
+    /// attribute read gets past, and one past the last record is out of
+    /// bounds. A block with more than [`MAX_GAPS`] gaps (an index the
+    /// state's other records do not count to) is not known at all.
     fn block_value(&self, rtype: &str, name: &str) -> Option<Value> {
         let mut indexed: Vec<(&ResourceKey, Value)> = self
             .snapshot
@@ -66,11 +77,21 @@ impl<'a> StateResolver<'a> {
         match indexed[0].0 {
             ResourceKey::None => Some(indexed.swap_remove(0).1),
             ResourceKey::Index(_) => {
-                indexed.sort_by_key(|(k, _)| match k {
-                    ResourceKey::Index(i) => *i,
-                    _ => u32::MAX,
-                });
-                Some(Value::List(indexed.into_iter().map(|(_, v)| v).collect()))
+                let at = |k: &ResourceKey| match k {
+                    ResourceKey::Index(i) => Some(*i as usize),
+                    _ => None,
+                };
+                let len = indexed.iter().filter_map(|(k, _)| at(k)).max()? + 1;
+                if len.saturating_sub(indexed.len()) > MAX_GAPS {
+                    return None;
+                }
+                let mut list = vec![Value::Null; len];
+                for (k, v) in indexed {
+                    if let Some(i) = at(k) {
+                        list[i] = v;
+                    }
+                }
+                Some(Value::List(list))
             }
             ResourceKey::Key(_) => {
                 let map: BTreeMap<String, Value> = indexed
@@ -264,6 +285,27 @@ mod tests {
         assert_eq!(list[1].get("id"), Some(&Value::from("sn-1")));
     }
 
+    /// A counted block missing an index keeps every record at its own:
+    /// the missing one reads as not yet known, never as the next record.
+    #[test]
+    fn a_missing_index_is_not_the_next_record() {
+        let mut snap = Snapshot::new();
+        snap.put(deployed("aws_vpc.v[0]", "vpc-0", vec![]));
+        snap.put(deployed("aws_vpc.v[2]", "vpc-2", vec![]));
+        let res = StateResolver::new(&snap);
+        let list = res.resolve(&r(&["aws_vpc", "v"])).unwrap().unwrap();
+        let list = list.as_list().expect("list");
+        assert_eq!(list.len(), 3);
+        assert_eq!(list[0].get("id"), Some(&Value::from("vpc-0")));
+        assert_eq!(list[1], Value::Null);
+        assert_eq!(list[2].get("id"), Some(&Value::from("vpc-2")));
+        // an index far past what the records count to is not known at all
+        let mut sparse = Snapshot::new();
+        sparse.put(deployed("aws_vpc.v[4000000000]", "vpc-far", vec![]));
+        let res = StateResolver::new(&sparse);
+        assert_eq!(res.resolve(&r(&["aws_vpc", "v", "id"])).unwrap(), None);
+    }
+
     #[test]
     fn for_each_block_resolves_to_map() {
         let mut snap = Snapshot::new();
@@ -358,12 +400,15 @@ mod tests {
             }
         }
         assert_eq!(resolved_members, snap.len(), "every member is somebody's");
-        // count instances come back in index order, not key order
+        // count instances come back at their index, not in key order
         let v = StateResolver::new(&snap).resolve(&r(&["aws_vm", "web2"]));
         let ordered: Vec<_> = (v.unwrap().unwrap().as_list().unwrap().iter())
-            .map(|m| m.get("id").cloned().unwrap())
+            .map(|m| m.get("id").cloned().unwrap_or(Value::Null))
             .collect();
-        let expected = ["id-1", "id-2", "id-3"].map(Value::from);
+        let mut expected = vec![Value::Null; 11];
+        for (i, id) in [(0, "id-1"), (1, "id-2"), (10, "id-3")] {
+            expected[i] = Value::from(id);
+        }
         assert_eq!(ordered, expected);
     }
 
