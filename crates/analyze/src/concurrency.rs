@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use cloudless_graph::{Dag, DagBuilder, NodeId};
-use cloudless_hcl::program::{is_resource_ref, Manifest, ResourceInstance};
+use cloudless_hcl::program::{Manifest, ManifestIndex, ResourceInstance, Target};
 use cloudless_types::ResourceAddr;
 
 use crate::report::{LintReport, Sink};
@@ -121,19 +121,14 @@ pub(crate) fn pass_happens_before(manifest: &Manifest, g: &InstGraph<'_>, sink: 
         if !seen.insert((block_key(writer), block_key(reader))) {
             continue;
         }
-        // Localize on the reader's deferred attribute that waits on the
-        // writer, falling back to the reader's block span.
+        // Localize on the reader's deferred attribute that reads the
+        // writer's block (the edge's cause: a block's readers depend on its
+        // every instance), falling back to the reader's block span.
+        let names_writer = |t: &Target| t.rtype == writer.addr.rtype && t.name == writer.addr.name;
         let span = reader
             .deferred
             .iter()
-            .find(|d| {
-                d.waiting_on.iter().any(|dep| {
-                    is_resource_ref(dep)
-                        && dep.parts.len() >= 2
-                        && dep.parts[0] == writer.addr.rtype.as_str()
-                        && dep.parts[1] == writer.addr.name
-                })
-            })
+            .find(|d| d.waiting_on.iter().any(names_writer))
             .map(|d| d.span)
             .unwrap_or(reader.span);
         sink.emit(
@@ -152,26 +147,22 @@ pub(crate) fn pass_happens_before(manifest: &Manifest, g: &InstGraph<'_>, sink: 
     // Detector 2: provenance reads with no declared edge at all. The
     // expander derives `depends_on` from the same references, so this only
     // fires when the two disagree (e.g. an indexed reference targeting an
-    // instance outside the declared set) — cheap insurance, O(reads).
+    // instance outside the declared set) — cheap insurance, O(reads). The
+    // block index that finds the producer is built at the first such read.
+    let mut blocks = None;
     for (i, reader) in manifest.instances.iter().enumerate() {
+        let module = &reader.addr.module_path;
         for d in &reader.deferred {
-            for dep in &d.waiting_on {
-                if !is_resource_ref(dep) || dep.parts.len() < 2 {
+            for t in &d.waiting_on {
+                let declared = |a: &ResourceAddr| t.reads(a) && a.module_path == *module;
+                if reader.depends_on.iter().any(declared) {
                     continue;
                 }
-                let ordered = reader.depends_on.iter().any(|a| {
-                    a.rtype.as_str() == dep.parts[0]
-                        && a.name == dep.parts[1]
-                        && a.module_path == reader.addr.module_path
-                });
-                // Is there any producer instance to order after?
-                let producer = manifest.instances.iter().position(|p| {
-                    p.addr.rtype.as_str() == dep.parts[0]
-                        && p.addr.name == dep.parts[1]
-                        && p.addr.module_path == reader.addr.module_path
-                });
-                let Some(p) = producer else { continue };
-                if ordered || p == i {
+                // Is there a producer instance to order after?
+                let index = blocks.get_or_insert_with(|| ManifestIndex::build(manifest));
+                let read = t.positions(module, index, &manifest.instances);
+                let p = read.start;
+                if read.is_empty() || p == i {
                     continue;
                 }
                 let writer = &manifest.instances[p];

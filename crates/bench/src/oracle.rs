@@ -126,15 +126,9 @@ impl Oracle {
             // Reads: every deferred attribute waiting on a producer that
             // exists in the manifest must observe a completed write.
             for d in &inst.deferred {
-                for dep in &d.waiting_on {
-                    if dep.parts.len() < 2 {
-                        continue;
-                    }
+                for t in &d.waiting_on {
                     let producer = g.index.iter().find(|(addr, &p)| {
-                        p != i
-                            && addr.rtype.as_str() == dep.parts[0]
-                            && addr.name == dep.parts[1]
-                            && addr.module_path == inst.addr.module_path
+                        p != i && t.reads(addr) && addr.module_path == inst.addr.module_path
                     });
                     if let Some((_, &p)) = producer {
                         if !done[p] {

@@ -118,10 +118,10 @@
 //! settles them like any other. The next run plans what is owed and the
 //! blocks that read it, never the world.
 //!
-//! The cache keeps no table of its own by block: whether a block is
+//! The cache keeps no table of dirtiness: whether what an instance reads is
 //! created or replaced (all `plan_one` reads of a dependency) is read off
-//! its changes where a visit asks — dirty when the block has no instance or
-//! its first instance is created or replaced, as in `diff` — and an address
+//! the changes of the instances it reads where a visit asks, by the rule
+//! `diff` applies ([`cloudless_deploy::diff::target_dirty`]). An address
 //! resolves to its block once, by name, and from there to the block's
 //! range of instances and its readers in the block DAG — a block with no
 //! instance included. Every program the memo indexes is planned through
@@ -155,7 +155,8 @@ use cloudless_analyze::{
 };
 use cloudless_cloud::Catalog;
 use cloudless_deploy::diff::{
-    delete_change, delete_changes, dependency_order, diff, plan_one, render, PlannedChange,
+    delete_change, delete_changes, dependency_order, diff, plan_one, render, target_dirty,
+    PlannedChange,
 };
 use cloudless_graph::{Dag, DagBuilder, NodeId, Origin, Renumbering};
 use cloudless_hcl::eval::Resolver;
@@ -164,13 +165,13 @@ use cloudless_hcl::fingerprint::{
 };
 use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
-    expand_resource_block, expand_root, provider_region, Instances, Manifest, ModuleLibrary, Piece,
-    Program, ResourceBlock, ResourceInstance, RootExpansion,
+    expand_resource_block, expand_root, provider_region, Manifest, ModuleLibrary, Piece, Program,
+    ResourceBlock, ResourceInstance, RootExpansion, Target,
 };
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::Snapshot;
-use cloudless_types::{join, PairMap, ResourceAddr, ResourceKey, SourcePos, Value};
+use cloudless_types::{join, PairMap, ResourceAddr, SourcePos, Value};
 use cloudless_validate::incremental::{
     check_scope, name_claim, quota_key, ManifestIndex, Positions,
 };
@@ -532,19 +533,6 @@ impl PlanCache {
         }
         self.order = order;
     }
-}
-
-/// Which of a block's instances, at manifest positions `at`, has address
-/// `addr`: a counted block's sit in index order, so that one is a probe.
-fn instance_at(instances: &Instances, at: Range<usize>, addr: &ResourceAddr) -> Option<usize> {
-    let is = |p: &usize| instances.at(*p).addr == *addr;
-    let probe = match addr.key {
-        ResourceKey::None => Some(at.start),
-        ResourceKey::Index(i) => at.start.checked_add(i as usize),
-        ResourceKey::Key(_) => None,
-    };
-    let probe = probe.filter(|p| at.contains(p) && is(p));
-    probe.or_else(|| at.clone().find(is))
 }
 
 /// The memoized artifacts of one clean run, grouped by the stage that
@@ -1440,10 +1428,10 @@ impl<'a> Walk<'a> {
     /// or held by no engine that committed): the front-end artifacts stay,
     /// the diff rebuilds.
     /// [`plan_one`] reads nothing of a dependency but its records and
-    /// whether it is created or replaced, which the change at its first
-    /// instance says. So a visit marks its block's direct dependents (they
-    /// come later in the order) only when it is to a block's first instance
-    /// and flips that answer. The static cone of the edit
+    /// whether the instances it reads are created or replaced
+    /// ([`target_dirty`]). So a visit marks its block's direct dependents
+    /// (they come later in the order) only when it flips that answer for
+    /// the instance it visits. The static cone of the edit
     /// (`cloudless_graph::ImpactScope`, ANA505) bounds what the pass can
     /// reach; it visits the part of the cone whose inputs changed.
     ///
@@ -1560,7 +1548,7 @@ impl<'a> Walk<'a> {
                 if let Some(b) = block {
                     mark_readers(&mut marked, b);
                 }
-                match block.and_then(|b| instance_at(instances, ranges[b].clone(), addr)) {
+                match block.and_then(|b| instances.keyed(ranges[b].clone(), &addr.key)) {
                     Some(idx) => mark(&mut marked, idx..idx + 1),
                     // an address no instance has is a deletion exactly
                     // when the state holds it
@@ -1580,13 +1568,11 @@ impl<'a> Walk<'a> {
             *deletes = all.map(|c| (c.addr.to_string(), c)).collect();
             changes.clear();
         }
-        // A block is dirty when it has no instance or its first instance is
-        // created or replaced: the instance Kahn's stack visits last, as in
-        // `diff`. Each visit reads that off the changes as the visit before
-        // left them: this pass's, or the run's that last planned them.
-        let dirty_at = |changes: &BTreeMap<usize, PlannedChange>, b: usize| {
-            let first = changes.get(&ranges[b].start);
-            ranges[b].is_empty() || first.is_some_and(PlannedChange::makes_dirty)
+        // An instance is dirty when its change creates or replaces it. Each
+        // visit reads that off the changes as the visit before left them:
+        // this pass's, or the run's that last planned them.
+        let dirty_at = |changes: &BTreeMap<usize, PlannedChange>, at: usize| {
+            changes.get(&at).is_some_and(PlannedChange::makes_dirty)
         };
         let (mut visited, mut next) = (0, 0);
         loop {
@@ -1605,16 +1591,13 @@ impl<'a> Walk<'a> {
             next = r + 1;
             visited += 1;
             let inst = instances.at(idx);
-            let mut dep_dirty = |rtype: &str, name: &str| {
-                let block = memo.block_named(rtype, name);
-                block.is_none_or(|b| dirty_at(changes, b))
-            };
+            let path = &inst.addr.module_path;
+            let mut dep_dirty =
+                |t: &Target| target_dirty(t, path, memo, instances, |at| dirty_at(changes, at));
             let change = plan_one(inst, ctx.state, ctx.catalog, ctx.data, &mut dep_dirty);
-            // only a visit to a block's first instance changes its dirtiness
-            let b = block_of(idx);
-            let flips = ranges[b].start == idx && dirty_at(changes, b) != change.makes_dirty();
+            let flips = dirty_at(changes, idx) != change.makes_dirty();
             if let (Some(marked), true) = (&mut marked, flips) {
-                mark_readers(marked, b);
+                mark_readers(marked, block_of(idx));
             }
             match change.action.is_noop() {
                 true => drop(changes.remove(&idx)),
@@ -2069,11 +2052,8 @@ impl Memo {
         }
 
         // The visiting order: what stays keeps its place in it, what went
-        // leaves it, and what comes goes last — nothing depends on it —
-        // each block's first instance visited last, as Kahn's stack leaves
-        // it (the order within a block decides nothing: a block's dirtiness
-        // is its first instance's). Only the instances from `from` on have
-        // moved or gone.
+        // leaves it, and what comes goes last — nothing depends on it. Only
+        // the instances from `from` on have moved or gone.
         let PlanCache {
             order,
             rank,
@@ -2109,7 +2089,7 @@ impl Memo {
             order.truncate(kept);
         }
         for b in &came {
-            for at in self.root.block_ranges[b.at].clone().rev() {
+            for at in self.root.block_ranges[b.at].clone() {
                 rank[at] = order.len();
                 order.push(at);
             }

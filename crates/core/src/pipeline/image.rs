@@ -9,9 +9,9 @@
 //! name order; the block DAG's successors; the plan cache's visiting order
 //! and the addresses it owes; and the claims in key order, each written as
 //! it is made. A block's name resolves to its position through the name
-//! order. No block's dirtiness is written: the plan cache reads it off its
-//! changes, which the image owes, so the first run plans each dirty block's
-//! first instance again and the blocks that read it. Opening
+//! order. No dirtiness is written: the plan cache reads it off its
+//! changes, which the image owes, so the first run plans each changed
+//! instance again and the blocks that read it. Opening
 //! an image checks the checksum, copies the integer tables and validates
 //! them, and parses the program's non-resource half off its chunks. It
 //! decodes no block: a block's record (its instances, spans and lifecycle)

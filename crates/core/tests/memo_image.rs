@@ -502,9 +502,9 @@ resource "aws_s3_bucket" "g" {
 "#;
 
 /// A refresh that folds in the deletion of a block's second instance
-/// leaves the block as clean as its first instance is: the settled cache
-/// plans the VPC's re-creation alone, as a cold engine does, and not a
-/// replacement of the bucket that reads `v[0]`.
+/// leaves its first instance clean, and dirtiness is asked per instance:
+/// the settled cache plans the VPC's re-creation alone, as a cold engine
+/// does, and not a replacement of the bucket that reads `v[0]`.
 #[test]
 fn a_deleted_instance_past_the_first_leaves_its_block_clean() {
     let mut engine = open(Vec::new(), None, Records::new());
@@ -515,6 +515,60 @@ fn a_deleted_instance_past_the_first_leaves_its_block_clean() {
     let report = engine.refresh().expect("the refresh commits");
     assert_eq!(report.missing.len(), 1);
     plans_as_cold(engine, &[COUNTED]);
+}
+
+/// A counted VPC whose CIDRs a `locals` list holds, a subnet in its second
+/// instance and a bucket named after its first.
+const READERS: &str = r#"locals {
+  cidrs = ["10.0.0.0/16", "10.1.0.0/16"]
+}
+resource "aws_vpc" "v" {
+  count      = 2
+  cidr_block = local.cidrs[count.index]
+}
+resource "aws_subnet" "s" {
+  vpc_id     = aws_vpc.v[1].id
+  cidr_block = "10.1.1.0/24"
+}
+resource "aws_s3_bucket" "g" {
+  bucket = "logs-${aws_vpc.v[0].id}"
+}
+"#;
+
+/// An edit that replaces `v[1]` replaces what reads `v[1]` and nothing that
+/// reads `v[0]`: the subnet plans a replace and the bucket nothing, in an
+/// engine warm from the image and in a cold one. After the apply no live
+/// record names an id the cloud no longer holds.
+#[test]
+fn replacing_one_instance_replaces_its_readers_alone() {
+    let (log, image, records) = converged(standard(), READERS);
+    let edited = READERS.replace("\"10.1.0.0/16\"", "\"10.1.0.0/17\"");
+    let mut warm = open(log.clone(), Some(image), records.clone());
+    let (plan, trace) = warm.plan_incremental(&edited).expect("the edit plans");
+    assert!(trace.to_string().contains("image: loaded"), "{trace}");
+    let mut cold = open(log, None, records);
+    assert_eq!(plan, cold.plan_incremental(&edited).expect("plans").0);
+    for replaced in ["-/+ aws_vpc.v[1]", "-/+ aws_subnet.s"] {
+        assert!(plan.contains(replaced), "{plan}");
+    }
+    assert!(!plan.contains("aws_vpc.v[0]"), "{plan}");
+    assert!(!plan.contains("aws_s3_bucket.g"), "{plan}");
+
+    let held: Vec<ResourceId> = warm.cloud().export_records().keys().cloned().collect();
+    assert!(warm.converge(&edited).expect("converges").apply.all_ok());
+    let live = warm.cloud().export_records();
+    let deleted: Vec<&ResourceId> = held.iter().filter(|id| !live.contains_key(*id)).collect();
+    assert_eq!(deleted.len(), 2, "v[1] and the subnet were replaced");
+    for record in live.values() {
+        for (name, value) in &record.attrs {
+            let names = |id: &&ResourceId| value.as_str() == Some(id.as_str());
+            assert!(
+                !deleted.iter().any(names),
+                "{}: {name} = {value:?}",
+                record.id
+            );
+        }
+    }
 }
 
 /// A rollback of the state document settles the plan cache like any other

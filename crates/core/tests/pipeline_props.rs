@@ -1272,11 +1272,12 @@ fn counted_source(counts: &[usize], reads: &[(usize, usize)], moved: Option<usiz
 proptest! {
     /// Counted VPCs, buckets that read one instance of them each, and an
     /// out-of-band deletion of one instance that a refresh folds in: a
-    /// block is as dirty as its first instance, so the settled cache plans
-    /// the program and an edit of one instance's CIDR as a cold engine
-    /// does, in the engine that committed and in a fresh one warm from its
-    /// image — and a warm pipeline against the refreshed state plans them
-    /// as a cold one, which plans what `deploy::diff` plans.
+    /// bucket is replaced when the instance it reads is re-created, and
+    /// the settled cache plans the program and an edit of one instance's
+    /// CIDR as a cold engine does, in the engine that committed and in a
+    /// fresh one warm from its image — and a warm pipeline against the
+    /// refreshed state plans them as a cold one, which plans what
+    /// `deploy::diff` plans.
     #[test]
     fn a_settled_deletion_of_one_instance_plans_as_cold(
         counts in proptest::collection::vec(1..4usize, 1..4),
@@ -1303,6 +1304,157 @@ proptest! {
         let state = engine.state().clone();
         settled_as_cold(engine, &base, &edited);
         check_against_state(&Env::new(), &state, &base, &edited, &base);
+    }
+}
+
+// ------------------------------------------------ fleets read by instance
+
+/// A fleet of VPCs and what reads them: `count` or `for_each` fleets, each
+/// instance's CIDR its own, written in its block (`moved` ones narrowed,
+/// which replaces them: an edit of one block), and readers that name an
+/// instance by a literal index or key, by their own `count.index` or
+/// `each.key`, or all of a fleet by a splat.
+struct Fleets {
+    /// Per fleet: keyed (`for_each`), and how many instances.
+    fleets: Vec<(bool, usize)>,
+    /// Per reader: how it reads (0 literal, 1 its own key, 2 splat), the
+    /// fleet and the instance (taken modulo what there is).
+    readers: Vec<(usize, usize, usize)>,
+}
+
+impl Fleets {
+    /// The first instance of fleet `j`, counting every fleet's instances.
+    fn first(&self, j: usize) -> usize {
+        self.fleets[..j].iter().map(|&(_, n)| n).sum()
+    }
+
+    fn total(&self) -> usize {
+        self.first(self.fleets.len())
+    }
+
+    /// Instance `i` of fleet `j`, as an index or a key reads it.
+    fn key(&self, j: usize, i: usize) -> String {
+        match self.fleets[j].0 {
+            true => format!("[\"k{i}\"]"),
+            false => format!("[{i}]"),
+        }
+    }
+
+    /// Fleet `j`'s instances as a `for_each` map `{ k0 = "…", … }` or a
+    /// list, each `value(g)` of its place `g` among all instances.
+    fn values(&self, j: usize, value: impl Fn(usize) -> String) -> String {
+        let (first, (keyed, n)) = (self.first(j), self.fleets[j]);
+        let values = (0..n).map(|i| match keyed {
+            true => format!("k{i} = {}", value(first + i)),
+            false => value(first + i),
+        });
+        let values = values.collect::<Vec<_>>().join(", ");
+        match keyed {
+            true => format!("{{ {values} }}"),
+            false => format!("[{values}]"),
+        }
+    }
+
+    fn source(&self, moved: &[bool]) -> String {
+        let cidr = |g: usize| match moved[g] {
+            true => format!("\"10.{g}.0.0/17\""),
+            false => format!("\"10.{g}.0.0/16\""),
+        };
+        let subnet = |g: usize| format!("\"10.{g}.1.0/24\"");
+        let mut out = String::new();
+        for (j, &(keyed, n)) in self.fleets.iter().enumerate() {
+            let cidrs = self.values(j, cidr);
+            out.push_str(&match keyed {
+                true => format!("resource \"aws_vpc\" \"v{j}\" {{\n  for_each   = {cidrs}\n  cidr_block = each.value\n}}\n"),
+                false => format!("resource \"aws_vpc\" \"v{j}\" {{\n  count      = {n}\n  cidr_block = {cidrs}[count.index]\n}}\n"),
+            });
+        }
+        for (r, &(how, j, i)) in self.readers.iter().enumerate() {
+            let j = j % self.fleets.len();
+            let (keyed, n) = self.fleets[j];
+            let (key, subnets) = (self.key(j, i % n), self.values(j, subnet));
+            out.push_str(&match (how % 3, keyed) {
+                (0, _) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{aws_vpc.v{j}{key}.id}}\"\n}}\n"),
+                (1, false) => format!("resource \"aws_subnet\" \"r{r}\" {{\n  count      = {n}\n  vpc_id     = aws_vpc.v{j}[count.index].id\n  cidr_block = {subnets}[count.index]\n}}\n"),
+                (1, true) => format!("resource \"aws_subnet\" \"r{r}\" {{\n  for_each   = {subnets}\n  vpc_id     = aws_vpc.v{j}[each.key].id\n  cidr_block = each.value\n}}\n"),
+                (_, false) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", aws_vpc.v{j}[*].id)}}\"\n}}\n"),
+                (_, true) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", values(aws_vpc.v{j})[*].id)}}\"\n}}\n"),
+            });
+        }
+        out
+    }
+
+    /// Every reader instance, and the instances (by place among all) it
+    /// reads.
+    fn reads(&self) -> Vec<(String, Vec<usize>)> {
+        let mut out = Vec::new();
+        for (r, &(how, j, i)) in self.readers.iter().enumerate() {
+            let j = j % self.fleets.len();
+            let (first, n) = (self.first(j), self.fleets[j].1);
+            match how % 3 {
+                0 => out.push((format!("aws_s3_bucket.r{r}"), vec![first + i % n])),
+                1 => out.extend((0..n).map(|i| {
+                    (
+                        format!("aws_subnet.r{r}{}", self.key(j, i)),
+                        vec![first + i],
+                    )
+                })),
+                _ => out.push((format!("aws_s3_bucket.r{r}"), (first..first + n).collect())),
+            }
+        }
+        out
+    }
+}
+
+proptest! {
+    /// Fleets read by instance, and a stream of edits that each replace
+    /// one instance, each planned and applied. Every plan is a cold
+    /// pipeline's, which plans what `deploy::diff` plans, for a warm
+    /// pipeline and for the engine's own settled cache; it changes exactly
+    /// the readers of the replaced instance, so a reader of a sibling plans
+    /// nothing; and after every apply no live record names an id the cloud
+    /// no longer holds.
+    #[test]
+    fn a_fleet_replans_the_readers_of_the_instance_it_replaces(
+        fleets in proptest::collection::vec((any::<bool>(), 1..4usize), 1..3),
+        readers in proptest::collection::vec((0..3usize, 0..3usize, 0..4usize), 1..5),
+        edits in proptest::collection::vec(0..12usize, 1..4),
+    ) {
+        let (fleets, env) = (Fleets { fleets, readers }, Env::new());
+        let mut moved = vec![false; fleets.total()];
+        let mut source = fleets.source(&moved);
+        let mut engine = engine_over(MemDevice::new().imaged(None), &Records::new());
+        let mut seen = BTreeMap::new();
+        for step in 0..=edits.len() {
+            if step > 0 {
+                let g = edits[step - 1] % moved.len();
+                moved[g] = !moved[g];
+                let edited = fleets.source(&moved);
+                let state = engine.state().clone();
+                check_against_state(&env, &state, &source, &edited, &source);
+                let cold = cold_run(&edited, &env.ctx(&state)).expect("the fleet is clean");
+                let changed: Vec<String> = (cold.changes.iter())
+                    .filter(|c| !c.action.is_noop())
+                    .map(|c| c.addr.to_string())
+                    .collect();
+                for (reader, reads) in fleets.reads() {
+                    prop_assert_eq!(changed.contains(&reader), reads.contains(&g), "{}", reader);
+                }
+                let (plan, _) = engine.plan_incremental(&edited).expect("the edit plans");
+                prop_assert_eq!(plan, cold.plan_text);
+                source = edited;
+            }
+            prop_assert!(engine.converge(&source).expect("converges").apply.all_ok());
+            let live = engine.cloud().export_records();
+            seen.extend(live.iter().map(|(id, r)| (id.clone(), r.rtype.clone())));
+            for record in live.values() {
+                for (name, value) in &record.attrs {
+                    let named = value.as_str().map(ResourceId::new);
+                    let gone = named.filter(|id| seen.contains_key(id) && !live.contains_key(id));
+                    prop_assert!(gone.is_none(), "{} {} = {:?}", record.id, name, value);
+                }
+            }
+        }
     }
 }
 

@@ -12,7 +12,9 @@ use std::sync::Arc;
 
 use cloudless_cloud::Catalog;
 use cloudless_hcl::eval::Resolver;
-use cloudless_hcl::program::{Manifest, ResourceInstance};
+use cloudless_hcl::program::{
+    Instances, Manifest, ManifestIndex, Positions, ResourceInstance, Target,
+};
 use cloudless_state::{DeployedResource, Snapshot};
 use cloudless_types::value::attr_differs;
 use cloudless_types::{Attrs, ResourceAddr};
@@ -90,27 +92,20 @@ pub fn diff(
     // O(n) with no sort.
     let mut slots: Vec<Option<PlannedChange>> = Vec::new();
     slots.resize_with(manifest.instances.len(), || None);
-    // Instances whose own action is Create/Replace: their computed attrs are
-    // unknown, so dependents referencing them cannot finalize at plan time.
-    // Keyed by block (`rtype`, `name`) borrowed from the manifest so neither
-    // insert nor lookup allocates.
-    let mut dirty: HashMap<(&str, &str), bool> = HashMap::with_capacity(manifest.instances.len());
-
     // Visit instances in dependency order (Kahn over `depends_on`) so a
-    // dependency's dirtiness is decided before its dependents are diffed.
-    // Anything left over (a cycle — impossible from well-formed expansion,
-    // but cheap to tolerate) is visited in declaration order and its
-    // dependencies conservatively treated as dirty (`unwrap_or(true)`).
-    let order = dependency_order(manifest);
-    for &idx in &order {
+    // dependency's dirtiness ([`target_dirty`]) is decided before its
+    // dependents are diffed. Anything left over (a cycle — impossible from
+    // well-formed expansion, but cheap to tolerate) is visited in
+    // declaration order, and what it reads not yet planned counts as dirty.
+    let mut dirty = vec![true; manifest.instances.len()];
+    let index = ManifestIndex::build(manifest);
+    for idx in dependency_order(manifest) {
         let inst = &manifest.instances[idx];
-        let change = plan_one(inst, state, catalog, data, &mut |t, n| {
-            dirty.get(&(t, n)).copied().unwrap_or(true)
+        let path = &inst.addr.module_path;
+        let change = plan_one(inst, state, catalog, data, &mut |t| {
+            target_dirty(t, path, &index, &manifest.instances, |at| dirty[at])
         });
-        dirty.insert(
-            (inst.addr.rtype.as_str(), inst.addr.name.as_str()),
-            change.makes_dirty(),
-        );
+        dirty[idx] = change.makes_dirty();
         slots[idx] = Some(change);
     }
     let mut changes: Vec<PlannedChange> = slots.into_iter().flatten().collect();
@@ -118,19 +113,34 @@ pub fn diff(
     changes
 }
 
+/// Whether `target`, read from an instance of the module at `module_path`,
+/// reads an instance that is created or replaced, so that what it reads is
+/// unknown until apply. This is the one rule of dirtiness both planners
+/// apply, [`diff`] and the incremental plan cache. A keyed target reads its
+/// instance, an unkeyed one any instance of its block, and it is dirty when
+/// one of them is (`dirty`, by position among `instances`). A target that
+/// reads no instance, because its instance does not exist or its block is
+/// empty, is dirty too.
+pub fn target_dirty(
+    target: &Target,
+    module_path: &[String],
+    index: &dyn Positions,
+    instances: &Instances,
+    dirty: impl Fn(usize) -> bool,
+) -> bool {
+    let mut read = target.positions(module_path, index, instances);
+    read.is_empty() || read.any(dirty)
+}
+
 /// Diff a single instance against prior state. `dep_dirty` answers whether
-/// a referenced block `(type, name)` is being created or replaced — in the
-/// full diff it closes over the dirtiness accumulated in dependency order
-/// (a block's last-visited instance, which Kahn's stack makes its first);
-/// the incremental planner reads the change its cache holds at the block's
-/// first instance. The caller is responsible for recording this change
-/// afterwards.
+/// a target it reads is created or replaced ([`target_dirty`]). The caller
+/// is responsible for recording this change afterwards.
 pub fn plan_one(
     inst: &Arc<ResourceInstance>,
     state: &Snapshot,
     catalog: &Catalog,
     data: &dyn Resolver,
-    dep_dirty: &mut dyn FnMut(&str, &str) -> bool,
+    dep_dirty: &mut dyn FnMut(&Target) -> bool,
 ) -> PlannedChange {
     let prior = state.get(&inst.addr);
     let resolver = StateResolver::new(state)
@@ -142,11 +152,7 @@ pub fn plan_one(
     let mut unknown = Vec::new();
     for d in &inst.deferred {
         let scope = inst.env.scope(&resolver);
-        let waiting_dirty = d
-            .waiting_on
-            .iter()
-            .any(|r| r.parts.len() >= 2 && dep_dirty(r.parts[0].as_str(), r.parts[1].as_str()));
-        if waiting_dirty {
+        if d.waiting_on.iter().any(&mut *dep_dirty) {
             unknown.push(d.name.clone());
             continue;
         }

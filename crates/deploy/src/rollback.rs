@@ -40,7 +40,7 @@ use std::sync::Arc;
 use cloudless_cloud::Catalog;
 use cloudless_hcl::ast::{Expr, Reference, TemplatePart};
 use cloudless_hcl::eval::Resolver;
-use cloudless_hcl::program::{DeferredAttr, Manifest, OutputValue, ResourceInstance};
+use cloudless_hcl::program::{DeferredAttr, Manifest, OutputValue, ResourceInstance, Target};
 use cloudless_state::Snapshot;
 use cloudless_types::{ResourceAddr, ResourceKey, Span, Value, VecMap};
 
@@ -71,15 +71,11 @@ impl RollbackPlan {
     }
 }
 
-/// The `type.name` block of `addr`, as a deferred attribute waits on it.
-fn block_of(addr: &ResourceAddr) -> Reference {
-    Reference::new([addr.rtype.as_str(), addr.name.as_str()])
-}
-
 /// `addr.id` as an expression.
 fn id_of(addr: &ResourceAddr) -> Expr {
     let sp = Span::synthetic();
-    let block = Expr::Ref(block_of(addr), sp);
+    let block = Reference::new([addr.rtype.as_str(), addr.name.as_str()]);
+    let block = Expr::Ref(block, sp);
     let index = match &addr.key {
         ResourceKey::None => None,
         ResourceKey::Index(i) => Some(Expr::Num(f64::from(*i), sp)),
@@ -146,7 +142,14 @@ fn lift(checkpoint: &Snapshot, live: &Snapshot, catalog: &Catalog) -> Manifest {
         for (name, v) in then.attrs.iter().filter(|(k, _)| managed(k)) {
             match as_reference(v, checkpoint, &then.addr.module_path) {
                 Some((expr, targets)) => {
-                    let waiting_on = targets.iter().map(block_of).collect();
+                    let waiting_on = (targets.iter())
+                        .map(|addr| Target {
+                            rtype: addr.rtype.clone(),
+                            name: addr.name.clone(),
+                            key: Some(addr.key.clone()),
+                            attr: Some("id".to_owned()),
+                        })
+                        .collect();
                     depends_on.extend(targets);
                     deferred.push(DeferredAttr {
                         name: name.clone(),

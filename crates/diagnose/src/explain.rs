@@ -17,7 +17,7 @@
 //! VM), and a concrete fix.
 
 use cloudless_cloud::CloudError;
-use cloudless_hcl::program::{Manifest, ResourceInstance};
+use cloudless_hcl::program::{Manifest, ManifestIndex, ResourceInstance};
 use cloudless_types::{Provider, ResourceAddr, Span};
 use serde::Serialize;
 
@@ -126,28 +126,20 @@ pub fn explain(error: &CloudError, failed_addr: &ResourceAddr, manifest: &Manife
             // find the referenced NIC instances and their regions
             let mut related = Vec::new();
             let mut nic_region = None;
-            for d in &inst.deferred {
-                if d.name != "nic_ids" {
-                    continue;
-                }
-                for r in &d.waiting_on {
-                    if r.parts.len() < 2 {
-                        continue;
-                    }
-                    let nics = manifest.instances.iter().filter(|i| {
-                        i.addr.rtype.as_str() == r.parts[0] && i.addr.name == r.parts[1]
-                    });
-                    for nic in nics {
-                        if let Some(region) = region_of(nic) {
-                            if region != vm_region {
-                                nic_region = Some(region);
-                                if let Some(loc) = attr_loc(
-                                    nic,
-                                    "location",
-                                    format!("the NIC {} is pinned to {region:?} here", nic.addr),
-                                ) {
-                                    related.push(loc);
-                                }
+            let (index, instances) = (ManifestIndex::build(manifest), &manifest.instances);
+            let nic_ids = inst.deferred.iter().filter(|d| d.name == "nic_ids");
+            for t in nic_ids.flat_map(|d| &d.waiting_on) {
+                let read = t.positions(&inst.addr.module_path, &index, instances);
+                for nic in read.map(|at| &instances[at]) {
+                    if let Some(region) = region_of(nic) {
+                        if region != vm_region {
+                            nic_region = Some(region);
+                            if let Some(loc) = attr_loc(
+                                nic,
+                                "location",
+                                format!("the NIC {} is pinned to {region:?} here", nic.addr),
+                            ) {
+                                related.push(loc);
                             }
                         }
                     }

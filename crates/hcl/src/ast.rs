@@ -245,58 +245,46 @@ impl Expr {
     /// string interpolations), in source order.
     pub fn walk_refs<'a>(&'a self, f: &mut impl FnMut(&'a Reference, Span)) {
         match self {
-            Expr::Null(_) | Expr::Bool(_, _) | Expr::Num(_, _) => {}
+            Expr::Ref(r, s) => f(r, *s),
+            _ => self.for_each_child(&mut |e| e.walk_refs(f)),
+        }
+    }
+
+    /// Visit each direct subexpression, in source order.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Null(_) | Expr::Bool(_, _) | Expr::Num(_, _) | Expr::Ref(_, _) => {}
             Expr::Str(parts, _) => {
                 for p in parts {
                     if let TemplatePart::Interp(e) = p {
-                        e.walk_refs(f);
+                        f(e);
                     }
                 }
             }
-            Expr::List(items, _) => {
-                for e in items {
-                    e.walk_refs(f);
-                }
+            Expr::List(items, _) | Expr::Call(_, items, _) => items.iter().for_each(f),
+            Expr::Map(entries, _) => entries.iter().for_each(|(_, e)| f(e)),
+            Expr::Index(l, r, _) | Expr::Binary(_, l, r, _) => {
+                f(l);
+                f(r);
             }
-            Expr::Map(entries, _) => {
-                for (_, e) in entries {
-                    e.walk_refs(f);
-                }
-            }
-            Expr::Ref(r, s) => f(r, *s),
-            Expr::Index(base, idx, _) => {
-                base.walk_refs(f);
-                idx.walk_refs(f);
-            }
-            Expr::GetAttr(base, _, _) => base.walk_refs(f),
-            Expr::Call(_, args, _) => {
-                for a in args {
-                    a.walk_refs(f);
-                }
-            }
-            Expr::Unary(_, e, _) => e.walk_refs(f),
-            Expr::Binary(_, l, r, _) => {
-                l.walk_refs(f);
-                r.walk_refs(f);
-            }
+            Expr::GetAttr(e, _, _)
+            | Expr::Unary(_, e, _)
+            | Expr::Paren(e, _)
+            | Expr::Splat(e, _, _) => f(e),
             Expr::Cond(c, t, e, _) => {
-                c.walk_refs(f);
-                t.walk_refs(f);
-                e.walk_refs(f);
+                f(c);
+                f(t);
+                f(e);
             }
-            Expr::Paren(e, _) => e.walk_refs(f),
-            Expr::Splat(base, _, _) => base.walk_refs(f),
             Expr::ForList {
                 collection,
                 body,
                 cond,
                 ..
             } => {
-                collection.walk_refs(f);
-                body.walk_refs(f);
-                if let Some(c) = cond {
-                    c.walk_refs(f);
-                }
+                f(collection);
+                f(body);
+                cond.iter().for_each(|c| f(c));
             }
             Expr::ForMap {
                 collection,
@@ -305,12 +293,10 @@ impl Expr {
                 cond,
                 ..
             } => {
-                collection.walk_refs(f);
-                key.walk_refs(f);
-                value.walk_refs(f);
-                if let Some(c) = cond {
-                    c.walk_refs(f);
-                }
+                f(collection);
+                f(key);
+                f(value);
+                cond.iter().for_each(|c| f(c));
             }
         }
     }

@@ -12,10 +12,11 @@
 //! [`Manifest`] — the desired-state document the rest of the stack consumes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use cloudless_types::{
-    Attrs, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value, VecMap, VecSet,
+    Attrs, PairMap, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value, VecMap, VecSet,
 };
 
 use crate::ast::{Attribute, Block, BlockBody, Expr, File, Reference};
@@ -469,9 +470,154 @@ pub struct DeferredAttr {
     pub name: String,
     pub expr: Expr,
     pub span: Span,
-    /// The references that caused the deferral (targets of the dependency
+    /// The resources it reads, in source order (targets of the dependency
     /// edges this attribute induces).
-    pub waiting_on: Vec<Reference>,
+    pub waiting_on: Vec<Target>,
+}
+
+/// A resource reference as the expander resolves it, once: the block it
+/// names, the instance it reads and the attribute it selects.
+/// `aws_vpc.v[count.index].id` in the instance `aws_subnet.s[1]` is
+/// `aws_vpc`, `v`, key `[1]`, attribute `id`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Target {
+    pub rtype: ResourceTypeName,
+    pub name: String,
+    /// The instance it reads; `None` for any instance of the block: it has
+    /// no index, a splat, or an index that reads a resource.
+    pub key: Option<ResourceKey>,
+    /// The attribute it selects; `None` for the whole resource
+    /// (`aws_vpc.v`, `aws_vpc.v[1]`).
+    pub attr: Option<String>,
+}
+
+impl Target {
+    /// Whether `addr` is an instance this target may read (of any module:
+    /// a reference reads its own).
+    pub fn reads(&self, addr: &ResourceAddr) -> bool {
+        addr.rtype == self.rtype
+            && addr.name == self.name
+            && self.key.as_ref().is_none_or(|key| *key == addr.key)
+    }
+
+    /// Where the instances it may read sit among `instances`, read from the
+    /// module at `module_path`: the keyed one, or every one of the block.
+    /// Empty when there is none.
+    pub fn positions(
+        &self,
+        module_path: &[String],
+        index: &dyn Positions,
+        instances: &Instances,
+    ) -> Range<usize> {
+        let block = index.positions(module_path, self.rtype.as_str(), &self.name);
+        match &self.key {
+            None => block,
+            Some(key) => instances.keyed(block, key).map_or(0..0, |at| at..at + 1),
+        }
+    }
+}
+
+impl std::fmt::Display for Target {
+    /// `type.name[key].attr`, as far as it names them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let key = self.key.as_ref().unwrap_or(&ResourceKey::None);
+        write!(f, "{}.{}{key}", self.rtype, self.name)?;
+        self.attr.iter().try_for_each(|attr| write!(f, ".{attr}"))
+    }
+}
+
+/// The resources `e` reads, as [`Target`]s in source order. An index names
+/// its instance when it evaluates in `scope`, the reading instance's own
+/// (`count.index`, `each.key`, variables, locals); one that reads a
+/// resource does not evaluate there.
+fn targets(e: &Expr, scope: &Scope<'_>, out: &mut Vec<Target>) {
+    /// `type.name`, what an index or a splat selects instances of.
+    fn block(e: &Expr) -> Option<&Reference> {
+        match e {
+            Expr::Ref(r, _) if r.parts.len() == 2 && is_resource_ref(r) => Some(r),
+            _ => None,
+        }
+    }
+    let found = match e {
+        Expr::Ref(r, _) if r.parts.len() >= 2 && is_resource_ref(r) => {
+            Some((r, None, r.parts.get(2)))
+        }
+        Expr::Splat(base, attrs, _) => block(base).map(|r| (r, None, attrs.first())),
+        Expr::Index(base, index, _) => block(base).map(|r| (r, Some(index), None)),
+        Expr::GetAttr(base, attr, _) => match &**base {
+            Expr::Index(base, index, _) => block(base).map(|r| (r, Some(index), Some(attr))),
+            _ => None,
+        },
+        _ => None,
+    };
+    let Some((r, index, attr)) = found else {
+        return e.for_each_child(&mut |e| targets(e, scope, out));
+    };
+    let key = index.and_then(|i| match eval(i, scope).ok()? {
+        Value::Str(key) => Some(ResourceKey::Key(key)),
+        n => u32::try_from(n.as_int()?).ok().map(ResourceKey::Index),
+    });
+    out.push(Target {
+        rtype: ResourceTypeName::new(&r.parts[0]),
+        name: r.parts[1].clone(),
+        key,
+        attr: attr.cloned(),
+    });
+    if let Some(index) = index {
+        targets(index, scope, out);
+    }
+}
+
+/// Where the instances of a block sit in a manifest: the lookup that
+/// follows a reference to its instances. Expansion lays a block's
+/// instances side by side, so they sit at one range of positions.
+pub trait Positions {
+    /// Where the instances of block `rtype.name` of the module at
+    /// `module_path` sit in the manifest (an empty range: no such block, or
+    /// one that expands to nothing).
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize>;
+}
+
+/// Positional index over a manifest's instances, keyed by *instance
+/// position* rather than by reference: what a full run follows references
+/// through. (The incremental pipeline's memo answers the same lookups from
+/// its own tables.)
+#[derive(Debug, Default, PartialEq)]
+pub struct ManifestIndex {
+    /// Module path → block `(type, name)` → the range of that block's
+    /// instances. A block is there exactly when it has an instance.
+    by_block: BTreeMap<Vec<String>, PairMap<Range<usize>>>,
+}
+
+impl ManifestIndex {
+    pub fn build(manifest: &Manifest) -> ManifestIndex {
+        let mut index = ManifestIndex::default();
+        for (at, inst) in manifest.instances.iter().enumerate() {
+            let addr = &inst.addr;
+            let Some(blocks) = index.by_block.get_mut(addr.module_path.as_slice()) else {
+                let mut blocks = PairMap::new();
+                blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1);
+                index.by_block.insert(addr.module_path.clone(), blocks);
+                continue;
+            };
+            match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
+                Some(range) => {
+                    debug_assert_eq!(range.end, at, "{addr}: a block's instances sit apart");
+                    range.end = at + 1;
+                }
+                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1)),
+            }
+        }
+        index
+    }
+}
+
+impl Positions for ManifestIndex {
+    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
+        let blocks = self.by_block.get(module_path);
+        let range = blocks.and_then(|blocks| blocks.get(rtype, name));
+        range.map_or(0..0, Range::clone)
+    }
 }
 
 /// One concrete resource instance in the desired state.
@@ -700,6 +846,19 @@ impl Instances {
     /// Instance `at` (decodes its block).
     pub fn at(&self, at: usize) -> &Arc<ResourceInstance> {
         &self.slice(at..at + 1)[0]
+    }
+
+    /// Which of a block's instances, at positions `block`, has key `key`: a
+    /// counted block's sit in index order, so that one is a probe.
+    pub fn keyed(&self, block: Range<usize>, key: &ResourceKey) -> Option<usize> {
+        let is = |p: &usize| self.at(*p).addr.key == *key;
+        let probe = match key {
+            ResourceKey::None => Some(block.start),
+            ResourceKey::Index(i) => block.start.checked_add(*i as usize),
+            ResourceKey::Key(_) => None,
+        };
+        let probe = probe.filter(|p| block.contains(p) && is(p));
+        probe.or_else(|| block.clone().find(is))
     }
 
     /// The instances at `span`: the block's, when it lies within one (it
@@ -1169,11 +1328,7 @@ pub fn expand_resource_block<'p>(
                 Ok(v) => known.push((a.name.clone(), v)),
                 Err(e) if e.is_deferred() => {
                     let mut waiting = Vec::new();
-                    a.value.walk_refs(&mut |r, _| {
-                        if is_resource_ref(r) {
-                            waiting.push(r.clone());
-                        }
-                    });
+                    targets(&a.value, &scope, &mut waiting);
                     inst.deferred.push(DeferredAttr {
                         name: a.name.clone(),
                         expr: a.value.clone(),
@@ -1654,11 +1809,55 @@ resource "aws_virtual_machine" "vm1" {
         assert_eq!(vm.deferred.len(), 1);
         assert_eq!(vm.deferred[0].name, "nic_ids");
         assert_eq!(
-            vm.deferred[0].waiting_on[0].dotted(),
+            vm.deferred[0].waiting_on[0].to_string(),
             "aws_network_interface.n1.id"
         );
         // dependency edge extracted
         assert!(vm.depends_on.contains(&nic.addr));
+    }
+
+    /// Each reference resolves to the instance its index names in the
+    /// reading instance's scope, or to any instance of the block.
+    #[test]
+    fn a_reference_names_the_instance_it_reads() {
+        let m = expand_simple(
+            r#"
+locals { second = 1 }
+resource "aws_vpc" "v" {
+  count      = 2
+  cidr_block = "10.${count.index}.0.0/16"
+}
+resource "aws_vpc" "k" {
+  for_each   = { a = "10.8.0.0/16" }
+  cidr_block = each.value
+}
+resource "aws_subnet" "s" {
+  count  = 2
+  vpc_id = aws_vpc.v[count.index].id
+  tags   = [aws_vpc.v[local.second], aws_vpc.k["a"].arn, aws_vpc.v[*].id, aws_vpc.v[aws_vpc.k["a"].n].id]
+}
+"#,
+        );
+        let s1 = m.instance(&ResourceAddr::root("aws_subnet", "s").indexed(1));
+        let deferred = &s1.expect("aws_subnet.s[1]").deferred;
+        let read = |name: &str| {
+            let d = deferred.iter().find(|d| d.name == name).expect(name);
+            d.waiting_on
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(read("vpc_id"), ["aws_vpc.v[1].id"]);
+        assert_eq!(
+            read("tags"),
+            [
+                "aws_vpc.v[1]",
+                "aws_vpc.k[\"a\"].arn",
+                "aws_vpc.v.id",
+                "aws_vpc.v.id",
+                "aws_vpc.k[\"a\"].n",
+            ]
+        );
     }
 
     #[test]

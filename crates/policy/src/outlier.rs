@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cloudless_hcl::program::Manifest;
+use cloudless_hcl::program::{Manifest, ResourceInstance};
 use cloudless_hcl::{Diagnostic, Diagnostics};
 use cloudless_validate::SpecMiner;
 
@@ -65,29 +65,10 @@ impl TemplateExtractor {
     /// Observe one program.
     pub fn observe(&mut self, manifest: &Manifest) {
         self.miner.observe(manifest);
-        // type of each block, for resolving reference targets
-        let block_type: BTreeMap<String, String> = manifest
-            .instances
-            .iter()
-            .map(|i| (i.addr.block_id(), i.addr.rtype.as_str().to_owned()))
-            .collect();
         for inst in &manifest.instances {
             let child = inst.addr.rtype.as_str().to_owned();
             *self.children.entry(child.clone()).or_insert(0) += 1;
-            let mut parents: BTreeSet<String> = BTreeSet::new();
-            for dep in &inst.depends_on {
-                parents.insert(dep.rtype.as_str().to_owned());
-            }
-            for d in &inst.deferred {
-                for r in &d.waiting_on {
-                    if r.parts.len() >= 2 {
-                        if let Some(t) = block_type.get(&format!("{}.{}", r.parts[0], r.parts[1])) {
-                            parents.insert(t.clone());
-                        }
-                    }
-                }
-            }
-            for p in parents {
+            for p in parents(inst) {
                 *self.edges.entry((child.clone(), p)).or_insert(0) += 1;
             }
         }
@@ -117,26 +98,8 @@ impl TemplateExtractor {
     pub fn check(&self, manifest: &Manifest) -> Diagnostics {
         let mut diags = self.miner.check(manifest);
         let templates = self.edge_templates();
-        let block_type: BTreeMap<String, String> = manifest
-            .instances
-            .iter()
-            .map(|i| (i.addr.block_id(), i.addr.rtype.as_str().to_owned()))
-            .collect();
         for inst in &manifest.instances {
-            let child = inst.addr.rtype.as_str();
-            let mut parents: BTreeSet<String> = BTreeSet::new();
-            for dep in &inst.depends_on {
-                parents.insert(dep.rtype.as_str().to_owned());
-            }
-            for d in &inst.deferred {
-                for r in &d.waiting_on {
-                    if r.parts.len() >= 2 {
-                        if let Some(t) = block_type.get(&format!("{}.{}", r.parts[0], r.parts[1])) {
-                            parents.insert(t.clone());
-                        }
-                    }
-                }
-            }
+            let (child, parents) = (inst.addr.rtype.as_str(), parents(inst));
             for t in &templates {
                 if t.child_rtype == child && !parents.contains(&t.parent_rtype) {
                     diags.push(Diagnostic::warning(
@@ -155,6 +118,14 @@ impl TemplateExtractor {
         }
         diags
     }
+}
+
+/// The types an instance depends on or reads.
+fn parents(inst: &ResourceInstance) -> BTreeSet<String> {
+    let deps = inst.depends_on.iter().map(|dep| &dep.rtype);
+    let reads = inst.deferred.iter().flat_map(|d| &d.waiting_on);
+    let types = deps.chain(reads.map(|t| &t.rtype));
+    types.map(|t| t.as_str().to_owned()).collect()
 }
 
 #[cfg(test)]

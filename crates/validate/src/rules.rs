@@ -11,15 +11,15 @@
 //! anything is provisioned (experiment E6 quantifies the difference).
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use cloudless_cloud::constraints::unique_name_attr;
 use cloudless_cloud::Catalog;
 use cloudless_hcl::eval::DeferAll;
 use cloudless_hcl::program::{Manifest, ResourceInstance};
+pub use cloudless_hcl::program::{ManifestIndex, Positions};
 use cloudless_hcl::{fold, Diagnostic, Diagnostics, Folded};
 use cloudless_types::cidr::Cidr;
-use cloudless_types::{PairMap, Provider, Span, Value};
+use cloudless_types::{Provider, Span, Value};
 
 /// Run all cross-resource rules over a manifest and its index.
 pub fn check(manifest: &Manifest, index: &ManifestIndex, catalog: &Catalog) -> Diagnostics {
@@ -47,65 +47,6 @@ pub(crate) fn check_instance(
     rule_port_ranges(inst, diags);
 }
 
-/// Where the instances of a block sit in a manifest: the lookup the
-/// per-instance rules make to follow a reference. Expansion lays a block's
-/// instances side by side, so they sit at one range of positions.
-pub trait Positions {
-    /// Where the instances of block `rtype.name` of the module at
-    /// `module_path` sit in the manifest (an empty range: no such block, or
-    /// one that expands to nothing).
-    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize>;
-}
-
-impl Positions for ManifestIndex {
-    fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
-        ManifestIndex::positions(self, module_path, rtype, name)
-    }
-}
-
-/// Positional index over a manifest's instances, keyed by *instance
-/// position* rather than by reference: what a full run follows references
-/// through. (The incremental pipeline's memo answers the same lookups from
-/// its own tables.)
-#[derive(Debug, Default, PartialEq)]
-pub struct ManifestIndex {
-    /// Module path → block `(type, name)` → the range of that block's
-    /// instances. A block is there exactly when it has an instance.
-    by_block: BTreeMap<Vec<String>, PairMap<Range<usize>>>,
-}
-
-impl ManifestIndex {
-    pub fn build(manifest: &Manifest) -> ManifestIndex {
-        let mut index = ManifestIndex::default();
-        for (at, inst) in manifest.instances.iter().enumerate() {
-            let addr = &inst.addr;
-            let Some(blocks) = index.by_block.get_mut(addr.module_path.as_slice()) else {
-                let mut blocks = PairMap::new();
-                blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1);
-                index.by_block.insert(addr.module_path.clone(), blocks);
-                continue;
-            };
-            match blocks.get_mut(addr.rtype.as_str(), &addr.name) {
-                Some(range) => {
-                    debug_assert_eq!(range.end, at, "{addr}: a block's instances sit apart");
-                    range.end = at + 1;
-                }
-                None => drop(blocks.insert(addr.rtype.as_str(), &addr.name, at..at + 1)),
-            }
-        }
-        index
-    }
-
-    /// Where the instances of block `rtype.name` of the module at
-    /// `module_path` sit in the manifest (an empty range: no such block, or
-    /// one that expands to nothing).
-    pub fn positions(&self, module_path: &[String], rtype: &str, name: &str) -> Range<usize> {
-        let blocks = self.by_block.get(module_path);
-        let range = blocks.and_then(|blocks| blocks.get(rtype, name));
-        range.map_or(0..0, Range::clone)
-    }
-}
-
 /// Resolves an instance's references to the instances they point at.
 pub(crate) struct Targets<'a> {
     manifest: &'a Manifest,
@@ -120,13 +61,10 @@ impl<'a> Targets<'a> {
             if d.name != attr {
                 continue;
             }
-            for r in &d.waiting_on {
-                if r.parts.len() < 2 {
-                    continue;
-                }
-                let path = &from.addr.module_path;
-                let range = self.index.positions(path, &r.parts[0], &r.parts[1]);
-                out.extend(range.map(|i| &**self.manifest.instances.at(i)));
+            for t in &d.waiting_on {
+                let (path, instances) = (&from.addr.module_path, &self.manifest.instances);
+                let read = t.positions(path, self.index, instances);
+                out.extend(read.map(|i| &**instances.at(i)));
             }
         }
         out

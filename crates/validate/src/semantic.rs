@@ -125,16 +125,10 @@ pub(crate) fn check_instance(
             SemanticType::RefTo(t) | SemanticType::ListOfRefs(t) => Some(t.as_str()),
             _ => None,
         };
-        for r in &d.waiting_on {
-            if r.parts.len() < 2 {
-                continue;
-            }
-            // a reference names its target's type
-            let (actual, name) = (&r.parts[0], &r.parts[1]);
-            if index
-                .positions(&inst.addr.module_path, actual, name)
-                .is_empty()
-            {
+        for t in &d.waiting_on {
+            let actual = t.rtype.as_str();
+            let block = index.positions(&inst.addr.module_path, actual, &t.name);
+            if block.is_empty() {
                 continue; // undeclared refs are reported during expansion
             }
             if let Some(expected) = expected {
@@ -145,10 +139,8 @@ pub(crate) fn check_instance(
                             &inst.file,
                             d.span,
                             format!(
-                                "{}: attribute {:?} must reference a {expected}, but {} is a {actual}",
-                                inst.addr,
-                                d.name,
-                                r.dotted()
+                                "{}: attribute {:?} must reference a {expected}, but {t} is a {actual}",
+                                inst.addr, d.name
                             ),
                         )
                         .with_suggestion(format!(
@@ -157,20 +149,18 @@ pub(crate) fn check_instance(
                     );
                 }
                 // referencing the whole resource instead of its id
-                if r.parts.len() == 2 {
+                if t.attr.is_none() {
                     diags.push(
                         Diagnostic::warning(
                             "VAL206",
                             &inst.file,
                             d.span,
                             format!(
-                                "{}: attribute {:?} references {} without selecting an attribute",
-                                inst.addr,
-                                d.name,
-                                r.dotted()
+                                "{}: attribute {:?} references {t} without selecting an attribute",
+                                inst.addr, d.name
                             ),
                         )
-                        .with_suggestion(format!("use {}.id", r.dotted())),
+                        .with_suggestion(format!("use {t}.id")),
                     );
                 }
             }

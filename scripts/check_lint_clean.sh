@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Run `cloudless lint` over the shipped HCL corpus (examples + the paper's
-# Figure 2 fixture) and compare against the committed empty-findings
-# snapshot. Any new finding — or any change to the clean output — fails CI.
+# Figure 2 fixture), and `cloudless validate` over its root programs (the
+# module examples need their library, so they are linted only), and compare
+# against the committed empty-findings snapshot. Any new finding — or any
+# change to the clean output — fails CI.
 set -euo pipefail
 
 snapshot=${1:-.lint_clean_snapshot.txt}
@@ -13,6 +15,13 @@ corpus=(
   examples/hcl/multicloud.tf
   examples/hcl/network_module.tf
   crates/hcl/tests/figure2/figure2.tf
+  examples/hcl/fleet.tf
+)
+roots=(
+  examples/hcl/quickstart.tf
+  examples/hcl/web_stack.tf
+  crates/hcl/tests/figure2/figure2.tf
+  examples/hcl/fleet.tf
 )
 
 cargo build --quiet --release -p cloudless-cli
@@ -21,6 +30,10 @@ cargo build --quiet --release -p cloudless-cli
 for f in "${corpus[@]}"; do
   echo "== $f" >> "$fresh"
   ./target/release/cloudless lint "$f" >> "$fresh"
+done
+for f in "${roots[@]}"; do
+  echo "== validate $f" >> "$fresh"
+  ./target/release/cloudless validate "$f" >> "$fresh"
 done
 
 if diff -u "$snapshot" "$fresh"; then

@@ -163,3 +163,65 @@ fn compile_time_catch_saves_virtual_provisioning_time() {
     assert!(cloudless.converge(case.src).is_err());
     assert_eq!(cloudless.cloud().now().millis(), 0);
 }
+
+/// Programs the cloud accepts, which the validator must accept as they
+/// are: a reference names the instance it reads, so a subnet is held to the
+/// VPC of its own index and an indexed `.id` selects an attribute.
+const ACCEPTED: &[(&str, &str)] = &[
+    ("subnet in the second of two vpcs", SECOND_VPC),
+    (
+        "one subnet per vpc",
+        include_str!("../examples/hcl/fleet.tf"),
+    ),
+];
+
+const SECOND_VPC: &str = r#"
+resource "aws_vpc" "v" {
+  count      = 2
+  cidr_block = "10.${count.index}.0.0/16"
+}
+resource "aws_subnet" "s" {
+  vpc_id     = aws_vpc.v[1].id
+  cidr_block = "10.1.1.0/24"
+}
+"#;
+
+fn at_cloud_rules() -> Cloudless {
+    Cloudless::new(Config {
+        cloud: CloudConfig::exact(),
+        validation_level: ValidationLevel::CloudRules,
+        ..Config::default()
+    })
+}
+
+#[test]
+fn indexed_references_are_accepted_and_converge() {
+    for (name, src) in ACCEPTED {
+        let out = at_cloud_rules().converge(src).expect(name);
+        let findings = &out.validation.diagnostics;
+        assert!(findings.items.is_empty(), "{name}:\n{findings}");
+        assert!(out.apply.all_ok(), "{name}: {:?}", out.apply.errors());
+    }
+}
+
+/// A subnet that reads `v[1]` is held to `v[1]` alone: its CIDR, inside
+/// `v[0]`, is refused as outside `v[1]`, and nothing else is said of it.
+#[test]
+fn an_indexed_reference_is_held_to_the_instance_it_reads() {
+    let src = SECOND_VPC.replace("10.1.1.0/24", "10.0.1.0/24");
+    let mut e = at_cloud_rules();
+    let Err(ConvergeError::Validation(report)) = e.converge(&src) else {
+        panic!("the subnet outside v[1] is refused");
+    };
+    let found: Vec<_> = (report.diagnostics.items.iter())
+        .map(|d| (d.code.as_str(), d.message.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [(
+            "VAL304",
+            "aws_subnet.s: CIDR 10.0.1.0/24 is outside the parent network aws_vpc.v[1] (10.1.0.0/16)"
+        )],
+    );
+    assert_eq!(e.cloud().total_api_calls(), 0);
+}
