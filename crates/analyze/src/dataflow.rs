@@ -18,116 +18,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cloudless_hcl::ast::{Attribute, Expr, Reference, TemplatePart};
+use cloudless_hcl::ast::{Attribute, Expr, RefKind, Reference};
 use cloudless_hcl::eval::{DeferAll, Scope};
 use cloudless_hcl::fold::{fold, Folded};
 use cloudless_hcl::program::{ModuleLibrary, Program, ResourceBlock};
 use cloudless_types::cidr::Cidr;
-use cloudless_types::{PairMap, Span, Value};
+use cloudless_types::{PairMap, Value};
 
 use crate::report::Sink;
-
-// ---------------------------------------------------------------- ref walk
-
-/// Walk every [`Reference`] in `expr`, tracking `for`-comprehension
-/// bindings so loop variables are not mistaken for references. (The AST's
-/// own `walk_refs` is binding-blind, which is fine for dependency
-/// extraction but would make the def-use pass report `x` in
-/// `[for x in l : x.id]` as undefined.)
-pub(crate) fn walk_refs_scoped<'a>(
-    expr: &'a Expr,
-    bound: &mut Vec<String>,
-    f: &mut impl FnMut(&'a Reference, Span),
-) {
-    match expr {
-        Expr::Null(_) | Expr::Bool(..) | Expr::Num(..) => {}
-        Expr::Str(parts, _) => {
-            for p in parts {
-                if let TemplatePart::Interp(e) = p {
-                    walk_refs_scoped(e, bound, f);
-                }
-            }
-        }
-        Expr::List(items, _) => {
-            for e in items {
-                walk_refs_scoped(e, bound, f);
-            }
-        }
-        Expr::Map(entries, _) => {
-            for (_, e) in entries {
-                walk_refs_scoped(e, bound, f);
-            }
-        }
-        Expr::Ref(r, span) => {
-            if !bound.iter().any(|b| b == r.root()) {
-                f(r, *span);
-            }
-        }
-        Expr::Index(base, idx, _) => {
-            walk_refs_scoped(base, bound, f);
-            walk_refs_scoped(idx, bound, f);
-        }
-        Expr::GetAttr(base, _, _) => walk_refs_scoped(base, bound, f),
-        Expr::Call(_, args, _) => {
-            for a in args {
-                walk_refs_scoped(a, bound, f);
-            }
-        }
-        Expr::Unary(_, e, _) | Expr::Paren(e, _) => walk_refs_scoped(e, bound, f),
-        Expr::Binary(_, l, r, _) => {
-            walk_refs_scoped(l, bound, f);
-            walk_refs_scoped(r, bound, f);
-        }
-        Expr::Cond(c, t, e, _) => {
-            walk_refs_scoped(c, bound, f);
-            walk_refs_scoped(t, bound, f);
-            walk_refs_scoped(e, bound, f);
-        }
-        Expr::Splat(base, _, _) => walk_refs_scoped(base, bound, f),
-        Expr::ForList {
-            var,
-            index_var,
-            collection,
-            body,
-            cond,
-            ..
-        } => {
-            walk_refs_scoped(collection, bound, f);
-            let depth = bound.len();
-            bound.push(var.clone());
-            if let Some(iv) = index_var {
-                bound.push(iv.clone());
-            }
-            walk_refs_scoped(body, bound, f);
-            if let Some(c) = cond {
-                walk_refs_scoped(c, bound, f);
-            }
-            bound.truncate(depth);
-        }
-        Expr::ForMap {
-            var,
-            index_var,
-            collection,
-            key,
-            value,
-            cond,
-            ..
-        } => {
-            walk_refs_scoped(collection, bound, f);
-            let depth = bound.len();
-            bound.push(var.clone());
-            if let Some(iv) = index_var {
-                bound.push(iv.clone());
-            }
-            walk_refs_scoped(key, bound, f);
-            walk_refs_scoped(value, bound, f);
-            if let Some(c) = cond {
-                walk_refs_scoped(c, bound, f);
-            }
-            bound.truncate(depth);
-        }
-    }
-}
 
 /// `type.name` of a block, rendered only when a finding names it.
 #[derive(Clone, Copy)]
@@ -286,33 +184,32 @@ impl Decls {
         declared: &dyn Fn(&str, &str) -> bool,
     ) -> Option<(String, Option<&'static str>)> {
         let name = r.parts.get(1);
-        match r.root() {
-            "var" => name.filter(|n| !self.vars.contains(*n)).map(|n| {
+        match r.kind() {
+            RefKind::Var => name.filter(|n| !self.vars.contains(*n)).map(|n| {
                 (
                     format!("variable var.{n}"),
                     Some("declare the variable (or fix the name)"),
                 )
             }),
-            "local" => name.filter(|n| !self.locals.contains(*n)).map(|n| {
+            RefKind::Local => name.filter(|n| !self.locals.contains(*n)).map(|n| {
                 (
                     format!("local local.{n}"),
                     Some("declare the local (or fix the name)"),
                 )
             }),
-            // data sources may be resolver-provided without a block
-            "count" | "each" | "path" | "terraform" | "data" => None,
-            "module" => name
+            RefKind::Module => name
                 .filter(|n| !self.modules.contains(*n))
                 .map(|n| (format!("module module.{n}"), None)),
-            _ => (!self.has_block(r, declared)).then(|| {
+            RefKind::Resource { rtype, name } => (!declared(rtype, name)).then(|| {
                 (
                     format!(
-                        "resource {}.{} — it would defer forever and the value silently never resolves",
-                        r.parts[0], r.parts[1]
+                        "resource {rtype}.{name} — it would defer forever and the value silently never resolves"
                     ),
                     Some("declare the resource (or fix the reference)"),
                 )
             }),
+            // data sources may be resolver-provided without a block
+            _ => None,
         }
     }
 }
@@ -386,13 +283,13 @@ pub(crate) fn pass_defuse(
     let mut used_vars: BTreeSet<&str> = BTreeSet::new();
     let mut used_locals: BTreeSet<&str> = BTreeSet::new();
     for (expr, at) in expr_sites(p) {
-        let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r, span| {
-            match (r.root(), r.parts.get(1)) {
-                ("var", Some(name)) => {
+        expr.walk_refs(&mut |read| {
+            let r = read.reference;
+            match (r.kind(), r.parts.get(1)) {
+                (RefKind::Var, Some(name)) => {
                     used_vars.insert(name);
                 }
-                ("local", Some(name)) => {
+                (RefKind::Local, Some(name)) => {
                     used_locals.insert(name);
                 }
                 _ => {}
@@ -401,7 +298,7 @@ pub(crate) fn pass_defuse(
                 sink.emit(
                     "ANA103",
                     file,
-                    span,
+                    read.span,
                     format!("{at} references undeclared {what}"),
                     hint,
                 );
@@ -612,13 +509,13 @@ pub(crate) fn interval_of(expr: &Expr, p: &Program, env: &FoldEnv, depth: u32) -
         Expr::Cond(_, t, e, _) => {
             interval_of(t, p, env, depth + 1).hull(interval_of(e, p, env, depth + 1))
         }
-        Expr::Ref(r, _) => match r.root() {
+        Expr::Ref(r, _) => match r.kind() {
             // count.index ranges over 0..count — non-negative by construction
-            "count" if r.parts.get(1).map(String::as_str) == Some("index") => Interval {
+            RefKind::Count if r.parts.get(1).map(String::as_str) == Some("index") => Interval {
                 lo: 0.0,
                 hi: f64::INFINITY,
             },
-            "local" => {
+            RefKind::Local => {
                 let Some(name) = r.parts.get(1) else {
                     return Interval::FULL;
                 };
@@ -889,11 +786,11 @@ impl Taint {
     /// Whether `expr` reads a sensitive variable, directly or via a local.
     fn reaches(&self, expr: &Expr) -> bool {
         let mut tainted = false;
-        let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            tainted |= match (r.root(), r.parts.get(1)) {
-                ("var", Some(n)) => self.vars.contains(n),
-                ("local", Some(n)) => self.locals.contains(n),
+        expr.walk_refs(&mut |read| {
+            let r = read.reference;
+            tainted |= match (r.kind(), r.parts.get(1)) {
+                (RefKind::Var, Some(n)) => self.vars.contains(n),
+                (RefKind::Local, Some(n)) => self.locals.contains(n),
                 _ => false,
             };
         });

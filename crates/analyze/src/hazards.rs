@@ -14,13 +14,13 @@
 use std::collections::{BTreeMap, HashMap};
 
 use cloudless_graph::cycles::Digraph;
-use cloudless_hcl::ast::Reference;
+use cloudless_hcl::ast::RefKind;
 use cloudless_hcl::program::{Program, ResourceBlock};
 use cloudless_hcl::Folded;
 use cloudless_types::{Span, Value};
 
 use crate::alias::ClaimKey;
-use crate::dataflow::{block_exprs, walk_refs_scoped, FoldEnv};
+use crate::dataflow::{block_exprs, FoldEnv};
 use crate::report::Sink;
 
 /// Attributes that name the cloud-side entity a resource manages. Two
@@ -55,15 +55,6 @@ pub(crate) fn block_claims<'a>(
     })
 }
 
-fn block_target(r: &Reference, index: &HashMap<(&str, &str), usize>) -> Option<usize> {
-    if r.parts.len() < 2 {
-        return None;
-    }
-    index
-        .get(&(r.parts[0].as_str(), r.parts[1].as_str()))
-        .copied()
-}
-
 pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     let file = &p.filename;
     let n = p.resources.len();
@@ -84,8 +75,8 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
     // self-loops included
     let mut edge_spans: BTreeMap<(usize, usize), Span> = BTreeMap::new();
     for (i, r) in p.resources.iter().enumerate() {
-        let mut note = |dep: &Reference, span: Span| {
-            if let Some(j) = block_target(dep, &block_index) {
+        let mut note = |rtype: &str, name: &str, span: Span| {
+            if let Some(&j) = block_index.get(&(rtype, name)) {
                 if j != i {
                     g.add_edge(j, i);
                 }
@@ -93,11 +84,16 @@ pub(crate) fn pass_hazards(p: &Program, env: &FoldEnv, sink: &mut Sink<'_>) {
             }
         };
         for expr in block_exprs(r) {
-            let mut bound = Vec::new();
-            walk_refs_scoped(expr, &mut bound, &mut note);
+            expr.walk_refs(&mut |read| {
+                if let RefKind::Resource { rtype, name } = read.reference.kind() {
+                    note(rtype, name, read.span);
+                }
+            });
         }
         for dep in &r.depends_on {
-            note(dep, r.span);
+            if let [rtype, name, ..] = dep.parts.as_slice() {
+                note(rtype, name, r.span);
+            }
         }
     }
 

@@ -19,14 +19,18 @@
 //!   (ANA201/202/203), taint sinks (ANA302), self-reference (ANA404) —
 //!   and reports whether *zero* findings (and zero suppressions) result.
 //! * [`block_refs`] extracts what a block references, for the verdicts no
-//!   single block decides. Its dependency edges
-//!   ([`BlockRefs::block_targets`]) are the block digraph: an edited block
-//!   must keep them ([`BlockRefs::stable_under`]), an added one may only
-//!   point at blocks declared before it, a removed one must have no
-//!   dependent left — then the digraph gains no cycle and no dangling edge
-//!   (ANA401/403). Its variable and local uses are holders the caller
-//!   counts, [`outer_refs`] being the readers outside the blocks: a
-//!   declaration whose last holder goes became unused (ANA101/102).
+//!   single block decides, with the scoped walk the expander reads
+//!   references with ([`Expr::walk_refs`]: a `for` loop variable is no
+//!   reference, and one over a block reads that block). Its dependency
+//!   edges ([`BlockRefs::block_targets`]) are the block digraph: an edited
+//!   block must keep them ([`BlockRefs::stable_under`]: the expander's set
+//!   is the digraph's less the `count`/`for_each` sites, and both must
+//!   stay), an added one may only point at blocks declared before it, a
+//!   removed one must have no dependent left — then the digraph gains no
+//!   cycle and no dangling edge (ANA401/403). Its variable and local uses
+//!   are holders the caller counts, [`outer_refs`] being the readers
+//!   outside the blocks: a declaration whose last holder goes became
+//!   unused (ANA101/102).
 //! * [`LintEnv::block_claims`] is the write-write-conflict (ANA402) claim
 //!   extractor, so the caller can maintain an identity-claims multiset
 //!   across edits instead of rescanning every block.
@@ -42,12 +46,12 @@
 
 use std::collections::BTreeSet;
 
-use cloudless_hcl::program::{is_resource_ref, Program, ResourceBlock};
+use cloudless_hcl::program::{Program, ResourceBlock};
 
 use crate::alias::ClaimKey;
-use cloudless_hcl::ast::{Expr, Reference};
+use cloudless_hcl::ast::{Expr, RefKind, Reference};
 
-use crate::dataflow::{block_exprs, check_block_consts, outer_sites, walk_refs_scoped};
+use crate::dataflow::{block_exprs, check_block_consts, outer_sites};
 pub use crate::dataflow::{DeclEdit, LintEnv};
 use crate::hazards;
 pub use crate::hazards::IDENTITY_ATTRS;
@@ -75,20 +79,21 @@ pub type BlockName<'a> = (&'a str, &'a str);
 /// What one block (or, from [`outer_refs`], everything outside the blocks)
 /// references: the sets the caller's cross-block guards read (see the
 /// module docs for the exact rules). The names are borrowed from the syntax
-/// they were read off.
+/// they were read off, by the one scoped walk ([`Expr::walk_refs`]) the
+/// expander and the lint passes read references with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockRefs<'a> {
-    /// Binding-blind resource references in attributes plus `depends_on`
-    /// — exactly the dependency set the expander extracts, so equality
-    /// means spliced instances keep identical `depends_on`.
+    /// The resources the attributes read plus `depends_on`: exactly the
+    /// dependency set the expander extracts, so equality means spliced
+    /// instances keep identical `depends_on`.
     pub expand_deps: BTreeSet<BlockName<'a>>,
-    /// Binding-aware two-part resource references in `count`/`for_each`/
-    /// attributes plus `depends_on` — a superset of the hazard pass's edge
-    /// sources, so equality means the block digraph is unchanged.
+    /// `expand_deps` plus the resources `count`/`for_each` read: the hazard
+    /// pass's edge sources, so equality means the block digraph is
+    /// unchanged.
     pub hazard_refs: BTreeSet<BlockName<'a>>,
-    /// Variables this block references (binding-aware).
+    /// Variables this block references.
     pub var_uses: BTreeSet<&'a str>,
-    /// Locals this block references (binding-aware).
+    /// Locals this block references.
     pub local_uses: BTreeSet<&'a str>,
 }
 
@@ -103,33 +108,38 @@ fn block_name(r: &Reference) -> Option<BlockName<'_>> {
 impl<'a> BlockRefs<'a> {
     /// Whether an edit that turns these references into `new` keeps the
     /// same dependency edges: block digraph and expansion dependency set
-    /// unchanged.
+    /// unchanged. `expand_deps` is a subset of `hazard_refs`, so comparing
+    /// both tells a reference that moved between an attribute and
+    /// `count`/`for_each`, which changes the expansion's edges alone.
     pub fn stable_under(&self, new: &BlockRefs<'_>) -> bool {
         self.expand_deps == new.expand_deps && self.hazard_refs == new.hazard_refs
     }
 
-    /// Every `(type, name)` this block may have a dependency edge to: the
-    /// expander's and the hazard pass's edge sources together (the ones
-    /// that name no declared block are nobody's edge).
+    /// Every `(type, name)` this block may have a dependency edge to (the
+    /// ones that name no declared block are nobody's edge).
     pub fn block_targets(&self) -> impl Iterator<Item = BlockName<'a>> + '_ {
-        self.expand_deps.union(&self.hazard_refs).copied()
+        self.hazard_refs.iter().copied()
     }
 
-    /// The binding-aware walk the lint passes use, over one expression.
-    fn note_scoped(&mut self, expr: &'a Expr) {
-        let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r: &'a Reference, _| {
-            match (r.root(), r.parts.get(1)) {
-                ("var", Some(n)) => {
+    /// Note what `expr` reads; `expands`: an attribute's value, whose
+    /// resources the expander reads too.
+    fn note(&mut self, expr: &'a Expr, expands: bool) {
+        expr.walk_refs(&mut |read| {
+            let r = read.reference;
+            match (r.kind(), r.parts.get(1)) {
+                (RefKind::Var, Some(n)) => {
                     self.var_uses.insert(n);
                 }
-                ("local", Some(n)) => {
+                (RefKind::Local, Some(n)) => {
                     self.local_uses.insert(n);
                 }
+                (RefKind::Resource { rtype, name }, _) => {
+                    self.hazard_refs.insert((rtype, name));
+                    if expands {
+                        self.expand_deps.insert((rtype, name));
+                    }
+                }
                 _ => {}
-            }
-            if is_resource_ref(r) {
-                self.hazard_refs.extend(block_name(r));
             }
         });
     }
@@ -138,22 +148,15 @@ impl<'a> BlockRefs<'a> {
 /// Extract [`BlockRefs`] from one resource block.
 pub fn block_refs(rb: &ResourceBlock) -> BlockRefs<'_> {
     let mut out = BlockRefs::default();
-    // Expansion deps: same walker the expander uses (binding-blind).
-    for a in &rb.attrs {
-        a.value.walk_refs(&mut |r, _| {
-            if is_resource_ref(r) {
-                out.expand_deps.extend(block_name(r));
-            }
-        });
-    }
     for d in &rb.depends_on {
         out.expand_deps.extend(block_name(d));
         out.hazard_refs.extend(block_name(d));
     }
-    // Hazard edges and var/local uses: the binding-aware walker the lint
-    // passes use, over the same sites.
-    for expr in block_exprs(rb) {
-        out.note_scoped(expr);
+    for e in rb.count.iter().chain(&rb.for_each) {
+        out.note(e, false);
+    }
+    for a in &rb.attrs {
+        out.note(&a.value, true);
     }
     out
 }
@@ -165,7 +168,7 @@ pub fn block_refs(rb: &ResourceBlock) -> BlockRefs<'_> {
 pub fn outer_refs(p: &Program) -> BlockRefs<'_> {
     let mut out = BlockRefs::default();
     for (expr, _) in outer_sites(p) {
-        out.note_scoped(expr);
+        out.note(expr, false);
     }
     out
 }
@@ -197,9 +200,8 @@ pub fn block_is_clean(
         .iter()
         .all(|d| env.decls.has_block(d, declared));
     for expr in block_exprs(rb) {
-        let mut bound = Vec::new();
-        walk_refs_scoped(expr, &mut bound, &mut |r, _| {
-            known &= env.decls.undeclared(r, declared).is_none();
+        expr.walk_refs(&mut |read| {
+            known &= env.decls.undeclared(read.reference, declared).is_none();
         });
     }
     if !known {

@@ -332,22 +332,31 @@ fn init(args: &Args) -> Result<(), String> {
 /// `cloudless validate`: what `plan` would decide about the program on a
 /// fresh, empty session — the same gates, the same refusals.
 fn validate(args: &Args) -> Result<(), String> {
-    let source = read_program(args.positional[0])?;
-    let planned = Cloudless::new(Config::default())
+    let file = args.positional[0];
+    let source = read_program(file)?;
+    let mut planned = Cloudless::new(Config::default())
         .plan(&source, &[])
-        .map_err(|e| refusal(e, &source))?;
-    let diagnostics = &planned.validation.diagnostics;
+        .map_err(|e| refusal(e, &source, file))?;
+    let diagnostics = &mut planned.validation.diagnostics;
     if diagnostics.is_empty() {
         println!(
             "ok: {} resource instance(s), no findings",
             planned.manifest.instances.len()
         );
     } else {
-        // the engine names every parsed file "main.tf"; key the map to match
-        let sources = cloudless::hcl::SourceMap::single("main.tf", &source);
+        let sources = cloudless::hcl::SourceMap::single(file, &source);
+        diagnostics.items.iter_mut().for_each(|d| named(d, file));
         println!("{}", diagnostics.render_pretty(&sources));
     }
     Ok(())
+}
+
+/// `d` as naming `file`: the engine names every program it parses
+/// `main.tf`, whatever path the user gave.
+fn named(d: &mut cloudless::hcl::Diagnostic, file: &str) {
+    if d.file == "main.tf" {
+        d.file = file.to_owned();
+    }
 }
 
 /// Print a lint report in `format`; deny-level findings are the error.
@@ -423,7 +432,9 @@ fn analyze(args: &Args) -> Result<(), String> {
         // a program `plan` refuses has no pending edit set
         let mut edits = Vec::new();
         in_session(dir, None, |engine| {
-            let planned = engine.plan(&source, &[]).map_err(|e| refusal(e, &source))?;
+            let planned = engine
+                .plan(&source, &[])
+                .map_err(|e| refusal(e, &source, file))?;
             let nodes = planned.plan.graph.iter();
             edits = nodes.map(|(_, node)| node.change.addr.clone()).collect();
             Ok(Ran::ReadOnly)
@@ -448,22 +459,26 @@ fn analyze(args: &Args) -> Result<(), String> {
 }
 
 /// Why `plan`, `apply` or `reconcile` refused a program, rendered against
-/// its source.
-fn refusal(err: ConvergeError, source: &str) -> String {
-    let sources = cloudless::hcl::SourceMap::single("main.tf", source);
+/// its source, which the user named `file`.
+fn refusal(err: ConvergeError, source: &str, file: &str) -> String {
+    let sources = cloudless::hcl::SourceMap::single(file, source);
+    let render = |mut d: cloudless::hcl::Diagnostics| {
+        d.items.iter_mut().for_each(|d| named(d, file));
+        d.render_pretty(&sources)
+    };
     match err {
-        ConvergeError::Frontend(d) => {
-            format!("program rejected:\n{}", d.render_pretty(&sources))
+        ConvergeError::Frontend(d) => format!("program rejected:\n{}", render(d)),
+        ConvergeError::Lint(mut r) => {
+            r.findings
+                .iter_mut()
+                .for_each(|f| named(&mut f.diagnostic, file));
+            format!(
+                "lint failed ({} finding(s)); fix them or rerun with a relaxed gate:\n{}",
+                r.findings.len(),
+                r.render_text(&sources)
+            )
         }
-        ConvergeError::Lint(r) => format!(
-            "lint failed ({} finding(s)); fix them or rerun with a relaxed gate:\n{}",
-            r.findings.len(),
-            r.render_text(&sources)
-        ),
-        ConvergeError::Validation(r) => format!(
-            "validation failed:\n{}",
-            r.diagnostics.render_pretty(&sources)
-        ),
+        ConvergeError::Validation(r) => format!("validation failed:\n{}", render(r.diagnostics)),
         ConvergeError::PolicyDenied(actions) => {
             let mut msg = String::from("plan denied by policy:");
             for a in actions {
@@ -482,7 +497,8 @@ fn refusal(err: ConvergeError, source: &str) -> String {
 /// process), and `reconcile` is what picks it up.
 fn stopped(err: ConvergeError, source: &str, args: &Args) -> Result<Ran, String> {
     if !matches!(err, ConvergeError::State(_)) {
-        return Err(refusal(err, source));
+        let file = args.positional.get(1).copied().unwrap_or("main.tf");
+        return Err(refusal(err, source, file));
     }
     let dir = args.positional[0];
     let recover = match args.positional.get(1) {
@@ -509,10 +525,11 @@ fn targets(args: &Args) -> Result<Vec<ResourceAddr>, String> {
 /// `cloudless plan`: the deciding half of `apply` and nothing else — the
 /// same gates, the same refusals and exit code, the same plan text.
 fn plan(args: &Args, engine: &mut Cloudless) -> Result<Ran, String> {
-    let source = read_program(args.positional[1])?;
+    let file = args.positional[1];
+    let source = read_program(file)?;
     let planned = engine
         .plan(&source, &targets(args)?)
-        .map_err(|e| refusal(e, &source))?;
+        .map_err(|e| refusal(e, &source, file))?;
     print!("{}", planned.plan_text);
     Ok(Ran::ReadOnly)
 }

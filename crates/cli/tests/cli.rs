@@ -153,6 +153,15 @@ resource "azure_virtual_machine" "vm" {
     let out = run(&["validate", &tf]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("VAL301"), "{}", stderr(&out));
+    let val301 = stderr(&out)
+        .lines()
+        .find(|l| l.contains("VAL301"))
+        .map(str::to_owned);
+    assert!(
+        val301.is_some_and(|l| l.contains("bad.tf")),
+        "{}",
+        stderr(&out)
+    );
 
     let good = t.write("good.tf", PROGRAM);
     let out = run(&["validate", &good]);

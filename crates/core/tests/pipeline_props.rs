@@ -1313,13 +1313,25 @@ proptest! {
 /// instance's CIDR its own, written in its block (`moved` ones narrowed,
 /// which replaces them: an edit of one block), and readers that name an
 /// instance by a literal index or key, by their own `count.index` or
-/// `each.key`, or all of a fleet by a splat.
+/// `each.key`, or all of a fleet by a splat or a `for`.
 struct Fleets {
     /// Per fleet: keyed (`for_each`), and how many instances.
     fleets: Vec<(bool, usize)>,
-    /// Per reader: how it reads (0 literal, 1 its own key, 2 splat), the
-    /// fleet and the instance (taken modulo what there is).
+    /// Per reader: how it reads (0 literal, 1 its own key, 2 splat, 3–6
+    /// [`through_for`]), the fleet and the instance (taken modulo what
+    /// there is).
     readers: Vec<(usize, usize, usize)>,
+}
+
+/// Every instance of fleet `j` read through a `for` (`how` 3–6): list and
+/// map forms, each without and with an index variable.
+fn through_for(how: usize, j: usize) -> String {
+    match how {
+        3 => format!("join(\"-\", [for x in aws_vpc.v{j} : x.id])"),
+        4 => format!("join(\"-\", [for i, x in aws_vpc.v{j} : \"${{i}}-${{x.id}}\"])"),
+        5 => format!("join(\"-\", keys({{ for x in aws_vpc.v{j} : x.id => 1 }}))"),
+        _ => format!("join(\"-\", values({{ for k, x in aws_vpc.v{j} : tostring(k) => x.id }}))"),
+    }
 }
 
 impl Fleets {
@@ -1373,12 +1385,13 @@ impl Fleets {
             let j = j % self.fleets.len();
             let (keyed, n) = self.fleets[j];
             let (key, subnets) = (self.key(j, i % n), self.values(j, subnet));
-            out.push_str(&match (how % 3, keyed) {
+            out.push_str(&match (how, keyed) {
                 (0, _) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{aws_vpc.v{j}{key}.id}}\"\n}}\n"),
                 (1, false) => format!("resource \"aws_subnet\" \"r{r}\" {{\n  count      = {n}\n  vpc_id     = aws_vpc.v{j}[count.index].id\n  cidr_block = {subnets}[count.index]\n}}\n"),
                 (1, true) => format!("resource \"aws_subnet\" \"r{r}\" {{\n  for_each   = {subnets}\n  vpc_id     = aws_vpc.v{j}[each.key].id\n  cidr_block = each.value\n}}\n"),
-                (_, false) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", aws_vpc.v{j}[*].id)}}\"\n}}\n"),
-                (_, true) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", values(aws_vpc.v{j})[*].id)}}\"\n}}\n"),
+                (2, false) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", aws_vpc.v{j}[*].id)}}\"\n}}\n"),
+                (2, true) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{join(\"-\", values(aws_vpc.v{j})[*].id)}}\"\n}}\n"),
+                (how, _) => format!("resource \"aws_s3_bucket\" \"r{r}\" {{\n  bucket = \"r{r}-${{{}}}\"\n}}\n", through_for(how, j)),
             });
         }
         out
@@ -1391,7 +1404,7 @@ impl Fleets {
         for (r, &(how, j, i)) in self.readers.iter().enumerate() {
             let j = j % self.fleets.len();
             let (first, n) = (self.first(j), self.fleets[j].1);
-            match how % 3 {
+            match how {
                 0 => out.push((format!("aws_s3_bucket.r{r}"), vec![first + i % n])),
                 1 => out.extend((0..n).map(|i| {
                     (
@@ -1406,55 +1419,82 @@ impl Fleets {
     }
 }
 
+/// Fleets read by instance, and a stream of edits that each replace one
+/// instance, each planned and applied. Every plan is a cold pipeline's,
+/// which plans what `deploy::diff` plans, for a warm pipeline and for the
+/// engine's own settled cache; it changes exactly the readers of the
+/// replaced instance, so a reader of a sibling plans nothing; the replan
+/// after every apply plans nothing; and after every apply no live record
+/// names an id the cloud no longer holds.
+fn fleet_replans_its_readers(fleets: Fleets, edits: &[usize]) {
+    let env = Env::new();
+    let mut moved = vec![false; fleets.total()];
+    let mut source = fleets.source(&moved);
+    let mut engine = engine_over(MemDevice::new().imaged(None), &Records::new());
+    let mut seen = BTreeMap::new();
+    for step in 0..=edits.len() {
+        if step > 0 {
+            let g = edits[step - 1] % moved.len();
+            moved[g] = !moved[g];
+            let edited = fleets.source(&moved);
+            let state = engine.state().clone();
+            check_against_state(&env, &state, &source, &edited, &source);
+            let cold = cold_run(&edited, &env.ctx(&state)).expect("the fleet is clean");
+            let changed: Vec<String> = (cold.changes.iter())
+                .filter(|c| !c.action.is_noop())
+                .map(|c| c.addr.to_string())
+                .collect();
+            for (reader, reads) in fleets.reads() {
+                prop_assert_eq!(changed.contains(&reader), reads.contains(&g), "{}", reader);
+            }
+            let (plan, _) = engine.plan_incremental(&edited).expect("the edit plans");
+            prop_assert_eq!(plan, cold.plan_text);
+            source = edited;
+        }
+        prop_assert!(engine.converge(&source).expect("converges").apply.all_ok());
+        let (replan, _) = engine.plan_incremental(&source).expect("the fleet replans");
+        let cold = cold_run(&source, &env.ctx(engine.state())).expect("the fleet is clean");
+        prop_assert!(
+            cold.changes.iter().all(|c| c.action.is_noop()),
+            "{}",
+            cold.plan_text
+        );
+        prop_assert_eq!(replan, cold.plan_text);
+        let live = engine.cloud().export_records();
+        seen.extend(live.iter().map(|(id, r)| (id.clone(), r.rtype.clone())));
+        for record in live.values() {
+            for (name, value) in &record.attrs {
+                let named = value.as_str().map(ResourceId::new);
+                let gone = named.filter(|id| seen.contains_key(id) && !live.contains_key(id));
+                prop_assert!(gone.is_none(), "{} {} = {:?}", record.id, name, value);
+            }
+        }
+    }
+}
+
 proptest! {
-    /// Fleets read by instance, and a stream of edits that each replace
-    /// one instance, each planned and applied. Every plan is a cold
-    /// pipeline's, which plans what `deploy::diff` plans, for a warm
-    /// pipeline and for the engine's own settled cache; it changes exactly
-    /// the readers of the replaced instance, so a reader of a sibling plans
-    /// nothing; and after every apply no live record names an id the cloud
-    /// no longer holds.
+    /// Fleets read by instance: by a literal index or key, by the reader's
+    /// own `count.index` or `each.key`, or by a splat (see
+    /// [`fleet_replans_its_readers`]).
     #[test]
     fn a_fleet_replans_the_readers_of_the_instance_it_replaces(
         fleets in proptest::collection::vec((any::<bool>(), 1..4usize), 1..3),
         readers in proptest::collection::vec((0..3usize, 0..3usize, 0..4usize), 1..5),
         edits in proptest::collection::vec(0..12usize, 1..4),
     ) {
-        let (fleets, env) = (Fleets { fleets, readers }, Env::new());
-        let mut moved = vec![false; fleets.total()];
-        let mut source = fleets.source(&moved);
-        let mut engine = engine_over(MemDevice::new().imaged(None), &Records::new());
-        let mut seen = BTreeMap::new();
-        for step in 0..=edits.len() {
-            if step > 0 {
-                let g = edits[step - 1] % moved.len();
-                moved[g] = !moved[g];
-                let edited = fleets.source(&moved);
-                let state = engine.state().clone();
-                check_against_state(&env, &state, &source, &edited, &source);
-                let cold = cold_run(&edited, &env.ctx(&state)).expect("the fleet is clean");
-                let changed: Vec<String> = (cold.changes.iter())
-                    .filter(|c| !c.action.is_noop())
-                    .map(|c| c.addr.to_string())
-                    .collect();
-                for (reader, reads) in fleets.reads() {
-                    prop_assert_eq!(changed.contains(&reader), reads.contains(&g), "{}", reader);
-                }
-                let (plan, _) = engine.plan_incremental(&edited).expect("the edit plans");
-                prop_assert_eq!(plan, cold.plan_text);
-                source = edited;
-            }
-            prop_assert!(engine.converge(&source).expect("converges").apply.all_ok());
-            let live = engine.cloud().export_records();
-            seen.extend(live.iter().map(|(id, r)| (id.clone(), r.rtype.clone())));
-            for record in live.values() {
-                for (name, value) in &record.attrs {
-                    let named = value.as_str().map(ResourceId::new);
-                    let gone = named.filter(|id| seen.contains_key(id) && !live.contains_key(id));
-                    prop_assert!(gone.is_none(), "{} {} = {:?}", record.id, name, value);
-                }
-            }
-        }
+        fleet_replans_its_readers(Fleets { fleets, readers }, &edits);
+    }
+
+    /// Fleets read through `for`, in list and map forms, with and without
+    /// an index variable: each reads every instance of its fleet, as a
+    /// splat does (see [`fleet_replans_its_readers`]).
+    #[test]
+    fn a_fleet_read_through_for_replans_its_readers(
+        fleets in proptest::collection::vec((any::<bool>(), 1..4usize), 1..3),
+        readers in proptest::collection::vec((3..7usize, 0..3usize, 0..4usize), 1..5),
+        edits in proptest::collection::vec(0..12usize, 1..4),
+    ) {
+        fleet_replans_its_readers(Fleets { fleets, readers }, &edits);
     }
 }
 

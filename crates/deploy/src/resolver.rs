@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use cloudless_hcl::ast::Reference;
+use cloudless_hcl::ast::{RefKind, Reference};
 use cloudless_hcl::eval::Resolver;
 use cloudless_types::{Provider, ResourceKey, ResourceTypeName, Value};
 
@@ -110,7 +110,7 @@ impl<'a> StateResolver<'a> {
 impl Resolver for StateResolver<'_> {
     fn resolve(&self, reference: &Reference) -> Result<Option<Value>, String> {
         let parts = &reference.parts;
-        if parts[0] == "data" || parts[0] == "module" {
+        if matches!(reference.kind(), RefKind::Data | RefKind::Module) {
             return match self.data {
                 Some(d) => d.resolve(reference),
                 None => Ok(None),
@@ -177,7 +177,7 @@ impl DataResolver {
 impl Resolver for DataResolver {
     fn resolve(&self, reference: &Reference) -> Result<Option<Value>, String> {
         let parts = &reference.parts;
-        if parts[0] != "data" {
+        if reference.kind() != RefKind::Data {
             return Ok(None);
         }
         // data.<type>.<name>[.attr…]

@@ -69,6 +69,29 @@ pub struct Reference {
     pub parts: Vec<String>,
 }
 
+/// What the root of a [`Reference`] names: one of the namespaces, a
+/// resource block, or a lone name. A `for` loop variable reads as a
+/// resource (`x.id`) or a lone name (`x`) here; only a walk that knows the
+/// bindings ([`Expr::walk_refs`]) tells it apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefKind<'a> {
+    Var,
+    Local,
+    Count,
+    Each,
+    Data,
+    Module,
+    Path,
+    Terraform,
+    /// `type.name…`: a resource block.
+    Resource {
+        rtype: &'a str,
+        name: &'a str,
+    },
+    /// One part that is no namespace.
+    Lone,
+}
+
 impl Reference {
     pub fn new<S: Into<String>>(parts: impl IntoIterator<Item = S>) -> Self {
         Reference {
@@ -82,10 +105,62 @@ impl Reference {
         &self.parts[0]
     }
 
+    /// What the root names: the one rule for every reader of a reference.
+    pub fn kind(&self) -> RefKind<'_> {
+        match (self.root(), self.parts.get(1)) {
+            ("var", _) => RefKind::Var,
+            ("local", _) => RefKind::Local,
+            ("count", _) => RefKind::Count,
+            ("each", _) => RefKind::Each,
+            ("data", _) => RefKind::Data,
+            ("module", _) => RefKind::Module,
+            ("path", _) => RefKind::Path,
+            ("terraform", _) => RefKind::Terraform,
+            (rtype, Some(name)) => RefKind::Resource { rtype, name },
+            (_, None) => RefKind::Lone,
+        }
+    }
+
+    /// Whether a `for` loop variable of this name hides it: every name but
+    /// the scope namespaces (`var`, `local`, `count`, `each`), as the
+    /// evaluator resolves them.
+    fn shadowable(&self) -> bool {
+        !matches!(
+            self.kind(),
+            RefKind::Var | RefKind::Local | RefKind::Count | RefKind::Each
+        )
+    }
+
     /// Render back to `a.b.c` form.
     pub fn dotted(&self) -> String {
         self.parts.join(".")
     }
+}
+
+/// One reference as [`Expr::walk_refs`] reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct RefRead<'a> {
+    /// What it reads: the reference as written, or, for a loop variable
+    /// over a block (`s` in `[for s in aws_subnet.s : s.id]`), that block.
+    pub reference: &'a Reference,
+    /// Where `reference` is written: the loop's collection, for a read
+    /// through a loop variable.
+    pub span: Span,
+    /// The index that selects an instance of a two-part reference
+    /// (`aws_vpc.v[count.index]`); `None` for none or a splat.
+    pub index: Option<&'a Expr>,
+    /// The attribute it reads off the block: `id` in `aws_vpc.v.id`,
+    /// `aws_vpc.v[0].id`, `aws_vpc.v[*].id` and `s.id` for `s` over
+    /// `aws_vpc.v`.
+    pub attr: Option<&'a str>,
+}
+
+/// A `for` loop variable in scope: the block it ranges over, when its
+/// collection is one (`for s in aws_subnet.s`), and whether it was read.
+struct Bound<'a> {
+    name: &'a str,
+    over: Option<(&'a Reference, Span)>,
+    read: bool,
 }
 
 /// One piece of a template string.
@@ -241,12 +316,72 @@ impl Expr {
         }
     }
 
-    /// Visit every [`Reference`] in this expression tree (including inside
-    /// string interpolations), in source order.
-    pub fn walk_refs<'a>(&'a self, f: &mut impl FnMut(&'a Reference, Span)) {
-        match self {
-            Expr::Ref(r, s) => f(r, *s),
-            _ => self.for_each_child(&mut |e| e.walk_refs(f)),
+    /// Visit every reference this expression reads (including inside
+    /// string interpolations), in source order, scoped as the evaluator
+    /// scopes them: a `for` loop variable hides resource, `data`, `module`
+    /// and lone names, never `var`, `local`, `count` or `each`. A loop
+    /// variable over a block reads as that block's splat: `s.id` in
+    /// `[for s in aws_subnet.s : s.id]` reads `aws_subnet.s` and `id`, as
+    /// `aws_subnet.s[*].id` does; a loop over a block whose variable is
+    /// never read reads the block whole, after its body.
+    pub fn walk_refs<'a>(&'a self, f: &mut impl FnMut(RefRead<'a>)) {
+        self.walk_scoped(&mut Vec::new(), f);
+    }
+
+    fn walk_scoped<'a>(&'a self, bound: &mut Vec<Bound<'a>>, f: &mut impl FnMut(RefRead<'a>)) {
+        if let Expr::ForList {
+            var,
+            index_var,
+            collection,
+            ..
+        }
+        | Expr::ForMap {
+            var,
+            index_var,
+            collection,
+            ..
+        } = self
+        {
+            return walk_for(self, var, index_var, collection, bound, f);
+        }
+        // what an index, a splat or an attribute after an index selects of
+        let selected = match self {
+            Expr::Splat(base, attrs, _) => Some((&**base, None, attrs.first())),
+            Expr::Index(base, index, _) => Some((&**base, Some(&**index), None)),
+            Expr::GetAttr(base, attr, _) => match &**base {
+                Expr::Index(base, index, _) => Some((&**base, Some(&**index), Some(attr))),
+                _ => None,
+            },
+            _ => None,
+        };
+        let (reference, span, index, attr) = match (self, selected) {
+            (_, Some((Expr::Ref(r, s), index, attr))) if r.parts.len() == 2 => (r, *s, index, attr),
+            (Expr::Ref(r, s), _) => (r, *s, None, r.parts.get(2)),
+            _ => return self.for_each_child(&mut |e| e.walk_scoped(bound, f)),
+        };
+        let attr = attr.map(String::as_str);
+        let loop_var = bound.iter_mut().rev().find(|b| b.name == reference.root());
+        match loop_var.filter(|_| reference.shadowable()) {
+            None => f(RefRead {
+                reference,
+                span,
+                index,
+                attr,
+            }),
+            Some(b) => {
+                b.read = true;
+                if let Some((over, at)) = b.over {
+                    f(RefRead {
+                        reference: over,
+                        span: at,
+                        index: None,
+                        attr: reference.parts.get(1).map(String::as_str),
+                    });
+                }
+            }
+        }
+        if let Some(index) = index {
+            index.walk_scoped(bound, f);
         }
     }
 
@@ -300,12 +435,54 @@ impl Expr {
             }
         }
     }
+}
 
-    /// Collect all references in this expression.
-    pub fn refs(&self) -> Vec<&Reference> {
-        let mut out = Vec::new();
-        self.walk_refs(&mut |r, _| out.push(r));
-        out
+/// The scoped walk of `for_expr`: its collection in the enclosing scope,
+/// then the rest (body, key, value, condition) with the loop variables
+/// bound.
+fn walk_for<'a>(
+    for_expr: &'a Expr,
+    var: &'a str,
+    index_var: &'a Option<String>,
+    collection: &'a Expr,
+    bound: &mut Vec<Bound<'a>>,
+    f: &mut impl FnMut(RefRead<'a>),
+) {
+    let over = match collection {
+        Expr::Ref(r, s) if r.parts.len() == 2 && matches!(r.kind(), RefKind::Resource { .. }) => {
+            Some((r, *s)).filter(|(r, _)| !bound.iter().any(|b| b.name == r.root()))
+        }
+        _ => None,
+    };
+    if over.is_none() {
+        collection.walk_scoped(bound, f);
+    }
+    let depth = bound.len();
+    let names = index_var.iter().map(|iv| (iv.as_str(), None));
+    for (name, over) in names.chain([(var, over)]) {
+        bound.push(Bound {
+            name,
+            over,
+            read: false,
+        });
+    }
+    // the collection is the first child
+    let mut scoped = false;
+    for_expr.for_each_child(&mut |e| {
+        if scoped {
+            e.walk_scoped(bound, f);
+        }
+        scoped = true;
+    });
+    let unread = bound.last().is_some_and(|b| !b.read);
+    bound.truncate(depth);
+    if let (Some((reference, span)), true) = (over, unread) {
+        f(RefRead {
+            reference,
+            span,
+            index: None,
+            attr: None,
+        });
     }
 }
 
@@ -360,7 +537,8 @@ mod tests {
             ],
             sp(),
         );
-        let refs: Vec<String> = e.refs().iter().map(|r| r.dotted()).collect();
+        let mut refs = Vec::new();
+        e.walk_refs(&mut |read| refs.push(read.reference.dotted()));
         assert_eq!(refs, vec!["var.a", "local.b", "x.y.z"]);
     }
 

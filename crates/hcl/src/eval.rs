@@ -18,7 +18,7 @@ use std::fmt;
 
 use cloudless_types::{Span, Value};
 
-use crate::ast::{BinOp, Expr, Reference, TemplatePart, UnaryOp};
+use crate::ast::{BinOp, Expr, RefKind, Reference, TemplatePart, UnaryOp};
 use crate::funcs;
 
 /// Resolves references that live outside the lexical scope: resources
@@ -230,13 +230,6 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Collected references of an expression, split by how they resolved.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Refs {
-    /// References that deferred (value known at apply time only).
-    pub deferred: Vec<Reference>,
-}
-
 /// Evaluate `expr` under `scope`.
 pub fn eval(expr: &Expr, scope: &Scope<'_>) -> Result<Value, EvalError> {
     match expr {
@@ -437,8 +430,8 @@ fn eval_ref(r: &Reference, span: Span, scope: &Scope<'_>) -> Result<Value, EvalE
         span,
         reason,
     };
-    match r.root() {
-        "var" => {
+    match r.kind() {
+        RefKind::Var => {
             let name = r
                 .parts
                 .get(1)
@@ -449,7 +442,7 @@ fn eval_ref(r: &Reference, span: Span, scope: &Scope<'_>) -> Result<Value, EvalE
                 .ok_or_else(|| unknown(format!("variable {name:?} is not declared")))?;
             traverse(base, &r.parts[2..], r, span)
         }
-        "local" => {
+        RefKind::Local => {
             let name = r
                 .parts
                 .get(1)
@@ -460,7 +453,7 @@ fn eval_ref(r: &Reference, span: Span, scope: &Scope<'_>) -> Result<Value, EvalE
                 .ok_or_else(|| unknown(format!("local {name:?} is not declared")))?;
             traverse(base, &r.parts[2..], r, span)
         }
-        "count" => {
+        RefKind::Count => {
             if r.parts.get(1).map(String::as_str) == Some("index") {
                 match scope.count_index {
                     Some(i) => Ok(Value::from(i as i64)),
@@ -473,7 +466,7 @@ fn eval_ref(r: &Reference, span: Span, scope: &Scope<'_>) -> Result<Value, EvalE
                 Err(unknown("only count.index is supported".into()))
             }
         }
-        "each" => {
+        RefKind::Each => {
             let (k, v) = scope.each.as_ref().ok_or(EvalError::NoIteration {
                 what: "each.key / each.value",
                 span,
@@ -485,8 +478,8 @@ fn eval_ref(r: &Reference, span: Span, scope: &Scope<'_>) -> Result<Value, EvalE
             }
         }
         // loop variables shadow everything below
-        name if scope.binding(name).is_some() => {
-            let base = scope.binding(name).expect("checked").clone();
+        _ if scope.binding(r.root()).is_some() => {
+            let base = scope.binding(r.root()).expect("checked").clone();
             traverse(&base, &r.parts[1..], r, span)
         }
         // data sources, module outputs and resource attributes go through

@@ -47,7 +47,7 @@ pub mod token;
 
 pub use ast::{Attribute, Block, BlockBody, Expr, File};
 pub use diag::{Diagnostic, Diagnostics, Severity, SourceMap};
-pub use eval::{EvalError, Refs, Resolver, Scope};
+pub use eval::{EvalError, Resolver, Scope};
 pub use fold::{fold, Folded};
 pub use parser::parse;
 pub use program::{

@@ -717,7 +717,10 @@ resource "aws_virtual_machine" "vm1" {
         let vm = &f.blocks[3];
         assert_eq!(vm.labels, vec!["aws_virtual_machine", "vm1"]);
         let nic_ids = vm.body.attr("nic_ids").expect("nic_ids");
-        let refs: Vec<String> = nic_ids.value.refs().iter().map(|r| r.dotted()).collect();
+        let mut refs = Vec::new();
+        nic_ids
+            .value
+            .walk_refs(&mut |read| refs.push(read.reference.dotted()));
         assert_eq!(refs, vec!["aws_network_interface.n1.id"]);
     }
 

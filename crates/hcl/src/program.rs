@@ -19,7 +19,7 @@ use cloudless_types::{
     Attrs, PairMap, ResourceAddr, ResourceKey, ResourceTypeName, Span, Value, VecMap, VecSet,
 };
 
-use crate::ast::{Attribute, Block, BlockBody, Expr, File, Reference};
+use crate::ast::{Attribute, Block, BlockBody, Expr, File, RefKind, Reference};
 use crate::diag::{Diagnostic, Diagnostics};
 use crate::eval::{eval, EvalError, Resolver, Scope};
 use crate::parser::parse;
@@ -531,41 +531,21 @@ impl std::fmt::Display for Target {
 /// (`count.index`, `each.key`, variables, locals); one that reads a
 /// resource does not evaluate there.
 fn targets(e: &Expr, scope: &Scope<'_>, out: &mut Vec<Target>) {
-    /// `type.name`, what an index or a splat selects instances of.
-    fn block(e: &Expr) -> Option<&Reference> {
-        match e {
-            Expr::Ref(r, _) if r.parts.len() == 2 && is_resource_ref(r) => Some(r),
-            _ => None,
-        }
-    }
-    let found = match e {
-        Expr::Ref(r, _) if r.parts.len() >= 2 && is_resource_ref(r) => {
-            Some((r, None, r.parts.get(2)))
-        }
-        Expr::Splat(base, attrs, _) => block(base).map(|r| (r, None, attrs.first())),
-        Expr::Index(base, index, _) => block(base).map(|r| (r, Some(index), None)),
-        Expr::GetAttr(base, attr, _) => match &**base {
-            Expr::Index(base, index, _) => block(base).map(|r| (r, Some(index), Some(attr))),
-            _ => None,
-        },
-        _ => None,
-    };
-    let Some((r, index, attr)) = found else {
-        return e.for_each_child(&mut |e| targets(e, scope, out));
-    };
-    let key = index.and_then(|i| match eval(i, scope).ok()? {
-        Value::Str(key) => Some(ResourceKey::Key(key)),
-        n => u32::try_from(n.as_int()?).ok().map(ResourceKey::Index),
+    e.walk_refs(&mut |read| {
+        let RefKind::Resource { rtype, name } = read.reference.kind() else {
+            return;
+        };
+        let key = read.index.and_then(|i| match eval(i, scope).ok()? {
+            Value::Str(key) => Some(ResourceKey::Key(key)),
+            n => u32::try_from(n.as_int()?).ok().map(ResourceKey::Index),
+        });
+        out.push(Target {
+            rtype: ResourceTypeName::new(rtype),
+            name: name.to_owned(),
+            key,
+            attr: read.attr.map(str::to_owned),
+        });
     });
-    out.push(Target {
-        rtype: ResourceTypeName::new(&r.parts[0]),
-        name: r.parts[1].clone(),
-        key,
-        attr: attr.cloned(),
-    });
-    if let Some(index) = index {
-        targets(index, scope, out);
-    }
 }
 
 /// Where the instances of a block sit in a manifest: the lookup that
@@ -1213,7 +1193,9 @@ fn bind_env(
                 Ok(v) => {
                     locals.insert(l.name.clone(), v);
                 }
-                Err(EvalError::UnknownRef { ref reference, .. }) if reference.root() == "local" => {
+                Err(EvalError::UnknownRef { ref reference, .. })
+                    if reference.kind() == RefKind::Local =>
+                {
                     still.push(l); // may resolve on a later pass
                 }
                 Err(e) => {
@@ -1271,16 +1253,15 @@ pub fn expand_resource_block<'p>(
 ) -> BTreeSet<BlockKey<'p>> {
     // Dependency extraction: explicit depends_on + references.
     let mut dep_blocks: BTreeSet<BlockKey<'p>> = BTreeSet::new();
-    let mut note = |r: &'p Reference| {
+    for r in &rb.depends_on {
         if let [rtype, name, ..] = r.parts.as_slice() {
             dep_blocks.insert((rtype, name));
         }
-    };
-    rb.depends_on.iter().for_each(&mut note);
+    }
     for a in &rb.attrs {
-        a.value.walk_refs(&mut |r, _| {
-            if is_resource_ref(r) {
-                note(r);
+        a.value.walk_refs(&mut |read| {
+            if let RefKind::Resource { rtype, name } = read.reference.kind() {
+                dep_blocks.insert((rtype, name));
             }
         });
     }
@@ -1601,15 +1582,6 @@ fn expand_into(
         locals,
         block_ranges,
     }
-}
-
-/// Whether a reference points at a resource (as opposed to scope/builtin
-/// namespaces).
-pub fn is_resource_ref(r: &Reference) -> bool {
-    !matches!(
-        r.root(),
-        "var" | "local" | "count" | "each" | "data" | "module" | "path" | "terraform"
-    )
 }
 
 /// The instances a resource block expands to.

@@ -43,6 +43,7 @@ examples/hcl/defects/concurrency/missing_edge.tf 46be439f8f18cd99 6ddeabfbb5f77d
 examples/hcl/defects/concurrency/missing_edge_counted.tf a29ef46b2e435d59 352aab1ddfe4bff7 a248fa869e380768 137adc4a1f161801\n\
 examples/hcl/defects/concurrency/self_race_replace.tf ccecebd24691fb04 4d246d2ac1e29f71 8c5466c613a0b5a0 98f7016d5641229e\n\
 examples/hcl/fleet.tf 55bf3287297a3e6b b87da71210e0469a 32ba23165fbc63d5 084f63c98213370d\n\
+examples/hcl/fleet_ids.tf b864711c21954cb5 4d2a909bf1d943cb 32ba23165fbc63d5 4eb63369de05bb25\n\
 examples/hcl/multicloud.tf bf34298fd0b45fe4 d8ae4a6582a27f36 0adb28b584eb39b0 dcf215cc56b6490e\n\
 examples/hcl/network_module.tf a2c528e98751b96d eaeafb0318fef8df 6972e38072bb0bc4 b081541f1d494ff4\n\
 examples/hcl/quickstart.tf a93de949fc656f3b 81a9ecdb1d0ac064 32ba23165fbc63d5 88c388bfdc8cb53c\n\

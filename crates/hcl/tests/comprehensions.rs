@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use cloudless::cloud::Catalog;
+use cloudless::validate::{validate, ValidationLevel};
 use cloudless_hcl::eval::{eval, DeferAll, MapResolver, Scope};
 use cloudless_hcl::parser::parse_expr;
 use cloudless_hcl::program::{expand, ModuleLibrary, Program};
@@ -231,6 +233,77 @@ output "zone_of_b" { value = local.zone_map["b"] }
             assert_eq!(*v, Value::from(1i64));
         }
         other => panic!("{other:?}"),
+    }
+}
+
+/// A load balancer over a fleet of subnets, which reads them as `read`
+/// says, expanded with every resource deferred.
+fn fleet_read_by(read: &str) -> cloudless_hcl::Manifest {
+    let src = format!(
+        r#"
+resource "aws_vpc" "v" {{ cidr_block = "10.0.0.0/16" }}
+resource "aws_subnet" "s" {{
+  for_each   = {{ a = "10.0.0.0/24", b = "10.0.1.0/24" }}
+  vpc_id     = aws_vpc.v.id
+  cidr_block = each.value
+}}
+resource "aws_load_balancer" "lb" {{
+  name       = "lb"
+  subnet_ids = {read}
+}}
+"#
+    );
+    let program = Program::from_file(cloudless_hcl::parse(&src, "t").unwrap()).unwrap();
+    let modules = ModuleLibrary::new();
+    expand(&program, &BTreeMap::new(), &modules, &DeferAll).expect("expand")
+}
+
+#[test]
+fn a_for_over_a_block_reads_as_its_splat() {
+    let lb = "aws_load_balancer.lb".parse().unwrap();
+    let verdicts = |m: &cloudless_hcl::Manifest| {
+        let report = validate(m, &Catalog::standard(), ValidationLevel::CloudRules, None);
+        let found = report.diagnostics.items.iter();
+        found
+            .map(|d| (d.code.clone(), d.message.clone()))
+            .collect::<Vec<_>>()
+    };
+    for (splat, comprehension, codes) in [
+        (
+            "aws_subnet.s[*].id",
+            "[for s in aws_subnet.s : s.id]",
+            &[][..],
+        ),
+        (
+            "aws_subnet.s[*].id",
+            "[for k, s in aws_subnet.s : s.id if k != \"c\"]",
+            &[],
+        ),
+        (
+            "aws_subnet.s[*]",
+            "[for s in aws_subnet.s : s]",
+            &["VAL206"],
+        ),
+        (
+            "aws_vpc.v[*].id",
+            "[for v in aws_vpc.v : v.id]",
+            &["VAL205"],
+        ),
+    ] {
+        let (by_splat, by_for) = (fleet_read_by(splat), fleet_read_by(comprehension));
+        let (a, b) = (
+            by_splat.instance(&lb).unwrap(),
+            by_for.instance(&lb).unwrap(),
+        );
+        assert_eq!(
+            a.deferred[0].waiting_on, b.deferred[0].waiting_on,
+            "{comprehension}"
+        );
+        assert_eq!(a.depends_on, b.depends_on, "{comprehension}");
+        let verdict = verdicts(&by_for);
+        assert_eq!(verdicts(&by_splat), verdict, "{comprehension}");
+        let found: Vec<&str> = verdict.iter().map(|(code, _)| code.as_str()).collect();
+        assert_eq!(found, codes, "{comprehension}");
     }
 }
 

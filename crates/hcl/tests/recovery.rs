@@ -110,8 +110,8 @@ fn reference_spans_inside_templates_are_exact() {
     let vm = program.resource("aws_virtual_machine", "web").unwrap();
     let name = vm.attrs.iter().find(|a| a.name == "name").unwrap();
     let mut ref_spans = Vec::new();
-    name.value.walk_refs(&mut |r, span| {
-        ref_spans.push((r.dotted(), span));
+    name.value.walk_refs(&mut |read| {
+        ref_spans.push((read.reference.dotted(), read.span));
     });
     assert_eq!(ref_spans.len(), 1);
     let (dotted, span) = &ref_spans[0];

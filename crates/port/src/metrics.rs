@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use cloudless_hcl::ast::{Block, Expr, File, TemplatePart};
+use cloudless_hcl::ast::{Block, Expr, File, RefKind, TemplatePart};
 use serde::Serialize;
 
 /// Measured properties of one IaC file.
@@ -130,83 +130,27 @@ fn literal(text: String, m: &mut CodeMetrics, seen: &mut BTreeMap<String, usize>
 
 fn walk(e: &Expr, m: &mut CodeMetrics, seen: &mut BTreeMap<String, usize>) {
     match e {
-        Expr::Null(_) => {}
         Expr::Bool(b, _) => literal(format!("b:{b}"), m, seen),
         Expr::Num(n, _) => literal(format!("n:{n}"), m, seen),
         Expr::Str(parts, _) => {
             for p in parts {
                 match p {
                     TemplatePart::Lit(s) if !s.is_empty() => literal(format!("s:{s}"), m, seen),
-                    TemplatePart::Lit(_) => {}
-                    TemplatePart::Interp(inner) => walk(inner, m, seen),
+                    _ => {}
                 }
             }
         }
-        Expr::List(items, _) => {
-            for i in items {
-                walk(i, m, seen);
-            }
-        }
-        Expr::Map(entries, _) => {
-            for (_, v) in entries {
-                walk(v, m, seen);
-            }
-        }
+        // count.index / each.key are abstraction devices, not references
         Expr::Ref(r, _) => {
-            // count.index / each.key are abstraction devices, not references
-            if !matches!(r.root(), "count" | "each" | "var" | "local") {
-                m.references += 1;
-            }
+            let scope = matches!(
+                r.kind(),
+                RefKind::Count | RefKind::Each | RefKind::Var | RefKind::Local
+            );
+            m.references += usize::from(!scope);
         }
-        Expr::Index(a, b, _) => {
-            walk(a, m, seen);
-            walk(b, m, seen);
-        }
-        Expr::GetAttr(a, _, _) => walk(a, m, seen),
-        Expr::Call(_, args, _) => {
-            for a in args {
-                walk(a, m, seen);
-            }
-        }
-        Expr::Unary(_, a, _) => walk(a, m, seen),
-        Expr::Binary(_, a, b, _) => {
-            walk(a, m, seen);
-            walk(b, m, seen);
-        }
-        Expr::Cond(a, b, c, _) => {
-            walk(a, m, seen);
-            walk(b, m, seen);
-            walk(c, m, seen);
-        }
-        Expr::Paren(a, _) => walk(a, m, seen),
-        Expr::Splat(a, _, _) => walk(a, m, seen),
-        Expr::ForList {
-            collection,
-            body,
-            cond,
-            ..
-        } => {
-            walk(collection, m, seen);
-            walk(body, m, seen);
-            if let Some(c) = cond {
-                walk(c, m, seen);
-            }
-        }
-        Expr::ForMap {
-            collection,
-            key,
-            value,
-            cond,
-            ..
-        } => {
-            walk(collection, m, seen);
-            walk(key, m, seen);
-            walk(value, m, seen);
-            if let Some(c) = cond {
-                walk(c, m, seen);
-            }
-        }
+        _ => {}
     }
+    e.for_each_child(&mut |e| walk(e, m, seen));
 }
 
 /// Composite quality in [0, 100]: rewards small, low-redundancy,

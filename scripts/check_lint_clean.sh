@@ -16,12 +16,14 @@ corpus=(
   examples/hcl/network_module.tf
   crates/hcl/tests/figure2/figure2.tf
   examples/hcl/fleet.tf
+  examples/hcl/fleet_ids.tf
 )
 roots=(
   examples/hcl/quickstart.tf
   examples/hcl/web_stack.tf
   crates/hcl/tests/figure2/figure2.tf
   examples/hcl/fleet.tf
+  examples/hcl/fleet_ids.tf
 )
 
 cargo build --quiet --release -p cloudless-cli

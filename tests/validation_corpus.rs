@@ -166,14 +166,57 @@ fn compile_time_catch_saves_virtual_provisioning_time() {
 
 /// Programs the cloud accepts, which the validator must accept as they
 /// are: a reference names the instance it reads, so a subnet is held to the
-/// VPC of its own index and an indexed `.id` selects an attribute.
+/// VPC of its own index and an indexed `.id` selects an attribute; a `for`
+/// over a block reads that block's instances, as its splat does.
 const ACCEPTED: &[(&str, &str)] = &[
     ("subnet in the second of two vpcs", SECOND_VPC),
     (
         "one subnet per vpc",
         include_str!("../examples/hcl/fleet.tf"),
     ),
+    (
+        "a load balancer over a fleet's subnets",
+        include_str!("../examples/hcl/fleet_ids.tf"),
+    ),
+    ("a bucket named for every vpc", FOR_VPCS),
+    ("a load balancer over a for of subnets", FOR_SUBNETS),
+    ("a for with a key over a for_each block", FOR_KEYED),
 ];
+
+const FOR_VPCS: &str = r#"
+resource "aws_vpc" "v" {
+  count      = 2
+  cidr_block = "10.${count.index}.0.0/16"
+}
+resource "aws_s3_bucket" "b" {
+  bucket = join("-", [for x in aws_vpc.v : x.id])
+}
+"#;
+
+const FOR_SUBNETS: &str = r#"
+resource "aws_vpc" "v" {
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_subnet" "s" {
+  count      = 2
+  vpc_id     = aws_vpc.v.id
+  cidr_block = "10.0.${count.index}.0/24"
+}
+resource "aws_load_balancer" "lb" {
+  name       = "lb"
+  subnet_ids = [for s in aws_subnet.s : s.id]
+}
+"#;
+
+const FOR_KEYED: &str = r#"
+resource "aws_vpc" "v" {
+  for_each   = { a = "10.0.0.0/16", b = "10.1.0.0/16" }
+  cidr_block = each.value
+}
+resource "aws_s3_bucket" "b" {
+  bucket = join("-", [for k, v in aws_vpc.v : v.id])
+}
+"#;
 
 const SECOND_VPC: &str = r#"
 resource "aws_vpc" "v" {
