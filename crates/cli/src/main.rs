@@ -352,9 +352,9 @@ fn validate(args: &Args) -> Result<(), String> {
 }
 
 /// `d` as naming `file`: the engine names every program it parses
-/// `main.tf`, whatever path the user gave.
+/// [`cloudless::PROGRAM_FILE`], whatever path the user gave.
 fn named(d: &mut cloudless::hcl::Diagnostic, file: &str) {
-    if d.file == "main.tf" {
+    if d.file == cloudless::PROGRAM_FILE {
         d.file = file.to_owned();
     }
 }
@@ -699,7 +699,7 @@ fn state_fsck(args: &Args) -> Result<(), String> {
     let image = match report.clean() {
         true => session
             .engine(None)
-            .map(|mut engine| (engine.check_memo_image(), engine.state().serial)),
+            .map(|engine| (engine.check_memo_image(), engine.state().serial)),
         false => Err("the log is not clean".to_owned()),
     };
     match image {

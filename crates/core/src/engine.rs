@@ -21,8 +21,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::pipeline::{
-    ChangeTrace, FrontendOutput, ImageKey, ImageRefusal, IncrementalPipeline, PipelineCtx,
-    PipelineError,
+    ChangeTrace, FrontendOutput, ImageRefusal, IncrementalPipeline, PipelineCtx, PipelineError,
+    PROGRAM_FILE,
 };
 use cloudless_analyze::{LintGate, LintReport};
 use cloudless_cloud::{Catalog, Cloud, CloudConfig};
@@ -170,10 +170,6 @@ pub struct Planned {
     pub plan: Plan,
     /// Rendered plan text (what a user reviews).
     pub plan_text: String,
-    /// Whether `manifest` came off the memo: the spans of blocks the edit
-    /// left alone are then the ones they were parsed with, and a position
-    /// is reported from a cold run instead.
-    warm: bool,
 }
 
 /// The result of a successful (possibly partially failed) converge.
@@ -255,22 +251,13 @@ fn pipeline_ctx<'a>(
     }
 }
 
-/// The key of a memo image in an engine whose catalog, modules and data are
-/// these, over `store` as it stands: its serial, its log's length and the
-/// checksum of its last version's frame.
-fn image_key(
-    catalog: &Catalog,
-    modules: &ModuleLibrary,
-    data: &DataResolver,
-    store: &LogStore,
-) -> ImageKey {
-    let fnv = |text: String| cloudless_state::cas::fnv64(text.as_bytes());
-    ImageKey {
-        env: fnv(format!("{catalog:?}\n{modules:?}\n{data:?}")),
-        serial: store.serial(),
-        log_bytes: store.log_bytes(),
-        head: store.head_sum(),
-    }
+/// The fingerprint of what a pipeline run reads of an engine whose catalog,
+/// modules and data are these, that its memo image is keyed by and the
+/// pipeline cannot take whole from a [`PipelineCtx`] (its data resolver is a
+/// `dyn Resolver`).
+fn memo_env(catalog: &Catalog, modules: &ModuleLibrary, data: &DataResolver) -> u64 {
+    let text = format!("{catalog:?}\n{modules:?}\n{data:?}");
+    cloudless_state::cas::fnv64(text.as_bytes())
 }
 
 /// The cloudless engine.
@@ -444,7 +431,7 @@ impl Cloudless {
         let (catalog, state) = (self.cloud.catalog(), self.store.current());
         let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
         if (self.pipeline).committed(from, delta.map(|addr| addr.parse()), &ctx) {
-            self.checkpoint_memo();
+            self.checkpoint();
         }
     }
 
@@ -575,70 +562,37 @@ impl Cloudless {
             config,
             ..
         } = self;
-        // the first run reads the image beside the log
-        let image = (pipeline.wants_image() && store.keeps_image()).then(|| {
-            let key = image_key(cloud.catalog(), &config.modules, data, store);
-            (store.read_image().map_err(|e| e.to_string()), key)
-        });
         let state = over.map_or(store.current(), |(state, _)| state);
         let ctx = pipeline_ctx(config, data, cloud.catalog(), state, miner);
-        if let Some((image, key)) = image {
-            pipeline.warm_from_image(image, key, &ctx);
-        }
+        let env = || memo_env(cloud.catalog(), &config.modules, data);
+        pipeline.open(store, env, &ctx);
         pipeline.run_over(source, &ctx, over.map(|(_, delta)| delta))
     }
 
-    /// Checkpoint the memo beside the state log, after a commit the plan
-    /// cache has followed: a fresh process starts from it warm. A cache, so
-    /// a write that fails costs the next process its warm start, nothing
-    /// more.
-    fn checkpoint_memo(&mut self) {
-        if !self.store.keeps_image() || !self.pipeline.is_warm() {
-            return;
-        }
-        let key = image_key(
-            self.cloud.catalog(),
-            &self.config.modules,
-            &self.data,
-            &self.store,
-        );
-        let pipeline = &self.pipeline;
-        let written = self
-            .store
-            .write_image(&mut |w| pipeline.write_image(key, w));
-        let counter = match written {
-            Ok(()) => {
-                self.pipeline.written();
-                "pipeline.memo_image_writes"
-            }
-            Err(_) => "pipeline.memo_image_write_failures",
-        };
-        self.config.recorder.counter(counter, 1);
-    }
-
-    /// Checkpoint the memo when no image beside the state log would warm
-    /// a fresh process: a `plan` or a reconcile's dry run that followed no
-    /// commit of this engine leaves one for the next.
-    fn checkpoint_unimaged(&mut self) {
-        if !self.pipeline.imaged() {
-            self.checkpoint_memo();
-        }
+    /// Checkpoint the memo beside the state log for a fresh process to
+    /// start from warm (the pipeline writes it unless an image of the
+    /// committed state is there already).
+    fn checkpoint(&mut self) {
+        let Cloudless {
+            pipeline,
+            data,
+            cloud,
+            store,
+            config,
+            ..
+        } = self;
+        let env = || memo_env(cloud.catalog(), &config.modules, data);
+        pipeline.checkpoint(store, env, &*config.recorder);
     }
 
     /// Whether the memo image beside the state log would warm this
     /// engine's first run: the serial it was written at, `None` when there
     /// is none, or why it would be refused (`MEM0xx`). Loads nothing.
-    pub fn check_memo_image(&mut self) -> Result<Option<u64>, ImageRefusal> {
-        let image = self.store.read_image().map_err(|e| e.to_string());
-        let key = image_key(
-            self.cloud.catalog(),
-            &self.config.modules,
-            &self.data,
-            &self.store,
-        );
+    pub fn check_memo_image(&self) -> Result<Option<u64>, ImageRefusal> {
         let (catalog, state) = (self.cloud.catalog(), self.store.current());
         let ctx = pipeline_ctx(&self.config, &self.data, catalog, state, &self.miner);
-        IncrementalPipeline::check_image(image, key, &ctx)
+        let env = memo_env(catalog, &self.config.modules, &self.data);
+        IncrementalPipeline::check_image(&self.store, env, &ctx)
     }
 
     /// Plan-only converge front end through the memoized pipeline: parse,
@@ -700,42 +654,38 @@ impl Cloudless {
 
     /// §3.4 guardrail: a resource marked `prevent_destroy` may not be
     /// destroyed or replaced by a plan — surface it like a validation
-    /// failure, before anything runs.
-    fn guard_prevent_destroy(&self, plan: &Plan) -> Result<(), ConvergeError> {
-        let mut guarded = Diagnostics::new();
-        for (_, node) in plan.graph.iter() {
-            let fate = match node.change.action {
-                DiffAction::Delete => "destroyed",
-                DiffAction::Replace { .. } => "replaced",
-                _ => continue,
-            };
-            let Some(desired) = &node.change.desired else {
-                continue;
-            };
-            if desired.lifecycle.prevent_destroy {
-                let message = format!(
-                    "{} would be {fate} but has prevent_destroy set",
-                    node.change.addr
-                );
-                guarded.push(
-                    cloudless_hcl::Diagnostic::error(
-                        "LIF001",
-                        &desired.file,
-                        desired.span,
-                        message,
-                    )
-                    .with_suggestion(
-                        "remove prevent_destroy or avoid changing immutable attributes",
-                    ),
-                );
-            }
-        }
+    /// failure, before anything runs, at the block `source` declares it in.
+    fn guard_prevent_destroy(&self, plan: &Plan, source: &str) -> Result<(), ConvergeError> {
+        let guarded: Vec<_> = (plan.graph.iter())
+            .filter_map(|(_, node)| {
+                let fate = match node.change.action {
+                    DiffAction::Delete => "destroyed",
+                    DiffAction::Replace { .. } => "replaced",
+                    _ => return None,
+                };
+                let desired = node.change.desired.as_deref()?;
+                let guarded = desired.lifecycle.prevent_destroy;
+                guarded.then_some((&node.change.addr, desired, fate))
+            })
+            .collect();
         if guarded.is_empty() {
             return Ok(());
         }
+        let (_, _, cold) = self.cold(source)?;
+        let mut diagnostics = Diagnostics::new();
+        for (addr, desired, fate) in guarded {
+            let at = cold.instance(addr).unwrap_or(desired);
+            let message = format!("{addr} would be {fate} but has prevent_destroy set");
+            diagnostics.push(
+                cloudless_hcl::Diagnostic::error("LIF001", &at.file, at.span, message)
+                    .with_suggestion(
+                        "remove prevent_destroy or avoid changing immutable attributes",
+                    ),
+            );
+        }
         Err(ConvergeError::Validation(ValidationReport {
             level: self.config.validation_level,
-            diagnostics: guarded,
+            diagnostics,
         }))
     }
 
@@ -753,7 +703,7 @@ impl Cloudless {
         targets: &[ResourceAddr],
     ) -> Result<Planned, ConvergeError> {
         let planned = self.decide(source, targets)?;
-        self.checkpoint_unimaged();
+        self.checkpoint();
         Ok(planned)
     }
 
@@ -779,7 +729,7 @@ impl Cloudless {
             validation,
             changes,
             mut plan_text,
-            trace,
+            ..
         } = self.run_pipeline(source, over)?;
         let state = over.map_or(self.store.current(), |(state, _)| state);
         let mut plan = Plan::build(changes, state, self.cloud.catalog());
@@ -794,14 +744,7 @@ impl Cloudless {
             ));
             plan = restricted;
         }
-        if let Err(refusal) = self.guard_prevent_destroy(&plan) {
-            // the refusal names positions, and a cold run's are the file's
-            if !trace.fast_path {
-                return Err(refusal);
-            }
-            self.pipeline.clear();
-            return self.plan_over(source, targets, over);
-        }
+        self.guard_prevent_destroy(&plan, source)?;
         if self.controller.watches(LifecyclePhase::Deploy) {
             self.controller
                 .admits_plan(self.summarize(&manifest, &plan))
@@ -812,7 +755,6 @@ impl Cloudless {
             validation,
             plan,
             plan_text,
-            warm: trace.fast_path,
         })
     }
 
@@ -902,35 +844,29 @@ impl Cloudless {
         source: &str,
     ) -> Result<ConvergeOutcome, ConvergeError> {
         let Planned {
-            mut manifest,
+            manifest,
             validation,
             plan,
             plan_text,
-            warm,
         } = planned;
         let apply = self.execute(&plan, &manifest.outputs, "apply", Some(source))?;
-        if warm && !apply.all_ok() {
-            // the explanations name positions, and a cold run's are the
-            // file's (it accepts what the warm run accepted: warm ≡ cold)
-            self.pipeline.clear();
-            if let Ok(cold) = self.run_pipeline(source, None) {
-                manifest = cold.manifest;
-            }
-        }
 
         // observe conventions from successful applies (§3.2 mining)
         if apply.all_ok() {
             self.miner.observe(&manifest);
         }
 
-        // translate failures (§3.5)
-        let explanations = apply
-            .errors()
-            .iter()
+        // translate failures (§3.5) at the blocks `source` declares them in
+        let errors = apply.errors();
+        let cold = (!errors.is_empty())
+            .then(|| self.cold(source).ok())
+            .flatten();
+        let declared = cold.as_ref().map_or(&manifest, |(_, _, cold)| cold);
+        let explanations = (errors.iter())
             .filter_map(|(addr, err)| {
                 addr.parse()
                     .ok()
-                    .map(|a: ResourceAddr| explain(err, &a, &manifest))
+                    .map(|a: ResourceAddr| explain(err, &a, declared))
             })
             .collect();
 
@@ -1020,7 +956,10 @@ impl Cloudless {
         let inputs = &self.config.inputs;
         let mut cold = match self.pipeline.manifest_of(source, inputs) {
             Some(_) => None,
-            None => Some(self.cold(source)?),
+            None => {
+                self.config.recorder.counter("reconcile.parses", 1);
+                Some(self.cold(source)?)
+            }
         };
         // a snapshot an earlier run could not commit goes in first even on
         // a dry run, or what it created would read as rogue
@@ -1048,7 +987,10 @@ impl Cloudless {
             None => {
                 let whole = match cold.take() {
                     Some(whole) => whole,
-                    None => self.cold(source)?,
+                    None => {
+                        self.config.recorder.counter("reconcile.parses", 1);
+                        self.cold(source)?
+                    }
                 };
                 let (_, program, manifest) = &*cold.insert(whole);
                 Scope::every_block(program, manifest)
@@ -1071,6 +1013,7 @@ impl Cloudless {
             let file = match &cold {
                 Some((file, _, _)) => file,
                 None => {
+                    self.config.recorder.counter("reconcile.parses", 1);
                     parsed = self.parse(source)?;
                     &parsed
                 }
@@ -1153,7 +1096,7 @@ impl Cloudless {
         let planned = self.plan_over(&patched, &[], over)?;
         let mut converged = planned.plan.is_empty();
         let (plan_text, apply) = if dry_run {
-            self.checkpoint_unimaged();
+            self.checkpoint();
             (planned.plan_text, None)
         } else {
             // act: adopt, run the plan a dry run shows, prove the fixpoint
@@ -1180,15 +1123,16 @@ impl Cloudless {
         })
     }
 
-    /// Parse a program a reconcile reads (counted: one that classifies
-    /// nothing, of a program the memo holds, parses nothing).
+    /// Parse `source` as the file [`PROGRAM_FILE`].
     fn parse(&self, source: &str) -> Result<File, ConvergeError> {
-        self.config.recorder.counter("reconcile.parses", 1);
-        cloudless_hcl::parse(source, "main.tf").map_err(ConvergeError::Frontend)
+        cloudless_hcl::parse(source, PROGRAM_FILE).map_err(ConvergeError::Frontend)
     }
 
     /// [`Cloudless::parse`], the program the file declares, and its cold
-    /// expansion under the engine's inputs and modules.
+    /// expansion under the engine's inputs and modules. Every position in it
+    /// is the file's, where a warm run's manifest holds the positions its
+    /// unedited blocks were parsed at: a report of positions reads them
+    /// here, and expands only when there is something to report.
     fn cold(&self, source: &str) -> Result<(File, Program, Manifest), ConvergeError> {
         let file = self.parse(source)?;
         let program = Program::from_file(file.clone()).map_err(ConvergeError::Frontend)?;
@@ -1511,6 +1455,43 @@ resource "aws_vpc" "main" { cidr_block = "10.0.0.0/16" }
         let (report, actions) = e.watch_drift();
         assert_eq!(report.events.len(), 1);
         assert!(matches!(actions[0], Action::OverwriteDrift { .. }));
+    }
+
+    /// A metric observation reaches the operate-phase policies; one naming
+    /// an address that does not parse reaches none and yields no action.
+    #[test]
+    fn a_metric_reaches_the_operate_phase_policies() {
+        /// Answers every metric it is fed with a note of it.
+        struct Echo;
+        impl cloudless_policy::Policy for Echo {
+            fn name(&self) -> &str {
+                "echo"
+            }
+            fn phases(&self) -> &[LifecyclePhase] {
+                &[LifecyclePhase::Operate]
+            }
+            fn evaluate(&mut self, observation: &Observation) -> Vec<Action> {
+                let Observation::Metric {
+                    addr,
+                    metric,
+                    value,
+                    ..
+                } = observation
+                else {
+                    return vec![];
+                };
+                let message = format!("{addr} {metric} {value}");
+                vec![Action::Notify { message }]
+            }
+        }
+        let mut e = engine();
+        e.controller_mut().register(Box::new(Echo));
+        let actions = e.observe_metric("aws_vm.web[0]", "cpu", 0.5);
+        assert!(
+            matches!(&actions[..], [Action::Notify { message }] if message == "aws_vm.web[0] cpu 0.5"),
+            "{actions:?}"
+        );
+        assert!(e.observe_metric("aws_vm.", "cpu", 0.5).is_empty());
     }
 
     /// The executor acts as `Config.principal`, the one the watcher trusts:

@@ -59,4 +59,4 @@ pub mod pipeline;
 
 pub use cloudless_analyze::{LintConfig, LintGate, LintReport};
 pub use engine::{Cloudless, Config, ConvergeError, ConvergeOutcome, Planned, ReconcileReport};
-pub use pipeline::{ChangeTrace, IncrementalPipeline, PipelineError};
+pub use pipeline::{ChangeTrace, IncrementalPipeline, PipelineError, PROGRAM_FILE};

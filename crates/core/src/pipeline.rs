@@ -92,10 +92,10 @@
 //! the spans of a block a splice re-derives are exactly a cold run's. A
 //! block the edit did not touch keeps the spans it was parsed with, and an
 //! edit above it has since moved it: those are never shown. A warm run emits
-//! no diagnostics and plan text holds no spans; a caller that is about to
-//! *report* a position off a warm run's manifest (the engine's
-//! `prevent_destroy` refusal, the explanation of a failed apply) reruns the
-//! front end cold and reports from that.
+//! no diagnostics and plan text holds no spans. A caller that *reports* a
+//! position (the engine's `prevent_destroy` refusal, the explanations of a
+//! failed apply) reads it off one cold parse and expansion of the source,
+//! made only when there is something to report; the memo stays as it was.
 //!
 //! One verdict can change under an unedited program: the spec miner learns
 //! from every apply. Mined findings are functions of one instance, so the
@@ -182,8 +182,12 @@ use cloudless_validate::{
 mod image;
 
 use image::ClaimTable;
-pub(crate) use image::ImageKey;
 pub use image::Refusal as ImageRefusal;
+
+/// The file name every program the engine parses is given, whatever path
+/// it was read from: its diagnostics and positions name it, and a caller
+/// that read the program from elsewhere names that path in their place.
+pub const PROGRAM_FILE: &str = "main.tf";
 
 /// Why a pipeline run refused to produce a plan — the front-end subset of
 /// the engine's converge errors.
@@ -748,18 +752,18 @@ impl Scope {
     }
 }
 
-/// The memoizing pipeline. One per engine; owns the memo across calls.
+/// The memoizing pipeline. One per engine; owns the memo across calls, and
+/// its image beside the state log (see `image`).
 pub struct IncrementalPipeline {
     memo: Option<Box<Memo>>,
-    /// Whether a memo image may still warm the first run: no run has been
-    /// made and the memo has not been cleared.
+    /// Whether the image beside the log may still warm the first run: it
+    /// has not been opened and the memo has not been cleared.
     image_pending: bool,
     /// What the image did for the first run, for that run's trace.
     image_note: Option<(&'static str, String)>,
-    /// Whether an image beside the log warms the next process: one whose
-    /// plan cache is of the committed state warmed the first run, or the
-    /// memo has been written since; and no commit has landed after either.
-    imaged: bool,
+    /// Where the store stood when an image anchored there was last loaded
+    /// or written: the checkpoint writes nothing until the store moves on.
+    imaged: Option<image::Anchor>,
 }
 
 impl Default for IncrementalPipeline {
@@ -768,7 +772,7 @@ impl Default for IncrementalPipeline {
             memo: None,
             image_pending: true,
             image_note: None,
-            imaged: false,
+            imaged: None,
         }
     }
 }
@@ -778,84 +782,6 @@ impl IncrementalPipeline {
     pub fn clear(&mut self) {
         self.memo = None;
         self.image_pending = false;
-    }
-
-    /// Whether the next run would take a memo image: it is the first.
-    pub(crate) fn wants_image(&self) -> bool {
-        self.image_pending
-    }
-
-    /// Take the memo an image under `key` holds, for a run under `ctx`; or
-    /// note why not (`MEM0xx`) — the run is then the cold start it would
-    /// have been. The reason goes in the next run's trace, and a
-    /// `pipeline.memo_image_*` counter into the recorder.
-    pub(crate) fn warm_from_image(
-        &mut self,
-        image: Result<Option<Vec<u8>>, String>,
-        key: ImageKey,
-        ctx: &PipelineCtx<'_>,
-    ) {
-        self.image_pending = false;
-        // (a loaded memo is sized as a warm one is, not at all: the engine
-        // that wrote it sized it fresh)
-        self.image_note = Some(match image::open(image, key, ctx) {
-            Ok(image::Loaded {
-                memo,
-                serial,
-                planned,
-            }) => {
-                ctx.recorder.counter("pipeline.memo_image_loads", 1);
-                let blocks = memo.root.block_ranges.len();
-                self.memo = Some(memo);
-                self.imaged = planned;
-                let plans = match planned {
-                    true => "the edit",
-                    false => "every instance",
-                };
-                let detail = format!("{blocks} block(s) of serial {serial}; plans {plans}");
-                ("loaded", detail)
-            }
-            Err(refusal) => {
-                ctx.recorder.counter("pipeline.memo_image_refusals", 1);
-                ("refused", refusal.to_string())
-            }
-        });
-    }
-
-    /// Whether an image under `key` would warm a run under `ctx`: the
-    /// serial it was written at, `None` when there is none, or why not.
-    pub(crate) fn check_image(
-        image: Result<Option<Vec<u8>>, String>,
-        key: ImageKey,
-        ctx: &PipelineCtx<'_>,
-    ) -> Result<Option<u64>, ImageRefusal> {
-        if let Ok(None) = image {
-            return Ok(None);
-        }
-        image::open(image, key, ctx).map(|loaded| Some(loaded.serial))
-    }
-
-    /// Whether an image beside the log warms the next process (see
-    /// [`IncrementalPipeline::written`]).
-    pub(crate) fn imaged(&self) -> bool {
-        self.imaged
-    }
-
-    /// The memo has been written as the image beside the log.
-    pub(crate) fn written(&mut self) {
-        self.imaged = true;
-    }
-
-    /// Write the memo, if one is held, as an image under `key` through `w`.
-    pub(crate) fn write_image(
-        &self,
-        key: ImageKey,
-        w: &mut dyn std::io::Write,
-    ) -> std::io::Result<()> {
-        match &self.memo {
-            Some(memo) => image::write(memo, key, w),
-            None => Ok(()),
-        }
     }
 
     /// A commit moved the state from serial `from` to `ctx.state`'s and
@@ -868,16 +794,16 @@ impl IncrementalPipeline {
     /// nothing of `delta` and is left as it was, and so is one when an
     /// address does not parse (the log wrote none such): the next run plans
     /// every instance. Returns whether the cache followed. Either way the
-    /// image beside the log now trails the log: the engine writes it again
-    /// after a cache that followed, the next run's checkpoint otherwise. The
-    /// pass is not a run: its visits count as `pipeline.instances_settled`.
+    /// image beside the log now trails the log: the engine checkpoints
+    /// after a cache that followed, after the next run's decision otherwise.
+    /// The pass is not a run: its visits count as
+    /// `pipeline.instances_settled`.
     pub(crate) fn committed<E>(
         &mut self,
         from: u64,
         delta: impl IntoIterator<Item = Result<ResourceAddr, E>>,
         ctx: &PipelineCtx<'_>,
     ) -> bool {
-        self.imaged = false;
         let followed = |memo: &&mut Memo| memo.plan.serial == Some(from);
         let Some(memo) = self.memo.as_deref_mut().filter(followed) else {
             return false;
@@ -992,7 +918,6 @@ impl IncrementalPipeline {
         ctx: &PipelineCtx<'_>,
         delta: Option<&[ResourceAddr]>,
     ) -> Result<FrontendOutput, PipelineError> {
-        self.image_pending = false;
         let image = self.image_note.take();
         let mut scope = Scope::pick(self.memo.take(), source, ctx);
         let (mut walk, (pass, clean, (action, detail))) = loop {
@@ -1630,7 +1555,7 @@ struct Linted {
 
 /// Source → program, or the refusal of a syntax error.
 fn parse_program(source: &str) -> Result<Program, Stop> {
-    let file = cloudless_hcl::parse(source, "main.tf").map_err(PipelineError::Frontend)?;
+    let file = cloudless_hcl::parse(source, PROGRAM_FILE).map_err(PipelineError::Frontend)?;
     Ok(Program::from_file(file).map_err(PipelineError::Frontend)?)
 }
 
@@ -2369,24 +2294,39 @@ resource "aws_s3_bucket" "logs" {
         });
     }
 
-    /// A commit leaves the image beside the log behind it. A cache of the
-    /// serial the commit started from follows it, so the engine writes the
-    /// image again at once; one of another serial does not, and the
-    /// engine leaves the image to the next run's checkpoint.
+    /// A commit moves the store past the image beside the log. A cache of
+    /// the serial the commit started from follows it, so the engine
+    /// checkpoints at once; one of another serial does not. A checkpoint
+    /// writes once for each place the store stands: a plan after the apply
+    /// that wrote the image writes nothing.
     #[test]
-    fn a_commit_unimages_and_only_a_cache_of_its_serial_follows() {
+    fn a_checkpoint_writes_once_where_the_store_stands() {
         with_ctx(|ctx| {
             let mut pipeline = IncrementalPipeline::default();
             drop(pipeline.run(SRC, ctx).unwrap());
             let serial = ctx.state.serial;
             let none = std::iter::empty::<Result<ResourceAddr, String>>();
-            pipeline.written();
             assert!(!pipeline.committed(serial + 1, none.clone(), ctx));
-            assert!(!pipeline.imaged());
-            pipeline.written();
             assert!(pipeline.committed(serial, none, ctx));
-            assert!(!pipeline.imaged());
         });
+        let device = cloudless_state::MemDevice::new().imaged(None);
+        let (store, _) = cloudless_state::LogStore::open_device(Box::new(device)).unwrap();
+        let config = Config {
+            recorder: cloudless_obs::FlightRecorder::shared(16),
+            ..Config::default()
+        };
+        let mut e = Cloudless::with_store(config, store, BTreeMap::new());
+        let writes = |e: &Cloudless| e.metrics().unwrap().counter("pipeline.memo_image_writes");
+        let edited = SRC.replace("10.0.1.0/24", "10.0.2.0/24");
+        e.plan(SRC, &[]).unwrap();
+        assert_eq!(writes(&e), 1, "no image stood beside the log");
+        assert!(e.converge(SRC).unwrap().apply.all_ok());
+        assert_eq!(writes(&e), 2, "the commit moved the store");
+        e.plan(SRC, &[]).unwrap();
+        e.plan(&edited, &[]).unwrap();
+        assert_eq!(writes(&e), 2, "the image stands where the store does");
+        assert!(e.converge(&edited).unwrap().apply.all_ok());
+        assert_eq!(writes(&e), 3);
     }
 
     /// A block with no instance is found by its name like any other: a

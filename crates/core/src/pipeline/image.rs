@@ -35,6 +35,12 @@
 //! absent, of another version, under another key, damaged or inconsistent is
 //! refused with a `MEM0xx` reason, and the run is the cold start it would
 //! have been.
+//!
+//! The pipeline alone reads and writes the image: it opens the one beside
+//! the log before its first run (`IncrementalPipeline::open`), and
+//! `IncrementalPipeline::checkpoint` writes its memo there once the store
+//! has moved past the last image it loaded or wrote. The engine hands it the
+//! store and the fingerprint of what only the engine holds.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -53,29 +59,47 @@ use cloudless_hcl::program::{
 use cloudless_hcl::Diagnostics;
 use cloudless_obs::Recorder;
 use cloudless_state::cas::fnv64;
+use cloudless_state::{LogStore, StoreError};
 use cloudless_types::{
     join, Attrs, ResourceAddr, ResourceKey, ResourceTypeName, SourcePos, Span, Value, VecMap,
 };
 use serde::{Deserialize, Serialize};
 
-use super::{parse_block, Claims, Memo, PipelineCtx, Rule};
+use super::{parse_block, Claims, IncrementalPipeline, Memo, PipelineCtx, Rule, PROGRAM_FILE};
 
 /// The header line: the format and its version.
 const MAGIC: &str = "cloudless-memo v3";
 /// What every version's header starts with.
 const MAGIC_STEM: &str = "cloudless-memo v";
 
+/// Where an image's plan cache is anchored: the committed serial, the log's
+/// length and the checksum of the last version's frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Anchor {
+    serial: u64,
+    log_bytes: u64,
+    head: u64,
+}
+
+impl Anchor {
+    /// Where `store` stands.
+    fn of(store: &LogStore) -> Anchor {
+        Anchor {
+            serial: store.serial(),
+            log_bytes: store.log_bytes(),
+            head: store.head_sum(),
+        }
+    }
+}
+
 /// What a walk reads besides the source and the state, that the engine
 /// holds and the memo does not (the catalog, the module library and the
-/// data resolver, fingerprinted), and where the image's plan cache is
-/// anchored: the committed serial, the log's length and the checksum of the
-/// last version's frame.
+/// data resolver, fingerprinted as `env`), and where the image's plan cache
+/// is anchored.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ImageKey {
-    pub env: u64,
-    pub serial: u64,
-    pub log_bytes: u64,
-    pub head: u64,
+struct ImageKey {
+    env: u64,
+    at: Anchor,
 }
 
 /// Why an image was refused: a `MEM0xx` code and what it found.
@@ -771,7 +795,7 @@ fn chunk_entry(chunks: &[u8], c: usize) -> (usize, usize, u32, u64, [Range<usize
 /// Write `memo` as an image under `key` through `w`, section by section:
 /// the tables encoded anew, the records of the blocks the memo still holds
 /// as its image had them copied in runs, and every other block's encoded.
-pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::Result<()> {
+fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::Result<()> {
     let image = memo.image.as_deref();
     let mut out = Out::new(w);
     out.put(format!("{MAGIC}\n").as_bytes())?;
@@ -780,10 +804,10 @@ pub(crate) fn write(memo: &Memo, key: ImageKey, w: &mut dyn Write) -> std::io::R
     out.section();
     out.u64(key_of(config, key.env))?;
     out.u64(rules_of(&memo.specs))?;
-    out.u64(key.serial)?;
-    out.u64(key.log_bytes)?;
-    out.u64(key.head)?;
-    out.u8(u8::from(plan.serial == Some(key.serial)))?;
+    out.u64(key.at.serial)?;
+    out.u64(key.at.log_bytes)?;
+    out.u64(key.at.head)?;
+    out.u8(u8::from(plan.serial == Some(key.at.serial)))?;
     for n in outer_counts(&memo.program) {
         out.u32(n)?;
     }
@@ -938,6 +962,103 @@ fn outer_counts(p: &Program) -> [usize; 5] {
     [v.len(), l.len(), p.len(), d.len(), o.len()]
 }
 
+// -------------------------------------------------------------- lifecycle
+
+impl IncrementalPipeline {
+    /// Before the first run, take the memo the image beside `store`'s log
+    /// holds for a run under `ctx` in an engine that fingerprints to `env`;
+    /// or note why not (`MEM0xx`): the run is then the cold start it would
+    /// have been. The note goes in that run's trace, and a
+    /// `pipeline.memo_image_*` counter into the recorder. Once a run has
+    /// been made or the memo cleared, this reads nothing.
+    pub(crate) fn open(
+        &mut self,
+        store: &LogStore,
+        env: impl FnOnce() -> u64,
+        ctx: &PipelineCtx<'_>,
+    ) {
+        if !std::mem::take(&mut self.image_pending) || !store.keeps_image() {
+            return;
+        }
+        let key = ImageKey {
+            env: env(),
+            at: Anchor::of(store),
+        };
+        // (a loaded memo is sized as a warm one is, not at all: the engine
+        // that wrote it sized it fresh)
+        self.image_note = Some(match open(store.read_image(), key, ctx) {
+            Ok(Loaded {
+                memo,
+                serial,
+                planned,
+            }) => {
+                ctx.recorder.counter("pipeline.memo_image_loads", 1);
+                let blocks = memo.root.block_ranges.len();
+                self.memo = Some(memo);
+                self.imaged = planned.then_some(key.at);
+                let plans = match planned {
+                    true => "the edit",
+                    false => "every instance",
+                };
+                let detail = format!("{blocks} block(s) of serial {serial}; plans {plans}");
+                ("loaded", detail)
+            }
+            Err(refusal) => {
+                ctx.recorder.counter("pipeline.memo_image_refusals", 1);
+                ("refused", refusal.to_string())
+            }
+        });
+    }
+
+    /// Write the memo as the image beside `store`'s log, in an engine that
+    /// fingerprints to `env`, so a fresh process starts from it warm: when
+    /// a memo is held, the store keeps an image, and no image anchored
+    /// where the store stands has been loaded or written since. A cache,
+    /// so a write that fails costs the next process its warm start,
+    /// nothing more.
+    pub(crate) fn checkpoint(
+        &mut self,
+        store: &mut LogStore,
+        env: impl FnOnce() -> u64,
+        recorder: &dyn Recorder,
+    ) {
+        let at = Anchor::of(store);
+        let Some(memo) = self.memo.as_deref() else {
+            return;
+        };
+        if !store.keeps_image() || self.imaged == Some(at) {
+            return;
+        }
+        let key = ImageKey { env: env(), at };
+        let counter = match store.write_image(&mut |w| write(memo, key, w)) {
+            Ok(()) => {
+                self.imaged = Some(at);
+                "pipeline.memo_image_writes"
+            }
+            Err(_) => "pipeline.memo_image_write_failures",
+        };
+        recorder.counter(counter, 1);
+    }
+
+    /// Whether the image beside `store`'s log would warm a first run under
+    /// `ctx` in an engine that fingerprints to `env`: the serial it was
+    /// written at, `None` when there is none, or why not.
+    pub(crate) fn check_image(
+        store: &LogStore,
+        env: u64,
+        ctx: &PipelineCtx<'_>,
+    ) -> Result<Option<u64>, Refusal> {
+        let key = ImageKey {
+            env,
+            at: Anchor::of(store),
+        };
+        match store.read_image() {
+            Ok(None) => Ok(None),
+            image => open(image, key, ctx).map(|loaded| Some(loaded.serial)),
+        }
+    }
+}
+
 // ------------------------------------------------------------------- read
 
 /// What an opened image gives the pipeline: the memo, the serial it was
@@ -945,15 +1066,15 @@ fn outer_counts(p: &Program) -> [usize; 5] {
 /// is, the first run plans the edit and what the image owes: the changes
 /// and deletions its plan holds (none once an apply has landed whole). If
 /// not, it plans every instance.
-pub(crate) struct Loaded {
-    pub memo: Box<Memo>,
-    pub serial: u64,
-    pub planned: bool,
+struct Loaded {
+    memo: Box<Memo>,
+    serial: u64,
+    planned: bool,
 }
 
 /// Open what the store read as its image, or say why not.
-pub(crate) fn open(
-    image: Result<Option<Vec<u8>>, String>,
+fn open(
+    image: Result<Option<Vec<u8>>, StoreError>,
     key: ImageKey,
     ctx: &PipelineCtx<'_>,
 ) -> Result<Loaded, Refusal> {
@@ -968,13 +1089,13 @@ pub(crate) fn open(
 /// block, parsed where it sits in the file.
 fn outer_half(source: &str, chunks: &[Chunk]) -> Result<Program, Refusal> {
     let mut program = Program {
-        filename: "main.tf".to_owned(),
+        filename: PROGRAM_FILE.to_owned(),
         ..Program::default()
     };
     for chunk in chunks.iter().filter(|chunk| chunk.kind == ChunkKind::Other) {
         let origin = SourcePos::new(chunk.line, 1, chunk.start as u32);
         let text = &source[chunk.start..chunk.end];
-        let parsed = parse_at(text, "main.tf", origin).and_then(Program::from_file);
+        let parsed = parse_at(text, PROGRAM_FILE, origin).and_then(Program::from_file);
         let Ok(part) = parsed else {
             return inconsistent("the program's non-resource half does not parse");
         };
@@ -1168,8 +1289,12 @@ fn read(bytes: Vec<u8>, key: ImageKey, ctx: &PipelineCtx<'_>) -> Result<Loaded, 
         let why = "the image's program deviates from the spec miner's conventions";
         return refuse("MEM003", why);
     }
-    let anchored =
-        planned == 1 && (serial, log_bytes, at_head) == (key.serial, key.log_bytes, key.head);
+    let at = Anchor {
+        serial,
+        log_bytes,
+        head: at_head,
+    };
+    let anchored = planned == 1 && at == key.at;
     if anchored {
         memo.plan.serial = Some(serial);
         for owes in owed {

@@ -652,6 +652,74 @@ fn reported_positions_are_the_same_warm_and_cold() {
     }
 }
 
+/// A report reads its positions off a cold expansion of the source, not
+/// off a cold walk: a warm `prevent_destroy` refusal and a warm failed
+/// apply each run nothing cold and leave the memo warm, and the next
+/// one-block save splices.
+#[test]
+fn a_warm_report_keeps_the_memo_warm() {
+    let guarded = "resource \"aws_s3_bucket\" \"logs\" {\n  bucket = \"logs-main\"\n}\n\
+        resource \"aws_vpc\" \"v\" {\n  cidr_block = \"10.0.0.0/16\"\n  \
+        lifecycle {\n    prevent_destroy = true\n  }\n}\n";
+    let replaced = guarded.replace("10.0.0.0/16", "10.9.0.0/16");
+    let one = "resource \"aws_vpc\" \"a\" {\n  cidr_block = \"10.0.0.0/16\"\n}\n";
+    let two = format!("{one}resource \"aws_vpc\" \"b\" {{\n  cidr_block = \"10.1.0.0/16\"\n}}\n");
+    let refused = |engine: &mut Cloudless| match engine.converge(&replaced) {
+        Err(ConvergeError::Validation(report)) => {
+            assert!(report.diagnostics.iter().any(|d| d.code == "LIF001"));
+        }
+        other => panic!("expected LIF001, got {:?}", other.map(|o| o.plan_text)),
+    };
+    // a quota the live resources use up: only the cloud can refuse `b`
+    let failed = |engine: &mut Cloudless| {
+        let outcome = engine.converge(&two).expect("the plan is admitted");
+        assert!(!outcome.apply.all_ok() && !outcome.explanations.is_empty());
+    };
+    let exact = || Config {
+        cloud: CloudConfig::exact(),
+        ..Config::default()
+    };
+    let tight = || {
+        let mut cloud = CloudConfig::exact();
+        cloud.quota_overrides.insert("aws_vpc".into(), 1);
+        Config {
+            cloud,
+            validation_level: ValidationLevel::Schema,
+            ..Config::default()
+        }
+    };
+    type Case<'a> = (fn() -> Config, &'a str, &'a dyn Fn(&mut Cloudless), String);
+    let cases: [Case<'_>; 2] = [
+        (exact, guarded, &refused, guarded.to_owned()),
+        (
+            tight,
+            one,
+            &failed,
+            two.replace("10.1.0.0/16", "10.2.0.0/16"),
+        ),
+    ];
+    for (config, first, report, next) in cases {
+        let mut engine = Cloudless::new(Config {
+            recorder: FlightRecorder::shared(64),
+            ..config()
+        });
+        assert!(engine.converge(first).expect("converges").apply.all_ok());
+        let cold_runs = |engine: &Cloudless| {
+            let metrics = engine.metrics().expect("a flight recorder keeps metrics");
+            metrics.counter("pipeline.runs_full")
+        };
+        let before = cold_runs(&engine);
+        report(&mut engine);
+        assert_eq!(cold_runs(&engine), before, "a report walked cold");
+        assert!(engine.pipeline().is_warm());
+        let (_, trace) = engine.plan_incremental(&next).expect("the save plans");
+        assert!(
+            trace.to_string().starts_with("pipeline: incremental\n"),
+            "{trace}"
+        );
+    }
+}
+
 // ------------------------------------------------------ the trace, pinned
 
 /// A fresh engine over the log and image an engine leaves once it has

@@ -1317,20 +1317,22 @@ proptest! {
 struct Fleets {
     /// Per fleet: keyed (`for_each`), and how many instances.
     fleets: Vec<(bool, usize)>,
-    /// Per reader: how it reads (0 literal, 1 its own key, 2 splat, 3–6
+    /// Per reader: how it reads (0 literal, 1 its own key, 2 splat, 3–7
     /// [`through_for`]), the fleet and the instance (taken modulo what
     /// there is).
     readers: Vec<(usize, usize, usize)>,
 }
 
-/// Every instance of fleet `j` read through a `for` (`how` 3–6): list and
-/// map forms, each without and with an index variable.
+/// Every instance of fleet `j` read through a `for` (`how` 3–7): list and
+/// map forms, each without and with an index variable; a map keyed by a
+/// `count` index converts it to a string by `tostring` or a template.
 fn through_for(how: usize, j: usize) -> String {
     match how {
         3 => format!("join(\"-\", [for x in aws_vpc.v{j} : x.id])"),
         4 => format!("join(\"-\", [for i, x in aws_vpc.v{j} : \"${{i}}-${{x.id}}\"])"),
         5 => format!("join(\"-\", keys({{ for x in aws_vpc.v{j} : x.id => 1 }}))"),
-        _ => format!("join(\"-\", values({{ for k, x in aws_vpc.v{j} : tostring(k) => x.id }}))"),
+        6 => format!("join(\"-\", values({{ for k, x in aws_vpc.v{j} : tostring(k) => x.id }}))"),
+        _ => format!("join(\"-\", values({{ for k, x in aws_vpc.v{j} : \"${{k}}\" => x.id }}))"),
     }
 }
 
@@ -1491,7 +1493,7 @@ proptest! {
     #[test]
     fn a_fleet_read_through_for_replans_its_readers(
         fleets in proptest::collection::vec((any::<bool>(), 1..4usize), 1..3),
-        readers in proptest::collection::vec((3..7usize, 0..3usize, 0..4usize), 1..5),
+        readers in proptest::collection::vec((3..8usize, 0..3usize, 0..4usize), 1..5),
         edits in proptest::collection::vec(0..12usize, 1..4),
     ) {
         fleet_replans_its_readers(Fleets { fleets, readers }, &edits);

@@ -374,12 +374,18 @@ pub fn eval(expr: &Expr, scope: &Scope<'_>) -> Result<Value, EvalError> {
                         continue;
                     }
                 }
-                let k = eval(key, &child)?;
-                let Some(k) = k.as_str().map(str::to_owned) else {
-                    return Err(EvalError::Type {
-                        message: format!("for-expression key must be a string, got {}", k.kind()),
-                        span: *span,
-                    });
+                // a number or bool key is converted as `tostring` converts it
+                let k = match eval(key, &child)? {
+                    k @ (Value::Str(_) | Value::Num(_) | Value::Bool(_)) => k.interpolate(),
+                    k => {
+                        return Err(EvalError::Type {
+                            message: format!(
+                                "for-expression key must be a string, got {}",
+                                k.kind()
+                            ),
+                            span: *span,
+                        })
+                    }
                 };
                 out.insert(k, eval(value, &child)?);
             }

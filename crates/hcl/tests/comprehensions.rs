@@ -167,9 +167,37 @@ fn nested_for_with_shadowing() {
     assert_eq!(v, Value::List(vec![Value::Num(110.0), Value::Num(120.0)]));
 }
 
+/// A number or bool key is converted to a string as `tostring` converts
+/// it, a template of one interpolation included: `"${k}"` over a list's
+/// indices keys the map by `"0"`, `"1"`, ….
+#[test]
+fn a_number_or_bool_key_converts_as_tostring_does() {
+    let vpcs = Value::List(vec![
+        vmap([("id", Value::from("vpc-a"))]),
+        vmap([("id", Value::from("vpc-b"))]),
+    ]);
+    for key in ["k", "\"${k}\"", "tostring(k)"] {
+        let v = eval_with(
+            &format!("{{for k, x in var.vpcs : {key} => x.id}}"),
+            vars(vec![("vpcs", vpcs.clone())]),
+        );
+        let expected = vmap([("0", Value::from("vpc-a")), ("1", Value::from("vpc-b"))]);
+        assert_eq!(v, expected, "{key}");
+    }
+    let v = eval_with(
+        r#"{for b in var.flags : b => tostring(b)}"#,
+        vars(vec![("flags", Value::from(vec![true, false]))]),
+    );
+    let expected = vmap([
+        ("true", Value::from("true")),
+        ("false", Value::from("false")),
+    ]);
+    assert_eq!(v, expected);
+}
+
 #[test]
 fn non_string_map_key_is_an_error() {
-    let e = parse_expr(r#"{for n in var.nums : n => n}"#, "t").unwrap();
+    let e = parse_expr(r#"{for n in var.nums : [n] => n}"#, "t").unwrap();
     let binding = vars(vec![("nums", Value::from(vec![1i64]))]);
     let locals = BTreeMap::new();
     let scope = Scope {

@@ -837,7 +837,7 @@ pub trait LogDevice: Send {
     }
 
     /// The memo image, if there is one.
-    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+    fn read_image(&self) -> Result<Option<Vec<u8>>, StoreError> {
         Ok(None)
     }
 
@@ -906,7 +906,7 @@ impl LogDevice for MemDevice {
         self.image.is_some()
     }
 
-    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+    fn read_image(&self) -> Result<Option<Vec<u8>>, StoreError> {
         Ok(self.image.clone().flatten())
     }
 
@@ -996,7 +996,7 @@ impl LogDevice for FileDevice {
         true
     }
 
-    fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+    fn read_image(&self) -> Result<Option<Vec<u8>>, StoreError> {
         match std::fs::read(self.image_path()) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),

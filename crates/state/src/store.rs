@@ -392,7 +392,7 @@ impl LogStore {
     }
 
     /// The memo image beside the log, if the device keeps one.
-    pub fn read_image(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
+    pub fn read_image(&self) -> Result<Option<Vec<u8>>, StoreError> {
         self.device.read_image()
     }
 
