@@ -169,6 +169,41 @@ resource "azure_virtual_machine" "vm" {
     assert!(stdout(&out).contains("no findings"));
 }
 
+/// A quoted string ends at its line: a program whose first block drops a
+/// closing quote is refused there, by `validate` and by `lint` alike — not
+/// at the last string of the file, where the quotes would pair up again.
+#[test]
+fn a_dropped_quote_is_reported_on_its_own_line() {
+    let t = TempSession::new("dropped-quote");
+    std::fs::create_dir_all(&t.dir).unwrap();
+    let tf = t.write(
+        "typo.tf",
+        r#"resource "aws_vpc" "main" {
+  cidr_block = "10.0.0.0/16
+}
+resource "aws_subnet" "app" {
+  vpc_id     = aws_vpc.main.id
+  cidr_block = "10.0.1.0/24"
+}
+resource "aws_s3_bucket" "logs" {
+  bucket = "logs-main"
+}
+"#,
+    );
+    let reported =
+        format!("error[HCL001] {tf}:2:16: unterminated string literal\n   2 |   cidr_block = \"10.0.0.0/16\n");
+    let validated = run(&["validate", &tf]);
+    assert_eq!(validated.status.code(), Some(1));
+    assert!(
+        stderr(&validated).contains(&reported),
+        "{}",
+        stderr(&validated)
+    );
+    let linted = run(&["lint", &tf]);
+    assert_eq!(linted.status.code(), Some(1));
+    assert_eq!(stderr(&linted), stderr(&validated));
+}
+
 #[test]
 fn apply_refuses_invalid_program_and_session_survives() {
     let t = TempSession::new("invalid");

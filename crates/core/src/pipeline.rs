@@ -132,8 +132,9 @@
 //! the cache would.
 //!
 //! Every decision is recorded in a [`ChangeTrace`] and mirrored into the
-//! engine's metrics registry (`pipeline.runs_incremental`,
-//! `pipeline.runs_full`, `pipeline.instances_planned`, a reshape's
+//! engine's metrics registry (`pipeline.runs_incremental` and
+//! `pipeline.runs_full`, a refused run's by the scope that refused it,
+//! `pipeline.bytes_parsed`, `pipeline.instances_planned`, a reshape's
 //! `pipeline.blocks_renumbered`, and the settling passes'
 //! `pipeline.instances_settled`), so `cloudless watch` and the
 //! experiment harnesses can prove which stages actually ran.
@@ -163,6 +164,7 @@ use cloudless_hcl::eval::Resolver;
 use cloudless_hcl::fingerprint::{
     diff_chunks, Chunk, ChunkDelta, ChunkKind, ChunkMap, ChunkWindow,
 };
+use cloudless_hcl::lexer::lex_errors;
 use cloudless_hcl::parser::parse_at;
 use cloudless_hcl::program::{
     expand_resource_block, expand_root, provider_region, Manifest, ModuleLibrary, Piece, Program,
@@ -926,7 +928,11 @@ impl IncrementalPipeline {
                 Ok(walked) => break (walk, walked),
                 Err(Stop::Guard(reason)) => scope = Scope::all(reason, scope.into_memo()),
                 Err(Stop::Refused(err)) => {
-                    ctx.recorder.counter("pipeline.runs_full", 1);
+                    let runs = match scope {
+                        Scope::All { .. } => "pipeline.runs_full",
+                        Scope::Blocks { .. } => "pipeline.runs_incremental",
+                    };
+                    ctx.recorder.counter(runs, 1);
                     self.memo = scope.into_memo();
                     return Err(err);
                 }
@@ -1066,6 +1072,7 @@ impl<'a> Walk<'a> {
         old: &mut Option<Box<Memo>>,
     ) -> Result<(PlanPass, bool), Stop> {
         let (ctx, source, cfg) = (self.ctx, self.source, self.lint_cfg.as_ref());
+        (ctx.recorder).counter("pipeline.bytes_parsed", source.len() as u64);
         let mut program = parse_program(source)?;
         let (modules, held) = (ctx.modules, old.take());
         let refused = AtomicBool::new(false);
@@ -1135,12 +1142,26 @@ impl<'a> Walk<'a> {
         Ok((planned, clean))
     }
 
-    /// **parse** — the in-scope blocks, as each source has them.
+    /// **parse** — the in-scope blocks, as each source has them. A window
+    /// the lexer cannot read is refused from its chunks: the memo's source
+    /// lexed clean, so theirs are every lexer diagnostic of the file, which
+    /// is what a parse of the file is refused with. The window's bytes are
+    /// the saved source's this stage reads.
     fn parse(&self, memo: &Memo, edit: &mut Splice) -> Result<(), Stop> {
         let Some(window) = &edit.window else {
             return Ok(()); // source unchanged
         };
         let filename = &memo.program.filename;
+        let (mut bytes, mut unread) = (0, Diagnostics::new());
+        for c in &window.chunks {
+            let origin = SourcePos::new(c.line, 1, c.start as u32);
+            unread.extend(lex_errors(&self.source[c.start..c.end], filename, origin));
+            bytes += c.end - c.start;
+        }
+        (self.ctx.recorder).counter("pipeline.bytes_parsed", bytes as u64);
+        if !unread.is_empty() {
+            return Err(PipelineError::Frontend(unread).into());
+        }
         let parse = |source: &str, chunk: Option<&Chunk>| {
             chunk.map(|c| parse_block(source, c, filename)).transpose()
         };

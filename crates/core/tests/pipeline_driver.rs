@@ -228,6 +228,55 @@ fn a_repeated_map_key_is_refused_warm_and_cold() {
     assert!(fixed.trace.fast_path, "{}", fixed.trace);
 }
 
+/// A save the lexer cannot read — a closing quote dropped — is refused
+/// from the window it edits, with the bytes a cold parse refuses it with,
+/// and counts as the splice it is; the memo waits for the fix. A cold
+/// start refused the same way counts as a cold run.
+#[test]
+fn a_typo_save_is_refused_from_its_window_and_counted_as_a_splice() {
+    let env = Env {
+        recorder: FlightRecorder::shared(64),
+        ..Env::new()
+    };
+    let runs = || {
+        let metrics = env
+            .recorder
+            .metrics()
+            .expect("a flight recorder keeps metrics");
+        let counted = ["pipeline.runs_incremental", "pipeline.runs_full"];
+        counted.map(|name| metrics.counter(name))
+    };
+    let counted = |before: [u64; 2]| {
+        let after = runs();
+        [after[0] - before[0], after[1] - before[1]]
+    };
+    let shown = |err: PipelineError| match err {
+        PipelineError::Frontend(diags) => format!("{diags}\n{diags:?}"),
+        other => panic!("refused past the front end: {other:?}"),
+    };
+    let mut pipe = IncrementalPipeline::default();
+    pipe.run(SRC, &env.ctx()).expect("base is clean");
+    let typo = SRC.replacen("10.0.0.0/16\"", "10.0.0.0/16", 1);
+
+    let before = runs();
+    let warm = shown(pipe.run(&typo, &env.ctx()).err().expect("refused warm"));
+    assert_eq!(counted(before), [1, 0], "the typo is refused by a splice");
+    assert!(pipe.is_warm(), "a refused run must not drop the memo");
+    let before = runs();
+    let cold = shown(env.cold(&typo).err().expect("refused cold"));
+    assert_eq!(counted(before), [0, 1], "a cold start is refused cold");
+    assert_eq!(warm, cold);
+    // reported on the first block's line, where the quote went missing
+    assert!(
+        cold.starts_with("error[HCL001] main.tf:2:16: unterminated string literal"),
+        "{cold}"
+    );
+
+    let fixed = pipe.run(SRC, &env.ctx()).expect("the fix is clean");
+    assert!(fixed.trace.fast_path, "{}", fixed.trace);
+    assert_eq!(observe(&fixed), observe(&env.cold(SRC).expect("cold run")));
+}
+
 // ------------------------------------------- a cold start's two joins
 
 /// The codes of a refusal, after the stage that made it.

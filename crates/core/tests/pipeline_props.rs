@@ -431,6 +431,87 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------- corrupted saves
+
+/// Block `name` of `src` corrupted by one byte, the way a save mid-typing
+/// is: with `newline`, a raw newline put inside one of its quoted strings,
+/// else one of its quotes, braces or brackets dropped. `at` picks which.
+fn corrupt(src: &str, name: &str, newline: bool, at: usize) -> String {
+    let span = span_of(src, name).expect("a generated block");
+    let bytes = &src.as_bytes()[span.clone()];
+    let quotes = bytes.iter().enumerate().filter(|(_, &c)| c == b'"');
+    let quotes: Vec<usize> = quotes.map(|(i, _)| span.start + i).collect();
+    let spots: Vec<usize> = if newline {
+        // the bytes inside a string, its closing quote included
+        let strings = quotes
+            .chunks(2)
+            .filter_map(|pair| pair.get(1).map(|&end| pair[0] + 1..=end));
+        strings.flatten().collect()
+    } else {
+        let dropped = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| b"\"{}[]".contains(c));
+        dropped.map(|(i, _)| span.start + i).collect()
+    };
+    let i = spots[at % spots.len()];
+    match newline {
+        true => format!("{}\n{}", &src[..i], &src[i..]),
+        false => format!("{}{}", &src[..i], &src[i + 1..]),
+    }
+}
+
+/// A refusal as a user sees it, spans and all: the diagnostics rendered and
+/// debugged, a later stage's report debugged.
+fn refusal_bytes(err: &PipelineError) -> String {
+    match err {
+        PipelineError::Frontend(diags) => format!("{diags}\n{diags:?}"),
+        other => format!("{other:?}"),
+    }
+}
+
+proptest! {
+    /// A clean warm run, then one block corrupted by a byte: the save is
+    /// refused with what a cold run refuses it with, byte for byte (or, where
+    /// the corruption still reads, planned as a cold run plans it), and the
+    /// clean source again replans from the memo the refusal left, as a cold
+    /// run does.
+    #[test]
+    fn a_corrupted_save_is_refused_as_a_cold_run_refuses_it(
+        spec in proptest::collection::vec((0..TYPES.len(), any::<bool>()), 2..10),
+        block in 0..12usize,
+        newline in any::<bool>(),
+        at in 0..64usize,
+        deployed in any::<bool>(),
+    ) {
+        let env = Env::new();
+        let base = base_source(&spec);
+        let name = match block % (spec.len() + 1) {
+            i if i < spec.len() => format!("b{i}"),
+            _ => "reader".to_owned(),
+        };
+        let saved = corrupt(&base, &name, newline, at);
+        let state = if deployed { converged_state(&base, &env) } else { Snapshot::new() };
+        let ctx = env.ctx(&state);
+        let mut warm = IncrementalPipeline::default();
+        warm.run(&base, &ctx).expect("the base is clean");
+
+        let (got, cold) = (warm.run(&saved, &ctx), cold_run(&saved, &ctx));
+        let unread = matches!(got, Err(PipelineError::Frontend(_)));
+        match (&got, &cold) {
+            (Err(got), Err(cold)) => prop_assert_eq!(refusal_bytes(got), refusal_bytes(cold)),
+            _ => prop_assert_eq!(observe(got), observe(cold), "{:?}", saved),
+        }
+        let fixed = warm.run(&base, &ctx);
+        if unread {
+            // the memo waited for the fix
+            let trace = fixed.as_ref().map(|out| out.trace.to_string());
+            prop_assert!(fixed.as_ref().is_ok_and(|out| out.trace.fast_path), "{:?}", trace);
+        }
+        prop_assert_eq!(observe(fixed), observe(cold_run(&base, &ctx)));
+    }
+}
+
 /// Guards that the differential property is not vacuous: on the generated
 /// program shape, a value touch and every structural shape the splice
 /// carries take the fast path (so the proptest above really compares

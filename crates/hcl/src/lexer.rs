@@ -4,7 +4,9 @@
 //! Handles `#`, `//` and `/* */` comments, decimal numbers, identifiers,
 //! operators, and double-quoted strings with escape sequences and `${…}`
 //! template interpolation (with nested-brace tracking so `"${merge({a = 1},
-//! var.m)}"` lexes correctly).
+//! var.m)}"` lexes correctly). A quoted string ends at its line, as
+//! Terraform's do: `\n` writes a newline, and only an interpolation may
+//! span lines.
 //!
 //! The lexer is pulled one token at a time (`Lexer::next_token`) and its
 //! tokens borrow the source: no token vector is built and no identifier is
@@ -42,6 +44,10 @@ pub(crate) const MAX_DEPTH: usize = 64;
 /// `$${`), interpolations hold braces, comments and strings: the state is
 /// whether `i` is in a string plus the brace depth of every interpolation
 /// open around it, kept in a loop — nothing recurses, however the input nests.
+/// A quoted string ends at its line: a raw newline in its literal text (not
+/// in an interpolation, and not escaped — `\n` writes one) ends it
+/// unterminated, so the string `b[i]` is in ends before that newline, and
+/// one inside an interpolation hands the newline back to the interpolation.
 /// `Err` says why nothing closes it: the bytes run out, or it nests
 /// interpolations deeper than [`MAX_DEPTH`].
 fn closer(b: &[u8], mut i: usize, mut in_str: bool) -> Result<usize, String> {
@@ -53,7 +59,9 @@ fn closer(b: &[u8], mut i: usize, mut in_str: bool) -> Result<usize, String> {
     while let Some(&c) = b.get(i) {
         i += 1;
         match c {
-            b'\\' if in_str => i += 1,
+            b'\\' if in_str && b.get(i) != Some(&b'\n') => i += 1,
+            b'\n' if in_str && depth == 0 => return Ok(i - 1),
+            b'\n' if in_str => in_str = false,
             b'$' if in_str && b[i..].starts_with(b"${") => i += 2,
             b'$' if in_str && b.get(i) == Some(&b'{') => {
                 if outer.len() >= MAX_DEPTH {
@@ -87,8 +95,9 @@ fn closer(b: &[u8], mut i: usize, mut in_str: bool) -> Result<usize, String> {
 }
 
 /// One past the closing quote of the string that opens at `b[open]`, its
-/// interpolations and the strings inside them skipped whole; the end of the
-/// bytes for a string nothing closes.
+/// interpolations and the strings inside them skipped whole; the newline
+/// that ends it on its line when no quote does, and the end of the bytes
+/// for a string nothing ends.
 pub(crate) fn string_end(b: &[u8], open: usize) -> usize {
     closer(b, open + 1, true).unwrap_or(b.len())
 }
@@ -107,6 +116,16 @@ pub(crate) fn comment_end(b: &[u8], i: usize) -> Option<(usize, bool)> {
     } else {
         None
     }
+}
+
+/// What the lexer cannot read of `src`, text that sits at `origin` in
+/// `filename`: the diagnostics a parse of it is refused with whatever else
+/// is wrong. A top-level chunk is lexed as the whole file lexes it, so the
+/// file's are its chunks', in order.
+pub fn lex_errors(src: &str, filename: &str, origin: SourcePos) -> Diagnostics {
+    let mut lexer = Lexer::new(src, filename, origin);
+    while lexer.next_token().kind != TokenKind::Eof {}
+    lexer.diags
 }
 
 /// The `(type, name)` of the `resource "<type>" "<name>"` that `src` opens
@@ -204,6 +223,17 @@ impl<'s, 'f> Lexer<'s, 'f> {
             .push(Diagnostic::error("HCL001", self.filename, span, msg));
     }
 
+    /// The string that opened at `start` ends here, at the end of its line
+    /// or of the source, with no closing quote.
+    fn unterminated(&mut self, start: SourcePos) {
+        let span = Span::new(start, self.here());
+        let msg = "unterminated string literal";
+        let diag = Diagnostic::error("HCL001", self.filename, span, msg).with_suggestion(
+            "a quoted string ends at its line: close it with `\"` there, and write `\\n` for a newline",
+        );
+        self.diags.push(diag);
+    }
+
     /// The next token; [`TokenKind::Eof`] at the end of the source, as
     /// often as it is asked for.
     pub(crate) fn next_token(&mut self) -> Token<'s> {
@@ -296,8 +326,9 @@ impl<'s, 'f> Lexer<'s, 'f> {
         let mut run = LitRun::at(self.pos);
         let last = loop {
             match self.peek() {
-                None => {
-                    self.error(start, "unterminated string literal".to_owned());
+                // a string ends at its line: the newline is not its own
+                None | Some(b'\n') => {
+                    self.unterminated(start);
                     break run.end(src, self.pos);
                 }
                 Some(b'"') => {
@@ -305,13 +336,14 @@ impl<'s, 'f> Lexer<'s, 'f> {
                     self.bump();
                     break last;
                 }
-                Some(b'\\') => {
+                // a backslash escapes no newline: the string ends there too
+                Some(b'\\') if self.peek2().is_some_and(|c| c != b'\n') => {
                     let text = run.decoding(src, self.pos);
                     self.bump();
                     // the escaped character may be multi-byte; consume it
                     // whole so the cursor never lands mid-codepoint
                     let Some(escaped) = self.bump_char() else {
-                        self.error(start, "unterminated string literal".to_owned());
+                        self.unterminated(start);
                         break run.end(src, self.pos);
                     };
                     match escaped {
@@ -687,6 +719,54 @@ mod tests {
         assert!(lex("\"unterminated", "t").is_err());
         assert!(lex("/* never closed", "t").is_err());
         assert!(lex("a & b", "t").is_err());
+    }
+
+    #[test]
+    fn a_quoted_string_ends_at_its_line() {
+        // the string is refused on its own line, and the next line lexes
+        let mut lexer = Lexer::new("a = \"abc\nb = 1\n", "t", SourcePos::start());
+        let kinds: Vec<_> = std::iter::from_fn(|| {
+            let token = lexer.next_token();
+            (token.kind != TokenKind::Eof).then_some(token.kind)
+        })
+        .collect();
+        let abc = TokenKind::Str(StrLit::Plain(Cow::Borrowed("abc")));
+        let rest = [
+            TokenKind::Ident("b"),
+            TokenKind::Assign,
+            TokenKind::Number(1.0),
+        ];
+        assert_eq!(kinds[2..], [[abc].as_slice(), &rest].concat());
+        let diag = &lexer.diags.items[..];
+        assert_eq!(diag.len(), 1, "{}", lexer.diags);
+        assert_eq!(diag[0].message, "unterminated string literal");
+        assert!(diag[0]
+            .suggestion
+            .as_ref()
+            .is_some_and(|s| s.contains("ends at its line")));
+        let span = diag[0].span;
+        assert_eq!((span.start.line, span.start.col), (1, 5));
+        assert_eq!((span.end.line, span.end.offset), (1, 8));
+        // a backslash does not carry a string over its newline
+        assert!(lex("\"a\\\nb\"", "t").is_err());
+        assert_eq!(string_end(b"\"a\\\nb\"", 0), 3);
+        assert_eq!(string_end(b"x = \"abc\n\"", 4), 8);
+    }
+
+    #[test]
+    fn newlines_inside_an_interpolation_and_escaped_ones_are_legal() {
+        let parts = template("\"${a +\n b}\"");
+        assert!(matches!(parts[..], [StrPart::Interp("a +\n b", _)]));
+        assert_eq!(string_end(b"\"${a +\n b}\" x", 0), 11);
+        let k = kinds(r#""a\nb""#);
+        assert_eq!(
+            k[0],
+            TokenKind::Str(StrLit::Plain(Cow::Owned("a\nb".to_owned())))
+        );
+        // a string inside an interpolation ends at its line too, and hands
+        // the newline back to the interpolation around it
+        let src = "\"${ f(\"x\n) }\" y";
+        assert_eq!(string_end(src.as_bytes(), 0), src.len() - 2);
     }
 
     #[test]

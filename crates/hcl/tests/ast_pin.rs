@@ -17,7 +17,11 @@
 //!   walk the error arms a clean program never reaches.
 //!
 //! A mismatch prints the table as this build computes it. Re-record it only
-//! for a change that means to alter the reader's output.
+//! for a change that means to alter the reader's output. The `recovery`
+//! column was re-recorded when a quoted string came to end at its line: the
+//! copies with every fifth quote dropped now refuse each string on its own
+//! line. The `ast`, `program` and `findings` columns did not move, so no
+//! shipped program holds a string that runs across lines.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,25 +34,25 @@ use cloudless_hcl::program::{expand, ModuleLibrary, Program};
 use cloudless_hcl::{parse, Diagnostics, SourceMap};
 
 const PINNED: &str = "\
-crates/hcl/tests/figure2/figure2.tf 7a949fc3dfdb6728 5b266a3f4e32e8d5 32ba23165fbc63d5 ed7894cce4fb183c\n\
-examples/hcl/defects/concurrency/alias_counted.tf 36bf328b1df7e70a 6881b6aed4a2813a c5d74b536295b81f c6299a568f28b920\n\
-examples/hcl/defects/concurrency/alias_folded.tf 89030b50c18dd603 2b9e6017dde11105 d09d381ceef6c23a d1afcf773ca7455b\n\
-examples/hcl/defects/concurrency/alias_foreach.tf 49920bd13a72e094 54673c4646000ca9 985b095c72bc11c5 4a09639c310dda2d\n\
-examples/hcl/defects/concurrency/clean_cbd_rotating.tf 2b98fd59e29772bf e57cf536f94bba88 32ba23165fbc63d5 429cf1d4842c4d4f\n\
-examples/hcl/defects/concurrency/clean_fanout.tf d666c886e01043e0 b775cb46481ff9cc 32ba23165fbc63d5 bbfed05614af35e4\n\
-examples/hcl/defects/concurrency/clean_shared_prefix.tf e2e3e5ee64e4c9be eab90ee56d9587d7 32ba23165fbc63d5 3342d8bffb2dd582\n\
-examples/hcl/defects/concurrency/compound.tf 10b9b37869f52b20 4ddcfa2a4c13919b 1e925d61115ac4b7 3045a53cde31a38f\n\
-examples/hcl/defects/concurrency/lock_cycle.tf b8466bb88a8899fc c9dd7e3c99162045 ea2672f5a0c9e133 88c9b21480dac60b\n\
-examples/hcl/defects/concurrency/missing_edge.tf 46be439f8f18cd99 6ddeabfbb5f77dce 6f0c5806c8201156 08027949588e6dc4\n\
-examples/hcl/defects/concurrency/missing_edge_counted.tf a29ef46b2e435d59 352aab1ddfe4bff7 a248fa869e380768 137adc4a1f161801\n\
-examples/hcl/defects/concurrency/self_race_replace.tf ccecebd24691fb04 4d246d2ac1e29f71 8c5466c613a0b5a0 98f7016d5641229e\n\
-examples/hcl/fleet.tf 55bf3287297a3e6b b87da71210e0469a 32ba23165fbc63d5 084f63c98213370d\n\
-examples/hcl/fleet_ids.tf b864711c21954cb5 4d2a909bf1d943cb 32ba23165fbc63d5 4eb63369de05bb25\n\
-examples/hcl/multicloud.tf bf34298fd0b45fe4 d8ae4a6582a27f36 0adb28b584eb39b0 dcf215cc56b6490e\n\
-examples/hcl/network_module.tf a2c528e98751b96d eaeafb0318fef8df 6972e38072bb0bc4 b081541f1d494ff4\n\
-examples/hcl/quickstart.tf a93de949fc656f3b 81a9ecdb1d0ac064 32ba23165fbc63d5 88c388bfdc8cb53c\n\
-examples/hcl/web_stack.tf 11895789afd1750a 8e9c25e8cda51b7e 32ba23165fbc63d5 de79f32ccf574bdd\n\
-random_layered(2000,42) f5d1aa4e289390c8 93c31f876c5c8b92 32ba23165fbc63d5 885d77a52ed6e853\n\
+crates/hcl/tests/figure2/figure2.tf 7a949fc3dfdb6728 5b266a3f4e32e8d5 32ba23165fbc63d5 4f44e4c64aaac489\n\
+examples/hcl/defects/concurrency/alias_counted.tf 36bf328b1df7e70a 6881b6aed4a2813a c5d74b536295b81f 1ddf9174b0f50e26\n\
+examples/hcl/defects/concurrency/alias_folded.tf 89030b50c18dd603 2b9e6017dde11105 d09d381ceef6c23a c655128ad328c366\n\
+examples/hcl/defects/concurrency/alias_foreach.tf 49920bd13a72e094 54673c4646000ca9 985b095c72bc11c5 f6b950319771bd1e\n\
+examples/hcl/defects/concurrency/clean_cbd_rotating.tf 2b98fd59e29772bf e57cf536f94bba88 32ba23165fbc63d5 e63419d34f985054\n\
+examples/hcl/defects/concurrency/clean_fanout.tf d666c886e01043e0 b775cb46481ff9cc 32ba23165fbc63d5 0438ec3ef8b739e5\n\
+examples/hcl/defects/concurrency/clean_shared_prefix.tf e2e3e5ee64e4c9be eab90ee56d9587d7 32ba23165fbc63d5 6fae6252e1ef010e\n\
+examples/hcl/defects/concurrency/compound.tf 10b9b37869f52b20 4ddcfa2a4c13919b 1e925d61115ac4b7 2d0e3c360e2ceac8\n\
+examples/hcl/defects/concurrency/lock_cycle.tf b8466bb88a8899fc c9dd7e3c99162045 ea2672f5a0c9e133 0e24044b7b5aaa20\n\
+examples/hcl/defects/concurrency/missing_edge.tf 46be439f8f18cd99 6ddeabfbb5f77dce 6f0c5806c8201156 6d9acb884ebf0261\n\
+examples/hcl/defects/concurrency/missing_edge_counted.tf a29ef46b2e435d59 352aab1ddfe4bff7 a248fa869e380768 730db28497bb5270\n\
+examples/hcl/defects/concurrency/self_race_replace.tf ccecebd24691fb04 4d246d2ac1e29f71 8c5466c613a0b5a0 1da728df7549bbfb\n\
+examples/hcl/fleet.tf 55bf3287297a3e6b b87da71210e0469a 32ba23165fbc63d5 c21dcad48857fbd2\n\
+examples/hcl/fleet_ids.tf b864711c21954cb5 4d2a909bf1d943cb 32ba23165fbc63d5 fb9048965af9eade\n\
+examples/hcl/multicloud.tf bf34298fd0b45fe4 d8ae4a6582a27f36 0adb28b584eb39b0 a30f825971640073\n\
+examples/hcl/network_module.tf a2c528e98751b96d eaeafb0318fef8df 6972e38072bb0bc4 0fc36a25bd6018c5\n\
+examples/hcl/quickstart.tf a93de949fc656f3b 81a9ecdb1d0ac064 32ba23165fbc63d5 b25faedfaaf18f6b\n\
+examples/hcl/web_stack.tf 11895789afd1750a 8e9c25e8cda51b7e 32ba23165fbc63d5 1ad9591c1c757652\n\
+random_layered(2000,42) f5d1aa4e289390c8 93c31f876c5c8b92 32ba23165fbc63d5 cc63b380e7b25866\n\
 ";
 
 /// Every `.tf` under `dir`, recursively.

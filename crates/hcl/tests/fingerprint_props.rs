@@ -228,7 +228,9 @@ fn prefix_and_suffix_never_overlap_whatever_the_length() {
 // ------------------------------------------- chunk boundaries ≡ block boundaries
 
 use cloudless_hcl::fingerprint::ChunkKind;
+use cloudless_hcl::lexer::lex_errors;
 use cloudless_hcl::Block;
+use cloudless_types::SourcePos;
 
 /// The scanner and the parser read one lexical syntax, so they cut `src` in
 /// the same places: no top-level block straddles a chunk, and the resource
@@ -291,17 +293,19 @@ fn resource_chunks_of_every_shipped_program_are_its_resource_blocks() {
 
 /// A template string that nests `depth` more levels of interpolation,
 /// littered with what a reader of string ends must not trip on: braces,
-/// escaped quotes, `$${`, comment openers, comments holding quotes.
+/// escaped quotes, `$${`, comment openers, comments holding quotes, and
+/// newlines inside an interpolation, which a string may hold.
 fn template(rng: &mut Rng, depth: usize) -> String {
     let mut out = String::from("\"");
     for _ in 0..rng.below(4) {
         out.push_str(rng.pick(&["a", "}", "{", "\\\"", "$${", "$${}", "#", "//", "/*", " "]));
         if depth > 0 && rng.below(2) == 0 {
             let inner = template(rng, depth - 1);
-            out.push_str(&match rng.below(4) {
+            out.push_str(&match rng.below(5) {
                 0 => format!("${{{inner}}}"),
                 1 => format!("${{ join(\"}}\", [{inner}, var.x]) }}"),
                 2 => format!("${{ {{ k = {inner} }}[\"k\"] /* \" }} */ }}"),
+                3 => format!("${{\n  cond # }}\n  ? {inner}\n  : \"{{\"\n}}"),
                 _ => format!("${{ cond ? {inner} : \"{{\" }}"),
             });
         }
@@ -345,4 +349,80 @@ fn nested_templates_end_where_the_parser_ends_them() {
         assert_eq!(spliced("", &src), ChunkMap::build(&src));
     }
     assert_eq!(deepest, 3);
+}
+
+/// A one-line string that loses its closing quote ends at its line: the
+/// chunk table is the clean source's but for the byte dropped, a diff from
+/// the clean source re-scans that one chunk, and the lexer diagnostics of
+/// the chunks, each lexed where it sits, are what a parse of the whole file
+/// is refused with.
+#[test]
+fn an_unterminated_string_is_refused_by_its_chunk_alone() {
+    let mut rng = Rng(0x0DD_9007E);
+    let mut multiline = 0;
+    for _ in 0..4_000 {
+        let mut src = String::new();
+        let blocks = 1 + rng.below(4);
+        for name in 0..blocks {
+            let depth = rng.below(3);
+            let bucket = template(&mut rng, depth);
+            multiline += usize::from(bucket.contains('\n'));
+            src.push_str(rng.pick(&TRIVIA));
+            src.push_str(&format!(
+                "resource \"aws_s3_bucket\" \"b{name}\" {{\n  bucket = {bucket}\n  tags = \"t{name}\"\n}}\n"
+            ));
+        }
+        assert_chunks_are_blocks(&src);
+        let clean = ChunkMap::build(&src);
+        // drop the closing quote of one block's one-line `tags`
+        let victim = rng.below(blocks);
+        let at =
+            src.find(&format!("\"t{victim}\"\n")).expect("a tag") + format!("\"t{victim}").len();
+        let broken = format!("{}{}", &src[..at], &src[at + 1..]);
+
+        let map = ChunkMap::build(&broken);
+        assert_eq!(spliced(&src, &broken), map, "{broken:?}");
+        assert_eq!(map.chunks.len(), clean.chunks.len(), "{broken:?}");
+        let moved = |offset: usize| offset - usize::from(offset > at);
+        for (now, was) in map.chunks.iter().zip(&clean.chunks) {
+            assert_eq!(
+                (now.start, now.end),
+                (moved(was.start), moved(was.end)),
+                "{broken:?}"
+            );
+            assert_eq!((now.line, &now.kind), (was.line, &was.kind));
+        }
+        let ChunkDelta::Window(window) = diff_chunks(&clean, &src, &broken) else {
+            unreachable!("the source changed");
+        };
+        assert_eq!(
+            (window.old.len(), window.chunks.len()),
+            (1, 1),
+            "{broken:?}"
+        );
+
+        let refused = cloudless_hcl::parse(&broken, "t.tf").expect_err("an unterminated string");
+        let mut by_chunk = cloudless_hcl::Diagnostics::new();
+        for c in &map.chunks {
+            let origin = SourcePos::new(c.line, 1, c.start as u32);
+            by_chunk.extend(lex_errors(&broken[c.start..c.end], "t.tf", origin));
+        }
+        assert_eq!(
+            format!("{by_chunk:?}"),
+            format!("{refused:?}"),
+            "{broken:?}"
+        );
+        let line = broken[..at].matches('\n').count() as u32 + 1;
+        assert_eq!(
+            refused
+                .iter()
+                .map(|d| d.span.start.line)
+                .collect::<Vec<_>>(),
+            [line]
+        );
+    }
+    assert!(
+        multiline > 400,
+        "only {multiline} template(s) spanned lines"
+    );
 }
